@@ -58,9 +58,10 @@ let load_feed ~n ~fraction =
   Database.advance_to db (Time.of_int 50);
   db
 
-(* Time reps of a compiled plan, after one warm run that builds the
-   generation caches (table snapshot, sorted chunks) both strategies
-   share — steady-state latency is the quantity of interest. *)
+(* Time reps of a compiled plan, after one warm run that lays out the
+   run's insert buffer as a chunk (the tuple path rebuilds its live
+   snapshot on every run: rows have expired) — steady-state latency is
+   the quantity of interest. *)
 let time_query ~reps db compiled =
   ignore (Executor.run ~db compiled : Eval.result);
   let (), s =

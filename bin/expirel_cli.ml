@@ -7,7 +7,6 @@
      expirel_cli -e "SELECT ..." # run one script string
      expirel_cli -f script.sqlx  # run a script file
      expirel_cli --lazy          # lazy removal policy (Section 3.2)
-     expirel_cli --index wheel   # expiration-index backend
      expirel_cli serve           # TCP server on the wire protocol
      expirel_cli serve --data-dir d  # durable (WAL + snapshots), replicable
      expirel_cli replicate --from HOST:PORT --data-dir d  # follow a primary
@@ -56,18 +55,9 @@ let repl t =
 let parse_policy lazy_ =
   if lazy_ then Expirel_storage.Database.Lazy else Expirel_storage.Database.Eager
 
-let parse_backend = function
-  | "scan" -> `Scan
-  | "wheel" -> `Wheel
-  | "heap" -> `Heap
-  | other ->
-    Printf.eprintf "unknown index backend %S (scan|heap|wheel)\n" other;
-    exit 2
-
-let main policy backend script file =
+let main policy script file =
   let policy = parse_policy policy in
-  let backend = parse_backend backend in
-  let t = Interp.create ~policy ~backend () in
+  let t = Interp.create ~policy () in
   match script, file with
   | Some text, _ -> run_script t text
   | None, Some path ->
@@ -80,14 +70,13 @@ let main policy backend script file =
 
 (* ---------- serve: the networked database ---------- *)
 
-let serve policy backend host port max_conns timeout data_dir node_name =
+let serve policy host port max_conns timeout data_dir node_name =
   let config =
     { Server.host;
       port;
       max_connections = max_conns;
       request_timeout = timeout;
       policy = parse_policy policy;
-      backend = parse_backend backend;
       data_dir;
       read_only = false;
       node_name;
@@ -459,7 +448,7 @@ let connect_main host port script =
 
 module Coordinator = Expirel_cluster.Coordinator
 
-let cluster_serve policy backend host base_port shards =
+let cluster_serve policy host base_port shards =
   if shards < 1 then begin
     Printf.eprintf "error: need at least one shard\n";
     exit 2
@@ -471,7 +460,6 @@ let cluster_serve policy backend host base_port shards =
             host;
             port = (if base_port = 0 then 0 else base_port + i);
             policy = parse_policy policy;
-            backend = parse_backend backend;
             node_name = Printf.sprintf "shard-%d" i
           }
         in
@@ -611,11 +599,6 @@ open Cmdliner
 let lazy_flag =
   Arg.(value & flag & info [ "lazy" ] ~doc:"Use lazy removal of expired tuples.")
 
-let backend_arg =
-  Arg.(value & opt string "heap"
-       & info [ "index" ] ~docv:"BACKEND"
-           ~doc:"Expiration index backend: scan, heap or wheel.")
-
 let script_arg =
   Arg.(value & opt (some string) None
        & info [ "e" ] ~docv:"SCRIPT" ~doc:"Execute the given statements and exit.")
@@ -659,7 +642,7 @@ let serve_cmd =
   let doc = "run the expirel TCP server (framed wire protocol)" in
   Cmd.v
     (Cmd.info "serve" ~doc)
-    Term.(const serve $ lazy_flag $ backend_arg $ host_arg
+    Term.(const serve $ lazy_flag $ host_arg
           $ port_arg ~default:Expirel_server.Client.default_port
           $ max_conns_arg $ timeout_arg $ data_dir_arg $ node_name_arg)
 
@@ -790,7 +773,7 @@ let cluster_cmd =
     in
     Cmd.v
       (Cmd.info "serve" ~doc:"run N shard servers in one process")
-      Term.(const cluster_serve $ lazy_flag $ backend_arg $ host_arg
+      Term.(const cluster_serve $ lazy_flag $ host_arg
             $ base_port_arg $ shards_arg)
   in
   let connect =
@@ -809,7 +792,7 @@ let cluster_cmd =
 
 let cmd =
   let doc = "interactive shell for the expiration-time-enabled database" in
-  let default = Term.(const main $ lazy_flag $ backend_arg $ script_arg $ file_arg) in
+  let default = Term.(const main $ lazy_flag $ script_arg $ file_arg) in
   Cmd.group ~default (Cmd.info "expirel_cli" ~doc)
     [ serve_cmd; replicate_cmd; connect_cmd; stats_cmd; trace_cmd; health_cmd;
       horizon_cmd; cluster_cmd ]

@@ -1,11 +1,5 @@
 module Tuple_map = Map.Make (Tuple)
 
-type chunk = {
-  c_len : int;
-  c_cols : Value.t array array;
-  c_texps : Time.t array;
-}
-
 type t = {
   arity : int;
   rows : Time.t Tuple_map.t;
@@ -15,18 +9,11 @@ type t = {
          expired and [exp tau] is the identity in O(1).  Removals leave
          it stale-low, which only costs a missed fast path, never
          correctness. *)
-  mutable chunks : chunk array option;
-      (* memoised texp-ascending columnar form ([sorted_chunks]).  Every
-         record update that changes [rows] must reset this to [None]:
-         record copies carry the mutable cell's current contents, so a
-         stale memo would silently describe the pre-update rows.  The
-         lazy build races benignly under concurrency (last store wins,
-         both results are equal). *)
 }
 
 let empty ~arity =
   if arity < 0 then invalid_arg "Relation.empty: negative arity"
-  else { arity; rows = Tuple_map.empty; low = Time.Inf; chunks = None }
+  else { arity; rows = Tuple_map.empty; low = Time.Inf }
 
 let arity r = r.arity
 let cardinal r = Tuple_map.cardinal r.rows
@@ -50,7 +37,7 @@ let add_merge merge t ~texp r =
   (* [texp] bounds the inserted tuple's final time from below under
      either merge (max keeps one of the operands, min keeps the smaller),
      so [min low texp] stays a valid lower bound. *)
-  { r with rows; low = Time.min r.low texp; chunks = None }
+  { r with rows; low = Time.min r.low texp }
 
 let add t ~texp r = add_merge Time.max t ~texp r
 let add_min t ~texp r = add_merge Time.min t ~texp r
@@ -59,11 +46,10 @@ let replace t ~texp r =
   check_arity r t;
   { r with
     rows = Tuple_map.add t texp r.rows;
-    low = Time.min r.low texp;
-    chunks = None
+    low = Time.min r.low texp
   }
 
-let remove t r = { r with rows = Tuple_map.remove t r.rows; chunks = None }
+let remove t r = { r with rows = Tuple_map.remove t r.rows }
 let mem t r = Tuple_map.mem t r.rows
 let texp r t = Tuple_map.find t r.rows
 let texp_opt r t = Tuple_map.find_opt t r.rows
@@ -78,7 +64,7 @@ let exp tau r =
           else acc)
         r.rows (Tuple_map.empty, Time.Inf)
     in
-    { r with rows; low; chunks = None }
+    { r with rows; low }
 
 let of_list ~arity rows =
   List.fold_left (fun r (t, texp) -> add t ~texp r) (empty ~arity) rows
@@ -87,7 +73,7 @@ let to_list r = Tuple_map.bindings r.rows
 let tuples r = List.map fst (to_list r)
 let iter f r = Tuple_map.iter f r.rows
 let fold f r acc = Tuple_map.fold f r.rows acc
-let filter f r = { r with rows = Tuple_map.filter f r.rows; chunks = None }
+let filter f r = { r with rows = Tuple_map.filter f r.rows }
 
 let map_tuples ~arity f r =
   fold (fun t texp acc -> add (f t) ~texp acc) r (empty ~arity)
@@ -116,65 +102,6 @@ let expiry_times r =
       r Time_set.empty
   in
   Time_set.elements times
-
-(* ---------- the texp-sorted columnar form ---------- *)
-
-let chunk_rows = 1024
-
-let chunk_len c = c.c_len
-let chunk_col c j = c.c_cols.(j - 1)
-let chunk_texps c = c.c_texps
-
-let sorted_chunks r =
-  match r.chunks with
-  | Some cs -> cs
-  | None ->
-    let arr = Array.of_list (to_list r) in
-    (* ascending texp; ties broken by tuple order so the layout (and
-       every profile counter derived from it) is deterministic *)
-    Array.sort
-      (fun (t1, e1) (t2, e2) ->
-        let c = Time.compare e1 e2 in
-        if c <> 0 then c else Tuple.compare t1 t2)
-      arr;
-    let n = Array.length arr in
-    let nchunks = (n + chunk_rows - 1) / chunk_rows in
-    let cs =
-      Array.init nchunks (fun ci ->
-          let start = ci * chunk_rows in
-          let len = min chunk_rows (n - start) in
-          { c_len = len;
-            c_texps = Array.init len (fun i -> snd arr.(start + i));
-            c_cols =
-              Array.init r.arity (fun j ->
-                  Array.init len (fun i ->
-                      Tuple.attr (fst arr.(start + i)) (j + 1)))
-          })
-    in
-    r.chunks <- Some cs;
-    cs
-
-(* First index in [texps.[lo..hi)] whose time is strictly after [tau]
-   ([hi] when none): the binary-search live cut over an ascending
-   expiration order. *)
-let live_cut texps ~tau lo hi =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Time.(texps.(mid) > tau) then hi := mid else lo := mid + 1
-  done;
-  !lo
-
-let live_count_at r ~tau =
-  if Time.(r.low > tau) then cardinal r
-  else
-    Array.fold_left
-      (fun live c ->
-        if c.c_len = 0 then live
-        else if Time.(c.c_texps.(c.c_len - 1) <= tau) then live
-        else if Time.(c.c_texps.(0) > tau) then live + c.c_len
-        else live + c.c_len - live_cut c.c_texps ~tau 0 c.c_len)
-      0 (sorted_chunks r)
 
 let pp ppf r =
   if is_empty r then Format.pp_print_string ppf "(empty)"

@@ -81,45 +81,6 @@ val max_texp : t -> Time.t
 val expiry_times : t -> Time.t list
 (** The distinct, finite expiration times present, ascending. *)
 
-(** {2 The texp-sorted columnar form}
-
-    The batch executor's storage layout: rows reordered ascending by
-    expiration time and split into fixed-size column chunks, so that
-    "what is live at [tau]" is a binary-search cut instead of one
-    comparison per row, and wholly-live / wholly-expired chunks are
-    accepted or skipped without touching their rows at all. *)
-
-type chunk
-(** [chunk_rows] (or fewer, for the last one) rows in column-major
-    layout with a parallel ascending expiration-time array. *)
-
-val chunk_rows : int
-(** Rows per chunk (the last chunk of a relation may hold fewer). *)
-
-val chunk_len : chunk -> int
-val chunk_col : chunk -> int -> Value.t array
-(** [chunk_col c j] is column [j] (1-based), [chunk_len c] values long.
-    Callers must not mutate it: chunks are shared, memoised state. *)
-
-val chunk_texps : chunk -> Time.t array
-(** The parallel expiration times, ascending. *)
-
-val sorted_chunks : t -> chunk array
-(** The relation in texp-ascending chunked columnar form, globally
-    sorted (ties broken by tuple order, so the layout is
-    deterministic).  Memoised on the relation: the first call pays
-    O(n log n), later calls are O(1) — callers that cache relations per
-    generation (table snapshots) therefore sort once per generation. *)
-
-val live_cut : Time.t array -> tau:Time.t -> int -> int -> int
-(** [live_cut texps ~tau lo hi] is the first index in [[lo, hi)] whose
-    time is strictly after [tau] ([hi] when none) — the binary-search
-    cut over an ascending expiration order. *)
-
-val live_count_at : t -> tau:Time.t -> int
-(** [cardinal (exp tau r)] computed from the sorted chunks: O(1) when
-    nothing expired, otherwise a cut per chunk instead of a scan. *)
-
 val pp : Format.formatter -> t -> unit
 (** Paper-style listing: one [texp | tuple] row per line. *)
 

@@ -1,4 +1,5 @@
 open Expirel_core
+open Expirel_storage
 
 (* A batch: one chunk of rows in column-major layout, a parallel
    expiration-time array, and an optional selection vector.  Filters
@@ -7,8 +8,8 @@ open Expirel_core
    touches each value at most once, at materialisation (or aggregate
    accumulation) time.
 
-   Scan-produced batches come straight from a relation's memoised
-   texp-sorted chunks ([Relation.sorted_chunks]) with [sel = None]:
+   Scan-produced batches come straight from a table's texp-ordered
+   chunks ([Texp_run]) with [sel = None]:
    zero copies for a wholly-live chunk, and the live cut inside a
    straddling chunk is a suffix selection found by one binary search.
    Batches re-entered from the tuple-at-a-time fallback ([of_relation])
@@ -48,22 +49,22 @@ let fold_rows b ~init ~f =
 
 let of_chunk ~arity c =
   { arity;
-    cols = Array.init arity (fun j -> Relation.chunk_col c (j + 1));
-    texps = Relation.chunk_texps c;
+    cols = Array.init arity (fun j -> Texp_run.chunk_col c (j + 1));
+    texps = Texp_run.chunk_texps c;
     sel = None
   }
 
 (* The live suffix of a texp-ascending chunk: [None] when the whole
    chunk has expired.  Returns the number of rows the cut skipped. *)
 let cut_chunk ~arity ~tau c =
-  let len = Relation.chunk_len c in
+  let len = Texp_run.chunk_len c in
   if len = 0 then None, 0
   else
-    let texps = Relation.chunk_texps c in
+    let texps = Texp_run.chunk_texps c in
     if Time.(texps.(0) > tau) then Some (of_chunk ~arity c), 0
     else if Time.(texps.(len - 1) <= tau) then None, len
     else
-      let first = Relation.live_cut texps ~tau 0 len in
+      let first = Texp_run.live_cut texps ~tau 0 len in
       let b = of_chunk ~arity c in
       Some { b with sel = Some (Array.init (len - first) (fun i -> first + i)) },
       first
@@ -99,12 +100,12 @@ module Builder = struct
     mutable done_ : batch list;  (* reverse order *)
   }
 
-  let fresh_cols arity = Array.init arity (fun _ -> Array.make Relation.chunk_rows Value.Null)
+  let fresh_cols arity = Array.init arity (fun _ -> Array.make Texp_run.chunk_rows Value.Null)
 
   let create ~arity =
     { b_arity = arity;
       buf_cols = fresh_cols arity;
-      buf_texps = Array.make Relation.chunk_rows Time.Inf;
+      buf_texps = Array.make Texp_run.chunk_rows Time.Inf;
       fill = 0;
       done_ = []
     }
@@ -113,16 +114,16 @@ module Builder = struct
     if b.fill > 0 then begin
       let n = b.fill in
       let cols =
-        if n = Relation.chunk_rows then b.buf_cols
+        if n = Texp_run.chunk_rows then b.buf_cols
         else Array.map (fun col -> Array.sub col 0 n) b.buf_cols
       in
       let texps =
-        if n = Relation.chunk_rows then b.buf_texps
+        if n = Texp_run.chunk_rows then b.buf_texps
         else Array.sub b.buf_texps 0 n
       in
       b.done_ <- { arity = b.b_arity; cols; texps; sel = None } :: b.done_;
       b.buf_cols <- fresh_cols b.b_arity;
-      b.buf_texps <- Array.make Relation.chunk_rows Time.Inf;
+      b.buf_texps <- Array.make Texp_run.chunk_rows Time.Inf;
       b.fill <- 0
     end
 
@@ -134,7 +135,7 @@ module Builder = struct
     done;
     b.buf_texps.(i) <- texp;
     b.fill <- i + 1;
-    if b.fill = Relation.chunk_rows then flush b
+    if b.fill = Texp_run.chunk_rows then flush b
 
   let to_batches b =
     flush b;

@@ -2,10 +2,10 @@
 
     A batch is one chunk of rows as flat column arrays plus a parallel
     expiration-time array and an optional selection vector.  Scans
-    produce batches directly from a relation's memoised texp-sorted
-    chunks ({!Relation.sorted_chunks}), where the live-at-[tau] cut is
-    one binary search ({!cut_chunk}) and wholly-live / wholly-expired
-    chunks are accepted / skipped without touching a row.  Filters
+    produce batches directly from a table's texp-ordered chunks
+    ({!Expirel_storage.Texp_run}), where the live-at-[tau] cut is one
+    binary search ({!cut_chunk}) and wholly-live / wholly-expired chunks
+    are accepted / skipped without touching a row.  Filters
     narrow the selection vector; projections permute column pointers;
     only the materialise boundary ({!to_relation}) builds tuples again.
 
@@ -16,6 +16,7 @@
     live rows, so nothing above needs one. *)
 
 open Expirel_core
+open Expirel_storage
 
 type t
 
@@ -30,7 +31,7 @@ val fold_rows : t -> init:'a -> f:('a -> (int -> Value.t) -> Time.t -> 'a) -> 'a
     aggregate accumulates {!Partial_agg} slices without materialising
     tuples. *)
 
-val cut_chunk : arity:int -> tau:Time.t -> Relation.chunk -> t option * int
+val cut_chunk : arity:int -> tau:Time.t -> Texp_run.chunk -> t option * int
 (** The live suffix of a texp-ascending chunk, and how many rows the
     cut skipped: [(None, len)] for a wholly-expired chunk, a zero-copy
     whole-chunk batch and [0] for a wholly-live one, and a
@@ -62,7 +63,7 @@ val to_relation : arity:int -> t list -> Relation.t
     {!Relation.add} rule the tuple-at-a-time kernels use). *)
 
 (** Accumulates operator output rows (joins, rebatches) into full
-    batches, flushing every {!Relation.chunk_rows} rows. *)
+    batches, flushing every {!Texp_run.chunk_rows} rows. *)
 module Builder : sig
   type batch = t
   type t

@@ -467,8 +467,9 @@ let run ?(strategy = Aggregate.Exact) ?probe ?profile ~db compiled =
          so a vectorizable/exec_batch_node mismatch degrades to the
          tuple fallback instead of crashing a query. *)
       rebatch q prof
-  (* The batch-producing leaf.  Full scans cut the table's memoised
-     texp-sorted chunks at [tau]: wholly-expired chunks are skipped
+  (* The batch-producing leaf.  Full scans cut the table's
+     texp-ordered run at [tau], chunk by chunk (the sorted chunks, then
+     the insert buffer's): wholly-expired chunks are skipped
      without touching a row, wholly-live chunks pass through zero-copy,
      straddlers pay one binary search — the per-row liveness filter of
      the tuple path disappears entirely.  Index paths re-enter their
@@ -489,14 +490,13 @@ let run ?(strategy = Aggregate.Exact) ?probe ?profile ~db compiled =
       end
     in
     let cut_scan () =
-      let chunks = Relation.sorted_chunks (Table.physical_relation table) in
       let acc = ref [] in
-      Array.iter
+      Texp_run.iter_chunks
         (fun c ->
           let b, skipped = Batch.cut_chunk ~arity ~tau c in
           count_cut skipped;
           match b with None -> () | Some b -> acc := b :: !acc)
-        chunks;
+        (Table.run table);
       List.rev !acc
     in
     let batches =

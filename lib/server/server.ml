@@ -9,7 +9,6 @@ type config = {
   max_connections : int;
   request_timeout : float;
   policy : Database.policy;
-  backend : Expirel_index.Expiration_index.backend;
   data_dir : string option;
   read_only : bool;
   node_name : string;
@@ -92,7 +91,6 @@ let default_config =
     max_connections = 64;
     request_timeout = 5.0;
     policy = Database.Eager;
-    backend = `Heap;
     data_dir = None;
     read_only = false;
     node_name = "expirel";
@@ -149,13 +147,13 @@ let horizon_of ~interp ~subs ?table () =
 let create ?(config = default_config) () =
   let store =
     Option.map
-      (Durable.open_dir ~policy:config.policy ~backend:config.backend)
+      (Durable.open_dir ~policy:config.policy)
       config.data_dir
   in
   let interp =
     match store with
     | Some s -> Interp.create ~store:s ()
-    | None -> Interp.create ~policy:config.policy ~backend:config.backend ()
+    | None -> Interp.create ~policy:config.policy ()
   in
   let db = Interp.database interp in
   let metrics = Metrics.create () in
@@ -217,9 +215,8 @@ let create ?(config = default_config) () =
      is served under the read lock — see [handle_request]. *)
   let reg = Metrics.registry metrics in
   Obs.Registry.gauge_fun reg ~name:"expirel_expiration_index_depth"
-    ~help:"Entries across all tables' expiration indexes (heap nodes / \
-           timer-wheel occupancy): the backlog an advance or vacuum \
-           must process" (fun () ->
+    ~help:"Rows held in all tables' texp-ordered runs: the backlog \
+           an advance or vacuum must process" (fun () ->
       float_of_int (Database.pending_expirations db));
   Obs.Registry.custom reg ~name:"expirel_view_texp_horizon_ticks"
     ~help:"texp(e) horizon per view, in logical ticks (+Inf when the \
@@ -347,7 +344,8 @@ let create ?(config = default_config) () =
   (* The horizon: forward-looking expiration telemetry, polled at
      exposition time like the other expiration-domain gauges (METRICS
      runs as a reader).  Each bucket boundary is a binary-search cut
-     over texp-sorted chunks, so a scrape stays cheap on big tables. *)
+     of the table's texp-ordered run — O(buckets · log n) per table —
+     so a scrape stays cheap on big tables. *)
   Obs.Registry.custom reg ~name:"expirel_horizon_rows"
     ~help:"Forecast: live rows by ticks-to-expiry, per table (+Inf \
            also holds never-expiring rows)"
@@ -705,27 +703,26 @@ let shard_self t =
   | None -> -1
 
 (* The whole-partition texp summary the coordinator's pruning feeds on:
-   the Relation min/max-texp bounds folded over every table's live
-   snapshot.  Snapshots are generation-cached, so when nothing changed
-   since the last reply this walk allocates nothing.  Caller holds the
-   (read or write) lock. *)
+   each table's live count and live min/max texp, read from the ends of
+   its texp-ordered run — O(log n) per table, no row walked.  Caller
+   holds the (read or write) lock. *)
 let partition_summary t =
   let db = Interp.database t.interp in
+  let tau = Database.now db in
   List.fold_left
     (fun (acc : Wire.partition_texp) name ->
-      let r = Database.snapshot db name in
-      let n = Relation.cardinal r in
-      if n = 0 then acc
-      else if acc.live_rows = 0 then
-        { Wire.live_rows = n;
-          min_texp = Relation.min_texp r;
-          max_texp = Relation.max_texp r
-        }
-      else
-        { Wire.live_rows = acc.live_rows + n;
-          min_texp = Time.min acc.min_texp (Relation.min_texp r);
-          max_texp = Time.max acc.max_texp (Relation.max_texp r)
-        })
+      let table = Database.table_exn db name in
+      match Table.live_texp_range table ~tau with
+      | None -> acc
+      | Some (lo, hi) ->
+        let n = Table.live_estimate table ~tau in
+        if acc.live_rows = 0 then
+          { Wire.live_rows = n; min_texp = lo; max_texp = hi }
+        else
+          { Wire.live_rows = acc.live_rows + n;
+            min_texp = Time.min acc.min_texp lo;
+            max_texp = Time.max acc.max_texp hi
+          })
     { Wire.live_rows = 0; min_texp = Time.infinity; max_texp = Time.infinity }
     (Database.table_names db)
 

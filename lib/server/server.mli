@@ -40,7 +40,6 @@ type config = {
       (** seconds a request may wait for the database lock before being
           refused with a [Timeout] error *)
   policy : Database.policy;
-  backend : Expirel_index.Expiration_index.backend;
   data_dir : string option;
       (** directory of the {!Expirel_storage.Durable} store; [None]
           runs purely in memory (and cannot serve replication) *)
@@ -104,6 +103,13 @@ val shard_identity : t -> Wire.shard_identity option
     node holding an identity answers [Exec_shard] with its shard id and
     partition texp summary piggybacked, and serves the rebalance
     requests ([Extract_moving] / [Ingest_rows] / [Purge_moved]). *)
+
+val partition_summary : t -> Wire.partition_texp
+(** The live-row count and live min/max texp over every table at the
+    node's clock — the summary a shard piggybacks on its replies for the
+    coordinator's pruning.  Read from the ends of each table's
+    texp-ordered run, O(log n) per table.  Callers that run concurrently
+    with a serving node must hold {!lock}. *)
 
 val apply_records : t -> Wal.record list -> (unit, string) result
 (** Applies a shipped [Repl_records] batch under the write lock, with

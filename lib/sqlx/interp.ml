@@ -71,11 +71,11 @@ type t = {
          clock moves (ADVANCE/TICK/VACUUM) and on horizon reads *)
 }
 
-let create ?policy ?backend ?store () =
+let create ?policy ?store () =
   let db =
     match store with
     | Some s -> Durable.database s
-    | None -> Database.create ?policy ?backend ()
+    | None -> Database.create ?policy ()
   in
   { db;
     store;
@@ -554,14 +554,14 @@ let exec_statement ?trace ?text t = function
         (Lower.lower_cond_for_table ~columns:(Table.columns tbl) ~table)
         where
     in
-    let snapshot = Database.snapshot t.db table in
+    (* The live victims, through the access path: an index for
+       [col = k] or a range, a scan otherwise. *)
+    let tau = Database.now t.db in
     let victims =
-      Relation.fold
-        (fun tuple _ acc ->
-          match pred with
-          | Some p when not (Predicate.eval p tuple) -> acc
-          | Some _ | None -> tuple :: acc)
-        snapshot []
+      Relation.tuples
+        (match pred with
+         | Some p -> Access.select tbl ~tau p
+         | None -> Table.snapshot tbl ~tau)
     in
     Trace.span trace "storage" (fun () ->
         List.iter

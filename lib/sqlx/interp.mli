@@ -13,13 +13,10 @@ open Expirel_storage
 type t
 
 val create :
-  ?policy:Database.policy -> ?backend:Expirel_index.Expiration_index.backend ->
-  ?store:Durable.t ->
-  unit -> t
+  ?policy:Database.policy -> ?store:Durable.t -> unit -> t
 (** With [?store], the session runs over the store's database and every
-    mutating statement is written ahead to its log ([policy] and
-    [backend] are then ignored — the store fixed them when the directory
-    was opened).  [CHECKPOINT] only works on such sessions. *)
+    mutating statement is written ahead to its log ([policy] is then
+    ignored — the store fixed it when the directory was opened).  [CHECKPOINT] only works on such sessions. *)
 
 val database : t -> Database.t
 

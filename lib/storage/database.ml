@@ -1,5 +1,4 @@
 open Expirel_core
-open Expirel_index
 
 type policy =
   | Eager
@@ -7,7 +6,6 @@ type policy =
 
 type t = {
   policy : policy;
-  backend : Expiration_index.backend;
   tables : (string, Table.t) Hashtbl.t;
   trigger_registry : Trigger.registry;
   mutable clock : Time.t;
@@ -19,9 +17,8 @@ type t = {
       (* expirations observed (eagerly at advance, lazily at vacuum) *)
 }
 
-let create ?(policy = Eager) ?(backend = `Heap) () =
+let create ?(policy = Eager) () =
   { policy;
-    backend;
     tables = Hashtbl.create 16;
     trigger_registry = Trigger.create ();
     clock = Time.zero;
@@ -40,7 +37,7 @@ let create_table db ~name ~columns =
   if Hashtbl.mem db.tables name then
     invalid_arg (Printf.sprintf "Database.create_table: %s exists" name)
   else begin
-    let table = Table.create ~backend:db.backend ~name ~columns () in
+    let table = Table.create ~name ~columns () in
     Hashtbl.replace db.tables name table;
     bump_generation db;
     table

@@ -10,7 +10,6 @@
     — on the next {!vacuum}. *)
 
 open Expirel_core
-open Expirel_index
 
 type policy =
   | Eager
@@ -18,9 +17,8 @@ type policy =
 
 type t
 
-val create :
-  ?policy:policy -> ?backend:Expiration_index.backend -> unit -> t
-(** Defaults: [Eager], [`Heap]. *)
+val create : ?policy:policy -> unit -> t
+(** The policy defaults to [Eager]. *)
 
 val policy : t -> policy
 val now : t -> Time.t
@@ -47,8 +45,8 @@ val table_exn : t -> string -> Table.t
 val table_names : t -> string list
 
 val pending_expirations : t -> int
-(** Sum of {!Table.pending_expirations} over every table: the total
-    expiration-index depth (heap entries / timer-wheel occupancy). *)
+(** Sum of {!Table.pending_expirations} over every table: the rows
+    held in the tables' texp-ordered runs, awaiting expiration. *)
 
 val live_rows : t -> int
 (** Sum of {!Table.live_estimate} over every table — the denominator of

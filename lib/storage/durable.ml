@@ -61,10 +61,10 @@ let apply db = function
   | Wal.Advance t ->
     if Time.(t > Database.now db) then Database.advance_to db t
 
-let open_dir ?policy ?backend ?(retention = 4096) dir =
+let open_dir ?policy ?(retention = 4096) dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": not a directory"));
-  let db = Database.create ?policy ?backend () in
+  let db = Database.create ?policy () in
   let base = read_meta dir in
   let (_ : int) = Wal.replay (snapshot_path dir) ~f:(apply db) in
   let tail = Queue.create () in

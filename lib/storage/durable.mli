@@ -35,7 +35,6 @@ type t
 
 val open_dir :
   ?policy:Database.policy ->
-  ?backend:Expirel_index.Expiration_index.backend ->
   ?retention:int ->
   string ->
   t

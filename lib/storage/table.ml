@@ -1,5 +1,4 @@
 open Expirel_core
-open Expirel_index
 
 module Tuple_hash = struct
   type t = Tuple.t
@@ -13,30 +12,26 @@ module Tuple_tbl = Hashtbl.Make (Tuple_hash)
 type t = {
   name : string;
   columns : string list;
-  rows : (Tuple.t * Time.t) Tuple_tbl.t;  (* keyed by tuple (set semantics) *)
-  ids : (int, Tuple.t) Hashtbl.t;  (* expiration-index id -> tuple *)
-  by_tuple : int Tuple_tbl.t;  (* tuple -> its current index id *)
-  index : Expiration_index.t;
+  rows : Time.t Tuple_tbl.t;
+      (* tuple -> texp: set semantics, and the liveness check behind
+         index lookups *)
+  run : Texp_run.t;  (* the same rows, in (texp, tuple) order *)
   secondary : (int, Ordered_index.t) Hashtbl.t;  (* column -> index *)
-  mutable next_id : int;
   mutable generation : int;  (* bumped on every physical row change *)
   mutable cached_snapshot : (int * Relation.t) option;
       (* A full-table snapshot is independent of [tau] as long as every
-         physical row is live at [tau] (i.e. [next_expiry > tau]), so it
-         can be cached across reads and invalidated by generation. *)
+         physical row is live at [tau], so it is reused until the table
+         changes. *)
 }
 
-let create ?(backend = `Heap) ~name ~columns () =
+let create ~name ~columns () =
   if columns = [] then invalid_arg "Table.create: no columns"
   else
     { name;
       columns;
       rows = Tuple_tbl.create 64;
-      ids = Hashtbl.create 64;
-      by_tuple = Tuple_tbl.create 64;
-      index = Expiration_index.create backend;
+      run = Texp_run.create ~arity:(List.length columns);
       secondary = Hashtbl.create 4;
-      next_id = 0;
       generation = 0;
       cached_snapshot = None
     }
@@ -47,6 +42,7 @@ let touch t = t.generation <- t.generation + 1
 let name t = t.name
 let columns t = t.columns
 let arity t = List.length t.columns
+let run t = t.run
 
 let column_position t column =
   let rec find i = function
@@ -54,14 +50,6 @@ let column_position t column =
     | c :: rest -> if String.equal c column then Some i else find (i + 1) rest
   in
   find 1 t.columns
-
-let unindex t tuple =
-  match Tuple_tbl.find_opt t.by_tuple tuple with
-  | Some id ->
-    Expiration_index.remove t.index ~id;
-    Hashtbl.remove t.ids id;
-    Tuple_tbl.remove t.by_tuple tuple
-  | None -> ()
 
 let secondary_insert t tuple =
   Hashtbl.iter (fun _ idx -> Ordered_index.insert idx tuple) t.secondary
@@ -74,127 +62,114 @@ let insert t tuple ~texp =
     invalid_arg
       (Printf.sprintf "Table.insert(%s): tuple arity %d, table arity %d" t.name
          (Tuple.arity tuple) (arity t));
-  touch t;
-  unindex t tuple;
-  secondary_insert t tuple;
-  Tuple_tbl.replace t.rows tuple (tuple, texp);
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  Hashtbl.replace t.ids id tuple;
-  Tuple_tbl.replace t.by_tuple tuple id;
-  Expiration_index.add t.index ~id ~texp
+  match Tuple_tbl.find_opt t.rows tuple with
+  | Some old when Time.equal old texp -> ()
+  | found ->
+    touch t;
+    (match found with
+     | Some old -> Texp_run.remove t.run tuple old
+     | None -> secondary_insert t tuple);
+    Texp_run.add t.run tuple texp;
+    Tuple_tbl.replace t.rows tuple texp
 
 let delete t tuple =
-  if Tuple_tbl.mem t.rows tuple then begin
+  match Tuple_tbl.find_opt t.rows tuple with
+  | Some texp ->
     touch t;
-    unindex t tuple;
+    Texp_run.remove t.run tuple texp;
     secondary_remove t tuple;
     Tuple_tbl.remove t.rows tuple;
     true
-  end
-  else false
+  | None -> false
 
-let texp_of t tuple = Option.map snd (Tuple_tbl.find_opt t.rows tuple)
+let texp_of t tuple = Tuple_tbl.find_opt t.rows tuple
 let physical_count t = Tuple_tbl.length t.rows
-let pending_expirations t = Expiration_index.size t.index
-
-let live_count t ~tau =
-  Tuple_tbl.fold
-    (fun _ (_, texp) n -> if Time.(texp > tau) then n + 1 else n)
-    t.rows 0
+let pending_expirations t = Texp_run.length t.run
 
 (* Every physical row live at [tau]?  Then the snapshot is the whole
-   table, independent of [tau].  (Under lazy removal, expired rows keep
-   their expiration-index entries until vacuumed, so [next_expiry <= tau]
-   and the fast path correctly stays off.) *)
+   table, independent of [tau].  (Under lazy removal, expired rows stay
+   in the run until vacuumed, so its minimum is [<= tau] and the fast
+   path correctly stays off.) *)
 let all_live t ~tau =
-  match Expiration_index.next_expiry t.index with
+  match Texp_run.min_texp t.run with
   | None -> true
   | Some e -> Time.(e > tau)
 
-let full_snapshot t =
-  match t.cached_snapshot with
-  | Some (g, r) when g = t.generation -> r
-  | Some _ | None ->
-    let r =
-      Tuple_tbl.fold
-        (fun _ (tuple, texp) acc -> Relation.add tuple ~texp acc)
-        t.rows
-        (Relation.empty ~arity:(arity t))
-    in
-    t.cached_snapshot <- Some (t.generation, r);
-    r
-
-let physical_relation t = full_snapshot t
-
-(* Live cardinality without the O(n) fold: O(1) when nothing expired,
-   otherwise a binary-search cut per chunk of the (generation-cached)
-   physical relation's texp-sorted columnar form — the same chunks the
-   batch executor scans, so planning warms execution's cache. *)
+(* Live cardinality: O(1) when nothing expired, otherwise one
+   binary-search cut over the run's chunk boundaries and one inside the
+   chunk (and the buffer) it lands in — O(log n) once the buffer is laid
+   out as a chunk (O(chunk_rows), on the first read after a write). *)
 let live_estimate t ~tau =
   if all_live t ~tau then physical_count t
-  else Relation.live_count_at (full_snapshot t) ~tau
+  else physical_count t - Texp_run.count_upto t.run tau
+
+let next_expiry t =
+  match Texp_run.min_texp t.run with
+  | Some (Time.Fin _ as e) -> Some e
+  | Some Time.Inf | None -> None
+
+let live_texp_range t ~tau =
+  match Texp_run.min_live_texp t.run ~tau, Texp_run.max_texp t.run with
+  | Some lo, Some hi -> Some (lo, hi)
+  | Some _, None | None, _ -> None
 
 (* The forward expiration profile: per-bucket counts of live rows by
-   ticks-to-expiry.  Like [live_estimate], this never scans rows: each
-   bucket boundary is a binary-search cut over the generation-cached
-   physical relation's texp-sorted chunks, so the whole histogram costs
-   O(chunks · buckets · log rows).  [bounds] must be ascending;
-   [max_int] means +Inf and its bucket also holds never-expiring rows. *)
+   ticks-to-expiry.  Each bucket boundary is one [count_upto] — a binary
+   search over the run's chunk-boundary texps, then one inside a chunk
+   and one inside the buffer — so the histogram costs O(buckets · log n)
+   (plus the buffer's layout after a write) and never touches a row.
+   [bounds] must be ascending; [max_int] means +Inf and its bucket also
+   holds never-expiring rows. *)
 let expiring_within t ~now ~bounds =
   let n = Array.length bounds in
   let cum = Array.make n 0 in
   (match now with
    | Time.Inf -> ()  (* nothing is live at infinity *)
    | Time.Fin v ->
-     let chunks = Relation.sorted_chunks (physical_relation t) in
-     Array.iter
-       (fun ch ->
-         let texps = Relation.chunk_texps ch in
-         let len = Relation.chunk_len ch in
-         let c0 = Relation.live_cut texps ~tau:now 0 len in
-         Array.iteri
-           (fun i bound ->
-             let upto =
-               (* [bound > max_int - v] saturates: the window reaches
-                  past every finite time, so every physical row beyond
-                  the [now] cut belongs to it. *)
-               if bound = max_int || bound > max_int - v then len
-               else Relation.live_cut texps ~tau:(Time.of_int (v + bound)) 0 len
-             in
-             cum.(i) <- cum.(i) + (upto - c0))
-           bounds)
-       chunks);
+     let total = Texp_run.length t.run in
+     let c0 = Texp_run.count_upto t.run now in
+     Array.iteri
+       (fun i bound ->
+         let upto =
+           (* [bound > max_int - v] saturates: the window reaches past
+              every finite time, so every row beyond the [now] cut
+              belongs to it. *)
+           if bound = max_int || bound > max_int - v then total
+           else Texp_run.count_upto t.run (Time.of_int (v + bound))
+         in
+         cum.(i) <- upto - c0)
+       bounds);
   (* cumulative cuts -> per-bucket counts *)
   Array.mapi (fun i c -> if i = 0 then c else c - cum.(i - 1)) cum
 
 let snapshot t ~tau =
-  if all_live t ~tau then full_snapshot t
-  else
-    Tuple_tbl.fold
-      (fun _ (tuple, texp) acc ->
-        if Time.(texp > tau) then Relation.add tuple ~texp acc else acc)
-      t.rows
+  let build () =
+    Texp_run.fold_live t.run ~tau
+      (fun tuple texp acc -> Relation.add tuple ~texp acc)
       (Relation.empty ~arity:(arity t))
+  in
+  if not (all_live t ~tau) then build ()
+  else
+    match t.cached_snapshot with
+    | Some (g, r) when g = t.generation -> r
+    | Some _ | None ->
+      let r = build () in
+      t.cached_snapshot <- Some (t.generation, r);
+      r
 
 let expire_upto t tau =
-  let due = Expiration_index.expire_upto t.index tau in
-  if due <> [] then touch t;
-  List.filter_map
-    (fun (id, texp) ->
-      match Hashtbl.find_opt t.ids id with
-      | Some tuple ->
-        Hashtbl.remove t.ids id;
-        Tuple_tbl.remove t.by_tuple tuple;
+  let due = Texp_run.expire_upto t.run tau in
+  if due <> [] then begin
+    touch t;
+    List.iter
+      (fun (tuple, _) ->
         Tuple_tbl.remove t.rows tuple;
-        secondary_remove t tuple;
-        Some (tuple, texp)
-      | None -> None)
-    due
+        secondary_remove t tuple)
+      due
+  end;
+  due
 
 let vacuum t ~tau = List.length (expire_upto t tau)
-
-let next_expiry t = Expiration_index.next_expiry t.index
 
 (* --- secondary indexes --- *)
 
@@ -204,7 +179,7 @@ let create_index t ~column =
       (Printf.sprintf "Table.create_index(%s): column %d outside 1..%d" t.name
          column (arity t));
   let idx = Ordered_index.create ~column in
-  Tuple_tbl.iter (fun _ (tuple, _) -> Ordered_index.insert idx tuple) t.rows;
+  Tuple_tbl.iter (fun tuple _ -> Ordered_index.insert idx tuple) t.rows;
   Hashtbl.replace t.secondary column idx
 
 let drop_index t ~column = Hashtbl.remove t.secondary column
@@ -227,7 +202,7 @@ let live_rows ?dropped t ~tau tuples =
   List.filter_map
     (fun tuple ->
       match Tuple_tbl.find_opt t.rows tuple with
-      | Some (_, texp) when Time.(texp > tau) -> Some (tuple, texp)
+      | Some texp when Time.(texp > tau) -> Some (tuple, texp)
       | Some _ | None ->
         (match dropped with Some r -> incr r | None -> ());
         None)

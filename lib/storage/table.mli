@@ -1,5 +1,12 @@
-(** A mutable stored relation with set semantics, named columns, and an
-    expiration index.
+(** A mutable stored relation with set semantics, named columns, and
+    its rows kept in expiration order.
+
+    The rows live in one {!Texp_run}: column chunks globally sorted by
+    [(texp, tuple)] plus a sorted insert buffer.  Hot readers (the batch
+    scan, live counts, the forward expiration profile, the earliest
+    expiration) cut the run at [tau] by binary search and never rebuild
+    anything after a write.  A tuple → texp map keeps set semantics and
+    the liveness check behind index lookups.
 
     The table itself is clock-free; the {!Database} drives expiration by
     calling {!expire_upto} (eager removal) or {!vacuum} (delayed physical
@@ -8,15 +15,11 @@
     stay invisible (Section 3.2, citation [26]). *)
 
 open Expirel_core
-open Expirel_index
 
 type t
 
-val create :
-  ?backend:Expiration_index.backend -> name:string -> columns:string list ->
-  unit -> t
-(** [backend] defaults to [`Heap].
-    @raise Invalid_argument on an empty column list *)
+val create : name:string -> columns:string list -> unit -> t
+(** @raise Invalid_argument on an empty column list *)
 
 val name : t -> string
 val columns : t -> string list
@@ -38,14 +41,14 @@ val texp_of : t -> Tuple.t -> Time.t option
 val physical_count : t -> int
 (** Rows physically present, including expired-but-unvacuumed ones. *)
 
-val live_count : t -> tau:Time.t -> int
-
 val live_estimate : t -> tau:Time.t -> int
-(** Exactly [live_count], computed cheaply: O(1) when every physical row
-    is live, otherwise binary-search cuts over the cached
-    {!physical_relation}'s texp-sorted chunks — what the planner's
-    cardinality estimates use so a mostly-expired (churny, lazily
-    vacuumed) table costs by its live rows, not its physical ones. *)
+(** The number of rows live at [tau] (exact, despite the name: the
+    planner's cardinality estimates use it, so a mostly-expired, lazily
+    vacuumed table costs by its live rows, not its physical ones).  O(1)
+    when every physical row is live, otherwise O(log n): one binary
+    search over the run's chunk-boundary texps, one inside the chunk it
+    lands in and one inside the buffer (whose chunk form the first read
+    after a write lays out, O(chunk_rows) once). *)
 
 val expiring_within : t -> now:Time.t -> bounds:int array -> int array
 (** The table's forward expiration profile: element [i] counts live
@@ -53,31 +56,40 @@ val expiring_within : t -> now:Time.t -> bounds:int array -> int array
     (with an implicit lower edge of [now] for the first bucket).
     [bounds] must be ascending tick deltas; a [max_int] bound means
     [+Inf] and its bucket also holds never-expiring rows, so the array
-    sums to the live count.  Never a full scan: each boundary is a
-    binary-search cut over the cached {!physical_relation}'s texp-sorted
-    chunks — O(chunks · buckets · log rows). *)
+    sums to the live count.  Never touches a row: each boundary is one
+    cut of the run as in {!live_estimate} — O(buckets · log n), plus
+    the buffer's O(chunk_rows) layout on the first read after a
+    write. *)
+
+val next_expiry : t -> Time.t option
+(** The earliest finite expiration time among the physical rows
+    (expired-but-unvacuumed ones included); [None] when every row is
+    immortal or the table is empty.  O(log chunk_rows). *)
+
+val live_texp_range : t -> tau:Time.t -> (Time.t * Time.t) option
+(** The smallest and largest expiration time among the rows live at
+    [tau], read from the ends of the run; [None] when no row is live. *)
 
 val pending_expirations : t -> int
-(** Entries currently held by the table's expiration index (heap /
-    timer wheel / scan) — the backlog an advance or vacuum would have to
-    process.  The depth gauge the observability layer exposes. *)
+(** Rows held in the table's texp-ordered run, immortal ones and
+    expired-but-unvacuumed ones included — the backlog that advances
+    and vacuums work through.  The depth gauge the observability layer
+    exposes. *)
+
+val run : t -> Texp_run.t
+(** The rows in [(texp, tuple)] order — what the batch executor scans.
+    Callers read it and never mutate it. *)
 
 val generation : t -> int
 (** Monotone counter bumped on every physical row change (insert, delete,
     expiration) — the invalidation key for cached snapshots. *)
 
 val snapshot : t -> tau:Time.t -> Relation.t
-(** The logical state [exp_tau(R)].  When every physical row is live at
-    [tau] (the common server-read case: nothing has expired since the
-    last mutation) the snapshot is cached and reused until the table
-    changes, making repeated reads O(1) instead of O(n). *)
-
-val physical_relation : t -> Relation.t
-(** Every physical row, expired-but-unvacuumed ones included — the
-    generation-cached relation batch scans cut at [tau] via its
-    texp-sorted chunks ({!Relation.sorted_chunks}), instead of paying
-    {!snapshot}'s O(n) filter per read on a churny table.  Callers are
-    responsible for liveness filtering. *)
+(** The logical state [exp_tau(R)], for the tuple-at-a-time path and
+    the reference evaluator.  When every physical row is live at [tau]
+    (nothing has expired since the last removal) it is the whole table,
+    cached until the table changes; otherwise it is built from the run's
+    live rows, skipping each chunk's expired prefix by binary search. *)
 
 val expire_upto : t -> Time.t -> (Tuple.t * Time.t) list
 (** Physically removes every row with [texp <= tau] and returns them in
@@ -87,8 +99,6 @@ val expire_upto : t -> Time.t -> (Tuple.t * Time.t) list
 val vacuum : t -> tau:Time.t -> int
 (** Physically removes rows with [texp <= tau] without materialising
     them; returns how many were reclaimed (lazy policy cleanup). *)
-
-val next_expiry : t -> Time.t option
 
 (** {2 Secondary indexes} *)
 

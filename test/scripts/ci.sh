@@ -13,22 +13,30 @@ dune build lib/exec
 dune build lib/sketch
 dune build @all
 dune runtest
+# The bench smokes below run at CI size.  Every experiment writes
+# BENCH_<id>.json into its working directory, so run them from a
+# scratch directory: the committed BENCH_*.json at the root hold the
+# full-size runs and must come out of CI byte-identical.
+BENCH_SUMS_BEFORE=$(cksum BENCH_*.json)
+BENCH=$(pwd)/_build/default/bench/main.exe
+SMOKE_DIR=$(mktemp -d)
 # Smoke the observability experiment: a live server, a METRICS scrape
 # validated line by line, and the slow-query log — end to end.
-dune exec bench/main.exe -- obs
+(cd "$SMOKE_DIR" && "$BENCH" obs)
 # Smoke the physical execution experiment: hash vs nested-loop joins,
-# the O(1) live-scan fast path, and the plan cache; refreshes
-# BENCH_exec.json.
-dune exec bench/main.exe -- exec
+# the O(1) live-scan fast path, and the plan cache.
+(cd "$SMOKE_DIR" && "$BENCH" exec)
 # Smoke the sketch experiment end to end (single-pass folds, memory
 # vs a materialized relation, 3-way merge, a live 3-shard cluster) at
 # a CI-sized event count; the full 10^7 run is for BENCH_sketch.json.
-EXPIREL_SKETCH_EVENTS=200000 dune exec bench/main.exe -- sketch
+(cd "$SMOKE_DIR" && EXPIREL_SKETCH_EVENTS=200000 "$BENCH" sketch)
 # Smoke the vectorized-executor experiment (live cut, filter kernel,
 # batched hash-join probe, chunk-cut accounting — the last fails hard
 # if the cut skips fewer rows than the expired half) at a CI-sized row
 # count; the full 10^5/10^6 sweep is for BENCH_vexec.json.
-EXPIREL_VEXEC_ROWS=20000 dune exec bench/main.exe -- vexec
+(cd "$SMOKE_DIR" && EXPIREL_VEXEC_ROWS=20000 "$BENCH" vexec)
+rm -rf "$SMOKE_DIR"
+test "$(cksum BENCH_*.json)" = "$BENCH_SUMS_BEFORE"
 
 # Observability end to end through the CLI: a live server, EXPLAIN
 # ANALYZE and HEALTH driven over the wire, and the Prometheus page

@@ -112,6 +112,91 @@ let test_ttl_and_delete () =
    | Interp.Rows _ -> Alcotest.fail "message");
   Alcotest.(check int) "empty" 0 (Relation.cardinal (rows (exec t "SELECT * FROM s")))
 
+(* DELETE picks its victims through the access path (an index for
+   [sid = k] and ranges, a scan otherwise): it must delete exactly the
+   live rows the predicate accepts — under the lazy policy never an
+   expired-but-unvacuumed row, which must not be counted either — and a
+   durable replay of the log must reproduce the resulting state. *)
+let test_delete_victims () =
+  let cases =
+    [ "WHERE sid = 3", (fun sid _ _ -> sid = 3);
+      "WHERE sid = 99", (fun _ _ _ -> false);
+      "WHERE uid < 3", (fun _ uid _ -> uid < 3);
+      "WHERE uid >= 2 AND uid <= 3", (fun _ uid _ -> uid >= 2 && uid <= 3);
+      "WHERE note = 1", (fun _ _ note -> note = 1);
+      "WHERE uid = 2 AND note = 0", (fun _ uid note -> uid = 2 && note = 0);
+      "", (fun _ _ _ -> true) ]
+  in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun (where, accepts) ->
+          let name =
+            Printf.sprintf "%s DELETE %s"
+              (match policy with
+               | Expirel_storage.Database.Eager -> "eager"
+               | Lazy -> "lazy")
+              where
+          in
+          let dir = Filename.temp_dir "expirel" "delete" in
+          Fun.protect
+            ~finally:(fun () ->
+              Array.iter
+                (fun f -> Sys.remove (Filename.concat dir f))
+                (Sys.readdir dir);
+              Sys.rmdir dir)
+            (fun () ->
+              let store = Expirel_storage.Durable.open_dir ~policy dir in
+              let t = Interp.create ~store () in
+              ignore (exec t "CREATE TABLE s (sid, uid, note)");
+              ignore (exec t "CREATE INDEX ON s (sid)");
+              ignore (exec t "CREATE INDEX ON s (uid)");
+              for sid = 0 to 39 do
+                ignore
+                  (exec t
+                     (Printf.sprintf "INSERT INTO s VALUES (%d, %d, %d) TTL %d" sid
+                        (sid mod 5) (sid mod 2) (1 + (sid * 7 mod 20))))
+              done;
+              ignore (exec t "ADVANCE TO 8");
+              let db = Interp.database t in
+              let table = Expirel_storage.Database.table_exn db "s" in
+              let physical = Expirel_storage.Table.physical_count table in
+              let live = Expirel_storage.Database.snapshot db "s" in
+              let ints tuple =
+                match Tuple.to_list tuple with
+                | [ Value.Int a; Value.Int b; Value.Int c ] -> a, b, c
+                | _ -> Alcotest.fail "row shape"
+              in
+              let victims =
+                Relation.filter
+                  (fun tuple _ -> let a, b, c = ints tuple in accepts a b c)
+                  live
+              in
+              let n = Relation.cardinal victims in
+              (match exec t ("DELETE FROM s " ^ where) with
+               | Interp.Msg m ->
+                 Alcotest.(check string) (name ^ ": count")
+                   (Printf.sprintf "%d tuple(s) deleted" n) m
+               | _ -> Alcotest.fail "message");
+              Alcotest.(check bool) (name ^ ": survivors") true
+                (Relation.equal
+                   (Expirel_storage.Database.snapshot db "s")
+                   (Relation.filter
+                      (fun tuple _ -> not (Relation.mem tuple victims))
+                      live));
+              Alcotest.(check int) (name ^ ": expired rows untouched")
+                (physical - n) (Expirel_storage.Table.physical_count table);
+              let reopened = Expirel_storage.Durable.open_dir ~policy dir in
+              Alcotest.(check bool) (name ^ ": replay") true
+                (Relation.equal
+                   (Expirel_storage.Database.snapshot db "s")
+                   (Expirel_storage.Database.snapshot
+                      (Expirel_storage.Durable.database reopened) "s"));
+              Expirel_storage.Durable.close reopened;
+              Expirel_storage.Durable.close store))
+        cases)
+    [ Expirel_storage.Database.Eager; Expirel_storage.Database.Lazy ]
+
 let test_errors () =
   let t = Interp.create () in
   expect_error t "SELECT a FROM missing";
@@ -314,6 +399,8 @@ let suite =
       test_monotonic_view_never_recomputes;
     Alcotest.test_case "EXCEPT view over the paper's data" `Quick test_except_view;
     Alcotest.test_case "TTL inserts and deletes" `Quick test_ttl_and_delete;
+    Alcotest.test_case "DELETE victims through the access path" `Quick
+      test_delete_victims;
     Alcotest.test_case "error handling" `Quick test_errors;
     Alcotest.test_case "AT: querying the known future" `Quick test_at_queries;
     Alcotest.test_case "ORDER BY / LIMIT / HAVING" `Quick test_order_limit_having;

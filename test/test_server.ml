@@ -683,6 +683,54 @@ let test_raising_repl_source () =
           Alcotest.(check bool) "metrics still render" true
             (contains ~sub:"expirel_requests_total" text)))
 
+(* The partition summary a shard piggybacks on its replies reads live
+   counts and min/max texp from the ends of each table's texp-ordered
+   run; it must equal the fold of [Relation.min_texp]/[max_texp] over
+   the live snapshots it replaced, on random shard states (policies,
+   immortal rows, lazily retained expired rows, deletes). *)
+let prop_partition_summary =
+  let open QCheck2.Gen in
+  let row = triple (int_range 0 40) (int_range 0 3) (int_range 0 30) in
+  let state =
+    quad bool (list_size (int_range 0 3) (list_size (int_range 0 60) row))
+      (int_range 0 25) (list_size (int_range 0 10) (int_range 0 40))
+  in
+  Generators.qtest "partition_summary = snapshot min/max fold" ~count:100 state
+    (fun (lazy_, tables, advance, deletes) ->
+      let policy = if lazy_ then Database.Lazy else Database.Eager in
+      let server =
+        Server.create ~config:{ Server.default_config with policy } ()
+      in
+      let db = Expirel_sqlx.Interp.database (Server.interp server) in
+      List.iteri
+        (fun i rows ->
+          let name = Printf.sprintf "t%d" i in
+          let (_ : Table.t) = Database.create_table db ~name ~columns:[ "a"; "b" ] in
+          List.iter
+            (fun (a, b, ttl) ->
+              Database.insert db name (Tuple.ints [ a; b ])
+                ~texp:(if ttl = 0 then Time.Inf else fin ttl))
+            rows;
+          List.iter
+            (fun a -> ignore (Database.delete db name (Tuple.ints [ a; a mod 4 ])))
+            deletes)
+        tables;
+      Database.advance_to db (fin advance);
+      let expected =
+        List.fold_left
+          (fun (n, lo, hi) name ->
+            let r = Database.snapshot db name in
+            if Relation.is_empty r then (n, lo, hi)
+            else
+              ( n + Relation.cardinal r,
+                Time.min lo (Relation.min_texp r),
+                if n = 0 then Relation.max_texp r
+                else Time.max hi (Relation.max_texp r) ))
+          (0, Time.Inf, Time.Inf) (Database.table_names db)
+      in
+      let got = Server.partition_summary server in
+      (got.Wire.live_rows, got.Wire.min_texp, got.Wire.max_texp) = expected)
+
 let suite =
   [ Alcotest.test_case "smoke: rows travel with texp and texp(e)" `Quick test_smoke;
     Alcotest.test_case "subscription events at exact logical times" `Quick
@@ -716,4 +764,5 @@ let suite =
     Alcotest.test_case "METRICS: horizon families, build info, hygiene"
       `Quick test_metrics_horizon_families;
     Alcotest.test_case "METRICS: plan-cache counters" `Quick
-      test_plan_cache_metrics ]
+      test_plan_cache_metrics;
+    prop_partition_summary ]

@@ -1,5 +1,6 @@
 open Expirel_core
 open Expirel_storage
+open Expirel_exec
 
 let fin = Time.of_int
 let make () = Table.create ~name:"t" ~columns:[ "a"; "b" ] ()
@@ -30,8 +31,8 @@ let test_snapshot_and_expiry () =
   Table.insert t (Tuple.ints [ 1; 1 ]) ~texp:(fin 5);
   Table.insert t (Tuple.ints [ 2; 2 ]) ~texp:(fin 10);
   Table.insert t (Tuple.ints [ 3; 3 ]) ~texp:Time.Inf;
-  Alcotest.(check int) "live at 4" 3 (Table.live_count t ~tau:(fin 4));
-  Alcotest.(check int) "live at 5" 2 (Table.live_count t ~tau:(fin 5));
+  Alcotest.(check int) "live at 4" 3 (Table.live_estimate t ~tau:(fin 4));
+  Alcotest.(check int) "live at 5" 2 (Table.live_estimate t ~tau:(fin 5));
   (* Lazy invisibility: snapshot hides expired rows even before any
      physical removal. *)
   let snap = Table.snapshot t ~tau:(fin 7) in
@@ -77,6 +78,172 @@ let prop_snapshot_equals_reference =
       in
       Relation.equal (Table.snapshot t ~tau) (Relation.exp tau reference))
 
+(* The texp-ordered run against a plain association-list model.  Random
+   insert / overwrite / delete / eager-advance / lazy-vacuum sequences,
+   with bursts past [Texp_run.chunk_rows] so buffer folds and chunk
+   splits happen, and runs of deletes so shrunk chunks merge; after
+   every step every reader of the run must agree with the model. *)
+type op =
+  | Ins of int * int * int  (* a, b, ttl (0 = never expires) *)
+  | Overwrite of int * int  (* the i-th model row, new ttl *)
+  | Del of int * int
+  | Del_nth of int
+  | Del_span of int * int  (* rows [i, i + n) in (texp, tuple) order *)
+  | Burst of int * int  (* seed, rows *)
+  | Advance of int  (* eager: clock + dt, then expire_upto *)
+  | Tick of int  (* lazy: the clock moves, rows stay *)
+  | Vacuum
+
+let op_gen =
+  let open QCheck2.Gen in
+  frequency
+    [ 6, map3 (fun a b ttl -> Ins (a, b, ttl)) (int_range 0 30) (int_range 0 3)
+           (int_range 0 40);
+      4, map2 (fun i ttl -> Overwrite (i, ttl)) (int_range 0 10_000) (int_range 1 60);
+      2, map2 (fun a b -> Del (a, b)) (int_range 0 30) (int_range 0 3);
+      4, map (fun i -> Del_nth i) (int_range 0 10_000);
+      1, map2 (fun i n -> Del_span (i, n)) (int_range 0 10_000) (int_range 50 300);
+      1, map2 (fun seed n -> Burst (seed, n)) (int_range 0 1_000) (int_range 100 700);
+      2, map (fun dt -> Advance dt) (int_range 0 15);
+      2, map (fun dt -> Tick dt) (int_range 0 15);
+      1, return Vacuum ]
+
+let by_key (t1, e1) (t2, e2) =
+  match Time.compare e1 e2 with 0 -> Tuple.compare t1 t2 | c -> c
+
+let chunk_rows c =
+  let texps = Texp_run.chunk_texps c in
+  List.init (Texp_run.chunk_len c) (fun r ->
+      ( Tuple.of_list
+          [ (Texp_run.chunk_col c 1).(r); (Texp_run.chunk_col c 2).(r) ],
+        texps.(r) ))
+
+let rec ascending = function
+  | a :: (b :: _ as rest) -> by_key a b < 0 && ascending rest
+  | [] | [ _ ] -> true
+
+let check_run t model ~now =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let run = Table.run t in
+  let sorted = Array.to_list (Texp_run.sorted_chunks run) in
+  List.iter
+    (fun c ->
+      let n = Texp_run.chunk_len c in
+      if n = 0 || n > Texp_run.chunk_rows then fail "chunk of %d rows" n)
+    sorted;
+  if Texp_run.chunk_len (Texp_run.buffer run) >= Texp_run.chunk_rows then
+    fail "buffer over the bound";
+  if not (ascending (List.concat_map chunk_rows sorted)) then
+    fail "chunks not ascending by (texp, tuple)";
+  if not (ascending (chunk_rows (Texp_run.buffer run))) then
+    fail "buffer not ascending";
+  let held = ref [] in
+  Texp_run.iter_chunks (fun c -> held := chunk_rows c @ !held) run;
+  let expected = List.sort by_key model in
+  if List.sort by_key !held <> expected then fail "run rows <> physical rows";
+  if Table.pending_expirations t <> List.length model then
+    fail "pending_expirations";
+  let finite = List.filter (fun (_, e) -> Time.is_finite e) model in
+  let next =
+    List.fold_left
+      (fun acc (_, e) ->
+        Some (match acc with None -> e | Some m -> Time.min m e))
+      None finite
+  in
+  if Table.next_expiry t <> next then fail "next_expiry";
+  List.iter
+    (fun tau ->
+      let live = List.filter (fun (_, e) -> Time.(e > tau)) model in
+      if Table.live_estimate t ~tau <> List.length live then
+        fail "live_estimate at %s" (Time.to_string tau);
+      let batches = ref [] in
+      Texp_run.iter_chunks
+        (fun c ->
+          match fst (Batch.cut_chunk ~arity:2 ~tau c) with
+          | Some b -> batches := b :: !batches
+          | None -> ())
+        run;
+      if not
+           (Relation.equal
+              (Batch.to_relation ~arity:2 !batches)
+              (Relation.of_list ~arity:2 live))
+      then fail "batch scan at %s" (Time.to_string tau);
+      let bounds = [| 1; 3; 10; 50; max_int |] in
+      let v = Option.get (Time.to_int_opt tau) in
+      let expected =
+        Array.mapi
+          (fun i bound ->
+            let lo = if i = 0 then v else v + bounds.(i - 1) in
+            List.length
+              (List.filter
+                 (fun (_, e) ->
+                   Time.(e > Time.of_int lo)
+                   && (bound = max_int || Time.(e <= Time.of_int (v + bound))))
+                 model))
+          bounds
+      in
+      if Table.expiring_within t ~now:tau ~bounds <> expected then
+        fail "expiring_within at %s" (Time.to_string tau))
+    [ Time.of_int (max 0 (now - 7)); Time.of_int now; Time.of_int (now + 4);
+      Time.of_int (now + 45) ]
+
+let prop_run_matches_model =
+  Generators.qtest "texp-ordered run = association-list model" ~count:60
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 40) op_gen)
+    (fun ops ->
+      let t = make () in
+      let model = ref [] and now = ref 0 in
+      let texp_of ttl = if ttl = 0 then Time.Inf else Time.of_int (!now + ttl) in
+      let insert row texp =
+        Table.insert t row ~texp;
+        model :=
+          (row, texp) :: List.filter (fun (r, _) -> not (Tuple.equal r row)) !model
+      in
+      let delete row =
+        let present = List.exists (fun (r, _) -> Tuple.equal r row) !model in
+        if Table.delete t row <> present then failwith "delete result";
+        model := List.filter (fun (r, _) -> not (Tuple.equal r row)) !model
+      in
+      let nth i = fst (List.nth !model (i mod List.length !model)) in
+      let expire () =
+        let dead (_, e) = Time.(e <= Time.of_int !now) in
+        let due = List.sort by_key (List.filter dead !model) in
+        model := List.filter (fun row -> not (dead row)) !model;
+        due
+      in
+      List.iter
+        (fun op ->
+          (match op with
+           | Ins (a, b, ttl) -> insert (Tuple.ints [ a; b ]) (texp_of ttl)
+           | Overwrite (i, ttl) -> if !model <> [] then insert (nth i) (texp_of ttl)
+           | Del (a, b) -> delete (Tuple.ints [ a; b ])
+           | Del_nth i -> if !model <> [] then delete (nth i)
+           | Del_span (i, n) ->
+             let rows = List.sort by_key !model in
+             let len = List.length rows in
+             if len > 0 then
+               List.iteri
+                 (fun k (row, _) ->
+                   let k = (k - (i mod len) + len) mod len in
+                   if k < n then delete row)
+                 rows
+           | Burst (seed, n) ->
+             for k = 1 to n do
+               insert (Tuple.ints [ 1000 + seed; k ])
+                 (texp_of (1 + ((seed * 7919) + (k * 104729)) mod 97))
+             done
+           | Advance dt ->
+             now := !now + dt;
+             if Table.expire_upto t (Time.of_int !now) <> expire () then
+               failwith "expire_upto order"
+           | Tick dt -> now := !now + dt
+           | Vacuum ->
+             let reclaimed = Table.vacuum t ~tau:(Time.of_int !now) in
+             if reclaimed <> List.length (expire ()) then failwith "vacuum count");
+          check_run t !model ~now:!now)
+        ops;
+      true)
+
 let suite =
   [ Alcotest.test_case "schema accessors" `Quick test_schema;
     Alcotest.test_case "insert is update (set semantics)" `Quick test_insert_update;
@@ -84,4 +251,5 @@ let suite =
     Alcotest.test_case "renewal cancels earlier expiry" `Quick
       test_update_after_expiry_scheduled;
     Alcotest.test_case "vacuum" `Quick test_vacuum;
-    prop_snapshot_equals_reference ]
+    prop_snapshot_equals_reference;
+    prop_run_matches_model ]
