@@ -14,7 +14,15 @@
    - a selective filter scan: the compiled predicate kernel over flat
      column arrays vs Predicate.eval per materialised tuple;
    - the hash-join probe: build and probe over column batches vs the
-     streaming tuple kernel, same key normalisation on both sides.
+     streaming tuple kernel, same key normalisation on both sides;
+   - a grouped aggregate: GROUP BY over 10^3 groups whose live rows
+     spread over 100 expiration times, the cut batches folded straight
+     into the hashed expiration-slice accumulator vs a live snapshot
+     condensed row by row.
+
+   Every row runs both plans once before timing them and fails hard
+   when the two answers (rows, per-row texps, texp(e)) differ, so the
+   CI smoke guards the kernels as well as timing them.
 
    Scale: 1e5 and 1e6 rows x expired fractions {0, 0.5, 0.99}.
    EXPIREL_VEXEC_ROWS caps the row counts so CI can smoke-test the
@@ -41,10 +49,13 @@ let sizes =
 let fractions = [ 0.0; 0.5; 0.99 ]
 
 (* A churny feed: [fraction] of the [n] rows died at t=10, the rest
-   live to 1e6; the clock stands at 50 and nothing is vacuumed, so the
-   expired rows are physically present — exactly the shape the chunk
-   cut exists for. *)
-let load_feed ~n ~fraction =
+   live to 1e6 — or, with [spread] > 1, to one of [spread] successive
+   times, so a live group's members expire at several times.  The
+   times rise with the row number, so every insert appends to the
+   texp-ordered run and the load stays linear.  The clock stands at
+   50 and nothing is vacuumed, so the expired rows are physically
+   present — exactly the shape the chunk cut exists for. *)
+let load_feed ?(spread = 1) ~n ~fraction () =
   let db = Database.create ~policy:Database.Lazy () in
   let (_ : Table.t) =
     Database.create_table db ~name:"feed" ~columns:[ "id"; "v" ]
@@ -53,7 +64,9 @@ let load_feed ~n ~fraction =
   for i = 1 to n do
     Database.insert db "feed"
       (Tuple.ints [ i; i mod 1000 ])
-      ~texp:(Time.of_int (if i <= expired then 10 else 1_000_000))
+      ~texp:
+        (Time.of_int
+           (if i <= expired then 10 else 1_000_000 + ((i - 1) * spread / n)))
   done;
   Database.advance_to db (Time.of_int 50);
   db
@@ -61,16 +74,16 @@ let load_feed ~n ~fraction =
 (* Time reps of a compiled plan, after one warm run that lays out the
    run's insert buffer as a chunk (the tuple path rebuilds its live
    snapshot on every run: rows have expired) — steady-state latency is
-   the quantity of interest. *)
+   the quantity of interest.  Returns the warm run's answer too. *)
 let time_query ~reps db compiled =
-  ignore (Executor.run ~db compiled : Eval.result);
+  let answer = Executor.run ~db compiled in
   let (), s =
     Bench_util.time_it (fun () ->
         for _ = 1 to reps do
           ignore (Executor.run ~db compiled : Eval.result)
         done)
   in
-  s /. float_of_int reps
+  (s /. float_of_int reps, answer)
 
 (* The live row count of the bare feed, written the way SQL lowers it so the
    planner fuses it into a Grouped_aggregate (the aggregate sits at
@@ -87,23 +100,56 @@ let filter_expr =
     (Predicate.Cmp (Predicate.Eq, Predicate.Col 2, Predicate.Const (Value.int 123)))
     (Algebra.base "feed")
 
+(* SELECT v, SUM(id) FROM feed GROUP BY v: 10^3 groups, fused into a
+   Grouped_aggregate like [count_expr]. *)
+let grouped_expr =
+  Algebra.project [ 2; 3 ]
+    (Algebra.aggregate [ 2 ] (Aggregate.Sum 1) (Algebra.base "feed"))
+
+(* The join probe: a small all-live dimension (10 keys) against the
+   churny feed, equi-joined on feed.v — 1% of live feed rows match, so
+   probe-side work dominates.  The batched plan cuts the probe side's
+   expired rows wholesale and probes from column batches. *)
+let join_expr =
+  Algebra.join
+    (Predicate.Cmp (Predicate.Eq, Predicate.Col 2, Predicate.Col 3))
+    (Algebra.base "feed") (Algebra.base "dim")
+
+let add_dim db =
+  let (_ : Table.t) =
+    Database.create_table db ~name:"dim" ~columns:[ "k"; "w" ]
+  in
+  for k = 0 to 9 do
+    Database.insert db "dim" (Tuple.ints [ k; k * 11 ])
+      ~texp:(Time.of_int 1_000_000)
+  done
+
 let tag name ~n ~fraction =
   Printf.sprintf "%s_n%d_f%d" name n (int_of_float (fraction *. 100.))
 
-let sweep ~name ~reps expr =
-  Bench_util.subsection
-    (Printf.sprintf "%s: batched vs tuple-at-a-time" name);
+let sweep ~name ~title ~reps ?spread ?(prepare = ignore) expr =
+  Bench_util.subsection title;
   let rows_out = ref [] in
   List.iter
     (fun n ->
       List.iter
         (fun fraction ->
-          let db = load_feed ~n ~fraction in
+          let db = load_feed ?spread ~n ~fraction () in
+          prepare db;
           let batched = Planner.plan ~db expr in
           let tuple = Planner.plan ~db ~batch:false expr in
           let reps = if n >= 1_000_000 then max 1 (reps / 4) else reps in
-          let tuple_s = time_query ~reps db tuple in
-          let batch_s = time_query ~reps db batched in
+          let tuple_s, tuple_answer = time_query ~reps db tuple in
+          let batch_s, batch_answer = time_query ~reps db batched in
+          if
+            not
+              (Relation.equal tuple_answer.Eval.relation
+                 batch_answer.Eval.relation
+              && Time.equal tuple_answer.Eval.texp batch_answer.Eval.texp)
+          then
+            failwith
+              (Printf.sprintf "%s: batched and tuple answers differ"
+                 (tag name ~n ~fraction));
           let speedup = tuple_s /. Float.max 1e-9 batch_s in
           Bench_util.metric (tag name ~n ~fraction ^ "_tuple_us")
             (tuple_s *. 1e6);
@@ -123,61 +169,13 @@ let sweep ~name ~reps expr =
     ~headers:[ "rows"; "expired"; "tuple us"; "batch us"; "speedup" ]
     (List.rev !rows_out)
 
-(* The join probe: a small all-live dimension (10 keys) against the
-   churny feed, equi-joined on feed.v — 1% of live feed rows match, so
-   probe-side work dominates.  The batched plan cuts the probe side's
-   expired rows wholesale and probes from column batches. *)
-let join_sweep ~reps () =
-  Bench_util.subsection "hash-join probe over a churny feed";
-  let join_expr =
-    Algebra.join
-      (Predicate.Cmp (Predicate.Eq, Predicate.Col 2, Predicate.Col 3))
-      (Algebra.base "feed") (Algebra.base "dim")
-  in
-  let rows_out = ref [] in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun fraction ->
-          let db = load_feed ~n ~fraction in
-          let (_ : Table.t) =
-            Database.create_table db ~name:"dim" ~columns:[ "k"; "w" ]
-          in
-          for k = 0 to 9 do
-            Database.insert db "dim" (Tuple.ints [ k; k * 11 ])
-              ~texp:(Time.of_int 1_000_000)
-          done;
-          let batched = Planner.plan ~db join_expr in
-          let tuple = Planner.plan ~db ~batch:false join_expr in
-          let reps = if n >= 1_000_000 then max 1 (reps / 4) else reps in
-          let tuple_s = time_query ~reps db tuple in
-          let batch_s = time_query ~reps db batched in
-          let speedup = tuple_s /. Float.max 1e-9 batch_s in
-          Bench_util.metric (tag "join" ~n ~fraction ^ "_tuple_us")
-            (tuple_s *. 1e6);
-          Bench_util.metric (tag "join" ~n ~fraction ^ "_batch_us")
-            (batch_s *. 1e6);
-          Bench_util.metric (tag "join" ~n ~fraction ^ "_speedup") speedup;
-          rows_out :=
-            [ string_of_int n;
-              Printf.sprintf "%.0f%%" (fraction *. 100.);
-              Bench_util.f1 (tuple_s *. 1e6);
-              Bench_util.f1 (batch_s *. 1e6);
-              Bench_util.f1 speedup ]
-            :: !rows_out)
-        fractions)
-    sizes;
-  Bench_util.table
-    ~headers:[ "rows"; "expired"; "tuple us"; "batch us"; "speedup" ]
-    (List.rev !rows_out)
-
 (* The observability counters must see the cut working: re-run the
    headline configuration and record how many expired rows the chunk
    cut skipped without touching. *)
 let cut_accounting () =
   Bench_util.subsection "chunk-cut accounting (Vec_stats)";
   let n = List.fold_left max 0 sizes in
-  let db = load_feed ~n ~fraction:0.5 in
+  let db = load_feed ~n ~fraction:0.5 () in
   let before = (Expirel_obs.Vec_stats.snapshot ()).Expirel_obs.Vec_stats.s_cut_skipped in
   ignore (Executor.run ~db (Planner.plan ~db count_expr) : Eval.result);
   let after = (Expirel_obs.Vec_stats.snapshot ()).Expirel_obs.Vec_stats.s_cut_skipped in
@@ -195,7 +193,12 @@ let run_all () =
   Bench_util.param "sizes"
     (String.concat "," (List.map string_of_int sizes));
   let reps = 20 in
-  sweep ~name:"live_cut" ~reps count_expr;
-  sweep ~name:"filter" ~reps filter_expr;
-  join_sweep ~reps ();
+  let versus name = name ^ ": batched vs tuple-at-a-time" in
+  sweep ~name:"live_cut" ~title:(versus "live_cut") ~reps count_expr;
+  sweep ~name:"filter" ~title:(versus "filter") ~reps filter_expr;
+  sweep ~name:"join" ~title:"hash-join probe over a churny feed" ~reps
+    ~prepare:add_dim join_expr;
+  sweep ~name:"grouped"
+    ~title:"GROUP BY over 10^3 groups: batched vs tuple-at-a-time" ~reps
+    ~spread:100 grouped_expr;
   cut_accounting ()

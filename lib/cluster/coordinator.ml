@@ -470,9 +470,9 @@ let scatter_gather ?trace ~prune t (qs : Ast.query_stmt) sql =
        err message)
 
 (* A grouped (or global) exact aggregate, combined from per-shard
-   expiration-slice partials.  Every shard evaluates the decomposed
-   child over its own partition and condenses it with
-   [Partial_agg.of_relation]; the coordinator merges the partials —
+   expiration-slice partials.  Every shard condenses the decomposed
+   child over its own partition through the fused aggregate's batch
+   fold ([Executor.partial]); the coordinator merges the partials —
    groups unite by key, slices by expiration time, counts/sums add and
    extrema extremise over the disjoint hash partitions — and runs the
    {e same} finalisation a single node fusing the query would run.

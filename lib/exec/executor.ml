@@ -217,8 +217,22 @@ type probe = {
   probe : 'a. string -> rows:('a -> int) -> (unit -> 'a) -> 'a;
 }
 
-let run ?(strategy = Aggregate.Exact) ?probe ?profile ~db compiled =
-  let { Plan.logical; physical } = compiled in
+(* One query's executor: the tuple-at-a-time evaluator [go] and the
+   fused aggregate's input side [grouped], sharing the probe, the clock
+   reading and the per-query vectorization totals, which [finish] folds
+   into the process-global observability counters. *)
+type engine = {
+  go : Plan.t -> Profile.node option -> Eval.result;
+  grouped :
+    group:int list ->
+    func:Aggregate.func ->
+    Plan.t ->
+    Profile.node option ->
+    Partial_agg.t * int * Time.t;
+  finish : unit -> unit;
+}
+
+let engine ?(strategy = Aggregate.Exact) ?probe ~db logical =
   (* Mirror Eval.run's up-front well-formedness check so the physical
      path raises the same errors on the same inputs. *)
   let arity_env name = Option.map Table.arity (Database.table db name) in
@@ -326,40 +340,17 @@ let run ?(strategy = Aggregate.Exact) ?probe ?profile ~db compiled =
       in
       { Eval.relation; texp = Time.min child.Eval.texp invalidation }
     | Plan.Grouped_aggregate { group; func; having; projection; child = c } ->
-      (match strategy, c with
-       | Aggregate.Exact, Plan.Batched inner when duplicate_free inner ->
-         (* The batch fast path: accumulate the expiration-slice
-            partials straight from the child's batches through column
-            accessors — no tuple, no relation, no materialise at the
-            boundary.  Guarded by [duplicate_free]: a vectorized
-            projection below could alias rows whose max-merge only the
-            materialise boundary performs, and slices must count each
-            set member exactly once. *)
-         let r = go_b c (child1 prof) in
-         vec_batches := !vec_batches + List.length r.b_batches;
-         vec_rows := !vec_rows + batch_rows r.b_batches;
-         let acc =
-           List.fold_left
-             (fun acc b ->
-               Batch.fold_rows b ~init:acc ~f:(fun acc attr texp ->
-                   Partial_agg.observe_acc ~group ~func ~attr ~texp acc))
-             Partial_agg.empty_acc r.b_batches
+      (match strategy with
+       | Aggregate.Exact ->
+         let partial, child_arity, child_texp =
+           grouped ~group ~func c (child1 prof)
          in
-         let relation, invalidation =
-           Partial_agg.finalize ~group ~func ~child_arity:r.b_arity ?having
-             ~projection (Partial_agg.of_acc acc)
-         in
-         { Eval.relation; texp = Time.min r.b_texp invalidation }
-       | Aggregate.Exact, c ->
-         let child = go c (child1 prof) in
-         let child_arity = Relation.arity child.Eval.relation in
          let relation, invalidation =
            Partial_agg.finalize ~group ~func ~child_arity ?having ~projection
-             (Partial_agg.of_relation ~group ~func child.Eval.relation)
+             partial
          in
-         { Eval.relation; texp = Time.min child.Eval.texp invalidation }
-       | (Aggregate.Conservative | Aggregate.Neutral | Aggregate.Within _), c
-         ->
+         { Eval.relation; texp = Time.min child_texp invalidation }
+       | Aggregate.Conservative | Aggregate.Neutral | Aggregate.Within _ ->
          (* The non-exact strategies are not recomputable from slice
             partials (neutral subsets need member identity); compose the
             reference operators instead. *)
@@ -550,10 +541,62 @@ let run ?(strategy = Aggregate.Exact) ?probe ?profile ~db compiled =
          n.Profile.sketch_bytes + Expirel_sketch.Any.memory_bytes sketch
      | None -> ());
     Approx.result ~tau ~arity ~child_texp:child.Eval.texp sketch
+  (* The fused aggregate's input side: the child condensed into its
+     expiration-slice partial, with the child's arity and texp(e).  The
+     batch fast path accumulates straight from the child's batches
+     through column accessors — no tuple, no relation, no materialise at
+     the boundary.  Guarded by [duplicate_free]: a vectorized projection
+     below could alias rows whose max-merge only the materialise
+     boundary performs, and slices must count each set member exactly
+     once. *)
+  and grouped ~group ~func c prof =
+    match c with
+    | Plan.Batched inner when duplicate_free inner ->
+      let r = go_b c prof in
+      vec_batches := !vec_batches + List.length r.b_batches;
+      vec_rows := !vec_rows + batch_rows r.b_batches;
+      let acc = Partial_agg.create_acc ~group ~func in
+      List.iter
+        (fun b ->
+          Batch.fold_rows b ~init:() ~f:(fun () attr texp ->
+              Partial_agg.observe_acc acc ~attr ~texp))
+        r.b_batches;
+      (Partial_agg.of_acc acc, r.b_arity, r.b_texp)
+    | c ->
+      let child = go c prof in
+      ( Partial_agg.of_relation ~group ~func child.Eval.relation,
+        Relation.arity child.Eval.relation,
+        child.Eval.texp )
   in
-  let result = go physical profile in
-  if !vec_batches > 0 || !vec_rows > 0 || !vec_cut > 0 || !vec_rebatches > 0
-  then
-    Expirel_obs.Vec_stats.record ~batches:!vec_batches ~rows:!vec_rows
-      ~cut_skipped:!vec_cut ~rebatches:!vec_rebatches;
+  let finish () =
+    if !vec_batches > 0 || !vec_rows > 0 || !vec_cut > 0 || !vec_rebatches > 0
+    then
+      Expirel_obs.Vec_stats.record ~batches:!vec_batches ~rows:!vec_rows
+        ~cut_skipped:!vec_cut ~rebatches:!vec_rebatches
+  in
+  { go; grouped; finish }
+
+let run ?strategy ?probe ?profile ~db compiled =
+  let e = engine ?strategy ?probe ~db compiled.Plan.logical in
+  let result = e.go compiled.Plan.physical profile in
+  e.finish ();
   result
+
+let partial ?probe ~db compiled =
+  match compiled.Plan.physical with
+  | Plan.Grouped_aggregate { group; func; child; _ } as node ->
+    let e = engine ?probe ~db compiled.Plan.logical in
+    let k () =
+      let partial, _, texp = e.grouped ~group ~func child None in
+      (partial, texp)
+    in
+    let result =
+      match probe with
+      | None -> k ()
+      | Some f ->
+        f.probe (Plan.operator_name node) ~rows:(fun (p, _) -> List.length p) k
+    in
+    e.finish ();
+    result
+  | _ ->
+    invalid_arg "Executor.partial: the plan is not a fused grouped aggregate"

@@ -42,6 +42,18 @@ val run :
     @raise Errors.Unknown_relation / Errors.Arity_mismatch as
     {!Eval.run} would for the same logical expression. *)
 
+val partial :
+  ?probe:probe -> db:Database.t -> Plan.compiled -> Partial_agg.t * Time.t
+(** The shard side of a distributed GROUP BY: runs a plan whose root is
+    a fused {!Plan.Grouped_aggregate} up to, not including, its
+    finalisation, and returns the child's expiration-slice partial and
+    the child's [texp(e)].  The child is condensed exactly as {!run}
+    condenses it — from batches straight through the accumulator when
+    the child is batched — under one [aggregate] probe span; the HAVING
+    predicate and the projection are left to whoever finalises.
+    @raise Invalid_argument when the root is not a fused grouped
+    aggregate. *)
+
 (** {2 Physical kernels}
 
     Exposed for direct testing (hash collision and arity edges, merge

@@ -85,49 +85,116 @@ let observe ~func slice value =
     s_max = (if nonnull then max_v slice.s_max value else slice.s_max)
   }
 
-module Key_map = Map.Make (struct
+(* The accumulation form: one hash table of groups, keyed by the GROUP
+   BY values.  [Value.equal] and [Value.hash] agree with the
+   [Value.compare] order the partial is finally sorted by (±0.0 and
+   every NaN payload included), so a group here is exactly a group
+   there.  Each group keeps its slices in an array ascending by
+   expiration time: a texp-ordered row stream (a scan's sorted chunks,
+   then the run's sorted insert buffer) only ever updates the newest
+   slice or appends one after it; a row that arrives out of order — the
+   buffer's restart, index scans, joins, rebatched relations — takes a
+   binary search and a short ordered insert.  Every row still lands in
+   its (key, texp) slice in arrival order, so float sums are
+   bit-identical to a slice-by-slice fold of the same stream. *)
+module Groups = Hashtbl.Make (struct
   type t = Value.t list
 
-  let compare = List.compare Value.compare
+  let equal = List.equal Value.equal
+  let hash = List.fold_left (fun h v -> (h * 65599) + Value.hash v) 0
 end)
 
-module Time_map = Map.Make (Time)
+type cell = {
+  mutable ckey : Value.t list;
+      (* the latest row's key: of compare-equal keys (0.0 and -0.0,
+         say) the partial carries the one seen last *)
+  mutable cslices : slice array;  (* ascending [s_texp]; [clen] in use *)
+  mutable clen : int;
+}
 
-(* The accumulation form: slices keyed by group key then expiration
-   time, fed one row at a time through an attribute accessor — so both
-   materialised relations and columnar batches condense through the
-   same code, without the batch path building tuples. *)
-type acc = slice Time_map.t Key_map.t
+type acc = {
+  group : int list;
+  func : Aggregate.func;
+  attr_pos : int;  (* the aggregated attribute; 0 for COUNT *)
+  groups : cell Groups.t;
+}
 
-let empty_acc : acc = Key_map.empty
+let create_acc ~group ~func =
+  { group;
+    func;
+    attr_pos = Option.value ~default:0 (Aggregate.func_attr func);
+    groups = Groups.create 64
+  }
 
-let observe_acc ~group ~func ~attr ~texp acc =
-  let value =
-    match Aggregate.func_attr func with
-    | Some i -> attr i
-    | None -> Value.Null  (* COUNT aggregates no attribute *)
+(* Insert [s] at index [i], shifting the newer slices up by one. *)
+let insert_slice c i s =
+  if c.clen = Array.length c.cslices then begin
+    let grown = Array.make (2 * c.clen) s in
+    Array.blit c.cslices 0 grown 0 c.clen;
+    c.cslices <- grown
+  end;
+  Array.blit c.cslices i c.cslices (i + 1) (c.clen - i);
+  c.cslices.(i) <- s;
+  c.clen <- c.clen + 1
+
+(* Fold [value] into the cell's slice for [texp]. *)
+let observe_cell ~func c texp value =
+  let last = c.clen - 1 in
+  let newest = c.cslices.(last).s_texp in
+  if Time.equal newest texp then
+    c.cslices.(last) <- observe ~func c.cslices.(last) value
+  else if Time.(newest < texp) then
+    insert_slice c c.clen (observe ~func (empty_slice texp) value)
+  else begin
+    (* The first slice at or after [texp]: the newest is after it. *)
+    let lo = ref 0 and hi = ref last in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Time.(c.cslices.(mid).s_texp < texp) then lo := mid + 1 else hi := mid
+    done;
+    let i = !lo in
+    if Time.equal c.cslices.(i).s_texp texp then
+      c.cslices.(i) <- observe ~func c.cslices.(i) value
+    else insert_slice c i (observe ~func (empty_slice texp) value)
+  end
+
+let observe_acc acc ~attr ~texp =
+  (* COUNT aggregates no attribute *)
+  let value = if acc.attr_pos = 0 then Value.Null else attr acc.attr_pos in
+  let key = List.map attr acc.group in
+  match Groups.find_opt acc.groups key with
+  | Some c ->
+    c.ckey <- key;
+    observe_cell ~func:acc.func c texp value
+  | None ->
+    Groups.add acc.groups key
+      { ckey = key;
+        cslices =
+          Array.make 4 (observe ~func:acc.func (empty_slice texp) value);
+        clen = 1
+      }
+
+let cell_slices c =
+  let rec from i acc =
+    if i < 0 then acc else from (i - 1) (c.cslices.(i) :: acc)
   in
-  let key = List.map attr group in
-  let slices = Option.value ~default:Time_map.empty (Key_map.find_opt key acc) in
-  let slice =
-    Option.value ~default:(empty_slice texp) (Time_map.find_opt texp slices)
-  in
-  Key_map.add key (Time_map.add texp (observe ~func slice value) slices) acc
+  from (c.clen - 1) []
 
-let of_acc (acc : acc) =
-  Key_map.fold
-    (fun key slices groups ->
-      (* Time_map.bindings is ascending, and [Inf] is the greatest time,
-         so the immortal slice lands last by construction. *)
-      { key; slices = List.map snd (Time_map.bindings slices) } :: groups)
-    acc []
-  |> List.rev
+(* The groups in ascending key order, sorted once: the partial (and so
+   its wire encoding) does not depend on the hash table's layout. *)
+let sorted_groups groups =
+  Groups.fold (fun _ c cells -> c :: cells) groups []
+  |> List.sort (fun a b -> List.compare Value.compare a.ckey b.ckey)
+  |> List.map (fun c -> { key = c.ckey; slices = cell_slices c })
+
+let of_acc acc = sorted_groups acc.groups
 
 let of_relation ~group ~func relation =
-  Relation.fold
-    (fun t texp acc -> observe_acc ~group ~func ~attr:(Tuple.attr t) ~texp acc)
-    relation empty_acc
-  |> of_acc
+  let acc = create_acc ~group ~func in
+  Relation.iter
+    (fun t texp -> observe_acc acc ~attr:(Tuple.attr t) ~texp)
+    relation;
+  of_acc acc
 
 (* ---------- merging partials (disjoint fragments) ---------- *)
 
@@ -153,26 +220,31 @@ let merge_slice_lists xs ys =
   in
   go xs ys
 
-let slices_map partial =
-  List.fold_left
-    (fun acc g ->
-      Key_map.update g.key
-        (function
-          | None -> Some g.slices
-          | Some slices -> Some (merge_slice_lists slices g.slices))
-        acc)
-    Key_map.empty partial
+(* Merging shares the accumulation's table: partials fold in one
+   after another, a group's slice list merging linearly into its cell
+   (both ascending), so [merge_all] over k partials is one pass, with
+   the same left-to-right combination order a pairwise fold would
+   take. *)
+let merge_all partials =
+  let groups = Groups.create 64 in
+  List.iter
+    (List.iter (fun g ->
+         match Groups.find_opt groups g.key with
+         | None ->
+           let slices = Array.of_list g.slices in
+           Groups.add groups g.key
+             { ckey = g.key; cslices = slices; clen = Array.length slices }
+         | Some c ->
+           let merged =
+             Array.of_list (merge_slice_lists (cell_slices c) g.slices)
+           in
+           c.ckey <- g.key;
+           c.cslices <- merged;
+           c.clen <- Array.length merged))
+    partials;
+  sorted_groups groups
 
-let merge a b =
-  Key_map.fold
-    (fun key slices acc -> { key; slices } :: acc)
-    (slices_map (a @ b)) []
-  |> List.rev
-
-let merge_all = function
-  | [] -> []
-  | [ p ] -> p
-  | p :: rest -> List.fold_left merge p rest
+let merge a b = merge_all [ a; b ]
 
 (* ---------- finalisation (the exact strategy) ---------- *)
 

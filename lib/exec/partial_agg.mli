@@ -11,10 +11,23 @@
     (the [s_fsum]/[s_nonnull] components), never as an average, which
     is what makes it combinable across fragments.
 
-    The executor's fused aggregate node and the cluster coordinator
-    share this module: a single-node grouped query builds one partial
-    and finalises it; a distributed one merges one partial per shard
-    and runs the very same finalisation. *)
+    Accumulation is one hash table of groups ({!Value.equal} /
+    {!Value.hash} on the GROUP BY values), each group's slices ascending
+    by expiration time.  A texp-ordered row stream — what a table's
+    sorted chunks and sorted insert buffer yield — only updates the
+    newest slice or appends one; an out-of-order row takes a binary
+    search over its group's [s] slices, plus an O(s) shift when it opens
+    a new slice.  Building a partial from such a stream costs O(rows)
+    expected plus O(groups · log groups) for the one sort by key that
+    makes the result independent of the hash table's layout.  Each
+    slice folds its rows in arrival order, so float sums match a
+    per-slice fold of the same stream bit for bit.
+
+    The executor's fused aggregate node, the shard side of a distributed
+    GROUP BY ({!Executor.partial}) and the cluster coordinator share
+    this module: a single-node grouped query builds one partial and
+    finalises it; a distributed one merges one partial per shard and
+    runs the very same finalisation. *)
 
 open Expirel_core
 
@@ -48,22 +61,19 @@ val of_relation : group:int list -> func:Aggregate.func -> Relation.t -> t
     1-based attribute accessor, never materialising a tuple. *)
 
 type acc
+(** A mutable accumulator: the hash table of groups. *)
 
-val empty_acc : acc
+val create_acc : group:int list -> func:Aggregate.func -> acc
+(** An empty accumulator for one grouping and aggregate, with [group]
+    and [func] as in {!of_relation}. *)
 
-val observe_acc :
-  group:int list ->
-  func:Aggregate.func ->
-  attr:(int -> Value.t) ->
-  texp:Time.t ->
-  acc ->
-  acc
-(** Fold one row in; [attr] is its 1-based attribute accessor.
+val observe_acc : acc -> attr:(int -> Value.t) -> texp:Time.t -> unit
+(** Fold one row in; [attr] is its 1-based attribute accessor.  O(1)
+    expected when [texp] is at least the group's newest expiration time.
     @raise Invalid_argument on a non-numeric SUM operand. *)
 
 val of_acc : acc -> t
-(** [of_relation ~group ~func r] =
-    [of_acc (fold observe_acc over r's rows)]. *)
+(** The accumulated partial, groups in ascending key order. *)
 
 val merge : t -> t -> t
 (** Merge partials over disjoint fragments: groups unite by key, slices
@@ -71,6 +81,8 @@ val merge : t -> t -> t
     @raise Invalid_argument on non-numeric SUM partials. *)
 
 val merge_all : t list -> t
+(** [merge_all [p1; ...; pk]] is the left fold of {!merge}, computed in
+    one pass through the accumulation's hash table. *)
 
 val finalize :
   group:int list ->

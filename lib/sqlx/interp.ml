@@ -307,25 +307,28 @@ let sketch_partial ?trace t q =
             (Expirel_sketch.Any.live_estimate ~tau:(Database.now t.db) sketch);
         columns, sketch)
 
-(* Shard-side half of a distributed grouped aggregate: evaluate the
-   decomposed child locally (at now, or at a future tau for AT queries)
-   and condense it into expiration-slice partials.  The coordinator
-   merges one such partial per shard and finalises — AVG travels as its
-   SUM and COUNT components inside the slices, never pre-averaged. *)
+(* Shard-side half of a distributed grouped aggregate: condense the
+   decomposed child's local rows into expiration-slice partials.  The
+   coordinator merges one such partial per shard and finalises — AVG
+   travels as its SUM and COUNT components inside the slices, never
+   pre-averaged.  At now, the query runs through the executor up to its
+   fused aggregate node, which folds the child's cut batches straight
+   into the partial under the [aggregate] operator span; a future [AT]
+   evaluates the child naively over snapshots at tau instead. *)
 let aggregate_partial ?trace t { Ast.q; at; order_by = _; limit = _ } =
-  let compiled =
+  let lowered =
     Trace.span trace "lower" (fun () ->
         Lower.lower_query ~catalog:(catalog t) q)
   in
-  match Lower.decompose compiled with
+  match Lower.decompose lowered with
   | None -> failwith "aggregate_partial: query does not decompose"
   | Some { Lower.d_group; d_func; d_child; _ } ->
-    let child =
+    let partial, child_texp =
       Trace.span trace "eval" (fun () ->
           match at with
           | None ->
-            let planned = Planner.plan ~db:t.db d_child in
-            Executor.run ?probe:(xprobe_of trace) ~db:t.db planned
+            let compiled = Planner.plan ~db:t.db lowered.Lower.expr in
+            Executor.partial ?probe:(xprobe_of trace) ~db:t.db compiled
           | Some n ->
             let tau = Time.of_int n in
             if Time.(tau < Database.now t.db) then
@@ -336,11 +339,12 @@ let aggregate_partial ?trace t { Ast.q; at; order_by = _; limit = _ } =
                   (fun tbl -> Table.snapshot tbl ~tau)
                   (Database.table t.db name)
               in
-              Eval.run ?probe:(probe_of trace) ~env ~tau d_child)
+              let child = Eval.run ?probe:(probe_of trace) ~env ~tau d_child in
+              ( Partial_agg.of_relation ~group:d_group ~func:d_func
+                  child.Eval.relation,
+                child.Eval.texp ))
     in
-    ( compiled.Lower.columns,
-      Partial_agg.of_relation ~group:d_group ~func:d_func child.Eval.relation,
-      child.Eval.texp )
+    (lowered.Lower.columns, partial, child_texp)
 
 (* Shard-side half of a distributed broadcast join: evaluate the full
    query over this shard's local rows, with the (small) build side's

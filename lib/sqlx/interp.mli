@@ -116,9 +116,12 @@ val aggregate_partial :
   Ast.query_stmt ->
   string list * Expirel_exec.Partial_agg.t * Expirel_core.Time.t
 (** Shard-side half of a distributed grouped aggregate: lowers the
-    query, requires it to {!Lower.decompose}, evaluates the decomposed
-    child over local rows (honouring a future [AT]) and condenses it
-    into expiration-slice partials.  Returns the final answer's column
+    query, requires it to {!Lower.decompose}, and condenses the
+    decomposed child's local rows into expiration-slice partials.  At
+    now the query runs through {!Expirel_exec.Executor.partial}, whose
+    fused aggregate folds the child's cut batches under an
+    [op:aggregate] span; a future [AT] evaluates the child naively at
+    tau and condenses that relation.  Returns the final answer's column
     labels, the partial, and the child's texp(e) — the coordinator
     merges one partial per shard with {!Expirel_exec.Partial_agg.merge_all}
     and finalises with the same parameters it decomposed.

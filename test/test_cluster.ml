@@ -333,6 +333,77 @@ let test_cross_node_trace () =
            (fun node -> node <> "coordinator" && contains node)
            nodes))
 
+(* A distributed GROUP BY's shard side runs through the executor: each
+   shard's trace shows the fold as an [op:aggregate] span inside
+   [eval], with the batched scan it folds nested beneath it — so its
+   time is the aggregate operator's, not unattributed shard time. *)
+let test_shard_fold_span () =
+  with_cluster 3 (fun coord _servers _eps ->
+      ignore (exec coord "CREATE TABLE t (k, v)");
+      for i = 1 to 30 do
+        ignore
+          (exec coord
+             (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES %d" i
+                (i mod 4) (10 + i)))
+      done;
+      let q = "SELECT v, COUNT(*) FROM t GROUP BY v" in
+      let rows, _ = rows_of q (exec coord q) in
+      Alcotest.(check int) "four groups" 4 (List.length rows);
+      let entries = Coordinator.recent_traces coord 100 in
+      let own =
+        match
+          List.find_opt
+            (fun (e : Wire.trace_entry) ->
+              e.entry_name = q && e.node = "coordinator")
+            entries
+        with
+        | Some e -> e
+        | None -> Alcotest.fail "coordinator trace entry missing"
+      in
+      let shard_entries =
+        List.filter
+          (fun (e : Wire.trace_entry) ->
+            e.entry_trace_id = own.entry_trace_id && e.node <> "coordinator")
+          entries
+      in
+      Alcotest.(check int) "one entry per shard" 3 (List.length shard_entries);
+      List.iter
+        (fun (e : Wire.trace_entry) ->
+          let named n =
+            List.find_opt (fun (s : Wire.span) -> s.span_name = n) e.entry_spans
+          in
+          let parent_name (s : Wire.span) =
+            match s.parent_id with
+            | None -> None
+            | Some id ->
+              List.find_map
+                (fun (p : Wire.span) ->
+                  if p.span_id = id then Some p.span_name else None)
+                e.entry_spans
+          in
+          let rec under ancestor (s : Wire.span) =
+            match s.parent_id with
+            | None -> false
+            | Some id ->
+              (match
+                 List.find_opt
+                   (fun (p : Wire.span) -> p.span_id = id)
+                   e.entry_spans
+               with
+               | None -> false
+               | Some p -> p.span_name = ancestor || under ancestor p)
+          in
+          match named "op:aggregate", named "op:seq-scan" with
+          | Some agg, Some scan ->
+            Alcotest.(check (option string))
+              (e.node ^ ": aggregate inside eval") (Some "eval")
+              (parent_name agg);
+            Alcotest.(check bool)
+              (e.node ^ ": scan nested under the aggregate") true
+              (under "op:aggregate" scan)
+          | _ -> Alcotest.failf "%s: no op:aggregate/op:seq-scan span" e.node)
+        shard_entries)
+
 (* ---------- rebalance: add/remove preserves contents ---------- *)
 
 let test_rebalance () =
@@ -849,6 +920,8 @@ let suite =
       test_pruning;
     Alcotest.test_case "one trace id spans coordinator and shards" `Quick
       test_cross_node_trace;
+    Alcotest.test_case "shard GROUP BY folds under an aggregate span" `Quick
+      test_shard_fold_span;
     Alcotest.test_case "rebalance preserves contents" `Quick test_rebalance;
     Alcotest.test_case "health: unreachable shards degrade" `Quick
       test_health_unreachable;

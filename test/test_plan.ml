@@ -97,6 +97,162 @@ let batched_equals_tuple (e, bindings, tau) =
   Relation.equal tuple.Eval.relation batched.Eval.relation
   && Time.equal tuple.Eval.texp batched.Eval.texp
 
+(* ---------- the fused GROUP BY at multi-chunk scale ---------- *)
+
+(* [gen_batch_case]'s tables stay below [Texp_run.chunk_rows], so its
+   batched scans are one sorted run.  Here 300-1200 rows in random
+   order leave one to four sorted chunks, an insert buffer holding the
+   last [n mod chunk_rows] rows, whose texps restart below the chunks'
+   last one, and — under the lazy policy — an expired prefix the cut
+   skips.  Rows are (k1, k2, x, id):
+   two group columns over Null/Int/Float (0.0, -0.0, two NaN payloads)
+   /Str, an integer-valued aggregated column (so every sum is exact
+   whatever the fold order) and a unique id. *)
+let group_value =
+  Gen.oneof
+    [ Gen.return Value.Null;
+      Gen.map Value.int (Gen.int_range 0 3);
+      Gen.oneofl
+        [ Value.Float 0.0; Value.Float (-0.0); Value.Float Float.nan;
+          Value.Float (Int64.float_of_bits 0x7ff8000000000abcL);
+          Value.Float 1.5 ];
+      Gen.oneofl [ Value.str "a"; Value.str "b" ] ]
+
+let gen_grouped_case =
+  let open Gen in
+  let* n = int_range 300 1200 in
+  let row =
+    let* k1 = group_value and* k2 = group_value in
+    let* x =
+      frequency [ 1, return Value.Null; 6, map Value.int (int_range (-20) 20) ]
+    in
+    let* texp =
+      frequency
+        [ 12, map Time.of_int (int_range 1 60); 1, return Time.Inf ]
+    in
+    return (k1, k2, x, texp)
+  in
+  let* rows = list_size (return n) row in
+  let* group = oneofl [ []; [ 1 ]; [ 2 ]; [ 1; 2 ]; [ 2; 1 ] ] in
+  let* func =
+    oneofl
+      Aggregate.[ Count; Sum 3; Min 3; Max 3; Avg 3 ]
+  in
+  let* having =
+    option
+      (let* op = oneofl Predicate.[ Gt; Lt; Eq ] in
+       let* c = int_range (-10) 10 in
+       return
+         (Predicate.Cmp (op, Predicate.Col 5, Predicate.Const (Value.int c))))
+  in
+  let* tau = int_range 0 45 in
+  return (rows, group, func, having, tau)
+
+let print_grouped_case (rows, group, func, having, tau) =
+  Printf.sprintf "%d rows, group [%s], %s, having %s, tau %d"
+    (List.length rows)
+    (String.concat ";" (List.map string_of_int group))
+    (Aggregate.func_to_string func)
+    (match having with Some p -> Predicate.to_string p | None -> "-")
+    tau
+
+let grouped_db rows tau =
+  let db = Database.create ~policy:Database.Lazy () in
+  let (_ : Table.t) =
+    Database.create_table db ~name:"g" ~columns:[ "k1"; "k2"; "x"; "id" ]
+  in
+  List.iteri
+    (fun id (k1, k2, x, texp) ->
+      Database.insert db "g" (Tuple.of_list [ k1; k2; x; Value.int id ]) ~texp)
+    rows;
+  Database.advance_to db (Time.of_int tau);
+  db
+
+let grouped_expr ~group ~func ~having =
+  let aggregated = Algebra.aggregate group func (Algebra.base "g") in
+  let filtered =
+    match having with
+    | None -> aggregated
+    | Some p -> Algebra.select p aggregated
+  in
+  Algebra.project (group @ [ 5 ]) filtered
+
+(* The law: the fused batched Grouped_aggregate ≡ the tuple plan ≡ the
+   naive evaluator (rows, per-row texps, texp(e)), and the partial the
+   batch fold builds ≡ [of_relation] over the live snapshot,
+   structurally (polymorphic compare: every field, keys included). *)
+let grouped_law (rows, group, func, having, tau) =
+  let db = grouped_db rows tau in
+  let run = Texp_run.sorted_chunks (Table.run (Database.table_exn db "g")) in
+  if Array.length run < 1 then
+    QCheck2.Test.fail_report "the run holds no sorted chunk";
+  let e = grouped_expr ~group ~func ~having in
+  let compiled = Planner.plan ~db e in
+  (match compiled.Plan.physical with
+   | Plan.Grouped_aggregate { child = Plan.Batched _; _ } -> ()
+   | _ -> QCheck2.Test.fail_report "not a fused aggregate over batches");
+  let naive = Database.query db e in
+  let tuple = Executor.run ~db (Planner.plan ~db ~batch:false e) in
+  let batched = Executor.run ~db compiled in
+  let same (a : Eval.result) (b : Eval.result) =
+    Relation.equal a.Eval.relation b.Eval.relation
+    && Time.equal a.Eval.texp b.Eval.texp
+  in
+  let folded, _ = Executor.partial ~db compiled in
+  let snapshot =
+    Table.snapshot (Database.table_exn db "g") ~tau:(Database.now db)
+  in
+  same naive batched && same tuple batched
+  && compare folded (Partial_agg.of_relation ~group ~func snapshot) = 0
+
+(* ---------- merging partials ---------- *)
+
+(* An integer-valued relation split into k disjoint fragments by a hash
+   of column 1, as the cluster's shards hold it. *)
+let gen_merge_case =
+  let open Gen in
+  let* rows =
+    list_size (int_range 0 80)
+      (let* a = int_range 0 6 and* b = int_range (-5) 5 in
+       let* texp = Generators.texp in
+       return (Tuple.ints [ a; b ], texp))
+  in
+  let* k = int_range 1 4 in
+  let* group = oneofl [ []; [ 1 ]; [ 2 ]; [ 1; 2 ] ] in
+  let* func = oneofl Aggregate.[ Count; Sum 2; Min 2; Max 2; Avg 2 ] in
+  return (Relation.of_list ~arity:2 rows, k, group, func)
+
+let print_merge_case (r, k, group, func) =
+  Printf.sprintf "%d rows, k %d, group [%s], %s" (Relation.cardinal r) k
+    (String.concat ";" (List.map string_of_int group))
+    (Aggregate.func_to_string func)
+
+let merge_law (whole, k, group, func) =
+  let frags =
+    List.init k (fun i ->
+        Relation.filter
+          (fun t _ -> Value.hash (Tuple.attr t 1) land max_int mod k = i)
+          whole)
+  in
+  let partials = List.map (Partial_agg.of_relation ~group ~func) frags in
+  let finalize p =
+    Partial_agg.finalize ~group ~func ~child_arity:2 ~projection:(group @ [ 3 ])
+      p
+  in
+  let merged_rows, merged_inv = finalize (Partial_agg.merge_all partials) in
+  let whole_rows, whole_inv =
+    finalize (Partial_agg.of_relation ~group ~func whole)
+  in
+  let commutes =
+    match partials with
+    | a :: b :: _ ->
+      compare (Partial_agg.merge a b) (Partial_agg.merge b a) = 0
+    | [ _ ] | [] -> true
+  in
+  Relation.equal merged_rows whole_rows
+  && Time.equal merged_inv whole_inv
+  && commutes
+
 (* exp_tau keeps texp > tau (strict): with texps {5,5,5,7} and tau = 5
    the binary-search cut must land after the LAST of the coinciding 5s,
    not the first — the classic lower/upper-bound off-by-one. *)
@@ -502,6 +658,14 @@ let suite =
       ~count:300 gen_case physical_equals_naive;
     Generators.qtest "batched plan ≡ tuple plan (rows and texps)"
       ~count:300 gen_batch_case batched_equals_tuple;
+    Generators.to_alcotest
+      (QCheck2.Test.make
+         ~name:"multi-chunk GROUP BY: batched ≡ tuple ≡ naive, fold ≡ of_relation"
+         ~count:60 ~print:print_grouped_case gen_grouped_case grouped_law);
+    Generators.to_alcotest
+      (QCheck2.Test.make
+         ~name:"merged fragment partials ≡ the whole's partial; merge commutes"
+         ~count:300 ~print:print_merge_case gen_merge_case merge_law);
     Alcotest.test_case "cut boundary on duplicate texps" `Quick
       test_cut_duplicate_texp_boundary;
     Alcotest.test_case "multi-chunk live cut" `Quick test_multi_chunk_cut;

@@ -49,10 +49,34 @@ let prop_hash_respects_equal =
     (QCheck2.Gen.pair Generators.small_value Generators.small_value)
     (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
 
+(* Hashed grouping relies on Value.hash agreeing with Value.compare on
+   the floats where IEEE equality and bit identity part ways: 0.0 and
+   -0.0 compare equal, and so does every NaN payload. *)
+let test_hash_float_edges () =
+  let classes =
+    [ [ 0.0; -0.0 ];
+      [ Float.nan; -.Float.nan; Int64.float_of_bits 0x7ff8000000000abcL;
+        Int64.float_of_bits 0x7ff0000000000001L ] ]
+  in
+  List.iter
+    (fun cls ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              let a = Value.Float a and b = Value.Float b in
+              Alcotest.(check bool) "compare-equal" true (Value.equal a b);
+              Alcotest.(check int) "same hash" (Value.hash a) (Value.hash b))
+            cls)
+        cls)
+    classes
+
 let suite =
   [ Alcotest.test_case "total order" `Quick test_compare_total;
     Alcotest.test_case "SQL-style cmp" `Quick test_cmp_sql;
     Alcotest.test_case "numeric add" `Quick test_add;
     Alcotest.test_case "to_float" `Quick test_to_float;
     prop_compare_antisym;
-    prop_hash_respects_equal ]
+    prop_hash_respects_equal;
+    Alcotest.test_case "hash agrees with compare on ±0.0 and NaNs" `Quick
+      test_hash_float_edges ]
