@@ -18,13 +18,17 @@
    - a grouped aggregate: GROUP BY over 10^3 groups whose live rows
      spread over 100 expiration times, the cut batches folded straight
      into the hashed expiration-slice accumulator vs a live snapshot
-     condensed row by row.
+     condensed row by row;
+   - the same accumulator fed out of texp order: a global COUNT over an
+     index range on scrambled ids whose live rows expire at distinct
+     times, so nearly every row opens a slice below the newest one.
 
    Every row runs both plans once before timing them and fails hard
    when the two answers (rows, per-row texps, texp(e)) differ, so the
    CI smoke guards the kernels as well as timing them.
 
-   Scale: 1e5 and 1e6 rows x expired fractions {0, 0.5, 0.99}.
+   Scale: 1e5 and 1e6 rows (the unordered row 1e5 only) x expired
+   fractions {0, 0.5, 0.99}.
    EXPIREL_VEXEC_ROWS caps the row counts so CI can smoke-test the
    same harness in seconds.  Expected shape: live-cut speedup >= 5x at
    1e6 rows / 0.5 expired, far larger at 0.99. *)
@@ -50,20 +54,23 @@ let fractions = [ 0.0; 0.5; 0.99 ]
 
 (* A churny feed: [fraction] of the [n] rows died at t=10, the rest
    live to 1e6 — or, with [spread] > 1, to one of [spread] successive
-   times, so a live group's members expire at several times.  The
-   times rise with the row number, so every insert appends to the
+   times, so a live group's members expire at several times (with
+   [spread] >= [n], every live row at its own).  The times rise with the row number, so every insert appends to the
    texp-ordered run and the load stays linear.  The clock stands at
    50 and nothing is vacuumed, so the expired rows are physically
    present — exactly the shape the chunk cut exists for. *)
-let load_feed ?(spread = 1) ~n ~fraction () =
+let load_feed ?(spread = 1) ?(scramble = false) ~n ~fraction () =
   let db = Database.create ~policy:Database.Lazy () in
   let (_ : Table.t) =
     Database.create_table db ~name:"feed" ~columns:[ "id"; "v" ]
   in
   let expired = int_of_float (fraction *. float_of_int n) in
   for i = 1 to n do
+    (* [scramble] permutes the ids (7919 is a prime dividing no row
+       count here), so id order is no longer texp order. *)
+    let id = if scramble then ((i - 1) * 7919 mod n) + 1 else i in
     Database.insert db "feed"
-      (Tuple.ints [ i; i mod 1000 ])
+      (Tuple.ints [ id; i mod 1000 ])
       ~texp:
         (Time.of_int
            (if i <= expired then 10 else 1_000_000 + ((i - 1) * spread / n)))
@@ -106,6 +113,26 @@ let grouped_expr =
   Algebra.project [ 2; 3 ]
     (Algebra.aggregate [ 2 ] (Aggregate.Sum 1) (Algebra.base "feed"))
 
+(* SELECT COUNT( * ) FROM feed WHERE id >= 1 over an index on id, on a
+   feed whose ids are scrambled and whose live rows all expire at
+   distinct times: the batched plan folds the index range in id order,
+   the tuple plan condenses the filtered relation in tuple order, so
+   both hand the accumulator one global group whose rows arrive out of
+   texp order, nearly every one opening a new slice.  Run up to 10^5
+   rows: past that the index range walk itself, not the accumulator,
+   takes seconds per query. *)
+let unordered_expr =
+  Algebra.project [ 3 ]
+    (Algebra.aggregate [] Aggregate.Count
+       (Algebra.select
+          (Predicate.Cmp
+             (Predicate.Ge, Predicate.Col 1, Predicate.Const (Value.int 1)))
+          (Algebra.base "feed")))
+
+let index_id db =
+  Table.create_index (Database.table_exn db "feed") ~column:1;
+  Database.bump_generation db
+
 (* The join probe: a small all-live dimension (10 keys) against the
    churny feed, equi-joined on feed.v — 1% of live feed rows match, so
    probe-side work dominates.  The batched plan cuts the probe side's
@@ -127,14 +154,15 @@ let add_dim db =
 let tag name ~n ~fraction =
   Printf.sprintf "%s_n%d_f%d" name n (int_of_float (fraction *. 100.))
 
-let sweep ~name ~title ~reps ?spread ?(prepare = ignore) expr =
+let sweep ~name ~title ~reps ?(sizes = sizes) ?spread ?scramble
+    ?(prepare = ignore) expr =
   Bench_util.subsection title;
   let rows_out = ref [] in
   List.iter
     (fun n ->
       List.iter
         (fun fraction ->
-          let db = load_feed ?spread ~n ~fraction () in
+          let db = load_feed ?spread ?scramble ~n ~fraction () in
           prepare db;
           let batched = Planner.plan ~db expr in
           let tuple = Planner.plan ~db ~batch:false expr in
@@ -201,4 +229,8 @@ let run_all () =
   sweep ~name:"grouped"
     ~title:"GROUP BY over 10^3 groups: batched vs tuple-at-a-time" ~reps
     ~spread:100 grouped_expr;
+  sweep ~name:"unordered"
+    ~title:"global COUNT over an index range, rows out of texp order" ~reps:4
+    ~sizes:(List.filter (fun n -> n <= 100_000) sizes)
+    ~spread:1_000_000 ~scramble:true ~prepare:index_id unordered_expr;
   cut_accounting ()

@@ -92,11 +92,22 @@ let observe ~func slice value =
    there.  Each group keeps its slices in an array ascending by
    expiration time: a texp-ordered row stream (a scan's sorted chunks,
    then the run's sorted insert buffer) only ever updates the newest
-   slice or appends one after it; a row that arrives out of order — the
-   buffer's restart, index scans, joins, rebatched relations — takes a
-   binary search and a short ordered insert.  Every row still lands in
-   its (key, texp) slice in arrival order, so float sums are
-   bit-identical to a slice-by-slice fold of the same stream. *)
+   slice or appends one after it.  A row that arrives out of order —
+   the buffer's restart, index scans, joins, rebatched relations,
+   [of_relation]'s tuple order — binary-searches the array and folds
+   into its slice when one exists; a row opening a new slice instead
+   waits in the group's pending buffer.  The buffer is stable-sorted
+   and merged into the array once it holds as many rows as the array
+   has slices (and when the partial is taken), so an out-of-order row
+   costs O(log s) amortised for a group of [s] slices, never an O(s)
+   shift.
+
+   Every row still lands in its (key, texp) slice in arrival order, so
+   float sums are bit-identical to a slice-by-slice fold of the same
+   stream: a pending texp has no slice in the array (it would have been
+   folded there) and lies below the newest slice, which only grows, so
+   no row of that texp can reach the array before the merge, and the
+   stable sort keeps the pending rows' own order. *)
 module Groups = Hashtbl.Make (struct
   type t = Value.t list
 
@@ -110,6 +121,10 @@ type cell = {
          say) the partial carries the one seen last *)
   mutable cslices : slice array;  (* ascending [s_texp]; [clen] in use *)
   mutable clen : int;
+  mutable pending : (Time.t * Value.t) array;
+      (* out-of-order rows opening new slices, in arrival order; [plen]
+         in use, every texp below the newest slice's *)
+  mutable plen : int;
 }
 
 type acc = {
@@ -126,16 +141,60 @@ let create_acc ~group ~func =
     groups = Groups.create 64
   }
 
-(* Insert [s] at index [i], shifting the newer slices up by one. *)
-let insert_slice c i s =
+let new_cell key slices =
+  { ckey = key;
+    cslices = slices;
+    clen = Array.length slices;
+    pending = [||];
+    plen = 0
+  }
+
+let append_slice c s =
   if c.clen = Array.length c.cslices then begin
-    let grown = Array.make (2 * c.clen) s in
+    let grown = Array.make (max 4 (2 * c.clen)) s in
     Array.blit c.cslices 0 grown 0 c.clen;
     c.cslices <- grown
   end;
-  Array.blit c.cslices i c.cslices (i + 1) (c.clen - i);
-  c.cslices.(i) <- s;
+  c.cslices.(c.clen) <- s;
   c.clen <- c.clen + 1
+
+(* Merge the pending rows into the slice array: one stable sort, one
+   linear merge.  No pending texp has a slice in the array yet. *)
+let flush_pending ~func c =
+  if c.plen > 0 then begin
+    let rows = Array.sub c.pending 0 c.plen in
+    Array.stable_sort (fun (a, _) (b, _) -> Time.compare a b) rows;
+    let old = c.cslices and old_len = c.clen in
+    c.cslices <- Array.make (old_len + c.plen) old.(0);
+    c.clen <- 0;
+    let i = ref 0 and j = ref 0 in
+    while !j < Array.length rows do
+      let texp = fst rows.(!j) in
+      while !i < old_len && Time.(old.(!i).s_texp < texp) do
+        append_slice c old.(!i);
+        incr i
+      done;
+      let s = ref (empty_slice texp) in
+      while !j < Array.length rows && Time.equal (fst rows.(!j)) texp do
+        s := observe ~func !s (snd rows.(!j));
+        incr j
+      done;
+      append_slice c !s
+    done;
+    Array.blit old !i c.cslices c.clen (old_len - !i);
+    c.clen <- c.clen + (old_len - !i);
+    c.plen <- 0
+  end
+
+let push_pending ~func c texp value =
+  if c.plen = Array.length c.pending then begin
+    let grown = Array.make (max 8 (2 * c.plen)) (texp, value) in
+    Array.blit c.pending 0 grown 0 c.plen;
+    c.pending <- grown
+  end;
+  c.pending.(c.plen) <- (texp, value);
+  c.plen <- c.plen + 1;
+  if c.plen >= max 8 c.clen then flush_pending ~func c
 
 (* Fold [value] into the cell's slice for [texp]. *)
 let observe_cell ~func c texp value =
@@ -144,7 +203,7 @@ let observe_cell ~func c texp value =
   if Time.equal newest texp then
     c.cslices.(last) <- observe ~func c.cslices.(last) value
   else if Time.(newest < texp) then
-    insert_slice c c.clen (observe ~func (empty_slice texp) value)
+    append_slice c (observe ~func (empty_slice texp) value)
   else begin
     (* The first slice at or after [texp]: the newest is after it. *)
     let lo = ref 0 and hi = ref last in
@@ -155,7 +214,7 @@ let observe_cell ~func c texp value =
     let i = !lo in
     if Time.equal c.cslices.(i).s_texp texp then
       c.cslices.(i) <- observe ~func c.cslices.(i) value
-    else insert_slice c i (observe ~func (empty_slice texp) value)
+    else push_pending ~func c texp value
   end
 
 let observe_acc acc ~attr ~texp =
@@ -168,11 +227,7 @@ let observe_acc acc ~attr ~texp =
     observe_cell ~func:acc.func c texp value
   | None ->
     Groups.add acc.groups key
-      { ckey = key;
-        cslices =
-          Array.make 4 (observe ~func:acc.func (empty_slice texp) value);
-        clen = 1
-      }
+      (new_cell key [| observe ~func:acc.func (empty_slice texp) value |])
 
 let cell_slices c =
   let rec from i acc =
@@ -187,7 +242,9 @@ let sorted_groups groups =
   |> List.sort (fun a b -> List.compare Value.compare a.ckey b.ckey)
   |> List.map (fun c -> { key = c.ckey; slices = cell_slices c })
 
-let of_acc acc = sorted_groups acc.groups
+let of_acc acc =
+  Groups.iter (fun _ c -> flush_pending ~func:acc.func c) acc.groups;
+  sorted_groups acc.groups
 
 let of_relation ~group ~func relation =
   let acc = create_acc ~group ~func in
@@ -231,9 +288,7 @@ let merge_all partials =
     (List.iter (fun g ->
          match Groups.find_opt groups g.key with
          | None ->
-           let slices = Array.of_list g.slices in
-           Groups.add groups g.key
-             { ckey = g.key; cslices = slices; clen = Array.length slices }
+           Groups.add groups g.key (new_cell g.key (Array.of_list g.slices))
          | Some c ->
            let merged =
              Array.of_list (merge_slice_lists (cell_slices c) g.slices)

@@ -15,13 +15,15 @@
     {!Value.hash} on the GROUP BY values), each group's slices ascending
     by expiration time.  A texp-ordered row stream — what a table's
     sorted chunks and sorted insert buffer yield — only updates the
-    newest slice or appends one; an out-of-order row takes a binary
-    search over its group's [s] slices, plus an O(s) shift when it opens
-    a new slice.  Building a partial from such a stream costs O(rows)
-    expected plus O(groups · log groups) for the one sort by key that
-    makes the result independent of the hash table's layout.  Each
-    slice folds its rows in arrival order, so float sums match a
-    per-slice fold of the same stream bit for bit.
+    newest slice or appends one.  An out-of-order row binary-searches
+    its group's [s] slices; one opening a new slice waits in a pending
+    buffer that is stable-sorted and merged in once it holds [s] rows,
+    so it costs O(log s) amortised.  Building a partial costs O(rows)
+    expected from a texp-ordered stream, O(rows · log s) from any other,
+    plus O(groups · log groups) for the one sort by key that makes the
+    result independent of the hash table's layout.  Each slice folds
+    its rows in arrival order, so float sums match a per-slice fold of
+    the same stream bit for bit.
 
     The executor's fused aggregate node, the shard side of a distributed
     GROUP BY ({!Executor.partial}) and the cluster coordinator share
@@ -69,7 +71,8 @@ val create_acc : group:int list -> func:Aggregate.func -> acc
 
 val observe_acc : acc -> attr:(int -> Value.t) -> texp:Time.t -> unit
 (** Fold one row in; [attr] is its 1-based attribute accessor.  O(1)
-    expected when [texp] is at least the group's newest expiration time.
+    expected when [texp] is at least the group's newest expiration time,
+    O(log s) amortised otherwise.
     @raise Invalid_argument on a non-numeric SUM operand. *)
 
 val of_acc : acc -> t

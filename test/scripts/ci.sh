@@ -31,9 +31,10 @@ SMOKE_DIR=$(mktemp -d)
 # a CI-sized event count; the full 10^7 run is for BENCH_sketch.json.
 (cd "$SMOKE_DIR" && EXPIREL_SKETCH_EVENTS=200000 "$BENCH" sketch)
 # Smoke the vectorized-executor experiment (live cut, filter kernel,
-# batched hash-join probe, grouped aggregate, chunk-cut accounting) at
-# a CI-sized row count; it fails hard if any row's batched and tuple
-# answers differ or the cut skips fewer rows than the expired half.
+# batched hash-join probe, grouped aggregate in and out of texp order,
+# chunk-cut accounting) at a CI-sized row count; it fails hard if any
+# row's batched and tuple answers differ or the cut skips fewer rows
+# than the expired half.
 # The full 10^5/10^6 sweep is for BENCH_vexec.json.
 (cd "$SMOKE_DIR" && EXPIREL_VEXEC_ROWS=20000 "$BENCH" vexec)
 rm -rf "$SMOKE_DIR"

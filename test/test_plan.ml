@@ -205,6 +205,101 @@ let grouped_law (rows, group, func, having, tau) =
   same naive batched && same tuple batched
   && compare folded (Partial_agg.of_relation ~group ~func snapshot) = 0
 
+(* ---------- out-of-order accumulation ---------- *)
+
+(* Index scans, joins and [of_relation]'s tuple order hand the
+   accumulator rows out of texp order.  Here texps are mostly distinct
+   and unsorted, so a group's rows keep opening slices below its newest
+   one, and float values make any change to a slice's fold order show
+   in the sum's bits.  Keys are never compare-equal without being equal
+   (no -0.0, one NaN at most), so which of them a group carries cannot
+   depend on order.  Rows are (k, _, x, id) as in [grouped_db]. *)
+let gen_unordered_case =
+  let open Gen in
+  let* n = int_range 0 1500 in
+  let row =
+    let* k =
+      oneofl
+        [ Value.Null; Value.int 0; Value.int 1; Value.str "a"; Value.Float 1.5 ]
+    in
+    let* x =
+      frequency
+        [ 1, return Value.Null;
+          3, map Value.int (int_range (-50) 50);
+          3, map (fun f -> Value.Float f) (float_range (-1e6) 1e6) ]
+    in
+    let* texp =
+      frequency
+        [ 4, map Time.of_int (int_range 1 1_000_000);
+          2, map Time.of_int (int_range 1 12);
+          1, return Time.Inf ]
+    in
+    return (k, Value.Null, x, texp)
+  in
+  (* Shrinking a list this long one element at a time takes minutes. *)
+  let* rows = no_shrink (list_size (return n) row) in
+  let* group = oneofl [ []; [ 1 ] ] in
+  let* func = oneofl Aggregate.[ Count; Sum 3; Min 3; Max 3; Avg 3 ] in
+  return (rows, group, func)
+
+let print_unordered_case (rows, group, func) =
+  Printf.sprintf "%d rows, group [%s], %s" (List.length rows)
+    (String.concat ";" (List.map string_of_int group))
+    (Aggregate.func_to_string func)
+
+(* The law: the rows in arrival order fold to the same partial, bit for
+   bit, as the same rows stable-sorted by texp — a stream that only
+   ever updates a group's newest slice or appends one, with each
+   slice's rows still in arrival order.  And through an index range
+   scan, which yields rows in id order, not texp order, the batched
+   GROUP BY ≡ the naive evaluator (integer values there: the evaluator
+   folds a group's rows in its own order). *)
+let unordered_law (rows, group, func) =
+  let ids = List.mapi (fun id r -> (id, r)) rows in
+  let sorted =
+    List.stable_sort
+      (fun (_, (_, _, _, a)) (_, (_, _, _, b)) -> Time.compare a b)
+      ids
+  in
+  let by_row ids =
+    let acc = Partial_agg.create_acc ~group ~func in
+    List.iter
+      (fun (id, (k1, k2, x, texp)) ->
+        let t = Tuple.of_list [ k1; k2; x; Value.int id ] in
+        Partial_agg.observe_acc acc ~attr:(Tuple.attr t) ~texp)
+      ids;
+    Partial_agg.of_acc acc
+  in
+  let integral =
+    List.map
+      (fun (k1, k2, x, texp) ->
+        let x =
+          match x with Value.Float f -> Value.int (int_of_float f) | v -> v
+        in
+        (k1, k2, x, texp))
+      rows
+  in
+  let db = grouped_db integral 0 in
+  Table.create_index (Database.table_exn db "g") ~column:4;
+  Database.bump_generation db;
+  let e =
+    Algebra.project (group @ [ 5 ])
+      (Algebra.aggregate group func
+         (Algebra.select
+            (Predicate.Cmp
+               (Predicate.Ge, Predicate.Col 4, Predicate.Const (Value.int 0)))
+            (Algebra.base "g")))
+  in
+  let compiled = Planner.plan ~db e in
+  (match compiled.Plan.physical with
+   | Plan.Grouped_aggregate { child = Plan.Batched _; _ } -> ()
+   | _ -> QCheck2.Test.fail_report "not a fused aggregate over batches");
+  let naive = Database.query db e in
+  let batched = Executor.run ~db compiled in
+  compare (by_row ids) (by_row sorted) = 0
+  && Relation.equal naive.Eval.relation batched.Eval.relation
+  && Time.equal naive.Eval.texp batched.Eval.texp
+
 (* ---------- merging partials ---------- *)
 
 (* An integer-valued relation split into k disjoint fragments by a hash
@@ -662,6 +757,11 @@ let suite =
       (QCheck2.Test.make
          ~name:"multi-chunk GROUP BY: batched ≡ tuple ≡ naive, fold ≡ of_relation"
          ~count:60 ~print:print_grouped_case gen_grouped_case grouped_law);
+    Generators.to_alcotest
+      (QCheck2.Test.make
+         ~name:"unordered rows fold as texp-sorted ones; index-range GROUP BY ≡ naive"
+         ~count:100 ~print:print_unordered_case gen_unordered_case
+         unordered_law);
     Generators.to_alcotest
       (QCheck2.Test.make
          ~name:"merged fragment partials ≡ the whole's partial; merge commutes"
