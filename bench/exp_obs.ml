@@ -30,10 +30,8 @@ let profile_batches = 9
 let profile_runs_per_batch = 40
 let profile_warmups = 3
 
-(* [Planner.plan] batches by default, so the plan measured here runs
-   through the vectorized executor (go_b's per-batch timing hooks
-   included) — the 5% budget below guards the batched profiling path,
-   not just the tuple one. *)
+(* The plan measured here is a filter over a hash join of two scans,
+   every node timed by the executor's per-operator profiling hook. *)
 let bench_profiling_overhead () =
   Bench_util.subsection "profiling overhead (EXPLAIN ANALYZE sink)";
   let open Storage in

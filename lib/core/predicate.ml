@@ -54,11 +54,11 @@ let rec eval p t =
   | Or (a, b) -> eval a t || eval b t
   | Not a -> not (eval a t)
 
-(* Closure-compiled form for the batch executor: the predicate tree is
-   walked once, and the per-row work is a chain of direct closure calls
-   over a column accessor — no tuple is materialised per row.  Must
-   agree with [eval] on every input (the qcheck batch ≡ naive law pins
-   this), so each comparison goes through the same [cmp_holds]. *)
+(* Closure-compiled form for the executor's batches: the predicate
+   tree is walked once, and the per-row work is a chain of direct
+   closure calls over a column accessor — no tuple is materialised per
+   row.  Must agree with [eval] on every input (the qcheck executor ≡
+   naive law pins this), so each comparison goes through the same [cmp_holds]. *)
 let compile p =
   let operand_fn = function
     | Col j -> fun get -> get j

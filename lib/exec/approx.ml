@@ -14,17 +14,16 @@ let columns spec ~child =
   | Count _ -> [ "approx_count"; "within" ]
   | Sample _ -> child
 
-let build spec relation =
+let build spec ~arity iter =
   match spec with
   | Count { epsilon } ->
     let c = Sketch.Counter.create ~epsilon in
-    Relation.iter (fun _t texp -> Sketch.Counter.add c ~texp) relation;
+    iter (fun _get texp -> Sketch.Counter.add c ~texp);
     Sketch.Any.Counter c
   | Sample { k } ->
     let s = Sketch.Sample.create ~k () in
-    Relation.iter
-      (fun t texp -> Sketch.Sample.add s (Tuple.to_list t) ~texp)
-      relation;
+    iter (fun get texp ->
+        Sketch.Sample.add s (List.init arity (fun j -> get (j + 1))) ~texp);
     Sketch.Any.Sample s
 
 let result ~tau ~arity ~child_texp sketch =

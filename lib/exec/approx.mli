@@ -4,7 +4,7 @@
     item ([APPROX_COUNT(eps)] / [SAMPLE(k)]): the lowering layer
     attaches one to a compiled query, the planner wraps the physical
     tree in the matching sketch operator, and the executor calls
-    {!build} / {!result} to fold the child relation into a
+    {!build} / {!result} to fold the child's rows into a
     bounded-memory sketch and render the sketch's answer as ordinary
     result rows with honest expiration times. *)
 
@@ -23,9 +23,15 @@ val columns : spec -> child:string list -> string list
 (** Result column labels: [["approx_count"; "within"]] for a count,
     the child's own labels for a sample. *)
 
-val build : spec -> Relation.t -> Expirel_sketch.Any.t
-(** Folds every tuple of the relation (with its expiration time) into a
-    fresh sketch of the spec's kind. *)
+val build :
+  spec ->
+  arity:int ->
+  (((int -> Value.t) -> Time.t -> unit) -> unit) ->
+  Expirel_sketch.Any.t
+(** [build spec ~arity iter] folds every row [iter] yields — a 1-based
+    attribute accessor and the row's expiration time — into a fresh
+    sketch of the spec's kind.  The rows must be a set: a row yielded
+    twice is counted twice. *)
 
 val result :
   tau:Time.t ->

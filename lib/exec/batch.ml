@@ -12,10 +12,10 @@ open Expirel_storage
    chunks ([Texp_run]) with [sel = None]:
    zero copies for a wholly-live chunk, and the live cut inside a
    straddling chunk is a suffix selection found by one binary search.
-   Batches re-entered from the tuple-at-a-time fallback ([of_relation])
-   are in tuple order instead — sortedness only matters at scan leaves,
-   where the [tau] filter runs; every operator above sees live rows
-   only. *)
+   Batches re-entered from a set-semantics operator's answer
+   ([of_relation]) are in tuple order instead — sortedness only
+   matters at scan leaves, where the [tau] filter runs; every operator
+   above sees live rows only. *)
 
 type t = {
   arity : int;
@@ -147,7 +147,7 @@ let of_relation r =
   Relation.iter (fun t e -> Builder.add builder (Tuple.attr t) e) r;
   Builder.to_batches builder
 
-(* ---------- vectorised operators ---------- *)
+(* ---------- batch operators ---------- *)
 
 (* Selection narrows the selection vector; the columns are shared.
    [None] when no row passes. *)
@@ -168,13 +168,13 @@ let filter kernel b =
   end
 
 (* Projection permutes column pointers — zero copies.  Coinciding
-   output rows are *not* merged here; the max-merge happens at the
-   materialise boundary (Relation.add), which commutes with every
-   vectorised operator above (see DESIGN.md). *)
+   output rows are *not* merged here; the max-merge happens where the
+   rows are materialised (Relation.add), which commutes with every
+   batch operator above (see DESIGN.md). *)
 let project js b =
   { b with arity = List.length js; cols = Array.of_list (List.map (fun j -> b.cols.(j - 1)) js) }
 
-(* ---------- the materialise boundary ---------- *)
+(* ---------- materialisation ---------- *)
 
 let to_relation ~arity batches =
   List.fold_left

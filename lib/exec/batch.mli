@@ -1,4 +1,4 @@
-(** Columnar batches: the unit of work of the vectorized executor.
+(** Columnar batches: the unit of work of the executor.
 
     A batch is one chunk of rows as flat column arrays plus a parallel
     expiration-time array and an optional selection vector.  Scans
@@ -7,13 +7,14 @@
     binary search ({!cut_chunk}) and wholly-live / wholly-expired chunks
     are accepted / skipped without touching a row.  Filters
     narrow the selection vector; projections permute column pointers;
-    only the materialise boundary ({!to_relation}) builds tuples again.
+    only materialisation ({!to_relation}) — at the plan's root, or
+    where a set-semantics operator needs a set — builds tuples again.
 
     Order contract: scan-leaf batches are texp-ascending (that is what
     makes the cut a binary search); batches above the scan, including
-    {!of_relation} rebatches from the tuple-at-a-time fallback, carry
-    no order guarantee — every operator above the scan only ever sees
-    live rows, so nothing above needs one. *)
+    {!of_relation} rebatches of a set-semantics operator's answer,
+    carry no order guarantee — every operator above the scan only ever
+    sees live rows, so nothing above needs one. *)
 
 open Expirel_core
 open Expirel_storage
@@ -43,8 +44,8 @@ val of_rows : arity:int -> (Tuple.t * Time.t) list -> t option
     index-scan candidate lists enter batch form. *)
 
 val of_relation : Relation.t -> t list
-(** Rebatch a materialised relation (tuple order) — the boundary where
-    a tuple-at-a-time subtree feeds a vectorized parent. *)
+(** Rebatch a materialised relation (tuple order) — where a
+    set-semantics operator's answer feeds a batch kernel. *)
 
 val filter : ((int -> Value.t) -> bool) -> t -> t option
 (** Apply a compiled predicate kernel ({!Predicate.compile}), narrowing
@@ -55,12 +56,12 @@ val project : int list -> t -> t
 (** Permutes / duplicates column pointers (1-based), zero-copy.
     Coinciding output rows are deliberately {e not} merged here: the
     projection rule's max-merge happens at {!to_relation}, with which
-    every vectorised operator commutes. *)
+    every batch operator commutes. *)
 
 val to_relation : arity:int -> t list -> Relation.t
-(** The materialise boundary: rows become tuples again, coinciding
-    tuples max-merge their expiration times (the same
-    {!Relation.add} rule the tuple-at-a-time kernels use). *)
+(** Materialisation: rows become tuples again, coinciding tuples
+    max-merge their expiration times (the {!Relation.add} rule the
+    naive kernels use). *)
 
 (** Accumulates operator output rows (joins, rebatches) into full
     batches, flushing every {!Texp_run.chunk_rows} rows. *)

@@ -48,13 +48,6 @@ type t =
       k : int;
       child : t;
     }
-  | Batched of t
-      (* The materialise boundary of a vectorized subtree: everything
-         below runs over columnar batches (scan / filter / project /
-         hash-join kernels; other operators fall back to tuples and are
-         rebatched), and the boundary itself turns the surviving
-         batches back into a relation — unless a fused aggregate parent
-         consumes the batches directly. *)
 
 type compiled = {
   logical : Algebra.t;
@@ -75,7 +68,6 @@ let operator_name = function
   | Hash_aggregate _ | Grouped_aggregate _ -> "aggregate"
   | Sketch_count _ -> "sketch-count"
   | Sketch_sample _ -> "sketch-sample"
-  | Batched _ -> "batch"
 
 let rec size = function
   | Scan _ -> 1
@@ -84,8 +76,7 @@ let rec size = function
   | Hash_aggregate { child = c; _ }
   | Grouped_aggregate { child = c; _ }
   | Sketch_count { child = c; _ }
-  | Sketch_sample { child = c; _ }
-  | Batched c ->
+  | Sketch_sample { child = c; _ } ->
     1 + size c
   | Nested_loop { left; right; _ }
   | Hash_join { left; right; _ }
@@ -101,8 +92,7 @@ let children = function
   | Hash_aggregate { child = c; _ }
   | Grouped_aggregate { child = c; _ }
   | Sketch_count { child = c; _ }
-  | Sketch_sample { child = c; _ }
-  | Batched c ->
+  | Sketch_sample { child = c; _ } ->
     [ c ]
   | Nested_loop { left; right; _ }
   | Hash_join { left; right; _ }
@@ -152,38 +142,13 @@ let describe p =
       (positions projection)
   | Sketch_count { epsilon; _ } -> Printf.sprintf "%s [eps=%g]" op epsilon
   | Sketch_sample { k; _ } -> Printf.sprintf "%s [k=%d]" op k
-  | Batched _ -> Printf.sprintf "%s [materialise boundary]" op
 
-(* Which nodes the batch executor vectorizes when reached in batch
-   context.  Everything else inside a [Batched] subtree falls back to
-   the tuple kernels and is rebatched. *)
-let vectorizable = function
-  | Scan _ | Filter _ | Project _ | Hash_join _ | Batched _ -> true
-  | Nested_loop _ | Merge_union _ | Merge_intersect _ | Merge_diff _
-  | Hash_aggregate _ | Grouped_aggregate _ | Sketch_count _ | Sketch_sample _
-    ->
-    false
-
-(* Mirrors the executor's dispatch exactly: a [Batched] node (re)enters
-   batch context; a vectorizable node keeps the context it was reached
-   in; anything else executes tuple-at-a-time, and so do its children
-   (until an inner [Batched]). *)
-let batch_mode ~in_batch = function
-  | Batched _ -> true
-  | p -> in_batch && vectorizable p
-
-let mode_tag ~in_batch p =
-  if batch_mode ~in_batch p then "[batch]" else "[tuple]"
-
-(* Indented plan tree in the style of Explain.expr_tree, each line
-   tagged with its execution mode. *)
+(* Indented plan tree in the style of Explain.expr_tree. *)
 let pp ppf plan =
-  let rec go depth in_batch p =
-    Format.fprintf ppf "%s%s  %s@\n"
-      (String.make (2 * depth) ' ')
-      (describe p) (mode_tag ~in_batch p);
-    List.iter (go (depth + 1) (batch_mode ~in_batch p)) (children p)
+  let rec go depth p =
+    Format.fprintf ppf "%s%s@\n" (String.make (2 * depth) ' ') (describe p);
+    List.iter (go (depth + 1)) (children p)
   in
-  go 0 false plan
+  go 0 plan
 
 let to_string plan = Format.asprintf "%a" pp plan

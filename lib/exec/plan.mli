@@ -1,8 +1,8 @@
 (** Physical query plans: the executable counterpart of {!Algebra.t}.
 
     A plan node says {e how} a logical operator runs — which access path
-    a leaf uses, whether a join builds a hash table or loops, that a set
-    operation merges its (already sorted) inputs — while remaining
+    a leaf uses, whether a join builds a hash table or loops — while
+    remaining
     semantically identical to the naive operator kernels in {!Ops},
     including every expiration-time assignment (Equations (1)–(11)): the
     planner may only change cost, never results.  The qcheck
@@ -27,7 +27,7 @@ type t =
       pred : Predicate.t;  (** [True] for a bare Cartesian product *)
       left : t;
       right : t;
-    }  (** streaming select-over-product: O(|l|·|r|) time, O(out) space *)
+    }  (** select-over-product over batches: O(|l|·|r|) time, O(out) space *)
   | Hash_join of {
       pairs : (int * int) list;
           (** equi-key columns, each 1-based in its own input *)
@@ -39,10 +39,12 @@ type t =
       right : t;
     }
   | Merge_union of t * t
+      (** concatenates its inputs' batches; coinciding rows max-merge
+          (Equation (4)) where the result is materialised *)
   | Merge_intersect of t * t
   | Merge_diff of t * t
-      (** linear merges over the sorted tuple order both inputs already
-          have (relations are ordered maps) *)
+      (** linear merges over the sorted tuple order of both inputs,
+          each materialised into a set first *)
   | Hash_aggregate of {
       group : int list;
       func : Aggregate.func;
@@ -75,16 +77,6 @@ type t =
     }
       (** [SAMPLE(k)]: a uniform sample of [k] live child rows from a
           priority sketch *)
-  | Batched of t
-      (** the materialise / rebatch boundary of a vectorized subtree:
-          below it, scans / filters / projections / hash joins run over
-          columnar {!Batch.t} chunks (live filtering at [tau] is a
-          binary-search cut over texp-sorted chunks instead of a
-          per-tuple predicate); operators not yet vectorized fall back
-          to the tuple kernels and are rebatched.  The boundary itself
-          materialises the surviving batches into a relation — unless
-          the parent is a fused aggregate, which accumulates
-          {!Partial_agg} slices straight from the batches *)
 
 type compiled = {
   logical : Algebra.t;  (** kept for well-formedness checks and EXPLAIN *)
@@ -95,26 +87,10 @@ val operator_name : t -> string
 (** Canonical lower-case physical operator name ([seq-scan],
     [index-scan], [filter], [project], [nested-loop], [hash-join],
     [merge-union], [merge-intersect], [merge-diff], [aggregate],
-    [sketch-count], [sketch-sample], [batch]) — the
+    [sketch-count], [sketch-sample]) — the
     vocabulary EXPLAIN plan lines and per-operator [op:<name>] trace
     spans share, replacing the logical {!Algebra.operator_name}s on the
     physical execution path. *)
-
-val vectorizable : t -> bool
-(** Does the batch executor have a columnar kernel for this node when
-    reached in batch context?  ([Scan], [Filter], [Project],
-    [Hash_join], [Batched]; everything else falls back to the tuple
-    kernels.) *)
-
-val batch_mode : in_batch:bool -> t -> bool
-(** Whether this node executes vectorized given the context it is
-    reached in — mirrors the executor's dispatch, and doubles as the
-    context its children see.  The root is reached with
-    [in_batch:false]. *)
-
-val mode_tag : in_batch:bool -> t -> string
-(** ["[batch]"] or ["[tuple]"] per {!batch_mode} — the execution-mode
-    annotation EXPLAIN and EXPLAIN ANALYZE print per operator. *)
 
 val size : t -> int
 (** Number of operator nodes. *)

@@ -40,7 +40,6 @@ let rec estimate_rows db = function
   | Plan.Grouped_aggregate { child; _ } -> estimate_rows db child
   | Plan.Sketch_count _ -> 1
   | Plan.Sketch_sample { k; _ } -> k
-  | Plan.Batched c -> estimate_rows db c
 
 let scan db name pred =
   let access =
@@ -108,81 +107,8 @@ let rec compile db = function
   | Algebra.Aggregate (group, func, e) ->
     Plan.Hash_aggregate { group; func; child = compile db e }
 
-(* ---------- the batching decision ---------- *)
-
-(* A subtree is batch-worthy when a vectorized kernel covers its spine
-   down to at least one scan leaf: scans always, filters and projections
-   when their input is, a hash join when either side is.  Everything
-   else executes tuple-at-a-time and would only be rebatched. *)
-let rec batch_worthy = function
-  | Plan.Scan _ -> true
-  | Plan.Filter (_, c) | Plan.Project (_, c) -> batch_worthy c
-  | Plan.Hash_join { left; right; _ } -> batch_worthy left || batch_worthy right
-  | Plan.Nested_loop _ | Plan.Merge_union _ | Plan.Merge_intersect _
-  | Plan.Merge_diff _ | Plan.Hash_aggregate _ | Plan.Grouped_aggregate _
-  | Plan.Sketch_count _ | Plan.Sketch_sample _ | Plan.Batched _ ->
-    false
-
-(* One exception: a bare unfiltered scan.  Its tuple path is the
-   generation-cached table snapshot — O(1) on repeated reads — which
-   rebatching + rematerialising could only lose to.  Batching must pay
-   somewhere: a cut, a vectorized predicate, a flat-array join. *)
-let worth_wrapping = function
-  | Plan.Scan { pred = None; _ } -> false
-  | p -> batch_worthy p
-
-(* Wrap every maximal batch-worthy subtree in a [Plan.Batched]
-   materialise boundary.  [vec] rewrites the vectorized spine itself;
-   children the batch kernels cannot consume ([batch_worthy] false) are
-   re-batchified in tuple context, so a worthy island below a merge or
-   an aggregate still gets its boundary. *)
-let rec batchify p =
-  if worth_wrapping p then Plan.Batched (vec p)
-  else
-    match p with
-    | Plan.Scan _ -> p
-    | Plan.Filter (q, c) -> Plan.Filter (q, batchify c)
-    | Plan.Project (js, c) -> Plan.Project (js, batchify c)
-    | Plan.Nested_loop { pred; left; right } ->
-      Plan.Nested_loop { pred; left = batchify left; right = batchify right }
-    | Plan.Hash_join { pairs; pred; left; right } ->
-      Plan.Hash_join
-        { pairs; pred; left = batchify left; right = batchify right }
-    | Plan.Merge_union (l, r) -> Plan.Merge_union (batchify l, batchify r)
-    | Plan.Merge_intersect (l, r) ->
-      Plan.Merge_intersect (batchify l, batchify r)
-    | Plan.Merge_diff (l, r) -> Plan.Merge_diff (batchify l, batchify r)
-    | Plan.Hash_aggregate { group; func; child } ->
-      Plan.Hash_aggregate { group; func; child = batchify child }
-    | Plan.Grouped_aggregate { group; func; having; projection; child } ->
-      (* The fused aggregate accumulates Partial_agg slices straight
-         from its child's batches — nothing is rematerialised — so
-         batching pays even for a bare unfiltered scan: wrap whenever a
-         kernel covers the spine, [worth_wrapping]'s exception
-         notwithstanding. *)
-      let child =
-        if batch_worthy child then Plan.Batched (vec child) else batchify child
-      in
-      Plan.Grouped_aggregate { group; func; having; projection; child }
-    | Plan.Sketch_count { epsilon; child } ->
-      Plan.Sketch_count { epsilon; child = batchify child }
-    | Plan.Sketch_sample { k; child } ->
-      Plan.Sketch_sample { k; child = batchify child }
-    | Plan.Batched c -> Plan.Batched c
-
-and vec p =
-  match p with
-  | Plan.Scan _ -> p
-  | Plan.Filter (q, c) -> Plan.Filter (q, vec c)
-  | Plan.Project (js, c) -> Plan.Project (js, vec c)
-  | Plan.Hash_join { pairs; pred; left; right } ->
-    let side c = if batch_worthy c then vec c else batchify c in
-    Plan.Hash_join { pairs; pred; left = side left; right = side right }
-  | p -> batchify p
-
-let plan ~db ?approx ?(batch = true) expr =
+let plan ~db ?approx expr =
   let physical = compile db expr in
-  let physical = if batch then batchify physical else physical in
   let physical =
     match approx with
     | None -> physical

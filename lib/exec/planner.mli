@@ -7,10 +7,11 @@
       index serves a column-vs-constant conjunct;
     - join predicates are split by {!Predicate.equi_split}; when
       cross-side equality columns exist, {!Cost.join_choice} arbitrates
-      hash-build/probe against the streaming nested loop on estimated
+      hash-build/probe against the nested loop on estimated
       input cardinalities;
-    - union/intersection/difference run as linear merges over the sorted
-      tuple order their inputs already carry;
+    - union concatenates its inputs; intersection/difference run as
+      linear merges over the sorted tuple order of their materialised
+      inputs;
     - everything else falls back to operators that mirror {!Ops}
       exactly.
 
@@ -23,17 +24,11 @@
 open Expirel_core
 open Expirel_storage
 
-val plan :
-  db:Database.t -> ?approx:Approx.spec -> ?batch:bool -> Algebra.t ->
-  Plan.compiled
+val plan : db:Database.t -> ?approx:Approx.spec -> Algebra.t -> Plan.compiled
 (** [approx], when given, wraps the compiled physical tree in the
     matching sketch operator ({!Plan.Sketch_count} /
     {!Plan.Sketch_sample}); the logical expression stays the child's —
-    the sketch is a physical-only answer transform.
-
-    [batch] (default [true]) runs {!batchify} over the physical tree;
-    [~batch:false] keeps the pure tuple-at-a-time plan — the baseline
-    the vexec bench (and any kill switch) compares against. *)
+    the sketch is a physical-only answer transform. *)
 
 val estimate_rows : Database.t -> Plan.t -> int
 (** The cardinality estimate used to cost alternatives (table stats at
@@ -41,15 +36,3 @@ val estimate_rows : Database.t -> Plan.t -> int
     {e live} cardinalities ({!Table.live_estimate}): a mostly-expired
     churny table costs by what survives the cut, not by its physical
     row count. *)
-
-val batch_worthy : Plan.t -> bool
-(** A vectorized kernel covers this subtree's spine down to a scan:
-    scans; filters/projections over worthy inputs; hash joins with a
-    worthy side. *)
-
-val batchify : Plan.t -> Plan.t
-(** Wrap every maximal batch-worthy subtree in a {!Plan.Batched}
-    materialise boundary (bare unfiltered scans stay tuple-at-a-time:
-    their cached-snapshot read is already O(1), except under a fused
-    aggregate whose accumulation consumes batches directly).
-    Results are invariant — the qcheck batch ≡ naive law pins it. *)

@@ -33,8 +33,8 @@ let rec total_cut_skipped n =
 
 (* The annotation appended to each plan line.  Scan-only counters print
    only where they mean something: dropped on scans (the expiration
-   churn), visited on index scans, build on hash joins, batch counts and
-   chunk-pruning savings on vectorized operators. *)
+   churn), visited on index scans, build on hash joins, batch counts on
+   operators that yield batches and chunk-pruning savings on scans. *)
 let annotate n =
   let buf = Buffer.create 64 in
   Buffer.add_string buf
@@ -57,17 +57,13 @@ let annotate n =
 
 let render plan node =
   let buf = Buffer.create 256 in
-  let rec go depth in_batch p n =
+  let rec go depth p n =
     Buffer.add_string buf (String.make (2 * depth) ' ');
     Buffer.add_string buf (Plan.describe p);
     Buffer.add_string buf "  ";
-    Buffer.add_string buf (Plan.mode_tag ~in_batch p);
-    Buffer.add_string buf "  ";
     Buffer.add_string buf (annotate n);
     Buffer.add_char buf '\n';
-    List.iter2
-      (go (depth + 1) (Plan.batch_mode ~in_batch p))
-      (Plan.children p) n.children
+    List.iter2 (go (depth + 1)) (Plan.children p) n.children
   in
-  go 0 false plan node;
+  go 0 plan node;
   Buffer.contents buf

@@ -8,7 +8,7 @@
     tuples the exp_tau liveness filter dropped (the expiration churn
     the paper reasons about per operator), index nodes visited, hash
     build sizes and per-operator wall time.  When no profile is passed
-    the executor takes its original path and allocates nothing. *)
+    the executor counts nothing and allocates nothing for it. *)
 
 open Expirel_storage
 
@@ -24,7 +24,9 @@ type node = {
   mutable sketch_bytes : int;
       (** sketch memory footprint (sketch operators only) *)
   mutable batches : int;
-      (** columnar batches this operator produced (batch mode only) *)
+      (** columnar batches this operator produced (0 for an operator
+          that answered with a set: intersection, difference,
+          aggregates, sketches, a bare scan's cached snapshot) *)
   mutable cut_skipped : int;
       (** expired rows a batch scan skipped {e without} per-row
           comparisons: wholly-expired chunks dropped via their max texp

@@ -1,29 +1,7 @@
-(* Process-global counters for the vectorized executor, mirroring the
-   sketch Observatory's shape: the executor records once per batched
-   subtree (coarse — never per row or per batch), and the server's
-   Prometheus registry polls the totals through gauge callbacks. *)
-
-let lock = Mutex.create ()
-
-type totals = {
-  mutable batches : int;
-  mutable rows : int;
-  mutable cut_skipped : int;
-  mutable rebatches : int;
-}
-
-let totals = { batches = 0; rows = 0; cut_skipped = 0; rebatches = 0 }
-
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let record ~batches ~rows ~cut_skipped ~rebatches =
-  locked (fun () ->
-      totals.batches <- totals.batches + batches;
-      totals.rows <- totals.rows + rows;
-      totals.cut_skipped <- totals.cut_skipped + cut_skipped;
-      totals.rebatches <- totals.rebatches + rebatches)
+(* Process-global counters for the executor's batches, mirroring the
+   sketch Observatory's shape: the executor records once per query
+   (coarse — never per row or per batch), and the server's Prometheus
+   registry polls the totals through gauge callbacks. *)
 
 type snapshot = {
   s_batches : int;
@@ -32,17 +10,23 @@ type snapshot = {
   s_rebatches : int;
 }
 
-let snapshot () =
-  locked (fun () ->
-      { s_batches = totals.batches;
-        s_rows = totals.rows;
-        s_cut_skipped = totals.cut_skipped;
-        s_rebatches = totals.rebatches
-      })
+let zero = { s_batches = 0; s_rows = 0; s_cut_skipped = 0; s_rebatches = 0 }
+let lock = Mutex.create ()
+let totals = ref zero
 
-let reset () =
+let locked f =
+  Mutex.lock lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+let record d =
   locked (fun () ->
-      totals.batches <- 0;
-      totals.rows <- 0;
-      totals.cut_skipped <- 0;
-      totals.rebatches <- 0)
+      let t = !totals in
+      totals :=
+        { s_batches = t.s_batches + d.s_batches;
+          s_rows = t.s_rows + d.s_rows;
+          s_cut_skipped = t.s_cut_skipped + d.s_cut_skipped;
+          s_rebatches = t.s_rebatches + d.s_rebatches
+        })
+
+let snapshot () = locked (fun () -> !totals)
+let reset () = locked (fun () -> totals := zero)

@@ -304,10 +304,9 @@ let create ?(config = default_config) () =
         (fun (name, (_, est)) ->
           ([ ("sketch", name) ], Obs.Registry.Gauge_sample est))
         (Expirel_sketch.Observatory.snapshot ()));
-  (* Vectorized-executor observability: process-global totals the
-     batch executor records once per query (Vec_stats, mutex-guarded
-     like the sketch Observatory, so exposition-time polling needs no
-     database lock).  cut_skipped is the headline saving: expired rows
+  (* Executor observability: process-global totals the executor
+     records once per query (Vec_stats, mutex-guarded like the sketch
+     Observatory, so exposition-time polling needs no database lock).  cut_skipped is the headline saving: expired rows
      never touched, skipped by chunk pruning and binary-search cuts. *)
   let vexec_counter ~name ~help pick =
     Obs.Registry.custom reg ~name ~help ~kind:Obs.Registry.Counter_kind
@@ -317,18 +316,19 @@ let create ?(config = default_config) () =
         ])
   in
   vexec_counter ~name:"expirel_vexec_batches_total"
-    ~help:"Columnar batches produced by the vectorized executor"
+    ~help:"Columnar batches consumed by the executor"
     (fun s -> s.Obs.Vec_stats.s_batches);
   vexec_counter ~name:"expirel_vexec_rows_total"
-    ~help:"Rows that flowed through vectorized (batched) plan subtrees"
+    ~help:"Batch rows the executor materialised or folded"
     (fun s -> s.Obs.Vec_stats.s_rows);
   vexec_counter ~name:"expirel_vexec_cut_skipped_total"
     ~help:"Expired rows skipped wholesale by chunk-level texp pruning \
            and binary-search live cuts (never touched per-row)"
     (fun s -> s.Obs.Vec_stats.s_cut_skipped);
   vexec_counter ~name:"expirel_vexec_rebatches_total"
-    ~help:"Tuple-fallback operator results re-entered into batch form \
-           at a rebatch boundary"
+    ~help:"Set-semantics operator answers (intersection, difference, \
+           aggregates, sketches) re-entered into batch form for a \
+           batch operator"
     (fun s -> s.Obs.Vec_stats.s_rebatches);
   (* The last HEALTH verdict, as a gauge (0 ok / 1 degraded /
      2 critical).  It reads the cached level rather than re-evaluating:

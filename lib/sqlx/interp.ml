@@ -138,27 +138,12 @@ let order_and_limit ~columns ~order_by ~limit relation =
   | None -> sorted
   | Some n -> List.filteri (fun i _ -> i < n) sorted
 
-(* Per-operator timing: wrap every evaluator node in a trace span named
-   after its Algebra.operator_name, prefixed so the metrics layer can
-   tell operator spans from stage spans.  Each op span is labeled with
-   its output cardinality, so slow-log entries carry an operator
-   breakdown with row counts, not just timings. *)
-let probe_of trace =
-  match trace with
-  | None -> None
-  | Some _ ->
-    Some
-      (fun op k ->
-        Trace.span trace ("op:" ^ op) (fun () ->
-            let r = k () in
-            Trace.label trace "rows"
-              (string_of_int (Relation.cardinal r.Eval.relation));
-            r))
-
-(* The physical executor's probe is polymorphic over the node result
-   (vectorized operators yield batch lists, not relations): same span
-   names and row labels, cardinality through the executor-supplied
-   [rows] extractor. *)
+(* Per-operator timing: wrap every executor node in a trace span named
+   after its Plan.operator_name, prefixed so the metrics layer can tell
+   operator spans from stage spans.  Each op span is labeled with its
+   output cardinality (through the executor-supplied [rows] extractor),
+   so slow-log entries carry an operator breakdown with row counts, not
+   just timings. *)
 let xprobe_of trace =
   match trace with
   | None -> None
@@ -226,62 +211,32 @@ let plan_cache_stats t =
         entries = Lru.length t.plan_cache
       })
 
-let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
-  match at with
-  | None ->
-    let entry = planned_query ?trace ?text t q in
-    let eval () =
-      Executor.run ?probe:(xprobe_of trace) ~db:t.db entry.p_compiled
-    in
-    let { Eval.relation; texp = texp_e } =
-      Trace.span trace "eval" (fun () ->
-          match entry.p_approx with
-          | None -> eval ()
-          | Some _ -> Trace.span trace "sketch-query" eval)
-    in
-    let columns = entry.p_columns in
-    let listing = order_and_limit ~columns ~order_by ~limit relation in
-    Rows { columns; relation; listing; texp_e; recomputed = false }
+(* [AT n] queries the known future: the current physical state as it
+   will stand at time n, assuming no further updates — the future of
+   expiring data is known in advance. *)
+let tau_of_at t = function
+  | None -> None
   | Some n ->
-    (* Query the known future: evaluate the current physical state as it
-       will stand at time n, assuming no further updates — the future of
-       expiring data is known in advance.  Time travel stays on the
-       naive evaluator: it is off the hot path and its per-snapshot
-       environment defeats plan reuse anyway. *)
-    let { Lower.expr; columns; approx } =
-      Trace.span trace "lower" (fun () ->
-          Lower.lower_query ~catalog:(catalog t) q)
-    in
-    let { Eval.relation; texp = texp_e } =
-      Trace.span trace "eval" (fun () ->
-          let tau = Time.of_int n in
-          if Time.(tau < Database.now t.db) then
-            failwith "AT time is in the past (the past is not retained)"
-          else
-            let env name =
-              Option.map
-                (fun tbl -> Table.snapshot tbl ~tau)
-                (Database.table t.db name)
-            in
-            let child = Eval.run ?probe:(probe_of trace) ~env ~tau expr in
-            match approx with
-            | None -> child
-            | Some spec ->
-              (* Sketch over the future snapshot: fold the child at tau
-                 and answer from the sketch, exactly as the hot path
-                 does at now. *)
-              Trace.span trace "sketch-query" (fun () ->
-                  let sketch = Approx.build spec child.Eval.relation in
-                  let arity =
-                    match spec with
-                    | Approx.Count _ -> 2
-                    | Approx.Sample _ -> Relation.arity child.Eval.relation
-                  in
-                  Approx.result ~tau ~arity ~child_texp:child.Eval.texp
-                    sketch))
-    in
-    let listing = order_and_limit ~columns ~order_by ~limit relation in
-    Rows { columns; relation; listing; texp_e; recomputed = false }
+    let tau = Time.of_int n in
+    if Time.(tau < Database.now t.db) then
+      failwith "AT time is in the past (the past is not retained)"
+    else Some tau
+
+let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
+  let tau = tau_of_at t at in
+  let entry = planned_query ?trace ?text t q in
+  let eval () =
+    Executor.run ?probe:(xprobe_of trace) ?tau ~db:t.db entry.p_compiled
+  in
+  let { Eval.relation; texp = texp_e } =
+    Trace.span trace "eval" (fun () ->
+        match entry.p_approx with
+        | None -> eval ()
+        | Some _ -> Trace.span trace "sketch-query" eval)
+  in
+  let columns = entry.p_columns in
+  let listing = order_and_limit ~columns ~order_by ~limit relation in
+  Rows { columns; relation; listing; texp_e; recomputed = false }
 
 (* Shard-side half of a distributed approximate aggregate: evaluate the
    child locally and return the folded sketch (not rows) for the
@@ -299,7 +254,11 @@ let sketch_partial ?trace t q =
         let child =
           Executor.run ?probe:(xprobe_of trace) ~db:t.db compiled
         in
-        let sketch = Approx.build spec child.Eval.relation in
+        let sketch =
+          Approx.build spec ~arity:(Relation.arity child.Eval.relation)
+            (fun f ->
+              Relation.iter (fun t e -> f (Tuple.attr t) e) child.Eval.relation)
+        in
         Expirel_sketch.Observatory.record
           ~name:(Approx.name spec)
           ~memory_bytes:(Expirel_sketch.Any.memory_bytes sketch)
@@ -311,40 +270,23 @@ let sketch_partial ?trace t q =
    decomposed child's local rows into expiration-slice partials.  The
    coordinator merges one such partial per shard and finalises — AVG
    travels as its SUM and COUNT components inside the slices, never
-   pre-averaged.  At now, the query runs through the executor up to its
-   fused aggregate node, which folds the child's cut batches straight
-   into the partial under the [aggregate] operator span; a future [AT]
-   evaluates the child naively over snapshots at tau instead. *)
+   pre-averaged.  The query runs through the executor up to its fused
+   aggregate node, which folds the child's cut batches straight into the
+   partial under the [aggregate] operator span. *)
 let aggregate_partial ?trace t { Ast.q; at; order_by = _; limit = _ } =
+  let tau = tau_of_at t at in
   let lowered =
     Trace.span trace "lower" (fun () ->
         Lower.lower_query ~catalog:(catalog t) q)
   in
-  match Lower.decompose lowered with
-  | None -> failwith "aggregate_partial: query does not decompose"
-  | Some { Lower.d_group; d_func; d_child; _ } ->
-    let partial, child_texp =
-      Trace.span trace "eval" (fun () ->
-          match at with
-          | None ->
-            let compiled = Planner.plan ~db:t.db lowered.Lower.expr in
-            Executor.partial ?probe:(xprobe_of trace) ~db:t.db compiled
-          | Some n ->
-            let tau = Time.of_int n in
-            if Time.(tau < Database.now t.db) then
-              failwith "AT time is in the past (the past is not retained)"
-            else
-              let env name =
-                Option.map
-                  (fun tbl -> Table.snapshot tbl ~tau)
-                  (Database.table t.db name)
-              in
-              let child = Eval.run ?probe:(probe_of trace) ~env ~tau d_child in
-              ( Partial_agg.of_relation ~group:d_group ~func:d_func
-                  child.Eval.relation,
-                child.Eval.texp ))
-    in
-    (lowered.Lower.columns, partial, child_texp)
+  if Lower.decompose lowered = None then
+    failwith "aggregate_partial: query does not decompose";
+  let partial, child_texp =
+    Trace.span trace "eval" (fun () ->
+        let compiled = Planner.plan ~db:t.db lowered.Lower.expr in
+        Executor.partial ?probe:(xprobe_of trace) ?tau ~db:t.db compiled)
+  in
+  (lowered.Lower.columns, partial, child_texp)
 
 (* Shard-side half of a distributed broadcast join: evaluate the full
    query over this shard's local rows, with the (small) build side's
@@ -372,17 +314,13 @@ let join_broadcast ?trace t { Ast.q; at; order_by = _; limit = _ } ~table
       (fun acc (vs, texp) -> Relation.add (Tuple.of_list vs) ~texp acc)
       (Relation.empty ~arity) rows
   in
-  let tau = Database.now t.db in
+  let compiled =
+    Trace.span trace "plan" (fun () -> Planner.plan ~db:t.db expr)
+  in
   let { Eval.relation; texp } =
     Trace.span trace "eval" (fun () ->
-        let env name =
-          if String.equal name table then Some build
-          else
-            Option.map
-              (fun tbl -> Table.snapshot tbl ~tau)
-              (Database.table t.db name)
-        in
-        Eval.run ?probe:(probe_of trace) ~env ~tau expr)
+        Executor.run ?probe:(xprobe_of trace) ~stand_in:(table, build)
+          ~db:t.db compiled)
   in
   ( columns,
     List.map (fun (tuple, e) -> (Tuple.to_list tuple, e))
@@ -433,7 +371,8 @@ let advance_clock ?trace t target =
 let constraint_status t name info =
   let now = Database.now t.db in
   let cardinality =
-    Relation.cardinal ((Database.query t.db info.c_expr).Eval.relation)
+    Relation.cardinal
+      (Executor.run ~db:t.db (Planner.plan ~db:t.db info.c_expr)).Eval.relation
   in
   let ok =
     (match info.min_rows with
@@ -752,8 +691,8 @@ let exec_statement ?trace ?text t = function
     let { Lower.expr; columns; approx } =
       Lower.lower_query ~catalog:(catalog t) q
     in
-    let { Eval.texp; _ } = Database.query t.db expr in
-    let { Plan.physical; _ } = Planner.plan ~db:t.db ?approx expr in
+    let compiled = Planner.plan ~db:t.db ?approx expr in
+    let { Eval.texp; _ } = Executor.run ~db:t.db compiled in
     Msg
       (Printf.sprintf
          "%scolumns: %s\nclass: %s\ntexp(e) now: %s\nphysical plan:\n%s"
@@ -763,7 +702,7 @@ let exec_statement ?trace ?text t = function
           | `Monotonic -> "monotonic"
           | `Non_monotonic k -> Printf.sprintf "non-monotonic (%d)" k)
          (Time.to_string texp)
-         (Plan.to_string physical))
+         (Plan.to_string compiled.Plan.physical))
   | Ast.Explain_analyze q ->
     (* Plan through the cache (EXPLAIN ANALYZE profiles what a real
        request would run, cached plan included), then execute with a

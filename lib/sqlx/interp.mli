@@ -117,14 +117,14 @@ val aggregate_partial :
   string list * Expirel_exec.Partial_agg.t * Expirel_core.Time.t
 (** Shard-side half of a distributed grouped aggregate: lowers the
     query, requires it to {!Lower.decompose}, and condenses the
-    decomposed child's local rows into expiration-slice partials.  At
-    now the query runs through {!Expirel_exec.Executor.partial}, whose
-    fused aggregate folds the child's cut batches under an
-    [op:aggregate] span; a future [AT] evaluates the child naively at
-    tau and condenses that relation.  Returns the final answer's column
-    labels, the partial, and the child's texp(e) — the coordinator
-    merges one partial per shard with {!Expirel_exec.Partial_agg.merge_all}
-    and finalises with the same parameters it decomposed.
+    decomposed child's local rows into expiration-slice partials.  The
+    query runs through {!Expirel_exec.Executor.partial} — at the
+    statement's [AT] time when it has one — whose fused aggregate folds
+    the child's cut batches under an [op:aggregate] span.  Returns the
+    final answer's column labels, the partial, and the child's texp(e)
+    — the coordinator merges one partial per shard with
+    {!Expirel_exec.Partial_agg.merge_all} and finalises with the same
+    parameters it decomposed.
     Raises [Failure] when the query does not decompose or the [AT] time
     is past, plus whatever lowering and evaluation raise. *)
 

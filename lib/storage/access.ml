@@ -132,74 +132,21 @@ let plan table p =
           Index_range { column; lo; hi }
         | (Index_eq _ | Full_scan | Never_matches) :: _ | [] -> Full_scan))
 
-type scan_stats = {
-  mutable candidates : int;
-  mutable expired_dropped : int;
-  mutable index_visited : int;
-}
-
-let fresh_stats () = { candidates = 0; expired_dropped = 0; index_visited = 0 }
-
-let select ?stats table ~tau p =
+let select table ~tau p =
   let arity = Table.arity table in
   let of_candidates rows =
-    (match stats with
-     | Some s -> s.candidates <- s.candidates + List.length rows
-     | None -> ());
     List.fold_left
       (fun acc (tuple, texp) ->
         if Predicate.eval p tuple then Relation.add tuple ~texp acc else acc)
       (Relation.empty ~arity) rows
   in
-  (* The counter refs exist only on the profiled path; the [None] path
-     passes nothing down and allocates nothing. *)
-  let counted scan =
-    match stats with
-    | None -> scan None None
-    | Some s ->
-      let visited = ref 0 and dropped = ref 0 in
-      let r = scan (Some visited) (Some dropped) in
-      s.index_visited <- s.index_visited + !visited;
-      s.expired_dropped <- s.expired_dropped + !dropped;
-      r
-  in
   match plan table p with
   | Never_matches -> Relation.empty ~arity
-  | Full_scan ->
-    let snap = Table.snapshot table ~tau in
-    (match stats with
-     | Some s ->
-       let live = Relation.cardinal snap in
-       s.candidates <- s.candidates + live;
-       s.expired_dropped <-
-         s.expired_dropped + (Table.physical_count table - live)
-     | None -> ());
-    Ops.select p snap
+  | Full_scan -> Ops.select p (Table.snapshot table ~tau)
   | Index_eq { column; value } ->
-    of_candidates
-      (counted (fun _ dropped ->
-           Table.index_lookup ?dropped table ~column ~tau value))
+    of_candidates (Table.index_lookup table ~column ~tau value)
   | Index_range { column; lo; hi } ->
-    of_candidates
-      (counted (fun visited dropped ->
-           Table.index_range ?visited ?dropped table ~column ~tau ~lo ~hi))
-
-let eval ?(strategy = Aggregate.Exact) ~db ~tau expr =
-  let rec go = function
-    | Algebra.Base name -> Table.snapshot (Database.table_exn db name) ~tau
-    | Algebra.Select (p, Algebra.Base name) ->
-      select (Database.table_exn db name) ~tau p
-    | Algebra.Select (p, e) -> Ops.select p (go e)
-    | Algebra.Project (js, e) -> Ops.project js (go e)
-    | Algebra.Product (l, r) -> Ops.product (go l) (go r)
-    | Algebra.Union (l, r) -> Ops.union (go l) (go r)
-    | Algebra.Join (p, l, r) -> Ops.join p (go l) (go r)
-    | Algebra.Intersect (l, r) -> Ops.intersect (go l) (go r)
-    | Algebra.Diff (l, r) -> Ops.diff (go l) (go r)
-    | Algebra.Aggregate (group, f, e) ->
-      fst (Ops.aggregate strategy ~tau ~group f (go e))
-  in
-  go expr
+    of_candidates (Table.index_range table ~column ~tau ~lo ~hi)
 
 let pp_plan ppf = function
   | Full_scan -> Format.pp_print_string ppf "full-scan"

@@ -27,35 +27,8 @@ type plan =
 val plan : Table.t -> Predicate.t -> plan
 (** The access path chosen for evaluating the predicate over the table. *)
 
-type scan_stats = {
-  mutable candidates : int;
-      (** rows the access path produced before the predicate ran: the
-          live snapshot for full scans, live index candidates for index
-          paths *)
-  mutable expired_dropped : int;
-      (** physical rows the [tau] liveness filter discarded — the
-          expiration churn the profiler reports per scan *)
-  mutable index_visited : int;
-      (** index nodes touched ({!Ordered_index.range}'s [?visited]);
-          0 for full scans and point lookups *)
-}
-
-val fresh_stats : unit -> scan_stats
-(** All-zero counters. *)
-
-val select :
-  ?stats:scan_stats -> Table.t -> tau:Time.t -> Predicate.t -> Relation.t
+val select : Table.t -> tau:Time.t -> Predicate.t -> Relation.t
 (** [select tbl ~tau p] = [Ops.select p (Table.snapshot tbl ~tau)],
-    computed through {!plan}.  [stats], when given, accumulates the
-    scan's profile counters; when absent nothing is counted or
-    allocated. *)
-
-val eval :
-  ?strategy:Aggregate.strategy -> db:Database.t -> tau:Time.t -> Algebra.t ->
-  Relation.t
-(** Evaluates a whole expression against the database, routing
-    [sigma_p(base)] leaves through {!select} (and bare bases through
-    snapshots); all other operators use the standard kernels.  Agrees
-    with {!Database.query} exactly. *)
+    computed through {!plan}. *)
 
 val pp_plan : Format.formatter -> plan -> unit

@@ -85,11 +85,12 @@ val generation : t -> int
     expiration) — the invalidation key for cached snapshots. *)
 
 val snapshot : t -> tau:Time.t -> Relation.t
-(** The logical state [exp_tau(R)], for the tuple-at-a-time path and
-    the reference evaluator.  When every physical row is live at [tau]
-    (nothing has expired since the last removal) it is the whole table,
-    cached until the table changes; otherwise it is built from the run's
-    live rows, skipping each chunk's expired prefix by binary search. *)
+(** The logical state [exp_tau(R)], for the reference evaluator and
+    the executor's answer to a bare unfiltered scan.  When every
+    physical row is live at [tau] (nothing has expired since the last
+    removal) it is the whole table, cached until the table changes;
+    otherwise it is built from the run's live rows, skipping each
+    chunk's expired prefix by binary search. *)
 
 val expire_upto : t -> Time.t -> (Tuple.t * Time.t) list
 (** Physically removes every row with [texp <= tau] and returns them in

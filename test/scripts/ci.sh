@@ -33,7 +33,7 @@ SMOKE_DIR=$(mktemp -d)
 # Smoke the vectorized-executor experiment (live cut, filter kernel,
 # batched hash-join probe, grouped aggregate in and out of texp order,
 # chunk-cut accounting) at a CI-sized row count; it fails hard if any
-# row's batched and tuple answers differ or the cut skips fewer rows
+# row's executor and naive answers differ or the cut skips fewer rows
 # than the expired half.
 # The full 10^5/10^6 sweep is for BENCH_vexec.json.
 (cd "$SMOKE_DIR" && EXPIREL_VEXEC_ROWS=20000 "$BENCH" vexec)
@@ -67,6 +67,13 @@ echo "$EXPLAIN_OUT" | grep -F "seq-scan pol"
 echo "$EXPLAIN_OUT" | grep -F "(est="
 echo "$EXPLAIN_OUT" | grep -F "rows=1"
 echo "$EXPLAIN_OUT" | grep -F "total:"
+# One executor: no EXPLAIN line carries an execution-mode tag.
+PLAN_OUT=$("$CLI" connect --port "$PORT" -e "EXPLAIN SELECT deg, COUNT(*) FROM pol GROUP BY deg")
+echo "$PLAN_OUT" | grep -F "physical plan:"
+test -z "$(printf '%s\n%s\n' "$PLAN_OUT" "$EXPLAIN_OUT" | grep -F -e '[tuple]' -e '[batch]')"
+# AT runs on the executor too: at 16 only the row expiring at 20 is
+# left of the current state.
+"$CLI" connect --port "$PORT" -e "SELECT uid FROM pol AT 16" | grep -F "1 row(s)"
 # Approximate aggregates over the wire: APPROX_COUNT answers with an
 # error bound column, SAMPLE returns at most k live rows, and EXPLAIN
 # shows the sketch-backed physical operator.

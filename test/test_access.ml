@@ -144,33 +144,10 @@ let prop_access_equals_reference =
       let reference = Ops.select p (Table.snapshot tbl ~tau) in
       Relation.equal (Access.select tbl ~tau p) reference)
 
-let prop_eval_matches_database_query =
-  Generators.qtest "Access.eval = Database.query" ~count:150
-    (QCheck2.Gen.pair (Generators.expr_and_env ()) Generators.time_finite)
-    (fun ((e, bindings), tau) ->
-      let db = Database.create () in
-      List.iter
-        (fun (name, r) ->
-          let columns =
-            List.init (Relation.arity r) (fun i -> Printf.sprintf "c%d" i)
-          in
-          let tbl = Database.create_table db ~name ~columns in
-          Table.create_index tbl ~column:1;
-          Relation.iter
-            (fun tuple texp ->
-              if Time.(texp > tau) then Table.insert tbl tuple ~texp)
-            r)
-        bindings;
-      Database.advance_to db tau;
-      Relation.equal
-        (Access.eval ~db ~tau e)
-        (Database.query db e).Eval.relation)
-
 let suite =
   [ Alcotest.test_case "ordered index basics" `Quick test_index_basics;
     Alcotest.test_case "plan selection" `Quick test_plans;
     Alcotest.test_case "select through an index" `Quick test_select_via_index;
     Alcotest.test_case "index maintenance" `Quick test_index_maintenance;
     prop_range_matches_filter;
-    prop_access_equals_reference;
-    prop_eval_matches_database_query ]
+    prop_access_equals_reference ]

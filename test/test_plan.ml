@@ -65,41 +65,57 @@ let gen_case =
   let* tau = int_range 0 8 in
   return (e, bindings, tau)
 
+(* Rows, per-row texps and texp(e) all agree. *)
+let same (a : Eval.result) (b : Eval.result) =
+  Relation.equal a.Eval.relation b.Eval.relation
+  && Time.equal a.Eval.texp b.Eval.texp
+
 let physical_equals_naive (e, bindings, tau) =
   let db = db_of_bindings bindings in
   Database.advance_to db (Time.of_int tau);
-  let naive = Database.query db e in
-  let physical = Executor.run ~db (Planner.plan ~db e) in
-  Relation.equal naive.Eval.relation physical.Eval.relation
-  && Time.equal naive.Eval.texp physical.Eval.texp
+  same (Database.query db e) (Executor.run ~db (Planner.plan ~db e))
 
-(* ---------- vectorized ≡ tuple-at-a-time ---------- *)
+(* ---------- cut boundaries ---------- *)
 
 (* Wider taus than gen_case: generated finite texps top out at 24, so
    taus in 20..30 exercise the all-expired cut (only Inf rows survive)
    alongside all-live (tau 0) and straddling cuts; duplicate texps are
    common at this density, so cut boundaries over coinciding expiration
    times get hit constantly. *)
-let gen_batch_case =
+let gen_cut_case =
   let open Gen in
   let* e, bindings = Generators.expr_and_env () in
   let* tau = oneof [ return 0; int_range 0 8; int_range 20 30 ] in
   return (e, bindings, tau)
 
-(* The tentpole law: a batchified plan returns exactly what the pure
-   tuple-at-a-time plan returns — rows AND per-row expiration times AND
-   the expression-level texp(e). *)
-let batched_equals_tuple (e, bindings, tau) =
+(* ---------- AT: the known future ---------- *)
+
+(* The naive answer at [tau]: every table's snapshot cut at [tau]. *)
+let naive_at db tau e =
+  let env name =
+    Option.map (fun tbl -> Table.snapshot tbl ~tau) (Database.table db name)
+  in
+  Eval.run ~env ~tau e
+
+(* The clock at [now], the query [ahead] ticks later: [AT] cuts the
+   current state at the future time, through the same plans [now]
+   uses. *)
+let gen_at_case =
+  let open Gen in
+  let* e, bindings = Generators.expr_and_env () in
+  let* now = int_range 0 8 in
+  let* ahead = oneof [ return 0; int_range 1 8; int_range 12 30 ] in
+  return (e, bindings, now, ahead)
+
+let at_equals_naive (e, bindings, now, ahead) =
   let db = db_of_bindings bindings in
-  Database.advance_to db (Time.of_int tau);
-  let tuple = Executor.run ~db (Planner.plan ~db ~batch:false e) in
-  let batched = Executor.run ~db (Planner.plan ~db e) in
-  Relation.equal tuple.Eval.relation batched.Eval.relation
-  && Time.equal tuple.Eval.texp batched.Eval.texp
+  Database.advance_to db (Time.of_int now);
+  let tau = Time.of_int (now + ahead) in
+  same (naive_at db tau e) (Executor.run ~db ~tau (Planner.plan ~db e))
 
 (* ---------- the fused GROUP BY at multi-chunk scale ---------- *)
 
-(* [gen_batch_case]'s tables stay below [Texp_run.chunk_rows], so its
+(* [gen_cut_case]'s tables stay below [Texp_run.chunk_rows], so its
    batched scans are one sorted run.  Here 300-1200 rows in random
    order leave one to four sorted chunks, an insert buffer holding the
    last [n mod chunk_rows] rows, whose texps restart below the chunks'
@@ -177,10 +193,10 @@ let grouped_expr ~group ~func ~having =
   in
   Algebra.project (group @ [ 5 ]) filtered
 
-(* The law: the fused batched Grouped_aggregate ≡ the tuple plan ≡ the
-   naive evaluator (rows, per-row texps, texp(e)), and the partial the
-   batch fold builds ≡ [of_relation] over the live snapshot,
-   structurally (polymorphic compare: every field, keys included). *)
+(* The law: the fused Grouped_aggregate over batches ≡ the naive
+   evaluator (rows, per-row texps, texp(e)), and the partial the batch
+   fold builds ≡ [of_relation] over the live snapshot, structurally
+   (polymorphic compare: every field, keys included). *)
 let grouped_law (rows, group, func, having, tau) =
   let db = grouped_db rows tau in
   let run = Texp_run.sorted_chunks (Table.run (Database.table_exn db "g")) in
@@ -189,21 +205,28 @@ let grouped_law (rows, group, func, having, tau) =
   let e = grouped_expr ~group ~func ~having in
   let compiled = Planner.plan ~db e in
   (match compiled.Plan.physical with
-   | Plan.Grouped_aggregate { child = Plan.Batched _; _ } -> ()
-   | _ -> QCheck2.Test.fail_report "not a fused aggregate over batches");
-  let naive = Database.query db e in
-  let tuple = Executor.run ~db (Planner.plan ~db ~batch:false e) in
-  let batched = Executor.run ~db compiled in
-  let same (a : Eval.result) (b : Eval.result) =
-    Relation.equal a.Eval.relation b.Eval.relation
-    && Time.equal a.Eval.texp b.Eval.texp
-  in
+   | Plan.Grouped_aggregate _ -> ()
+   | _ -> QCheck2.Test.fail_report "not a fused aggregate");
   let folded, _ = Executor.partial ~db compiled in
   let snapshot =
     Table.snapshot (Database.table_exn db "g") ~tau:(Database.now db)
   in
-  same naive batched && same tuple batched
+  same (Database.query db e) (Executor.run ~db compiled)
   && compare folded (Partial_agg.of_relation ~group ~func snapshot) = 0
+
+(* The shard side of a distributed GROUP BY ... AT: the partial folded
+   at a future [tau] ≡ [of_relation] of the naive child at [tau], and
+   so is the child's texp(e); the finished answer ≡ the naive one. *)
+let grouped_at_law ((rows, group, func, having, now), ahead) =
+  let db = grouped_db rows now in
+  let tau = Time.of_int (now + ahead) in
+  let e = grouped_expr ~group ~func ~having in
+  let compiled = Planner.plan ~db e in
+  let folded, child_texp = Executor.partial ~db ~tau compiled in
+  let child = naive_at db tau (Algebra.base "g") in
+  compare folded (Partial_agg.of_relation ~group ~func child.Eval.relation) = 0
+  && Time.equal child_texp child.Eval.texp
+  && same (naive_at db tau e) (Executor.run ~db ~tau compiled)
 
 (* ---------- out-of-order accumulation ---------- *)
 
@@ -292,13 +315,10 @@ let unordered_law (rows, group, func) =
   in
   let compiled = Planner.plan ~db e in
   (match compiled.Plan.physical with
-   | Plan.Grouped_aggregate { child = Plan.Batched _; _ } -> ()
-   | _ -> QCheck2.Test.fail_report "not a fused aggregate over batches");
-  let naive = Database.query db e in
-  let batched = Executor.run ~db compiled in
+   | Plan.Grouped_aggregate _ -> ()
+   | _ -> QCheck2.Test.fail_report "not a fused aggregate");
   compare (by_row ids) (by_row sorted) = 0
-  && Relation.equal naive.Eval.relation batched.Eval.relation
-  && Time.equal naive.Eval.texp batched.Eval.texp
+  && same (Database.query db e) (Executor.run ~db compiled)
 
 (* ---------- merging partials ---------- *)
 
@@ -361,15 +381,14 @@ let test_cut_duplicate_texp_boundary () =
         ~texp:(Time.of_int texp))
     [ 1, 5; 2, 5; 3, 5; 4, 7 ];
   Database.advance_to db (Time.of_int 5);
-  (* Project-over-base forces the batched scan (a bare scan would serve
-     the cached snapshot tuple-at-a-time). *)
+  (* Project-over-base forces the cut scan (a bare scan at the root
+     serves the cached snapshot). *)
   let e = Algebra.Project ([ 1 ], Algebra.Base "t") in
   let batched = Executor.run ~db (Planner.plan ~db e) in
-  let tuple = Executor.run ~db (Planner.plan ~db ~batch:false e) in
   Alcotest.(check int) "only the texp-7 row survives tau=5" 1
     (Relation.cardinal batched.Eval.relation);
-  Alcotest.check relation_t "batched = tuple at the boundary"
-    tuple.Eval.relation batched.Eval.relation;
+  Alcotest.check relation_t "batched = naive at the boundary"
+    (Database.query db e).Eval.relation batched.Eval.relation;
   Alcotest.(check int) "live_estimate agrees" 1
     (Table.live_estimate (Database.table_exn db "t") ~tau:(Time.of_int 5))
 
@@ -396,9 +415,8 @@ let test_multi_chunk_cut () =
   let batched = Executor.run ~db (Planner.plan ~db e) in
   Alcotest.(check int) "live suffix survives" (n - tau)
     (Relation.cardinal batched.Eval.relation);
-  let tuple = Executor.run ~db (Planner.plan ~db ~batch:false e) in
-  Alcotest.check relation_t "batched = tuple across chunks"
-    tuple.Eval.relation batched.Eval.relation
+  Alcotest.check relation_t "batched = naive across chunks"
+    (Database.query db e).Eval.relation batched.Eval.relation
 
 (* The cost model's scan estimates follow live rows, not physical ones:
    a churny lazily-vacuumed table mostly full of corpses must not look
@@ -411,15 +429,41 @@ let test_estimate_scales_by_live_rows () =
       ~texp:(Time.of_int (if i <= 90 then 5 else 50))
   done;
   Database.advance_to db (Time.of_int 10);
-  let { Plan.physical; _ } = Planner.plan ~db ~batch:false (Algebra.Base "t") in
+  let { Plan.physical; _ } = Planner.plan ~db (Algebra.Base "t") in
   Alcotest.(check int) "90 expired-unvacuumed rows don't count" 10
     (Planner.estimate_rows db physical)
 
-(* ---------- hash-join kernel ---------- *)
+(* ---------- join kernels ---------- *)
 
 let rel arity rows =
   Relation.of_list ~arity
     (List.map (fun (vs, t) -> Tuple.of_list vs, Time.of_int t) rows)
+
+(* Tables "l" and "r" holding exactly these relations. *)
+let db_of_sides l r = db_of_bindings [ "l", l; "r", r ]
+
+let side name = Plan.Scan { name; pred = None; access = Access.Full_scan }
+
+(* [l ⋈_pred r] pinned to one join kernel whatever the cost model would
+   pick: the kernels' edge cases must hold on inputs far too small for
+   the planner to hash. *)
+let join_plan ~hash pred =
+  { Plan.logical = Algebra.join pred (Algebra.base "l") (Algebra.base "r");
+    physical =
+      (if hash then
+         Plan.Hash_join
+           { pairs = [ (1, 1) ]; pred; left = side "l"; right = side "r" }
+       else Plan.Nested_loop { pred; left = side "l"; right = side "r" })
+  }
+
+(* The hash kernel's answer, checked against the naive evaluator. *)
+let hash_join_checked pred l r =
+  let db = db_of_sides l r in
+  let compiled = join_plan ~hash:true pred in
+  let out = Executor.run ~db compiled in
+  Alcotest.check relation_t "hash join = naive join"
+    (Database.query db compiled.Plan.logical).Eval.relation out.Eval.relation;
+  out.Eval.relation
 
 (* The equi-join of two binary relations on their first columns, with
    the full predicate spelled out the way the planner extracts it. *)
@@ -430,33 +474,28 @@ let gen_join_inputs =
   Gen.pair (Generators.relation ~arity:2) (Generators.relation ~arity:2)
 
 let hash_equals_nested (l, r) =
-  Relation.equal
-    (Executor.hash_join ~pairs:[ (1, 1) ] ~pred:join_pred l r)
-    (Executor.nested_loop join_pred l r)
+  let db = db_of_sides l r in
+  let run hash = Executor.run ~db (join_plan ~hash join_pred) in
+  let naive = Database.query db (join_plan ~hash:true join_pred).Plan.logical in
+  same naive (run true) && same naive (run false)
+
+let unary_eq = Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Col 2)
 
 let test_hash_join_numeric_coercion () =
   (* Value.cmp calls Int 1 and Float 1.0 equal, so the hash join must
      bucket them together. *)
   let l = rel 1 [ [ Value.int 1 ], 5 ] in
   let r = rel 1 [ [ Value.Float 1.0 ], 7 ] in
-  let pred = Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Col 2) in
-  let out = Executor.hash_join ~pairs:[ (1, 1) ] ~pred l r in
-  Alcotest.check relation_t "Int 1 joins Float 1.0"
-    (Executor.nested_loop pred l r)
-    out;
-  Alcotest.(check int) "one pair" 1 (Relation.cardinal out)
+  Alcotest.(check int) "Int 1 joins Float 1.0" 1
+    (Relation.cardinal (hash_join_checked unary_eq l r))
 
 let test_hash_join_null_keys () =
   (* Null equals nothing under Value.cmp — not even Null — so
      Null-keyed rows join nothing on either side. *)
   let l = rel 1 [ [ Value.Null ], 5; [ Value.int 1 ], 5 ] in
   let r = rel 1 [ [ Value.Null ], 7; [ Value.int 1 ], 7 ] in
-  let pred = Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Col 2) in
-  let out = Executor.hash_join ~pairs:[ (1, 1) ] ~pred l r in
-  Alcotest.check relation_t "only the 1-1 pair survives"
-    (Executor.nested_loop pred l r)
-    out;
-  Alcotest.(check int) "one pair" 1 (Relation.cardinal out)
+  Alcotest.(check int) "only the 1-1 pair survives" 1
+    (Relation.cardinal (hash_join_checked unary_eq l r))
 
 let test_hash_join_nan_keys () =
   (* Value.cmp says NaN = NaN while structural hashing disagrees; the
@@ -465,12 +504,8 @@ let test_hash_join_nan_keys () =
   let nan = Value.Float Float.nan in
   let l = rel 1 [ [ nan ], 5; [ Value.int 2 ], 5 ] in
   let r = rel 1 [ [ nan ], 7; [ Value.int 2 ], 7 ] in
-  let pred = Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Col 2) in
-  let out = Executor.hash_join ~pairs:[ (1, 1) ] ~pred l r in
-  Alcotest.check relation_t "NaN-NaN and 2-2 both survive"
-    (Executor.nested_loop pred l r)
-    out;
-  Alcotest.(check int) "two pairs" 2 (Relation.cardinal out)
+  Alcotest.(check int) "NaN-NaN and 2-2 both survive" 2
+    (Relation.cardinal (hash_join_checked unary_eq l r))
 
 let test_hash_join_multi_key_residual () =
   (* Two equi-conjuncts plus a non-equi residual: bucket equality only
@@ -489,31 +524,61 @@ let test_hash_join_multi_key_residual () =
       [ Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Col 3);
         Predicate.Cmp (Predicate.Gt, Predicate.Col 2, Predicate.Col 4) ]
   in
-  let out = Executor.hash_join ~pairs:[ (1, 1) ] ~pred l r in
-  Alcotest.check relation_t "residual filters within buckets"
-    (Executor.nested_loop pred l r)
-    out;
-  Alcotest.(check int) "two survivors" 2 (Relation.cardinal out)
+  Alcotest.(check int) "residual filters within buckets: two survivors" 2
+    (Relation.cardinal (hash_join_checked pred l r))
 
 let test_hash_join_empty_sides () =
   let empty = Relation.empty ~arity:1 in
   let one = rel 1 [ [ Value.int 1 ], 5 ] in
-  let pred = Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Col 2) in
   List.iter
     (fun (l, r) ->
       Alcotest.(check int) "empty join" 0
-        (Relation.cardinal (Executor.hash_join ~pairs:[ (1, 1) ] ~pred l r)))
+        (Relation.cardinal (hash_join_checked unary_eq l r)))
     [ empty, one; one, empty; empty, empty ]
 
-(* ---------- merge kernels ---------- *)
+(* ---------- set operators ---------- *)
 
 let gen_set_inputs =
   Gen.pair (Generators.relation ~arity:2) (Generators.relation ~arity:2)
 
-let merge_union_law (l, r) = Relation.equal (Executor.merge_union l r) (Ops.union l r)
-let merge_intersect_law (l, r) =
-  Relation.equal (Executor.merge_intersect l r) (Ops.intersect l r)
-let merge_diff_law (l, r) = Relation.equal (Executor.merge_diff l r) (Ops.diff l r)
+(* The planned set operator over tables "l" and "r" ≡ the naive one —
+   rows, per-row texps and texp(e) (a difference's first reappearance
+   included). *)
+let set_law op (l, r) =
+  let db = db_of_sides l r in
+  let e = op (Algebra.base "l") (Algebra.base "r") in
+  same (Database.query db e) (Executor.run ~db (Planner.plan ~db e))
+
+let merge_union_law = set_law Algebra.union
+let merge_intersect_law = set_law Algebra.intersect
+let merge_diff_law = set_law Algebra.diff
+
+(* A union leaves a tuple held by both sides twice in its batches; the
+   fused aggregate and the sketches must count each set member once. *)
+let test_folds_count_set_members () =
+  let l =
+    rel 2 [ [ Value.int 1; Value.int 10 ], 5; [ Value.int 2; Value.int 20 ], 7 ]
+  in
+  let r = rel 2 [ [ Value.int 1; Value.int 10 ], 9 ] in
+  let db = db_of_sides l r in
+  let union = Algebra.union (Algebra.base "l") (Algebra.base "r") in
+  let grouped =
+    Algebra.project [ 1; 3 ] (Algebra.aggregate [ 1 ] Aggregate.Count union)
+  in
+  let compiled = Planner.plan ~db grouped in
+  (match compiled.Plan.physical with
+   | Plan.Grouped_aggregate { child = Plan.Merge_union _; _ } -> ()
+   | _ -> Alcotest.fail "not a fused aggregate over a union");
+  Alcotest.(check bool) "fused GROUP BY over a union = naive" true
+    (same (Database.query db grouped) (Executor.run ~db compiled));
+  let approx = Approx.Count { epsilon = 0.01 } in
+  let count = Executor.run ~db (Planner.plan ~db ~approx union) in
+  match Relation.to_list count.Eval.relation with
+  | [ (t, _) ] ->
+    Alcotest.(check (option (float 0.)))
+      "APPROX_COUNT sees the union's two rows" (Some 2.)
+      (Value.to_float (Tuple.attr t 1))
+  | _ -> Alcotest.fail "APPROX_COUNT answers one row"
 
 (* ---------- ordered-index range cost ---------- *)
 
@@ -670,25 +735,27 @@ let test_explain_analyze_dropped () =
     Alcotest.(check int) "plain run agrees" 1 (Relation.cardinal relation)
   | Interp.Msg m -> Alcotest.failf "expected rows, got %S" m
 
-(* EXPLAIN tags every operator with its execution mode; EXPLAIN ANALYZE
-   additionally reports batch counts and the chunk-level cut's savings
-   on scans. *)
-let test_explain_mode_tags () =
+(* One executor: no EXPLAIN or EXPLAIN ANALYZE line carries an
+   execution-mode tag or a materialise node, whatever the operators. *)
+let test_explain_untagged () =
   let t = setup_indexed () in
-  let sel = msg (exec t "EXPLAIN SELECT uid FROM pol WHERE deg = 25") in
+  ignore (exec t "CREATE TABLE el (uid, kind)");
+  ignore (exec t "INSERT INTO el VALUES (1, 10) EXPIRES 20");
   List.iter
-    (fun sub ->
-      Alcotest.(check bool) ("select explain has: " ^ sub) true
-        (string_contains sel sub))
-    [ "batch [materialise boundary]"; "[batch]"; "seq-scan pol" ];
-  Alcotest.(check bool) "fully vectorized select has no tuple operator"
-    false
-    (string_contains sel "[tuple]");
-  let agg = msg (exec t "EXPLAIN SELECT deg, COUNT(*) FROM pol GROUP BY deg") in
-  Alcotest.(check bool) "aggregate node runs tuple-at-a-time" true
-    (string_contains agg "[tuple]");
-  Alcotest.(check bool) "its scan child is batched" true
-    (string_contains agg "[batch]")
+    (fun sql ->
+      let text = msg (exec t sql) in
+      List.iter
+        (fun tag ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: no %s" sql tag)
+            false (string_contains text tag))
+        [ "[tuple]"; "[batch]"; "materialise" ])
+    [ "EXPLAIN SELECT uid FROM pol WHERE deg = 25";
+      "EXPLAIN SELECT deg, COUNT(*) FROM pol GROUP BY deg";
+      "EXPLAIN SELECT pol.uid, el.kind FROM pol JOIN el ON pol.uid = el.uid";
+      "EXPLAIN SELECT uid FROM pol UNION SELECT uid FROM el";
+      "EXPLAIN ANALYZE SELECT uid FROM pol EXCEPT SELECT uid FROM el";
+      "EXPLAIN ANALYZE SELECT deg, COUNT(*) FROM pol GROUP BY deg" ]
 
 let test_explain_analyze_cut_skipped () =
   let t = Interp.create ~policy:Database.Lazy () in
@@ -751,11 +818,22 @@ let test_lru_evicts_stalest () =
 let suite =
   [ Generators.qtest "physical plan ≡ naive eval (rows and texps)"
       ~count:300 gen_case physical_equals_naive;
-    Generators.qtest "batched plan ≡ tuple plan (rows and texps)"
-      ~count:300 gen_batch_case batched_equals_tuple;
+    Generators.qtest "executor ≡ naive eval across cut boundaries"
+      ~count:300 gen_cut_case physical_equals_naive;
+    Generators.qtest
+      "AT n through the executor ≡ naive eval over snapshots at n"
+      ~count:300 gen_at_case at_equals_naive;
     Generators.to_alcotest
       (QCheck2.Test.make
-         ~name:"multi-chunk GROUP BY: batched ≡ tuple ≡ naive, fold ≡ of_relation"
+         ~name:"AT n GROUP BY partial ≡ of_relation of the naive child at n"
+         ~count:40
+         ~print:(fun (c, ahead) ->
+           Printf.sprintf "%s, ahead %d" (print_grouped_case c) ahead)
+         (Gen.pair gen_grouped_case (Gen.int_range 0 30))
+         grouped_at_law);
+    Generators.to_alcotest
+      (QCheck2.Test.make
+         ~name:"multi-chunk GROUP BY: batched ≡ naive, fold ≡ of_relation"
          ~count:60 ~print:print_grouped_case gen_grouped_case grouped_law);
     Generators.to_alcotest
       (QCheck2.Test.make
@@ -771,8 +849,8 @@ let suite =
     Alcotest.test_case "multi-chunk live cut" `Quick test_multi_chunk_cut;
     Alcotest.test_case "scan estimates scale by live rows" `Quick
       test_estimate_scales_by_live_rows;
-    Alcotest.test_case "EXPLAIN: per-operator mode tags" `Quick
-      test_explain_mode_tags;
+    Alcotest.test_case "EXPLAIN: no per-operator mode tags" `Quick
+      test_explain_untagged;
     Alcotest.test_case "EXPLAIN ANALYZE: chunk-cut savings" `Quick
       test_explain_analyze_cut_skipped;
     Generators.qtest "hash join ≡ nested loop" ~count:300 gen_join_inputs
@@ -781,6 +859,8 @@ let suite =
     Generators.qtest "merge intersect ≡ Ops.intersect" gen_set_inputs
       merge_intersect_law;
     Generators.qtest "merge diff ≡ Ops.diff" gen_set_inputs merge_diff_law;
+    Alcotest.test_case "batch folds count each set member once" `Quick
+      test_folds_count_set_members;
     Alcotest.test_case "hash join: Int/Float key coercion" `Quick
       test_hash_join_numeric_coercion;
     Alcotest.test_case "hash join: Null keys join nothing" `Quick
