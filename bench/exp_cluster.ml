@@ -199,6 +199,44 @@ let run_all () =
       let gather_rps, gather_bytes =
         timed "SELECT k, grp FROM g EXCEPT SELECT tag, label FROM none"
       in
+      (* GROUP BY over rows whose texps all differ ([g]'s rows share
+         one texp, so each of its groups is one slice anyway): a COUNT
+         group still ships at most two slices per shard.  The gather
+         path answers the same grouping over a join with a one-row
+         immortal table, which changes no row or texp; the two answers
+         must agree. *)
+      List.iter
+        (fun sql -> ignore (no_err (Coordinator.exec coord sql)))
+        ([ "CREATE TABLE gd (k, grp, z)";
+           "CREATE TABLE one (z)";
+           "INSERT INTO one VALUES (0)" ]
+        @ List.init keys (fun i ->
+              Printf.sprintf "INSERT INTO gd VALUES (%d, %d, 0) EXPIRES %d"
+                (i + 1)
+                ((i + 1) mod 10)
+                (1000 + i)));
+      let distinct_sql = "SELECT grp, COUNT(*) FROM gd GROUP BY grp" in
+      let gathered_sql =
+        "SELECT gd.grp, COUNT(*) FROM gd JOIN one ON gd.z = one.z \
+         GROUP BY gd.grp"
+      in
+      let answer sql =
+        match no_err (Coordinator.exec coord sql) with
+        | Wire.Rows { rows; texp_e; _ } -> (List.sort compare rows, texp_e)
+        | r -> failwith (sql ^ ": " ^ Wire.render_response r)
+      in
+      let partial_rows, partial_texp = answer distinct_sql in
+      let gathered_rows, gathered_texp = answer gathered_sql in
+      if
+        List.length partial_rows <> 10
+        || partial_rows <> gathered_rows
+        || not (Time.equal partial_texp gathered_texp)
+      then
+        failwith
+          "exp-cluster: GROUP BY via slice partials differs from the \
+           gather path";
+      let distinct_rps, distinct_bytes = timed distinct_sql in
+      let gathered_rps, gathered_bytes = timed gathered_sql in
       (* The same broadcast hash join (10-row build side shipped to the
          shards) vs the identical join forced through gather-compute. *)
       let bjoin_rps, bjoin_bytes =
@@ -213,6 +251,10 @@ let run_all () =
             string_of_int group_bytes ];
           [ "gather the table (fallback)"; Printf.sprintf "%.0f" gather_rps;
             string_of_int gather_bytes ];
+          [ "GROUP BY, distinct texps"; Printf.sprintf "%.0f" distinct_rps;
+            string_of_int distinct_bytes ];
+          [ "same GROUP BY, gather-compute";
+            Printf.sprintf "%.0f" gathered_rps; string_of_int gathered_bytes ];
           [ "broadcast hash join"; Printf.sprintf "%.0f" bjoin_rps;
             string_of_int bjoin_bytes ];
           [ "same join, gather-compute"; Printf.sprintf "%.0f" gjoin_rps;
@@ -221,6 +263,11 @@ let run_all () =
       Bench_util.metric_int "groupby_partials_bytes_per_query" group_bytes;
       Bench_util.metric "gather_table_req_per_s" gather_rps;
       Bench_util.metric_int "gather_table_bytes_per_query" gather_bytes;
+      Bench_util.metric "groupby_distinct_texp_req_per_s" distinct_rps;
+      Bench_util.metric_int "groupby_distinct_texp_bytes_per_query"
+        distinct_bytes;
+      Bench_util.metric "groupby_gather_req_per_s" gathered_rps;
+      Bench_util.metric_int "groupby_gather_bytes_per_query" gathered_bytes;
       Bench_util.metric "broadcast_join_req_per_s" bjoin_rps;
       Bench_util.metric_int "broadcast_join_bytes_per_query" bjoin_bytes;
       Bench_util.metric "gather_join_req_per_s" gjoin_rps;

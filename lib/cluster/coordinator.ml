@@ -119,25 +119,24 @@ let default_health_rules ~shards =
 
 (* Every coordinator->shard message flows through here: one request in
    flight per connection (fan-out threads and the heartbeat thread
-   share members), traffic counters fed from the encoded sizes (+4 for
-   the length prefix), and the piggybacked partition summary harvested
-   from whatever reply carries one. *)
+   share members), traffic counters fed from the frame sizes the
+   client measured (payload + 4 for the length prefix), and the
+   piggybacked partition summary harvested from whatever reply carries
+   one. *)
 let send t slot req =
   Mutex.lock slot.slot_lock;
   let result =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock slot.slot_lock)
-      (fun () -> Member.on slot.member (fun c -> Client.request c req))
+      (fun () -> Member.on slot.member (fun c -> Client.exchange c req))
   in
   (match result with
-   | Ok resp ->
+   | Ok (resp, sent, received) ->
      slot.reachable <- true;
      Obs.Instrument.Counter.incr slot.requests;
      Obs.Instrument.Counter.incr t.messages_total;
-     Obs.Instrument.Counter.add t.bytes_sent_total
-       (String.length (Wire.encode_request req) + 4);
-     Obs.Instrument.Counter.add t.bytes_received_total
-       (String.length (Wire.encode_response resp) + 4);
+     Obs.Instrument.Counter.add t.bytes_sent_total sent;
+     Obs.Instrument.Counter.add t.bytes_received_total received;
      (match resp with
       | Wire.Shard_rows { partition; _ }
       | Wire.Shard_ack { partition; _ }
@@ -155,7 +154,7 @@ let send t slot req =
    | Error _ ->
      slot.reachable <- false;
      slot.summary <- None);
-  result
+  Result.map (fun (resp, _, _) -> resp) result
 
 let ctx_of trace =
   Option.map
@@ -516,7 +515,7 @@ let scatter_partial_agg ?trace ~prune t (qs : Ast.query_stmt)
        Expirel_exec.Partial_agg.finalize ~group:d.Lower.d_group
          ~func:d.Lower.d_func ~child_arity ?having:d.Lower.d_having
          ~projection:d.Lower.d_projection
-         (Expirel_exec.Partial_agg.merge_all partials)
+         (Expirel_exec.Partial_agg.merge_all ~func:d.Lower.d_func partials)
      with
      | relation, invalidation ->
        let rows =

@@ -58,12 +58,20 @@ let to_float = function
   | Float f -> Some f
   | Str _ | Bool _ | Null -> None
 
+(* Hashing allocates nothing: an integer is mixed in place (a
+   multiply, then the high half folded onto the low bits hash tables
+   index by), and the other payloads go to [Hashtbl]'s hash seeded by
+   the constructor's tag rather than paired with it.  [Hashtbl]'s hash
+   maps -0.0 to 0.0 and every NaN payload to one NaN, as [compare]
+   does. *)
 let hash = function
-  | Int n -> Hashtbl.hash (2, n)
-  | Str s -> Hashtbl.hash (4, s)
-  | Float f -> Hashtbl.hash (3, f)
-  | Bool b -> Hashtbl.hash (1, b)
-  | Null -> Hashtbl.hash 0
+  | Int n ->
+    let h = n * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 32)) land max_int
+  | Str s -> Hashtbl.seeded_hash 4 s
+  | Float f -> Hashtbl.seeded_hash 3 f
+  | Bool b -> Hashtbl.seeded_hash 1 b
+  | Null -> 0
 
 let pp ppf = function
   | Int n -> Format.fprintf ppf "%d" n

@@ -4,16 +4,24 @@ open Expirel_core
    paper's agg^exp (Section 2.6.1).
 
    A partial condenses one relation fragment into per-group *expiration
-   slices*: for every distinct finite expiration time one slice carrying
-   the counts/sums/extrema of the members expiring exactly then, plus an
-   immortal slice.  Slices merge componentwise across fragments (the
-   hash partitions are disjoint, so counts add and sums combine), and
-   every quantity the exact strategy needs — the value at tau, the
-   change point nu (Equation (9)), the partition's complete-expiration
-   time — is recomputable from the merged slices alone.  AVG never
-   travels as an average: a slice ships the float sum and the non-null
-   count, and the quotient is taken only at finalisation, which is what
-   makes AVG combinable where bare per-fragment averages are not.
+   slices*, ascending by expiration time.  For SUM, AVG, MIN and MAX
+   there is one slice per distinct member texp, carrying the
+   counts/sums/extrema of the members expiring exactly then (the
+   immortal members in an [Inf] slice).  COUNT needs less: Table 1 has
+   no neutral COUNT member, so the change point nu of Equation (9) is
+   always the group's earliest member expiry and the group empties at
+   its latest.  A COUNT group is therefore at most two slices — the
+   members expiring at the earliest texp, then every other member
+   under the latest texp — and in general a COUNT slice counts the
+   members expiring after the previous slice, up to and including its
+   own texp.  Slices merge componentwise across fragments (the hash
+   partitions are disjoint, so counts add and sums combine), and every
+   quantity the exact strategy needs — the value at tau, the change
+   point nu, the partition's complete-expiration time — is
+   recomputable from the merged slices alone.  AVG never travels as an
+   average: a slice ships the float sum and the non-null count, and
+   the quotient is taken only at finalisation, which is what makes AVG
+   combinable where bare per-fragment averages are not.
 
    The same machinery serves two callers: the executor's fused
    aggregate node (build one partial, finalise it — bit-identical to
@@ -23,7 +31,9 @@ open Expirel_core
    the very same finalisation code. *)
 
 type slice = {
-  s_texp : Time.t;  (* the instant these members expire; [Inf] = never *)
+  s_texp : Time.t;
+      (* the instant these members expire (for COUNT: the latest of
+         them); [Inf] = never *)
   s_rows : int;  (* members in the slice *)
   s_nonnull : int;  (* members with a non-null aggregated attribute *)
   s_sum : Value.t;  (* SUM partial; [Null] when no non-null member *)
@@ -89,25 +99,8 @@ let observe ~func slice value =
    BY values.  [Value.equal] and [Value.hash] agree with the
    [Value.compare] order the partial is finally sorted by (±0.0 and
    every NaN payload included), so a group here is exactly a group
-   there.  Each group keeps its slices in an array ascending by
-   expiration time: a texp-ordered row stream (a scan's sorted chunks,
-   then the run's sorted insert buffer) only ever updates the newest
-   slice or appends one after it.  A row that arrives out of order —
-   the buffer's restart, index scans, joins, rebatched relations,
-   [of_relation]'s tuple order — binary-searches the array and folds
-   into its slice when one exists; a row opening a new slice instead
-   waits in the group's pending buffer.  The buffer is stable-sorted
-   and merged into the array once it holds as many rows as the array
-   has slices (and when the partial is taken), so an out-of-order row
-   costs O(log s) amortised for a group of [s] slices, never an O(s)
-   shift.
-
-   Every row still lands in its (key, texp) slice in arrival order, so
-   float sums are bit-identical to a slice-by-slice fold of the same
-   stream: a pending texp has no slice in the array (it would have been
-   folded there) and lies below the newest slice, which only grows, so
-   no row of that texp can reach the array before the merge, and the
-   stable sort keeps the pending rows' own order. *)
+   there.  Of compare-equal keys (0.0 and -0.0, say) a group carries
+   the one seen last. *)
 module Groups = Hashtbl.Make (struct
   type t = Value.t list
 
@@ -115,10 +108,61 @@ module Groups = Hashtbl.Make (struct
   let hash = List.fold_left (fun h v -> (h * 65599) + Value.hash v) 0
 end)
 
+(* A COUNT group: four fields updated in place, so a row costs its
+   hash lookup plus a few integer and time comparisons, in any order,
+   and allocates no slice.  [of_acc] emits it as [(first, at_first)]
+   followed, when some member outlives [first], by
+   [(last, rows - at_first)]. *)
+type counter = {
+  mutable kkey : Value.t list;  (* the latest row's key *)
+  mutable first : Time.t;  (* the earliest member texp *)
+  mutable at_first : int;  (* members expiring exactly at [first] *)
+  mutable last : Time.t;  (* the latest member texp *)
+  mutable rows : int;  (* every member *)
+}
+
+(* Fold [rows] members of group [key] into its counter, [at_first] of
+   them expiring at [first] and the rest up to [last]. *)
+let count_into counters key ~first ~at_first ~last ~rows =
+  match Groups.find counters key with
+  | exception Not_found ->
+    Groups.add counters key { kkey = key; first; at_first; last; rows }
+  | k ->
+    k.kkey <- key;
+    let c = Time.compare first k.first in
+    if c < 0 then begin
+      k.first <- first;
+      k.at_first <- at_first
+    end
+    else if c = 0 then k.at_first <- k.at_first + at_first;
+    if Time.(last > k.last) then k.last <- last;
+    k.rows <- k.rows + rows
+
+let counter_slices k =
+  let slice texp rows = { (empty_slice texp) with s_rows = rows } in
+  if k.at_first = k.rows then [ slice k.first k.rows ]
+  else [ slice k.first k.at_first; slice k.last (k.rows - k.at_first) ]
+
+(* A SUM, AVG, MIN or MAX group keeps its slices in an array ascending
+   by expiration time: a texp-ordered row stream (a scan's sorted
+   chunks, then the run's sorted insert buffer) only ever updates the
+   newest slice or appends one after it.  A row that arrives out of
+   order — the buffer's restart, index scans, joins, [of_relation]'s
+   tuple order — binary-searches the array and folds into its slice
+   when one exists; a row opening a new slice instead waits in the
+   group's pending buffer.  The buffer is stable-sorted and merged into
+   the array once it holds as many rows as the array has slices (and
+   when the partial is taken), so an out-of-order row costs O(log s)
+   amortised for a group of [s] slices, never an O(s) shift.
+
+   Every row still lands in its (key, texp) slice in arrival order, so
+   float sums are bit-identical to a slice-by-slice fold of the same
+   stream: a pending texp has no slice in the array (it would have been
+   folded there) and lies below the newest slice, which only grows, so
+   no row of that texp can reach the array before the merge, and the
+   stable sort keeps the pending rows' own order. *)
 type cell = {
-  mutable ckey : Value.t list;
-      (* the latest row's key: of compare-equal keys (0.0 and -0.0,
-         say) the partial carries the one seen last *)
+  mutable ckey : Value.t list;  (* the latest row's key *)
   mutable cslices : slice array;  (* ascending [s_texp]; [clen] in use *)
   mutable clen : int;
   mutable pending : (Time.t * Value.t) array;
@@ -127,19 +171,25 @@ type cell = {
   mutable plen : int;
 }
 
+type groups =
+  | Counts of counter Groups.t
+  | Slices of {
+      attr_pos : int;  (* the aggregated attribute *)
+      cells : cell Groups.t;
+    }
+
 type acc = {
   group : int list;
   func : Aggregate.func;
-  attr_pos : int;  (* the aggregated attribute; 0 for COUNT *)
-  groups : cell Groups.t;
+  groups : groups;
 }
 
-let create_acc ~group ~func =
-  { group;
-    func;
-    attr_pos = Option.value ~default:0 (Aggregate.func_attr func);
-    groups = Groups.create 64
-  }
+let new_groups func =
+  match Aggregate.func_attr func with
+  | None -> Counts (Groups.create 64)
+  | Some attr_pos -> Slices { attr_pos; cells = Groups.create 64 }
+
+let create_acc ~group ~func = { group; func; groups = new_groups func }
 
 let new_cell key slices =
   { ckey = key;
@@ -218,16 +268,19 @@ let observe_cell ~func c texp value =
   end
 
 let observe_acc acc ~attr ~texp =
-  (* COUNT aggregates no attribute *)
-  let value = if acc.attr_pos = 0 then Value.Null else attr acc.attr_pos in
   let key = List.map attr acc.group in
-  match Groups.find_opt acc.groups key with
-  | Some c ->
-    c.ckey <- key;
-    observe_cell ~func:acc.func c texp value
-  | None ->
-    Groups.add acc.groups key
-      (new_cell key [| observe ~func:acc.func (empty_slice texp) value |])
+  match acc.groups with
+  | Counts counters ->
+    count_into counters key ~first:texp ~at_first:1 ~last:texp ~rows:1
+  | Slices { attr_pos; cells } ->
+    let value = attr attr_pos in
+    (match Groups.find cells key with
+     | c ->
+       c.ckey <- key;
+       observe_cell ~func:acc.func c texp value
+     | exception Not_found ->
+       Groups.add cells key
+         (new_cell key [| observe ~func:acc.func (empty_slice texp) value |]))
 
 let cell_slices c =
   let rec from i acc =
@@ -237,14 +290,23 @@ let cell_slices c =
 
 (* The groups in ascending key order, sorted once: the partial (and so
    its wire encoding) does not depend on the hash table's layout. *)
-let sorted_groups groups =
-  Groups.fold (fun _ c cells -> c :: cells) groups []
-  |> List.sort (fun a b -> List.compare Value.compare a.ckey b.ckey)
-  |> List.map (fun c -> { key = c.ckey; slices = cell_slices c })
+let sorted_groups groups ~key ~slices =
+  Groups.fold (fun _ g gs -> g :: gs) groups []
+  |> List.sort (fun a b -> List.compare Value.compare (key a) (key b))
+  |> List.map (fun g -> { key = key g; slices = slices g })
+
+let of_groups = function
+  | Counts counters ->
+    sorted_groups counters ~key:(fun k -> k.kkey) ~slices:counter_slices
+  | Slices { cells; _ } ->
+    sorted_groups cells ~key:(fun c -> c.ckey) ~slices:cell_slices
 
 let of_acc acc =
-  Groups.iter (fun _ c -> flush_pending ~func:acc.func c) acc.groups;
-  sorted_groups acc.groups
+  (match acc.groups with
+   | Counts _ -> ()
+   | Slices { cells; _ } ->
+     Groups.iter (fun _ c -> flush_pending ~func:acc.func c) cells);
+  of_groups acc.groups
 
 let of_relation ~group ~func relation =
   let acc = create_acc ~group ~func in
@@ -277,29 +339,47 @@ let merge_slice_lists xs ys =
   in
   go xs ys
 
-(* Merging shares the accumulation's table: partials fold in one
-   after another, a group's slice list merging linearly into its cell
-   (both ascending), so [merge_all] over k partials is one pass, with
-   the same left-to-right combination order a pairwise fold would
-   take. *)
-let merge_all partials =
-  let groups = Groups.create 64 in
-  List.iter
-    (List.iter (fun g ->
-         match Groups.find_opt groups g.key with
-         | None ->
-           Groups.add groups g.key (new_cell g.key (Array.of_list g.slices))
-         | Some c ->
-           let merged =
-             Array.of_list (merge_slice_lists (cell_slices c) g.slices)
-           in
-           c.ckey <- g.key;
-           c.cslices <- merged;
-           c.clen <- Array.length merged))
-    partials;
-  sorted_groups groups
+(* A COUNT group's slices (ascending) fold into its counter: the first
+   slice holds exactly the members expiring at the earliest texp, the
+   last slice's texp is the latest. *)
+let count_slices counters key = function
+  | [] -> ()
+  | s0 :: _ as slices ->
+    let last, rows =
+      List.fold_left
+        (fun (_, rows) s -> (s.s_texp, rows + s.s_rows))
+        (s0.s_texp, 0) slices
+    in
+    count_into counters key ~first:s0.s_texp ~at_first:s0.s_rows ~last ~rows
 
-let merge a b = merge_all [ a; b ]
+(* Merging shares the accumulation's table: partials fold in one
+   after another, so [merge_all] over k partials is one pass, with the
+   same left-to-right combination order a pairwise fold would take.  A
+   COUNT group lands in its counter, so the merge is condensed to at
+   most two slices again; any other group's slice list merges linearly
+   into its cell (both ascending). *)
+let merge_all ~func partials =
+  let groups = new_groups func in
+  (match groups with
+   | Counts counters ->
+     List.iter
+       (List.iter (fun g -> count_slices counters g.key g.slices))
+       partials
+   | Slices { cells; _ } ->
+     List.iter
+       (List.iter (fun g ->
+            match Groups.find cells g.key with
+            | exception Not_found ->
+              Groups.add cells g.key (new_cell g.key (Array.of_list g.slices))
+            | c ->
+              let merged =
+                Array.of_list (merge_slice_lists (cell_slices c) g.slices)
+              in
+              c.ckey <- g.key;
+              c.cslices <- merged;
+              c.clen <- Array.length merged))
+       partials);
+  of_groups groups
 
 (* ---------- finalisation (the exact strategy) ---------- *)
 

@@ -2,28 +2,36 @@
     paper's agg^exp (Section 2.6.1).
 
     A partial condenses a relation fragment into per-group expiration
-    slices: per distinct finite expiration time the counts/sums/extrema
-    of the members expiring exactly then, plus an immortal slice.
-    Partials over disjoint fragments merge componentwise, and the exact
-    strategy's outputs — the value at tau, the change point nu of
-    Equation (9), the partition's complete-expiration time — are all
-    recomputable from the merged slices.  AVG travels as SUM + COUNT
-    (the [s_fsum]/[s_nonnull] components), never as an average, which
-    is what makes it combinable across fragments.
+    slices, ascending by expiration time.  A COUNT slice counts the
+    members expiring after the previous slice, up to and including its
+    own texp: Table 1 has no neutral COUNT member, so a COUNT group is
+    at most two slices — the members expiring at its earliest texp,
+    then every other member under its latest.  For SUM, AVG, MIN and
+    MAX a slice holds the counts/sums/extrema of the members expiring
+    exactly at its texp, one per distinct member texp (the immortal
+    ones under [Inf]).  Partials over disjoint fragments merge
+    componentwise, and the exact strategy's outputs — the value at
+    tau, the change point nu of Equation (9), the partition's
+    complete-expiration time — are all recomputable from the merged
+    slices.  AVG travels as SUM + COUNT (the [s_fsum]/[s_nonnull]
+    components), never as an average, which is what makes it
+    combinable across fragments.
 
     Accumulation is one hash table of groups ({!Value.equal} /
-    {!Value.hash} on the GROUP BY values), each group's slices ascending
-    by expiration time.  A texp-ordered row stream — what a table's
-    sorted chunks and sorted insert buffer yield — only updates the
-    newest slice or appends one.  An out-of-order row binary-searches
-    its group's [s] slices; one opening a new slice waits in a pending
+    {!Value.hash} on the GROUP BY values).  A COUNT group is four
+    fields updated in place: O(1) expected per row in any order, no
+    allocation.  Any other group keeps its slices ascending by
+    expiration time.  A texp-ordered row stream — what a table's sorted
+    chunks and sorted insert buffer yield — only updates the newest
+    slice or appends one.  An out-of-order row binary-searches its
+    group's [s] slices; one opening a new slice waits in a pending
     buffer that is stable-sorted and merged in once it holds [s] rows,
     so it costs O(log s) amortised.  Building a partial costs O(rows)
-    expected from a texp-ordered stream, O(rows · log s) from any other,
-    plus O(groups · log groups) for the one sort by key that makes the
-    result independent of the hash table's layout.  Each slice folds
-    its rows in arrival order, so float sums match a per-slice fold of
-    the same stream bit for bit.
+    expected from a texp-ordered stream (or for COUNT), O(rows · log s)
+    from any other, plus O(groups · log groups) for the one sort by key
+    that makes the result independent of the hash table's layout.  Each
+    slice folds its rows in arrival order, so float sums match a
+    per-slice fold of the same stream bit for bit.
 
     The executor's fused aggregate node, the shard side of a distributed
     GROUP BY ({!Executor.partial}) and the cluster coordinator share
@@ -34,7 +42,9 @@
 open Expirel_core
 
 type slice = {
-  s_texp : Time.t;  (** the instant these members expire; [Inf] = never *)
+  s_texp : Time.t;
+      (** the instant these members expire (for COUNT: the latest of
+          them); [Inf] = never *)
   s_rows : int;  (** members in the slice *)
   s_nonnull : int;  (** members with a non-null aggregated attribute *)
   s_sum : Value.t;  (** SUM partial; [Null] when no non-null member *)
@@ -71,21 +81,20 @@ val create_acc : group:int list -> func:Aggregate.func -> acc
 
 val observe_acc : acc -> attr:(int -> Value.t) -> texp:Time.t -> unit
 (** Fold one row in; [attr] is its 1-based attribute accessor.  O(1)
-    expected when [texp] is at least the group's newest expiration time,
-    O(log s) amortised otherwise.
+    expected for COUNT, and for the other aggregates when [texp] is at
+    least the group's newest expiration time; O(log s) amortised
+    otherwise.
     @raise Invalid_argument on a non-numeric SUM operand. *)
 
 val of_acc : acc -> t
 (** The accumulated partial, groups in ascending key order. *)
 
-val merge : t -> t -> t
-(** Merge partials over disjoint fragments: groups unite by key, slices
-    by expiration time, components add/extremise.
+val merge_all : func:Aggregate.func -> t list -> t
+(** Merge partials of [func] over disjoint fragments in one pass:
+    groups unite by key, slices by expiration time, components
+    add/extremise, and a COUNT group condenses back to at most two
+    slices.  The combination order is left to right.
     @raise Invalid_argument on non-numeric SUM partials. *)
-
-val merge_all : t list -> t
-(** [merge_all [p1; ...; pk]] is the left fold of {!merge}, computed in
-    one pass through the accumulation's hash table. *)
 
 val finalize :
   group:int list ->

@@ -32,7 +32,7 @@ let connect ?(timeout = 10.0) ~host ~port () =
 let fail_closed = Error "connection closed"
 
 (* Blocks for the next frame; queues events until a direct response
-   arrives. *)
+   arrives, returned with its frame's size on the wire. *)
 let rec read_response t =
   match Frame.recv t.fd with
   | exception Frame.Closed ->
@@ -42,7 +42,7 @@ let rec read_response t =
   | exception Frame.Oversized n ->
     t.closed <- true;
     Error (Printf.sprintf "oversized frame (%d bytes): stream desynchronised" n)
-  | payload, _ ->
+  | payload, bytes ->
     (match Wire.decode_response payload with
      | Error e ->
        t.closed <- true;
@@ -50,16 +50,21 @@ let rec read_response t =
      | Ok (Wire.Event event) ->
        Queue.add event t.pending;
        read_response t
-     | Ok response -> Ok response)
+     | Ok response -> Ok (response, bytes))
 
-let request t req =
+let exchange t req =
   if t.closed then fail_closed
   else
     match Frame.send t.fd (Wire.encode_request req) with
-    | (_ : int) -> read_response t
+    | sent ->
+      Result.map
+        (fun (response, received) -> (response, sent, received))
+        (read_response t)
     | exception (Frame.Closed | Frame.Timeout) ->
       t.closed <- true;
       fail_closed
+
+let request t req = Result.map (fun (response, _, _) -> response) (exchange t req)
 
 let exec t sql = request t (Wire.Exec sql)
 

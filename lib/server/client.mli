@@ -24,6 +24,12 @@ val close : t -> unit
 val request : t -> Wire.request -> (Wire.response, string) result
 (** Sends one request and blocks for its (non-event) response. *)
 
+val exchange :
+  t -> Wire.request -> (Wire.response * int * int, string) result
+(** {!request}, also returning the bytes the request and its response
+    took on the wire (each frame's payload + 4); events queued on the
+    way are not counted. *)
+
 val exec : t -> string -> (Wire.response, string) result
 (** Executes one sqlx statement on the server. *)
 

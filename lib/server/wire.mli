@@ -332,9 +332,9 @@ type request =
           shard evaluates the aggregate's child over its own partition,
           condenses it into per-group expiration-slice partials
           ({!Expirel_exec.Partial_agg}) and replies with [Shard_agg] —
-          one slice per distinct expiration time per group on the wire,
-          regardless of member count, with AVG travelling as its SUM
-          and COUNT components *)
+          per group at most two slices for COUNT, one per distinct
+          expiration time otherwise, regardless of member count, with
+          AVG travelling as its SUM and COUNT components *)
   | Join_shard of {
       sql : string;
       build_table : string;

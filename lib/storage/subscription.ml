@@ -60,53 +60,72 @@ let current t name =
   | Some w -> Relation.exp (Database.now t.db) w.result.Eval.relation
   | None -> raise Not_found
 
-(* Earliest finite row expiration in the watch's live contents. *)
-let next_row_expiry ~after relation =
-  Relation.fold
-    (fun _ texp acc ->
-      if Time.is_finite texp && Time.(texp > after) then Time.min acc texp
-      else acc)
-    relation Time.Inf
-
-(* The change-time walk, parameterised over the event sink and over
-   where the materialisation state lives: [drive] commits the walk to
-   the watch, [forecast_events] replays the identical walk against a
-   local copy — the forecast is exact because the future is. *)
+(* The change-time walk, parameterised over the event sink: [drive]
+   commits the walk to the watch, [forecast_events] replays the
+   identical walk without committing — the forecast is exact because
+   the future is.  The walk holds the rows of the current result that
+   expire before its next refresh or the target, in [(texp, tuple)]
+   order, sorted once per walk and again after each refresh, so a step
+   touches only the rows it fires.  Returns the result as it stands at
+   [to_]. *)
 let simulate t name w ~from ~to_ ~emit =
-  let result = ref w.result in
-  let rec go now =
-    let live = Relation.exp now !result.Eval.relation in
-    let next_expiry = next_row_expiry ~after:now live in
-    let next = Time.min next_expiry !result.Eval.texp in
-    if Time.(next > to_) || Time.is_infinite next then !result
+  (* The rows expiring in [(after, min to_ texp(e)]]: one fold in tuple
+     order, one stable sort by texp. *)
+  let due result ~after =
+    let upto = Time.min to_ result.Eval.texp in
+    Relation.fold
+      (fun tuple texp acc ->
+        if Time.(texp > after && texp <= upto) then (texp, tuple) :: acc
+        else acc)
+      result.Eval.relation []
+    |> List.rev
+    |> List.stable_sort (fun (a, _) (b, _) -> Time.compare a b)
+  in
+  let rec go result due_rows =
+    let next_expiry =
+      match due_rows with
+      | (texp, _) :: _ -> texp
+      | [] -> Time.Inf
+    in
+    let next = Time.min next_expiry result.Eval.texp in
+    if Time.(next > to_) || Time.is_infinite next then result
     else begin
       let at = next in
-      (* Expirations at this instant fire first. *)
-      Relation.iter
-        (fun tuple texp ->
-          if Time.equal texp at then
-            emit (Row_expired { subscription = name; tuple; at }))
-        live;
-      let survivors = Relation.exp at live in
-      if Time.(!result.Eval.texp <= at) then begin
+      (* Expirations at this instant fire first, in tuple order. *)
+      let rec fire = function
+        | (texp, tuple) :: rest when Time.equal texp at ->
+          emit (Row_expired { subscription = name; tuple; at });
+          fire rest
+        | rest -> rest
+      in
+      let due_rows = fire due_rows in
+      if Time.(result.Eval.texp <= at) then begin
         (* The materialisation is invalid from here: refresh locally and
-           report what (re)appeared. *)
+           report what (re)appeared — every row but the survivors of
+           the old result. *)
         let refreshed = Eval.run ~env:(env_at t at) ~tau:at w.expr in
         emit (Refreshed { subscription = name; at });
         Relation.iter
           (fun tuple texp ->
-            if not (Relation.mem tuple survivors) then
+            match Relation.texp_opt result.Eval.relation tuple with
+            | Some old when Time.(old > at) -> ()
+            | Some _ | None ->
               emit (Row_appeared { subscription = name; tuple; texp; at }))
           refreshed.Eval.relation;
-        result := refreshed
-      end;
-      go at
+        go refreshed (due refreshed ~after:at)
+      end
+      else go result due_rows
     end
   in
-  go from
+  go w.result (due w.result ~after:from)
 
+(* The watch keeps only the rows live at [to_]: the walk fired every
+   other one, and a monotone watch, never refreshed, would otherwise
+   hold every row it ever had. *)
 let drive t name w ~from ~to_ =
-  w.result <- simulate t name w ~from ~to_ ~emit:w.handler
+  let result = simulate t name w ~from ~to_ ~emit:w.handler in
+  w.result <-
+    { result with Eval.relation = Relation.exp to_ result.Eval.relation }
 
 let forecast_events t ~until =
   let from = Database.now t.db in

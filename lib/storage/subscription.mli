@@ -70,7 +70,12 @@ val deliver_until : t -> Time.t -> unit
     but {e without} moving the database clock.  For callers that move
     the clock through another manager immediately afterwards (the
     network server advances through the interpreter so integrity
-    constraints and maintained views stay in step); calling this and
-    never advancing leaves the watches materialised ahead of the clock,
-    which is harmless: the next delivery resumes from the clock.
+    constraints and maintained views stay in step).  Each watch keeps
+    only the rows live at the target, so calling this and never
+    advancing leaves the watches ahead of the clock: {!current} no
+    longer lists the rows already reported expired, and the next
+    delivery resumes from the clock without reporting them again.
+    One delivery costs one pass over each watch's rows plus a sort of
+    the rows due before its next refresh or the target (again after
+    each refresh), and O(1) per event fired.
     @raise Invalid_argument when moving backwards or to [Inf] *)

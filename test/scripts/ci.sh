@@ -37,6 +37,11 @@ SMOKE_DIR=$(mktemp -d)
 # than the expired half.
 # The full 10^5/10^6 sweep is for BENCH_vexec.json.
 (cd "$SMOKE_DIR" && EXPIREL_VEXEC_ROWS=20000 "$BENCH" vexec)
+# Smoke the cluster experiment (3 in-process shards: scatter-gather,
+# pruning, slice-partial GROUP BY, broadcast joins); it fails hard if a
+# GROUP BY combined from slice partials answers differently from the
+# gather-then-compute path.
+(cd "$SMOKE_DIR" && "$BENCH" cluster)
 rm -rf "$SMOKE_DIR"
 test "$(cksum BENCH_*.json)" = "$BENCH_SUMS_BEFORE"
 

@@ -623,6 +623,80 @@ let test_distributed_groupby_joins () =
       "SELECT COUNT(*) FROM pol JOIN aux ON pol.uid = aux.uid";
       "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag AT 15" ]
 
+(* Table 1's COUNT form on the wire: a shard answers a COUNT Agg_shard
+   with at most two slices per group — the rows expiring at the group's
+   earliest texp on that shard, then the rest under its latest —
+   however many distinct texps the group's rows carry. *)
+let test_count_partial_two_slices () =
+  with_cluster 3 (fun coord servers _eps ->
+      ignore (exec coord "CREATE TABLE s (uid, grp)");
+      for uid = 1 to 64 do
+        (* distinct texps, except four rows sharing the earliest *)
+        let texp = if uid > 60 then 11 else 10 + uid in
+        ignore
+          (exec coord
+             (Printf.sprintf "INSERT INTO s VALUES (%d, %d) EXPIRES %d" uid
+                (uid mod 4) texp))
+      done;
+      let sql = "SELECT grp, COUNT(*) FROM s GROUP BY grp" in
+      List.iter
+        (fun server ->
+          let c =
+            Client.connect ~host:"127.0.0.1" ~port:(Server.port server) ()
+          in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              let rows, _ =
+                rows_of "local rows"
+                  (no_err "local rows"
+                     (ok (Client.exec c "SELECT uid, grp FROM s")))
+              in
+              match ok (Client.request c (Wire.Agg_shard { sql; ctx = None })) with
+              | Wire.Shard_agg { groups; _ } ->
+                Alcotest.(check bool) "the shard holds groups" true (groups <> []);
+                List.iter
+                  (fun { Expirel_exec.Partial_agg.key; slices } ->
+                    let texps =
+                      List.filter_map
+                        (fun (vs, texp) ->
+                          match vs with
+                          | [ _; g ] when [ g ] = key -> Some texp
+                          | _ -> None)
+                        rows
+                    in
+                    let first = Time.min_list texps in
+                    Alcotest.(check bool) "at most two slices" true
+                      (List.length slices <= 2);
+                    match slices with
+                    | s :: _ ->
+                      Alcotest.(check bool) "first slice at the earliest texp"
+                        true
+                        (Time.equal s.Expirel_exec.Partial_agg.s_texp first);
+                      Alcotest.(check int) "rows expiring then"
+                        (List.length (List.filter (Time.equal first) texps))
+                        s.Expirel_exec.Partial_agg.s_rows;
+                      Alcotest.(check int) "every row counted"
+                        (List.length texps)
+                        (List.fold_left
+                           (fun n sl -> n + sl.Expirel_exec.Partial_agg.s_rows)
+                           0 slices)
+                    | [] -> Alcotest.fail "a group without slices")
+                  groups
+              | r ->
+                Alcotest.failf "expected Shard_agg, got %s"
+                  (Wire.render_response r)))
+        servers;
+      let rows, _ = rows_of sql (exec coord (sql ^ " ORDER BY grp")) in
+      Alcotest.(check bool) "16 rows per group" true
+        (List.for_all
+           (fun (vs, _) ->
+             match vs with
+             | [ _; Value.Int 16 ] -> true
+             | _ -> false)
+           rows
+        && List.length rows = 4))
+
 (* ---------- fault injection: a dead shard is one typed error ---------- *)
 
 let test_shard_failed () =
@@ -931,6 +1005,8 @@ let suite =
       test_refusals;
     Alcotest.test_case "GROUP BY/AVG/joins match a single node" `Quick
       test_distributed_groupby_joins;
+    Alcotest.test_case "COUNT shard partials keep two slices per group" `Quick
+      test_count_partial_two_slices;
     Alcotest.test_case "a dead shard surfaces as Shard_failed" `Quick
       test_shard_failed;
     qcheck_cluster_matches_single_node;

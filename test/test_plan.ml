@@ -323,13 +323,20 @@ let unordered_law (rows, group, func) =
 (* ---------- merging partials ---------- *)
 
 (* An integer-valued relation split into k disjoint fragments by a hash
-   of column 1, as the cluster's shards hold it. *)
+   of column 1, as the cluster's shards hold it.  Texps mix the shared
+   generator's range with a narrow one, so groups often repeat their
+   earliest texp, and [Inf]. *)
 let gen_merge_case =
   let open Gen in
   let* rows =
     list_size (int_range 0 80)
       (let* a = int_range 0 6 and* b = int_range (-5) 5 in
-       let* texp = Generators.texp in
+       let* texp =
+         frequency
+           [ 3, Generators.texp;
+             2, map Time.of_int (int_range 1 4);
+             1, return Time.Inf ]
+       in
        return (Tuple.ints [ a; b ], texp))
   in
   let* k = int_range 1 4 in
@@ -342,6 +349,42 @@ let print_merge_case (r, k, group, func) =
     (String.concat ";" (List.map string_of_int group))
     (Aggregate.func_to_string func)
 
+(* Table 1's COUNT form: every group of a COUNT partial of [r] is at
+   most two slices — the members of [r] expiring at the group's
+   earliest texp, then the rest under its latest texp. *)
+let count_form ~group ~func r partial =
+  func <> Aggregate.Count
+  || List.for_all
+       (fun { Partial_agg.key; slices } ->
+         let texps =
+           Relation.fold
+             (fun t texp acc ->
+               if List.equal Value.equal (List.map (Tuple.attr t) group) key
+               then texp :: acc
+               else acc)
+             r []
+         in
+         let first = Time.min_list texps and last = Time.max_list texps in
+         let at_first = List.length (List.filter (Time.equal first) texps) in
+         match slices with
+         | [ s ] ->
+           Time.equal s.Partial_agg.s_texp first
+           && Time.equal first last
+           && s.Partial_agg.s_rows = List.length texps
+         | [ s; s' ] ->
+           Time.equal s.Partial_agg.s_texp first
+           && s.Partial_agg.s_rows = at_first
+           && Time.equal s'.Partial_agg.s_texp last
+           && Time.(first < last)
+           && s'.Partial_agg.s_rows = List.length texps - at_first
+         | _ -> false)
+       partial
+
+(* The law: the fragments' partials merged ≡ the whole's partial ≡ the
+   naive [Ops.aggregate Exact] composed with the projection (rows,
+   per-row texps, invalidation); the merge commutes; and every COUNT
+   partial — per fragment, merged, and accumulated from rows in
+   descending texp order — is in Table 1's two-slice form. *)
 let merge_law (whole, k, group, func) =
   let frags =
     List.init k (fun i ->
@@ -354,19 +397,41 @@ let merge_law (whole, k, group, func) =
     Partial_agg.finalize ~group ~func ~child_arity:2 ~projection:(group @ [ 3 ])
       p
   in
-  let merged_rows, merged_inv = finalize (Partial_agg.merge_all partials) in
+  let merged = Partial_agg.merge_all ~func partials in
+  let merged_rows, merged_inv = finalize merged in
   let whole_rows, whole_inv =
     finalize (Partial_agg.of_relation ~group ~func whole)
+  in
+  let naive_rows, naive_inv =
+    let r, inv = Ops.aggregate Aggregate.Exact ~tau:Time.zero ~group func whole in
+    (Ops.project (group @ [ 3 ]) r, inv)
+  in
+  let descending =
+    let acc = Partial_agg.create_acc ~group ~func in
+    List.iter
+      (fun (t, texp) -> Partial_agg.observe_acc acc ~attr:(Tuple.attr t) ~texp)
+      (List.stable_sort
+         (fun (_, a) (_, b) -> Time.compare b a)
+         (Relation.to_list whole));
+    Partial_agg.of_acc acc
   in
   let commutes =
     match partials with
     | a :: b :: _ ->
-      compare (Partial_agg.merge a b) (Partial_agg.merge b a) = 0
+      compare
+        (Partial_agg.merge_all ~func [ a; b ])
+        (Partial_agg.merge_all ~func [ b; a ])
+      = 0
     | [ _ ] | [] -> true
   in
   Relation.equal merged_rows whole_rows
   && Time.equal merged_inv whole_inv
+  && Relation.equal merged_rows naive_rows
+  && Time.equal merged_inv naive_inv
   && commutes
+  && List.for_all2 (count_form ~group ~func) frags partials
+  && count_form ~group ~func whole merged
+  && count_form ~group ~func whole descending
 
 (* exp_tau keeps texp > tau (strict): with texps {5,5,5,7} and tau = 5
    the binary-search cut must land after the LAST of the coinciding 5s,
