@@ -121,8 +121,8 @@ let default_health_rules ~shards =
    flight per connection (fan-out threads and the heartbeat thread
    share members), traffic counters fed from the frame sizes the
    client measured (payload + 4 for the length prefix), and the
-   piggybacked partition summary harvested from whatever reply carries
-   one. *)
+   piggybacked partition summary harvested from the statement envelope
+   or the heartbeat pong. *)
 let send t slot req =
   Mutex.lock slot.slot_lock;
   let result =
@@ -138,10 +138,7 @@ let send t slot req =
      Obs.Instrument.Counter.add t.bytes_sent_total sent;
      Obs.Instrument.Counter.add t.bytes_received_total received;
      (match resp with
-      | Wire.Shard_rows { partition; _ }
-      | Wire.Shard_ack { partition; _ }
-      | Wire.Shard_sketch { partition; _ } ->
-        slot.summary <- Some partition
+      | Wire.Shard_reply { partition; _ } -> slot.summary <- Some partition
       | Wire.Shard_pong { partition; pong_map_version; now; _ } ->
         slot.summary <- Some partition;
         slot.map_version_seen <- pong_map_version;
@@ -156,16 +153,23 @@ let send t slot req =
      slot.summary <- None);
   Result.map (fun (resp, _, _) -> resp) result
 
-let ctx_of trace =
-  Option.map
-    (fun tr ->
-      { Wire.trace_id = Obs.Trace.trace_id tr;
-        parent_span = Option.value ~default:0 (Obs.Trace.current_parent tr)
-      })
-    trace
+(* The one coordinator-to-shard statement request, carrying the
+   caller's trace context. *)
+let shard_exec ?trace ~want sql =
+  Wire.Shard_exec { sql; ctx = Option.map Wire.ctx_of_trace trace; want }
 
-let exec_shard ?trace t slot sql =
-  send t slot (Wire.Exec_shard { sql; ctx = ctx_of trace })
+(* A rows-or-ack envelope as the plain response a client would get;
+   [send] has already harvested its partition summary. *)
+let unwrap = function
+  | Wire.Shard_reply
+      { body = Wire.Body_rows { columns; rows; texp_e; recomputed }; _ } ->
+    Wire.Rows { columns; rows; texp_e; recomputed }
+  | Wire.Shard_reply { body = Wire.Body_ack message; _ } -> Wire.Ok_msg message
+  | r -> r
+
+(* A statement on one shard; [Error] is a transport failure. *)
+let exec_on ?trace t slot sql =
+  Result.map unwrap (send t slot (shard_exec ?trace ~want:Wire.Want_rows sql))
 
 (* ---------- statement classification ---------- *)
 
@@ -191,10 +195,10 @@ let exec_shard ?trace t slot sql =
    through other routes — see [route_complex] below: grouped aggregates
    (GROUP BY, HAVING, AVG included) combine from per-shard
    expiration-slice partials, joins run shard-locally when both sides
-   hash on the join key or via a broadcast of the small side, and the
-   non-distributable remainder falls back to gathering the base tables
-   and computing at the coordinator.  Only genuinely per-node features
-   (views, triggers, constraints, CHECKPOINT) stay refused. *)
+   hash on the join key, and the non-distributable remainder falls back
+   to gathering the base tables and computing at the coordinator.  Only
+   genuinely per-node features (views, triggers, constraints,
+   CHECKPOINT) stay refused. *)
 let rec tuple_preserving = function
   | Ast.Select
       { items = [ Ast.Star ];
@@ -250,6 +254,24 @@ let prunable slot tau =
   | None -> false
   | Some { Wire.live_rows; max_texp; _ } ->
     live_rows = 0 || Time.(max_texp <= tau)
+
+(* The shards a query at [tau] contacts: every one whose summary cannot
+   prove its partition empty (all of them without [prune]); the rest
+   count as pruned.  [keep_one] still asks one shard when every
+   partition is provably empty. *)
+let contacted_shards ~prune ~keep_one t tau =
+  let all = slots t in
+  let contacted, pruned =
+    if not prune then (all, [])
+    else
+      match List.partition (fun s -> not (prunable s tau)) all with
+      | [], first :: rest when keep_one -> ([ first ], rest)
+      | split -> split
+  in
+  List.iter
+    (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total)
+    pruned;
+  contacted
 
 let span_offset_us tr at =
   let us = (at -. Obs.Trace.started_at tr) *. 1e6 in
@@ -360,22 +382,35 @@ let shard_failed slot message =
         Printf.sprintf "shard %d: %s" slot.shard.Wire.shard_id message
     }
 
-(* Collect [Shard_rows] partials, short-circuiting on the first shard
-   error.  An [Err] the shard itself sent passes through untouched (it
-   is a statement-level verdict, e.g. a parse error); a transport
-   failure or an off-protocol reply becomes [Shard_failed]. *)
-let gather_rows partials =
-  let rec gather acc = function
+(* Collect what [extract] finds in each reply, paired with its slot in
+   contact order, short-circuiting on the first shard error.  An [Err]
+   the shard itself sent passes through untouched (it is a
+   statement-level verdict, e.g. a parse error); a transport failure or
+   a reply [extract] rejects becomes [Shard_failed]. *)
+let gather ~what extract replies =
+  let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | (_, Ok (Wire.Shard_rows { columns; rows; texp_e; recomputed; _ })) :: rest
-      ->
-      gather ((columns, rows, texp_e, recomputed) :: acc) rest
     | (_, Ok (Wire.Err _ as e)) :: _ -> Error e
-    | (slot, Ok _) :: _ ->
-      Error (shard_failed slot "unexpected reply to a query")
+    | (slot, Ok reply) :: rest ->
+      (match extract reply with
+       | Some v -> go ((slot, v) :: acc) rest
+       | None -> Error (shard_failed slot ("unexpected reply to " ^ what)))
     | (slot, Error msg) :: _ -> Error (shard_failed slot msg)
   in
-  gather [] partials
+  go [] replies
+
+(* One statement fanned out to [contacted], one extracted body per
+   shard. *)
+let scatter ?trace t contacted ~want ~what sql extract =
+  Result.map (List.map snd)
+    (gather ~what extract
+       (fan_out ?trace t contacted (shard_exec ?trace ~want sql)))
+
+let rows_body = function
+  | Wire.Shard_reply
+      { body = Wire.Body_rows { columns; rows; texp_e; recomputed }; _ } ->
+    Some (columns, rows, texp_e, recomputed)
+  | _ -> None
 
 (* ---------- cluster horizon ---------- *)
 
@@ -389,16 +424,13 @@ let gather_rows partials =
    plus the per-shard live-row breakdown. *)
 let gather_horizon ?trace ?table t =
   let replies = fan_out ?trace t (slots t) (Wire.Horizon table) in
-  let rec gather acc = function
-    | [] -> Ok (List.rev acc)
-    | (slot, Ok (Wire.Horizon_reply r)) :: rest ->
-      gather ((slot, r) :: acc) rest
-    | (_, Ok (Wire.Err _ as e)) :: _ -> Error e
-    | (slot, Ok _) :: _ ->
-      Error (shard_failed slot "unexpected reply to a horizon request")
-    | (slot, Error msg) :: _ -> Error (shard_failed slot msg)
-  in
-  match gather [] replies with
+  match
+    gather ~what:"a horizon request"
+      (function
+        | Wire.Horizon_reply r -> Some r
+        | _ -> None)
+      replies
+  with
   | Error e -> Error e
   | Ok [] -> Error (err "no shards")
   | Ok parts ->
@@ -434,23 +466,13 @@ let horizon_page t =
    columns — which still saves n-1 contacts. *)
 let scatter_gather ?trace ~prune t (qs : Ast.query_stmt) sql =
   Obs.Instrument.Counter.incr t.fanouts_total;
-  let tau = query_tau t qs in
-  let all = slots t in
-  let contacted, pruned =
-    if not prune then (all, [])
-    else begin
-      match List.partition (fun s -> not (prunable s tau)) all with
-      | [], everyone -> ([ List.hd everyone ], List.tl everyone)
-      | split -> split
-    end
+  let contacted =
+    contacted_shards ~prune ~keep_one:true t (query_tau t qs)
   in
-  List.iter
-    (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total)
-    pruned;
-  let partials =
-    fan_out ?trace t contacted (Wire.Exec_shard { sql; ctx = ctx_of trace })
-  in
-  match gather_rows partials with
+  match
+    scatter ?trace t contacted ~want:Wire.Want_rows ~what:"a query" sql
+      rows_body
+  with
   | Error e -> e
   | Ok [] -> err "no shards"
   | Ok ((columns, _, _, _) :: _ as parts) ->
@@ -487,30 +509,20 @@ let scatter_gather ?trace ~prune t (qs : Ast.query_stmt) sql =
 let scatter_partial_agg ?trace ~prune t (qs : Ast.query_stmt)
     (d : Lower.decomposed) ~columns ~child_arity sql =
   Obs.Instrument.Counter.incr t.fanouts_total;
-  let tau = query_tau t qs in
-  let all = slots t in
-  let contacted, pruned =
-    if not prune then (all, [])
-    else List.partition (fun s -> not (prunable s tau)) all
+  let contacted =
+    contacted_shards ~prune ~keep_one:false t (query_tau t qs)
   in
-  List.iter
-    (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total)
-    pruned;
-  let replies =
-    fan_out ?trace t contacted (Wire.Agg_shard { sql; ctx = ctx_of trace })
-  in
-  let rec gather partials texps = function
-    | [] -> Ok (List.rev partials, texps)
-    | (_, Ok (Wire.Shard_agg { groups; child_texp; _ })) :: rest ->
-      gather (groups :: partials) (child_texp :: texps) rest
-    | (_, Ok (Wire.Err _ as e)) :: _ -> Error e
-    | (slot, Ok _) :: _ ->
-      Error (shard_failed slot "unexpected reply to an aggregate request")
-    | (slot, Error msg) :: _ -> Error (shard_failed slot msg)
-  in
-  match gather [] [] replies with
+  match
+    scatter ?trace t contacted ~want:Wire.Want_agg
+      ~what:"an aggregate request" sql (function
+      | Wire.Shard_reply
+          { body = Wire.Body_agg { groups; child_texp; _ }; _ } ->
+        Some (groups, child_texp)
+      | _ -> None)
+  with
   | Error e -> e
-  | Ok (partials, child_texps) ->
+  | Ok parts ->
+    let partials, child_texps = List.split parts in
     (match
        Expirel_exec.Partial_agg.finalize ~group:d.Lower.d_group
          ~func:d.Lower.d_func ~child_arity ?having:d.Lower.d_having
@@ -549,19 +561,13 @@ let scatter_partial_agg ?trace ~prune t (qs : Ast.query_stmt)
 let scatter_sketch ?trace t (qs : Ast.query_stmt) sql =
   Obs.Instrument.Counter.incr t.fanouts_total;
   let tau = query_tau t qs in
-  let replies =
-    fan_out ?trace t (slots t) (Wire.Sketch_shard { sql; ctx = ctx_of trace })
-  in
-  let rec gather acc = function
-    | [] -> Ok (List.rev acc)
-    | (_, Ok (Wire.Shard_sketch { columns; payload; _ })) :: rest ->
-      gather ((columns, payload) :: acc) rest
-    | (_, Ok (Wire.Err _ as e)) :: _ -> Error e
-    | (slot, Ok _) :: _ ->
-      Error (shard_failed slot "unexpected reply to a sketch request")
-    | (slot, Error msg) :: _ -> Error (shard_failed slot msg)
-  in
-  match gather [] replies with
+  match
+    scatter ?trace t (slots t) ~want:Wire.Want_sketch
+      ~what:"a sketch request" sql (function
+      | Wire.Shard_reply { body = Wire.Body_sketch { columns; payload }; _ } ->
+        Some (columns, payload)
+      | _ -> None)
+  with
   | Error e -> e
   | Ok [] -> err "no shards"
   | Ok ((columns, _) :: _ as parts) ->
@@ -604,13 +610,6 @@ let scatter_sketch ?trace t (qs : Ast.query_stmt) sql =
 
 (* ---------- routed writes and broadcasts ---------- *)
 
-let unwrap = function
-  | Ok (Wire.Shard_rows { columns; rows; texp_e; recomputed; _ }) ->
-    Wire.Rows { columns; rows; texp_e; recomputed }
-  | Ok (Wire.Shard_ack { message; _ }) -> Wire.Ok_msg message
-  | Ok r -> r
-  | Error msg -> err msg
-
 let slot_for t shard_id =
   List.find_opt (fun s -> s.shard.Wire.shard_id = shard_id) (slots t)
 
@@ -621,7 +620,10 @@ let route_insert ?trace t ~key sql =
   let owner = Wire.shard_owner (shard_map t) key in
   match slot_for t owner with
   | None -> err (Printf.sprintf "no slot for owner shard %d" owner)
-  | Some slot -> unwrap (exec_shard ?trace t slot sql)
+  | Some slot ->
+    (match exec_on ?trace t slot sql with
+     | Ok reply -> reply
+     | Error msg -> err msg)
 
 (* Broadcast a statement to every shard, sequentially (writes are rare
    and ADVANCE must reach everyone anyway).  The first failure is
@@ -632,7 +634,7 @@ let broadcast ?trace t sql ~merge =
   let rec go acc = function
     | [] -> merge (List.rev acc)
     | slot :: rest ->
-      (match exec_shard ?trace t slot sql with
+      (match exec_on ?trace t slot sql with
        | Ok (Wire.Err { message; _ }) | Error message ->
          err
            (Printf.sprintf "shard %d: %s" slot.shard.Wire.shard_id message)
@@ -642,7 +644,7 @@ let broadcast ?trace t sql ~merge =
 
 let merge_acks replies =
   match replies with
-  | (_, Wire.Shard_ack { message; _ }) :: _ ->
+  | (_, Wire.Ok_msg message) :: _ ->
     Wire.Ok_msg
       (Printf.sprintf "%s (on %d shard(s))" message (List.length replies))
   | _ -> err "unexpected reply to a broadcast statement"
@@ -654,7 +656,7 @@ let merge_texts replies =
           (fun (slot, reply) ->
             let body =
               match reply with
-              | Wire.Shard_ack { message; _ } -> message
+              | Wire.Ok_msg message -> message
               | other -> Wire.render_response other
             in
             Printf.sprintf "--- shard %d ---\n%s" slot.shard.Wire.shard_id
@@ -665,8 +667,8 @@ let forward_to_any ?trace t sql =
   let rec go = function
     | [] -> err "no reachable shard"
     | slot :: rest ->
-      (match exec_shard ?trace t slot sql with
-       | Ok reply -> unwrap (Ok reply)
+      (match exec_on ?trace t slot sql with
+       | Ok reply -> reply
        | Error _ -> go rest)
   in
   go (slots t)
@@ -692,39 +694,14 @@ let table_columns ?trace t name =
 let coord_catalog ?trace t : Lower.catalog =
  fun name -> table_columns ?trace t name
 
-let cluster_count ?trace t name =
-  let replies =
-    fan_out ?trace t (slots t)
-      (Wire.Exec_shard
-         { sql = Printf.sprintf "SELECT COUNT(*) FROM %s" name;
-           ctx = ctx_of trace
-         })
-  in
-  match gather_rows replies with
-  | Error e -> Error e
-  | Ok parts ->
-    Ok
-      (List.fold_left
-         (fun acc (_, rows, _, _) ->
-           List.fold_left
-             (fun acc (vs, _) ->
-               match vs with
-               | [ Value.Int n ] -> acc + n
-               | _ -> acc)
-             acc rows)
-         0 parts)
-
 (* A table's complete, cluster-wide contents with per-row texps —
    partitions are disjoint, so plain concatenation is the union. *)
 let gather_table_rows ?trace t name =
-  let replies =
-    fan_out ?trace t (slots t)
-      (Wire.Exec_shard
-         { sql = Printf.sprintf "SELECT * FROM %s" name; ctx = ctx_of trace })
-  in
-  match gather_rows replies with
-  | Error e -> Error e
-  | Ok parts -> Ok (List.concat_map (fun (_, rows, _, _) -> rows) parts)
+  Result.map
+    (List.concat_map (fun (_, rows, _, _) -> rows))
+    (scatter ?trace t (slots t) ~want:Wire.Want_rows ~what:"a query"
+       (Printf.sprintf "SELECT * FROM %s" name)
+       rows_body)
 
 (* The lowered two-table join under any Project/Select wrappers. *)
 let rec find_join = function
@@ -746,62 +723,16 @@ let co_partitioned p ~left_arity =
       | _ -> false)
     (Predicate.conjuncts p)
 
-(* Ship at most this many build-side rows to every shard; beyond it the
-   coordinator gathers and computes instead of multiplying the traffic
-   by the fleet size. *)
-let broadcast_limit = 4096
-
-(* Broadcast-side hash join: ship the small side's complete contents to
-   every shard, which joins them against its local fragment of the
-   other side.  Probe fragments are disjoint, so the union of per-shard
-   results is the exact join; a self-join (both sides the same table)
-   degenerates to every contacted shard computing the full join, which
-   the union-rule merge deduplicates. *)
-let scatter_broadcast_join ?trace ~prune t (qs : Ast.query_stmt) ~build_table
-    ~build_rows sql =
-  Obs.Instrument.Counter.incr t.fanouts_total;
-  let tau = query_tau t qs in
-  let all = slots t in
-  let contacted, pruned =
-    if not prune then (all, [])
-    else begin
-      match List.partition (fun s -> not (prunable s tau)) all with
-      | [], everyone -> ([ List.hd everyone ], List.tl everyone)
-      | split -> split
-    end
-  in
-  List.iter
-    (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total)
-    pruned;
-  let replies =
-    fan_out ?trace t contacted
-      (Wire.Join_shard { sql; build_table; build_rows; ctx = ctx_of trace })
-  in
-  match gather_rows replies with
-  | Error e -> e
-  | Ok [] -> err "no shards"
-  | Ok ((columns, _, _, _) :: _ as parts) ->
-    (match
-       merge_partials ~columns ~order_by:qs.Ast.order_by ~limit:qs.Ast.limit
-         (List.map (fun (_, rows, _, _) -> rows) parts)
-     with
-     | listing ->
-       Wire.Rows
-         { columns;
-           rows = listing;
-           texp_e = Time.min_list (List.map (fun (_, _, te, _) -> te) parts);
-           recomputed = false
-         }
-     | exception Failure message | exception Lower.Error message ->
-       err message)
-
 (* The non-distributable remainder (projected EXCEPT/INTERSECT,
-   aggregates over joins, oversized broadcast joins, AT-joins): gather
+   aggregates over joins, joins that are not co-partitioned): gather
    every base table's rows, rebuild them in a throwaway single-node
    session synchronised to the cluster clock, and let the full
    single-node engine answer.  Correct for anything it can express —
    the session holds exactly the cluster's live rows with their
-   original texps — at the cost of shipping the tables. *)
+   original texps, and the union of disjoint partitions needs no texp
+   merge — at the cost of shipping each table once.  For a join, one
+   haul per table costs less than shipping the smaller side to every
+   shard and re-planning there. *)
 let rec query_tables = function
   | Ast.Select { Ast.source = Ast.From_table n; _ } -> [ n ]
   | Ast.Select { Ast.source = Ast.From_join (l, r, _); _ } -> [ l; r ]
@@ -859,28 +790,11 @@ let gather_compute ?trace t (qs : Ast.query_stmt) =
         | Ok (Interp.Msg m) -> Wire.Ok_msg m
         | Error m -> err m))
 
-let broadcast_join ?trace ~prune t (qs : Ast.query_stmt)
-    (compiled : Lower.compiled) sql =
-  match find_join compiled.Lower.expr with
-  | None -> gather_compute ?trace t qs
-  | Some (_, l, r) ->
-    (match cluster_count ?trace t l, cluster_count ?trace t r with
-     | Error e, _ | _, Error e -> e
-     | Ok nl, Ok nr ->
-       if min nl nr > broadcast_limit then gather_compute ?trace t qs
-       else
-         let build = if nl <= nr then l else r in
-         (match gather_table_rows ?trace t build with
-          | Error e -> e
-          | Ok build_rows ->
-            scatter_broadcast_join ?trace ~prune t qs ~build_table:build
-              ~build_rows sql))
-
 (* Route a query none of the shard-local strategies covers.  In order:
    grouped aggregates that decompose into per-shard slice partials;
-   two-table joins — shard-local scatter when co-partitioned on the
-   join key, broadcast of the small side otherwise; and the
-   gather-then-compute fallback for everything else. *)
+   two-table joins co-partitioned on the join key, as a shard-local
+   scatter; and the gather-then-compute fallback for everything
+   else. *)
 let route_complex ?trace ~prune t (qs : Ast.query_stmt) sql =
   match Lower.lower_query ~catalog:(coord_catalog ?trace t) qs.Ast.q with
   | exception Lower.Error message -> err message
@@ -920,12 +834,7 @@ let route_complex ?trace ~prune t (qs : Ast.query_stmt) sql =
              in
              if left_arity > 0 && co_partitioned p ~left_arity then
                scatter_gather ?trace ~prune t qs sql
-             else if qs.Ast.at <> None then
-               (* a broadcast join evaluates at the shards' now; a
-                  future AT needs the snapshot semantics only the
-                  gathered evaluation provides *)
-               gather_compute ?trace t qs
-             else broadcast_join ?trace ~prune t qs compiled sql
+             else gather_compute ?trace t qs
            | None -> gather_compute ?trace t qs)
         | _ -> gather_compute ?trace t qs))
 
@@ -1009,8 +918,6 @@ let exec ?(prune = true) ?trace:caller_trace t sql =
   if Option.is_none caller_trace then
     Obs.Trace_store.finish t.trace_store ~node:t.node_name ~name:sql tr;
   response
-
-let query = exec
 
 (* ---------- heartbeat ---------- *)
 
@@ -1436,11 +1343,11 @@ let add_shard t endpoint =
           with
           | Wire.Rows { columns; _ } ->
             (match
-               exec_shard t newcomer
+               exec_on t newcomer
                  (Printf.sprintf "CREATE TABLE %s (%s)" table
                     (String.concat ", " columns))
              with
-             | Ok (Wire.Shard_ack _) -> Ok ()
+             | Ok (Wire.Ok_msg _) -> Ok ()
              | Ok (Wire.Err { message; _ }) | Error message ->
                Error
                  (Printf.sprintf "create %s on joining shard: %s" table
@@ -1453,8 +1360,8 @@ let add_shard t endpoint =
     in
     match Time.to_int_opt (locked t (fun () -> t.now)) with
     | Some n when n > 0 ->
-      (match exec_shard t newcomer (Printf.sprintf "ADVANCE TO %d" n) with
-       | Ok (Wire.Shard_ack _) -> Ok ()
+      (match exec_on t newcomer (Printf.sprintf "ADVANCE TO %d" n) with
+       | Ok (Wire.Ok_msg _) -> Ok ()
        | Ok (Wire.Err { message; _ }) | Error message ->
          Error (Printf.sprintf "clock sync on joining shard: %s" message)
        | Ok _ -> Error "unexpected reply to ADVANCE TO")

@@ -67,12 +67,12 @@ val exec :
       single node holding all rows.  AVG travels as SUM + COUNT, never
       pre-averaged.
     - Two-table joins run shard-locally when co-partitioned (the
-      condition equates both first columns, the hash key) and as
-      broadcast hash joins otherwise (the smaller side, up to 4096
-      rows, ships to every shard).  Oversized or [AT]-qualified
-      broadcast joins, projected EXCEPT/INTERSECT and aggregates over
-      joins fall back to gathering the base tables and computing at
-      the coordinator — exact, at shipping cost.
+      condition equates both first columns, the hash key).  Every
+      other join, projected EXCEPT/INTERSECT and aggregates over joins
+      fall back to gathering the base tables (one contact per shard
+      per table) and computing at the coordinator — exact by the union
+      rule over disjoint partitions, at the cost of shipping each
+      table once.
     - [INSERT] routes to the key's owner shard.
     - DDL, [DELETE], [ADVANCE]/[TICK], [VACUUM] broadcast to all
       shards; [EXPLAIN]/[EXPLAIN ANALYZE] broadcast and concatenate
@@ -85,11 +85,6 @@ val exec :
     With [trace], spans record there and the context ships to every
     contacted shard ([rpc:shard-<id>] spans); without, a fresh trace is
     created and finished into this coordinator's trace store. *)
-
-val query :
-  ?prune:bool -> ?trace:Expirel_obs.Trace.t -> t -> string ->
-  Wire.response
-(** Alias of {!exec} — the coordinator routes by statement shape. *)
 
 (** {1 Cluster management} *)
 

@@ -185,19 +185,10 @@ type engine = {
   finish : unit -> unit;
 }
 
-let engine ?probe ?tau ?stand_in ~db logical =
-  let stands_in name =
-    match stand_in with
-    | Some (n, _) -> String.equal n name
-    | None -> false
-  in
+let engine ?probe ?tau ~db logical =
   (* Mirror the naive evaluator's up-front well-formedness check so the
      physical path raises the same errors on the same inputs. *)
-  let arity_env name =
-    match stand_in with
-    | Some (n, r) when String.equal n name -> Some (Relation.arity r)
-    | Some _ | None -> Option.map Table.arity (Database.table db name)
-  in
+  let arity_env name = Option.map Table.arity (Database.table db name) in
   let (_ : int) = Algebra.arity ~env:arity_env logical in
   let tau = Option.value tau ~default:(Database.now db) in
   (* Per-query vectorization totals, folded into the process-global
@@ -264,10 +255,7 @@ let engine ?probe ?tau ?stand_in ~db logical =
   let rec go p prof = measure p prof (fun () -> exec_node p prof)
   and exec_node p prof =
     match p with
-    | Plan.Scan { name; pred; access = _ } ->
-      (match stand_in with
-       | Some (n, r) when String.equal n name -> stand_in_scan r pred
-       | Some _ | None -> scan name pred prof)
+    | Plan.Scan { name; pred; access = _ } -> scan name pred prof
     | Plan.Filter (q, c) ->
       let r = go c (child1 prof) in
       let batches, dups = to_batches r in
@@ -403,14 +391,6 @@ let engine ?probe ?tau ?stand_in ~db logical =
       rows = Batches { batches = select pred candidates; dups = false };
       texp = Time.Inf
     }
-  (* The broadcast join's shipped build rows, standing in for the local
-     fragment of their table. *)
-  and stand_in_scan r pred =
-    let batches = select pred (Batch.of_relation (Relation.exp tau r)) in
-    { arity = Relation.arity r;
-      rows = Batches { batches; dups = false };
-      texp = Time.Inf
-    }
   (* Folds the child into a bounded-memory sketch and answers from it. *)
   and sketch_node spec c prof =
     let r = go c (child1 prof) in
@@ -445,7 +425,7 @@ let engine ?probe ?tau ?stand_in ~db logical =
   let result p prof =
     let r =
       match p with
-      | Plan.Scan { name; pred = None; access = _ } when not (stands_in name) ->
+      | Plan.Scan { name; pred = None; access = _ } ->
         measure p prof (fun () ->
             let table = Database.table_exn db name in
             let snap = Table.snapshot table ~tau in
@@ -472,8 +452,8 @@ let engine ?probe ?tau ?stand_in ~db logical =
   in
   { result; grouped; finish }
 
-let run ?probe ?profile ?tau ?stand_in ~db compiled =
-  let e = engine ?probe ?tau ?stand_in ~db compiled.Plan.logical in
+let run ?probe ?profile ?tau ~db compiled =
+  let e = engine ?probe ?tau ~db compiled.Plan.logical in
   let result = e.result compiled.Plan.physical profile in
   e.finish ();
   result

@@ -28,17 +28,13 @@ val run :
   ?probe:probe ->
   ?profile:Profile.node ->
   ?tau:Time.t ->
-  ?stand_in:string * Relation.t ->
   db:Database.t ->
   Plan.compiled ->
   Eval.result
 (** Evaluates the plan against the database's state as it stands at
     [tau] (default: the database clock; it must not be earlier).  A
     later [tau] answers [AT tau]: the current state with every row
-    expired by then cut away.  [stand_in = (name, rows)] replaces table
-    [name] by [rows] — a broadcast join's shipped build side — which
-    are cut at [tau] like any table.  Together they are the plan's
-    snapshot source.
+    expired by then cut away.
     [probe] wraps every physical operator node with its
     {!Plan.operator_name} — the hook observability layers use to emit
     per-operator [op:<name>] spans, as the naive {!Eval}'s probe does

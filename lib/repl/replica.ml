@@ -145,19 +145,12 @@ let stream_once t fd =
   let tr = Expirel_obs.Trace.create () in
   let (_ : int) =
     Expirel_obs.Trace.span (Some tr) "repl:handshake" (fun () ->
-        let ctx =
-          Some
-            { Wire.trace_id = Expirel_obs.Trace.trace_id tr;
-              parent_span =
-                Option.value ~default:0 (Expirel_obs.Trace.current_parent tr)
-            }
-        in
         Frame.send fd
           (Wire.encode_request
              (Wire.Replicate
                 { replica_id = t.replica_id;
                   position = Durable.position t.store;
-                  ctx
+                  ctx = Some (Wire.ctx_of_trace tr)
                 })))
   in
   Expirel_obs.Trace_store.finish

@@ -74,14 +74,7 @@ let exec t sql = request t (Wire.Exec sql)
 let exec_traced t ?trace sql =
   match trace with
   | None -> exec t sql
-  | Some tr ->
-    let ctx =
-      { Wire.trace_id = Expirel_obs.Trace.trace_id tr;
-        parent_span =
-          Option.value ~default:0 (Expirel_obs.Trace.current_parent tr)
-      }
-    in
-    request t (Wire.Exec_traced { sql; ctx })
+  | Some tr -> request t (Wire.Exec_traced { sql; ctx = Wire.ctx_of_trace tr })
 
 let exec_ok t sql =
   match exec t sql with
@@ -161,21 +154,6 @@ let shard_map t =
   | Ok _ -> Error "unexpected response to shard map request"
   | Error _ as e -> e
 
-(* Exec on a shard, optionally under the coordinator's trace context;
-   the caller dispatches on the [Shard_rows] / [Shard_ack] / [Err]
-   reply itself, since it needs the piggybacked partition summary. *)
-let exec_shard t ?trace sql =
-  let ctx =
-    Option.map
-      (fun tr ->
-        { Wire.trace_id = Expirel_obs.Trace.trace_id tr;
-          parent_span =
-            Option.value ~default:0 (Expirel_obs.Trace.current_parent tr)
-        })
-      trace
-  in
-  request t (Wire.Exec_shard { sql; ctx })
-
 let shard_ping t =
   match request t Wire.Shard_ping with
   | Ok (Wire.Shard_pong { shard_id; pong_map_version; now; partition }) ->
@@ -193,14 +171,14 @@ let extract_moving t table =
 
 let ingest_rows t ~table rows =
   match request t (Wire.Ingest_rows { table; ingest = rows }) with
-  | Ok (Wire.Shard_ack { partition; _ }) -> Ok partition
+  | Ok (Wire.Shard_reply { partition; body = Wire.Body_ack _ }) -> Ok partition
   | Ok (Wire.Err { message; _ }) -> Error message
   | Ok _ -> Error "unexpected response to ingest"
   | Error _ as e -> e
 
 let purge_moved t table =
   match request t (Wire.Purge_moved table) with
-  | Ok (Wire.Shard_ack { partition; _ }) -> Ok partition
+  | Ok (Wire.Shard_reply { partition; body = Wire.Body_ack _ }) -> Ok partition
   | Ok (Wire.Err { message; _ }) -> Error message
   | Ok _ -> Error "unexpected response to purge"
   | Error _ as e -> e

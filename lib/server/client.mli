@@ -93,13 +93,6 @@ val shard_install :
 val shard_map : t -> (Wire.shard_identity option, string) result
 (** The node's installed map and id ([None] when unclaimed). *)
 
-val exec_shard :
-  t -> ?trace:Expirel_obs.Trace.t -> string -> (Wire.response, string) result
-(** [Exec_shard]: like {!exec_traced}, but successful replies come back
-    as [Shard_rows] / [Shard_ack] carrying the shard id and partition
-    texp summary; the caller pattern-matches the raw response because
-    it wants that piggyback. *)
-
 val shard_ping :
   t -> (int * int * Expirel_core.Time.t * Wire.partition_texp, string) result
 (** The cluster heartbeat: [(shard_id, map_version, now, partition)].

@@ -446,6 +446,19 @@ let acquire t ~write =
 let release t ~write =
   if write then Rwlock.write_unlock t.lock else Rwlock.read_unlock t.lock
 
+(* Runs [f] holding the lock, or answers [Timeout] when the lock does
+   not come free within the request deadline.  On a traced request the
+   wait is a [rwlock_wait] span. *)
+let with_lock t ~write ?trace f =
+  if not (Obs.Trace.span trace "rwlock_wait" (fun () -> acquire t ~write))
+  then
+    Wire.Err
+      { code = Wire.Timeout;
+        message =
+          Printf.sprintf "no lock within %gs" t.config.request_timeout
+      }
+  else Fun.protect ~finally:(fun () -> release t ~write) f
+
 (* Statements with no effect on any state may share the lock; everything
    else — including SHOW VIEW, which refreshes an expired view in place —
    serialises. *)
@@ -500,69 +513,64 @@ let deliver_subscription_events t stmt =
     Subscription.deliver_until t.subs target
   | Some _ | None -> ()
 
-let handle_statement ?trace ?text t stmt =
-  let write = not (is_read_only stmt) in
+(* Runs a parsed statement; the caller holds the lock its kind needs. *)
+let run_statement ?trace ?text t stmt =
+  match
+    deliver_subscription_events t stmt;
+    (* SHOW HORIZON is answered above the interpreter so the fan-out
+       forecast covers this server's subscriptions — the interpreter
+       alone would report 0. *)
+    match stmt with
+    | Ast.Show_horizon table ->
+      (match horizon_of ~interp:t.interp ~subs:t.subs ?table () with
+       | report -> Ok (Interp.Msg (Obs.Horizon.render report))
+       | exception Errors.Unknown_relation name ->
+         Error ("unknown relation " ^ name))
+    | _ -> Interp.exec ?trace ?text t.interp stmt
+  with
+  | Ok outcome -> response_of_outcome outcome
+  | Error message -> Wire.Err { code = Wire.Exec_error; message }
+  | exception Errors.Unknown_relation name ->
+    Wire.Err
+      { code = Wire.Exec_error;
+        message = "subscription delivery: unknown relation " ^ name
+      }
+  | exception Invalid_argument message ->
+    Wire.Err { code = Wire.Exec_error; message }
+
+(* [run_statement] under the lock; [reply] maps the answer before the
+   lock is released. *)
+let handle_statement ?trace ?text t stmt ~reply =
   if t.config.read_only && not (replica_allows stmt) then
     Wire.Err
       { code = Wire.Exec_error;
         message = "read-only replica: writes go to the primary"
       }
-  else if not (Obs.Trace.span trace "rwlock_wait" (fun () -> acquire t ~write))
-  then
-    Wire.Err
-      { code = Wire.Timeout;
-        message =
-          Printf.sprintf "no lock within %gs" t.config.request_timeout
-      }
   else
-    Fun.protect
-      ~finally:(fun () -> release t ~write)
-      (fun () ->
-        match
-          deliver_subscription_events t stmt;
-          (* SHOW HORIZON is answered above the interpreter so the
-             fan-out forecast covers this server's subscriptions — the
-             interpreter alone would report 0. *)
-          match stmt with
-          | Ast.Show_horizon table ->
-            (match horizon_of ~interp:t.interp ~subs:t.subs ?table () with
-             | report -> Ok (Interp.Msg (Obs.Horizon.render report))
-             | exception Errors.Unknown_relation name ->
-               Error ("unknown relation " ^ name))
-          | _ -> Interp.exec ?trace ?text t.interp stmt
-        with
-        | Ok outcome -> response_of_outcome outcome
-        | Error message -> Wire.Err { code = Wire.Exec_error; message }
-        | exception Errors.Unknown_relation name ->
-          Wire.Err
-            { code = Wire.Exec_error;
-              message = "subscription delivery: unknown relation " ^ name
-            }
-        | exception Invalid_argument message ->
-          Wire.Err { code = Wire.Exec_error; message })
+    with_lock t ~write:(not (is_read_only stmt)) ?trace (fun () ->
+        reply (run_statement ?trace ?text t stmt))
 
-(* Every EXEC is traced: parse -> rwlock wait -> interpreter stages
-   (lower, eval with per-operator spans, storage).  The finished trace
-   feeds the stage/operator histograms, the slow-query log and the
-   trace store whether the statement succeeded or failed — failing
-   statements are exactly the ones worth finding in the log.  When the
-   request carried a trace context ([Exec_traced]), the spans record
-   under the caller's trace id with the caller's span as their root
-   parent, so a fan-out request yields one cross-node trace. *)
-let handle_exec ?ctx t sql =
+(* Every statement request is traced: parse -> rwlock wait ->
+   interpreter stages (lower, eval with per-operator spans, storage).
+   The finished trace feeds the stage/operator histograms, the
+   slow-query log and the trace store whether the statement succeeded
+   or failed — failing statements are exactly the ones worth finding in
+   the log.  When the request carried a trace context ([Exec_traced],
+   [Shard_exec]), the spans record under the caller's trace id with the
+   caller's span as their root parent, so a fan-out request yields one
+   cross-node trace. *)
+let traced t ~ctx ~sql f =
   let tr =
-    match (ctx : Wire.trace_ctx option) with
+    match ctx with
+    | Some ctx -> Wire.trace_of_ctx ctx
     | None -> Obs.Trace.create ()
-    | Some { trace_id; parent_span = 0 } -> Obs.Trace.create ~trace_id ()
-    | Some { trace_id; parent_span } ->
-      Obs.Trace.create ~trace_id ~parent_span ()
   in
   let trace = Some tr in
   let response =
     match
       Obs.Trace.span trace "parse" (fun () -> Interp.parse t.interp sql)
     with
-    | stmt -> handle_statement ?trace ~text:sql t stmt
+    | stmt -> f trace stmt
     | exception Parser.Error (message, off) ->
       Wire.Err
         { code = Wire.Parse_error;
@@ -574,6 +582,10 @@ let handle_exec ?ctx t sql =
     ~spans:(Obs.Trace.spans tr);
   Obs.Trace_store.finish t.trace_store ~node:t.config.node_name ~name:sql tr;
   response
+
+let handle_exec ?ctx t sql =
+  traced t ~ctx ~sql (fun trace stmt ->
+      handle_statement ?trace ~text:sql t stmt ~reply:Fun.id)
 
 let strip_statement s =
   let s = String.trim s in
@@ -597,36 +609,31 @@ let handle_subscribe t conn ~name ~query =
         message = Printf.sprintf "at offset %d: %s" off message
       }
   | Ast.Query { q; at = None; _ } ->
-    if not (acquire t ~write:true) then
-      Wire.Err { code = Wire.Timeout; message = "no lock" }
-    else
-      Fun.protect
-        ~finally:(fun () -> release t ~write:true)
-        (fun () ->
-          let db = Interp.database t.interp in
-          let catalog table = Option.map Table.columns (Database.table db table) in
-          match Lower.lower_query ~catalog q with
-          | exception Lower.Error message ->
-            Wire.Err { code = Wire.Exec_error; message }
-          | { Lower.expr; _ } ->
-            (match
-               Subscription.subscribe t.subs ~name expr (fun event ->
-                   send_response t conn (Wire.Event (wire_event event));
-                   Metrics.incr_events_pushed t.metrics)
-             with
-             | () ->
-               conn.owned_subs <- name :: conn.owned_subs;
-               Wire.Ok_msg (Printf.sprintf "subscribed %s" name)
-             | exception Invalid_argument message
-             | exception Failure message ->
-               Wire.Err { code = Wire.Exec_error; message }
-             | exception Errors.Unknown_relation rel ->
-               Wire.Err
-                 { code = Wire.Exec_error;
-                   message = "unknown relation " ^ rel
-                 }
-             | exception Errors.Arity_mismatch message ->
-               Wire.Err { code = Wire.Exec_error; message }))
+    with_lock t ~write:true (fun () ->
+        let db = Interp.database t.interp in
+        let catalog table = Option.map Table.columns (Database.table db table) in
+        match Lower.lower_query ~catalog q with
+        | exception Lower.Error message ->
+          Wire.Err { code = Wire.Exec_error; message }
+        | { Lower.expr; _ } ->
+          (match
+             Subscription.subscribe t.subs ~name expr (fun event ->
+                 send_response t conn (Wire.Event (wire_event event));
+                 Metrics.incr_events_pushed t.metrics)
+           with
+           | () ->
+             conn.owned_subs <- name :: conn.owned_subs;
+             Wire.Ok_msg (Printf.sprintf "subscribed %s" name)
+           | exception Invalid_argument message
+           | exception Failure message ->
+             Wire.Err { code = Wire.Exec_error; message }
+           | exception Errors.Unknown_relation rel ->
+             Wire.Err
+               { code = Wire.Exec_error;
+                 message = "unknown relation " ^ rel
+               }
+           | exception Errors.Arity_mismatch message ->
+             Wire.Err { code = Wire.Exec_error; message }))
   | Ast.Query { at = Some _; _ } ->
     Wire.Err
       { code = Wire.Exec_error;
@@ -643,12 +650,8 @@ let handle_unsubscribe t conn name =
       { code = Wire.Exec_error;
         message = Printf.sprintf "subscription %s is not owned by this connection" name
       }
-  else if not (acquire t ~write:true) then
-    Wire.Err { code = Wire.Timeout; message = "no lock" }
   else
-    Fun.protect
-      ~finally:(fun () -> release t ~write:true)
-      (fun () ->
+    with_lock t ~write:true (fun () ->
         ignore (Subscription.unsubscribe t.subs name);
         conn.owned_subs <- List.filter (fun n -> n <> name) conn.owned_subs;
         Wire.Ok_msg (Printf.sprintf "unsubscribed %s" name))
@@ -671,36 +674,26 @@ let wire_trace_entry (e : Obs.Trace_store.entry) =
    evaluation runs as a reader for the same reason METRICS does: polled
    gauges walk live table/view state. *)
 let handle_health t =
-  if not (acquire t ~write:false) then
-    Wire.Err { code = Wire.Timeout; message = "no lock" }
-  else
-    Fun.protect
-      ~finally:(fun () -> release t ~write:false)
-      (fun () ->
-        let collected = Obs.Registry.collect (Metrics.registry t.metrics) in
-        let report = Obs.Health.evaluate t.config.health_rules collected in
-        t.last_health <- report.Obs.Health.level;
-        Wire.Health_reply
-          { level = wire_health_level report.Obs.Health.level;
-            firing =
-              List.map
-                (fun (f : Obs.Health.firing) ->
-                  { Wire.rule_name = f.rule_name;
-                    observed = f.value;
-                    firing_level = wire_health_level f.level;
-                    rule_help = f.help
-                  })
-                report.Obs.Health.firing
-          })
+  with_lock t ~write:false (fun () ->
+      let collected = Obs.Registry.collect (Metrics.registry t.metrics) in
+      let report = Obs.Health.evaluate t.config.health_rules collected in
+      t.last_health <- report.Obs.Health.level;
+      Wire.Health_reply
+        { level = wire_health_level report.Obs.Health.level;
+          firing =
+            List.map
+              (fun (f : Obs.Health.firing) ->
+                { Wire.rule_name = f.rule_name;
+                  observed = f.value;
+                  firing_level = wire_health_level f.level;
+                  rule_help = f.help
+                })
+              report.Obs.Health.firing
+        })
 
 (* ---------- shard mode (coordinator-facing RPCs) ---------- *)
 
 let shard_identity t = locked_state t (fun () -> t.shard)
-
-let shard_self t =
-  match shard_identity t with
-  | Some s -> s.Wire.self_id
-  | None -> -1
 
 (* The whole-partition texp summary the coordinator's pruning feeds on:
    each table's live count and live min/max texp, read from the ends of
@@ -725,14 +718,6 @@ let partition_summary t =
           })
     { Wire.live_rows = 0; min_texp = Time.infinity; max_texp = Time.infinity }
     (Database.table_names db)
-
-let summary_under_lock t =
-  if not (acquire t ~write:false) then
-    Error (Wire.Err { code = Wire.Timeout; message = "no lock" })
-  else
-    Fun.protect
-      ~finally:(fun () -> release t ~write:false)
-      (fun () -> Ok (partition_summary t))
 
 (* [self_id] may be absent from [map]: that is how a leaving shard
    learns the map that evicts it — ownership then assigns every local
@@ -760,195 +745,65 @@ let handle_shard_install t ~map ~self_id =
             (Printf.sprintf "installed shard map v%d as shard %d"
                map.Wire.map_version self_id))
 
-(* An EXEC issued by a coordinator: same execution path as [Exec] /
-   [Exec_traced], but successful replies carry the shard id and the
-   partition summary so every contact — reads and writes alike —
-   refreshes the coordinator's pruning cache. *)
-let handle_exec_shard t ~sql ~ctx =
-  match handle_exec ?ctx t sql with
-  | Wire.Rows { columns; rows; texp_e; recomputed } ->
-    (match summary_under_lock t with
-     | Error e -> e
-     | Ok partition ->
-       Wire.Shard_rows
-         { shard_id = shard_self t; partition; columns; rows; texp_e;
-           recomputed })
-  | Wire.Ok_msg message ->
-    (match summary_under_lock t with
-     | Error e -> e
-     | Ok partition ->
-       Wire.Shard_ack { shard_id = shard_self t; partition; message })
-  | other -> other
-
 let handle_shard_ping t =
-  match summary_under_lock t with
-  | Error e -> e
-  | Ok partition ->
-    let shard_id, pong_map_version =
-      locked_state t (fun () ->
-          match t.shard with
-          | Some s -> (s.Wire.self_id, s.Wire.installed_map.Wire.map_version)
-          | None -> (-1, 0))
-    in
-    Wire.Shard_pong
-      { shard_id;
-        pong_map_version;
-        now = Database.now (Interp.database t.interp);
-        partition
-      }
-
-(* A coordinator's request for a sketch partial: evaluate the
-   APPROX_COUNT/SAMPLE query's child over this shard's partition and
-   ship the folded sketch — constant-size on the wire however many rows
-   the partition holds.  Traced like any EXEC so the fan-out shows up
-   as one cross-node trace with a [sketch-query] span per shard. *)
-let handle_sketch_shard t ~sql ~ctx =
-  let tr =
-    match (ctx : Wire.trace_ctx option) with
-    | None -> Obs.Trace.create ()
-    | Some { trace_id; parent_span = 0 } -> Obs.Trace.create ~trace_id ()
-    | Some { trace_id; parent_span } ->
-      Obs.Trace.create ~trace_id ~parent_span ()
-  in
-  let trace = Some tr in
-  let response =
-    match
-      Obs.Trace.span trace "parse" (fun () -> Interp.parse t.interp sql)
-    with
-    | exception Parser.Error (message, off) ->
-      Wire.Err
-        { code = Wire.Parse_error;
-          message = Printf.sprintf "at offset %d: %s" off message
-        }
-    | Ast.Query { q; at = _; _ } ->
-      (* AT is irrelevant here: the shard always folds its current
-         snapshot, the partial covers the whole expiration axis, and
-         the coordinator owns the tau it queries the merged sketch at. *)
-      if not (acquire t ~write:false) then
-        Wire.Err
-          { code = Wire.Timeout;
-            message =
-              Printf.sprintf "no lock within %gs" t.config.request_timeout
-          }
-      else
-        Fun.protect
-          ~finally:(fun () -> release t ~write:false)
-          (fun () ->
-            match Interp.sketch_partial ?trace t.interp q with
-            | columns, sketch ->
-              Wire.Shard_sketch
-                { shard_id = shard_self t;
-                  partition = partition_summary t;
-                  columns;
-                  payload = Expirel_sketch.Any.to_string sketch
-                }
-            | exception Errors.Unknown_relation name ->
-              Wire.Err
-                { code = Wire.Exec_error;
-                  message = "unknown relation " ^ name
-                }
-            | exception Lower.Error message | exception Failure message ->
-              Wire.Err { code = Wire.Exec_error; message })
-    | _ ->
-      Wire.Err
-        { code = Wire.Exec_error;
-          message = "Sketch_shard expects an APPROX_COUNT/SAMPLE query"
-        }
-  in
-  Metrics.observe_trace t.metrics ~statement:sql
-    ~trace_id:(Obs.Trace.trace_id tr) ~total_us:(Obs.Trace.elapsed_us tr)
-    ~spans:(Obs.Trace.spans tr);
-  Obs.Trace_store.finish t.trace_store ~node:t.config.node_name ~name:sql tr;
-  response
-
-(* The shard-side halves of distributed grouped aggregates and
-   broadcast joins.  Both mirror [handle_sketch_shard]: reconstruct the
-   coordinator's trace, parse, evaluate under the read lock, map the
-   interpreter's exceptions onto typed wire errors. *)
-let with_shard_trace t ~sql ~ctx body =
-  let tr =
-    match (ctx : Wire.trace_ctx option) with
-    | None -> Obs.Trace.create ()
-    | Some { trace_id; parent_span = 0 } -> Obs.Trace.create ~trace_id ()
-    | Some { trace_id; parent_span } ->
-      Obs.Trace.create ~trace_id ~parent_span ()
-  in
-  let trace = Some tr in
-  let response =
-    match
-      Obs.Trace.span trace "parse" (fun () -> Interp.parse t.interp sql)
-    with
-    | exception Parser.Error (message, off) ->
-      Wire.Err
-        { code = Wire.Parse_error;
-          message = Printf.sprintf "at offset %d: %s" off message
-        }
-    | statement ->
-      if not (acquire t ~write:false) then
-        Wire.Err
-          { code = Wire.Timeout;
-            message =
-              Printf.sprintf "no lock within %gs" t.config.request_timeout
-          }
-      else
-        Fun.protect
-          ~finally:(fun () -> release t ~write:false)
-          (fun () ->
-            match body trace statement with
-            | response -> response
-            | exception Errors.Unknown_relation name ->
-              Wire.Err
-                { code = Wire.Exec_error;
-                  message = "unknown relation " ^ name
-                }
-            | exception Lower.Error message | exception Failure message ->
-              Wire.Err { code = Wire.Exec_error; message })
-  in
-  Metrics.observe_trace t.metrics ~statement:sql
-    ~trace_id:(Obs.Trace.trace_id tr) ~total_us:(Obs.Trace.elapsed_us tr)
-    ~spans:(Obs.Trace.spans tr);
-  Obs.Trace_store.finish t.trace_store ~node:t.config.node_name ~name:sql tr;
-  response
-
-let handle_agg_shard t ~sql ~ctx =
-  with_shard_trace t ~sql ~ctx (fun trace -> function
-    | Ast.Query qs ->
-      let columns, partial, child_texp =
-        Interp.aggregate_partial ?trace t.interp qs
+  with_lock t ~write:false (fun () ->
+      let shard_id, pong_map_version =
+        locked_state t (fun () ->
+            match t.shard with
+            | Some s -> (s.Wire.self_id, s.Wire.installed_map.Wire.map_version)
+            | None -> (-1, 0))
       in
-      Wire.Shard_agg
-        { shard_id = shard_self t;
-          partition = partition_summary t;
-          columns;
-          child_texp;
-          groups = partial
-        }
-    | _ ->
-      Wire.Err
-        { code = Wire.Exec_error;
-          message = "Agg_shard expects a grouped aggregate query"
+      Wire.Shard_pong
+        { shard_id;
+          pong_map_version;
+          now = Database.now (Interp.database t.interp);
+          partition = partition_summary t
         })
 
-let handle_join_shard t ~sql ~build_table ~build_rows ~ctx =
-  with_shard_trace t ~sql ~ctx (fun trace -> function
-    | Ast.Query qs ->
-      let columns, rows, texp_e =
-        Interp.join_broadcast ?trace t.interp qs ~table:build_table
-          ~rows:build_rows
-      in
-      Wire.Shard_rows
-        { shard_id = shard_self t;
-          partition = partition_summary t;
-          columns;
-          rows;
-          texp_e;
-          recomputed = false
-        }
-    | _ ->
-      Wire.Err
-        { code = Wire.Exec_error;
-          message = "Join_shard expects a query"
-        })
+(* A statement issued by a coordinator, traced like any EXEC so a
+   fan-out shows up as one cross-node trace.  The lock is taken once:
+   the [want] body and the partition summary the reply piggybacks read
+   one state, so a write's reply reports the partition it left behind
+   and no second wait can turn an applied write into a timeout. *)
+let handle_shard_exec t ~sql ~ctx ~want =
+  traced t ~ctx ~sql @@ fun trace stmt ->
+  let reply body =
+    Wire.Shard_reply { partition = partition_summary t; body }
+  in
+  let partial body =
+    with_lock t ~write:false ?trace (fun () ->
+        match body () with
+        | b -> reply b
+        | exception Errors.Unknown_relation name ->
+          Wire.Err
+            { code = Wire.Exec_error; message = "unknown relation " ^ name }
+        | exception Lower.Error message | exception Failure message ->
+          Wire.Err { code = Wire.Exec_error; message })
+  in
+  match (want : Wire.want), stmt with
+  | Want_rows, _ ->
+    handle_statement ?trace ~text:sql t stmt ~reply:(function
+      | Wire.Rows { columns; rows; texp_e; recomputed } ->
+        reply (Wire.Body_rows { columns; rows; texp_e; recomputed })
+      | Wire.Ok_msg message -> reply (Wire.Body_ack message)
+      | other -> other)
+  | Want_sketch, Ast.Query { q; at = _; _ } ->
+    (* AT is irrelevant here: the shard always folds its current
+       snapshot, the partial covers the whole expiration axis, and the
+       coordinator owns the tau it queries the merged sketch at. *)
+    partial (fun () ->
+        let columns, sketch = Interp.sketch_partial ?trace t.interp q in
+        Wire.Body_sketch
+          { columns; payload = Expirel_sketch.Any.to_string sketch })
+  | Want_agg, Ast.Query qs ->
+    partial (fun () ->
+        let columns, groups, child_texp =
+          Interp.aggregate_partial ?trace t.interp qs
+        in
+        Wire.Body_agg { columns; child_texp; groups })
+  | (Want_sketch | Want_agg), _ ->
+    Wire.Err
+      { code = Wire.Exec_error; message = "a shard partial needs a query" }
 
 let first_column tuple =
   match Tuple.to_list tuple with
@@ -960,38 +815,33 @@ let handle_extract_moving t table =
   | None ->
     Wire.Err { code = Wire.Exec_error; message = "no shard map installed" }
   | Some { installed_map = map; self_id } ->
-    if not (acquire t ~write:false) then
-      Wire.Err { code = Wire.Timeout; message = "no lock" }
-    else
-      Fun.protect
-        ~finally:(fun () -> release t ~write:false)
-        (fun () ->
-          let db = Interp.database t.interp in
-          match Database.table db table with
-          | None ->
-            Wire.Err
-              { code = Wire.Exec_error; message = "unknown table " ^ table }
-          | Some _ ->
-            let moves = Hashtbl.create 4 in
-            Relation.fold
-              (fun tuple texp () ->
-                match first_column tuple with
-                | None -> ()
-                | Some key ->
-                  let owner = Wire.shard_owner map key in
-                  if owner <> self_id then begin
-                    let rows =
-                      try Hashtbl.find moves owner with Not_found -> []
-                    in
-                    Hashtbl.replace moves owner
-                      ((Tuple.to_list tuple, texp) :: rows)
-                  end)
-              (Database.snapshot db table) ();
-            Wire.Moved_rows
-              (List.sort compare
-                 (Hashtbl.fold
-                    (fun owner rows acc -> (owner, List.rev rows) :: acc)
-                    moves [])))
+    with_lock t ~write:false (fun () ->
+        let db = Interp.database t.interp in
+        match Database.table db table with
+        | None ->
+          Wire.Err
+            { code = Wire.Exec_error; message = "unknown table " ^ table }
+        | Some _ ->
+          let moves = Hashtbl.create 4 in
+          Relation.fold
+            (fun tuple texp () ->
+              match first_column tuple with
+              | None -> ()
+              | Some key ->
+                let owner = Wire.shard_owner map key in
+                if owner <> self_id then begin
+                  let rows =
+                    try Hashtbl.find moves owner with Not_found -> []
+                  in
+                  Hashtbl.replace moves owner
+                    ((Tuple.to_list tuple, texp) :: rows)
+                end)
+            (Database.snapshot db table) ();
+          Wire.Moved_rows
+            (List.sort compare
+               (Hashtbl.fold
+                  (fun owner rows acc -> (owner, List.rev rows) :: acc)
+                  moves [])))
 
 let refuse_on_replica t k =
   if t.config.read_only then
@@ -1003,46 +853,38 @@ let refuse_on_replica t k =
 
 let handle_ingest_rows t ~table ~ingest =
   refuse_on_replica t @@ fun () ->
-  if not (acquire t ~write:true) then
-    Wire.Err { code = Wire.Timeout; message = "no lock" }
-  else
-    Fun.protect
-      ~finally:(fun () -> release t ~write:true)
-      (fun () ->
-        let db = Interp.database t.interp in
-        match Database.table db table with
-        | None ->
-          Wire.Err
-            { code = Wire.Exec_error; message = "unknown table " ^ table }
-        | Some _ ->
-          let now = Database.now db in
-          let inserted = ref 0 in
-          let dropped = ref 0 in
-          List.iter
-            (fun (values, texp) ->
-              (* A row already expired at this clock stays dead: moving
-                 a tuple between shards must not resurrect it. *)
-              if Time.(texp > now) then begin
-                (match t.store with
-                 | Some store ->
-                   Durable.insert store table (Tuple.of_list values) ~texp
-                 | None ->
-                   Database.insert db table (Tuple.of_list values) ~texp);
-                incr inserted
-              end
-              else incr dropped)
-            ingest;
-          let message =
-            Printf.sprintf "ingested %d row(s) into %s%s" !inserted table
-              (if !dropped > 0 then
-                 Printf.sprintf " (%d already expired)" !dropped
-               else "")
-          in
-          Wire.Shard_ack
-            { shard_id = shard_self t;
-              partition = partition_summary t;
-              message
-            })
+  with_lock t ~write:true (fun () ->
+      let db = Interp.database t.interp in
+      match Database.table db table with
+      | None ->
+        Wire.Err
+          { code = Wire.Exec_error; message = "unknown table " ^ table }
+      | Some _ ->
+        let now = Database.now db in
+        let inserted = ref 0 in
+        let dropped = ref 0 in
+        List.iter
+          (fun (values, texp) ->
+            (* A row already expired at this clock stays dead: moving
+               a tuple between shards must not resurrect it. *)
+            if Time.(texp > now) then begin
+              (match t.store with
+               | Some store ->
+                 Durable.insert store table (Tuple.of_list values) ~texp
+               | None ->
+                 Database.insert db table (Tuple.of_list values) ~texp);
+              incr inserted
+            end
+            else incr dropped)
+          ingest;
+        let message =
+          Printf.sprintf "ingested %d row(s) into %s%s" !inserted table
+            (if !dropped > 0 then
+               Printf.sprintf " (%d already expired)" !dropped
+             else "")
+        in
+        Wire.Shard_reply
+          { partition = partition_summary t; body = Wire.Body_ack message })
 
 let handle_purge_moved t table =
   refuse_on_replica t @@ fun () ->
@@ -1050,41 +892,36 @@ let handle_purge_moved t table =
   | None ->
     Wire.Err { code = Wire.Exec_error; message = "no shard map installed" }
   | Some { installed_map = map; self_id } ->
-    if not (acquire t ~write:true) then
-      Wire.Err { code = Wire.Timeout; message = "no lock" }
-    else
-      Fun.protect
-        ~finally:(fun () -> release t ~write:true)
-        (fun () ->
-          let db = Interp.database t.interp in
-          match Database.table db table with
-          | None ->
-            Wire.Err
-              { code = Wire.Exec_error; message = "unknown table " ^ table }
-          | Some _ ->
-            let doomed =
-              Relation.fold
-                (fun tuple _ acc ->
-                  match first_column tuple with
-                  | Some key when Wire.shard_owner map key <> self_id ->
-                    tuple :: acc
-                  | Some _ | None -> acc)
-                (Database.snapshot db table) []
-            in
-            List.iter
-              (fun tuple ->
-                ignore
-                  (match t.store with
-                   | Some store -> Durable.delete store table tuple
-                   | None -> Database.delete db table tuple))
-              doomed;
-            Wire.Shard_ack
-              { shard_id = self_id;
-                partition = partition_summary t;
-                message =
-                  Printf.sprintf "purged %d moved row(s) from %s"
-                    (List.length doomed) table
-              })
+    with_lock t ~write:true (fun () ->
+        let db = Interp.database t.interp in
+        match Database.table db table with
+        | None ->
+          Wire.Err
+            { code = Wire.Exec_error; message = "unknown table " ^ table }
+        | Some _ ->
+          let doomed =
+            Relation.fold
+              (fun tuple _ acc ->
+                match first_column tuple with
+                | Some key when Wire.shard_owner map key <> self_id ->
+                  tuple :: acc
+                | Some _ | None -> acc)
+              (Database.snapshot db table) []
+          in
+          List.iter
+            (fun tuple ->
+              ignore
+                (match t.store with
+                 | Some store -> Durable.delete store table tuple
+                 | None -> Database.delete db table tuple))
+            doomed;
+          Wire.Shard_reply
+            { partition = partition_summary t;
+              body =
+                Wire.Body_ack
+                  (Printf.sprintf "purged %d moved row(s) from %s"
+                     (List.length doomed) table)
+            })
 
 let handle_request t conn = function
   | Wire.Exec sql -> handle_exec t sql
@@ -1097,12 +934,8 @@ let handle_request t conn = function
   | Wire.Metrics ->
     (* Unlike STATS (stored counters only), the exposition polls gauges
        that walk live table/view state, so it runs as a reader. *)
-    if not (acquire t ~write:false) then
-      Wire.Err { code = Wire.Timeout; message = "no lock" }
-    else
-      Fun.protect
-        ~finally:(fun () -> release t ~write:false)
-        (fun () -> Wire.Metrics_reply (Metrics.prometheus t.metrics))
+    with_lock t ~write:false (fun () ->
+        Wire.Metrics_reply (Metrics.prometheus t.metrics))
   | Wire.Slow_queries n ->
     Wire.Slow_queries_reply (Metrics.slowest t.metrics (max 0 n))
   | Wire.Trace_recent n ->
@@ -1112,26 +945,17 @@ let handle_request t conn = function
   | Wire.Horizon table ->
     (* Like METRICS: the forecast walks live table and watch state, so
        it runs as a reader. *)
-    if not (acquire t ~write:false) then
-      Wire.Err { code = Wire.Timeout; message = "no lock" }
-    else
-      Fun.protect
-        ~finally:(fun () -> release t ~write:false)
-        (fun () ->
-          match horizon_of ~interp:t.interp ~subs:t.subs ?table () with
-          | report -> Wire.Horizon_reply report
-          | exception Errors.Unknown_relation name ->
-            Wire.Err
-              { code = Wire.Exec_error;
-                message = "unknown relation " ^ name
-              })
+    with_lock t ~write:false (fun () ->
+        match horizon_of ~interp:t.interp ~subs:t.subs ?table () with
+        | report -> Wire.Horizon_reply report
+        | exception Errors.Unknown_relation name ->
+          Wire.Err
+            { code = Wire.Exec_error;
+              message = "unknown relation " ^ name
+            })
   | Wire.Shard_map_req -> Wire.Shard_map_reply (shard_identity t)
   | Wire.Shard_install { map; self_id } -> handle_shard_install t ~map ~self_id
-  | Wire.Exec_shard { sql; ctx } -> handle_exec_shard t ~sql ~ctx
-  | Wire.Sketch_shard { sql; ctx } -> handle_sketch_shard t ~sql ~ctx
-  | Wire.Agg_shard { sql; ctx } -> handle_agg_shard t ~sql ~ctx
-  | Wire.Join_shard { sql; build_table; build_rows; ctx } ->
-    handle_join_shard t ~sql ~build_table ~build_rows ~ctx
+  | Wire.Shard_exec { sql; ctx; want } -> handle_shard_exec t ~sql ~ctx ~want
   | Wire.Shard_ping -> handle_shard_ping t
   | Wire.Extract_moving table -> handle_extract_moving t table
   | Wire.Ingest_rows { table; ingest } -> handle_ingest_rows t ~table ~ingest
@@ -1167,13 +991,7 @@ let serve_replication t conn store ~replica_id ~position ~ctx =
      under the follower's trace.  The tail-following loop is unbounded,
      so the trace finishes (into this node's trace store) right after
      that first shipment rather than when the session ends. *)
-  let tr =
-    Option.map
-      (fun ({ trace_id; parent_span } : Wire.trace_ctx) ->
-        if parent_span = 0 then Obs.Trace.create ~trace_id ()
-        else Obs.Trace.create ~trace_id ~parent_span ())
-      ctx
-  in
+  let tr = Option.map Wire.trace_of_ctx ctx in
   let finish_trace () =
     Option.iter
       (fun tr ->

@@ -100,9 +100,8 @@ val store : t -> Durable.t option
 val shard_identity : t -> Wire.shard_identity option
 (** The shard map and shard id a coordinator installed via
     [Shard_install] — [None] until a coordinator claims this node.  A
-    node holding an identity answers [Exec_shard] with its shard id and
-    partition texp summary piggybacked, and serves the rebalance
-    requests ([Extract_moving] / [Ingest_rows] / [Purge_moved]). *)
+    node holding an identity serves the rebalance requests
+    ([Extract_moving] / [Purge_moved]) that route by it. *)
 
 val partition_summary : t -> Wire.partition_texp
 (** The live-row count and live min/max texp over every table at the

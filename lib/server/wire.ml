@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 8
+let version = 9
 let max_frame = 16 * 1024 * 1024
 
 type error_code =
@@ -77,6 +77,19 @@ type trace_ctx = {
   trace_id : string;
   parent_span : int;
 }
+
+(* Span ids are 1-based, so [parent_span = 0] stands for "no open span
+   at the caller". *)
+let ctx_of_trace tr =
+  { trace_id = Expirel_obs.Trace.trace_id tr;
+    parent_span =
+      Option.value ~default:0 (Expirel_obs.Trace.current_parent tr)
+  }
+
+let trace_of_ctx { trace_id; parent_span } =
+  Expirel_obs.Trace.create ~trace_id
+    ?parent_span:(if parent_span = 0 then None else Some parent_span)
+    ()
 
 type trace_entry = {
   node : string;
@@ -158,6 +171,33 @@ let shard_owner map key =
     let n = List.length shards in
     (List.nth shards (value_hash key mod n)).shard_id
 
+type want =
+  | Want_rows
+  | Want_sketch
+  | Want_agg
+
+type shard_body =
+  | Body_rows of {
+      columns : string list;
+      rows : (Value.t list * Time.t) list;
+      texp_e : Time.t;
+      recomputed : bool;
+    }
+  | Body_ack of string
+  | Body_sketch of {
+      columns : string list;
+      payload : string;
+          (* an Expirel_sketch.Any.to_string encoding, opaque to the
+             wire layer: the coordinator decodes and merges partials *)
+    }
+  | Body_agg of {
+      columns : string list;
+      child_texp : Time.t;  (* texp(e) of the shard-local child *)
+      groups : Expirel_exec.Partial_agg.group list;
+          (* per-group expiration-slice partials; the coordinator
+             merges them across shards and finalises once *)
+    }
+
 type request =
   | Exec of string
   | Subscribe of { name : string; query : string }
@@ -177,31 +217,15 @@ type request =
   | Health
   | Shard_map_req
   | Shard_install of { map : shard_map; self_id : int }
-  | Exec_shard of { sql : string; ctx : trace_ctx option }
   | Shard_ping
   | Extract_moving of string
   | Ingest_rows of { table : string; ingest : (Value.t list * Time.t) list }
   | Purge_moved of string
-  | Sketch_shard of { sql : string; ctx : trace_ctx option }
-      (* evaluate an APPROX_COUNT/SAMPLE query's child locally and reply
-         with the folded sketch partial instead of rows *)
-  | Agg_shard of { sql : string; ctx : trace_ctx option }
-      (* evaluate a grouped aggregate's decomposed child locally and
-         reply with expiration-slice partials (Shard_agg) instead of
-         rows; AVG travels as SUM + COUNT inside the slices *)
-  | Join_shard of {
-      sql : string;
-      build_table : string;
-      build_rows : (Value.t list * Time.t) list;
-      ctx : trace_ctx option;
-    }
-      (* broadcast join: evaluate [sql] with [build_rows] standing in
-         for [build_table] (the small side's complete contents) and the
-         probe side read from local rows; reply with Shard_rows *)
   | Horizon of string option
       (* the forward expiration forecast — bucketed counts of rows
          expiring within the next Δ ticks, fan-out forecast, churn
          rates; [Some table] restricts to one table *)
+  | Shard_exec of { sql : string; ctx : trace_ctx option; want : want }
 
 type response =
   | Ok_msg of string
@@ -224,19 +248,6 @@ type response =
   | Traces_reply of trace_entry list
   | Health_reply of { level : health_level; firing : health_firing list }
   | Shard_map_reply of shard_identity option
-  | Shard_rows of {
-      shard_id : int;
-      partition : partition_texp;
-      columns : string list;
-      rows : (Value.t list * Time.t) list;
-      texp_e : Time.t;
-      recomputed : bool;
-    }
-  | Shard_ack of {
-      shard_id : int;
-      partition : partition_texp;
-      message : string;
-    }
   | Shard_pong of {
       shard_id : int;
       pong_map_version : int;
@@ -244,26 +255,10 @@ type response =
       partition : partition_texp;
     }
   | Moved_rows of (int * (Value.t list * Time.t) list) list
-  | Shard_sketch of {
-      shard_id : int;
-      partition : partition_texp;
-      columns : string list;
-      payload : string;
-          (* an Expirel_sketch.Any.to_string encoding, opaque to the
-             wire layer: the coordinator decodes and merges partials *)
-    }
-  | Shard_agg of {
-      shard_id : int;
-      partition : partition_texp;
-      columns : string list;
-      child_texp : Time.t;  (* texp(e) of the shard-local child *)
-      groups : Expirel_exec.Partial_agg.group list;
-          (* per-group expiration-slice partials; the coordinator
-             merges them across shards and finalises once *)
-    }
   | Horizon_reply of Expirel_obs.Horizon.report
       (* bucket counts are disjoint row sets, so the coordinator merges
          per-shard replies by bucket-wise addition — exactly *)
+  | Shard_reply of { partition : partition_texp; body : shard_body }
 
 (* ---------- writer ---------- *)
 
@@ -421,6 +416,26 @@ let put_group b (g : Expirel_exec.Partial_agg.group) =
   put_list b put_value g.key;
   put_list b put_slice g.slices
 
+let put_body b = function
+  | Body_rows { columns; rows; texp_e; recomputed } ->
+    put_u8 b 1;
+    put_list b put_str columns;
+    put_list b put_row rows;
+    put_time b texp_e;
+    put_bool b recomputed
+  | Body_ack message ->
+    put_u8 b 2;
+    put_str b message
+  | Body_sketch { columns; payload } ->
+    put_u8 b 3;
+    put_list b put_str columns;
+    put_str b payload
+  | Body_agg { columns; child_texp; groups } ->
+    put_u8 b 4;
+    put_list b put_str columns;
+    put_time b child_texp;
+    put_list b put_group groups
+
 let encode_request = function
   | Exec sql -> payload 1 (fun b -> put_str b sql)
   | Subscribe { name; query } ->
@@ -449,10 +464,6 @@ let encode_request = function
     payload 14 (fun b ->
         put_shard_map b map;
         put_i64 b self_id)
-  | Exec_shard { sql; ctx } ->
-    payload 15 (fun b ->
-        put_str b sql;
-        put_ctx_opt b ctx)
   | Shard_ping -> payload 16 ignore
   | Extract_moving table -> payload 17 (fun b -> put_str b table)
   | Ingest_rows { table; ingest } ->
@@ -460,20 +471,6 @@ let encode_request = function
         put_str b table;
         put_list b put_row ingest)
   | Purge_moved table -> payload 19 (fun b -> put_str b table)
-  | Sketch_shard { sql; ctx } ->
-    payload 20 (fun b ->
-        put_str b sql;
-        put_ctx_opt b ctx)
-  | Agg_shard { sql; ctx } ->
-    payload 21 (fun b ->
-        put_str b sql;
-        put_ctx_opt b ctx)
-  | Join_shard { sql; build_table; build_rows; ctx } ->
-    payload 22 (fun b ->
-        put_str b sql;
-        put_str b build_table;
-        put_list b put_row build_rows;
-        put_ctx_opt b ctx)
   | Horizon table ->
     payload 23 (fun b ->
         match table with
@@ -481,6 +478,15 @@ let encode_request = function
         | Some t ->
           put_u8 b 1;
           put_str b t)
+  | Shard_exec { sql; ctx; want } ->
+    payload 24 (fun b ->
+        put_str b sql;
+        put_ctx_opt b ctx;
+        put_u8 b
+          (match want with
+           | Want_rows -> 1
+           | Want_sketch -> 2
+           | Want_agg -> 3))
 
 let put_span b s =
   put_str b s.span_name;
@@ -584,19 +590,6 @@ let encode_response = function
           put_u8 b 1;
           put_shard_map b installed_map;
           put_i64 b self_id)
-  | Shard_rows { shard_id; partition; columns; rows; texp_e; recomputed } ->
-    payload 16 (fun b ->
-        put_i64 b shard_id;
-        put_partition b partition;
-        put_list b put_str columns;
-        put_list b put_row rows;
-        put_time b texp_e;
-        put_bool b recomputed)
-  | Shard_ack { shard_id; partition; message } ->
-    payload 17 (fun b ->
-        put_i64 b shard_id;
-        put_partition b partition;
-        put_str b message)
   | Shard_pong { shard_id; pong_map_version; now; partition } ->
     payload 18 (fun b ->
         put_i64 b shard_id;
@@ -610,20 +603,11 @@ let encode_response = function
             put_i64 b owner;
             put_list b put_row rows)
           moves)
-  | Shard_sketch { shard_id; partition; columns; payload = sketch } ->
-    payload 20 (fun b ->
-        put_i64 b shard_id;
-        put_partition b partition;
-        put_list b put_str columns;
-        put_str b sketch)
-  | Shard_agg { shard_id; partition; columns; child_texp; groups } ->
-    payload 21 (fun b ->
-        put_i64 b shard_id;
-        put_partition b partition;
-        put_list b put_str columns;
-        put_time b child_texp;
-        put_list b put_group groups)
   | Horizon_reply report -> payload 22 (fun b -> put_horizon b report)
+  | Shard_reply { partition; body } ->
+    payload 23 (fun b ->
+        put_partition b partition;
+        put_body b body)
 
 (* ---------- reader ---------- *)
 
@@ -863,6 +847,26 @@ let get_group c : Expirel_exec.Partial_agg.group =
   let slices = get_list c get_slice in
   { key; slices }
 
+let get_body c =
+  match get_u8 c with
+  | 1 ->
+    let columns = get_list c get_str in
+    let rows = get_list c get_row in
+    let texp_e = get_time c in
+    let recomputed = get_bool c in
+    Body_rows { columns; rows; texp_e; recomputed }
+  | 2 -> Body_ack (get_str c)
+  | 3 ->
+    let columns = get_list c get_str in
+    let payload = get_str c in
+    Body_sketch { columns; payload }
+  | 4 ->
+    let columns = get_list c get_str in
+    let child_texp = get_time c in
+    let groups = get_list c get_group in
+    Body_agg { columns; child_texp; groups }
+  | n -> raise (Bad (Printf.sprintf "bad shard body tag %d" n))
+
 let decode_request data =
   decode ~what:"request" data ~by:(fun c -> function
     | 1 -> Exec (get_str c)
@@ -892,10 +896,6 @@ let decode_request data =
       let map = get_shard_map c in
       let self_id = get_i64 c in
       Shard_install { map; self_id }
-    | 15 ->
-      let sql = get_str c in
-      let ctx = get_ctx_opt c in
-      Exec_shard { sql; ctx }
     | 16 -> Shard_ping
     | 17 -> Extract_moving (get_str c)
     | 18 ->
@@ -903,25 +903,22 @@ let decode_request data =
       let ingest = get_list c get_row in
       Ingest_rows { table; ingest }
     | 19 -> Purge_moved (get_str c)
-    | 20 ->
-      let sql = get_str c in
-      let ctx = get_ctx_opt c in
-      Sketch_shard { sql; ctx }
-    | 21 ->
-      let sql = get_str c in
-      let ctx = get_ctx_opt c in
-      Agg_shard { sql; ctx }
-    | 22 ->
-      let sql = get_str c in
-      let build_table = get_str c in
-      let build_rows = get_list c get_row in
-      let ctx = get_ctx_opt c in
-      Join_shard { sql; build_table; build_rows; ctx }
     | 23 ->
       (match get_u8 c with
        | 0 -> Horizon None
        | 1 -> Horizon (Some (get_str c))
        | n -> raise (Bad (Printf.sprintf "bad table presence byte %d" n)))
+    | 24 ->
+      let sql = get_str c in
+      let ctx = get_ctx_opt c in
+      let want =
+        match get_u8 c with
+        | 1 -> Want_rows
+        | 2 -> Want_sketch
+        | 3 -> Want_agg
+        | n -> raise (Bad (Printf.sprintf "bad want byte %d" n))
+      in
+      Shard_exec { sql; ctx; want }
     | n -> raise (Bad (Printf.sprintf "unknown request tag %d" n)))
 
 let get_span c =
@@ -1035,19 +1032,6 @@ let decode_response data =
          let self_id = get_i64 c in
          Shard_map_reply (Some { installed_map; self_id })
        | n -> raise (Bad (Printf.sprintf "bad shard-map presence byte %d" n)))
-    | 16 ->
-      let shard_id = get_i64 c in
-      let partition = get_partition c in
-      let columns = get_list c get_str in
-      let rows = get_list c get_row in
-      let texp_e = get_time c in
-      let recomputed = get_bool c in
-      Shard_rows { shard_id; partition; columns; rows; texp_e; recomputed }
-    | 17 ->
-      let shard_id = get_i64 c in
-      let partition = get_partition c in
-      let message = get_str c in
-      Shard_ack { shard_id; partition; message }
     | 18 ->
       let shard_id = get_i64 c in
       let pong_map_version = get_i64 c in
@@ -1060,20 +1044,11 @@ let decode_response data =
              let owner = get_i64 c in
              let rows = get_list c get_row in
              (owner, rows)))
-    | 20 ->
-      let shard_id = get_i64 c in
-      let partition = get_partition c in
-      let columns = get_list c get_str in
-      let payload = get_str c in
-      Shard_sketch { shard_id; partition; columns; payload }
-    | 21 ->
-      let shard_id = get_i64 c in
-      let partition = get_partition c in
-      let columns = get_list c get_str in
-      let child_texp = get_time c in
-      let groups = get_list c get_group in
-      Shard_agg { shard_id; partition; columns; child_texp; groups }
     | 22 -> Horizon_reply (get_horizon c)
+    | 23 ->
+      let partition = get_partition c in
+      let body = get_body c in
+      Shard_reply { partition; body }
     | n -> raise (Bad (Printf.sprintf "unknown response tag %d" n)))
 
 (* ---------- framing ---------- *)
@@ -1250,17 +1225,6 @@ let rec pp_response ppf = function
         Format.fprintf ppf "@\n  shard %d at %s:%d" s.shard_id s.shard_host
           s.shard_port)
       installed_map.shards
-  | Shard_rows { shard_id; partition; columns; rows; texp_e; recomputed } ->
-    pp_response ppf (Rows { columns; rows; texp_e; recomputed });
-    Format.fprintf ppf "@\n[shard %d: %d live row(s), texp in [%s, %s]]"
-      shard_id partition.live_rows
-      (Time.to_string partition.min_texp)
-      (Time.to_string partition.max_texp)
-  | Shard_ack { shard_id; partition; message } ->
-    Format.fprintf ppf "%s@\n[shard %d: %d live row(s), texp in [%s, %s]]"
-      message shard_id partition.live_rows
-      (Time.to_string partition.min_texp)
-      (Time.to_string partition.max_texp)
   | Shard_pong { shard_id; pong_map_version; now; partition } ->
     Format.fprintf ppf
       "shard %d: map v%d, now %s, %d live row(s), texp in [%s, %s]" shard_id
@@ -1273,27 +1237,26 @@ let rec pp_response ppf = function
       (fun (owner, rows) ->
         Format.fprintf ppf "@\n  shard %d: %d row(s)" owner (List.length rows))
       moves
-  | Shard_sketch { shard_id; partition; columns; payload } ->
-    Format.fprintf ppf
-      "sketch partial from shard %d (%d byte(s), columns %s)@\n\
-       [shard %d: %d live row(s), texp in [%s, %s]]"
-      shard_id (String.length payload)
-      (String.concat ", " columns)
-      shard_id partition.live_rows
-      (Time.to_string partition.min_texp)
-      (Time.to_string partition.max_texp)
-  | Shard_agg { shard_id; partition; columns; child_texp; groups } ->
-    Format.fprintf ppf
-      "aggregate partial from shard %d (%d group(s), columns %s, child \
-       texp(e) = %s)@\n\
-       [shard %d: %d live row(s), texp in [%s, %s]]"
-      shard_id (List.length groups)
-      (String.concat ", " columns)
-      (Time.to_string child_texp)
-      shard_id partition.live_rows
-      (Time.to_string partition.min_texp)
-      (Time.to_string partition.max_texp)
   | Horizon_reply report ->
     Format.pp_print_string ppf (Expirel_obs.Horizon.render report)
+  | Shard_reply { partition; body } ->
+    (match body with
+     | Body_rows { columns; rows; texp_e; recomputed } ->
+       pp_response ppf (Rows { columns; rows; texp_e; recomputed })
+     | Body_ack message -> Format.pp_print_string ppf message
+     | Body_sketch { columns; payload } ->
+       Format.fprintf ppf "sketch partial (%d byte(s), columns %s)"
+         (String.length payload)
+         (String.concat ", " columns)
+     | Body_agg { columns; child_texp; groups } ->
+       Format.fprintf ppf
+         "aggregate partial (%d group(s), columns %s, child texp(e) = %s)"
+         (List.length groups)
+         (String.concat ", " columns)
+         (Time.to_string child_texp));
+    Format.fprintf ppf "@\n[partition: %d live row(s), texp in [%s, %s]]"
+      partition.live_rows
+      (Time.to_string partition.min_texp)
+      (Time.to_string partition.max_texp)
 
 let render_response r = Format.asprintf "%a" pp_response r

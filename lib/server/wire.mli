@@ -78,7 +78,7 @@ val version : int
     [Exec_shard] for a decomposable GROUP BY/aggregate query whose
     reply carries expiration-slice partials instead of rows — AVG
     travels as SUM + COUNT inside the slices, never pre-averaged) and
-    [Join_shard] (22, a broadcast join: the small build side's complete
+    the broadcast-join request (22: the small build side's complete
     rows ride along and the shard joins them against its local probe
     fragment, replying with ordinary [Shard_rows]); response
     [Shard_agg] (21, the shard's per-group slice partials plus the
@@ -94,6 +94,21 @@ val version : int
     gathering cluster-wide horizons) and response [Horizon_reply] (22,
     the per-table bucketed forecast plus fan-out and churn figures,
     merged bucket-wise across shards).
+    v9 — one coordinator-to-shard statement RPC.  This bump is
+    {e required}: tags were removed.  Requests [Exec_shard] (15),
+    [Sketch_shard] (20) and [Agg_shard] (21) became one [Shard_exec]
+    (24), and the broadcast-join request (22) is gone with the
+    broadcast join itself.  [Shard_exec] carries the SQL string, the
+    optional trace context, then one [want] byte — 1 rows-or-ack,
+    2 sketch partial, 3 aggregate partial.  Responses
+    [Shard_rows] (16), [Shard_ack] (17), [Shard_sketch] (20) and
+    [Shard_agg] (21) became one envelope [Shard_reply] (23): the
+    {!partition_texp} summary, then a body tag byte — 1 rows (columns,
+    rows, [texp_e], recomputed), 2 ack (message), 3 sketch (columns,
+    payload), 4 aggregate (columns, child [texp(e)], groups).  The
+    envelope drops the v5–v8 replies' shard id: the coordinator knows
+    which slot it asked.  [Ingest_rows] and [Purge_moved] answer with
+    an ack body; [Shard_pong] is unchanged.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer
@@ -198,6 +213,16 @@ type trace_ctx = {
 (** Propagated trace context: a node receiving one records its spans
     under the caller's trace instead of minting a fresh id. *)
 
+val ctx_of_trace : Expirel_obs.Trace.t -> trace_ctx
+(** The context a remote call made right now should carry: the trace's
+    id, and its innermost open span ([0] when none is open) as the
+    remote side's root parent. *)
+
+val trace_of_ctx : trace_ctx -> Expirel_obs.Trace.t
+(** A fresh trace recording under the caller's id, its top-level spans
+    nested under [parent_span] (none when [0]) — the inverse of
+    {!ctx_of_trace} across the wire. *)
+
 type trace_entry = {
   node : string;  (** name of the node that recorded the trace *)
   entry_trace_id : string;
@@ -248,7 +273,7 @@ type partition_texp = {
   max_texp : Time.t;  (** max over live tuples; [Inf] when none *)
 }
 (** The {!Expirel_core.Relation} texp bounds lifted to a whole shard:
-    piggybacked on every [Exec_shard] reply and [Shard_pong] so the
+    piggybacked on every [Shard_reply] and [Shard_pong] so the
     coordinator can prove a partition empty at some [tau]
     ([live_rows = 0], or [max_texp <= tau]) without contacting it. *)
 
@@ -258,6 +283,56 @@ val shard_owner : shard_map -> Value.t -> int
     modulo the shard count.  Pure and deterministic across processes —
     this single definition is the routing contract of the protocol.
     @raise Invalid_argument on an empty map *)
+
+type want =
+  | Want_rows
+      (** the statement's own answer: rows for a query, an ack message
+          for anything else *)
+  | Want_sketch
+      (** for an [APPROX_COUNT]/[SAMPLE] query: the shard folds the
+          query's child over its own partition into a bounded-memory
+          sketch — constant-size on the wire regardless of partition
+          cardinality *)
+  | Want_agg
+      (** for a decomposable GROUP BY/aggregate query: the shard
+          condenses the aggregate's child over its own partition into
+          per-group expiration-slice partials
+          ({!Expirel_exec.Partial_agg}) — per group at most two slices
+          for COUNT, one per distinct expiration time otherwise, with
+          AVG travelling as its SUM and COUNT components *)
+(** What a coordinator asks a shard to answer a statement with. *)
+
+type shard_body =
+  | Body_rows of {
+      columns : string list;
+      rows : (Value.t list * Time.t) list;
+      texp_e : Time.t;
+      recomputed : bool;
+    }
+      (** [Rows]: the coordinator merges the row sets and reports the
+          min of the partial [texp_e]s (the paper's union rule — exact
+          here because hash partitions are disjoint) *)
+  | Body_ack of string  (** [Ok_msg] *)
+  | Body_sketch of { columns : string list; payload : string }
+      (** a sketch partial: [payload] is an opaque
+          {!Expirel_sketch.Any.to_string} encoding the coordinator
+          decodes, merges across shards (sketches are shard-
+          decomposable) and queries at its own tau; the merged answer's
+          [texp_e] is the merged sketch's horizon *)
+  | Body_agg of {
+      columns : string list;
+      child_texp : Time.t;
+      groups : Expirel_exec.Partial_agg.group list;
+    }
+      (** a grouped-aggregate partial: per-group expiration slices the
+          coordinator merges with {!Expirel_exec.Partial_agg.merge_all}
+          and finalises once — the distributed query's rows and texps
+          come out identical to a single node holding all rows, because
+          the slice components (counts, sums, extrema) are
+          partition-decomposable and the finalisation is shared code,
+          not a reimplementation *)
+(** The payload of a {!Shard_reply}, one per {!want} (acks also answer
+    the rebalance writes). *)
 
 type request =
   | Exec of string  (** one sqlx statement *)
@@ -300,11 +375,6 @@ type request =
       (** the coordinator's handshake: install [map] and identify as
           shard [self_id].  Refused when [self_id] is not in the map or
           [map.map_version] is lower than the installed one. *)
-  | Exec_shard of { sql : string; ctx : trace_ctx option }
-      (** [Exec] as issued by a coordinator: queries answer with
-          [Shard_rows], other statements with [Shard_ack] — both
-          piggyback the {!partition_texp} summary so every reply
-          refreshes the coordinator's pruning cache *)
   | Shard_ping
       (** cluster heartbeat ([Shard_pong]): refreshes the partition
           summary and reports the node's map version and clock *)
@@ -321,38 +391,19 @@ type request =
       (** rebalance, step three: delete the named table's rows the
           installed map no longer assigns here — only after the new
           owners acknowledged their [Ingest_rows] *)
-  | Sketch_shard of { sql : string; ctx : trace_ctx option }
-      (** [Exec_shard] for an [APPROX_COUNT]/[SAMPLE] query: the shard
-          evaluates the query's child over its own partition, folds it
-          into a bounded-memory sketch and replies with the serialised
-          partial ([Shard_sketch]) instead of rows — constant-size on
-          the wire regardless of partition cardinality *)
-  | Agg_shard of { sql : string; ctx : trace_ctx option }
-      (** [Exec_shard] for a decomposable GROUP BY/aggregate query: the
-          shard evaluates the aggregate's child over its own partition,
-          condenses it into per-group expiration-slice partials
-          ({!Expirel_exec.Partial_agg}) and replies with [Shard_agg] —
-          per group at most two slices for COUNT, one per distinct
-          expiration time otherwise, regardless of member count, with
-          AVG travelling as its SUM and COUNT components *)
-  | Join_shard of {
-      sql : string;
-      build_table : string;
-      build_rows : (Value.t list * Time.t) list;
-      ctx : trace_ctx option;
-    }
-      (** broadcast join: the shard evaluates [sql] with [build_rows]
-          — the small side's complete, cluster-wide contents —
-          standing in for [build_table], probing its own fragment of
-          the other table, and replies with ordinary [Shard_rows];
-          probe fragments are disjoint, so the coordinator's union of
-          per-shard results is the exact join *)
   | Horizon of string option
       (** the forward expiration forecast ([Horizon_reply]): per-table
           bucketed counts of live rows by ticks-to-expiry, the
           subscription fan-out forecast for the next window, and churn
           rates.  [Some table] restricts the profile to one table
           (unknown tables answer [Err]). *)
+  | Shard_exec of { sql : string; ctx : trace_ctx option; want : want }
+      (** a statement issued by a coordinator, answered with a
+          [Shard_reply] whose body is what [want] asks for — or [Err].
+          The shard takes its lock once: the statement and the
+          {!partition_texp} summary the reply piggybacks read one
+          state, so every reply refreshes the coordinator's pruning
+          cache with the partition the statement left behind *)
 
 type response =
   | Ok_msg of string
@@ -388,23 +439,6 @@ type response =
           an empty [firing] list means every rule read healthy *)
   | Shard_map_reply of shard_identity option
       (** [None] on a node no coordinator has claimed yet *)
-  | Shard_rows of {
-      shard_id : int;
-      partition : partition_texp;
-      columns : string list;
-      rows : (Value.t list * Time.t) list;
-      texp_e : Time.t;
-      recomputed : bool;
-    }
-      (** [Rows] plus the answering shard's identity and partition
-          summary; the coordinator merges the row sets and reports the
-          min of the partial [texp_e]s (the paper's union rule — exact
-          here because hash partitions are disjoint) *)
-  | Shard_ack of {
-      shard_id : int;
-      partition : partition_texp;
-      message : string;
-    }  (** [Ok_msg] plus identity and partition summary *)
   | Shard_pong of {
       shard_id : int;
       pong_map_version : int;
@@ -415,36 +449,15 @@ type response =
     }
   | Moved_rows of (int * (Value.t list * Time.t) list) list
       (** rows leaving the answering shard, grouped by new owner id *)
-  | Shard_sketch of {
-      shard_id : int;
-      partition : partition_texp;
-      columns : string list;
-      payload : string;
-    }
-      (** a shard's sketch partial: [payload] is an opaque
-          {!Expirel_sketch.Any.to_string} encoding the coordinator
-          decodes, merges across shards (sketches are shard-
-          decomposable) and queries at its own tau; the merged answer's
-          [texp_e] is the merged sketch's horizon *)
-  | Shard_agg of {
-      shard_id : int;
-      partition : partition_texp;
-      columns : string list;
-      child_texp : Time.t;
-      groups : Expirel_exec.Partial_agg.group list;
-    }
-      (** a shard's grouped-aggregate partial: per-group expiration
-          slices the coordinator merges with
-          {!Expirel_exec.Partial_agg.merge_all} and finalises once —
-          the distributed query's rows and texps come out identical to
-          a single node holding all rows, because the slice components
-          (counts, sums, extrema) are partition-decomposable and the
-          finalisation is shared code, not a reimplementation *)
   | Horizon_reply of Expirel_obs.Horizon.report
       (** the node's expiration forecast.  Buckets count disjoint row
           sets, so a coordinator rolls per-shard replies up with
           {!Expirel_obs.Horizon.merge_reports} — bucket-wise addition,
           exact by construction *)
+  | Shard_reply of { partition : partition_texp; body : shard_body }
+      (** the answer to [Shard_exec], [Ingest_rows] and [Purge_moved]:
+          the shard's partition summary as the statement left it, and
+          the body *)
 
 (** {1 Codecs} — payloads only (no length prefix) *)
 

@@ -288,45 +288,6 @@ let aggregate_partial ?trace t { Ast.q; at; order_by = _; limit = _ } =
   in
   (lowered.Lower.columns, partial, child_texp)
 
-(* Shard-side half of a distributed broadcast join: evaluate the full
-   query over this shard's local rows, with the (small) build side's
-   complete table — shipped in [rows] — standing in for the local
-   fragment of [table].  Probe partitions are disjoint across shards, so
-   the union of the per-shard results is the exact join. *)
-let join_broadcast ?trace t { Ast.q; at; order_by = _; limit = _ } ~table
-    ~(rows : (Value.t list * Time.t) list) =
-  if at <> None then failwith "join_broadcast: AT not supported";
-  let { Lower.expr; columns; approx } =
-    Trace.span trace "lower" (fun () ->
-        Lower.lower_query ~catalog:(catalog t) q)
-  in
-  if approx <> None then failwith "join_broadcast: approximate query";
-  let build =
-    let arity =
-      match rows with
-      | (vs, _) :: _ -> List.length vs
-      | [] ->
-        (match catalog t table with
-         | Some cols -> List.length cols
-         | None -> 0)
-    in
-    List.fold_left
-      (fun acc (vs, texp) -> Relation.add (Tuple.of_list vs) ~texp acc)
-      (Relation.empty ~arity) rows
-  in
-  let compiled =
-    Trace.span trace "plan" (fun () -> Planner.plan ~db:t.db expr)
-  in
-  let { Eval.relation; texp } =
-    Trace.span trace "eval" (fun () ->
-        Executor.run ?probe:(xprobe_of trace) ~stand_in:(table, build)
-          ~db:t.db compiled)
-  in
-  ( columns,
-    List.map (fun (tuple, e) -> (Tuple.to_list tuple, e))
-      (Relation.to_list relation),
-    texp )
-
 let view_name_taken t name =
   Hashtbl.mem t.views name || Hashtbl.mem t.maintained_views name
 

@@ -128,23 +128,6 @@ val aggregate_partial :
     Raises [Failure] when the query does not decompose or the [AT] time
     is past, plus whatever lowering and evaluation raise. *)
 
-val join_broadcast :
-  ?trace:Expirel_obs.Trace.t ->
-  t ->
-  Ast.query_stmt ->
-  table:string ->
-  rows:(Expirel_core.Value.t list * Expirel_core.Time.t) list ->
-  string list
-  * (Expirel_core.Value.t list * Expirel_core.Time.t) list
-  * Expirel_core.Time.t
-(** Shard-side half of a distributed broadcast join: evaluates the full
-    query with the shipped [rows] standing in for [table] (the build
-    side's complete contents) and every other table read from local
-    rows.  Returns columns, result rows with their expirations, and
-    texp(e); the coordinator unions per-shard results under the union
-    rule.  Raises [Failure] on [AT] or approximate queries, plus
-    whatever lowering and evaluation raise. *)
-
 val exec_sql : t -> string -> (outcome, string) result
 (** Parse and execute one statement, reusing both the statement cache
     and the plan cache for repeated texts. *)

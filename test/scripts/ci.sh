@@ -13,6 +13,12 @@ dune build lib/exec
 dune build lib/sketch
 dune build @all
 dune runtest
+# The sessions ledger, 3 s traced per gated workload: it exits 1 when
+# its correctness gate fails or the per-layer breakdown stops
+# reconciling with client latency — e.g. when a shard path stops
+# recording its trace entry.
+python3 perfbench/run.py --workload cluster-fanout --seed 1 --seconds 3 --trace 1
+python3 perfbench/run.py --workload session-churn --seed 1 --seconds 3 --trace 1
 # The bench smokes below run at CI size.  Every experiment writes
 # BENCH_<id>.json into its working directory, so run them from a
 # scratch directory: the committed BENCH_*.json at the root hold the
@@ -38,7 +44,7 @@ SMOKE_DIR=$(mktemp -d)
 # The full 10^5/10^6 sweep is for BENCH_vexec.json.
 (cd "$SMOKE_DIR" && EXPIREL_VEXEC_ROWS=20000 "$BENCH" vexec)
 # Smoke the cluster experiment (3 in-process shards: scatter-gather,
-# pruning, slice-partial GROUP BY, broadcast joins); it fails hard if a
+# pruning, slice-partial GROUP BY, gathered joins); it fails hard if a
 # GROUP BY combined from slice partials answers differently from the
 # gather-then-compute path.
 (cd "$SMOKE_DIR" && "$BENCH" cluster)
@@ -187,8 +193,9 @@ echo "$CLUSTER_OUT" | grep -E '20 \| 35, 1$'
 # AVG travels as SUM + COUNT and is divided once, at the coordinator.
 echo "$CLUSTER_OUT" | grep -F "texp | avg(deg)"
 echo "$CLUSTER_OUT" | grep -E '10 \| 28\.3333$'
-# The broadcast hash join ships the small side (tags) to every shard;
-# each joins it against its disjoint pol fragment.
+# A join on a column other than the partitioning key gathers both
+# tables to the coordinator (one contact per shard per table) and
+# joins them there.
 echo "$CLUSTER_OUT" | grep -F "texp | pol.uid, deg, tags.uid, tag"
 echo "$CLUSTER_OUT" | grep -E '10 \| 1, 25, 9, 25$'
 echo "$CLUSTER_OUT" | grep -E '15 \| 2, 25, 9, 25$'

@@ -560,8 +560,8 @@ let test_refusals () =
    of [qs] answers identically: same row set with identical per-row
    texps, identical texp(e), and the same listing when ORDER BY fixes
    the order.  These queries flow through the new routes: decomposed
-   slice partials, co-partitioned and broadcast joins, and the
-   gather-then-compute fallback. *)
+   slice partials, co-partitioned joins, and the gather-then-compute
+   fallback. *)
 let check_against_single_node ~shards ~statements qs =
   with_cluster shards (fun coord _servers _eps ->
       let single = Server.create ~config:shard_config () in
@@ -598,11 +598,21 @@ let check_against_single_node ~shards ~statements qs =
                 qs)))
 
 let test_distributed_groupby_joins () =
-  check_against_single_node ~shards:3
-    ~statements:
-      (statements
-      @ [ (* a tag equal to a pol degree gives the broadcast join hits *)
-          "INSERT INTO aux VALUES (12, 30) EXPIRES 22" ])
+  let statements =
+    statements
+    @ [ (* a tag equal to a pol degree gives the gathered join hits *)
+        "INSERT INTO aux VALUES (12, 30) EXPIRES 22" ]
+  in
+  (* A join that is not co-partitioned gathers each base table once:
+     one contact per shard per table. *)
+  with_cluster 3 (fun coord _servers _eps ->
+      List.iter (fun sql -> ignore (exec coord sql)) statements;
+      let before = Coordinator.traffic coord in
+      ignore (exec coord "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag");
+      let after = Coordinator.traffic coord in
+      Alcotest.(check int) "one contact per shard per gathered table" (3 * 2)
+        (after.Coordinator.messages - before.Coordinator.messages));
+  check_against_single_node ~shards:3 ~statements
     [ (* grouped and global aggregates from slice partials *)
       "SELECT deg, COUNT(*) FROM pol GROUP BY deg ORDER BY deg";
       "SELECT deg, SUM(uid) FROM pol GROUP BY deg ORDER BY deg";
@@ -615,18 +625,19 @@ let test_distributed_groupby_joins () =
       "SELECT deg, COUNT(*) FROM pol GROUP BY deg ORDER BY deg AT 15";
       (* co-partitioned join: the condition equates both hash keys *)
       "SELECT * FROM pol JOIN aux ON pol.uid = aux.uid";
-      (* broadcast join: join key is not the partitioning column *)
+      (* gather-then-compute fallback: a join whose key is not the
+         partitioning column, with and without AT, projected EXCEPT,
+         aggregate over a join *)
       "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag";
-      (* gather-then-compute fallback: projected EXCEPT, aggregate over
-         a join, AT-qualified broadcast join *)
       "SELECT uid FROM pol EXCEPT SELECT uid FROM aux";
       "SELECT COUNT(*) FROM pol JOIN aux ON pol.uid = aux.uid";
       "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag AT 15" ]
 
-(* Table 1's COUNT form on the wire: a shard answers a COUNT Agg_shard
-   with at most two slices per group — the rows expiring at the group's
-   earliest texp on that shard, then the rest under its latest —
-   however many distinct texps the group's rows carry. *)
+(* Table 1's COUNT form on the wire: a shard answers a COUNT aggregate
+   partial request with at most two slices per group — the rows
+   expiring at the group's earliest texp on that shard, then the rest
+   under its latest — however many distinct texps the group's rows
+   carry. *)
 let test_count_partial_two_slices () =
   with_cluster 3 (fun coord servers _eps ->
       ignore (exec coord "CREATE TABLE s (uid, grp)");
@@ -652,8 +663,13 @@ let test_count_partial_two_slices () =
                   (no_err "local rows"
                      (ok (Client.exec c "SELECT uid, grp FROM s")))
               in
-              match ok (Client.request c (Wire.Agg_shard { sql; ctx = None })) with
-              | Wire.Shard_agg { groups; _ } ->
+              match
+                ok
+                  (Client.request c
+                     (Wire.Shard_exec
+                        { sql; ctx = None; want = Wire.Want_agg }))
+              with
+              | Wire.Shard_reply { body = Wire.Body_agg { groups; _ }; _ } ->
                 Alcotest.(check bool) "the shard holds groups" true (groups <> []);
                 List.iter
                   (fun { Expirel_exec.Partial_agg.key; slices } ->
@@ -684,7 +700,7 @@ let test_count_partial_two_slices () =
                     | [] -> Alcotest.fail "a group without slices")
                   groups
               | r ->
-                Alcotest.failf "expected Shard_agg, got %s"
+                Alcotest.failf "expected an aggregate partial, got %s"
                   (Wire.render_response r)))
         servers;
       let rows, _ = rows_of sql (exec coord (sql ^ " ORDER BY grp")) in

@@ -731,6 +731,93 @@ let prop_partition_summary =
       let got = Server.partition_summary server in
       (got.Wire.live_rows, got.Wire.min_texp, got.Wire.max_texp) = expected)
 
+(* ---------- coordinator-issued statements ---------- *)
+
+let shard_exec client ?ctx ~want sql =
+  ok (Client.request client (Wire.Shard_exec { sql; ctx; want }))
+
+(* A shard statement reads its reply's partition summary under the lock
+   the statement ran under, so an INSERT into an empty node reports the
+   row it wrote.  A v8 peer's [Exec_shard] frame gets the typed
+   [Version_mismatch], not a dropped connection. *)
+let test_shard_exec_summary () =
+  with_server (fun _server port ->
+      with_client port (fun client ->
+          let live sql =
+            match shard_exec client ~want:Wire.Want_rows sql with
+            | Wire.Shard_reply { partition; body = Wire.Body_ack _ } ->
+              partition.Wire.live_rows
+            | r ->
+              Alcotest.fail ("expected an ack, got " ^ Wire.render_response r)
+          in
+          Alcotest.(check int) "empty node" 0
+            (live "CREATE TABLE s (uid, grp)");
+          Alcotest.(check int) "the insert's own row" 1
+            (live "INSERT INTO s VALUES (1, 7) EXPIRES 10");
+          match shard_exec client ~want:Wire.Want_rows "SELECT uid FROM s" with
+          | Wire.Shard_reply
+              { partition;
+                body = Wire.Body_rows { rows = [ ([ v ], texp) ]; _ }
+              } ->
+            Alcotest.(check bool) "row and texp" true
+              (Value.equal v (Value.int 1) && Time.equal texp (fin 10));
+            Alcotest.(check bool) "summary bounds" true
+              (Time.equal partition.Wire.min_texp (fin 10)
+              && Time.equal partition.Wire.max_texp (fin 10))
+          | r ->
+            Alcotest.fail ("expected one row, got " ^ Wire.render_response r));
+      let sock = Unix.socket PF_INET SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          (* v8's Exec_shard: version 8, tag 15, the SQL, no context *)
+          let (_ : int) =
+            Frame.send sock "\x08\x0f\x00\x00\x00\x08SELECT 1\x00"
+          in
+          let payload, _ = Frame.recv sock in
+          match Wire.decode_response payload with
+          | Ok (Wire.Err { code = Wire.Version_mismatch; _ }) -> ()
+          | Ok r ->
+            Alcotest.fail
+              ("expected version mismatch, got " ^ Wire.render_response r)
+          | Error e -> Alcotest.fail ("undecodable reply: " ^ e)))
+
+(* An aggregate partial waits for the lock inside its trace: the entry
+   recorded under the coordinator's context shows the wait as a
+   [rwlock_wait] span, so it is never unattributed shard time. *)
+let test_shard_exec_lock_span () =
+  with_server (fun _server port ->
+      with_client port (fun client ->
+          ok (Client.exec_ok client "CREATE TABLE s (uid, grp)");
+          ok (Client.exec_ok client "INSERT INTO s VALUES (1, 7) EXPIRES 10");
+          let ctx = { Wire.trace_id = "agg-partial-1"; parent_span = 3 } in
+          (match
+             shard_exec client ~ctx ~want:Wire.Want_agg
+               "SELECT grp, COUNT(*) FROM s GROUP BY grp"
+           with
+           | Wire.Shard_reply { body = Wire.Body_agg { groups = [ _ ]; _ }; _ }
+             ->
+             ()
+           | r ->
+             Alcotest.fail
+               ("expected one group, got " ^ Wire.render_response r));
+          match
+            List.find_opt
+              (fun (e : Wire.trace_entry) -> e.entry_trace_id = "agg-partial-1")
+              (ok (Client.traces client 10))
+          with
+          | None -> Alcotest.fail "aggregate partial left no trace entry"
+          | Some e ->
+            let names =
+              List.map (fun (s : Wire.span) -> s.span_name) e.Wire.entry_spans
+            in
+            List.iter
+              (fun stage ->
+                Alcotest.(check bool) ("span: " ^ stage) true
+                  (List.mem stage names))
+              [ "parse"; "rwlock_wait"; "op:aggregate" ]))
+
 let suite =
   [ Alcotest.test_case "smoke: rows travel with texp and texp(e)" `Quick test_smoke;
     Alcotest.test_case "subscription events at exact logical times" `Quick
@@ -765,4 +852,8 @@ let suite =
       `Quick test_metrics_horizon_families;
     Alcotest.test_case "METRICS: plan-cache counters" `Quick
       test_plan_cache_metrics;
+    Alcotest.test_case "shard exec: one lock covers the reply's summary"
+      `Quick test_shard_exec_summary;
+    Alcotest.test_case "shard exec: aggregate partial traces its lock wait"
+      `Quick test_shard_exec_lock_span;
     prop_partition_summary ]

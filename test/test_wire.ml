@@ -61,6 +61,9 @@ let partition_texp : Wire.partition_texp Gen.t =
 
 let moved = Gen.list_size (Gen.int_range 0 4) (Gen.pair row time)
 
+let want : Wire.want Gen.t =
+  Gen.oneofl [ Wire.Want_rows; Wire.Want_sketch; Wire.Want_agg ]
+
 let request : Wire.request Gen.t =
   Gen.oneof
     [ Gen.map (fun s -> Wire.Exec s) name;
@@ -84,30 +87,18 @@ let request : Wire.request Gen.t =
       Gen.map2
         (fun map self_id -> Wire.Shard_install { map; self_id })
         shard_map_gen (Gen.int_range 0 1_000);
-      Gen.map2
-        (fun sql ctx -> Wire.Exec_shard { sql; ctx })
-        name (Gen.option trace_ctx);
       Gen.return Wire.Shard_ping;
       Gen.map (fun t -> Wire.Extract_moving t) name;
       Gen.map2
         (fun table ingest -> Wire.Ingest_rows { table; ingest })
         name moved;
       Gen.map (fun t -> Wire.Purge_moved t) name;
-      (* v6/v7 shard-local evaluation requests *)
-      Gen.map2
-        (fun sql ctx -> Wire.Sketch_shard { sql; ctx })
-        name (Gen.option trace_ctx);
-      Gen.map2
-        (fun sql ctx -> Wire.Agg_shard { sql; ctx })
-        name (Gen.option trace_ctx);
-      (let open Gen in
-       let* sql = name in
-       let* build_table = name in
-       let* build_rows = moved in
-       let* ctx = option trace_ctx in
-       return (Wire.Join_shard { sql; build_table; build_rows; ctx }));
       (* v8: the forward-looking expiration forecast *)
-      Gen.map (fun t -> Wire.Horizon t) (Gen.option name) ]
+      Gen.map (fun t -> Wire.Horizon t) (Gen.option name);
+      (* v9: the one coordinator-to-shard statement request *)
+      Gen.map3
+        (fun sql ctx want -> Wire.Shard_exec { sql; ctx; want })
+        name (Gen.option trace_ctx) want ]
 
 let error_code : Wire.error_code Gen.t =
   Gen.oneofl
@@ -279,6 +270,26 @@ let agg_group : Expirel_exec.Partial_agg.group Gen.t =
     row
     (Gen.list_size (Gen.int_range 0 4) slice)
 
+(* v9: every body the statement envelope carries. *)
+let shard_body : Wire.shard_body Gen.t =
+  let open Gen in
+  let columns = list_size (int_range 0 4) name in
+  oneof
+    [ (let* columns = columns in
+       let* rows = list_size (int_range 0 8) (pair row time) in
+       let* texp_e = time in
+       let* recomputed = bool in
+       return (Wire.Body_rows { columns; rows; texp_e; recomputed }));
+      map (fun m -> Wire.Body_ack m) name;
+      map2
+        (fun columns payload -> Wire.Body_sketch { columns; payload })
+        columns name;
+      map3
+        (fun columns child_texp groups ->
+          Wire.Body_agg { columns; child_texp; groups })
+        columns time
+        (list_size (int_range 0 4) agg_group) ]
+
 let response : Wire.response Gen.t =
   Gen.oneof
     [ Gen.map (fun m -> Wire.Ok_msg m) name;
@@ -323,20 +334,6 @@ let response : Wire.response Gen.t =
               shard_map_gen (Gen.int_range 0 1_000)));
       (let open Gen in
        let* shard_id = int_range 0 1_000 in
-       let* partition = partition_texp in
-       let* columns = list_size (int_range 0 4) name in
-       let* rows = list_size (int_range 0 8) (pair row time) in
-       let* texp_e = time in
-       let* recomputed = bool in
-       return
-         (Wire.Shard_rows
-            { shard_id; partition; columns; rows; texp_e; recomputed }));
-      Gen.map3
-        (fun shard_id partition message ->
-          Wire.Shard_ack { shard_id; partition; message })
-        (Gen.int_range 0 1_000) partition_texp name;
-      (let open Gen in
-       let* shard_id = int_range 0 1_000 in
        let* pong_map_version = int_range 0 1_000 in
        let* now = time in
        let* partition = partition_texp in
@@ -345,23 +342,12 @@ let response : Wire.response Gen.t =
         (fun groups -> Wire.Moved_rows groups)
         (Gen.list_size (Gen.int_range 0 4)
            (Gen.pair (Gen.int_range 0 1_000) moved));
-      (* v6: an opaque sketch payload, v7: merged slice partials *)
-      (let open Gen in
-       let* shard_id = int_range 0 1_000 in
-       let* partition = partition_texp in
-       let* columns = list_size (int_range 0 4) name in
-       let* payload = name in
-       return (Wire.Shard_sketch { shard_id; partition; columns; payload }));
-      (let open Gen in
-       let* shard_id = int_range 0 1_000 in
-       let* partition = partition_texp in
-       let* columns = list_size (int_range 0 4) name in
-       let* child_texp = time in
-       let* groups = list_size (int_range 0 4) agg_group in
-       return
-         (Wire.Shard_agg { shard_id; partition; columns; child_texp; groups }));
       (* v8: the forecast reply carries the report verbatim *)
-      Gen.map (fun r -> Wire.Horizon_reply r) horizon_report ]
+      Gen.map (fun r -> Wire.Horizon_reply r) horizon_report;
+      (* v9: the statement envelope *)
+      Gen.map2
+        (fun partition body -> Wire.Shard_reply { partition; body })
+        partition_texp shard_body ]
 
 (* ---------- round-trip properties ---------- *)
 
@@ -469,6 +455,33 @@ let test_v1_payload_detected () =
   | Ok r when r = err -> ()
   | Ok _ | Error _ -> Alcotest.fail "Version_mismatch error does not round-trip"
 
+(* v9 folded the v8 shard requests and replies into [Shard_exec] and
+   [Shard_reply].  A v8 payload — here v8's [Exec_shard], tag 15 — must
+   not decode, and [payload_version] must read 8 so a server answers
+   [Version_mismatch].  Under the v9 version byte the removed tags are
+   unknown, whatever follows them. *)
+let test_v8_shard_payloads_refused () =
+  let body = "\x00\x00\x00\x08SELECT 1\x00" (* sql, no trace context *) in
+  let v8_exec_shard = "\x08\x0f" ^ body in
+  (match Wire.decode_request v8_exec_shard with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "v8 Exec_shard accepted by a v9 decoder");
+  Alcotest.(check (option int)) "payload_version reads v8" (Some 8)
+    (Wire.payload_version v8_exec_shard);
+  let unknown ~what decode tag =
+    let payload =
+      String.make 1 (Char.chr Wire.version)
+      ^ String.make 1 (Char.chr tag)
+      ^ body
+    in
+    Alcotest.(check (result reject string))
+      (Printf.sprintf "%s tag %d is unknown" what tag)
+      (Error (Printf.sprintf "bad %s: unknown %s tag %d" what what tag))
+      (Result.map ignore (decode payload))
+  in
+  List.iter (unknown ~what:"request" Wire.decode_request) [ 15; 20; 21; 22 ];
+  List.iter (unknown ~what:"response" Wire.decode_response) [ 16; 17; 20; 21 ]
+
 let test_empty_payload () =
   (match Wire.decode_request "" with
    | Error _ -> ()
@@ -569,6 +582,8 @@ let suite =
     Alcotest.test_case "unknown tag" `Quick test_unknown_tag;
     Alcotest.test_case "wrong version" `Quick test_wrong_version;
     Alcotest.test_case "v1 payload detected" `Quick test_v1_payload_detected;
+    Alcotest.test_case "v8 shard payloads refused" `Quick
+      test_v8_shard_payloads_refused;
     Alcotest.test_case "empty payload" `Quick test_empty_payload;
     Alcotest.test_case "oversized length prefix" `Quick test_oversized_length_prefix;
     Alcotest.test_case "short header is incomplete" `Quick test_short_header_incomplete;
