@@ -104,7 +104,8 @@ let substrate_tests =
        let s = Eval.relation_at ~env:env500 ~tau:Time.zero (Algebra.base "S") in
        Staged.stage (fun () -> Antijoin.diff Antijoin.Hash r s));
     Test.make ~name:"access:index-probe"
-      (let tbl = Table.create ~name:"t" ~columns:[ "a"; "b" ] () in
+      (let db = Database.create () in
+       let tbl = Database.create_table db ~name:"t" ~columns:[ "a"; "b" ] in
        let rng = Bench_util.rng 98 in
        for i = 1 to 5_000 do
          Table.insert tbl
@@ -112,8 +113,12 @@ let substrate_tests =
            ~texp:(Time.of_int (1 + Random.State.int rng 500))
        done;
        Table.create_index tbl ~column:2;
-       let p = Predicate.eq_const 2 (Value.int 7) in
-       Staged.stage (fun () -> Access.select tbl ~tau:(Time.of_int 100) p)) ]
+       let plan =
+         Expirel_exec.Planner.plan ~db
+           Algebra.(select (Predicate.eq_const 2 (Value.int 7)) (base "t"))
+       in
+       Staged.stage (fun () ->
+           Expirel_exec.Executor.run ~tau:(Time.of_int 100) ~db plan)) ]
 
 let all_tests = figure_tests @ scale_tests @ index_tests @ substrate_tests
 

@@ -1,7 +1,9 @@
 (* Experiment exp-access: secondary indexes over expiring tables.
    Selective predicates probe or range-scan the ordered index instead of
    scanning the table; expiration keeps the index subsetted to the
-   physical rows, with liveness re-checked on fetch.
+   physical rows, with liveness re-checked on fetch.  Each query runs
+   through the executor's scan leaf, which takes the access path
+   [Access.plan] picks.
 
    Expected shape: point and narrow-range queries cost O(log n + answer)
    through the index vs O(n) for the scan; the gap widens with table
@@ -9,16 +11,20 @@
 
 open Expirel_core
 open Expirel_storage
+open Expirel_exec
 
 let build ~rows =
-  let tbl = Table.create ~name:"samples" ~columns:[ "sensor"; "value" ] () in
+  let db = Database.create () in
+  let tbl =
+    Database.create_table db ~name:"samples" ~columns:[ "sensor"; "value" ]
+  in
   let rng = Bench_util.rng 97 in
   for i = 1 to rows do
     Table.insert tbl
       (Tuple.ints [ i; Random.State.int rng 10_000 ])
       ~texp:(Time.of_int (1 + Random.State.int rng 1_000))
   done;
-  tbl
+  db
 
 let queries =
   [ "point (#2 = c)", (fun c -> Predicate.eq_const 2 (Value.int c));
@@ -33,13 +39,15 @@ let queries =
       Predicate.Cmp
         (Predicate.Lt, Predicate.Col 2, Predicate.Const (Value.int (c + 5_000))) ) ]
 
-let time_queries tbl make =
+let time_queries db make =
   let tau = Time.of_int 500 in
   let reps = 50 in
   let (), seconds =
     Bench_util.time_it (fun () ->
         for i = 0 to reps - 1 do
-          ignore (Access.select tbl ~tau (make (i * 97 mod 5_000)))
+          let p = make (i * 97 mod 5_000) in
+          let plan = Planner.plan ~db Algebra.(select p (base "samples")) in
+          ignore (Executor.run ~tau ~db plan : Eval.result)
         done)
   in
   seconds *. 1e6 /. float_of_int reps
@@ -49,17 +57,18 @@ let sweep () =
   List.iter
     (fun rows ->
       Bench_util.subsection (Printf.sprintf "%d rows, ~50%% live at query time" rows);
-      let tbl = build ~rows in
+      let db = build ~rows in
+      let tbl = Database.table_exn db "samples" in
       let table_rows =
         List.map
           (fun (name, make) ->
-            let scan_us = time_queries tbl make in
+            let scan_us = time_queries db make in
             Table.create_index tbl ~column:2;
-            let indexed_us = time_queries tbl make in
+            let indexed_us = time_queries db make in
             Table.drop_index tbl ~column:2;
             [ name;
               Format.asprintf "%a" Access.pp_plan
-                (let tbl' = build ~rows:1 in
+                (let tbl' = Database.table_exn (build ~rows:1) "samples" in
                  Table.create_index tbl' ~column:2;
                  Access.plan tbl' (make 100));
               Bench_util.f1 scan_us;

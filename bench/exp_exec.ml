@@ -11,11 +11,15 @@
    - live scans are O(1) when nothing has expired (cached min-texp on
      the relation, cached snapshot on the table);
    - the interpreter's statement + plan caches remove parsing, lowering
-     and planning from the per-request path for repeated statements.
+     and planning from the per-request path for repeated statements;
+   - standing queries (constraints, watches) cost one plan run and one
+     change-time walk per clock move or SHOW CONSTRAINTS: O(n log n +
+     events), not a pass over the result per change point.
 
    Expected shape: hash join >= 10x over the nested loop (in practice
    thousands of x); repeated statements measurably cheaper than cold
-   ones. *)
+   ones; an ADVANCE under one constraint within a small factor of the
+   watch walk over the same rows. *)
 
 open Expirel_core
 open Expirel_storage
@@ -207,8 +211,95 @@ let plan_cache_sweep () =
   Printf.printf "cache counters: %d hits, %d misses\n" stats.Interp.hits
     stats.Interp.misses
 
+(* One session holding [n] rows of [s], row i expiring at i + 1, and
+   optionally one constraint over them (it holds until the last row
+   expires). *)
+let standing_session ~n ~constraint_ =
+  let t = Interp.create () in
+  let run sql =
+    match Interp.exec_sql t sql with
+    | Ok _ -> ()
+    | Error e -> failwith e
+  in
+  run "CREATE TABLE s (sid, uid)";
+  let db = Interp.database t in
+  for i = 0 to n - 1 do
+    Database.insert_values db "s"
+      [ Value.int i; Value.int (i mod 97) ]
+      ~texp:(Time.of_int (i + 1))
+  done;
+  if constraint_ then run "CREATE CONSTRAINT c ON SELECT sid FROM s MIN 1";
+  (t, run)
+
+(* The median of [reps] timings of [measure], each on a fresh session:
+   the timed statement moves the clock, so it cannot repeat in place. *)
+let median_us ~reps measure =
+  let samples = List.init reps (fun _ -> measure ()) in
+  let sorted = List.sort Float.compare samples in
+  List.nth sorted (reps / 2) *. 1e6
+
+let standing_sweep () =
+  Bench_util.subsection
+    "standing queries: n rows expiring at 1..n, ADVANCE TO n/2";
+  let reps = 5 in
+  Bench_util.param_int "standing_reps" reps;
+  let rows =
+    List.map
+      (fun n ->
+        let half = n / 2 in
+        let advance ~constraint_ () =
+          let _, run = standing_session ~n ~constraint_ in
+          snd
+            (Bench_util.time_it (fun () ->
+                 run (Printf.sprintf "ADVANCE TO %d" half)))
+        in
+        let show () =
+          let _, run = standing_session ~n ~constraint_:true in
+          snd (Bench_util.time_it (fun () -> run "SHOW CONSTRAINTS"))
+        in
+        let watch () =
+          let t, _ = standing_session ~n ~constraint_:false in
+          let db = Interp.database t in
+          let subs = Subscription.create db in
+          let _, plan =
+            Interp.plan_standing t (Parser.parse_query "SELECT sid FROM s")
+          in
+          let events = ref 0 in
+          Subscription.subscribe subs ~name:"w" plan (fun _ -> incr events);
+          let (), s =
+            Bench_util.time_it (fun () ->
+                Subscription.deliver_until subs (Time.of_int half))
+          in
+          if !events <> half then
+            failwith
+              (Printf.sprintf "watch fired %d events, expected %d" !events half);
+          s
+        in
+        let constrained = median_us ~reps (advance ~constraint_:true) in
+        let shown = median_us ~reps show in
+        let bare = median_us ~reps (advance ~constraint_:false) in
+        let walked = median_us ~reps watch in
+        let key what = Printf.sprintf "standing_%s_us_n%d" what n in
+        Bench_util.metric (key "advance_constraint") constrained;
+        Bench_util.metric (key "show_constraints") shown;
+        Bench_util.metric (key "advance_bare") bare;
+        Bench_util.metric (key "watch_walk") walked;
+        [ string_of_int n;
+          Bench_util.f1 constrained;
+          Bench_util.f1 shown;
+          Bench_util.f1 bare;
+          Bench_util.f1 walked ])
+      [ 1_000; 8_000; 10_000 ]
+  in
+  Bench_util.table
+    ~headers:
+      [ "n"; "ADVANCE, 1 constraint us"; "SHOW CONSTRAINTS us";
+        "ADVANCE, none us"; "watch walk us" ]
+    rows
+
 let run_all () =
   Bench_util.section "Experiment exp-exec: physical query execution";
   join_sweep ();
   live_scan_sweep ();
-  plan_cache_sweep ()
+  plan_cache_sweep ();
+  standing_sweep ()

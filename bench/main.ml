@@ -24,7 +24,9 @@ let experiments =
     "update", "incremental maintenance under updates", Exp_update.run_all;
     "durable", "WAL, checkpoints and recovery", Exp_durable.run_all;
     "access", "secondary indexes on expiring tables", Exp_access.run_all;
-    "exec", "physical plans: hash joins, live scans, the plan cache",
+    "exec",
+    "physical plans: hash joins, live scans, the plan cache, standing \
+     queries",
     Exp_exec.run_all;
     "vexec", "vectorized execution over expiration-ordered batches",
     Exp_vexec.run_all;

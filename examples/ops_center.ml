@@ -7,6 +7,7 @@
 
 open Expirel_core
 open Expirel_storage
+open Expirel_exec
 
 let fin = Time.of_int
 let section title = Printf.printf "\n=== %s ===\n" title
@@ -35,9 +36,10 @@ let () =
 
   section "Predictive integrity constraints";
   let inv = Invariant.create db in
-  Invariant.add inv ~name:"senior-coverage" ~expr:seniors
+  Invariant.add inv ~name:"senior-coverage" (Planner.plan ~db seniors)
     (Invariant.Min_cardinality 2);
-  Invariant.add inv ~name:"anyone-awake" ~expr:(Algebra.base "oncall")
+  Invariant.add inv ~name:"anyone-awake"
+    (Planner.plan ~db (Algebra.base "oncall"))
     (Invariant.Min_cardinality 1);
   List.iter
     (fun name ->
@@ -57,7 +59,8 @@ let () =
 
   section "Continuous queries: exact-time push notifications";
   let subs = Subscription.create db in
-  Subscription.subscribe subs ~name:"seniors" seniors (fun event ->
+  Subscription.subscribe subs ~name:"seniors" (Planner.plan ~db seniors)
+    (fun event ->
       match event with
       | Subscription.Row_expired { tuple; at; _ } ->
         Printf.printf "  t=%-3s off-shift: %s\n" (Time.to_string at)

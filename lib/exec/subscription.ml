@@ -1,0 +1,171 @@
+open Expirel_core
+open Expirel_storage
+
+type event =
+  | Row_expired of {
+      subscription : string;
+      tuple : Tuple.t;
+      at : Time.t;
+    }
+  | Row_appeared of {
+      subscription : string;
+      tuple : Tuple.t;
+      texp : Time.t;
+      at : Time.t;
+    }
+  | Refreshed of {
+      subscription : string;
+      at : Time.t;
+    }
+
+type handler = event -> unit
+
+type watch = {
+  compiled : Plan.compiled;
+  handler : handler;
+  mutable result : Eval.result;  (* as of the last delivery *)
+}
+
+type t = {
+  db : Database.t;
+  watches : (string, watch) Hashtbl.t;
+}
+
+let create db = { db; watches = Hashtbl.create 8 }
+
+let subscribe t ~name compiled handler =
+  if Hashtbl.mem t.watches name then
+    invalid_arg (Printf.sprintf "Subscription.subscribe: %s exists" name)
+  else
+    let result = Executor.run ~db:t.db compiled in
+    Hashtbl.replace t.watches name { compiled; handler; result }
+
+let unsubscribe t name =
+  Hashtbl.mem t.watches name && (Hashtbl.remove t.watches name; true)
+
+let names t =
+  Hashtbl.fold (fun name _ acc -> name :: acc) t.watches []
+  |> List.sort String.compare
+
+let readers t table =
+  List.filter
+    (fun name ->
+      let w = Hashtbl.find t.watches name in
+      List.mem table (Algebra.base_names w.compiled.Plan.logical))
+    (names t)
+
+let current t name =
+  match Hashtbl.find_opt t.watches name with
+  | Some w -> Relation.exp (Database.now t.db) w.result.Eval.relation
+  | None -> raise Not_found
+
+(* The one change-time walk.  It holds the rows of the current result
+   that expire before its next refresh or the target, in [(texp, tuple)]
+   order, sorted once per walk and again after each refresh, so a step
+   touches only the rows it fires.  A refresh at [texp(e)] runs the plan
+   at that instant. *)
+let walk ~db ~name compiled result ~from ~to_ ~emit ~settle =
+  (* The rows expiring in [(after, min to_ texp(e)]]: one fold in tuple
+     order, one stable sort by texp. *)
+  let due result ~after =
+    let upto = Time.min to_ result.Eval.texp in
+    Relation.fold
+      (fun tuple texp acc ->
+        if Time.(texp > after && texp <= upto) then (texp, tuple) :: acc
+        else acc)
+      result.Eval.relation []
+    |> List.rev
+    |> List.stable_sort (fun (a, _) (b, _) -> Time.compare a b)
+  in
+  let rec go result due_rows =
+    let next_expiry =
+      match due_rows with
+      | (texp, _) :: _ -> texp
+      | [] -> Time.Inf
+    in
+    let at = Time.min next_expiry result.Eval.texp in
+    if Time.(at > to_) || Time.is_infinite at then result
+    else begin
+      (* Expirations at this instant fire first, in tuple order. *)
+      let rec fire = function
+        | (texp, tuple) :: rest when Time.equal texp at ->
+          emit (Row_expired { subscription = name; tuple; at });
+          fire rest
+        | rest -> rest
+      in
+      let due_rows = fire due_rows in
+      let result, due_rows =
+        if Time.(result.Eval.texp <= at) then begin
+          (* The materialisation is invalid from here: refresh.  A
+             still-live old row that the refresh drops or re-dates
+             leaves now; every refreshed row but the unchanged
+             survivors (re)appears. *)
+          let refreshed = Executor.run ~tau:at ~db compiled in
+          let same relation tuple texp =
+            Option.equal Time.equal (Relation.texp_opt relation tuple)
+              (Some texp)
+          in
+          Relation.iter
+            (fun tuple old ->
+              if Time.(old > at) && not (same refreshed.Eval.relation tuple old)
+              then emit (Row_expired { subscription = name; tuple; at }))
+            result.Eval.relation;
+          emit (Refreshed { subscription = name; at });
+          (* Refreshed rows are live at [at], so [same] means a survivor. *)
+          Relation.iter
+            (fun tuple texp ->
+              if not (same result.Eval.relation tuple texp) then
+                emit (Row_appeared { subscription = name; tuple; texp; at }))
+            refreshed.Eval.relation;
+          (refreshed, due refreshed ~after:at)
+        end
+        else (result, due_rows)
+      in
+      if settle at then go result due_rows else result
+    end
+  in
+  go result (due result ~after:from)
+
+(* Every watch's walk from the clock to [to_], in name order, each
+   handed to [finish] with the result where it stopped. *)
+let walk_watches t ~to_ ~emit ~finish =
+  let from = Database.now t.db in
+  List.iter
+    (fun name ->
+      let w = Hashtbl.find t.watches name in
+      finish w
+        (walk ~db:t.db ~name w.compiled w.result ~from ~to_ ~emit:(emit w)
+           ~settle:(fun _ -> true)))
+    (names t)
+
+let forecast_events t ~until =
+  if Time.is_infinite until || Time.(until <= Database.now t.db) then 0
+  else begin
+    let count = ref 0 in
+    walk_watches t ~to_:until
+      ~emit:(fun _ _ -> incr count)
+      ~finish:(fun _ _ -> ());
+    !count
+  end
+
+let deliver_until t target =
+  if Time.is_infinite target then
+    invalid_arg "Subscription.deliver_until: infinite time"
+  else if Time.(target < Database.now t.db) then
+    invalid_arg "Subscription.deliver_until: moving backwards"
+  else
+    (* Replay the continuous queries' change times before the storage
+       physically removes rows (eager policy): refreshes at intermediate
+       instants must see everything that was live then.  A watch keeps
+       only the rows live at the target: the walk fired every other one,
+       and a monotone watch, never refreshed, would otherwise hold every
+       row it ever had. *)
+    walk_watches t ~to_:target
+      ~emit:(fun w -> w.handler)
+      ~finish:(fun w r ->
+        w.result <-
+          { r with Eval.relation = Relation.exp target r.Eval.relation })
+
+let advance t target =
+  deliver_until t target;
+  Database.advance_to t.db target

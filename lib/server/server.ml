@@ -1,5 +1,6 @@
 open Expirel_core
 open Expirel_storage
+open Expirel_exec
 open Expirel_sqlx
 module Obs = Expirel_obs
 
@@ -496,22 +497,22 @@ let response_of_outcome = function
         recomputed
       }
 
-(* Push the continuous queries' change events before the interpreter
-   moves the clock (which physically removes expired rows under the
+(* Push the continuous queries' change events up to [target] before the
+   clock moves there (which physically removes expired rows under the
    eager policy): subscribers see every event at its exact logical time,
-   and always before the ADVANCE is acknowledged. *)
-let deliver_subscription_events t stmt =
-  let now = Database.now (Interp.database t.interp) in
-  let target =
-    match stmt with
-    | Ast.Advance_to n -> Some (Time.of_int n)
-    | Ast.Tick n -> Some (Time.add now (Time.of_int n))
-    | _ -> None
-  in
-  match target with
-  | Some target when Time.(target >= now) && Time.is_finite target ->
-    Subscription.deliver_until t.subs target
-  | Some _ | None -> ()
+   and always before the move is acknowledged.  A target the clock
+   cannot move to is left for the clock move itself to refuse. *)
+let deliver_until t target =
+  if Time.is_finite target
+     && Time.(target >= Database.now (Interp.database t.interp))
+  then Subscription.deliver_until t.subs target
+
+let deliver_subscription_events t = function
+  | Ast.Advance_to n -> deliver_until t (Time.of_int n)
+  | Ast.Tick n ->
+    deliver_until t
+      (Time.add (Database.now (Interp.database t.interp)) (Time.of_int n))
+  | _ -> ()
 
 (* Runs a parsed statement; the caller holds the lock its kind needs. *)
 let run_statement ?trace ?text t stmt =
@@ -521,6 +522,12 @@ let run_statement ?trace ?text t stmt =
        forecast covers this server's subscriptions — the interpreter
        alone would report 0. *)
     match stmt with
+    | Ast.Drop_table table when Subscription.readers t.subs table <> [] ->
+      (* A watch reruns its plan at every refresh: dropping a table it
+         reads would fail every later delivery, so every ADVANCE. *)
+      Error
+        (Printf.sprintf "table %s is read by subscription %s" table
+           (String.concat ", " (Subscription.readers t.subs table)))
     | Ast.Show_horizon table ->
       (match horizon_of ~interp:t.interp ~subs:t.subs ?table () with
        | report -> Ok (Interp.Msg (Obs.Horizon.render report))
@@ -610,30 +617,23 @@ let handle_subscribe t conn ~name ~query =
       }
   | Ast.Query { q; at = None; _ } ->
     with_lock t ~write:true (fun () ->
-        let db = Interp.database t.interp in
-        let catalog table = Option.map Table.columns (Database.table db table) in
-        match Lower.lower_query ~catalog q with
-        | exception Lower.Error message ->
+        match
+          let _, plan = Interp.plan_standing t.interp q in
+          Subscription.subscribe t.subs ~name plan (fun event ->
+              send_response t conn (Wire.Event (wire_event event));
+              Metrics.incr_events_pushed t.metrics)
+        with
+        | () ->
+          conn.owned_subs <- name :: conn.owned_subs;
+          Wire.Ok_msg (Printf.sprintf "subscribed %s" name)
+        | exception Lower.Error message
+        | exception Invalid_argument message
+        | exception Failure message
+        | exception Errors.Arity_mismatch message ->
           Wire.Err { code = Wire.Exec_error; message }
-        | { Lower.expr; _ } ->
-          (match
-             Subscription.subscribe t.subs ~name expr (fun event ->
-                 send_response t conn (Wire.Event (wire_event event));
-                 Metrics.incr_events_pushed t.metrics)
-           with
-           | () ->
-             conn.owned_subs <- name :: conn.owned_subs;
-             Wire.Ok_msg (Printf.sprintf "subscribed %s" name)
-           | exception Invalid_argument message
-           | exception Failure message ->
-             Wire.Err { code = Wire.Exec_error; message }
-           | exception Errors.Unknown_relation rel ->
-             Wire.Err
-               { code = Wire.Exec_error;
-                 message = "unknown relation " ^ rel
-               }
-           | exception Errors.Arity_mismatch message ->
-             Wire.Err { code = Wire.Exec_error; message }))
+        | exception Errors.Unknown_relation rel ->
+          Wire.Err
+            { code = Wire.Exec_error; message = "unknown relation " ^ rel })
   | Ast.Query { at = Some _; _ } ->
     Wire.Err
       { code = Wire.Exec_error;
@@ -1067,14 +1067,9 @@ let apply_records t records =
     Rwlock.with_write t.lock (fun () ->
         List.iter
           (fun record ->
-            (* Same discipline as ADVANCE from a client: continuous
-               queries see their change events at the exact logical
-               times, before the clock physically moves. *)
+            (* Same discipline as ADVANCE from a client. *)
             (match record with
-             | Wal.Advance target
-               when Time.is_finite target
-                    && Time.(target >= Durable.now store) ->
-               Subscription.deliver_until t.subs target
+             | Wal.Advance target -> deliver_until t target
              | _ -> ());
             Durable.apply_record store record)
           records);

@@ -11,12 +11,13 @@
     lock within the per-request timeout are answered with a [Timeout]
     error instead of stalling the connection.
 
-    [SUBSCRIBE] registers a {!Expirel_storage.Subscription} continuous
+    [SUBSCRIBE] registers a {!Expirel_exec.Subscription} continuous
     query; whenever any connection advances the logical clock, the
     change events — [Row_expired] / [Row_appeared] / [Refreshed] at the
     {e exact} logical times — are pushed to the subscribing connections
     before the advance is acknowledged, so a subscriber can never
     observe an acknowledged clock ahead of its own event stream.
+    [DROP TABLE] is refused while any connection's watch reads the table.
 
     {!stop} is graceful: the listener closes first, in-flight requests
     run to completion and get their responses, then workers are joined.

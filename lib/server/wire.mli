@@ -147,7 +147,7 @@ type event =
       at : Time.t;
     }
   | Refreshed of { subscription : string; at : Time.t }
-      (** mirrors {!Expirel_storage.Subscription.event}, with tuples
+      (** mirrors {!Expirel_exec.Subscription.event}, with tuples
           flattened to value lists *)
 
 type repl_role =

@@ -4,9 +4,12 @@ open Expirel_exec
 module Trace = Expirel_obs.Trace
 module Horizon = Expirel_obs.Horizon
 
+(* A plain view: its plan's result, served with rows cut at the clock
+   until its [texp(e)] passes (Theorem 2), then rerun. *)
 type stored_view = {
-  mutable view : View.t;
+  plan : Plan.compiled;
   columns : string list;
+  mutable result : Eval.result;
 }
 
 type maintained_view = {
@@ -15,7 +18,7 @@ type maintained_view = {
 }
 
 type constraint_info = {
-  c_expr : Algebra.t;
+  c_plan : Plan.compiled;
   min_rows : int option;
   max_rows : int option;
 }
@@ -288,6 +291,18 @@ let aggregate_partial ?trace t { Ast.q; at; order_by = _; limit = _ } =
   in
   (lowered.Lower.columns, partial, child_texp)
 
+(* Standing queries lower and plan once, outside the cache: their texts
+   never repeat.  A maintained view needs only the lowered expression. *)
+let lower_standing t q =
+  let lowered = Lower.lower_query ~catalog:(catalog t) q in
+  if lowered.Lower.approx <> None then
+    failwith "APPROX_COUNT/SAMPLE cannot back a view, constraint or watch";
+  lowered
+
+let plan_standing t q =
+  let { Lower.expr; columns; approx = _ } = lower_standing t q in
+  (columns, Planner.plan ~db:t.db expr)
+
 let view_name_taken t name =
   Hashtbl.mem t.views name || Hashtbl.mem t.maintained_views name
 
@@ -332,8 +347,7 @@ let advance_clock ?trace t target =
 let constraint_status t name info =
   let now = Database.now t.db in
   let cardinality =
-    Relation.cardinal
-      (Executor.run ~db:t.db (Planner.plan ~db:t.db info.c_expr)).Eval.relation
+    Relation.cardinal (Executor.run ~db:t.db info.c_plan).Eval.relation
   in
   let ok =
     (match info.min_rows with
@@ -347,16 +361,11 @@ let constraint_status t name info =
   let prediction =
     if not ok then "VIOLATED NOW"
     else
-      let next bound_name =
-        match Invariant.next_violation t.invariants ~name:bound_name ~horizon with
-        | Some at -> Some at
-        | None | (exception Not_found) -> None
+      let next bound =
+        try Invariant.next_violation t.invariants ~name:(name ^ bound) ~horizon
+        with Not_found -> None
       in
-      match
-        Time.min_list
-          (List.filter_map Fun.id
-             [ next (name ^ "!min"); next (name ^ "!max") ])
-      with
+      match Time.min_list (List.filter_map next [ "!min"; "!max" ]) with
       | Time.Fin _ as at -> "breaks at " ^ Time.to_string at
       | Time.Inf -> "holds for 1000 ticks"
   in
@@ -414,6 +423,13 @@ let exec_statement ?trace ?text t = function
        ());
     Msg (Printf.sprintf "table %s created" name)
   | Ast.Drop_table name ->
+    (* A constraint's plan reads its tables at every clock move: dropping
+       one would fail every later ADVANCE, TICK and SHOW CONSTRAINTS. *)
+    Hashtbl.iter
+      (fun c info ->
+        if List.mem name (Algebra.base_names info.c_plan.Plan.logical) then
+          failwith (Printf.sprintf "table %s is read by constraint %s" name c))
+      t.constraints;
     let dropped =
       match t.store with
       | Some s -> Durable.drop_table s name
@@ -453,19 +469,23 @@ let exec_statement ?trace ?text t = function
     Msg "1 tuple inserted"
   | Ast.Delete (table, where) ->
     let tbl = Database.table_exn t.db table in
-    let pred =
-      Option.map
-        (Lower.lower_cond_for_table ~columns:(Table.columns tbl) ~table)
-        where
+    let expr =
+      Option.fold where ~none:(Algebra.base table) ~some:(fun c ->
+          Algebra.select
+            (Lower.lower_cond_for_table ~columns:(Table.columns tbl) ~table c)
+            (Algebra.base table))
     in
-    (* The live victims, through the access path: an index for
-       [col = k] or a range, a scan otherwise. *)
-    let tau = Database.now t.db in
+    (* The live victims, planned and run like a query (an index for
+       [col = k] or a range, a cut scan otherwise) but never cached:
+       mutations carry distinct literals and would only churn the LRU. *)
+    let compiled =
+      Trace.span trace "plan" (fun () -> Planner.plan ~db:t.db expr)
+    in
     let victims =
-      Relation.tuples
-        (match pred with
-         | Some p -> Access.select tbl ~tau p
-         | None -> Table.snapshot tbl ~tau)
+      Trace.span trace "eval" (fun () ->
+          Relation.tuples
+            (Executor.run ?probe:(xprobe_of trace) ~db:t.db compiled)
+              .Eval.relation)
     in
     Trace.span trace "storage" (fun () ->
         List.iter
@@ -499,13 +519,9 @@ let exec_statement ?trace ?text t = function
     if view_name_taken t name then
       failwith (Printf.sprintf "view %s exists" name)
     else begin
-      let { Lower.expr; columns; approx } =
-        Lower.lower_query ~catalog:(catalog t) query
-      in
-      if approx <> None then
-        failwith "APPROX_COUNT/SAMPLE cannot be materialised as a view";
-      let now = Database.now t.db in
       if maintained then begin
+        let { Lower.expr; columns; approx = _ } = lower_standing t query in
+        let now = Database.now t.db in
         let m = Maintained.materialise ~env:(Database.env t.db) ~tau:now expr in
         Hashtbl.replace t.maintained_views name
           { maintained = m; m_columns = columns };
@@ -515,53 +531,39 @@ let exec_statement ?trace ?text t = function
              name)
       end
       else begin
-        let view = View.materialise ~env:(Database.env t.db) ~tau:now expr in
-        Hashtbl.replace t.views name { view; columns };
+        let columns, plan = plan_standing t query in
+        let result = Executor.run ~db:t.db plan in
+        Hashtbl.replace t.views name { plan; columns; result };
         Msg
           (Printf.sprintf "view %s materialised (texp(e) = %s, %s)" name
-             (Time.to_string view.View.texp)
-             (match Monotone.classify expr with
+             (Time.to_string result.Eval.texp)
+             (match Monotone.classify plan.Plan.logical with
               | `Monotonic -> "monotonic: never recomputes"
               | `Non_monotonic k ->
                 Printf.sprintf "%d non-monotonic operator(s)" k))
       end
     end
   | Ast.Show_view name ->
+    let view_rows ~columns ~texp_e ~recomputed relation =
+      Rows
+        { columns; relation; listing = Relation.to_list relation; texp_e;
+          recomputed }
+    in
     (match Hashtbl.find_opt t.maintained_views name with
      | Some mv ->
-       let relation = Maintained.read mv.maintained in
-       Rows
-         { columns = mv.m_columns;
-           relation;
-           listing = Relation.to_list relation;
-           texp_e = Time.infinity;
-             (* maintained incrementally: never needs recomputation *)
-           recomputed = false
-         }
+       (* maintained incrementally: never needs recomputation *)
+       view_rows ~columns:mv.m_columns ~texp_e:Time.infinity ~recomputed:false
+         (Maintained.read mv.maintained)
      | None ->
        (match Hashtbl.find_opt t.views name with
         | None -> failwith (Printf.sprintf "unknown view %s" name)
         | Some stored ->
           let tau = Database.now t.db in
-          (match View.read stored.view ~tau with
-           | `Valid relation ->
-             Rows
-               { columns = stored.columns;
-                 relation;
-                 listing = Relation.to_list relation;
-                 texp_e = stored.view.View.texp;
-                 recomputed = false
-               }
-           | `Expired _ ->
-             stored.view <- View.refresh ~env:(Database.env t.db) ~tau stored.view;
-             let relation = View.current stored.view ~tau in
-             Rows
-               { columns = stored.columns;
-                 relation;
-                 listing = Relation.to_list relation;
-                 texp_e = stored.view.View.texp;
-                 recomputed = true
-               })))
+          let recomputed = Time.(tau >= stored.result.Eval.texp) in
+          if recomputed then stored.result <- Executor.run ~db:t.db stored.plan;
+          view_rows ~columns:stored.columns ~texp_e:stored.result.Eval.texp
+            ~recomputed
+            (Relation.exp tau stored.result.Eval.relation)))
   | Ast.Create_trigger { name; table } ->
     Trigger.register (Database.triggers t.db) ~name ~table (fun e ->
         t.trigger_log <-
@@ -577,20 +579,14 @@ let exec_statement ?trace ?text t = function
     if Hashtbl.mem t.constraints name then
       failwith (Printf.sprintf "constraint %s exists" name)
     else begin
-      let { Lower.expr; approx; _ } =
-        Lower.lower_query ~catalog:(catalog t) query
+      let _, plan = plan_standing t query in
+      let add suffix spec =
+        Option.iter (fun n ->
+            Invariant.add t.invariants ~name:(name ^ suffix) plan (spec n))
       in
-      if approx <> None then
-        failwith "APPROX_COUNT/SAMPLE cannot back a constraint";
-      (match min_rows with
-       | Some n -> Invariant.add t.invariants ~name:(name ^ "!min") ~expr
-                     (Invariant.Min_cardinality n)
-       | None -> ());
-      (match max_rows with
-       | Some n -> Invariant.add t.invariants ~name:(name ^ "!max") ~expr
-                     (Invariant.Max_cardinality n)
-       | None -> ());
-      Hashtbl.replace t.constraints name { c_expr = expr; min_rows; max_rows };
+      add "!min" (fun n -> Invariant.Min_cardinality n) min_rows;
+      add "!max" (fun n -> Invariant.Max_cardinality n) max_rows;
+      Hashtbl.replace t.constraints name { c_plan = plan; min_rows; max_rows };
       Msg (Printf.sprintf "constraint %s created" name)
     end
   | Ast.Drop_constraint name ->
@@ -602,19 +598,15 @@ let exec_statement ?trace ?text t = function
     end
     else failwith (Printf.sprintf "unknown constraint %s" name)
   | Ast.Show_constraints ->
-    let names =
-      Hashtbl.fold (fun name _ acc -> name :: acc) t.constraints []
-      |> List.sort String.compare
-    in
-    (match names with
+    (match Hashtbl.fold (fun name _ acc -> name :: acc) t.constraints [] with
      | [] -> Msg "(no constraints)"
-     | _ ->
+     | names ->
        Msg
          (String.concat "\n"
             (List.map
                (fun name ->
                  constraint_status t name (Hashtbl.find t.constraints name))
-               names)))
+               (List.sort String.compare names))))
   | Ast.Show_triggers ->
     Msg
       (match List.rev t.trigger_log with
@@ -627,11 +619,10 @@ let exec_statement ?trace ?text t = function
       (match Hashtbl.find_opt t.views name with
        | None -> failwith (Printf.sprintf "unknown view %s" name)
        | Some stored ->
-         stored.view <-
-           View.refresh ~env:(Database.env t.db) ~tau:(Database.now t.db) stored.view;
+         stored.result <- Executor.run ~db:t.db stored.plan;
          Msg
            (Printf.sprintf "view %s refreshed (texp(e) = %s)" name
-              (Time.to_string stored.view.View.texp)))
+              (Time.to_string stored.result.Eval.texp)))
   | Ast.Show_tables ->
     Msg
       (match Database.table_names t.db with
@@ -649,10 +640,8 @@ let exec_statement ?trace ?text t = function
   | Ast.Show_time -> Msg (Time.to_string (Database.now t.db))
   | Ast.Show_horizon table -> Msg (Horizon.render (horizon ?table t))
   | Ast.Explain q ->
-    let { Lower.expr; columns; approx } =
-      Lower.lower_query ~catalog:(catalog t) q
-    in
-    let compiled = Planner.plan ~db:t.db ?approx expr in
+    let { p_columns = columns; p_compiled = compiled; _ } = planned_query t q in
+    let expr = compiled.Plan.logical in
     let { Eval.texp; _ } = Executor.run ~db:t.db compiled in
     Msg
       (Printf.sprintf
@@ -688,7 +677,7 @@ let exec_statement ?trace ?text t = function
 let view_horizons t =
   let plain =
     Hashtbl.fold
-      (fun name sv acc -> (name, sv.view.View.texp) :: acc)
+      (fun name sv acc -> (name, sv.result.Eval.texp) :: acc)
       t.views []
   in
   let maintained =

@@ -95,6 +95,12 @@ val parse : t -> string -> Ast.statement
     texts carry distinct literals and would only churn the LRU.
     Raises [Parser.Error] like {!Parser.parse_statement}. *)
 
+val plan_standing : t -> Ast.query -> string list * Expirel_exec.Plan.compiled
+(** The column labels and plan of a standing query — a view, a
+    constraint or a subscription — planned once, for its owner to rerun.
+    Raises [Failure] for [APPROX_COUNT]/[SAMPLE], plus whatever lowering
+    raises. *)
+
 val sketch_partial :
   ?trace:Expirel_obs.Trace.t ->
   t ->

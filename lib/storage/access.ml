@@ -87,12 +87,12 @@ let plan table p =
      | None ->
        (* ...and intersect every range conjunct on the same column into
           one two-sided range. *)
-       let tighter_lo a b =
+       let tighter ~sign a b =
          match a, b with
          | Ordered_index.Unbounded, x | x, Ordered_index.Unbounded -> x
          | (Ordered_index.Inclusive va | Ordered_index.Exclusive va),
            (Ordered_index.Inclusive vb | Ordered_index.Exclusive vb) ->
-           let c = Value.compare va vb in
+           let c = sign * Value.compare va vb in
            if c > 0 then a
            else if c < 0 then b
            else (
@@ -101,20 +101,8 @@ let plan table p =
              | _, Ordered_index.Exclusive _ -> b
              | _ -> a)
        in
-       let tighter_hi a b =
-         match a, b with
-         | Ordered_index.Unbounded, x | x, Ordered_index.Unbounded -> x
-         | (Ordered_index.Inclusive va | Ordered_index.Exclusive va),
-           (Ordered_index.Inclusive vb | Ordered_index.Exclusive vb) ->
-           let c = Value.compare va vb in
-           if c < 0 then a
-           else if c > 0 then b
-           else (
-             match a, b with
-             | Ordered_index.Exclusive _, _ -> a
-             | _, Ordered_index.Exclusive _ -> b
-             | _ -> a)
-       in
+       (* the larger lower bound, the smaller upper bound *)
+       let tighter_lo = tighter ~sign:1 and tighter_hi = tighter ~sign:(-1) in
        (match plans with
         | Index_range { column; _ } :: _ ->
           let merged =
@@ -131,22 +119,6 @@ let plan table p =
           let lo, hi = merged in
           Index_range { column; lo; hi }
         | (Index_eq _ | Full_scan | Never_matches) :: _ | [] -> Full_scan))
-
-let select table ~tau p =
-  let arity = Table.arity table in
-  let of_candidates rows =
-    List.fold_left
-      (fun acc (tuple, texp) ->
-        if Predicate.eval p tuple then Relation.add tuple ~texp acc else acc)
-      (Relation.empty ~arity) rows
-  in
-  match plan table p with
-  | Never_matches -> Relation.empty ~arity
-  | Full_scan -> Ops.select p (Table.snapshot table ~tau)
-  | Index_eq { column; value } ->
-    of_candidates (Table.index_lookup table ~column ~tau value)
-  | Index_range { column; lo; hi } ->
-    of_candidates (Table.index_range table ~column ~tau ~lo ~hi)
 
 let pp_plan ppf = function
   | Full_scan -> Format.pp_print_string ppf "full-scan"

@@ -1,5 +1,6 @@
-(** Access-path selection: answering selections over stored tables via
-    secondary indexes when one applies, with a full scan as fallback.
+(** Access-path selection: which secondary index, if any, serves a
+    selection over a stored table, with a full scan as fallback.  The
+    executor's scan leaf runs the chosen path; this module only plans.
 
     An index on a column is usable for a conjunct [col = c] or
     [col < c] / [<=] / [>] / [>=] when the stored keys are
@@ -26,9 +27,5 @@ type plan =
 
 val plan : Table.t -> Predicate.t -> plan
 (** The access path chosen for evaluating the predicate over the table. *)
-
-val select : Table.t -> tau:Time.t -> Predicate.t -> Relation.t
-(** [select tbl ~tau p] = [Ops.select p (Table.snapshot tbl ~tau)],
-    computed through {!plan}. *)
 
 val pp_plan : Format.formatter -> plan -> unit

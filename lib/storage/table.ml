@@ -196,21 +196,21 @@ let secondary_exn t column =
 let index_extrema t ~column = Ordered_index.extrema (secondary_exn t column)
 
 (* Candidates come from the index over physical rows; re-attach texps and
-   drop the expired.  [dropped], when given, counts the candidates the
-   tau filter (or a concurrent delete) discarded. *)
-let live_rows ?dropped t ~tau tuples =
+   drop the expired.  [dropped] counts the candidates the tau filter (or
+   a concurrent delete) discarded. *)
+let live_rows ~dropped t ~tau tuples =
   List.filter_map
     (fun tuple ->
       match Tuple_tbl.find_opt t.rows tuple with
       | Some texp when Time.(texp > tau) -> Some (tuple, texp)
       | Some _ | None ->
-        (match dropped with Some r -> incr r | None -> ());
+        incr dropped;
         None)
     tuples
 
-let index_lookup ?dropped t ~column ~tau v =
-  live_rows ?dropped t ~tau (Ordered_index.lookup (secondary_exn t column) v)
+let index_lookup ~dropped t ~column ~tau v =
+  live_rows ~dropped t ~tau (Ordered_index.lookup (secondary_exn t column) v)
 
-let index_range ?visited ?dropped t ~column ~tau ~lo ~hi =
-  live_rows ?dropped t ~tau
-    (Ordered_index.range ?visited (secondary_exn t column) ~lo ~hi)
+let index_range ~visited ~dropped t ~column ~tau ~lo ~hi =
+  live_rows ~dropped t ~tau
+    (Ordered_index.range ~visited (secondary_exn t column) ~lo ~hi)

@@ -118,17 +118,17 @@ val index_extrema : t -> column:int -> (Value.t * Value.t) option
     @raise Not_found when no index covers the column *)
 
 val index_lookup :
-  ?dropped:int ref ->
+  dropped:int ref ->
   t -> column:int -> tau:Time.t -> Value.t -> (Tuple.t * Time.t) list
-(** Live tuples whose column equals the value.  [dropped], when given,
-    is incremented once per index candidate the liveness filter
+(** Live tuples whose column equals the value.  [dropped] is
+    incremented once per index candidate the liveness filter
     discarded (expired at [tau] or deleted) — the profiling sink's
     expired-drop count.
     @raise Not_found when no index covers the column *)
 
 val index_range :
-  ?visited:int ref ->
-  ?dropped:int ref ->
+  visited:int ref ->
+  dropped:int ref ->
   t -> column:int -> tau:Time.t -> lo:Ordered_index.bound ->
   hi:Ordered_index.bound -> (Tuple.t * Time.t) list
 (** Live tuples whose column falls in the range.  [visited] counts

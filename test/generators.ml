@@ -180,6 +180,19 @@ let expr_and_env ?allow_non_monotonic () :
   let* bindings = env_bindings in
   return (e, bindings)
 
+(* [R1 − (S1 − π₁ R2)]: a difference nested on the right of another,
+   whose rows leave the result at [texp(e)] refreshes and not only by
+   expiring — a shape {!expr} seldom builds. *)
+let nested_difference =
+  Algebra.(diff (base "R1") (diff (base "S1") (project [ 1 ] (base "R2"))))
+
+(* {!expr_and_env}, or one time in four {!nested_difference}. *)
+let expr_and_env_or_nested_difference () :
+  (Algebra.t * (string * Relation.t) list) Gen.t =
+  Gen.frequency
+    [ (3, expr_and_env ());
+      (1, Gen.map (fun bindings -> (nested_difference, bindings)) env_bindings) ]
+
 (* Aggregation partitions: lists of (tuple, texp) sharing nothing in
    particular; small values create ties, zeros, and neutral slices. *)
 let partition ~arity : (Tuple.t * Time.t) list Gen.t =

@@ -13,6 +13,11 @@ dune build lib/exec
 dune build lib/sketch
 dune build @all
 dune runtest
+# The standing-query example runs, not just compiles: a constraint
+# predicts a coverage gap and a watch fires at a row's expiration time.
+OPS_OUT=$(_build/default/examples/ops_center.exe)
+echo "$OPS_OUT" | grep -F "senior coverage now breaks at 60"
+echo "$OPS_OUT" | grep -F "t=60  off-shift: <1, 1>"
 # The sessions ledger, 3 s traced per gated workload: it exits 1 when
 # its correctness gate fails or the per-layer breakdown stops
 # reconciling with client latency — e.g. when a shard path stops

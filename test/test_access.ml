@@ -1,5 +1,6 @@
 open Expirel_core
 open Expirel_storage
+open Expirel_exec
 
 let fin = Time.of_int
 
@@ -60,16 +61,25 @@ let prop_range_matches_filter =
 
 (* --- Access-path planning and execution --- *)
 
-let make_table rows =
-  let tbl = Table.create ~name:"t" ~columns:[ "a"; "b" ] () in
+let make_db rows =
+  let db = Database.create () in
+  let tbl = Database.create_table db ~name:"t" ~columns:[ "a"; "b" ] in
   List.iter (fun (vs, e) -> Table.insert tbl (Tuple.ints vs) ~texp:(fin e)) rows;
   Table.create_index tbl ~column:2;
-  tbl
+  db
 
 let sample =
   [ [ 1; 25 ], 10; [ 2; 25 ], 15; [ 3; 35 ], 10; [ 4; 50 ], 20; [ 5; 50 ], 3 ]
 
+let make_table rows = Database.table_exn (make_db rows) "t"
+
 let plan_name tbl p = Format.asprintf "%a" Access.pp_plan (Access.plan tbl p)
+
+(* A selection over the stored table through the executor's scan leaf,
+   which runs the access path {!Access.plan} picks. *)
+let select db ~tau p =
+  (Executor.run ~tau ~db (Planner.plan ~db Algebra.(select p (base "t"))))
+    .Eval.relation
 
 let test_plans () =
   let tbl = make_table sample in
@@ -101,23 +111,24 @@ let test_plans () =
     (plan_name tbl (Predicate.eq_const 2 (Value.str "x")))
 
 let test_select_via_index () =
-  let tbl = make_table sample in
+  let db = make_db sample in
   let p =
     Predicate.And
       (Predicate.eq_const 2 (Value.int 50),
        Predicate.Cmp (Predicate.Lt, Predicate.Col 1, Predicate.Const (Value.int 5)))
   in
-  let r = Access.select tbl ~tau:(fin 4) p in
+  let r = select db ~tau:(fin 4) p in
   (* <5,50> expired at 3, <4,50> passes both conjuncts. *)
   Alcotest.(check int) "one row" 1 (Relation.cardinal r);
   Alcotest.(check bool) "the right one" true (Relation.mem (Tuple.ints [ 4; 50 ]) r)
 
 let test_index_maintenance () =
-  let tbl = make_table sample in
+  let db = make_db sample in
+  let tbl = Database.table_exn db "t" in
   ignore (Table.delete tbl (Tuple.ints [ 1; 25 ]));
   ignore (Table.expire_upto tbl (fin 3));
   Table.insert tbl (Tuple.ints [ 9; 25 ]) ~texp:(fin 50);
-  let r = Access.select tbl ~tau:(fin 4) (Predicate.eq_const 2 (Value.int 25)) in
+  let r = select db ~tau:(fin 4) (Predicate.eq_const 2 (Value.int 25)) in
   Alcotest.(check (list string)) "index reflects delete/expire/insert"
     [ "<2, 25>"; "<9, 25>" ]
     (List.map (fun (t, _) -> Tuple.to_string t) (Relation.to_list r));
@@ -137,12 +148,13 @@ let prop_access_equals_reference =
        (Generators.predicate ~arity:2)
        Generators.time_finite)
     (fun (rows, p, tau) ->
-      let tbl = Table.create ~name:"t" ~columns:[ "a"; "b" ] () in
+      let db = Database.create () in
+      let tbl = Database.create_table db ~name:"t" ~columns:[ "a"; "b" ] in
       List.iter (fun (t, e) -> Table.insert tbl t ~texp:(fin e)) rows;
       Table.create_index tbl ~column:1;
       Table.create_index tbl ~column:2;
       let reference = Ops.select p (Table.snapshot tbl ~tau) in
-      Relation.equal (Access.select tbl ~tau p) reference)
+      Relation.equal (select db ~tau p) reference)
 
 let suite =
   [ Alcotest.test_case "ordered index basics" `Quick test_index_basics;

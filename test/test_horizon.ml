@@ -8,6 +8,7 @@
 
 open Expirel_core
 open Expirel_storage
+open Expirel_exec
 open Expirel_sqlx
 module Horizon = Expirel_obs.Horizon
 module Gen = QCheck2.Gen
@@ -128,10 +129,10 @@ let forecast_equals_delivered =
       let subs = Subscription.create db in
       let fired = ref 0 in
       Subscription.subscribe subs ~name:"all"
-        Algebra.(project [ 1 ] (base "t"))
+        (Planner.plan ~db Algebra.(project [ 1 ] (base "t")))
         (fun _ -> incr fired);
       Subscription.subscribe subs ~name:"counts"
-        Algebra.(aggregate [ 2 ] Aggregate.Count (base "t"))
+        (Planner.plan ~db Algebra.(aggregate [ 2 ] Aggregate.Count (base "t")))
         (fun _ -> incr fired);
       let predicted = Subscription.forecast_events subs ~until:(fin until) in
       Subscription.advance subs (fin until);

@@ -384,6 +384,58 @@ let test_sql_constraints () =
    | Interp.Rows _ -> Alcotest.fail "status");
   expect_error t "CREATE CONSTRAINT bad ON SELECT uid FROM pol MIN 0"
 
+(* A constraint's plan reads its table at every clock move: dropping the
+   table under it used to fail every later ADVANCE, TICK and SHOW
+   CONSTRAINTS with "unknown relation s" until the constraint went. *)
+let test_drop_table_under_constraint () =
+  let t = Interp.create () in
+  List.iter
+    (fun sql -> ignore (exec t sql))
+    [ "CREATE TABLE s (sid, uid)";
+      "INSERT INTO s VALUES (1, 7) EXPIRES 10";
+      "CREATE CONSTRAINT c ON SELECT sid FROM s MIN 1" ];
+  (match Interp.exec_sql t "DROP TABLE s" with
+   | Error msg ->
+     Alcotest.(check string) "refusal names the constraint"
+       "table s is read by constraint c" msg
+   | Ok _ -> Alcotest.fail "DROP TABLE under a constraint succeeded");
+  ignore (exec t "ADVANCE TO 5");
+  ignore (exec t "TICK 1");
+  (match exec t "SHOW CONSTRAINTS" with
+   | Interp.Msg m ->
+     Alcotest.(check bool) "constraint still evaluates" true
+       (string_contains m "c: 1 row(s), min 1 — breaks at 10")
+   | Interp.Rows _ -> Alcotest.fail "status");
+  ignore (exec t "DROP CONSTRAINT c");
+  (match exec t "DROP TABLE s" with
+   | Interp.Msg m -> Alcotest.(check string) "dropped" "table s dropped" m
+   | Interp.Rows _ -> Alcotest.fail "message");
+  ignore (exec t "ADVANCE TO 20")
+
+(* Row 1 of [a EXCEPT (b EXCEPT c)] leaves the result when c's row
+   expires at 5 — a refresh drops it, it does not expire — comes back
+   when b's row expires at 15 and expires itself at 20. *)
+let test_constraint_on_nested_difference () =
+  let t = Interp.create () in
+  List.iter
+    (fun sql -> ignore (exec t sql))
+    [ "CREATE TABLE a (x)"; "CREATE TABLE b (x)"; "CREATE TABLE c (x)";
+      "INSERT INTO a VALUES (1) EXPIRES 20";
+      "INSERT INTO b VALUES (1) EXPIRES 15";
+      "INSERT INTO c VALUES (1) EXPIRES 5";
+      "CREATE CONSTRAINT k ON SELECT x FROM a EXCEPT (SELECT x FROM b \
+       EXCEPT SELECT x FROM c) MIN 1" ];
+  (match exec t "SHOW CONSTRAINTS" with
+   | Interp.Msg m ->
+     Alcotest.(check string) "predicted" "k: 1 row(s), min 1 — breaks at 5" m
+   | Interp.Rows _ -> Alcotest.fail "status");
+  match exec t "ADVANCE TO 30" with
+  | Interp.Msg m ->
+    Alcotest.(check string) "both transitions"
+      "clock advanced to 30\nCONSTRAINT VIOLATED: k!min at 5 (0 rows)\n\
+       CONSTRAINT VIOLATED: k!min at 20 (0 rows)" m
+  | Interp.Rows _ -> Alcotest.fail "message"
+
 let test_render () =
   let t = setup_figure1 () in
   let text = Interp.render (exec t "SELECT deg FROM pol") in
@@ -406,6 +458,10 @@ let suite =
     Alcotest.test_case "ORDER BY / LIMIT / HAVING" `Quick test_order_limit_having;
     Alcotest.test_case "ORDER BY column resolver" `Quick test_order_by_resolver;
     Alcotest.test_case "SQL constraints with prediction" `Quick test_sql_constraints;
+    Alcotest.test_case "DROP TABLE refused under a constraint" `Quick
+      test_drop_table_under_constraint;
+    Alcotest.test_case "constraint on a nested difference" `Quick
+      test_constraint_on_nested_difference;
     Alcotest.test_case "SQL-level expiration triggers" `Quick test_sql_triggers;
     Alcotest.test_case "maintained views track updates and time" `Quick
       test_maintained_view;

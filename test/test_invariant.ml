@@ -1,5 +1,6 @@
 open Expirel_core
 open Expirel_storage
+open Expirel_exec
 
 let fin = Time.of_int
 
@@ -12,13 +13,17 @@ let setup () =
     [ [ 1; 1 ], 10; [ 2; 1 ], 25; [ 3; 2 ], 40 ];
   db
 
+(* Constraints hold a plan, planned once when registered. *)
+let add inv db ~name ~expr spec =
+  Invariant.add inv ~name (Planner.plan ~db expr) spec
+
 let seniors = Algebra.(select (Predicate.eq_const 2 (Value.int 1)) (base "oncall"))
 
 let test_prediction () =
   let db = setup () in
   let inv = Invariant.create db in
-  Invariant.add inv ~name:"two-seniors" ~expr:seniors (Invariant.Min_cardinality 2);
-  Invariant.add inv ~name:"any-oncall" ~expr:(Algebra.base "oncall")
+  add inv db ~name:"two-seniors" ~expr:seniors (Invariant.Min_cardinality 2);
+  add inv db ~name:"any-oncall" ~expr:(Algebra.base "oncall")
     (Invariant.Min_cardinality 1);
   Alcotest.(check (list string)) "nothing violated now" []
     (List.map (fun v -> v.Invariant.name) (Invariant.check_now inv));
@@ -37,7 +42,7 @@ let test_prediction () =
 let test_topping_up_removes_violation () =
   let db = setup () in
   let inv = Invariant.create db in
-  Invariant.add inv ~name:"two-seniors" ~expr:seniors (Invariant.Min_cardinality 2);
+  add inv db ~name:"two-seniors" ~expr:seniors (Invariant.Min_cardinality 2);
   (* Act on the prediction: renew operator 1's shift before time 10. *)
   Database.insert db "oncall" (Tuple.ints [ 1; 1 ]) ~texp:(fin 50);
   Alcotest.(check (option string)) "violation postponed" (Some "25")
@@ -47,8 +52,8 @@ let test_topping_up_removes_violation () =
 let test_advance_reports_transitions () =
   let db = setup () in
   let inv = Invariant.create db in
-  Invariant.add inv ~name:"two-seniors" ~expr:seniors (Invariant.Min_cardinality 2);
-  Invariant.add inv ~name:"any-oncall" ~expr:(Algebra.base "oncall")
+  add inv db ~name:"two-seniors" ~expr:seniors (Invariant.Min_cardinality 2);
+  add inv db ~name:"any-oncall" ~expr:(Algebra.base "oncall")
     (Invariant.Min_cardinality 1);
   let violations = Invariant.advance inv (fin 50) in
   Alcotest.(check (list string)) "transitions in time order"
@@ -62,7 +67,7 @@ let test_max_cardinality () =
   let db = setup () in
   let inv = Invariant.create db in
   (* At most one senior allowed: already broken. *)
-  Invariant.add inv ~name:"cap" ~expr:seniors (Invariant.Max_cardinality 1);
+  add inv db ~name:"cap" ~expr:seniors (Invariant.Max_cardinality 1);
   (match Invariant.check_now inv with
    | [ v ] ->
      Alcotest.(check int) "cardinality reported" 2 v.Invariant.cardinality
@@ -70,7 +75,7 @@ let test_max_cardinality () =
   (* A difference can grow by expiration, entering a max violation. *)
   let tbl = Database.create_table db ~name:"ack" ~columns:[ "op"; "level" ] in
   Table.insert tbl (Tuple.ints [ 3; 2 ]) ~texp:(fin 5);
-  Invariant.add inv ~name:"unacked"
+  add inv db ~name:"unacked"
     ~expr:Algebra.(diff (base "oncall") (base "ack"))
     (Invariant.Max_cardinality 2);
   Alcotest.(check (option string)) "growth into violation predicted" (Some "5")
@@ -82,10 +87,10 @@ let test_management () =
   let inv = Invariant.create db in
   Alcotest.check_raises "bad bound"
     (Invalid_argument "Invariant.add: non-positive bound") (fun () ->
-      Invariant.add inv ~name:"x" ~expr:seniors (Invariant.Min_cardinality 0));
-  Invariant.add inv ~name:"x" ~expr:seniors (Invariant.Min_cardinality 1);
+      add inv db ~name:"x" ~expr:seniors (Invariant.Min_cardinality 0));
+  add inv db ~name:"x" ~expr:seniors (Invariant.Min_cardinality 1);
   Alcotest.check_raises "duplicate" (Invalid_argument "Invariant.add: x exists")
-    (fun () -> Invariant.add inv ~name:"x" ~expr:seniors (Invariant.Min_cardinality 1));
+    (fun () -> add inv db ~name:"x" ~expr:seniors (Invariant.Min_cardinality 1));
   Alcotest.(check bool) "remove" true (Invariant.remove inv "x");
   Alcotest.(check bool) "remove twice" false (Invariant.remove inv "x");
   Alcotest.check_raises "unknown" Not_found (fun () ->
@@ -95,7 +100,7 @@ let test_management () =
    time at which a fresh evaluation violates. *)
 let prop_prediction_matches_brute_force =
   Generators.qtest "next_violation = brute-force first bad time" ~count:150
-    (QCheck2.Gen.pair (Generators.expr_and_env ()) (QCheck2.Gen.int_range 1 4))
+    (QCheck2.Gen.pair (Generators.expr_and_env_or_nested_difference ()) (QCheck2.Gen.int_range 1 4))
     (fun ((expr, bindings), bound) ->
       let db = Database.create () in
       List.iter
@@ -107,7 +112,7 @@ let prop_prediction_matches_brute_force =
           Relation.iter (fun t texp -> Table.insert tbl t ~texp) r)
         bindings;
       let inv = Invariant.create db in
-      Invariant.add inv ~name:"w" ~expr (Invariant.Min_cardinality bound);
+      add inv db ~name:"w" ~expr (Invariant.Min_cardinality bound);
       let horizon = 40 in
       let env tau name =
         Option.map (fun tb -> Table.snapshot tb ~tau) (Database.table db name)
@@ -132,6 +137,66 @@ let prop_prediction_matches_brute_force =
          | Some b, Some p -> Time.equal (fin b) p
          | Some _, None | None, Some _ -> false))
 
+(* Property: the transitions [advance] reports — for every bound from 1
+   to 6, both ways — are exactly the ticks in ]from, target] at which a
+   fresh naive evaluation turns violated. *)
+let prop_advance_matches_brute_force =
+  Generators.qtest "advance = brute-force per-tick transitions" ~count:150
+    (QCheck2.Gen.triple
+       (Generators.expr_and_env_or_nested_difference ()) (QCheck2.Gen.int_range 0 5)
+       (QCheck2.Gen.int_range 0 30))
+    (fun ((expr, bindings), start, span) ->
+      let db = Database.create () in
+      List.iter
+        (fun (name, r) ->
+          let columns =
+            List.init (Relation.arity r) (fun i -> Printf.sprintf "c%d" i)
+          in
+          let tbl = Database.create_table db ~name ~columns in
+          Relation.iter (fun t texp -> Table.insert tbl t ~texp) r)
+        bindings;
+      Database.advance_to db (fin start);
+      let inv = Invariant.create db in
+      let specs =
+        List.concat_map
+          (fun b ->
+            [ (Printf.sprintf "max%d" b, Invariant.Max_cardinality b);
+              (Printf.sprintf "min%d" b, Invariant.Min_cardinality b) ])
+          [ 1; 2; 3; 4; 5; 6 ]
+      in
+      List.iter (fun (name, spec) -> add inv db ~name ~expr spec) specs;
+      let cardinality tau =
+        Relation.cardinal
+          (Eval.relation_at
+             ~env:(fun name ->
+               Option.map (fun tb -> Table.snapshot tb ~tau:(fin tau))
+                 (Database.table db name))
+             ~tau:(fin tau) expr)
+      in
+      let counts = Array.init (span + 1) (fun i -> cardinality (start + i)) in
+      let bad spec i =
+        match spec with
+        | Invariant.Min_cardinality b -> counts.(i) < b
+        | Invariant.Max_cardinality b -> counts.(i) > b
+      in
+      let brute =
+        List.init span (fun i -> i + 1)
+        |> List.concat_map (fun i ->
+            List.filter_map
+              (fun (name, spec) ->
+                if bad spec i && not (bad spec (i - 1)) then
+                  Some (Printf.sprintf "%s@%d" name (start + i))
+                else None)
+              (List.sort compare specs))
+      in
+      let reported =
+        List.map
+          (fun v ->
+            Printf.sprintf "%s@%s" v.Invariant.name (Time.to_string v.Invariant.at))
+          (Invariant.advance inv (fin (start + span)))
+      in
+      brute = reported && Time.equal (Database.now db) (fin (start + span)))
+
 let suite =
   [ Alcotest.test_case "violations predicted ahead of time" `Quick test_prediction;
     Alcotest.test_case "renewals postpone predicted violations" `Quick
@@ -141,4 +206,5 @@ let suite =
     Alcotest.test_case "max cardinality and growing differences" `Quick
       test_max_cardinality;
     Alcotest.test_case "registry management" `Quick test_management;
-    prop_prediction_matches_brute_force ]
+    prop_prediction_matches_brute_force;
+    prop_advance_matches_brute_force ]

@@ -116,6 +116,45 @@ let test_unsubscribe_ownership () =
                | Ok () -> Alcotest.fail "foreign unsubscribe succeeded");
               ok (Client.unsubscribe c1 "mine"))))
 
+(* A non-monotone watch reruns its plan at texp(e): dropping a table it
+   reads used to fail every later ADVANCE with "subscription delivery:
+   unknown relation b", re-firing the events before the refresh each
+   time.  The server now refuses the drop while the watch stands. *)
+let test_drop_table_under_watch () =
+  with_server (fun _server port ->
+      with_client port (fun client ->
+          List.iter
+            (fun sql -> ok (Client.exec_ok client sql))
+            [ "CREATE TABLE a (x)";
+              "CREATE TABLE b (x)";
+              "INSERT INTO a VALUES (1) EXPIRES 20";
+              "INSERT INTO a VALUES (2) EXPIRES 3";
+              "INSERT INTO b VALUES (1) EXPIRES 5" ];
+          ok
+            (Client.subscribe client ~name:"diff"
+               ~query:"SELECT x FROM a EXCEPT SELECT x FROM b");
+          (match exec client "DROP TABLE b" with
+           | Wire.Err { message; _ } ->
+             Alcotest.(check string) "refusal names the watch"
+               "table b is read by subscription diff" message
+           | r -> Alcotest.fail ("drop accepted: " ^ Wire.render_response r));
+          ok (Client.exec_ok client "ADVANCE TO 8");
+          let render = function
+            | Wire.Row_expired { row; at; _ } ->
+              Printf.sprintf "-%s@%s" (Tuple.to_string (Tuple.of_list row))
+                (Time.to_string at)
+            | Wire.Row_appeared { row; at; _ } ->
+              Printf.sprintf "+%s@%s" (Tuple.to_string (Tuple.of_list row))
+                (Time.to_string at)
+            | Wire.Refreshed { at; _ } -> "refresh@" ^ Time.to_string at
+          in
+          Alcotest.(check (list string)) "delivered once, refresh included"
+            [ "-<2>@3"; "refresh@5"; "+<1>@5" ]
+            (List.map render (Client.events client));
+          ok (Client.unsubscribe client "diff");
+          ok (Client.exec_ok client "DROP TABLE b");
+          ok (Client.exec_ok client "ADVANCE TO 30")))
+
 (* ---------- concurrency: monotone clock, no expired tuples ---------- *)
 
 let test_concurrent_clients () =
@@ -824,6 +863,8 @@ let suite =
       test_subscription_event_order;
     Alcotest.test_case "unsubscribe requires ownership" `Quick
       test_unsubscribe_ownership;
+    Alcotest.test_case "DROP TABLE refused under a watch" `Quick
+      test_drop_table_under_watch;
     Alcotest.test_case "concurrent clients: monotone clock, no expired rows"
       `Quick test_concurrent_clients;
     Alcotest.test_case "connection cap refuses with Overloaded" `Quick

@@ -1,5 +1,6 @@
 open Expirel_core
 open Expirel_storage
+open Expirel_exec
 open Expirel_workload
 
 let fin = Time.of_int
@@ -20,6 +21,10 @@ let render = function
   | Subscription.Refreshed { at; _ } ->
     Printf.sprintf "refresh@%s" (Time.to_string at)
 
+(* Watches hold a plan, planned once at subscribe time. *)
+let watch subs db ~name expr handler =
+  Subscription.subscribe subs ~name (Planner.plan ~db expr) handler
+
 let difference = Algebra.(diff (project [ 1 ] (base "Pol")) (project [ 1 ] (base "El")))
 let histogram = Algebra.(project [ 2; 3 ] (aggregate [ 2 ] Aggregate.Count (base "Pol")))
 
@@ -27,7 +32,7 @@ let test_difference_timeline () =
   let db = setup () in
   let subs = Subscription.create db in
   let log = ref [] in
-  Subscription.subscribe subs ~name:"d" difference (fun e -> log := render e :: !log);
+  watch subs db ~name:"d" difference (fun e -> log := render e :: !log);
   Subscription.advance subs (fin 20);
   (* The full Figure 3(b-d) life of the difference, as push events. *)
   Alcotest.(check (list string)) "event timeline"
@@ -43,17 +48,45 @@ let test_histogram_timeline () =
   let db = setup () in
   let subs = Subscription.create db in
   let log = ref [] in
-  Subscription.subscribe subs ~name:"h" histogram (fun e -> log := render e :: !log);
+  watch subs db ~name:"h" histogram (fun e -> log := render e :: !log);
   Subscription.advance subs (fin 20);
   Alcotest.(check (list string)) "count drop pushed at 10"
     [ "-<25, 2>@10"; "-<35, 1>@10"; "refresh@10"; "+<25, 1>@10"; "-<25, 1>@15" ]
+    (List.rev !log)
+
+(* A refresh can drop a still-live row or change its expiration time;
+   either leaves the result at the refresh, so folding the events keeps
+   reproducing the result. *)
+let test_refresh_departures () =
+  let db = Database.create () in
+  let load name rows =
+    let tbl = Database.create_table db ~name ~columns:[ "x"; "y" ] in
+    List.iter (fun (vs, e) -> Table.insert tbl (Tuple.ints vs) ~texp:(fin e)) rows
+  in
+  load "a" [ [ 1; 0 ], 20 ];
+  load "b" [ [ 1; 0 ], 15 ];
+  load "c" [ [ 1; 0 ], 5 ];
+  load "p" [ [ 1; 1 ], 10; [ 1; 2 ], 20 ];
+  load "q" [ [ 1; 2 ], 5 ];
+  let subs = Subscription.create db in
+  let log = ref [] in
+  let record e = log := render e :: !log in
+  watch subs db ~name:"dropped"
+    Algebra.(diff (base "a") (diff (base "b") (base "c")))
+    record;
+  watch subs db ~name:"redated" Algebra.(project [ 1 ] (diff (base "p") (base "q")))
+    record;
+  Subscription.advance subs (fin 30);
+  Alcotest.(check (list string)) "departures at refreshes"
+    [ "-<1, 0>@5"; "refresh@5"; "refresh@15"; "+<1, 0>@15"; "-<1, 0>@20";
+      "-<1>@5"; "refresh@5"; "+<1>@5"; "-<1>@20" ]
     (List.rev !log)
 
 let test_monotonic_only_expirations () =
   let db = setup () in
   let subs = Subscription.create db in
   let log = ref [] in
-  Subscription.subscribe subs ~name:"j"
+  watch subs db ~name:"j"
     Algebra.(join (Predicate.eq_cols 1 3) (base "Pol") (base "El"))
     (fun e -> log := render e :: !log);
   (* A delivery the clock never followed is not repeated: the watch
@@ -71,7 +104,7 @@ let test_incremental_advances () =
     let db = setup () in
     let subs = Subscription.create db in
     let log = ref [] in
-    Subscription.subscribe subs ~name:"d" difference (fun e -> log := render e :: !log);
+    watch subs db ~name:"d" difference (fun e -> log := render e :: !log);
     List.iter (fun tau -> Subscription.advance subs (fin tau)) steps;
     List.rev !log
   in
@@ -81,10 +114,10 @@ let test_incremental_advances () =
 let test_management () =
   let db = setup () in
   let subs = Subscription.create db in
-  Subscription.subscribe subs ~name:"a" difference (fun _ -> ());
+  watch subs db ~name:"a" difference (fun _ -> ());
   Alcotest.check_raises "duplicate name"
     (Invalid_argument "Subscription.subscribe: a exists") (fun () ->
-      Subscription.subscribe subs ~name:"a" difference (fun _ -> ()));
+      watch subs db ~name:"a" difference (fun _ -> ()));
   Alcotest.(check (list string)) "names" [ "a" ] (Subscription.names subs);
   Alcotest.(check bool) "unsubscribe" true (Subscription.unsubscribe subs "a");
   Alcotest.(check bool) "twice" false (Subscription.unsubscribe subs "a");
@@ -92,10 +125,11 @@ let test_management () =
       ignore (Subscription.current subs "a"))
 
 (* Property: after arbitrary advances, [current] equals a fresh
-   evaluation, and event times are nondecreasing. *)
+   evaluation — per-row texps included — folding the pushed events
+   reproduces [current], and event times are nondecreasing. *)
 let prop_current_tracks_truth =
   Generators.qtest "subscriptions track the fresh evaluation" ~count:150
-    (QCheck2.Gen.pair (Generators.expr_and_env ())
+    (QCheck2.Gen.pair (Generators.expr_and_env_or_nested_difference ())
        (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 6)
           (QCheck2.Gen.int_range 0 8)))
     (fun ((expr, bindings), hops) ->
@@ -110,16 +144,21 @@ let prop_current_tracks_truth =
         bindings;
       let subs = Subscription.create db in
       let last_at = ref Time.zero and ordered = ref true in
-      Subscription.subscribe subs ~name:"w" expr (fun e ->
+      let folded = ref None in
+      watch subs db ~name:"w" expr (fun e ->
           let at =
             match e with
-            | Subscription.Row_expired { at; _ }
-            | Subscription.Row_appeared { at; _ }
-            | Subscription.Refreshed { at; _ } ->
+            | Subscription.Row_expired { at; tuple; _ } ->
+              folded := Option.map (Relation.remove tuple) !folded;
               at
+            | Subscription.Row_appeared { at; tuple; texp; _ } ->
+              folded := Option.map (Relation.replace tuple ~texp) !folded;
+              at
+            | Subscription.Refreshed { at; _ } -> at
           in
           if Time.(at < !last_at) then ordered := false;
           last_at := at);
+      folded := Some (Subscription.current subs "w");
       List.for_all
         (fun hop ->
           let target = Time.add (Database.now db) (fin hop) in
@@ -130,14 +169,18 @@ let prop_current_tracks_truth =
                        (Database.table db n))
               ~tau:target expr
           in
+          let current = Subscription.current subs "w" in
           !ordered
-          && Relation.equal_tuples (Subscription.current subs "w") fresh)
+          && Relation.equal current fresh
+          && Relation.equal (Option.get !folded) current)
         hops)
 
 let suite =
   [ Alcotest.test_case "difference event timeline (Fig 3 as pushes)" `Quick
       test_difference_timeline;
     Alcotest.test_case "histogram count-change events" `Quick test_histogram_timeline;
+    Alcotest.test_case "refreshes drop and re-date rows" `Quick
+      test_refresh_departures;
     Alcotest.test_case "monotonic views only expire" `Quick
       test_monotonic_only_expirations;
     Alcotest.test_case "stepwise advances" `Quick test_incremental_advances;
