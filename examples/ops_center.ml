@@ -8,8 +8,8 @@
 open Expirel_core
 open Expirel_storage
 open Expirel_exec
+open Expirel_sqlx
 
-let fin = Time.of_int
 let section title = Printf.printf "\n=== %s ===\n" title
 
 let () =
@@ -21,61 +21,75 @@ let () =
   @@ fun () ->
   section "A durable on-call roster (WAL + checkpointing)";
   let t = Durable.open_dir dir in
-  Durable.create_table t ~name:"oncall" ~columns:[ "op"; "level" ];
+  (* One interpreter session over the store: it logs every statement
+     ahead and owns the constraints and watches below. *)
+  let session = Interp.create ~store:t () in
+  let sql statement =
+    match Interp.exec_sql session statement with
+    | Ok outcome -> Interp.render outcome
+    | Error e -> failwith (statement ^ ": " ^ e)
+  in
+  ignore (sql "CREATE TABLE oncall (op, level)");
   (* Shifts end at known times: that IS the expiration time. *)
   List.iter
     (fun (op, level, shift_end) ->
-      Durable.insert t "oncall" (Tuple.ints [ op; level ]) ~texp:(fin shift_end))
+      ignore
+        (sql
+           (Printf.sprintf "INSERT INTO oncall VALUES (%d, %d) EXPIRES %d" op
+              level shift_end)))
     [ 1, 1, 60; 2, 1, 25; 3, 2, 40; 4, 2, 95 ];
   Printf.printf "4 operators on call; WAL holds %d records\n" (Durable.wal_records t);
 
-  let db = Durable.database t in
-  let seniors =
-    Algebra.(select (Predicate.eq_const 2 (Value.int 1)) (base "oncall"))
-  in
-
   section "Predictive integrity constraints";
-  let inv = Invariant.create db in
-  Invariant.add inv ~name:"senior-coverage" (Planner.plan ~db seniors)
-    (Invariant.Min_cardinality 2);
-  Invariant.add inv ~name:"anyone-awake"
-    (Planner.plan ~db (Algebra.base "oncall"))
-    (Invariant.Min_cardinality 1);
+  ignore
+    (sql
+       "CREATE CONSTRAINT senior_coverage ON SELECT op FROM oncall WHERE \
+        level = 1 MIN 2");
+  ignore (sql "CREATE CONSTRAINT anyone_awake ON SELECT op FROM oncall MIN 1");
+  (* One "name: n row(s), min k — verdict" line per constraint. *)
+  let verdict name =
+    let line =
+      List.find
+        (String.starts_with ~prefix:(name ^ ":"))
+        (String.split_on_char '\n' (sql "SHOW CONSTRAINTS"))
+    in
+    let rec after = function
+      | "—" :: rest -> String.concat " " rest
+      | _ :: rest -> after rest
+      | [] -> line
+    in
+    after (String.split_on_char ' ' line)
+  in
   List.iter
-    (fun name ->
-      match Invariant.next_violation inv ~name ~horizon:(fin 200) with
-      | Some at ->
-        Printf.printf "  %-16s will break at t=%s — act before then!\n" name
-          (Time.to_string at)
-      | None -> Printf.printf "  %-16s holds for the next 200 ticks\n" name)
-    (Invariant.names inv);
+    (fun name -> Printf.printf "  %-16s %s — act before then!\n" name (verdict name))
+    [ "senior_coverage"; "anyone_awake" ];
 
   (* Act on the prediction: extend operator 2's shift ahead of time. *)
-  Durable.insert t "oncall" (Tuple.ints [ 2; 1 ]) ~texp:(fin 80);
-  Printf.printf "renewed operator 2 through t=80; senior coverage now breaks at %s\n"
-    (match Invariant.next_violation inv ~name:"senior-coverage" ~horizon:(fin 200) with
-     | Some at -> Time.to_string at
-     | None -> "never");
+  ignore (sql "INSERT INTO oncall VALUES (2, 1) EXPIRES 80");
+  Printf.printf "renewed operator 2 through t=80; senior coverage now %s\n"
+    (verdict "senior_coverage");
 
   section "Continuous queries: exact-time push notifications";
-  let subs = Subscription.create db in
-  Subscription.subscribe subs ~name:"seniors" (Planner.plan ~db seniors)
-    (fun event ->
-      match event with
-      | Subscription.Row_expired { tuple; at; _ } ->
-        Printf.printf "  t=%-3s off-shift: %s\n" (Time.to_string at)
-          (Tuple.to_string tuple)
-      | Subscription.Row_appeared { tuple; at; _ } ->
-        Printf.printf "  t=%-3s on-shift:  %s\n" (Time.to_string at)
-          (Tuple.to_string tuple)
-      | Subscription.Refreshed { at; _ } ->
-        Printf.printf "  t=%-3s (view refreshed)\n" (Time.to_string at));
-  Subscription.advance subs (fin 90);
-  (* The subscription drove the in-memory clock; record the time change
-     durably too (a no-op on the live state, one record in the WAL). *)
-  Durable.advance_to t (fin 90);
-  Printf.printf "seniors on call at t=90: %d\n"
-    (Relation.cardinal (Subscription.current subs "seniors"));
+  (match
+     Interp.subscribe session ~name:"seniors"
+       (Parser.parse_statement "SELECT op, level FROM oncall WHERE level = 1")
+       (function
+         | Subscription.Row_expired { tuple; at; _ } ->
+           Printf.printf "  t=%-3s off-shift: %s\n" (Time.to_string at)
+             (Tuple.to_string tuple)
+         | Subscription.Row_appeared { tuple; at; _ } ->
+           Printf.printf "  t=%-3s on-shift:  %s\n" (Time.to_string at)
+             (Tuple.to_string tuple)
+         | Subscription.Refreshed { at; _ } ->
+           Printf.printf "  t=%-3s (view refreshed)\n" (Time.to_string at))
+   with
+   | Ok () -> ()
+   | Error e -> failwith e);
+  (* One clock move: the watch's events fire at their exact times, the
+     constraint transitions come back, then the clock moves (and is
+     logged) once. *)
+  print_endline (sql "ADVANCE TO 90");
+  print_endline (sql "SELECT op FROM oncall WHERE level = 1");
 
   section "Crash recovery";
   let wal_before = Durable.wal_records t in

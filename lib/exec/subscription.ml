@@ -54,11 +54,6 @@ let readers t table =
       List.mem table (Algebra.base_names w.compiled.Plan.logical))
     (names t)
 
-let current t name =
-  match Hashtbl.find_opt t.watches name with
-  | Some w -> Relation.exp (Database.now t.db) w.result.Eval.relation
-  | None -> raise Not_found
-
 (* The one change-time walk.  It holds the rows of the current result
    that expire before its next refresh or the target, in [(texp, tuple)]
    order, sorted once per walk and again after each refresh, so a step
@@ -165,7 +160,3 @@ let deliver_until t target =
       ~finish:(fun w r ->
         w.result <-
           { r with Eval.relation = Relation.exp target r.Eval.relation })
-
-let advance t target =
-  deliver_until t target;
-  Database.advance_to t.db target

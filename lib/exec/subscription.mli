@@ -8,7 +8,9 @@
     Because all future expirations are known, no polling is involved:
     {!walk} visits the exact change times in order.  It is the one
     change-time walk of every standing query: watches deliver through
-    it, and {!Invariant} counts a constraint's cardinality along it. *)
+    it, and {!Invariant} counts a constraint's cardinality along it.
+    The interpreter owns the registry and is the only caller of
+    {!deliver_until}, right before it moves the clock. *)
 
 open Expirel_core
 open Expirel_storage
@@ -37,8 +39,7 @@ type handler = event -> unit
 type t
 
 val create : Database.t -> t
-(** The manager drives (and stays synchronised with) the database's
-    clock: move time only through {!advance}. *)
+(** A registry over the database; it never moves the clock itself. *)
 
 val subscribe : t -> name:string -> Plan.compiled -> handler -> unit
 (** Runs the plan at the clock and starts watching its result; the
@@ -48,43 +49,32 @@ val subscribe : t -> name:string -> Plan.compiled -> handler -> unit
     {!Executor.run} *)
 
 val unsubscribe : t -> string -> bool
-val names : t -> string list
 
 val readers : t -> string -> string list
 (** The watches whose query reads the named table, in name order — a
     table under a watch must not be dropped, or every later delivery
     would fail on it. *)
 
-val current : t -> string -> Relation.t
-(** The subscription's result at the current time.
-    @raise Not_found for unknown names *)
-
-val advance : t -> Time.t -> unit
-(** Advances the database clock and fires, per subscription (in name
-    order) and in ascending time order within each, every change event
-    in the interval.  Ties at one instant fire expirations first, then
-    the refresh, then appearances.
-    @raise Invalid_argument when moving backwards or to [Inf] *)
-
 val forecast_events : t -> until:Time.t -> int
-(** How many events an {!advance} (or {!deliver_until}) to [until]
-    would fire, across every subscription — without firing handlers or
-    touching any watch or clock state.  Exact, not an estimate: each
+(** How many events a {!deliver_until} to [until] would fire, across
+    every subscription — without firing handlers or touching any watch
+    or clock state.  Exact, not an estimate: each
     watch's {!walk} is replayed, and logical time makes the future
     deterministic.  [0] when [until] is infinite or not beyond the
     current clock.  This is the fan-out forecast the observability
     horizon exports. *)
 
 val deliver_until : t -> Time.t -> unit
-(** Exactly {!advance}'s event delivery — every change event in the
-    interval from the current clock up to the target, same ordering —
-    but {e without} moving the database clock, for callers that move
-    it through the interpreter right after.  Each watch keeps
-    only the rows live at the target, so calling this and never
-    advancing leaves the watches ahead of the clock: {!current} no
-    longer lists the rows already reported expired, and the next
-    delivery resumes from the clock without reporting them again.
-    One delivery is one {!walk} per watch.
+(** Fires, per subscription (in name order) and in ascending time order
+    within each, every change event in the interval from the current
+    clock up to the target.  Ties at one instant fire expirations first,
+    then the refresh, then appearances.  It does {e not} move the
+    database clock: the caller moves it right after, before the storage
+    physically removes the expired rows.  Each watch keeps only the rows
+    live at the target, so calling this and never advancing leaves the
+    watches ahead of the clock: the next delivery resumes from the clock
+    without reporting those rows again.  One delivery is one {!walk} per
+    watch.
     @raise Invalid_argument when moving backwards or to [Inf] *)
 
 val walk :
@@ -92,14 +82,15 @@ val walk :
   from:Time.t -> to_:Time.t -> emit:handler -> settle:(Time.t -> bool) ->
   Eval.result
 (** [walk ~db ~name plan result ~from ~to_ ~emit ~settle] fires through
-    [emit], in {!advance}'s order, every change in [(from, to_]] of
-    [result], [plan]'s answer as of [from]: each row at its expiration
-    time, and at each [texp(e)] a refresh ([Executor.run ~tau] of
-    [plan]) that reports the live rows it drops or re-dates as expired
-    and the new or re-dated ones as appeared, so folding the events over
-    [result] gives the answer at every instant.  [settle] sees each
-    instant after its last event; [false] stops the walk there.  Returns
-    the result where the walk stopped, rows not yet cut.  Cost: a pass
-    over the result and a sort of the rows due before the next refresh
-    or [to_], again after each refresh, and O(1) per event —
+    [emit], in {!deliver_until}'s order, every change in [(from, to_]]
+    of [result], [plan]'s answer as of [from]: each row at its
+    expiration time, and at each [texp(e)] a refresh ([Executor.run
+    ~tau] of [plan]) that reports the live rows it drops or re-dates as
+    expired and the new or re-dated ones as appeared, so folding the
+    events over [result] gives the answer at every instant.  [settle]
+    sees each instant after its last event; [false] stops the walk
+    there.  Returns the result where the walk stopped, rows not yet
+    cut.  Cost: a pass over the result and a sort of the rows due
+    before the next refresh or [to_], again after each refresh, and
+    O(1) per event —
     O(n log n + events). *)

@@ -110,7 +110,6 @@ type t = {
   config : config;
   interp : Interp.t;
   store : Durable.t option;
-  subs : Subscription.t;
   lock : Rwlock.t;
   metrics : Metrics.t;
   trace_store : Obs.Trace_store.t;
@@ -129,21 +128,6 @@ type t = {
   mutable store_closed : bool;
   mutable next_id : int;
 }
-
-(* The full forward-looking report: the interpreter's per-table buckets
-   and churn rates, plus the subscription fan-out forecast only this
-   layer can see (the subscription manager lives here).  Callers hold
-   the read lock — the forecast walks live table and watch state. *)
-let horizon_of ~interp ~subs ?table () =
-  let r = Interp.horizon ?table interp in
-  let until =
-    Time.add
-      (Database.now (Interp.database interp))
-      (Time.of_int r.Obs.Horizon.window)
-  in
-  { r with
-    Obs.Horizon.fanout_events = Subscription.forecast_events subs ~until
-  }
 
 let create ?(config = default_config) () =
   let store =
@@ -173,7 +157,6 @@ let create ?(config = default_config) () =
     { config;
       interp;
       store;
-      subs = Subscription.create db;
       lock = Rwlock.create ();
       metrics;
       trace_store = Obs.Trace_store.create ();
@@ -346,7 +329,8 @@ let create ?(config = default_config) () =
      exposition time like the other expiration-domain gauges (METRICS
      runs as a reader).  Each bucket boundary is a binary-search cut
      of the table's texp-ordered run — O(buckets · log n) per table —
-     so a scrape stays cheap on big tables. *)
+     so a scrape stays cheap on big tables.  Only the fan-out gauge
+     walks the watches, so a scrape walks them once. *)
   Obs.Registry.custom reg ~name:"expirel_horizon_rows"
     ~help:"Forecast: live rows by ticks-to-expiry, per table (+Inf \
            also holds never-expiring rows)"
@@ -355,14 +339,11 @@ let create ?(config = default_config) () =
         (fun tb ->
           ( [ ("table", tb.Obs.Horizon.name) ],
             Obs.Registry.Histogram_sample (Obs.Horizon.snapshot tb) ))
-        (Interp.horizon t.interp).Obs.Horizon.tables);
+        (Interp.horizon_tables t.interp));
   Obs.Registry.gauge_fun reg ~name:"expirel_horizon_fanout_events"
     ~help:"Subscription events the next ADVANCE window will deliver"
     (fun () ->
-      let until =
-        Time.add (Database.now db) (Time.of_int Obs.Horizon.default_window)
-      in
-      float_of_int (Subscription.forecast_events t.subs ~until));
+      float_of_int (Interp.horizon t.interp).Obs.Horizon.fanout_events);
   Obs.Registry.gauge_fun reg ~name:"expirel_horizon_window_ticks"
     ~help:"The forecast window (ticks) used for fan-out and storm rules"
     (fun () -> float_of_int Obs.Horizon.default_window);
@@ -370,22 +351,19 @@ let create ?(config = default_config) () =
     ~help:"Arrival vs expiration velocity, rows per tick over a \
            sliding window"
     ~kind:Obs.Registry.Gauge_kind (fun () ->
-      let r = Interp.horizon t.interp in
-      [ ( [ ("kind", "arrival") ],
-          Obs.Registry.Gauge_sample r.Obs.Horizon.arrival_rate );
-        ( [ ("kind", "expiration") ],
-          Obs.Registry.Gauge_sample r.Obs.Horizon.expiration_rate )
+      let arrival, expiration = Interp.churn_rates t.interp in
+      [ ([ ("kind", "arrival") ], Obs.Registry.Gauge_sample arrival);
+        ([ ("kind", "expiration") ], Obs.Registry.Gauge_sample expiration)
       ]);
   (* The storm ratio's numerator and denominator, as plain gauges so
      the predictive health rules read them off the same collection. *)
   Obs.Registry.gauge_fun reg ~name:"expirel_horizon_expiring_soon"
     ~help:"Live rows expiring within the next horizon window" (fun () ->
-      let r = Interp.horizon t.interp in
       float_of_int
         (List.fold_left
            (fun acc tb ->
-             acc + Obs.Horizon.expiring_within tb r.Obs.Horizon.window)
-           0 r.Obs.Horizon.tables));
+             acc + Obs.Horizon.expiring_within tb Obs.Horizon.default_window)
+           0 (Interp.horizon_tables t.interp)));
   Obs.Registry.gauge_fun reg ~name:"expirel_live_rows"
     ~help:"Live rows across all tables (the storm ratio's denominator)"
     (fun () -> float_of_int (Database.live_rows db));
@@ -497,53 +475,11 @@ let response_of_outcome = function
         recomputed
       }
 
-(* Push the continuous queries' change events up to [target] before the
-   clock moves there (which physically removes expired rows under the
-   eager policy): subscribers see every event at its exact logical time,
-   and always before the move is acknowledged.  A target the clock
-   cannot move to is left for the clock move itself to refuse. *)
-let deliver_until t target =
-  if Time.is_finite target
-     && Time.(target >= Database.now (Interp.database t.interp))
-  then Subscription.deliver_until t.subs target
-
-let deliver_subscription_events t = function
-  | Ast.Advance_to n -> deliver_until t (Time.of_int n)
-  | Ast.Tick n ->
-    deliver_until t
-      (Time.add (Database.now (Interp.database t.interp)) (Time.of_int n))
-  | _ -> ()
-
 (* Runs a parsed statement; the caller holds the lock its kind needs. *)
 let run_statement ?trace ?text t stmt =
-  match
-    deliver_subscription_events t stmt;
-    (* SHOW HORIZON is answered above the interpreter so the fan-out
-       forecast covers this server's subscriptions — the interpreter
-       alone would report 0. *)
-    match stmt with
-    | Ast.Drop_table table when Subscription.readers t.subs table <> [] ->
-      (* A watch reruns its plan at every refresh: dropping a table it
-         reads would fail every later delivery, so every ADVANCE. *)
-      Error
-        (Printf.sprintf "table %s is read by subscription %s" table
-           (String.concat ", " (Subscription.readers t.subs table)))
-    | Ast.Show_horizon table ->
-      (match horizon_of ~interp:t.interp ~subs:t.subs ?table () with
-       | report -> Ok (Interp.Msg (Obs.Horizon.render report))
-       | exception Errors.Unknown_relation name ->
-         Error ("unknown relation " ^ name))
-    | _ -> Interp.exec ?trace ?text t.interp stmt
-  with
+  match Interp.exec ?trace ?text t.interp stmt with
   | Ok outcome -> response_of_outcome outcome
   | Error message -> Wire.Err { code = Wire.Exec_error; message }
-  | exception Errors.Unknown_relation name ->
-    Wire.Err
-      { code = Wire.Exec_error;
-        message = "subscription delivery: unknown relation " ^ name
-      }
-  | exception Invalid_argument message ->
-    Wire.Err { code = Wire.Exec_error; message }
 
 (* [run_statement] under the lock; [reply] maps the answer before the
    lock is released. *)
@@ -608,6 +544,10 @@ let wire_event = function
   | Subscription.Refreshed { subscription; at } ->
     Wire.Refreshed { subscription; at }
 
+(* The watch is the interpreter's; the connection owns its name and
+   pushes its events.  A watch a replica's shipped DROP TABLE ended may
+   leave its name in its old owner's list: a new subscriber of the name
+   takes it over, so that owner cannot tear the new watch down. *)
 let handle_subscribe t conn ~name ~query =
   match Parser.parse_statement (strip_statement query) with
   | exception Parser.Error (message, off) ->
@@ -615,34 +555,21 @@ let handle_subscribe t conn ~name ~query =
       { code = Wire.Parse_error;
         message = Printf.sprintf "at offset %d: %s" off message
       }
-  | Ast.Query { q; at = None; _ } ->
+  | stmt ->
     with_lock t ~write:true (fun () ->
         match
-          let _, plan = Interp.plan_standing t.interp q in
-          Subscription.subscribe t.subs ~name plan (fun event ->
+          Interp.subscribe t.interp ~name stmt (fun event ->
               send_response t conn (Wire.Event (wire_event event));
               Metrics.incr_events_pushed t.metrics)
         with
-        | () ->
+        | Ok () ->
+          locked_state t (fun () ->
+              Hashtbl.iter
+                (fun _ c -> c.owned_subs <- List.filter (( <> ) name) c.owned_subs)
+                t.conns);
           conn.owned_subs <- name :: conn.owned_subs;
           Wire.Ok_msg (Printf.sprintf "subscribed %s" name)
-        | exception Lower.Error message
-        | exception Invalid_argument message
-        | exception Failure message
-        | exception Errors.Arity_mismatch message ->
-          Wire.Err { code = Wire.Exec_error; message }
-        | exception Errors.Unknown_relation rel ->
-          Wire.Err
-            { code = Wire.Exec_error; message = "unknown relation " ^ rel })
-  | Ast.Query { at = Some _; _ } ->
-    Wire.Err
-      { code = Wire.Exec_error;
-        message = "SUBSCRIBE takes a plain query (no AT: the stream itself \
-                   walks the future)"
-      }
-  | _ ->
-    Wire.Err
-      { code = Wire.Exec_error; message = "SUBSCRIBE expects a SELECT query" }
+        | Error message -> Wire.Err { code = Wire.Exec_error; message })
 
 let handle_unsubscribe t conn name =
   if not (List.mem name conn.owned_subs) then
@@ -652,7 +579,7 @@ let handle_unsubscribe t conn name =
       }
   else
     with_lock t ~write:true (fun () ->
-        ignore (Subscription.unsubscribe t.subs name);
+        ignore (Interp.unsubscribe t.interp name);
         conn.owned_subs <- List.filter (fun n -> n <> name) conn.owned_subs;
         Wire.Ok_msg (Printf.sprintf "unsubscribed %s" name))
 
@@ -946,7 +873,7 @@ let handle_request t conn = function
     (* Like METRICS: the forecast walks live table and watch state, so
        it runs as a reader. *)
     with_lock t ~write:false (fun () ->
-        match horizon_of ~interp:t.interp ~subs:t.subs ?table () with
+        match Interp.horizon ?table t.interp with
         | report -> Wire.Horizon_reply report
         | exception Errors.Unknown_relation name ->
           Wire.Err
@@ -1061,27 +988,11 @@ let serve_replication t conn store ~replica_id ~position ~ctx =
 (* ---------- applying a shipped stream (replica side) ---------- *)
 
 let apply_records t records =
-  match t.store with
-  | None -> Error "no durable store to apply records to"
-  | Some store ->
-    Rwlock.with_write t.lock (fun () ->
-        List.iter
-          (fun record ->
-            (* Same discipline as ADVANCE from a client. *)
-            (match record with
-             | Wal.Advance target -> deliver_until t target
-             | _ -> ());
-            Durable.apply_record store record)
-          records);
-    Ok ()
+  Rwlock.with_write t.lock (fun () -> Interp.apply_records t.interp records)
 
 let install_snapshot t ~position records =
-  match t.store with
-  | None -> Error "no durable store to install a snapshot into"
-  | Some store ->
-    Rwlock.with_write t.lock (fun () ->
-        Durable.reset_to store ~position records);
-    Ok ()
+  Rwlock.with_write t.lock (fun () ->
+      Interp.install_snapshot t.interp ~position records)
 
 (* ---------- connection lifecycle ---------- *)
 
@@ -1090,7 +1001,7 @@ let drop_subscriptions t conn =
   | [] -> ()
   | names ->
     Rwlock.with_write t.lock (fun () ->
-        List.iter (fun name -> ignore (Subscription.unsubscribe t.subs name)) names);
+        List.iter (fun name -> ignore (Interp.unsubscribe t.interp name)) names);
     conn.owned_subs <- []
 
 let close_conn t conn =

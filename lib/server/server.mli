@@ -11,13 +11,15 @@
     lock within the per-request timeout are answered with a [Timeout]
     error instead of stalling the connection.
 
-    [SUBSCRIBE] registers a {!Expirel_exec.Subscription} continuous
-    query; whenever any connection advances the logical clock, the
-    change events — [Row_expired] / [Row_appeared] / [Refreshed] at the
-    {e exact} logical times — are pushed to the subscribing connections
-    before the advance is acknowledged, so a subscriber can never
-    observe an acknowledged clock ahead of its own event stream.
-    [DROP TABLE] is refused while any connection's watch reads the table.
+    [SUBSCRIBE] starts a watch in the shared interpreter
+    ({!Interp.subscribe}), which owns every standing query; the server
+    keeps only which connection owns which watch name and the handler
+    that pushes its events.  Whenever any connection advances the
+    logical clock, the change events — [Row_expired] / [Row_appeared] /
+    [Refreshed] at the {e exact} logical times — are pushed to the
+    subscribing connections before the advance is acknowledged, so a
+    subscriber can never observe an acknowledged clock ahead of its own
+    event stream.  A connection's watches end when it closes.
 
     {!stop} is graceful: the listener closes first, in-flight requests
     run to completion and get their responses, then workers are joined.
@@ -112,14 +114,16 @@ val partition_summary : t -> Wire.partition_texp
     with a serving node must hold {!lock}. *)
 
 val apply_records : t -> Wal.record list -> (unit, string) result
-(** Applies a shipped [Repl_records] batch under the write lock, with
-    subscription events delivered at their exact logical times before
-    each [Advance] lands — the replica side of the stream.  [Error]
-    without a store. *)
+(** Applies a shipped [Repl_records] batch under the write lock through
+    {!Interp.apply_records}: watch events are delivered at their exact
+    logical times before each [Advance] lands, and a shipped [DROP
+    TABLE] ends the watches reading the table — the replica side of the
+    stream.  [Error] without a store. *)
 
 val install_snapshot : t -> position:int -> Wal.record list -> (unit, string) result
 (** Replaces the whole state with a shipped [Repl_snapshot] under the
-    write lock — the replica side of a bootstrap. *)
+    write lock through {!Interp.install_snapshot} — the replica side of
+    a bootstrap.  [Error] without a store. *)
 
 val wait : t -> unit
 (** Blocks until the server stops (joins the acceptor). *)

@@ -19,8 +19,7 @@ type maintained_view = {
 
 type constraint_info = {
   c_plan : Plan.compiled;
-  min_rows : int option;
-  max_rows : int option;
+  c_bounds : Invariant.bounds;
 }
 
 (* A cached physical plan, valid for exactly one catalog generation:
@@ -48,8 +47,8 @@ type t = {
   store : Durable.t option;
   views : (string, stored_view) Hashtbl.t;
   maintained_views : (string, maintained_view) Hashtbl.t;
-  invariants : Invariant.t;
   constraints : (string, constraint_info) Hashtbl.t;
+  watches : Subscription.t;
   mutable trigger_log : string list;  (* newest first *)
   plan_cache : (string, plan_entry) Lru.t;
       (* keyed by the statement's source text: hashing a short string is
@@ -84,8 +83,8 @@ let create ?policy ?store () =
     store;
     views = Hashtbl.create 8;
     maintained_views = Hashtbl.create 8;
-    invariants = Invariant.create db;
     constraints = Hashtbl.create 8;
+    watches = Subscription.create db;
     trigger_log = [];
     plan_cache = Lru.create ~capacity:64;
     parse_cache = Lru.create ~capacity:64;
@@ -309,74 +308,79 @@ let view_name_taken t name =
 let each_maintained t f =
   Hashtbl.iter (fun _ mv -> mv.maintained <- f mv.maintained) t.maintained_views
 
-(* Moving the clock goes through the invariant manager so constraint
-   transitions inside the interval are reported alongside.  With a
-   durable store the Advance is logged first (write-ahead), but applied
-   only once, here — [Durable.advance_to] would move the clock a second
-   time behind the invariant manager's back. *)
-let advance_clock ?trace t target =
-  let transitions =
-    (* The whole state mutation — write-ahead logging, the clock move
-       with its expirations, view maintenance — is the storage stage. *)
-    Trace.span trace "storage" (fun () ->
-        (match t.store with
-         | Some s
-           when (not (Time.is_infinite target))
-                && Time.(target >= Database.now t.db) ->
-           Durable.log_record s (Wal.Advance target)
-         | Some _ | None -> ());
-        let transitions = Invariant.advance t.invariants target in
-        each_maintained t (fun m -> Maintained.advance m ~to_:target);
-        transitions)
-  in
-  let base = Printf.sprintf "clock advanced to %s" (Time.to_string target) in
-  match transitions with
-  | [] -> Msg base
-  | _ ->
-    Msg
-      (base ^ "\n"
-       ^ String.concat "\n"
-           (List.map
-              (fun v ->
-                Printf.sprintf "CONSTRAINT VIOLATED: %s at %s (%d rows)"
-                  v.Invariant.name
-                  (Time.to_string v.Invariant.at)
-                  v.Invariant.cardinality)
-              transitions))
+(* The constraints in name order, each with its name. *)
+let sorted_constraints t =
+  Hashtbl.fold (fun name c acc -> (name, c) :: acc) t.constraints []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let constraint_status t name info =
-  let now = Database.now t.db in
-  let cardinality =
-    Relation.cardinal (Executor.run ~db:t.db info.c_plan).Eval.relation
+let reads table c = List.mem table (Algebra.base_names c.c_plan.Plan.logical)
+
+(* The standing queries reading a table, constraints first, each in
+   name order. *)
+let readers t table =
+  List.filter_map
+    (fun (name, c) -> if reads table c then Some ("constraint " ^ name) else None)
+    (sorted_constraints t)
+  @ List.map (( ^ ) "subscription ") (Subscription.readers t.watches table)
+
+(* The one clock move: SQL ADVANCE and TICK, and a replica's shipped
+   Advance.  The standing queries go first, while everything live in the
+   interval is still stored — each constraint collects its transitions
+   into violation and each watch delivers its events, one walk from the
+   clock apiece (the [deliver] span).  Then the clock moves once,
+   write-ahead logged, expiring rows and maintaining views (the
+   [storage] span).  Returns the transitions in time order, ties in
+   constraint name order. *)
+let move_clock ?trace t target =
+  if Time.is_infinite target then invalid_arg "ADVANCE: infinite time"
+  else if Time.(target < Database.now t.db) then
+    invalid_arg "ADVANCE: moving backwards";
+  let transitions =
+    Trace.span trace "deliver" (fun () ->
+        let found =
+          List.concat_map
+            (fun (name, c) ->
+              List.map
+                (fun (at, cardinality) -> (name, at, cardinality))
+                (Invariant.forecast ~db:t.db c.c_plan c.c_bounds ~to_:target
+                   ~first:false)
+                  .Invariant.transitions)
+            (sorted_constraints t)
+        in
+        Subscription.deliver_until t.watches target;
+        found)
   in
-  let ok =
-    (match info.min_rows with
-     | Some n -> cardinality >= n
-     | None -> true)
-    && (match info.max_rows with
-        | Some n -> cardinality <= n
-        | None -> true)
+  Trace.span trace "storage" (fun () ->
+      Option.iter (fun s -> Durable.log_record s (Wal.Advance target)) t.store;
+      Database.advance_to t.db target;
+      each_maintained t (fun m -> Maintained.advance m ~to_:target));
+  List.stable_sort (fun (_, a, _) (_, b, _) -> Time.compare a b) transitions
+
+let advance_clock ?trace t target =
+  Msg
+    (String.concat "\n"
+       (Printf.sprintf "clock advanced to %s" (Time.to_string target)
+        :: List.map
+             (fun (name, at, cardinality) ->
+               Printf.sprintf "CONSTRAINT VIOLATED: %s at %s (%d rows)" name
+                 (Time.to_string at) cardinality)
+             (move_clock ?trace t target)))
+
+(* One plan run and at most one walk, both bounds checked at once. *)
+let constraint_status t (name, c) =
+  let horizon = Time.add (Database.now t.db) (Time.of_int 999) in
+  let { Invariant.cardinality; transitions } =
+    Invariant.forecast ~db:t.db c.c_plan c.c_bounds ~to_:horizon ~first:true
   in
-  let horizon = Time.add now (Time.of_int 1000) in
-  let prediction =
-    if not ok then "VIOLATED NOW"
-    else
-      let next bound =
-        try Invariant.next_violation t.invariants ~name:(name ^ bound) ~horizon
-        with Not_found -> None
-      in
-      match Time.min_list (List.filter_map next [ "!min"; "!max" ]) with
-      | Time.Fin _ as at -> "breaks at " ^ Time.to_string at
-      | Time.Inf -> "holds for 1000 ticks"
-  in
+  let bound label = Option.fold ~none:"" ~some:(Printf.sprintf ", %s %d" label) in
   Printf.sprintf "%s: %d row(s)%s%s — %s" name cardinality
-    (match info.min_rows with
-     | Some n -> Printf.sprintf ", min %d" n
-     | None -> "")
-    (match info.max_rows with
-     | Some n -> Printf.sprintf ", max %d" n
-     | None -> "")
-    prediction
+    (bound "min" c.c_bounds.Invariant.min_rows)
+    (bound "max" c.c_bounds.Invariant.max_rows)
+    (if Invariant.violated c.c_bounds cardinality then "VIOLATED NOW"
+     else
+       match transitions with
+       | (at, _) :: _ -> "breaks at " ^ Time.to_string at
+       | [] -> "holds for 1000 ticks")
 
 let observe_churn t =
   match Time.to_int_opt (Database.now t.db) with
@@ -386,13 +390,12 @@ let observe_churn t =
       ~expirations:(Database.expired_total t.db)
   | None -> ()
 
-(* The forward expiration profile at the current clock.  The fan-out
-   forecast is 0 here: subscriptions live above the interpreter (the
-   network server owns them) and fill that field in before export. *)
-let horizon ?table t =
-  let bounds = Horizon.default_bounds in
+let churn_rates t =
   observe_churn t;
-  let arrival_rate, expiration_rate = Horizon.Churn.rates t.churn in
+  Horizon.Churn.rates t.churn
+
+let profile ?table t =
+  let bounds = Horizon.default_bounds in
   let profile =
     match table with
     | None -> Database.expiring_within t.db ~bounds
@@ -402,16 +405,25 @@ let horizon ?table t =
            ~now:(Database.now t.db) ~bounds)
       ]
   in
-  { Horizon.now =
-      (match Time.to_int_opt (Database.now t.db) with
-       | Some n -> n
-       | None -> 0);
-    window = Horizon.default_window;
-    fanout_events = 0;
+  List.map (fun (name, counts) -> { Horizon.name; bounds; counts }) profile
+
+let horizon_tables t = profile t
+
+(* The forward expiration profile at the current clock, with the exact
+   fan-out forecast: one walk per watch over the window. *)
+let horizon ?table t =
+  let tables = profile ?table t in
+  let arrival_rate, expiration_rate = churn_rates t in
+  let now = Database.now t.db in
+  let window = Horizon.default_window in
+  { Horizon.now = Option.value (Time.to_int_opt now) ~default:0;
+    window;
+    fanout_events =
+      Subscription.forecast_events t.watches
+        ~until:(Time.add now (Time.of_int window));
     arrival_rate;
     expiration_rate;
-    tables =
-      List.map (fun (name, counts) -> { Horizon.name; bounds; counts }) profile
+    tables
   }
 
 let exec_statement ?trace ?text t = function
@@ -423,13 +435,15 @@ let exec_statement ?trace ?text t = function
        ());
     Msg (Printf.sprintf "table %s created" name)
   | Ast.Drop_table name ->
-    (* A constraint's plan reads its tables at every clock move: dropping
-       one would fail every later ADVANCE, TICK and SHOW CONSTRAINTS. *)
-    Hashtbl.iter
-      (fun c info ->
-        if List.mem name (Algebra.base_names info.c_plan.Plan.logical) then
-          failwith (Printf.sprintf "table %s is read by constraint %s" name c))
-      t.constraints;
+    (* A standing query reruns its plan at clock moves: dropping a table
+       it reads would fail every later ADVANCE, TICK and SHOW
+       CONSTRAINTS. *)
+    (match readers t name with
+     | [] -> ()
+     | names ->
+       failwith
+         (Printf.sprintf "table %s is read by %s" name
+            (String.concat ", " names)));
     let dropped =
       match t.store with
       | Some s -> Durable.drop_table s name
@@ -579,34 +593,23 @@ let exec_statement ?trace ?text t = function
     if Hashtbl.mem t.constraints name then
       failwith (Printf.sprintf "constraint %s exists" name)
     else begin
-      let _, plan = plan_standing t query in
-      let add suffix spec =
-        Option.iter (fun n ->
-            Invariant.add t.invariants ~name:(name ^ suffix) plan (spec n))
-      in
-      add "!min" (fun n -> Invariant.Min_cardinality n) min_rows;
-      add "!max" (fun n -> Invariant.Max_cardinality n) max_rows;
-      Hashtbl.replace t.constraints name { c_plan = plan; min_rows; max_rows };
+      let c_bounds = { Invariant.min_rows; max_rows } in
+      Invariant.check_bounds c_bounds;
+      let _, c_plan = plan_standing t query in
+      Hashtbl.replace t.constraints name { c_plan; c_bounds };
       Msg (Printf.sprintf "constraint %s created" name)
     end
   | Ast.Drop_constraint name ->
     if Hashtbl.mem t.constraints name then begin
       Hashtbl.remove t.constraints name;
-      ignore (Invariant.remove t.invariants (name ^ "!min"));
-      ignore (Invariant.remove t.invariants (name ^ "!max"));
       Msg (Printf.sprintf "constraint %s dropped" name)
     end
     else failwith (Printf.sprintf "unknown constraint %s" name)
   | Ast.Show_constraints ->
-    (match Hashtbl.fold (fun name _ acc -> name :: acc) t.constraints [] with
+    (match sorted_constraints t with
      | [] -> Msg "(no constraints)"
-     | names ->
-       Msg
-         (String.concat "\n"
-            (List.map
-               (fun name ->
-                 constraint_status t name (Hashtbl.find t.constraints name))
-               (List.sort String.compare names))))
+     | constraints ->
+       Msg (String.concat "\n" (List.map (constraint_status t) constraints)))
   | Ast.Show_triggers ->
     Msg
       (match List.rev t.trigger_log with
@@ -689,21 +692,80 @@ let view_horizons t =
   in
   List.sort compare (plain @ maintained)
 
-let exec ?trace ?text t statement =
-  match exec_statement ?trace ?text t statement with
-  | outcome ->
-    (* Clock movement is the churn tracker's sampling edge: rates are
-       per logical tick, so sample exactly when ticks happen. *)
-    (match statement with
-     | Ast.Advance_to _ | Ast.Tick _ | Ast.Vacuum -> observe_churn t
-     | _ -> ());
-    Ok outcome
+(* The errors a statement answers with rather than raises. *)
+let guard f =
+  match f () with
+  | v -> Ok v
   | exception Errors.Unknown_relation name ->
     Error (Printf.sprintf "unknown relation %s" name)
   | exception Errors.Arity_mismatch msg -> Error msg
   | exception Lower.Error msg -> Error msg
   | exception Invalid_argument msg -> Error msg
   | exception Failure msg -> Error msg
+
+let exec ?trace ?text t statement =
+  guard (fun () ->
+      let outcome = exec_statement ?trace ?text t statement in
+      (* Clock movement is the churn tracker's sampling edge: rates are
+         per logical tick, so sample exactly when ticks happen. *)
+      (match statement with
+       | Ast.Advance_to _ | Ast.Tick _ | Ast.Vacuum -> observe_churn t
+       | _ -> ());
+      outcome)
+
+let subscribe t ~name statement handler =
+  guard (fun () ->
+      match statement with
+      | Ast.Query { q; at = None; _ } ->
+        let _, plan = plan_standing t q in
+        Subscription.subscribe t.watches ~name plan handler
+      | Ast.Query { at = Some _; _ } ->
+        failwith
+          "SUBSCRIBE takes a plain query (no AT: the stream itself walks \
+           the future)"
+      | _ -> failwith "SUBSCRIBE expects a SELECT query")
+
+let unsubscribe t name = Subscription.unsubscribe t.watches name
+
+(* A replica applies what its primary shipped; the primary refuses a
+   DROP TABLE only under its own standing queries.  A replica's query
+   over a table that is gone ends, or its next walk would fail on it. *)
+let end_readers t table =
+  List.iter
+    (fun name -> ignore (Subscription.unsubscribe t.watches name))
+    (Subscription.readers t.watches table);
+  Hashtbl.filter_map_inplace
+    (fun _ c -> if reads table c then None else Some c)
+    t.constraints
+
+(* Each record is logged once, so the replica's log positions stay the
+   primary's; an Advance goes through the one clock move, so a replica's
+   watches deliver like the primary's. *)
+let apply_records t records =
+  match t.store with
+  | None -> Error "no durable store to apply records to"
+  | Some s ->
+    List.iter
+      (function
+        | Wal.Advance target when Time.(target > Database.now t.db) ->
+          ignore (move_clock t target)
+        | Wal.Drop_table table as record ->
+          end_readers t table;
+          Durable.apply_record s record
+        | record -> Durable.apply_record s record)
+      records;
+    Ok ()
+
+let install_snapshot t ~position records =
+  match t.store with
+  | None -> Error "no durable store to install a snapshot into"
+  | Some s ->
+    let tables = Database.table_names t.db in
+    Durable.reset_to s ~position records;
+    List.iter
+      (fun table -> if Database.table t.db table = None then end_readers t table)
+      tables;
+    Ok ()
 
 (* Parse through the statement cache.  A parsed AST is immutable, so
    sharing one across requests is safe; parse errors raise before the

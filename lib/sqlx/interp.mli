@@ -1,11 +1,21 @@
-(** The sqlx interpreter: a database session with materialised views.
+(** The sqlx interpreter: a database session with materialised views,
+    and the one owner of standing queries.
 
     Views follow the paper's maintenance discipline: a view materialised
     at time [tau] serves reads from its own contents — tuples vanish from
     it as they expire — until its expression expiration time [texp(e)]
     passes, at which point reading it triggers a recomputation (reported
     in the outcome).  Monotonic views therefore never recompute
-    (Theorem 1). *)
+    (Theorem 1).
+
+    Constraints ([CREATE CONSTRAINT]) and watches ({!subscribe}) live
+    here too, and every clock move — [ADVANCE], [TICK], and a replica's
+    shipped [Advance] ({!apply_records}) — goes through one function:
+    it walks each standing query from the clock to the target (watch
+    events fire, constraint transitions are collected, under a [deliver]
+    trace span), then moves the clock once (under [storage]).  [DROP
+    TABLE] is refused while any constraint or watch reads the table, and
+    the refusal names them all. *)
 
 open Expirel_core
 open Expirel_storage
@@ -64,11 +74,20 @@ val horizon : ?table:string -> t -> Expirel_obs.Horizon.report
 (** The forward expiration profile at the current clock — per-table
     bucketed counts of live rows by ticks-to-expiry
     ({!Database.expiring_within} over {!Expirel_obs.Horizon.default_bounds})
-    plus churn rates from the interpreter's sliding-window tracker.
-    [fanout_events] is [0]: subscriptions live above the interpreter and
-    the server fills that field in before export.  [table] restricts the
-    profile to one table.
+    plus churn rates from the interpreter's sliding-window tracker, and
+    [fanout_events]: exactly the events an [ADVANCE] to [now + window]
+    would deliver to the session's watches
+    ({!Expirel_exec.Subscription.forecast_events}, one walk per watch).
+    [table] restricts the profile to one table.
     @raise Errors.Unknown_relation for an unknown [table] *)
+
+val horizon_tables : t -> Expirel_obs.Horizon.table list
+(** {!horizon}'s [tables] alone, every table — for gauges that must not
+    pay the fan-out forecast's walks. *)
+
+val churn_rates : t -> float * float
+(** {!horizon}'s [(arrival_rate, expiration_rate)] alone, sampled at the
+    current clock. *)
 
 val exec :
   ?trace:Expirel_obs.Trace.t ->
@@ -95,11 +114,32 @@ val parse : t -> string -> Ast.statement
     texts carry distinct literals and would only churn the LRU.
     Raises [Parser.Error] like {!Parser.parse_statement}. *)
 
-val plan_standing : t -> Ast.query -> string list * Expirel_exec.Plan.compiled
-(** The column labels and plan of a standing query — a view, a
-    constraint or a subscription — planned once, for its owner to rerun.
-    Raises [Failure] for [APPROX_COUNT]/[SAMPLE], plus whatever lowering
-    raises. *)
+val subscribe :
+  t -> name:string -> Ast.statement -> Expirel_exec.Subscription.handler ->
+  (unit, string) result
+(** Starts a watch over a plain query (no [AT]; [ORDER BY] and [LIMIT]
+    are ignored), planned once: the handler receives its change events
+    at their exact logical times, from inside the clock move, before the
+    move returns.  [Error] for a taken name, a statement that is not a
+    query, [APPROX_COUNT]/[SAMPLE], and lowering failures. *)
+
+val unsubscribe : t -> string -> bool
+(** Ends a watch; [false] when no watch has that name. *)
+
+val apply_records : t -> Expirel_storage.Wal.record list -> (unit, string) result
+(** Applies a replica's shipped records, each logged once and applied
+    with replay semantics.  A shipped [Advance] goes through the one
+    clock move, so the replica's watches see their events; a shipped
+    [Drop_table] ends every watch and constraint reading the table
+    (no event marks the end).  [Error] without a durable store. *)
+
+val install_snapshot :
+  t -> position:int -> Expirel_storage.Wal.record list -> (unit, string) result
+(** Replaces the whole state with a replica's shipped snapshot
+    ({!Expirel_storage.Durable.reset_to}); every watch and constraint
+    reading a table the snapshot no longer holds ends, as under a
+    shipped [Drop_table].  The clock jump it may carry delivers no
+    events.  [Error] without a durable store. *)
 
 val sketch_partial :
   ?trace:Expirel_obs.Trace.t ->

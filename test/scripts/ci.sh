@@ -249,3 +249,32 @@ awk '
 ' "$CLUSTER_PROM"
 kill "$CLUSTER_PID" 2>/dev/null || true
 rm -f "$CLUSTER_LOG" "$CLUSTER_PROM"
+
+# A watch through the real server, driven the way a user would: the
+# statements are piped into an interactive `connect`, on a table of
+# their own.  The ADVANCE past the row's expiration pushes its event
+# before the acknowledgement, and DROP TABLE under the watch is refused
+# with a message naming it.  Until here only in-process code exercised
+# watches.
+WATCH_LOG=$(mktemp)
+"$CLI" serve --port 0 --node-name ci-watch >"$WATCH_LOG" 2>&1 &
+WATCH_PID=$!
+trap 'kill "$SERVER_PID" "$CLUSTER_PID" "$WATCH_PID" 2>/dev/null || true' EXIT
+PORT=""
+for _ in $(seq 1 100); do
+  PORT=$(sed -n 's/.*listening on [^:]*:\([0-9][0-9]*\).*/\1/p' "$WATCH_LOG")
+  [ -n "$PORT" ] && break
+  sleep 0.1
+done
+test -n "$PORT"
+WATCH_OUT=$(printf '%s\n' \
+  "CREATE TABLE watched (id);" \
+  "INSERT INTO watched VALUES (1) EXPIRES 10;" \
+  "INSERT INTO watched VALUES (2) EXPIRES 30;" \
+  "SUBSCRIBE w AS SELECT id FROM watched;" \
+  "ADVANCE TO 12;" \
+  "DROP TABLE watched;" | "$CLI" connect --port "$PORT")
+echo "$WATCH_OUT" | grep -F "[w] row expired at 10: <1>"
+echo "$WATCH_OUT" | grep -F "table watched is read by subscription w"
+kill "$WATCH_PID" 2>/dev/null || true
+rm -f "$WATCH_LOG"

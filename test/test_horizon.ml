@@ -8,7 +8,6 @@
 
 open Expirel_core
 open Expirel_storage
-open Expirel_exec
 open Expirel_sqlx
 module Horizon = Expirel_obs.Horizon
 module Gen = QCheck2.Gen
@@ -115,28 +114,28 @@ let test_merge_rejects_mismatched_buckets () =
 
 let forecast_equals_delivered =
   Generators.qtest "forecast_events equals events then delivered" ~count:150
-    (Gen.pair ttls (Gen.int_range 1 30))
-    (fun (rows, until) ->
-      let db = Database.create () in
-      let t = Database.create_table db ~name:"t" ~columns:[ "uid"; "v" ] in
-      List.iteri
-        (fun i ttl ->
-          let texp = match ttl with None -> Time.Inf | Some k -> fin k in
-          Table.insert t
-            (Tuple.of_list [ Value.int i; Value.int (i mod 3) ])
-            ~texp)
-        rows;
-      let subs = Subscription.create db in
+    (Gen.pair ttls (Gen.int_range 0 30))
+    (fun (rows, start) ->
+      let interp = Interp.create () in
+      must_ok interp "CREATE TABLE t (uid, v);";
+      List.iteri (fun i ttl -> must_ok interp (insert_sql ~table:"t" i ttl)) rows;
       let fired = ref 0 in
-      Subscription.subscribe subs ~name:"all"
-        (Planner.plan ~db Algebra.(project [ 1 ] (base "t")))
-        (fun _ -> incr fired);
-      Subscription.subscribe subs ~name:"counts"
-        (Planner.plan ~db Algebra.(aggregate [ 2 ] Aggregate.Count (base "t")))
-        (fun _ -> incr fired);
-      let predicted = Subscription.forecast_events subs ~until:(fin until) in
-      Subscription.advance subs (fin until);
-      predicted = !fired)
+      List.iter
+        (fun (name, sql) ->
+          match
+            Interp.subscribe interp ~name (Parser.parse_statement sql)
+              (fun _ -> incr fired)
+          with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s" sql e)
+        [ ("all", "SELECT uid FROM t");
+          ("counts", "SELECT v, COUNT(*) FROM t GROUP BY v") ];
+      must_ok interp (Printf.sprintf "ADVANCE TO %d;" start);
+      fired := 0;
+      let report = Interp.horizon interp in
+      must_ok interp
+        (Printf.sprintf "ADVANCE TO %d;" (start + report.Horizon.window));
+      report.Horizon.fanout_events = !fired)
 
 (* ---------- churn tracker arithmetic ---------- *)
 
@@ -171,8 +170,7 @@ let test_interp_churn () =
   let r = Interp.horizon interp in
   Alcotest.(check (float 1e-9)) "arrival rate" 2.0 r.Horizon.arrival_rate;
   Alcotest.(check (float 1e-9)) "expiration rate" 2.0 r.Horizon.expiration_rate;
-  Alcotest.(check int) "interpreter forecasts no fan-out" 0
-    r.Horizon.fanout_events
+  Alcotest.(check int) "no watch, no fan-out" 0 r.Horizon.fanout_events
 
 (* ---------- SHOW HORIZON, and the per-table restriction ---------- *)
 

@@ -371,7 +371,7 @@ let test_sql_constraints () =
   (match exec t "ADVANCE TO 20" with
    | Interp.Msg m ->
      Alcotest.(check bool) "violation reported" true
-       (string_contains m "CONSTRAINT VIOLATED: coverage!min at 10")
+       (string_contains m "CONSTRAINT VIOLATED: coverage at 10")
    | Interp.Rows _ -> Alcotest.fail "advance");
   (match exec t "SHOW CONSTRAINTS" with
    | Interp.Msg m ->
@@ -432,9 +432,69 @@ let test_constraint_on_nested_difference () =
   match exec t "ADVANCE TO 30" with
   | Interp.Msg m ->
     Alcotest.(check string) "both transitions"
-      "clock advanced to 30\nCONSTRAINT VIOLATED: k!min at 5 (0 rows)\n\
-       CONSTRAINT VIOLATED: k!min at 20 (0 rows)" m
+      "clock advanced to 30\nCONSTRAINT VIOLATED: k at 5 (0 rows)\n\
+       CONSTRAINT VIOLATED: k at 20 (0 rows)" m
   | Interp.Rows _ -> Alcotest.fail "message"
+
+(* One refusal names every standing query reading the table, a watch
+   as well as a constraint, and the drop goes through once both end. *)
+let test_drop_table_under_constraint_and_watch () =
+  let t = Interp.create () in
+  List.iter
+    (fun sql -> ignore (exec t sql))
+    [ "CREATE TABLE s (sid, uid)";
+      "INSERT INTO s VALUES (1, 7) EXPIRES 10";
+      "CREATE CONSTRAINT c ON SELECT sid FROM s MIN 1" ];
+  (match
+     Interp.subscribe t ~name:"w"
+       (Parser.parse_statement "SELECT sid FROM s EXCEPT SELECT uid FROM s")
+       ignore
+   with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  (match Interp.exec_sql t "DROP TABLE s" with
+   | Error msg ->
+     Alcotest.(check string) "refusal names both"
+       "table s is read by constraint c, subscription w" msg
+   | Ok _ -> Alcotest.fail "DROP TABLE under a constraint and a watch succeeded");
+  ignore (exec t "DROP CONSTRAINT c");
+  (match Interp.exec_sql t "DROP TABLE s" with
+   | Error msg ->
+     Alcotest.(check string) "the watch alone" "table s is read by subscription w"
+       msg
+   | Ok _ -> Alcotest.fail "DROP TABLE under a watch succeeded");
+  Alcotest.(check bool) "unsubscribed" true (Interp.unsubscribe t "w");
+  ignore (exec t "DROP TABLE s");
+  ignore (exec t "ADVANCE TO 20")
+
+(* A traced ADVANCE records the standing queries' walk as a [deliver]
+   span beside [storage], not inside it, and the watch's events fire
+   within it. *)
+let test_deliver_span () =
+  let t = setup_figure1 () in
+  let events = ref 0 in
+  (match
+     Interp.subscribe t ~name:"w" (Parser.parse_statement "SELECT uid FROM pol")
+       (fun _ -> incr events)
+   with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  let trace = Expirel_obs.Trace.create () in
+  (match Interp.exec ~trace t (Parser.parse_statement "ADVANCE TO 12") with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "both rows expiring at 10 delivered" 2 !events;
+  let spans = Expirel_obs.Trace.spans trace in
+  let find name =
+    match List.find_opt (fun s -> s.Expirel_obs.Trace.name = name) spans with
+    | Some s -> s
+    | None -> Alcotest.failf "no %s span" name
+  in
+  let deliver = find "deliver" and storage = find "storage" in
+  Alcotest.(check (option int)) "siblings" storage.Expirel_obs.Trace.parent
+    deliver.Expirel_obs.Trace.parent;
+  Alcotest.(check bool) "delivery before the clock move" true
+    (deliver.Expirel_obs.Trace.id < storage.Expirel_obs.Trace.id)
 
 let test_render () =
   let t = setup_figure1 () in
@@ -460,6 +520,10 @@ let suite =
     Alcotest.test_case "SQL constraints with prediction" `Quick test_sql_constraints;
     Alcotest.test_case "DROP TABLE refused under a constraint" `Quick
       test_drop_table_under_constraint;
+    Alcotest.test_case "DROP TABLE names every standing reader" `Quick
+      test_drop_table_under_constraint_and_watch;
+    Alcotest.test_case "traced ADVANCE records a deliver span" `Quick
+      test_deliver_span;
     Alcotest.test_case "constraint on a nested difference" `Quick
       test_constraint_on_nested_difference;
     Alcotest.test_case "SQL-level expiration triggers" `Quick test_sql_triggers;

@@ -1,6 +1,7 @@
 open Expirel_core
 open Expirel_storage
 open Expirel_exec
+open Expirel_sqlx
 
 let fin = Time.of_int
 
@@ -13,88 +14,136 @@ let setup () =
     [ [ 1; 1 ], 10; [ 2; 1 ], 25; [ 3; 2 ], 40 ];
   db
 
-(* Constraints hold a plan, planned once when registered. *)
-let add inv db ~name ~expr spec =
-  Invariant.add inv ~name (Planner.plan ~db expr) spec
-
 let seniors = Algebra.(select (Predicate.eq_const 2 (Value.int 1)) (base "oncall"))
+let at_least n = { Invariant.min_rows = Some n; max_rows = None }
+let at_most n = { Invariant.min_rows = None; max_rows = Some n }
+
+(* The first transition into violation before [horizon], as a string. *)
+let next_violation db expr bounds ~horizon =
+  match
+    (Invariant.forecast ~db (Planner.plan ~db expr) bounds
+       ~to_:(Time.pred (fin horizon)) ~first:true)
+      .Invariant.transitions
+  with
+  | (at, _) :: _ -> Some (Time.to_string at)
+  | [] -> None
+
+let cardinality db expr bounds =
+  (Invariant.forecast ~db (Planner.plan ~db expr) bounds
+     ~to_:(Database.now db) ~first:true)
+    .Invariant.cardinality
+
+(* The roster as an interpreter session, for the registry's own cases. *)
+let session () =
+  let t = Interp.create () in
+  List.iter
+    (fun sql ->
+      match Interp.exec_sql t sql with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" sql e)
+    [ "CREATE TABLE oncall (op, level)";
+      "INSERT INTO oncall VALUES (1, 1) EXPIRES 10";
+      "INSERT INTO oncall VALUES (2, 1) EXPIRES 25";
+      "INSERT INTO oncall VALUES (3, 2) EXPIRES 40";
+      "CREATE CONSTRAINT two_seniors ON SELECT op FROM oncall WHERE level = 1 \
+       MIN 2";
+      "CREATE CONSTRAINT any_oncall ON SELECT op FROM oncall MIN 1" ];
+  t
+
+let message t sql =
+  match Interp.exec_sql t sql with
+  | Ok (Interp.Msg m) -> m
+  | Ok (Interp.Rows _) -> Alcotest.failf "%s: rows" sql
+  | Error e -> Alcotest.failf "%s: %s" sql e
 
 let test_prediction () =
   let db = setup () in
-  let inv = Invariant.create db in
-  add inv db ~name:"two-seniors" ~expr:seniors (Invariant.Min_cardinality 2);
-  add inv db ~name:"any-oncall" ~expr:(Algebra.base "oncall")
-    (Invariant.Min_cardinality 1);
-  Alcotest.(check (list string)) "nothing violated now" []
-    (List.map (fun v -> v.Invariant.name) (Invariant.check_now inv));
+  Alcotest.(check bool) "nothing violated now" false
+    (Invariant.violated (at_least 2) (cardinality db seniors (at_least 2)));
   (* The engine knows the future: senior coverage breaks at 10, the
      roster empties at 40. *)
   Alcotest.(check (option string)) "senior gap predicted" (Some "10")
-    (Option.map Time.to_string
-       (Invariant.next_violation inv ~name:"two-seniors" ~horizon:(fin 100)));
+    (next_violation db seniors (at_least 2) ~horizon:100);
   Alcotest.(check (option string)) "roster gap predicted" (Some "40")
-    (Option.map Time.to_string
-       (Invariant.next_violation inv ~name:"any-oncall" ~horizon:(fin 100)));
+    (next_violation db (Algebra.base "oncall") (at_least 1) ~horizon:100);
   Alcotest.(check (option string)) "horizon cuts off" None
-    (Option.map Time.to_string
-       (Invariant.next_violation inv ~name:"any-oncall" ~horizon:(fin 30)))
+    (next_violation db (Algebra.base "oncall") (at_least 1) ~horizon:30)
 
 let test_topping_up_removes_violation () =
   let db = setup () in
-  let inv = Invariant.create db in
-  add inv db ~name:"two-seniors" ~expr:seniors (Invariant.Min_cardinality 2);
   (* Act on the prediction: renew operator 1's shift before time 10. *)
   Database.insert db "oncall" (Tuple.ints [ 1; 1 ]) ~texp:(fin 50);
   Alcotest.(check (option string)) "violation postponed" (Some "25")
-    (Option.map Time.to_string
-       (Invariant.next_violation inv ~name:"two-seniors" ~horizon:(fin 100)))
+    (next_violation db seniors (at_least 2) ~horizon:100)
 
 let test_advance_reports_transitions () =
-  let db = setup () in
-  let inv = Invariant.create db in
-  add inv db ~name:"two-seniors" ~expr:seniors (Invariant.Min_cardinality 2);
-  add inv db ~name:"any-oncall" ~expr:(Algebra.base "oncall")
-    (Invariant.Min_cardinality 1);
-  let violations = Invariant.advance inv (fin 50) in
-  Alcotest.(check (list string)) "transitions in time order"
-    [ "two-seniors@10"; "any-oncall@40" ]
-    (List.map
-       (fun v -> Printf.sprintf "%s@%s" v.Invariant.name (Time.to_string v.Invariant.at))
-       violations);
-  Alcotest.(check int) "still violated now" 2 (List.length (Invariant.check_now inv))
+  let t = session () in
+  Alcotest.(check string) "transitions in time order"
+    "clock advanced to 50\n\
+     CONSTRAINT VIOLATED: two_seniors at 10 (1 rows)\n\
+     CONSTRAINT VIOLATED: any_oncall at 40 (0 rows)"
+    (message t "ADVANCE TO 50");
+  Alcotest.(check string) "still violated now"
+    "any_oncall: 0 row(s), min 1 — VIOLATED NOW\n\
+     two_seniors: 0 row(s), min 2 — VIOLATED NOW"
+    (message t "SHOW CONSTRAINTS")
 
 let test_max_cardinality () =
   let db = setup () in
-  let inv = Invariant.create db in
   (* At most one senior allowed: already broken. *)
-  add inv db ~name:"cap" ~expr:seniors (Invariant.Max_cardinality 1);
-  (match Invariant.check_now inv with
-   | [ v ] ->
-     Alcotest.(check int) "cardinality reported" 2 v.Invariant.cardinality
-   | _ -> Alcotest.fail "expected one violation");
+  let n = cardinality db seniors (at_most 1) in
+  Alcotest.(check int) "cardinality reported" 2 n;
+  Alcotest.(check bool) "violated now" true (Invariant.violated (at_most 1) n);
   (* A difference can grow by expiration, entering a max violation. *)
   let tbl = Database.create_table db ~name:"ack" ~columns:[ "op"; "level" ] in
   Table.insert tbl (Tuple.ints [ 3; 2 ]) ~texp:(fin 5);
-  add inv db ~name:"unacked"
-    ~expr:Algebra.(diff (base "oncall") (base "ack"))
-    (Invariant.Max_cardinality 2);
   Alcotest.(check (option string)) "growth into violation predicted" (Some "5")
-    (Option.map Time.to_string
-       (Invariant.next_violation inv ~name:"unacked" ~horizon:(fin 100)))
+    (next_violation db
+       Algebra.(diff (base "oncall") (base "ack"))
+       (at_most 2) ~horizon:100)
 
 let test_management () =
-  let db = setup () in
-  let inv = Invariant.create db in
+  let t = session () in
   Alcotest.check_raises "bad bound"
-    (Invalid_argument "Invariant.add: non-positive bound") (fun () ->
-      add inv db ~name:"x" ~expr:seniors (Invariant.Min_cardinality 0));
-  add inv db ~name:"x" ~expr:seniors (Invariant.Min_cardinality 1);
-  Alcotest.check_raises "duplicate" (Invalid_argument "Invariant.add: x exists")
-    (fun () -> add inv db ~name:"x" ~expr:seniors (Invariant.Min_cardinality 1));
-  Alcotest.(check bool) "remove" true (Invariant.remove inv "x");
-  Alcotest.(check bool) "remove twice" false (Invariant.remove inv "x");
-  Alcotest.check_raises "unknown" Not_found (fun () ->
-      ignore (Invariant.next_violation inv ~name:"x" ~horizon:(fin 10)))
+    (Invalid_argument "Invariant: non-positive bound") (fun () ->
+      Invariant.check_bounds { Invariant.min_rows = Some 1; max_rows = Some 0 });
+  (match
+     Interp.exec_sql t "CREATE CONSTRAINT x ON SELECT op FROM oncall MIN 0"
+   with
+   | Error e ->
+     Alcotest.(check string) "bad bound refused" "Invariant: non-positive bound" e
+   | Ok _ -> Alcotest.fail "non-positive bound accepted");
+  ignore (message t "CREATE CONSTRAINT x ON SELECT op FROM oncall MIN 1");
+  (match
+     Interp.exec_sql t "CREATE CONSTRAINT x ON SELECT op FROM oncall MIN 1"
+   with
+   | Error e -> Alcotest.(check string) "duplicate" "constraint x exists" e
+   | Ok _ -> Alcotest.fail "duplicate accepted");
+  Alcotest.(check string) "remove" "constraint x dropped"
+    (message t "DROP CONSTRAINT x");
+  match Interp.exec_sql t "DROP CONSTRAINT x" with
+  | Error e -> Alcotest.(check string) "remove twice" "unknown constraint x" e
+  | Ok _ -> Alcotest.fail "second drop accepted"
+
+let load bindings =
+  let db = Database.create () in
+  List.iter
+    (fun (name, r) ->
+      let columns =
+        List.init (Relation.arity r) (fun i -> Printf.sprintf "c%d" i)
+      in
+      let tbl = Database.create_table db ~name ~columns in
+      Relation.iter (fun t texp -> Table.insert tbl t ~texp) r)
+    bindings;
+  db
+
+let fresh_cardinality db expr tau =
+  Relation.cardinal
+    (Eval.relation_at
+       ~env:(fun name ->
+         Option.map (fun tb -> Table.snapshot tb ~tau:(fin tau))
+           (Database.table db name))
+       ~tau:(fin tau) expr)
 
 (* Property: the predicted violation time is exactly the first sampled
    time at which a fresh evaluation violates. *)
@@ -102,100 +151,62 @@ let prop_prediction_matches_brute_force =
   Generators.qtest "next_violation = brute-force first bad time" ~count:150
     (QCheck2.Gen.pair (Generators.expr_and_env_or_nested_difference ()) (QCheck2.Gen.int_range 1 4))
     (fun ((expr, bindings), bound) ->
-      let db = Database.create () in
-      List.iter
-        (fun (name, r) ->
-          let columns =
-            List.init (Relation.arity r) (fun i -> Printf.sprintf "c%d" i)
-          in
-          let tbl = Database.create_table db ~name ~columns in
-          Relation.iter (fun t texp -> Table.insert tbl t ~texp) r)
-        bindings;
-      let inv = Invariant.create db in
-      add inv db ~name:"w" ~expr (Invariant.Min_cardinality bound);
+      let db = load bindings in
       let horizon = 40 in
-      let env tau name =
-        Option.map (fun tb -> Table.snapshot tb ~tau) (Database.table db name)
-      in
-      let bad tau =
-        Relation.cardinal
-          (Eval.relation_at ~env:(env (fin tau)) ~tau:(fin tau) expr)
-        < bound
-      in
+      let bad tau = fresh_cardinality db expr tau < bound in
       if bad 0 then true
-        (* next_violation is about transitions out of a valid state;
-           an already-violated constraint is check_now's business. *)
+        (* a forecast asked with [~first] is about transitions out of a
+           valid state; an already-violated constraint has none to find *)
       else
         let brute =
           List.find_opt bad (List.init (horizon - 1) (fun i -> i + 1))
         in
-        let predicted =
-          Invariant.next_violation inv ~name:"w" ~horizon:(fin horizon)
-        in
-        (match brute, predicted with
-         | None, None -> true
-         | Some b, Some p -> Time.equal (fin b) p
-         | Some _, None | None, Some _ -> false))
+        Option.map string_of_int brute
+        = next_violation db expr (at_least bound) ~horizon)
 
-(* Property: the transitions [advance] reports — for every bound from 1
-   to 6, both ways — are exactly the ticks in ]from, target] at which a
-   fresh naive evaluation turns violated. *)
+(* Property: the transitions a forecast reports — for every pairing of
+   a MIN bound and a MAX bound from 1 to 6 (or none), each constraint
+   carrying both — are exactly the ticks in ]from, target] at which a
+   fresh naive evaluation turns violated, with the cardinality then. *)
 let prop_advance_matches_brute_force =
   Generators.qtest "advance = brute-force per-tick transitions" ~count:150
     (QCheck2.Gen.triple
        (Generators.expr_and_env_or_nested_difference ()) (QCheck2.Gen.int_range 0 5)
        (QCheck2.Gen.int_range 0 30))
     (fun ((expr, bindings), start, span) ->
-      let db = Database.create () in
-      List.iter
-        (fun (name, r) ->
-          let columns =
-            List.init (Relation.arity r) (fun i -> Printf.sprintf "c%d" i)
-          in
-          let tbl = Database.create_table db ~name ~columns in
-          Relation.iter (fun t texp -> Table.insert tbl t ~texp) r)
-        bindings;
+      let db = load bindings in
       Database.advance_to db (fin start);
-      let inv = Invariant.create db in
-      let specs =
+      let plan = Planner.plan ~db expr in
+      let bound_choices = None :: List.map Option.some [ 1; 2; 3; 4; 5; 6 ] in
+      let all_bounds =
         List.concat_map
-          (fun b ->
-            [ (Printf.sprintf "max%d" b, Invariant.Max_cardinality b);
-              (Printf.sprintf "min%d" b, Invariant.Min_cardinality b) ])
-          [ 1; 2; 3; 4; 5; 6 ]
-      in
-      List.iter (fun (name, spec) -> add inv db ~name ~expr spec) specs;
-      let cardinality tau =
-        Relation.cardinal
-          (Eval.relation_at
-             ~env:(fun name ->
-               Option.map (fun tb -> Table.snapshot tb ~tau:(fin tau))
-                 (Database.table db name))
-             ~tau:(fin tau) expr)
-      in
-      let counts = Array.init (span + 1) (fun i -> cardinality (start + i)) in
-      let bad spec i =
-        match spec with
-        | Invariant.Min_cardinality b -> counts.(i) < b
-        | Invariant.Max_cardinality b -> counts.(i) > b
-      in
-      let brute =
-        List.init span (fun i -> i + 1)
-        |> List.concat_map (fun i ->
+          (fun min_rows ->
             List.filter_map
-              (fun (name, spec) ->
-                if bad spec i && not (bad spec (i - 1)) then
-                  Some (Printf.sprintf "%s@%d" name (start + i))
+              (fun max_rows ->
+                if min_rows = None && max_rows = None then None
+                else Some { Invariant.min_rows; max_rows })
+              bound_choices)
+          bound_choices
+      in
+      let counts =
+        Array.init (span + 1) (fun i -> fresh_cardinality db expr (start + i))
+      in
+      List.for_all
+        (fun bounds ->
+          let bad i = Invariant.violated bounds counts.(i) in
+          let brute =
+            List.filter_map
+              (fun i ->
+                if bad i && not (bad (i - 1)) then Some (fin (start + i), counts.(i))
                 else None)
-              (List.sort compare specs))
-      in
-      let reported =
-        List.map
-          (fun v ->
-            Printf.sprintf "%s@%s" v.Invariant.name (Time.to_string v.Invariant.at))
-          (Invariant.advance inv (fin (start + span)))
-      in
-      brute = reported && Time.equal (Database.now db) (fin (start + span)))
+              (List.init span (fun i -> i + 1))
+          in
+          let { Invariant.cardinality; transitions } =
+            Invariant.forecast ~db plan bounds ~to_:(fin (start + span))
+              ~first:false
+          in
+          cardinality = counts.(0) && transitions = brute)
+        all_bounds)
 
 let suite =
   [ Alcotest.test_case "violations predicted ahead of time" `Quick test_prediction;

@@ -636,6 +636,92 @@ let test_cross_node_trace () =
                       "\"" ^ replica_entry.Wire.node ^ "\"";
                       "\"" ^ (List.hd primary_entries).Wire.node ^ "\"" ]))))
 
+(* A shipped DROP TABLE under a replica's watch: the primary refuses a
+   drop only under its own watches, so the replica applies it.  The
+   shipped ADVANCE that followed used to refresh the watch over the
+   dropped table, and the uncaught [Unknown_relation] killed the
+   replica's applier thread, stranding the replica at that position for
+   good.  Now the drop ends the watch (no event marks the end) and the
+   replica keeps applying; its watches keep delivering, and the ended
+   watch's old owner cannot tear down a new watch of the same name. *)
+let test_shipped_drop_ends_replica_watch () =
+  let render = function
+    | Wire.Row_expired { row; at; _ } ->
+      Printf.sprintf "-%s@%s" (Tuple.to_string (Tuple.of_list row))
+        (Time.to_string at)
+    | _ -> "other"
+  in
+  with_temp_dirs2 (fun pdir rdir ->
+      with_primary pdir (fun server port ->
+          with_client port (fun c ->
+              List.iter
+                (fun sql -> ok (Client.exec_ok c sql))
+                [ "CREATE TABLE a (x)";
+                  "CREATE TABLE b (x)";
+                  "INSERT INTO a VALUES (1) EXPIRES 20";
+                  "INSERT INTO a VALUES (2) EXPIRES 3";
+                  "INSERT INTO b VALUES (1) EXPIRES 5" ]);
+          with_replica ~primary_port:port rdir (fun r ->
+              synced server r;
+              with_client (Replica.port r) (fun rc2 ->
+                  with_client (Replica.port r) (fun rc ->
+                      ok
+                        (Client.subscribe rc ~name:"diff"
+                           ~query:"SELECT x FROM a EXCEPT SELECT x FROM b");
+                      with_client port (fun c ->
+                          List.iter
+                            (fun sql -> ok (Client.exec_ok c sql))
+                            [ "DROP TABLE b"; "ADVANCE TO 8";
+                              "INSERT INTO a VALUES (3) EXPIRES 30" ]);
+                      synced server r;
+                      Alcotest.(check bool) "replica reads equal primary reads"
+                        true
+                        (query_rows (Replica.port r) "SELECT x FROM a"
+                         = query_rows port "SELECT x FROM a");
+                      ok (Client.ping rc);
+                      Alcotest.(check int) "the ended watch delivered nothing" 0
+                        (List.length (Client.events rc));
+                      (* The name is free again. *)
+                      ok
+                        (Client.subscribe rc2 ~name:"diff"
+                           ~query:"SELECT x FROM a"));
+                  with_client port (fun c -> ok (Client.exec_ok c "ADVANCE TO 25"));
+                  synced server r;
+                  ok (Client.ping rc2);
+                  Alcotest.(check (list string)) "the new watch outlives the old owner"
+                    [ "-<1>@20" ]
+                    (List.map render (Client.events rc2))))))
+
+(* The snapshot bootstrap path: a shipped snapshot that no longer holds
+   a table ends the watches reading it, like a shipped DROP TABLE. *)
+let test_snapshot_ends_replica_watch () =
+  with_temp_dir (fun dir ->
+      let store = Durable.open_dir dir in
+      let interp = Expirel_sqlx.Interp.create ~store () in
+      List.iter
+        (fun sql ->
+          match Expirel_sqlx.Interp.exec_sql interp sql with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail e)
+        [ "CREATE TABLE a (x)"; "CREATE TABLE b (x)";
+          "INSERT INTO a VALUES (1) EXPIRES 20";
+          "INSERT INTO b VALUES (1) EXPIRES 5" ];
+      let events = ref 0 in
+      ok
+        (Expirel_sqlx.Interp.subscribe interp ~name:"diff"
+           (Expirel_sqlx.Parser.parse_statement
+              "SELECT x FROM a EXCEPT SELECT x FROM b")
+           (fun _ -> incr events));
+      ok
+        (Expirel_sqlx.Interp.install_snapshot interp ~position:9
+           [ Wal.Create_table { name = "a"; columns = [ "x" ] };
+             Wal.Insert { table = "a"; tuple = Tuple.ints [ 1 ]; texp = fin 20 } ]);
+      ok (Expirel_sqlx.Interp.apply_records interp [ Wal.Advance (fin 30) ]);
+      Alcotest.(check int) "no delivery from the ended watch" 0 !events;
+      Alcotest.(check bool) "the name is free" false
+        (Expirel_sqlx.Interp.unsubscribe interp "diff");
+      Durable.close store)
+
 let suite =
   [ Alcotest.test_case "positions are monotone" `Quick test_position_monotone;
     Alcotest.test_case "ship_from trichotomy" `Quick test_ship_from;
@@ -657,4 +743,8 @@ let suite =
       test_v1_client_gets_version_mismatch;
     Alcotest.test_case "read-routing client" `Quick test_repl_client_routing;
     Alcotest.test_case "cross-node trace: one id, merged export" `Quick
-      test_cross_node_trace ]
+      test_cross_node_trace;
+    Alcotest.test_case "shipped DROP TABLE ends a replica watch" `Quick
+      test_shipped_drop_ends_replica_watch;
+    Alcotest.test_case "snapshot without a table ends its watches" `Quick
+      test_snapshot_ends_replica_watch ]

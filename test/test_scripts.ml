@@ -68,7 +68,7 @@ let test_constraints () =
   Alcotest.(check bool) "prediction before" true
     (string_contains (nth_output outputs 7) "seniors: 2 row(s), min 2 — breaks at 25");
   Alcotest.(check bool) "violation reported on advance" true
-    (string_contains (nth_output outputs 8) "CONSTRAINT VIOLATED: seniors!min at 25");
+    (string_contains (nth_output outputs 8) "CONSTRAINT VIOLATED: seniors at 25");
   Alcotest.(check bool) "violated now" true
     (string_contains (nth_output outputs 9) "VIOLATED NOW");
   Alcotest.(check bool) "repaired after insert" true
