@@ -10,11 +10,14 @@
      query mix with pruning on vs forced broadcast, after most of the
      keyspace has expired — the cluster-level payoff of the paper's
      min/max-texp bounds: shards whose whole partition is provably
-     dead at tau are never contacted.
+     dead at tau are never contacted;
+   - key-routed point reads ([WHERE k = c] on the partitioning column)
+     against the same reads forced to broadcast.
 
    Expected shape: with 2 of 3 partitions expired, pruning cuts fan-out
    messages by ~2/3 and reply bytes by more (dead shards answer with
-   empty listings, live ones with rows either way). *)
+   empty listings, live ones with rows either way); a routed point read
+   sends one message instead of three. *)
 
 open Expirel_core
 open Expirel_server
@@ -263,4 +266,41 @@ let run_all () =
       Bench_util.metric "groupby_gather_req_per_s" gathered_rps;
       Bench_util.metric_int "groupby_gather_bytes_per_query" gathered_bytes;
       Bench_util.metric "gather_join_req_per_s" gjoin_rps;
-      Bench_util.metric_int "gather_join_bytes_per_query" gjoin_bytes)
+      Bench_util.metric_int "gather_join_bytes_per_query" gjoin_bytes;
+
+      (* ---- key-routed point reads vs broadcast ----
+
+         A point read on the partitioning column asks only the key's
+         owner; [~prune:false] forces the same reads to every shard.
+         The v = ... scatter rows above pin no key and are unchanged. *)
+      Bench_util.subsection "key-routed point reads vs broadcast";
+      let point ~prune =
+        let before = Coordinator.traffic coord in
+        let (), s =
+          Bench_util.time_it (fun () ->
+              for i = 1 to queries do
+                ignore
+                  (no_err
+                     (Coordinator.exec ~prune coord
+                        (Printf.sprintf "SELECT * FROM g WHERE k = %d"
+                           ((i mod keys) + 1))))
+              done)
+        in
+        let after = Coordinator.traffic coord in
+        ( float_of_int queries /. s,
+          float_of_int
+            (after.Coordinator.messages - before.Coordinator.messages)
+          /. float_of_int queries )
+      in
+      let routed_rps, routed_msgs = point ~prune:true in
+      let bcast_rps, bcast_msgs = point ~prune:false in
+      Bench_util.table
+        ~headers:[ "point read"; "req/s"; "messages/query" ]
+        [ [ "key-routed"; Printf.sprintf "%.0f" routed_rps;
+            Printf.sprintf "%.2f" routed_msgs ];
+          [ "broadcast (~prune:false)"; Printf.sprintf "%.0f" bcast_rps;
+            Printf.sprintf "%.2f" bcast_msgs ] ];
+      Bench_util.metric "point_routed_req_per_s" routed_rps;
+      Bench_util.metric "point_routed_messages_per_query" routed_msgs;
+      Bench_util.metric "point_broadcast_req_per_s" bcast_rps;
+      Bench_util.metric "point_broadcast_messages_per_query" bcast_msgs)

@@ -35,6 +35,7 @@ type t = {
   health_rules : Obs.Health.rule list;
   requests_family : Obs.Instrument.Counter.t Obs.Instrument.Family.t;
   pruned_total : Obs.Instrument.Counter.t;
+  routed_total : Obs.Instrument.Counter.t;
   fanouts_total : Obs.Instrument.Counter.t;
   messages_total : Obs.Instrument.Counter.t;
   bytes_sent_total : Obs.Instrument.Counter.t;
@@ -48,6 +49,13 @@ type t = {
          joins need column names and arities before any shard replies *)
   mutable map : Wire.shard_map;
   mutable slots : slot list;  (* same order as [map.shards] *)
+  mutable moving : (Wire.shard_map * slot list) option;
+      (* the target map and its slots while [apply_map] moves rows: a
+         moved row may already live only at its new owner *)
+  mutable moves : int;
+      (* bumped whenever a move starts, ends, or is about to purge rows
+         from a source: a read whose flight spans a bump may have
+         looked where a row no longer is, and runs again *)
   mutable now : Time.t;  (* mirror of the cluster's logical clock *)
   mutable last_health : Obs.Health.level;
   mutable last_horizon : Obs.Horizon.report option;
@@ -241,6 +249,118 @@ let sketchable = function
 
 let err message = Wire.Err { code = Wire.Exec_error; message }
 
+let forward_to_any ?trace t sql =
+  let rec go = function
+    | [] -> err "no reachable shard"
+    | slot :: rest ->
+      (match exec_on ?trace t slot sql with
+       | Ok reply -> reply
+       | Error _ -> go rest)
+  in
+  go (slots t)
+
+(* The cluster catalog: cached CREATE TABLE columns, lazily recovered
+   from a zero-row describe scan (single-table scans label columns with
+   their bare DDL names, exactly what shard-side lowering sees) when
+   this coordinator did not create the table itself. *)
+let table_columns ?trace t name =
+  match locked t (fun () -> Hashtbl.find_opt t.tables name) with
+  | Some columns -> Some columns
+  | None ->
+    (match
+       forward_to_any ?trace t (Printf.sprintf "SELECT * FROM %s LIMIT 0" name)
+     with
+     | Wire.Rows { columns; _ } ->
+       locked t (fun () -> Hashtbl.replace t.tables name columns);
+       Some columns
+     | _ -> None)
+
+let coord_catalog ?trace t : Lower.catalog =
+ fun name -> table_columns ?trace t name
+
+(* ---------- key routing ---------- *)
+
+(* Rows live on [Wire.shard_owner] of their first column, and hash
+   partitions are disjoint: a partition holding no row with the queried
+   key contributes nothing to the union rule's merge, so asking only the
+   key's owner gives the broadcast's answer.  A pinned key routes only
+   when every value [Value.cmp] equates with it hashes as it does:
+   integral [Float]s within +-2^53 hash as their [Int]s, but [Int]s
+   beyond 2^53 equal [Float]s of other hashes (2^53 + 1 equals 2^53.),
+   and NaN equals every NaN bit pattern — those fall back to
+   broadcast. *)
+let routable = function
+  | Value.Int n -> n >= -(1 lsl 53) && n <= 1 lsl 53
+  | Value.Float f ->
+    (not (Float.is_nan f))
+    && ((not (Float.is_integer f)) || Float.abs f < 0x1p53)
+  | Value.Str _ | Value.Bool _ | Value.Null -> true
+
+(* The first-column values a lowered condition pins, [None] when it
+   admits rows with any key: an equality pins its constant, a
+   conjunction whatever either side pins, a disjunction the union when
+   both sides pin (sqlx has no IN; an OR of points is its IN list). *)
+let rec pinned_keys = function
+  | Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Const v)
+  | Predicate.Cmp (Predicate.Eq, Predicate.Const v, Predicate.Col 1) ->
+    if routable v then Some [ v ] else None
+  | Predicate.And (a, b) ->
+    (match pinned_keys a with
+     | Some _ as keys -> keys
+     | None -> pinned_keys b)
+  | Predicate.Or (a, b) ->
+    (match (pinned_keys a, pinned_keys b) with
+     | Some x, Some y -> Some (x @ y)
+     | _ -> None)
+  | _ -> None
+
+let cond_keys ?trace t table cond =
+  match table_columns ?trace t table with
+  | None -> None
+  | Some columns ->
+    (match Lower.lower_cond_for_table ~columns ~table cond with
+     | p -> pinned_keys p
+     | exception Lower.Error _ -> None)
+
+(* A UNION routes each operand on its own and contacts every owner; a
+   (tuple-preserving) EXCEPT or INTERSECT answers a subset of its left
+   operand's rows, and equal tuples share a shard, so the left operand's
+   keys route it. *)
+let rec query_keys ?trace t = function
+  | Ast.Select { source = Ast.From_table table; where = Some cond; _ } ->
+    cond_keys ?trace t table cond
+  | Ast.Select _ -> None
+  | Ast.Union (a, b) ->
+    (match (query_keys ?trace t a, query_keys ?trace t b) with
+     | Some x, Some y -> Some (x @ y)
+     | _ -> None)
+  | Ast.Except (a, _) | Ast.Intersect (a, _) -> query_keys ?trace t a
+
+(* The shards a statement with [keys] may need.  Pinned keys name their
+   owners under the current map and, while a move is in flight, under
+   its target too: a row the move has purged from its old owner lives
+   only at the new one.  Without keys every shard of the current map
+   (callers pass none under [~prune:false], the forced broadcast).  The
+   caller holds [t.state]. *)
+let candidates t keys =
+  match keys with
+  | Some keys ->
+    let owners (map, slots) =
+      let ids = List.map (Wire.shard_owner map) keys in
+      List.filter (fun s -> List.mem s.shard.Wire.shard_id ids) slots
+    in
+    let chosen =
+      List.fold_left
+        (fun acc s -> if List.memq s acc then acc else s :: acc)
+        []
+        (List.concat_map owners ((t.map, t.slots) :: Option.to_list t.moving))
+      |> List.rev
+    in
+    Obs.Instrument.Counter.add t.routed_total
+      (max 0 (List.length t.slots - List.length chosen));
+    chosen
+  | None -> t.slots
+
 (* ---------- scatter-gather ---------- *)
 
 (* Can the coordinator prove, from its cached summary alone, that this
@@ -255,23 +375,35 @@ let prunable slot tau =
   | Some { Wire.live_rows; max_texp; _ } ->
     live_rows = 0 || Time.(max_texp <= tau)
 
-(* The shards a query at [tau] contacts: every one whose summary cannot
-   prove its partition empty (all of them without [prune]); the rest
-   count as pruned.  [keep_one] still asks one shard when every
-   partition is provably empty. *)
-let contacted_shards ~prune ~keep_one t tau =
-  let all = slots t in
-  let contacted, pruned =
-    if not prune then (all, [])
-    else
-      match List.partition (fun s -> not (prunable s tau)) all with
-      | [], first :: rest when keep_one -> ([ first ], rest)
-      | split -> split
-  in
-  List.iter
-    (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total)
-    pruned;
-  contacted
+(* The shards a query with [keys] at [tau] contacts: every candidate
+   whose summary cannot prove its partition empty (all of them without
+   [prune], or while a move redefines the partitions under the cached
+   summaries); the rest count as pruned.  [keep_one] still asks one
+   shard when every candidate is provably empty.  Also returns the move
+   count the choice was made under. *)
+let route ~prune ~keep_one t keys tau =
+  locked t (fun () ->
+      let candidates = candidates t keys in
+      let contacted, pruned =
+        if not (prune && Option.is_none t.moving) then (candidates, [])
+        else
+          match List.partition (fun s -> not (prunable s tau)) candidates with
+          | [], first :: rest when keep_one -> ([ first ], rest)
+          | split -> split
+      in
+      List.iter
+        (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total)
+        pruned;
+      (contacted, t.moves))
+
+(* Run [read] on the shards [route] picks, and again if a move started,
+   purged a source or ended while it was in flight: reads are
+   idempotent, and the rerun routes by the move's present state. *)
+let rec routed_read ~prune ~keep_one t keys tau read =
+  let contacted, moves = route ~prune ~keep_one t keys tau in
+  let result = read contacted in
+  if locked t (fun () -> t.moves) = moves then result
+  else routed_read ~prune ~keep_one t keys tau read
 
 let span_offset_us tr at =
   let us = (at -. Obs.Trace.started_at tr) *. 1e6 in
@@ -333,43 +465,41 @@ let query_tau t (qs : Ast.query_stmt) =
   | None -> now
 
 (* Fan one request out to [contacted] in parallel, under a [scatter]
-   span.  The rpc spans are recorded after the join (a trace is not
-   synchronised across threads); offsets and durations are the ones
-   measured inside each fan-out thread.  Replies come back in contact
+   span; a single contact runs in the caller's thread, with nothing to
+   overlap it with.  The rpc spans are recorded after the join (a trace
+   is not synchronised across threads); offsets and durations are the
+   ones measured around each send.  Replies come back in contact
    order. *)
 let fan_out ?trace t contacted request =
   Obs.Trace.span trace "scatter" @@ fun () ->
-  let results = Array.make (List.length contacted) None in
-  let threads =
-    List.mapi
-      (fun i slot ->
-        Thread.create
-          (fun () ->
-            let t0 = Unix.gettimeofday () in
-            let r = send t slot request in
-            results.(i) <- Some (slot, r, t0, Unix.gettimeofday ()))
-          ())
-      contacted
+  let call slot =
+    let t0 = Unix.gettimeofday () in
+    let r = send t slot request in
+    (slot, r, t0, Unix.gettimeofday ())
   in
-  List.iter Thread.join threads;
+  let results =
+    match contacted with
+    | [ slot ] -> [ call slot ]
+    | _ ->
+      let results = Array.make (List.length contacted) None in
+      List.mapi
+        (fun i slot ->
+          Thread.create (fun () -> results.(i) <- Some (call slot)) ())
+        contacted
+      |> List.iter Thread.join;
+      List.filter_map Fun.id (Array.to_list results)
+  in
   Option.iter
     (fun tr ->
-      Array.iter
-        (function
-          | Some (slot, _, t0, t1) ->
-            Obs.Trace.record tr
-              ~name:(Printf.sprintf "rpc:shard-%d" slot.shard.Wire.shard_id)
-              ~start_us:(span_offset_us tr t0)
-              ~duration_us:(int_of_float ((t1 -. t0) *. 1e6))
-          | None -> ())
+      List.iter
+        (fun (slot, _, t0, t1) ->
+          Obs.Trace.record tr
+            ~name:(Printf.sprintf "rpc:shard-%d" slot.shard.Wire.shard_id)
+            ~start_us:(span_offset_us tr t0)
+            ~duration_us:(int_of_float ((t1 -. t0) *. 1e6)))
         results)
     trace;
-  Array.fold_left
-    (fun acc -> function
-      | Some (slot, r, _, _) -> (slot, r) :: acc
-      | None -> acc)
-    [] results
-  |> List.rev
+  List.map (fun (slot, r, _, _) -> (slot, r)) results
 
 (* A shard that died or answered garbage mid-gather: surface one typed
    [Shard_failed] error naming the shard.  Partitions are disjoint, so
@@ -460,22 +590,23 @@ let horizon_page t =
     (fun (report, _) -> Obs.Prometheus.render (Obs.Horizon.metrics report))
     (horizon t)
 
-(* Fan a query out to every shard whose partition can still hold live
-   rows at the query's tau, in parallel, and merge.  With every shard
-   prunable, one shard is still asked — someone has to name the result
-   columns — which still saves n-1 contacts. *)
+(* Fan a query out to every shard its keys route to whose partition can
+   still hold live rows at the query's tau, in parallel, and merge.
+   With every such shard prunable, one is still asked — someone has to
+   name the result columns. *)
 let scatter_gather ?trace ~prune t (qs : Ast.query_stmt) sql =
   Obs.Instrument.Counter.incr t.fanouts_total;
-  let contacted =
-    contacted_shards ~prune ~keep_one:true t (query_tau t qs)
-  in
+  let keys = if prune then query_keys ?trace t qs.Ast.q else None in
   match
-    scatter ?trace t contacted ~want:Wire.Want_rows ~what:"a query" sql
-      rows_body
+    routed_read ~prune ~keep_one:true t keys (query_tau t qs)
+      (fun contacted ->
+        scatter ?trace t contacted ~want:Wire.Want_rows ~what:"a query" sql
+          rows_body)
   with
   | Error e -> e
   | Ok [] -> err "no shards"
   | Ok ((columns, _, _, _) :: _ as parts) ->
+    Obs.Trace.span trace "merge" @@ fun () ->
     (match
        merge_partials ~columns ~order_by:qs.Ast.order_by ~limit:qs.Ast.limit
          (List.map (fun (_, rows, _, _) -> rows) parts)
@@ -502,26 +633,27 @@ let scatter_gather ?trace ~prune t (qs : Ast.query_stmt) sql =
    identical to a single node holding all rows.  AVG is exact because
    it never travels as an average: the slices carry its SUM and COUNT
    components and the quotient is taken once, here, at finalisation.
-   A shard whose summary proves its partition empty at tau contributes
-   a vacuous partial and is pruned from the fan-out entirely — the
-   coordinator knows the columns and the finalisation of the merged
-   rest is unaffected. *)
+   A shard whose summary proves its partition empty at tau, or that
+   owns none of the keys the WHERE pins, contributes a vacuous partial
+   and is left out of the fan-out entirely — the coordinator knows the
+   columns and the finalisation of the merged rest is unaffected. *)
 let scatter_partial_agg ?trace ~prune t (qs : Ast.query_stmt)
     (d : Lower.decomposed) ~columns ~child_arity sql =
   Obs.Instrument.Counter.incr t.fanouts_total;
-  let contacted =
-    contacted_shards ~prune ~keep_one:false t (query_tau t qs)
-  in
+  let keys = if prune then query_keys ?trace t qs.Ast.q else None in
   match
-    scatter ?trace t contacted ~want:Wire.Want_agg
-      ~what:"an aggregate request" sql (function
-      | Wire.Shard_reply
-          { body = Wire.Body_agg { groups; child_texp; _ }; _ } ->
-        Some (groups, child_texp)
-      | _ -> None)
+    routed_read ~prune ~keep_one:false t keys (query_tau t qs)
+      (fun contacted ->
+        scatter ?trace t contacted ~want:Wire.Want_agg
+          ~what:"an aggregate request" sql (function
+          | Wire.Shard_reply
+              { body = Wire.Body_agg { groups; child_texp; _ }; _ } ->
+            Some (groups, child_texp)
+          | _ -> None))
   with
   | Error e -> e
   | Ok parts ->
+    Obs.Trace.span trace "merge" @@ fun () ->
     let partials, child_texps = List.split parts in
     (match
        Expirel_exec.Partial_agg.finalize ~group:d.Lower.d_group
@@ -625,12 +757,12 @@ let route_insert ?trace t ~key sql =
      | Ok reply -> reply
      | Error msg -> err msg)
 
-(* Broadcast a statement to every shard, sequentially (writes are rare
-   and ADVANCE must reach everyone anyway).  The first failure is
-   reported with its shard id; there is no cross-shard atomicity —
-   cluster v1 trades transactions for the expiration calculus, which
-   needs none. *)
-let broadcast ?trace t sql ~merge =
+(* Send a statement to [targets], sequentially (writes are rare and
+   ADVANCE must reach everyone anyway).  The first failure is reported
+   with its shard id; there is no cross-shard atomicity — cluster v1
+   trades transactions for the expiration calculus, which needs
+   none. *)
+let broadcast ?trace t targets sql ~merge =
   let rec go acc = function
     | [] -> merge (List.rev acc)
     | slot :: rest ->
@@ -640,7 +772,7 @@ let broadcast ?trace t sql ~merge =
            (Printf.sprintf "shard %d: %s" slot.shard.Wire.shard_id message)
        | Ok reply -> go ((slot, reply) :: acc) rest)
   in
-  go [] (slots t)
+  go [] targets
 
 let merge_acks replies =
   match replies with
@@ -648,6 +780,23 @@ let merge_acks replies =
     Wire.Ok_msg
       (Printf.sprintf "%s (on %d shard(s))" message (List.length replies))
   | _ -> err "unexpected reply to a broadcast statement"
+
+(* DELETE and VACUUM acks lead with a per-shard row count
+   ("4 tuple(s) deleted"); the cluster's count is their sum. *)
+let merge_counts replies =
+  let count = function
+    | _, Wire.Ok_msg message ->
+      (try Scanf.sscanf message "%d %[^\n]" (fun n rest -> Some (n, rest))
+       with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+    | _ -> None
+  in
+  match List.filter_map count replies with
+  | (_, rest) :: _ as counts when List.compare_lengths counts replies = 0 ->
+    let total = List.fold_left (fun acc (n, _) -> acc + n) 0 counts in
+    Wire.Ok_msg
+      (Printf.sprintf "%d %s (on %d shard(s))" total rest
+         (List.length replies))
+  | _ -> merge_acks replies
 
 let merge_texts replies =
   Wire.Ok_msg
@@ -663,36 +812,7 @@ let merge_texts replies =
               body)
           replies))
 
-let forward_to_any ?trace t sql =
-  let rec go = function
-    | [] -> err "no reachable shard"
-    | slot :: rest ->
-      (match exec_on ?trace t slot sql with
-       | Ok reply -> reply
-       | Error _ -> go rest)
-  in
-  go (slots t)
-
 (* ---------- distributed joins and the gather fallback ---------- *)
-
-(* The cluster catalog: cached CREATE TABLE columns, lazily recovered
-   from a zero-row describe scan (single-table scans label columns with
-   their bare DDL names, exactly what shard-side lowering sees) when
-   this coordinator did not create the table itself. *)
-let table_columns ?trace t name =
-  match locked t (fun () -> Hashtbl.find_opt t.tables name) with
-  | Some columns -> Some columns
-  | None ->
-    (match
-       forward_to_any ?trace t (Printf.sprintf "SELECT * FROM %s LIMIT 0" name)
-     with
-     | Wire.Rows { columns; _ } ->
-       locked t (fun () -> Hashtbl.replace t.tables name columns);
-       Some columns
-     | _ -> None)
-
-let coord_catalog ?trace t : Lower.catalog =
- fun name -> table_columns ?trace t name
 
 (* A table's complete, cluster-wide contents with per-row texps —
    partitions are disjoint, so plain concatenation is the union. *)
@@ -851,35 +971,44 @@ let exec_parsed ?trace ~prune t stmt sql =
   | Ast.Insert { values = key :: _; _ } -> route_insert ?trace t ~key sql
   | Ast.Insert { values = []; _ } -> err "INSERT needs at least one value"
   | Ast.Advance_to n ->
-    let r = broadcast ?trace t sql ~merge:merge_acks in
+    let r = broadcast ?trace t (slots t) sql ~merge:merge_acks in
     (match r with
      | Wire.Ok_msg _ -> advance_clock t (Time.of_int n)
      | _ -> ());
     r
   | Ast.Tick n ->
-    let r = broadcast ?trace t sql ~merge:merge_acks in
+    let r = broadcast ?trace t (slots t) sql ~merge:merge_acks in
     (match r with
      | Wire.Ok_msg _ ->
        locked t (fun () -> t.now <- Time.add t.now (Time.of_int n))
      | _ -> ());
     r
   | Ast.Create_table (name, columns) ->
-    let r = broadcast ?trace t sql ~merge:merge_acks in
+    let r = broadcast ?trace t (slots t) sql ~merge:merge_acks in
     (match r with
      | Wire.Ok_msg _ ->
        locked t (fun () -> Hashtbl.replace t.tables name columns)
      | _ -> ());
     r
   | Ast.Drop_table name ->
-    let r = broadcast ?trace t sql ~merge:merge_acks in
+    let r = broadcast ?trace t (slots t) sql ~merge:merge_acks in
     (match r with
      | Wire.Ok_msg _ -> locked t (fun () -> Hashtbl.remove t.tables name)
      | _ -> ());
     r
-  | Ast.Create_index _ | Ast.Drop_index _ | Ast.Delete _ | Ast.Vacuum ->
-    broadcast ?trace t sql ~merge:merge_acks
+  | Ast.Delete (table, Some cond) when prune ->
+    (* A pinned DELETE reaches the keys' owners (under both maps while a
+       move is in flight); an unpinned one broadcasts. *)
+    let keys = cond_keys ?trace t table cond in
+    broadcast ?trace t
+      (locked t (fun () -> candidates t keys))
+      sql ~merge:merge_counts
+  | Ast.Delete _ | Ast.Vacuum ->
+    broadcast ?trace t (slots t) sql ~merge:merge_counts
+  | Ast.Create_index _ | Ast.Drop_index _ ->
+    broadcast ?trace t (slots t) sql ~merge:merge_acks
   | Ast.Explain _ | Ast.Explain_analyze _ ->
-    broadcast ?trace t sql ~merge:merge_texts
+    broadcast ?trace t (slots t) sql ~merge:merge_texts
   | Ast.Show_tables | Ast.Show_time -> forward_to_any ?trace t sql
   | Ast.Show_horizon table ->
     (match gather_horizon ?trace ?table t with
@@ -999,6 +1128,10 @@ let create ?(node_name = "coordinator") ?health_rules
           ~name:"expirel_cluster_pruned_shards_total"
           ~help:"Shards skipped from a fan-out because their cached \
                  partition summary proved them empty at the query's tau";
+      routed_total =
+        Obs.Registry.counter registry ~name:"expirel_cluster_routed_total"
+          ~help:"Shard contacts skipped because the statement's WHERE pins \
+                 the partitioning column to keys those shards do not own";
       fanouts_total =
         Obs.Registry.counter registry ~name:"expirel_cluster_fanouts_total"
           ~help:"Scatter-gather queries executed";
@@ -1019,6 +1152,8 @@ let create ?(node_name = "coordinator") ?health_rules
       tables = Hashtbl.create 16;
       map;
       slots = [];
+      moving = None;
+      moves = 0;
       now = Time.zero;
       last_health = Obs.Health.Ok;
       last_horizon = None;
@@ -1208,8 +1343,9 @@ let table_names t =
    extract per source shard, ingest at the destinations, then purge the
    sources.  Purge runs last so a crash mid-move duplicates rows (both
    copies carry the same texp — harmless to set semantics) rather than
-   losing them. *)
-let apply_map t new_map ~old_slots ~new_slots =
+   losing them.  Each purge first bumps [t.moves]: a routed read in
+   flight across it runs again. *)
+let move_rows t new_map ~old_slots ~new_slots =
   let ( let* ) = Result.bind in
   let* () =
     List.fold_left
@@ -1269,6 +1405,7 @@ let apply_map t new_map ~old_slots ~new_slots =
             match moves with
             | [] -> Ok ()
             | _ :: _ ->
+              locked t (fun () -> t.moves <- t.moves + 1);
               Result.map_error
                 (Printf.sprintf "purge on shard %d: %s"
                    source.shard.Wire.shard_id)
@@ -1277,24 +1414,42 @@ let apply_map t new_map ~old_slots ~new_slots =
           (Ok ()) tables)
       (Ok ()) old_slots
   in
-  locked t (fun () ->
-      t.map <- new_map;
-      t.slots <- new_slots);
-  (* A map change redefines every partition, so every cached summary is
-     about the wrong partition now: forget them all (unknown is never
-     pruned) and re-prime with a heartbeat round. *)
-  List.iter (fun s -> s.summary <- None) new_slots;
-  heartbeat_now t;
-  List.iter
-    (fun s ->
-      if
-        not
-          (List.exists
-             (fun n -> n.shard.Wire.shard_id = s.shard.Wire.shard_id)
-             new_slots)
-      then Member.close s.member)
-    old_slots;
   Ok !moved
+
+(* [move_rows] with routing kept sound while it runs: the target map
+   rides on [t.moving], so a routed read or delete also asks each key's
+   new owner, and every step that can strand a read bumps [t.moves].
+   Success swaps the map in; a failure leaves the old map routing. *)
+let apply_map t new_map ~old_slots ~new_slots =
+  locked t (fun () ->
+      t.moving <- Some (new_map, new_slots);
+      t.moves <- t.moves + 1);
+  let result = move_rows t new_map ~old_slots ~new_slots in
+  locked t (fun () ->
+      t.moving <- None;
+      t.moves <- t.moves + 1;
+      if Result.is_ok result then begin
+        t.map <- new_map;
+        t.slots <- new_slots;
+        (* A map change redefines every partition, so every cached
+           summary is about the wrong partition now: forget them all
+           (unknown is never pruned) and re-prime with a heartbeat
+           round. *)
+        List.iter (fun s -> s.summary <- None) new_slots
+      end);
+  if Result.is_ok result then begin
+    heartbeat_now t;
+    List.iter
+      (fun s ->
+        if
+          not
+            (List.exists
+               (fun n -> n.shard.Wire.shard_id = s.shard.Wire.shard_id)
+               new_slots)
+        then Member.close s.member)
+      old_slots
+  end;
+  result
 
 let add_shard t endpoint =
   let old_map = shard_map t in

@@ -3,11 +3,27 @@
 
     Every table is partitioned by its first column: a row lives on
     [Wire.shard_owner map key].  Writes route to the owning shard;
-    distributable queries fan out in parallel to every shard whose
-    partition can still hold live rows and the partial listings merge
-    under the paper's union rule — per duplicate tuple the max [texp],
-    for the whole result the min of the partial [texp(e)]s (exact,
-    because hash partitions are disjoint).
+    distributable queries fan out in parallel to the shards that can
+    hold matching live rows and the partial listings merge under the
+    paper's union rule — per duplicate tuple the max [texp], for the
+    whole result the min of the partial [texp(e)]s (exact, because hash
+    partitions are disjoint).
+
+    {2 Key routing}
+
+    When the lowered [WHERE] pins the first column to a finite set of
+    keys — [col1 = c] either way round; an [AND] whose either side
+    pins; an [OR] whose both sides pin, with the union of their keys —
+    only those keys' owners are candidates.  A [UNION] routes each
+    operand and contacts every owner; a tuple-preserving
+    [EXCEPT]/[INTERSECT] routes by its left operand.  A key routes only
+    when every value {!Expirel_core.Value.cmp} equates with it shares
+    its owner: [Int]s within [±2^53], [Float]s that are fractional or
+    integral below [2^53] in magnitude, strings, booleans.  Other keys
+    (large [Int]s and integral [Float]s, NaN) broadcast.  While a
+    rebalance moves rows, a key's owners under {e both} the current and
+    the target map are candidates, and a read that a move step lands
+    under runs again.  A single contact runs in the caller's thread.
 
     {2 Pruning invariant}
 
@@ -23,7 +39,9 @@
     a partition only shrinks (expiration), so emptiness once proven
     cannot be revoked except by an insert, which un-prunes the shard in
     the same round trip.  An [Err] reply or a failed contact clears the
-    summary to {e unknown}, and unknown is never pruned. *)
+    summary to {e unknown}, and unknown is never pruned.  A rebalance
+    grows partitions without a refresh, so pruning pauses while rows
+    move. *)
 
 open Expirel_server
 
@@ -58,9 +76,11 @@ val exec :
 (** One sqlx statement against the cluster.
 
     - Distributable queries (single-table selection/projection, UNION
-      of such, tuple-preserving EXCEPT/INTERSECT) scatter-gather with
-      pruning (disable with [~prune:false] to force a full broadcast —
-      results are identical, that is the pruning soundness contract).
+      of such, tuple-preserving EXCEPT/INTERSECT) scatter-gather to the
+      owners of the keys their [WHERE] pins (every shard when none),
+      with expiration pruning.  [~prune:false] turns both off and
+      forces a full broadcast — results are identical, that is the
+      routing and pruning soundness contract.
     - Grouped aggregates (GROUP BY, HAVING, COUNT/SUM/MIN/MAX/AVG) over
       one table combine from per-shard expiration-slice partials
       ({!Expirel_exec.Partial_agg}): rows {e and} texps identical to a
@@ -74,17 +94,22 @@ val exec :
       rule over disjoint partitions, at the cost of shipping each
       table once.
     - [INSERT] routes to the key's owner shard.
-    - DDL, [DELETE], [ADVANCE]/[TICK], [VACUUM] broadcast to all
-      shards; [EXPLAIN]/[EXPLAIN ANALYZE] broadcast and concatenate
-      per-shard reports.
+    - [DELETE … WHERE] that pins keys routes to their owners (under
+      both maps during a rebalance); any other [DELETE], DDL,
+      [ADVANCE]/[TICK] and [VACUUM] broadcast to all shards.  A
+      [DELETE] or [VACUUM] ack reports the sum of the shards' counts.
+      [EXPLAIN]/[EXPLAIN ANALYZE] broadcast and concatenate per-shard
+      reports.
     - Only per-node features — views, triggers, constraints,
       [CHECKPOINT] — are refused ([Err]).
     - A shard that dies or answers garbage mid-gather surfaces as one
       [Err] with code [Shard_failed] naming the shard.
 
     With [trace], spans record there and the context ships to every
-    contacted shard ([rpc:shard-<id>] spans); without, a fresh trace is
-    created and finished into this coordinator's trace store. *)
+    contacted shard ([scatter] with [rpc:shard-<id>] children, then
+    [merge] around the coordinator's union-rule merge or aggregate
+    finalisation); without, a fresh trace is created and finished into
+    this coordinator's trace store. *)
 
 (** {1 Cluster management} *)
 
@@ -113,8 +138,8 @@ val heartbeat_now : t -> unit
 val metrics : t -> string
 (** Prometheus exposition of the coordinator's registry
     ([expirel_cluster_*]: per-shard request counters, pruned-shard /
-    fan-out / message / byte counters, map-version and shard-health
-    gauges). *)
+    routed-away / fan-out / message / byte counters, map-version and
+    shard-health gauges). *)
 
 val health : t -> Wire.health_level * Wire.health_firing list
 (** Evaluates the coordinator's health rules over its own metrics —
@@ -153,7 +178,10 @@ val trace_store : t -> Expirel_obs.Trace_store.t
 
 type traffic = {
   fanouts : int;  (** scatter-gather queries executed *)
-  pruned : int;  (** shard contacts skipped by the pruning invariant *)
+  pruned : int;
+      (** shard contacts skipped by the pruning invariant (contacts
+          skipped by key routing count in
+          [expirel_cluster_routed_total] instead) *)
   messages : int;  (** coordinator-to-shard requests sent *)
   bytes_sent : int;  (** encoded request bytes, framing included *)
   bytes_received : int;  (** encoded reply bytes, framing included *)

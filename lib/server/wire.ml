@@ -138,17 +138,23 @@ type partition_texp = {
    FNV-1a over the value's canonical wire encoding, so any two
    processes speaking v5 route a key to the same shard.  Polymorphic
    [Hashtbl.hash] is deliberately avoided — its result is not part of
-   any documented contract. *)
+   any documented contract.  An integral [Float] within +-2^53 hashes
+   as the [Int] it equals, so a key lives where [Value.cmp] looks for
+   it: [WHERE k = 1] matches a stored [1.0]. *)
 let value_hash v =
   let b = Buffer.create 16 in
+  let add_int n =
+    Buffer.add_char b '\002';
+    Buffer.add_int64_be b n
+  in
   (match v with
    | Value.Null -> Buffer.add_char b '\000'
    | Value.Bool x ->
      Buffer.add_char b '\001';
      Buffer.add_char b (if x then '\001' else '\000')
-   | Value.Int n ->
-     Buffer.add_char b '\002';
-     Buffer.add_int64_be b (Int64.of_int n)
+   | Value.Int n -> add_int (Int64.of_int n)
+   | Value.Float f when Float.is_integer f && Float.abs f <= 0x1p53 ->
+     add_int (Int64.of_float f)
    | Value.Float f ->
      Buffer.add_char b '\003';
      Buffer.add_int64_be b (Int64.bits_of_float f)

@@ -280,7 +280,9 @@ type partition_texp = {
 val shard_owner : shard_map -> Value.t -> int
 (** [shard_owner map key] is the id of the shard owning rows whose
     first column is [key]: FNV-1a over the key's canonical encoding,
-    modulo the shard count.  Pure and deterministic across processes —
+    modulo the shard count.  An integral [Float] with [|f| <= 2^53]
+    is encoded as the [Int] it equals, so keys {!Value.cmp} equates
+    share an owner (beyond that range, and for NaN, they need not).  Pure and deterministic across processes —
     this single definition is the routing contract of the protocol.
     @raise Invalid_argument on an empty map *)
 

@@ -247,6 +247,24 @@ awk '
   }
   END { if (samples == 0) { print "empty exposition"; exit 1 } }
 ' "$CLUSTER_PROM"
+# Key routing: a second coordinator on the same shards, on a table of
+# its own.  A point SELECT and a point DELETE each reach only the key's
+# owner, and the coordinator's METRICS page counts the shard contacts
+# routing skipped.
+# shellcheck disable=SC2086
+ROUTED_OUT=$("$CLI" cluster connect $SHARD_ARGS -e "
+  CREATE TABLE routed (k, v);
+  INSERT INTO routed VALUES (1, 10) EXPIRES 50;
+  INSERT INTO routed VALUES (2, 20) EXPIRES 50;
+  INSERT INTO routed VALUES (3, 30) EXPIRES 50;
+  SELECT k, v FROM routed WHERE k = 2;
+  DELETE FROM routed WHERE k = 3;
+  SELECT k, v FROM routed;
+  METRICS")
+echo "$ROUTED_OUT" | grep -E '50 \| 2, 20$'
+echo "$ROUTED_OUT" | grep -F "1 tuple(s) deleted (on 1 shard(s))"
+echo "$ROUTED_OUT" | grep -F "2 row(s)"
+echo "$ROUTED_OUT" | grep -E 'expirel_cluster_routed_total [1-9]'
 kill "$CLUSTER_PID" 2>/dev/null || true
 rm -f "$CLUSTER_LOG" "$CLUSTER_PROM"
 

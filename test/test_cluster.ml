@@ -30,8 +30,8 @@ let no_err msg = function
 let shard_config =
   { Server.default_config with Server.host = "127.0.0.1"; port = 0 }
 
-let with_shards n f =
-  let servers = List.init n (fun _ -> Server.create ~config:shard_config ()) in
+let with_shards ?(config = shard_config) n f =
+  let servers = List.init n (fun _ -> Server.create ~config ()) in
   List.iter Server.start servers;
   Fun.protect
     ~finally:(fun () -> List.iter Server.stop servers)
@@ -43,8 +43,8 @@ let with_shards n f =
 
 (* Heartbeats run on demand ([heartbeat_now]) so every refresh in these
    tests is deterministic. *)
-let with_cluster n f =
-  with_shards n (fun servers endpoints ->
+let with_cluster ?config n f =
+  with_shards ?config n (fun servers endpoints ->
       let coord = Coordinator.create ~heartbeat_interval:0. ~shards:endpoints () in
       Fun.protect
         ~finally:(fun () -> Coordinator.close coord)
@@ -59,6 +59,11 @@ let rows_of sql = function
       (Printf.sprintf "%s: expected rows, got %s" sql (Wire.render_response r))
 
 let sorted rows = List.sort compare rows
+
+(* The row count leading a DELETE or VACUUM acknowledgement. *)
+let ack_count = function
+  | Wire.Ok_msg m -> Scanf.sscanf m "%d " Fun.id
+  | r -> Alcotest.failf "expected an ack, got %s" (Wire.render_response r)
 
 (* The workload both sides run: keys hash onto distinct shards, some
    rows expire early, projections create cross-shard duplicates, and
@@ -299,6 +304,11 @@ let test_cross_node_trace () =
              String.length s.span_name >= 4
              && String.sub s.span_name 0 4 = "rpc:")
            own.entry_spans);
+      (* The union-rule merge runs under its own top-level span. *)
+      Alcotest.(check bool) "top-level merge span" true
+        (List.exists
+           (fun (s : Wire.span) -> s.span_name = "merge" && s.parent_id = None)
+           own.entry_spans);
       (* And the merged view exports as one Chrome trace containing
          both node names. *)
       let store_entry (e : Wire.trace_entry) =
@@ -360,6 +370,12 @@ let test_shard_fold_span () =
         | Some e -> e
         | None -> Alcotest.fail "coordinator trace entry missing"
       in
+      (* The coordinator merges and finalises the partials under a
+         top-level span of its own. *)
+      Alcotest.(check bool) "coordinator merge span" true
+        (List.exists
+           (fun (s : Wire.span) -> s.span_name = "merge" && s.parent_id = None)
+           own.entry_spans);
       let shard_entries =
         List.filter
           (fun (e : Wire.trace_entry) ->
@@ -557,11 +573,14 @@ let test_refusals () =
 (* ---------- GROUP BY / AVG / joins == single node ---------- *)
 
 (* Run [statements] on both a cluster and a single node, then assert each
-   of [qs] answers identically: same row set with identical per-row
-   texps, identical texp(e), and the same listing when ORDER BY fixes
-   the order.  These queries flow through the new routes: decomposed
-   slice partials, co-partitioned joins, and the gather-then-compute
-   fallback. *)
+   of [qs] answers identically on the single node, through the
+   coordinator, and through the coordinator's forced broadcast
+   ([~prune:false]): same row set with identical per-row texps,
+   identical texp(e), and the same listing when ORDER BY fixes the
+   order.  These queries flow through the new routes: decomposed slice
+   partials, co-partitioned joins, key routing and the
+   gather-then-compute fallback.  A [DELETE] among [qs] runs on both
+   sides once, routed, and must report the same number of rows. *)
 let check_against_single_node ~shards ~statements qs =
   with_cluster shards (fun coord _servers _eps ->
       let single = Server.create ~config:shard_config () in
@@ -582,19 +601,32 @@ let check_against_single_node ~shards ~statements qs =
                 statements;
               List.iter
                 (fun sql ->
-                  let cl_rows, cl_texp = rows_of sql (exec coord sql) in
-                  let sn_rows, sn_texp =
-                    rows_of sql (no_err sql (ok (Client.exec c sql)))
-                  in
-                  Alcotest.(check bool)
-                    (sql ^ ": same rows and texps") true
-                    (sorted cl_rows = sorted sn_rows);
-                  if string_contains sql "ORDER BY" then
-                    Alcotest.(check bool)
-                      (sql ^ ": same listing order") true (cl_rows = sn_rows);
-                  Alcotest.(check bool)
-                    (sql ^ ": same texp(e)") true
-                    (Time.equal cl_texp sn_texp))
+                  if String.starts_with ~prefix:"DELETE" sql then
+                    Alcotest.(check int)
+                      (sql ^ ": same count") (ack_count (exec coord sql))
+                      (ack_count (no_err sql (ok (Client.exec c sql))))
+                  else begin
+                    let sn_rows, sn_texp =
+                      rows_of sql (no_err sql (ok (Client.exec c sql)))
+                    in
+                    List.iter
+                      (fun (path, reply) ->
+                        let cl_rows, cl_texp = rows_of sql reply in
+                        Alcotest.(check bool)
+                          (sql ^ path ^ ": same rows and texps") true
+                          (sorted cl_rows = sorted sn_rows);
+                        if string_contains sql "ORDER BY" then
+                          Alcotest.(check bool)
+                            (sql ^ path ^ ": same listing order") true
+                            (cl_rows = sn_rows);
+                        Alcotest.(check bool)
+                          (sql ^ path ^ ": same texp(e)") true
+                          (Time.equal cl_texp sn_texp))
+                      [ ("", exec coord sql);
+                        ( " (broadcast)",
+                          no_err sql (Coordinator.exec ~prune:false coord sql) )
+                      ]
+                  end)
                 qs)))
 
 let test_distributed_groupby_joins () =
@@ -1001,6 +1033,258 @@ let test_cluster_storm_rule () =
       | Wire.Health_ok, _ -> ()
       | _ -> Alcotest.fail "health still firing after the storm passed")
 
+(* ---------- key routing: a pinned key asks only its owners ---------- *)
+
+let key_on coord shard_id =
+  let map = Coordinator.shard_map coord in
+  let rec hunt k =
+    if Wire.shard_owner map (Value.int k) = shard_id then k else hunt (k + 1)
+  in
+  hunt 1
+
+let messages_for ?(prune = true) coord sql =
+  let before = (Coordinator.traffic coord).Coordinator.messages in
+  ignore (no_err sql (Coordinator.exec ~prune coord sql));
+  (Coordinator.traffic coord).Coordinator.messages - before
+
+(* Broadcast acknowledgements speak for the cluster: a DELETE or VACUUM
+   reports the sum of the shards' counts, not the first shard's. *)
+let test_broadcast_counts () =
+  with_cluster
+    ~config:{ shard_config with Server.policy = Expirel_storage.Database.Lazy }
+    3
+    (fun coord _servers _eps ->
+      ignore (exec coord "CREATE TABLE t (k, v)");
+      for k = 1 to 9 do
+        ignore
+          (exec coord
+             (Printf.sprintf "INSERT INTO t VALUES (%d, 1) EXPIRES %d" k
+                (if k <= 6 then 100 else 5)))
+      done;
+      ignore (exec coord "ADVANCE TO 10");
+      (* Lazy removal: the three rows that expired at 5 wait for VACUUM,
+         spread over the shards. *)
+      (match exec coord "VACUUM" with
+       | Wire.Ok_msg m ->
+         Alcotest.(check string) "vacuum sums the shards"
+           "3 tuple(s) reclaimed (on 3 shard(s))" m
+       | r -> Alcotest.failf "VACUUM: %s" (Wire.render_response r));
+      match exec coord "DELETE FROM t WHERE v = 1" with
+      | Wire.Ok_msg m ->
+        Alcotest.(check string) "delete sums the shards"
+          "6 tuple(s) deleted (on 3 shard(s))" m
+      | r -> Alcotest.failf "DELETE: %s" (Wire.render_response r))
+
+(* The traffic contract of routing: a point query is one message, an OR
+   of two keys on different owners two, an unpinned query (or a key
+   whose Int/Float equals hash apart) every shard — and the forced
+   broadcast every shard whatever the WHERE says. *)
+let test_routed_traffic () =
+  with_cluster 3 (fun coord _servers _eps ->
+      ignore (exec coord "CREATE TABLE t (k, v)");
+      for k = 1 to 30 do
+        ignore
+          (exec coord
+             (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES 100" k
+                (k mod 3)))
+      done;
+      ignore (exec coord "INSERT INTO t VALUES (2.5, 7) EXPIRES 100");
+      let a = key_on coord 0 and b = key_on coord 1 in
+      let point = Printf.sprintf "SELECT * FROM t WHERE k = %d" a in
+      Alcotest.(check bool) "routed counter starts at 0" true
+        (string_contains (Coordinator.metrics coord)
+           "expirel_cluster_routed_total 0");
+      Alcotest.(check int) "point query: 1 message" 1
+        (messages_for coord point);
+      Alcotest.(check bool) "routed counter counts the skipped shards" true
+        (string_contains (Coordinator.metrics coord)
+           "expirel_cluster_routed_total 2");
+      Alcotest.(check int) "constant on the left: 1 message" 1
+        (messages_for coord
+           (Printf.sprintf "SELECT v FROM t WHERE v > 0 AND %d = k" a));
+      Alcotest.(check int) "2-key OR on different owners: 2 messages" 2
+        (messages_for coord
+           (Printf.sprintf "SELECT k FROM t WHERE k = %d OR k = %d" a b));
+      Alcotest.(check int) "routed UNION: 2 messages" 2
+        (messages_for coord
+           (Printf.sprintf
+              "SELECT * FROM t WHERE k = %d UNION SELECT * FROM t WHERE k = %d"
+              a b));
+      Alcotest.(check int) "routed GROUP BY: 1 message" 1
+        (messages_for coord
+           (Printf.sprintf "SELECT k, COUNT(*) FROM t WHERE k = %d GROUP BY k"
+              a));
+      Alcotest.(check int) "unpinned: 3 messages" 3
+        (messages_for coord "SELECT * FROM t WHERE v = 1");
+      Alcotest.(check int) "OR with an unpinned side: 3 messages" 3
+        (messages_for coord
+           (Printf.sprintf "SELECT * FROM t WHERE k = %d OR v = 1" a));
+      Alcotest.(check int) "forced broadcast: 3 messages" 3
+        (messages_for ~prune:false coord point);
+      (* Floats: an integral one routes with its Int and finds it; a
+         fractional one routes by its own hash; past 2^53 Ints and
+         Floats equate across hashes, so the coordinator broadcasts. *)
+      Alcotest.(check int) "integral Float: 1 message" 1
+        (messages_for coord (Printf.sprintf "SELECT * FROM t WHERE k = %d.0" a));
+      (match exec coord (Printf.sprintf "SELECT * FROM t WHERE k = %d.0" a) with
+       | Wire.Rows { rows = [ (Value.Int k :: _, _) ]; _ } when k = a -> ()
+       | r -> Alcotest.failf "k = %d.0: %s" a (Wire.render_response r));
+      Alcotest.(check int) "fractional Float: 1 message" 1
+        (messages_for coord "SELECT * FROM t WHERE k = 2.5");
+      Alcotest.(check int) "Int beyond 2^53: 3 messages" 3
+        (messages_for coord "SELECT * FROM t WHERE k = 9007199254740993");
+      (* A pinned DELETE reaches the owner alone and says so. *)
+      let before = (Coordinator.traffic coord).Coordinator.messages in
+      (match exec coord (Printf.sprintf "DELETE FROM t WHERE k = %d" b) with
+       | Wire.Ok_msg m ->
+         Alcotest.(check string) "point DELETE ack"
+           "1 tuple(s) deleted (on 1 shard(s))" m
+       | r -> Alcotest.failf "DELETE: %s" (Wire.render_response r));
+      Alcotest.(check int) "point DELETE: 1 message" 1
+        ((Coordinator.traffic coord).Coordinator.messages - before);
+      Alcotest.(check int) "unpinned DELETE: 3 messages" 3
+        (messages_for coord "DELETE FROM t WHERE v = 9"))
+
+(* The routing law: over random tables whose keys mix Ints, integral
+   and fractional Floats and strings, some rows expired, every pinned,
+   OR-of-points, AND-with-another-column and unpinned query answers
+   through the routed coordinator exactly as through its forced
+   broadcast and as one node holding every row; random DELETEs routed
+   the same way remove exactly the single node's rows. *)
+let qcheck_routed_matches_broadcast =
+  let gen =
+    let open QCheck2.Gen in
+    let key =
+      oneof
+        [ map (Printf.sprintf "%d") (int_range (-3) 4);
+          map (Printf.sprintf "%d.0") (int_range (-3) 4);
+          oneofl [ "0.5"; "'a'"; "'b'" ] ]
+    in
+    let row = triple key (int_range 0 3) (int_range 1 24) in
+    let pred =
+      let* c1 = key and* c2 = key and* w = int_range 0 3 in
+      oneofl
+        [ Printf.sprintf "k = %s" c1;
+          Printf.sprintf "k = %s OR k = %s" c1 c2;
+          Printf.sprintf "k = %s AND v > %d" c1 w;
+          Printf.sprintf "v = %d AND %s = k" w c1;
+          Printf.sprintf "v = %d" w;
+          Printf.sprintf "k = %s OR v = %d" c1 w ]
+    in
+    let* shards = int_range 2 3 in
+    let* rows = list_size (int_range 0 16) row in
+    let* adv = int_range 0 10 in
+    let* preds = list_size (return 4) pred in
+    let* deletes = list_size (int_range 1 2) pred in
+    return (shards, rows, adv, preds, deletes)
+  in
+  Generators.qtest "routed == broadcast == single node" ~count:12 gen
+    (fun (shards, rows, adv, preds, deletes) ->
+      let statements =
+        [ "CREATE TABLE t (k, v)" ]
+        @ List.map
+            (fun (k, v, e) ->
+              Printf.sprintf "INSERT INTO t VALUES (%s, %d) EXPIRES %d" k v e)
+            rows
+        @ if adv > 0 then [ Printf.sprintf "ADVANCE TO %d" adv ] else []
+      in
+      let queries =
+        List.concat_map
+          (fun p ->
+            [ "SELECT * FROM t WHERE " ^ p;
+              "SELECT v FROM t WHERE " ^ p;
+              "SELECT k, COUNT(*) FROM t WHERE " ^ p ^ " GROUP BY k";
+              Printf.sprintf "SELECT * FROM t WHERE %s AT %d" p (adv + 6) ])
+          preds
+        @ (match preds with
+           | p :: q :: _ ->
+             [ Printf.sprintf
+                 "SELECT * FROM t WHERE %s UNION SELECT * FROM t WHERE %s" p q;
+               Printf.sprintf
+                 "SELECT * FROM t WHERE %s EXCEPT SELECT * FROM t WHERE %s" p q
+             ]
+           | _ -> [])
+      in
+      check_against_single_node ~shards ~statements
+        (queries
+        @ List.map (fun p -> "DELETE FROM t WHERE " ^ p) deletes
+        @ queries);
+      true)
+
+(* Point reads stay exact while rows move: during a rebalance a moved
+   row may already live only at its new owner, so a routed read asks
+   the key's owners under both maps, and reruns when a move step lands
+   under it.  Every read, on every key, through a grow and a shrink,
+   finds its row. *)
+let test_routed_reads_across_rebalance () =
+  with_cluster 3 (fun coord _servers _eps ->
+      ignore (exec coord "CREATE TABLE t (k, v)");
+      let keys = List.init 60 (fun i -> i + 1) in
+      List.iter
+        (fun k ->
+          ignore
+            (exec coord
+               (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES 1000" k
+                  (k * 7))))
+        keys;
+      let extra = Server.create ~config:shard_config () in
+      Server.start extra;
+      Fun.protect
+        ~finally:(fun () -> Server.stop extra)
+        (fun () ->
+          let stop = Atomic.make false in
+          let reads = Atomic.make 0 in
+          let misses = Atomic.make [] in
+          let reader offset () =
+            while not (Atomic.get stop) do
+              List.iter
+                (fun k ->
+                  let k = ((k + offset) mod 60) + 1 in
+                  match
+                    Coordinator.exec coord
+                      (Printf.sprintf "SELECT k, v FROM t WHERE k = %d" k)
+                  with
+                  | Wire.Rows { rows = [ ([ Value.Int k'; Value.Int v ], _) ]; _ }
+                    when k' = k && v = k * 7 ->
+                    Atomic.incr reads
+                  | r ->
+                    let miss = (k, Wire.render_response r) in
+                    let rec push () =
+                      let old = Atomic.get misses in
+                      if not (Atomic.compare_and_set misses old (miss :: old))
+                      then push ()
+                    in
+                    push ())
+                keys
+            done
+          in
+          let readers = List.init 2 (fun i -> Thread.create (reader (i * 30)) ()) in
+          let moved =
+            Fun.protect
+              ~finally:(fun () ->
+                Atomic.set stop true;
+                List.iter Thread.join readers)
+              (fun () ->
+                let grow =
+                  Coordinator.add_shard coord
+                    { Coordinator.host = "127.0.0.1"; port = Server.port extra }
+                in
+                let shrink = Coordinator.remove_shard coord 0 in
+                (grow, shrink))
+          in
+          (match moved with
+           | Ok _, Ok _ -> ()
+           | Error e, _ | _, Error e -> Alcotest.fail ("rebalance: " ^ e));
+          (match Atomic.get misses with
+           | [] -> ()
+           | (k, reply) :: _ as all ->
+             Alcotest.failf "%d point read(s) missed, e.g. k = %d: %s"
+               (List.length all) k reply);
+          Alcotest.(check bool) "readers ran" true (Atomic.get reads > 0);
+          (* Once the moves are over, a point read is one message again. *)
+          Alcotest.(check int) "point read after the moves: 1 message" 1
+            (messages_for coord "SELECT * FROM t WHERE k = 1")))
+
 let suite =
   [ Alcotest.test_case "scatter-gather == single node" `Quick
       test_matches_single_node;
@@ -1033,4 +1317,11 @@ let suite =
     Alcotest.test_case "horizon: shard partials merge to the union profile"
       `Quick test_horizon_cluster;
     Alcotest.test_case "horizon: storm rule fires before the drop" `Quick
-      test_cluster_storm_rule ]
+      test_cluster_storm_rule;
+    Alcotest.test_case "DELETE/VACUUM acks sum the shards' counts" `Quick
+      test_broadcast_counts;
+    Alcotest.test_case "a pinned key contacts only its owners" `Quick
+      test_routed_traffic;
+    qcheck_routed_matches_broadcast;
+    Alcotest.test_case "point reads find their rows across a rebalance"
+      `Quick test_routed_reads_across_rebalance ]

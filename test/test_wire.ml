@@ -557,6 +557,57 @@ let shard_owner_in_map =
            (fun (s : Wire.shard) -> s.shard_id = owner)
            map.Wire.shards)
 
+let map_of n =
+  { Wire.map_version = 1;
+    shards =
+      List.init n (fun i ->
+          { Wire.shard_id = i; shard_host = "h"; shard_port = i })
+  }
+
+(* An [Int] key's owner is fixed forever: data placed by an earlier
+   build (and a preload routed by [shard_owner (Value.int k)]) must stay
+   where routing looks for it.  Owners under 2, 3, 5 and 7 shards. *)
+let test_int_owners_pinned () =
+  List.iter
+    (fun (n, owners) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "owners of %d" n)
+        owners
+        (List.map (fun s -> Wire.shard_owner (map_of s) (Value.int n))
+           [ 2; 3; 5; 7 ]))
+    [ (0, [ 1; 2; 2; 0 ]);
+      (1, [ 0; 0; 3; 2 ]);
+      (2, [ 1; 1; 4; 4 ]);
+      (3, [ 0; 2; 0; 6 ]);
+      (5, [ 0; 1; 2; 3 ]);
+      (7, [ 0; 0; 4; 0 ]);
+      (42, [ 1; 2; 4; 0 ]);
+      (-1, [ 1; 2; 0; 5 ]);
+      (-17, [ 1; 0; 3; 4 ]);
+      (1000, [ 0; 0; 2; 2 ]);
+      (123456789, [ 1; 0; 3; 1 ]);
+      (1 lsl 53, [ 1; 2; 1; 1 ]);
+      (-(1 lsl 53), [ 0; 1; 3; 3 ]);
+      (max_int, [ 1; 0; 2; 2 ]);
+      (min_int, [ 1; 0; 1; 6 ]) ]
+
+(* Routing agrees with [Value.cmp]: an integral [Float] within 2^53
+   lives with the [Int] it equals, so [WHERE k = 1] finds a stored
+   [1.0] on the one shard it asks. *)
+let int_float_owners_agree =
+  let bound = 1 lsl 53 in
+  Generators.qtest "shard_owner: Int n and Float n share an owner" ~count:500
+    (Gen.pair (Gen.int_range 1 7)
+       (Gen.oneof
+          [ Gen.int_range (-1000) 1000;
+            Gen.int_range (-bound) bound;
+            Gen.map (fun d -> bound - d) (Gen.int_range 0 16);
+            Gen.map (fun d -> d - bound) (Gen.int_range 0 16) ]))
+    (fun (shards, n) ->
+      let map = map_of shards in
+      Wire.shard_owner map (Value.int n)
+      = Wire.shard_owner map (Value.float (float_of_int n)))
+
 let test_hostile_list_count () =
   (* A Rows body claiming millions of rows in a tiny payload must be
      rejected before any proportional allocation happens. *)
@@ -578,6 +629,8 @@ let suite =
     junk_never_raises;
     truncated_shard_map_errors;
     shard_owner_in_map;
+    Alcotest.test_case "Int owners are pinned" `Quick test_int_owners_pinned;
+    int_float_owners_agree;
     Alcotest.test_case "hostile shard count" `Quick test_hostile_shard_count;
     Alcotest.test_case "unknown tag" `Quick test_unknown_tag;
     Alcotest.test_case "wrong version" `Quick test_wrong_version;
