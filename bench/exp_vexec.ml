@@ -22,7 +22,12 @@
      aggregate over a snapshot;
    - the same accumulator fed out of texp order: a global COUNT over an
      index range on scrambled ids whose live rows expire at distinct
-     times, so nearly every row opens a slice below the newest one.
+     times, so nearly every row opens a slice below the newest one;
+   - a grouped COUNT, session-churn's GROUP BY shape: COUNT per key over
+     10^3 groups.
+
+   Every row reports the executor's time per live row ([_ns_per_row])
+   beside both totals.
 
    Every row runs both evaluators once before timing them and fails
    hard when the two answers (rows, per-row texps, texp(e)) differ, so
@@ -32,7 +37,8 @@
    expired fractions {0, 0.5, 0.99}.
    EXPIREL_VEXEC_ROWS caps the row counts so CI can smoke-test the
    same harness in seconds.  Expected shape: live-cut speedup >= 5x at
-   1e6 rows / 0.5 expired, far larger at 0.99. *)
+   1e6 rows / 0.5 expired, far larger at 0.99; the grouped COUNT at
+   most 50 ns per live row at 1e5 rows with nothing expired. *)
 
 open Expirel_core
 open Expirel_storage
@@ -113,6 +119,13 @@ let grouped_expr =
   Algebra.project [ 2; 3 ]
     (Algebra.aggregate [ 2 ] (Aggregate.Sum 1) (Algebra.base "feed"))
 
+(* SELECT v, COUNT( * ) FROM feed GROUP BY v: the same 10^3 groups,
+   counted — each row one probe of the group table and a counter
+   update. *)
+let grouped_count_expr =
+  Algebra.project [ 2; 3 ]
+    (Algebra.aggregate [ 2 ] Aggregate.Count (Algebra.base "feed"))
+
 (* SELECT COUNT( * ) FROM feed WHERE id >= 1 over an index on id, on a
    feed whose ids are scrambled and whose live rows all expire at
    distinct times: the batched plan folds the index range in id order,
@@ -186,17 +199,22 @@ let sweep ~name ~title ~reps ?(sizes = sizes) ?spread ?scramble
           Bench_util.metric (tag name ~n ~fraction ^ "_batch_us")
             (batch_s *. 1e6);
           Bench_util.metric (tag name ~n ~fraction ^ "_speedup") speedup;
+          let live = n - int_of_float (fraction *. float_of_int n) in
+          let ns_per_row = batch_s *. 1e9 /. float_of_int (max 1 live) in
+          Bench_util.metric (tag name ~n ~fraction ^ "_ns_per_row") ns_per_row;
           rows_out :=
             [ string_of_int n;
               Printf.sprintf "%.0f%%" (fraction *. 100.);
               Bench_util.f1 (naive_s *. 1e6);
               Bench_util.f1 (batch_s *. 1e6);
-              Bench_util.f1 speedup ]
+              Bench_util.f1 speedup;
+              Bench_util.f1 ns_per_row ]
             :: !rows_out)
         fractions)
     sizes;
   Bench_util.table
-    ~headers:[ "rows"; "expired"; "naive us"; "batch us"; "speedup" ]
+    ~headers:
+      [ "rows"; "expired"; "naive us"; "batch us"; "speedup"; "ns/live row" ]
     (List.rev !rows_out)
 
 (* The observability counters must see the cut working: re-run the
@@ -231,6 +249,9 @@ let run_all () =
     ~reps:4 ~sizes:small ~prepare:add_dim join_expr;
   sweep ~name:"grouped" ~title:(versus "GROUP BY over 10^3 groups") ~reps
     ~spread:100 grouped_expr;
+  sweep ~name:"grouped_count"
+    ~title:(versus "GROUP BY COUNT over 10^3 groups") ~reps ~spread:100
+    grouped_count_expr;
   sweep ~name:"unordered"
     ~title:(versus "global COUNT over an index range, rows out of texp order")
     ~reps:4 ~sizes:small ~spread:1_000_000 ~scramble:true ~prepare:index_id

@@ -19,7 +19,16 @@
 open Expirel_core
 open Expirel_storage
 
-type t
+type t = private {
+  arity : int;
+  cols : Value.t array array;
+      (** [arity] columns of equal length, one value per physical row *)
+  texps : Time.t array;  (** the rows' expiration times, parallel to [cols] *)
+  sel : int array option;
+      (** the selected physical row ids, ascending; [None] = every row *)
+}
+(** Read-only for kernels that loop over the arrays themselves
+    ({!Partial_agg.observe_batch}); only this module builds batches. *)
 
 val arity : t -> int
 
@@ -28,9 +37,10 @@ val length : t -> int
 
 val fold_rows : t -> init:'a -> f:('a -> (int -> Value.t) -> Time.t -> 'a) -> 'a
 (** Folds over the selected rows; [f] receives a 1-based attribute
-    accessor into the row and the row's expiration time.  How the fused
-    aggregate accumulates {!Partial_agg} slices without materialising
-    tuples. *)
+    accessor into the row and the row's expiration time.  How the join
+    kernels, the sketch operators and {!to_relation} read rows without
+    materialising tuples; the fused aggregate reads the arrays
+    directly instead. *)
 
 val cut_chunk : arity:int -> tau:Time.t -> Texp_run.chunk -> t option * int
 (** The live suffix of a texp-ascending chunk, and how many rows the

@@ -409,14 +409,23 @@ let engine ?probe ?tau ~db logical =
     in
     set_res (Approx.result ~tau ~arity ~child_texp:r.texp sketch)
   (* The fused aggregate's input side: the child condensed into its
-     expiration-slice partial, straight from the child's batches through
-     column accessors when no two of them coincide; a projection below
-     forces the max-merge first, since slices must count each set
-     member exactly once. *)
+     expiration-slice partial, straight from the child's batches when
+     no two of their rows coincide; a projection below forces the
+     max-merge first, since slices must count each set member exactly
+     once. *)
   and grouped ~group ~func c prof =
     let r = go c prof in
     let acc = Partial_agg.create_acc ~group ~func in
-    iter_distinct r (fun attr texp -> Partial_agg.observe_acc acc ~attr ~texp);
+    (* The set rebatched is not a batch kernel's input rebatched, so it
+       is not counted as a rebatch. *)
+    let batches =
+      match r.rows with
+      | Batches { batches; dups = false } ->
+        consumed batches;
+        batches
+      | Set _ | Batches { dups = true; _ } -> Batch.of_relation (to_set r)
+    in
+    List.iter (Partial_agg.observe_batch acc) batches;
     (Partial_agg.of_acc acc, r)
   in
   (* The root materialises once.  A bare unfiltered scan answers with

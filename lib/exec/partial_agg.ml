@@ -95,53 +95,240 @@ let observe ~func slice value =
     s_max = (if nonnull then max_v slice.s_max value else slice.s_max)
   }
 
-(* The accumulation form: one hash table of groups, keyed by the GROUP
-   BY values.  [Value.equal] and [Value.hash] agree with the
-   [Value.compare] order the partial is finally sorted by (±0.0 and
-   every NaN payload included), so a group here is exactly a group
-   there.  Of compare-equal keys (0.0 and -0.0, say) a group carries
-   the one seen last. *)
-module Groups = Hashtbl.Make (struct
-  type t = Value.t list
+(* In-module comparison of expiration times: the SUM/AVG/MIN/MAX row
+   kernel compares texps on every row, and [Time.compare] is an
+   out-of-line call wherever modules compile opaquely (the dev build's
+   grouped SUM ran ~25% slower with it; EXPERIMENTS.md, vexec). *)
+let[@inline] tcmp a b =
+  match a, b with
+  | Time.Fin x, Time.Fin y -> compare (x : int) y
+  | Time.Fin _, Time.Inf -> -1
+  | Time.Inf, Time.Fin _ -> 1
+  | Time.Inf, Time.Inf -> 0
 
-  let equal = List.equal Value.equal
-  let hash = List.fold_left (fun h v -> (h * 65599) + Value.hash v) 0
-end)
+(* ---------- GROUP BY values ---------- *)
 
-(* A COUNT group: four fields updated in place, so a row costs its
-   hash lookup plus a few integer and time comparisons, in any order,
-   and allocates no slice.  [of_acc] emits it as [(first, at_first)]
-   followed, when some member outlives [first], by
-   [(last, rows - at_first)]. *)
+(* [Value.hash] and [Value.equal] with their [Int] case written out
+   here, so an integer key is hashed and compared without a call (the
+   dev build's grouped COUNT ran 20-30% slower calling [Value]'s;
+   EXPERIMENTS.md, vexec).  They
+   agree with [Value]'s on every input (±0.0 and every NaN payload
+   included): a group here is exactly a group of the [Value.compare]
+   order the partial is sorted by. *)
+module Key = struct
+  let[@inline] hash = function
+    | Value.Int n ->
+      let h = n * 0x2545F4914F6CDD1D in
+      (h lxor (h lsr 32)) land max_int
+    | v -> Value.hash v
+
+  let[@inline] equal a b =
+    match a, b with
+    | Value.Int x, Value.Int y -> x = y
+    | _ -> Value.equal a b
+
+  let[@inline] mix h v = (h * 65599) + hash v
+
+  let rec list_hash h = function
+    | [] -> h
+    | v :: vs -> list_hash (mix h v) vs
+
+  let rec list_equal a b =
+    match a, b with
+    | [], [] -> true
+    | x :: a, y :: b -> equal x y && list_equal a b
+    | [], _ :: _ | _ :: _, [] -> false
+end
+
+let rec has_float = function
+  | [] -> false
+  | Value.Float _ :: _ -> true
+  | (Value.Int _ | Value.Str _ | Value.Bool _ | Value.Null) :: vs -> has_float vs
+
+(* ---------- the group table ---------- *)
+
+(* One open-addressing table of groups.  [slots] (a power of two, at
+   most half full) holds group ids, [-1] for an empty slot, probed
+   linearly from the key's hash; a group's key, hash and state sit at
+   its id in dense arrays, ids in opening order.  A batch row probes
+   with its GROUP BY values read in place from the columns, so only a
+   row that opens a group builds a key list; a shard partial's group
+   probes with its key list.  Of compare-equal keys (0.0 and -0.0, say)
+   a group carries the one seen last: only keys holding a [Float] can
+   be compare-equal without being identical, so only they are
+   rewritten on a hit. *)
+type 'a table = {
+  mutable slots : int array;
+  mutable hashes : int array;
+  mutable keys : Value.t list array;
+  mutable data : 'a array;
+  mutable n : int;  (* groups; ids [0 .. n-1] *)
+  mutable floats : bool;  (* some key holds a [Float] *)
+}
+
+let new_table () =
+  { slots = Array.make 16 (-1);
+    hashes = [||];
+    keys = [||];
+    data = [||];
+    n = 0;
+    floats = false
+  }
+
+let rehash t =
+  let slots = Array.make (2 * Array.length t.slots) (-1) in
+  let mask = Array.length slots - 1 in
+  for id = 0 to t.n - 1 do
+    let s = ref (t.hashes.(id) land mask) in
+    while slots.(!s) >= 0 do
+      s := (!s + 1) land mask
+    done;
+    slots.(!s) <- id
+  done;
+  t.slots <- slots
+
+(* Open a group with state [x] in the empty slot [s]. *)
+let open_group t s h key x =
+  let id = t.n in
+  if id = Array.length t.data then begin
+    let grow a fill =
+      let b = Array.make (max 8 (2 * id)) fill in
+      Array.blit a 0 b 0 id;
+      b
+    in
+    t.hashes <- grow t.hashes 0;
+    t.keys <- grow t.keys [];
+    t.data <- grow t.data x
+  end;
+  t.hashes.(id) <- h;
+  t.keys.(id) <- key;
+  t.data.(id) <- x;
+  t.n <- id + 1;
+  t.slots.(s) <- id;
+  if has_float key then t.floats <- true;
+  if 2 * t.n > Array.length t.slots then rehash t
+
+(* Probes answer the group's id, or [lnot s] for the empty slot [s]
+   where the group would open. *)
+let[@inline] next t s = (s + 1) land (Array.length t.slots - 1)
+
+(* [Key.list_hash] and [Key.list_equal] of row [i]'s GROUP BY values
+   ([gpos], 0-based columns), read in place. *)
+let rec row_hash cols gpos i j h =
+  if j = Array.length gpos then h
+  else row_hash cols gpos i (j + 1) (Key.mix h cols.(gpos.(j)).(i))
+
+let rec row_equal cols gpos i j = function
+  | [] -> true
+  | k :: ks -> Key.equal cols.(gpos.(j)).(i) k && row_equal cols gpos i (j + 1) ks
+
+let rec row_key cols gpos i j =
+  if j = Array.length gpos then []
+  else cols.(gpos.(j)).(i) :: row_key cols gpos i (j + 1)
+
+let rec probe_row t cols gpos i h s =
+  let id = t.slots.(s) in
+  if id < 0 then lnot s
+  else if t.hashes.(id) = h && row_equal cols gpos i 0 t.keys.(id) then id
+  else probe_row t cols gpos i h (next t s)
+
+let[@inline] find_row t cols gpos i =
+  let h = row_hash cols gpos i 0 0 in
+  probe_row t cols gpos i h (h land (Array.length t.slots - 1))
+
+(* Row [i] opens its group, with state [x], in the empty slot [s]. *)
+let open_row t cols gpos i s x =
+  open_group t s (row_hash cols gpos i 0 0) (row_key cols gpos i 0) x
+
+(* A hit on group [id] by row [i]: the group takes the row's key when
+   it could differ (a [Float] in it). *)
+let[@inline] seen_row t id cols gpos i =
+  if t.floats && has_float t.keys.(id) then t.keys.(id) <- row_key cols gpos i 0
+
+let rec probe_key t key h s =
+  let id = t.slots.(s) in
+  if id < 0 then lnot s
+  else if t.hashes.(id) = h && Key.list_equal key t.keys.(id) then id
+  else probe_key t key h (next t s)
+
+let key_hash key = Key.list_hash 0 key
+
+let find_key t key =
+  let h = key_hash key in
+  probe_key t key h (h land (Array.length t.slots - 1))
+
+(* The groups in ascending key order, their ids sorted once: the
+   partial (and so its wire encoding) does not depend on the table's
+   layout or the rows' order. *)
+let sorted_groups t ~slices =
+  let ids = Array.init t.n Fun.id in
+  Array.stable_sort
+    (fun a b -> List.compare Value.compare t.keys.(a) t.keys.(b))
+    ids;
+  Array.fold_right
+    (fun id gs -> { key = t.keys.(id); slices = slices t.data.(id) } :: gs)
+    ids []
+
+(* ---------- group state ---------- *)
+
+(* A COUNT group: its earliest member texp, the members expiring
+   exactly then, its latest member texp and its row count, updated in
+   place — so a row costs its probe plus a few integer comparisons, in
+   any order, and allocates nothing.  The two times are held unboxed,
+   as an int and a finiteness flag, so that updating them stores no
+   pointer.  The group leaves as [(first, at_first)] followed, when
+   some member outlives [first], by [(last, rows - at_first)]. *)
 type counter = {
-  mutable kkey : Value.t list;  (* the latest row's key *)
-  mutable first : Time.t;  (* the earliest member texp *)
-  mutable at_first : int;  (* members expiring exactly at [first] *)
-  mutable last : Time.t;  (* the latest member texp *)
+  mutable first : int;  (* when [first_fin]; else the earliest is [Inf] *)
+  mutable first_fin : bool;
+  mutable at_first : int;  (* members expiring exactly at the earliest *)
+  mutable last : int;  (* when [last_fin]; else the latest is [Inf] *)
+  mutable last_fin : bool;
   mutable rows : int;  (* every member *)
 }
 
-(* Fold [rows] members of group [key] into its counter, [at_first] of
-   them expiring at [first] and the rest up to [last]. *)
-let count_into counters key ~first ~at_first ~last ~rows =
-  match Groups.find counters key with
-  | exception Not_found ->
-    Groups.add counters key { kkey = key; first; at_first; last; rows }
-  | k ->
-    k.kkey <- key;
-    let c = Time.compare first k.first in
-    if c < 0 then begin
-      k.first <- first;
-      k.at_first <- at_first
+(* [n] members expire at [texp]: it may be the group's new earliest. *)
+let[@inline] count_first k texp n =
+  match texp with
+  | Time.Fin x ->
+    if (not k.first_fin) || x < k.first then begin
+      k.first <- x;
+      k.first_fin <- true;
+      k.at_first <- n
     end
-    else if c = 0 then k.at_first <- k.at_first + at_first;
-    if Time.(last > k.last) then k.last <- last;
-    k.rows <- k.rows + rows
+    else if x = k.first then k.at_first <- k.at_first + n
+  | Time.Inf -> if not k.first_fin then k.at_first <- k.at_first + n
+
+(* Some member expires at [texp]: it may be the group's new latest. *)
+let[@inline] count_last k texp =
+  match texp with
+  | Time.Fin x -> if k.last_fin && x > k.last then k.last <- x
+  | Time.Inf -> k.last_fin <- false
+
+(* A group of [rows] members, [at_first] of them expiring at [first]
+   and the rest up to [last]. *)
+let new_counter ~first ~at_first ~last ~rows =
+  let k =
+    { first = 0;
+      first_fin = false;
+      at_first = 0;
+      last = min_int;
+      last_fin = true;
+      rows
+    }
+  in
+  count_first k first at_first;
+  count_last k last;
+  k
 
 let counter_slices k =
-  let slice texp rows = { (empty_slice texp) with s_rows = rows } in
-  if k.at_first = k.rows then [ slice k.first k.rows ]
-  else [ slice k.first k.at_first; slice k.last (k.rows - k.at_first) ]
+  let slice fin x rows =
+    { (empty_slice (if fin then Time.Fin x else Time.Inf)) with s_rows = rows }
+  in
+  if k.at_first = k.rows then [ slice k.first_fin k.first k.rows ]
+  else
+    [ slice k.first_fin k.first k.at_first;
+      slice k.last_fin k.last (k.rows - k.at_first) ]
 
 (* A SUM, AVG, MIN or MAX group keeps its slices in an array ascending
    by expiration time: a texp-ordered row stream (a scan's sorted
@@ -162,7 +349,6 @@ let counter_slices k =
    no row of that texp can reach the array before the merge, and the
    stable sort keeps the pending rows' own order. *)
 type cell = {
-  mutable ckey : Value.t list;  (* the latest row's key *)
   mutable cslices : slice array;  (* ascending [s_texp]; [clen] in use *)
   mutable clen : int;
   mutable pending : (Time.t * Value.t) array;
@@ -171,33 +357,8 @@ type cell = {
   mutable plen : int;
 }
 
-type groups =
-  | Counts of counter Groups.t
-  | Slices of {
-      attr_pos : int;  (* the aggregated attribute *)
-      cells : cell Groups.t;
-    }
-
-type acc = {
-  group : int list;
-  func : Aggregate.func;
-  groups : groups;
-}
-
-let new_groups func =
-  match Aggregate.func_attr func with
-  | None -> Counts (Groups.create 64)
-  | Some attr_pos -> Slices { attr_pos; cells = Groups.create 64 }
-
-let create_acc ~group ~func = { group; func; groups = new_groups func }
-
-let new_cell key slices =
-  { ckey = key;
-    cslices = slices;
-    clen = Array.length slices;
-    pending = [||];
-    plen = 0
-  }
+let new_cell slices =
+  { cslices = slices; clen = Array.length slices; pending = [||]; plen = 0 }
 
 let append_slice c s =
   if c.clen = Array.length c.cslices then begin
@@ -220,12 +381,12 @@ let flush_pending ~func c =
     let i = ref 0 and j = ref 0 in
     while !j < Array.length rows do
       let texp = fst rows.(!j) in
-      while !i < old_len && Time.(old.(!i).s_texp < texp) do
+      while !i < old_len && Time.compare old.(!i).s_texp texp < 0 do
         append_slice c old.(!i);
         incr i
       done;
       let s = ref (empty_slice texp) in
-      while !j < Array.length rows && Time.equal (fst rows.(!j)) texp do
+      while !j < Array.length rows && Time.compare (fst rows.(!j)) texp = 0 do
         s := observe ~func !s (snd rows.(!j));
         incr j
       done;
@@ -249,38 +410,21 @@ let push_pending ~func c texp value =
 (* Fold [value] into the cell's slice for [texp]. *)
 let observe_cell ~func c texp value =
   let last = c.clen - 1 in
-  let newest = c.cslices.(last).s_texp in
-  if Time.equal newest texp then
-    c.cslices.(last) <- observe ~func c.cslices.(last) value
-  else if Time.(newest < texp) then
-    append_slice c (observe ~func (empty_slice texp) value)
+  let order = tcmp c.cslices.(last).s_texp texp in
+  if order = 0 then c.cslices.(last) <- observe ~func c.cslices.(last) value
+  else if order < 0 then append_slice c (observe ~func (empty_slice texp) value)
   else begin
     (* The first slice at or after [texp]: the newest is after it. *)
     let lo = ref 0 and hi = ref last in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Time.(c.cslices.(mid).s_texp < texp) then lo := mid + 1 else hi := mid
+      if tcmp c.cslices.(mid).s_texp texp < 0 then lo := mid + 1 else hi := mid
     done;
     let i = !lo in
-    if Time.equal c.cslices.(i).s_texp texp then
+    if tcmp c.cslices.(i).s_texp texp = 0 then
       c.cslices.(i) <- observe ~func c.cslices.(i) value
     else push_pending ~func c texp value
   end
-
-let observe_acc acc ~attr ~texp =
-  let key = List.map attr acc.group in
-  match acc.groups with
-  | Counts counters ->
-    count_into counters key ~first:texp ~at_first:1 ~last:texp ~rows:1
-  | Slices { attr_pos; cells } ->
-    let value = attr attr_pos in
-    (match Groups.find cells key with
-     | c ->
-       c.ckey <- key;
-       observe_cell ~func:acc.func c texp value
-     | exception Not_found ->
-       Groups.add cells key
-         (new_cell key [| observe ~func:acc.func (empty_slice texp) value |]))
 
 let cell_slices c =
   let rec from i acc =
@@ -288,31 +432,98 @@ let cell_slices c =
   in
   from (c.clen - 1) []
 
-(* The groups in ascending key order, sorted once: the partial (and so
-   its wire encoding) does not depend on the hash table's layout. *)
-let sorted_groups groups ~key ~slices =
-  Groups.fold (fun _ g gs -> g :: gs) groups []
-  |> List.sort (fun a b -> List.compare Value.compare (key a) (key b))
-  |> List.map (fun g -> { key = key g; slices = slices g })
+(* ---------- accumulation ---------- *)
+
+type groups =
+  | Counts of counter table
+  | Slices of {
+      attr_pos : int;  (* the aggregated attribute *)
+      cells : cell table;
+    }
+
+type acc = {
+  gpos : int array;  (* the GROUP BY columns, 0-based *)
+  func : Aggregate.func;
+  groups : groups;
+}
+
+let new_groups func =
+  match Aggregate.func_attr func with
+  | None -> Counts (new_table ())
+  | Some attr_pos -> Slices { attr_pos; cells = new_table () }
+
+let create_acc ~group ~func =
+  { gpos = Array.of_list (List.map (fun g -> g - 1) group);
+    func;
+    groups = new_groups func
+  }
+
+(* The row kernels: one loop over the selected rows per batch, each row
+   a probe on its GROUP BY values in place and an update of its
+   group. *)
+let observe_batch acc (b : Batch.t) =
+  let cols = b.cols and texps = b.texps and gpos = acc.gpos and sel = b.sel in
+  let len =
+    match sel with
+    | None -> Array.length texps
+    | Some s -> Array.length s
+  in
+  match acc.groups with
+  | Counts t ->
+    for j = 0 to len - 1 do
+      let i =
+        match sel with
+        | None -> j
+        | Some s -> s.(j)
+      in
+      let texp = texps.(i) in
+      let id = find_row t cols gpos i in
+      if id < 0 then
+        open_row t cols gpos i (lnot id)
+          (new_counter ~first:texp ~at_first:1 ~last:texp ~rows:1)
+      else begin
+        seen_row t id cols gpos i;
+        let k = t.data.(id) in
+        count_first k texp 1;
+        count_last k texp;
+        k.rows <- k.rows + 1
+      end
+    done
+  | Slices { attr_pos; cells = t } ->
+    let func = acc.func and values = cols.(attr_pos - 1) in
+    for j = 0 to len - 1 do
+      let i =
+        match sel with
+        | None -> j
+        | Some s -> s.(j)
+      in
+      let texp = texps.(i) and value = values.(i) in
+      let id = find_row t cols gpos i in
+      if id < 0 then
+        open_row t cols gpos i (lnot id)
+          (new_cell [| observe ~func (empty_slice texp) value |])
+      else begin
+        seen_row t id cols gpos i;
+        observe_cell ~func t.data.(id) texp value
+      end
+    done
 
 let of_groups = function
-  | Counts counters ->
-    sorted_groups counters ~key:(fun k -> k.kkey) ~slices:counter_slices
-  | Slices { cells; _ } ->
-    sorted_groups cells ~key:(fun c -> c.ckey) ~slices:cell_slices
+  | Counts t -> sorted_groups t ~slices:counter_slices
+  | Slices { cells; _ } -> sorted_groups cells ~slices:cell_slices
 
 let of_acc acc =
   (match acc.groups with
    | Counts _ -> ()
    | Slices { cells; _ } ->
-     Groups.iter (fun _ c -> flush_pending ~func:acc.func c) cells);
+     for id = 0 to cells.n - 1 do
+       flush_pending ~func:acc.func cells.data.(id)
+     done);
   of_groups acc.groups
 
 let of_relation ~group ~func relation =
   let acc = create_acc ~group ~func in
-  Relation.iter
-    (fun t texp -> observe_acc acc ~attr:(Tuple.attr t) ~texp)
-    relation;
+  List.iter (observe_batch acc) (Batch.of_relation relation);
   of_acc acc
 
 (* ---------- merging partials (disjoint fragments) ---------- *)
@@ -339,46 +550,53 @@ let merge_slice_lists xs ys =
   in
   go xs ys
 
-(* A COUNT group's slices (ascending) fold into its counter: the first
-   slice holds exactly the members expiring at the earliest texp, the
-   last slice's texp is the latest. *)
-let count_slices counters key = function
-  | [] -> ()
-  | s0 :: _ as slices ->
-    let last, rows =
-      List.fold_left
-        (fun (_, rows) s -> (s.s_texp, rows + s.s_rows))
-        (s0.s_texp, 0) slices
-    in
-    count_into counters key ~first:s0.s_texp ~at_first:s0.s_rows ~last ~rows
+(* One partial's group into the table: the key probes as a list, and
+   the group takes it (the last seen).  A COUNT group's slices
+   (ascending) fold into its counter — the first slice holds exactly
+   the members expiring at the earliest texp, the last slice's texp is
+   the latest — so the merge is condensed to at most two slices again;
+   any other group's slice list merges linearly into its cell (both
+   ascending). *)
+let merge_group groups { key; slices } =
+  match groups with
+  | Counts t ->
+    (match slices with
+     | [] -> ()
+     | s0 :: _ ->
+       let last, rows =
+         List.fold_left
+           (fun (_, rows) s -> (s.s_texp, rows + s.s_rows))
+           (s0.s_texp, 0) slices
+       in
+       let id = find_key t key in
+       if id < 0 then
+         open_group t (lnot id) (key_hash key) key
+           (new_counter ~first:s0.s_texp ~at_first:s0.s_rows ~last ~rows)
+       else begin
+         let k = t.data.(id) in
+         t.keys.(id) <- key;
+         count_first k s0.s_texp s0.s_rows;
+         count_last k last;
+         k.rows <- k.rows + rows
+       end)
+  | Slices { cells = t; _ } ->
+    let id = find_key t key in
+    if id < 0 then
+      open_group t (lnot id) (key_hash key) key (new_cell (Array.of_list slices))
+    else begin
+      let c = t.data.(id) in
+      let merged = Array.of_list (merge_slice_lists (cell_slices c) slices) in
+      t.keys.(id) <- key;
+      c.cslices <- merged;
+      c.clen <- Array.length merged
+    end
 
-(* Merging shares the accumulation's table: partials fold in one
-   after another, so [merge_all] over k partials is one pass, with the
-   same left-to-right combination order a pairwise fold would take.  A
-   COUNT group lands in its counter, so the merge is condensed to at
-   most two slices again; any other group's slice list merges linearly
-   into its cell (both ascending). *)
+(* Merging shares the accumulation's table: partials fold in one after
+   another, so [merge_all] over k partials is one pass, with the same
+   left-to-right combination order a pairwise fold would take. *)
 let merge_all ~func partials =
   let groups = new_groups func in
-  (match groups with
-   | Counts counters ->
-     List.iter
-       (List.iter (fun g -> count_slices counters g.key g.slices))
-       partials
-   | Slices { cells; _ } ->
-     List.iter
-       (List.iter (fun g ->
-            match Groups.find cells g.key with
-            | exception Not_found ->
-              Groups.add cells g.key (new_cell g.key (Array.of_list g.slices))
-            | c ->
-              let merged =
-                Array.of_list (merge_slice_lists (cell_slices c) g.slices)
-              in
-              c.ckey <- g.key;
-              c.cslices <- merged;
-              c.clen <- Array.length merged))
-       partials);
+  List.iter (List.iter (merge_group groups)) partials;
   of_groups groups
 
 (* ---------- finalisation (the exact strategy) ---------- *)
@@ -412,6 +630,13 @@ type finalized = {
   f_empties : Time.t;  (* when the whole partition has expired *)
 }
 
+(* The group empties at its last slice's texp (ascending order: the
+   max). *)
+let rec last_texp = function
+  | [] -> Time.Inf
+  | [ last ] -> last.s_texp
+  | _ :: rest -> last_texp rest
+
 (* Exactly [Aggregate.nu]: the first finite expiry at which the value
    over what remains differs from the value at tau (an emptied partition
    always counts as a change), [Inf] when the value never changes. *)
@@ -434,13 +659,12 @@ let finalize_group ~func { key; slices } =
           else if not (Value.equal v0 (value_of ~func next)) then slice.s_texp
           else change_point rest
       in
-      let nu = change_point suffixes in
-      let empties =
-        match List.rev slices with
-        | [] -> Time.Inf
-        | last :: _ -> last.s_texp  (* ascending order: the max *)
-      in
-      Some { f_key = key; f_value = v0; f_nu = nu; f_empties = empties }
+      Some
+        { f_key = key;
+          f_value = v0;
+          f_nu = change_point suffixes;
+          f_empties = last_texp slices
+        }
     end
 
 (* A row's expiration under the exact strategy, derived from the slice
@@ -450,57 +674,66 @@ let finalize_group ~func { key; slices } =
    takes the max over members, i.e. [min(nu, empties)]. *)
 let row_texp f = Time.min f.f_nu f.f_empties
 
-(* The group's values at the positions the HAVING predicate and the
-   projection may mention: a GROUP BY attribute (by its position in the
-   child) or the aggregate at [child_arity + 1].  Positions outside that
-   set have no single per-group value — the guard in the planner (and
-   the SQL lowering rules) exclude them. *)
-let position_value ~group ~child_arity f j =
-  if j = child_arity + 1 then f.f_value
+(* Where the group's value at child position [j] comes from, for the
+   positions the HAVING predicate and the projection may mention: [-1]
+   for the aggregate at [child_arity + 1], [k >= 0] for the [k]-th GROUP
+   BY value.  Other positions have no single per-group value ([-2],
+   read as [Null]) — the guard in the planner (and the SQL lowering
+   rules) exclude them. *)
+let source ~group ~child_arity j =
+  if j = child_arity + 1 then -1
   else
-    let rec find gs ks =
-      match gs, ks with
-      | g :: _, k :: _ when g = j -> k
-      | _ :: gs', _ :: ks' -> find gs' ks'
-      | _, _ -> Value.Null
+    let rec find k = function
+      | [] -> -2
+      | g :: gs -> if g = j then k else find (k + 1) gs
     in
-    find group f.f_key
+    find 0 group
+
+let read f src =
+  let rec nth k = function
+    | [] -> Value.Null
+    | v :: vs -> if k = 0 then v else nth (k - 1) vs
+  in
+  if src = -1 then f.f_value else if src < 0 then Value.Null else nth src f.f_key
+
+(* The tuple of [f]'s values at the positions [sources] reads. *)
+let row_of sources f =
+  Tuple.init ~arity:(Array.length sources) (fun j -> read f sources.(j - 1))
 
 let finalize ~group ~func ~child_arity ?having ~projection partial =
-  let finalized = List.filter_map (finalize_group ~func) partial in
+  let sources =
+    Array.of_list (List.map (source ~group ~child_arity) projection)
+  in
+  let kept =
+    match having with
+    | None -> fun _ -> true
+    | Some p ->
+      let full =
+        Array.init (child_arity + 1) (fun i ->
+            source ~group ~child_arity (i + 1))
+      in
+      fun f -> Predicate.eval p (row_of full f)
+  in
   (* The materialisation invalidates when some partition's rows vanish
      (at nu) while members outlive them — computed over *every*
      partition: the HAVING selection and the projection both preserve
      their child's texp(e). *)
-  let invalidation =
-    List.fold_left
-      (fun acc f ->
-        if Time.(f.f_nu < f.f_empties) then Time.min acc f.f_nu else acc)
-      Time.Inf finalized
-  in
-  let kept =
-    match having with
-    | None -> finalized
-    | Some p ->
-      let full_arity = child_arity + 1 in
-      List.filter
-        (fun f ->
-          let row =
-            List.init full_arity (fun i ->
-                position_value ~group ~child_arity f (i + 1))
-          in
-          Predicate.eval p (Tuple.of_list row))
-        finalized
-  in
+  let invalidation = ref Time.Inf in
   let relation =
     List.fold_left
-      (fun acc f ->
-        let tuple =
-          Tuple.of_list
-            (List.map (position_value ~group ~child_arity f) projection)
-        in
-        Relation.add tuple ~texp:(row_texp f) acc)
-      (Relation.empty ~arity:(List.length projection))
-      kept
+      (fun relation g ->
+        match finalize_group ~func g with
+        | None -> relation
+        | Some f ->
+          if
+            Time.compare f.f_nu f.f_empties < 0
+            && Time.compare f.f_nu !invalidation < 0
+          then
+            invalidation := f.f_nu;
+          if kept f then
+            Relation.add (row_of sources f) ~texp:(row_texp f) relation
+          else relation)
+      (Relation.empty ~arity:(Array.length sources))
+      partial
   in
-  (relation, invalidation)
+  (relation, !invalidation)

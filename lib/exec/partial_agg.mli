@@ -17,21 +17,24 @@
     components), never as an average, which is what makes it
     combinable across fragments.
 
-    Accumulation is one hash table of groups ({!Value.equal} /
-    {!Value.hash} on the GROUP BY values).  A COUNT group is four
-    fields updated in place: O(1) expected per row in any order, no
-    allocation.  Any other group keeps its slices ascending by
-    expiration time.  A texp-ordered row stream — what a table's sorted
-    chunks and sorted insert buffer yield — only updates the newest
-    slice or appends one.  An out-of-order row binary-searches its
-    group's [s] slices; one opening a new slice waits in a pending
+    Accumulation is one open-addressing table of groups: slots of group
+    ids into dense per-group arrays (key, hash, state).  A batch row
+    probes with its GROUP BY values read in place from the columns
+    ({!Key} hashes an [Int] and tests it for equality without a call),
+    so only a row that opens a group allocates — its key list and its
+    state.  A COUNT group is four fields updated in place: O(1)
+    expected per row in any order, no allocation.  Any other group keeps its slices ascending
+    by expiration time.  A texp-ordered row stream — what a table's
+    sorted chunks and sorted insert buffer yield — only updates the
+    newest slice or appends one.  An out-of-order row binary-searches
+    its group's [s] slices; one opening a new slice waits in a pending
     buffer that is stable-sorted and merged in once it holds [s] rows,
     so it costs O(log s) amortised.  Building a partial costs O(rows)
     expected from a texp-ordered stream (or for COUNT), O(rows · log s)
-    from any other, plus O(groups · log groups) for the one sort by key
-    that makes the result independent of the hash table's layout.  Each
-    slice folds its rows in arrival order, so float sums match a
-    per-slice fold of the same stream bit for bit.
+    from any other, plus O(groups · log groups) for the one sort of the
+    group ids by key that makes the result independent of the table's
+    layout.  Each slice folds its rows in arrival order, so float sums
+    match a per-slice fold of the same stream bit for bit.
 
     The executor's fused aggregate node, the shard side of a distributed
     GROUP BY ({!Executor.partial}) and the cluster coordinator share
@@ -66,34 +69,36 @@ val of_relation : group:int list -> func:Aggregate.func -> Relation.t -> t
     @raise Invalid_argument where [Aggregate.apply] would (a non-numeric
     SUM operand). *)
 
-(** {2 Row-wise accumulation}
+(** {2 Accumulation}
 
-    The form {!of_relation} folds through, exposed so the batch
-    executor can condense columnar batches row by row — through a
-    1-based attribute accessor, never materialising a tuple. *)
+    The form {!of_relation} folds through, exposed so the executor can
+    condense its columnar batches without materialising a tuple. *)
 
 type acc
-(** A mutable accumulator: the hash table of groups. *)
+(** A mutable accumulator: the table of groups. *)
 
 val create_acc : group:int list -> func:Aggregate.func -> acc
 (** An empty accumulator for one grouping and aggregate, with [group]
     and [func] as in {!of_relation}. *)
 
-val observe_acc : acc -> attr:(int -> Value.t) -> texp:Time.t -> unit
-(** Fold one row in; [attr] is its 1-based attribute accessor.  O(1)
-    expected for COUNT, and for the other aggregates when [texp] is at
-    least the group's newest expiration time; O(log s) amortised
-    otherwise.
+val observe_batch : acc -> Batch.t -> unit
+(** Fold the batch's selected rows in, in row order.  Per row: a probe
+    on the GROUP BY columns read in place, then O(1) for COUNT (no
+    allocation once the row's group exists), and for the other
+    aggregates when the row's texp is at least its group's newest
+    expiration time; O(log s) amortised otherwise.  Of compare-equal
+    keys (0.0 and -0.0) a group carries the one seen last.
     @raise Invalid_argument on a non-numeric SUM operand. *)
 
 val of_acc : acc -> t
 (** The accumulated partial, groups in ascending key order. *)
 
 val merge_all : func:Aggregate.func -> t list -> t
-(** Merge partials of [func] over disjoint fragments in one pass:
-    groups unite by key, slices by expiration time, components
-    add/extremise, and a COUNT group condenses back to at most two
-    slices.  The combination order is left to right.
+(** Merge partials of [func] over disjoint fragments in one pass through
+    the same table of groups (probed by key list): groups unite by key,
+    slices by expiration time, components add/extremise, and a COUNT
+    group condenses back to at most two slices.  The combination order
+    is left to right.
     @raise Invalid_argument on non-numeric SUM partials. *)
 
 val finalize :
@@ -112,3 +117,12 @@ val finalize :
     union-rule collapse of the member rows' capped expirations — and
     [invalidation] is the earliest change point that outruns its
     partition's own expiry, folded over every partition pre-HAVING. *)
+
+(** The GROUP BY value primitives the table hashes and probes with:
+    {!Value.hash} and {!Value.equal} with the [Int] case inlined.  Each
+    agrees with its [Value] counterpart on every input; exposed so a
+    law can pin that. *)
+module Key : sig
+  val hash : Value.t -> int
+  val equal : Value.t -> Value.t -> bool
+end

@@ -286,11 +286,13 @@ let unordered_law (rows, group, func) =
   in
   let by_row ids =
     let acc = Partial_agg.create_acc ~group ~func in
-    List.iter
-      (fun (id, (k1, k2, x, texp)) ->
-        let t = Tuple.of_list [ k1; k2; x; Value.int id ] in
-        Partial_agg.observe_acc acc ~attr:(Tuple.attr t) ~texp)
-      ids;
+    Option.iter
+      (Partial_agg.observe_batch acc)
+      (Batch.of_rows ~arity:4
+         (List.map
+            (fun (id, (k1, k2, x, texp)) ->
+              (Tuple.of_list [ k1; k2; x; Value.int id ], texp))
+            ids));
     Partial_agg.of_acc acc
   in
   let integral =
@@ -408,11 +410,12 @@ let merge_law (whole, k, group, func) =
   in
   let descending =
     let acc = Partial_agg.create_acc ~group ~func in
-    List.iter
-      (fun (t, texp) -> Partial_agg.observe_acc acc ~attr:(Tuple.attr t) ~texp)
-      (List.stable_sort
-         (fun (_, a) (_, b) -> Time.compare b a)
-         (Relation.to_list whole));
+    Option.iter
+      (Partial_agg.observe_batch acc)
+      (Batch.of_rows ~arity:2
+         (List.stable_sort
+            (fun (_, a) (_, b) -> Time.compare b a)
+            (Relation.to_list whole)));
     Partial_agg.of_acc acc
   in
   let commutes =
@@ -432,6 +435,215 @@ let merge_law (whole, k, group, func) =
   && List.for_all2 (count_form ~group ~func) frags partials
   && count_form ~group ~func whole merged
   && count_form ~group ~func whole descending
+
+(* ---------- the batch kernel ---------- *)
+
+(* GROUP BY values the group table must tell apart or unite exactly as
+   [Value.compare] does: Ints (also beside the equal-looking Floats),
+   both zeros, NaNs with different payloads and signs, strings, Bools
+   and Null. *)
+let key_value =
+  Gen.frequency
+    [ 4, Gen.map Value.int (Gen.int_range (-3) 3);
+      3,
+      Gen.oneofl
+        [ Value.Float 0.;
+          Value.Float (-0.);
+          Value.Float 1.;
+          Value.Float Float.nan;
+          Value.Float (-.Float.nan);
+          Value.Float (Int64.float_of_bits 0x7FF0000000000001L) ];
+      1, Gen.map Value.str (Gen.oneofl [ "a"; "b" ]);
+      1, Gen.map Value.bool Gen.bool;
+      1, Gen.return Value.Null ]
+
+(* Rows (k1, k2, k3, x, id) spread over 1-4 batches, each either
+   texp-ascending or in generated order, and each maybe narrowed by a
+   selection vector on the id.  Ids make every row a distinct tuple, so
+   the batches hold a set.  [x] sums exactly in any order (Ints and
+   halves), so slices built in batch order and in tuple order agree bit
+   for bit. *)
+let gen_kernel_case =
+  let open Gen in
+  let* n = int_range 0 120 in
+  let row =
+    let* k1 = key_value and* k2 = key_value and* k3 = key_value in
+    let* x =
+      frequency
+        [ 1, return Value.Null;
+          3, map Value.int (int_range (-20) 20);
+          2, map (fun h -> Value.Float (float_of_int h /. 2.)) (int_range (-9) 9) ]
+    in
+    let* texp =
+      frequency
+        [ 6, map Time.of_int (int_range 1 30); 1, return Time.Inf ]
+    in
+    return (k1, k2, k3, x, texp)
+  in
+  let* rows = list_size (return n) row in
+  let* cuts = list_size (int_range 0 3) (int_range 0 n) in
+  let* shapes =
+    list_size (return 4)
+      (pair bool (opt (pair (int_range 2 4) (int_range 0 3))))
+  in
+  let* width = int_range 0 3 in
+  let* order = shuffle_l [ 1; 2; 3 ] in
+  let group = List.filteri (fun i _ -> i < width) order in
+  let* func =
+    oneofl
+      Aggregate.
+        [ Count; Sum 4; Min 4; Max 4; Avg 4; Min 1; Max 2; Avg 3; Count ]
+  in
+  return (rows, List.sort_uniq compare cuts, shapes, group, func)
+
+let print_kernel_case (rows, cuts, _, group, func) =
+  Printf.sprintf "%d rows, cuts [%s], group [%s], %s" (List.length rows)
+    (String.concat ";" (List.map string_of_int cuts))
+    (String.concat ";" (List.map string_of_int group))
+    (Aggregate.func_to_string func)
+
+let kernel_batches (rows, cuts, shapes, _, _) =
+  let rows =
+    List.mapi
+      (fun id (k1, k2, k3, x, texp) ->
+        (Tuple.of_list [ k1; k2; k3; x; Value.int id ], texp))
+      rows
+  in
+  let rec split from cuts rows =
+    match cuts with
+    | [] -> [ rows ]
+    | c :: cuts ->
+      let here = List.filteri (fun i _ -> i < c - from) rows in
+      let rest = List.filteri (fun i _ -> i >= c - from) rows in
+      here :: split c cuts rest
+  in
+  List.filter_map
+    (fun (chunk, (ascending, sel)) ->
+      let chunk =
+        if ascending then
+          List.stable_sort (fun (_, a) (_, b) -> Time.compare a b) chunk
+        else chunk
+      in
+      Option.bind (Batch.of_rows ~arity:5 chunk) (fun b ->
+          match sel with
+          | None -> Some b
+          | Some (m, r) ->
+            Batch.filter
+              (fun get ->
+                match get 5 with
+                | Value.Int id -> id mod m <> r
+                | _ -> true)
+              b))
+    (List.combine (split 0 cuts rows)
+       (List.filteri (fun i _ -> i <= List.length cuts) shapes))
+
+(* The law: the partial [observe_batch] folds from the batches ≡
+   [of_relation] of the set they hold (structurally), and finalised ≡
+   the naive [Ops.aggregate Exact] composed with the projection (rows,
+   per-row texps, invalidation). *)
+let kernel_law ((_, _, _, group, func) as case) =
+  let batches = kernel_batches case in
+  let rel = Batch.to_relation ~arity:5 batches in
+  let acc = Partial_agg.create_acc ~group ~func in
+  List.iter (Partial_agg.observe_batch acc) batches;
+  let folded = Partial_agg.of_acc acc in
+  let projection = group @ [ 6 ] in
+  let rows, inv =
+    Partial_agg.finalize ~group ~func ~child_arity:5 ~projection folded
+  in
+  let naive_rows, naive_inv =
+    let r, inv = Ops.aggregate Aggregate.Exact ~tau:Time.zero ~group func rel in
+    (Ops.project projection r, inv)
+  in
+  compare folded (Partial_agg.of_relation ~group ~func rel) = 0
+  && Relation.equal rows naive_rows
+  && Time.equal inv naive_inv
+
+(* [Partial_agg.Key]'s inlined Int cases agree with [Value]'s. *)
+let key_agrees (a, b) =
+  Partial_agg.Key.hash a = Value.hash a
+  && Partial_agg.Key.equal a b = Value.equal a b
+
+let gen_key_pair =
+  let v =
+    Gen.frequency
+      [ 3, Gen.map Value.int Gen.int;
+        2, Gen.map Value.int (Gen.int_range (-2) 2);
+        2, key_value;
+        1, Gen.map (fun f -> Value.Float f) Gen.float ]
+  in
+  Gen.pair v v
+
+let sign_of_key = function
+  | { Partial_agg.key = [ Value.Float f ]; _ } -> Float.sign_bit f
+  | _ -> Alcotest.fail "expected one Float key"
+
+(* Of compare-equal keys a group carries the one seen last — through
+   the row kernel and through the merge. *)
+let test_last_seen_key () =
+  let count_of keys =
+    let acc = Partial_agg.create_acc ~group:[ 1 ] ~func:Aggregate.Count in
+    List.iter
+      (fun k ->
+        Option.iter
+          (Partial_agg.observe_batch acc)
+          (Batch.of_rows ~arity:1 [ (Tuple.of_list [ Value.Float k ], Time.Inf) ]))
+      keys;
+    Partial_agg.of_acc acc
+  in
+  let signs p = List.map sign_of_key p in
+  Alcotest.(check (list bool)) "0.0 then -0.0" [ true ] (signs (count_of [ 0.; -0. ]));
+  Alcotest.(check (list bool)) "-0.0 then 0.0" [ false ] (signs (count_of [ -0.; 0. ]));
+  Alcotest.(check (list bool)) "one batch: 0.0, -0.0" [ true ]
+    (signs
+       (let acc = Partial_agg.create_acc ~group:[ 1 ] ~func:(Aggregate.Max 1) in
+        Option.iter
+          (Partial_agg.observe_batch acc)
+          (Batch.of_rows ~arity:1
+             [ (Tuple.of_list [ Value.Float 0. ], Time.of_int 3);
+               (Tuple.of_list [ Value.Float (-0.) ], Time.of_int 2) ]);
+        Partial_agg.of_acc acc));
+  Alcotest.(check (list bool)) "merged: 0.0 then -0.0" [ true ]
+    (signs
+       (Partial_agg.merge_all ~func:Aggregate.Count
+          [ count_of [ 0. ]; count_of [ -0. ] ]))
+
+(* Once its groups exist, the COUNT kernel allocates nothing per row:
+   10^5 rows into 10 groups, texps scrambled, through a selection
+   vector. *)
+let test_count_fold_allocates_nothing () =
+  let n = 100_000 in
+  let rows =
+    List.init n (fun i ->
+        ( Tuple.ints [ i mod 10; i ],
+          if i mod 97 = 0 then Time.Inf else Time.of_int (1 + (i * 7919 mod n)) ))
+  in
+  let batch = Option.get (Batch.of_rows ~arity:2 rows) in
+  let selected =
+    Option.get
+      (Batch.filter
+         (fun get -> match get 2 with Value.Int i -> i mod 5 <> 0 | _ -> true)
+         batch)
+  in
+  let acc = Partial_agg.create_acc ~group:[ 1 ] ~func:Aggregate.Count in
+  Partial_agg.observe_batch acc batch;
+  let before = Gc.minor_words () in
+  Partial_agg.observe_batch acc batch;
+  Partial_agg.observe_batch acc selected;
+  let words = Gc.minor_words () -. before in
+  let per_row = words /. float_of_int (n + Batch.length selected) in
+  if per_row >= 0.1 then
+    Alcotest.failf "%.2f minor words per row (%.0f in all)" per_row words;
+  let counts =
+    List.map
+      (function
+        | { Partial_agg.slices; _ } ->
+          List.fold_left (fun a s -> a + s.Partial_agg.s_rows) 0 slices)
+      (Partial_agg.of_acc acc)
+  in
+  Alcotest.(check (list int)) "every row counted"
+    (List.init 10 (fun k -> (2 * n / 10) + if k mod 5 = 0 then 0 else n / 10))
+    counts
 
 (* exp_tau keeps texp > tau (strict): with texps {5,5,5,7} and tau = 5
    the binary-search cut must land after the LAST of the coinciding 5s,
@@ -909,6 +1121,16 @@ let suite =
       (QCheck2.Test.make
          ~name:"merged fragment partials ≡ the whole's partial; merge commutes"
          ~count:300 ~print:print_merge_case gen_merge_case merge_law);
+    Generators.to_alcotest
+      (QCheck2.Test.make
+         ~name:"observe_batch ≡ of_relation ≡ naive aggregate over random batches"
+         ~count:500 ~print:print_kernel_case gen_kernel_case kernel_law);
+    Generators.qtest "Partial_agg.Key ≡ Value.hash/equal" ~count:1000
+      gen_key_pair key_agrees;
+    Alcotest.test_case "a group carries the last compare-equal key seen" `Quick
+      test_last_seen_key;
+    Alcotest.test_case "COUNT fold allocates nothing per row" `Quick
+      test_count_fold_allocates_nothing;
     Alcotest.test_case "cut boundary on duplicate texps" `Quick
       test_cut_duplicate_texp_boundary;
     Alcotest.test_case "multi-chunk live cut" `Quick test_multi_chunk_cut;
