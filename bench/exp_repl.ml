@@ -49,7 +49,13 @@ let uids_of = function
          rows)
   | r -> failwith ("expected rows, got " ^ Wire.render_response r)
 
-let bytes_out admin = (ok (Client.stats admin)).Wire.bytes_out
+(* The primary's outbound payload bytes, read in process from its
+   metrics registry. *)
+let bytes_out server =
+  List.fold_left ( +. ) 0.
+    (Expirel_obs.Registry.values (Server.collect_metrics server)
+       "expirel_bytes_out_total")
+  |> int_of_float
 
 (* Runs one strategy against a fresh primary; [serve] is called once
    per tick after the clock advanced and must return the uid set the
@@ -83,7 +89,7 @@ let run_phase ~strategy =
                         "INSERT INTO pol VALUES (%d, %d) EXPIRES %d" i
                         (i mod 8) (texp_of i)))
               done;
-              let base_bytes = bytes_out admin in
+              let base_bytes = bytes_out server in
               let messages, serve, finish = strategy ~server ~port in
               let stale_ticks = ref 0 in
               let stale_tuples = ref 0 in
@@ -102,7 +108,7 @@ let run_phase ~strategy =
                   stale_tuples := !stale_tuples + missing + excess
                 end
               done;
-              let bytes = bytes_out admin - base_bytes in
+              let bytes = bytes_out server - base_bytes in
               finish ();
               (messages (), bytes, !stale_ticks, !stale_tuples))))
 

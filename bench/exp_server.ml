@@ -1,7 +1,8 @@
 (* The networked-server experiment: throughput and latency of the wire
    protocol under N concurrent clients over localhost TCP, with a live
-   subscription streaming expiration events, and a STATS reconciliation
-   against client-side counts — the paper's loosely-coupled setting
+   subscription streaming expiration events, and the server's counters
+   (its METRICS registry, read in process) reconciled against
+   client-side counts — the paper's loosely-coupled setting
    (Section 1) running on real sockets rather than the lib/dist/
    simulation. *)
 
@@ -107,22 +108,28 @@ let run_all () =
   Bench_util.metric_int "errors" total_errors;
   Printf.printf "subscription events after ADVANCE: %d\n" events;
 
-  (* STATS must reconcile with what the clients counted. *)
-  (match Client.stats admin with
-   | Error e -> failwith e
-   | Ok s ->
-     (* admin issued create + subscribe + advance + this stats request
-        (counted on arrival, before the response is built). *)
-     let expected_min = total_requests + 4 in
-     Printf.printf
-       "server STATS: %d requests (>= %d expected), %d events pushed, %d \
-        tuples expired, %d bytes in, %d bytes out\n"
-       s.Wire.requests_total expected_min s.Wire.events_pushed
-       s.Wire.tuples_expired s.Wire.bytes_in s.Wire.bytes_out;
-     if s.Wire.requests_total < expected_min then
-       failwith "STATS requests_total below client-side count";
-     if s.Wire.events_pushed <> events then
-       failwith "STATS events_pushed does not match client-side event count");
+  (* The server's counters must reconcile with what the clients
+     counted. *)
+  let metrics = Server.collect_metrics server in
+  let count name =
+    int_of_float
+      (List.fold_left ( +. ) 0. (Expirel_obs.Registry.values metrics name))
+  in
+  let requests = count "expirel_requests_total" in
+  let pushed = count "expirel_events_pushed_total" in
+  (* admin issued create + subscribe + advance *)
+  let expected_min = total_requests + 3 in
+  Printf.printf
+    "server metrics: %d requests (>= %d expected), %d events pushed, %d \
+     tuples expired, %d bytes in, %d bytes out\n"
+    requests expected_min pushed
+    (count "expirel_tuples_expired_total")
+    (count "expirel_bytes_in_total")
+    (count "expirel_bytes_out_total");
+  if requests < expected_min then
+    failwith "expirel_requests_total below client-side count";
+  if pushed <> events then
+    failwith "expirel_events_pushed_total does not match client-side event count";
   Client.close admin;
   Server.stop server;
   print_newline ()

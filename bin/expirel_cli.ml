@@ -11,7 +11,7 @@
      expirel_cli serve --data-dir d  # durable (WAL + snapshots), replicable
      expirel_cli replicate --from HOST:PORT --data-dir d  # follow a primary
      expirel_cli connect         # remote REPL against a server
-     expirel_cli stats --prom    # Prometheus exposition from a server *)
+     expirel_cli stats           # Prometheus exposition from a server *)
 
 open Expirel_sqlx
 open Expirel_server
@@ -158,11 +158,7 @@ let send_statement client text =
       String.length upper >= String.length p
       && String.sub upper 0 (String.length p) = p
     in
-    (if upper = "STATS" then
-       match Client.stats client with
-       | Ok s -> print_endline (Wire.render_response (Wire.Stats_reply s))
-       | Error e -> Printf.printf "error: %s\n" e
-     else if upper = "METRICS" then
+    (if upper = "METRICS" then
        match Client.metrics client with
        | Ok exposition -> print_string exposition
        | Error e -> Printf.printf "error: %s\n" e
@@ -208,13 +204,13 @@ let send_statement client text =
   end
 
 let send_script client text =
-  String.split_on_char ';' text |> List.iter (send_statement client)
+  List.iter (send_statement client) (Lexer.split_statements text)
 
 let remote_banner host port =
   Printf.sprintf
     "connected to expirel_server at %s:%d\n\
      statements end with ';'.  Also: SUBSCRIBE name AS SELECT ...;\n\
-    \  UNSUBSCRIBE name;  STATS;  METRICS;  SLOW [N];  TRACE [N];\n\
+    \  UNSUBSCRIBE name;  METRICS;  SLOW [N];  TRACE [N];\n\
     \  HEALTH;  HORIZON [t];  PING;  ^D to quit."
     host port
 
@@ -238,7 +234,7 @@ let remote_repl client host port =
         let text = Buffer.contents buffer in
         Buffer.clear buffer;
         (* SUBSCRIBE / UNSUBSCRIBE are wire commands, not sqlx. *)
-        String.split_on_char ';' text
+        Lexer.split_statements text
         |> List.iter (fun stmt ->
                let trimmed = String.trim stmt in
                let upper = String.uppercase_ascii trimmed in
@@ -291,7 +287,7 @@ let remote_repl client host port =
 
 (* ---------- stats: one-shot metrics fetch against a server ---------- *)
 
-let stats_main host port prom slow =
+let stats_main host port slow =
   let client =
     try Client.connect ~host ~port ()
     with Unix.Unix_error (err, _, _) ->
@@ -306,14 +302,9 @@ let stats_main host port prom slow =
         Printf.eprintf "error: %s\n" msg;
         exit 1
       in
-      (if prom then
-         match Client.metrics client with
-         | Ok exposition -> print_string exposition
-         | Error e -> fail e
-       else
-         match Client.stats client with
-         | Ok s -> print_endline (Wire.render_response (Wire.Stats_reply s))
-         | Error e -> fail e);
+      (match Client.metrics client with
+       | Ok exposition -> print_string exposition
+       | Error e -> fail e);
       match slow with
       | None -> ()
       | Some n ->
@@ -565,7 +556,7 @@ let cluster_connect shard_args script =
     (fun () ->
       match script with
       | Some text ->
-        String.split_on_char ';' text |> List.iter (cluster_statement coord)
+        List.iter (cluster_statement coord) (Lexer.split_statements text)
       | None ->
         Printf.printf
           "coordinator over %d shard(s) (map v%d)\n\
@@ -587,8 +578,7 @@ let cluster_connect shard_args script =
             if String.contains line ';' then begin
               let text = Buffer.contents buffer in
               Buffer.clear buffer;
-              String.split_on_char ';' text
-              |> List.iter (cluster_statement coord)
+              List.iter (cluster_statement coord) (Lexer.split_statements text)
             end;
             loop ()
         in
@@ -670,13 +660,7 @@ let replicate_cmd =
           $ port_arg ~default:0 $ replica_id_arg)
 
 let stats_cmd =
-  let doc = "fetch a running server's metrics" in
-  let prom_flag =
-    Arg.(value & flag
-         & info [ "prom" ]
-             ~doc:"Emit the Prometheus text-format exposition instead of \
-                   the STATS summary.")
-  in
+  let doc = "fetch a running server's metrics (Prometheus text format)" in
   let slow_arg =
     Arg.(value & opt (some int) None
          & info [ "slow" ] ~docv:"N"
@@ -686,8 +670,7 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc)
     Term.(const stats_main $ host_arg
-          $ port_arg ~default:Expirel_server.Client.default_port $ prom_flag
-          $ slow_arg)
+          $ port_arg ~default:Expirel_server.Client.default_port $ slow_arg)
 
 let trace_cmd =
   let doc = "fetch recent request traces, optionally as Chrome trace JSON" in

@@ -46,10 +46,17 @@ let () =
 
   show client "SELECT uid, deg FROM pol";
 
-  (match ok (Client.stats client) with
-   | s ->
-     Printf.printf "\nserver metrics: %d request(s), %d event(s) pushed, %d tuple(s) expired\n"
-       s.Wire.requests_total s.Wire.events_pushed s.Wire.tuples_expired);
+  (* The server's counters, read in process from the registry its
+     METRICS page renders; expirations sum over their removal mode. *)
+  let metrics = Server.collect_metrics server in
+  let count name =
+    int_of_float
+      (List.fold_left ( +. ) 0. (Expirel_obs.Registry.values metrics name))
+  in
+  Printf.printf "\nserver metrics: %d request(s), %d event(s) pushed, %d tuple(s) expired\n"
+    (count "expirel_requests_total")
+    (count "expirel_events_pushed_total")
+    (count "expirel_tuples_expired_total");
 
   Client.close client;
   Server.stop server

@@ -41,34 +41,14 @@ let worst a b = if level_rank a >= level_rank b then a else b
    observation count.  [None] when the metric is absent or has no
    samples (e.g. a polled provider raised this scrape). *)
 let metric_value metrics name =
-  match
-    List.find_opt (fun (m : Registry.metric) -> m.Registry.name = name)
-      metrics
-  with
-  | None -> None
-  | Some m ->
-      let vals =
-        List.filter_map
-          (fun (_, s) ->
-            match s with
-            | Registry.Counter_sample n ->
-                Some (float_of_int n *. m.Registry.scale)
-            | Registry.Gauge_sample v -> Some (v *. m.Registry.scale)
-            | Registry.Histogram_sample snap ->
-                Some (float_of_int snap.Instrument.Histogram.count))
-          m.Registry.samples
-      in
-      (match vals with
-      | [] -> None
-      | v :: rest -> Some (List.fold_left Float.max v rest))
+  match Registry.values metrics name with
+  | [] -> None
+  | v :: rest -> Some (List.fold_left Float.max v rest)
 
 (* Fraction of observations strictly above [bound] (in the instrument's
    raw integer unit), pooled over every label combination. *)
 let hist_frac_above metrics name bound =
-  match
-    List.find_opt (fun (m : Registry.metric) -> m.Registry.name = name)
-      metrics
-  with
+  match Registry.find metrics name with
   | None -> None
   | Some m ->
       let total = ref 0 and above = ref 0 in

@@ -133,3 +133,18 @@ let collect t =
       { name = e.e_name; help = e.e_help; kind = e.e_kind; scale = e.e_scale;
         samples })
     entries
+
+let find metrics name = List.find_opt (fun m -> m.name = name) metrics
+
+let values metrics name =
+  match find metrics name with
+  | None -> []
+  | Some m ->
+      List.map
+        (fun (_, s) ->
+          match s with
+          | Counter_sample n -> float_of_int n *. m.scale
+          | Gauge_sample v -> v *. m.scale
+          | Histogram_sample snap ->
+              float_of_int snap.Instrument.Histogram.count)
+        m.samples

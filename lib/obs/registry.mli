@@ -83,3 +83,14 @@ type metric = {
 val collect : t -> metric list
 (** Metrics in registration order.  Safe to call concurrently with
     observations and registrations. *)
+
+val find : metric list -> string -> metric option
+(** The metric a collection holds under [name]. *)
+
+val values : metric list -> string -> float list
+(** One reading per label combination of the named metric: counters
+    and gauges scaled by the metric's exposition scale, histograms as
+    their observation count.  [[]] when the metric is absent or has no
+    samples this collection (e.g. its polled provider raised).  Health
+    rules take the maximum; an in-process reader that wants a total
+    (say, expirations over every removal [mode]) sums them. *)

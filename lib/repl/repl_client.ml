@@ -1,5 +1,3 @@
-open Expirel_server
-
 type endpoint = Member.endpoint = {
   host : string;
   port : int;
@@ -42,14 +40,6 @@ let query ?trace t sql =
     end
   in
   if n = 0 then exec ?trace t sql else try_from t.next_replica 0
-
-let primary_stats t = Member.on t.primary Client.stats
-
-let replica_stats t =
-  Array.to_list
-    (Array.map
-       (fun m -> (Member.endpoint m, Member.on m Client.stats))
-       t.replicas)
 
 let close t =
   Member.close t.primary;

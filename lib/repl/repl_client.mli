@@ -45,8 +45,5 @@ val query : ?trace:Expirel_obs.Trace.t -> t -> string -> (Wire.response, string)
     [rpc:replica-<i>] span plus propagated context — the serving
     replica's spans join this trace's id. *)
 
-val primary_stats : t -> (Wire.stats, string) result
-val replica_stats : t -> (endpoint * (Wire.stats, string) result) list
-
 val close : t -> unit
 (** Closes every open connection.  Idempotent. *)

@@ -51,8 +51,7 @@ let repl_stats t () =
   let position = position t in
   locked t (fun () ->
       Some
-        { Wire.role = Wire.Replica;
-          position;
+        { Metrics.role = Metrics.Replica;
           source_position = t.source_position;
           lag_records = max 0 (t.source_position - position);
           clock_lag =
@@ -60,7 +59,7 @@ let repl_stats t () =
              | Time.Fin src, Time.Fin local -> max 0 (src - local)
              | (Time.Fin _ | Time.Inf), _ -> 0);
           reconnects = t.reconnects;
-          snapshots = t.snapshots;
+          bootstraps = t.snapshots;
           records_shipped = t.applied;
           followers = 0
         })

@@ -14,8 +14,8 @@
     On any failure (refused dial, dead socket, a receive quiet past the
     heartbeat window) the applier redials under {!Backoff}, resuming
     from its current position.  Lag is observable over the wire: the
-    replica's [STATS] carries the replication section ({!Wire.repl_stats}
-    with role [Replica]). *)
+    replica's [METRICS] page carries the [expirel_repl_*] samples
+    ({!Expirel_server.Metrics.repl_stats}, role [replica]). *)
 
 open Expirel_core
 open Expirel_server

@@ -31,21 +31,32 @@ let connect ?(timeout = 10.0) ~host ~port () =
 
 let fail_closed = Error "connection closed"
 
+(* Gives the connection up.  Any failure, a receive timeout included,
+   can leave a reply missed or half read, and a late frame would then
+   answer the wrong request. *)
+let shut t =
+  if not t.closed then begin
+    t.closed <- true;
+    try Unix.close t.fd with Unix.Unix_error _ -> ()
+  end
+
 (* Blocks for the next frame; queues events until a direct response
    arrives, returned with its frame's size on the wire. *)
 let rec read_response t =
   match Frame.recv t.fd with
   | exception Frame.Closed ->
-    t.closed <- true;
+    shut t;
     fail_closed
-  | exception Frame.Timeout -> Error "receive timeout"
+  | exception Frame.Timeout ->
+    shut t;
+    Error "receive timeout"
   | exception Frame.Oversized n ->
-    t.closed <- true;
+    shut t;
     Error (Printf.sprintf "oversized frame (%d bytes): stream desynchronised" n)
   | payload, bytes ->
     (match Wire.decode_response payload with
      | Error e ->
-       t.closed <- true;
+       shut t;
        Error e
      | Ok (Wire.Event event) ->
        Queue.add event t.pending;
@@ -61,7 +72,7 @@ let exchange t req =
         (fun (response, received) -> (response, sent, received))
         (read_response t)
     | exception (Frame.Closed | Frame.Timeout) ->
-      t.closed <- true;
+      shut t;
       fail_closed
 
 let request t req = Result.map (fun (response, _, _) -> response) (exchange t req)
@@ -94,13 +105,6 @@ let unsubscribe t name =
   | Ok (Wire.Ok_msg _) -> Ok ()
   | Ok (Wire.Err { message; _ }) -> Error message
   | Ok _ -> Error "unexpected response to UNSUBSCRIBE"
-  | Error _ as e -> e
-
-let stats t =
-  match request t Wire.Stats with
-  | Ok (Wire.Stats_reply s) -> Ok s
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to STATS"
   | Error _ as e -> e
 
 let metrics t =
@@ -205,8 +209,9 @@ let poll_events t ~timeout =
         | [], _, _ -> ()
         | _ :: _, _, _ ->
           (match Frame.recv t.fd with
-           | exception (Frame.Closed | Frame.Oversized _) -> t.closed <- true
-           | exception Frame.Timeout -> ()
+           | exception (Frame.Closed | Frame.Oversized _ | Frame.Timeout) ->
+             (* a timeout may leave half a frame read *)
+             shut t
            | payload, _ ->
              (match Wire.decode_response payload with
               | Ok (Wire.Event event) ->
@@ -215,9 +220,9 @@ let poll_events t ~timeout =
               | Ok _ | Error _ ->
                 (* Unsolicited non-event frame: the stream is out of
                    protocol; stop reading. *)
-                t.closed <- true))
+                shut t))
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error _ -> t.closed <- true
+        | exception Unix.Unix_error _ -> shut t
       end
     in
     go ()
@@ -226,8 +231,7 @@ let poll_events t ~timeout =
 
 let close t =
   if not t.closed then begin
-    t.closed <- true;
     (try ignore (Frame.send t.fd (Wire.encode_request Wire.Quit))
      with Frame.Closed | Frame.Timeout | Unix.Unix_error _ -> ());
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
+    shut t
   end

@@ -6,7 +6,9 @@
     queue with {!events} or wait for fresh ones with {!poll_events}.
 
     All calls return [Error _] rather than raising on connection and
-    protocol failures; a failed connection stays unusable (reconnect). *)
+    protocol failures; a failed connection is closed and stays unusable
+    (reconnect).  A receive timeout is such a failure: the server's late
+    reply would otherwise answer the next request. *)
 
 val default_port : int
 (** 7717 — the CLI default. *)
@@ -50,8 +52,6 @@ val subscribe : t -> name:string -> query:string -> (unit, string) result
     connection at the exact logical change times. *)
 
 val unsubscribe : t -> string -> (unit, string) result
-
-val stats : t -> (Wire.stats, string) result
 
 val metrics : t -> (string, string) result
 (** Prometheus text-format exposition of every server metric. *)

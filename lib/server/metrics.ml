@@ -1,5 +1,18 @@
 open Expirel_obs
 
+type repl_role = Primary | Replica
+
+type repl_stats = {
+  role : repl_role;
+  source_position : int;
+  lag_records : int;
+  clock_lag : int;
+  reconnects : int;
+  bootstraps : int;
+  records_shipped : int;
+  followers : int;
+}
+
 type t = {
   reg : Registry.t;
   connections_total : Instrument.Counter.t;
@@ -14,7 +27,7 @@ type t = {
   stage : Instrument.Histogram.t Instrument.Family.t;
   op_eval : Instrument.Histogram.t Instrument.Family.t;
   slow_log : Slow_log.t;
-  mutable repl_provider : unit -> Wire.repl_stats option;
+  mutable repl_provider : unit -> repl_stats option;
 }
 
 let create () =
@@ -72,10 +85,10 @@ let create () =
 let registry t = t.reg
 let set_repl_source t f = t.repl_provider <- f
 
-(* Never let a raising provider poison STATS/METRICS: report no
-   replication section instead.  (The provider may take server locks, so
-   it also must never run under an instrument mutex — it doesn't; this
-   is plain function application.) *)
+(* Never let a raising provider poison METRICS: report no replication
+   samples instead.  (The provider may take server locks, so it also
+   must never run under an instrument mutex — it doesn't; this is plain
+   function application.) *)
 let repl_source t () = try t.repl_provider () with _ -> None
 
 let connection_opened t =
@@ -144,27 +157,6 @@ let slowest t n =
         spans = wire_spans e.spans
       })
     (Slow_log.slowest t.slow_log n)
-
-let snapshot t =
-  (* The provider may take the server's own locks; it runs as a plain
-     call here, outside every instrument mutex. *)
-  let repl = repl_source t () in
-  let latency = Instrument.Histogram.snapshot t.latency in
-  { Wire.connections_total = Instrument.Counter.value t.connections_total;
-    connections_active = Instrument.Gauge.value t.connections_active;
-    requests_total = Instrument.Counter.value t.requests_total;
-    errors_total = Instrument.Counter.value t.errors_total;
-    bytes_in = Instrument.Counter.value t.bytes_in;
-    bytes_out = Instrument.Counter.value t.bytes_out;
-    events_pushed = Instrument.Counter.value t.events_pushed;
-    tuples_expired =
-      Instrument.Family.fold t.tuples_expired ~init:0 ~f:(fun _ c acc ->
-          acc + Instrument.Counter.value c);
-    latency_buckets =
-      Array.to_list
-        (Array.mapi (fun i n -> (latency.bounds.(i), n)) latency.counts);
-    repl
-  }
 
 let build_version = "0.10.0"
 

@@ -1,26 +1,43 @@
 (** Server metrics, built on the {!Expirel_obs} instrument library.
 
-    Counters, gauges and histograms live in an [Obs.Registry]; a
-    {!snapshot} still produces exactly the {!Wire.stats} record the
-    [STATS] command has shipped since v1 (the latency-bucket bounds
-    travel in the payload, so the histogram gaining its 500 ms bucket
-    changed no wire layout), while {!prometheus} renders the full
-    registry — wire counters, per-stage and per-operator trace
-    timings, and whatever expiration-domain gauges the server
-    registered — as a Prometheus text-format page for the [METRICS]
-    command.
+    Counters, gauges and histograms live in an [Obs.Registry], the one
+    counter surface of a server: {!prometheus} renders it — wire
+    counters, per-stage and per-operator trace timings, replication
+    state and whatever expiration-domain gauges the server registered —
+    as a Prometheus text-format page for the [METRICS] command, and
+    in-process readers collect the same registry
+    ([Server.collect_metrics], read with [Obs.Registry.values]).
 
     Metric names follow the scheme [expirel_<subsystem>_<what>_<unit>]
     with Prometheus base units (seconds, bytes) and [_total] on
     counters; labeled families carry one label each ([mode] for
     expiration policy, [stage] for request stages, [operator] for
-    algebra operators).
+    algebra operators, [role] for replication).
 
     Every instrument releases its mutex on the way out of a raising
     callback ([Fun.protect] throughout the instrument library), so a
     failing labelled lookup or replication provider can no longer
     deadlock every subsequent metrics-touching request — the bug the
     previous hand-rolled [locked] helper had. *)
+
+type repl_role =
+  | Primary  (** ships its log to followers *)
+  | Replica  (** applies a primary's log *)
+
+type repl_stats = {
+  role : repl_role;
+  source_position : int;
+      (** the primary's log position as last heard (a primary's own) *)
+  lag_records : int;  (** records behind the source *)
+  clock_lag : int;
+      (** logical-time distance to the source clock, in ticks *)
+  reconnects : int;  (** times the applier had to redial *)
+  bootstraps : int;  (** snapshot bootstraps received (or served) *)
+  records_shipped : int;  (** stream records applied (or shipped) *)
+  followers : int;  (** live replication sessions (primary side) *)
+}
+(** What a replication provider reports; the node's own position is
+    the server's [expirel_wal_position]. *)
 
 type t
 
@@ -29,7 +46,7 @@ val create : unit -> t
 val registry : t -> Expirel_obs.Registry.t
 (** For registering additional (domain) metrics — the server adds
     expiration-index depth, view horizons, WAL position and
-    replication lag as polled gauges. *)
+    replication state as polled gauges. *)
 
 val connection_opened : t -> unit
 (** Bumps both the total and the active-connection gauge. *)
@@ -67,19 +84,20 @@ val slowest : t -> int -> Wire.slow_query list
 (** The [n] slowest recorded statements, slowest first, as wire
     values. *)
 
-val set_repl_source : t -> (unit -> Wire.repl_stats option) -> unit
-(** Installs the provider of the replication section of {!snapshot}.
-    The server installs a primary-side provider when it opens a durable
-    store; a [Expirel_repl.Replica] replaces it with its applier's
-    view.  Called outside every metrics mutex, so it may take other
-    locks; if it raises, {!snapshot} reports no replication section
-    rather than failing. *)
+val set_repl_source : t -> (unit -> repl_stats option) -> unit
+(** Installs the provider the [expirel_repl_*] samples poll: role,
+    source position, lag in records and ticks, followers, reconnects,
+    snapshots and records applied or shipped.  The server installs a
+    primary-side provider when it opens a durable store; a
+    [Expirel_repl.Replica] replaces it with its applier's view.  Called
+    outside every metrics mutex, so it may take other locks.  While no
+    provider answers ([None], or it raises) those families carry no
+    sample. *)
 
-val repl_source : t -> unit -> Wire.repl_stats option
+val repl_source : t -> unit -> repl_stats option
 (** The installed provider (never raises: a raising provider yields
-    [None]) — the lag gauges poll replication state through this. *)
-
-val snapshot : t -> Wire.stats
+    [None]) — the [expirel_repl_*] samples poll replication state
+    through this. *)
 
 val build_version : string
 (** The build's version string, as exported on [expirel_build_info]. *)

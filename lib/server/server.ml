@@ -142,7 +142,7 @@ let create ?(config = default_config) () =
   in
   let db = Interp.database interp in
   let metrics = Metrics.create () in
-  (* Every expiration the storage observes shows up in STATS/METRICS,
+  (* Every expiration the storage observes shows up in METRICS,
      labeled by how it was removed: under the eager policy triggers
      fire from the clock advance at the tuple's expiration time, under
      the lazy policy from the (late) vacuum. *)
@@ -176,20 +176,18 @@ let create ?(config = default_config) () =
       next_id = 0
     }
   in
-  (* Primary-side replication stats; a Replica wrapping this server
+  (* Primary-side replication state; a Replica wrapping this server
      replaces the provider with its applier's view. *)
   (match store with
    | Some s ->
      Metrics.set_repl_source metrics (fun () ->
-         let position = Durable.position s in
          Some
-           { Wire.role = Wire.Primary;
-             position;
-             source_position = position;
+           { Metrics.role = Metrics.Primary;
+             source_position = Durable.position s;
              lag_records = 0;
              clock_lag = 0;
              reconnects = 0;
-             snapshots = t.snapshots_served;
+             bootstraps = t.snapshots_served;
              records_shipped = t.records_shipped;
              followers = Hashtbl.length t.followers
            })
@@ -224,25 +222,55 @@ let create ?(config = default_config) () =
        ~help:"Log records accumulated since the last checkpoint" (fun () ->
          float_of_int (Durable.wal_records s))
    | None -> ());
-  (* Replication lag, through whatever provider is installed (primary
-     or replica side).  No provider / no stats: the gauges are simply
-     absent from the exposition (the callback raises, collect skips). *)
-  let repl_stat pick () =
-    match Metrics.repl_source metrics () with
-    | Some r -> float_of_int (pick r)
-    | None -> raise Not_found
+  (* Replication, through whatever provider is installed (primary or
+     replica side).  No provider: the families are declared but carry
+     no sample. *)
+  let repl kind ~name ~help sample =
+    Obs.Registry.custom reg ~name ~help ~kind (fun () ->
+        match Metrics.repl_source metrics () with
+        | Some r -> [ sample r ]
+        | None -> [])
   in
-  Obs.Registry.gauge_fun reg ~name:"expirel_repl_lag_records"
+  let repl_gauge ~name ~help pick =
+    repl Obs.Registry.Gauge_kind ~name ~help (fun r ->
+        ([], Obs.Registry.Gauge_sample (float_of_int (pick r))))
+  in
+  let repl_counter ~name ~help pick =
+    repl Obs.Registry.Counter_kind ~name ~help (fun r ->
+        ([], Obs.Registry.Counter_sample (pick r)))
+  in
+  repl Obs.Registry.Gauge_kind ~name:"expirel_repl_role"
+    ~help:"Replication role (always 1; the role label carries it)"
+    (fun r ->
+      ( [ ("role",
+           match r.Metrics.role with
+           | Metrics.Primary -> "primary"
+           | Metrics.Replica -> "replica") ],
+        Obs.Registry.Gauge_sample 1. ));
+  repl_gauge ~name:"expirel_repl_source_position"
+    ~help:"The replication source's log position as last heard (a \
+           primary's own)"
+    (fun r -> r.Metrics.source_position);
+  repl_gauge ~name:"expirel_repl_lag_records"
     ~help:"Records behind the replication source (0 on a primary)"
-    (repl_stat (fun r -> r.Wire.lag_records));
-  Obs.Registry.gauge_fun reg ~name:"expirel_repl_clock_lag_ticks"
+    (fun r -> r.Metrics.lag_records);
+  repl_gauge ~name:"expirel_repl_clock_lag_ticks"
     ~help:"Logical-time distance to the replication source's clock"
-    (repl_stat (fun r -> r.Wire.clock_lag));
-  Obs.Registry.gauge_fun reg ~name:"expirel_repl_followers"
+    (fun r -> r.Metrics.clock_lag);
+  repl_gauge ~name:"expirel_repl_followers"
     ~help:"Live replication sessions served (primary side)"
-    (repl_stat (fun r -> r.Wire.followers));
+    (fun r -> r.Metrics.followers);
+  repl_counter ~name:"expirel_repl_reconnects_total"
+    ~help:"Times the replica's applier had to redial its primary"
+    (fun r -> r.Metrics.reconnects);
+  repl_counter ~name:"expirel_repl_snapshots_total"
+    ~help:"Snapshot bootstraps received (replica) or served (primary)"
+    (fun r -> r.Metrics.bootstraps);
+  repl_counter ~name:"expirel_repl_records_total"
+    ~help:"Log records applied (replica) or shipped (primary)"
+    (fun r -> r.Metrics.records_shipped);
   (* Plan-cache effectiveness, polled from the interpreter's counters so
-     it shows on the Prometheus page, not only in the stats record.
+     it shows on the Prometheus page.
      [requests_total] (= hits + misses) exists so the hit-ratio health
      rule has a one-metric denominator. *)
   let cache_stat pick () =
@@ -374,6 +402,11 @@ let interp t = t.interp
 let store t = t.store
 let lock t = t.lock
 let metrics t = t.metrics
+
+let collect_metrics t =
+  Rwlock.with_read t.lock (fun () ->
+      Obs.Registry.collect (Metrics.registry t.metrics))
+
 let trace_store t = t.trace_store
 
 let port t =
@@ -390,16 +423,17 @@ let locked_state t f =
 (* Responses and pushed events share one outbound stream: the worker
    thread answers requests while the thread driving an ADVANCE pushes
    subscription events, so every write serialises on the connection's
-   mutex. *)
+   mutex.  A frame is counted before it is written, so a peer holding a
+   reply reads counters that already include it. *)
 let send_response t conn response =
   if conn.alive then begin
     Mutex.lock conn.write_mutex;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock conn.write_mutex)
       (fun () ->
-        try
-          let n = Frame.send conn.fd (Wire.encode_response response) in
-          Metrics.add_bytes_out t.metrics n
+        let payload = Wire.encode_response response in
+        Metrics.add_bytes_out t.metrics (String.length payload + 4);
+        try ignore (Frame.send conn.fd payload)
         with Frame.Closed | Frame.Timeout | Unix.Unix_error _ ->
           (* A peer that stopped reading loses its stream; never stall
              the server (an event push runs under the global write
@@ -855,12 +889,9 @@ let handle_request t conn = function
   | Wire.Exec_traced { sql; ctx } -> handle_exec ~ctx t sql
   | Wire.Subscribe { name; query } -> handle_subscribe t conn ~name ~query
   | Wire.Unsubscribe name -> handle_unsubscribe t conn name
-  | Wire.Stats ->
-    let stats = Metrics.snapshot t.metrics in
-    Wire.Stats_reply stats
   | Wire.Metrics ->
-    (* Unlike STATS (stored counters only), the exposition polls gauges
-       that walk live table/view state, so it runs as a reader. *)
+    (* The exposition polls gauges that walk live table/view state, so
+       it runs as a reader. *)
     with_lock t ~write:false (fun () ->
         Wire.Metrics_reply (Metrics.prometheus t.metrics))
   | Wire.Slow_queries n ->

@@ -92,6 +92,12 @@ val interp : t -> Interp.t
 val lock : t -> Rwlock.t
 val metrics : t -> Metrics.t
 
+val collect_metrics : t -> Expirel_obs.Registry.metric list
+(** The server's registry, collected under the read lock (its polled
+    gauges walk live table and view state): the samples [METRICS]
+    renders and [HEALTH] evaluates, for in-process readers — read one
+    with {!Expirel_obs.Registry.values}. *)
+
 val trace_store : t -> Expirel_obs.Trace_store.t
 (** The recent-request trace ring the [TRACE n] request serves —
     replicas also record their replication handshakes here, so a

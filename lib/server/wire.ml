@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 9
+let version = 10
 let max_frame = 16 * 1024 * 1024
 
 type error_code =
@@ -25,35 +25,6 @@ type event =
       at : Time.t;
     }
   | Refreshed of { subscription : string; at : Time.t }
-
-type repl_role =
-  | Primary
-  | Replica
-
-type repl_stats = {
-  role : repl_role;
-  position : int;
-  source_position : int;
-  lag_records : int;
-  clock_lag : int;
-  reconnects : int;
-  snapshots : int;
-  records_shipped : int;
-  followers : int;
-}
-
-type stats = {
-  connections_total : int;
-  connections_active : int;
-  requests_total : int;
-  errors_total : int;
-  bytes_in : int;
-  bytes_out : int;
-  events_pushed : int;
-  tuples_expired : int;
-  latency_buckets : (int * int) list;
-  repl : repl_stats option;
-}
 
 type span = {
   span_name : string;
@@ -208,7 +179,6 @@ type request =
   | Exec of string
   | Subscribe of { name : string; query : string }
   | Unsubscribe of string
-  | Stats
   | Ping
   | Quit
   | Replicate of {
@@ -243,7 +213,6 @@ type response =
     }
   | Err of { code : error_code; message : string }
   | Event of event
-  | Stats_reply of stats
   | Pong
   | Bye
   | Repl_snapshot of { position : int; records : Wal.record list }
@@ -342,40 +311,6 @@ let put_event b = function
     put_str b subscription;
     put_time b at
 
-let put_repl_stats b r =
-  put_u8 b
-    (match r.role with
-     | Primary -> 1
-     | Replica -> 2);
-  put_i64 b r.position;
-  put_i64 b r.source_position;
-  put_i64 b r.lag_records;
-  put_i64 b r.clock_lag;
-  put_i64 b r.reconnects;
-  put_i64 b r.snapshots;
-  put_i64 b r.records_shipped;
-  put_i64 b r.followers
-
-let put_stats b s =
-  put_i64 b s.connections_total;
-  put_i64 b s.connections_active;
-  put_i64 b s.requests_total;
-  put_i64 b s.errors_total;
-  put_i64 b s.bytes_in;
-  put_i64 b s.bytes_out;
-  put_i64 b s.events_pushed;
-  put_i64 b s.tuples_expired;
-  put_list b
-    (fun b (bound, count) ->
-      put_i64 b bound;
-      put_i64 b count)
-    s.latency_buckets;
-  match s.repl with
-  | None -> put_u8 b 0
-  | Some r ->
-    put_u8 b 1;
-    put_repl_stats b r
-
 let payload tag body =
   let b = Buffer.create 64 in
   put_u8 b version;
@@ -449,7 +384,6 @@ let encode_request = function
         put_str b name;
         put_str b query)
   | Unsubscribe name -> payload 3 (fun b -> put_str b name)
-  | Stats -> payload 4 ignore
   | Ping -> payload 5 ignore
   | Quit -> payload 6 ignore
   | Replicate { replica_id; position; ctx } ->
@@ -542,7 +476,6 @@ let encode_response = function
         put_u8 b (code_of_error code);
         put_str b message)
   | Event e -> payload 4 (fun b -> put_event b e)
-  | Stats_reply s -> payload 5 (fun b -> put_stats b s)
   | Pong -> payload 6 ignore
   | Bye -> payload 7 ignore
   | Repl_snapshot { position; records } ->
@@ -729,65 +662,6 @@ let get_event c =
     Refreshed { subscription; at }
   | n -> raise (Bad (Printf.sprintf "bad event tag %d" n))
 
-let get_repl_stats c =
-  let role =
-    match get_u8 c with
-    | 1 -> Primary
-    | 2 -> Replica
-    | n -> raise (Bad (Printf.sprintf "bad replication role %d" n))
-  in
-  let position = get_i64 c in
-  let source_position = get_i64 c in
-  let lag_records = get_i64 c in
-  let clock_lag = get_i64 c in
-  let reconnects = get_i64 c in
-  let snapshots = get_i64 c in
-  let records_shipped = get_i64 c in
-  let followers = get_i64 c in
-  { role;
-    position;
-    source_position;
-    lag_records;
-    clock_lag;
-    reconnects;
-    snapshots;
-    records_shipped;
-    followers
-  }
-
-let get_stats c =
-  let connections_total = get_i64 c in
-  let connections_active = get_i64 c in
-  let requests_total = get_i64 c in
-  let errors_total = get_i64 c in
-  let bytes_in = get_i64 c in
-  let bytes_out = get_i64 c in
-  let events_pushed = get_i64 c in
-  let tuples_expired = get_i64 c in
-  let latency_buckets =
-    get_list c (fun c ->
-        let bound = get_i64 c in
-        let count = get_i64 c in
-        (bound, count))
-  in
-  let repl =
-    match get_u8 c with
-    | 0 -> None
-    | 1 -> Some (get_repl_stats c)
-    | n -> raise (Bad (Printf.sprintf "bad repl-stats presence byte %d" n))
-  in
-  { connections_total;
-    connections_active;
-    requests_total;
-    errors_total;
-    bytes_in;
-    bytes_out;
-    events_pushed;
-    tuples_expired;
-    latency_buckets;
-    repl
-  }
-
 let payload_version data = if data = "" then None else Some (Char.code data.[0])
 
 let decode ~what ~by data =
@@ -881,7 +755,6 @@ let decode_request data =
       let query = get_str c in
       Subscribe { name; query }
     | 3 -> Unsubscribe (get_str c)
-    | 4 -> Stats
     | 5 -> Ping
     | 6 -> Quit
     | 7 ->
@@ -991,7 +864,6 @@ let decode_response data =
       let message = get_str c in
       Err { code; message }
     | 4 -> Event (get_event c)
-    | 5 -> Stats_reply (get_stats c)
     | 6 -> Pong
     | 7 -> Bye
     | 8 ->
@@ -1120,33 +992,6 @@ let rec pp_response ppf = function
       (Time.to_string at) (Time.to_string texp) (row_string row)
   | Event (Refreshed { subscription; at }) ->
     Format.fprintf ppf "[%s] refreshed at %s" subscription (Time.to_string at)
-  | Stats_reply s ->
-    Format.fprintf ppf
-      "connections: %d active / %d total@\n\
-       requests: %d (%d error(s))@\n\
-       bytes: %d in, %d out@\n\
-       events pushed: %d@\n\
-       tuples expired: %d@\nlatency:"
-      s.connections_active s.connections_total s.requests_total s.errors_total
-      s.bytes_in s.bytes_out s.events_pushed s.tuples_expired;
-    List.iter
-      (fun (bound, count) ->
-        if count > 0 then
-          if bound = max_int then Format.fprintf ppf "@\n  >last      %8d" count
-          else Format.fprintf ppf "@\n  <=%-7dus %8d" bound count)
-      s.latency_buckets;
-    (match s.repl with
-     | None -> ()
-     | Some r ->
-       Format.fprintf ppf
-         "@\nreplication: %s at position %d (source %d, lag %d record(s), \
-          %d tick(s))@\n\
-          reconnects: %d, snapshots: %d, records: %d, followers: %d"
-         (match r.role with
-          | Primary -> "primary"
-          | Replica -> "replica")
-         r.position r.source_position r.lag_records r.clock_lag r.reconnects
-         r.snapshots r.records_shipped r.followers)
   | Pong -> Format.pp_print_string ppf "pong"
   | Bye -> Format.pp_print_string ppf "bye"
   | Repl_snapshot { position; records } ->

@@ -109,6 +109,11 @@ val version : int
     envelope drops the v5–v8 replies' shard id: the coordinator knows
     which slot it asked.  [Ingest_rows] and [Purge_moved] answer with
     an ack body; [Shard_pong] is unchanged.
+    v10 — one counter surface.  This bump is {e required}: tags were
+    removed.  The STATS request (4) and its reply (5), with the
+    counter record and the replication section it carried, are gone;
+    every counter they reported is a sample on the [Metrics_reply]
+    page.  Tags 4 and 5 are left unused.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer
@@ -149,41 +154,6 @@ type event =
   | Refreshed of { subscription : string; at : Time.t }
       (** mirrors {!Expirel_exec.Subscription.event}, with tuples
           flattened to value lists *)
-
-type repl_role =
-  | Primary  (** ships its log to followers *)
-  | Replica  (** applies a primary's log *)
-
-type repl_stats = {
-  role : repl_role;
-  position : int;  (** local log position (records applied/logged) *)
-  source_position : int;
-      (** the primary's position as last heard (equals [position] on a
-          primary) *)
-  lag_records : int;  (** [source_position - position] *)
-  clock_lag : int;
-      (** logical-time distance to the source clock, in ticks *)
-  reconnects : int;  (** times the applier had to redial *)
-  snapshots : int;  (** snapshot bootstraps received (or served) *)
-  records_shipped : int;  (** stream records applied (or shipped) *)
-  followers : int;  (** live replication sessions (primary side) *)
-}
-
-type stats = {
-  connections_total : int;
-  connections_active : int;
-  requests_total : int;
-  errors_total : int;
-  bytes_in : int;
-  bytes_out : int;
-  events_pushed : int;
-  tuples_expired : int;  (** tuples whose expiration the storage observed *)
-  latency_buckets : (int * int) list;
-      (** request-latency histogram: (upper bound in µs — [max_int] for
-          the overflow bucket — , count), ascending *)
-  repl : repl_stats option;
-      (** present when the server participates in replication *)
-}
 
 type span = {
   span_name : string;  (** stage label, e.g. ["parse"], ["op:join"] *)
@@ -342,7 +312,6 @@ type request =
       (** register a continuous query; events stream back on this
           connection at the exact logical change times *)
   | Unsubscribe of string
-  | Stats
   | Ping
   | Quit
   | Replicate of {
@@ -419,7 +388,6 @@ type response =
   | Err of { code : error_code; message : string }
   | Event of event  (** pushed, not solicited: may arrive at any frame
                         boundary *)
-  | Stats_reply of stats
   | Pong
   | Bye
   | Repl_snapshot of { position : int; records : Wal.record list }

@@ -79,3 +79,40 @@ let tokenize input =
   in
   go 0;
   List.rev !tokens
+
+(* Where [text]'s tokens start from offset [from] on, each flagged when
+   it is a semicolon.  A character the lexer rejects counts as a token
+   and lexing resumes after it; an unterminated string runs to the end
+   of the text. *)
+let rec marks text from =
+  let rest = String.sub text from (String.length text - from) in
+  let of_tokens =
+    List.filter_map (fun (tok, off) ->
+        match tok with
+        | Token.Eof -> None
+        | Token.Semicolon -> Some (from + off, true)
+        | _ -> Some (from + off, false))
+  in
+  match tokenize rest with
+  | tokens -> of_tokens tokens
+  | exception Error (_, off) ->
+    let before = of_tokens (tokenize (String.sub rest 0 off)) in
+    if rest.[off] = '\'' then before @ [ (from + off, false) ]
+    else before @ ((from + off, false) :: marks text (from + off + 1))
+
+let split_statements text =
+  let piece first stop = String.trim (String.sub text first (stop - first)) in
+  let rec go first acc = function
+    | [] ->
+      let acc =
+        match first with
+        | Some f -> piece f (String.length text) :: acc
+        | None -> acc
+      in
+      List.rev acc
+    | (off, true) :: rest ->
+      go None (match first with Some f -> piece f off :: acc | None -> acc) rest
+    | (off, false) :: rest ->
+      go (if first = None then Some off else first) acc rest
+  in
+  go None [] (marks text 0)

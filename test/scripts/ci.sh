@@ -18,6 +18,10 @@ dune runtest
 OPS_OUT=$(_build/default/examples/ops_center.exe)
 echo "$OPS_OUT" | grep -F "senior coverage now breaks at 60"
 echo "$OPS_OUT" | grep -F "t=60  off-shift: <1, 1>"
+# The wire example runs too: its closing line reads the server's
+# counters in process from the METRICS registry.
+NET_OUT=$(_build/default/examples/net_demo.exe)
+echo "$NET_OUT" | grep -F "server metrics: 8 request(s), 2 event(s) pushed, 2 tuple(s) expired"
 # The sessions ledger, 3 s traced per gated workload: it exits 1 when
 # its correctness gate fails or the per-layer breakdown stops
 # reconciling with client latency — e.g. when a shard path stops
@@ -92,6 +96,9 @@ test -z "$(printf '%s\n%s\n' "$PLAN_OUT" "$EXPLAIN_OUT" | grep -F -e '[tuple]' -
 # AT runs on the executor too: at 16 only the row expiring at 20 is
 # left of the current state.
 "$CLI" connect --port "$PORT" -e "SELECT uid FROM pol AT 16" | grep -F "1 row(s)"
+# A ; inside a string literal does not split the statement.
+"$CLI" connect --port "$PORT" -e "CREATE TABLE semi (a, b); INSERT INTO semi VALUES (1, 'x;y') TTL 5; SELECT a, b FROM semi" \
+  | grep -F "1, 'x;y'"
 # Approximate aggregates over the wire: APPROX_COUNT answers with an
 # error bound column, SAMPLE returns at most k live rows, and EXPLAIN
 # shows the sketch-backed physical operator.
@@ -119,7 +126,7 @@ echo "$APPROX_OUT" | grep -F "2, 0"
 # Prometheus: scrape the exposition and validate every sample line
 # parses (floats or +/-Inf), and the new families are present.
 PROM=$(mktemp)
-"$CLI" stats --port "$PORT" --prom >"$PROM"
+"$CLI" stats --port "$PORT" >"$PROM"
 grep -F "# TYPE expirel_plan_cache_hits_total counter" "$PROM"
 grep -F "expirel_plan_cache_requests_total" "$PROM"
 grep -F "expirel_health_status" "$PROM"

@@ -1009,7 +1009,17 @@ let test_horizon_cluster () =
           "expirel_cluster_horizon_expiring_soon";
           "expirel_cluster_horizon_fanout_events";
           "expirel_build_info{version=\"" ^ Metrics.build_version ^ "\"";
-          "expirel_uptime_seconds" ])
+          "expirel_uptime_seconds" ];
+      (* a health rule over an unregistered name is skipped without a
+         word: every metric a default rule reads is declared here *)
+      List.iter
+        (fun (rule : Obs.Health.rule) ->
+          List.iter
+            (fun name ->
+              Alcotest.(check bool) (rule.name ^ " reads " ^ name) true
+                (contains ~sub:("# TYPE " ^ name ^ " ") metrics))
+            (Test_obs.rule_metrics rule))
+        (Coordinator.default_health_rules ~shards:3))
 
 (* The predictive storm rule fires on the coordinator *before* any
    clock movement — the merged forecast sees the drop coming — and

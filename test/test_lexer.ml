@@ -48,10 +48,29 @@ let test_errors () =
    | exception Lexer.Error (_, 2) -> ()
    | _ -> Alcotest.fail "expected error at offset 2")
 
+let test_split_statements () =
+  let split = Alcotest.(check (list string)) in
+  split "a ; inside a string literal stays"
+    [ "CREATE TABLE t (a, b)"; "INSERT INTO t VALUES (1, 'x;y') TTL 5";
+      "SELECT a, b FROM t" ]
+    (Lexer.split_statements
+       "CREATE TABLE t (a, b); INSERT INTO t VALUES (1, 'x;y') TTL 5; \
+        SELECT a, b FROM t");
+  split "comments and empty statements vanish" [ "SELECT 1"; "SELECT 2" ]
+    (Lexer.split_statements "SELECT 1;; -- a ; b\n ;\n SELECT 2;\n");
+  split "a rejected character stays in its statement"
+    [ "ADD SHARD 127.0.0.1:7741"; "SHARDS" ]
+    (Lexer.split_statements "ADD SHARD 127.0.0.1:7741;  -- new node\nSHARDS;");
+  split "an unterminated string runs to the end" [ "SELECT 1"; "SELECT 'x;y; SELECT 2" ]
+    (Lexer.split_statements "SELECT 1; SELECT 'x;y; SELECT 2");
+  split "blank script" [] (Lexer.split_statements " \n-- only a comment\n")
+
 let suite =
   [ Alcotest.test_case "basic statement" `Quick test_basic;
     Alcotest.test_case "keyword case-insensitivity" `Quick test_case_insensitive_keywords;
     Alcotest.test_case "literals" `Quick test_literals;
     Alcotest.test_case "operators" `Quick test_operators;
     Alcotest.test_case "comments" `Quick test_comments;
-    Alcotest.test_case "errors with offsets" `Quick test_errors ]
+    Alcotest.test_case "errors with offsets" `Quick test_errors;
+    Alcotest.test_case "split statements at ; tokens" `Quick
+      test_split_statements ]

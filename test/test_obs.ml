@@ -706,6 +706,25 @@ let check_exposition ~what text =
   | Ok () -> ()
   | Error m -> Alcotest.failf "%s: %s" what m
 
+(* A metric read in process from a collection, summed over its label
+   combinations (e.g. expirations over every removal mode). *)
+let total metrics name = List.fold_left ( +. ) 0. (Registry.values metrics name)
+
+(* The one sample of an unlabelled metric, failing when the collection
+   holds none. *)
+let one metrics name =
+  match Registry.values metrics name with
+  | [ v ] -> v
+  | vs -> Alcotest.failf "%s: expected one sample, got %d" name (List.length vs)
+
+(* The metrics a health rule reads: a rule over an unregistered name is
+   silently skipped, so tests check these against a live registry. *)
+let rule_metrics (rule : Health.rule) =
+  match rule.source with
+  | Health.Metric name -> [ name ]
+  | Health.Ratio { num; den; _ } -> [ num; den ]
+  | Health.Hist_frac_above { metric; _ } -> [ metric ]
+
 let test_exposition_hygiene () =
   (* a real page passes... *)
   let reg = Registry.create () in

@@ -316,16 +316,37 @@ let test_two_replicas_converge () =
                             "replica reads equal primary reads" true
                             (query_rows (Replica.port r) sql = expect))
                         [ r1; r2 ];
-                      (* Replica STATS carries the replication section. *)
-                      with_client (Replica.port r1) (fun c ->
-                          match (ok (Client.stats c)).Wire.repl with
-                          | Some repl ->
-                            Alcotest.(check bool) "role is replica" true
-                              (repl.Wire.role = Wire.Replica);
-                            Alcotest.(check int) "no lag when synced" 0
-                              repl.Wire.lag_records
-                          | None ->
-                            Alcotest.fail "replica stats missing repl section"))))))
+                      (* The replica's registry carries every
+                         replication field, read in process. *)
+                      let m = Server.collect_metrics (Replica.server r1) in
+                      let check_sample what name expect =
+                        Alcotest.(check (float 0.)) what (float_of_int expect)
+                          (Test_obs.one m name)
+                      in
+                      (match Expirel_obs.Registry.find m "expirel_repl_role" with
+                       | Some { samples = [ (labels, _) ]; _ } ->
+                         Alcotest.(check (list (pair string string)))
+                           "role is replica" [ ("role", "replica") ] labels
+                       | _ -> Alcotest.fail "replica role missing");
+                      let position = Replica.position r1 in
+                      Alcotest.(check int) "position is the primary's"
+                        (Replica.source_position r1) position;
+                      check_sample "position" "expirel_wal_position" position;
+                      check_sample "source position"
+                        "expirel_repl_source_position" position;
+                      check_sample "no lag when synced"
+                        "expirel_repl_lag_records" 0;
+                      check_sample "no clock lag when synced"
+                        "expirel_repl_clock_lag_ticks" 0;
+                      check_sample "reconnects" "expirel_repl_reconnects_total"
+                        (Replica.reconnects r1);
+                      check_sample "snapshots" "expirel_repl_snapshots_total"
+                        (Replica.snapshots_received r1);
+                      check_sample "records applied" "expirel_repl_records_total"
+                        (Replica.records_applied r1);
+                      Alcotest.(check bool) "records were applied" true
+                        (Replica.records_applied r1
+                         + Replica.snapshots_received r1 > 0))))))
 
 (* At every tick, a replica read must agree with the primary: no tuple
    whose expiration has passed on the primary's clock is ever served. *)
@@ -497,14 +518,23 @@ let test_repl_client_routing () =
                                 fallback only when every replica is
                                 down; with both up it must be refused. *)
                              Alcotest.fail "a write routed through query succeeded");
-                          (* The primary advertises its followers. *)
-                          (match ok (Repl_client.primary_stats client) with
-                           | { Wire.repl = Some repl; _ } ->
-                             Alcotest.(check bool) "primary role" true
-                               (repl.Wire.role = Wire.Primary);
-                             Alcotest.(check int) "two followers" 2
-                               repl.Wire.followers
-                           | _ -> Alcotest.fail "primary stats missing repl section");
+                          (* The primary advertises its followers and
+                             what it shipped, read in process. *)
+                          let m = Server.collect_metrics server in
+                          (match
+                             Expirel_obs.Registry.find m "expirel_repl_role"
+                           with
+                           | Some { samples = [ (labels, _) ]; _ } ->
+                             Alcotest.(check (list (pair string string)))
+                               "primary role" [ ("role", "primary") ] labels
+                           | _ -> Alcotest.fail "primary role missing");
+                          Alcotest.(check (float 0.)) "two followers" 2.
+                            (Test_obs.one m "expirel_repl_followers");
+                          Alcotest.(check bool) "both replicas were served"
+                            true
+                            (Test_obs.one m "expirel_repl_snapshots_total"
+                             +. Test_obs.one m "expirel_repl_records_total"
+                             >= 2.);
                           (* Kill one replica: reads keep answering. *)
                           Replica.stop r1;
                           for _ = 1 to 4 do

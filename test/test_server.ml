@@ -6,6 +6,7 @@
 open Expirel_core
 open Expirel_storage
 open Expirel_server
+module Obs = Expirel_obs
 
 let fin = Time.of_int
 
@@ -35,7 +36,7 @@ let load_profiles client =
 (* ---------- smoke: results travel with their validity ---------- *)
 
 let test_smoke () =
-  with_server (fun _server port ->
+  with_server (fun server port ->
       with_client port (fun client ->
           ok (Client.ping client);
           load_profiles client;
@@ -68,10 +69,11 @@ let test_smoke () =
           (match exec client "SELEKT 1" with
            | Wire.Err { code = Wire.Parse_error; _ } -> ()
            | r -> Alcotest.fail ("expected parse error, got " ^ Wire.render_response r));
-          (match ok (Client.stats client) with
-           | s ->
-             Alcotest.(check bool) "requests counted" true (s.Wire.requests_total >= 6);
-             Alcotest.(check int) "one active connection" 1 s.Wire.connections_active)))
+          let m = Server.collect_metrics server in
+          Alcotest.(check bool) "requests counted" true
+            (Test_obs.total m "expirel_requests_total" >= 6.);
+          Alcotest.(check (float 0.)) "one active connection" 1.
+            (Test_obs.total m "expirel_connections_active")))
 
 (* ---------- subscriptions: exact logical times, in order ---------- *)
 
@@ -275,6 +277,36 @@ let test_request_timeout () =
           | Wire.Rows _ -> ()
           | r -> Alcotest.fail ("expected rows, got " ^ Wire.render_response r)))
 
+(* A receive timeout gives the connection up: the server's late reply
+   must never answer the next request. *)
+let test_client_timeout_closes () =
+  with_server (fun server port ->
+      let client = Client.connect ~timeout:0.2 ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          ok (Client.exec_ok client "CREATE TABLE t (x)");
+          Rwlock.write_lock (Server.lock server);
+          let late =
+            Fun.protect
+              ~finally:(fun () -> Rwlock.write_unlock (Server.lock server))
+              (fun () -> Client.exec client "SELECT x FROM t")
+          in
+          Alcotest.(check (result unit string)) "receive timeout"
+            (Error "receive timeout") (Result.map ignore late);
+          (* the late rows reply is on its way: it answers nothing *)
+          Thread.delay 0.1;
+          Alcotest.(check (result unit string)) "ping on a dead connection"
+            (Error "connection closed") (Client.ping client);
+          (match Client.exec client "SELECT x FROM t" with
+           | Error "connection closed" -> ()
+           | Ok r -> Alcotest.fail ("answered with " ^ Wire.render_response r)
+           | Error e -> Alcotest.fail e);
+          with_client port (fun fresh ->
+              match exec fresh "SELECT x FROM t" with
+              | Wire.Rows _ -> ()
+              | r -> Alcotest.fail ("expected rows, got " ^ Wire.render_response r))))
+
 (* ---------- observability over the wire ---------- *)
 
 let contains ~sub s =
@@ -310,7 +342,7 @@ let run_observable_workload client =
    eval time, per-stage time, eager expiration churn and the
    expiration-domain gauges. *)
 let test_metrics_exposition () =
-  with_server (fun _server port ->
+  with_server (fun server port ->
       with_client port (fun client ->
           run_observable_workload client;
           let text = ok (Client.metrics client) in
@@ -345,22 +377,27 @@ let test_metrics_exposition () =
                      in
                      if v <> "+Inf" && float_of_string_opt v = None then
                        Alcotest.failf "bad sample value in %S" line);
-          (* no durable store: the replication providers raise, so the
-             lag gauges are skipped — declared but sample-less *)
+          (* no durable store: no replication provider, so the repl
+             families are declared but sample-less *)
           Alcotest.(check bool) "repl lag declared" true
             (contains ~sub:"# TYPE expirel_repl_lag_records gauge" text);
           String.split_on_char '\n' text
           |> List.iter (fun line ->
-                 Alcotest.(check bool) "no repl lag sample without a store"
+                 Alcotest.(check bool) "no repl sample without a store"
                    false
-                   (String.length line > 24
-                    && String.sub line 0 24 = "expirel_repl_lag_records"));
-          (* STATS is still wire-compatible and carries the 500 ms bound *)
-          let s = ok (Client.stats client) in
-          Alcotest.(check bool) "stats has the 500ms bucket" true
-            (List.mem_assoc 500_000 s.Wire.latency_buckets);
-          Alcotest.(check int) "stats expired count agrees" 2
-            s.Wire.tuples_expired))
+                   (String.length line > 13
+                    && String.sub line 0 13 = "expirel_repl_"));
+          (* the registry read in process agrees with the page: the
+             latency histogram has its 500 ms bound, and expirations
+             sum over their removal mode *)
+          let m = Server.collect_metrics server in
+          (match Obs.Registry.find m "expirel_request_duration_seconds" with
+           | Some { samples = [ (_, Obs.Registry.Histogram_sample h) ]; _ } ->
+             Alcotest.(check bool) "latency has the 500ms bucket" true
+               (Array.mem 500_000 h.Obs.Instrument.Histogram.bounds)
+           | _ -> Alcotest.fail "no latency histogram");
+          Alcotest.(check (float 0.)) "expired count agrees" 2.
+            (Test_obs.total m "expirel_tuples_expired_total")))
 
 (* On a lazy server the same churn is labeled mode="lazy" and counted
    when VACUUM reclaims, not when the clock passes texp. *)
@@ -381,7 +418,7 @@ let test_metrics_lazy_mode () =
 let test_metrics_durable_primary () =
   with_temp_dir (fun dir ->
       let config = { Server.default_config with data_dir = Some dir } in
-      with_server ~config (fun _server port ->
+      with_server ~config (fun server port ->
           with_client port (fun client ->
               load_profiles client;
               let text = ok (Client.metrics client) in
@@ -391,7 +428,71 @@ let test_metrics_durable_primary () =
                     (contains ~sub text))
                 [ "expirel_wal_position ";
                   "expirel_repl_lag_records 0";
-                  "expirel_repl_followers 0" ])))
+                  "expirel_repl_followers 0" ]);
+          (* Health skips a rule whose metric is absent, so every metric
+             a default rule reads must be registered, and sampled, here:
+             the replication provider is installed. *)
+          let m = Server.collect_metrics server in
+          List.iter
+            (fun (rule : Obs.Health.rule) ->
+              List.iter
+                (fun name ->
+                  Alcotest.(check bool) (rule.name ^ " reads " ^ name) true
+                    (Obs.Registry.values m name <> []))
+                (Test_obs.rule_metrics rule))
+            Server.default_health_rules))
+
+(* Every counter a server reports is a registry sample, and reconciles
+   exactly with what its one client saw: connections, requests, errors,
+   bytes each way (pushed events included), events pushed, expirations
+   summed over their removal mode, and latency observations. *)
+let test_registry_counters () =
+  with_server (fun server port ->
+      with_client port (fun client ->
+          let requests = ref 0 and sent = ref 0 and received = ref 0 in
+          let send req =
+            let response, s, r = ok (Client.exchange client req) in
+            incr requests;
+            sent := !sent + s;
+            received := !received + r;
+            response
+          in
+          List.iter
+            (fun sql -> ignore (send (Wire.Exec sql)))
+            [ "CREATE TABLE pol (uid, deg)";
+              "INSERT INTO pol VALUES (1, 25) EXPIRES 10";
+              "INSERT INTO pol VALUES (2, 25) EXPIRES 15";
+              "INSERT INTO pol VALUES (3, 35) EXPIRES 10" ];
+          ignore
+            (send (Wire.Subscribe { name = "watch"; query = "SELECT uid FROM pol" }));
+          ignore (send (Wire.Exec "ADVANCE TO 12"));
+          (match send (Wire.Exec "SELEKT 1") with
+           | Wire.Err _ -> ()
+           | r -> Alcotest.fail ("expected an error, got " ^ Wire.render_response r));
+          let events = Client.events client in
+          let pushed_bytes =
+            List.fold_left
+              (fun acc e ->
+                acc + String.length (Wire.encode_response (Wire.Event e)) + 4)
+              0 events
+          in
+          let m = Server.collect_metrics server in
+          let check what name expect =
+            Alcotest.(check (float 0.)) what (float_of_int expect)
+              (Test_obs.total m name)
+          in
+          check "connections" "expirel_connections_total" 1;
+          check "open connections" "expirel_connections_active" 1;
+          check "requests" "expirel_requests_total" !requests;
+          check "errors" "expirel_errors_total" 1;
+          check "bytes in" "expirel_bytes_in_total" !sent;
+          check "bytes out" "expirel_bytes_out_total" (!received + pushed_bytes);
+          check "events pushed" "expirel_events_pushed_total" 2;
+          check "events received" "expirel_events_pushed_total"
+            (List.length events);
+          check "tuples expired" "expirel_tuples_expired_total" 2;
+          check "latency observations" "expirel_request_duration_seconds"
+            !requests))
 
 (* SLOW over the wire: the span breakdown of the slowest statements. *)
 let test_slow_queries_e2e () =
@@ -596,7 +697,12 @@ let test_horizon_e2e () =
       (fun acc tb -> acc + Horizon.expiring_within tb r.Horizon.window)
       0 r.Horizon.tables
   in
-  with_server (fun _server port ->
+  with_server (fun server port ->
+      let expired () =
+        int_of_float
+          (Test_obs.total (Server.collect_metrics server)
+             "expirel_tuples_expired_total")
+      in
       with_client port (fun client ->
           load_profiles client;
           ok (Client.subscribe client ~name:"watch" ~query:"SELECT uid FROM pol");
@@ -639,11 +745,10 @@ let test_horizon_e2e () =
           (* the forecast verifies: the ADVANCE drops exactly the
              predicted rows and delivers exactly the forecast events *)
           let before = ok (Client.horizon client) in
-          let stats_before = ok (Client.stats client) in
+          let expired_before = expired () in
           ok (Client.exec_ok client "ADVANCE TO 20");
-          let stats_after = ok (Client.stats client) in
           Alcotest.(check int) "every predicted row dropped" (soon before)
-            (stats_after.Wire.tuples_expired - stats_before.Wire.tuples_expired);
+            (expired () - expired_before);
           let delivered =
             List.length
               (List.filter
@@ -682,8 +787,7 @@ let test_metrics_horizon_families () =
               ^ "\",wire_version=\"" ^ string_of_int Wire.version ^ "\"";
               "expirel_uptime_seconds" ]))
 
-(* The plan cache's counters ride the Prometheus page (not only the
-   stats record), including the requests_total denominator the
+(* The plan cache's counters ride the Prometheus page, including the requests_total denominator the
    hit-ratio health rule divides by. *)
 let test_plan_cache_metrics () =
   with_server (fun _server port ->
@@ -707,17 +811,21 @@ let test_plan_cache_metrics () =
               "expirel_plan_cache_requests_total 3";
               "expirel_plan_cache_entries 1" ]))
 
-(* A raising replication provider must cost a metrics section, never a
-   request: STATS omits the repl block, METRICS still renders. *)
+(* A raising replication provider must cost the replication samples,
+   never a request: the repl families go sample-less, METRICS still
+   renders. *)
 let test_raising_repl_source () =
   with_server (fun server port ->
       Metrics.set_repl_source (Server.metrics server) (fun () ->
           failwith "provider down");
       with_client port (fun client ->
           load_profiles client;
-          let s = ok (Client.stats client) in
-          Alcotest.(check bool) "stats: no repl section" true
-            (s.Wire.repl = None);
+          List.iter
+            (fun (m : Obs.Registry.metric) ->
+              if String.starts_with ~prefix:"expirel_repl_" m.name then
+                Alcotest.(check int) ("no sample: " ^ m.name) 0
+                  (List.length m.samples))
+            (Server.collect_metrics server);
           let text = ok (Client.metrics client) in
           Alcotest.(check bool) "metrics still render" true
             (contains ~sub:"expirel_requests_total" text)))
@@ -871,12 +979,16 @@ let suite =
       test_connection_cap;
     Alcotest.test_case "request timeout under a wedged lock" `Quick
       test_request_timeout;
+    Alcotest.test_case "a receive timeout closes the client" `Quick
+      test_client_timeout_closes;
     Alcotest.test_case "METRICS: prometheus exposition" `Quick
       test_metrics_exposition;
     Alcotest.test_case "METRICS: lazy-mode churn label" `Quick
       test_metrics_lazy_mode;
     Alcotest.test_case "METRICS: durable primary gauges" `Quick
       test_metrics_durable_primary;
+    Alcotest.test_case "METRICS: every server counter, reconciled" `Quick
+      test_registry_counters;
     Alcotest.test_case "SLOW: span breakdowns over the wire" `Quick
       test_slow_queries_e2e;
     Alcotest.test_case "raising repl provider is contained" `Quick

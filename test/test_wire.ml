@@ -69,7 +69,6 @@ let request : Wire.request Gen.t =
     [ Gen.map (fun s -> Wire.Exec s) name;
       Gen.map2 (fun n q -> Wire.Subscribe { name = n; query = q }) name name;
       Gen.map (fun n -> Wire.Unsubscribe n) name;
-      Gen.return Wire.Stats;
       Gen.return Wire.Ping;
       Gen.return Wire.Quit;
       Gen.return Wire.Metrics;
@@ -146,38 +145,6 @@ let event : Wire.event Gen.t =
       Gen.map2 (fun subscription at -> Wire.Refreshed { subscription; at }) name time ]
 
 let counter = Gen.int_range 0 1_000_000
-
-let repl_stats : Wire.repl_stats Gen.t =
-  let open Gen in
-  let* role = oneofl [ Wire.Primary; Wire.Replica ] in
-  let* position = counter in
-  let* source_position = counter in
-  let* lag_records = counter in
-  let* clock_lag = counter in
-  let* reconnects = counter in
-  let* snapshots = counter in
-  let* records_shipped = counter in
-  let* followers = counter in
-  return
-    { Wire.role; position; source_position; lag_records; clock_lag;
-      reconnects; snapshots; records_shipped; followers }
-
-let stats : Wire.stats Gen.t =
-  let open Gen in
-  let* connections_total = counter in
-  let* connections_active = counter in
-  let* requests_total = counter in
-  let* errors_total = counter in
-  let* bytes_in = counter in
-  let* bytes_out = counter in
-  let* events_pushed = counter in
-  let* tuples_expired = counter in
-  let* latency_buckets = list_size (int_range 0 14) (pair counter counter) in
-  let* repl = option repl_stats in
-  return
-    { Wire.connections_total; connections_active; requests_total; errors_total;
-      bytes_in; bytes_out; events_pushed; tuples_expired; latency_buckets;
-      repl }
 
 let span : Wire.span Gen.t =
   let open Gen in
@@ -301,7 +268,6 @@ let response : Wire.response Gen.t =
        return (Wire.Rows { columns; rows; texp_e; recomputed }));
       Gen.map2 (fun code message -> Wire.Err { code; message }) error_code name;
       Gen.map (fun e -> Wire.Event e) event;
-      Gen.map (fun s -> Wire.Stats_reply s) stats;
       Gen.return Wire.Pong;
       Gen.return Wire.Bye;
       Gen.map2
@@ -468,6 +434,22 @@ let test_v8_shard_payloads_refused () =
    | Ok _ -> Alcotest.fail "v8 Exec_shard accepted by a v9 decoder");
   Alcotest.(check (option int)) "payload_version reads v8" (Some 8)
     (Wire.payload_version v8_exec_shard);
+  (* v9's STATS request (tag 4) and its reply (tag 5: eight counters,
+     an empty latency list, no replication section) are refused too. *)
+  let v9_stats = "\x09\x04" in
+  let v9_stats_reply =
+    "\x09\x05" ^ String.make 64 '\x00' ^ "\x00\x00\x00\x00" ^ "\x00"
+  in
+  Alcotest.(check (option int)) "payload_version reads v9" (Some 9)
+    (Wire.payload_version v9_stats);
+  Alcotest.(check (option int)) "payload_version reads v9 reply" (Some 9)
+    (Wire.payload_version v9_stats_reply);
+  (match Wire.decode_request v9_stats with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "v9 Stats accepted by a v10 decoder");
+  (match Wire.decode_response v9_stats_reply with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "v9 STATS reply accepted by a v10 decoder");
   let unknown ~what decode tag =
     let payload =
       String.make 1 (Char.chr Wire.version)
@@ -479,8 +461,8 @@ let test_v8_shard_payloads_refused () =
       (Error (Printf.sprintf "bad %s: unknown %s tag %d" what what tag))
       (Result.map ignore (decode payload))
   in
-  List.iter (unknown ~what:"request" Wire.decode_request) [ 15; 20; 21; 22 ];
-  List.iter (unknown ~what:"response" Wire.decode_response) [ 16; 17; 20; 21 ]
+  List.iter (unknown ~what:"request" Wire.decode_request) [ 4; 15; 20; 21; 22 ];
+  List.iter (unknown ~what:"response" Wire.decode_response) [ 5; 16; 17; 20; 21 ]
 
 let test_empty_payload () =
   (match Wire.decode_request "" with
