@@ -13,13 +13,14 @@ open Expirel_workload
 
 let run_history ~dir ~events ~timeout =
   let t = Durable.open_dir dir in
-  Durable.create_table t ~name:"sessions" ~columns:Sessions.columns;
+  Durable.write t (Wal.Create_table { name = "sessions"; columns = Sessions.columns });
   List.iter
     (fun event ->
       let at = Time.of_int (Sessions.event_time event) in
-      if Time.(at > Durable.now t) then Durable.advance_to t at;
+      if Time.(at > Durable.now t) then Durable.write t (Wal.Advance at);
       Sessions.apply_event ~timeout
-        ~insert:(fun tuple ~texp -> Durable.insert t "sessions" tuple ~texp)
+        ~insert:(fun tuple ~texp ->
+          Durable.write t (Wal.Insert { table = "sessions"; tuple; texp }))
         event)
     events;
   t

@@ -880,8 +880,9 @@ let gather_compute ?trace t (qs : Ast.query_stmt) =
                  | Ok rows ->
                    List.iter
                      (fun (vs, texp) ->
-                       Expirel_storage.Database.insert_values
-                         (Interp.database local) name vs ~texp)
+                       Interp.write local
+                         (Expirel_storage.Wal.Insert
+                            { table = name; tuple = Tuple.of_list vs; texp }))
                      rows;
                    Ok ()))))
       (Ok ()) tables
@@ -1260,11 +1261,6 @@ let close t =
 
 let metrics t = Obs.Prometheus.render (Obs.Registry.collect t.registry)
 
-let wire_health_level = function
-  | Obs.Health.Ok -> Wire.Health_ok
-  | Obs.Health.Degraded -> Wire.Health_degraded
-  | Obs.Health.Critical -> Wire.Health_critical
-
 let health t =
   (* Refresh the horizon cache first so the predictive storm rules read
      the present forecast, not a stale one; an unreachable fleet leaves
@@ -1275,32 +1271,16 @@ let health t =
     Obs.Health.evaluate t.health_rules (Obs.Registry.collect t.registry)
   in
   t.last_health <- report.Obs.Health.level;
-  ( wire_health_level report.Obs.Health.level,
-    List.map
-      (fun (f : Obs.Health.firing) ->
-        { Wire.rule_name = f.rule_name;
-          observed = f.value;
-          firing_level = wire_health_level f.level;
-          rule_help = f.help
-        })
-      report.Obs.Health.firing )
+  ( Metrics.wire_health_level report.Obs.Health.level,
+    List.map Metrics.wire_firing report.Obs.Health.firing )
 
 let trace_store t = t.trace_store
-
-let wire_trace_entry (e : Obs.Trace_store.entry) =
-  { Wire.node = e.node;
-    entry_trace_id = e.trace_id;
-    entry_name = e.name;
-    started_at = e.started_at;
-    entry_total_us = e.total_us;
-    entry_spans = Metrics.wire_spans e.spans
-  }
 
 (* The cluster-wide trace view: this coordinator's entries merged with
    every shard's recent entries, newest first — one trace id read here
    shows the coordinator lane plus a lane per contacted shard. *)
 let recent_traces t n =
-  let own = List.map wire_trace_entry (Obs.Trace_store.recent t.trace_store n) in
+  let own = List.map Metrics.wire_trace_entry (Obs.Trace_store.recent t.trace_store n) in
   let remote =
     List.concat_map
       (fun slot ->

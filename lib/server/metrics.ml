@@ -148,6 +148,27 @@ let wire_span (s : Trace.span) =
 
 let wire_spans spans = List.map wire_span spans
 
+let wire_trace_entry (e : Trace_store.entry) =
+  { Wire.node = e.node;
+    entry_trace_id = e.trace_id;
+    entry_name = e.name;
+    started_at = e.started_at;
+    entry_total_us = e.total_us;
+    entry_spans = wire_spans e.spans
+  }
+
+let wire_health_level = function
+  | Health.Ok -> Wire.Health_ok
+  | Health.Degraded -> Wire.Health_degraded
+  | Health.Critical -> Wire.Health_critical
+
+let wire_firing (f : Health.firing) =
+  { Wire.rule_name = f.rule_name;
+    observed = f.value;
+    firing_level = wire_health_level f.level;
+    rule_help = f.help
+  }
+
 let slowest t n =
   List.map
     (fun (e : Slow_log.entry) ->

@@ -80,6 +80,13 @@ val observe_trace :
 val wire_spans : Expirel_obs.Trace.span list -> Wire.span list
 (** Trace spans as wire values (ids, parents and labels included). *)
 
+val wire_trace_entry : Expirel_obs.Trace_store.entry -> Wire.trace_entry
+(** A stored trace as the wire's TRACE entry. *)
+
+val wire_health_level : Expirel_obs.Health.level -> Wire.health_level
+val wire_firing : Expirel_obs.Health.firing -> Wire.health_firing
+(** A firing health rule as the wire's HEALTH entry. *)
+
 val slowest : t -> int -> Wire.slow_query list
 (** The [n] slowest recorded statements, slowest first, as wire
     values. *)

@@ -617,20 +617,6 @@ let handle_unsubscribe t conn name =
         conn.owned_subs <- List.filter (fun n -> n <> name) conn.owned_subs;
         Wire.Ok_msg (Printf.sprintf "unsubscribed %s" name))
 
-let wire_health_level = function
-  | Obs.Health.Ok -> Wire.Health_ok
-  | Obs.Health.Degraded -> Wire.Health_degraded
-  | Obs.Health.Critical -> Wire.Health_critical
-
-let wire_trace_entry (e : Obs.Trace_store.entry) =
-  { Wire.node = e.node;
-    entry_trace_id = e.trace_id;
-    entry_name = e.name;
-    started_at = e.started_at;
-    entry_total_us = e.total_us;
-    entry_spans = Metrics.wire_spans e.spans
-  }
-
 (* Rules read the same collection the Prometheus page renders, so the
    evaluation runs as a reader for the same reason METRICS does: polled
    gauges walk live table/view state. *)
@@ -640,16 +626,8 @@ let handle_health t =
       let report = Obs.Health.evaluate t.config.health_rules collected in
       t.last_health <- report.Obs.Health.level;
       Wire.Health_reply
-        { level = wire_health_level report.Obs.Health.level;
-          firing =
-            List.map
-              (fun (f : Obs.Health.firing) ->
-                { Wire.rule_name = f.rule_name;
-                  observed = f.value;
-                  firing_level = wire_health_level f.level;
-                  rule_help = f.help
-                })
-              report.Obs.Health.firing
+        { level = Metrics.wire_health_level report.Obs.Health.level;
+          firing = List.map Metrics.wire_firing report.Obs.Health.firing
         })
 
 (* ---------- shard mode (coordinator-facing RPCs) ---------- *)
@@ -812,6 +790,9 @@ let refuse_on_replica t k =
       }
   else k ()
 
+(* The batch is validated whole before any row is written, so a row
+   the table refuses (a wrong arity) answers an error and ingests
+   nothing. *)
 let handle_ingest_rows t ~table ~ingest =
   refuse_on_replica t @@ fun () ->
   with_lock t ~write:true (fun () ->
@@ -822,30 +803,31 @@ let handle_ingest_rows t ~table ~ingest =
           { code = Wire.Exec_error; message = "unknown table " ^ table }
       | Some _ ->
         let now = Database.now db in
-        let inserted = ref 0 in
-        let dropped = ref 0 in
-        List.iter
-          (fun (values, texp) ->
-            (* A row already expired at this clock stays dead: moving
-               a tuple between shards must not resurrect it. *)
-            if Time.(texp > now) then begin
-              (match t.store with
-               | Some store ->
-                 Durable.insert store table (Tuple.of_list values) ~texp
-               | None ->
-                 Database.insert db table (Tuple.of_list values) ~texp);
-              incr inserted
-            end
-            else incr dropped)
-          ingest;
-        let message =
-          Printf.sprintf "ingested %d row(s) into %s%s" !inserted table
-            (if !dropped > 0 then
-               Printf.sprintf " (%d already expired)" !dropped
-             else "")
+        (* A row already expired at this clock stays dead: moving a
+           tuple between shards must not resurrect it. *)
+        let records =
+          List.filter_map
+            (fun (values, texp) ->
+              if Time.(texp > now) then
+                Some (Wal.Insert { table; tuple = Tuple.of_list values; texp })
+              else None)
+            ingest
         in
-        Wire.Shard_reply
-          { partition = partition_summary t; body = Wire.Body_ack message })
+        (match List.iter (Database.validate db) records with
+         | exception Invalid_argument message ->
+           Wire.Err { code = Wire.Exec_error; message }
+         | () ->
+           List.iter (Interp.write t.interp) records;
+           let dropped = List.length ingest - List.length records in
+           let message =
+             Printf.sprintf "ingested %d row(s) into %s%s"
+               (List.length records) table
+               (if dropped > 0 then
+                  Printf.sprintf " (%d already expired)" dropped
+                else "")
+           in
+           Wire.Shard_reply
+             { partition = partition_summary t; body = Wire.Body_ack message }))
 
 let handle_purge_moved t table =
   refuse_on_replica t @@ fun () ->
@@ -870,11 +852,7 @@ let handle_purge_moved t table =
               (Database.snapshot db table) []
           in
           List.iter
-            (fun tuple ->
-              ignore
-                (match t.store with
-                 | Some store -> Durable.delete store table tuple
-                 | None -> Database.delete db table tuple))
+            (fun tuple -> Interp.write t.interp (Wal.Delete { table; tuple }))
             doomed;
           Wire.Shard_reply
             { partition = partition_summary t;
@@ -898,7 +876,7 @@ let handle_request t conn = function
     Wire.Slow_queries_reply (Metrics.slowest t.metrics (max 0 n))
   | Wire.Trace_recent n ->
     Wire.Traces_reply
-      (List.map wire_trace_entry (Obs.Trace_store.recent t.trace_store (max 0 n)))
+      (List.map Metrics.wire_trace_entry (Obs.Trace_store.recent t.trace_store (max 0 n)))
   | Wire.Health -> handle_health t
   | Wire.Horizon table ->
     (* Like METRICS: the forecast walks live table and watch state, so

@@ -95,7 +95,6 @@ let create ?policy ?store () =
   }
 
 let database t = t.db
-let store t = t.store
 
 type outcome =
   | Msg of string
@@ -305,8 +304,24 @@ let plan_standing t q =
 let view_name_taken t name =
   Hashtbl.mem t.views name || Hashtbl.mem t.maintained_views name
 
-let each_maintained t f =
-  Hashtbl.iter (fun _ mv -> mv.maintained <- f mv.maintained) t.maintained_views
+(* The one write path: SQL INSERT, DELETE, CREATE and DROP TABLE, every
+   clock move, a replica's shipped records, a shard's rebalance rows and
+   a coordinator's gathered rows all change the data here. *)
+let write t record =
+  (match t.store with
+   | Some s -> Durable.write s record
+   | None ->
+     Database.validate t.db record;
+     Database.apply t.db record);
+  let feed =
+    match record with
+    | Wal.Insert { table; tuple; texp } ->
+      fun m -> Maintained.insert m ~relation:table tuple ~texp
+    | Wal.Delete { table; tuple } -> fun m -> Maintained.delete m ~relation:table tuple
+    | Wal.Advance target -> fun m -> Maintained.advance m ~to_:target
+    | Wal.Create_table _ | Wal.Drop_table _ -> Fun.id
+  in
+  Hashtbl.iter (fun _ mv -> mv.maintained <- feed mv.maintained) t.maintained_views
 
 (* The constraints in name order, each with its name. *)
 let sorted_constraints t =
@@ -327,10 +342,9 @@ let readers t table =
    Advance.  The standing queries go first, while everything live in the
    interval is still stored — each constraint collects its transitions
    into violation and each watch delivers its events, one walk from the
-   clock apiece (the [deliver] span).  Then the clock moves once,
-   write-ahead logged, expiring rows and maintaining views (the
-   [storage] span).  Returns the transitions in time order, ties in
-   constraint name order. *)
+   clock apiece (the [deliver] span).  Then the clock moves once, as an
+   [Advance] written through {!write} (the [storage] span).  Returns the
+   transitions in time order, ties in constraint name order. *)
 let move_clock ?trace t target =
   if Time.is_infinite target then invalid_arg "ADVANCE: infinite time"
   else if Time.(target < Database.now t.db) then
@@ -350,10 +364,7 @@ let move_clock ?trace t target =
         Subscription.deliver_until t.watches target;
         found)
   in
-  Trace.span trace "storage" (fun () ->
-      Option.iter (fun s -> Durable.log_record s (Wal.Advance target)) t.store;
-      Database.advance_to t.db target;
-      each_maintained t (fun m -> Maintained.advance m ~to_:target));
+  Trace.span trace "storage" (fun () -> write t (Wal.Advance target));
   List.stable_sort (fun (_, a, _) (_, b, _) -> Time.compare a b) transitions
 
 let advance_clock ?trace t target =
@@ -428,11 +439,7 @@ let horizon ?table t =
 
 let exec_statement ?trace ?text t = function
   | Ast.Create_table (name, columns) ->
-    (match t.store with
-     | Some s -> Durable.create_table s ~name ~columns
-     | None ->
-       let (_ : Table.t) = Database.create_table t.db ~name ~columns in
-       ());
+    write t (Wal.Create_table { name; columns });
     Msg (Printf.sprintf "table %s created" name)
   | Ast.Drop_table name ->
     (* A standing query reruns its plan at clock moves: dropping a table
@@ -444,13 +451,8 @@ let exec_statement ?trace ?text t = function
        failwith
          (Printf.sprintf "table %s is read by %s" name
             (String.concat ", " names)));
-    let dropped =
-      match t.store with
-      | Some s -> Durable.drop_table s name
-      | None -> Database.drop_table t.db name
-    in
-    if dropped then Msg (Printf.sprintf "table %s dropped" name)
-    else raise (Errors.Unknown_relation name)
+    write t (Wal.Drop_table name);
+    Msg (Printf.sprintf "table %s dropped" name)
   | Ast.Create_index { table; column } ->
     (* Indexes are session-local physical state — they change access
        paths, never results — so they are not write-ahead logged; a
@@ -475,11 +477,7 @@ let exec_statement ?trace ?text t = function
   | Ast.Insert { table; values; expires } ->
     let texp = time_of_expires t expires in
     Trace.span trace "storage" (fun () ->
-        (match t.store with
-         | Some s -> Durable.insert s table (Tuple.of_list values) ~texp
-         | None -> Database.insert_values t.db table values ~texp);
-        each_maintained t (fun m ->
-            Maintained.insert m ~relation:table (Tuple.of_list values) ~texp));
+        write t (Wal.Insert { table; tuple = Tuple.of_list values; texp }));
     Msg "1 tuple inserted"
   | Ast.Delete (table, where) ->
     let tbl = Database.table_exn t.db table in
@@ -502,14 +500,7 @@ let exec_statement ?trace ?text t = function
               .Eval.relation)
     in
     Trace.span trace "storage" (fun () ->
-        List.iter
-          (fun tuple ->
-            (match t.store with
-             | Some s -> ignore (Durable.delete s table tuple)
-             | None -> ignore (Table.delete tbl tuple));
-            each_maintained t (fun m ->
-                Maintained.delete m ~relation:table tuple))
-          victims);
+        List.iter (fun tuple -> write t (Wal.Delete { table; tuple })) victims);
     Msg (Printf.sprintf "%d tuple(s) deleted" (List.length victims))
   | Ast.Advance_to n -> advance_clock ?trace t (Time.of_int n)
   | Ast.Tick n ->
@@ -738,21 +729,27 @@ let end_readers t table =
     (fun _ c -> if reads table c then None else Some c)
     t.constraints
 
-(* Each record is logged once, so the replica's log positions stay the
-   primary's; an Advance goes through the one clock move, so a replica's
-   watches deliver like the primary's. *)
+(* Each record is written once, so the replica's log positions stay the
+   primary's — one the replica refuses (its clock overtook the record,
+   after a snapshot from the past) as the no-op [Advance now].  An
+   Advance goes through the one clock move, so a replica's watches
+   deliver like the primary's. *)
 let apply_records t records =
   match t.store with
   | None -> Error "no durable store to apply records to"
-  | Some s ->
+  | Some _ ->
     List.iter
-      (function
-        | Wal.Advance target when Time.(target > Database.now t.db) ->
+      (fun record ->
+        let now = Database.now t.db in
+        match
+          if Database.applies t.db record then record else Wal.Advance now
+        with
+        | Wal.Advance target when Time.(target > now) ->
           ignore (move_clock t target)
         | Wal.Drop_table table as record ->
           end_readers t table;
-          Durable.apply_record s record
-        | record -> Durable.apply_record s record)
+          write t record
+        | record -> write t record)
       records;
     Ok ()
 

@@ -8,14 +8,17 @@
     in the outcome).  Monotonic views therefore never recompute
     (Theorem 1).
 
-    Constraints ([CREATE CONSTRAINT]) and watches ({!subscribe}) live
-    here too, and every clock move — [ADVANCE], [TICK], and a replica's
-    shipped [Advance] ({!apply_records}) — goes through one function:
-    it walks each standing query from the clock to the target (watch
-    events fire, constraint transitions are collected, under a [deliver]
-    trace span), then moves the clock once (under [storage]).  [DROP
-    TABLE] is refused while any constraint or watch reads the table, and
-    the refusal names them all. *)
+    Every change to the session's data is one {!Expirel_storage.Wal.record}
+    written through {!write}: SQL mutations, clock moves, a replica's
+    shipped records, a shard's rebalance rows.  Constraints ([CREATE
+    CONSTRAINT]) and watches ({!subscribe}) live here too, and every
+    clock move — [ADVANCE], [TICK], and a replica's shipped [Advance]
+    ({!apply_records}) — goes through one function: it walks each
+    standing query from the clock to the target (watch events fire,
+    constraint transitions are collected, under a [deliver] trace span),
+    then writes the [Advance] (under [storage]).  [DROP TABLE] is
+    refused while any constraint or watch reads the table, and the
+    refusal names them all. *)
 
 open Expirel_core
 open Expirel_storage
@@ -25,13 +28,11 @@ type t
 val create :
   ?policy:Database.policy -> ?store:Durable.t -> unit -> t
 (** With [?store], the session runs over the store's database and every
-    mutating statement is written ahead to its log ([policy] is then
-    ignored — the store fixed it when the directory was opened).  [CHECKPOINT] only works on such sessions. *)
+    {!write} is written ahead to its log ([policy] is then ignored — the
+    store fixed it when the directory was opened).  [CHECKPOINT] only
+    works on such sessions. *)
 
 val database : t -> Database.t
-
-val store : t -> Durable.t option
-(** The durable store the session writes through, when there is one. *)
 
 type outcome =
   | Msg of string
@@ -126,12 +127,20 @@ val subscribe :
 val unsubscribe : t -> string -> bool
 (** Ends a watch; [false] when no watch has that name. *)
 
+val write : t -> Expirel_storage.Wal.record -> unit
+(** The one function that changes the session's data: validates the
+    record, writes it ahead when there is a store, applies it, and feeds
+    it to every maintained view.  An [Advance] written here walks no
+    watch or constraint; SQL [ADVANCE] and {!apply_records} walk them
+    first.  Raises what {!Database.validate} raises, changing nothing. *)
+
 val apply_records : t -> Expirel_storage.Wal.record list -> (unit, string) result
-(** Applies a replica's shipped records, each logged once and applied
-    with replay semantics.  A shipped [Advance] goes through the one
-    clock move, so the replica's watches see their events; a shipped
-    [Drop_table] ends every watch and constraint reading the table
-    (no event marks the end).  [Error] without a durable store. *)
+(** Applies a replica's shipped records, each written once through
+    {!write} (one the replica refuses, as the no-op [Advance now]), so
+    log positions stay the primary's.  A shipped [Advance] goes through
+    the one clock move, so the replica's watches see their events; a
+    shipped [Drop_table] ends every watch and constraint reading the
+    table (no event marks the end).  [Error] without a durable store. *)
 
 val install_snapshot :
   t -> position:int -> Expirel_storage.Wal.record list -> (unit, string) result

@@ -33,15 +33,29 @@ let triggers db = db.trigger_registry
 let generation db = db.generation
 let bump_generation db = db.generation <- db.generation + 1
 
-let create_table db ~name ~columns =
+(* The guards the typed mutators and {!validate} share, so a record is
+   refused with exactly the typed mutator's message. *)
+let check_new_table db name =
   if Hashtbl.mem db.tables name then
     invalid_arg (Printf.sprintf "Database.create_table: %s exists" name)
-  else begin
-    let table = Table.create ~name ~columns () in
-    Hashtbl.replace db.tables name table;
-    bump_generation db;
-    table
-  end
+
+let check_texp db texp =
+  if Time.(texp <= db.clock) then
+    invalid_arg
+      (Printf.sprintf "Database.insert: texp %s <= now %s" (Time.to_string texp)
+         (Time.to_string db.clock))
+
+let check_move db tau =
+  if Time.is_infinite tau then invalid_arg "Database.advance_to: infinite time"
+  else if Time.(tau < db.clock) then
+    invalid_arg "Database.advance_to: moving backwards"
+
+let create_table db ~name ~columns =
+  check_new_table db name;
+  let table = Table.create ~name ~columns () in
+  Hashtbl.replace db.tables name table;
+  bump_generation db;
+  table
 
 let drop_table db name =
   if Hashtbl.mem db.tables name then begin
@@ -80,14 +94,9 @@ let inserted_total db = db.inserted_total
 let expired_total db = db.expired_total
 
 let insert db name tuple ~texp =
-  if Time.(texp <= db.clock) then
-    invalid_arg
-      (Printf.sprintf "Database.insert: texp %s <= now %s" (Time.to_string texp)
-         (Time.to_string db.clock))
-  else begin
-    Table.insert (table_exn db name) tuple ~texp;
-    db.inserted_total <- db.inserted_total + 1
-  end
+  check_texp db texp;
+  Table.insert (table_exn db name) tuple ~texp;
+  db.inserted_total <- db.inserted_total + 1
 
 let insert_ttl db name tuple ~ttl =
   if ttl <= 0 then invalid_arg "Database.insert_ttl: ttl <= 0"
@@ -125,20 +134,16 @@ let collect_expired db tau =
     db.tables []
 
 let advance_to db tau =
-  if Time.is_infinite tau then invalid_arg "Database.advance_to: infinite time"
-  else if Time.(tau < db.clock) then
-    invalid_arg "Database.advance_to: moving backwards"
-  else begin
-    (match db.policy with
-     | Eager ->
-       (* A tuple with texp = e is last visible at e - 1, so everything
-          with texp <= tau is due. *)
-       let expired = collect_expired db tau in
-       db.expired_total <- db.expired_total + List.length expired;
-       fire_expirations db ~fired_at_of:(fun texp -> texp) expired
-     | Lazy -> ());
-    db.clock <- tau
-  end
+  check_move db tau;
+  (match db.policy with
+   | Eager ->
+     (* A tuple with texp = e is last visible at e - 1, so everything
+        with texp <= tau is due. *)
+     let expired = collect_expired db tau in
+     db.expired_total <- db.expired_total + List.length expired;
+     fire_expirations db ~fired_at_of:(fun texp -> texp) expired
+   | Lazy -> ());
+  db.clock <- tau
 
 let tick db = advance_to db (Time.succ db.clock)
 
@@ -150,6 +155,35 @@ let vacuum db =
     db.expired_total <- db.expired_total + List.length expired;
     fire_expirations db ~fired_at_of:(fun _ -> db.clock) expired;
     List.length expired
+
+let validate db = function
+  | Wal.Create_table { name; columns } ->
+    check_new_table db name;
+    if columns = [] then invalid_arg "Table.create: no columns"
+  | Wal.Drop_table name -> ignore (table_exn db name)
+  | Wal.Insert { table; tuple; texp } ->
+    Table.check_arity (table_exn db table) tuple;
+    check_texp db texp
+  | Wal.Delete { table; tuple } ->
+    if Table.texp_of (table_exn db table) tuple = None then
+      invalid_arg
+        (Printf.sprintf "Database.delete: %s holds no %s" table
+           (Tuple.to_string tuple))
+  | Wal.Advance tau -> check_move db tau
+
+let applies db record =
+  match validate db record with
+  | () -> true
+  | exception (Invalid_argument _ | Errors.Unknown_relation _) -> false
+
+let apply db = function
+  | Wal.Create_table { name; columns } ->
+    let (_ : Table.t) = create_table db ~name ~columns in
+    ()
+  | Wal.Drop_table name -> ignore (drop_table db name)
+  | Wal.Insert { table; tuple; texp } -> insert db table tuple ~texp
+  | Wal.Delete { table; tuple } -> ignore (delete db table tuple)
+  | Wal.Advance tau -> advance_to db tau
 
 let snapshot db name = Table.snapshot (table_exn db name) ~tau:db.clock
 

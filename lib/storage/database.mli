@@ -94,11 +94,32 @@ val vacuum : t -> int
     delayed removal), firing their triggers with [fired_at = now].
     Returns the number reclaimed.  A no-op under [Eager]. *)
 
+(** {1 Records: the unit of state change} *)
+
+val validate : t -> Wal.record -> unit
+(** Refuses, changing nothing, a record that does not apply to the
+    current state as written: an existing table, an unknown table, an
+    arity mismatch, [texp <= now], a [Delete] of a tuple the table does
+    not hold, a backwards or infinite [Advance].
+    @raise Errors.Unknown_relation / [Invalid_argument], with the typed
+    mutator's message *)
+
+val applies : t -> Wal.record -> bool
+(** [true] when {!validate} accepts the record. *)
+
+val apply : t -> Wal.record -> unit
+(** How a record changes a database, through the typed mutators above.
+    Apply only a record {!validate} accepts: any other gets the typed
+    mutator's answer (its exception, or nothing for a drop or delete of
+    what is absent). *)
+
 val snapshot : t -> string -> Relation.t
 (** Logical state of a table at the current clock. *)
 
 val env : t -> Eval.env
-(** Evaluation environment over the current logical states. *)
+(** Evaluation environment over the current logical states: what the
+    naive [Eval] oracle reads, and what a maintained view materialises
+    from. *)
 
 val query :
   ?strategy:Aggregate.strategy ->

@@ -44,33 +44,22 @@ let write_meta dir base =
   close_out oc;
   Sys.rename tmp (meta_path dir)
 
-let apply db = function
-  | Wal.Create_table { name; columns } ->
-    (* Tolerate re-creation so a torn checkpoint (snapshot renamed, log
-       not yet truncated) replays cleanly. *)
-    if Database.table db name = None then begin
-      let (_ : Table.t) = Database.create_table db ~name ~columns in
-      ()
-    end
-  | Wal.Drop_table name -> ignore (Database.drop_table db name)
-  | Wal.Insert { table; tuple; texp } ->
-    (* Records written in the past may already have expired relative to
-       the replayed clock; skip them rather than fail. *)
-    if Time.(texp > Database.now db) then Database.insert db table tuple ~texp
-  | Wal.Delete { table; tuple } -> ignore (Database.delete db table tuple)
-  | Wal.Advance t ->
-    if Time.(t > Database.now db) then Database.advance_to db t
+(* Replay semantics: a record the state refuses is skipped.  Records
+   replayed after a torn checkpoint (snapshot renamed, log not yet
+   truncated) repeat ones the snapshot holds, and a snapshot from the
+   past carries rows and clock moves the clock has overtaken. *)
+let replay db record = if Database.applies db record then Database.apply db record
 
 let open_dir ?policy ?(retention = 4096) dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": not a directory"));
   let db = Database.create ?policy () in
   let base = read_meta dir in
-  let (_ : int) = Wal.replay (snapshot_path dir) ~f:(apply db) in
+  let (_ : int) = Wal.replay (snapshot_path dir) ~f:(replay db) in
   let tail = Queue.create () in
   let pending =
     Wal.replay (wal_path dir) ~f:(fun record ->
-        apply db record;
+        replay db record;
         Queue.add record tail;
         if Queue.length tail > retention then ignore (Queue.pop tail))
   in
@@ -99,47 +88,10 @@ let log t record =
     t.tail_base <- t.tail_base + 1
   end
 
-let create_table t ~name ~columns =
-  (* Validate before logging so a rejected operation leaves no record. *)
-  if Database.table t.db name <> None then
-    invalid_arg (Printf.sprintf "Durable.create_table: %s exists" name)
-  else begin
-    log t (Wal.Create_table { name; columns });
-    let (_ : Table.t) = Database.create_table t.db ~name ~columns in
-    ()
-  end
-
-let drop_table t name =
-  if Database.table t.db name = None then false
-  else begin
-    log t (Wal.Drop_table name);
-    Database.drop_table t.db name
-  end
-
-let insert t table tuple ~texp =
-  let tbl = Database.table_exn t.db table in
-  if Tuple.arity tuple <> Table.arity tbl then
-    invalid_arg "Durable.insert: arity mismatch";
-  if Time.(texp <= Database.now t.db) then
-    invalid_arg "Durable.insert: texp <= now";
-  log t (Wal.Insert { table; tuple; texp });
-  Database.insert t.db table tuple ~texp
-
-let delete t table tuple =
-  let tbl = Database.table_exn t.db table in
-  if Table.texp_of tbl tuple = None then false
-  else begin
-    log t (Wal.Delete { table; tuple });
-    Database.delete t.db table tuple
-  end
-
-let advance_to t time =
-  if Time.(time < Database.now t.db) then
-    invalid_arg "Durable.advance_to: moving backwards"
-  else begin
-    log t (Wal.Advance time);
-    Database.advance_to t.db time
-  end
+let write t record =
+  Database.validate t.db record;
+  log t record;
+  Database.apply t.db record
 
 let state_records t =
   let records = ref [] in
@@ -217,11 +169,6 @@ let ship_from t pos =
   end
   else Ok (Snapshot { position = t.position; records = state_records t })
 
-let log_record = log
-let apply_record t record =
-  log t record;
-  apply t.db record
-
 let reset_to t ~position records =
   if position < 0 then invalid_arg "Durable.reset_to: negative position";
   install_snapshot t records ~base:position;
@@ -232,4 +179,4 @@ let reset_to t ~position records =
      with servers and subscriptions, so never swap it out). *)
   List.iter (fun name -> ignore (Database.drop_table t.db name))
     (Database.table_names t.db);
-  List.iter (apply t.db) records
+  List.iter (replay t.db) records

@@ -2,18 +2,25 @@
     and snapshot checkpoints in a directory — and the shipping source
     for replication.
 
-    Layout: [dir/snapshot.log] (the state as of the last checkpoint, in
-    WAL record format), [dir/wal.log] (records since) and [dir/meta]
-    (the log position the snapshot corresponds to).  {!open_dir} replays
-    snapshot then log; {!checkpoint} rewrites the snapshot from the
-    {e live} state — expired tuples are never written, so checkpointing
-    doubles as compaction (the paper's "smaller databases" benefit falls
-    out of expiration).
+    {2 One write}
 
-    All mutating operations write ahead: the record reaches the log
-    (flushed) before the in-memory state changes, so a crash at any
-    point loses at most the operation in flight; {!Wal.replay}'s
-    torn-tail tolerance makes the directory reopenable regardless.
+    Every change to the data is one {!Wal.record} passed to {!write},
+    which validates it ({!Database.validate}), appends it to the log
+    (flushed), then applies it ({!Database.apply}), in that order.  A
+    refused record raises before anything is logged; a logged one
+    reaches the log before the state changes, so a crash loses at most
+    the write in flight ({!Wal.replay} tolerates the torn tail).  Only
+    {!checkpoint} and {!reset_to} change anything else.
+
+    {2 Files}
+
+    [dir/snapshot.log] holds the state as of the last checkpoint, in
+    WAL record format; [dir/wal.log] the records since; [dir/meta] the
+    log position the snapshot corresponds to.  {!open_dir} replays
+    snapshot then log, skipping records the state refuses (a torn
+    checkpoint repeats ones the snapshot holds).  {!checkpoint} writes
+    only the {e live} state, so it doubles as compaction (the paper's
+    "smaller databases" benefit falls out of expiration).
 
     {2 Log positions and shipping}
 
@@ -44,16 +51,16 @@ val open_dir :
     @raise Sys_error when the directory does not exist *)
 
 val database : t -> Database.t
-(** The live in-memory database.  Mutate it only through this module, or
+(** The live in-memory database.  Change it only through {!write}, or
     durability is lost. *)
 
 val now : t -> Time.t
 
-val create_table : t -> name:string -> columns:string list -> unit
-val drop_table : t -> string -> bool
-val insert : t -> string -> Tuple.t -> texp:Time.t -> unit
-val delete : t -> string -> Tuple.t -> bool
-val advance_to : t -> Time.t -> unit
+val write : t -> Wal.record -> unit
+(** Validates, logs (flushed), then applies one record.
+    @raise Errors.Unknown_relation / [Invalid_argument] when
+    {!Database.validate} refuses it; log and state are then
+    untouched. *)
 
 val checkpoint : t -> int
 (** Rewrites the snapshot from the live (unexpired) state and truncates
@@ -103,19 +110,6 @@ val ship_from : t -> int -> (shipment, string) result
 (** [ship_from t p] is what a follower holding position [p] needs next.
     [Error] when [p] is negative or beyond {!position} (such a follower
     is ahead of this log — it followed a different history). *)
-
-val log_record : t -> Wal.record -> unit
-(** Appends (and flushes) a record without touching the database — for
-    callers that apply the equivalent mutation themselves (the
-    interpreter advances the clock through its constraint manager).
-    Using it without applying the mutation desynchronises log and
-    state. *)
-
-val apply_record : t -> Wal.record -> unit
-(** Appends the record, then applies it to the database with replay
-    semantics (expired inserts and backwards advances are skipped, a
-    [Create_table] of an existing table is ignored) — the follower side
-    of shipping. *)
 
 val reset_to : t -> position:int -> Wal.record list -> unit
 (** Replaces directory and database state wholesale with the given

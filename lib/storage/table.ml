@@ -57,11 +57,14 @@ let secondary_insert t tuple =
 let secondary_remove t tuple =
   Hashtbl.iter (fun _ idx -> Ordered_index.remove idx tuple) t.secondary
 
-let insert t tuple ~texp =
+let check_arity t tuple =
   if Tuple.arity tuple <> arity t then
     invalid_arg
       (Printf.sprintf "Table.insert(%s): tuple arity %d, table arity %d" t.name
-         (Tuple.arity tuple) (arity t));
+         (Tuple.arity tuple) (arity t))
+
+let insert t tuple ~texp =
+  check_arity t tuple;
   match Tuple_tbl.find_opt t.rows tuple with
   | Some old when Time.equal old texp -> ()
   | found ->

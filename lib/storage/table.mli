@@ -28,6 +28,9 @@ val arity : t -> int
 val column_position : t -> string -> int option
 (** 1-based position of a column name. *)
 
+val check_arity : t -> Tuple.t -> unit
+(** @raise Invalid_argument when the tuple's arity is not the table's *)
+
 val insert : t -> Tuple.t -> texp:Time.t -> unit
 (** Set semantics: inserting an existing tuple overwrites its expiration
     time (the paper's update — "an expiration time may be assigned to a

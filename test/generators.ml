@@ -198,6 +198,16 @@ let expr_and_env_or_nested_difference () :
 let partition ~arity : (Tuple.t * Time.t) list Gen.t =
   Gen.list_size (Gen.int_range 1 8) (Gen.pair (tuple ~arity) texp)
 
+(* Write histories are generated as WAL records whose times count from
+   the clock they are written at: [at_clock now] makes an [Insert]'s
+   texp (its TTL) and an [Advance]'s target (its step) absolute. *)
+let at_clock now = function
+  | Expirel_storage.Wal.Insert r ->
+    Expirel_storage.Wal.Insert { r with texp = Time.add now r.texp }
+  | Expirel_storage.Wal.Advance step ->
+    Expirel_storage.Wal.Advance (Time.add now step)
+  | record -> record
+
 let interval : Interval.t Gen.t =
   let open Gen in
   let* lo = int_range 0 20 in

@@ -5,6 +5,15 @@
 # server smoke/concurrency tests.
 set -eux
 cd "$(dirname "$0")/../.."
+# One write path: every change to a node's data is a Wal.record written
+# through Interp.write.  No lib/ or bin/ code outside lib/storage/ and
+# the interpreter may call a Database, Table or Durable mutator.
+if grep -rnE '\b(Database\.(insert|insert_values|insert_ttl|delete|advance_to|tick|create_table|drop_table)|Table\.(insert|delete)|Durable\.(write|reset_to))\b' \
+    lib bin --include='*.ml' |
+  grep -v -e '^lib/storage/' -e '^lib/sqlx/interp\.ml:'; then
+  echo "ci: the calls above change state outside Interp.write" >&2
+  exit 1
+fi
 # lib/obs, lib/exec and lib/sketch compile with -warn-error +a (their
 # dunes say so); build them alone first so a warning fails fast with a
 # small log.

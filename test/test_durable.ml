@@ -29,14 +29,18 @@ let check_same_state msg a b =
         (Relation.equal ra rb))
     (db_state a) (db_state b)
 
+let insert table row texp =
+  Wal.Insert { table; tuple = Tuple.ints row; texp = fin texp }
+
 let populate t =
-  Durable.create_table t ~name:"pol" ~columns:[ "uid"; "deg" ];
-  Durable.insert t "pol" (Tuple.ints [ 1; 25 ]) ~texp:(fin 10);
-  Durable.insert t "pol" (Tuple.ints [ 2; 25 ]) ~texp:(fin 15);
-  Durable.advance_to t (fin 4);
-  Durable.create_table t ~name:"el" ~columns:[ "uid"; "deg" ];
-  Durable.insert t "el" (Tuple.ints [ 1; 75 ]) ~texp:(fin 9);
-  ignore (Durable.delete t "pol" (Tuple.ints [ 1; 25 ]))
+  List.iter (Durable.write t)
+    [ Wal.Create_table { name = "pol"; columns = [ "uid"; "deg" ] };
+      insert "pol" [ 1; 25 ] 10;
+      insert "pol" [ 2; 25 ] 15;
+      Wal.Advance (fin 4);
+      Wal.Create_table { name = "el"; columns = [ "uid"; "deg" ] };
+      insert "el" [ 1; 75 ] 9;
+      Wal.Delete { table = "pol"; tuple = Tuple.ints [ 1; 25 ] } ]
 
 let test_reopen () =
   with_temp_dir (fun dir ->
@@ -51,7 +55,7 @@ let test_checkpoint_compacts () =
   with_temp_dir (fun dir ->
       let t = Durable.open_dir dir in
       populate t;
-      Durable.advance_to t (fin 12);
+      Durable.write t (Wal.Advance (fin 12));
       (* pol<2,25>@15 and nothing else is live ("el" expired at 9). *)
       Alcotest.(check bool) "log non-empty before" true (Durable.wal_records t > 0);
       let written = Durable.checkpoint t in
@@ -59,7 +63,7 @@ let test_checkpoint_compacts () =
       Alcotest.(check int) "snapshot is compact" 4 written;
       Alcotest.(check int) "log truncated" 0 (Durable.wal_records t);
       (* Post-checkpoint operations land in the fresh log. *)
-      Durable.insert t "el" (Tuple.ints [ 9; 9 ]) ~texp:(fin 30);
+      Durable.write t (insert "el" [ 9; 9 ] 30);
       Durable.close t;
       let reopened = Durable.open_dir dir in
       check_same_state "checkpoint+log" (Durable.database t)
@@ -82,60 +86,78 @@ let test_crash_torn_write () =
         (Durable.database reopened);
       Durable.close reopened)
 
+(* Whether the store refuses a record (and so must not log it). *)
+let refused t record =
+  match Durable.write t record with
+  | () -> false
+  | exception (Invalid_argument _ | Errors.Unknown_relation _) -> true
+
 let test_validation_logs_nothing () =
   with_temp_dir (fun dir ->
       let t = Durable.open_dir dir in
-      Durable.create_table t ~name:"pol" ~columns:[ "uid"; "deg" ];
+      Durable.write t (Wal.Create_table { name = "pol"; columns = [ "uid"; "deg" ] });
+      Durable.write t (Wal.Advance (fin 3));
       let before = Durable.wal_records t in
       (* Rejected operations must not leave records behind. *)
-      (try Durable.insert t "pol" (Tuple.ints [ 1 ]) ~texp:(fin 5) with
-       | Invalid_argument _ -> ());
-      (try Durable.create_table t ~name:"pol" ~columns:[ "x" ] with
-       | Invalid_argument _ -> ());
-      Alcotest.(check bool) "delete of absent is a no-op" false
-        (Durable.delete t "pol" (Tuple.ints [ 9; 9 ]));
+      List.iter
+        (fun (what, record) ->
+          Alcotest.(check bool) (what ^ " is refused") true (refused t record))
+        [ ("an arity mismatch", insert "pol" [ 1 ] 5);
+          ("a texp at or before now", insert "pol" [ 1; 2 ] 3);
+          ("an insert into an unknown table", insert "nope" [ 1; 2 ] 5);
+          ("an existing table", Wal.Create_table { name = "pol"; columns = [ "x" ] });
+          ("a table without columns", Wal.Create_table { name = "z"; columns = [] });
+          ("a drop of an unknown table", Wal.Drop_table "nope");
+          ("a delete of an absent row",
+           Wal.Delete { table = "pol"; tuple = Tuple.ints [ 9; 9 ] });
+          ("a backwards clock move", Wal.Advance (fin 2)) ];
       Alcotest.(check int) "no stray records" before (Durable.wal_records t);
+      Alcotest.(check (list string)) "no stray tables" [ "pol" ]
+        (Database.table_names (Durable.database t));
+      Alcotest.(check int) "no stray rows" 0
+        (Relation.cardinal (Database.snapshot (Durable.database t) "pol"));
       Durable.close t)
 
-(* Random op sequences: close/reopen (optionally with checkpoints) always
-   reproduces the same state. *)
-type op =
-  | Ins of int * int * int
-  | Del of int * int
-  | Adv of int
+(* Random histories of records written at the moving clock, with
+   checkpoints between them: close/reopen always reproduces the same
+   state, and the log holds exactly the records the store accepted. *)
+type step =
+  | Write of Wal.record  (* times relative to the clock: Generators.at_clock *)
   | Check
 
-let op_gen =
+let step_gen =
   let open QCheck2.Gen in
+  let row = map2 (fun a b -> Tuple.ints [ a; b ]) (int_range 0 5) (int_range 0 5) in
   frequency
-    [ 5, map3 (fun a b ttl -> Ins (a, b, ttl)) (int_range 0 5) (int_range 0 5)
-        (int_range 1 20);
-      2, map2 (fun a b -> Del (a, b)) (int_range 0 5) (int_range 0 5);
-      2, map (fun d -> Adv d) (int_range 0 6);
+    [ 5, map2 (fun tuple ttl -> Write (Wal.Insert { table = "r"; tuple; texp = fin ttl }))
+        row (int_range 1 20);
+      2, map (fun tuple -> Write (Wal.Delete { table = "r"; tuple })) row;
+      2, map (fun d -> Write (Wal.Advance (fin d))) (int_range 0 6);
       1, return Check ]
 
 let prop_reopen_equals =
   Generators.qtest "random histories survive close/reopen" ~count:60
-    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 25) op_gen)
-    (fun ops ->
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 25) step_gen)
+    (fun steps ->
       with_temp_dir (fun dir ->
           let t = Durable.open_dir dir in
-          Durable.create_table t ~name:"r" ~columns:[ "a"; "b" ];
+          Durable.write t (Wal.Create_table { name = "r"; columns = [ "a"; "b" ] });
+          let accepted = ref 1 in
           List.iter
-            (fun op ->
-              match op with
-              | Ins (a, b, ttl) ->
-                Durable.insert t "r" (Tuple.ints [ a; b ])
-                  ~texp:(Time.add (Durable.now t) (fin ttl))
-              | Del (a, b) -> ignore (Durable.delete t "r" (Tuple.ints [ a; b ]))
-              | Adv d -> Durable.advance_to t (Time.add (Durable.now t) (fin d))
+            (function
+              | Write record ->
+                (* A delete of an absent row is refused, like any record
+                   the state does not accept. *)
+                if not (refused t (Generators.at_clock (Durable.now t) record))
+                then incr accepted
               | Check -> ignore (Durable.checkpoint t))
-            ops;
+            steps;
           Durable.close t;
           let reopened = Durable.open_dir dir in
           let same =
-            Time.equal (Database.now (Durable.database t))
-              (Database.now (Durable.database reopened))
+            Durable.position t = !accepted
+            && Time.equal (Database.now (Durable.database t))
+                 (Database.now (Durable.database reopened))
             && Relation.equal
                  (Database.snapshot (Durable.database t) "r")
                  (Database.snapshot (Durable.database reopened) "r")

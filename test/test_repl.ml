@@ -57,11 +57,15 @@ let ok_response r =
 
 (* ---------- Durable: positions and shipping ---------- *)
 
+let insert table row texp =
+  Wal.Insert { table; tuple = Tuple.ints row; texp = fin texp }
+
 let populate t =
-  Durable.create_table t ~name:"pol" ~columns:[ "uid"; "deg" ];
-  Durable.insert t "pol" (Tuple.ints [ 1; 25 ]) ~texp:(fin 10);
-  Durable.insert t "pol" (Tuple.ints [ 2; 25 ]) ~texp:(fin 15);
-  Durable.advance_to t (fin 4)
+  List.iter (Durable.write t)
+    [ Wal.Create_table { name = "pol"; columns = [ "uid"; "deg" ] };
+      insert "pol" [ 1; 25 ] 10;
+      insert "pol" [ 2; 25 ] 15;
+      Wal.Advance (fin 4) ]
 
 let test_position_monotone () =
   with_temp_dir (fun dir ->
@@ -74,7 +78,7 @@ let test_position_monotone () =
         (Durable.position t);
       Alcotest.(check int) "snapshot base recorded" before
         (Durable.snapshot_position t);
-      Durable.insert t "pol" (Tuple.ints [ 3; 35 ]) ~texp:(fin 20);
+      Durable.write t (insert "pol" [ 3; 35 ] 20);
       Alcotest.(check int) "positions continue past checkpoint" (before + 1)
         (Durable.position t);
       Durable.close t;
@@ -149,45 +153,30 @@ let test_checkpoint_keeps_tail () =
 
 (* ---------- property: shipped prefix == primary state ---------- *)
 
-type op =
-  | Create of string
-  | Drop of string
-  | Insert of string * int * int  (* table, value, ttl *)
-  | Delete of string * int
-  | Advance of int  (* delta in ticks *)
-
+(* A workload is WAL records whose times count from the clock they are
+   written at (Generators.at_clock). *)
 let table_name = QCheck2.Gen.oneofl [ "a"; "b"; "c" ]
 
-let op_gen : op QCheck2.Gen.t =
+let record_gen : Wal.record QCheck2.Gen.t =
   let open QCheck2.Gen in
+  let value = map (fun v -> Tuple.ints [ v ]) (int_range 0 5) in
   frequency
-    [ 2, map (fun n -> Create n) table_name;
-      1, map (fun n -> Drop n) table_name;
-      6, map3 (fun n v ttl -> Insert (n, v, ttl)) table_name (int_range 0 5)
-           (int_range 1 8);
-      2, map2 (fun n v -> Delete (n, v)) table_name (int_range 0 5);
-      3, map (fun d -> Advance d) (int_range 0 3) ]
+    [ 2, map (fun name -> Wal.Create_table { name; columns = [ "v" ] }) table_name;
+      1, map (fun name -> Wal.Drop_table name) table_name;
+      6, map3 (fun table tuple ttl -> Wal.Insert { table; tuple; texp = fin ttl })
+           table_name value (int_range 1 8);
+      2, map2 (fun table tuple -> Wal.Delete { table; tuple }) table_name value;
+      3, map (fun d -> Wal.Advance (fin d)) (int_range 0 3) ]
 
-let workload = QCheck2.Gen.(list_size (int_range 1 40) op_gen)
+let workload = QCheck2.Gen.(list_size (int_range 1 40) record_gen)
 
-(* Applies an op to the primary if it is valid there (invalid ops — a
+(* Writes a record to the primary if it is valid there (invalid ones — a
    CREATE of an existing table, an INSERT into a missing one — never
    reach the log, so they are simply skipped). *)
-let apply_op primary op =
-  let db = Durable.database primary in
-  let now () = Option.value (Time.to_int_opt (Database.now db)) ~default:0 in
-  match op with
-  | Create name ->
-    if Database.table db name = None then
-      Durable.create_table primary ~name ~columns:[ "v" ]
-  | Drop name -> ignore (Durable.drop_table primary name)
-  | Insert (name, v, ttl) ->
-    if Database.table db name <> None then
-      Durable.insert primary name (Tuple.ints [ v ]) ~texp:(fin (now () + ttl))
-  | Delete (name, v) ->
-    if Database.table db name <> None then
-      ignore (Durable.delete primary name (Tuple.ints [ v ]))
-  | Advance d -> Durable.advance_to primary (fin (now () + d))
+let apply_op primary record =
+  match Durable.write primary (Generators.at_clock (Durable.now primary) record) with
+  | () -> ()
+  | exception (Invalid_argument _ | Errors.Unknown_relation _) -> ()
 
 let states_equal a b =
   Time.equal (Database.now a) (Database.now b)
@@ -197,7 +186,7 @@ let states_equal a b =
        (db_state a) (db_state b)
 
 (* Drives a primary through the workload, syncing a follower via
-   [ship_from]/[apply_record]/[reset_to] every [sync_every] ops; the
+   [ship_from]/[write]/[reset_to] every [sync_every] ops; the
    follower must hold the primary's exact state at every sync point.
    [retention] small + sparse syncs forces the snapshot path. *)
 let follower_converges ~retention ~sync_every ops =
@@ -207,7 +196,7 @@ let follower_converges ~retention ~sync_every ops =
       let sync () =
         match Durable.ship_from primary (Durable.position follower) with
         | Ok (Durable.Records records) ->
-          List.iter (Durable.apply_record follower) records
+          List.iter (Durable.write follower) records
         | Ok (Durable.Snapshot { position; records }) ->
           Durable.reset_to follower ~position records
         | Error e -> failwith e
@@ -752,6 +741,50 @@ let test_snapshot_ends_replica_watch () =
         (Expirel_sqlx.Interp.unsubscribe interp "diff");
       Durable.close store)
 
+(* Shipped records go through the replica's one write path: a record
+   the replica's state refuses (its clock overtook it) is written as a
+   no-op, so every shipped record still takes one log position, and the
+   rest reach a MAINTAINED view like local writes. *)
+let test_refused_shipped_records_keep_positions () =
+  with_temp_dir (fun dir ->
+      let store = Durable.open_dir dir in
+      let interp = Expirel_sqlx.Interp.create ~store () in
+      let rows sql =
+        match Expirel_sqlx.Interp.exec_sql interp sql with
+        | Ok (Expirel_sqlx.Interp.Rows { relation; _ }) -> relation
+        | Ok _ -> Alcotest.fail (sql ^ ": expected rows")
+        | Error e -> Alcotest.fail e
+      in
+      ok
+        (Expirel_sqlx.Interp.apply_records interp
+           [ Wal.Create_table { name = "t"; columns = [ "x" ] };
+             Wal.Advance (fin 10) ]);
+      (match
+         Expirel_sqlx.Interp.exec_sql interp
+           "CREATE MAINTAINED VIEW mv AS SELECT x FROM t"
+       with
+       | Ok _ -> ()
+       | Error e -> Alcotest.fail e);
+      ok
+        (Expirel_sqlx.Interp.apply_records interp
+           [ insert "t" [ 1 ] 5;
+             Wal.Delete { table = "t"; tuple = Tuple.ints [ 2 ] };
+             Wal.Advance (fin 4);
+             insert "t" [ 3 ] 20 ]);
+      Alcotest.(check int) "one position per shipped record" 6
+        (Durable.position store);
+      Alcotest.(check bool) "the clock stays" true
+        (Time.equal (fin 10) (Durable.now store));
+      let table = rows "SELECT x FROM t" in
+      Alcotest.(check int) "only the live insert landed" 1 (Relation.cardinal table);
+      Alcotest.(check bool) "the maintained view saw it" true
+        (Relation.equal table (rows "SHOW VIEW mv"));
+      Durable.close store;
+      let reopened = Durable.open_dir dir in
+      check_same_state "the replica's log replays" (Durable.database store)
+        (Durable.database reopened);
+      Durable.close reopened)
+
 let suite =
   [ Alcotest.test_case "positions are monotone" `Quick test_position_monotone;
     Alcotest.test_case "ship_from trichotomy" `Quick test_ship_from;
@@ -777,4 +810,6 @@ let suite =
     Alcotest.test_case "shipped DROP TABLE ends a replica watch" `Quick
       test_shipped_drop_ends_replica_watch;
     Alcotest.test_case "snapshot without a table ends its watches" `Quick
-      test_snapshot_ends_replica_watch ]
+      test_snapshot_ends_replica_watch;
+    Alcotest.test_case "refused shipped records keep the positions" `Quick
+      test_refused_shipped_records_keep_positions ]

@@ -965,6 +965,87 @@ let test_shard_exec_lock_span () =
                   (List.mem stage names))
               [ "parse"; "rwlock_wait"; "op:aggregate" ]))
 
+(* ---------- rebalance writes take the one write path ---------- *)
+
+(* Rows as "v1,v2@texp" strings, sorted: a readable, texp-exact
+   comparison. *)
+let listed client sql =
+  match exec client sql with
+  | Wire.Rows { rows; _ } ->
+    List.sort compare
+      (List.map
+         (fun (row, texp) ->
+           String.concat "," (List.map Value.to_string row)
+           ^ "@" ^ Time.to_string texp)
+         rows)
+  | r -> Alcotest.failf "%s: expected rows, got %s" sql (Wire.render_response r)
+
+(* Ingest_rows and Purge_moved change a shard's data like any write: a
+   MAINTAINED view over the table sees both. *)
+let test_rebalance_feeds_maintained_view () =
+  with_server (fun _server port ->
+      with_client port (fun client ->
+          ok (Client.exec_ok client "CREATE TABLE t (k, v)");
+          ok (Client.exec_ok client "INSERT INTO t VALUES (1, 10) EXPIRES 50");
+          ok
+            (Client.exec_ok client
+               "CREATE MAINTAINED VIEW mv AS SELECT k, v FROM t");
+          let view_is_table step =
+            Alcotest.(check (list string)) step
+              (listed client "SELECT k, v FROM t")
+              (listed client "SHOW VIEW mv")
+          in
+          view_is_table "materialised";
+          ignore
+            (ok
+               (Client.ingest_rows client ~table:"t"
+                  [ ([ Value.Int 2; Value.Int 20 ], fin 40) ]));
+          Alcotest.(check (list string)) "ingested" [ "1,10@50"; "2,20@40" ]
+            (listed client "SELECT k, v FROM t");
+          view_is_table "after Ingest_rows";
+          (* A map this node (id 1) is absent from assigns every key
+             elsewhere, so the purge empties the table. *)
+          ok
+            (Client.shard_install client
+               ~map:
+                 { Wire.map_version = 1;
+                   shards =
+                     [ { Wire.shard_id = 0; shard_host = "127.0.0.1";
+                         shard_port = 1 } ]
+                 }
+               ~self_id:1);
+          ignore (ok (Client.purge_moved client "t"));
+          Alcotest.(check (list string)) "purged" []
+            (listed client "SELECT k, v FROM t");
+          view_is_table "after Purge_moved"))
+
+(* A batch holding a row of the wrong arity is refused whole: an error
+   answer on a connection that stays open, and nothing ingested or
+   logged. *)
+let test_bad_ingest_refused () =
+  with_temp_dir (fun dir ->
+      let config = { Server.default_config with data_dir = Some dir } in
+      with_server ~config (fun server port ->
+          with_client port (fun client ->
+              ok (Client.exec_ok client "CREATE TABLE t (k, v)");
+              let position () =
+                match Server.store server with
+                | Some s -> Durable.position s
+                | None -> Alcotest.fail "no store"
+              in
+              let before = position () in
+              (match
+                 Client.ingest_rows client ~table:"t"
+                   [ ([ Value.Int 1; Value.Int 10 ], fin 40);
+                     ([ Value.Int 2 ], fin 40) ]
+               with
+               | Error _ -> ()
+               | Ok _ -> Alcotest.fail "a wrong-arity row was ingested");
+              ok (Client.ping client);
+              Alcotest.(check (list string)) "nothing ingested" []
+                (listed client "SELECT k, v FROM t");
+              Alcotest.(check int) "nothing logged" before (position ()))))
+
 let suite =
   [ Alcotest.test_case "smoke: rows travel with texp and texp(e)" `Quick test_smoke;
     Alcotest.test_case "subscription events at exact logical times" `Quick
@@ -1009,4 +1090,8 @@ let suite =
       `Quick test_shard_exec_summary;
     Alcotest.test_case "shard exec: aggregate partial traces its lock wait"
       `Quick test_shard_exec_lock_span;
+    Alcotest.test_case "rebalance writes reach a maintained view" `Quick
+      test_rebalance_feeds_maintained_view;
+    Alcotest.test_case "bad Ingest_rows: error answer, nothing ingested"
+      `Quick test_bad_ingest_refused;
     prop_partition_summary ]
