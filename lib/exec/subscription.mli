@@ -9,8 +9,9 @@
     {!walk} visits the exact change times in order.  It is the one
     change-time walk of every standing query: watches deliver through
     it, and {!Invariant} counts a constraint's cardinality along it.
-    The interpreter owns the registry and is the only caller of
-    {!deliver_until}, right before it moves the clock. *)
+    A write reaches it through {!write}.  The interpreter owns the
+    registries and calls {!deliver_until} right before it moves the
+    clock, {!write} right after it applies a record. *)
 
 open Expirel_core
 open Expirel_storage
@@ -20,8 +21,9 @@ type event =
       subscription : string;
       tuple : Tuple.t;
       at : Time.t;
-          (** the row's expiration time, or the [texp(e)] of a refresh
-              that drops the row or changes its expiration time *)
+          (** the row's expiration time, the [texp(e)] of a refresh
+              that drops the row or changes its expiration time, or the
+              instant a write removed or re-dated it *)
     }
   | Row_appeared of {
       subscription : string;
@@ -50,6 +52,9 @@ val subscribe : t -> name:string -> Plan.compiled -> handler -> unit
 
 val unsubscribe : t -> string -> bool
 
+val result : t -> string -> Eval.result option
+(** The named watch's result as of its last delivery or write, uncut. *)
+
 val readers : t -> string -> string list
 (** The watches whose query reads the named table, in name order — a
     table under a watch must not be dropped, or every later delivery
@@ -76,6 +81,15 @@ val deliver_until : t -> Time.t -> unit
     without reporting those rows again.  One delivery is one {!walk} per
     watch.
     @raise Invalid_argument when moving backwards or to [Inf] *)
+
+val write : ?trace:Expirel_obs.Trace.t -> t -> Wal.record -> unit
+(** Feeds an applied [Insert] or [Delete] to every watch reading its
+    table, in name order, under a [deliver] span; events carry [at =
+    now].  A watch over [Base r] or [Select (p, Base r)], either under
+    a [Project] permuting r's columns, takes the row as its delta (an
+    inserted row satisfying [p] appears, a re-dated one expires first;
+    a deleted one expires).  Any other watch reruns at the clock and
+    reports the difference as a refresh does, without [Refreshed]. *)
 
 val walk :
   db:Database.t -> name:string -> Plan.compiled -> Eval.result ->

@@ -153,7 +153,8 @@ type event =
     }
   | Refreshed of { subscription : string; at : Time.t }
       (** mirrors {!Expirel_exec.Subscription.event}, with tuples
-          flattened to value lists *)
+          flattened to value lists; a write pushes its events at its
+          instant, before it is acknowledged *)
 
 type span = {
   span_name : string;  (** stage label, e.g. ["parse"], ["op:join"] *)

@@ -4,18 +4,17 @@ open Expirel_exec
 module Trace = Expirel_obs.Trace
 module Horizon = Expirel_obs.Horizon
 
-(* A plain view: its plan's result, served with rows cut at the clock
-   until its [texp(e)] passes (Theorem 2), then rerun. *)
-type stored_view = {
-  plan : Plan.compiled;
-  columns : string list;
-  mutable result : Eval.result;
-}
-
-type maintained_view = {
-  mutable maintained : Maintained.t;
-  m_columns : string list;
-}
+(* A plain view keeps its plan's result, served with rows cut at the
+   clock until its [texp(e)] passes (Theorem 2), then rerun.  A
+   MAINTAINED view is an entry of the session's [maintained] registry,
+   which every write and clock move keeps current. *)
+type view =
+  | Plain of {
+      plan : Plan.compiled;
+      columns : string list;
+      mutable result : Eval.result;
+    }
+  | Kept of string list  (* the columns *)
 
 type constraint_info = {
   c_plan : Plan.compiled;
@@ -45,10 +44,10 @@ type plan_cache_stats = {
 type t = {
   db : Database.t;
   store : Durable.t option;
-  views : (string, stored_view) Hashtbl.t;
-  maintained_views : (string, maintained_view) Hashtbl.t;
+  views : (string, view) Hashtbl.t;
   constraints : (string, constraint_info) Hashtbl.t;
   watches : Subscription.t;
+  maintained : Subscription.t;  (* MAINTAINED views: own names, no pushes *)
   mutable trigger_log : string list;  (* newest first *)
   plan_cache : (string, plan_entry) Lru.t;
       (* keyed by the statement's source text: hashing a short string is
@@ -82,9 +81,9 @@ let create ?policy ?store () =
   { db;
     store;
     views = Hashtbl.create 8;
-    maintained_views = Hashtbl.create 8;
     constraints = Hashtbl.create 8;
     watches = Subscription.create db;
+    maintained = Subscription.create db;
     trigger_log = [];
     plan_cache = Lru.create ~capacity:64;
     parse_cache = Lru.create ~capacity:64;
@@ -290,38 +289,25 @@ let aggregate_partial ?trace t { Ast.q; at; order_by = _; limit = _ } =
   (lowered.Lower.columns, partial, child_texp)
 
 (* Standing queries lower and plan once, outside the cache: their texts
-   never repeat.  A maintained view needs only the lowered expression. *)
-let lower_standing t q =
-  let lowered = Lower.lower_query ~catalog:(catalog t) q in
-  if lowered.Lower.approx <> None then
-    failwith "APPROX_COUNT/SAMPLE cannot back a view, constraint or watch";
-  lowered
-
+   never repeat. *)
 let plan_standing t q =
-  let { Lower.expr; columns; approx = _ } = lower_standing t q in
+  let { Lower.expr; columns; approx } = Lower.lower_query ~catalog:(catalog t) q in
+  if approx <> None then
+    failwith "APPROX_COUNT/SAMPLE cannot back a view, constraint or watch";
   (columns, Planner.plan ~db:t.db expr)
-
-let view_name_taken t name =
-  Hashtbl.mem t.views name || Hashtbl.mem t.maintained_views name
 
 (* The one write path: SQL INSERT, DELETE, CREATE and DROP TABLE, every
    clock move, a replica's shipped records, a shard's rebalance rows and
-   a coordinator's gathered rows all change the data here. *)
-let write t record =
+   a coordinator's gathered rows all change the data here, and then
+   reach the watches and MAINTAINED views. *)
+let write ?trace t record =
   (match t.store with
    | Some s -> Durable.write s record
    | None ->
      Database.validate t.db record;
      Database.apply t.db record);
-  let feed =
-    match record with
-    | Wal.Insert { table; tuple; texp } ->
-      fun m -> Maintained.insert m ~relation:table tuple ~texp
-    | Wal.Delete { table; tuple } -> fun m -> Maintained.delete m ~relation:table tuple
-    | Wal.Advance target -> fun m -> Maintained.advance m ~to_:target
-    | Wal.Create_table _ | Wal.Drop_table _ -> Fun.id
-  in
-  Hashtbl.iter (fun _ mv -> mv.maintained <- feed mv.maintained) t.maintained_views
+  Subscription.write ?trace t.watches record;
+  Subscription.write ?trace t.maintained record
 
 (* The constraints in name order, each with its name. *)
 let sorted_constraints t =
@@ -330,12 +316,13 @@ let sorted_constraints t =
 
 let reads table c = List.mem table (Algebra.base_names c.c_plan.Plan.logical)
 
-(* The standing queries reading a table, constraints first, each in
-   name order. *)
+(* The standing queries reading a table: constraints, then views, then
+   subscriptions, each in name order. *)
 let readers t table =
   List.filter_map
     (fun (name, c) -> if reads table c then Some ("constraint " ^ name) else None)
     (sorted_constraints t)
+  @ List.map (( ^ ) "view ") (Subscription.readers t.maintained table)
   @ List.map (( ^ ) "subscription ") (Subscription.readers t.watches table)
 
 (* The one clock move: SQL ADVANCE and TICK, and a replica's shipped
@@ -362,6 +349,7 @@ let move_clock ?trace t target =
             (sorted_constraints t)
         in
         Subscription.deliver_until t.watches target;
+        Subscription.deliver_until t.maintained target;
         found)
   in
   Trace.span trace "storage" (fun () -> write t (Wal.Advance target));
@@ -477,7 +465,7 @@ let exec_statement ?trace ?text t = function
   | Ast.Insert { table; values; expires } ->
     let texp = time_of_expires t expires in
     Trace.span trace "storage" (fun () ->
-        write t (Wal.Insert { table; tuple = Tuple.of_list values; texp }));
+        write ?trace t (Wal.Insert { table; tuple = Tuple.of_list values; texp }));
     Msg "1 tuple inserted"
   | Ast.Delete (table, where) ->
     let tbl = Database.table_exn t.db table in
@@ -500,7 +488,9 @@ let exec_statement ?trace ?text t = function
               .Eval.relation)
     in
     Trace.span trace "storage" (fun () ->
-        List.iter (fun tuple -> write t (Wal.Delete { table; tuple })) victims);
+        List.iter
+          (fun tuple -> write ?trace t (Wal.Delete { table; tuple }))
+          victims);
     Msg (Printf.sprintf "%d tuple(s) deleted" (List.length victims))
   | Ast.Advance_to n -> advance_clock ?trace t (Time.of_int n)
   | Ast.Tick n ->
@@ -521,54 +511,42 @@ let exec_statement ?trace ?text t = function
             (Durable.position s) logged kept))
   | Ast.Query qs -> run_query ?trace ?text t qs
   | Ast.Create_view { name; query; maintained } ->
-    if view_name_taken t name then
-      failwith (Printf.sprintf "view %s exists" name)
+    if Hashtbl.mem t.views name then failwith (Printf.sprintf "view %s exists" name);
+    let columns, plan = plan_standing t query in
+    if maintained then begin
+      Subscription.subscribe t.maintained ~name plan ignore;
+      Hashtbl.replace t.views name (Kept columns);
+      Msg
+        (Printf.sprintf
+           "maintained view %s materialised (tracks updates and the clock)" name)
+    end
     else begin
-      if maintained then begin
-        let { Lower.expr; columns; approx = _ } = lower_standing t query in
-        let now = Database.now t.db in
-        let m = Maintained.materialise ~env:(Database.env t.db) ~tau:now expr in
-        Hashtbl.replace t.maintained_views name
-          { maintained = m; m_columns = columns };
-        Msg
-          (Printf.sprintf
-             "maintained view %s materialised (tracks updates and the clock)"
-             name)
-      end
-      else begin
-        let columns, plan = plan_standing t query in
-        let result = Executor.run ~db:t.db plan in
-        Hashtbl.replace t.views name { plan; columns; result };
-        Msg
-          (Printf.sprintf "view %s materialised (texp(e) = %s, %s)" name
-             (Time.to_string result.Eval.texp)
-             (match Monotone.classify plan.Plan.logical with
-              | `Monotonic -> "monotonic: never recomputes"
-              | `Non_monotonic k ->
-                Printf.sprintf "%d non-monotonic operator(s)" k))
-      end
+      let result = Executor.run ~db:t.db plan in
+      Hashtbl.replace t.views name (Plain { plan; columns; result });
+      Msg
+        (Printf.sprintf "view %s materialised (texp(e) = %s, %s)" name
+           (Time.to_string result.Eval.texp)
+           (match Monotone.classify plan.Plan.logical with
+            | `Monotonic -> "monotonic: never recomputes"
+            | `Non_monotonic k -> Printf.sprintf "%d non-monotonic operator(s)" k))
     end
   | Ast.Show_view name ->
-    let view_rows ~columns ~texp_e ~recomputed relation =
-      Rows
-        { columns; relation; listing = Relation.to_list relation; texp_e;
-          recomputed }
+    let tau = Database.now t.db in
+    let columns, { Eval.relation; texp = texp_e }, recomputed =
+      match Hashtbl.find_opt t.views name with
+      | None -> failwith (Printf.sprintf "unknown view %s" name)
+      | Some (Kept columns) ->
+        (* kept current by every write and clock move: never recomputed *)
+        let kept = Option.get (Subscription.result t.maintained name) in
+        (columns, { kept with Eval.texp = Time.infinity }, false)
+      | Some (Plain stored) ->
+        let recomputed = Time.(tau >= stored.result.Eval.texp) in
+        if recomputed then stored.result <- Executor.run ~db:t.db stored.plan;
+        (stored.columns, stored.result, recomputed)
     in
-    (match Hashtbl.find_opt t.maintained_views name with
-     | Some mv ->
-       (* maintained incrementally: never needs recomputation *)
-       view_rows ~columns:mv.m_columns ~texp_e:Time.infinity ~recomputed:false
-         (Maintained.read mv.maintained)
-     | None ->
-       (match Hashtbl.find_opt t.views name with
-        | None -> failwith (Printf.sprintf "unknown view %s" name)
-        | Some stored ->
-          let tau = Database.now t.db in
-          let recomputed = Time.(tau >= stored.result.Eval.texp) in
-          if recomputed then stored.result <- Executor.run ~db:t.db stored.plan;
-          view_rows ~columns:stored.columns ~texp_e:stored.result.Eval.texp
-            ~recomputed
-            (Relation.exp tau stored.result.Eval.relation)))
+    let relation = Relation.exp tau relation in
+    Rows
+      { columns; relation; listing = Relation.to_list relation; texp_e; recomputed }
   | Ast.Create_trigger { name; table } ->
     Trigger.register (Database.triggers t.db) ~name ~table (fun e ->
         t.trigger_log <-
@@ -607,28 +585,29 @@ let exec_statement ?trace ?text t = function
        | [] -> "(no trigger firings)"
        | lines -> String.concat "\n" lines)
   | Ast.Refresh_view name ->
-    if Hashtbl.mem t.maintained_views name then
-      Msg (Printf.sprintf "view %s is maintained and always current" name)
-    else
-      (match Hashtbl.find_opt t.views name with
-       | None -> failwith (Printf.sprintf "unknown view %s" name)
-       | Some stored ->
-         stored.result <- Executor.run ~db:t.db stored.plan;
-         Msg
-           (Printf.sprintf "view %s refreshed (texp(e) = %s)" name
-              (Time.to_string stored.result.Eval.texp)))
+    (match Hashtbl.find_opt t.views name with
+     | None -> failwith (Printf.sprintf "unknown view %s" name)
+     | Some (Kept _) ->
+       Msg (Printf.sprintf "view %s is maintained and always current" name)
+     | Some (Plain stored) ->
+       stored.result <- Executor.run ~db:t.db stored.plan;
+       Msg
+         (Printf.sprintf "view %s refreshed (texp(e) = %s)" name
+            (Time.to_string stored.result.Eval.texp)))
   | Ast.Show_tables ->
     Msg
       (match Database.table_names t.db with
        | [] -> "(no tables)"
        | names -> String.concat "\n" names)
   | Ast.Show_views ->
-    let plain = Hashtbl.fold (fun name _ acc -> name :: acc) t.views [] in
-    let maintained =
-      Hashtbl.fold (fun name _ acc -> (name ^ " (maintained)") :: acc)
-        t.maintained_views []
+    let label name = function
+      | Plain _ -> name
+      | Kept _ -> name ^ " (maintained)"
     in
-    (match List.sort String.compare (plain @ maintained) with
+    (match
+       List.sort String.compare
+         (Hashtbl.fold (fun name v acc -> label name v :: acc) t.views [])
+     with
      | [] -> Msg "(no views)"
      | names -> Msg (String.concat "\n" names))
   | Ast.Show_time -> Msg (Time.to_string (Database.now t.db))
@@ -668,20 +647,17 @@ let exec_statement ?trace ?text t = function
          (Profile.total_expired_dropped profile)
          (float_of_int profile.Profile.time_us /. 1e3))
 
+(* A MAINTAINED view never needs recomputation. *)
 let view_horizons t =
-  let plain =
-    Hashtbl.fold
-      (fun name sv acc -> (name, sv.result.Eval.texp) :: acc)
-      t.views []
-  in
-  let maintained =
-    (* Maintained incrementally under updates and the clock: their
-       materialisation never needs recomputation. *)
-    Hashtbl.fold
-      (fun name _ acc -> (name, Time.infinity) :: acc)
-      t.maintained_views []
-  in
-  List.sort compare (plain @ maintained)
+  Hashtbl.fold
+    (fun name v acc ->
+      (name,
+       match v with
+       | Plain { result; _ } -> result.Eval.texp
+       | Kept _ -> Time.infinity)
+      :: acc)
+    t.views []
+  |> List.sort compare
 
 (* The errors a statement answers with rather than raises. *)
 let guard f =
@@ -722,9 +698,13 @@ let unsubscribe t name = Subscription.unsubscribe t.watches name
    DROP TABLE only under its own standing queries.  A replica's query
    over a table that is gone ends, or its next walk would fail on it. *)
 let end_readers t table =
-  List.iter
-    (fun name -> ignore (Subscription.unsubscribe t.watches name))
-    (Subscription.readers t.watches table);
+  let end_in subs f =
+    List.iter
+      (fun name -> ignore (Subscription.unsubscribe subs name); f name)
+      (Subscription.readers subs table)
+  in
+  end_in t.watches ignore;
+  end_in t.maintained (Hashtbl.remove t.views);
   Hashtbl.filter_map_inplace
     (fun _ c -> if reads table c then None else Some c)
     t.constraints

@@ -10,15 +10,16 @@
 
     Every change to the session's data is one {!Expirel_storage.Wal.record}
     written through {!write}: SQL mutations, clock moves, a replica's
-    shipped records, a shard's rebalance rows.  Constraints ([CREATE
-    CONSTRAINT]) and watches ({!subscribe}) live here too, and every
-    clock move — [ADVANCE], [TICK], and a replica's shipped [Advance]
+    shipped records, a shard's rebalance rows; it also reaches the
+    watches ({!subscribe}) and [MAINTAINED] views.  Constraints ([CREATE
+    CONSTRAINT]) live here too, and every clock move — [ADVANCE],
+    [TICK], and a replica's shipped [Advance]
     ({!apply_records}) — goes through one function: it walks each
     standing query from the clock to the target (watch events fire,
     constraint transitions are collected, under a [deliver] trace span),
     then writes the [Advance] (under [storage]).  [DROP TABLE] is
-    refused while any constraint or watch reads the table, and the
-    refusal names them all. *)
+    refused while any standing query reads the table, and the refusal
+    names them all. *)
 
 open Expirel_core
 open Expirel_storage
@@ -67,8 +68,8 @@ val plan_cache_stats : t -> plan_cache_stats
 val view_horizons : t -> (string * Time.t) list
 (** [texp(e)] horizon per view, sorted by name: how long each
     materialisation stays maintainable by local expiration alone.
-    Maintained views report [Inf] (incremental maintenance never
-    recomputes); plain views report their current [texp(e)].  The
+    Maintained views report [Inf] (writes and clock moves keep them
+    current); plain views report their current [texp(e)].  The
     observability layer exposes these as gauges. *)
 
 val horizon : ?table:string -> t -> Expirel_obs.Horizon.report
@@ -127,20 +128,23 @@ val subscribe :
 val unsubscribe : t -> string -> bool
 (** Ends a watch; [false] when no watch has that name. *)
 
-val write : t -> Expirel_storage.Wal.record -> unit
+val write :
+  ?trace:Expirel_obs.Trace.t -> t -> Expirel_storage.Wal.record -> unit
 (** The one function that changes the session's data: validates the
     record, writes it ahead when there is a store, applies it, and feeds
-    it to every maintained view.  An [Advance] written here walks no
-    watch or constraint; SQL [ADVANCE] and {!apply_records} walk them
-    first.  Raises what {!Database.validate} raises, changing nothing. *)
+    it to the watches and MAINTAINED views
+    ({!Expirel_exec.Subscription.write}, traced on [trace]).  An
+    [Advance] written here walks no standing query; SQL [ADVANCE] and
+    {!apply_records} walk them first.  Raises what {!Database.validate}
+    raises, changing nothing. *)
 
 val apply_records : t -> Expirel_storage.Wal.record list -> (unit, string) result
 (** Applies a replica's shipped records, each written once through
     {!write} (one the replica refuses, as the no-op [Advance now]), so
     log positions stay the primary's.  A shipped [Advance] goes through
     the one clock move, so the replica's watches see their events; a
-    shipped [Drop_table] ends every watch and constraint reading the
-    table (no event marks the end).  [Error] without a durable store. *)
+    shipped [Drop_table] ends every standing query reading the table (no
+    event marks the end).  [Error] without a durable store. *)
 
 val install_snapshot :
   t -> position:int -> Expirel_storage.Wal.record list -> (unit, string) result

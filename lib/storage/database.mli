@@ -118,8 +118,7 @@ val snapshot : t -> string -> Relation.t
 
 val env : t -> Eval.env
 (** Evaluation environment over the current logical states: what the
-    naive [Eval] oracle reads, and what a maintained view materialises
-    from. *)
+    naive [Eval] oracle reads. *)
 
 val query :
   ?strategy:Aggregate.strategy ->

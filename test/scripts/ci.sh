@@ -14,6 +14,15 @@ if grep -rnE '\b(Database\.(insert|insert_values|insert_ttl|delete|advance_to|ti
   echo "ci: the calls above change state outside Interp.write" >&2
   exit 1
 fi
+# One standing-query engine: watches and MAINTAINED views are kept
+# current by the executor's Subscription.  The naive oracle (core
+# Maintained, Database.env/query) serves only lib/core/, lib/dist/,
+# tests and benches.
+if grep -rnE '\bMaintained\.|\bDatabase\.(env|query)\b' lib bin --include='*.ml' |
+  grep -v -e '^lib/core/' -e '^lib/dist/'; then
+  echo "ci: the naive oracle above is on the production path" >&2
+  exit 1
+fi
 # lib/obs, lib/exec and lib/sketch compile with -warn-error +a (their
 # dunes say so); build them alone first so a warning fails fast with a
 # small log.

@@ -496,6 +496,115 @@ let test_deliver_span () =
   Alcotest.(check bool) "delivery before the clock move" true
     (deliver.Expirel_obs.Trace.id < storage.Expirel_obs.Trace.id)
 
+(* A MAINTAINED view reads its table like any standing query: DROP TABLE
+   under it is refused and names it between the constraints and the
+   subscriptions, and the view keeps serving its row. *)
+let test_drop_table_under_maintained_view () =
+  let t = Interp.create () in
+  List.iter
+    (fun sql -> ignore (exec t sql))
+    [ "CREATE TABLE s (sid)";
+      "INSERT INTO s VALUES (1) EXPIRES 10";
+      "CREATE MAINTAINED VIEW mv AS SELECT sid FROM s" ];
+  (match Interp.exec_sql t "DROP TABLE s" with
+   | Error msg ->
+     Alcotest.(check string) "refusal names the view" "table s is read by view mv"
+       msg
+   | Ok _ -> Alcotest.fail "DROP TABLE under a maintained view succeeded");
+  ignore (exec t "CREATE CONSTRAINT c ON SELECT sid FROM s MIN 1");
+  (match
+     Interp.subscribe t ~name:"w" (Parser.parse_statement "SELECT sid FROM s")
+       ignore
+   with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  (match Interp.exec_sql t "DROP TABLE s" with
+   | Error msg ->
+     Alcotest.(check string) "constraints, then views, then subscriptions"
+       "table s is read by constraint c, view mv, subscription w" msg
+   | Ok _ -> Alcotest.fail "DROP TABLE under three readers succeeded");
+  Alcotest.(check int) "the view still serves its row" 1
+    (Relation.cardinal (rows (exec t "SHOW VIEW mv")))
+
+(* The write-time feed prices itself: a traced INSERT opens a [deliver]
+   span inside [storage] only when a standing query reads the table. *)
+let test_write_deliver_span () =
+  let t = Interp.create () in
+  List.iter
+    (fun sql -> ignore (exec t sql))
+    [ "CREATE TABLE s (sid)"; "CREATE TABLE other (x)" ];
+  let traced sql =
+    let trace = Expirel_obs.Trace.create () in
+    (match Interp.exec ~trace t (Parser.parse_statement sql) with
+     | Ok _ -> ()
+     | Error e -> Alcotest.fail e);
+    List.map
+      (fun s -> (s.Expirel_obs.Trace.name, s))
+      (Expirel_obs.Trace.spans trace)
+  in
+  Alcotest.(check bool) "no standing query: no deliver span" false
+    (List.mem_assoc "deliver" (traced "INSERT INTO s VALUES (1) EXPIRES 10"));
+  let events = ref 0 in
+  (match
+     Interp.subscribe t ~name:"w" (Parser.parse_statement "SELECT sid FROM s")
+       (fun _ -> incr events)
+   with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "a write no watch reads: no deliver span" false
+    (List.mem_assoc "deliver" (traced "INSERT INTO other VALUES (1) EXPIRES 10"));
+  let spans = traced "INSERT INTO s VALUES (2) EXPIRES 10" in
+  Alcotest.(check (option int)) "a watched write: deliver inside storage"
+    (Some (List.assoc "storage" spans).Expirel_obs.Trace.id)
+    (List.assoc "deliver" spans).Expirel_obs.Trace.parent;
+  Alcotest.(check int) "the row appeared" 1 !events
+
+(* Property: under random INSERT/DELETE/ADVANCE streams, every
+   MAINTAINED view — a column-preserving selection, a column-dropping
+   projection, a join, an EXCEPT and a GROUP BY — shows what its SELECT
+   answers, rows and texps, at every step. *)
+let maintained_queries =
+  [ ("sel", "SELECT x, y FROM a WHERE y < 2");
+    ("proj", "SELECT x FROM a");
+    ("jn", "SELECT * FROM a JOIN b ON a.x = b.x");
+    ("ex", "SELECT x FROM a EXCEPT SELECT x FROM b");
+    ("grp", "SELECT x, COUNT(*) FROM a GROUP BY x") ]
+
+let prop_maintained_views_equal_queries =
+  let step =
+    let open QCheck2.Gen in
+    let table = oneofl [ "a"; "b" ] in
+    let v = int_range 0 3 in
+    frequency
+      [ (4,
+         map4
+           (fun table x y ttl ->
+             Printf.sprintf "INSERT INTO %s VALUES (%d, %d) TTL %d" table x y ttl)
+           table v v (int_range 1 10));
+      (2, map2 (Printf.sprintf "DELETE FROM %s WHERE x = %d") table v);
+      (2, map (Printf.sprintf "TICK %d") (int_range 0 4)) ]
+  in
+  Generators.qtest "maintained views equal their queries" ~count:100
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 25) step)
+    (fun steps ->
+      let t = Interp.create () in
+      List.iter
+        (fun sql -> ignore (exec t sql))
+        ([ "CREATE TABLE a (x, y)"; "CREATE TABLE b (x, y)";
+           "INSERT INTO a VALUES (1, 1) EXPIRES 6";
+           "INSERT INTO b VALUES (1, 0) EXPIRES 3" ]
+         @ List.map
+             (fun (name, q) -> Printf.sprintf "CREATE MAINTAINED VIEW %s AS %s" name q)
+             maintained_queries);
+      List.for_all
+        (fun sql ->
+          ignore (exec t sql);
+          List.for_all
+            (fun (name, q) ->
+              Relation.equal (rows (exec t ("SHOW VIEW " ^ name))) (rows (exec t q)))
+            maintained_queries)
+        steps)
+
 let test_render () =
   let t = setup_figure1 () in
   let text = Interp.render (exec t "SELECT deg FROM pol") in
@@ -529,4 +638,9 @@ let suite =
     Alcotest.test_case "SQL-level expiration triggers" `Quick test_sql_triggers;
     Alcotest.test_case "maintained views track updates and time" `Quick
       test_maintained_view;
+    Alcotest.test_case "DROP TABLE refused under a maintained view" `Quick
+      test_drop_table_under_maintained_view;
+    Alcotest.test_case "traced writes price the feed" `Quick
+      test_write_deliver_span;
+    prop_maintained_views_equal_queries;
     Alcotest.test_case "rendering" `Quick test_render ]

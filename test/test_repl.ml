@@ -785,6 +785,33 @@ let test_refused_shipped_records_keep_positions () =
         (Durable.database reopened);
       Durable.close reopened)
 
+(* A shipped DROP TABLE ends a replica's MAINTAINED view reading the
+   table, as it ends watches and constraints: the view is gone and its
+   name is free again. *)
+let test_shipped_drop_ends_maintained_view () =
+  with_temp_dir (fun dir ->
+      let store = Durable.open_dir dir in
+      let interp = Expirel_sqlx.Interp.create ~store () in
+      let exec sql = Expirel_sqlx.Interp.exec_sql interp sql in
+      ok
+        (Expirel_sqlx.Interp.apply_records interp
+           [ Wal.Create_table { name = "t"; columns = [ "x" ] }; insert "t" [ 1 ] 5 ]);
+      (match exec "CREATE MAINTAINED VIEW mv AS SELECT x FROM t" with
+       | Ok _ -> ()
+       | Error e -> Alcotest.fail e);
+      ok (Expirel_sqlx.Interp.apply_records interp [ Wal.Drop_table "t" ]);
+      (match exec "SHOW VIEW mv" with
+       | Error msg -> Alcotest.(check string) "the view ended" "unknown view mv" msg
+       | Ok _ -> Alcotest.fail "the view outlived its table");
+      ok
+        (Expirel_sqlx.Interp.apply_records interp
+           [ Wal.Create_table { name = "t"; columns = [ "x" ] };
+             Wal.Advance (fin 8) ]);
+      (match exec "CREATE MAINTAINED VIEW mv AS SELECT x FROM t" with
+       | Ok _ -> ()
+       | Error e -> Alcotest.fail ("the name is not free: " ^ e));
+      Durable.close store)
+
 let suite =
   [ Alcotest.test_case "positions are monotone" `Quick test_position_monotone;
     Alcotest.test_case "ship_from trichotomy" `Quick test_ship_from;
@@ -812,4 +839,6 @@ let suite =
     Alcotest.test_case "snapshot without a table ends its watches" `Quick
       test_snapshot_ends_replica_watch;
     Alcotest.test_case "refused shipped records keep the positions" `Quick
-      test_refused_shipped_records_keep_positions ]
+      test_refused_shipped_records_keep_positions;
+    Alcotest.test_case "shipped DROP TABLE ends a maintained view" `Quick
+      test_shipped_drop_ends_maintained_view ]

@@ -106,6 +106,35 @@ let test_subscription_event_order () =
            | _ -> Alcotest.fail "wrong final event");
           ok (Client.unsubscribe client "watch")))
 
+(* Writes reach a watch: subscribed to SELECT sid FROM s while s holds
+   row 1 (texp 10), the client sees row 2's insert and row 1's delete
+   at the clock, and the ADVANCE then expires only row 2 — never the
+   deleted row 1.  Between the two writes the fan-out forecast counts
+   both rows. *)
+let test_writes_reach_watch () =
+  with_server (fun _server port ->
+      with_client port (fun client ->
+          ok (Client.exec_ok client "CREATE TABLE s (sid)");
+          ok (Client.exec_ok client "INSERT INTO s VALUES (1) EXPIRES 10");
+          ok (Client.subscribe client ~name:"w" ~query:"SELECT sid FROM s");
+          ok (Client.exec_ok client "INSERT INTO s VALUES (2) EXPIRES 5");
+          Alcotest.(check int) "forecast sees the inserted row" 2
+            (ok (Client.horizon client)).Expirel_obs.Horizon.fanout_events;
+          ok (Client.exec_ok client "DELETE FROM s WHERE sid = 1");
+          ok (Client.exec_ok client "ADVANCE TO 20");
+          let render = function
+            | Wire.Row_expired { row; at; _ } ->
+              Printf.sprintf "-%s@%s" (Tuple.to_string (Tuple.of_list row))
+                (Time.to_string at)
+            | Wire.Row_appeared { row; texp; at; _ } ->
+              Printf.sprintf "+%s~%s@%s" (Tuple.to_string (Tuple.of_list row))
+                (Time.to_string texp) (Time.to_string at)
+            | Wire.Refreshed { at; _ } -> "refresh@" ^ Time.to_string at
+          in
+          Alcotest.(check (list string)) "insert, delete, then expiry"
+            [ "+<2>~5@0"; "-<1>@0"; "-<2>@5" ]
+            (List.map render (Client.events client))))
+
 let test_unsubscribe_ownership () =
   (* A connection may only tear down its own subscriptions. *)
   with_server (fun _server port ->
@@ -1050,6 +1079,7 @@ let suite =
   [ Alcotest.test_case "smoke: rows travel with texp and texp(e)" `Quick test_smoke;
     Alcotest.test_case "subscription events at exact logical times" `Quick
       test_subscription_event_order;
+    Alcotest.test_case "writes reach a watch" `Quick test_writes_reach_watch;
     Alcotest.test_case "unsubscribe requires ownership" `Quick
       test_unsubscribe_ownership;
     Alcotest.test_case "DROP TABLE refused under a watch" `Quick

@@ -147,15 +147,76 @@ let test_management () =
   Alcotest.(check int) "nothing left to deliver" 0
     (Subscription.forecast_events subs ~until:(fin 20))
 
-(* Property: after arbitrary advances, folding the pushed events over
-   the answer at subscribe time equals a fresh evaluation — per-row
-   texps included — and event times are nondecreasing. *)
+(* A write reaches each watch reading its table at the clock, with no
+   refresh event.  A watch whose rows are the table's rows, selected and
+   permuted, takes the written row as its delta: a re-dated row expires
+   then appears, an unchanged texp fires nothing, a row the selection
+   refuses never shows.  A column-dropping projection reruns and reports
+   only the rows whose texp changed. *)
+let test_write_events () =
+  let db = Database.create () in
+  ignore (Database.create_table db ~name:"r" ~columns:[ "a"; "b" ]);
+  let subs = Subscription.create db in
+  let logged name expr =
+    let log = ref [] in
+    watch subs db ~name expr (fun e -> log := render e :: !log);
+    log
+  in
+  let sel =
+    logged "sel"
+      Algebra.(
+        project [ 2; 1 ]
+          (select Predicate.(Cmp (Lt, Col 1, Const (Value.int 5))) (base "r")))
+  in
+  let proj = logged "proj" Algebra.(project [ 1 ] (base "r")) in
+  let write record =
+    Database.apply db record;
+    Subscription.write subs record
+  in
+  let insert a b texp =
+    write (Wal.Insert { table = "r"; tuple = Tuple.ints [ a; b ]; texp = fin texp })
+  in
+  insert 1 7 10;
+  insert 1 7 12;
+  insert 1 7 12;
+  insert 9 9 4;
+  insert 1 8 4;
+  write (Wal.Delete { table = "r"; tuple = Tuple.ints [ 1; 7 ] });
+  Alcotest.(check (list string)) "delta watch"
+    [ "+<7, 1>@0"; "-<7, 1>@0"; "+<7, 1>@0"; "+<8, 1>@0"; "-<7, 1>@0" ]
+    (List.rev !sel);
+  Alcotest.(check (list string)) "rerun watch"
+    [ "+<1>@0"; "-<1>@0"; "+<1>@0"; "+<9>@0"; "-<1>@0"; "+<1>@0" ]
+    (List.rev !proj)
+
+(* A step of the law below: an advance by a hop, or a write applied the
+   way the interpreter's write path applies it.  A delete names the
+   k-th live row of its table (mod the count), so most deletes hit. *)
+type step =
+  | Hop of int
+  | Insert of string * Tuple.t * int  (* ttl *)
+  | Delete of string * int
+
+let step_gen =
+  let open QCheck2.Gen in
+  let table = oneofl [ ("R1", 1); ("S1", 1); ("R2", 2); ("S2", 2); ("R3", 3) ] in
+  frequency
+    [ (2, map (fun hop -> Hop hop) (int_range 0 8));
+      (2,
+       let* name, arity = table in
+       map2 (fun tuple ttl -> Insert (name, tuple, ttl))
+         (Generators.tuple ~arity) (int_range 1 12));
+      (1, map2 (fun (name, _) k -> Delete (name, k)) table nat) ]
+
+(* Property: after arbitrary advances, inserts and deletes, folding the
+   pushed events over the answer at subscribe time equals a fresh
+   evaluation — per-row texps included — and event times are
+   nondecreasing. *)
 let prop_current_tracks_truth =
   Generators.qtest "subscriptions track the fresh evaluation" ~count:150
     (QCheck2.Gen.pair (Generators.expr_and_env_or_nested_difference ())
-       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 6)
-          (QCheck2.Gen.int_range 0 8)))
-    (fun ((expr, bindings), hops) ->
+       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 10) step_gen))
+    (fun ((expr, bindings), steps) ->
       let db = Database.create () in
       List.iter
         (fun (name, r) ->
@@ -178,18 +239,32 @@ let prop_current_tracks_truth =
           in
           if Time.(at < !last_at) then ordered := false;
           last_at := at);
+      let write record =
+        Database.apply db record;
+        Subscription.write subs record
+      in
       List.for_all
-        (fun hop ->
-          let target = Time.add (Database.now db) (fin hop) in
-          advance subs db target;
+        (fun step ->
+          let now = Database.now db in
+          (match step with
+           | Hop hop -> advance subs db (Time.add now (fin hop))
+           | Insert (table, tuple, ttl) ->
+             write (Wal.Insert { table; tuple; texp = Time.add now (fin ttl) })
+           | Delete (table, k) ->
+             (match Relation.tuples (Database.snapshot db table) with
+              | [] -> ()
+              | rows ->
+                let tuple = List.nth rows (k mod List.length rows) in
+                write (Wal.Delete { table; tuple })));
+          let tau = Database.now db in
           let fresh =
             Eval.relation_at
-              ~env:(fun n -> Option.map (fun tb -> Table.snapshot tb ~tau:target)
+              ~env:(fun n -> Option.map (fun tb -> Table.snapshot tb ~tau)
                        (Database.table db n))
-              ~tau:target expr
+              ~tau expr
           in
           !ordered && Relation.equal !folded fresh)
-        hops)
+        steps)
 
 let suite =
   [ Alcotest.test_case "difference event timeline (Fig 3 as pushes)" `Quick
@@ -201,4 +276,5 @@ let suite =
       test_monotonic_only_expirations;
     Alcotest.test_case "stepwise advances" `Quick test_incremental_advances;
     Alcotest.test_case "subscribe/unsubscribe" `Quick test_management;
+    Alcotest.test_case "writes: delta and rerun" `Quick test_write_events;
     prop_current_tracks_truth ]
