@@ -24,7 +24,11 @@
      index range on scrambled ids whose live rows expire at distinct
      times, so nearly every row opens a slice below the newest one;
    - a grouped COUNT, session-churn's GROUP BY shape: COUNT per key over
-     10^3 groups.
+     10^3 groups;
+   - the same GROUP BY COUNT read through the interpreter once promoted
+     to a standing entry, against the fused fold of the same statement
+     text under [AT] the clock (which is never promoted): microseconds
+     per read at 10^4 and 10^5 rows, 10^3 groups either way.
 
    Every row reports the executor's time per live row ([_ns_per_row])
    beside both totals.
@@ -44,8 +48,7 @@ open Expirel_core
 open Expirel_storage
 open Expirel_exec
 
-let sizes =
-  let defaults = [ 100_000; 1_000_000 ] in
+let capped defaults =
   match Sys.getenv_opt "EXPIREL_VEXEC_ROWS" with
   | None -> defaults
   | Some s ->
@@ -56,6 +59,8 @@ let sizes =
        (match List.filter (fun n -> n <= cap) defaults with
         | [] -> [ cap ]
         | kept -> kept))
+
+let sizes = capped [ 100_000; 1_000_000 ]
 
 let fractions = [ 0.0; 0.5; 0.99 ]
 
@@ -234,6 +239,52 @@ let cut_accounting () =
   if skipped < n / 2 then
     failwith "chunk cut skipped fewer rows than the expired half"
 
+(* The standing_count row: both reads run the whole statement through
+   [Interp.exec_sql] (parse cache, plan cache, ordering), so they differ
+   only in where the answer comes from, and both must answer alike. *)
+let standing_count () =
+  Bench_util.subsection "standing_count: promoted GROUP BY COUNT read vs fused fold";
+  let sql = "SELECT v, COUNT(*) FROM feed GROUP BY v" in
+  let rows_out =
+    List.map
+      (fun n ->
+        let t = Expirel_sqlx.Interp.create () in
+        let db = Expirel_sqlx.Interp.database t in
+        let (_ : Table.t) =
+          Database.create_table db ~name:"feed" ~columns:[ "id"; "v" ]
+        in
+        for i = 1 to n do
+          Database.insert db "feed"
+            (Tuple.ints [ i; i mod 1000 ])
+            ~texp:(Time.of_int (1_000_000 + ((i - 1) * 100 / n)))
+        done;
+        let read sql () =
+          match Expirel_sqlx.Interp.exec_sql t sql with
+          | Ok (Expirel_sqlx.Interp.Rows { relation; texp_e; _ }) ->
+            { Eval.relation; texp = texp_e }
+          | Ok _ | Error _ -> failwith ("standing_count: " ^ sql)
+        in
+        ignore (read sql () : Eval.result);
+        let reps = 200 in
+        let fold_s, folded = time_query ~reps (read (sql ^ " AT 0")) in
+        let standing_s, standing = time_query ~reps (read sql) in
+        if
+          not
+            (Relation.equal folded.Eval.relation standing.Eval.relation
+            && Time.equal folded.Eval.texp standing.Eval.texp)
+        then failwith (Printf.sprintf "standing_count_n%d: answers differ" n);
+        let name = Printf.sprintf "standing_count_n%d" n in
+        Bench_util.metric (name ^ "_fold_us") (fold_s *. 1e6);
+        Bench_util.metric (name ^ "_standing_us") (standing_s *. 1e6);
+        Bench_util.metric (name ^ "_speedup") (fold_s /. Float.max 1e-9 standing_s);
+        [ string_of_int n;
+          Bench_util.f1 (fold_s *. 1e6);
+          Bench_util.f1 (standing_s *. 1e6);
+          Bench_util.f1 (fold_s /. Float.max 1e-9 standing_s) ])
+      (capped [ 10_000; 100_000 ])
+  in
+  Bench_util.table ~headers:[ "rows"; "fold us"; "standing us"; "speedup" ] rows_out
+
 let run_all () =
   Bench_util.section
     "Experiment exp-vexec: vectorized execution over expiration-ordered \
@@ -252,6 +303,7 @@ let run_all () =
   sweep ~name:"grouped_count"
     ~title:(versus "GROUP BY COUNT over 10^3 groups") ~reps ~spread:100
     grouped_count_expr;
+  standing_count ();
   sweep ~name:"unordered"
     ~title:(versus "global COUNT over an index range, rows out of texp order")
     ~reps:4 ~sizes:small ~spread:1_000_000 ~scramble:true ~prepare:index_id

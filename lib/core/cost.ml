@@ -75,7 +75,3 @@ let join_choice ~left ~right =
   let nested = float_of_int left *. float_of_int right in
   let hash = 2. *. float_of_int (left + right) in
   if hash < nested then Hash else Nested_loop
-
-let pp ppf { eval_cost; recomputations; total } =
-  Format.fprintf ppf "eval %.0f x (1 + %d recomputations) = %.0f" eval_cost
-    recomputations total

@@ -41,5 +41,3 @@ val join_choice : left:int -> right:int -> physical_join
     {!estimate.eval_cost}: a nested loop costs [left * right] pair
     visits, a hash join a build plus a probe pass.  The physical planner
     consults this whenever a join predicate offers equi-key columns. *)
-
-val pp : Format.formatter -> estimate -> unit

@@ -15,10 +15,6 @@ let from lo = make lo Time.Inf
 let bounds i = i.lo, i.hi
 let equal a b = Time.equal a.lo b.lo && Time.equal a.hi b.hi
 
-let compare a b =
-  let c = Time.compare a.lo b.lo in
-  if c <> 0 then c else Time.compare a.hi b.hi
-
 (* An unbounded interval [lo, Inf[ means "from lo onwards" and so
    contains the symbolic time Inf; bounded intervals are half-open. *)
 let mem tau i =
@@ -44,4 +40,3 @@ let union a b =
 
 let subset a b = Time.(b.lo <= a.lo) && Time.(a.hi <= b.hi)
 let pp ppf i = Format.fprintf ppf "[%a, %a[" Time.pp i.lo Time.pp i.hi
-let to_string i = Format.asprintf "%a" pp i

@@ -20,9 +20,6 @@ val from : Time.t -> t
 val bounds : t -> Time.t * Time.t
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-(** Lexicographic on [(lo, hi)]. *)
-
 val mem : Time.t -> t -> bool
 (** [mem tau i] holds when [lo <= tau < hi].  As a special case an
     unbounded interval [\[lo, Inf\[] means "from [lo] onwards" and
@@ -49,4 +46,3 @@ val subset : t -> t -> bool
 (** [subset a b] holds when every point of [a] lies in [b]. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -3,7 +3,6 @@
 type t = Interval.t list
 
 let empty = []
-let is_empty s = s = []
 let full = [ Interval.from Time.zero ]
 let of_interval i = [ i ]
 let to_list s = s

@@ -7,8 +7,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
-
 val full : t
 (** All of time: [\[-Inf... \[] is not representable; [full] is
     [\[Time.zero, Inf\[], the domain of the paper's non-negative times.

@@ -3,8 +3,6 @@ type rule = {
   apply : env:Algebra.env -> Algebra.t -> Algebra.t option;
 }
 
-let rule_name r = r.name
-
 
 let select_merge =
   let apply ~env:_ = function

@@ -13,8 +13,6 @@
 
 type rule
 
-val rule_name : rule -> string
-
 val select_merge : rule
 (** [sigma_p(sigma_q(e)) -> sigma_(p /\ q)(e)]. *)
 

@@ -101,10 +101,3 @@ let read v ~tau =
         else acc)
       (Relation.empty ~arity:v.arity)
       v.rows
-
-let pp ppf v =
-  Format.fprintf ppf "@[<v>schrodinger view at %a (%d entries)@ %a@]" Time.pp
-    v.computed_at (entries v)
-    (Format.pp_print_list (fun ppf { tuple; interval } ->
-         Format.fprintf ppf "%a during %a" Tuple.pp tuple Interval.pp interval))
-    v.rows

@@ -43,5 +43,3 @@ val entries : t -> int
 (** Stored [(tuple, interval)] entries — the storage cost of knowing the
     future.  For an aggregation this is at most the number of
     aggregate-value changes, i.e. at most [|R|] per Section 3.4.1. *)
-
-val pp : Format.formatter -> t -> unit

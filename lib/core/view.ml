@@ -37,9 +37,3 @@ let maintenance_times ?(strategy = Aggregate.Exact) ~env ~from ~horizon expr =
     else List.rev acc
   in
   go [] from
-
-let pp ppf v =
-  Format.fprintf ppf
-    "@[<v>view %a@ materialised at %a, texp(e) = %a@ validity %a@ %a@]"
-    Algebra.pp v.expr Time.pp v.computed_at Time.pp v.texp Interval_set.pp
-    v.validity Relation.pp v.contents

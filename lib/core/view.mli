@@ -50,5 +50,3 @@ val maintenance_times :
     at [from]; whenever [texp(e)] is finite and [< horizon], refresh at
     that instant and continue.  Monotonic expressions yield [\[]]
     (Theorem 1: no recomputation, ever). *)
-
-val pp : Format.formatter -> t -> unit

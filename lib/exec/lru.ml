@@ -7,16 +7,15 @@ type ('k, 'v) t = {
   capacity : int;
   table : ('k, ('k, 'v) entry) Hashtbl.t;
   mutable tick : int;
+  on_evict : 'k -> unit;
 }
 
-let create ~capacity =
+let create ?(on_evict = ignore) ~capacity () =
   if capacity < 1 then invalid_arg "Lru.create: capacity < 1"
-  else { capacity; table = Hashtbl.create capacity; tick = 0 }
+  else { capacity; table = Hashtbl.create capacity; tick = 0; on_evict }
 
 let capacity t = t.capacity
 let length t = Hashtbl.length t.table
-let clear t = Hashtbl.reset t.table
-
 let touch t entry =
   t.tick <- t.tick + 1;
   entry.used <- t.tick
@@ -38,7 +37,9 @@ let evict_lru t =
       t.table None
   in
   match victim with
-  | Some (key, _) -> Hashtbl.remove t.table key
+  | Some (key, _) ->
+    Hashtbl.remove t.table key;
+    t.on_evict key
   | None -> ()
 
 let set t key value =

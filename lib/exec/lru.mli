@@ -10,13 +10,12 @@
 
 type ('k, 'v) t
 
-val create : capacity:int -> ('k, 'v) t
-(** @raise Invalid_argument when [capacity < 1] *)
+val create : ?on_evict:('k -> unit) -> capacity:int -> unit -> ('k, 'v) t
+(** [on_evict] hears each key {!set} evicts.
+    @raise Invalid_argument when [capacity < 1] *)
 
 val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
-val clear : ('k, 'v) t -> unit
-
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Marks the entry most-recently used. *)
 

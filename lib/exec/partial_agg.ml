@@ -700,7 +700,12 @@ let read f src =
 let row_of sources f =
   Tuple.init ~arity:(Array.length sources) (fun j -> read f sources.(j - 1))
 
-let finalize ~group ~func ~child_arity ?having ~projection partial =
+(* One group's share of the grouped query's answer: its output row when
+   HAVING keeps it, texp'd by [row_texp], and its change point when that
+   outruns the partition's own expiry ([Inf] otherwise) — the HAVING
+   selection and the projection both preserve their child's texp(e), so
+   the invalidation folds over every partition, kept or not. *)
+let finalizer ~group ~func ~child_arity ?having ~projection =
   let sources =
     Array.of_list (List.map (source ~group ~child_arity) projection)
   in
@@ -714,26 +719,102 @@ let finalize ~group ~func ~child_arity ?having ~projection partial =
       in
       fun f -> Predicate.eval p (row_of full f)
   in
-  (* The materialisation invalidates when some partition's rows vanish
-     (at nu) while members outlive them — computed over *every*
-     partition: the HAVING selection and the projection both preserve
-     their child's texp(e). *)
-  let invalidation = ref Time.Inf in
-  let relation =
-    List.fold_left
-      (fun relation g ->
-        match finalize_group ~func g with
-        | None -> relation
-        | Some f ->
-          if
-            Time.compare f.f_nu f.f_empties < 0
-            && Time.compare f.f_nu !invalidation < 0
-          then
-            invalidation := f.f_nu;
-          if kept f then
-            Relation.add (row_of sources f) ~texp:(row_texp f) relation
-          else relation)
-      (Relation.empty ~arity:(Array.length sources))
-      partial
+  fun g ->
+    match finalize_group ~func g with
+    | None -> (None, Time.Inf)
+    | Some f ->
+      ( (if kept f then Some (row_of sources f, row_texp f) else None),
+        if Time.compare f.f_nu f.f_empties < 0 then f.f_nu else Time.Inf )
+
+let finalize ~group ~func ~child_arity ?having ~projection partial =
+  let output = finalizer ~group ~func ~child_arity ?having ~projection in
+  List.fold_left
+    (fun (relation, invalidation) g ->
+      let row, change = output g in
+      ( Option.fold row ~none:relation ~some:(fun (tuple, texp) ->
+            Relation.add tuple ~texp relation),
+        Time.min invalidation change ))
+    (Relation.empty ~arity:(List.length projection), Time.Inf)
+    partial
+
+(* ---------- standing COUNT state ---------- *)
+
+module Tmap = Map.Make (Time)
+
+module Keys = struct
+  type t = Value.t list
+
+  let compare = List.compare Value.compare
+end
+
+module Kmap = Map.Make (Keys)
+module Kset = Set.Make (Keys)
+
+type members = {
+  m_rows : int;
+  m_texps : int Tmap.t;  (* texp -> members expiring then *)
+}
+
+type standing = {
+  members : members Kmap.t;
+  firsts : Kset.t Tmap.t;  (* earliest member texp -> its groups *)
+}
+
+let standing_empty = { members = Kmap.empty; firsts = Tmap.empty }
+let first m = fst (Tmap.min_binding m.m_texps)
+
+(* Group [key]'s members go from [before] to [after]. *)
+let refile st key before after =
+  let unfile firsts m =
+    let ks = Kset.remove key (Tmap.find (first m) firsts) in
+    if Kset.is_empty ks then Tmap.remove (first m) firsts
+    else Tmap.add (first m) ks firsts
+  and file firsts m =
+    Tmap.update (first m)
+      (fun ks -> Some (Kset.add key (Option.value ks ~default:Kset.empty)))
+      firsts
   in
-  (relation, !invalidation)
+  let firsts = Option.fold before ~none:st.firsts ~some:(unfile st.firsts) in
+  { members = Kmap.update key (fun _ -> after) st.members;
+    firsts = Option.fold after ~none:firsts ~some:(file firsts)
+  }
+
+let standing_change st key texp n =
+  let before = Kmap.find_opt key st.members in
+  let m = Option.value before ~default:{ m_rows = 0; m_texps = Tmap.empty } in
+  let c = n + Option.value (Tmap.find_opt texp m.m_texps) ~default:0 in
+  let m_texps = if c = 0 then Tmap.remove texp m.m_texps else Tmap.add texp c m.m_texps in
+  refile st key before
+    (if m.m_rows + n = 0 then None else Some { m_rows = m.m_rows + n; m_texps })
+
+let standing_expire st tau =
+  let rec go st changed =
+    match Tmap.min_binding_opt st.firsts with
+    | Some (texp, keys) when Time.(texp <= tau) ->
+      let drop key st =
+        let m = Kmap.find key st.members in
+        let below, at, later = Tmap.split tau m.m_texps in
+        let gone = Tmap.fold (fun _ c n -> c + n) below (Option.value at ~default:0) in
+        refile st key (Some m)
+          (if Tmap.is_empty later then None
+           else Some { m_rows = m.m_rows - gone; m_texps = later })
+      in
+      go (Kset.fold drop keys st) (Kset.elements keys @ changed)
+    | _ -> (st, changed)
+  in
+  go st []
+
+let standing_next st =
+  Option.fold (Tmap.min_binding_opt st.firsts) ~none:Time.Inf ~some:fst
+
+let standing_groups st = Kmap.cardinal st.members
+
+let group_of key m =
+  let first, at_first = Tmap.min_binding m.m_texps in
+  let last, _ = Tmap.max_binding m.m_texps in
+  { key; slices = counter_slices (new_counter ~first ~at_first ~last ~rows:m.m_rows) }
+
+let standing_group st key = Option.map (group_of key) (Kmap.find_opt key st.members)
+
+let standing_partial st =
+  List.rev (Kmap.fold (fun key m gs -> group_of key m :: gs) st.members [])

@@ -101,6 +101,22 @@ val merge_all : func:Aggregate.func -> t list -> t
     is left to right.
     @raise Invalid_argument on non-numeric SUM partials. *)
 
+val finalizer :
+  group:int list ->
+  func:Aggregate.func ->
+  child_arity:int ->
+  ?having:Predicate.t ->
+  projection:int list ->
+  group ->
+  (Tuple.t * Time.t) option * Time.t
+(** One group's share of the answer — the one finalisation the executor,
+    the standing state and the coordinator share: its output row when
+    HAVING keeps it, carrying [min (nu, empties)] (the union-rule
+    collapse of the member rows' capped expirations), and its change
+    point nu when nu outruns the partition's own expiry, [Inf]
+    otherwise.  [projection] and [having]'s columns may mention GROUP BY
+    positions and [child_arity + 1] (the aggregate). *)
+
 val finalize :
   group:int list ->
   func:Aggregate.func ->
@@ -111,12 +127,42 @@ val finalize :
   Relation.t * Time.t
 (** [(rows, invalidation)]: the grouped query's result under the exact
     strategy, identical to composing [Ops.aggregate Exact] with the
-    HAVING selection and the projection.  [projection] (and [having]'s
-    columns) may mention GROUP BY positions and [child_arity + 1] (the
-    aggregate); each output row carries [min (nu, empties)] — the
-    union-rule collapse of the member rows' capped expirations — and
-    [invalidation] is the earliest change point that outruns its
-    partition's own expiry, folded over every partition pre-HAVING. *)
+    HAVING selection and the projection: {!finalizer} over every group,
+    the change points folded to their minimum. *)
+
+(** {2 Standing COUNT state}
+
+    A grouped COUNT kept current instead of refolded.  Table 1 makes no
+    COUNT member neutral, so a group's earliest texp must survive
+    deletes: each group keeps the multiset of its members' texps
+    (texp -> count, ordered by texp), and is filed under its earliest
+    one, so expiring up to [tau] visits only the groups it changes.
+    Persistent, so a forecast replays it without disturbing it.  Each
+    change costs O(log groups + log texps) per group it touches. *)
+
+type standing
+
+val standing_empty : standing
+
+val standing_change : standing -> Value.t list -> Time.t -> int -> standing
+(** [standing_change s key texp n]: [n] more members of the group (fewer
+    when negative; the caller removes only members it added). *)
+
+val standing_expire : standing -> Time.t -> standing * Value.t list list
+(** Drops every member expiring at or before [tau]; also answers the
+    keys of the groups that changed. *)
+
+val standing_next : standing -> Time.t
+(** The earliest member texp: the next change ([Inf] when none). *)
+
+val standing_groups : standing -> int
+
+val standing_group : standing -> Value.t list -> group option
+(** The group's at most two COUNT slices, as {!Executor.partial} folds
+    them. *)
+
+val standing_partial : standing -> t
+(** Every group's slices, in ascending key order. *)
 
 (** The GROUP BY value primitives the table hashes and probes with:
     {!Value.hash} and {!Value.equal} with the [Int] case inlined.  Each

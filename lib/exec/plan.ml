@@ -69,22 +69,6 @@ let operator_name = function
   | Sketch_count _ -> "sketch-count"
   | Sketch_sample _ -> "sketch-sample"
 
-let rec size = function
-  | Scan _ -> 1
-  | Filter (_, c)
-  | Project (_, c)
-  | Hash_aggregate { child = c; _ }
-  | Grouped_aggregate { child = c; _ }
-  | Sketch_count { child = c; _ }
-  | Sketch_sample { child = c; _ } ->
-    1 + size c
-  | Nested_loop { left; right; _ }
-  | Hash_join { left; right; _ }
-  | Merge_union (left, right)
-  | Merge_intersect (left, right)
-  | Merge_diff (left, right) ->
-    1 + size left + size right
-
 let children = function
   | Scan _ -> []
   | Filter (_, c)

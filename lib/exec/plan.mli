@@ -92,9 +92,6 @@ val operator_name : t -> string
     spans share, replacing the logical {!Algebra.operator_name}s on the
     physical execution path. *)
 
-val size : t -> int
-(** Number of operator nodes. *)
-
 val children : t -> t list
 (** Direct sub-plans, left before right — the traversal order
     {!Profile.of_plan} mirrors. *)

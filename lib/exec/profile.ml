@@ -26,11 +26,6 @@ let rec total_expired_dropped n =
     (fun acc c -> acc + total_expired_dropped c)
     n.expired_dropped n.children
 
-let rec total_cut_skipped n =
-  List.fold_left
-    (fun acc c -> acc + total_cut_skipped c)
-    n.cut_skipped n.children
-
 (* The annotation appended to each plan line.  Scan-only counters print
    only where they mean something: dropped on scans (the expiration
    churn), visited on index scans, build on hash joins, batch counts on

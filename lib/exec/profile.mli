@@ -45,10 +45,6 @@ val of_plan : db:Database.t -> Plan.t -> node
 val total_expired_dropped : node -> int
 (** Sum of [expired_dropped] over the whole tree. *)
 
-val total_cut_skipped : node -> int
-(** Sum of [cut_skipped] over the whole tree — the rows chunk-level
-    texp pruning saved this execution. *)
-
 val annotate : node -> string
 (** One node's stats, e.g.
     ["(est=100 rows=97 dropped=3 time=0.214ms)"]. *)

@@ -20,16 +20,53 @@ type event =
 
 type handler = event -> unit
 
-type watch = {
+module Tmap = Map.Make (Time)
+module Rows = Map.Make (Tuple)
+
+(* [n] more (or, negative, fewer) copies of [texp] in a multiset. *)
+let bag texp n b =
+  let c = n + Option.value (Tmap.find_opt texp b) ~default:0 in
+  if c = 0 then Tmap.remove texp b else Tmap.add texp c b
+
+(* A grouped COUNT over a scan, kept as per-group state.  [images] holds,
+   per output row, the row texps of the groups projected onto it (the
+   row's texp is their max), [changes] every group's change point (their
+   min is the result's texp(e)). *)
+type counts = {
+  groups : Partial_agg.standing;
+  images : int Tmap.t Rows.t;
+  changes : int Tmap.t;
+}
+
+type counted = {
+  table : string;
+  member : Tuple.t -> Value.t list option;
+      (* a row's group key, when the scan's predicate keeps the row *)
+  output : Partial_agg.group option -> (Tuple.t * Time.t) option * Time.t;
+  arity : int;  (* of the result *)
+  mutable counts : counts;
+  mutable stamp : int * int * Time.t;
+      (* the catalog's and the table's generations and the clock when
+         last kept current *)
+}
+
+(* How a write reaches an entry: a rerun at the clock, the written row as
+   its own delta (see [delta_of]), or the group it touches. *)
+type feed =
+  | Rerun
+  | Delta of (Tuple.t -> Tuple.t option)
+  | Counted of counted
+
+type entry = {
   compiled : Plan.compiled;
   handler : handler;
+  feed : feed;
   mutable result : Eval.result;  (* as of the last delivery or write *)
-  delta : (Tuple.t -> Tuple.t option) option;  (* see [delta_of] *)
 }
 
 type t = {
   db : Database.t;
-  watches : (string, watch) Hashtbl.t;
+  watches : (string, entry) Hashtbl.t;
 }
 
 let create db = { db; watches = Hashtbl.create 8 }
@@ -51,28 +88,170 @@ let delta_of db logical =
   in
   go None logical
 
+let counted compiled =
+  match compiled.Plan.physical with
+  | Plan.Grouped_aggregate { func = Aggregate.Count; child = Plan.Scan _; _ } -> true
+  | _ -> false
+
+let stamp db k =
+  Option.map
+    (fun tbl -> (Database.generation db, Table.generation tbl, Database.now db))
+    (Database.table db k.table)
+
+(* The counts after [groups] replaces [c]'s, [keys] naming every group
+   that changed: each one's output row and change point move, and the
+   touched output rows are re-read from [images] — O(log) per key, never
+   a pass over the groups.  Also answers the touched rows before and
+   after, for [diff]. *)
+let regroup k (result, c) groups keys =
+  let move n (images, changes, touched) g =
+    let row, change = k.output g in
+    let changes = bag change n changes in
+    match row with
+    | None -> (images, changes, touched)
+    | Some (tuple, texp) ->
+      let moved b =
+        let b = bag texp n (Option.value b ~default:Tmap.empty) in
+        if Tmap.is_empty b then None else Some b
+      in
+      (Rows.update tuple moved images, changes, tuple :: touched)
+  in
+  let images, changes, touched =
+    List.fold_left
+      (fun acc key ->
+        move 1
+          (move (-1) acc (Partial_agg.standing_group c.groups key))
+          (Partial_agg.standing_group groups key))
+      (c.images, c.changes, []) keys
+  in
+  let relation =
+    List.fold_left
+      (fun r tuple ->
+        match Rows.find_opt tuple images with
+        | None -> Relation.remove tuple r
+        | Some b -> Relation.replace tuple ~texp:(fst (Tmap.max_binding b)) r)
+      result.Eval.relation touched
+  in
+  let touched_in r =
+    List.fold_left
+      (fun acc tuple ->
+        Option.fold (Relation.texp_opt r tuple) ~none:acc ~some:(fun texp ->
+            Relation.add tuple ~texp acc))
+      (Relation.empty ~arity:k.arity) touched
+  in
+  let texp = Option.fold (Tmap.min_binding_opt changes) ~none:Time.Inf ~some:fst in
+  ( ({ Eval.relation; texp }, { groups; images; changes }),
+    touched_in result.Eval.relation,
+    touched_in relation )
+
+(* A fused grouped COUNT straight over a scan: its group state, built
+   from the table's rows live at the clock, and its answer. *)
+let counted_of db compiled =
+  match compiled.Plan.physical with
+  | Plan.Grouped_aggregate
+      { group; func = Aggregate.Count as func; having; projection;
+        child = Plan.Scan { name; pred; access = _ } } ->
+    let table = Database.table_exn db name in
+    let output =
+      Partial_agg.finalizer ~group ~func ~child_arity:(Table.arity table) ?having
+        ~projection
+    in
+    let keeps row = Option.fold pred ~none:true ~some:(fun p -> Predicate.eval p row) in
+    let member row = if keeps row then Some (List.map (Tuple.attr row) group) else None in
+    let add row texp st =
+      Option.fold (member row) ~none:st ~some:(fun key ->
+          Partial_agg.standing_change st key texp 1)
+    in
+    let groups =
+      Texp_run.fold_live (Table.run table) ~tau:(Database.now db) add
+        Partial_agg.standing_empty
+    in
+    let k =
+      { table = name;
+        member;
+        output = Option.fold ~none:(None, Time.Inf) ~some:output;
+        arity = List.length projection;
+        counts =
+          { groups = Partial_agg.standing_empty; images = Rows.empty; changes = Tmap.empty };
+        stamp = (Database.generation db, Table.generation table, Database.now db)
+      }
+    in
+    let empty = { Eval.relation = Relation.empty ~arity:k.arity; texp = Time.Inf } in
+    let keys = List.map (fun g -> g.Partial_agg.key) (Partial_agg.standing_partial groups) in
+    let (result, counts), _, _ = regroup k (empty, k.counts) groups keys in
+    k.counts <- counts;
+    Some (k, result)
+  | _ -> None
+
+let prepare t compiled handler =
+  match counted_of t.db compiled with
+  | Some (k, result) -> { compiled; handler; feed = Counted k; result }
+  | None ->
+    let result = Executor.run ~db:t.db compiled in
+    let feed =
+      Option.fold (delta_of t.db compiled.Plan.logical) ~none:Rerun ~some:(fun d ->
+          Delta d)
+    in
+    { compiled; handler; feed; result }
+
+let install t ~name entry = Hashtbl.replace t.watches name entry
+
 let subscribe t ~name compiled handler =
   if Hashtbl.mem t.watches name then
     invalid_arg (Printf.sprintf "Subscription.subscribe: %s exists" name)
-  else
-    let result = Executor.run ~db:t.db compiled in
-    let delta = delta_of t.db compiled.Plan.logical in
-    Hashtbl.replace t.watches name { compiled; handler; result; delta }
+  else install t ~name (prepare t compiled handler)
 
 let unsubscribe t name =
   Hashtbl.mem t.watches name && (Hashtbl.remove t.watches name; true)
+
+let length t = Hashtbl.length t.watches
 
 let names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.watches []
   |> List.sort String.compare
 
-let result t name = Option.map (fun w -> w.result) (Hashtbl.find_opt t.watches name)
+let reseed t =
+  List.iter
+    (fun name ->
+      let e = Hashtbl.find t.watches name in
+      install t ~name (prepare t e.compiled e.handler))
+    (names t)
+
+let result t name = Option.map (fun e -> e.result) (Hashtbl.find_opt t.watches name)
+
+let fresh t name =
+  match Hashtbl.find_opt t.watches name with
+  | Some ({ feed = Counted k; _ } as e) when stamp t.db k = Some k.stamp -> Some e
+  | Some _ | None -> None
+
+let prune t =
+  Hashtbl.filter_map_inplace
+    (fun _ e ->
+      match e.feed with
+      | Counted k when stamp t.db k <> Some k.stamp -> None
+      | Counted _ | Rerun | Delta _ -> Some e)
+    t.watches
+
+let answer e = e.result
+
+let partial e =
+  match e.feed with
+  | Counted k -> Partial_agg.standing_partial k.counts.groups
+  | Rerun | Delta _ -> invalid_arg "Subscription.partial: not a grouped COUNT"
+
+let groups t =
+  Hashtbl.fold
+    (fun _ e n ->
+      match e.feed with
+      | Counted k -> n + Partial_agg.standing_groups k.counts.groups
+      | Rerun | Delta _ -> n)
+    t.watches 0
 
 let readers t table =
   List.filter
     (fun name ->
-      let w = Hashtbl.find t.watches name in
-      List.mem table (Algebra.base_names w.compiled.Plan.logical))
+      let e = Hashtbl.find t.watches name in
+      List.mem table (Algebra.base_names e.compiled.Plan.logical))
     (names t)
 
 (* [fresh] replacing [old] at [at]: each live old row that [fresh] drops
@@ -94,11 +273,25 @@ let diff ~name ~at ~emit ~between old fresh =
         emit (Row_appeared { subscription = name; tuple; texp; at }))
     fresh
 
-(* The one change-time walk.  It holds the rows of the current result
-   that expire before its next refresh or the target, in [(texp, tuple)]
-   order, sorted once per walk and again after each refresh, so a step
-   touches only the rows it fires.  A refresh at [texp(e)] runs the plan
-   at that instant. *)
+(* The one change-time walk, over a standing query's state: [next] is
+   the state's next change time, [step at] fires every change at that
+   instant — expirations, then the refresh, then appearances — and
+   answers the state after it. *)
+let steps ~next ~step ~to_ ~settle state =
+  let rec go state =
+    let at = next state in
+    if Time.(at > to_) || Time.is_infinite at then state
+    else
+      let state = step at state in
+      if settle at then go state else state
+  in
+  go state
+
+(* A plan's walk holds the rows of the current result that expire
+   before its next refresh or the target, in [(texp, tuple)] order,
+   sorted once per walk and again after each refresh, so a step touches
+   only the rows it fires.  A refresh at [texp(e)] runs the plan at that
+   instant. *)
 let walk ~db ~name compiled result ~from ~to_ ~emit ~settle =
   (* The rows expiring in [(after, min to_ texp(e)]]: one fold in tuple
      order, one stable sort by texp. *)
@@ -112,82 +305,107 @@ let walk ~db ~name compiled result ~from ~to_ ~emit ~settle =
     |> List.rev
     |> List.stable_sort (fun (a, _) (b, _) -> Time.compare a b)
   in
-  let rec go result due_rows =
-    let next_expiry =
-      match due_rows with
-      | (texp, _) :: _ -> texp
-      | [] -> Time.Inf
-    in
-    let at = Time.min next_expiry result.Eval.texp in
-    if Time.(at > to_) || Time.is_infinite at then result
-    else begin
-      (* Expirations at this instant fire first, in tuple order. *)
-      let rec fire = function
-        | (texp, tuple) :: rest when Time.equal texp at ->
-          emit (Row_expired { subscription = name; tuple; at });
-          fire rest
-        | rest -> rest
-      in
-      let due_rows = fire due_rows in
-      let result, due_rows =
-        if Time.(result.Eval.texp <= at) then begin
-          (* The materialisation is invalid from here: refresh. *)
-          let refreshed = Executor.run ~tau:at ~db compiled in
-          diff ~name ~at ~emit
-            ~between:(fun () -> emit (Refreshed { subscription = name; at }))
-            result.Eval.relation refreshed.Eval.relation;
-          (refreshed, due refreshed ~after:at)
-        end
-        else (result, due_rows)
-      in
-      if settle at then go result due_rows else result
-    end
+  let next (result, due_rows) =
+    match due_rows with
+    | (texp, _) :: _ -> Time.min texp result.Eval.texp
+    | [] -> result.Eval.texp
   in
-  go result (due result ~after:from)
+  let step at (result, due_rows) =
+    (* Expirations at this instant fire first, in tuple order. *)
+    let rec fire = function
+      | (texp, tuple) :: rest when Time.equal texp at ->
+        emit (Row_expired { subscription = name; tuple; at });
+        fire rest
+      | rest -> rest
+    in
+    let due_rows = fire due_rows in
+    if Time.(result.Eval.texp <= at) then begin
+      (* The materialisation is invalid from here: refresh. *)
+      let refreshed = Executor.run ~tau:at ~db compiled in
+      diff ~name ~at ~emit
+        ~between:(fun () -> emit (Refreshed { subscription = name; at }))
+        result.Eval.relation refreshed.Eval.relation;
+      (refreshed, due refreshed ~after:at)
+    end
+    else (result, due_rows)
+  in
+  fst (steps ~next ~step ~to_ ~settle (result, due result ~after:from))
 
-(* Every watch's walk from the clock to [to_], in name order, each
-   handed to [finish] with the result where it stopped. *)
-let walk_watches t ~to_ ~emit ~finish =
-  let from = Database.now t.db in
-  List.iter
-    (fun name ->
-      let w = Hashtbl.find t.watches name in
-      finish w
-        (walk ~db:t.db ~name w.compiled w.result ~from ~to_ ~emit:(emit w)
-           ~settle:(fun _ -> true)))
-    (names t)
+(* A grouped COUNT's step: the groups whose earliest member expires at
+   [at] lose those members, and only their output rows are diffed. *)
+let counted_step k ~name ~emit at (result, c) =
+  let groups, keys = Partial_agg.standing_expire c.groups at in
+  let after, old, fresh = regroup k (result, c) groups keys in
+  Relation.iter
+    (fun tuple texp ->
+      if Time.equal texp at then
+        emit (Row_expired { subscription = name; tuple; at }))
+    old;
+  diff ~name ~at ~emit
+    ~between:(fun () ->
+      if Time.(result.Eval.texp <= at) then
+        emit (Refreshed { subscription = name; at }))
+    old fresh;
+  after
+
+(* Walks entry [e] from the clock to [to_]; answers the function that
+   keeps where the walk stopped.  A plan's entry keeps only the rows
+   live at [to_]: the walk fired every other one, and a monotone watch,
+   never refreshed, would otherwise hold every row it ever had. *)
+let walk_entry t ~name e ~to_ ~emit =
+  match e.feed with
+  | Counted k ->
+    let result, counts =
+      steps
+        ~next:(fun (_, c) -> Partial_agg.standing_next c.groups)
+        ~step:(counted_step k ~name ~emit) ~to_
+        ~settle:(fun _ -> true)
+        (e.result, k.counts)
+    in
+    fun () ->
+      e.result <- result;
+      k.counts <- counts
+  | Rerun | Delta _ ->
+    let r =
+      walk ~db:t.db ~name e.compiled e.result ~from:(Database.now t.db) ~to_
+        ~emit ~settle:(fun _ -> true)
+    in
+    fun () -> e.result <- { r with Eval.relation = Relation.exp to_ r.Eval.relation }
 
 let forecast_events t ~until =
   if Time.is_infinite until || Time.(until <= Database.now t.db) then 0
   else begin
     let count = ref 0 in
-    walk_watches t ~to_:until
-      ~emit:(fun _ _ -> incr count)
-      ~finish:(fun _ _ -> ());
+    List.iter
+      (fun name ->
+        ignore
+          (walk_entry t ~name (Hashtbl.find t.watches name) ~to_:until
+             ~emit:(fun _ -> incr count)
+            : unit -> unit))
+      (names t);
     !count
   end
 
+(* Replay the continuous queries' change times before the storage
+   physically removes rows (eager policy): refreshes at intermediate
+   instants must see everything that was live then. *)
 let deliver_until t target =
   if Time.is_infinite target then
     invalid_arg "Subscription.deliver_until: infinite time"
   else if Time.(target < Database.now t.db) then
     invalid_arg "Subscription.deliver_until: moving backwards"
   else
-    (* Replay the continuous queries' change times before the storage
-       physically removes rows (eager policy): refreshes at intermediate
-       instants must see everything that was live then.  A watch keeps
-       only the rows live at the target: the walk fired every other one,
-       and a monotone watch, never refreshed, would otherwise hold every
-       row it ever had. *)
-    walk_watches t ~to_:target
-      ~emit:(fun w -> w.handler)
-      ~finish:(fun w r ->
-        w.result <-
-          { r with Eval.relation = Relation.exp target r.Eval.relation })
+    List.iter
+      (fun name ->
+        let e = Hashtbl.find t.watches name in
+        walk_entry t ~name e ~to_:target ~emit:e.handler ())
+      (names t)
 
-(* A delta watch diffs the written row's result row before and after;
-   any other watch reruns at the clock and diffs the whole result. *)
-let write ?trace t record =
+(* A delta entry diffs the written row's result row before and after, a
+   grouped COUNT the written row's group; any other entry reruns at the
+   clock and diffs the whole result.  A prior texp at or before the
+   clock is a row already expired, which no state holds. *)
+let write ?trace t ~before record =
   let at = Database.now t.db in
   let written table tuple texp =
     let names = readers t table in
@@ -195,15 +413,15 @@ let write ?trace t record =
       Expirel_obs.Trace.span trace "deliver" @@ fun () ->
       List.iter
         (fun name ->
-          let w = Hashtbl.find t.watches name in
-          let old = w.result.Eval.relation in
-          let diff = diff ~name ~at ~emit:w.handler ~between:ignore in
-          match w.delta with
-          | None ->
-            let fresh = Executor.run ~db:t.db w.compiled in
+          let e = Hashtbl.find t.watches name in
+          let old = e.result.Eval.relation in
+          let diff = diff ~name ~at ~emit:e.handler ~between:ignore in
+          match e.feed with
+          | Rerun ->
+            let fresh = Executor.run ~db:t.db e.compiled in
             diff old fresh.Eval.relation;
-            w.result <- fresh
-          | Some row ->
+            e.result <- fresh
+          | Delta row ->
             Option.iter
               (fun tuple ->
                 let put r =
@@ -212,11 +430,38 @@ let write ?trace t record =
                 let none = Relation.empty ~arity:(Relation.arity old) in
                 diff (put none (Relation.texp_opt old tuple)) (put none texp);
                 let relation = put (Relation.remove tuple old) texp in
-                w.result <- { w.result with Eval.relation })
-              (row tuple))
+                e.result <- { e.result with Eval.relation })
+              (row tuple)
+          | Counted k ->
+            Option.iter
+              (fun key ->
+                let change n texp groups =
+                  match texp with
+                  | Some e when Time.(e > at) -> Partial_agg.standing_change groups key e n
+                  | Some _ | None -> groups
+                in
+                let groups = change 1 texp (change (-1) before k.counts.groups) in
+                let (result, counts), old, fresh =
+                  regroup k (e.result, k.counts) groups [ key ]
+                in
+                diff old fresh;
+                e.result <- result;
+                k.counts <- counts)
+              (k.member tuple);
+            Option.iter (fun s -> k.stamp <- s) (stamp t.db k))
         names
   in
   match record with
   | Wal.Insert { table; tuple; texp } -> written table tuple (Some texp)
   | Wal.Delete { table; tuple } -> written table tuple None
-  | Wal.Create_table _ | Wal.Drop_table _ | Wal.Advance _ -> ()
+  | Wal.Advance _ ->
+    (* The walk to the target ran first; a state it did not advance is
+       left unstamped, for its next reader to rebuild. *)
+    Hashtbl.iter
+      (fun _ e ->
+        match e.feed with
+        | Counted k when Time.(Partial_agg.standing_next k.counts.groups > at) ->
+          Option.iter (fun s -> k.stamp <- s) (stamp t.db k)
+        | Counted _ | Rerun | Delta _ -> ())
+      t.watches
+  | Wal.Create_table _ | Wal.Drop_table _ -> ()

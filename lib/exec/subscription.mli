@@ -44,13 +44,64 @@ val create : Database.t -> t
 (** A registry over the database; it never moves the clock itself. *)
 
 val subscribe : t -> name:string -> Plan.compiled -> handler -> unit
-(** Runs the plan at the clock and starts watching its result; the
-    plan is kept and rerun at every [texp(e)] refresh.
+(** {!prepare} then {!install}.
     @raise Invalid_argument when the name is taken
     @raise Errors.Unknown_relation / {!Errors.Arity_mismatch} like
     {!Executor.run} *)
 
+(** {2 Entries}
+
+    An entry keeps its plan's answer current.  A grouped COUNT straight
+    over a scan ({!counted}; any pushed-down predicate, HAVING and
+    projection) keeps per-group state ({!Partial_agg.standing}): its
+    walk steps from one group's earliest member expiry to the next, and
+    a step or a write re-finalises only the groups it touches, never
+    every group.  Any other entry reruns the plan ([Executor.run ~tau])
+    at each [texp(e)] refresh and at each write it cannot take as a
+    delta. *)
+
+type entry
+
+val counted : Plan.compiled -> bool
+(** A fused [COUNT] grouped aggregate directly over a scan. *)
+
+val prepare : t -> Plan.compiled -> handler -> entry
+(** The plan's entry at the clock (a run of the plan, or the group state
+    built from the table's live rows, O(rows)), registering nothing: a
+    caller may build it outside its own lock. *)
+
+val install : t -> name:string -> entry -> unit
+(** Registers the entry, replacing any of that name. *)
+
 val unsubscribe : t -> string -> bool
+
+val reseed : t -> unit
+(** Rebuilds every entry from the state at the clock, without events:
+    after a snapshot replaced the state under them.  The clock jump in
+    between pushes nothing. *)
+
+val length : t -> int
+
+val groups : t -> int
+(** Groups held, summed over the grouped COUNT entries. *)
+
+val fresh : t -> string -> entry option
+(** The named grouped COUNT entry, while the catalog generation, its
+    table's {!Table.generation} and the clock are those its last build,
+    {!write} or walk left: [None] after any catalog change, and once a
+    mutation bypassed {!write}. *)
+
+val prune : t -> unit
+(** Ends every grouped COUNT entry {!fresh} refuses.  Called before a
+    record is applied, it keeps {!write} from stamping an entry that
+    missed an earlier mutation. *)
+
+val answer : entry -> Eval.result
+(** The entry's answer, exact at the clock. *)
+
+val partial : entry -> Partial_agg.t
+(** A grouped COUNT entry's groups as {!Executor.partial} would fold
+    them.  @raise Invalid_argument for any other entry *)
 
 val result : t -> string -> Eval.result option
 (** The named watch's result as of its last delivery or write, uncut. *)
@@ -82,14 +133,22 @@ val deliver_until : t -> Time.t -> unit
     watch.
     @raise Invalid_argument when moving backwards or to [Inf] *)
 
-val write : ?trace:Expirel_obs.Trace.t -> t -> Wal.record -> unit
-(** Feeds an applied [Insert] or [Delete] to every watch reading its
+val write :
+  ?trace:Expirel_obs.Trace.t -> t -> before:Time.t option -> Wal.record -> unit
+(** Feeds an applied [Insert] or [Delete] to every entry reading its
     table, in name order, under a [deliver] span; events carry [at =
-    now].  A watch over [Base r] or [Select (p, Base r)], either under
-    a [Project] permuting r's columns, takes the row as its delta (an
-    inserted row satisfying [p] appears, a re-dated one expires first;
-    a deleted one expires).  Any other watch reruns at the clock and
-    reports the difference as a refresh does, without [Refreshed]. *)
+    now].  [before] is the row's texp before the record
+    ({!Table.texp_of}): a re-dated row and a deleted one leave their old
+    group through it, and one at or before the clock (expired, maybe
+    still stored under [Lazy]) belongs to no group.  A watch over [Base
+    r] or [Select (p, Base r)], either under a [Project] permuting r's
+    columns, takes the row as its delta (an inserted row satisfying [p]
+    appears, a re-dated one expires first; a deleted one expires); a
+    grouped COUNT diffs the output rows of the row's group; any other
+    entry reruns at the clock and reports the difference as a refresh
+    does, without [Refreshed].  Each record stamps the grouped COUNT
+    entries it reaches for {!fresh} — an [Advance], those its walk
+    brought to the clock. *)
 
 val walk :
   db:Database.t -> name:string -> Plan.compiled -> Eval.result ->
@@ -99,7 +158,8 @@ val walk :
     [emit], in {!deliver_until}'s order, every change in [(from, to_]]
     of [result], [plan]'s answer as of [from]: each row at its
     expiration time, and at each [texp(e)] a refresh ([Executor.run
-    ~tau] of [plan]) that reports the live rows it drops or re-dates as
+    ~tau] of [plan]; a grouped COUNT entry steps its group state
+    instead) that reports the live rows it drops or re-dates as
     expired and the new or re-dated ones as appeared, so folding the
     events over [result] gives the answer at every instant.  [settle]
     sees each instant after its last event; [false] stops the walk

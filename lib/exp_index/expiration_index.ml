@@ -44,8 +44,6 @@ let add t ~id ~texp =
     Timer_wheel.add w ~at:(max n (Timer_wheel.now w)) id
 
 let remove t ~id = Hashtbl.remove t.live id
-let texp_of t ~id = Hashtbl.find_opt t.live id
-
 (* An entry popped from a backend is authoritative only if the id is
    still live with that exact expiration time (lazy deletion). *)
 let confirm t tau (time, id) =

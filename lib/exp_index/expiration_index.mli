@@ -32,8 +32,6 @@ val size : t -> int
 
 val add : t -> id:int -> texp:Time.t -> unit
 val remove : t -> id:int -> unit
-val texp_of : t -> id:int -> Time.t option
-
 val expire_upto : t -> Time.t -> (int * Time.t) list
 (** [expire_upto idx tau] removes and returns every live [(id, texp)]
     with [texp <= tau], sorted by [(texp, id)].

@@ -29,4 +29,3 @@ let record d =
         })
 
 let snapshot () = locked (fun () -> !totals)
-let reset () = locked (fun () -> totals := zero)

@@ -23,6 +23,3 @@ val record : snapshot -> unit
 (** Adds one query's counts to the totals. *)
 
 val snapshot : unit -> snapshot
-
-val reset : unit -> unit
-(** Tests only. *)

@@ -21,4 +21,3 @@ let next t =
   (span /. 2.0) +. Random.State.float t.rng (span /. 2.0)
 
 let reset t = t.attempts <- 0
-let attempt t = t.attempts

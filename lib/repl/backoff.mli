@@ -17,6 +17,3 @@ val next : t -> float
 val reset : t -> unit
 (** Back to the first attempt — call after a connection proves
     healthy. *)
-
-val attempt : t -> int
-(** Consecutive failures so far (0 after {!reset}). *)

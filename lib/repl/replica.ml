@@ -32,18 +32,11 @@ let locked t f =
 
 let position t = Durable.position t.store
 let source_position t = locked t (fun () -> t.source_position)
-let lag_records t = max 0 (source_position t - position t)
 let source_now t = locked t (fun () -> t.source_now)
-
-let clock_lag t =
-  match source_now t, Durable.now t.store with
-  | Time.Fin src, Time.Fin local -> max 0 (src - local)
-  | (Time.Fin _ | Time.Inf), _ -> 0
 
 let reconnects t = locked t (fun () -> t.reconnects)
 let snapshots_received t = locked t (fun () -> t.snapshots)
 let records_applied t = locked t (fun () -> t.applied)
-let connected t = locked t (fun () -> t.is_connected)
 let server t = t.server
 let port t = Server.port t.server
 

@@ -55,21 +55,12 @@ val position : t -> int
 val source_position : t -> int
 (** The primary's position as last heard (streams and heartbeats). *)
 
-val lag_records : t -> int
-(** [source_position - position], never negative. *)
-
-val clock_lag : t -> int
-(** Logical-time distance between the last heard primary clock and the
-    local clock, in ticks. *)
-
 val source_now : t -> Time.t
 (** The primary's logical clock as last heard. *)
 
 val reconnects : t -> int
 val snapshots_received : t -> int
 val records_applied : t -> int
-val connected : t -> bool
-
 val wait_for_position : ?timeout:float -> t -> int -> bool
 (** Blocks (polling) until {!position} reaches the given position or
     [timeout] (default 5 s) elapses; [true] on success.  Test and

@@ -158,14 +158,6 @@ let shard_map t =
   | Ok _ -> Error "unexpected response to shard map request"
   | Error _ as e -> e
 
-let shard_ping t =
-  match request t Wire.Shard_ping with
-  | Ok (Wire.Shard_pong { shard_id; pong_map_version; now; partition }) ->
-    Ok (shard_id, pong_map_version, now, partition)
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to shard ping"
-  | Error _ as e -> e
-
 let extract_moving t table =
   match request t (Wire.Extract_moving table) with
   | Ok (Wire.Moved_rows moves) -> Ok moves

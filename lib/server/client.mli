@@ -93,11 +93,6 @@ val shard_install :
 val shard_map : t -> (Wire.shard_identity option, string) result
 (** The node's installed map and id ([None] when unclaimed). *)
 
-val shard_ping :
-  t -> (int * int * Expirel_core.Time.t * Wire.partition_texp, string) result
-(** The cluster heartbeat: [(shard_id, map_version, now, partition)].
-    [map_version] is [0] when the node has no map (e.g. it restarted). *)
-
 val extract_moving :
   t ->
   string ->

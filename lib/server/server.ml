@@ -294,6 +294,12 @@ let create ?(config = default_config) () =
   Obs.Registry.gauge_fun reg ~name:"expirel_plan_cache_entries"
     ~help:"Plans currently cached"
     (cache_stat (fun s -> s.Interp.entries));
+  Obs.Registry.gauge_fun reg ~name:"expirel_standing_aggregates"
+    ~help:"Repeated GROUP BY COUNT queries answered from standing state"
+    (fun () -> float_of_int (fst (Interp.standing_aggregates t.interp)));
+  Obs.Registry.gauge_fun reg ~name:"expirel_standing_groups"
+    ~help:"Groups held by every standing GROUP BY COUNT"
+    (fun () -> float_of_int (snd (Interp.standing_aggregates t.interp)));
   (* Sketch observability: one sample per sketch the executor has
      built, labelled by the sketch's display name (e.g.
      "approx_count(0.01)").  The Observatory is process-global and
@@ -737,7 +743,7 @@ let handle_shard_exec t ~sql ~ctx ~want =
   | Want_agg, Ast.Query qs ->
     partial (fun () ->
         let columns, groups, child_texp =
-          Interp.aggregate_partial ?trace t.interp qs
+          Interp.aggregate_partial ?trace ~text:sql t.interp qs
         in
         Wire.Body_agg { columns; child_texp; groups })
   | (Want_sketch | Want_agg), _ ->

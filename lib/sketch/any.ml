@@ -10,11 +10,6 @@ let kind = function
   | Sample _ -> "sample"
   | Spread _ -> "spread"
 
-let name = function
-  | Counter c -> Printf.sprintf "approx_count(%g)" (Counter.epsilon c)
-  | Sample s -> Printf.sprintf "sample(%d)" (Sample.k s)
-  | Spread s -> Printf.sprintf "spread(%g)" (Spread.epsilon s)
-
 let merge a b =
   match (a, b) with
   | Counter x, Counter y ->

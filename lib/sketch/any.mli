@@ -16,10 +16,6 @@ type t =
 val kind : t -> string
 (** ["counter" | "sample" | "spread"]. *)
 
-val name : t -> string
-(** Display name with parameters, e.g. ["approx_count(0.05)"],
-    ["sample(10)"] — the label the observability gauges use. *)
-
 val merge : t -> t -> (t, string) result
 (** [Error] on kind or parameter mismatch. *)
 

@@ -121,11 +121,6 @@ let add_with_priority t row ~texp ~prio =
 let add t row ~texp =
   add_with_priority t row ~texp ~prio:(Random.State.float t.rng 1.)
 
-let evict t ~now =
-  let live = List.filter (fun e -> Time.(e.e_texp > now)) t.entries in
-  t.entries <- live;
-  t.size <- List.length live
-
 let query t ~tau =
   let live = List.filter (fun e -> Time.(e.e_texp > tau)) t.entries in
   let sorted = List.sort (fun a b -> Float.compare a.prio b.prio) live in

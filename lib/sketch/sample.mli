@@ -37,10 +37,6 @@ val compact : t -> unit
 (** Drop entries that can never again be among the [k] smallest-priority
     live elements (it otherwise runs amortised). *)
 
-val evict : t -> now:Time.t -> unit
-(** Lazily drop entries already expired at [now]; they cannot appear in
-    any query with [tau >= now]. *)
-
 val query : t -> tau:Time.t -> (Value.t list * Time.t) list
 (** The sample of the live-at-[tau] elements: the [k] live entries with
     the smallest priorities (all of them when fewer than [k] are live),

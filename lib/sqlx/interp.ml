@@ -48,6 +48,9 @@ type t = {
   constraints : (string, constraint_info) Hashtbl.t;
   watches : Subscription.t;
   maintained : Subscription.t;  (* MAINTAINED views: own names, no pushes *)
+  cached : Subscription.t;
+      (* repeated grouped COUNT queries, by text: an entry lives while its
+         plan does, in the plan cache and the catalog generation *)
   mutable trigger_log : string list;  (* newest first *)
   plan_cache : (string, plan_entry) Lru.t;
       (* keyed by the statement's source text: hashing a short string is
@@ -78,15 +81,20 @@ let create ?policy ?store () =
     | Some s -> Durable.database s
     | None -> Database.create ?policy ()
   in
+  let cached = Subscription.create db in
   { db;
     store;
     views = Hashtbl.create 8;
     constraints = Hashtbl.create 8;
     watches = Subscription.create db;
     maintained = Subscription.create db;
+    cached;
     trigger_log = [];
-    plan_cache = Lru.create ~capacity:64;
-    parse_cache = Lru.create ~capacity:64;
+    plan_cache =
+      Lru.create ~capacity:64
+        ~on_evict:(fun text -> ignore (Subscription.unsubscribe cached text))
+        ();
+    parse_cache = Lru.create ~capacity:64 ();
     plan_mutex = Mutex.create ();
     plan_hits = 0;
     plan_misses = 0;
@@ -165,7 +173,8 @@ let xprobe_of trace =
    more than planning).  The lock is dropped before lowering and
    planning so a cache miss never serialises against other readers; two
    concurrent misses on the same query both plan and the second store
-   wins — wasted work, never a wrong answer. *)
+   wins — wasted work, never a wrong answer.  Also answers whether the
+   plan came from the cache. *)
 let planned_query ?trace ?text t q =
   let generation = Database.generation t.db in
   let cached =
@@ -182,7 +191,7 @@ let planned_query ?trace ?text t q =
             None)
   in
   match cached with
-  | Some entry -> entry
+  | Some entry -> (entry, true)
   | None ->
     let { Lower.expr; columns; approx } =
       Trace.span trace "lower" (fun () ->
@@ -202,7 +211,36 @@ let planned_query ?trace ?text t q =
      | Some key ->
        Mutex.protect t.plan_mutex (fun () -> Lru.set t.plan_cache key entry)
      | None -> ());
-    entry
+    (entry, false)
+
+(* [read] of the standing entry answering a grouped COUNT query's text,
+   under the operator span the executor's fused aggregate would open:
+   the entry found fresh, or built on the plan's first cache hit and on
+   a stale stamp (a mutation that bypassed [write]).  Lookup and
+   promotion hold [plan_mutex]; the O(rows) build runs outside it, like
+   a plan miss, and an entry whose plan was evicted meanwhile is not
+   kept. *)
+let standing ?trace ?text ~hit t (entry : plan_entry) ~rows read =
+  let find text =
+    match
+      Mutex.protect t.plan_mutex (fun () -> Subscription.fresh t.cached text)
+    with
+    | Some e -> read e
+    | None ->
+      let built = Subscription.prepare t.cached entry.p_compiled ignore in
+      Mutex.protect t.plan_mutex (fun () ->
+          match Lru.find t.plan_cache text with
+          | Some e when e == entry -> Subscription.install t.cached ~name:text built
+          | Some _ | None -> ());
+      read built
+  in
+  match text with
+  | Some text when hit && Subscription.counted entry.p_compiled ->
+    Some
+      (match xprobe_of trace with
+       | None -> find text
+       | Some p -> p.Executor.probe "aggregate" ~rows (fun () -> find text))
+  | Some _ | None -> None
 
 let plan_cache_stats t =
   Mutex.protect t.plan_mutex (fun () ->
@@ -224,15 +262,20 @@ let tau_of_at t = function
 
 let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
   let tau = tau_of_at t at in
-  let entry = planned_query ?trace ?text t q in
+  let entry, hit = planned_query ?trace ?text t q in
   let eval () =
     Executor.run ?probe:(xprobe_of trace) ?tau ~db:t.db entry.p_compiled
   in
   let { Eval.relation; texp = texp_e } =
     Trace.span trace "eval" (fun () ->
-        match entry.p_approx with
-        | None -> eval ()
-        | Some _ -> Trace.span trace "sketch-query" eval)
+        match
+          standing ?trace ?text ~hit:(hit && at = None) t entry
+            ~rows:(fun r -> Relation.cardinal r.Eval.relation)
+            Subscription.answer
+        with
+        | Some r -> r
+        | None when entry.p_approx = None -> eval ()
+        | None -> Trace.span trace "sketch-query" eval)
   in
   let columns = entry.p_columns in
   let listing = order_and_limit ~columns ~order_by ~limit relation in
@@ -273,20 +316,24 @@ let sketch_partial ?trace t q =
    pre-averaged.  The query runs through the executor up to its fused
    aggregate node, which folds the child's cut batches straight into the
    partial under the [aggregate] operator span. *)
-let aggregate_partial ?trace t { Ast.q; at; order_by = _; limit = _ } =
+let aggregate_partial ?trace ?text t { Ast.q; at; order_by = _; limit = _ } =
   let tau = tau_of_at t at in
-  let lowered =
-    Trace.span trace "lower" (fun () ->
-        Lower.lower_query ~catalog:(catalog t) q)
-  in
-  if Lower.decompose lowered = None then
-    failwith "aggregate_partial: query does not decompose";
+  let entry, hit = planned_query ?trace ?text t q in
+  let { p_compiled = compiled; p_columns = columns; p_approx = approx; _ } = entry in
+  if Lower.decompose { Lower.expr = compiled.Plan.logical; columns; approx } = None
+  then failwith "aggregate_partial: query does not decompose";
   let partial, child_texp =
     Trace.span trace "eval" (fun () ->
-        let compiled = Planner.plan ~db:t.db lowered.Lower.expr in
-        Executor.partial ?probe:(xprobe_of trace) ?tau ~db:t.db compiled)
+        (* the scan under a standing COUNT never invalidates *)
+        match
+          standing ?trace ?text ~hit:(hit && at = None) t entry
+            ~rows:(fun (p, _) -> List.length p)
+            (fun e -> (Subscription.partial e, Time.Inf))
+        with
+        | Some partial -> partial
+        | None -> Executor.partial ?probe:(xprobe_of trace) ?tau ~db:t.db compiled)
   in
-  (lowered.Lower.columns, partial, child_texp)
+  (columns, partial, child_texp)
 
 (* Standing queries lower and plan once, outside the cache: their texts
    never repeat. *)
@@ -301,13 +348,21 @@ let plan_standing t q =
    a coordinator's gathered rows all change the data here, and then
    reach the watches and MAINTAINED views. *)
 let write ?trace t record =
+  let before =
+    match record with
+    | Wal.Insert { table; tuple; _ } | Wal.Delete { table; tuple } ->
+      Option.bind (Database.table t.db table) (fun tbl -> Table.texp_of tbl tuple)
+    | Wal.Create_table _ | Wal.Drop_table _ | Wal.Advance _ -> None
+  in
+  Subscription.prune t.cached;
   (match t.store with
    | Some s -> Durable.write s record
    | None ->
      Database.validate t.db record;
      Database.apply t.db record);
-  Subscription.write ?trace t.watches record;
-  Subscription.write ?trace t.maintained record
+  List.iter
+    (fun subs -> Subscription.write ?trace subs ~before record)
+    [ t.watches; t.maintained; t.cached ]
 
 (* The constraints in name order, each with its name. *)
 let sorted_constraints t =
@@ -348,8 +403,9 @@ let move_clock ?trace t target =
                   .Invariant.transitions)
             (sorted_constraints t)
         in
-        Subscription.deliver_until t.watches target;
-        Subscription.deliver_until t.maintained target;
+        List.iter
+          (fun subs -> Subscription.deliver_until subs target)
+          [ t.watches; t.maintained; t.cached ];
         found)
   in
   Trace.span trace "storage" (fun () -> write t (Wal.Advance target));
@@ -452,6 +508,7 @@ let exec_statement ?trace ?text t = function
      | Some pos ->
        Trace.span trace "storage" (fun () -> Table.create_index tbl ~column:pos);
        Database.bump_generation t.db;
+       Subscription.prune t.cached;
        Msg (Printf.sprintf "index on %s (%s) created" table column))
   | Ast.Drop_index { table; column } ->
     let tbl = Database.table_exn t.db table in
@@ -461,6 +518,7 @@ let exec_statement ?trace ?text t = function
      | Some pos ->
        Table.drop_index tbl ~column:pos;
        Database.bump_generation t.db;
+       Subscription.prune t.cached;
        Msg (Printf.sprintf "index on %s (%s) dropped" table column))
   | Ast.Insert { table; values; expires } ->
     let texp = time_of_expires t expires in
@@ -613,7 +671,7 @@ let exec_statement ?trace ?text t = function
   | Ast.Show_time -> Msg (Time.to_string (Database.now t.db))
   | Ast.Show_horizon table -> Msg (Horizon.render (horizon ?table t))
   | Ast.Explain q ->
-    let { p_columns = columns; p_compiled = compiled; _ } = planned_query t q in
+    let { p_columns = columns; p_compiled = compiled; _ }, _ = planned_query t q in
     let expr = compiled.Plan.logical in
     let { Eval.texp; _ } = Executor.run ~db:t.db compiled in
     Msg
@@ -630,7 +688,7 @@ let exec_statement ?trace ?text t = function
     (* Plan through the cache (EXPLAIN ANALYZE profiles what a real
        request would run, cached plan included), then execute with a
        profile sink and report the annotated tree. *)
-    let entry = planned_query ?trace ?text t q in
+    let entry, _ = planned_query ?trace ?text t q in
     let physical = entry.p_compiled.Plan.physical in
     let profile = Profile.of_plan ~db:t.db physical in
     let { Eval.relation; texp = texp_e } =
@@ -742,7 +800,17 @@ let install_snapshot t ~position records =
     List.iter
       (fun table -> if Database.table t.db table = None then end_readers t table)
       tables;
+    Subscription.prune t.cached;
+    Subscription.reseed t.watches;
+    Subscription.reseed t.maintained;
     Ok ()
+
+let standing_aggregates t =
+  Mutex.protect t.plan_mutex (fun () ->
+      ( Subscription.length t.cached,
+        List.fold_left
+          (fun n subs -> n + Subscription.groups subs)
+          0 [ t.watches; t.maintained; t.cached ] ))
 
 (* Parse through the statement cache.  A parsed AST is immutable, so
    sharing one across requests is safe; parse errors raise before the

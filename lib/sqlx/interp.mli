@@ -106,7 +106,17 @@ val exec :
     [text], when given, is the statement's source string and serves as
     the plan-cache key (hashing a short string beats re-hashing an AST;
     see {!plan_cache_stats}).  Callers that hold only an AST omit it and
-    replan each time — correct, just uncached. *)
+    replan each time — correct, just uncached.
+
+    A grouped COUNT over a scan ({!Expirel_exec.Subscription.counted})
+    without [AT] is promoted on its plan's first cache hit to a
+    standing entry that every {!write} and clock move keeps current;
+    later runs read it under the same [eval] and [op:aggregate] spans,
+    O(groups) instead of a fold of every row.  The entry ends when the
+    plan cache evicts the text (its 64 entries bound them), at any
+    catalog change and at {!install_snapshot}; a read that finds it
+    missed a mutation bypassing {!write} (a raw {!Database.insert})
+    rebuilds it.  Entries never block DROP TABLE, which ends them. *)
 
 val parse : t -> string -> Ast.statement
 (** Parse one statement through the interpreter's statement cache:
@@ -151,8 +161,10 @@ val install_snapshot :
 (** Replaces the whole state with a replica's shipped snapshot
     ({!Expirel_storage.Durable.reset_to}); every watch and constraint
     reading a table the snapshot no longer holds ends, as under a
-    shipped [Drop_table].  The clock jump it may carry delivers no
-    events.  [Error] without a durable store. *)
+    shipped [Drop_table], every other watch and MAINTAINED view is
+    rebuilt from the installed state at its clock, and every promoted
+    query ends.  The clock jump it may carry delivers no events.
+    [Error] without a durable store. *)
 
 val sketch_partial :
   ?trace:Expirel_obs.Trace.t ->
@@ -171,6 +183,7 @@ val sketch_partial :
 
 val aggregate_partial :
   ?trace:Expirel_obs.Trace.t ->
+  ?text:string ->
   t ->
   Ast.query_stmt ->
   string list * Expirel_exec.Partial_agg.t * Expirel_core.Time.t
@@ -184,8 +197,14 @@ val aggregate_partial :
     — the coordinator merges one partial per shard with
     {!Expirel_exec.Partial_agg.merge_all} and finalises with the same
     parameters it decomposed.
+    With [text], the plan and a grouped COUNT's standing entry are
+    shared with {!exec}'s.
     Raises [Failure] when the query does not decompose or the [AT] time
     is past, plus whatever lowering and evaluation raise. *)
+
+val standing_aggregates : t -> int * int
+(** The promoted grouped COUNT queries (see {!exec}), and the groups
+    every grouped COUNT entry holds, watches and views included. *)
 
 val exec_sql : t -> string -> (outcome, string) result
 (** Parse and execute one statement, reusing both the statement cache

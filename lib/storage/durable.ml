@@ -141,8 +141,6 @@ let close t = Wal.Writer.close t.writer
 let wal_records t = t.pending
 let position t = t.position
 let snapshot_position t = t.base
-let retained_from t = t.tail_base
-
 type shipment =
   | Records of Wal.record list
   | Snapshot of {

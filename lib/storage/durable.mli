@@ -86,10 +86,6 @@ val snapshot_position : t -> int
 (** The position [dir/snapshot.log] corresponds to; records at positions
     beyond it live in [dir/wal.log]. *)
 
-val retained_from : t -> int
-(** The earliest position still served record-by-record by
-    {!ship_from}; followers behind it receive a snapshot. *)
-
 val state_records : t -> Wal.record list
 (** The live (unexpired) state as a replayable record list — an
     [Advance] to the current clock, then per table a [Create_table] and

@@ -186,6 +186,29 @@ let expr_and_env ?allow_non_monotonic () :
 let nested_difference =
   Algebra.(diff (base "R1") (diff (base "S1") (project [ 1 ] (base "R2"))))
 
+(* A COUNT grouped straight over a base, maybe selected, under a
+   projection that keeps or drops the GROUP BY values and maybe a
+   HAVING: the shape a standing COUNT keeps per-group state for. *)
+let grouped_count : Algebra.t Gen.t =
+  let open Gen in
+  let* name, arity = oneofl [ ("R2", 2); ("S2", 2); ("R3", 3) ] in
+  let* group = list_size (int_range 1 2) (int_range 1 arity) in
+  let* child =
+    frequency
+      [ (2, return (Algebra.base name));
+        (1, map (fun p -> Algebra.select p (Algebra.base name)) (predicate ~arity)) ]
+  in
+  let count = arity + 1 in
+  let* projection = oneofl [ group @ [ count ]; [ count ]; count :: List.rev group ] in
+  let* having = opt (int_range 1 3) in
+  let grouped = Algebra.aggregate group Aggregate.Count child in
+  return
+    (Algebra.project projection
+       (Option.fold having ~none:grouped ~some:(fun n ->
+            Algebra.select
+              Predicate.(Cmp (Gt, Col count, Const (Value.int n)))
+              grouped)))
+
 (* {!expr_and_env}, or one time in four {!nested_difference}. *)
 let expr_and_env_or_nested_difference () :
   (Algebra.t * (string * Relation.t) list) Gen.t =

@@ -65,13 +65,16 @@ SMOKE_DIR=$(mktemp -d)
 (cd "$SMOKE_DIR" && EXPIREL_SKETCH_EVENTS=200000 "$BENCH" sketch)
 # Smoke the vectorized-executor experiment (live cut, filter kernel,
 # batched hash-join probe, grouped aggregate in and out of texp order,
-# grouped COUNT, chunk-cut accounting) at a CI-sized row count; it
-# fails hard if any row's executor and naive answers differ or the cut
-# skips fewer rows than the expired half.  The grouped COUNT row must
-# have recorded its per-row cost: a row skipped silently fails here.
+# grouped COUNT, a promoted GROUP BY COUNT read, chunk-cut accounting)
+# at a CI-sized row count; it fails hard if any row's two answers differ
+# or the cut skips fewer rows than the expired half.  The grouped COUNT
+# row must have recorded its per-row cost: a row skipped silently fails
+# here.
 # The full 10^5/10^6 sweep is for BENCH_vexec.json.
 (cd "$SMOKE_DIR" && EXPIREL_VEXEC_ROWS=20000 "$BENCH" vexec)
 grep -F '"grouped_count_n20000_f0_ns_per_row"' "$SMOKE_DIR/BENCH_vexec.json"
+# The promoted GROUP BY COUNT row must have recorded its read cost too.
+grep -F '"standing_count_n10000_standing_us"' "$SMOKE_DIR/BENCH_vexec.json"
 # Smoke the cluster experiment (3 in-process shards: scatter-gather,
 # pruning, slice-partial GROUP BY, gathered joins); it fails hard if a
 # GROUP BY combined from slice partials answers differently from the

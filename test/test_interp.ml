@@ -605,6 +605,160 @@ let prop_maintained_views_equal_queries =
             maintained_queries)
         steps)
 
+(* The naive oracle's answer to a query at the session's clock: rows,
+   per-row texps and texp(e). *)
+let naive t sql =
+  let db = Interp.database t in
+  match Parser.parse_statement sql with
+  | Ast.Query { q; _ } ->
+    let catalog name =
+      Option.map Expirel_storage.Table.columns (Expirel_storage.Database.table db name)
+    in
+    let { Lower.expr; _ } = Lower.lower_query ~catalog q in
+    Eval.run ~env:(Expirel_storage.Database.env db)
+      ~tau:(Expirel_storage.Database.now db) expr
+  | _ -> Alcotest.failf "not a query: %s" sql
+
+let answers_like_naive t sql =
+  match exec t sql with
+  | Interp.Rows { relation; texp_e; _ } ->
+    let { Eval.relation = expected; texp } = naive t sql in
+    Relation.equal relation expected && Time.equal texp_e texp
+  | Interp.Msg m -> Alcotest.failf "expected rows, got message %S" m
+
+(* Property: under random streams of writes (new rows and re-dated
+   ones), deletes, clock moves, index DDL, raw inserts that bypass
+   [Interp.write] and bursts of distinct point queries that evict the
+   plan cache, every repeated GROUP BY COUNT — promoted to a standing
+   entry after its first plan-cache hit — equals the naive evaluation:
+   rows, each row's texp and texp(e), under both policies. *)
+let grouped_counts =
+  [ "SELECT x, COUNT(*) FROM a GROUP BY x";
+    "SELECT y, COUNT(*) FROM a WHERE x < 2 GROUP BY y";
+    "SELECT x, COUNT(*) FROM a GROUP BY x HAVING COUNT(*) > 1";
+    "SELECT COUNT(*) FROM a GROUP BY y" ]
+
+type standing_step =
+  | Sql of string
+  | Grouped of string  (* checked against the oracle *)
+  | Advance_by of int
+  | Raw_insert of int * int * int  (* x, y, ttl *)
+  | Burst  (* more distinct point queries than the plan cache holds *)
+
+let prop_standing_counts_equal_naive policy label =
+  let step =
+    let open QCheck2.Gen in
+    let v = int_range 0 3 in
+    frequency
+      [ (5, map3 (fun x y ttl -> Sql (Printf.sprintf "INSERT INTO a VALUES (%d, %d) TTL %d" x y ttl))
+              v v (int_range 1 10));
+        (2, map (fun x -> Sql (Printf.sprintf "DELETE FROM a WHERE x = %d" x)) v);
+        (1, map (fun y -> Sql (Printf.sprintf "DELETE FROM a WHERE y = %d" y)) v);
+        (2, map (fun n -> Sql (Printf.sprintf "TICK %d" n)) (int_range 0 4));
+        (1, map (fun n -> Advance_by n) (int_range 0 4));
+        (5, map (fun sql -> Grouped sql) (oneofl grouped_counts));
+        (1, map (fun sql -> Sql sql) (oneofl [ "CREATE INDEX ON a (x)"; "DROP INDEX ON a (x)" ]));
+        (1, map3 (fun x y ttl -> Raw_insert (x, y, ttl)) v v (int_range 1 10));
+        (1, return Burst) ]
+  in
+  Generators.qtest
+    (Printf.sprintf "standing GROUP BY COUNT equals naive Eval (%s)" label)
+    ~count:100
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 40) step)
+    (fun steps ->
+      let t = Interp.create ~policy () in
+      let db = Interp.database t in
+      ignore (exec t "CREATE TABLE a (x, y)");
+      List.for_all
+        (fun step ->
+          let now = Expirel_storage.Database.now db in
+          match step with
+          | Grouped sql -> answers_like_naive t sql
+          | Sql sql ->
+            ignore (Interp.exec_sql t sql);
+            true
+          | Advance_by n ->
+            ignore
+              (exec t
+                 (Printf.sprintf "ADVANCE TO %d"
+                    (Option.get (Time.to_int_opt now) + n)));
+            true
+          | Raw_insert (x, y, ttl) ->
+            Expirel_storage.Database.insert db "a" (Tuple.ints [ x; y ])
+              ~texp:(Time.add now (Time.of_int ttl));
+            true
+          | Burst ->
+            for k = 0 to 70 do
+              ignore (exec t (Printf.sprintf "SELECT x FROM a WHERE y = %d" (100 + k)))
+            done;
+            true)
+        steps)
+
+(* A mutation that bypasses [Interp.write] — a raw [Database.insert] on
+   the session's database — never leaves a promoted GROUP BY stale: its
+   read sees the table's generation moved and rebuilds. *)
+let test_standing_count_after_raw_insert () =
+  let t = Interp.create () in
+  List.iter
+    (fun sql -> ignore (exec t sql))
+    [ "CREATE TABLE a (x, y)";
+      "INSERT INTO a VALUES (1, 1) EXPIRES 5";
+      "INSERT INTO a VALUES (1, 2) EXPIRES 9" ];
+  let sql = "SELECT x, COUNT(*) FROM a GROUP BY x" in
+  Alcotest.(check bool) "first run" true (answers_like_naive t sql);
+  Alcotest.(check bool) "promoted" true (answers_like_naive t sql);
+  Expirel_storage.Database.insert (Interp.database t) "a" (Tuple.ints [ 1; 3 ])
+    ~texp:(Time.of_int 7);
+  Alcotest.(check bool) "after a raw insert" true (answers_like_naive t sql);
+  Alcotest.(check int) "one standing entry" 1 (fst (Interp.standing_aggregates t))
+
+(* A grouped COUNT kept as per-group state never reruns the executor: an
+   INSERT, a DELETE and a TICK under a MAINTAINED view, a watch and a
+   promoted GROUP BY consume exactly the batch rows they consume without
+   them (the DELETE's own victim lookup), and a promoted read none. *)
+let test_standing_count_no_rerun () =
+  let session standing =
+    let t = Interp.create () in
+    List.iter
+      (fun sql -> ignore (exec t sql))
+      ([ "CREATE TABLE s (sid, uid)"; "CREATE INDEX ON s (sid)" ]
+       @ List.init 200 (fun i ->
+             Printf.sprintf "INSERT INTO s VALUES (%d, %d) TTL %d" i (i mod 20)
+               (1 + (i mod 50))));
+    if standing then begin
+      ignore
+        (exec t "CREATE MAINTAINED VIEW v AS SELECT uid, COUNT(*) FROM s GROUP BY uid");
+      (match
+         Interp.subscribe t ~name:"w"
+           (Parser.parse_statement "SELECT uid, COUNT(*) FROM s WHERE sid > 3 GROUP BY uid")
+           ignore
+       with
+       | Ok () -> ()
+       | Error e -> Alcotest.fail e);
+      ignore (exec t "SELECT uid, COUNT(*) FROM s GROUP BY uid");
+      ignore (exec t "SELECT uid, COUNT(*) FROM s GROUP BY uid")
+    end;
+    t
+  in
+  let plain = session false and standing = session true in
+  let cost t sql =
+    let rows () = (Expirel_obs.Vec_stats.snapshot ()).Expirel_obs.Vec_stats.s_rows in
+    let before = rows () in
+    ignore (exec t sql);
+    rows () - before
+  in
+  List.iter
+    (fun sql ->
+      Alcotest.(check int) sql (cost plain sql) (cost standing sql))
+    [ "INSERT INTO s VALUES (500, 3) TTL 30";
+      "INSERT INTO s VALUES (7, 3) TTL 40";
+      "DELETE FROM s WHERE sid = 9";
+      "TICK 1" ];
+  Alcotest.(check int) "a promoted read" 0
+    (cost standing "SELECT uid, COUNT(*) FROM s GROUP BY uid");
+  Alcotest.(check (pair int int)) "one promoted entry; 20 groups in each of three"
+    (1, 60) (Interp.standing_aggregates standing)
+
 let test_render () =
   let t = setup_figure1 () in
   let text = Interp.render (exec t "SELECT deg FROM pol") in
@@ -643,4 +797,10 @@ let suite =
     Alcotest.test_case "traced writes price the feed" `Quick
       test_write_deliver_span;
     prop_maintained_views_equal_queries;
+    prop_standing_counts_equal_naive Expirel_storage.Database.Eager "eager";
+    prop_standing_counts_equal_naive Expirel_storage.Database.Lazy "lazy";
+    Alcotest.test_case "a raw insert never leaves a promoted GROUP BY stale"
+      `Quick test_standing_count_after_raw_insert;
+    Alcotest.test_case "standing GROUP BY COUNT never reruns the executor"
+      `Quick test_standing_count_no_rerun;
     Alcotest.test_case "rendering" `Quick test_render ]

@@ -1078,7 +1078,7 @@ let test_explain_analyze_index_and_join () =
 (* ---------- the LRU itself ---------- *)
 
 let test_lru_evicts_stalest () =
-  let cache = Lru.create ~capacity:2 in
+  let cache = Lru.create ~capacity:2 () in
   Lru.set cache "a" 1;
   Lru.set cache "b" 2;
   Alcotest.(check (option int)) "touch a" (Some 1) (Lru.find cache "a");

@@ -741,6 +741,53 @@ let test_snapshot_ends_replica_watch () =
         (Expirel_sqlx.Interp.unsubscribe interp "diff");
       Durable.close store)
 
+(* The snapshot bootstrap path rebuilds every standing query over a
+   table the snapshot still holds: a MAINTAINED view answers from the
+   installed rows, and a watch's next clock move reports them, not the
+   rows from before the snapshot. *)
+let test_snapshot_reseeds_standing_queries () =
+  with_temp_dir (fun dir ->
+      let store = Durable.open_dir dir in
+      let interp = Expirel_sqlx.Interp.create ~store () in
+      let rows sql =
+        match Expirel_sqlx.Interp.exec_sql interp sql with
+        | Ok (Expirel_sqlx.Interp.Rows { relation; _ }) -> relation
+        | Ok _ -> Alcotest.fail (sql ^ ": expected rows")
+        | Error e -> Alcotest.fail e
+      in
+      List.iter
+        (fun sql ->
+          match Expirel_sqlx.Interp.exec_sql interp sql with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail e)
+        [ "CREATE TABLE a (x)";
+          "INSERT INTO a VALUES (1) EXPIRES 20";
+          "CREATE MAINTAINED VIEW mv AS SELECT x, COUNT(*) FROM a GROUP BY x";
+          "SELECT x, COUNT(*) FROM a GROUP BY x";
+          "SELECT x, COUNT(*) FROM a GROUP BY x" ];
+      let events = ref [] in
+      ok
+        (Expirel_sqlx.Interp.subscribe interp ~name:"w"
+           (Expirel_sqlx.Parser.parse_statement "SELECT x FROM a")
+           (function
+             | Expirel_exec.Subscription.Row_expired { tuple; at; _ } ->
+               events := Printf.sprintf "-%s@%s" (Tuple.to_string tuple) (Time.to_string at) :: !events
+             | _ -> ()));
+      ok
+        (Expirel_sqlx.Interp.install_snapshot interp ~position:9
+           [ Wal.Create_table { name = "a"; columns = [ "x" ] };
+             Wal.Insert { table = "a"; tuple = Tuple.ints [ 2 ]; texp = fin 30 } ]);
+      let query = rows "SELECT x, COUNT(*) FROM a GROUP BY x" in
+      Alcotest.(check bool) "the query answers from the snapshot" true
+        (Relation.equal query
+           (Relation.of_list ~arity:2 [ (Tuple.ints [ 2; 1 ], fin 30) ]));
+      Alcotest.(check bool) "SHOW VIEW serves the installed rows" true
+        (Relation.equal query (rows "SHOW VIEW mv"));
+      ok (Expirel_sqlx.Interp.apply_records interp [ Wal.Advance (fin 35) ]);
+      Alcotest.(check (list string)) "the watch reports the installed row"
+        [ "-<2>@30" ] (List.rev !events);
+      Durable.close store)
+
 (* Shipped records go through the replica's one write path: a record
    the replica's state refuses (its clock overtook it) is written as a
    no-op, so every shipped record still takes one log position, and the
@@ -838,6 +885,8 @@ let suite =
       test_shipped_drop_ends_replica_watch;
     Alcotest.test_case "snapshot without a table ends its watches" `Quick
       test_snapshot_ends_replica_watch;
+    Alcotest.test_case "a snapshot rebuilds surviving standing queries" `Quick
+      test_snapshot_reseeds_standing_queries;
     Alcotest.test_case "refused shipped records keep the positions" `Quick
       test_refused_shipped_records_keep_positions;
     Alcotest.test_case "shipped DROP TABLE ends a maintained view" `Quick

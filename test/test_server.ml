@@ -428,6 +428,29 @@ let test_metrics_exposition () =
           Alcotest.(check (float 0.)) "expired count agrees" 2.
             (Test_obs.total m "expirel_tuples_expired_total")))
 
+(* The registry prices the standing GROUP BY COUNT state: promoted
+   queries, and the groups every standing COUNT holds.  A catalog change
+   ends the promoted ones. *)
+let test_standing_aggregate_metrics () =
+  with_server (fun server port ->
+      with_client port (fun client ->
+          load_profiles client;
+          ok (Client.exec_ok client "CREATE INDEX ON pol (uid)");
+          let check label expected =
+            let m = Server.collect_metrics server in
+            Alcotest.(check (pair (float 0.) (float 0.))) label expected
+              ( Test_obs.one m "expirel_standing_aggregates",
+                Test_obs.one m "expirel_standing_groups" )
+          in
+          let twice sql = ignore (exec client sql : Wire.response); ignore (exec client sql : Wire.response) in
+          check "none before" (0., 0.);
+          twice "SELECT deg, COUNT(*) FROM pol GROUP BY deg";
+          check "one entry of two groups" (1., 2.);
+          twice "SELECT uid, COUNT(*) FROM pol GROUP BY uid";
+          check "two entries of five groups" (2., 5.);
+          ok (Client.exec_ok client "DROP INDEX ON pol (uid)");
+          check "a catalog change ends them" (0., 0.)))
+
 (* On a lazy server the same churn is labeled mode="lazy" and counted
    when VACUUM reclaims, not when the clock passes texp. *)
 let test_metrics_lazy_mode () =
@@ -1096,6 +1119,8 @@ let suite =
       test_metrics_exposition;
     Alcotest.test_case "METRICS: lazy-mode churn label" `Quick
       test_metrics_lazy_mode;
+    Alcotest.test_case "standing aggregates on the registry" `Quick
+      test_standing_aggregate_metrics;
     Alcotest.test_case "METRICS: durable primary gauges" `Quick
       test_metrics_durable_primary;
     Alcotest.test_case "METRICS: every server counter, reconciled" `Quick
