@@ -192,13 +192,14 @@ let run_all () =
         (float_of_int queries /. s, bytes)
       in
       (* 10 groups straddling every shard, combined from slice partials
-         vs the fallback hauling all of g to the coordinator (a
-         projected EXCEPT against an empty table routes through it). *)
+         vs the fallback hauling all of g to the coordinator (an EXCEPT
+         against an empty table over projections that drop the hash key
+         routes through it). *)
       let group_rps, group_bytes =
         timed "SELECT grp, COUNT(*) FROM g GROUP BY grp"
       in
       let gather_rps, gather_bytes =
-        timed "SELECT k, grp FROM g EXCEPT SELECT tag, label FROM none"
+        timed "SELECT grp FROM g EXCEPT SELECT label FROM none"
       in
       (* GROUP BY over rows whose texps all differ ([g]'s rows share
          one texp, so each of its groups is one slice anyway): a COUNT

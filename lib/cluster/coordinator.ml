@@ -179,73 +179,7 @@ let unwrap = function
 let exec_on ?trace t slot sql =
   Result.map unwrap (send t slot (shard_exec ?trace ~want:Wire.Want_rows sql))
 
-(* ---------- statement classification ---------- *)
-
-(* Which queries distribute over the hash partitioning.
-
-   Single-table selection/projection: exact — every base tuple lives on
-   exactly one shard, [sigma]/[pi] commute with the partition union,
-   and duplicate projected rows arising on different shards merge
-   under the paper's union rule (max texp per tuple, min texp(e)
-   overall), which the coordinator applies.
-
-   UNION: distributes over any operands that do (set union is
-   associative/commutative).
-
-   EXCEPT / INTERSECT: only when both operands are tuple-preserving
-   ([SELECT *] chains, filters allowed): equal tuples then share a
-   first column, hence a shard, so the per-shard difference /
-   intersection partitions the global one.  A projected operand breaks
-   this (equal projected rows can originate on different shards).
-
-   Joins and aggregates are not shard-local in general (join partners
-   and group fragments straddle shards), but they still distribute
-   through other routes — see [route_complex] below: grouped aggregates
-   (GROUP BY, HAVING, AVG included) combine from per-shard
-   expiration-slice partials, joins run shard-locally when both sides
-   hash on the join key, and the non-distributable remainder falls back
-   to gathering the base tables and computing at the coordinator.  Only
-   genuinely per-node features (views, triggers, constraints,
-   CHECKPOINT) stay refused. *)
-let rec tuple_preserving = function
-  | Ast.Select
-      { items = [ Ast.Star ];
-        source = Ast.From_table _;
-        group_by = [];
-        having = None;
-        _
-      } ->
-    true
-  | Ast.Select _ -> false
-  | Ast.Union (a, b) | Ast.Except (a, b) | Ast.Intersect (a, b) ->
-    tuple_preserving a && tuple_preserving b
-
-let rec distributable = function
-  | Ast.Select
-      { items; source = Ast.From_table _; group_by = []; having = None; _ } ->
-    List.for_all
-      (function
-        | Ast.Agg _ | Ast.Approx_count _ | Ast.Sample _ -> false
-        | Ast.Star | Ast.Column _ -> true)
-      items
-  | Ast.Select _ -> false
-  | Ast.Union (a, b) -> distributable a && distributable b
-  | Ast.Except (a, b) | Ast.Intersect (a, b) ->
-    tuple_preserving a && tuple_preserving b
-
-(* An approximate aggregate served by a sketch.  Shard-decomposability
-   is the sketches' defining property: each shard folds its partition
-   into a bounded-memory partial and the coordinator merges. *)
-let sketchable = function
-  | Ast.Select
-      { items = [ (Ast.Approx_count _ | Ast.Sample _) ];
-        source = Ast.From_table _;
-        group_by = [];
-        having = None;
-        _
-      } ->
-    true
-  | _ -> false
+(* ---------- the cluster catalog ---------- *)
 
 let err message = Wire.Err { code = Wire.Exec_error; message }
 
@@ -300,16 +234,16 @@ let routable = function
    admits rows with any key: an equality pins its constant, a
    conjunction whatever either side pins, a disjunction the union when
    both sides pin (sqlx has no IN; an OR of points is its IN list). *)
-let rec pinned_keys = function
+let rec pins = function
   | Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Const v)
   | Predicate.Cmp (Predicate.Eq, Predicate.Const v, Predicate.Col 1) ->
     if routable v then Some [ v ] else None
   | Predicate.And (a, b) ->
-    (match pinned_keys a with
+    (match pins a with
      | Some _ as keys -> keys
-     | None -> pinned_keys b)
+     | None -> pins b)
   | Predicate.Or (a, b) ->
-    (match (pinned_keys a, pinned_keys b) with
+    (match (pins a, pins b) with
      | Some x, Some y -> Some (x @ y)
      | _ -> None)
   | _ -> None
@@ -319,22 +253,23 @@ let cond_keys ?trace t table cond =
   | None -> None
   | Some columns ->
     (match Lower.lower_cond_for_table ~columns ~table cond with
-     | p -> pinned_keys p
+     | p -> pins p
      | exception Lower.Error _ -> None)
 
-(* A UNION routes each operand on its own and contacts every owner; a
-   (tuple-preserving) EXCEPT or INTERSECT answers a subset of its left
-   operand's rows, and equal tuples share a shard, so the left operand's
-   keys route it. *)
-let rec query_keys ?trace t = function
-  | Ast.Select { source = Ast.From_table table; where = Some cond; _ } ->
-    cond_keys ?trace t table cond
-  | Ast.Select _ -> None
-  | Ast.Union (a, b) ->
-    (match (query_keys ?trace t a, query_keys ?trace t b) with
+(* The keys a shard-local expression's rows can have.  A selection
+   directly over a base table reads its key as [Col 1]; a projection
+   keeps its input's base rows; a UNION contacts every operand's owners;
+   an EXCEPT or INTERSECT answers a subset of its left operand's rows,
+   and equal rows share a shard, so the left operand's keys route it. *)
+let rec pinned_keys = function
+  | Algebra.Select (p, Algebra.Base _) -> pins p
+  | Algebra.Project (_, e) -> pinned_keys e
+  | Algebra.Union (a, b) ->
+    (match (pinned_keys a, pinned_keys b) with
      | Some x, Some y -> Some (x @ y)
      | _ -> None)
-  | Ast.Except (a, _) | Ast.Intersect (a, _) -> query_keys ?trace t a
+  | Algebra.Diff (a, _) | Algebra.Intersect (a, _) -> pinned_keys a
+  | _ -> None
 
 (* The shards a statement with [keys] may need.  Pinned keys name their
    owners under the current map and, while a move is in flight, under
@@ -378,83 +313,32 @@ let prunable slot tau =
 (* The shards a query with [keys] at [tau] contacts: every candidate
    whose summary cannot prove its partition empty (all of them without
    [prune], or while a move redefines the partitions under the cached
-   summaries); the rest count as pruned.  [keep_one] still asks one
-   shard when every candidate is provably empty.  Also returns the move
-   count the choice was made under. *)
-let route ~prune ~keep_one t keys tau =
+   summaries); the rest count as pruned.  Also returns the move count
+   the choice was made under. *)
+let contacts ~prune t keys tau =
   locked t (fun () ->
       let candidates = candidates t keys in
       let contacted, pruned =
         if not (prune && Option.is_none t.moving) then (candidates, [])
-        else
-          match List.partition (fun s -> not (prunable s tau)) candidates with
-          | [], first :: rest when keep_one -> ([ first ], rest)
-          | split -> split
+        else List.partition (fun s -> not (prunable s tau)) candidates
       in
       List.iter
         (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total)
         pruned;
       (contacted, t.moves))
 
-(* Run [read] on the shards [route] picks, and again if a move started,
+(* Run [read] on the shards [contacts] picks, and again if a move started,
    purged a source or ended while it was in flight: reads are
    idempotent, and the rerun routes by the move's present state. *)
-let rec routed_read ~prune ~keep_one t keys tau read =
-  let contacted, moves = route ~prune ~keep_one t keys tau in
+let rec routed_read ~prune t keys tau read =
+  let contacted, moves = contacts ~prune t keys tau in
   let result = read contacted in
   if locked t (fun () -> t.moves) = moves then result
-  else routed_read ~prune ~keep_one t keys tau read
+  else routed_read ~prune t keys tau read
 
 let span_offset_us tr at =
   let us = (at -. Obs.Trace.started_at tr) *. 1e6 in
   if us < 0. then 0 else int_of_float us
-
-(* Merge partial listings under the union rule: per duplicate tuple the
-   max texp (Eq (3) of the paper's union), overall texp(e) the min over
-   partials — exact for disjoint hash partitions.  Presentation mirrors
-   [Interp.order_and_limit]: ORDER BY keys first, full-tuple compare as
-   the deterministic tie-break, then LIMIT.  ORDER BY names resolve
-   through the same [Lower.order_by_position] the single-node
-   presentation path uses — qualified labels, suffix matches and
-   ambiguity all behave identically on both paths. *)
-let merge_partials ~columns ~order_by ~limit partials =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun (rows : (Value.t list * Time.t) list) ->
-      List.iter
-        (fun (vs, texp) ->
-          match Hashtbl.find_opt tbl vs with
-          | None ->
-            Hashtbl.add tbl vs texp;
-            order := vs :: !order
-          | Some old -> Hashtbl.replace tbl vs (Time.max old texp))
-        rows)
-    partials;
-  let merged = List.rev_map (fun vs -> (vs, Hashtbl.find tbl vs)) !order in
-  let keys =
-    List.map (fun (r, d) -> (Lower.order_by_position ~columns r, d)) order_by
-  in
-  let compare_rows (vs1, _) (vs2, _) =
-    let attr vs pos = List.nth vs (pos - 1) in
-    let rec go = function
-      | [] -> List.compare Value.compare vs1 vs2 (* deterministic tie-break *)
-      | (pos, dir) :: rest ->
-        let c = Value.compare (attr vs1 pos) (attr vs2 pos) in
-        if c <> 0 then
-          match dir with
-          | Ast.Asc -> c
-          | Ast.Desc -> -c
-        else go rest
-    in
-    go keys
-  in
-  let sorted =
-    if order_by = [] then merged else List.stable_sort compare_rows merged
-  in
-  match limit with
-  | None -> sorted
-  | Some n -> List.filteri (fun i _ -> i < n) sorted
 
 (* The query's evaluation time: the cluster clock, pushed forward by an
    explicit AT. *)
@@ -590,156 +474,6 @@ let horizon_page t =
     (fun (report, _) -> Obs.Prometheus.render (Obs.Horizon.metrics report))
     (horizon t)
 
-(* Fan a query out to every shard its keys route to whose partition can
-   still hold live rows at the query's tau, in parallel, and merge.
-   With every such shard prunable, one is still asked — someone has to
-   name the result columns. *)
-let scatter_gather ?trace ~prune t (qs : Ast.query_stmt) sql =
-  Obs.Instrument.Counter.incr t.fanouts_total;
-  let keys = if prune then query_keys ?trace t qs.Ast.q else None in
-  match
-    routed_read ~prune ~keep_one:true t keys (query_tau t qs)
-      (fun contacted ->
-        scatter ?trace t contacted ~want:Wire.Want_rows ~what:"a query" sql
-          rows_body)
-  with
-  | Error e -> e
-  | Ok [] -> err "no shards"
-  | Ok ((columns, _, _, _) :: _ as parts) ->
-    Obs.Trace.span trace "merge" @@ fun () ->
-    (match
-       merge_partials ~columns ~order_by:qs.Ast.order_by ~limit:qs.Ast.limit
-         (List.map (fun (_, rows, _, _) -> rows) parts)
-     with
-     | listing ->
-       Wire.Rows
-         { columns;
-           rows = listing;
-           texp_e = Time.min_list (List.map (fun (_, _, te, _) -> te) parts);
-           recomputed = List.exists (fun (_, _, _, r) -> r) parts
-         }
-     | exception Failure message | exception Lower.Error message ->
-       err message)
-
-(* A grouped (or global) exact aggregate, combined from per-shard
-   expiration-slice partials.  Every shard condenses the decomposed
-   child over its own partition through the fused aggregate's batch
-   fold ([Executor.partial]); the coordinator merges the partials —
-   groups unite by key, slices by expiration time, counts/sums add and
-   extrema extremise over the disjoint hash partitions — and runs the
-   {e same} finalisation a single node fusing the query would run.
-   Rows, per-row texps (the union-rule collapse of each group's member
-   expirations) and the answer's change point nu therefore come out
-   identical to a single node holding all rows.  AVG is exact because
-   it never travels as an average: the slices carry its SUM and COUNT
-   components and the quotient is taken once, here, at finalisation.
-   A shard whose summary proves its partition empty at tau, or that
-   owns none of the keys the WHERE pins, contributes a vacuous partial
-   and is left out of the fan-out entirely — the coordinator knows the
-   columns and the finalisation of the merged rest is unaffected. *)
-let scatter_partial_agg ?trace ~prune t (qs : Ast.query_stmt)
-    (d : Lower.decomposed) ~columns ~child_arity sql =
-  Obs.Instrument.Counter.incr t.fanouts_total;
-  let keys = if prune then query_keys ?trace t qs.Ast.q else None in
-  match
-    routed_read ~prune ~keep_one:false t keys (query_tau t qs)
-      (fun contacted ->
-        scatter ?trace t contacted ~want:Wire.Want_agg
-          ~what:"an aggregate request" sql (function
-          | Wire.Shard_reply
-              { body = Wire.Body_agg { groups; child_texp; _ }; _ } ->
-            Some (groups, child_texp)
-          | _ -> None))
-  with
-  | Error e -> e
-  | Ok parts ->
-    Obs.Trace.span trace "merge" @@ fun () ->
-    let partials, child_texps = List.split parts in
-    (match
-       Expirel_exec.Partial_agg.finalize ~group:d.Lower.d_group
-         ~func:d.Lower.d_func ~child_arity ?having:d.Lower.d_having
-         ~projection:d.Lower.d_projection
-         (Expirel_exec.Partial_agg.merge_all ~func:d.Lower.d_func partials)
-     with
-     | relation, invalidation ->
-       let rows =
-         List.map
-           (fun (tuple, e) -> (Tuple.to_list tuple, e))
-           (Relation.to_list relation)
-       in
-       (match
-          merge_partials ~columns ~order_by:qs.Ast.order_by
-            ~limit:qs.Ast.limit [ rows ]
-        with
-        | listing ->
-          Wire.Rows
-            { columns;
-              rows = listing;
-              texp_e = Time.min_list (invalidation :: child_texps);
-              recomputed = false
-            }
-        | exception Failure message | exception Lower.Error message ->
-          err message)
-     | exception Invalid_argument message -> err message)
-
-(* An approximate aggregate: every shard folds its partition into a
-   bounded-memory sketch and ships the serialised partial; the
-   coordinator merges them — sketches are shard-decomposable by
-   construction — and renders rows from the merged sketch at the
-   cluster's tau.  AT is applied here, not on the shards: a sketch
-   retains the whole expiration axis, so one round of partials answers
-   any tau >= now.  The answer's texp(e) is the merged sketch's
-   horizon, i.e. the union rule computed in sketch space. *)
-let scatter_sketch ?trace t (qs : Ast.query_stmt) sql =
-  Obs.Instrument.Counter.incr t.fanouts_total;
-  let tau = query_tau t qs in
-  match
-    scatter ?trace t (slots t) ~want:Wire.Want_sketch
-      ~what:"a sketch request" sql (function
-      | Wire.Shard_reply { body = Wire.Body_sketch { columns; payload }; _ } ->
-        Some (columns, payload)
-      | _ -> None)
-  with
-  | Error e -> e
-  | Ok [] -> err "no shards"
-  | Ok ((columns, _) :: _ as parts) ->
-    let decoded =
-      List.fold_left
-        (fun acc (_, payload) ->
-          match acc with
-          | Error _ as e -> e
-          | Ok sketches ->
-            (match Sketch.Any.of_string payload with
-             | Ok s -> Ok (s :: sketches)
-             | Error m -> Error m))
-        (Ok []) parts
-    in
-    let merged =
-      match decoded with
-      | Error _ as e -> e
-      | Ok [] -> Error "no sketch partials"
-      | Ok (s :: rest) ->
-        List.fold_left
-          (fun acc s' ->
-            match acc with
-            | Error _ as e -> e
-            | Ok a -> Sketch.Any.merge a s')
-          (Ok s) rest
-    in
-    (match merged with
-     | Error message -> err ("sketch partials: " ^ message)
-     | Ok sketch ->
-       let rows, horizon = Sketch.Any.query_rows ~tau sketch in
-       (match
-          merge_partials ~columns ~order_by:qs.Ast.order_by
-            ~limit:qs.Ast.limit [ rows ]
-        with
-        | listing ->
-          Wire.Rows
-            { columns; rows = listing; texp_e = horizon; recomputed = false }
-        | exception Failure message | exception Lower.Error message ->
-          err message))
-
 (* ---------- routed writes and broadcasts ---------- *)
 
 let slot_for t shard_id =
@@ -823,46 +557,19 @@ let gather_table_rows ?trace t name =
        (Printf.sprintf "SELECT * FROM %s" name)
        rows_body)
 
-(* The lowered two-table join under any Project/Select wrappers. *)
-let rec find_join = function
-  | Algebra.Project (_, e) | Algebra.Select (_, e) -> find_join e
-  | Algebra.Join (p, Algebra.Base l, Algebra.Base r) -> Some (p, l, r)
-  | _ -> None
-
-(* Rows route to shards by the hash of their first column, so a join
-   whose condition equates the two first columns is co-partitioned:
-   every pair of join partners shares a hash, hence a shard, and the
-   per-shard local joins partition the global one — the ordinary
-   scatter-gather of the original statement is exact. *)
-let co_partitioned p ~left_arity =
-  List.exists
-    (function
-      | Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Col c)
-      | Predicate.Cmp (Predicate.Eq, Predicate.Col c, Predicate.Col 1) ->
-        c = left_arity + 1
-      | _ -> false)
-    (Predicate.conjuncts p)
-
-(* The non-distributable remainder (projected EXCEPT/INTERSECT,
-   aggregates over joins, joins that are not co-partitioned): gather
-   every base table's rows, rebuild them in a throwaway single-node
-   session synchronised to the cluster clock, and let the full
-   single-node engine answer.  Correct for anything it can express —
-   the session holds exactly the cluster's live rows with their
-   original texps, and the union of disjoint partitions needs no texp
-   merge — at the cost of shipping each table once.  For a join, one
-   haul per table costs less than shipping the smaller side to every
-   shard and re-planning there. *)
-let rec query_tables = function
-  | Ast.Select { Ast.source = Ast.From_table n; _ } -> [ n ]
-  | Ast.Select { Ast.source = Ast.From_join (l, r, _); _ } -> [ l; r ]
-  | Ast.Union (a, b) | Ast.Except (a, b) | Ast.Intersect (a, b) ->
-    query_tables a @ query_tables b
-
-let gather_compute ?trace t (qs : Ast.query_stmt) =
+(* Everything no shard can answer alone (joins that are not
+   co-partitioned, EXCEPT/INTERSECT over projections that drop the key,
+   aggregates over joins): gather every base table's rows, rebuild them
+   in a throwaway single-node session synchronised to the cluster clock,
+   and let the full single-node engine answer.  Correct for anything it
+   can express — the session holds exactly the cluster's live rows with
+   their original texps, and the union of disjoint partitions needs no
+   texp merge — at the cost of shipping each table once.  For a join,
+   one haul per table costs less than shipping the smaller side to
+   every shard and re-planning there. *)
+let gather_compute ?trace t (qs : Ast.query_stmt) tables =
   Obs.Instrument.Counter.incr t.fanouts_total;
   let local = Interp.create () in
-  let tables = List.sort_uniq String.compare (query_tables qs.Ast.q) in
   let load =
     List.fold_left
       (fun acc name ->
@@ -911,53 +618,141 @@ let gather_compute ?trace t (qs : Ast.query_stmt) =
         | Ok (Interp.Msg m) -> Wire.Ok_msg m
         | Error m -> err m))
 
-(* Route a query none of the shard-local strategies covers.  In order:
-   grouped aggregates that decompose into per-shard slice partials;
-   two-table joins co-partitioned on the join key, as a shard-local
-   scatter; and the gather-then-compute fallback for everything
-   else. *)
-let route_complex ?trace ~prune t (qs : Ast.query_stmt) sql =
-  match Lower.lower_query ~catalog:(coord_catalog ?trace t) qs.Ast.q with
+(* ---------- the read route ---------- *)
+
+(* The merged rows presented as a single node presents its own: ORDER
+   BY, the full-tuple tie-break, then LIMIT.  Each shard cut its own
+   answer the same way, so its first [n] rows hold every row of the
+   global first [n] that lives there. *)
+let present (qs : Ast.query_stmt) ~columns ~recomputed (relation, texp_e) =
+  let listing =
+    Interp.order_and_limit ~columns ~order_by:qs.Ast.order_by
+      ~limit:qs.Ast.limit relation
+  in
+  Wire.Rows
+    { columns;
+      rows = List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing;
+      texp_e;
+      recomputed
+    }
+
+let relation_of ~arity rows =
+  Relation.of_list ~arity (List.map (fun (vs, e) -> (Tuple.of_list vs, e)) rows)
+
+let sketch_ok = function
+  | Ok s -> s
+  | Error m -> failwith ("sketch partials: " ^ m)
+
+(* A query, lowered once through the cluster catalog and answered by
+   the route {!Lower.route} picks.  The three fan-out routes ask the
+   owners of the keys the query pins (every shard when none) whose
+   partitions can still hold live rows at the query's tau; they differ
+   only in what a shard ships and how the coordinator merges it:
+
+   - [Scatter]: rows, merged under the union rule — per duplicate tuple
+     the max texp (Eq (4)), texp(e) the min over partials; exact for
+     disjoint hash partitions.
+   - [Partial]: expiration-slice partials of a grouped aggregate
+     ([Executor.partial] on each shard); groups unite by key, slices by
+     expiration time, counts and sums add, extrema extremise, and the
+     coordinator runs the {e same} finalisation a single node runs, so
+     rows, per-row texps and the change point nu come out identical.
+     AVG travels as SUM and COUNT and is divided once, here.
+   - [Sketch]: serialised sketch partials, merged (sketches are
+     shard-decomposable by construction) and read at tau.  A sketch
+     keeps the whole expiration axis, so AT is applied here; texp(e) is
+     the merged sketch's horizon.
+
+   With no shard left to ask, the merge runs over no partials: the
+   lowering already named the columns.  [Gather] computes at the
+   coordinator over the gathered base tables. *)
+let read ?trace ~prune t (qs : Ast.query_stmt) sql =
+  let catalog = coord_catalog ?trace t in
+  match
+    let compiled = Lower.lower_query ~catalog qs.Ast.q in
+    (compiled, Lower.route ~catalog compiled)
+  with
   | exception Lower.Error message -> err message
-  | compiled ->
-    (match Lower.decompose compiled with
-     | Some d ->
+  | compiled, route ->
+    let columns = compiled.Lower.columns in
+    let arity = List.length columns in
+    let tau = query_tau t qs in
+    let fan ~child ~want ~what extract merge =
+      Obs.Instrument.Counter.incr t.fanouts_total;
+      let keys = if prune then pinned_keys child else None in
+      match
+        routed_read ~prune t keys tau (fun contacted ->
+            scatter ?trace t contacted ~want ~what sql extract)
+      with
+      | Error e -> e
+      | Ok parts ->
+        Obs.Trace.span trace "merge" @@ fun () ->
+        (match merge parts with
+         | reply -> reply
+         | exception
+             (Failure message | Invalid_argument message | Lower.Error message)
+           ->
+           err message)
+    in
+    (match route with
+     | Lower.Gather ->
+       gather_compute ?trace t qs (Algebra.base_names compiled.Lower.expr)
+     | Lower.Scatter ->
+       fan ~child:compiled.Lower.expr ~want:Wire.Want_rows ~what:"a query"
+         rows_body (fun parts ->
+           let relation =
+             List.fold_left
+               (fun acc (_, rows, _, _) ->
+                 Relation.union_max acc (relation_of ~arity rows))
+               (Relation.empty ~arity) parts
+           in
+           present qs ~columns
+             ~recomputed:(List.exists (fun (_, _, _, r) -> r) parts)
+             (relation, Time.min_list (List.map (fun (_, _, e, _) -> e) parts)))
+     | Lower.Partial d ->
        let child_arity =
-         match d.Lower.d_child with
-         | Algebra.Base name | Algebra.Select (_, Algebra.Base name) ->
-           (match table_columns ?trace t name with
-            | Some columns -> List.length columns
-            | None -> 0)
+         match Algebra.base_names d.Lower.d_child with
+         | [ name ] ->
+           Option.fold ~none:0 ~some:List.length (table_columns ?trace t name)
          | _ -> 0
        in
-       scatter_partial_agg ?trace ~prune t qs d
-         ~columns:compiled.Lower.columns ~child_arity sql
-     | None ->
-       (match qs.Ast.q with
-        | Ast.Select
-            { source = Ast.From_join (l, _, _);
-              group_by = [];
-              having = None;
-              items;
-              _
-            }
-          when List.for_all
-                 (function
-                   | Ast.Star | Ast.Column _ -> true
-                   | Ast.Agg _ | Ast.Approx_count _ | Ast.Sample _ -> false)
-                 items ->
-          (match find_join compiled.Lower.expr with
-           | Some (p, _, _) ->
-             let left_arity =
-               match table_columns ?trace t l with
-               | Some columns -> List.length columns
-               | None -> 0
-             in
-             if left_arity > 0 && co_partitioned p ~left_arity then
-               scatter_gather ?trace ~prune t qs sql
-             else gather_compute ?trace t qs
-           | None -> gather_compute ?trace t qs)
-        | _ -> gather_compute ?trace t qs))
+       fan ~child:d.Lower.d_child ~want:Wire.Want_agg
+         ~what:"an aggregate request" (function
+         | Wire.Shard_reply
+             { body = Wire.Body_agg { groups; child_texp; _ }; _ } ->
+           Some (groups, child_texp)
+         | _ -> None)
+         (fun parts ->
+           let partials, child_texps = List.split parts in
+           let relation, invalidation =
+             Expirel_exec.Partial_agg.finalize ~group:d.Lower.d_group
+               ~func:d.Lower.d_func ~child_arity ?having:d.Lower.d_having
+               ~projection:d.Lower.d_projection
+               (Expirel_exec.Partial_agg.merge_all ~func:d.Lower.d_func
+                  partials)
+           in
+           present qs ~columns ~recomputed:false
+             (relation, Time.min_list (invalidation :: child_texps)))
+     | Lower.Sketch spec ->
+       fan ~child:compiled.Lower.expr ~want:Wire.Want_sketch
+         ~what:"a sketch request" (function
+         | Wire.Shard_reply { body = Wire.Body_sketch { payload; _ }; _ } ->
+           Some payload
+         | _ -> None)
+         (fun payloads ->
+           let merged =
+             match
+               List.map (fun p -> sketch_ok (Sketch.Any.of_string p)) payloads
+             with
+             | [] -> Expirel_exec.Approx.build spec ~arity ignore
+             | s :: rest ->
+               List.fold_left
+                 (fun acc s' -> sketch_ok (Sketch.Any.merge acc s'))
+                 s rest
+           in
+           let rows, horizon = Sketch.Any.query_rows ~tau merged in
+           present qs ~columns ~recomputed:false
+             (relation_of ~arity rows, horizon)))
 
 (* ---------- the statement entry point ---------- *)
 
@@ -965,10 +760,7 @@ let advance_clock t target = locked t (fun () -> t.now <- Time.max t.now target)
 
 let exec_parsed ?trace ~prune t stmt sql =
   match stmt with
-  | Ast.Query qs ->
-    if distributable qs.Ast.q then scatter_gather ?trace ~prune t qs sql
-    else if sketchable qs.Ast.q then scatter_sketch ?trace t qs sql
-    else route_complex ?trace ~prune t qs sql
+  | Ast.Query qs -> read ?trace ~prune t qs sql
   | Ast.Insert { values = key :: _; _ } -> route_insert ?trace t ~key sql
   | Ast.Insert { values = []; _ } -> err "INSERT needs at least one value"
   | Ast.Advance_to n ->

@@ -2,28 +2,38 @@
     shard map, with expiration-aware scatter-gather reads.
 
     Every table is partitioned by its first column: a row lives on
-    [Wire.shard_owner map key].  Writes route to the owning shard;
-    distributable queries fan out in parallel to the shards that can
-    hold matching live rows and the partial listings merge under the
-    paper's union rule — per duplicate tuple the max [texp], for the
-    whole result the min of the partial [texp(e)]s (exact, because hash
-    partitions are disjoint).
+    [Wire.shard_owner map key].  Writes route to the owning shard.  A
+    query is lowered once, through the coordinator's catalog cache, and
+    {!Expirel_sqlx.Lower.route} picks how it is answered from the
+    lowered algebra: shard-local queries scatter, grouped aggregates
+    combine from per-shard partials, sketches merge, and everything
+    else gathers.  The three fan-out routes ask, in parallel, only the
+    shards that can hold matching live rows; scattered listings merge
+    under the paper's union rule — per duplicate tuple the max [texp],
+    for the whole result the min of the partial [texp(e)]s (exact,
+    because hash partitions are disjoint).
 
     {2 Key routing}
 
-    When the lowered [WHERE] pins the first column to a finite set of
-    keys — [col1 = c] either way round; an [AND] whose either side
-    pins; an [OR] whose both sides pin, with the union of their keys —
-    only those keys' owners are candidates.  A [UNION] routes each
-    operand and contacts every owner; a tuple-preserving
-    [EXCEPT]/[INTERSECT] routes by its left operand.  A key routes only
+    The keys come from the lowered query.  When a selection directly
+    over a base table pins the first column to a finite set of keys —
+    [col1 = c] either way round; an [AND] whose either side pins; an
+    [OR] whose both sides pin, with the union of their keys — only
+    those keys' owners are candidates.  A projection keeps its input's
+    keys, a [UNION] contacts every operand's owners, and a shard-local
+    [EXCEPT]/[INTERSECT] routes by its left operand (its rows are a
+    subset of the left operand's, and equal rows share a shard).  A
+    grouped aggregate routes by its child's keys and an
+    [APPROX_COUNT]/[SAMPLE] by its source's.  A key routes only
     when every value {!Expirel_core.Value.cmp} equates with it shares
     its owner: [Int]s within [±2^53], [Float]s that are fractional or
     integral below [2^53] in magnitude, strings, booleans.  Other keys
     (large [Int]s and integral [Float]s, NaN) broadcast.  While a
     rebalance moves rows, a key's owners under {e both} the current and
     the target map are candidates, and a read that a move step lands
-    under runs again.  A single contact runs in the caller's thread.
+    under runs again.  A single contact runs in the caller's thread; a
+    read whose candidates are all provably empty contacts no shard and
+    answers empty, with the columns the lowering named.
 
     {2 Pruning invariant}
 
@@ -75,24 +85,31 @@ val exec :
   Wire.response
 (** One sqlx statement against the cluster.
 
-    - Distributable queries (single-table selection/projection, UNION
-      of such, tuple-preserving EXCEPT/INTERSECT) scatter-gather to the
-      owners of the keys their [WHERE] pins (every shard when none),
-      with expiration pruning.  [~prune:false] turns both off and
-      forces a full broadcast — results are identical, that is the
-      routing and pruning soundness contract.
-    - Grouped aggregates (GROUP BY, HAVING, COUNT/SUM/MIN/MAX/AVG) over
-      one table combine from per-shard expiration-slice partials
-      ({!Expirel_exec.Partial_agg}): rows {e and} texps identical to a
-      single node holding all rows.  AVG travels as SUM + COUNT, never
-      pre-averaged.
-    - Two-table joins run shard-locally when co-partitioned (the
-      condition equates both first columns, the hash key).  Every
-      other join, projected EXCEPT/INTERSECT and aggregates over joins
-      fall back to gathering the base tables (one contact per shard
-      per table) and computing at the coordinator — exact by the union
-      rule over disjoint partitions, at the cost of shipping each
-      table once.
+    - A shard-local query ({!Expirel_sqlx.Lower.route} answers
+      [Scatter]: a selection/projection chain over one table, a UNION
+      of shard-local operands, an EXCEPT/INTERSECT whose operands keep
+      the first column at the same position, a join whose condition
+      equates both first columns) runs on the owners of the keys it
+      pins (every shard when none), with expiration pruning.  The rows
+      merge under the union rule and are presented by
+      {!Expirel_sqlx.Interp.order_and_limit}, as on one node: each
+      shard's first [n] rows under ORDER BY and LIMIT hold every row
+      of the global first [n] that lives there.  [~prune:false] turns
+      key routing and pruning off and forces a full broadcast —
+      results are identical, that is the routing and pruning soundness
+      contract.
+    - Grouped aggregates ([Partial]: GROUP BY, HAVING,
+      COUNT/SUM/MIN/MAX/AVG over one table) combine from per-shard
+      expiration-slice partials ({!Expirel_exec.Partial_agg}): rows
+      {e and} texps identical to a single node holding all rows.  AVG
+      travels as SUM + COUNT, never pre-averaged.
+    - [APPROX_COUNT]/[SAMPLE] ([Sketch]) merge per-shard sketches and
+      read the merged one at the query's tau.
+    - Everything else ([Gather]: other joins, EXCEPT/INTERSECT over
+      projections that drop the key, aggregates over joins) gathers the
+      base tables (one contact per shard per table) and computes at
+      the coordinator — exact by the union rule over disjoint
+      partitions, at the cost of shipping each table once.
     - [INSERT] routes to the key's owner shard.
     - [DELETE … WHERE] that pins keys routes to their owners (under
       both maps during a rebalance); any other [DELETE], DDL,

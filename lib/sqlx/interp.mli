@@ -52,6 +52,18 @@ type outcome =
       recomputed : bool;  (** a view read forced a recomputation *)
     }
 
+val order_and_limit :
+  columns:string list ->
+  order_by:(Ast.column_ref * Ast.direction) list ->
+  limit:int option ->
+  Relation.t ->
+  (Tuple.t * Time.t) list
+(** The presentation of a result: rows in tuple order, stably sorted by
+    the ORDER BY labels (resolved by {!Lower.order_by_position}), then
+    cut to LIMIT — the one presentation of a single node's and a
+    cluster coordinator's answers.
+    @raise Lower.Error on an unknown or ambiguous ORDER BY column *)
+
 type plan_cache_stats = {
   hits : int;
   misses : int;

@@ -57,6 +57,37 @@ val decompose : compiled -> decomposed option
     set operations under the aggregate, approximate items, and
     non-aggregate queries return [None]. *)
 
+(** How a cluster coordinator answers a query over hash-partitioned
+    shards, where every row lives on the owner of its first column's
+    hash. *)
+type route =
+  | Scatter
+      (** the query is shard-local: every shard answers it over its
+          partition and the answers merge under the union rule (max
+          [texp] per duplicate row, min [texp(e)] overall) *)
+  | Partial of decomposed
+      (** every shard folds the decomposed child into expiration-slice
+          partials; the coordinator merges and finalises them *)
+  | Sketch of Expirel_exec.Approx.spec
+      (** every shard folds the child into a sketch; the coordinator
+          merges the sketches *)
+  | Gather
+      (** the coordinator gathers the base tables and computes the query
+          itself *)
+
+val route : catalog:catalog -> compiled -> route
+(** [Partial] when {!decompose} succeeds; [Sketch] for an
+    [APPROX_COUNT]/[SAMPLE] whose child is shard-local and keeps the
+    key; [Scatter] for a shard-local query; [Gather] otherwise.
+    Shard-local are: a selection/projection chain over one base table;
+    a join whose condition equates both tables' first columns; a
+    [UNION] of shard-local operands; an [EXCEPT]/[INTERSECT] whose
+    operands are shard-local and keep the first column of their base at
+    the same output position (equal rows then share a shard).  A
+    projection that drops the key under [EXCEPT]/[INTERSECT], other
+    joins and aggregates over joins gather.  [catalog] gives a join's
+    left width. *)
+
 val order_by_position : columns:string list -> Ast.column_ref -> int
 (** Resolve an ORDER BY reference against output column labels: exact
     label match first, then a bare name matches a {e unique} qualified

@@ -23,6 +23,14 @@ if grep -rnE '\bMaintained\.|\bDatabase\.(env|query)\b' lib bin --include='*.ml'
   echo "ci: the naive oracle above is on the production path" >&2
   exit 1
 fi
+# One read route: the coordinator picks scatter, partial aggregate,
+# sketch or gather from the lowered algebra (Lower.route), never by
+# matching query shapes on the AST.
+if grep -nE '\bAst\.(Select|From_join|Star|Union|Except|Intersect)\b' \
+    lib/cluster/coordinator.ml; then
+  echo "ci: the coordinator classifies the AST above; route on Lower.route" >&2
+  exit 1
+fi
 # lib/obs, lib/exec and lib/sketch compile with -warn-error +a (their
 # dunes say so); build them alone first so a warning fails fast with a
 # small log.

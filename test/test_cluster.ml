@@ -87,6 +87,10 @@ let queries =
     "SELECT deg FROM pol";  (* cross-shard duplicates: union rule *)
     "SELECT uid, deg FROM pol ORDER BY deg DESC, uid ASC";
     "SELECT * FROM pol ORDER BY uid LIMIT 3";
+    (* LIMIT alone cuts the tuple order, on a shard as on one node *)
+    "SELECT * FROM pol LIMIT 2";
+    "SELECT * FROM pol LIMIT 3";
+    "SELECT deg FROM pol LIMIT 1";
     "SELECT uid FROM pol UNION SELECT uid FROM aux";
     "SELECT * FROM pol EXCEPT SELECT * FROM pol WHERE deg = 30";
     "SELECT * FROM pol AT 15";
@@ -657,11 +661,13 @@ let test_distributed_groupby_joins () =
       "SELECT deg, COUNT(*) FROM pol GROUP BY deg ORDER BY deg AT 15";
       (* co-partitioned join: the condition equates both hash keys *)
       "SELECT * FROM pol JOIN aux ON pol.uid = aux.uid";
-      (* gather-then-compute fallback: a join whose key is not the
-         partitioning column, with and without AT, projected EXCEPT,
-         aggregate over a join *)
-      "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag";
+      (* a projected EXCEPT keeping the key scatters *)
       "SELECT uid FROM pol EXCEPT SELECT uid FROM aux";
+      (* gather-then-compute fallback: a join whose key is not the
+         partitioning column, with and without AT, a projected EXCEPT
+         dropping the key, aggregate over a join *)
+      "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag";
+      "SELECT deg FROM pol EXCEPT SELECT tag FROM aux";
       "SELECT COUNT(*) FROM pol JOIN aux ON pol.uid = aux.uid";
       "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag AT 15" ]
 
@@ -1120,6 +1126,15 @@ let test_routed_traffic () =
            (Printf.sprintf
               "SELECT * FROM t WHERE k = %d UNION SELECT * FROM t WHERE k = %d"
               a b));
+      Alcotest.(check int) "pinned projected EXCEPT: 1 message" 1
+        (messages_for coord
+           (Printf.sprintf
+              "SELECT k, v FROM t WHERE k = %d EXCEPT SELECT k, v FROM t \
+               WHERE v = 1"
+              a));
+      Alcotest.(check int) "pinned APPROX_COUNT: 1 message" 1
+        (messages_for coord
+           (Printf.sprintf "SELECT APPROX_COUNT(0.01) FROM t WHERE k = %d" a));
       Alcotest.(check int) "routed GROUP BY: 1 message" 1
         (messages_for coord
            (Printf.sprintf "SELECT k, COUNT(*) FROM t WHERE k = %d GROUP BY k"
@@ -1160,7 +1175,11 @@ let test_routed_traffic () =
    OR-of-points, AND-with-another-column and unpinned query answers
    through the routed coordinator exactly as through its forced
    broadcast and as one node holding every row; random DELETEs routed
-   the same way remove exactly the single node's rows. *)
+   the same way remove exactly the single node's rows.  The set
+   operations cover EXCEPT/INTERSECT over projections that keep the key
+   (scattered) and drop it (gathered); APPROX_COUNT routes by its
+   child's keys, and with AT past every candidate's rows it answers
+   without a contact. *)
 let qcheck_routed_matches_broadcast =
   let gen =
     let open QCheck2.Gen in
@@ -1211,8 +1230,20 @@ let qcheck_routed_matches_broadcast =
              [ Printf.sprintf
                  "SELECT * FROM t WHERE %s UNION SELECT * FROM t WHERE %s" p q;
                Printf.sprintf
-                 "SELECT * FROM t WHERE %s EXCEPT SELECT * FROM t WHERE %s" p q
-             ]
+                 "SELECT * FROM t WHERE %s EXCEPT SELECT * FROM t WHERE %s" p q;
+               Printf.sprintf
+                 "SELECT k, v FROM t WHERE %s EXCEPT SELECT k, v FROM t WHERE %s"
+                 p q;
+               Printf.sprintf
+                 "SELECT k, v FROM t WHERE %s INTERSECT SELECT k, v FROM t \
+                  WHERE %s"
+                 p q;
+               Printf.sprintf
+                 "SELECT v FROM t WHERE %s EXCEPT SELECT v FROM t WHERE %s" p q;
+               "SELECT APPROX_COUNT(0.01) FROM t WHERE " ^ p;
+               Printf.sprintf "SELECT APPROX_COUNT(0.01) FROM t WHERE %s AT %d"
+                 p (adv + 6);
+               Printf.sprintf "SELECT * FROM t WHERE %s LIMIT 2" p ]
            | _ -> [])
       in
       check_against_single_node ~shards ~statements

@@ -115,6 +115,40 @@ let test_delete_cond () =
   in
   Alcotest.(check string) "resolved against table" "#2 = 2" (Predicate.to_string p)
 
+(* The cluster read route, decided on the lowered algebra: pol and el
+   hash on uid, s on sid. *)
+let test_route () =
+  let name = function
+    | Lower.Scatter -> "scatter"
+    | Lower.Partial _ -> "partial"
+    | Lower.Sketch _ -> "sketch"
+    | Lower.Gather -> "gather"
+  in
+  List.iter
+    (fun (expected, text) ->
+      Alcotest.(check string) text expected
+        (name (Lower.route ~catalog (lower text))))
+    [ ("scatter", "SELECT * FROM pol WHERE uid = 1");
+      ("scatter", "SELECT uid, deg FROM pol WHERE deg = 25");
+      ("scatter", "SELECT uid FROM pol UNION SELECT deg FROM el");
+      ("scatter", "SELECT * FROM pol EXCEPT SELECT * FROM el WHERE deg > 1");
+      ("scatter", "SELECT uid, deg FROM pol EXCEPT SELECT uid, deg FROM el");
+      ("scatter", "SELECT deg, uid FROM pol INTERSECT SELECT deg, uid FROM el");
+      ("gather", "SELECT deg FROM pol EXCEPT SELECT deg FROM el");
+      ("gather", "SELECT uid, deg FROM pol EXCEPT SELECT deg, uid FROM el");
+      ("scatter",
+       "SELECT * FROM pol JOIN el ON pol.uid = el.uid WHERE pol.deg > 1");
+      ("gather", "SELECT * FROM pol JOIN s ON pol.uid = s.uid");
+      ("partial", "SELECT deg, COUNT(*) FROM pol GROUP BY deg");
+      ("partial",
+       "SELECT deg, COUNT(*) FROM pol GROUP BY deg HAVING COUNT(*) > 1");
+      ("partial", "SELECT AVG(deg) FROM pol WHERE uid = 1");
+      ("gather",
+       "SELECT pol.deg, COUNT(*) FROM pol JOIN el ON pol.uid = el.uid \
+        GROUP BY pol.deg");
+      ("sketch", "SELECT APPROX_COUNT(0.1) FROM pol WHERE uid = 1");
+      ("sketch", "SELECT SAMPLE(2) FROM pol") ]
+
 let suite =
   [ Alcotest.test_case "plain selects" `Quick test_plain_select;
     Alcotest.test_case "joins and qualification" `Quick test_join;
@@ -125,4 +159,5 @@ let suite =
     Alcotest.test_case "resolution errors" `Quick test_errors;
     Alcotest.test_case "global aggregates" `Quick test_global_aggregate;
     Alcotest.test_case "approximate aggregates" `Quick test_approx;
-    Alcotest.test_case "delete conditions" `Quick test_delete_cond ]
+    Alcotest.test_case "delete conditions" `Quick test_delete_cond;
+    Alcotest.test_case "cluster read routes" `Quick test_route ]
