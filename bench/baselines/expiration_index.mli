@@ -2,7 +2,9 @@
     reports the ids whose expiration time has passed, supporting the
     eager and lazy removal policies of Section 3.2.
 
-    Three interchangeable backends (compared in the benchmarks):
+    The baselines of citation [24] that [bench -- index] compares with
+    [Texp_run], the structure storage uses.  Three
+    interchangeable backends:
     - [`Scan]: no auxiliary structure; expiration scans all live entries
       — the baseline a system without expiration support would use;
     - [`Heap]: a binary min-heap with lazy deletion;

@@ -57,7 +57,7 @@ let scale_tests =
                  (diff (base "R") (base "S"))))) ]
 
 let index_tests =
-  let open Expirel_index in
+  let open Expirel_baselines in
   let make_backend name backend =
     Test.make ~name
       (Staged.stage (fun () ->

@@ -40,13 +40,17 @@ type t = {
   messages_total : Obs.Instrument.Counter.t;
   bytes_sent_total : Obs.Instrument.Counter.t;
   bytes_received_total : Obs.Instrument.Counter.t;
-  state : Mutex.t;  (* guards map/slots/now/tables *)
+  state : Mutex.t;  (* guards map/slots/now/tables/indexes *)
   tables : (string, string list) Hashtbl.t;
       (* the cluster catalog as this coordinator knows it: seeded from
          the CREATE TABLEs it broadcasts, lazily recovered from a
          zero-row describe scan otherwise (a coordinator can attach to
          an already-populated cluster) — distributed aggregates and
          joins need column names and arities before any shard replies *)
+  indexes : (string * string, unit) Hashtbl.t;
+      (* (table, column) of each CREATE INDEX this coordinator broadcast
+         and has not seen dropped, replayed on a joining shard; a
+         coordinator attached to a running cluster knows only these *)
   mutable map : Wire.shard_map;
   mutable slots : slot list;  (* same order as [map.shards] *)
   mutable moving : (Wire.shard_map * slot list) option;
@@ -786,7 +790,12 @@ let exec_parsed ?trace ~prune t stmt sql =
   | Ast.Drop_table name ->
     let r = broadcast ?trace t (slots t) sql ~merge:merge_acks in
     (match r with
-     | Wire.Ok_msg _ -> locked t (fun () -> Hashtbl.remove t.tables name)
+     | Wire.Ok_msg _ ->
+       locked t (fun () ->
+           Hashtbl.remove t.tables name;
+           Hashtbl.filter_map_inplace
+             (fun (table, _) () -> if table = name then None else Some ())
+             t.indexes)
      | _ -> ());
     r
   | Ast.Delete (table, Some cond) when prune ->
@@ -798,8 +807,14 @@ let exec_parsed ?trace ~prune t stmt sql =
       sql ~merge:merge_counts
   | Ast.Delete _ | Ast.Vacuum ->
     broadcast ?trace t (slots t) sql ~merge:merge_counts
-  | Ast.Create_index _ | Ast.Drop_index _ ->
-    broadcast ?trace t (slots t) sql ~merge:merge_acks
+  | Ast.Create_index { table; column } | Ast.Drop_index { table; column } ->
+    let r = broadcast ?trace t (slots t) sql ~merge:merge_acks in
+    (match r, stmt with
+     | Wire.Ok_msg _, Ast.Create_index _ ->
+       locked t (fun () -> Hashtbl.replace t.indexes (table, column) ())
+     | Wire.Ok_msg _, _ -> locked t (fun () -> Hashtbl.remove t.indexes (table, column))
+     | _ -> ());
+    r
   | Ast.Explain _ | Ast.Explain_analyze _ ->
     broadcast ?trace t (slots t) sql ~merge:merge_texts
   | Ast.Show_tables | Ast.Show_time -> forward_to_any ?trace t sql
@@ -943,6 +958,7 @@ let create ?(node_name = "coordinator") ?health_rules
                  included)";
       state = Mutex.create ();
       tables = Hashtbl.create 16;
+      indexes = Hashtbl.create 16;
       map;
       slots = [];
       moving = None;
@@ -1255,44 +1271,41 @@ let add_shard t endpoint =
   (* The joining shard needs the cluster's catalog and clock before it
      can ingest: recover each table's columns from a zero-row scan on a
      live shard (single-table scans label columns with their bare DDL
-     names), replay CREATE TABLE on the newcomer, then sync its clock
-     so ingested expiration times mean the same thing there. *)
+     names), replay CREATE TABLE and the CREATE INDEXes this coordinator
+     broadcast on the newcomer, then sync its clock so ingested
+     expiration times mean the same thing there. *)
   let newcomer = List.nth new_slots (List.length new_slots - 1) in
   let prep =
     let ( let* ) = Result.bind in
-    let* tables = table_names t in
-    let* () =
-      List.fold_left
-        (fun acc table ->
-          let* () = acc in
-          match
-            forward_to_any t (Printf.sprintf "SELECT * FROM %s LIMIT 0" table)
-          with
-          | Wire.Rows { columns; _ } ->
-            (match
-               exec_on t newcomer
-                 (Printf.sprintf "CREATE TABLE %s (%s)" table
-                    (String.concat ", " columns))
-             with
-             | Ok (Wire.Ok_msg _) -> Ok ()
-             | Ok (Wire.Err { message; _ }) | Error message ->
-               Error
-                 (Printf.sprintf "create %s on joining shard: %s" table
-                    message)
-             | Ok _ -> Error "unexpected reply to CREATE TABLE")
-          | Wire.Err { message; _ } ->
-            Error (Printf.sprintf "describe %s: %s" table message)
-          | _ -> Error "unexpected reply to a describe scan")
-        (Ok ()) tables
+    let run acc sql =
+      let* () = acc in
+      match exec_on t newcomer sql with
+      | Ok (Wire.Ok_msg _) -> Ok ()
+      | Ok (Wire.Err { message; _ }) | Error message ->
+        Error (Printf.sprintf "%s on joining shard: %s" sql message)
+      | Ok _ -> Error ("unexpected reply to " ^ sql)
     in
-    match Time.to_int_opt (locked t (fun () -> t.now)) with
-    | Some n when n > 0 ->
-      (match exec_on t newcomer (Printf.sprintf "ADVANCE TO %d" n) with
-       | Ok (Wire.Ok_msg _) -> Ok ()
-       | Ok (Wire.Err { message; _ }) | Error message ->
-         Error (Printf.sprintf "clock sync on joining shard: %s" message)
-       | Ok _ -> Error "unexpected reply to ADVANCE TO")
-    | _ -> Ok ()
+    let ddl acc table =
+      let* acc = acc in
+      match forward_to_any t (Printf.sprintf "SELECT * FROM %s LIMIT 0" table) with
+      | Wire.Rows { columns; _ } ->
+        let index (on, column) () acc =
+          if on = table then Printf.sprintf "CREATE INDEX ON %s (%s)" table column :: acc
+          else acc
+        in
+        Ok
+          (acc
+          @ Printf.sprintf "CREATE TABLE %s (%s)" table (String.concat ", " columns)
+            :: locked t (fun () -> Hashtbl.fold index t.indexes []))
+      | Wire.Err { message; _ } -> Error (Printf.sprintf "describe %s: %s" table message)
+      | _ -> Error "unexpected reply to a describe scan"
+    in
+    let* tables = table_names t in
+    let* statements = List.fold_left ddl (Ok []) tables in
+    List.fold_left run (Ok ())
+      (match Time.to_int_opt (locked t (fun () -> t.now)) with
+       | Some n when n > 0 -> statements @ [ Printf.sprintf "ADVANCE TO %d" n ]
+       | _ -> statements)
   in
   match prep with
   | Error e -> Error e

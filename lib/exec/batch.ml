@@ -12,6 +12,8 @@ open Expirel_storage
    chunks ([Texp_run]) with [sel = None]:
    zero copies for a wholly-live chunk, and the live cut inside a
    straddling chunk is a suffix selection found by one binary search.
+   Index scans select their live rows out of an index's key-ordered
+   chunks the same way.
    Batches re-entered from a set-semantics operator's answer
    ([of_relation]) are in tuple order instead — sortedness only
    matters at scan leaves, where the [tau] filter runs; every operator
@@ -47,27 +49,23 @@ let fold_rows b ~init ~f =
 
 (* ---------- construction ---------- *)
 
-let of_chunk ~arity c =
+let of_slice ~arity c sel =
   { arity;
     cols = Array.init arity (fun j -> Texp_run.chunk_col c (j + 1));
     texps = Texp_run.chunk_texps c;
-    sel = None
+    sel
   }
 
 (* The live suffix of a texp-ascending chunk: [None] when the whole
    chunk has expired.  Returns the number of rows the cut skipped. *)
 let cut_chunk ~arity ~tau c =
-  let len = Texp_run.chunk_len c in
-  if len = 0 then None, 0
+  let len = Texp_run.chunk_len c and texps = Texp_run.chunk_texps c in
+  if len = 0 || Time.(texps.(len - 1) <= tau) then None, len
+  else if Time.(texps.(0) > tau) then Some (of_slice ~arity c None), 0
   else
-    let texps = Texp_run.chunk_texps c in
-    if Time.(texps.(0) > tau) then Some (of_chunk ~arity c), 0
-    else if Time.(texps.(len - 1) <= tau) then None, len
-    else
-      let first = Texp_run.live_cut texps ~tau 0 len in
-      let b = of_chunk ~arity c in
-      Some { b with sel = Some (Array.init (len - first) (fun i -> first + i)) },
-      first
+    let first = Texp_run.live_cut texps ~tau 0 len in
+    Some (of_slice ~arity c (Some (Array.init (len - first) (fun i -> first + i)))),
+    first
 
 let of_rows ~arity rows =
   let n = List.length rows in

@@ -10,8 +10,9 @@
     only materialisation ({!to_relation}) — at the plan's root, or
     where a set-semantics operator needs a set — builds tuples again.
 
-    Order contract: scan-leaf batches are texp-ascending (that is what
-    makes the cut a binary search); batches above the scan, including
+    Order contract: cut-scan batches are texp-ascending (that is what
+    makes the cut a binary search), index-scan batches key-ascending;
+    batches above the scan, including
     {!of_relation} rebatches of a set-semantics operator's answer,
     carry no order guarantee — every operator above the scan only ever
     sees live rows, so nothing above needs one. *)
@@ -49,9 +50,13 @@ val cut_chunk : arity:int -> tau:Time.t -> Texp_run.chunk -> t option * int
     suffix-selected batch for a straddling chunk — the binary-search
     cut. *)
 
+val of_slice : arity:int -> Texp_run.chunk -> int array option -> t
+(** A chunk's rows, zero-copy: all of them ([None]) or the ascending row
+    ids given — how index scans ({!Texp_run.scan_range}) enter batch
+    form. *)
+
 val of_rows : arity:int -> (Tuple.t * Time.t) list -> t option
-(** One batch holding exactly these rows ([None] when empty) — how
-    index-scan candidate lists enter batch form. *)
+(** One batch holding exactly these rows ([None] when empty). *)
 
 val of_relation : Relation.t -> t list
 (** Rebatch a materialised relation (tuple order) — where a

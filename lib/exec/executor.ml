@@ -335,12 +335,13 @@ let engine ?probe ?tau ~db logical =
      chunk by chunk (the sorted chunks, then the insert buffer's):
      wholly-expired chunks are skipped without touching a row,
      wholly-live chunks pass through zero-copy, straddlers pay one
-     binary search.  Index paths re-enter their candidate lists through
-     [Batch.of_rows].  The access path recorded in the plan is advisory
-     (EXPLAIN): it is re-derived through [Access.plan] against the
-     table's current state, so a cached plan can never return wrong rows
-     after a DROP INDEX or a type-heterogeneous insert — it only loses
-     the speedup until replanned. *)
+     binary search.  Index paths select the live rows of the index's
+     key-ordered chunks in their key range, zero-copy.  The access path
+     recorded in the plan is advisory (EXPLAIN): it is re-derived
+     through [Access.plan] against the table's current state at [tau],
+     so a cached plan can never return wrong rows after a DROP INDEX or
+     a type-heterogeneous insert, and follows the estimates as the
+     table churns. *)
   and scan name pred prof =
     let table = Database.table_exn db name in
     let arity = Table.arity table in
@@ -371,21 +372,16 @@ let engine ?probe ?tau ~db logical =
       match pred with
       | None -> cut_scan ()
       | Some q ->
-        (match Access.plan table q with
+        (match Access.plan table ~tau q with
          | Access.Full_scan -> cut_scan ()
          | Access.Never_matches -> []
-         | Access.Index_eq { column; value } ->
-           let dropped = ref 0 in
-           let rows = Table.index_lookup ~dropped table ~column ~tau value in
-           count_dropped ~visited:0 !dropped;
-           Option.to_list (Batch.of_rows ~arity rows)
-         | Access.Index_range { column; lo; hi } ->
-           let visited = ref 0 and dropped = ref 0 in
-           let rows =
-             Table.index_range ~visited ~dropped table ~column ~tau ~lo ~hi
-           in
+         | Access.Index { column; lo; hi } ->
+           let visited = ref 0 and dropped = ref 0 and acc = ref [] in
+           Texp_run.scan_range (Table.index table ~column) ~tau ~lo ~hi
+             ~visited ~dropped (fun c sel ->
+               acc := Batch.of_slice ~arity c sel :: !acc);
            count_dropped ~visited:!visited !dropped;
-           Option.to_list (Batch.of_rows ~arity rows))
+           List.rev !acc)
     in
     { arity;
       rows = Batches { batches = select pred candidates; dups = false };

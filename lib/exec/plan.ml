@@ -55,8 +55,7 @@ type compiled = {
 }
 
 let operator_name = function
-  | Scan { access = Access.Index_eq _ | Access.Index_range _; _ } ->
-    "index-scan"
+  | Scan { access = Access.Index _; _ } -> "index-scan"
   | Scan { access = Access.Full_scan | Access.Never_matches; _ } -> "seq-scan"
   | Filter _ -> "filter"
   | Project _ -> "project"

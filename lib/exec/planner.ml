@@ -19,8 +19,9 @@ let rec estimate_rows db = function
        let n = Table.live_estimate table ~tau:(Database.now db) in
        (match access, pred with
         | Access.Never_matches, _ -> 0
-        | Access.Index_eq _, _ -> max 1 (n / 10)
-        | Access.Index_range _, _ -> max 1 (n / 3)
+        | Access.Index _, _ ->
+          (* the index rows in the key range: O(log n), an upper bound *)
+          min n (max 1 (Access.entries table access))
         | Access.Full_scan, Some _ -> max 1 (n / 3)
         | Access.Full_scan, None -> n))
   | Plan.Filter (_, c) -> max 1 (estimate_rows db c / 3)
@@ -44,7 +45,7 @@ let rec estimate_rows db = function
 let scan db name pred =
   let access =
     match Database.table db name, pred with
-    | Some table, Some p -> Access.plan table p
+    | Some table, Some p -> Access.plan table ~tau:(Database.now db) p
     | Some _, None | None, _ -> Access.Full_scan
   in
   Plan.Scan { name; pred; access }

@@ -3,14 +3,10 @@ open Expirel_core
 type plan =
   | Full_scan
   | Never_matches
-  | Index_eq of {
+  | Index of {
       column : int;
-      value : Value.t;
-    }
-  | Index_range of {
-      column : int;
-      lo : Ordered_index.bound;
-      hi : Ordered_index.bound;
+      lo : Texp_run.bound;
+      hi : Texp_run.bound;
     }
 
 let value_tag = function
@@ -24,29 +20,55 @@ let value_tag = function
    Value.compare (the index order) then agrees with Value.cmp (the
    predicate order) on the covered keys. *)
 let homogeneous table column v =
-  match Table.index_extrema table ~column with
+  match Texp_run.key_extrema (Table.index table ~column) with
   | None -> true (* empty index: any plan is trivially complete *)
   | Some (lo, hi) -> value_tag lo = value_tag v && value_tag hi = value_tag v
 
-(* A conjunct of the shape the index can serve: column-vs-constant. *)
-let indexable table = function
-  | Predicate.Cmp (op, Predicate.Col j, Predicate.Const v)
-    when Table.has_index table ~column:j ->
-    Some (op, j, v)
-  | Predicate.Cmp (op, Predicate.Const v, Predicate.Col j)
-    when Table.has_index table ~column:j ->
-    let flipped =
-      match op with
-      | Predicate.Lt -> Predicate.Gt
-      | Predicate.Le -> Predicate.Ge
-      | Predicate.Gt -> Predicate.Lt
-      | Predicate.Ge -> Predicate.Le
-      | (Predicate.Eq | Predicate.Neq) as o -> o
-    in
-    Some (flipped, j, v)
-  | _ -> None
+(* A conjunct an index can serve — column against constant — as a key
+   range on the column. *)
+let range table c =
+  let open Texp_run in
+  let served =
+    match c with
+    | Predicate.Cmp (op, Predicate.Col j, Predicate.Const v) -> Some (op, j, v)
+    | Predicate.Cmp (op, Predicate.Const v, Predicate.Col j) ->
+      Some (Predicate.(match op with Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | o -> o), j, v)
+    | _ -> None
+  in
+  match served with
+  | Some (op, column, v) when Table.has_index table ~column && homogeneous table column v ->
+    (match op with
+     | Predicate.Eq -> Some (column, Inclusive v, Inclusive v)
+     | Predicate.Lt -> Some (column, Unbounded, Exclusive v)
+     | Predicate.Le -> Some (column, Unbounded, Inclusive v)
+     | Predicate.Gt -> Some (column, Exclusive v, Unbounded)
+     | Predicate.Ge -> Some (column, Inclusive v, Unbounded)
+     | Predicate.Neq -> None)
+  | Some _ | None -> None
 
-let plan table p =
+let entries table = function
+  | Index { column; lo; hi } when Table.has_index table ~column ->
+    Texp_run.count_range (Table.index table ~column) ~lo ~hi
+  | Index _ | Full_scan | Never_matches -> Table.physical_count table
+
+(* An index read examines its key range's rows, live or not; the cut
+   scan filters the live rows.  Per row they cost about the same (at
+   equal counts, [bench -- access]'s wide range reads the index in 1.1x
+   the cut scan's time), and the cut scan's zero-copy chunks win ties. *)
+let index_row_cost = 1
+
+(* The larger lower bound or the smaller upper bound ([sign] 1 or -1). *)
+let tighter ~sign a b =
+  match a, b with
+  | Texp_run.Unbounded, x | x, Texp_run.Unbounded -> x
+  | (Texp_run.Inclusive va | Texp_run.Exclusive va),
+    (Texp_run.Inclusive vb | Texp_run.Exclusive vb) ->
+    let c = sign * Value.compare va vb in
+    if c > 0 then a
+    else if c < 0 then b
+    else (match b with Texp_run.Exclusive _ -> b | _ -> a)
+
+let plan table ~tau p =
   let cs = Predicate.conjuncts p in
   let null_conjunct = function
     | Predicate.Cmp (_, Predicate.Const Value.Null, _)
@@ -56,79 +78,41 @@ let plan table p =
   in
   if List.exists null_conjunct cs then Never_matches
   else
-    let candidate c =
-      match indexable table c with
-      | Some (op, column, v) when homogeneous table column v ->
-        (match op with
-         | Predicate.Eq -> Some (Index_eq { column; value = v })
-         | Predicate.Lt ->
-           Some (Index_range
-                   { column; lo = Ordered_index.Unbounded;
-                     hi = Ordered_index.Exclusive v })
-         | Predicate.Le ->
-           Some (Index_range
-                   { column; lo = Ordered_index.Unbounded;
-                     hi = Ordered_index.Inclusive v })
-         | Predicate.Gt ->
-           Some (Index_range
-                   { column; lo = Ordered_index.Exclusive v;
-                     hi = Ordered_index.Unbounded })
-         | Predicate.Ge ->
-           Some (Index_range
-                   { column; lo = Ordered_index.Inclusive v;
-                     hi = Ordered_index.Unbounded })
-         | Predicate.Neq -> None)
-      | Some _ | None -> None
+    let open Texp_run in
+    let ranges = List.filter_map (range table) cs in
+    (* A column's path: the intersection of its conjuncts' ranges. *)
+    let path column =
+      let lo, hi =
+        List.fold_left
+          (fun (lo, hi) (j, l, h) ->
+            if j = column then (tighter ~sign:1 lo l, tighter ~sign:(-1) hi h)
+            else (lo, hi))
+          (Unbounded, Unbounded) ranges
+      in
+      Index { column; lo; hi }
     in
-    let plans = List.filter_map candidate cs in
-    (* Prefer equality probes over ranges... *)
-    (match List.find_opt (function Index_eq _ -> true | _ -> false) plans with
-     | Some p -> p
-     | None ->
-       (* ...and intersect every range conjunct on the same column into
-          one two-sided range. *)
-       let tighter ~sign a b =
-         match a, b with
-         | Ordered_index.Unbounded, x | x, Ordered_index.Unbounded -> x
-         | (Ordered_index.Inclusive va | Ordered_index.Exclusive va),
-           (Ordered_index.Inclusive vb | Ordered_index.Exclusive vb) ->
-           let c = sign * Value.compare va vb in
-           if c > 0 then a
-           else if c < 0 then b
-           else (
-             match a, b with
-             | Ordered_index.Exclusive _, _ -> a
-             | _, Ordered_index.Exclusive _ -> b
-             | _ -> a)
-       in
-       (* the larger lower bound, the smaller upper bound *)
-       let tighter_lo = tighter ~sign:1 and tighter_hi = tighter ~sign:(-1) in
-       (match plans with
-        | Index_range { column; _ } :: _ ->
-          let merged =
-            List.fold_left
-              (fun (lo, hi) p ->
-                match p with
-                | Index_range r when r.column = column ->
-                  tighter_lo lo r.lo, tighter_hi hi r.hi
-                | Index_range _ | Index_eq _ | Full_scan | Never_matches ->
-                  lo, hi)
-              (Ordered_index.Unbounded, Ordered_index.Unbounded)
-              plans
-          in
-          let lo, hi = merged in
-          Index_range { column; lo; hi }
-        | (Index_eq _ | Full_scan | Never_matches) :: _ | [] -> Full_scan))
+    match List.sort_uniq Int.compare (List.map (fun (j, _, _) -> j) ranges) with
+    | [] -> Full_scan
+    | columns ->
+      List.fold_left
+        (fun (best, cost) column ->
+          let p = path column in
+          let n = index_row_cost * entries table p in
+          if n < cost then (p, n) else (best, cost))
+        (Full_scan, Table.live_estimate table ~tau)
+        columns
+      |> fst
 
 let pp_plan ppf = function
   | Full_scan -> Format.pp_print_string ppf "full-scan"
   | Never_matches -> Format.pp_print_string ppf "never-matches"
-  | Index_eq { column; value } ->
-    Format.fprintf ppf "index-eq(#%d = %a)" column Value.pp value
-  | Index_range { column; lo; hi } ->
+  | Index { column; lo = Texp_run.Inclusive a; hi = Texp_run.Inclusive b }
+    when Value.compare a b = 0 ->
+    Format.fprintf ppf "index-eq(#%d = %a)" column Value.pp a
+  | Index { column; lo; hi } ->
     let bound ppf = function
-      | Ordered_index.Unbounded -> Format.pp_print_string ppf "_"
-      | Ordered_index.Inclusive v -> Format.fprintf ppf "[%a]" Value.pp v
-      | Ordered_index.Exclusive v -> Format.fprintf ppf "(%a)" Value.pp v
+      | Texp_run.Unbounded -> Format.pp_print_string ppf "_"
+      | Texp_run.Inclusive v -> Format.fprintf ppf "[%a]" Value.pp v
+      | Texp_run.Exclusive v -> Format.fprintf ppf "(%a)" Value.pp v
     in
     Format.fprintf ppf "index-range(#%d: %a..%a)" column bound lo bound hi

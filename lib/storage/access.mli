@@ -1,6 +1,9 @@
 (** Access-path selection: which secondary index, if any, serves a
-    selection over a stored table, with a full scan as fallback.  The
-    executor's scan leaf runs the chosen path; this module only plans.
+    selection over a stored table, or the cut scan — by estimate at the
+    query's [tau]: an index path costs the index rows in its key range
+    ({!Texp_run.count_range}, O(log n)), the cut scan the live rows
+    ({!Table.live_estimate}), and the cheaper wins.  The executor's scan
+    leaf runs the chosen path; this module only plans.
 
     An index on a column is usable for a conjunct [col = c] or
     [col < c] / [<=] / [>] / [>=] when the stored keys are
@@ -15,17 +18,19 @@ open Expirel_core
 type plan =
   | Full_scan
   | Never_matches  (** a conjunct compares against [Null]: no tuple passes *)
-  | Index_eq of {
+  | Index of {
       column : int;
-      value : Value.t;
+      lo : Texp_run.bound;
+      hi : Texp_run.bound;
     }
-  | Index_range of {
-      column : int;
-      lo : Ordered_index.bound;
-      hi : Ordered_index.bound;
-    }
+      (** the column's index conjuncts intersected into one key range
+          (an equality probe when both bounds include one value) *)
 
-val plan : Table.t -> Predicate.t -> plan
-(** The access path chosen for evaluating the predicate over the table. *)
+val plan : Table.t -> tau:Time.t -> Predicate.t -> plan
+(** The access path chosen for evaluating the predicate over the table
+    at [tau]. *)
+
+val entries : Table.t -> plan -> int
+(** The index rows in a path's key range, or the table's physical rows. *)
 
 val pp_plan : Format.formatter -> plan -> unit

@@ -12,11 +12,10 @@ module Tuple_tbl = Hashtbl.Make (Tuple_hash)
 type t = {
   name : string;
   columns : string list;
-  rows : Time.t Tuple_tbl.t;
-      (* tuple -> texp: set semantics, and the liveness check behind
-         index lookups *)
+  rows : Time.t Tuple_tbl.t;  (* tuple -> texp: set semantics *)
   run : Texp_run.t;  (* the same rows, in (texp, tuple) order *)
-  secondary : (int, Ordered_index.t) Hashtbl.t;  (* column -> index *)
+  secondary : (int, Texp_run.t) Hashtbl.t;
+      (* column -> the same rows keyed on it, in (key, texp, tuple) order *)
   mutable generation : int;  (* bumped on every physical row change *)
   mutable cached_snapshot : (int * Relation.t) option;
       (* A full-table snapshot is independent of [tau] as long as every
@@ -30,7 +29,7 @@ let create ~name ~columns () =
     { name;
       columns;
       rows = Tuple_tbl.create 64;
-      run = Texp_run.create ~arity:(List.length columns);
+      run = Texp_run.create ~arity:(List.length columns) [];
       secondary = Hashtbl.create 4;
       generation = 0;
       cached_snapshot = None
@@ -51,11 +50,10 @@ let column_position t column =
   in
   find 1 t.columns
 
-let secondary_insert t tuple =
-  Hashtbl.iter (fun _ idx -> Ordered_index.insert idx tuple) t.secondary
-
-let secondary_remove t tuple =
-  Hashtbl.iter (fun _ idx -> Ordered_index.remove idx tuple) t.secondary
+(* The row change on the run and on every index. *)
+let each_run t f =
+  f t.run;
+  Hashtbl.iter (fun _ idx -> f idx) t.secondary
 
 let check_arity t tuple =
   if Tuple.arity tuple <> arity t then
@@ -69,18 +67,16 @@ let insert t tuple ~texp =
   | Some old when Time.equal old texp -> ()
   | found ->
     touch t;
-    (match found with
-     | Some old -> Texp_run.remove t.run tuple old
-     | None -> secondary_insert t tuple);
-    Texp_run.add t.run tuple texp;
+    each_run t (fun run ->
+        Option.iter (Texp_run.remove run tuple) found;
+        Texp_run.add run tuple texp);
     Tuple_tbl.replace t.rows tuple texp
 
 let delete t tuple =
   match Tuple_tbl.find_opt t.rows tuple with
   | Some texp ->
     touch t;
-    Texp_run.remove t.run tuple texp;
-    secondary_remove t tuple;
+    each_run t (fun run -> Texp_run.remove run tuple texp);
     Tuple_tbl.remove t.rows tuple;
     true
   | None -> false
@@ -162,13 +158,10 @@ let snapshot t ~tau =
 
 let expire_upto t tau =
   let due = Texp_run.expire_upto t.run tau in
+  Hashtbl.iter (fun _ idx -> Texp_run.forget_upto idx tau) t.secondary;
   if due <> [] then begin
     touch t;
-    List.iter
-      (fun (tuple, _) ->
-        Tuple_tbl.remove t.rows tuple;
-        secondary_remove t tuple)
-      due
+    List.iter (fun (tuple, _) -> Tuple_tbl.remove t.rows tuple) due
   end;
   due
 
@@ -181,9 +174,9 @@ let create_index t ~column =
     invalid_arg
       (Printf.sprintf "Table.create_index(%s): column %d outside 1..%d" t.name
          column (arity t));
-  let idx = Ordered_index.create ~column in
-  Tuple_tbl.iter (fun tuple _ -> Ordered_index.insert idx tuple) t.rows;
-  Hashtbl.replace t.secondary column idx
+  Hashtbl.replace t.secondary column
+    (Texp_run.create ~key:column ~arity:(arity t)
+       (Tuple_tbl.fold (fun tuple texp acc -> (tuple, texp) :: acc) t.rows []))
 
 let drop_index t ~column = Hashtbl.remove t.secondary column
 let has_index t ~column = Hashtbl.mem t.secondary column
@@ -191,29 +184,7 @@ let has_index t ~column = Hashtbl.mem t.secondary column
 let indexed_columns t =
   Hashtbl.fold (fun c _ acc -> c :: acc) t.secondary [] |> List.sort Int.compare
 
-let secondary_exn t column =
+let index t ~column =
   match Hashtbl.find_opt t.secondary column with
   | Some idx -> idx
   | None -> raise Not_found
-
-let index_extrema t ~column = Ordered_index.extrema (secondary_exn t column)
-
-(* Candidates come from the index over physical rows; re-attach texps and
-   drop the expired.  [dropped] counts the candidates the tau filter (or
-   a concurrent delete) discarded. *)
-let live_rows ~dropped t ~tau tuples =
-  List.filter_map
-    (fun tuple ->
-      match Tuple_tbl.find_opt t.rows tuple with
-      | Some texp when Time.(texp > tau) -> Some (tuple, texp)
-      | Some _ | None ->
-        incr dropped;
-        None)
-    tuples
-
-let index_lookup ~dropped t ~column ~tau v =
-  live_rows ~dropped t ~tau (Ordered_index.lookup (secondary_exn t column) v)
-
-let index_range ~visited ~dropped t ~column ~tau ~lo ~hi =
-  live_rows ~dropped t ~tau
-    (Ordered_index.range ~visited (secondary_exn t column) ~lo ~hi)

@@ -5,8 +5,10 @@
     [(texp, tuple)] plus a sorted insert buffer.  Hot readers (the batch
     scan, live counts, the forward expiration profile, the earliest
     expiration) cut the run at [tau] by binary search and never rebuild
-    anything after a write.  A tuple → texp map keeps set semantics and
-    the liveness check behind index lookups.
+    anything after a write.  A tuple → texp map keeps set semantics.
+    Each secondary index is the same rows in a second {!Texp_run} keyed
+    on its column, every row with its texp, so an index read skips
+    expired rows by that texp and never consults the table.
 
     The table itself is clock-free; the {!Database} drives expiration by
     calling {!expire_upto} (eager removal) or {!vacuum} (delayed physical
@@ -107,34 +109,16 @@ val vacuum : t -> tau:Time.t -> int
 (** {2 Secondary indexes} *)
 
 val create_index : t -> column:int -> unit
-(** Builds (or rebuilds) an ordered secondary index on the 1-based
-    column; maintained by subsequent inserts, deletes and expirations.
+(** Builds (or rebuilds) a secondary index on the 1-based column: the
+    rows in a {!Texp_run} keyed on it, maintained by every later change.
+    Its reads are exact at [tau] no earlier than the last {!expire_upto},
+    as the {!Database}'s clock guarantees.
     @raise Invalid_argument when the column is out of range *)
 
 val drop_index : t -> column:int -> unit
 val has_index : t -> column:int -> bool
 val indexed_columns : t -> int list
 
-val index_extrema : t -> column:int -> (Value.t * Value.t) option
-(** Smallest and largest key currently indexed (physical rows, expired
-    included until vacuumed).
-    @raise Not_found when no index covers the column *)
-
-val index_lookup :
-  dropped:int ref ->
-  t -> column:int -> tau:Time.t -> Value.t -> (Tuple.t * Time.t) list
-(** Live tuples whose column equals the value.  [dropped] is
-    incremented once per index candidate the liveness filter
-    discarded (expired at [tau] or deleted) — the profiling sink's
-    expired-drop count.
-    @raise Not_found when no index covers the column *)
-
-val index_range :
-  visited:int ref ->
-  dropped:int ref ->
-  t -> column:int -> tau:Time.t -> lo:Ordered_index.bound ->
-  hi:Ordered_index.bound -> (Tuple.t * Time.t) list
-(** Live tuples whose column falls in the range.  [visited] counts
-    index nodes touched (forwarded to {!Ordered_index.range});
-    [dropped] counts candidates the liveness filter discarded.
+val index : t -> column:int -> Texp_run.t
+(** The index on the column; callers read it and never mutate it.
     @raise Not_found when no index covers the column *)

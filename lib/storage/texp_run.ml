@@ -4,8 +4,8 @@ type chunk = {
   len : int;
   texps : Time.t array;
   cols : Value.t array array;
-      (* row [r] is the tuple of [cols.(_).(r)]; rows ascend by
-         (texp, tuple) *)
+      (* row [r] is the tuple of [cols.(_).(r)]; rows ascend in the
+         run's order *)
 }
 
 (* 256 rows keep every chunk array within the minor heap's block limit
@@ -14,6 +14,9 @@ type chunk = {
    whose marking and sweeping every later collection pays for. *)
 let chunk_rows = 256
 
+let make len texps cols = { len; texps; cols }
+let empty = make 0 [||] [||]
+let last_texp c = c.texps.(c.len - 1)
 let chunk_len c = c.len
 let chunk_col c j = c.cols.(j - 1)
 let chunk_texps c = c.texps
@@ -30,100 +33,98 @@ let search lo hi past =
 
 let live_cut texps ~tau lo hi = search lo hi (fun i -> Time.(texps.(i) > tau))
 
-(* Ascending texp; ties broken by tuple order, so the layout (and every
-   profile counter derived from it) is deterministic. *)
-let compare_key e1 t1 e2 t2 =
-  let c = Time.compare e1 e2 in
-  if c <> 0 then c else Tuple.compare t1 t2
+(* A row's place in the run: its leading key ([Null] in an unkeyed
+   run), then texp, then tuple — ties broken by tuple order, so the
+   layout (and every profile counter derived from it) is
+   deterministic. *)
+type key = Value.t * Time.t * Tuple.t
 
-(* [compare_key] between row [r] of a chunk and a key.  Tuples in one
-   run share the arity, so the column-wise order is [Tuple.compare]'s. *)
-let compare_row c r e tu =
-  let d = Time.compare c.texps.(r) e in
-  if d <> 0 then d
+let compare_key (k1, e1, t1) (k2, e2, t2) =
+  let c = Value.compare k1 k2 in
+  if c <> 0 then c
   else
-    let rec go j =
-      if j = Array.length c.cols then 0
-      else
-        let d = Value.compare c.cols.(j).(r) (Tuple.attr tu (j + 1)) in
-        if d <> 0 then d else go (j + 1)
-    in
-    go 0
-
-let tuple_at c r =
-  Tuple.init ~arity:(Array.length c.cols) (fun j -> c.cols.(j - 1).(r))
+    let c = Time.compare e1 e2 in
+    if c <> 0 then c else Tuple.compare t1 t2
 
 module Key_set = Set.Make (struct
-  type t = Time.t * Tuple.t
+  type t = key
 
-  let compare (e1, t1) (e2, t2) = compare_key e1 t1 e2 t2
+  let compare = compare_key
 end)
 
 type t = {
   arity : int;
+  key : int option;  (* the leading key column, 1-based *)
   mutable chunks : chunk array;
       (* never empty chunks, globally ascending; the array is replaced,
          never mutated, so readers may keep the one they got *)
   mutable ends : int array;  (* ends.(i) = rows in chunks.(0..i) *)
-  mutable buffer : Key_set.t;  (* the insert buffer, < chunk_rows keys *)
+  mutable tops : Time.t array;  (* keyed: each chunk's largest texp *)
+  mutable least_top : Time.t;  (* keyed: the smallest of [tops] *)
+  mutable buffer : Key_set.t;  (* pending adds *)
   mutable buffered : int;  (* Key_set.cardinal buffer *)
+  mutable gone : Key_set.t;  (* keyed: chunked rows removed since the last fold *)
+  mutable gone_n : int;
+  mutable horizon : Time.t option;  (* keyed: rows at or before it are dead *)
   mutable buffer_chunk : chunk option;
       (* [buffer] as a chunk, built on first read after a write.  The
          build races benignly between concurrent readers (last store
          wins, both results are equal). *)
 }
 
-(* Sorted keys as a chunk. *)
+let keyed t = Option.is_some t.key
+let row_key t c r = match t.key with None -> Value.Null | Some j -> c.cols.(j - 1).(r)
+
+let key_of t tu e =
+  ((match t.key with None -> Value.Null | Some j -> Tuple.attr tu j), e, tu)
+
+(* [compare_key] between row [r] of a chunk and a key.  Tuples in one
+   run share the arity, so the column-wise order is [Tuple.compare]'s. *)
+let compare_row t c r (k, e, tu) =
+  let d = Value.compare (row_key t c r) k in
+  if d <> 0 then d
+  else
+    let d = Time.compare c.texps.(r) e in
+    if d <> 0 then d
+    else
+      let rec go j =
+        if j = Array.length c.cols then 0
+        else
+          let d = Value.compare c.cols.(j).(r) (Tuple.attr tu (j + 1)) in
+          if d <> 0 then d else go (j + 1)
+      in
+      go 0
+
+let tuple_at c r = Tuple.init ~arity:(Array.length c.cols) (fun j -> c.cols.(j - 1).(r))
+
 let chunk_of_keys ~arity keys =
-  { len = Array.length keys;
-    texps = Array.map fst keys;
-    cols =
-      Array.init arity (fun j ->
-          Array.map (fun (_, tu) -> Tuple.attr tu (j + 1)) keys)
-  }
+  make (Array.length keys)
+    (Array.map (fun (_, e, _) -> e) keys)
+    (Array.init arity (fun j -> Array.map (fun (_, _, tu) -> Tuple.attr tu (j + 1)) keys))
 
 (* Rows [lo, hi) of a chunk. *)
 let sub_chunk c lo hi =
   let sub a = Array.sub a lo (hi - lo) in
-  { len = hi - lo;
-    texps = sub c.texps;
-    cols = Array.map sub c.cols
-  }
-
-(* The chunk without row [r]. *)
-let drop_row c r =
-  let drop a =
-    Array.append (Array.sub a 0 r) (Array.sub a (r + 1) (c.len - r - 1))
-  in
-  { len = c.len - 1;
-    texps = drop c.texps;
-    cols = Array.map drop c.cols
-  }
+  make (hi - lo) (sub c.texps) (Array.map sub c.cols)
 
 let append_chunks a b =
-  { len = a.len + b.len;
-    texps = Array.append a.texps b.texps;
-    cols = Array.map2 Array.append a.cols b.cols
-  }
+  make (a.len + b.len) (Array.append a.texps b.texps) (Array.map2 Array.append a.cols b.cols)
 
-let create ~arity =
-  { arity;
-    chunks = [||];
-    ends = [||];
-    buffer = Key_set.empty;
-    buffered = 0;
-    buffer_chunk = None
-  }
+(* The first [len] rows of [c] split evenly into chunks of at most
+   [chunk_rows]. *)
+let split c len =
+  let pieces = (len + chunk_rows - 1) / chunk_rows in
+  if pieces = 1 && len = c.len then [ c ]
+  else List.init pieces (fun p -> sub_chunk c (p * len / pieces) ((p + 1) * len / pieces))
 
 let set_chunks t chunks =
   let total = ref 0 in
   t.chunks <- chunks;
-  t.ends <-
-    Array.map
-      (fun c ->
-        total := !total + c.len;
-        !total)
-      chunks
+  t.ends <- Array.map (fun c -> total := !total + c.len; !total) chunks;
+  if keyed t then begin
+    t.tops <- Array.map (fun c -> Array.fold_left Time.max (Time.of_int min_int) c.texps) chunks;
+    t.least_top <- Array.fold_left Time.min Time.Inf t.tops
+  end
 
 (* Replace chunks [lo, hi) with [pieces]. *)
 let splice t lo hi pieces =
@@ -134,146 +135,195 @@ let splice t lo hi pieces =
 
 let length t =
   let n = Array.length t.ends in
-  (if n = 0 then 0 else t.ends.(n - 1)) + t.buffered
+  (if n = 0 then 0 else t.ends.(n - 1)) + t.buffered - t.gone_n
 
 let set_buffer t buffer ~delta =
   t.buffer <- buffer;
   t.buffered <- t.buffered + delta;
   t.buffer_chunk <- None
 
-(* The first chunk whose last key is at or after [(e, tu)]. *)
-let chunk_reaching t e tu =
+let dead t e = match t.horizon with Some h -> Time.(e <= h) | None -> false
+
+(* The first chunk whose last row is at or after [k]. *)
+let chunk_reaching t k =
   search 0 (Array.length t.chunks) (fun i ->
       let c = t.chunks.(i) in
-      compare_row c (c.len - 1) e tu >= 0)
+      compare_row t c (c.len - 1) k >= 0)
 
-(* The first chunk holding a row with [texp > tau]. *)
+(* The first chunk holding a row with [texp > tau] (unkeyed runs). *)
 let chunk_past t tau =
-  search 0 (Array.length t.chunks) (fun i ->
-      let c = t.chunks.(i) in
-      Time.(c.texps.(c.len - 1) > tau))
+  search 0 (Array.length t.chunks) (fun i -> Time.(last_texp t.chunks.(i) > tau))
 
-(* Merge the full buffer into the chunks its key range overlaps (none,
-   when it falls into a gap: it then becomes a chunk of its own) and
-   re-split the merged rows evenly into chunks of at most [chunk_rows].
-   Chunks outside the range are shared, not copied. *)
-let fold_buffer t =
-  let keys = Array.of_list (Key_set.elements t.buffer) in
-  let m = Array.length keys in
-  let e_lo, t_lo = keys.(0) and e_hi, t_hi = keys.(m - 1) in
-  let n = Array.length t.chunks in
-  let i = chunk_reaching t e_lo t_lo in
-  let j = search i n (fun k -> compare_row t.chunks.(k) 0 e_hi t_hi > 0) in
-  let start = if i = 0 then 0 else t.ends.(i - 1) in
-  let total = m + (if j > i then t.ends.(j - 1) - start else 0) in
-  (* The merge cursor: buffer key [b], row [r] of chunk [k]. *)
-  let b = ref 0 and k = ref i and r = ref 0 in
-  let piece len =
-    let texps = Array.make len e_lo in
-    let cols = Array.init t.arity (fun _ -> Array.make len Value.Null) in
-    for o = 0 to len - 1 do
-      let from_buffer =
-        !k >= j
-        || !b < m
-           &&
-           let e, tu = keys.(!b) in
-           compare_row t.chunks.(!k) !r e tu > 0
-      in
-      if from_buffer then begin
-        let e, tu = keys.(!b) in
-        texps.(o) <- e;
-        for x = 0 to t.arity - 1 do
-          cols.(x).(o) <- Tuple.attr tu (x + 1)
-        done;
-        incr b
-      end
-      else begin
-        let c = t.chunks.(!k) in
-        texps.(o) <- c.texps.(!r);
-        for x = 0 to t.arity - 1 do
-          cols.(x).(o) <- c.cols.(x).(!r)
-        done;
-        incr r;
-        if !r = c.len then begin
-          incr k;
-          r := 0
-        end
-      end
-    done;
-    { len; texps; cols }
+(* Chunk [c] merged with the sorted pending adds [adds.(a..a1)] and
+   without the pending removals [gone.(g..g1)] and the dead rows, split
+   evenly into chunks of at most [chunk_rows]. *)
+let merge t c adds a a1 gone g g1 =
+  let cap = c.len + a1 - a in
+  let texps = Array.make cap Time.zero in
+  let cols = Array.init t.arity (fun _ -> Array.make cap Value.Null) in
+  let o = ref 0 and a = ref a and g = ref g and r = ref 0 in
+  (* Keeps a row unless it is dead: its texp, and [get x] for column [x]. *)
+  let emit e get =
+    if not (dead t e) then begin
+      texps.(!o) <- e;
+      for x = 0 to t.arity - 1 do cols.(x).(!o) <- get x done;
+      incr o
+    end
   in
-  let pieces = (total + chunk_rows - 1) / chunk_rows in
-  (* [Array.init] applies its function in index order, so the pieces
-     drain the cursor front to back. *)
-  splice t i j
-    (Array.init pieces (fun p ->
-         piece (((p + 1) * total / pieces) - (p * total / pieces))));
-  set_buffer t Key_set.empty ~delta:(-m)
+  while !r < c.len || !a < a1 do
+    if !r < c.len && (!a >= a1 || compare_row t c !r adds.(!a) < 0) then begin
+      while !g < g1 && compare_row t c !r gone.(!g) > 0 do incr g done;
+      let r' = !r in
+      if !g >= g1 || compare_row t c r' gone.(!g) <> 0 then
+        emit c.texps.(r') (fun x -> c.cols.(x).(r'));
+      incr r
+    end
+    else begin
+      let _, e, tu = adds.(!a) in
+      emit e (fun x -> Tuple.attr tu (x + 1));
+      incr a
+    end
+  done;
+  split (make cap texps cols) !o
+
+(* Adjacent chunks merge while one of them is under a quarter of the
+   bound and both fit in one, so removals cannot leave a trail of
+   near-empty chunks behind. *)
+let rec coalesce = function
+  | a :: b :: rest
+    when (a.len < chunk_rows / 4 || b.len < chunk_rows / 4)
+         && a.len + b.len <= chunk_rows ->
+    coalesce (append_chunks a b :: rest)
+  | c :: rest -> c :: coalesce rest
+  | [] -> []
+
+(* Apply the pending adds and removals: a change belongs to the first
+   chunk whose last row is at or after it (the last chunk past the
+   end), and each chunk that receives one is merged with its share and
+   re-split; the others are shared, not copied. *)
+let fold t =
+  let adds = Array.of_list (Key_set.elements t.buffer) in
+  let gone = Array.of_list (Key_set.elements t.gone) in
+  let n = Array.length t.chunks in
+  let a = ref 0 and g = ref 0 and acc = ref [] in
+  let upto i keys p =
+    let c = t.chunks.(i) in
+    while !p < Array.length keys && (i = n - 1 || compare_row t c (c.len - 1) keys.(!p) >= 0) do
+      incr p
+    done
+  in
+  if n = 0 then acc := List.rev (merge t empty adds 0 (Array.length adds) gone 0 0);
+  for i = 0 to n - 1 do
+    let a0 = !a and g0 = !g in
+    upto i adds a;
+    upto i gone g;
+    acc :=
+      if !a = a0 && !g = g0 then t.chunks.(i) :: !acc
+      else List.rev_append (merge t t.chunks.(i) adds a0 !a gone g0 !g) !acc
+  done;
+  set_chunks t (Array.of_list (coalesce (List.rev !acc)));
+  set_buffer t Key_set.empty ~delta:(-t.buffered);
+  t.gone <- Key_set.empty;
+  t.gone_n <- 0
+
+let create ?key ~arity rows =
+  let t =
+    { arity; key; chunks = [||]; ends = [||]; tops = [||]; least_top = Time.Inf;
+      buffer = Key_set.empty; buffered = 0; gone = Key_set.empty; gone_n = 0;
+      horizon = None; buffer_chunk = None }
+  in
+  let keys = Array.of_list (List.map (fun (tu, e) -> key_of t tu e) rows) in
+  Array.stable_sort compare_key keys;
+  let c = chunk_of_keys ~arity keys in
+  if c.len > 0 then set_chunks t (Array.of_list (split c c.len));
+  t
+
+(* An unkeyed run's buffer is laid out for its readers, so it stays
+   under [chunk_rows].  A keyed run's readers seek its pending changes
+   instead, so they may grow to a quarter of the run: with scattered
+   keys a fold rewrites every chunk, about 4 row copies per change. *)
+let check_fold t =
+  let bound = if t.key = None then chunk_rows else max chunk_rows (length t / 4) in
+  if t.buffered + t.gone_n >= bound then fold t
 
 let add t tuple texp =
-  set_buffer t (Key_set.add (texp, tuple) t.buffer) ~delta:1;
-  if t.buffered >= chunk_rows then fold_buffer t
-
-(* A chunk shrunk below a quarter of the bound is merged into a
-   neighbour it fits with, so deletes cannot leave a trail of
-   near-empty chunks behind. *)
-let replace_shrunk t ci c =
-  let n = Array.length t.chunks in
-  let fits k = k >= 0 && k < n && t.chunks.(k).len + c.len <= chunk_rows in
-  if c.len = 0 then splice t ci (ci + 1) [||]
-  else if c.len < chunk_rows / 4 && fits (ci + 1) then
-    splice t ci (ci + 2) [| append_chunks c t.chunks.(ci + 1) |]
-  else if c.len < chunk_rows / 4 && fits (ci - 1) then
-    splice t (ci - 1) (ci + 1) [| append_chunks t.chunks.(ci - 1) c |]
-  else splice t ci (ci + 1) [| c |]
+  let k = key_of t tuple texp in
+  let gone = Key_set.remove k t.gone in
+  if gone != t.gone then begin
+    t.gone <- gone;
+    t.gone_n <- t.gone_n - 1
+  end
+  else set_buffer t (Key_set.add k t.buffer) ~delta:1;
+  check_fold t
 
 let remove t tuple texp =
-  let buffer = Key_set.remove (texp, tuple) t.buffer in
+  let k = key_of t tuple texp in
+  let buffer = Key_set.remove k t.buffer in
   if buffer != t.buffer then set_buffer t buffer ~delta:(-1)
   else
-    let ci = chunk_reaching t texp tuple in
-    if ci < Array.length t.chunks then begin
-      let c = t.chunks.(ci) in
-      let r = search 0 c.len (fun r -> compare_row c r texp tuple >= 0) in
-      if r < c.len && compare_row c r texp tuple = 0 then
-        replace_shrunk t ci (drop_row c r)
-    end
+    match t.key with
+    | Some _ ->
+      let gone = Key_set.add k t.gone in
+      if gone != t.gone then begin
+        t.gone <- gone;
+        t.gone_n <- t.gone_n + 1;
+        check_fold t
+      end
+    | None ->
+      (* The chunk holding the row, copied without it and coalesced with
+         its neighbours. *)
+      let n = Array.length t.chunks in
+      let i = chunk_reaching t k in
+      let c = if i < n then t.chunks.(i) else empty in
+      let r = search 0 c.len (fun r -> compare_row t c r k >= 0) in
+      if r < c.len && compare_row t c r k = 0 then begin
+        let drop a = Array.append (Array.sub a 0 r) (Array.sub a (r + 1) (c.len - r - 1)) in
+        let lo = max 0 (i - 1) and hi = min n (i + 2) in
+        let at j = if j = i then make (c.len - 1) (drop c.texps) (Array.map drop c.cols) else t.chunks.(j) in
+        List.init (hi - lo) (fun j -> at (lo + j))
+        |> List.filter (fun c -> c.len > 0) |> coalesce |> Array.of_list |> splice t lo hi
+      end
 
 let expire_upto t tau =
   let n = Array.length t.chunks in
   (* Chunks [0, k) have wholly expired; chunk [k] holds the cut. *)
   let k = chunk_past t tau in
-  let cut =
-    if k < n then live_cut t.chunks.(k).texps ~tau 0 t.chunks.(k).len else 0
-  in
-  let rows_of c hi acc =
-    let acc = ref acc in
+  let cut = if k < n then live_cut t.chunks.(k).texps ~tau 0 t.chunks.(k).len else 0 in
+  let due = ref [] in
+  let take c hi =
     for r = hi - 1 downto 0 do
-      acc := (tuple_at c r, c.texps.(r)) :: !acc
-    done;
-    !acc
+      due := (tuple_at c r, c.texps.(r)) :: !due
+    done
   in
-  let from_chunks = ref (if cut > 0 then rows_of t.chunks.(k) cut [] else []) in
+  if cut > 0 then take t.chunks.(k) cut;
   for i = k - 1 downto 0 do
-    from_chunks := rows_of t.chunks.(i) t.chunks.(i).len !from_chunks
+    take t.chunks.(i) t.chunks.(i).len
   done;
-  if cut > 0 then
-    splice t 0 (k + 1) [| sub_chunk t.chunks.(k) cut t.chunks.(k).len |]
+  if cut > 0 then splice t 0 (k + 1) [| sub_chunk t.chunks.(k) cut t.chunks.(k).len |]
   else if k > 0 then splice t 0 k [||];
-  let from_buffer =
+  let dead, live =
     match Key_set.min_elt_opt t.buffer with
-    | Some (e, _) when Time.(e <= tau) ->
-      let dead, live =
-        Key_set.partition (fun (e, _) -> Time.(e <= tau)) t.buffer
-      in
-      let dead = List.map (fun (e, tu) -> (tu, e)) (Key_set.elements dead) in
-      set_buffer t live ~delta:(-List.length dead);
-      dead
-    | Some _ | None -> []
+    | Some (_, e, _) when Time.(e <= tau) ->
+      Key_set.partition (fun (_, e, _) -> Time.(e <= tau)) t.buffer
+    | Some _ | None -> (Key_set.empty, t.buffer)
   in
+  if live != t.buffer then set_buffer t live ~delta:(-Key_set.cardinal dead);
   List.merge
-    (fun (t1, e1) (t2, e2) -> compare_key e1 t1 e2 t2)
-    !from_chunks from_buffer
+    (fun (t1, e1) (t2, e2) ->
+      match Time.compare e1 e2 with 0 -> Tuple.compare t1 t2 | c -> c)
+    !due
+    (List.map (fun (_, e, tu) -> (tu, e)) (Key_set.elements dead))
+
+let forget_upto t tau =
+  t.horizon <- Some (match t.horizon with Some h -> Time.max h tau | None -> tau);
+  if Time.(t.least_top <= tau) then begin
+    (* Wholly expired chunks go, and with them the removals that may
+       point into them. *)
+    set_chunks t
+      (Array.of_list (List.filteri (fun i _ -> Time.(t.tops.(i) > tau)) (Array.to_list t.chunks)));
+    t.gone <- Key_set.filter (fun (_, e, _) -> Time.(e > tau)) t.gone;
+    t.gone_n <- Key_set.cardinal t.gone
+  end
 
 (* ---------- readers ---------- *)
 
@@ -283,8 +333,7 @@ let buffer t =
   match t.buffer_chunk with
   | Some c -> c
   | None ->
-    let keys = Array.of_list (Key_set.elements t.buffer) in
-    let c = chunk_of_keys ~arity:t.arity keys in
+    let c = chunk_of_keys ~arity:t.arity (Array.of_list (Key_set.elements t.buffer)) in
     t.buffer_chunk <- Some c;
     c
 
@@ -293,19 +342,14 @@ let iter_chunks f t =
   if t.buffered > 0 then f (buffer t)
 
 let fold_live t ~tau f acc =
-  let acc =
-    Array.fold_left
-      (fun acc c ->
-        let acc = ref acc in
-        for r = live_cut c.texps ~tau 0 c.len to c.len - 1 do
-          acc := f (tuple_at c r) c.texps.(r) !acc
-        done;
-        !acc)
-      acc t.chunks
-  in
-  Key_set.fold
-    (fun (e, tu) acc -> if Time.(e > tau) then f tu e acc else acc)
-    t.buffer acc
+  let acc = ref acc in
+  iter_chunks
+    (fun c ->
+      for r = live_cut c.texps ~tau 0 c.len to c.len - 1 do
+        acc := f (tuple_at c r) c.texps.(r) !acc
+      done)
+    t;
+  !acc
 
 let count_upto t tau =
   let n = Array.length t.chunks in
@@ -323,19 +367,18 @@ let either f a b =
   | Some x, Some y -> Some (f x y)
   | (Some _ as x), None | None, x -> x
 
+let texp_of (_, e, _) = e
+
 let min_texp t =
   either Time.min
     (if Array.length t.chunks = 0 then None else Some t.chunks.(0).texps.(0))
-    (Option.map fst (Key_set.min_elt_opt t.buffer))
+    (Option.map texp_of (Key_set.min_elt_opt t.buffer))
 
 let max_texp t =
   let n = Array.length t.chunks in
   either Time.max
-    (if n = 0 then None
-     else
-       let c = t.chunks.(n - 1) in
-       Some c.texps.(c.len - 1))
-    (Option.map fst (Key_set.max_elt_opt t.buffer))
+    (if n = 0 then None else Some (last_texp t.chunks.(n - 1)))
+    (Option.map texp_of (Key_set.max_elt_opt t.buffer))
 
 let min_live_texp t ~tau =
   let k = chunk_past t tau in
@@ -344,5 +387,106 @@ let min_live_texp t ~tau =
      else
        let c = t.chunks.(k) in
        Some c.texps.(live_cut c.texps ~tau 0 c.len))
-    (Option.map fst
-       (Key_set.find_first_opt (fun (e, _) -> Time.(e > tau)) t.buffer))
+    (Option.map texp_of
+       (Key_set.find_first_opt (fun (_, e, _) -> Time.(e > tau)) t.buffer))
+
+(* ---------- keyed readers ---------- *)
+
+type bound =
+  | Unbounded
+  | Inclusive of Value.t
+  | Exclusive of Value.t
+
+let above lo k =
+  match lo with
+  | Unbounded -> true
+  | Inclusive v -> Value.compare k v >= 0
+  | Exclusive v -> Value.compare k v > 0
+
+let below hi k =
+  match hi with
+  | Unbounded -> true
+  | Inclusive v -> Value.compare k v <= 0
+  | Exclusive v -> Value.compare k v < 0
+
+(* Rows [a, b) of a chunk whose key falls in the bounds. *)
+let span t c ~lo ~hi =
+  let a = search 0 c.len (fun r -> above lo (row_key t c r)) in
+  (a, search a c.len (fun r -> not (below hi (row_key t c r))))
+
+(* Chunks [i, j) may hold keys in the bounds; those strictly inside hold
+   nothing else. *)
+let chunk_span t ~lo ~hi =
+  let n = Array.length t.chunks in
+  let i = search 0 n (fun i -> above lo (row_key t t.chunks.(i) (t.chunks.(i).len - 1))) in
+  (i, search i n (fun i -> not (below hi (row_key t t.chunks.(i) 0))))
+
+(* The keys of a pending set in the bounds, ascending: a seek, then the
+   keys in range — the pending changes are never laid out. *)
+let pending_in set ~lo ~hi =
+  (match lo with
+   | Unbounded -> Key_set.to_seq set
+   | Inclusive v | Exclusive v ->
+     Key_set.to_seq_from (v, Time.of_int min_int, Tuple.of_list []) set)
+  |> Seq.drop_while (fun (k, _, _) -> not (above lo k))
+  |> Seq.take_while (fun (k, _, _) -> below hi k)
+
+let key_extrema t =
+  let n = Array.length t.chunks and key (k, _, _) = k in
+  let chunked = if n = 0 then [] else [ t.chunks.(0); t.chunks.(n - 1) ] in
+  List.concat_map (fun c -> [ row_key t c 0; row_key t c (c.len - 1) ]) chunked
+  @ List.filter_map (Option.map key) [ Key_set.min_elt_opt t.buffer; Key_set.max_elt_opt t.buffer ]
+  |> List.sort Value.compare
+  |> function [] -> None | lo :: rest -> Some (lo, List.fold_left (fun _ k -> k) lo rest)
+
+let count_range t ~lo ~hi =
+  let i, j = chunk_span t ~lo ~hi in
+  let rows c = let a, b = span t c ~lo ~hi in b - a in
+  let chunked =
+    if j - i = 0 then 0
+    else if j - i = 1 then rows t.chunks.(i)
+    else rows t.chunks.(i) + rows t.chunks.(j - 1) + t.ends.(j - 2) - t.ends.(i)
+  in
+  chunked + Seq.length (pending_in t.buffer ~lo ~hi) - Seq.length (pending_in t.gone ~lo ~hi)
+
+let scan_range t ~tau ~lo ~hi ~visited ~dropped f =
+  let i, j = chunk_span t ~lo ~hi in
+  for k = i to j - 1 do
+    let c = t.chunks.(k) in
+    let a, b = span t c ~lo ~hi in
+    if a < b && Time.(t.tops.(k) <= tau) then dropped := !dropped + (b - a)
+    else if a < b then begin
+      (* One key's rows ascend by texp: its live rows are a cut. *)
+      let a' =
+        if Value.compare (row_key t c a) (row_key t c (b - 1)) = 0 then
+          live_cut c.texps ~tau a b
+        else a
+      in
+      let gone =
+        if Key_set.is_empty t.gone || a' = b then ref Seq.empty
+        else ref (Key_set.to_seq_from (row_key t c a', c.texps.(a'), tuple_at c a') t.gone)
+      in
+      let rec skip r =
+        match !gone () with
+        | Seq.Cons (k, rest) when compare_row t c r k > 0 -> gone := rest; skip r
+        | Seq.Cons (k, _) -> compare_row t c r k = 0
+        | Seq.Nil -> false
+      in
+      let sel = Array.make (b - a') 0 and m = ref 0 in
+      for r = a' to b - 1 do
+        if Time.(c.texps.(r) > tau) && not (skip r) then begin
+          sel.(!m) <- r;
+          incr m
+        end
+      done;
+      visited := !visited + (b - a');
+      dropped := !dropped + (b - a) - !m;
+      if !m = c.len then f c None
+      else if !m > 0 then f c (Some (Array.sub sel 0 !m))
+    end
+  done;
+  let pending = List.of_seq (pending_in t.buffer ~lo ~hi) in
+  let live = List.filter (fun (_, e, _) -> Time.(e > tau)) pending in
+  visited := !visited + List.length pending;
+  dropped := !dropped + List.length pending - List.length live;
+  if live <> [] then f (chunk_of_keys ~arity:t.arity (Array.of_list live)) None

@@ -1,15 +1,17 @@
-(** A table's rows in expiration order: the storage layout of
-    {!Table}.
+(** Rows in expiration order: the storage layout of a {!Table}'s rows
+    and of its secondary indexes.
 
-    The run is a sequence of immutable column chunks of at most
-    {!chunk_rows} rows, globally sorted by [(texp, tuple)], plus one
-    sorted insert buffer of at most {!chunk_rows} rows.  Inserts go to
-    the buffer; when it fills it is folded into only the chunks its key
-    range overlaps.  Removing a chunked row copies the one chunk that
-    holds it; expiring up to [tau] drops a prefix and yields the rows
-    already in [(texp, tuple)] order (the eager and lazy removal of
-    Section 3.2).  "What is live at [tau]" is a binary-search cut, so
-    counts and forward profiles never scan rows.
+    The run is immutable column chunks of at most {!chunk_rows} rows,
+    globally sorted, plus sorted pending changes that, when they reach
+    their bound, are merged into only the chunks their keys fall into.  An
+    unkeyed run (a table's rows) is sorted by [(texp, tuple)]: a removal
+    copies its chunk at once, expiring up to [tau] drops a prefix (the
+    eager and lazy removal of Section 3.2), and "what is live at [tau]"
+    is a binary-search cut.  A run keyed on column [j] (an index) is
+    sorted by [(t.j, texp, tuple)], so one key's live rows are a cut; it
+    defers removals to the next fold (readers skip them), and skips its
+    expired rows by texp until their chunk is rewritten or has wholly
+    expired ({!forget_upto}), so a tick costs an index nothing.
 
     Keys are unique: callers (the table's tuple → texp map) guarantee
     that a tuple is held at most once and remove it with the texp it was
@@ -20,12 +22,13 @@ open Expirel_core
 (** {2 Chunks} *)
 
 type chunk
-(** At most {!chunk_rows} rows, ascending by [(texp, tuple)], in
+(** At most {!chunk_rows} rows, ascending in the run's order, in
     column-major layout with a parallel expiration-time array.
     Immutable: readers may keep a chunk past later writes. *)
 
 val chunk_rows : int
-(** The chunk and buffer bound. *)
+(** The chunk bound, and an unkeyed run's buffer bound (a keyed run's
+    pending changes may reach a quarter of its rows). *)
 
 val chunk_len : chunk -> int
 
@@ -34,7 +37,7 @@ val chunk_col : chunk -> int -> Value.t array
     Callers must not mutate it. *)
 
 val chunk_texps : chunk -> Time.t array
-(** The parallel expiration times, ascending. *)
+(** The parallel expiration times (ascending in an unkeyed run). *)
 
 val live_cut : Time.t array -> tau:Time.t -> int -> int -> int
 (** [live_cut texps ~tau lo hi] is the first index in [[lo, hi)] whose
@@ -45,27 +48,32 @@ val live_cut : Time.t array -> tau:Time.t -> int -> int -> int
 
 type t
 
-val create : arity:int -> t
+val create : ?key:int -> arity:int -> (Tuple.t * Time.t) list -> t
+(** A run holding these rows, keyed on the 1-based column [key] when
+    given. *)
 
 val length : t -> int
 (** Rows held, expired-but-unremoved ones included. *)
 
 val add : t -> Tuple.t -> Time.t -> unit
-(** Buffers a row whose [(texp, tuple)] key is not held; folds the
-    buffer into the chunks when it reaches {!chunk_rows}. *)
+(** Buffers a row whose key is not held; folds the pending changes into
+    the chunks when they reach their bound. *)
 
 val remove : t -> Tuple.t -> Time.t -> unit
 (** Removes the row held under this key (no-op when absent). *)
 
 val expire_upto : t -> Time.t -> (Tuple.t * Time.t) list
-(** Removes every row with [texp <= tau] and returns them in
-    [(texp, tuple)] order. *)
+(** Unkeyed runs: removes every row with [texp <= tau] and returns them
+    in [(texp, tuple)] order. *)
 
-(** {2 Readers} *)
+val forget_upto : t -> Time.t -> unit
+(** Keyed runs: the rows with [texp <= tau] have left the table; they go
+    when their chunk is rewritten or has wholly expired. *)
+
+(** {2 Unkeyed readers} *)
 
 val sorted_chunks : t -> chunk array
-(** The chunks, globally ascending by [(texp, tuple)]; the buffered rows
-    are not among them. *)
+(** The chunks, globally ascending; the buffered rows are not in them. *)
 
 val buffer : t -> chunk
 (** The buffered rows as a chunk (possibly empty), built on first read
@@ -81,10 +89,8 @@ val fold_live : t -> tau:Time.t -> (Tuple.t -> Time.t -> 'a -> 'a) -> 'a -> 'a
     skipped by binary search. *)
 
 val count_upto : t -> Time.t -> int
-(** Rows with [texp <= tau]: a binary search over the chunk-boundary
-    texps, one inside the chunk it lands in and one inside the buffer —
-    O(log n), plus the buffer's O(chunk_rows) layout ({!buffer}) on the
-    first read after a write. *)
+(** Rows with [texp <= tau]: O(log n) binary searches, plus the buffer's
+    O(chunk_rows) layout ({!buffer}) on the first read after a write. *)
 
 val min_texp : t -> Time.t option
 (** The smallest expiration time held; [None] when empty.  O(log
@@ -95,3 +101,30 @@ val max_texp : t -> Time.t option
 val min_live_texp : t -> tau:Time.t -> Time.t option
 (** The smallest expiration time strictly after [tau]; [None] when no
     row is live at [tau]. *)
+
+(** {2 Keyed readers} *)
+
+type bound =
+  | Unbounded
+  | Inclusive of Value.t
+  | Exclusive of Value.t
+(** A key bound, in {!Value.compare}'s total order (which agrees with
+    {!Value.cmp} on same-type numeric and string values). *)
+
+val key_extrema : t -> (Value.t * Value.t) option
+(** The smallest and largest key held, expired and removed rows
+    possibly included. *)
+
+val count_range : t -> lo:bound -> hi:bound -> int
+(** Rows whose key falls in the bounds, expired ones included until
+    reclaimed: O(log n) plus the pending changes in the bounds. *)
+
+val scan_range :
+  t -> tau:Time.t -> lo:bound -> hi:bound -> visited:int ref ->
+  dropped:int ref -> (chunk -> int array option -> unit) -> unit
+(** [f c sel] for each chunk holding rows in the bounds live at [tau]
+    ([sel] their ascending ids, [None] for all of [c]), in key order,
+    then the buffer's.  The first chunk is found by binary search, a
+    wholly expired chunk is skipped unread, and one key's live rows are
+    a cut.  [visited] counts the rows examined, [dropped] the rows in
+    the bounds not returned. *)

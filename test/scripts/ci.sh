@@ -31,6 +31,15 @@ if grep -nE '\bAst\.(Select|From_join|Star|Union|Except|Intersect)\b' \
   echo "ci: the coordinator classifies the AST above; route on Lower.route" >&2
   exit 1
 fi
+# One texp-ordered structure: a table's rows and its secondary indexes
+# are Texp_runs, and the expiration-index baselines of [24] live in
+# bench/baselines.  No lib/ or bin/ file names the structures they
+# replaced.
+if grep -rnE 'Ordered_index|Expiration_index|Timer_wheel|Binary_heap|expirel_index' \
+    lib bin; then
+  echo "ci: the names above belong to removed structures or bench/baselines" >&2
+  exit 1
+fi
 # lib/obs, lib/exec and lib/sketch compile with -warn-error +a (their
 # dunes say so); build them alone first so a warning fails fast with a
 # small log.
@@ -72,8 +81,9 @@ SMOKE_DIR=$(mktemp -d)
 # a CI-sized event count; the full 10^7 run is for BENCH_sketch.json.
 (cd "$SMOKE_DIR" && EXPIREL_SKETCH_EVENTS=200000 "$BENCH" sketch)
 # Smoke the vectorized-executor experiment (live cut, filter kernel,
-# batched hash-join probe, grouped aggregate in and out of texp order,
-# grouped COUNT, a promoted GROUP BY COUNT read, chunk-cut accounting)
+# batched hash-join probe, grouped aggregate, grouped COUNT, a promoted
+# GROUP BY COUNT read, a COUNT an index range could serve, chunk-cut
+# accounting)
 # at a CI-sized row count; it fails hard if any row's two answers differ
 # or the cut skips fewer rows than the expired half.  The grouped COUNT
 # row must have recorded its per-row cost: a row skipped silently fails
@@ -83,6 +93,8 @@ SMOKE_DIR=$(mktemp -d)
 grep -F '"grouped_count_n20000_f0_ns_per_row"' "$SMOKE_DIR/BENCH_vexec.json"
 # The promoted GROUP BY COUNT row must have recorded its read cost too.
 grep -F '"standing_count_n10000_standing_us"' "$SMOKE_DIR/BENCH_vexec.json"
+# So must the COUNT an index range could serve, on scrambled ids.
+grep -F '"unordered_n20000_f99_speedup"' "$SMOKE_DIR/BENCH_vexec.json"
 # Smoke the cluster experiment (3 in-process shards: scatter-gather,
 # pruning, slice-partial GROUP BY, gathered joins); it fails hard if a
 # GROUP BY combined from slice partials answers differently from the

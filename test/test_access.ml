@@ -4,35 +4,55 @@ open Expirel_exec
 
 let fin = Time.of_int
 
-(* --- Ordered_index unit tests --- *)
+(* --- The index: the table's rows in a Texp_run keyed on a column --- *)
+
+(* The index rows a scan returns at [tau], in its order. *)
+let index_rows tbl ~column ~tau ~lo ~hi =
+  let rows = ref [] in
+  Texp_run.scan_range (Table.index tbl ~column) ~tau ~lo ~hi ~visited:(ref 0)
+    ~dropped:(ref 0)
+    (fun c sel ->
+      let pick r =
+        rows :=
+          Tuple.init ~arity:(Table.arity tbl) (fun j -> (Texp_run.chunk_col c j).(r))
+          :: !rows
+      in
+      match sel with
+      | Some s -> Array.iter pick s
+      | None -> for r = 0 to Texp_run.chunk_len c - 1 do pick r done);
+  List.rev !rows
 
 let test_index_basics () =
-  let idx = Ordered_index.create ~column:2 in
-  Alcotest.(check int) "empty" 0 (Ordered_index.entries idx);
-  List.iter (fun vs -> Ordered_index.insert idx (Tuple.ints vs))
+  let tbl = Table.create ~name:"t" ~columns:[ "a"; "b" ] () in
+  Table.create_index tbl ~column:2;
+  let entries () =
+    Texp_run.count_range (Table.index tbl ~column:2) ~lo:Texp_run.Unbounded
+      ~hi:Texp_run.Unbounded
+  in
+  let range lo hi =
+    List.map Tuple.to_string (index_rows tbl ~column:2 ~tau:(fin 0) ~lo ~hi)
+  in
+  Alcotest.(check int) "empty" 0 (entries ());
+  List.iter (fun vs -> Table.insert tbl (Tuple.ints vs) ~texp:Time.Inf)
     [ [ 1; 25 ]; [ 2; 25 ]; [ 3; 35 ]; [ 4; 10 ] ];
-  Ordered_index.insert idx (Tuple.ints [ 1; 25 ]);
-  Alcotest.(check int) "idempotent insert" 4 (Ordered_index.entries idx);
+  Table.insert tbl (Tuple.ints [ 1; 25 ]) ~texp:Time.Inf;
+  Alcotest.(check int) "idempotent insert" 4 (entries ());
   Alcotest.(check (list string)) "lookup bucket" [ "<1, 25>"; "<2, 25>" ]
-    (List.map Tuple.to_string (Ordered_index.lookup idx (Value.int 25)));
+    (range (Texp_run.Inclusive (Value.int 25)) (Texp_run.Inclusive (Value.int 25)));
   Alcotest.(check (list string)) "range [20, 30]"
     [ "<1, 25>"; "<2, 25>" ]
-    (List.map Tuple.to_string
-       (Ordered_index.range idx ~lo:(Ordered_index.Inclusive (Value.int 20))
-          ~hi:(Ordered_index.Inclusive (Value.int 30))));
+    (range (Texp_run.Inclusive (Value.int 20)) (Texp_run.Inclusive (Value.int 30)));
   Alcotest.(check (list string)) "exclusive bounds"
     [ "<1, 25>"; "<2, 25>" ]
-    (List.map Tuple.to_string
-       (Ordered_index.range idx ~lo:(Ordered_index.Exclusive (Value.int 10))
-          ~hi:(Ordered_index.Exclusive (Value.int 35))));
-  (match Ordered_index.extrema idx with
+    (range (Texp_run.Exclusive (Value.int 10)) (Texp_run.Exclusive (Value.int 35)));
+  (match Texp_run.key_extrema (Table.index tbl ~column:2) with
    | Some (lo, hi) ->
      Alcotest.(check string) "extrema" "10..35"
        (Value.to_string lo ^ ".." ^ Value.to_string hi)
    | None -> Alcotest.fail "non-empty");
-  Ordered_index.remove idx (Tuple.ints [ 4; 10 ]);
-  Ordered_index.remove idx (Tuple.ints [ 4; 10 ]);
-  Alcotest.(check int) "remove idempotent" 3 (Ordered_index.entries idx)
+  ignore (Table.delete tbl (Tuple.ints [ 4; 10 ]));
+  ignore (Table.delete tbl (Tuple.ints [ 4; 10 ]));
+  Alcotest.(check int) "remove idempotent" 3 (entries ())
 
 (* Reference semantics: range = filter over all entries. *)
 let prop_range_matches_filter =
@@ -43,11 +63,12 @@ let prop_range_matches_filter =
        (QCheck2.Gen.pair (QCheck2.Gen.int_range (-4) 5) (QCheck2.Gen.int_range (-4) 5)))
     (fun (tuples, (a, b)) ->
       let lo_v = Value.int (min a b) and hi_v = Value.int (max a b) in
-      let idx = Ordered_index.create ~column:1 in
-      List.iter (Ordered_index.insert idx) tuples;
+      let tbl = Table.create ~name:"t" ~columns:[ "a"; "b" ] () in
+      Table.create_index tbl ~column:1;
+      List.iter (fun t -> Table.insert tbl t ~texp:Time.Inf) tuples;
       let got =
-        Ordered_index.range idx ~lo:(Ordered_index.Inclusive lo_v)
-          ~hi:(Ordered_index.Exclusive hi_v)
+        index_rows tbl ~column:1 ~tau:(fin 0) ~lo:(Texp_run.Inclusive lo_v)
+          ~hi:(Texp_run.Exclusive hi_v)
       in
       let expected =
         List.sort_uniq Tuple.compare
@@ -73,7 +94,8 @@ let sample =
 
 let make_table rows = Database.table_exn (make_db rows) "t"
 
-let plan_name tbl p = Format.asprintf "%a" Access.pp_plan (Access.plan tbl p)
+let plan_name tbl p =
+  Format.asprintf "%a" Access.pp_plan (Access.plan tbl ~tau:(fin 0) p)
 
 (* A selection over the stored table through the executor's scan leaf,
    which runs the access path {!Access.plan} picks. *)
@@ -137,29 +159,141 @@ let test_index_maintenance () =
   Alcotest.(check string) "dropped index scans" "full-scan"
     (plan_name tbl (Predicate.eq_const 2 (Value.int 25)))
 
+(* A tick leaves an index's expired rows in place, to be skipped by
+   texp, except for chunks that have wholly expired: those go at once. *)
+let test_index_drops_expired_chunks () =
+  let db = Database.create () in
+  let tbl = Database.create_table db ~name:"t" ~columns:[ "a" ] in
+  for a = 0 to 599 do
+    Database.insert db "t" (Tuple.ints [ a ]) ~texp:(fin (if a < 300 then 5 else 6))
+  done;
+  Table.create_index tbl ~column:1;
+  let all = Texp_run.Unbounded in
+  Alcotest.(check int) "every row indexed" 600
+    (Texp_run.count_range (Table.index tbl ~column:1) ~lo:all ~hi:all);
+  Database.advance_to db (fin 5);
+  (* Built as three chunks of 200 keys: the first wholly expired at 5. *)
+  Alcotest.(check int) "the expired chunk is reclaimed, the straddler kept" 400
+    (Texp_run.count_range (Table.index tbl ~column:1) ~lo:all ~hi:all);
+  Alcotest.(check int) "the live rows" 300
+    (List.length (index_rows tbl ~column:1 ~tau:(fin 5) ~lo:all ~hi:all))
+
+(* Index maintenance between the reads: writes through the Database (so
+   the clock contract index reads rely on holds), with bursts past
+   [Texp_run.chunk_rows] on a six-value key so folds and splits run,
+   texp-changing overwrites, and deletes of whole spans so shrunk
+   chunks merge. *)
+type index_op =
+  | Put of int * int * int  (* a, b, ttl (0 = never expires) *)
+  | Burst of int * int  (* seed, rows *)
+  | Redate of int * int  (* the i-th live row, new ttl *)
+  | Drop of int * int  (* live rows [i, i + n) *)
+  | Move of int  (* the clock moves: eager expires, lazy keeps *)
+  | Vacuum
+
+let index_op_gen =
+  let open QCheck2.Gen in
+  frequency
+    [ 3, map3 (fun a b ttl -> Put (a, b, ttl)) (int_range 0 30) (int_range 0 5)
+           (int_range 0 40);
+      2, map2 (fun seed n -> Burst (seed, n)) (int_range 0 1_000) (int_range 100 400);
+      3, map2 (fun i ttl -> Redate (i, ttl)) (int_range 0 10_000) (int_range 1 60);
+      2, map2 (fun i n -> Drop (i, n)) (int_range 0 10_000) (int_range 1 300);
+      2, map (fun dt -> Move dt) (int_range 0 15);
+      1, return Vacuum ]
+
+let apply_index_op db op =
+  let now = Database.now db in
+  let texp ttl = if ttl = 0 then Time.Inf else Time.add now (fin ttl) in
+  let live () =
+    List.map fst (Relation.to_list (Table.snapshot (Database.table_exn db "t") ~tau:now))
+  in
+  match op with
+  | Put (a, b, ttl) -> Database.insert db "t" (Tuple.ints [ a; b ]) ~texp:(texp ttl)
+  | Burst (seed, n) ->
+    let st = Random.State.make [| seed |] in
+    for _ = 1 to n do
+      Database.insert db "t"
+        (Tuple.ints [ Random.State.int st 100_000; Random.State.int st 6 ])
+        ~texp:(texp (Random.State.int st 40))
+    done
+  | Redate (i, ttl) ->
+    (match live () with
+     | [] -> ()
+     | rows -> Database.insert db "t" (List.nth rows (i mod List.length rows)) ~texp:(texp ttl))
+  | Drop (i, n) ->
+    let rows = live () in
+    let first = i mod max 1 (List.length rows) in
+    List.iteri
+      (fun j t -> if j >= first && j < first + n then ignore (Database.delete db "t" t))
+      rows
+  | Move dt -> Database.advance_to db (Time.add now (fin dt))
+  | Vacuum -> ignore (Database.vacuum db)
+
+(* At [tau]: the selection through the planned access path, and the
+   index's own key ranges, against the live snapshot. *)
+let index_agrees db p ~tau =
+  let tbl = Database.table_exn db "t" in
+  let snap = Table.snapshot tbl ~tau in
+  let agrees p = Relation.equal (select db ~tau p) (Ops.select p snap) in
+  let cmp op j v = Predicate.Cmp (op, Predicate.Col j, Predicate.Const (Value.int v)) in
+  let key_range column lo hi =
+    let inside t =
+      let k = Tuple.attr t column in
+      (match lo with
+       | Texp_run.Unbounded -> true
+       | Texp_run.Inclusive v -> Value.compare k v >= 0
+       | Texp_run.Exclusive v -> Value.compare k v > 0)
+      && (match hi with
+          | Texp_run.Unbounded -> true
+          | Texp_run.Inclusive v -> Value.compare k v <= 0
+          | Texp_run.Exclusive v -> Value.compare k v < 0)
+    in
+    List.sort Tuple.compare (index_rows tbl ~column ~tau ~lo ~hi)
+    = List.sort Tuple.compare (List.filter inside (List.map fst (Relation.to_list snap)))
+  in
+  agrees p
+  && agrees (Predicate.eq_const 2 (Value.int 3))
+  && agrees (Predicate.And (cmp Predicate.Ge 1 10, cmp Predicate.Lt 1 20_000))
+  && key_range 2 (Texp_run.Inclusive (Value.int 3)) (Texp_run.Inclusive (Value.int 3))
+  && key_range 1 (Texp_run.Exclusive (Value.int 5)) (Texp_run.Inclusive (Value.int 50_000))
+  && key_range 2 Texp_run.Unbounded (Texp_run.Exclusive (Value.int 2))
+
 (* The load-bearing property: access paths never change results, even on
-   type-mixed columns (where the planner must fall back). *)
+   type-mixed columns (where the planner must fall back), and while the
+   indexes are maintained under both removal policies. *)
 let prop_access_equals_reference =
   Generators.qtest "indexed select = reference select" ~count:300
-    (QCheck2.Gen.tup3
+    (QCheck2.Gen.tup4
        (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 25)
           (QCheck2.Gen.pair (Generators.tuple ~arity:2)
              (QCheck2.Gen.int_range 1 20)))
        (Generators.predicate ~arity:2)
-       Generators.time_finite)
-    (fun (rows, p, tau) ->
-      let db = Database.create () in
+       Generators.time_finite
+       (QCheck2.Gen.pair
+          (QCheck2.Gen.oneofl [ Database.Eager; Database.Lazy ])
+          (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 12) index_op_gen)))
+    (fun (rows, p, tau, (policy, ops)) ->
+      let db = Database.create ~policy () in
       let tbl = Database.create_table db ~name:"t" ~columns:[ "a"; "b" ] in
       List.iter (fun (t, e) -> Table.insert tbl t ~texp:(fin e)) rows;
       Table.create_index tbl ~column:1;
       Table.create_index tbl ~column:2;
       let reference = Ops.select p (Table.snapshot tbl ~tau) in
-      Relation.equal (select db ~tau p) reference)
+      Relation.equal (select db ~tau p) reference
+      && List.for_all
+           (fun op ->
+             apply_index_op db op;
+             let now = Database.now db in
+             index_agrees db p ~tau:now && index_agrees db p ~tau:(Time.add now tau))
+           ops)
 
 let suite =
   [ Alcotest.test_case "ordered index basics" `Quick test_index_basics;
     Alcotest.test_case "plan selection" `Quick test_plans;
     Alcotest.test_case "select through an index" `Quick test_select_via_index;
     Alcotest.test_case "index maintenance" `Quick test_index_maintenance;
+    Alcotest.test_case "a tick drops wholly expired index chunks" `Quick
+      test_index_drops_expired_chunks;
     prop_range_matches_filter;
     prop_access_equals_reference ]

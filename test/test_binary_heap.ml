@@ -1,4 +1,4 @@
-open Expirel_index
+open Expirel_baselines
 
 let test_basics () =
   let h = Binary_heap.create () in

@@ -60,6 +60,11 @@ let rows_of sql = function
 
 let sorted rows = List.sort compare rows
 
+let string_contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
 (* The row count leading a DELETE or VACUUM acknowledgement. *)
 let ack_count = function
   | Wire.Ok_msg m -> Scanf.sscanf m "%d " Fun.id
@@ -462,6 +467,48 @@ let test_rebalance () =
           Alcotest.(check bool) "same texp(e) after remove" true
             (Time.equal before_texp remove_texp)))
 
+(* A joining shard gets the indexes the coordinator broadcast, so the
+   rows moved onto it are served by index paths, not cut scans. *)
+let test_add_shard_replays_indexes () =
+  with_cluster 3 (fun coord _servers _eps ->
+      ignore (exec coord "CREATE TABLE pol (uid, deg)");
+      ignore (exec coord "CREATE INDEX ON pol (uid)");
+      for uid = 1 to 60 do
+        ignore
+          (exec coord
+             (Printf.sprintf "INSERT INTO pol VALUES (%d, %d) EXPIRES 100" uid
+                (uid mod 7)))
+      done;
+      let extra = Server.create ~config:shard_config () in
+      Server.start extra;
+      Fun.protect
+        ~finally:(fun () -> Server.stop extra)
+        (fun () ->
+          (match
+             Coordinator.add_shard coord
+               { Coordinator.host = "127.0.0.1"; port = Server.port extra }
+           with
+           | Ok _ -> ()
+           | Error e -> Alcotest.fail ("add_shard: " ^ e));
+          let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port extra) () in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              let direct sql = no_err sql (ok (Client.exec c sql)) in
+              match rows_of "moved rows" (direct "SELECT uid FROM pol") with
+              | (uid :: _, _) :: _ :: _, _ ->
+                let sql =
+                  Printf.sprintf "EXPLAIN SELECT * FROM pol WHERE uid = %s"
+                    (Value.to_string uid)
+                in
+                (match direct sql with
+                 | Wire.Ok_msg text ->
+                   Alcotest.(check bool)
+                     ("the joining shard probes its index: " ^ text) true
+                     (string_contains text "index-eq")
+                 | r -> Alcotest.failf "%s: %s" sql (Wire.render_response r))
+              | _ -> Alcotest.fail "fewer than two rows moved to the joining shard")))
+
 (* ---------- health: silent and amnesiac shards degrade ---------- *)
 
 let test_health_unreachable () =
@@ -531,11 +578,6 @@ let test_health_stale_map () =
                 Alcotest.fail "restarted shard with no map read healthy")))
 
 (* ---------- refusals: only per-node features are left ---------- *)
-
-let string_contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
 
 let test_refusals () =
   with_cluster 2 (fun coord _servers _eps ->
@@ -1338,6 +1380,8 @@ let suite =
     Alcotest.test_case "shard GROUP BY folds under an aggregate span" `Quick
       test_shard_fold_span;
     Alcotest.test_case "rebalance preserves contents" `Quick test_rebalance;
+    Alcotest.test_case "a joining shard gets the broadcast indexes" `Quick
+      test_add_shard_replays_indexes;
     Alcotest.test_case "health: unreachable shards degrade" `Quick
       test_health_unreachable;
     Alcotest.test_case "health: restarted shard reads stale" `Quick

@@ -1,5 +1,5 @@
 open Expirel_core
-open Expirel_index
+open Expirel_baselines
 
 let fin = Time.of_int
 let backends = [ `Scan; `Heap; `Wheel ]

@@ -861,22 +861,26 @@ let test_folds_count_set_members () =
 
 let test_range_visits_only_the_answer () =
   (* 10k distinct keys, one tuple each; an Exclusive-bounded range must
-     examine only the answer's keys plus a constant — the seek is
+     examine only the answer's rows plus a constant — the seek is
      O(log n), not a scan from the smallest key. *)
-  let idx = Ordered_index.create ~column:1 in
+  let tbl = Table.create ~name:"t" ~columns:[ "k" ] () in
   let n = 10_000 in
   for i = 1 to n do
-    Ordered_index.insert idx (Tuple.of_list [ Value.int i ])
+    Table.insert tbl (Tuple.of_list [ Value.int i ]) ~texp:Time.Inf
   done;
-  let visited = ref 0 in
-  let answer =
-    Ordered_index.range ~visited idx
-      ~lo:(Ordered_index.Exclusive (Value.int 9_900))
-      ~hi:(Ordered_index.Inclusive (Value.int 9_950))
-  in
-  Alcotest.(check int) "answer size" 50 (List.length answer);
+  Table.create_index tbl ~column:1;
+  let visited = ref 0 and answer = ref 0 in
+  Texp_run.scan_range (Table.index tbl ~column:1) ~tau:Time.zero ~visited
+    ~dropped:(ref 0)
+    ~lo:(Texp_run.Exclusive (Value.int 9_900))
+    ~hi:(Texp_run.Inclusive (Value.int 9_950))
+    (fun c sel ->
+      answer :=
+        !answer
+        + match sel with Some s -> Array.length s | None -> Texp_run.chunk_len c);
+  Alcotest.(check int) "answer size" 50 !answer;
   Alcotest.(check bool)
-    (Printf.sprintf "visited %d <= answer keys + 2" !visited)
+    (Printf.sprintf "visited %d <= answer rows + 2" !visited)
     true
     (!visited <= 50 + 2)
 
