@@ -118,15 +118,7 @@ let merge_diff =
 
 (* ---------- the executor ---------- *)
 
-(* Profile-tree navigation: [Profile.of_plan] mirrors the plan shape, so
-   a node's children line up with the plan node's sub-plans. *)
-let child1 = function
-  | Some { Profile.children = [ c ]; _ } -> Some c
-  | Some _ | None -> None
-
-let child2 = function
-  | Some { Profile.children = [ l; r ]; _ } -> (Some l, Some r)
-  | Some _ | None -> (None, None)
+module Trace = Expirel_obs.Trace
 
 (* What an operator yields.  Batches may hold coinciding rows when a
    projection, a union or a join over either sits below ([dups]): their
@@ -162,30 +154,33 @@ let res_rows r =
 let set_res { Eval.relation; texp } =
   { arity = Relation.arity relation; rows = Set relation; texp }
 
-(* The operator span hook: polymorphic over the node's result so one
-   hook wraps both operators and the shard-side partial fold; [rows]
-   tells the span its output cardinality without exposing the
-   representation. *)
-type probe = {
-  probe : 'a. string -> rows:('a -> int) -> (unit -> 'a) -> 'a;
-}
+(* Runs [k] in plan node [p]'s [op:<name>] span, then labels the span
+   with the counters [labels] reads off the result.  Untraced, it is
+   just [k ()]: no span, no label, no allocation. *)
+let op_span trace p ~labels k =
+  match trace with
+  | None -> k ()
+  | Some _ ->
+    Trace.span trace ("op:" ^ Plan.operator_name p) (fun () ->
+        let r = k () in
+        List.iter
+          (fun (key, n) -> Trace.label trace key (string_of_int n))
+          (labels r);
+        r)
 
-(* One query's executor: the root evaluation and the fused aggregate's
-   input side, sharing the probe, the snapshot source and the per-query
-   vectorization totals, which [finish] folds into the process-global
-   observability counters. *)
+(* One query's executor: the root evaluation, the fused aggregate's
+   input side and the sketch fold, sharing the trace, the snapshot
+   source and the per-query vectorization totals, which [finish] folds
+   into the process-global observability counters. *)
 type engine = {
-  result : Plan.t -> Profile.node option -> Eval.result;
+  result : Plan.t -> Eval.result;
   grouped :
-    group:int list ->
-    func:Aggregate.func ->
-    Plan.t ->
-    Profile.node option ->
-    Partial_agg.t * res;
+    group:int list -> func:Aggregate.func -> Plan.t -> Partial_agg.t * res;
+  fold_sketch : Approx.spec -> Plan.t -> Expirel_sketch.Any.t * res;
   finish : unit -> unit;
 }
 
-let engine ?probe ?tau ~db logical =
+let engine ?trace ?tau ~db logical =
   (* Mirror the naive evaluator's up-front well-formedness check so the
      physical path raises the same errors on the same inputs. *)
   let arity_env name = Option.map Table.arity (Database.table db name) in
@@ -199,6 +194,12 @@ let engine ?probe ?tau ~db logical =
   let consumed bs =
     vec_batches := !vec_batches + List.length bs;
     vec_rows := !vec_rows + batch_rows bs
+  in
+  (* A counter on the innermost open span — the running operator's. *)
+  let label key n =
+    match trace with
+    | None -> ()
+    | Some _ -> Trace.label trace key (string_of_int n)
   in
   (* A set-semantics consumer's input: coinciding rows max-merge on the
      way, as [Relation.add] merges them. *)
@@ -230,38 +231,26 @@ let engine ?probe ?tau ~db logical =
     | Set _ | Batches { dups = true; _ } ->
       Relation.iter (fun t texp -> f (Tuple.attr t) texp) (to_set r)
   in
-  let measure p prof k =
-    let k =
-      match prof with
-      | None -> k
-      | Some n ->
-        fun () ->
-          let t0 = Unix.gettimeofday () in
-          let r = k () in
-          n.Profile.time_us <-
-            n.Profile.time_us
-            + int_of_float ((Unix.gettimeofday () -. t0) *. 1e6);
-          n.Profile.rows <- n.Profile.rows + res_rows r;
-          (match r.rows with
-           | Batches { batches; _ } ->
-             n.Profile.batches <- n.Profile.batches + List.length batches
-           | Set _ -> ());
-          r
-    in
-    match probe with
-    | None -> k ()
-    | Some f -> f.probe (Plan.operator_name p) ~rows:res_rows k
+  (* Every operator's span carries its output rows, and its batch count
+     when it yields batches. *)
+  let measure p k =
+    op_span trace p k ~labels:(fun r ->
+        ("rows", res_rows r)
+        ::
+        (match r.rows with
+         | Batches { batches; _ } -> [ ("batches", List.length batches) ]
+         | Set _ -> []))
   in
-  let rec go p prof = measure p prof (fun () -> exec_node p prof)
-  and exec_node p prof =
+  let rec go p = measure p (fun () -> exec_node p)
+  and exec_node p =
     match p with
-    | Plan.Scan { name; pred; access = _ } -> scan name pred prof
+    | Plan.Scan { name; pred; access = _ } -> scan name pred
     | Plan.Filter (q, c) ->
-      let r = go c (child1 prof) in
+      let r = go c in
       let batches, dups = to_batches r in
       { r with rows = Batches { batches = select (Some q) batches; dups } }
     | Plan.Project (js, c) ->
-      let r = go c (child1 prof) in
+      let r = go c in
       let batches, _ = to_batches r in
       { r with
         arity = List.length js;
@@ -269,26 +258,26 @@ let engine ?probe ?tau ~db logical =
           Batches { batches = List.map (Batch.project js) batches; dups = true }
       }
     | Plan.Nested_loop { pred; left; right } ->
-      join (nested_loop ~pred) left right prof
+      join (nested_loop ~pred) left right
     | Plan.Hash_join { pairs; pred; left; right } ->
-      join (hash_join ~pairs ~pred) left right prof
+      join (hash_join ~pairs ~pred) left right
     | Plan.Merge_union (left, right) ->
       (* Concatenation: a tuple on both sides max-merges (Equation (4))
          wherever the result is materialised. *)
-      let l, r = both left right prof in
+      let l, r = both left right in
       let lbs, _ = to_batches l and rbs, _ = to_batches r in
       { l with
         rows = Batches { batches = lbs @ rbs; dups = true };
         texp = Time.min l.texp r.texp
       }
     | Plan.Merge_intersect (left, right) ->
-      let l, r = both left right prof in
+      let l, r = both left right in
       { arity = l.arity;
         rows = Set (merge_intersect (to_set l) (to_set r));
         texp = Time.min l.texp r.texp
       }
     | Plan.Merge_diff (left, right) ->
-      let l, r = both left right prof in
+      let l, r = both left right in
       let ls = to_set l and rs = to_set r in
       { arity = l.arity;
         rows = Set (merge_diff ls rs);
@@ -296,32 +285,28 @@ let engine ?probe ?tau ~db logical =
           Time.min (Time.min l.texp r.texp) (Ops.first_reappearance ls rs)
       }
     | Plan.Hash_aggregate { group; func; child = c } ->
-      let r = go c (child1 prof) in
+      let r = go c in
       let relation, invalidation =
         Ops.aggregate Aggregate.Exact ~tau ~group func (to_set r)
       in
       set_res { Eval.relation; texp = Time.min r.texp invalidation }
     | Plan.Grouped_aggregate { group; func; having; projection; child = c } ->
-      let partial, r = grouped ~group ~func c (child1 prof) in
+      let partial, r = grouped ~group ~func c in
       let relation, invalidation =
         Partial_agg.finalize ~group ~func ~child_arity:r.arity ?having
           ~projection partial
       in
       set_res { Eval.relation; texp = Time.min r.texp invalidation }
     | Plan.Sketch_count { epsilon; child = c } ->
-      sketch_node (Approx.Count { epsilon }) c prof
-    | Plan.Sketch_sample { k; child = c } ->
-      sketch_node (Approx.Sample { k }) c prof
-  and both left right prof =
-    let lp, rp = child2 prof in
-    let l = go left lp in
-    (l, go right rp)
-  and join kernel left right prof =
-    let l, r = both left right prof in
+      sketch_node (Approx.Count { epsilon }) c
+    | Plan.Sketch_sample { k; child = c } -> sketch_node (Approx.Sample { k }) c
+  and both left right =
+    let l = go left in
+    (l, go right)
+  and join kernel left right =
+    let l, r = both left right in
     let lbs, ldups = to_batches l and rbs, rdups = to_batches r in
-    (match prof with
-     | Some n -> n.Profile.build_rows <- n.Profile.build_rows + batch_rows rbs
-     | None -> ());
+    label "build" (batch_rows rbs);
     { arity = l.arity + r.arity;
       rows =
         Batches
@@ -341,31 +326,23 @@ let engine ?probe ?tau ~db logical =
      through [Access.plan] against the table's current state at [tau],
      so a cached plan can never return wrong rows after a DROP INDEX or
      a type-heterogeneous insert, and follows the estimates as the
-     table churns. *)
-  and scan name pred prof =
+     table churns.  The span counts the rows the [tau] cut dropped (the
+     expiration churn), the index rows visited, and the expired rows
+     skipped without a per-row comparison. *)
+  and scan name pred =
     let table = Database.table_exn db name in
     let arity = Table.arity table in
-    let count_dropped ~visited dropped =
-      match prof with
-      | Some n ->
-        n.Profile.expired_dropped <- n.Profile.expired_dropped + dropped;
-        n.Profile.index_visited <- n.Profile.index_visited + visited
-      | None -> ()
-    in
     let cut_scan () =
-      let acc = ref [] in
+      let acc = ref [] and cut = ref 0 in
       Texp_run.iter_chunks
         (fun c ->
           let b, skipped = Batch.cut_chunk ~arity ~tau c in
-          if skipped > 0 then begin
-            vec_cut := !vec_cut + skipped;
-            count_dropped ~visited:0 skipped;
-            match prof with
-            | Some n -> n.Profile.cut_skipped <- n.Profile.cut_skipped + skipped
-            | None -> ()
-          end;
+          cut := !cut + skipped;
           Option.iter (fun b -> acc := b :: !acc) b)
         (Table.run table);
+      vec_cut := !vec_cut + !cut;
+      label "dropped" !cut;
+      label "cut_skipped" !cut;
       List.rev !acc
     in
     let candidates =
@@ -380,24 +357,28 @@ let engine ?probe ?tau ~db logical =
            Texp_run.scan_range (Table.index table ~column) ~tau ~lo ~hi
              ~visited ~dropped (fun c sel ->
                acc := Batch.of_slice ~arity c sel :: !acc);
-           count_dropped ~visited:!visited !dropped;
+           label "dropped" !dropped;
+           label "visited" !visited;
            List.rev !acc)
     in
     { arity;
       rows = Batches { batches = select pred candidates; dups = false };
       texp = Time.Inf
     }
-  (* Folds the child into a bounded-memory sketch and answers from it. *)
-  and sketch_node spec c prof =
-    let r = go c (child1 prof) in
+  (* Folds the child into a bounded-memory sketch, recorded in the
+     sketch observatory and on the span. *)
+  and fold_sketch spec c =
+    let r = go c in
     let sketch = Approx.build spec ~arity:r.arity (iter_distinct r) in
     let bytes = Expirel_sketch.Any.memory_bytes sketch in
     Expirel_sketch.Observatory.record ~name:(Approx.name spec)
       ~memory_bytes:bytes
       ~estimate:(Expirel_sketch.Any.live_estimate ~tau sketch);
-    (match prof with
-     | Some n -> n.Profile.sketch_bytes <- n.Profile.sketch_bytes + bytes
-     | None -> ());
+    label "sketch_bytes" bytes;
+    (sketch, r)
+  (* Answers from the folded sketch. *)
+  and sketch_node spec c =
+    let sketch, r = fold_sketch spec c in
     let arity =
       match spec with
       | Approx.Count _ -> 2
@@ -409,8 +390,8 @@ let engine ?probe ?tau ~db logical =
      no two of their rows coincide; a projection below forces the
      max-merge first, since slices must count each set member exactly
      once. *)
-  and grouped ~group ~func c prof =
-    let r = go c prof in
+  and grouped ~group ~func c =
+    let r = go c in
     let acc = Partial_agg.create_acc ~group ~func in
     (* The set rebatched is not a batch kernel's input rebatched, so it
        is not counted as a rebatch. *)
@@ -427,21 +408,18 @@ let engine ?probe ?tau ~db logical =
   (* The root materialises once.  A bare unfiltered scan answers with
      the table's snapshot instead, generation-cached: O(1) on repeated
      reads of an unchanged table. *)
-  let result p prof =
+  let result p =
     let r =
       match p with
       | Plan.Scan { name; pred = None; access = _ } ->
-        measure p prof (fun () ->
+        measure p (fun () ->
             let table = Database.table_exn db name in
             let snap = Table.snapshot table ~tau in
-            (match prof with
-             | Some n ->
-               n.Profile.expired_dropped <-
-                 n.Profile.expired_dropped
-                 + (Table.physical_count table - Relation.cardinal snap)
-             | None -> ());
+            if Option.is_some trace then
+              label "dropped"
+                (Table.physical_count table - Relation.cardinal snap);
             { arity = Table.arity table; rows = Set snap; texp = Time.Inf })
-      | p -> go p prof
+      | p -> go p
     in
     { Eval.relation = to_set r; texp = r.texp }
   in
@@ -455,29 +433,95 @@ let engine ?probe ?tau ~db logical =
           s_rebatches = !vec_rebatches
         }
   in
-  { result; grouped; finish }
+  { result; grouped; fold_sketch; finish }
 
-let run ?probe ?profile ?tau ~db compiled =
-  let e = engine ?probe ?tau ~db compiled.Plan.logical in
-  let result = e.result compiled.Plan.physical profile in
+let run ?trace ?tau ~db compiled =
+  let e = engine ?trace ?tau ~db compiled.Plan.logical in
+  let result = e.result compiled.Plan.physical in
   e.finish ();
   result
 
-let partial ?probe ?tau ~db compiled =
+let partial ?trace ?tau ~db compiled =
   match compiled.Plan.physical with
   | Plan.Grouped_aggregate { group; func; child; _ } as node ->
-    let e = engine ?probe ?tau ~db compiled.Plan.logical in
-    let k () =
-      let partial, r = e.grouped ~group ~func child None in
-      (partial, r.texp)
-    in
+    let e = engine ?trace ?tau ~db compiled.Plan.logical in
     let result =
-      match probe with
-      | None -> k ()
-      | Some f ->
-        f.probe (Plan.operator_name node) ~rows:(fun (p, _) -> List.length p) k
+      op_span trace node
+        ~labels:(fun (p, _) -> [ ("rows", List.length p) ])
+        (fun () ->
+          let partial, r = e.grouped ~group ~func child in
+          (partial, r.texp))
     in
     e.finish ();
     result
   | _ ->
     invalid_arg "Executor.partial: the plan is not a fused grouped aggregate"
+
+let sketch ?trace ?tau ~db compiled =
+  let spec, child =
+    match compiled.Plan.physical with
+    | Plan.Sketch_count { epsilon; child } -> (Approx.Count { epsilon }, child)
+    | Plan.Sketch_sample { k; child } -> (Approx.Sample { k }, child)
+    | _ -> invalid_arg "Executor.sketch: the plan is not a sketch operator"
+  in
+  let e = engine ?trace ?tau ~db compiled.Plan.logical in
+  let sketch, _ =
+    op_span trace compiled.Plan.physical ~labels:(fun _ -> []) (fun () ->
+        e.fold_sketch spec child)
+  in
+  e.finish ();
+  sketch
+
+(* ---------- EXPLAIN ANALYZE ---------- *)
+
+(* One plan line's annotation, read off its op span.  A counter prints
+   only where it means something: dropped on scans (the expiration
+   churn), visited on index scans, build on hash joins, sketch bytes
+   on sketches, batch counts on operators that yielded batches and
+   chunk-cut savings on batch scans. *)
+let annotate ~est op (s : Trace.span) =
+  let get key = Option.value (List.assoc_opt key s.labels) ~default:"0" in
+  let scan = op = "seq-scan" || op = "index-scan" in
+  let batched = get "batches" <> "0" in
+  let field cond key =
+    if cond then Printf.sprintf " %s=%s" key (get key) else ""
+  in
+  String.concat ""
+    [ Printf.sprintf "(est=%d rows=%s" est (get "rows");
+      field scan "dropped";
+      field (op = "index-scan") "visited";
+      field (op = "hash-join") "build";
+      (if op = "sketch-count" || op = "sketch-sample" then
+         Printf.sprintf " sketch=%sB" (get "sketch_bytes")
+       else "");
+      field batched "batches";
+      field (scan && batched) "cut_skipped";
+      Printf.sprintf " time=%.3fms)" (float_of_int s.duration_us /. 1e3) ]
+
+let analyze ~trace ~db compiled =
+  let before = List.length (Trace.spans trace) in
+  let { Eval.relation; texp } = run ~trace ~db compiled in
+  let spans = List.filteri (fun i _ -> i >= before) (Trace.spans trace) in
+  (* Siblings run one after the other, so they close in plan order. *)
+  let children (s : Trace.span) =
+    List.filter (fun (c : Trace.span) -> c.parent = Some s.id) spans
+  in
+  let buf = Buffer.create 256 and dropped = ref 0 in
+  let rec render depth p (s : Trace.span) =
+    Option.iter
+      (fun d -> dropped := !dropped + int_of_string d)
+      (List.assoc_opt "dropped" s.labels);
+    Printf.bprintf buf "%s%s  %s\n"
+      (String.make (2 * depth) ' ')
+      (Plan.describe p)
+      (annotate ~est:(Planner.estimate_rows db p) (Plan.operator_name p) s);
+    List.iter2 (render (depth + 1)) (Plan.children p) (children s)
+  in
+  (* The root's span closes last. *)
+  let root = List.nth spans (List.length spans - 1) in
+  render 0 compiled.Plan.physical root;
+  Printf.sprintf
+    "%srows: %d\ntexp(e) now: %s\nexpired dropped: %d\ntotal: %.3fms"
+    (Buffer.contents buf) (Relation.cardinal relation) (Time.to_string texp)
+    !dropped
+    (float_of_int root.duration_us /. 1e3)

@@ -15,18 +15,8 @@
 open Expirel_core
 open Expirel_storage
 
-type probe = {
-  probe : 'a. string -> rows:('a -> int) -> (unit -> 'a) -> 'a;
-}
-(** The operator span hook, polymorphic over the node's result so the
-    same hook wraps operators and {!partial}'s fold alike; [rows]
-    extracts the output cardinality from whichever result the thunk
-    produced — trace spans label rows without the hook knowing the
-    representation. *)
-
 val run :
-  ?probe:probe ->
-  ?profile:Profile.node ->
+  ?trace:Expirel_obs.Trace.t ->
   ?tau:Time.t ->
   db:Database.t ->
   Plan.compiled ->
@@ -35,20 +25,21 @@ val run :
     [tau] (default: the database clock; it must not be earlier).  A
     later [tau] answers [AT tau]: the current state with every row
     expired by then cut away.
-    [probe] wraps every physical operator node with its
-    {!Plan.operator_name} — the hook observability layers use to emit
-    per-operator [op:<name>] spans, as the naive {!Eval}'s probe does
-    for logical names.  The root's materialisation
-    runs outside every operator span.
-    [profile] — a {!Profile.of_plan} tree for this plan's [physical] —
-    accumulates per-operator rows, batches, expired-drop counts, index
-    visits, hash build sizes and wall time as the plan runs ([EXPLAIN
-    ANALYZE]'s data).  When absent nothing is counted or allocated.
+    On [trace], every physical operator node runs in one
+    [op:<]{!Plan.operator_name}[>] span, nested as {!Plan.children},
+    labelled with its output [rows] and, where it has them, its
+    counters: [batches] (batches yielded), [dropped] (rows a scan's
+    [tau] cut discarded: the per-operator expiration churn of
+    Section 3.2), [visited] (index rows examined), [cut_skipped]
+    (expired rows a batch scan skipped without a per-row comparison),
+    [build] (a hash join's build rows) and [sketch_bytes].  The root's
+    materialisation runs outside every operator span.  Untraced, the
+    executor opens no span and formats no label.
     @raise Errors.Unknown_relation / Errors.Arity_mismatch as the naive
     {!Eval} would for the same logical expression. *)
 
 val partial :
-  ?probe:probe ->
+  ?trace:Expirel_obs.Trace.t ->
   ?tau:Time.t ->
   db:Database.t ->
   Plan.compiled ->
@@ -59,7 +50,30 @@ val partial :
     expiration-slice partial and the child's [texp(e)].  The child is
     condensed exactly as {!run} condenses it — from batches straight
     through the accumulator unless a projection below may have made
-    rows coincide — under one [aggregate] probe span; the HAVING
-    predicate and the projection are left to whoever finalises.
+    rows coincide — under one [op:aggregate] span labelled with the
+    partial's group count as [rows]; the HAVING predicate and the
+    projection are left to whoever finalises.
     @raise Invalid_argument when the root is not a fused grouped
     aggregate. *)
+
+val sketch :
+  ?trace:Expirel_obs.Trace.t ->
+  ?tau:Time.t ->
+  db:Database.t ->
+  Plan.compiled ->
+  Expirel_sketch.Any.t
+(** The shard side of a distributed approximate aggregate: runs a plan
+    whose root is a sketch operator at [tau] (as in {!run}) and returns
+    the root's sketch, folded and recorded in the sketch observatory
+    exactly as {!run}'s sketch operator folds it, instead of its
+    answer.
+    @raise Invalid_argument when the root is not a sketch operator. *)
+
+val analyze :
+  trace:Expirel_obs.Trace.t -> db:Database.t -> Plan.compiled -> string
+(** [EXPLAIN ANALYZE]: runs the plan at the clock as {!run} does under
+    [trace], then renders that run's op spans — each {!Plan.describe}
+    line annotated with the planner's estimate
+    ({!Planner.estimate_rows}), the span's row count and counters and
+    its inclusive time — followed by the answer's cardinality, its
+    [texp(e)], the scans' total [dropped] and the root span's time. *)

@@ -93,8 +93,8 @@ val operator_name : t -> string
     physical execution path. *)
 
 val children : t -> t list
-(** Direct sub-plans, left before right — the traversal order
-    {!Profile.of_plan} mirrors. *)
+(** Direct sub-plans, left before right — the order the executor's
+    [op:] spans nest in, which [EXPLAIN ANALYZE] pairs them by. *)
 
 val describe : t -> string
 (** One node's un-indented {!pp} line (operator, access path, keys,

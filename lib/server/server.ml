@@ -737,7 +737,7 @@ let handle_shard_exec t ~sql ~ctx ~want =
        snapshot, the partial covers the whole expiration axis, and the
        coordinator owns the tau it queries the merged sketch at. *)
     partial (fun () ->
-        let columns, sketch = Interp.sketch_partial ?trace t.interp q in
+        let columns, sketch = Interp.sketch_partial ?trace ~text:sql t.interp q in
         Wire.Body_sketch
           { columns; payload = Expirel_sketch.Any.to_string sketch })
   | Want_agg, Ast.Query qs ->

@@ -144,9 +144,9 @@ type statement =
   | Explain of query
   | Explain_analyze of query
       (** [EXPLAIN ANALYZE q]: plans {e and runs} [q], reporting the
-          physical tree annotated with per-operator actual rows,
-          expired-tuple drop counts, index visits and wall time next to
-          the planner's estimates *)
+          physical tree annotated from the run's [op:] trace spans —
+          per-operator actual rows, expired-tuple drop counts, index
+          visits and wall time next to the planner's estimates *)
 
 val pp_cond : Format.formatter -> cond -> unit
 val pp_statement : Format.formatter -> statement -> unit

@@ -146,25 +146,6 @@ let order_and_limit ~columns ~order_by ~limit relation =
   | None -> sorted
   | Some n -> List.filteri (fun i _ -> i < n) sorted
 
-(* Per-operator timing: wrap every executor node in a trace span named
-   after its Plan.operator_name, prefixed so the metrics layer can tell
-   operator spans from stage spans.  Each op span is labeled with its
-   output cardinality (through the executor-supplied [rows] extractor),
-   so slow-log entries carry an operator breakdown with row counts, not
-   just timings. *)
-let xprobe_of trace =
-  match trace with
-  | None -> None
-  | Some _ ->
-    Some
-      { Executor.probe =
-          (fun op ~rows k ->
-            Trace.span trace ("op:" ^ op) (fun () ->
-                let r = k () in
-                Trace.label trace "rows" (string_of_int (rows r));
-                r))
-      }
-
 (* Lower + plan once per distinct statement text and catalog generation;
    the LRU is the server hot path's per-request saving.  [text] is the
    statement's source string — the cache key — threaded down from
@@ -237,9 +218,13 @@ let standing ?trace ?text ~hit t (entry : plan_entry) ~rows read =
   match text with
   | Some text when hit && Subscription.counted entry.p_compiled ->
     Some
-      (match xprobe_of trace with
+      (match trace with
        | None -> find text
-       | Some p -> p.Executor.probe "aggregate" ~rows (fun () -> find text))
+       | Some _ ->
+         Trace.span trace "op:aggregate" (fun () ->
+             let r = find text in
+             Trace.label trace "rows" (string_of_int (rows r));
+             r))
   | Some _ | None -> None
 
 let plan_cache_stats t =
@@ -264,7 +249,7 @@ let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
   let tau = tau_of_at t at in
   let entry, hit = planned_query ?trace ?text t q in
   let eval () =
-    Executor.run ?probe:(xprobe_of trace) ?tau ~db:t.db entry.p_compiled
+    Executor.run ?trace ?tau ~db:t.db entry.p_compiled
   in
   let { Eval.relation; texp = texp_e } =
     Trace.span trace "eval" (fun () ->
@@ -281,33 +266,16 @@ let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
   let listing = order_and_limit ~columns ~order_by ~limit relation in
   Rows { columns; relation; listing; texp_e; recomputed = false }
 
-(* Shard-side half of a distributed approximate aggregate: evaluate the
-   child locally and return the folded sketch (not rows) for the
-   coordinator to merge with other shards' partials. *)
-let sketch_partial ?trace t q =
-  let { Lower.expr; columns; approx } =
-    Trace.span trace "lower" (fun () ->
-        Lower.lower_query ~catalog:(catalog t) q)
-  in
-  match approx with
-  | None -> failwith "sketch_partial: query has no APPROX_COUNT/SAMPLE item"
-  | Some spec ->
-    Trace.span trace "sketch-query" (fun () ->
-        let compiled = Planner.plan ~db:t.db expr in
-        let child =
-          Executor.run ?probe:(xprobe_of trace) ~db:t.db compiled
-        in
-        let sketch =
-          Approx.build spec ~arity:(Relation.arity child.Eval.relation)
-            (fun f ->
-              Relation.iter (fun t e -> f (Tuple.attr t) e) child.Eval.relation)
-        in
-        Expirel_sketch.Observatory.record
-          ~name:(Approx.name spec)
-          ~memory_bytes:(Expirel_sketch.Any.memory_bytes sketch)
-          ~estimate:
-            (Expirel_sketch.Any.live_estimate ~tau:(Database.now t.db) sketch);
-        columns, sketch)
+(* Shard-side half of a distributed approximate aggregate: the plan,
+   through the cache, runs up to its sketch operator, whose folded
+   sketch (not rows) the coordinator merges with other shards'
+   partials. *)
+let sketch_partial ?trace ?text t q =
+  let entry, _ = planned_query ?trace ?text t q in
+  if entry.p_approx = None then
+    failwith "sketch_partial: query has no APPROX_COUNT/SAMPLE item";
+  Trace.span trace "sketch-query" (fun () ->
+      (entry.p_columns, Executor.sketch ?trace ~db:t.db entry.p_compiled))
 
 (* Shard-side half of a distributed grouped aggregate: condense the
    decomposed child's local rows into expiration-slice partials.  The
@@ -331,7 +299,7 @@ let aggregate_partial ?trace ?text t { Ast.q; at; order_by = _; limit = _ } =
             (fun e -> (Subscription.partial e, Time.Inf))
         with
         | Some partial -> partial
-        | None -> Executor.partial ?probe:(xprobe_of trace) ?tau ~db:t.db compiled)
+        | None -> Executor.partial ?trace ?tau ~db:t.db compiled)
   in
   (columns, partial, child_texp)
 
@@ -542,7 +510,7 @@ let exec_statement ?trace ?text t = function
     let victims =
       Trace.span trace "eval" (fun () ->
           Relation.tuples
-            (Executor.run ?probe:(xprobe_of trace) ~db:t.db compiled)
+            (Executor.run ?trace ~db:t.db compiled)
               .Eval.relation)
     in
     Trace.span trace "storage" (fun () ->
@@ -685,25 +653,18 @@ let exec_statement ?trace ?text t = function
          (Time.to_string texp)
          (Plan.to_string compiled.Plan.physical))
   | Ast.Explain_analyze q ->
-    (* Plan through the cache (EXPLAIN ANALYZE profiles what a real
-       request would run, cached plan included), then execute with a
-       profile sink and report the annotated tree. *)
+    (* Plan through the cache (EXPLAIN ANALYZE measures what a real
+       request would run, cached plan included), then run under the
+       request's trace, or a fresh one, and render the run's op spans. *)
     let entry, _ = planned_query ?trace ?text t q in
-    let physical = entry.p_compiled.Plan.physical in
-    let profile = Profile.of_plan ~db:t.db physical in
-    let { Eval.relation; texp = texp_e } =
-      Trace.span trace "eval" (fun () ->
-          Executor.run ?probe:(xprobe_of trace) ~profile ~db:t.db
-            entry.p_compiled)
+    let trace =
+      match trace with
+      | Some tr -> tr
+      | None -> Trace.create ()
     in
     Msg
-      (Printf.sprintf
-         "%srows: %d\ntexp(e) now: %s\nexpired dropped: %d\ntotal: %.3fms"
-         (Profile.render physical profile)
-         (Relation.cardinal relation)
-         (Time.to_string texp_e)
-         (Profile.total_expired_dropped profile)
-         (float_of_int profile.Profile.time_us /. 1e3))
+      (Trace.span (Some trace) "eval" (fun () ->
+           Executor.analyze ~trace ~db:t.db entry.p_compiled))
 
 (* A MAINTAINED view never needs recomputation. *)
 let view_horizons t =

@@ -180,16 +180,19 @@ val install_snapshot :
 
 val sketch_partial :
   ?trace:Expirel_obs.Trace.t ->
+  ?text:string ->
   t ->
   Ast.query ->
   string list * Expirel_sketch.Any.t
-(** Shard-side half of a distributed approximate aggregate: lowers the
-    query (which must carry [APPROX_COUNT] or [SAMPLE]), evaluates the
-    {e child} locally and folds it into a sketch — returned with the
-    answer's column labels so the coordinator can {!Expirel_sketch.Any.merge}
-    partials from every shard and render rows from the union.  The fold
-    runs under a [sketch-query] span on [trace] and records the
-    sketch's gauges in {!Expirel_sketch.Observatory}.
+(** Shard-side half of a distributed approximate aggregate: plans the
+    query (which must carry [APPROX_COUNT] or [SAMPLE]) through the
+    plan cache keyed by [text], as {!aggregate_partial} does, and runs
+    it up to its sketch operator ({!Expirel_exec.Executor.sketch}),
+    returning the folded sketch with the answer's column labels so the
+    coordinator can {!Expirel_sketch.Any.merge} partials from every
+    shard and render rows from the union.  The run sits under a
+    [sketch-query] span on [trace]; the fold records the sketch's
+    gauges in {!Expirel_sketch.Observatory}.
     Raises [Failure] when the query has no approximate item, plus
     whatever lowering and evaluation raise. *)
 

@@ -472,15 +472,18 @@ let scan_range t ~tau ~lo ~hi ~visited ~dropped f =
         | Seq.Cons (k, _) -> compare_row t c r k = 0
         | Seq.Nil -> false
       in
-      let sel = Array.make (b - a') 0 and m = ref 0 in
+      (* A pending removal is skipped, not dropped: only an expired
+         row counts as dropped. *)
+      let sel = Array.make (b - a') 0 and m = ref 0 and expired = ref (a' - a) in
       for r = a' to b - 1 do
-        if Time.(c.texps.(r) > tau) && not (skip r) then begin
+        if Time.(c.texps.(r) <= tau) then incr expired
+        else if not (skip r) then begin
           sel.(!m) <- r;
           incr m
         end
       done;
       visited := !visited + (b - a');
-      dropped := !dropped + (b - a) - !m;
+      dropped := !dropped + !expired;
       if !m = c.len then f c None
       else if !m > 0 then f c (Some (Array.sub sel 0 !m))
     end

@@ -127,4 +127,5 @@ val scan_range :
     then the buffer's.  The first chunk is found by binary search, a
     wholly expired chunk is skipped unread, and one key's live rows are
     a cut.  [visited] counts the rows examined, [dropped] the rows in
-    the bounds not returned. *)
+    the bounds expired at [tau] (a pending removal is neither returned
+    nor dropped). *)

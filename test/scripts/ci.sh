@@ -40,6 +40,14 @@ if grep -rnE 'Ordered_index|Expiration_index|Timer_wheel|Binary_heap|expirel_ind
   echo "ci: the names above belong to removed structures or bench/baselines" >&2
   exit 1
 fi
+# One per-operator measurement: the executor records its op spans on
+# the request's trace, and EXPLAIN ANALYZE renders its own run's spans.
+# No lib/ or bin/ file names the profile sink or the probe hook those
+# spans replaced.
+if grep -rnE '\bProfile\.|\?profile\b|Executor\.probe\b|\bxprobe_of\b' lib bin; then
+  echo "ci: the names above belong to the removed profile sink or probe hook" >&2
+  exit 1
+fi
 # lib/obs, lib/exec and lib/sketch compile with -warn-error +a (their
 # dunes say so); build them alone first so a warning fails fast with a
 # small log.

@@ -75,6 +75,37 @@ let physical_equals_naive (e, bindings, tau) =
   Database.advance_to db (Time.of_int tau);
   same (Database.query db e) (Executor.run ~db (Planner.plan ~db e))
 
+(* A traced run records one [op:] span per plan node, nested as
+   [Plan.children], and EXPLAIN ANALYZE's rendering of such a run
+   counts the answer's rows. *)
+let spans_mirror_plan (e, bindings, tau) =
+  let db = db_of_bindings bindings in
+  Database.advance_to db (Time.of_int tau);
+  let compiled = Planner.plan ~db e in
+  let trace = Expirel_obs.Trace.create () in
+  let answer = Executor.run ~trace ~db compiled in
+  let spans = Expirel_obs.Trace.spans trace in
+  let rec nodes p = 1 + List.fold_left (fun n c -> n + nodes c) 0 (Plan.children p) in
+  let rec mirrors p (s : Expirel_obs.Trace.span) =
+    let kids =
+      List.filter (fun (c : Expirel_obs.Trace.span) -> c.parent = Some s.id) spans
+    in
+    s.name = "op:" ^ Plan.operator_name p
+    && List.length kids = List.length (Plan.children p)
+    && List.for_all2 mirrors (Plan.children p)
+         (List.sort (fun (a : Expirel_obs.Trace.span) b -> compare a.id b.id) kids)
+  in
+  let rendered =
+    Executor.analyze ~trace:(Expirel_obs.Trace.create ()) ~db compiled
+  in
+  List.length spans = nodes compiled.Plan.physical
+  && (match List.rev spans with
+      | root :: _ -> root.parent = None && mirrors compiled.Plan.physical root
+      | [] -> false)
+  && List.mem
+       (Printf.sprintf "rows: %d" (Relation.cardinal answer.Eval.relation))
+       (String.split_on_char '\n' rendered)
+
 (* ---------- cut boundaries ---------- *)
 
 (* Wider taus than gen_case: generated finite texps top out at 24, so
@@ -1038,6 +1069,127 @@ let test_explain_untagged () =
       "EXPLAIN ANALYZE SELECT uid FROM pol EXCEPT SELECT uid FROM el";
       "EXPLAIN ANALYZE SELECT deg, COUNT(*) FROM pol GROUP BY deg" ]
 
+(* An index scan skips the rows a DELETE or an overwrite left pending
+   in the index; they never expired, so they are not dropped. *)
+let test_explain_analyze_pending_removals () =
+  let t = Interp.create () in
+  ignore (exec t "CREATE TABLE pol (uid, deg)");
+  for uid = 1 to 40 do
+    ignore
+      (exec t
+         (Printf.sprintf "INSERT INTO pol VALUES (%d, %d) EXPIRES 1000" uid
+            (if uid <= 4 then 25 else 30 + uid)))
+  done;
+  List.iter
+    (fun sql -> ignore (exec t sql))
+    [ "CREATE INDEX ON pol (deg)";
+      "DELETE FROM pol WHERE uid = 3";
+      "INSERT INTO pol VALUES (4, 25) EXPIRES 2000" ];
+  let text = msg (exec t "EXPLAIN ANALYZE SELECT uid FROM pol WHERE deg = 25") in
+  List.iter
+    (fun sub ->
+      Alcotest.(check bool) ("reports: " ^ sub) true (string_contains text sub))
+    [ "index-scan"; "rows=3 dropped=0"; "expired dropped: 0"; "rows: 3" ]
+
+(* Every time= and total: figure masked: the rest of EXPLAIN ANALYZE's
+   text is deterministic. *)
+let mask_times text =
+  let n = String.length text and buf = Buffer.create (String.length text) in
+  let rec go i =
+    let at p = i + String.length p <= n && String.sub text i (String.length p) = p in
+    let skip_number p =
+      Buffer.add_string buf (p ^ "*");
+      let j = ref (i + String.length p) in
+      while !j < n && (match text.[!j] with '0' .. '9' | '.' -> true | _ -> false) do
+        incr j
+      done;
+      go !j
+    in
+    if i >= n then ()
+    else if at "time=" then skip_number "time="
+    else if at "total: " then skip_number "total: "
+    else (Buffer.add_char buf text.[i]; go (i + 1))
+  in
+  go 0;
+  Buffer.contents buf
+
+(* One lazy-policy session through an index scan, a hash join, a GROUP
+   BY, an EXCEPT, an APPROX_COUNT, a projected and a bare scan and an
+   index range: the texts match the ones the executor's earlier,
+   separately kept per-operator profile printed. *)
+let test_explain_analyze_golden () =
+  let t = Interp.create ~policy:Database.Lazy () in
+  ignore (exec t "CREATE TABLE pol (uid, deg)");
+  for uid = 1 to 40 do
+    ignore
+      (exec t
+         (Printf.sprintf "INSERT INTO pol VALUES (%d, %d) EXPIRES %d" uid
+            (10 + (uid mod 8 * 5))
+            (if uid mod 3 = 0 then 5 else 50 + uid)))
+  done;
+  ignore (exec t "CREATE INDEX ON pol (deg)");
+  ignore (exec t "CREATE TABLE el (uid, kind)");
+  for uid = 1 to 12 do
+    ignore
+      (exec t
+         (Printf.sprintf "INSERT INTO el VALUES (%d, %d) EXPIRES %d" uid
+            (uid * 10)
+            (if uid mod 4 = 0 then 6 else 30)))
+  done;
+  ignore (exec t "ADVANCE TO 8");
+  List.iter
+    (fun (query, expected) ->
+      Alcotest.(check string) query (String.concat "\n" expected)
+        (mask_times (msg (exec t ("EXPLAIN ANALYZE " ^ query)))))
+    [ ( "SELECT uid FROM pol WHERE deg = 25",
+        [ "project [1]  (est=5 rows=3 batches=1 time=*ms)";
+          "  index-scan pol via index-eq(#2 = 25) [#2 = 25]  (est=5 rows=3 \
+           dropped=2 visited=3 batches=1 cut_skipped=0 time=*ms)";
+          "rows: 3"; "texp(e) now: inf"; "expired dropped: 2"; "total: *ms" ] );
+      ( "SELECT pol.uid, el.kind FROM pol JOIN el ON pol.uid = el.uid",
+        [ "project [1,4]  (est=27 rows=6 batches=1 time=*ms)";
+          "  hash-join [#1 = right #1] verify [#1 = #3]  (est=27 rows=6 \
+           build=9 batches=1 time=*ms)";
+          "    seq-scan pol  (est=27 rows=27 dropped=13 batches=1 \
+           cut_skipped=13 time=*ms)";
+          "    seq-scan el  (est=9 rows=9 dropped=3 batches=1 cut_skipped=3 \
+           time=*ms)";
+          "rows: 6"; "texp(e) now: inf"; "expired dropped: 16"; "total: *ms" ] );
+      ( "SELECT deg, COUNT(*) FROM pol GROUP BY deg",
+        [ "aggregate [group {2}, count, partials -> (2,3)]  (est=27 rows=8 \
+           time=*ms)";
+          "  seq-scan pol  (est=27 rows=27 dropped=13 batches=1 \
+           cut_skipped=13 time=*ms)";
+          "rows: 8"; "texp(e) now: 51"; "expired dropped: 13"; "total: *ms" ] );
+      ( "SELECT uid FROM pol EXCEPT SELECT uid FROM el",
+        [ "merge-diff  (est=27 rows=21 time=*ms)";
+          "  project [1]  (est=27 rows=27 batches=1 time=*ms)";
+          "    seq-scan pol  (est=27 rows=27 dropped=13 batches=1 \
+           cut_skipped=13 time=*ms)";
+          "  project [1]  (est=9 rows=9 batches=1 time=*ms)";
+          "    seq-scan el  (est=9 rows=9 dropped=3 batches=1 cut_skipped=3 \
+           time=*ms)";
+          "rows: 21"; "texp(e) now: 30"; "expired dropped: 16"; "total: *ms" ] );
+      ( "SELECT APPROX_COUNT(0.1) FROM pol",
+        [ "sketch-count [eps=0.1]  (est=1 rows=1 sketch=3080B time=*ms)";
+          "  seq-scan pol  (est=27 rows=27 dropped=13 batches=1 \
+           cut_skipped=13 time=*ms)";
+          "rows: 1"; "texp(e) now: 51"; "expired dropped: 13"; "total: *ms" ] );
+      ( "SELECT uid FROM pol",
+        [ "project [1]  (est=27 rows=27 batches=1 time=*ms)";
+          "  seq-scan pol  (est=27 rows=27 dropped=13 batches=1 \
+           cut_skipped=13 time=*ms)";
+          "rows: 27"; "texp(e) now: inf"; "expired dropped: 13"; "total: *ms" ] );
+      ( "SELECT * FROM pol",
+        [ "seq-scan pol  (est=27 rows=27 dropped=13 time=*ms)";
+          "rows: 27"; "texp(e) now: inf"; "expired dropped: 13"; "total: *ms" ] );
+      ( "SELECT uid FROM pol WHERE deg > 20 AND deg < 30",
+        [ "project [1]  (est=5 rows=3 batches=1 time=*ms)";
+          "  index-scan pol via index-range(#2: (20)..(30)) [(#2 > 20 and #2 \
+           < 30)]  (est=5 rows=3 dropped=2 visited=3 batches=1 cut_skipped=0 \
+           time=*ms)";
+          "rows: 3"; "texp(e) now: inf"; "expired dropped: 2"; "total: *ms" ] ) ]
+
 let test_explain_analyze_cut_skipped () =
   let t = Interp.create ~policy:Database.Lazy () in
   List.iter
@@ -1099,6 +1251,9 @@ let test_lru_evicts_stalest () =
 let suite =
   [ Generators.qtest "physical plan ≡ naive eval (rows and texps)"
       ~count:300 gen_case physical_equals_naive;
+    Generators.qtest
+      "a traced run's op spans mirror the plan; EXPLAIN ANALYZE counts its rows"
+      ~count:300 gen_case spans_mirror_plan;
     Generators.qtest "executor ≡ naive eval across cut boundaries"
       ~count:300 gen_cut_case physical_equals_naive;
     Generators.qtest
@@ -1176,6 +1331,10 @@ let suite =
       test_explain_analyze_dropped;
     Alcotest.test_case "EXPLAIN ANALYZE: index scans and joins" `Quick
       test_explain_analyze_index_and_join;
+    Alcotest.test_case "EXPLAIN ANALYZE: pending removals are not dropped"
+      `Quick test_explain_analyze_pending_removals;
+    Alcotest.test_case "EXPLAIN ANALYZE: golden texts, times masked" `Quick
+      test_explain_analyze_golden;
     Alcotest.test_case "index DDL never changes answers" `Quick
       test_indexed_query_results_unchanged;
     Alcotest.test_case "index DDL errors" `Quick test_index_ddl_errors;

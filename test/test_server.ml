@@ -1017,6 +1017,35 @@ let test_shard_exec_lock_span () =
                   (List.mem stage names))
               [ "parse"; "rwlock_wait"; "op:aggregate" ]))
 
+(* A shard's sketch partial plans through the plan cache: the second
+   identical Want_sketch request is a hit, and both fold the same
+   sketch. *)
+let test_shard_sketch_plan_cache () =
+  with_server (fun _server port ->
+      with_client port (fun client ->
+          ok (Client.exec_ok client "CREATE TABLE s (uid, grp)");
+          ok (Client.exec_ok client "INSERT INTO s VALUES (1, 7) EXPIRES 10");
+          ok (Client.exec_ok client "INSERT INTO s VALUES (2, 7) EXPIRES 20");
+          let sketch () =
+            match
+              shard_exec client ~want:Wire.Want_sketch
+                "SELECT APPROX_COUNT(0.1) FROM s"
+            with
+            | Wire.Shard_reply { body = Wire.Body_sketch { payload; _ }; _ } ->
+              payload
+            | r ->
+              Alcotest.fail ("expected a sketch, got " ^ Wire.render_response r)
+          in
+          let first = sketch () in
+          Alcotest.(check string) "the same sketch twice" first (sketch ());
+          let text = ok (Client.metrics client) in
+          List.iter
+            (fun sub ->
+              Alcotest.(check bool) ("exposes: " ^ sub) true
+                (contains ~sub text))
+            [ "expirel_plan_cache_hits_total 1";
+              "expirel_plan_cache_misses_total 1" ]))
+
 (* ---------- rebalance writes take the one write path ---------- *)
 
 (* Rows as "v1,v2@texp" strings, sorted: a readable, texp-exact
@@ -1145,6 +1174,8 @@ let suite =
       `Quick test_shard_exec_summary;
     Alcotest.test_case "shard exec: aggregate partial traces its lock wait"
       `Quick test_shard_exec_lock_span;
+    Alcotest.test_case "shard sketch partials hit the plan cache" `Quick
+      test_shard_sketch_plan_cache;
     Alcotest.test_case "rebalance writes reach a maintained view" `Quick
       test_rebalance_feeds_maintained_view;
     Alcotest.test_case "bad Ingest_rows: error answer, nothing ingested"
