@@ -842,15 +842,11 @@ let exec ?(prune = true) ?trace:caller_trace t sql =
   in
   let trace = Some tr in
   let response =
-    match
-      Obs.Trace.span trace "parse" (fun () -> Parser.parse_statement sql)
-    with
-    | stmt -> exec_parsed ?trace ~prune t stmt sql
-    | exception Parser.Error (message, off) ->
-      Wire.Err
-        { code = Wire.Parse_error;
-          message = Printf.sprintf "at offset %d: %s" off message
-        }
+    Wire.parsing
+      (fun sql ->
+        Obs.Trace.span trace "parse" (fun () -> Parser.parse_statement sql))
+      sql
+      (fun stmt -> exec_parsed ?trace ~prune t stmt sql)
   in
   if Option.is_none caller_trace then
     Obs.Trace_store.finish t.trace_store ~node:t.node_name ~name:sql tr;

@@ -32,10 +32,15 @@ let now_us t = int_of_float ((Unix.gettimeofday () -. t.t0) *. 1e6)
    created in the same microsecond still differ. *)
 let id_counter = Atomic.make 0
 
+let format_trace_id ~us ~pid ~seq =
+  Printf.sprintf "%013Lx-%06x-%08x" us (pid land 0xff_ffff)
+    (seq land 0xffff_ffff)
+
 let fresh_trace_id () =
-  let us = Int64.of_float (Unix.gettimeofday () *. 1e6) in
-  Printf.sprintf "%Lx-%x-%x" us (Unix.getpid ())
-    (Atomic.fetch_and_add id_counter 1)
+  format_trace_id
+    ~us:(Int64.of_float (Unix.gettimeofday () *. 1e6))
+    ~pid:(Unix.getpid ())
+    ~seq:(Atomic.fetch_and_add id_counter 1)
 
 let create ?trace_id ?parent_span () =
   let trace_id =

@@ -42,6 +42,14 @@ val create : ?trace_id:string -> ?parent_span:int -> unit -> t
     remote caller's span id, recorded as the parent of this trace's
     top-level spans. *)
 
+val format_trace_id : us:Int64.t -> pid:int -> seq:int -> string
+(** The id {!create} mints by default from the microsecond clock, the
+    process id and a process-wide counter: fixed-width hex fields of
+    13, 6 and 8 digits (the clock fits 13 until the year 2112; pid and
+    counter are taken modulo 2{^24} and 2{^32}), so a traced request's
+    encoded size does not vary with the pid or with how many traces
+    the process made before it. *)
+
 val trace_id : t -> string
 val parent_span : t -> int option
 

@@ -6,16 +6,13 @@ type t = {
   mutable closed : bool;
 }
 
+(* A dotted address resolves to itself, without a lookup. *)
 let resolve host =
   if host = "localhost" then Unix.inet_addr_loopback
   else
-    match Unix.inet_addr_of_string host with
-    | addr -> addr
-    | exception Failure _ ->
-      (match Unix.gethostbyname host with
-       | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-         failwith (Printf.sprintf "cannot resolve host %S" host)
-       | { Unix.h_addr_list; _ } -> h_addr_list.(0))
+    match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
+    | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> addr
+    | _ -> failwith (Printf.sprintf "cannot resolve host %S" host)
 
 let connect ?(timeout = 10.0) ~host ~port () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

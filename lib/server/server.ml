@@ -505,25 +505,19 @@ let replica_allows stmt =
 
 (* ---------- request handlers ---------- *)
 
+let wire_rows listing =
+  List.map (fun (tuple, texp) -> (Tuple.to_list tuple, texp)) listing
+
 let response_of_outcome = function
   | Interp.Msg m -> Wire.Ok_msg m
   | Interp.Rows { columns; listing; texp_e; recomputed; relation = _ } ->
-    Wire.Rows
-      { columns;
-        rows = List.map (fun (tuple, texp) -> (Tuple.to_list tuple, texp)) listing;
-        texp_e;
-        recomputed
-      }
+    Wire.Rows { columns; rows = wire_rows listing; texp_e; recomputed }
 
-(* Runs a parsed statement; the caller holds the lock its kind needs. *)
-let run_statement ?trace ?text t stmt =
-  match Interp.exec ?trace ?text t.interp stmt with
-  | Ok outcome -> response_of_outcome outcome
-  | Error message -> Wire.Err { code = Wire.Exec_error; message }
-
-(* [run_statement] under the lock; [reply] maps the answer before the
-   lock is released. *)
-let handle_statement ?trace ?text t stmt ~reply =
+(* The one statement path: [want] of a parsed statement, answered by
+   the interpreter under the lock the statement's kind needs.  [reply]
+   maps the answer before the lock is released; a statement error is
+   the interpreter's text, whichever [want] asked. *)
+let handle_statement ?trace ?text t want stmt ~reply =
   if t.config.read_only && not (replica_allows stmt) then
     Wire.Err
       { code = Wire.Exec_error;
@@ -531,7 +525,9 @@ let handle_statement ?trace ?text t stmt ~reply =
       }
   else
     with_lock t ~write:(not (is_read_only stmt)) ?trace (fun () ->
-        reply (run_statement ?trace ?text t stmt))
+        match Interp.run ?trace ?text want t.interp stmt with
+        | Ok answer -> reply answer
+        | Error message -> Wire.Err { code = Wire.Exec_error; message })
 
 (* Every statement request is traced: parse -> rwlock wait ->
    interpreter stages (lower, eval with per-operator spans, storage).
@@ -550,15 +546,10 @@ let traced t ~ctx ~sql f =
   in
   let trace = Some tr in
   let response =
-    match
-      Obs.Trace.span trace "parse" (fun () -> Interp.parse t.interp sql)
-    with
-    | stmt -> f trace stmt
-    | exception Parser.Error (message, off) ->
-      Wire.Err
-        { code = Wire.Parse_error;
-          message = Printf.sprintf "at offset %d: %s" off message
-        }
+    Wire.parsing
+      (fun sql ->
+        Obs.Trace.span trace "parse" (fun () -> Interp.parse t.interp sql))
+      sql (f trace)
   in
   Metrics.observe_trace t.metrics ~statement:sql
     ~trace_id:(Obs.Trace.trace_id tr) ~total_us:(Obs.Trace.elapsed_us tr)
@@ -568,7 +559,8 @@ let traced t ~ctx ~sql f =
 
 let handle_exec ?ctx t sql =
   traced t ~ctx ~sql (fun trace stmt ->
-      handle_statement ?trace ~text:sql t stmt ~reply:Fun.id)
+      handle_statement ?trace ~text:sql t Interp.Answer stmt
+        ~reply:response_of_outcome)
 
 let strip_statement s =
   let s = String.trim s in
@@ -589,27 +581,21 @@ let wire_event = function
    leave its name in its old owner's list: a new subscriber of the name
    takes it over, so that owner cannot tear the new watch down. *)
 let handle_subscribe t conn ~name ~query =
-  match Parser.parse_statement (strip_statement query) with
-  | exception Parser.Error (message, off) ->
-    Wire.Err
-      { code = Wire.Parse_error;
-        message = Printf.sprintf "at offset %d: %s" off message
-      }
-  | stmt ->
-    with_lock t ~write:true (fun () ->
-        match
-          Interp.subscribe t.interp ~name stmt (fun event ->
-              send_response t conn (Wire.Event (wire_event event));
-              Metrics.incr_events_pushed t.metrics)
-        with
-        | Ok () ->
-          locked_state t (fun () ->
-              Hashtbl.iter
-                (fun _ c -> c.owned_subs <- List.filter (( <> ) name) c.owned_subs)
-                t.conns);
-          conn.owned_subs <- name :: conn.owned_subs;
-          Wire.Ok_msg (Printf.sprintf "subscribed %s" name)
-        | Error message -> Wire.Err { code = Wire.Exec_error; message })
+  Wire.parsing Parser.parse_statement (strip_statement query) @@ fun stmt ->
+  with_lock t ~write:true (fun () ->
+      match
+        Interp.subscribe t.interp ~name stmt (fun event ->
+            send_response t conn (Wire.Event (wire_event event));
+            Metrics.incr_events_pushed t.metrics)
+      with
+      | Ok () ->
+        locked_state t (fun () ->
+            Hashtbl.iter
+              (fun _ c -> c.owned_subs <- List.filter (( <> ) name) c.owned_subs)
+              t.conns);
+        conn.owned_subs <- name :: conn.owned_subs;
+        Wire.Ok_msg (Printf.sprintf "subscribed %s" name)
+      | Error message -> Wire.Err { code = Wire.Exec_error; message })
 
 let handle_unsubscribe t conn name =
   if not (List.mem name conn.owned_subs) then
@@ -706,49 +692,30 @@ let handle_shard_ping t =
         })
 
 (* A statement issued by a coordinator, traced like any EXEC so a
-   fan-out shows up as one cross-node trace.  The lock is taken once:
-   the [want] body and the partition summary the reply piggybacks read
-   one state, so a write's reply reports the partition it left behind
-   and no second wait can turn an applied write into a timeout. *)
+   fan-out shows up as one cross-node trace, and answered on the one
+   statement path whatever its [want].  The lock is taken once: the
+   [want] body and the partition summary the reply piggybacks read one
+   state, so a write's reply reports the partition it left behind and
+   no second wait can turn an applied write into a timeout. *)
 let handle_shard_exec t ~sql ~ctx ~want =
   traced t ~ctx ~sql @@ fun trace stmt ->
-  let reply body =
-    Wire.Shard_reply { partition = partition_summary t; body }
+  let shard want body =
+    handle_statement ?trace ~text:sql t want stmt ~reply:(fun answer ->
+        Wire.Shard_reply { partition = partition_summary t; body = body answer })
   in
-  let partial body =
-    with_lock t ~write:false ?trace (fun () ->
-        match body () with
-        | b -> reply b
-        | exception Errors.Unknown_relation name ->
-          Wire.Err
-            { code = Wire.Exec_error; message = "unknown relation " ^ name }
-        | exception Lower.Error message | exception Failure message ->
-          Wire.Err { code = Wire.Exec_error; message })
-  in
-  match (want : Wire.want), stmt with
-  | Want_rows, _ ->
-    handle_statement ?trace ~text:sql t stmt ~reply:(function
-      | Wire.Rows { columns; rows; texp_e; recomputed } ->
-        reply (Wire.Body_rows { columns; rows; texp_e; recomputed })
-      | Wire.Ok_msg message -> reply (Wire.Body_ack message)
-      | other -> other)
-  | Want_sketch, Ast.Query { q; at = _; _ } ->
-    (* AT is irrelevant here: the shard always folds its current
-       snapshot, the partial covers the whole expiration axis, and the
-       coordinator owns the tau it queries the merged sketch at. *)
-    partial (fun () ->
-        let columns, sketch = Interp.sketch_partial ?trace ~text:sql t.interp q in
+  match (want : Wire.want) with
+  | Want_rows ->
+    shard Interp.Answer (function
+      | Interp.Rows { columns; listing; texp_e; recomputed; relation = _ } ->
+        Wire.Body_rows { columns; rows = wire_rows listing; texp_e; recomputed }
+      | Interp.Msg message -> Wire.Body_ack message)
+  | Want_agg ->
+    shard Interp.Agg_partial (fun (columns, groups, child_texp) ->
+        Wire.Body_agg { columns; child_texp; groups })
+  | Want_sketch ->
+    shard Interp.Sketch_partial (fun (columns, sketch) ->
         Wire.Body_sketch
           { columns; payload = Expirel_sketch.Any.to_string sketch })
-  | Want_agg, Ast.Query qs ->
-    partial (fun () ->
-        let columns, groups, child_texp =
-          Interp.aggregate_partial ?trace ~text:sql t.interp qs
-        in
-        Wire.Body_agg { columns; child_texp; groups })
-  | (Want_sketch | Want_agg), _ ->
-    Wire.Err
-      { code = Wire.Exec_error; message = "a shard partial needs a query" }
 
 let first_column tuple =
   match Tuple.to_list tuple with
@@ -888,13 +855,9 @@ let handle_request t conn = function
     (* Like METRICS: the forecast walks live table and watch state, so
        it runs as a reader. *)
     with_lock t ~write:false (fun () ->
-        match Interp.horizon ?table t.interp with
-        | report -> Wire.Horizon_reply report
-        | exception Errors.Unknown_relation name ->
-          Wire.Err
-            { code = Wire.Exec_error;
-              message = "unknown relation " ^ name
-            })
+        match Interp.guard (fun () -> Interp.horizon ?table t.interp) with
+        | Ok report -> Wire.Horizon_reply report
+        | Error message -> Wire.Err { code = Wire.Exec_error; message })
   | Wire.Shard_map_req -> Wire.Shard_map_reply (shard_identity t)
   | Wire.Shard_install { map; self_id } -> handle_shard_install t ~map ~self_id
   | Wire.Shard_exec { sql; ctx; want } -> handle_shard_exec t ~sql ~ctx ~want

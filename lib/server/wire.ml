@@ -1111,3 +1111,12 @@ let rec pp_response ppf = function
       (Time.to_string partition.max_texp)
 
 let render_response r = Format.asprintf "%a" pp_response r
+
+let parsing parse text k =
+  match parse text with
+  | statement -> k statement
+  | exception Expirel_sqlx.Parser.Error (message, offset) ->
+    Err
+      { code = Parse_error;
+        message = Printf.sprintf "at offset %d: %s" offset message
+      }

@@ -466,3 +466,10 @@ val pp_response : Format.formatter -> response -> unit
     examples. *)
 
 val render_response : response -> string
+
+val parsing : (string -> 'a) -> string -> ('a -> response) -> response
+(** [parsing parse text k] answers [k] of [parse text], or — when
+    [parse] raises {!Expirel_sqlx.Parser.Error} — the one reply to a
+    statement that does not parse: [Parse_error], ["at offset N: ..."].
+    A node's EXEC, SHARD_EXEC and SUBSCRIBE and a coordinator's
+    statements all answer a syntax error with it. *)

@@ -3,12 +3,10 @@ open Expirel_core
 type t =
   | Counter of Counter.t
   | Sample of Sample.t
-  | Spread of Spread.t
 
 let kind = function
   | Counter _ -> "counter"
   | Sample _ -> "sample"
-  | Spread _ -> "spread"
 
 let merge a b =
   match (a, b) with
@@ -20,10 +18,6 @@ let merge a b =
     if Sample.k x <> Sample.k y then
       Error "cannot merge sample sketches with different k"
     else Ok (Sample (Sample.merge x y))
-  | Spread x, Spread y ->
-    if Spread.epsilon x <> Spread.epsilon y then
-      Error "cannot merge spread sketches with different epsilons"
-    else Ok (Spread (Spread.merge x y))
   | _ ->
     Error
       (Printf.sprintf "cannot merge a %s sketch with a %s sketch" (kind a)
@@ -39,38 +33,20 @@ let query_rows ~tau = function
   | Sample s ->
     let rows = Sample.query s ~tau in
     (rows, Sample.horizon s ~tau)
-  | Spread s -> (
-    match Spread.query s ~tau with
-    | None -> ([], Time.infinity)
-    | Some { Spread.live_min; live_max; diameter; within; horizon } ->
-      ( [ ([ Value.Float live_min;
-             Value.Float live_max;
-             Value.Float diameter;
-             Value.Float within
-           ],
-           horizon)
-        ],
-        horizon ))
 
 let live_estimate ~tau = function
   | Counter c -> (Counter.query c ~tau).Counter.estimate
   | Sample s -> float_of_int (List.length (Sample.query s ~tau))
-  | Spread s -> (
-    match Spread.query s ~tau with
-    | None -> 0.
-    | Some a -> a.Spread.diameter)
 
 let memory_bytes = function
   | Counter c -> Counter.memory_bytes c
   | Sample s -> Sample.memory_bytes s
-  | Spread s -> Spread.memory_bytes s
 
 let to_string t =
   let tag, payload =
     match t with
     | Counter c -> ('\001', Counter.to_string c)
     | Sample s -> ('\002', Sample.to_string s)
-    | Spread s -> ('\003', Spread.to_string s)
   in
   String.make 1 tag ^ payload
 
@@ -81,5 +57,4 @@ let of_string s =
     match s.[0] with
     | '\001' -> Result.map (fun c -> Counter c) (Counter.of_string payload)
     | '\002' -> Result.map (fun x -> Sample x) (Sample.of_string payload)
-    | '\003' -> Result.map (fun x -> Spread x) (Spread.of_string payload)
     | c -> Error (Printf.sprintf "sketch payload: bad kind tag %d" (Char.code c))

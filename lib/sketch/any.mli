@@ -11,10 +11,9 @@ open Expirel_core
 type t =
   | Counter of Counter.t
   | Sample of Sample.t
-  | Spread of Spread.t
 
 val kind : t -> string
-(** ["counter" | "sample" | "spread"]. *)
+(** ["counter" | "sample"]. *)
 
 val merge : t -> t -> (t, string) result
 (** [Error] on kind or parameter mismatch. *)
@@ -24,11 +23,11 @@ val query_rows : tau:Time.t -> t -> (Value.t list * Time.t) list * Time.t
     plus the sketch's [texp]-horizon — the earliest time strictly after
     [tau] at which the answer can change, i.e. the answer's [texp(e)].
     Counter: one row [(estimate, within)].  Sample: up to [k] live
-    rows.  Spread: one row [(min, max, diameter, within)] or none. *)
+    rows. *)
 
 val live_estimate : tau:Time.t -> t -> float
 (** The scalar the live-estimate gauge reports: the counter's estimate,
-    the sample's current live sample size, the spread's diameter. *)
+    the sample's current live sample size. *)
 
 val memory_bytes : t -> int
 

@@ -35,6 +35,14 @@ type plan_entry = {
          trace span so profiles attribute the sketch fold *)
 }
 
+(* One statement cache entry: the parse of its text, made once, and
+   the plan made for it under the current catalog generation, once the
+   statement has run. *)
+type statement_entry = {
+  statement : Ast.statement;
+  mutable plan : plan_entry option;
+}
+
 type plan_cache_stats = {
   hits : int;
   misses : int;
@@ -50,20 +58,16 @@ type t = {
   maintained : Subscription.t;  (* MAINTAINED views: own names, no pushes *)
   cached : Subscription.t;
       (* repeated grouped COUNT queries, by text: an entry lives while its
-         plan does, in the plan cache and the catalog generation *)
+         plan does, in the statement cache and the catalog generation *)
   mutable trigger_log : string list;  (* newest first *)
-  plan_cache : (string, plan_entry) Lru.t;
+  statements : (string, statement_entry) Lru.t;
       (* keyed by the statement's source text: hashing a short string is
          far cheaper than the polymorphic hash + deep structural
-         equality an [Ast.query] key pays, which used to cost more than
-         the lowering + planning the cache exists to skip *)
-  parse_cache : (string, Ast.statement) Lru.t;
-      (* text -> parsed statement, consulted before the parser: for a
-         repeated statement the parse is the most expensive CPU stage
-         left on the request path (several times the cost of lowering +
-         planning combined).  Only queries are stored — mutations
-         arrive with distinct literals and would churn the LRU without
-         ever hitting. *)
+         equality an [Ast.query] key pays.  A repeated statement skips
+         the parser (the most expensive CPU stage left on the request
+         path), then lowering and planning.  Only statements that plan
+         are stored — mutations arrive with distinct literals and would
+         churn the LRU without ever hitting. *)
   plan_mutex : Mutex.t;
       (* the server's rwlock admits concurrent readers, and readers
          mutate the cache (LRU recency, stats) — so the cache has its
@@ -90,11 +94,10 @@ let create ?policy ?store () =
     maintained = Subscription.create db;
     cached;
     trigger_log = [];
-    plan_cache =
+    statements =
       Lru.create ~capacity:64
         ~on_evict:(fun text -> ignore (Subscription.unsubscribe cached text))
         ();
-    parse_cache = Lru.create ~capacity:64 ();
     plan_mutex = Mutex.create ();
     plan_hits = 0;
     plan_misses = 0;
@@ -148,32 +151,32 @@ let order_and_limit ~columns ~order_by ~limit relation =
 
 (* Lower + plan once per distinct statement text and catalog generation;
    the LRU is the server hot path's per-request saving.  [text] is the
-   statement's source string — the cache key — threaded down from
-   [exec_sql] and the server's request handler; callers that hold only
-   an AST skip the cache (re-printing the AST to obtain a key would cost
-   more than planning).  The lock is dropped before lowering and
-   planning so a cache miss never serialises against other readers; two
-   concurrent misses on the same query both plan and the second store
-   wins — wasted work, never a wrong answer.  Also answers whether the
-   plan came from the cache. *)
+   statement's source string — the key of the entry {!parse} made —
+   threaded down from [exec_sql] and the server's request handler;
+   callers that hold only an AST skip the cache (re-printing the AST to
+   obtain a key would cost more than planning), and so does a text
+   whose entry was evicted since its parse.  The lock is dropped before
+   lowering and planning so a cache miss never serialises against
+   other readers; two concurrent misses on the same query both plan and
+   the second store wins — wasted work, never a wrong answer.  Also
+   answers whether the plan came from the cache. *)
 let planned_query ?trace ?text t q =
   let generation = Database.generation t.db in
-  let cached =
-    match text with
-    | None -> None
-    | Some key ->
-      Mutex.protect t.plan_mutex (fun () ->
-          match Lru.find t.plan_cache key with
-          | Some entry when entry.p_generation = generation ->
-            t.plan_hits <- t.plan_hits + 1;
-            Some entry
-          | Some _ | None ->
-            t.plan_misses <- t.plan_misses + 1;
-            None)
+  let lookup key =
+    Mutex.protect t.plan_mutex (fun () ->
+        let found = Lru.find t.statements key in
+        let plan =
+          match found with
+          | Some { plan = Some p; _ } when p.p_generation = generation -> Some p
+          | Some _ | None -> None
+        in
+        if Option.is_some plan then t.plan_hits <- t.plan_hits + 1
+        else t.plan_misses <- t.plan_misses + 1;
+        (found, plan))
   in
-  match cached with
-  | Some entry -> (entry, true)
-  | None ->
+  match Option.fold ~none:(None, None) ~some:lookup text with
+  | _, Some entry -> (entry, true)
+  | found, None ->
     let { Lower.expr; columns; approx } =
       Trace.span trace "lower" (fun () ->
           Lower.lower_query ~catalog:(catalog t) q)
@@ -188,10 +191,9 @@ let planned_query ?trace ?text t q =
         p_approx = approx
       }
     in
-    (match text with
-     | Some key ->
-       Mutex.protect t.plan_mutex (fun () -> Lru.set t.plan_cache key entry)
-     | None -> ());
+    Option.iter
+      (fun e -> Mutex.protect t.plan_mutex (fun () -> e.plan <- Some entry))
+      found;
     (entry, false)
 
 (* [read] of the standing entry answering a grouped COUNT query's text,
@@ -210,8 +212,9 @@ let standing ?trace ?text ~hit t (entry : plan_entry) ~rows read =
     | None ->
       let built = Subscription.prepare t.cached entry.p_compiled ignore in
       Mutex.protect t.plan_mutex (fun () ->
-          match Lru.find t.plan_cache text with
-          | Some e when e == entry -> Subscription.install t.cached ~name:text built
+          match Lru.find t.statements text with
+          | Some { plan = Some p; _ } when p == entry ->
+            Subscription.install t.cached ~name:text built
           | Some _ | None -> ());
       read built
   in
@@ -231,7 +234,7 @@ let plan_cache_stats t =
   Mutex.protect t.plan_mutex (fun () ->
       { hits = t.plan_hits;
         misses = t.plan_misses;
-        entries = Lru.length t.plan_cache
+        entries = Lru.length t.statements
       })
 
 (* [AT n] queries the known future: the current physical state as it
@@ -266,30 +269,22 @@ let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
   let listing = order_and_limit ~columns ~order_by ~limit relation in
   Rows { columns; relation; listing; texp_e; recomputed = false }
 
-(* Shard-side half of a distributed approximate aggregate: the plan,
-   through the cache, runs up to its sketch operator, whose folded
-   sketch (not rows) the coordinator merges with other shards'
-   partials. *)
+(* The shard-side halves of distributed aggregates: {!run}'s
+   [Sketch_partial] and [Agg_partial].  AVG travels as its SUM and
+   COUNT components inside the slices, never pre-averaged. *)
 let sketch_partial ?trace ?text t q =
   let entry, _ = planned_query ?trace ?text t q in
   if entry.p_approx = None then
-    failwith "sketch_partial: query has no APPROX_COUNT/SAMPLE item";
+    failwith "a sketch partial needs an APPROX_COUNT or SAMPLE query";
   Trace.span trace "sketch-query" (fun () ->
       (entry.p_columns, Executor.sketch ?trace ~db:t.db entry.p_compiled))
 
-(* Shard-side half of a distributed grouped aggregate: condense the
-   decomposed child's local rows into expiration-slice partials.  The
-   coordinator merges one such partial per shard and finalises — AVG
-   travels as its SUM and COUNT components inside the slices, never
-   pre-averaged.  The query runs through the executor up to its fused
-   aggregate node, which folds the child's cut batches straight into the
-   partial under the [aggregate] operator span. *)
 let aggregate_partial ?trace ?text t { Ast.q; at; order_by = _; limit = _ } =
   let tau = tau_of_at t at in
   let entry, hit = planned_query ?trace ?text t q in
   let { p_compiled = compiled; p_columns = columns; p_approx = approx; _ } = entry in
   if Lower.decompose { Lower.expr = compiled.Plan.logical; columns; approx } = None
-  then failwith "aggregate_partial: query does not decompose";
+  then failwith "a grouped partial needs a query that decomposes";
   let partial, child_texp =
     Trace.span trace "eval" (fun () ->
         (* the scan under a standing COUNT never invalidates *)
@@ -689,15 +684,28 @@ let guard f =
   | exception Invalid_argument msg -> Error msg
   | exception Failure msg -> Error msg
 
-let exec ?trace ?text t statement =
-  guard (fun () ->
-      let outcome = exec_statement ?trace ?text t statement in
-      (* Clock movement is the churn tracker's sampling edge: rates are
-         per logical tick, so sample exactly when ticks happen. *)
-      (match statement with
-       | Ast.Advance_to _ | Ast.Tick _ | Ast.Vacuum -> observe_churn t
-       | _ -> ());
-      outcome)
+type _ want =
+  | Answer : outcome want
+  | Agg_partial : (string list * Partial_agg.t * Time.t) want
+  | Sketch_partial : (string list * Expirel_sketch.Any.t) want
+
+let run (type a) ?trace ?text (want : a want) t statement : (a, string) result =
+  guard (fun () : a ->
+      match want, statement with
+      | Answer, _ ->
+        let outcome = exec_statement ?trace ?text t statement in
+        (* Clock movement is the churn tracker's sampling edge: rates are
+           per logical tick, so sample exactly when ticks happen. *)
+        (match statement with
+         | Ast.Advance_to _ | Ast.Tick _ | Ast.Vacuum -> observe_churn t
+         | _ -> ());
+        outcome
+      | Agg_partial, Ast.Query qs -> aggregate_partial ?trace ?text t qs
+      | Sketch_partial, Ast.Query { q; _ } -> sketch_partial ?trace ?text t q
+      | (Agg_partial | Sketch_partial), _ ->
+        failwith "a shard partial needs a query")
+
+let exec ?trace ?text t statement = run ?trace ?text Answer t statement
 
 let subscribe t ~name statement handler =
   guard (fun () ->
@@ -775,16 +783,22 @@ let standing_aggregates t =
 
 (* Parse through the statement cache.  A parsed AST is immutable, so
    sharing one across requests is safe; parse errors raise before the
-   store and are never cached.  Raises [Parser.Error]. *)
+   store and are never cached.  A statement that plans (a query,
+   EXPLAIN ANALYZE) gets an entry, which {!planned_query} fills with its
+   plan; a concurrent parse of the same text keeps the first entry.
+   Raises [Parser.Error]. *)
 let parse t text =
-  match Mutex.protect t.plan_mutex (fun () -> Lru.find t.parse_cache text) with
-  | Some statement -> statement
+  match
+    Mutex.protect t.plan_mutex (fun () -> Lru.find t.statements text)
+  with
+  | Some { statement; _ } -> statement
   | None ->
     let statement = Parser.parse_statement text in
     (match statement with
-     | Ast.Query _ ->
+     | Ast.Query _ | Ast.Explain_analyze _ ->
        Mutex.protect t.plan_mutex (fun () ->
-           Lru.set t.parse_cache text statement)
+           if Option.is_none (Lru.find t.statements text) then
+             Lru.set t.statements text { statement; plan = None })
      | _ -> ());
     statement
 

@@ -71,11 +71,15 @@ type plan_cache_stats = {
 }
 
 val plan_cache_stats : t -> plan_cache_stats
-(** Counters for the session's physical plan cache.  Queries (without
-    [AT]) are lowered and planned once per distinct statement and
-    catalog generation, then served from an LRU; any DDL — CREATE/DROP
-    TABLE, CREATE/DROP INDEX — bumps the generation and invalidates
-    every cached plan at once. *)
+(** Counters for the session's statement cache: one 64-entry LRU keyed
+    by statement text, each entry holding the statement's parse
+    ({!parse}) and its physical plan, stamped with the catalog
+    generation it was made under.  A query is lowered and planned once
+    per distinct text and generation; any DDL — CREATE/DROP TABLE,
+    CREATE/DROP INDEX — bumps the generation and invalidates every
+    cached plan at once.  [hits] and [misses] count one per query
+    request that carries its text (a query, EXPLAIN ANALYZE, a shard
+    partial); [entries] counts the cached statements. *)
 
 val view_horizons : t -> (string * Time.t) list
 (** [texp(e)] horizon per view, sorted by name: how long each
@@ -103,39 +107,98 @@ val churn_rates : t -> float * float
 (** {!horizon}'s [(arrival_rate, expiration_rate)] alone, sampled at the
     current clock. *)
 
+type _ want =
+  | Answer : outcome want  (** the statement's outcome *)
+  | Agg_partial : (string list * Expirel_exec.Partial_agg.t * Time.t) want
+      (** a shard's half of a distributed grouped aggregate *)
+  | Sketch_partial : (string list * Expirel_sketch.Any.t) want
+      (** a shard's half of a distributed approximate aggregate *)
+(** What {!run} answers with: the statement's own outcome, or one of
+    the two partials a cluster coordinator asks a shard for. *)
+
+val run :
+  ?trace:Expirel_obs.Trace.t ->
+  ?text:string ->
+  'a want ->
+  t ->
+  Ast.statement ->
+  ('a, string) result
+(** The one statement entry: a client's statement and each kind of
+    shard request run here, under {!guard}, so a statement error
+    answers [Error] with the same text however the statement arrived.
+    [trace] and [text] are as for {!exec}.
+
+    [Answer] is {!exec}.
+
+    [Agg_partial] requires a query that {!Lower.decompose}s, and
+    condenses the decomposed child's local rows into expiration-slice
+    partials.  The query runs through {!Expirel_exec.Executor.partial}
+    — at the statement's [AT] time when it has one — whose fused
+    aggregate folds the child's cut batches under an [op:aggregate]
+    span.  It answers the final answer's column labels, the partial
+    and the child's texp(e); the coordinator merges one partial per
+    shard with {!Expirel_exec.Partial_agg.merge_all} and finalises with
+    the same parameters it decomposed.  The plan and a grouped COUNT's
+    standing entry are shared with [Answer]'s.
+
+    [Sketch_partial] requires a query carrying [APPROX_COUNT] or
+    [SAMPLE] and runs it up to its sketch operator
+    ({!Expirel_exec.Executor.sketch}) at the current clock ([AT] is
+    ignored: the partial covers the whole expiration axis).  It answers
+    the folded sketch with the answer's column labels, so the
+    coordinator can {!Expirel_sketch.Any.merge} every shard's partial
+    and render rows from the union.  The run sits under a
+    [sketch-query] span; the fold records the sketch's gauges in
+    {!Expirel_sketch.Observatory}.
+
+    A partial of a statement that is not a query, or of a query of the
+    wrong shape, answers [Error]. *)
+
+val guard : (unit -> 'a) -> ('a, string) result
+(** The one mapping of statement errors to answers: an unknown
+    relation, an arity mismatch, a lowering error, [Invalid_argument]
+    and [Failure] become [Error] with their text; anything else
+    propagates. *)
+
 val exec :
   ?trace:Expirel_obs.Trace.t ->
   ?text:string ->
   t ->
   Ast.statement ->
   (outcome, string) result
-(** [trace], when given, records spans for the statement's stages —
+(** [run Answer]: the statement's outcome, or its error's text.
+
+    [trace], when given, records spans for the statement's stages —
     [lower] and [plan] for queries on a plan-cache miss, [eval] always
     (with per-operator [op:<name>] child spans named after the physical
     operators), [storage] around state mutation — onto the caller's
     per-request trace.
 
-    [text], when given, is the statement's source string and serves as
-    the plan-cache key (hashing a short string beats re-hashing an AST;
-    see {!plan_cache_stats}).  Callers that hold only an AST omit it and
-    replan each time — correct, just uncached.
+    [text], when given, is the statement's source string, the key of
+    the statement cache entry {!parse} made for it (hashing a short
+    string beats re-hashing an AST; see {!plan_cache_stats}).  Callers
+    that hold only an AST omit it and replan each time — correct, just
+    uncached — as does a text whose entry was evicted since its parse.
 
     A grouped COUNT over a scan ({!Expirel_exec.Subscription.counted})
     without [AT] is promoted on its plan's first cache hit to a
     standing entry that every {!write} and clock move keeps current;
     later runs read it under the same [eval] and [op:aggregate] spans,
     O(groups) instead of a fold of every row.  The entry ends when the
-    plan cache evicts the text (its 64 entries bound them), at any
+    statement cache evicts the text (its 64 entries bound them), at any
     catalog change and at {!install_snapshot}; a read that finds it
     missed a mutation bypassing {!write} (a raw {!Database.insert})
     rebuilds it.  Entries never block DROP TABLE, which ends them. *)
 
 val parse : t -> string -> Ast.statement
-(** Parse one statement through the interpreter's statement cache:
-    query texts are cached (text -> AST) so a repeated statement skips
-    the parser, which costs several times more than lowering + planning
-    combined.  Mutations parse normally and are not cached — their
-    texts carry distinct literals and would only churn the LRU.
+(** Parse one statement through the interpreter's statement cache: a
+    repeated text skips the parser, which costs several times more than
+    lowering + planning combined.  A statement that plans — a query or
+    EXPLAIN ANALYZE — gets an entry keyed by its text, which its first
+    run with that [text] ({!run}, {!exec}) fills with its plan.
+    Mutations parse normally and are not cached — their texts carry
+    distinct literals and would only churn the LRU — and neither is a
+    text that fails to parse.
     Raises [Parser.Error] like {!Parser.parse_statement}. *)
 
 val subscribe :
@@ -178,52 +241,13 @@ val install_snapshot :
     query ends.  The clock jump it may carry delivers no events.
     [Error] without a durable store. *)
 
-val sketch_partial :
-  ?trace:Expirel_obs.Trace.t ->
-  ?text:string ->
-  t ->
-  Ast.query ->
-  string list * Expirel_sketch.Any.t
-(** Shard-side half of a distributed approximate aggregate: plans the
-    query (which must carry [APPROX_COUNT] or [SAMPLE]) through the
-    plan cache keyed by [text], as {!aggregate_partial} does, and runs
-    it up to its sketch operator ({!Expirel_exec.Executor.sketch}),
-    returning the folded sketch with the answer's column labels so the
-    coordinator can {!Expirel_sketch.Any.merge} partials from every
-    shard and render rows from the union.  The run sits under a
-    [sketch-query] span on [trace]; the fold records the sketch's
-    gauges in {!Expirel_sketch.Observatory}.
-    Raises [Failure] when the query has no approximate item, plus
-    whatever lowering and evaluation raise. *)
-
-val aggregate_partial :
-  ?trace:Expirel_obs.Trace.t ->
-  ?text:string ->
-  t ->
-  Ast.query_stmt ->
-  string list * Expirel_exec.Partial_agg.t * Expirel_core.Time.t
-(** Shard-side half of a distributed grouped aggregate: lowers the
-    query, requires it to {!Lower.decompose}, and condenses the
-    decomposed child's local rows into expiration-slice partials.  The
-    query runs through {!Expirel_exec.Executor.partial} — at the
-    statement's [AT] time when it has one — whose fused aggregate folds
-    the child's cut batches under an [op:aggregate] span.  Returns the
-    final answer's column labels, the partial, and the child's texp(e)
-    — the coordinator merges one partial per shard with
-    {!Expirel_exec.Partial_agg.merge_all} and finalises with the same
-    parameters it decomposed.
-    With [text], the plan and a grouped COUNT's standing entry are
-    shared with {!exec}'s.
-    Raises [Failure] when the query does not decompose or the [AT] time
-    is past, plus whatever lowering and evaluation raise. *)
-
 val standing_aggregates : t -> int * int
 (** The promoted grouped COUNT queries (see {!exec}), and the groups
     every grouped COUNT entry holds, watches and views included. *)
 
 val exec_sql : t -> string -> (outcome, string) result
-(** Parse and execute one statement, reusing both the statement cache
-    and the plan cache for repeated texts. *)
+(** Parse and execute one statement through the statement cache: a
+    repeated query text skips the parser, lowering and planning. *)
 
 val exec_script : t -> string -> (outcome, string) result list
 (** Execute a [;]-separated script, one result per statement; execution

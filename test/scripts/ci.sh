@@ -48,6 +48,20 @@ if grep -rnE '\bProfile\.|\?profile\b|Executor\.probe\b|\bxprobe_of\b' lib bin; 
   echo "ci: the names above belong to the removed profile sink or probe hook" >&2
   exit 1
 fi
+# One statement path on a node: statement errors become answers only in
+# Interp.guard, whichever request carried the statement, so no server
+# code catches them itself.  (Rebalance input validation's
+# Invalid_argument is not a statement error.)
+if grep -rnE 'exception (Errors\.|Lower\.Error|Failure)' lib/server; then
+  echo "ci: the server maps statement errors above; answer through Interp.guard" >&2
+  exit 1
+fi
+# One statement cache: Interp keeps one text-keyed LRU holding each
+# statement's parse and plan.
+if grep -rn 'parse_cache' lib bin; then
+  echo "ci: the names above belong to the removed second LRU" >&2
+  exit 1
+fi
 # lib/obs, lib/exec and lib/sketch compile with -warn-error +a (their
 # dunes say so); build them alone first so a warning fails fast with a
 # small log.

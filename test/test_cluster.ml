@@ -841,6 +841,53 @@ let test_shard_failed () =
       | r ->
         Alcotest.failf "expected an error, got %s" (Wire.render_response r))
 
+(* A statement error raised inside a shard's partial aggregate (a SUM
+   over strings: each group sits on one shard, two strings apiece)
+   answers with the single node's text.  The shard keeps its
+   connection, so every shard stays reachable and the next GROUP BY
+   answers. *)
+let test_shard_partial_error () =
+  let statements =
+    "CREATE TABLE t (g, name)"
+    :: List.concat_map
+         (fun g ->
+           List.map
+             (fun suffix ->
+               Printf.sprintf "INSERT INTO t VALUES (%d, 'n%d%s') EXPIRES 50" g
+                 g suffix)
+             [ "a"; "b" ])
+         [ 1; 2; 3; 4; 5; 6 ]
+  in
+  let bad = "SELECT g, SUM(name) FROM t GROUP BY g" in
+  let single = Expirel_sqlx.Interp.create () in
+  List.iter
+    (fun sql -> ignore (ok (Expirel_sqlx.Interp.exec_sql single sql)))
+    statements;
+  let expected =
+    match Expirel_sqlx.Interp.exec_sql single bad with
+    | Error message -> message
+    | Ok _ -> Alcotest.fail "the single node summed strings"
+  in
+  with_cluster 2 (fun coord _servers _eps ->
+      List.iter (fun sql -> ignore (exec coord sql)) statements;
+      (match Coordinator.exec coord bad with
+       | Wire.Err { code = Wire.Exec_error; message } ->
+         Alcotest.(check string) "the single node's error" expected message
+       | r ->
+         Alcotest.failf "expected an Exec_error, got %s"
+           (Wire.render_response r));
+      List.iter
+        (fun (id, _, reachable) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d still reachable" id)
+            true reachable)
+        (Coordinator.summaries coord);
+      let rows, _ =
+        rows_of "GROUP BY"
+          (exec coord "SELECT g, COUNT(*) FROM t GROUP BY g")
+      in
+      Alcotest.(check int) "the next GROUP BY answers" 6 (List.length rows))
+
 (* ---------- qcheck: cluster == single node on random workloads ---------- *)
 
 (* The distributed-execution law: over random shard counts, workloads
@@ -1394,6 +1441,8 @@ let suite =
       test_count_partial_two_slices;
     Alcotest.test_case "a dead shard surfaces as Shard_failed" `Quick
       test_shard_failed;
+    Alcotest.test_case "a shard's statement error answers like one node's"
+      `Quick test_shard_partial_error;
     qcheck_cluster_matches_single_node;
     Alcotest.test_case "global aggregates combine from shard partials" `Quick
       test_aggregate_combine;

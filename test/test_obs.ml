@@ -259,6 +259,27 @@ let test_trace_ids_parents_labels () =
       outer.Trace.labels
   | spans -> Alcotest.failf "expected 3 spans, got %d" (List.length spans)
 
+(* Fresh trace ids are fixed-width: the counter passing 0xf and 0xff,
+   or a large pid, does not change an id's length, so a traced
+   request's encoded size does not depend on them. *)
+let test_trace_id_fixed_width () =
+  let width = String.length (Trace.trace_id (Trace.create ())) in
+  List.iter
+    (fun (pid, seq) ->
+      Alcotest.(check int)
+        (Printf.sprintf "pid %d, counter %#x" pid seq)
+        width
+        (String.length
+           (Trace.format_trace_id ~us:1_760_000_000_000_000L ~pid ~seq)))
+    [ (1, 0); (1, 0xf); (1, 0x10); (1, 0xff); (1, 0x100); (4_194_304, 0xfff);
+      (4_194_304, 1 lsl 40) ];
+  let ids = List.init 300 (fun _ -> Trace.trace_id (Trace.create ())) in
+  List.iter
+    (fun id -> Alcotest.(check int) ("length of " ^ id) width (String.length id))
+    ids;
+  Alcotest.(check int) "fresh ids differ" 300
+    (List.length (List.sort_uniq String.compare ids))
+
 (* A trace created from a remote context inherits the id and parents its
    top-level spans under the caller's span — the propagation invariant
    the wire relies on. *)
@@ -794,6 +815,8 @@ let suite =
       test_trace_records_on_raise;
     Alcotest.test_case "trace ids, parents, labels" `Quick
       test_trace_ids_parents_labels;
+    Alcotest.test_case "fresh trace ids are fixed-width" `Quick
+      test_trace_id_fixed_width;
     Alcotest.test_case "trace inherits remote context" `Quick
       test_trace_inherited_context;
     Alcotest.test_case "self time" `Quick test_self_us;

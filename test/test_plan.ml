@@ -943,7 +943,36 @@ let test_plan_cache_hits () =
     after.Interp.hits;
   Alcotest.(check int) "no further misses" after_first.Interp.misses
     after.Interp.misses;
-  Alcotest.(check bool) "cache holds entries" true (after.Interp.entries >= 1)
+  Alcotest.(check bool) "cache holds entries" true (after.Interp.entries >= 1);
+  (* A text that fails to parse is never cached: it fails again, and
+     neither the entries nor the query counters move. *)
+  expect_error t "SELEC uid FROM pol";
+  expect_error t "SELEC uid FROM pol";
+  let after_bad = stats t in
+  Alcotest.(check int) "no entry for a parse failure" after.Interp.entries
+    after_bad.Interp.entries;
+  Alcotest.(check int) "a parse failure is no query request"
+    (after.Interp.hits + after.Interp.misses)
+    (after_bad.Interp.hits + after_bad.Interp.misses)
+
+(* A statement's answer through the cache, and the same statement run
+   uncached (no text): rows and texp(e) must agree. *)
+let check_cached_equals_uncached t sql =
+  let answer = function
+    | Interp.Rows { relation; texp_e; _ } -> (relation, texp_e)
+    | Interp.Msg m -> Alcotest.failf "%s: expected rows, got %S" sql m
+  in
+  let cached_rel, cached_texp = answer (exec t sql) in
+  let uncached_rel, uncached_texp =
+    match Interp.exec t (Parser.parse_statement sql) with
+    | Ok outcome -> answer outcome
+    | Error e -> Alcotest.failf "%s uncached: %s" sql e
+  in
+  Alcotest.check relation_t (sql ^ ": cached rows = uncached") uncached_rel
+    cached_rel;
+  Alcotest.(check bool)
+    (sql ^ ": cached texp(e) = uncached") true
+    (Time.equal cached_texp uncached_texp)
 
 let test_plan_cache_invalidated_by_ddl () =
   let t = setup_indexed () in
@@ -957,18 +986,46 @@ let test_plan_cache_invalidated_by_ddl () =
   let after_create = stats t in
   Alcotest.(check int) "CREATE TABLE forces a replan" (cached.Interp.misses + 1)
     after_create.Interp.misses;
+  let grouped = "SELECT deg, COUNT(*) FROM pol GROUP BY deg" in
+  (* twice: the second run is a hit and promotes the grouped COUNT *)
+  check_cached_equals_uncached t grouped;
+  check_cached_equals_uncached t grouped;
+  let before_index = stats t in
   ignore (exec t "CREATE INDEX ON pol (deg)");
-  ignore (exec t "SELECT uid FROM pol WHERE deg = 25");
+  check_cached_equals_uncached t "SELECT uid FROM pol WHERE deg = 25";
   let after_index = stats t in
   Alcotest.(check int) "CREATE INDEX forces a replan"
-    (after_create.Interp.misses + 1)
+    (before_index.Interp.misses + 1)
     after_index.Interp.misses;
+  check_cached_equals_uncached t "SELECT uid FROM pol WHERE deg = 25";
+  check_cached_equals_uncached t grouped;
+  check_cached_equals_uncached t grouped;
+  let before_drop = stats t in
   ignore (exec t "DROP TABLE other");
   ignore (exec t "SELECT uid FROM pol WHERE deg = 25");
   let after_drop = stats t in
   Alcotest.(check int) "DROP TABLE forces a replan"
-    (after_index.Interp.misses + 1)
-    after_drop.Interp.misses
+    (before_drop.Interp.misses + 1)
+    after_drop.Interp.misses;
+  (* 65 distinct texts evict every earlier entry (the cache holds 64),
+     the promoted grouped COUNT's included; the evicted statements
+     replan and still answer as an uncached run does. *)
+  for uid = 1 to 65 do
+    ignore (exec t (Printf.sprintf "SELECT deg FROM pol WHERE uid = %d" uid))
+  done;
+  let after_churn = stats t in
+  Alcotest.(check int) "the cache stays bounded" 64 after_churn.Interp.entries;
+  Alcotest.(check (pair int int)) "the churn ended the promoted entry" (0, 0)
+    (Interp.standing_aggregates t);
+  check_cached_equals_uncached t grouped;
+  check_cached_equals_uncached t "SELECT uid FROM pol WHERE deg = 25";
+  Alcotest.(check int) "evicted statements replan"
+    (after_churn.Interp.misses + 2)
+    (stats t).Interp.misses;
+  ignore (exec t "INSERT INTO pol VALUES (4, 25) EXPIRES 12");
+  check_cached_equals_uncached t grouped;
+  check_cached_equals_uncached t grouped;
+  check_cached_equals_uncached t "SELECT uid FROM pol WHERE deg = 25"
 
 let test_index_ddl_changes_explain () =
   let t = setup_indexed () in

@@ -842,14 +842,31 @@ let test_metrics_horizon_families () =
 (* The plan cache's counters ride the Prometheus page, including the requests_total denominator the
    hit-ratio health rule divides by. *)
 let test_plan_cache_metrics () =
-  with_server (fun _server port ->
+  with_server (fun server port ->
       with_client port (fun client ->
           load_profiles client;
+          let counted () =
+            let s = Expirel_sqlx.Interp.plan_cache_stats (Server.interp server) in
+            s.Expirel_sqlx.Interp.hits + s.Expirel_sqlx.Interp.misses
+          in
+          (* hits + misses rise by exactly one per query request, and by
+             nothing for a write or a text that does not parse *)
+          let counts_once ~queries request =
+            let before = counted () in
+            let reply = ok (Client.request client request) in
+            Alcotest.(check int)
+              (Wire.render_response reply ^ ": counted")
+              (before + queries) (counted ())
+          in
+          Alcotest.(check int) "writes count nothing" 0 (counted ());
           List.iter
             (fun sql ->
-              match exec client sql with
-              | Wire.Rows _ -> ()
-              | r -> Alcotest.fail ("expected rows, got " ^ Wire.render_response r))
+              let before = counted () in
+              (match exec client sql with
+               | Wire.Rows _ -> ()
+               | r -> Alcotest.fail ("expected rows, got " ^ Wire.render_response r));
+              Alcotest.(check int) (sql ^ ": counted once") (before + 1)
+                (counted ()))
             [ "SELECT uid FROM pol"; "SELECT uid FROM pol";
               "SELECT uid FROM pol" ];
           let text = ok (Client.metrics client) in
@@ -861,7 +878,20 @@ let test_plan_cache_metrics () =
               "expirel_plan_cache_hits_total 2";
               "expirel_plan_cache_misses_total 1";
               "expirel_plan_cache_requests_total 3";
-              "expirel_plan_cache_entries 1" ]))
+              "expirel_plan_cache_entries 1" ];
+          let shard want sql = Wire.Shard_exec { sql; ctx = None; want } in
+          List.iter
+            (fun (queries, request) -> counts_once ~queries request)
+            [ (1, Wire.Exec "EXPLAIN ANALYZE SELECT uid FROM pol");
+              (1, Wire.Exec "EXPLAIN ANALYZE SELECT uid FROM pol");
+              (1, shard Wire.Want_rows "SELECT uid FROM pol");
+              (1, shard Wire.Want_agg "SELECT deg, COUNT(*) FROM pol GROUP BY deg");
+              (1, shard Wire.Want_agg "SELECT deg, COUNT(*) FROM pol GROUP BY deg");
+              (1, shard Wire.Want_sketch "SELECT APPROX_COUNT(0.1) FROM pol");
+              (1, Wire.Exec "SELECT uid FROM nope");
+              (0, Wire.Exec "SELEC uid FROM pol");
+              (0, Wire.Exec "INSERT INTO pol VALUES (4, 25) EXPIRES 20");
+              (0, Wire.Exec "SHOW NOW") ]))
 
 (* A raising replication provider must cost the replication samples,
    never a request: the repl families go sample-less, METRICS still
