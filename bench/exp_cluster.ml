@@ -12,7 +12,11 @@
      min/max-texp bounds: shards whose whole partition is provably
      dead at tau are never contacted;
    - key-routed point reads ([WHERE k = c] on the partitioning column)
-     against the same reads forced to broadcast.
+     against the same reads forced to broadcast;
+   - a repeated GROUP BY COUNT over 10^4 rows in 10^3 groups with one
+     routed write between reads: microseconds and shard bytes per read
+     when the coordinator keeps the groups and the shards ship deltas,
+     against the stateless path.
 
    Expected shape: with 2 of 3 partitions expired, pruning cuts fan-out
    messages by ~2/3 and reply bytes by more (dead shards answer with
@@ -268,6 +272,67 @@ let run_all () =
       Bench_util.metric_int "groupby_gather_bytes_per_query" gathered_bytes;
       Bench_util.metric "gather_join_req_per_s" gjoin_rps;
       Bench_util.metric_int "gather_join_bytes_per_query" gjoin_bytes;
+
+      (* ---- a repeated GROUP BY COUNT, one write between reads ----
+
+         10^4 rows in 10^3 groups.  The coordinator keeps the merged
+         groups, and each shard answers its cursor with the groups
+         written since: after one routed write, one group crosses the
+         wire and one is re-finalised.  The same reads through the
+         forced broadcast ([~prune:false]) take the stateless path —
+         every shard's condensed groups, merged and finalised whole. *)
+      Bench_util.subsection "repeated GROUP BY COUNT, one write between reads";
+      let sg_rows = 10_000 and sg_groups = 1_000 and sg_reads = 100 in
+      ignore (no_err (Coordinator.exec coord "CREATE TABLE sg (k, grp)"));
+      for k = 1 to sg_rows do
+        ignore
+          (no_err
+             (Coordinator.exec coord
+                (Printf.sprintf "INSERT INTO sg VALUES (%d, %d) EXPIRES %d" k
+                   (k mod sg_groups) (100_000 + (k mod 97)))))
+      done;
+      let sg_sql = "SELECT grp, COUNT(*) FROM sg GROUP BY grp" in
+      let answer ~prune =
+        match no_err (Coordinator.exec ~prune coord sg_sql) with
+        | Wire.Rows { rows; texp_e; _ } -> (List.sort compare rows, texp_e)
+        | r -> failwith (sg_sql ^ ": " ^ Wire.render_response r)
+      in
+      let repeated ~prune =
+        (* the shards promote the text on its second read, and ship
+           every group to the kept path on its third *)
+        for _ = 1 to 3 do ignore (answer ~prune) done;
+        let bytes = ref 0 and seconds = ref 0. in
+        for i = 1 to sg_reads do
+          (* an overwrite: row i takes a new texp *)
+          ignore
+            (no_err
+               (Coordinator.exec coord
+                  (Printf.sprintf "INSERT INTO sg VALUES (%d, %d) EXPIRES %d" i
+                     (i mod sg_groups) (200_000 + i))));
+          let before = Coordinator.traffic coord in
+          let (_ : _ * Time.t), s = Bench_util.time_it (fun () -> answer ~prune) in
+          let after = Coordinator.traffic coord in
+          bytes :=
+            !bytes + after.Coordinator.bytes_sent - before.Coordinator.bytes_sent
+            + after.Coordinator.bytes_received - before.Coordinator.bytes_received;
+          seconds := !seconds +. s
+        done;
+        (!seconds *. 1e6 /. float_of_int sg_reads, !bytes / sg_reads)
+      in
+      let kept_us, kept_bytes = repeated ~prune:true in
+      let stateless_us, stateless_bytes = repeated ~prune:false in
+      let kept = answer ~prune:true in
+      if kept <> answer ~prune:false || List.length (fst kept) <> sg_groups then
+        failwith "exp-cluster: the kept GROUP BY differs from the stateless one";
+      Bench_util.table
+        ~headers:[ "path"; "us/read"; "shard bytes/read" ]
+        [ [ "kept, deltas"; Printf.sprintf "%.0f" kept_us; string_of_int kept_bytes ];
+          [ "stateless (~prune:false)"; Printf.sprintf "%.0f" stateless_us;
+            string_of_int stateless_bytes ] ];
+      Bench_util.metric "standing_groupby_n10000_g1000_us_per_read" kept_us;
+      Bench_util.metric_int "standing_groupby_n10000_g1000_bytes_per_read" kept_bytes;
+      Bench_util.metric "stateless_groupby_n10000_g1000_us_per_read" stateless_us;
+      Bench_util.metric_int "stateless_groupby_n10000_g1000_bytes_per_read" stateless_bytes;
 
       (* ---- key-routed point reads vs broadcast ----
 

@@ -4,6 +4,8 @@ open Expirel_server
 open Expirel_repl
 module Obs = Expirel_obs
 module Sketch = Expirel_sketch
+module Partial_agg = Expirel_exec.Partial_agg
+module Subscription = Expirel_exec.Subscription
 
 type endpoint = Member.endpoint = {
   host : string;
@@ -18,6 +20,23 @@ type slot = {
   mutable summary : Wire.partition_texp option;  (* None = unknown *)
   mutable map_version_seen : int;
   mutable reachable : bool;
+}
+
+(* ---------- standing GROUP BY COUNT ---------- *)
+
+(* A repeated cluster GROUP BY COUNT, kept: per shard the groups it
+   shipped (aged here) and the cursor it shipped them under, and their
+   sum with the answer it finalises to.  Valid for one [epoch]. *)
+type held = {
+  mutable cursor : Partial_agg.cursor;
+  mutable groups : Partial_agg.standing;
+}
+
+type kept = {
+  lock : Mutex.t;  (* one read at a time applies its replies *)
+  epoch : int;
+  held : (int, held) Hashtbl.t;  (* by shard id *)
+  mutable counts : Subscription.counts;
 }
 
 type traffic = {
@@ -40,7 +59,9 @@ type t = {
   messages_total : Obs.Instrument.Counter.t;
   bytes_sent_total : Obs.Instrument.Counter.t;
   bytes_received_total : Obs.Instrument.Counter.t;
-  state : Mutex.t;  (* guards map/slots/now/tables/indexes *)
+  agg_delta_reads_total : Obs.Instrument.Counter.t;
+  agg_full_reads_total : Obs.Instrument.Counter.t;
+  state : Mutex.t;  (* guards map/slots/now/tables/indexes/kept *)
   tables : (string, string list) Hashtbl.t;
       (* the cluster catalog as this coordinator knows it: seeded from
          the CREATE TABLEs it broadcasts, lazily recovered from a
@@ -61,6 +82,10 @@ type t = {
          from a source: a read whose flight spans a bump may have
          looked where a row no longer is, and runs again *)
   mutable now : Time.t;  (* mirror of the cluster's logical clock *)
+  kept : (string, kept) Expirel_exec.Lru.t;
+      (* repeated GROUP BY COUNT texts, kept; an entry whose epoch is
+         not [epoch] is dropped on its next read *)
+  mutable epoch : int;  (* bumped by every DDL and shard-map change *)
   mutable last_health : Obs.Health.level;
   mutable last_horizon : Obs.Horizon.report option;
       (* the last merged cluster forecast; the registry's horizon
@@ -344,36 +369,36 @@ let span_offset_us tr at =
   let us = (at -. Obs.Trace.started_at tr) *. 1e6 in
   if us < 0. then 0 else int_of_float us
 
-(* The query's evaluation time: the cluster clock, pushed forward by an
-   explicit AT. *)
+(* The query's evaluation time: the cluster clock, or an explicit AT,
+   refused before the clock as one node refuses it.
+   @raise Failure on an AT in the past *)
 let query_tau t (qs : Ast.query_stmt) =
   let now = locked t (fun () -> t.now) in
-  match qs.Ast.at with
-  | Some n -> Time.max now (Time.of_int n)
-  | None -> now
+  Option.value (Interp.at_tau ~now qs.Ast.at) ~default:now
 
-(* Fan one request out to [contacted] in parallel, under a [scatter]
-   span; a single contact runs in the caller's thread, with nothing to
-   overlap it with.  The rpc spans are recorded after the join (a trace
-   is not synchronised across threads); offsets and durations are the
-   ones measured around each send.  Replies come back in contact
-   order. *)
-let fan_out ?trace t contacted request =
+(* Fan each contact's request out in parallel, under a [scatter] span;
+   a single contact runs in the caller's thread, with nothing to
+   overlap it with.  The requests are built before the span opens, so
+   the trace context they ship names the caller's span, not [scatter].
+   The rpc spans are recorded after the join (a trace is not
+   synchronised across threads); offsets and durations are the ones
+   measured around each send.  Replies come back in contact order. *)
+let fan_out ?trace t requests =
   Obs.Trace.span trace "scatter" @@ fun () ->
-  let call slot =
+  let call (slot, request) =
     let t0 = Unix.gettimeofday () in
     let r = send t slot request in
     (slot, r, t0, Unix.gettimeofday ())
   in
   let results =
-    match contacted with
-    | [ slot ] -> [ call slot ]
+    match requests with
+    | [ contact ] -> [ call contact ]
     | _ ->
-      let results = Array.make (List.length contacted) None in
+      let results = Array.make (List.length requests) None in
       List.mapi
-        (fun i slot ->
-          Thread.create (fun () -> results.(i) <- Some (call slot)) ())
-        contacted
+        (fun i contact ->
+          Thread.create (fun () -> results.(i) <- Some (call contact)) ())
+        requests
       |> List.iter Thread.join;
       List.filter_map Fun.id (Array.to_list results)
   in
@@ -422,7 +447,8 @@ let gather ~what extract replies =
 let scatter ?trace t contacted ~want ~what sql extract =
   Result.map (List.map snd)
     (gather ~what extract
-       (fan_out ?trace t contacted (shard_exec ?trace ~want sql)))
+       (let request = shard_exec ?trace ~want sql in
+        fan_out ?trace t (List.map (fun slot -> (slot, request)) contacted)))
 
 let rows_body = function
   | Wire.Shard_reply
@@ -441,7 +467,9 @@ let rows_body = function
    and the forecast must name every table.  Returns the merged report
    plus the per-shard live-row breakdown. *)
 let gather_horizon ?trace ?table t =
-  let replies = fan_out ?trace t (slots t) (Wire.Horizon table) in
+  let replies =
+    fan_out ?trace t (List.map (fun slot -> (slot, Wire.Horizon table)) (slots t))
+  in
   match
     gather ~what:"a horizon request"
       (function
@@ -647,6 +675,156 @@ let sketch_ok = function
   | Ok s -> s
   | Error m -> failwith ("sketch partials: " ^ m)
 
+(* The coordinator's half of a fan-out, under a [merge] span; a
+   statement error it raises answers as one node's would. *)
+let merging ?trace merge =
+  Obs.Trace.span trace "merge" @@ fun () ->
+  match merge () with
+  | reply -> reply
+  | exception (Failure message | Invalid_argument message | Lower.Error message) ->
+    err message
+
+(* A repeated GROUP BY COUNT over every shard, kept at the coordinator:
+   each shard is asked with the cursor of the groups it last shipped
+   and answers only the groups written since (all of them for a cursor
+   it does not know: a text's second read, a rebuilt or evicted entry,
+   a restart).  Each shipped group replaces this coordinator's copy of
+   that shard's group in the sum; every copy then ages to the query's
+   tau by expiration alone, and only the groups a reply or an
+   expiration touched are re-finalised ({!Subscription.regroup}).
+
+   Holding the member multisets, rather than the shards' condensed
+   two-slice groups, is what lets the copy age: a condensed group says
+   nothing past its change point nu, so it would have to be refetched
+   there.  A shard the read prunes holds nothing live, so its copy
+   empties.  So does the copy of a shard that answered condensed (it
+   kept no standing entry yet, as on a text's first read); that read
+   is answered from the merged partials, as the stateless path answers
+   it.  [None]: a move or a catalog change landed under the read,
+   which must be answered the stateless way. *)
+let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
+  Obs.Instrument.Counter.incr t.fanouts_total;
+  let contacted, moves = contacts ~prune:true t None tau in
+  let held slot =
+    let id = slot.shard.Wire.shard_id in
+    match Hashtbl.find_opt e.held id with
+    | Some h -> h
+    | None ->
+      let h = { cursor = Partial_agg.no_cursor; groups = Partial_agg.standing_empty } in
+      Hashtbl.replace e.held id h;
+      h
+  in
+  let requests =
+    List.map
+      (fun slot ->
+        (slot, shard_exec ?trace ~want:(Wire.Want_agg (Some (held slot).cursor)) sql))
+      contacted
+  in
+  match
+    gather ~what:"an aggregate request"
+      (function
+        | Wire.Shard_reply { body = Wire.Body_agg { groups; standing; child_texp; _ }; _ }
+          ->
+          Some (groups, standing, child_texp)
+        | _ -> None)
+      (fan_out ?trace t requests)
+  with
+  | Error reply -> Some reply
+  | Ok _ when locked t (fun () -> t.moves <> moves || t.epoch <> e.epoch) -> None
+  | Ok parts ->
+    Some
+      (merging ?trace @@ fun () ->
+       let sum = ref (Subscription.counts_groups e.counts) and touched = ref [] in
+       let shift key members sign =
+         List.iter
+           (fun (texp, n) -> sum := Partial_agg.standing_change !sum key texp (sign * n))
+           members
+       in
+       let replace h (key, members) =
+         shift key (Partial_agg.standing_members h.groups key) (-1);
+         shift key members 1;
+         h.groups <- Partial_agg.standing_replace h.groups key members;
+         touched := key :: !touched
+       in
+       let clear h =
+         List.iter (fun (key, _) -> replace h (key, [])) (Partial_agg.standing_all h.groups);
+         h.cursor <- Partial_agg.no_cursor
+       in
+       let shipped =
+         List.filter_map (fun (slot, (_, d, _)) -> Option.map (fun d -> (slot, d)) d) parts
+       in
+       List.iter
+         (fun (slot, (d : Partial_agg.delta)) ->
+           let h = held slot in
+           if d.full then clear h;
+           List.iter (replace h) d.members;
+           h.cursor <- d.cursor)
+         shipped;
+       (* A shard the read pruned holds nothing live; one that kept no
+          entry answered condensed, and ships everything next time. *)
+       Hashtbl.iter
+         (fun id h ->
+           if not (List.exists (fun (s, _) -> s.shard.Wire.shard_id = id) shipped) then clear h)
+         e.held;
+       Hashtbl.iter (fun _ h -> h.groups <- fst (Partial_agg.standing_expire h.groups tau)) e.held;
+       let groups, expired = Partial_agg.standing_expire !sum tau in
+       let counts, _, _ =
+         Subscription.regroup e.counts groups
+           (List.sort_uniq (List.compare Value.compare) (expired @ !touched))
+       in
+       e.counts <- counts;
+       if List.compare_lengths shipped parts = 0 then begin
+         if parts <> [] then
+           Obs.Instrument.Counter.incr
+             (if List.exists (fun (_, (d : Partial_agg.delta)) -> d.full) shipped then
+                t.agg_full_reads_total
+              else t.agg_delta_reads_total);
+         let { Eval.relation; texp } = Subscription.counts_answer counts in
+         present qs ~columns ~recomputed:false
+           (relation, Time.min_list (texp :: List.map (fun (_, (_, _, e)) -> e) parts))
+       end
+       else
+         finalize
+           (List.map
+              (fun (slot, (groups, standing, child_texp)) ->
+                match standing with
+                | Some _ -> (Partial_agg.standing_partial (held slot).groups, child_texp)
+                | None -> (groups, child_texp))
+              parts))
+
+let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~tau
+    ~finalize ~stateless =
+  let entry =
+    locked t (fun () ->
+        if Option.is_some t.moving then None
+        else
+          match Expirel_exec.Lru.find t.kept sql with
+          | Some e when e.epoch = t.epoch -> Some e
+          | Some _ | None ->
+            let e =
+              { lock = Mutex.create ();
+                epoch = t.epoch;
+                held = Hashtbl.create 4;
+                counts =
+                  Subscription.counts
+                    ~output:
+                      (Partial_agg.finalizer ~group:d.Lower.d_group ~func:d.Lower.d_func
+                         ~child_arity ?having:d.Lower.d_having
+                         ~projection:d.Lower.d_projection)
+                    ~arity:(List.length columns)
+              }
+            in
+            Expirel_exec.Lru.set t.kept sql e;
+            Some e)
+  in
+  match
+    Option.bind entry (fun e ->
+        Mutex.protect e.lock (fun () ->
+            standing_step ?trace t e qs sql ~columns ~tau ~finalize))
+  with
+  | Some reply -> reply
+  | None -> stateless ()
+
 (* A query, lowered once through the cluster catalog and answered by
    the route {!Lower.route} picks.  The three fan-out routes ask the
    owners of the keys the query pins (every shard when none) whose
@@ -673,14 +851,14 @@ let sketch_ok = function
 let read ?trace ~prune t (qs : Ast.query_stmt) sql =
   let catalog = coord_catalog ?trace t in
   match
+    let tau = query_tau t qs in
     let compiled = Lower.lower_query ~catalog qs.Ast.q in
-    (compiled, Lower.route ~catalog compiled)
+    (tau, compiled, Lower.route ~catalog compiled)
   with
-  | exception Lower.Error message -> err message
-  | compiled, route ->
+  | exception (Lower.Error message | Failure message) -> err message
+  | tau, compiled, route ->
     let columns = compiled.Lower.columns in
     let arity = List.length columns in
-    let tau = query_tau t qs in
     let fan ~child ~want ~what extract merge =
       Obs.Instrument.Counter.incr t.fanouts_total;
       let keys = if prune then pinned_keys child else None in
@@ -689,14 +867,7 @@ let read ?trace ~prune t (qs : Ast.query_stmt) sql =
             scatter ?trace t contacted ~want ~what sql extract)
       with
       | Error e -> e
-      | Ok parts ->
-        Obs.Trace.span trace "merge" @@ fun () ->
-        (match merge parts with
-         | reply -> reply
-         | exception
-             (Failure message | Invalid_argument message | Lower.Error message)
-           ->
-           err message)
+      | Ok parts -> merging ?trace (fun () -> merge parts)
     in
     (match route with
      | Lower.Gather ->
@@ -720,23 +891,33 @@ let read ?trace ~prune t (qs : Ast.query_stmt) sql =
            Option.fold ~none:0 ~some:List.length (table_columns ?trace t name)
          | _ -> 0
        in
-       fan ~child:d.Lower.d_child ~want:Wire.Want_agg
-         ~what:"an aggregate request" (function
-         | Wire.Shard_reply
-             { body = Wire.Body_agg { groups; child_texp; _ }; _ } ->
-           Some (groups, child_texp)
-         | _ -> None)
-         (fun parts ->
-           let partials, child_texps = List.split parts in
-           let relation, invalidation =
-             Expirel_exec.Partial_agg.finalize ~group:d.Lower.d_group
-               ~func:d.Lower.d_func ~child_arity ?having:d.Lower.d_having
-               ~projection:d.Lower.d_projection
-               (Expirel_exec.Partial_agg.merge_all ~func:d.Lower.d_func
-                  partials)
-           in
-           present qs ~columns ~recomputed:false
-             (relation, Time.min_list (invalidation :: child_texps)))
+       let finalize parts =
+         let partials, child_texps = List.split parts in
+         let relation, invalidation =
+           Partial_agg.finalize ~group:d.Lower.d_group ~func:d.Lower.d_func
+             ~child_arity ?having:d.Lower.d_having
+             ~projection:d.Lower.d_projection
+             (Partial_agg.merge_all ~func:d.Lower.d_func partials)
+         in
+         present qs ~columns ~recomputed:false
+           (relation, Time.min_list (invalidation :: child_texps))
+       in
+       let stateless () =
+         fan ~child:d.Lower.d_child ~want:(Wire.Want_agg None)
+           ~what:"an aggregate request"
+           (function
+             | Wire.Shard_reply
+                 { body = Wire.Body_agg { groups; child_texp; _ }; _ } ->
+               Some (groups, child_texp)
+             | _ -> None)
+           finalize
+       in
+       if
+         prune && qs.Ast.at = None
+         && d.Lower.d_func = Aggregate.Count
+         && pinned_keys d.Lower.d_child = None
+       then standing_read ?trace t qs sql d ~child_arity ~columns ~tau ~finalize ~stateless
+       else stateless ()
      | Lower.Sketch spec ->
        fan ~child:compiled.Lower.expr ~want:Wire.Want_sketch
          ~what:"a sketch request" (function
@@ -762,6 +943,14 @@ let read ?trace ~prune t (qs : Ast.query_stmt) sql =
 
 let advance_clock t target = locked t (fun () -> t.now <- Time.max t.now target)
 
+(* A catalog change broadcast: every kept GROUP BY drops, before the
+   shards see it and after (a read that straddles it answers the
+   stateless way). *)
+let catalog_change ?trace t sql =
+  let bump () = locked t (fun () -> t.epoch <- t.epoch + 1) in
+  bump ();
+  Fun.protect ~finally:bump (fun () -> broadcast ?trace t (slots t) sql ~merge:merge_acks)
+
 let exec_parsed ?trace ~prune t stmt sql =
   match stmt with
   | Ast.Query qs -> read ?trace ~prune t qs sql
@@ -781,14 +970,14 @@ let exec_parsed ?trace ~prune t stmt sql =
      | _ -> ());
     r
   | Ast.Create_table (name, columns) ->
-    let r = broadcast ?trace t (slots t) sql ~merge:merge_acks in
+    let r = catalog_change ?trace t sql in
     (match r with
      | Wire.Ok_msg _ ->
        locked t (fun () -> Hashtbl.replace t.tables name columns)
      | _ -> ());
     r
   | Ast.Drop_table name ->
-    let r = broadcast ?trace t (slots t) sql ~merge:merge_acks in
+    let r = catalog_change ?trace t sql in
     (match r with
      | Wire.Ok_msg _ ->
        locked t (fun () ->
@@ -808,7 +997,7 @@ let exec_parsed ?trace ~prune t stmt sql =
   | Ast.Delete _ | Ast.Vacuum ->
     broadcast ?trace t (slots t) sql ~merge:merge_counts
   | Ast.Create_index { table; column } | Ast.Drop_index { table; column } ->
-    let r = broadcast ?trace t (slots t) sql ~merge:merge_acks in
+    let r = catalog_change ?trace t sql in
     (match r, stmt with
      | Wire.Ok_msg _, Ast.Create_index _ ->
        locked t (fun () -> Hashtbl.replace t.indexes (table, column) ())
@@ -952,6 +1141,17 @@ let create ?(node_name = "coordinator") ?health_rules
           ~name:"expirel_cluster_bytes_received_total"
           ~help:"Bytes of encoded replies received from shards (framing \
                  included)";
+      agg_delta_reads_total =
+        Obs.Registry.counter registry
+          ~name:"expirel_cluster_agg_delta_reads_total"
+          ~help:"Repeated GROUP BY COUNT reads every shard answered with only \
+                 the groups written since the coordinator's cursor";
+      agg_full_reads_total =
+        Obs.Registry.counter registry
+          ~name:"expirel_cluster_agg_full_reads_total"
+          ~help:"Kept GROUP BY COUNT reads at least one shard answered with \
+                 every group (a text's second read, a rebuilt, evicted or \
+                 restarted shard entry)";
       state = Mutex.create ();
       tables = Hashtbl.create 16;
       indexes = Hashtbl.create 16;
@@ -960,6 +1160,8 @@ let create ?(node_name = "coordinator") ?health_rules
       moving = None;
       moves = 0;
       now = Time.zero;
+      kept = Expirel_exec.Lru.create ~capacity:16 ();
+      epoch = 0;
       last_health = Obs.Health.Ok;
       last_horizon = None;
       hb_thread = None;
@@ -1207,11 +1409,13 @@ let move_rows t new_map ~old_slots ~new_slots =
 let apply_map t new_map ~old_slots ~new_slots =
   locked t (fun () ->
       t.moving <- Some (new_map, new_slots);
-      t.moves <- t.moves + 1);
+      t.moves <- t.moves + 1;
+      t.epoch <- t.epoch + 1);
   let result = move_rows t new_map ~old_slots ~new_slots in
   locked t (fun () ->
       t.moving <- None;
       t.moves <- t.moves + 1;
+      t.epoch <- t.epoch + 1;
       if Result.is_ok result then begin
         t.map <- new_map;
         t.slots <- new_slots;

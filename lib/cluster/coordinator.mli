@@ -102,7 +102,14 @@ val exec :
       COUNT/SUM/MIN/MAX/AVG over one table) combine from per-shard
       expiration-slice partials ({!Expirel_exec.Partial_agg}): rows
       {e and} texps identical to a single node holding all rows.  AVG
-      travels as SUM + COUNT, never pre-averaged.
+      travels as SUM + COUNT, never pre-averaged.  A repeated
+      [GROUP BY … COUNT] over every shard (no [AT], no pinned key) is
+      kept here: each shard's per-group member multisets, aged at the
+      coordinator, with each shard asked only for the groups written
+      since its cursor ({!Expirel_exec.Subscription.since}); only the
+      groups a reply or an expiration touched are re-finalised.
+      [~prune:false], a move in flight, a shard-map change and any DDL
+      keep or fall back to the stateless merge.
     - [APPROX_COUNT]/[SAMPLE] ([Sketch]) merge per-shard sketches and
       read the merged one at the query's tau.
     - Everything else ([Gather]: other joins, EXCEPT/INTERSECT over
@@ -121,6 +128,8 @@ val exec :
       [CHECKPOINT] — are refused ([Err]).
     - A shard that dies or answers garbage mid-gather surfaces as one
       [Err] with code [Shard_failed] naming the shard.
+    - An [AT] before the cluster clock is refused on every route with
+      the single node's error ({!Expirel_sqlx.Interp.at_tau}).
 
     With [trace], spans record there and the context ships to every
     contacted shard ([scatter] with [rpc:shard-<id>] children, then
@@ -155,8 +164,9 @@ val heartbeat_now : t -> unit
 val metrics : t -> string
 (** Prometheus exposition of the coordinator's registry
     ([expirel_cluster_*]: per-shard request counters, pruned-shard /
-    routed-away / fan-out / message / byte counters, map-version and
-    shard-health gauges). *)
+    routed-away / fan-out / message / byte counters, kept GROUP BY
+    COUNT delta and full reads, map-version and shard-health
+    gauges). *)
 
 val health : t -> Wire.health_level * Wire.health_firing list
 (** Evaluates the coordinator's health rules over its own metrics —

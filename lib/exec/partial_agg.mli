@@ -164,6 +164,47 @@ val standing_group : standing -> Value.t list -> group option
 val standing_partial : standing -> t
 (** Every group's slices, in ascending key order. *)
 
+val standing_members : standing -> Value.t list -> (Time.t * int) list
+(** The group's member multiset: [(texp, members expiring then)],
+    ascending by texp; [[]] for a group the state does not hold. *)
+
+val standing_all : standing -> (Value.t list * (Time.t * int) list) list
+(** Every group's member multiset, in ascending key order. *)
+
+val standing_replace : standing -> Value.t list -> (Time.t * int) list -> standing
+(** [standing_replace s key members]: the group now holds exactly
+    [members] ([[]] drops it) — a shipped group taking the place of the
+    reader's copy.  O(log groups + texps). *)
+
+(** {2 Standing COUNT deltas}
+
+    A reader that keeps a copy of another node's standing COUNT state —
+    a cluster coordinator holding each shard's groups — asks for what
+    changed since its {!cursor}: the node's standing entry and the
+    write generation of that entry the reader last saw.  Groups age by
+    expiration alone on both sides ({!standing_expire}), so only
+    writes need shipping. *)
+
+type cursor = {
+  entry : int;  (** the node's standing entry (a fresh id per build) *)
+  generation : int;  (** writes the entry had taken *)
+}
+
+val no_cursor : cursor
+(** A reader holding nothing yet: it names no entry. *)
+
+type delta = {
+  cursor : cursor;  (** where this reply leaves the reader *)
+  full : bool;
+      (** every group the entry holds (the request's cursor was from
+          another entry, or older than the entry's log), not only the
+          groups written since the cursor *)
+  members : (Value.t list * (Time.t * int) list) list;
+      (** per shipped group, ascending by key, its whole member
+          multiset as {!standing_members} answers it: [[]] for a group
+          the writes emptied *)
+}
+
 (** The GROUP BY value primitives the table hashes and probes with:
     {!Value.hash} and {!Value.equal} with the [Int] case inlined.  Each
     agrees with its [Value] counterpart on every input; exposed so a

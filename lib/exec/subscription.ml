@@ -28,26 +28,99 @@ let bag texp n b =
   let c = n + Option.value (Tmap.find_opt texp b) ~default:0 in
   if c = 0 then Tmap.remove texp b else Tmap.add texp c b
 
-(* A grouped COUNT over a scan, kept as per-group state.  [images] holds,
-   per output row, the row texps of the groups projected onto it (the
-   row's texp is their max), [changes] every group's change point (their
-   min is the result's texp(e)). *)
+(* A grouped COUNT answer kept as per-group state: [groups] the
+   members, [images] per output row the row texps of the groups
+   projected onto it (the row's texp is their max), [changes] every
+   group's change point (their min is the result's texp(e)), [answer]
+   the result they make. *)
 type counts = {
+  output : Partial_agg.group option -> (Tuple.t * Time.t) option * Time.t;
+  arity : int;  (* of the result *)
   groups : Partial_agg.standing;
   images : int Tmap.t Rows.t;
   changes : int Tmap.t;
+  answer : Eval.result;
 }
+
+let counts ~output ~arity =
+  { output = Option.fold ~none:(None, Time.Inf) ~some:output;
+    arity;
+    groups = Partial_agg.standing_empty;
+    images = Rows.empty;
+    changes = Tmap.empty;
+    answer = { Eval.relation = Relation.empty ~arity; texp = Time.Inf }
+  }
+
+let counts_answer c = c.answer
+let counts_groups c = c.groups
+
+(* The counts after [groups] replaces [c]'s, [keys] naming every group
+   that changed: each one's output row and change point move, and the
+   touched output rows are re-read from [images] — O(log) per key, never
+   a pass over the groups.  Also answers the touched rows before and
+   after, for [diff]. *)
+let regroup c groups keys =
+  let move n (images, changes, touched) g =
+    let row, change = c.output g in
+    let changes = bag change n changes in
+    match row with
+    | None -> (images, changes, touched)
+    | Some (tuple, texp) ->
+      let moved b =
+        let b = bag texp n (Option.value b ~default:Tmap.empty) in
+        if Tmap.is_empty b then None else Some b
+      in
+      (Rows.update tuple moved images, changes, tuple :: touched)
+  in
+  let images, changes, touched =
+    List.fold_left
+      (fun acc key ->
+        move 1
+          (move (-1) acc (Partial_agg.standing_group c.groups key))
+          (Partial_agg.standing_group groups key))
+      (c.images, c.changes, []) keys
+  in
+  let relation =
+    List.fold_left
+      (fun r tuple ->
+        match Rows.find_opt tuple images with
+        | None -> Relation.remove tuple r
+        | Some b -> Relation.replace tuple ~texp:(fst (Tmap.max_binding b)) r)
+      c.answer.Eval.relation touched
+  in
+  let touched_in r =
+    List.fold_left
+      (fun acc tuple ->
+        Option.fold (Relation.texp_opt r tuple) ~none:acc ~some:(fun texp ->
+            Relation.add tuple ~texp acc))
+      (Relation.empty ~arity:c.arity) touched
+  in
+  let texp = Option.fold (Tmap.min_binding_opt changes) ~none:Time.Inf ~some:fst in
+  ( { c with groups; images; changes; answer = { Eval.relation; texp } },
+    touched_in c.answer.Eval.relation,
+    touched_in relation )
+
+(* The keys each write touched, newest last: generation [g]'s key sits
+   at [g mod log_size].  A reader's cursor within the last [log_size]
+   generations gets the groups written since; an older one gets every
+   group. *)
+let log_size = 512
+
+(* Entry ids start at a random point per process, so a cursor from
+   before a restart matches no entry after it. *)
+let next_id = Atomic.make (Random.State.bits (Random.State.make_self_init ()))
 
 type counted = {
   table : string;
   member : Tuple.t -> Value.t list option;
       (* a row's group key, when the scan's predicate keeps the row *)
-  output : Partial_agg.group option -> (Tuple.t * Time.t) option * Time.t;
-  arity : int;  (* of the result *)
   mutable counts : counts;
   mutable stamp : int * int * Time.t;
       (* the catalog's and the table's generations and the clock when
          last kept current *)
+  id : int;
+  mutable generation : int;  (* writes that reached a group *)
+  log : Value.t list array;
 }
 
 (* How a write reaches an entry: a rerun at the clock, the written row as
@@ -98,52 +171,6 @@ let stamp db k =
     (fun tbl -> (Database.generation db, Table.generation tbl, Database.now db))
     (Database.table db k.table)
 
-(* The counts after [groups] replaces [c]'s, [keys] naming every group
-   that changed: each one's output row and change point move, and the
-   touched output rows are re-read from [images] — O(log) per key, never
-   a pass over the groups.  Also answers the touched rows before and
-   after, for [diff]. *)
-let regroup k (result, c) groups keys =
-  let move n (images, changes, touched) g =
-    let row, change = k.output g in
-    let changes = bag change n changes in
-    match row with
-    | None -> (images, changes, touched)
-    | Some (tuple, texp) ->
-      let moved b =
-        let b = bag texp n (Option.value b ~default:Tmap.empty) in
-        if Tmap.is_empty b then None else Some b
-      in
-      (Rows.update tuple moved images, changes, tuple :: touched)
-  in
-  let images, changes, touched =
-    List.fold_left
-      (fun acc key ->
-        move 1
-          (move (-1) acc (Partial_agg.standing_group c.groups key))
-          (Partial_agg.standing_group groups key))
-      (c.images, c.changes, []) keys
-  in
-  let relation =
-    List.fold_left
-      (fun r tuple ->
-        match Rows.find_opt tuple images with
-        | None -> Relation.remove tuple r
-        | Some b -> Relation.replace tuple ~texp:(fst (Tmap.max_binding b)) r)
-      result.Eval.relation touched
-  in
-  let touched_in r =
-    List.fold_left
-      (fun acc tuple ->
-        Option.fold (Relation.texp_opt r tuple) ~none:acc ~some:(fun texp ->
-            Relation.add tuple ~texp acc))
-      (Relation.empty ~arity:k.arity) touched
-  in
-  let texp = Option.fold (Tmap.min_binding_opt changes) ~none:Time.Inf ~some:fst in
-  ( ({ Eval.relation; texp }, { groups; images; changes }),
-    touched_in result.Eval.relation,
-    touched_in relation )
-
 (* A fused grouped COUNT straight over a scan: its group state, built
    from the table's rows live at the clock, and its answer. *)
 let counted_of db compiled =
@@ -166,26 +193,24 @@ let counted_of db compiled =
       Texp_run.fold_live (Table.run table) ~tau:(Database.now db) add
         Partial_agg.standing_empty
     in
-    let k =
+    let keys = List.map (fun g -> g.Partial_agg.key) (Partial_agg.standing_partial groups) in
+    let counts, _, _ =
+      regroup (counts ~output ~arity:(List.length projection)) groups keys
+    in
+    Some
       { table = name;
         member;
-        output = Option.fold ~none:(None, Time.Inf) ~some:output;
-        arity = List.length projection;
-        counts =
-          { groups = Partial_agg.standing_empty; images = Rows.empty; changes = Tmap.empty };
-        stamp = (Database.generation db, Table.generation table, Database.now db)
+        counts;
+        stamp = (Database.generation db, Table.generation table, Database.now db);
+        id = Atomic.fetch_and_add next_id 1;
+        generation = 0;
+        log = Array.make log_size []
       }
-    in
-    let empty = { Eval.relation = Relation.empty ~arity:k.arity; texp = Time.Inf } in
-    let keys = List.map (fun g -> g.Partial_agg.key) (Partial_agg.standing_partial groups) in
-    let (result, counts), _, _ = regroup k (empty, k.counts) groups keys in
-    k.counts <- counts;
-    Some (k, result)
   | _ -> None
 
 let prepare t compiled handler =
   match counted_of t.db compiled with
-  | Some (k, result) -> { compiled; handler; feed = Counted k; result }
+  | Some k -> { compiled; handler; feed = Counted k; result = k.counts.answer }
   | None ->
     let result = Executor.run ~db:t.db compiled in
     let feed =
@@ -238,6 +263,22 @@ let partial e =
   match e.feed with
   | Counted k -> Partial_agg.standing_partial k.counts.groups
   | Rerun | Delta _ -> invalid_arg "Subscription.partial: not a grouped COUNT"
+
+let since e (cursor : Partial_agg.cursor) =
+  match e.feed with
+  | Counted k ->
+    let groups = k.counts.groups in
+    let behind = k.generation - cursor.generation in
+    let full = cursor.entry <> k.id || behind < 0 || behind > log_size in
+    let members =
+      if full then Partial_agg.standing_all groups
+      else
+        List.init behind (fun i -> k.log.((cursor.generation + 1 + i) mod log_size))
+        |> List.sort_uniq (List.compare Value.compare)
+        |> List.map (fun key -> (key, Partial_agg.standing_members groups key))
+    in
+    { Partial_agg.cursor = { entry = k.id; generation = k.generation }; full; members }
+  | Rerun | Delta _ -> invalid_arg "Subscription.since: not a grouped COUNT"
 
 let groups t =
   Hashtbl.fold
@@ -333,9 +374,9 @@ let walk ~db ~name compiled result ~from ~to_ ~emit ~settle =
 
 (* A grouped COUNT's step: the groups whose earliest member expires at
    [at] lose those members, and only their output rows are diffed. *)
-let counted_step k ~name ~emit at (result, c) =
+let counted_step ~name ~emit at c =
   let groups, keys = Partial_agg.standing_expire c.groups at in
-  let after, old, fresh = regroup k (result, c) groups keys in
+  let after, old, fresh = regroup c groups keys in
   Relation.iter
     (fun tuple texp ->
       if Time.equal texp at then
@@ -343,7 +384,7 @@ let counted_step k ~name ~emit at (result, c) =
     old;
   diff ~name ~at ~emit
     ~between:(fun () ->
-      if Time.(result.Eval.texp <= at) then
+      if Time.(c.answer.Eval.texp <= at) then
         emit (Refreshed { subscription = name; at }))
     old fresh;
   after
@@ -355,15 +396,15 @@ let counted_step k ~name ~emit at (result, c) =
 let walk_entry t ~name e ~to_ ~emit =
   match e.feed with
   | Counted k ->
-    let result, counts =
+    let counts =
       steps
-        ~next:(fun (_, c) -> Partial_agg.standing_next c.groups)
-        ~step:(counted_step k ~name ~emit) ~to_
+        ~next:(fun c -> Partial_agg.standing_next c.groups)
+        ~step:(counted_step ~name ~emit) ~to_
         ~settle:(fun _ -> true)
-        (e.result, k.counts)
+        k.counts
     in
     fun () ->
-      e.result <- result;
+      e.result <- counts.answer;
       k.counts <- counts
   | Rerun | Delta _ ->
     let r =
@@ -441,12 +482,12 @@ let write ?trace t ~before record =
                   | Some _ | None -> groups
                 in
                 let groups = change 1 texp (change (-1) before k.counts.groups) in
-                let (result, counts), old, fresh =
-                  regroup k (e.result, k.counts) groups [ key ]
-                in
+                let counts, old, fresh = regroup k.counts groups [ key ] in
                 diff old fresh;
-                e.result <- result;
-                k.counts <- counts)
+                e.result <- counts.answer;
+                k.counts <- counts;
+                k.generation <- k.generation + 1;
+                k.log.(k.generation mod log_size) <- key)
               (k.member tuple);
             Option.iter (fun s -> k.stamp <- s) (stamp t.db k))
         names

@@ -103,6 +103,45 @@ val partial : entry -> Partial_agg.t
 (** A grouped COUNT entry's groups as {!Executor.partial} would fold
     them.  @raise Invalid_argument for any other entry *)
 
+val since : entry -> Partial_agg.cursor -> Partial_agg.delta
+(** A grouped COUNT entry's groups for a reader whose copy stands at
+    [cursor]: when the cursor names this entry and lies within its log
+    of the last 512 written groups, the groups {!write} touched since
+    (each with its whole member multiset, [[]] once emptied);
+    otherwise every group ([full]).  Expirations are not shipped — the
+    reader ages its copy itself with {!Partial_agg.standing_expire}.
+    The reply's cursor is the entry's present one.  O(changed groups ·
+    log groups), or O(groups) for a full reply.
+    @raise Invalid_argument for any other entry *)
+
+(** {2 Kept grouped COUNT answers}
+
+    The per-group answer state a grouped COUNT entry keeps, shared with
+    a cluster coordinator that keeps a merged copy of its shards'
+    groups: re-finalising only the groups that changed. *)
+
+type counts
+
+val counts :
+  output:(Partial_agg.group -> (Tuple.t * Time.t) option * Time.t) ->
+  arity:int ->
+  counts
+(** No group yet.  [output] is one group's share of the answer
+    ({!Partial_agg.finalizer}); [arity] the answer's. *)
+
+val counts_answer : counts -> Eval.result
+(** The answer the groups make: exact at the instant the groups were
+    last expired to. *)
+
+val counts_groups : counts -> Partial_agg.standing
+
+val regroup :
+  counts -> Partial_agg.standing -> Value.t list list -> counts * Relation.t * Relation.t
+(** [regroup c groups keys]: [c] with [groups] in place of its groups,
+    where [keys] (each once) name every group that differs — only their
+    output rows and change points are re-finalised, O(log) per key.
+    Also answers the touched output rows before and after. *)
+
 val result : t -> string -> Eval.result option
 (** The named watch's result as of its last delivery or write, uncut. *)
 
@@ -148,7 +187,8 @@ val write :
     entry reruns at the clock and reports the difference as a refresh
     does, without [Refreshed].  Each record stamps the grouped COUNT
     entries it reaches for {!fresh} — an [Advance], those its walk
-    brought to the clock. *)
+    brought to the clock — and a row that reaches a group takes the
+    entry's next write generation and enters its log ({!since}). *)
 
 val walk :
   db:Database.t -> name:string -> Plan.compiled -> Eval.result ->

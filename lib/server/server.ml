@@ -709,9 +709,9 @@ let handle_shard_exec t ~sql ~ctx ~want =
       | Interp.Rows { columns; listing; texp_e; recomputed; relation = _ } ->
         Wire.Body_rows { columns; rows = wire_rows listing; texp_e; recomputed }
       | Interp.Msg message -> Wire.Body_ack message)
-  | Want_agg ->
-    shard Interp.Agg_partial (fun (columns, groups, child_texp) ->
-        Wire.Body_agg { columns; child_texp; groups })
+  | Want_agg cursor ->
+    shard (Interp.Agg_partial cursor) (fun (columns, groups, standing, child_texp) ->
+        Wire.Body_agg { columns; child_texp; groups; standing })
   | Want_sketch ->
     shard Interp.Sketch_partial (fun (columns, sketch) ->
         Wire.Body_sketch

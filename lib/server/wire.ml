@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 10
+let version = 11
 let max_frame = 16 * 1024 * 1024
 
 type error_code =
@@ -151,7 +151,7 @@ let shard_owner map key =
 type want =
   | Want_rows
   | Want_sketch
-  | Want_agg
+  | Want_agg of Expirel_exec.Partial_agg.cursor option
 
 type shard_body =
   | Body_rows of {
@@ -173,6 +173,10 @@ type shard_body =
       groups : Expirel_exec.Partial_agg.group list;
           (* per-group expiration-slice partials; the coordinator
              merges them across shards and finalises once *)
+      standing : Expirel_exec.Partial_agg.delta option;
+          (* for a request with a cursor the shard answered from its
+             standing COUNT entry: the member multisets of the groups
+             written since (then [groups] is empty) *)
     }
 
 type request =
@@ -357,6 +361,82 @@ let put_group b (g : Expirel_exec.Partial_agg.group) =
   put_list b put_value g.key;
   put_list b put_slice g.slices
 
+(* v11 variable-length integers: little-endian base-128 groups of the
+   64-bit pattern, seven bits a byte, the high bit marking "more".  A
+   signed int travels zigzagged (0, -1, 1, -2, … as 0, 1, 2, 3, …), so
+   small magnitudes of either sign take one byte; a time is 0 for [Inf],
+   else its zigzag plus one. *)
+let put_uvarint b v =
+  let rec go v =
+    let rest = Int64.shift_right_logical v 7 in
+    if Int64.equal rest 0L then put_u8 b (Int64.to_int v)
+    else begin
+      put_u8 b (Int64.to_int v land 0x7f lor 0x80);
+      go rest
+    end
+  in
+  go v
+
+let zigzag n =
+  let n = Int64.of_int n in
+  Int64.logxor (Int64.shift_left n 1) (Int64.shift_right n 63)
+
+let put_vint b n = put_uvarint b (zigzag n)
+
+let put_vtime b = function
+  | Time.Inf -> put_u8 b 0
+  | Time.Fin n -> put_uvarint b (Int64.succ (zigzag n))
+
+let put_vlist b put xs =
+  put_uvarint b (Int64.of_int (List.length xs));
+  List.iter (put b) xs
+
+(* A COUNT slice carries only its texp and its row count; a group of
+   such slices ships as varint [(texp, count)] pairs. *)
+let count_slice (s : Expirel_exec.Partial_agg.slice) =
+  s.s_nonnull = 0
+  && Int64.equal (Int64.bits_of_float s.s_fsum) 0L
+  && List.for_all (( = ) Value.Null) [ s.s_sum; s.s_min; s.s_max ]
+
+let put_count b (texp, n) =
+  put_vtime b texp;
+  put_vint b n
+
+let put_groups b (groups : Expirel_exec.Partial_agg.t) =
+  if List.for_all (fun g -> List.for_all count_slice g.Expirel_exec.Partial_agg.slices) groups
+  then begin
+    put_u8 b 2;
+    put_vlist b
+      (fun b (g : Expirel_exec.Partial_agg.group) ->
+        put_vlist b put_value g.key;
+        put_vlist b put_count
+          (List.map (fun (s : Expirel_exec.Partial_agg.slice) -> (s.s_texp, s.s_rows)) g.slices))
+      groups
+  end
+  else begin
+    put_u8 b 1;
+    put_list b put_group groups
+  end
+
+let put_cursor b (c : Expirel_exec.Partial_agg.cursor) =
+  put_vint b c.entry;
+  put_vint b c.generation
+
+let put_delta b (d : Expirel_exec.Partial_agg.delta) =
+  put_cursor b d.cursor;
+  put_bool b d.full;
+  put_vlist b
+    (fun b (key, members) ->
+      put_vlist b put_value key;
+      put_vlist b put_count members)
+    d.members
+
+let put_option b put = function
+  | None -> put_u8 b 0
+  | Some v ->
+    put_u8 b 1;
+    put b v
+
 let put_body b = function
   | Body_rows { columns; rows; texp_e; recomputed } ->
     put_u8 b 1;
@@ -371,11 +451,12 @@ let put_body b = function
     put_u8 b 3;
     put_list b put_str columns;
     put_str b payload
-  | Body_agg { columns; child_texp; groups } ->
+  | Body_agg { columns; child_texp; groups; standing } ->
     put_u8 b 4;
     put_list b put_str columns;
     put_time b child_texp;
-    put_list b put_group groups
+    put_groups b groups;
+    put_option b put_delta standing
 
 let encode_request = function
   | Exec sql -> payload 1 (fun b -> put_str b sql)
@@ -422,11 +503,12 @@ let encode_request = function
     payload 24 (fun b ->
         put_str b sql;
         put_ctx_opt b ctx;
-        put_u8 b
-          (match want with
-           | Want_rows -> 1
-           | Want_sketch -> 2
-           | Want_agg -> 3))
+        match want with
+        | Want_rows -> put_u8 b 1
+        | Want_sketch -> put_u8 b 2
+        | Want_agg cursor ->
+          put_u8 b 3;
+          put_option b put_cursor cursor)
 
 let put_span b s =
   put_str b s.span_name;
@@ -727,6 +809,84 @@ let get_group c : Expirel_exec.Partial_agg.group =
   let slices = get_list c get_slice in
   { key; slices }
 
+let get_uvarint c =
+  let rec go acc shift =
+    if shift > 63 then raise (Bad "varint too long");
+    let byte = get_u8 c in
+    let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (byte land 0x7f)) shift) in
+    if byte land 0x80 = 0 then acc else go acc (shift + 7)
+  in
+  go 0L 0
+
+(* An int the 64-bit pattern holds; anything wider is malformed. *)
+let int_of what v =
+  let n = Int64.to_int v in
+  if Int64.equal (Int64.of_int n) v then n
+  else raise (Bad (Printf.sprintf "%s out of range" what))
+
+let unzigzag v =
+  Int64.logxor (Int64.shift_right_logical v 1) (Int64.neg (Int64.logand v 1L))
+
+let get_vint c = int_of "varint" (unzigzag (get_uvarint c))
+
+let get_vtime c =
+  let v = get_uvarint c in
+  if Int64.equal v 0L then Time.Inf
+  else Time.Fin (int_of "time" (unzigzag (Int64.pred v)))
+
+let get_vlist c get =
+  let n = int_of "length" (get_uvarint c) in
+  need c n;
+  List.init n (fun _ -> get c)
+
+let get_count c =
+  let texp = get_vtime c in
+  let n = get_vint c in
+  (texp, n)
+
+let get_groups c : Expirel_exec.Partial_agg.t =
+  match get_u8 c with
+  | 1 -> get_list c get_group
+  | 2 ->
+    get_vlist c (fun c ->
+        let key = get_vlist c get_value in
+        let slices =
+          get_vlist c (fun c ->
+              let s_texp, s_rows = get_count c in
+              { Expirel_exec.Partial_agg.s_texp;
+                s_rows;
+                s_nonnull = 0;
+                s_sum = Value.Null;
+                s_fsum = 0.;
+                s_min = Value.Null;
+                s_max = Value.Null
+              })
+        in
+        { Expirel_exec.Partial_agg.key; slices })
+  | n -> raise (Bad (Printf.sprintf "bad group form %d" n))
+
+let get_cursor c : Expirel_exec.Partial_agg.cursor =
+  let entry = get_vint c in
+  let generation = get_vint c in
+  { entry; generation }
+
+let get_delta c : Expirel_exec.Partial_agg.delta =
+  let cursor = get_cursor c in
+  let full = get_bool c in
+  let members =
+    get_vlist c (fun c ->
+        let key = get_vlist c get_value in
+        let members = get_vlist c get_count in
+        (key, members))
+  in
+  { cursor; full; members }
+
+let get_option c get =
+  match get_u8 c with
+  | 0 -> None
+  | 1 -> Some (get c)
+  | n -> raise (Bad (Printf.sprintf "bad presence byte %d" n))
+
 let get_body c =
   match get_u8 c with
   | 1 ->
@@ -743,8 +903,9 @@ let get_body c =
   | 4 ->
     let columns = get_list c get_str in
     let child_texp = get_time c in
-    let groups = get_list c get_group in
-    Body_agg { columns; child_texp; groups }
+    let groups = get_groups c in
+    let standing = get_option c get_delta in
+    Body_agg { columns; child_texp; groups; standing }
   | n -> raise (Bad (Printf.sprintf "bad shard body tag %d" n))
 
 let decode_request data =
@@ -794,7 +955,7 @@ let decode_request data =
         match get_u8 c with
         | 1 -> Want_rows
         | 2 -> Want_sketch
-        | 3 -> Want_agg
+        | 3 -> Want_agg (get_option c get_cursor)
         | n -> raise (Bad (Printf.sprintf "bad want byte %d" n))
       in
       Shard_exec { sql; ctx; want }
@@ -1099,10 +1260,12 @@ let rec pp_response ppf = function
        Format.fprintf ppf "sketch partial (%d byte(s), columns %s)"
          (String.length payload)
          (String.concat ", " columns)
-     | Body_agg { columns; child_texp; groups } ->
+     | Body_agg { columns; child_texp; groups; standing } ->
        Format.fprintf ppf
          "aggregate partial (%d group(s), columns %s, child texp(e) = %s)"
-         (List.length groups)
+         (List.length groups
+         + Option.fold standing ~none:0 ~some:(fun d ->
+               List.length d.Expirel_exec.Partial_agg.members))
          (String.concat ", " columns)
          (Time.to_string child_texp));
     Format.fprintf ppf "@\n[partition: %d live row(s), texp in [%s, %s]]"

@@ -114,6 +114,19 @@ val version : int
     counter record and the replication section it carried, are gone;
     every counter they reported is a sample on the [Metrics_reply]
     page.  Tags 4 and 5 are left unused.
+    v11 — standing cluster GROUP BY COUNT.  This bump is
+    {e required}: two layouts changed.  The [Shard_exec] want byte 3
+    (aggregate partial) is followed by an optional cursor (presence
+    byte, then the shard's standing entry id and write generation as
+    varints).  The aggregate body's groups lead with a form byte — 1:
+    the v9 layout (seven fixed fields per slice); 2: COUNT slices as
+    varint [(texp, count)] pairs, lengths as varints — and are followed
+    by an optional standing delta (presence byte; cursor, full flag,
+    then per group its key and its member multiset as varint
+    [(texp, count)] pairs).  A varint is the little-endian base-128
+    form of the 64-bit pattern (signed ints zigzagged; a time is 0 for
+    [Inf], else its zigzag plus one).  A condensed COUNT group drops
+    from 89 to about 20 bytes.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer
@@ -266,13 +279,17 @@ type want =
           query's child over its own partition into a bounded-memory
           sketch — constant-size on the wire regardless of partition
           cardinality *)
-  | Want_agg
+  | Want_agg of Expirel_exec.Partial_agg.cursor option
       (** for a decomposable GROUP BY/aggregate query: the shard
           condenses the aggregate's child over its own partition into
           per-group expiration-slice partials
           ({!Expirel_exec.Partial_agg}) — per group at most two slices
           for COUNT, one per distinct expiration time otherwise, with
-          AVG travelling as its SUM and COUNT components *)
+          AVG travelling as its SUM and COUNT components.  With a
+          cursor, a grouped COUNT over a scan without [AT] answers from
+          the shard's standing entry instead: the member multisets of
+          the groups written since the cursor, or of every group
+          ({!Expirel_exec.Subscription.since}) *)
 (** What a coordinator asks a shard to answer a statement with. *)
 
 type shard_body =
@@ -296,6 +313,7 @@ type shard_body =
       columns : string list;
       child_texp : Time.t;
       groups : Expirel_exec.Partial_agg.group list;
+      standing : Expirel_exec.Partial_agg.delta option;
     }
       (** a grouped-aggregate partial: per-group expiration slices the
           coordinator merges with {!Expirel_exec.Partial_agg.merge_all}
@@ -303,7 +321,10 @@ type shard_body =
           come out identical to a single node holding all rows, because
           the slice components (counts, sums, extrema) are
           partition-decomposable and the finalisation is shared code,
-          not a reimplementation *)
+          not a reimplementation.  [standing] answers a request with a
+          cursor from the shard's standing COUNT entry ([groups] is
+          then empty): the coordinator replaces its copy of each
+          shipped group and ages the rest itself *)
 (** The payload of a {!Shard_reply}, one per {!want} (acks also answer
     the rebalance writes). *)
 

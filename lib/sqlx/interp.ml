@@ -240,13 +240,15 @@ let plan_cache_stats t =
 (* [AT n] queries the known future: the current physical state as it
    will stand at time n, assuming no further updates — the future of
    expiring data is known in advance. *)
-let tau_of_at t = function
+let at_tau ~now = function
   | None -> None
   | Some n ->
     let tau = Time.of_int n in
-    if Time.(tau < Database.now t.db) then
+    if Time.(tau < now) then
       failwith "AT time is in the past (the past is not retained)"
     else Some tau
+
+let tau_of_at t = at_tau ~now:(Database.now t.db)
 
 let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
   let tau = tau_of_at t at in
@@ -279,24 +281,40 @@ let sketch_partial ?trace ?text t q =
   Trace.span trace "sketch-query" (fun () ->
       (entry.p_columns, Executor.sketch ?trace ~db:t.db entry.p_compiled))
 
-let aggregate_partial ?trace ?text t { Ast.q; at; order_by = _; limit = _ } =
+let aggregate_partial ?trace ?text t ~cursor { Ast.q; at; order_by = _; limit = _ } =
   let tau = tau_of_at t at in
   let entry, hit = planned_query ?trace ?text t q in
   let { p_compiled = compiled; p_columns = columns; p_approx = approx; _ } = entry in
   if Lower.decompose { Lower.expr = compiled.Plan.logical; columns; approx } = None
   then failwith "a grouped partial needs a query that decomposes";
-  let partial, child_texp =
+  (* A reader with a cursor keeps the groups itself, and gets what
+     changed since.  One whose cursor names an entry held this node's
+     groups before (the entry was evicted, rebuilt or lost to a
+     restart): it promotes the statement at once. *)
+  let returning =
+    match cursor with
+    | Some c -> c <> Partial_agg.no_cursor
+    | None -> false
+  in
+  let partial, delta, child_texp =
     Trace.span trace "eval" (fun () ->
         (* the scan under a standing COUNT never invalidates *)
         match
-          standing ?trace ?text ~hit:(hit && at = None) t entry
-            ~rows:(fun (p, _) -> List.length p)
-            (fun e -> (Subscription.partial e, Time.Inf))
+          standing ?trace ?text ~hit:((hit || returning) && at = None) t entry
+            ~rows:(fun (p, d, _) ->
+              List.length p
+              + Option.fold d ~none:0 ~some:(fun d -> List.length d.Partial_agg.members))
+            (fun e ->
+              match cursor with
+              | None -> (Subscription.partial e, None, Time.Inf)
+              | Some c -> ([], Some (Subscription.since e c), Time.Inf))
         with
-        | Some partial -> partial
-        | None -> Executor.partial ?trace ?tau ~db:t.db compiled)
+        | Some answer -> answer
+        | None ->
+          let partial, child_texp = Executor.partial ?trace ?tau ~db:t.db compiled in
+          (partial, None, child_texp))
   in
-  (columns, partial, child_texp)
+  (columns, partial, delta, child_texp)
 
 (* Standing queries lower and plan once, outside the cache: their texts
    never repeat. *)
@@ -686,7 +704,9 @@ let guard f =
 
 type _ want =
   | Answer : outcome want
-  | Agg_partial : (string list * Partial_agg.t * Time.t) want
+  | Agg_partial :
+      Partial_agg.cursor option
+      -> (string list * Partial_agg.t * Partial_agg.delta option * Time.t) want
   | Sketch_partial : (string list * Expirel_sketch.Any.t) want
 
 let run (type a) ?trace ?text (want : a want) t statement : (a, string) result =
@@ -700,9 +720,9 @@ let run (type a) ?trace ?text (want : a want) t statement : (a, string) result =
          | Ast.Advance_to _ | Ast.Tick _ | Ast.Vacuum -> observe_churn t
          | _ -> ());
         outcome
-      | Agg_partial, Ast.Query qs -> aggregate_partial ?trace ?text t qs
+      | Agg_partial cursor, Ast.Query qs -> aggregate_partial ?trace ?text t ~cursor qs
       | Sketch_partial, Ast.Query { q; _ } -> sketch_partial ?trace ?text t q
-      | (Agg_partial | Sketch_partial), _ ->
+      | (Agg_partial _ | Sketch_partial), _ ->
         failwith "a shard partial needs a query")
 
 let exec ?trace ?text t statement = run ?trace ?text Answer t statement

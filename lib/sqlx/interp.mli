@@ -64,6 +64,13 @@ val order_and_limit :
     cluster coordinator's answers.
     @raise Lower.Error on an unknown or ambiguous ORDER BY column *)
 
+val at_tau : now:Time.t -> int option -> Time.t option
+(** A query's [AT n] as its evaluation time against the clock [now]
+    ([None] without [AT]): the known future, never the past — the one
+    check a node and a cluster coordinator share.
+    @raise Failure "AT time is in the past (the past is not retained)"
+    when [n] is before [now] *)
+
 type plan_cache_stats = {
   hits : int;
   misses : int;
@@ -109,8 +116,15 @@ val churn_rates : t -> float * float
 
 type _ want =
   | Answer : outcome want  (** the statement's outcome *)
-  | Agg_partial : (string list * Expirel_exec.Partial_agg.t * Time.t) want
-      (** a shard's half of a distributed grouped aggregate *)
+  | Agg_partial :
+      Expirel_exec.Partial_agg.cursor option
+      -> (string list
+         * Expirel_exec.Partial_agg.t
+         * Expirel_exec.Partial_agg.delta option
+         * Time.t)
+         want
+      (** a shard's half of a distributed grouped aggregate, for a
+          reader at the given cursor, if it keeps one *)
   | Sketch_partial : (string list * Expirel_sketch.Any.t) want
       (** a shard's half of a distributed approximate aggregate *)
 (** What {!run} answers with: the statement's own outcome, or one of
@@ -135,11 +149,17 @@ val run :
     partials.  The query runs through {!Expirel_exec.Executor.partial}
     — at the statement's [AT] time when it has one — whose fused
     aggregate folds the child's cut batches under an [op:aggregate]
-    span.  It answers the final answer's column labels, the partial
-    and the child's texp(e); the coordinator merges one partial per
-    shard with {!Expirel_exec.Partial_agg.merge_all} and finalises with
-    the same parameters it decomposed.  The plan and a grouped COUNT's
-    standing entry are shared with [Answer]'s.
+    span.  It answers the final answer's column labels, the partial,
+    no delta, and the child's texp(e); the coordinator merges one
+    partial per shard with {!Expirel_exec.Partial_agg.merge_all} and
+    finalises with the same parameters it decomposed.  The plan and a
+    grouped COUNT's standing entry are shared with [Answer]'s.  With a
+    cursor, a grouped COUNT over a scan without [AT] whose standing
+    entry exists (or is promoted now: on a plan-cache hit, or at once
+    when the cursor names an entry, since its reader held this node's
+    groups before) answers an empty partial and the entry's
+    {!Expirel_exec.Subscription.since} delta instead; any other query
+    answers as without a cursor.
 
     [Sketch_partial] requires a query carrying [APPROX_COUNT] or
     [SAMPLE] and runs it up to its sketch operator

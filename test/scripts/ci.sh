@@ -122,6 +122,10 @@ grep -F '"unordered_n20000_f99_speedup"' "$SMOKE_DIR/BENCH_vexec.json"
 # GROUP BY combined from slice partials answers differently from the
 # gather-then-compute path.
 (cd "$SMOKE_DIR" && "$BENCH" cluster)
+# The repeated GROUP BY COUNT row (kept groups, shard deltas) must have
+# recorded its per-read cost; it fails hard if the kept answer differs
+# from the stateless one.
+grep -F '"standing_groupby_n10000_g1000_us_per_read"' "$SMOKE_DIR/BENCH_cluster.json"
 rm -rf "$SMOKE_DIR"
 test "$(cksum BENCH_*.json)" = "$BENCH_SUMS_BEFORE"
 
@@ -242,6 +246,8 @@ CLUSTER_OUT=$("$CLI" cluster connect $SHARD_ARGS -e "
   SELECT uid, deg FROM pol;
   SELECT COUNT(*) FROM pol;
   SELECT deg, COUNT(*) FROM pol GROUP BY deg ORDER BY deg;
+  SELECT deg, COUNT(*) FROM pol GROUP BY deg ORDER BY deg;
+  SELECT deg, COUNT(*) FROM pol GROUP BY deg ORDER BY deg;
   SELECT AVG(deg) FROM pol;
   CREATE TABLE tags (uid, tag);
   INSERT INTO tags VALUES (9, 25) EXPIRES 30;
@@ -267,6 +273,11 @@ echo "$CLUSTER_OUT" | grep -E '10 \| 3$'
 echo "$CLUSTER_OUT" | grep -F "texp | deg, count"
 echo "$CLUSTER_OUT" | grep -E '10 \| 25, 2$'
 echo "$CLUSTER_OUT" | grep -E '20 \| 35, 1$'
+# Read again, the same GROUP BY COUNT is kept at the coordinator: the
+# shards promote it on its second read and ship every group, and on the
+# third each ships only the groups written since (none).
+echo "$CLUSTER_OUT" | grep -E '^expirel_cluster_agg_full_reads_total 1$'
+echo "$CLUSTER_OUT" | grep -E '^expirel_cluster_agg_delta_reads_total [1-9]'
 # AVG travels as SUM + COUNT and is divided once, at the coordinator.
 echo "$CLUSTER_OUT" | grep -F "texp | avg(deg)"
 echo "$CLUSTER_OUT" | grep -E '10 \| 28\.3333$'

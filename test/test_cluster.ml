@@ -52,6 +52,16 @@ let with_cluster ?config n f =
 
 let exec coord sql = no_err sql (Coordinator.exec coord sql)
 
+(* A counter's value on the coordinator's METRICS page. *)
+let counter coord name =
+  let page = Coordinator.metrics coord in
+  List.fold_left
+    (fun acc line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = name -> int_of_float (float_of_string v)
+      | _ -> acc)
+    0 (String.split_on_char '\n' page)
+
 let rows_of sql = function
   | Wire.Rows { rows; texp_e; _ } -> rows, texp_e
   | r ->
@@ -103,6 +113,39 @@ let queries =
 
 (* ---------- (a) scatter-gather == one node over the union ---------- *)
 
+(* Repeated GROUP BY COUNTs, which the coordinator keeps and the shards
+   answer with deltas, drawn between inserts, overwrites (a tuple
+   inserted again with a new texp), pinned and broadcast DELETEs, TICKs
+   that expire members, and one rebalance ([grow]): every answer's rows,
+   row texps and texp(e) must be the single node's. *)
+let standing_groupbys = [
+  "SELECT v, COUNT(*) FROM st GROUP BY v";
+  "SELECT v, COUNT(*) FROM st GROUP BY v HAVING COUNT(*) > 1";
+  "SELECT COUNT(*) FROM st GROUP BY v";
+  "SELECT COUNT(*), v FROM st WHERE k > 4 GROUP BY v ORDER BY v" ]
+
+let check_repeated_groupbys ~exec_both ~ask ~grow =
+  let rng = Random.State.make [| 2029 |] in
+  let pick lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let insert () =
+    exec_both (Printf.sprintf "INSERT INTO st VALUES (%d, %d) TTL %d" (pick 1 12) (pick 0 4)
+                 (pick 1 25))
+  in
+  exec_both "CREATE TABLE st (k, v)";
+  for _ = 1 to 30 do insert () done;
+  for step = 1 to 80 do
+    if step = 40 then grow ();
+    match Random.State.int rng 20 with
+    | 0 | 1 | 2 | 3 | 4 | 5 | 6 -> insert ()
+    | 7 | 8 -> exec_both (Printf.sprintf "DELETE FROM st WHERE k = %d" (pick 1 12))
+    | 9 -> exec_both (Printf.sprintf "DELETE FROM st WHERE v = %d" (pick 0 4))
+    | 10 | 11 | 12 -> exec_both (Printf.sprintf "TICK %d" (pick 1 3))
+    | _ ->
+      let q = List.nth standing_groupbys (Random.State.int rng (List.length standing_groupbys)) in
+      for _ = 1 to pick 1 3 do ask q done
+  done;
+  List.iter ask standing_groupbys
+
 let test_matches_single_node () =
   with_cluster 3 (fun coord _servers _eps ->
       let single = Server.create ~config:shard_config () in
@@ -145,7 +188,204 @@ let test_matches_single_node () =
                   Alcotest.(check bool)
                     (sql ^ ": same texp(e)") true
                     (Time.equal cl_texp sn_texp))
-                queries)))
+                queries;
+              let exec_both sql =
+                ignore (exec coord sql);
+                ignore (no_err sql (ok (Client.exec c sql)))
+              in
+              let ask sql =
+                let cl_rows, cl_texp = rows_of sql (exec coord sql) in
+                let sn_rows, sn_texp = rows_of sql (no_err sql (ok (Client.exec c sql))) in
+                Alcotest.(check bool) (sql ^ ": same rows and texps") true
+                  (sorted cl_rows = sorted sn_rows);
+                if string_contains sql "ORDER BY" then
+                  Alcotest.(check bool) (sql ^ ": same listing order") true (cl_rows = sn_rows);
+                Alcotest.(check bool) (sql ^ ": same texp(e)") true (Time.equal cl_texp sn_texp)
+              in
+              let extra = Server.create ~config:shard_config () in
+              Server.start extra;
+              Fun.protect
+                ~finally:(fun () -> Server.stop extra)
+                (fun () ->
+                  check_repeated_groupbys ~exec_both ~ask ~grow:(fun () ->
+                      ignore
+                        (ok
+                           (Coordinator.add_shard coord
+                              { Coordinator.host = "127.0.0.1"; port = Server.port extra }))));
+              Alcotest.(check bool) "the repeated GROUP BYs read deltas" true
+                (counter coord "expirel_cluster_agg_delta_reads_total" > 0))))
+
+(* ---------- standing GROUP BY COUNT: what a repeated read ships ---------- *)
+
+(* The bytes a reply's standing delta spends on one shipped group: the
+   codec's own encoding with the group against without it. *)
+let group_bytes key members =
+  let reply members =
+    Wire.encode_response
+      (Wire.Shard_reply
+         { partition = { Wire.live_rows = 0; min_texp = Time.Inf; max_texp = Time.Inf };
+           body =
+             Wire.Body_agg
+               { columns = []; child_texp = Time.Inf; groups = [];
+                 standing =
+                   Some
+                     { Expirel_exec.Partial_agg.cursor = Expirel_exec.Partial_agg.no_cursor;
+                       full = false; members } } })
+  in
+  String.length (reply [ (key, members) ]) - String.length (reply [])
+
+(* A repeated cluster GROUP BY COUNT ships what changed: the third read
+   of a text (the second promotes it on the shards, and ships every
+   group) with no write between gets an empty delta from every shard,
+   and after one routed write exactly one group crosses the wire, its
+   member multiset whole.  A shard whose entry the statement cache
+   evicted (65 distinct texts), or that restarted from its store,
+   ships every group again, and every answer is the single node's. *)
+let test_standing_groupby () =
+  let dirs = List.init 3 (fun _ -> Filename.temp_dir "expirel" "shard") in
+  let config dir = { shard_config with Server.data_dir = Some dir } in
+  let servers = Array.of_list (List.map (fun dir -> Server.create ~config:(config dir) ()) dirs) in
+  Array.iter Server.start servers;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter Server.stop servers;
+      List.iter
+        (fun dir ->
+          Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+          Sys.rmdir dir)
+        dirs)
+    (fun () ->
+      let coord =
+        Coordinator.create ~heartbeat_interval:0.
+          ~shards:
+            (Array.to_list
+               (Array.map (fun s -> { Coordinator.host = "127.0.0.1"; port = Server.port s }) servers))
+          ()
+      in
+      Fun.protect ~finally:(fun () -> Coordinator.close coord) @@ fun () ->
+      let single = Expirel_sqlx.Interp.create () in
+      let exec_both sql =
+        ignore (exec coord sql);
+        ignore (ok (Expirel_sqlx.Interp.exec_sql single sql))
+      in
+      let q = "SELECT g, COUNT(*) FROM s GROUP BY g" in
+      let single_rows () =
+        match ok (Expirel_sqlx.Interp.exec_sql single q) with
+        | Expirel_sqlx.Interp.Rows { listing; texp_e; _ } ->
+          (sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing), texp_e)
+        | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m
+      in
+      (* One read: its reply bytes, checked against the single node. *)
+      let read what =
+        let before = (Coordinator.traffic coord).Coordinator.bytes_received in
+        let rows, texp_e = rows_of q (exec coord q) in
+        let sn_rows, sn_texp = single_rows () in
+        Alcotest.(check bool) (what ^ ": the single node's rows and texps") true
+          (sorted rows = sn_rows);
+        Alcotest.(check bool) (what ^ ": the single node's texp(e)") true
+          (Time.equal texp_e sn_texp);
+        (Coordinator.traffic coord).Coordinator.bytes_received - before
+      in
+      let full_reads () = counter coord "expirel_cluster_agg_full_reads_total" in
+      let delta_reads () = counter coord "expirel_cluster_agg_delta_reads_total" in
+      exec_both "CREATE TABLE s (k, g)";
+      for k = 1 to 300 do
+        exec_both (Printf.sprintf "INSERT INTO s VALUES (%d, %d) EXPIRES %d" k (k mod 100)
+                     (1000 + (k mod 7)))
+      done;
+      ignore (read "first read");
+      Alcotest.(check int) "a first read is condensed" 0 (full_reads () + delta_reads ());
+      let full = read "second read" in
+      Alcotest.(check int) "the second ships every group" 1 (full_reads ());
+      let empty = read "no write" in
+      Alcotest.(check int) "then deltas" 1 (delta_reads ());
+      Alcotest.(check int) "no write, no group: the same empty replies" empty (read "again");
+      Alcotest.(check bool) "an empty delta is far smaller than every group" true
+        (10 * empty < full);
+      exec_both "INSERT INTO s VALUES (301, 1) EXPIRES 2000";
+      (* The group ships as its owner holds it: group 1's rows there. *)
+      let owner k = Wire.shard_owner (Coordinator.shard_map coord) (Value.Int k) in
+      Alcotest.(check int) "one routed write ships one group"
+        (empty
+        + group_bytes [ Value.Int 1 ]
+            (List.filter_map
+               (fun (k, texp) -> if owner k = owner 301 then Some (Time.Fin texp, 1) else None)
+               [ (1, 1001); (101, 1003); (201, 1005); (301, 2000) ]))
+        (read "one write");
+      (* An overwrite, a delete and a tick that expires members. *)
+      exec_both "INSERT INTO s VALUES (2, 2) EXPIRES 1500";
+      exec_both "DELETE FROM s WHERE k = 3";
+      exec_both "ADVANCE TO 1002";
+      ignore (read "overwrite, delete, tick");
+      Alcotest.(check int) "still deltas" 0 (full_reads () - 1);
+      (* 65 distinct texts evict the statement on shard 0. *)
+      let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port servers.(0)) () in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          for k = 1 to 65 do
+            ignore (no_err "evict" (ok (Client.exec c (Printf.sprintf "SELECT k FROM s WHERE k = %d" k))))
+          done);
+      ignore (read "after an eviction");
+      Alcotest.(check int) "an evicted entry ships every group" 2 (full_reads ());
+      ignore (read "after the eviction's full reply");
+      (* Shard 1 restarts from its store on its old port. *)
+      let port = Server.port servers.(1) in
+      Server.stop servers.(1);
+      servers.(1) <-
+        Server.create ~config:{ (config (List.nth dirs 1)) with Server.port } ();
+      Server.start servers.(1);
+      let rec settle n =
+        Coordinator.heartbeat_now coord;
+        match Coordinator.exec coord q with
+        | Wire.Err { code = Wire.Shard_failed; _ } when n > 0 ->
+          Unix.sleepf 0.2;
+          settle (n - 1)
+        | _ -> ()
+      in
+      settle 20;
+      ignore (read "after a restart");
+      Alcotest.(check bool) "a restarted shard ships every group" true (full_reads () >= 3);
+      exec_both "INSERT INTO s VALUES (302, 2) EXPIRES 3000";
+      let before = delta_reads () in
+      ignore (read "a write after the restart");
+      Alcotest.(check int) "deltas again" (before + 1) (delta_reads ()));
+  (* A shard whose rows are all deleted is pruned, never asked: the
+     groups it shipped before must leave the kept answer. *)
+  with_cluster 2 (fun coord _servers _eps ->
+      let single = Expirel_sqlx.Interp.create () in
+      let exec_both sql =
+        ignore (exec coord sql);
+        ignore (ok (Expirel_sqlx.Interp.exec_sql single sql))
+      in
+      let q = "SELECT g, COUNT(*) FROM p GROUP BY g" in
+      let check what =
+        let rows, texp_e = rows_of q (exec coord q) in
+        match ok (Expirel_sqlx.Interp.exec_sql single q) with
+        | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
+          Alcotest.(check bool) (what ^ ": the single node's rows") true
+            (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing));
+          Alcotest.(check bool) (what ^ ": the single node's texp(e)") true
+            (Time.equal texp_e sn_texp)
+        | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m
+      in
+      exec_both "CREATE TABLE p (k, g)";
+      for k = 1 to 12 do
+        exec_both (Printf.sprintf "INSERT INTO p VALUES (%d, %d) EXPIRES 100" k (k mod 3))
+      done;
+      for _ = 1 to 3 do check "kept" done;
+      let map = Coordinator.shard_map coord in
+      for k = 1 to 12 do
+        if Wire.shard_owner map (Value.Int k) = 1 then
+          exec_both (Printf.sprintf "DELETE FROM p WHERE k = %d" k)
+      done;
+      Alcotest.(check bool) "shard 1 is provably empty" true
+        (List.exists
+           (fun (id, summary, _) ->
+             id = 1
+             && match summary with
+                | Some { Wire.live_rows = 0; _ } -> true
+                | _ -> false)
+           (Coordinator.summaries coord));
+      check "after shard 1 emptied")
 
 (* ---------- routing: inserts land on the owner ---------- *)
 
@@ -747,7 +987,7 @@ let test_count_partial_two_slices () =
                 ok
                   (Client.request c
                      (Wire.Shard_exec
-                        { sql; ctx = None; want = Wire.Want_agg }))
+                        { sql; ctx = None; want = Wire.Want_agg None }))
               with
               | Wire.Shard_reply { body = Wire.Body_agg { groups; _ }; _ } ->
                 Alcotest.(check bool) "the shard holds groups" true (groups <> []);
@@ -887,6 +1127,43 @@ let test_shard_partial_error () =
           (exec coord "SELECT g, COUNT(*) FROM t GROUP BY g")
       in
       Alcotest.(check int) "the next GROUP BY answers" 6 (List.length rows))
+
+(* An AT before the clock is refused on every read route, with the
+   single node's words: the scatter, the grouped partial, the sketch
+   (whose shards ignore AT) and a read whose every shard is pruned
+   (which contacts none). *)
+let test_past_at_refused () =
+  let single = Expirel_sqlx.Interp.create () in
+  with_cluster 2 (fun coord _servers _eps ->
+      let exec_both sql =
+        ignore (exec coord sql);
+        ignore (ok (Expirel_sqlx.Interp.exec_sql single sql))
+      in
+      let refused sql =
+        let expected =
+          match Expirel_sqlx.Interp.exec_sql single sql with
+          | Error message -> message
+          | Ok _ -> Alcotest.failf "%s: the single node answered" sql
+        in
+        match Coordinator.exec coord sql with
+        | Wire.Err { code = Wire.Exec_error; message } ->
+          Alcotest.(check string) (sql ^ ": the single node's error") expected message
+        | r -> Alcotest.failf "%s: expected an Exec_error, got %s" sql (Wire.render_response r)
+      in
+      exec_both "CREATE TABLE t (k, v)";
+      for k = 1 to 8 do
+        exec_both (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES %d" k (k mod 3) (20 + k))
+      done;
+      exec_both "ADVANCE TO 10";
+      List.iter refused
+        [ "SELECT k, v FROM t AT 3";
+          "SELECT v, COUNT(*) FROM t GROUP BY v AT 3";
+          "SELECT APPROX_COUNT(0.01) FROM t AT 3" ];
+      exec_both "ADVANCE TO 200";
+      let before = (Coordinator.traffic coord).Coordinator.messages in
+      refused "SELECT k, v FROM t AT 150";
+      Alcotest.(check int) "refused before any contact" before
+        (Coordinator.traffic coord).Coordinator.messages)
 
 (* ---------- qcheck: cluster == single node on random workloads ---------- *)
 
@@ -1418,6 +1695,8 @@ let test_routed_reads_across_rebalance () =
 let suite =
   [ Alcotest.test_case "scatter-gather == single node" `Quick
       test_matches_single_node;
+    Alcotest.test_case "a repeated GROUP BY COUNT ships only written groups"
+      `Quick test_standing_groupby;
     Alcotest.test_case "inserts land on shard_owner's pick" `Quick
       test_insert_routing;
     Alcotest.test_case "expired shards are pruned, answers unchanged" `Quick
@@ -1443,6 +1722,8 @@ let suite =
       test_shard_failed;
     Alcotest.test_case "a shard's statement error answers like one node's"
       `Quick test_shard_partial_error;
+    Alcotest.test_case "an AT in the past is refused on every route" `Quick
+      test_past_at_refused;
     qcheck_cluster_matches_single_node;
     Alcotest.test_case "global aggregates combine from shard partials" `Quick
       test_aggregate_combine;

@@ -885,8 +885,8 @@ let test_plan_cache_metrics () =
             [ (1, Wire.Exec "EXPLAIN ANALYZE SELECT uid FROM pol");
               (1, Wire.Exec "EXPLAIN ANALYZE SELECT uid FROM pol");
               (1, shard Wire.Want_rows "SELECT uid FROM pol");
-              (1, shard Wire.Want_agg "SELECT deg, COUNT(*) FROM pol GROUP BY deg");
-              (1, shard Wire.Want_agg "SELECT deg, COUNT(*) FROM pol GROUP BY deg");
+              (1, shard (Wire.Want_agg None) "SELECT deg, COUNT(*) FROM pol GROUP BY deg");
+              (1, shard (Wire.Want_agg None) "SELECT deg, COUNT(*) FROM pol GROUP BY deg");
               (1, shard Wire.Want_sketch "SELECT APPROX_COUNT(0.1) FROM pol");
               (1, Wire.Exec "SELECT uid FROM nope");
               (0, Wire.Exec "SELEC uid FROM pol");
@@ -1022,7 +1022,7 @@ let test_shard_exec_lock_span () =
           ok (Client.exec_ok client "INSERT INTO s VALUES (1, 7) EXPIRES 10");
           let ctx = { Wire.trace_id = "agg-partial-1"; parent_span = 3 } in
           (match
-             shard_exec client ~ctx ~want:Wire.Want_agg
+             shard_exec client ~ctx ~want:(Wire.Want_agg None)
                "SELECT grp, COUNT(*) FROM s GROUP BY grp"
            with
            | Wire.Shard_reply { body = Wire.Body_agg { groups = [ _ ]; _ }; _ }

@@ -61,8 +61,24 @@ let partition_texp : Wire.partition_texp Gen.t =
 
 let moved = Gen.list_size (Gen.int_range 0 4) (Gen.pair row time)
 
+(* v11 varints carry any int: small ones in a byte, the extremes in
+   ten. *)
+let wide_int : int Gen.t =
+  Gen.oneof
+    [ Gen.int_range (-3) 300; Gen.int; Gen.oneofl [ min_int; max_int; 0; -1 ] ]
+
+let wide_time : Time.t Gen.t =
+  Gen.oneof [ time; Gen.map Time.of_int wide_int ]
+
+let cursor : Expirel_exec.Partial_agg.cursor Gen.t =
+  Gen.map2
+    (fun entry generation -> { Expirel_exec.Partial_agg.entry; generation })
+    wide_int wide_int
+
 let want : Wire.want Gen.t =
-  Gen.oneofl [ Wire.Want_rows; Wire.Want_sketch; Wire.Want_agg ]
+  Gen.oneof
+    [ Gen.oneofl [ Wire.Want_rows; Wire.Want_sketch; Wire.Want_agg None ];
+      Gen.map (fun c -> Wire.Want_agg (Some c)) cursor ]
 
 let request : Wire.request Gen.t =
   Gen.oneof
@@ -237,6 +253,36 @@ let agg_group : Expirel_exec.Partial_agg.group Gen.t =
     row
     (Gen.list_size (Gen.int_range 0 4) slice)
 
+(* v11 COUNT slices: only a texp and a row count, which travel as a
+   varint pair. *)
+let count_group : Expirel_exec.Partial_agg.group Gen.t =
+  Gen.map2
+    (fun key slices -> { Expirel_exec.Partial_agg.key; slices })
+    row
+    (Gen.list_size (Gen.int_range 0 3)
+       (Gen.map2
+          (fun s_texp s_rows ->
+            { Expirel_exec.Partial_agg.s_texp;
+              s_rows;
+              s_nonnull = 0;
+              s_sum = Value.Null;
+              s_fsum = 0.;
+              s_min = Value.Null;
+              s_max = Value.Null
+            })
+          wide_time wide_int))
+
+(* v11 standing deltas: a cursor and per group its member multiset. *)
+let delta : Expirel_exec.Partial_agg.delta Gen.t =
+  let open Gen in
+  let* cursor = cursor in
+  let* full = bool in
+  let* members =
+    list_size (int_range 0 4)
+      (pair row (list_size (int_range 0 4) (pair wide_time wide_int)))
+  in
+  return { Expirel_exec.Partial_agg.cursor; full; members }
+
 (* v9: every body the statement envelope carries. *)
 let shard_body : Wire.shard_body Gen.t =
   let open Gen in
@@ -251,11 +297,15 @@ let shard_body : Wire.shard_body Gen.t =
       map2
         (fun columns payload -> Wire.Body_sketch { columns; payload })
         columns name;
-      map3
-        (fun columns child_texp groups ->
-          Wire.Body_agg { columns; child_texp; groups })
-        columns time
-        (list_size (int_range 0 4) agg_group) ]
+      (let* columns = columns in
+       let* child_texp = time in
+       let* groups =
+         oneof
+           [ list_size (int_range 0 4) agg_group;
+             list_size (int_range 0 4) count_group ]
+       in
+       let* standing = option delta in
+       return (Wire.Body_agg { columns; child_texp; groups; standing })) ]
 
 let response : Wire.response Gen.t =
   Gen.oneof
@@ -365,6 +415,16 @@ let truncation_errors =
       let prefix = String.sub payload 0 k in
       decodes_cleanly prefix
       && Wire.decode_response prefix <> Ok r)
+
+let truncated_requests_error =
+  Generators.qtest "truncated requests error, never raise" ~count:300
+    (Gen.pair request (Gen.int_range 0 99))
+    (fun (r, cut) ->
+      let payload = Wire.encode_request r in
+      let n = String.length payload in
+      let k = if n = 0 then 0 else cut mod n in
+      let prefix = String.sub payload 0 k in
+      decodes_cleanly prefix && Wire.decode_request prefix <> Ok r)
 
 let trailing_garbage_errors =
   Generators.qtest "trailing garbage is rejected" ~count:300
@@ -607,6 +667,7 @@ let suite =
     frame_extracts;
     extract_sequence;
     truncation_errors;
+    truncated_requests_error;
     trailing_garbage_errors;
     junk_never_raises;
     truncated_shard_map_errors;
