@@ -16,7 +16,8 @@
    - a repeated GROUP BY COUNT over 10^4 rows in 10^3 groups with one
      routed write between reads: microseconds and shard bytes per read
      when the coordinator keeps the groups and the shards ship deltas,
-     against the stateless path.
+     against the stateless path; and the same for 24 and 80 texts
+     cycled in rotation and for 1 800 writes between reads.
 
    Expected shape: with 2 of 3 partitions expired, pruning cuts fan-out
    messages by ~2/3 and reply bytes by more (dead shards answer with
@@ -280,9 +281,16 @@ let run_all () =
          written since: after one routed write, one group crosses the
          wire and one is re-finalised.  The same reads through the
          forced broadcast ([~prune:false]) take the stateless path —
-         every shard's condensed groups, merged and finalised whole. *)
+         every shard's condensed groups, merged and finalised whole.
+
+         Two traffic shapes the kept path cannot exploit, each against
+         the stateless path: texts cycled in rotation (24 fit both the
+         coordinator's entries and the shards' statement cache, 80 fit
+         neither, so every read is a text's first), and 1 800 writes
+         between reads (past a shard entry's 512-write log, so every
+         read ships every group). *)
       Bench_util.subsection "repeated GROUP BY COUNT, one write between reads";
-      let sg_rows = 10_000 and sg_groups = 1_000 and sg_reads = 100 in
+      let sg_rows = 10_000 and sg_groups = 1_000 in
       ignore (no_err (Coordinator.exec coord "CREATE TABLE sg (k, grp)"));
       for k = 1 to sg_rows do
         ignore
@@ -292,47 +300,85 @@ let run_all () =
                    (k mod sg_groups) (100_000 + (k mod 97)))))
       done;
       let sg_sql = "SELECT grp, COUNT(*) FROM sg GROUP BY grp" in
-      let answer ~prune =
-        match no_err (Coordinator.exec ~prune coord sg_sql) with
+      let answer ~prune sql =
+        match no_err (Coordinator.exec ~prune coord sql) with
         | Wire.Rows { rows; texp_e; _ } -> (List.sort compare rows, texp_e)
-        | r -> failwith (sg_sql ^ ": " ^ Wire.render_response r)
+        | r -> failwith (sql ^ ": " ^ Wire.render_response r)
       in
-      let repeated ~prune =
-        (* the shards promote the text on its second read, and ship
-           every group to the kept path on its third *)
-        for _ = 1 to 3 do ignore (answer ~prune) done;
+      let written = ref 0 in
+      let overwrite () =
+        (* row k takes a new texp *)
+        incr written;
+        let k = (!written mod sg_rows) + 1 in
+        ignore
+          (no_err
+             (Coordinator.exec coord
+                (Printf.sprintf "INSERT INTO sg VALUES (%d, %d) EXPIRES %d" k
+                   (k mod sg_groups) (200_000 + !written))))
+      in
+      (* [reads] reads cycling through [texts], [writes] overwrites
+         before each; microseconds and shard bytes per read.  [rounds]
+         unmeasured rounds first: a text's first read is stateless (the
+         shards plan it), its second ships every group, its third a
+         delta. *)
+      let repeated ~prune ~texts ~rounds ~writes ~reads =
+        let texts = Array.of_list texts in
+        let text i = texts.(i mod Array.length texts) in
+        for i = 0 to (rounds * Array.length texts) - 1 do
+          overwrite ();
+          ignore (answer ~prune (text i))
+        done;
         let bytes = ref 0 and seconds = ref 0. in
-        for i = 1 to sg_reads do
-          (* an overwrite: row i takes a new texp *)
-          ignore
-            (no_err
-               (Coordinator.exec coord
-                  (Printf.sprintf "INSERT INTO sg VALUES (%d, %d) EXPIRES %d" i
-                     (i mod sg_groups) (200_000 + i))));
+        for i = 0 to reads - 1 do
+          for _ = 1 to writes do overwrite () done;
           let before = Coordinator.traffic coord in
-          let (_ : _ * Time.t), s = Bench_util.time_it (fun () -> answer ~prune) in
+          let (_ : _ * Time.t), s = Bench_util.time_it (fun () -> answer ~prune (text i)) in
           let after = Coordinator.traffic coord in
           bytes :=
             !bytes + after.Coordinator.bytes_sent - before.Coordinator.bytes_sent
             + after.Coordinator.bytes_received - before.Coordinator.bytes_received;
           seconds := !seconds +. s
         done;
-        (!seconds *. 1e6 /. float_of_int sg_reads, !bytes / sg_reads)
+        (!seconds *. 1e6 /. float_of_int reads, !bytes / reads)
       in
-      let kept_us, kept_bytes = repeated ~prune:true in
-      let stateless_us, stateless_bytes = repeated ~prune:false in
-      let kept = answer ~prune:true in
-      if kept <> answer ~prune:false || List.length (fst kept) <> sg_groups then
-        failwith "exp-cluster: the kept GROUP BY differs from the stateless one";
-      Bench_util.table
-        ~headers:[ "path"; "us/read"; "shard bytes/read" ]
-        [ [ "kept, deltas"; Printf.sprintf "%.0f" kept_us; string_of_int kept_bytes ];
-          [ "stateless (~prune:false)"; Printf.sprintf "%.0f" stateless_us;
-            string_of_int stateless_bytes ] ];
-      Bench_util.metric "standing_groupby_n10000_g1000_us_per_read" kept_us;
-      Bench_util.metric_int "standing_groupby_n10000_g1000_bytes_per_read" kept_bytes;
-      Bench_util.metric "stateless_groupby_n10000_g1000_us_per_read" stateless_us;
-      Bench_util.metric_int "stateless_groupby_n10000_g1000_bytes_per_read" stateless_bytes;
+      let filtered n =
+        (* distinct texts, each keeping every row *)
+        List.init n (fun i ->
+            Printf.sprintf "SELECT grp, COUNT(*) FROM sg WHERE k > %d GROUP BY grp" (-i))
+      in
+      let shapes =
+        [ ("one text, 1 write", "n10000_g1000", [ sg_sql ], 3, 1, 100);
+          ("one text, 1800 writes", "w1800", [ sg_sql ], 3, 1800, 12);
+          ("24 texts cycled, 1 write", "t24", filtered 24, 3, 1, 48);
+          ("80 texts cycled, 1 write", "t80", filtered 80, 1, 1, 40) ]
+      in
+      let rows =
+        List.concat_map
+          (fun (shape, tag, texts, rounds, writes, reads) ->
+            let kept_us, kept_bytes = repeated ~prune:true ~texts ~rounds ~writes ~reads in
+            let stateless_us, stateless_bytes =
+              repeated ~prune:false ~texts ~rounds ~writes ~reads
+            in
+            List.iter
+              (fun sql ->
+                if answer ~prune:true sql <> answer ~prune:false sql then
+                  failwith "exp-cluster: the kept GROUP BY differs from the stateless one")
+              texts;
+            Bench_util.metric (Printf.sprintf "standing_groupby_%s_us_per_read" tag) kept_us;
+            Bench_util.metric_int (Printf.sprintf "standing_groupby_%s_bytes_per_read" tag)
+              kept_bytes;
+            Bench_util.metric (Printf.sprintf "stateless_groupby_%s_us_per_read" tag)
+              stateless_us;
+            Bench_util.metric_int (Printf.sprintf "stateless_groupby_%s_bytes_per_read" tag)
+              stateless_bytes;
+            [ [ shape; "kept"; Printf.sprintf "%.0f" kept_us; string_of_int kept_bytes ];
+              [ shape; "stateless (~prune:false)"; Printf.sprintf "%.0f" stateless_us;
+                string_of_int stateless_bytes ] ])
+          shapes
+      in
+      if List.length (fst (answer ~prune:true sg_sql)) <> sg_groups then
+        failwith "exp-cluster: the kept GROUP BY lost groups";
+      Bench_util.table ~headers:[ "traffic"; "path"; "us/read"; "shard bytes/read" ] rows;
 
       (* ---- key-routed point reads vs broadcast ----
 

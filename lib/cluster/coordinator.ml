@@ -37,6 +37,8 @@ type kept = {
   epoch : int;
   held : (int, held) Hashtbl.t;  (* by shard id *)
   mutable counts : Subscription.counts;
+  mutable heavy : int;  (* reads in a row whose deltas cost more than a merge *)
+  mutable rest : int;  (* reads left to answer the stateless way *)
 }
 
 type traffic = {
@@ -690,7 +692,8 @@ let merging ?trace merge =
    it does not know: a text's second read, a rebuilt or evicted entry,
    a restart).  Each shipped group replaces this coordinator's copy of
    that shard's group in the sum; every copy then ages to the query's
-   tau by expiration alone, and only the groups a reply or an
+   latest clock among tau and the shards' (the clock each delta
+   carries) by expiration alone, and only the groups a reply or an
    expiration touched are re-finalised ({!Subscription.regroup}).
 
    Holding the member multisets, rather than the shards' condensed
@@ -735,19 +738,27 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
     Some
       (merging ?trace @@ fun () ->
        let sum = ref (Subscription.counts_groups e.counts) and touched = ref [] in
-       let shift key members sign =
-         List.iter
-           (fun (texp, n) -> sum := Partial_agg.standing_change !sum key texp (sign * n))
-           members
-       in
+       (* A shard's copy of a group becomes [members]; the sum's group
+          takes the difference in one step. *)
        let replace h (key, members) =
-         shift key (Partial_agg.standing_members h.groups key) (-1);
-         shift key members 1;
+         let was = Partial_agg.standing_members h.groups key in
+         sum :=
+           Partial_agg.standing_replace !sum key
+             (List.concat
+                [ Partial_agg.standing_members !sum key;
+                  List.map (fun (texp, n) -> (texp, -n)) was;
+                  members ]);
          h.groups <- Partial_agg.standing_replace h.groups key members;
          touched := key :: !touched
        in
-       let clear h =
-         List.iter (fun (key, _) -> replace h (key, [])) (Partial_agg.standing_all h.groups);
+       (* Every group of [h] not in [keep] empties ([keep] is then
+          replaced in; emptying a kept one too would only cost time). *)
+       let clear ?(keep = []) h =
+         let kept = Hashtbl.create (List.length keep) in
+         List.iter (fun (key, _) -> Hashtbl.replace kept key ()) keep;
+         List.iter
+           (fun (key, _) -> if not (Hashtbl.mem kept key) then replace h (key, []))
+           (Partial_agg.standing_all h.groups);
          h.cursor <- Partial_agg.no_cursor
        in
        let shipped =
@@ -756,7 +767,7 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
        List.iter
          (fun (slot, (d : Partial_agg.delta)) ->
            let h = held slot in
-           if d.full then clear h;
+           if d.full then clear ~keep:d.members h;
            List.iter (replace h) d.members;
            h.cursor <- d.cursor)
          shipped;
@@ -766,13 +777,36 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
          (fun id h ->
            if not (List.exists (fun (s, _) -> s.shard.Wire.shard_id = id) shipped) then clear h)
          e.held;
-       Hashtbl.iter (fun _ h -> h.groups <- fst (Partial_agg.standing_expire h.groups tau)) e.held;
-       let groups, expired = Partial_agg.standing_expire !sum tau in
+       (* The copies age to the latest clock a shard shipped: one that
+          another coordinator, or a TICK still in flight, moved on. *)
+       let clock =
+         List.fold_left (fun c (_, (d : Partial_agg.delta)) -> Time.max c d.now) tau shipped
+       in
+       locked t (fun () -> t.now <- Time.max t.now clock);
+       Hashtbl.iter (fun _ h -> h.groups <- fst (Partial_agg.standing_expire h.groups clock)) e.held;
+       let groups, expired = Partial_agg.standing_expire !sum clock in
        let counts, _, _ =
          Subscription.regroup e.counts groups
            (List.sort_uniq (List.compare Value.compare) (expired @ !touched))
        in
        e.counts <- counts;
+       (* Replacing a group costs about five times what merging a
+          condensed one does: deltas that ship over a fifth of the
+          groups held lose to the stateless merge, and the entry rests
+          for 2, 4, ... 64 reads while they keep doing so. *)
+       if not (List.exists (fun (_, (d : Partial_agg.delta)) -> d.full) shipped) then begin
+         let changed =
+           List.fold_left (fun n (_, (d : Partial_agg.delta)) -> n + List.length d.members) 0 shipped
+         in
+         let heavy =
+           changed > 64
+           && 5 * changed
+              > Hashtbl.fold (fun _ h n -> n + Partial_agg.standing_groups h.groups) e.held 0
+         in
+         locked t (fun () ->
+             e.heavy <- (if heavy then min 6 (e.heavy + 1) else 0);
+             e.rest <- (if heavy then 1 lsl e.heavy else 0))
+       end;
        if List.compare_lengths shipped parts = 0 then begin
          if parts <> [] then
            Obs.Instrument.Counter.incr
@@ -792,6 +826,13 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
                 | None -> (groups, child_texp))
               parts))
 
+(* A text's first read (or its first since an eviction or a catalog
+   change) only makes its entry and is answered the stateless way, with
+   the shards' condensed groups: a text read once costs what it did
+   without the entry, and only a text read again asks for members.  So
+   are the reads an entry rests for after heavy deltas ([standing_step]);
+   its copies and cursors wait, and its next read asks for every group
+   written meanwhile. *)
 let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~tau
     ~finalize ~stateless =
   let entry =
@@ -799,12 +840,17 @@ let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~
         if Option.is_some t.moving then None
         else
           match Expirel_exec.Lru.find t.kept sql with
+          | Some e when e.epoch = t.epoch && e.rest > 0 ->
+            e.rest <- e.rest - 1;
+            None
           | Some e when e.epoch = t.epoch -> Some e
           | Some _ | None ->
             let e =
               { lock = Mutex.create ();
                 epoch = t.epoch;
                 held = Hashtbl.create 4;
+                heavy = 0;
+                rest = 0;
                 counts =
                   Subscription.counts
                     ~output:
@@ -815,7 +861,7 @@ let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~
               }
             in
             Expirel_exec.Lru.set t.kept sql e;
-            Some e)
+            None)
   in
   match
     Option.bind entry (fun e ->
@@ -1160,7 +1206,7 @@ let create ?(node_name = "coordinator") ?health_rules
       moving = None;
       moves = 0;
       now = Time.zero;
-      kept = Expirel_exec.Lru.create ~capacity:16 ();
+      kept = Expirel_exec.Lru.create ~capacity:Interp.statement_capacity ();
       epoch = 0;
       last_health = Obs.Health.Ok;
       last_horizon = None;

@@ -849,6 +849,7 @@ let no_cursor = { entry = -1; generation = 0 }
 
 type delta = {
   cursor : cursor;
+  now : Time.t;
   full : bool;
   members : (Value.t list * (Time.t * int) list) list;
 }

@@ -173,8 +173,9 @@ val standing_all : standing -> (Value.t list * (Time.t * int) list) list
 
 val standing_replace : standing -> Value.t list -> (Time.t * int) list -> standing
 (** [standing_replace s key members]: the group now holds exactly
-    [members] ([[]] drops it) — a shipped group taking the place of the
-    reader's copy.  O(log groups + texps). *)
+    [members] ([[]] drops it; a texp listed twice adds its counts) — a
+    shipped group taking the place of the reader's copy.  O(log groups
+    + texps · log texps). *)
 
 (** {2 Standing COUNT deltas}
 
@@ -183,7 +184,8 @@ val standing_replace : standing -> Value.t list -> (Time.t * int) list -> standi
     changed since its {!cursor}: the node's standing entry and the
     write generation of that entry the reader last saw.  Groups age by
     expiration alone on both sides ({!standing_expire}), so only
-    writes need shipping. *)
+    writes need shipping, with the node's clock: a clock another
+    reader moved ages the reader's copy too. *)
 
 type cursor = {
   entry : int;  (** the node's standing entry (a fresh id per build) *)
@@ -195,6 +197,9 @@ val no_cursor : cursor
 
 type delta = {
   cursor : cursor;  (** where this reply leaves the reader *)
+  now : Time.t;
+      (** the node's clock, which [members] are aged to: the reader ages
+          its copy of every other group there too *)
   full : bool;
       (** every group the entry holds (the request's cursor was from
           another entry, or older than the entry's log), not only the

@@ -100,15 +100,27 @@ let regroup c groups keys =
     touched_in c.answer.Eval.relation,
     touched_in relation )
 
-(* The keys each write touched, newest last: generation [g]'s key sits
-   at [g mod log_size].  A reader's cursor within the last [log_size]
-   generations gets the groups written since; an older one gets every
-   group. *)
+(* The groups writes touched, each once, at the generation of its last
+   write: by key and by generation.  The log keeps the last [log_size]
+   groups written; a reader's cursor at or after its [floor] gets
+   exactly the groups written since, however many writes that was, and
+   an older one every group. *)
 let log_size = 512
 
-(* Entry ids start at a random point per process, so a cursor from
-   before a restart matches no entry after it. *)
-let next_id = Atomic.make (Random.State.bits (Random.State.make_self_init ()))
+module Keys = Map.Make (struct
+  type t = Value.t list
+  let compare = List.compare Value.compare
+end)
+
+module Gens = Map.Make (Int)
+
+(* Entry ids start at a random 62-bit point per process, so a cursor
+   from before a restart matches an entry after it only by a 2^-62-ish
+   chance, and no id is [Partial_agg.no_cursor]'s. *)
+let next_id =
+  Atomic.make
+    (Int64.to_int
+       (Int64.shift_right_logical (Random.State.bits64 (Random.State.make_self_init ())) 2))
 
 type counted = {
   table : string;
@@ -120,8 +132,27 @@ type counted = {
          last kept current *)
   id : int;
   mutable generation : int;  (* writes that reached a group *)
-  log : Value.t list array;
+  mutable written : int Keys.t;  (* a logged group's last write *)
+  mutable order : Value.t list Gens.t;  (* the same, by generation *)
+  mutable logged : int;
+  mutable floor : int;  (* the latest generation the log dropped *)
 }
+
+(* Group [key] takes the entry's next generation. *)
+let log_write k key =
+  k.generation <- k.generation + 1;
+  (match Keys.find_opt key k.written with
+   | Some g -> k.order <- Gens.remove g k.order
+   | None -> k.logged <- k.logged + 1);
+  k.written <- Keys.add key k.generation k.written;
+  k.order <- Gens.add k.generation key k.order;
+  if k.logged > log_size then begin
+    let g, oldest = Gens.min_binding k.order in
+    k.order <- Gens.remove g k.order;
+    k.written <- Keys.remove oldest k.written;
+    k.logged <- k.logged - 1;
+    k.floor <- g
+  end
 
 (* How a write reaches an entry: a rerun at the clock, the written row as
    its own delta (see [delta_of]), or the group it touches. *)
@@ -204,7 +235,10 @@ let counted_of db compiled =
         stamp = (Database.generation db, Table.generation table, Database.now db);
         id = Atomic.fetch_and_add next_id 1;
         generation = 0;
-        log = Array.make log_size []
+        written = Keys.empty;
+        order = Gens.empty;
+        logged = 0;
+        floor = 0
       }
   | _ -> None
 
@@ -267,17 +301,21 @@ let partial e =
 let since e (cursor : Partial_agg.cursor) =
   match e.feed with
   | Counted k ->
-    let groups = k.counts.groups in
-    let behind = k.generation - cursor.generation in
-    let full = cursor.entry <> k.id || behind < 0 || behind > log_size in
+    let groups = k.counts.groups and _, _, now = k.stamp in
+    let full =
+      cursor.entry <> k.id || cursor.generation < k.floor
+      || cursor.generation > k.generation
+    in
     let members =
       if full then Partial_agg.standing_all groups
       else
-        List.init behind (fun i -> k.log.((cursor.generation + 1 + i) mod log_size))
-        |> List.sort_uniq (List.compare Value.compare)
+        Gens.to_seq_from (cursor.generation + 1) k.order
+        |> Seq.map (fun (_, key) -> key)
+        |> List.of_seq
+        |> List.sort (List.compare Value.compare)
         |> List.map (fun key -> (key, Partial_agg.standing_members groups key))
     in
-    { Partial_agg.cursor = { entry = k.id; generation = k.generation }; full; members }
+    { Partial_agg.cursor = { entry = k.id; generation = k.generation }; now; full; members }
   | Rerun | Delta _ -> invalid_arg "Subscription.since: not a grouped COUNT"
 
 let groups t =
@@ -486,8 +524,7 @@ let write ?trace t ~before record =
                 diff old fresh;
                 e.result <- counts.answer;
                 k.counts <- counts;
-                k.generation <- k.generation + 1;
-                k.log.(k.generation mod log_size) <- key)
+                log_write k key)
               (k.member tuple);
             Option.iter (fun s -> k.stamp <- s) (stamp t.db k))
         names

@@ -105,12 +105,16 @@ val partial : entry -> Partial_agg.t
 
 val since : entry -> Partial_agg.cursor -> Partial_agg.delta
 (** A grouped COUNT entry's groups for a reader whose copy stands at
-    [cursor]: when the cursor names this entry and lies within its log
-    of the last 512 written groups, the groups {!write} touched since
-    (each with its whole member multiset, [[]] once emptied);
-    otherwise every group ([full]).  Expirations are not shipped — the
-    reader ages its copy itself with {!Partial_agg.standing_expire}.
-    The reply's cursor is the entry's present one.  O(changed groups ·
+    [cursor]: when the cursor names this entry and its log (the last
+    512 distinct groups written) reaches back to it, the groups {!write}
+    touched since, however many writes that was (each with its whole
+    member multiset, [[]] once emptied); otherwise (another entry's
+    cursor, a negative or future generation, one older than the log)
+    every group ([full]).  Expirations are not
+    shipped — the reader ages its copy itself with
+    {!Partial_agg.standing_expire}, to the reply's [now], the clock the
+    entry's groups stand at.  The reply's cursor is the entry's present
+    one.  O(changed groups ·
     log groups), or O(groups) for a full reply.
     @raise Invalid_argument for any other entry *)
 

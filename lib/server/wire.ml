@@ -424,6 +424,7 @@ let put_cursor b (c : Expirel_exec.Partial_agg.cursor) =
 
 let put_delta b (d : Expirel_exec.Partial_agg.delta) =
   put_cursor b d.cursor;
+  put_vtime b d.now;
   put_bool b d.full;
   put_vlist b
     (fun b (key, members) ->
@@ -872,6 +873,7 @@ let get_cursor c : Expirel_exec.Partial_agg.cursor =
 
 let get_delta c : Expirel_exec.Partial_agg.delta =
   let cursor = get_cursor c in
+  let now = get_vtime c in
   let full = get_bool c in
   let members =
     get_vlist c (fun c ->
@@ -879,7 +881,7 @@ let get_delta c : Expirel_exec.Partial_agg.delta =
         let members = get_vlist c get_count in
         (key, members))
   in
-  { cursor; full; members }
+  { cursor; now; full; members }
 
 let get_option c get =
   match get_u8 c with

@@ -121,8 +121,8 @@ val version : int
     varints).  The aggregate body's groups lead with a form byte — 1:
     the v9 layout (seven fixed fields per slice); 2: COUNT slices as
     varint [(texp, count)] pairs, lengths as varints — and are followed
-    by an optional standing delta (presence byte; cursor, full flag,
-    then per group its key and its member multiset as varint
+    by an optional standing delta (presence byte; cursor, the shard's
+    clock as a varint time, full flag, then per group its key and its member multiset as varint
     [(texp, count)] pairs).  A varint is the little-endian base-128
     form of the 64-bit pattern (signed ints zigzagged; a time is 0 for
     [Inf], else its zigzag plus one).  A condensed COUNT group drops

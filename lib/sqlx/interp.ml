@@ -79,6 +79,8 @@ type t = {
          clock moves (ADVANCE/TICK/VACUUM) and on horizon reads *)
 }
 
+let statement_capacity = 64
+
 let create ?policy ?store () =
   let db =
     match store with
@@ -95,7 +97,7 @@ let create ?policy ?store () =
     cached;
     trigger_log = [];
     statements =
-      Lru.create ~capacity:64
+      Lru.create ~capacity:statement_capacity
         ~on_evict:(fun text -> ignore (Subscription.unsubscribe cached text))
         ();
     plan_mutex = Mutex.create ();

@@ -35,6 +35,10 @@ val create :
 
 val database : t -> Database.t
 
+val statement_capacity : int
+(** The statement cache's entries (64): the texts a node keeps plans,
+    and standing grouped COUNTs, for. *)
+
 type outcome =
   | Msg of string
   | Rows of {

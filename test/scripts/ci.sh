@@ -126,6 +126,10 @@ grep -F '"unordered_n20000_f99_speedup"' "$SMOKE_DIR/BENCH_vexec.json"
 # recorded its per-read cost; it fails hard if the kept answer differs
 # from the stateless one.
 grep -F '"standing_groupby_n10000_g1000_us_per_read"' "$SMOKE_DIR/BENCH_cluster.json"
+# So must the rows where keeping gains nothing: texts in rotation past
+# the caches, and writes touching most groups between reads.
+grep -F '"standing_groupby_t80_us_per_read"' "$SMOKE_DIR/BENCH_cluster.json"
+grep -F '"standing_groupby_w1800_us_per_read"' "$SMOKE_DIR/BENCH_cluster.json"
 rm -rf "$SMOKE_DIR"
 test "$(cksum BENCH_*.json)" = "$BENCH_SUMS_BEFORE"
 
@@ -273,9 +277,10 @@ echo "$CLUSTER_OUT" | grep -E '10 \| 3$'
 echo "$CLUSTER_OUT" | grep -F "texp | deg, count"
 echo "$CLUSTER_OUT" | grep -E '10 \| 25, 2$'
 echo "$CLUSTER_OUT" | grep -E '20 \| 35, 1$'
-# Read again, the same GROUP BY COUNT is kept at the coordinator: the
-# shards promote it on its second read and ship every group, and on the
-# third each ships only the groups written since (none).
+# Read again, the same GROUP BY COUNT is kept at the coordinator: its
+# first read is stateless, on its second the shards promote it and ship
+# every group, and on the third each ships only the groups written
+# since (none).
 echo "$CLUSTER_OUT" | grep -E '^expirel_cluster_agg_full_reads_total 1$'
 echo "$CLUSTER_OUT" | grep -E '^expirel_cluster_agg_delta_reads_total [1-9]'
 # AVG travels as SUM + COUNT and is divided once, at the coordinator.

@@ -230,7 +230,7 @@ let group_bytes key members =
                  standing =
                    Some
                      { Expirel_exec.Partial_agg.cursor = Expirel_exec.Partial_agg.no_cursor;
-                       full = false; members } } })
+                       now = Time.Inf; full = false; members } } })
   in
   String.length (reply [ (key, members) ]) - String.length (reply [])
 
@@ -318,6 +318,15 @@ let test_standing_groupby () =
       exec_both "ADVANCE TO 1002";
       ignore (read "overwrite, delete, tick");
       Alcotest.(check int) "still deltas" 0 (full_reads () - 1);
+      (* 600 writes to one row, all on its owner: still one group. *)
+      for i = 1 to 600 do
+        exec_both (Printf.sprintf "INSERT INTO s VALUES (1, 1) EXPIRES %d" (2000 + i))
+      done;
+      let before = delta_reads () in
+      ignore (read "600 writes to one group");
+      Alcotest.(check int) "more writes than the log holds, one group: a delta" (before + 1)
+        (delta_reads ());
+      Alcotest.(check int) "and no full reply" 1 (full_reads ());
       (* 65 distinct texts evict the statement on shard 0. *)
       let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port servers.(0)) () in
       Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
@@ -386,6 +395,166 @@ let test_standing_groupby () =
                 | _ -> false)
            (Coordinator.summaries coord));
       check "after shard 1 emptied")
+
+(* A kept GROUP BY COUNT stays the single node's answer when the
+   shards' clock moves behind this coordinator's back: another
+   coordinator's ADVANCE, or a TICK sent to the shards themselves.  The
+   deltas carry the shards' clock, and the kept copies age to it.  A
+   text's first read at a coordinator is the stateless read, even where
+   the shards already keep the text standing for another. *)
+let test_standing_clock () =
+  with_cluster 2 (fun coord servers eps ->
+      let other = Coordinator.create ~heartbeat_interval:0. ~shards:eps () in
+      Fun.protect ~finally:(fun () -> Coordinator.close other) @@ fun () ->
+      let single = Expirel_sqlx.Interp.create () in
+      let exec_both sql =
+        ignore (exec coord sql);
+        ignore (ok (Expirel_sqlx.Interp.exec_sql single sql))
+      in
+      let q = "SELECT g, COUNT(*) FROM c GROUP BY g" in
+      let check what =
+        let rows, texp_e = rows_of q (exec coord q) in
+        match ok (Expirel_sqlx.Interp.exec_sql single q) with
+        | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
+          Alcotest.(check bool) (what ^ ": the single node's rows and texps") true
+            (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing));
+          Alcotest.(check bool) (what ^ ": the single node's texp(e)") true
+            (Time.equal texp_e sn_texp)
+        | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m
+      in
+      let full_reads c = counter c "expirel_cluster_agg_full_reads_total" in
+      let delta_reads c = counter c "expirel_cluster_agg_delta_reads_total" in
+      exec_both "CREATE TABLE c (k, g)";
+      for k = 1 to 40 do
+        exec_both (Printf.sprintf "INSERT INTO c VALUES (%d, %d) EXPIRES %d" k (k mod 4) (10 + k))
+      done;
+      for _ = 1 to 3 do check "kept" done;
+      Alcotest.(check int) "kept: one full read, then a delta" 1 (full_reads coord);
+      Alcotest.(check int) "kept: a delta read" 1 (delta_reads coord);
+      (* The shards keep the text standing; the other coordinator's first
+         read of it still takes their condensed groups, as a read that
+         never keeps does. *)
+      let received c f =
+        let before = (Coordinator.traffic c).Coordinator.bytes_received in
+        ignore (no_err q (f ()));
+        (Coordinator.traffic c).Coordinator.bytes_received - before
+      in
+      (* (the first read also learns the table's columns) *)
+      ignore (received other (fun () -> Coordinator.exec ~prune:false other q));
+      let stateless = received other (fun () -> Coordinator.exec ~prune:false other q) in
+      Alcotest.(check int) "another coordinator's first read is stateless" stateless
+        (received other (fun () -> Coordinator.exec other q));
+      Alcotest.(check int) "and keeps nothing yet" 0 (full_reads other + delta_reads other);
+      (* Another coordinator advances the cluster: members expire in
+         groups no write touched. *)
+      ignore (exec other "ADVANCE TO 20");
+      ignore (ok (Expirel_sqlx.Interp.exec_sql single "ADVANCE TO 20"));
+      check "after another coordinator's ADVANCE";
+      (* A TICK sent to each shard itself. *)
+      List.iter
+        (fun server ->
+          let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port server) () in
+          Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+              ignore (no_err "tick" (ok (Client.exec c "ADVANCE TO 33")))))
+        servers;
+      ignore (ok (Expirel_sqlx.Interp.exec_sql single "ADVANCE TO 33"));
+      check "after a TICK sent to the shards";
+      Alcotest.(check int) "both answered from deltas" 3 (delta_reads coord);
+      Alcotest.(check int) "with no further full read" 1 (full_reads coord);
+      (* The coordinator's clock moved with them. *)
+      Alcotest.(check bool) "a past AT is refused at the shards' clock" true
+        (match Coordinator.exec coord "SELECT g, COUNT(*) FROM c AT 25 GROUP BY g" with
+         | Wire.Err _ -> true
+         | _ -> false))
+
+(* Deltas that ship most groups cost more than the stateless merge:
+   the entry answers its next two reads the stateless way, then asks
+   for what was written meanwhile, and every answer stays the single
+   node's. *)
+let test_standing_rests () =
+  with_cluster 2 (fun coord _servers _eps ->
+      let single = Expirel_sqlx.Interp.create () in
+      let exec_both sql =
+        ignore (exec coord sql);
+        ignore (ok (Expirel_sqlx.Interp.exec_sql single sql))
+      in
+      let q = "SELECT g, COUNT(*) FROM r GROUP BY g" in
+      let check what =
+        let rows, texp_e = rows_of q (exec coord q) in
+        match ok (Expirel_sqlx.Interp.exec_sql single q) with
+        | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
+          Alcotest.(check bool) (what ^ ": the single node's rows and texps") true
+            (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing));
+          Alcotest.(check bool) (what ^ ": the single node's texp(e)") true
+            (Time.equal texp_e sn_texp)
+        | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m
+      in
+      let reads () =
+        ( counter coord "expirel_cluster_agg_full_reads_total",
+          counter coord "expirel_cluster_agg_delta_reads_total" )
+      in
+      exec_both "CREATE TABLE r (k, g)";
+      let write_all texp =
+        for k = 1 to 400 do
+          exec_both (Printf.sprintf "INSERT INTO r VALUES (%d, %d) EXPIRES %d" k (k mod 200) texp)
+        done
+      in
+      write_all 100;
+      for _ = 1 to 3 do check "kept" done;
+      Alcotest.(check (pair int int)) "one full read, one delta" (1, 1) (reads ());
+      write_all 150;
+      check "every group written";
+      Alcotest.(check (pair int int)) "a heavy delta" (1, 2) (reads ());
+      exec_both "INSERT INTO r VALUES (1, 1) EXPIRES 120";
+      check "resting";
+      exec_both "ADVANCE TO 110";
+      check "resting across a tick";
+      Alcotest.(check (pair int int)) "two stateless reads" (1, 2) (reads ());
+      exec_both "INSERT INTO r VALUES (2, 2) EXPIRES 130";
+      check "rested";
+      Alcotest.(check (pair int int)) "then what was written meanwhile" (1, 3) (reads ());
+      check "light again";
+      Alcotest.(check (pair int int)) "and deltas" (1, 4) (reads ()))
+
+(* A cursor naming a shard's entry with a negative generation, or one
+   ahead of the entry, gets every group, never an error. *)
+let test_standing_cursor_bounds () =
+  with_cluster 1 (fun coord servers _eps ->
+      ignore (exec coord "CREATE TABLE b (k, g)");
+      for k = 1 to 12 do
+        ignore (exec coord (Printf.sprintf "INSERT INTO b VALUES (%d, %d) EXPIRES 100" k (k mod 3)))
+      done;
+      let sql = "SELECT g, COUNT(*) FROM b GROUP BY g" in
+      let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port (List.hd servers)) () in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let ask cursor =
+        match ok (Client.request c (Wire.Shard_exec { sql; ctx = None; want = Wire.Want_agg (Some cursor) })) with
+        | Wire.Shard_reply { body = Wire.Body_agg { standing = Some d; _ }; _ } -> Some d
+        | Wire.Shard_reply _ -> None
+        | r -> Alcotest.failf "cursor %d/%d: %s" cursor.entry cursor.generation (Wire.render_response r)
+      in
+      (* the first ask plans the text; the second promotes it *)
+      ignore (ask Expirel_exec.Partial_agg.no_cursor);
+      let d =
+        match ask Expirel_exec.Partial_agg.no_cursor with
+        | Some d -> d
+        | None -> Alcotest.fail "the promoted text answers from its entry"
+      in
+      Alcotest.(check int) "every group" 3 (List.length d.members);
+      let here = d.Expirel_exec.Partial_agg.cursor in
+      let groups cursor =
+        match ask cursor with
+        | Some d -> (d.full, List.length d.members)
+        | None -> Alcotest.fail "the entry answers"
+      in
+      Alcotest.(check (pair bool int)) "its own cursor: nothing written" (false, 0) (groups here);
+      List.iter
+        (fun generation ->
+          Alcotest.(check (pair bool int))
+            (Printf.sprintf "generation %d: every group" generation)
+            (true, 3)
+            (groups { here with generation }))
+        [ -1; -5; min_int; here.generation + 1; max_int ])
 
 (* ---------- routing: inserts land on the owner ---------- *)
 
@@ -1697,6 +1866,12 @@ let suite =
       test_matches_single_node;
     Alcotest.test_case "a repeated GROUP BY COUNT ships only written groups"
       `Quick test_standing_groupby;
+    Alcotest.test_case "a kept GROUP BY follows the shards' clock" `Quick
+      test_standing_clock;
+    Alcotest.test_case "a kept GROUP BY rests after heavy deltas" `Quick
+      test_standing_rests;
+    Alcotest.test_case "a negative or future cursor gets every group" `Quick
+      test_standing_cursor_bounds;
     Alcotest.test_case "inserts land on shard_owner's pick" `Quick
       test_insert_routing;
     Alcotest.test_case "expired shards are pruned, answers unchanged" `Quick

@@ -276,12 +276,13 @@ let count_group : Expirel_exec.Partial_agg.group Gen.t =
 let delta : Expirel_exec.Partial_agg.delta Gen.t =
   let open Gen in
   let* cursor = cursor in
+  let* now = wide_time in
   let* full = bool in
   let* members =
     list_size (int_range 0 4)
       (pair row (list_size (int_range 0 4) (pair wide_time wide_int)))
   in
-  return { Expirel_exec.Partial_agg.cursor; full; members }
+  return { Expirel_exec.Partial_agg.cursor; now; full; members }
 
 (* v9: every body the statement envelope carries. *)
 let shard_body : Wire.shard_body Gen.t =
