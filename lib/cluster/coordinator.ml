@@ -162,13 +162,10 @@ let default_health_rules ~shards =
    client measured (payload + 4 for the length prefix), and the
    piggybacked partition summary harvested from the statement envelope
    or the heartbeat pong. *)
+let on_slot slot f = Mutex.protect slot.slot_lock (fun () -> Member.on slot.member f)
+
 let send t slot req =
-  Mutex.lock slot.slot_lock;
-  let result =
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock slot.slot_lock)
-      (fun () -> Member.on slot.member (fun c -> Client.exchange c req))
-  in
+  let result = on_slot slot (fun c -> Client.exchange c req) in
   (match result with
    | Ok (resp, sent, received) ->
      slot.reachable <- true;
@@ -283,9 +280,9 @@ let cond_keys ?trace t table cond =
   match table_columns ?trace t table with
   | None -> None
   | Some columns ->
-    (match Lower.lower_cond_for_table ~columns ~table cond with
-     | p -> pins p
-     | exception Lower.Error _ -> None)
+    (match Interp.guard (fun () -> Lower.lower_cond_for_table ~columns ~table cond) with
+     | Ok p -> pins p
+     | Error _ -> None)
 
 (* The keys a shard-local expression's rows can have.  A selection
    directly over a base table reads its key as [Col 1]; a projection
@@ -678,13 +675,13 @@ let sketch_ok = function
   | Error m -> failwith ("sketch partials: " ^ m)
 
 (* The coordinator's half of a fan-out, under a [merge] span; a
-   statement error it raises answers as one node's would. *)
+   statement error it raises answers as one node's would, through the
+   node's one mapping. *)
 let merging ?trace merge =
   Obs.Trace.span trace "merge" @@ fun () ->
-  match merge () with
-  | reply -> reply
-  | exception (Failure message | Invalid_argument message | Lower.Error message) ->
-    err message
+  match Interp.guard merge with
+  | Ok reply -> reply
+  | Error message -> err message
 
 (* A repeated GROUP BY COUNT over every shard, kept at the coordinator:
    each shard is asked with the cursor of the groups it last shipped
@@ -897,12 +894,13 @@ let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~
 let read ?trace ~prune t (qs : Ast.query_stmt) sql =
   let catalog = coord_catalog ?trace t in
   match
-    let tau = query_tau t qs in
-    let compiled = Lower.lower_query ~catalog qs.Ast.q in
-    (tau, compiled, Lower.route ~catalog compiled)
+    Interp.guard (fun () ->
+        let tau = query_tau t qs in
+        let compiled = Lower.lower_query ~catalog qs.Ast.q in
+        (tau, compiled, Lower.route ~catalog compiled))
   with
-  | exception (Lower.Error message | Failure message) -> err message
-  | tau, compiled, route ->
+  | Error message -> err message
+  | Ok (tau, compiled, route) ->
     let columns = compiled.Lower.columns in
     let arity = List.length columns in
     let fan ~child ~want ~what extract merge =
@@ -1117,12 +1115,6 @@ let make_slot t (shard : Wire.shard) =
     reachable = false;
   }
 
-let on_slot slot f =
-  Mutex.lock slot.slot_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock slot.slot_lock)
-    (fun () -> Member.on slot.member f)
-
 let install_on slot map =
   match
     on_slot slot (fun c ->
@@ -1336,13 +1328,9 @@ let recent_traces t n =
   let remote =
     List.concat_map
       (fun slot ->
-        Mutex.lock slot.slot_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock slot.slot_lock)
-          (fun () ->
-            match Member.on slot.member (fun c -> Client.traces c n) with
-            | Ok entries -> entries
-            | Error _ -> []))
+        match on_slot slot (fun c -> Client.traces c n) with
+        | Ok entries -> entries
+        | Error _ -> [])
       (slots t)
   in
   List.stable_sort

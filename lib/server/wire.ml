@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 11
+let version = 12
 let max_frame = 16 * 1024 * 1024
 
 type error_code =
@@ -241,44 +241,9 @@ type response =
 
 (* ---------- writer ---------- *)
 
-let put_u8 b n = Buffer.add_char b (Char.chr (n land 0xff))
-let put_bool b v = put_u8 b (if v then 1 else 0)
-let put_i64 b n = Buffer.add_int64_be b (Int64.of_int n)
-
-let put_u32 b n =
-  put_u8 b (n lsr 24);
-  put_u8 b (n lsr 16);
-  put_u8 b (n lsr 8);
-  put_u8 b n
-
-let put_str b s =
-  put_u32 b (String.length s);
-  Buffer.add_string b s
-
-let put_list b put xs =
-  put_u32 b (List.length xs);
-  List.iter (put b) xs
-
-let put_time b = function
-  | Time.Inf -> put_u8 b 0
-  | Time.Fin n ->
-    put_u8 b 1;
-    put_i64 b n
-
-let put_value b = function
-  | Value.Null -> put_u8 b 0
-  | Value.Bool v ->
-    put_u8 b 1;
-    put_bool b v
-  | Value.Int n ->
-    put_u8 b 2;
-    put_i64 b n
-  | Value.Float f ->
-    put_u8 b 3;
-    Buffer.add_int64_be b (Int64.bits_of_float f)
-  | Value.Str s ->
-    put_u8 b 4;
-    put_str b s
+(* Every field goes through the one codec ({!Expirel_core.Codec}); a
+   payload is the version byte, the message tag byte and the body. *)
+open Codec
 
 let put_row b (values, texp) =
   put_list b put_value values;
@@ -322,36 +287,28 @@ let payload tag body =
   body b;
   Buffer.contents b
 
-let put_f64 b f = Buffer.add_int64_be b (Int64.bits_of_float f)
-
 let put_ctx b { trace_id; parent_span } =
   put_str b trace_id;
-  put_i64 b parent_span
-
-let put_ctx_opt b = function
-  | None -> put_u8 b 0
-  | Some ctx ->
-    put_u8 b 1;
-    put_ctx b ctx
+  put_int b parent_span
 
 let put_shard b s =
-  put_i64 b s.shard_id;
+  put_int b s.shard_id;
   put_str b s.shard_host;
-  put_i64 b s.shard_port
+  put_int b s.shard_port
 
 let put_shard_map b m =
-  put_i64 b m.map_version;
+  put_int b m.map_version;
   put_list b put_shard m.shards
 
 let put_partition b p =
-  put_i64 b p.live_rows;
+  put_int b p.live_rows;
   put_time b p.min_texp;
   put_time b p.max_texp
 
 let put_slice b (s : Expirel_exec.Partial_agg.slice) =
   put_time b s.s_texp;
-  put_i64 b s.s_rows;
-  put_i64 b s.s_nonnull;
+  put_int b s.s_rows;
+  put_int b s.s_nonnull;
   put_value b s.s_sum;
   put_f64 b s.s_fsum;
   put_value b s.s_min;
@@ -361,55 +318,25 @@ let put_group b (g : Expirel_exec.Partial_agg.group) =
   put_list b put_value g.key;
   put_list b put_slice g.slices
 
-(* v11 variable-length integers: little-endian base-128 groups of the
-   64-bit pattern, seven bits a byte, the high bit marking "more".  A
-   signed int travels zigzagged (0, -1, 1, -2, … as 0, 1, 2, 3, …), so
-   small magnitudes of either sign take one byte; a time is 0 for [Inf],
-   else its zigzag plus one. *)
-let put_uvarint b v =
-  let rec go v =
-    let rest = Int64.shift_right_logical v 7 in
-    if Int64.equal rest 0L then put_u8 b (Int64.to_int v)
-    else begin
-      put_u8 b (Int64.to_int v land 0x7f lor 0x80);
-      go rest
-    end
-  in
-  go v
-
-let zigzag n =
-  let n = Int64.of_int n in
-  Int64.logxor (Int64.shift_left n 1) (Int64.shift_right n 63)
-
-let put_vint b n = put_uvarint b (zigzag n)
-
-let put_vtime b = function
-  | Time.Inf -> put_u8 b 0
-  | Time.Fin n -> put_uvarint b (Int64.succ (zigzag n))
-
-let put_vlist b put xs =
-  put_uvarint b (Int64.of_int (List.length xs));
-  List.iter (put b) xs
-
 (* A COUNT slice carries only its texp and its row count; a group of
-   such slices ships as varint [(texp, count)] pairs. *)
+   such slices ships as [(texp, count)] pairs. *)
 let count_slice (s : Expirel_exec.Partial_agg.slice) =
   s.s_nonnull = 0
   && Int64.equal (Int64.bits_of_float s.s_fsum) 0L
   && List.for_all (( = ) Value.Null) [ s.s_sum; s.s_min; s.s_max ]
 
 let put_count b (texp, n) =
-  put_vtime b texp;
-  put_vint b n
+  put_time b texp;
+  put_int b n
 
 let put_groups b (groups : Expirel_exec.Partial_agg.t) =
   if List.for_all (fun g -> List.for_all count_slice g.Expirel_exec.Partial_agg.slices) groups
   then begin
     put_u8 b 2;
-    put_vlist b
+    put_list b
       (fun b (g : Expirel_exec.Partial_agg.group) ->
-        put_vlist b put_value g.key;
-        put_vlist b put_count
+        put_list b put_value g.key;
+        put_list b put_count
           (List.map (fun (s : Expirel_exec.Partial_agg.slice) -> (s.s_texp, s.s_rows)) g.slices))
       groups
   end
@@ -419,24 +346,18 @@ let put_groups b (groups : Expirel_exec.Partial_agg.t) =
   end
 
 let put_cursor b (c : Expirel_exec.Partial_agg.cursor) =
-  put_vint b c.entry;
-  put_vint b c.generation
+  put_int b c.entry;
+  put_int b c.generation
 
 let put_delta b (d : Expirel_exec.Partial_agg.delta) =
   put_cursor b d.cursor;
-  put_vtime b d.now;
+  put_time b d.now;
   put_bool b d.full;
-  put_vlist b
+  put_list b
     (fun b (key, members) ->
-      put_vlist b put_value key;
-      put_vlist b put_count members)
+      put_list b put_value key;
+      put_list b put_count members)
     d.members
-
-let put_option b put = function
-  | None -> put_u8 b 0
-  | Some v ->
-    put_u8 b 1;
-    put b v
 
 let put_body b = function
   | Body_rows { columns; rows; texp_e; recomputed } ->
@@ -471,21 +392,21 @@ let encode_request = function
   | Replicate { replica_id; position; ctx } ->
     payload 7 (fun b ->
         put_str b replica_id;
-        put_i64 b position;
-        put_ctx_opt b ctx)
+        put_int b position;
+        put_option b put_ctx ctx)
   | Metrics -> payload 8 ignore
-  | Slow_queries n -> payload 9 (fun b -> put_i64 b n)
+  | Slow_queries n -> payload 9 (fun b -> put_int b n)
   | Exec_traced { sql; ctx } ->
     payload 10 (fun b ->
         put_str b sql;
         put_ctx b ctx)
-  | Trace_recent n -> payload 11 (fun b -> put_i64 b n)
+  | Trace_recent n -> payload 11 (fun b -> put_int b n)
   | Health -> payload 12 ignore
   | Shard_map_req -> payload 13 ignore
   | Shard_install { map; self_id } ->
     payload 14 (fun b ->
         put_shard_map b map;
-        put_i64 b self_id)
+        put_int b self_id)
   | Shard_ping -> payload 16 ignore
   | Extract_moving table -> payload 17 (fun b -> put_str b table)
   | Ingest_rows { table; ingest } ->
@@ -493,17 +414,11 @@ let encode_request = function
         put_str b table;
         put_list b put_row ingest)
   | Purge_moved table -> payload 19 (fun b -> put_str b table)
-  | Horizon table ->
-    payload 23 (fun b ->
-        match table with
-        | None -> put_u8 b 0
-        | Some t ->
-          put_u8 b 1;
-          put_str b t)
+  | Horizon table -> payload 23 (fun b -> put_option b put_str table)
   | Shard_exec { sql; ctx; want } ->
     payload 24 (fun b ->
         put_str b sql;
-        put_ctx_opt b ctx;
+        put_option b put_ctx ctx;
         match want with
         | Want_rows -> put_u8 b 1
         | Want_sketch -> put_u8 b 2
@@ -513,14 +428,10 @@ let encode_request = function
 
 let put_span b s =
   put_str b s.span_name;
-  put_i64 b s.span_id;
-  (match s.parent_id with
-   | None -> put_u8 b 0
-   | Some p ->
-     put_u8 b 1;
-     put_i64 b p);
-  put_i64 b s.start_us;
-  put_i64 b s.duration_us;
+  put_int b s.span_id;
+  put_option b put_int s.parent_id;
+  put_int b s.start_us;
+  put_int b s.duration_us;
   put_list b
     (fun b (k, v) ->
       put_str b k;
@@ -530,21 +441,28 @@ let put_span b s =
 let put_slow_query b q =
   put_str b q.statement;
   put_str b q.trace_id;
-  put_i64 b q.total_us;
+  put_int b q.total_us;
   put_list b put_span q.spans
 
 let put_horizon_table b (tb : Expirel_obs.Horizon.table) =
   put_str b tb.name;
-  put_list b put_i64 (Array.to_list tb.bounds);
-  put_list b put_i64 (Array.to_list tb.counts)
+  put_list b put_int (Array.to_list tb.bounds);
+  put_list b put_int (Array.to_list tb.counts)
 
 let put_horizon b (r : Expirel_obs.Horizon.report) =
-  put_i64 b r.now;
-  put_i64 b r.window;
-  put_i64 b r.fanout_events;
+  put_int b r.now;
+  put_int b r.window;
+  put_int b r.fanout_events;
   put_f64 b r.arrival_rate;
   put_f64 b r.expiration_rate;
   put_list b put_horizon_table r.tables
+
+let put_level b level =
+  put_u8 b
+    (match level with
+     | Health_ok -> 1
+     | Health_degraded -> 2
+     | Health_critical -> 3)
 
 let encode_response = function
   | Ok_msg m -> payload 1 (fun b -> put_str b m)
@@ -563,15 +481,15 @@ let encode_response = function
   | Bye -> payload 7 ignore
   | Repl_snapshot { position; records } ->
     payload 8 (fun b ->
-        put_i64 b position;
+        put_int b position;
         put_list b put_record records)
   | Repl_records { from_position; records } ->
     payload 9 (fun b ->
-        put_i64 b from_position;
+        put_int b from_position;
         put_list b put_record records)
   | Repl_heartbeat { position; now } ->
     payload 10 (fun b ->
-        put_i64 b position;
+        put_int b position;
         put_time b now)
   | Metrics_reply text -> payload 11 (fun b -> put_str b text)
   | Slow_queries_reply qs -> payload 12 (fun b -> put_list b put_slow_query qs)
@@ -583,46 +501,37 @@ let encode_response = function
             put_str b e.entry_trace_id;
             put_str b e.entry_name;
             put_f64 b e.started_at;
-            put_i64 b e.entry_total_us;
+            put_int b e.entry_total_us;
             put_list b put_span e.entry_spans)
           entries)
   | Health_reply { level; firing } ->
     payload 14 (fun b ->
-        put_u8 b
-          (match level with
-           | Health_ok -> 1
-           | Health_degraded -> 2
-           | Health_critical -> 3);
+        put_level b level;
         put_list b
           (fun b f ->
             put_str b f.rule_name;
             put_f64 b f.observed;
-            put_u8 b
-              (match f.firing_level with
-               | Health_ok -> 1
-               | Health_degraded -> 2
-               | Health_critical -> 3);
+            put_level b f.firing_level;
             put_str b f.rule_help)
           firing)
   | Shard_map_reply identity ->
     payload 15 (fun b ->
-        match identity with
-        | None -> put_u8 b 0
-        | Some { installed_map; self_id } ->
-          put_u8 b 1;
-          put_shard_map b installed_map;
-          put_i64 b self_id)
+        put_option b
+          (fun b { installed_map; self_id } ->
+            put_shard_map b installed_map;
+            put_int b self_id)
+          identity)
   | Shard_pong { shard_id; pong_map_version; now; partition } ->
     payload 18 (fun b ->
-        put_i64 b shard_id;
-        put_i64 b pong_map_version;
+        put_int b shard_id;
+        put_int b pong_map_version;
         put_time b now;
         put_partition b partition)
   | Moved_rows moves ->
     payload 19 (fun b ->
         put_list b
           (fun b (owner, rows) ->
-            put_i64 b owner;
+            put_int b owner;
             put_list b put_row rows)
           moves)
   | Horizon_reply report -> payload 22 (fun b -> put_horizon b report)
@@ -633,76 +542,9 @@ let encode_response = function
 
 (* ---------- reader ---------- *)
 
-(* Decoders walk the payload with a cursor and abort through [Bad]; the
-   single catch site turns it into [Error _], so no input can raise. *)
-exception Bad of string
-
-type cursor = {
-  data : string;
-  mutable pos : int;
-}
-
-let need c n =
-  if n < 0 || c.pos + n > String.length c.data then
-    raise (Bad "truncated payload")
-
-let get_u8 c =
-  need c 1;
-  let n = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  n
-
-let get_bool c =
-  match get_u8 c with
-  | 0 -> false
-  | 1 -> true
-  | n -> raise (Bad (Printf.sprintf "bad boolean byte %d" n))
-
-let get_i64 c =
-  need c 8;
-  let n = Int64.to_int (String.get_int64_be c.data c.pos) in
-  c.pos <- c.pos + 8;
-  n
-
-let get_u32 c =
-  need c 4;
-  let byte i = Char.code c.data.[c.pos + i] in
-  let n = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
-  c.pos <- c.pos + 4;
-  n
-
-let get_str c =
-  let len = get_u32 c in
-  need c len;
-  let s = String.sub c.data c.pos len in
-  c.pos <- c.pos + len;
-  s
-
-let get_list c get =
-  let n = get_u32 c in
-  (* Each element consumes at least one byte, so a count beyond the
-     remaining bytes is hostile; reject before allocating. *)
-  need c n;
-  List.init n (fun _ -> get c)
-
-let get_time c =
-  match get_u8 c with
-  | 0 -> Time.Inf
-  | 1 -> Time.Fin (get_i64 c)
-  | n -> raise (Bad (Printf.sprintf "bad time tag %d" n))
-
-let get_value c =
-  match get_u8 c with
-  | 0 -> Value.Null
-  | 1 -> Value.Bool (get_bool c)
-  | 2 -> Value.Int (get_i64 c)
-  | 3 ->
-    need c 8;
-    let f = Int64.float_of_bits (String.get_int64_be c.data c.pos) in
-    c.pos <- c.pos + 8;
-    Value.Float f
-  | 4 -> Value.Str (get_str c)
-  | n -> raise (Bad (Printf.sprintf "bad value tag %d" n))
+(* Decoders walk the payload with a {!Codec} cursor and abort through
+   [Codec.Bad]; {!Codec.decode} turns it into [Error _], so no input
+   can raise. *)
 
 let get_row c =
   let values = get_list c get_value in
@@ -718,13 +560,12 @@ let error_of_code = function
   | 6 -> Shutting_down
   | 7 -> Version_mismatch
   | 8 -> Shard_failed
-  | n -> raise (Bad (Printf.sprintf "bad error code %d" n))
+  | n -> bad "bad error code %d" n
 
 let get_record c =
-  let line = get_str c in
-  match Wal.decode line with
+  match Wal.decode (get_str c) with
   | Ok record -> record
-  | Error reason -> raise (Bad ("bad wal record: " ^ reason))
+  | Error reason -> bad "bad wal record: %s" reason
 
 let get_event c =
   match get_u8 c with
@@ -743,62 +584,44 @@ let get_event c =
     let subscription = get_str c in
     let at = get_time c in
     Refreshed { subscription; at }
-  | n -> raise (Bad (Printf.sprintf "bad event tag %d" n))
+  | n -> bad "bad event tag %d" n
 
 let payload_version data = if data = "" then None else Some (Char.code data.[0])
 
-let decode ~what ~by data =
-  let c = { data; pos = 0 } in
-  match
-    let v = get_u8 c in
-    if v <> version then
-      raise (Bad (Printf.sprintf "protocol version %d, expected %d" v version));
-    let tag = get_u8 c in
-    let msg = by c tag in
-    if c.pos <> String.length data then raise (Bad "trailing garbage");
-    msg
-  with
-  | msg -> Ok msg
-  | exception Bad reason -> Error (Printf.sprintf "bad %s: %s" what reason)
-
-let get_f64 c =
-  need c 8;
-  let f = Int64.float_of_bits (String.get_int64_be c.data c.pos) in
-  c.pos <- c.pos + 8;
-  f
+let decode_payload ~what ~by data =
+  decode ~what
+    (fun c ->
+      let v = get_u8 c in
+      if v <> version then bad "protocol version %d, expected %d" v version;
+      by c (get_u8 c))
+    data
 
 let get_ctx c =
   let trace_id = get_str c in
-  let parent_span = get_i64 c in
+  let parent_span = get_int c in
   { trace_id; parent_span }
 
-let get_ctx_opt c =
-  match get_u8 c with
-  | 0 -> None
-  | 1 -> Some (get_ctx c)
-  | n -> raise (Bad (Printf.sprintf "bad trace-context presence byte %d" n))
-
 let get_shard c =
-  let shard_id = get_i64 c in
+  let shard_id = get_int c in
   let shard_host = get_str c in
-  let shard_port = get_i64 c in
+  let shard_port = get_int c in
   { shard_id; shard_host; shard_port }
 
 let get_shard_map c =
-  let map_version = get_i64 c in
+  let map_version = get_int c in
   let shards = get_list c get_shard in
   { map_version; shards }
 
 let get_partition c =
-  let live_rows = get_i64 c in
+  let live_rows = get_int c in
   let min_texp = get_time c in
   let max_texp = get_time c in
   { live_rows; min_texp; max_texp }
 
 let get_slice c : Expirel_exec.Partial_agg.slice =
   let s_texp = get_time c in
-  let s_rows = get_i64 c in
-  let s_nonnull = get_i64 c in
+  let s_rows = get_int c in
+  let s_nonnull = get_int c in
   let s_sum = get_value c in
   let s_fsum = get_f64 c in
   let s_min = get_value c in
@@ -810,49 +633,19 @@ let get_group c : Expirel_exec.Partial_agg.group =
   let slices = get_list c get_slice in
   { key; slices }
 
-let get_uvarint c =
-  let rec go acc shift =
-    if shift > 63 then raise (Bad "varint too long");
-    let byte = get_u8 c in
-    let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (byte land 0x7f)) shift) in
-    if byte land 0x80 = 0 then acc else go acc (shift + 7)
-  in
-  go 0L 0
-
-(* An int the 64-bit pattern holds; anything wider is malformed. *)
-let int_of what v =
-  let n = Int64.to_int v in
-  if Int64.equal (Int64.of_int n) v then n
-  else raise (Bad (Printf.sprintf "%s out of range" what))
-
-let unzigzag v =
-  Int64.logxor (Int64.shift_right_logical v 1) (Int64.neg (Int64.logand v 1L))
-
-let get_vint c = int_of "varint" (unzigzag (get_uvarint c))
-
-let get_vtime c =
-  let v = get_uvarint c in
-  if Int64.equal v 0L then Time.Inf
-  else Time.Fin (int_of "time" (unzigzag (Int64.pred v)))
-
-let get_vlist c get =
-  let n = int_of "length" (get_uvarint c) in
-  need c n;
-  List.init n (fun _ -> get c)
-
 let get_count c =
-  let texp = get_vtime c in
-  let n = get_vint c in
+  let texp = get_time c in
+  let n = get_int c in
   (texp, n)
 
 let get_groups c : Expirel_exec.Partial_agg.t =
   match get_u8 c with
   | 1 -> get_list c get_group
   | 2 ->
-    get_vlist c (fun c ->
-        let key = get_vlist c get_value in
+    get_list c (fun c ->
+        let key = get_list c get_value in
         let slices =
-          get_vlist c (fun c ->
+          get_list c (fun c ->
               let s_texp, s_rows = get_count c in
               { Expirel_exec.Partial_agg.s_texp;
                 s_rows;
@@ -864,30 +657,24 @@ let get_groups c : Expirel_exec.Partial_agg.t =
               })
         in
         { Expirel_exec.Partial_agg.key; slices })
-  | n -> raise (Bad (Printf.sprintf "bad group form %d" n))
+  | n -> bad "bad group form %d" n
 
 let get_cursor c : Expirel_exec.Partial_agg.cursor =
-  let entry = get_vint c in
-  let generation = get_vint c in
+  let entry = get_int c in
+  let generation = get_int c in
   { entry; generation }
 
 let get_delta c : Expirel_exec.Partial_agg.delta =
   let cursor = get_cursor c in
-  let now = get_vtime c in
+  let now = get_time c in
   let full = get_bool c in
   let members =
-    get_vlist c (fun c ->
-        let key = get_vlist c get_value in
-        let members = get_vlist c get_count in
+    get_list c (fun c ->
+        let key = get_list c get_value in
+        let members = get_list c get_count in
         (key, members))
   in
   { cursor; now; full; members }
-
-let get_option c get =
-  match get_u8 c with
-  | 0 -> None
-  | 1 -> Some (get c)
-  | n -> raise (Bad (Printf.sprintf "bad presence byte %d" n))
 
 let get_body c =
   match get_u8 c with
@@ -908,10 +695,10 @@ let get_body c =
     let groups = get_groups c in
     let standing = get_option c get_delta in
     Body_agg { columns; child_texp; groups; standing }
-  | n -> raise (Bad (Printf.sprintf "bad shard body tag %d" n))
+  | n -> bad "bad shard body tag %d" n
 
 let decode_request data =
-  decode ~what:"request" data ~by:(fun c -> function
+  decode_payload ~what:"bad request" data ~by:(fun c -> function
     | 1 -> Exec (get_str c)
     | 2 ->
       let name = get_str c in
@@ -922,21 +709,21 @@ let decode_request data =
     | 6 -> Quit
     | 7 ->
       let replica_id = get_str c in
-      let position = get_i64 c in
-      let ctx = get_ctx_opt c in
+      let position = get_int c in
+      let ctx = get_option c get_ctx in
       Replicate { replica_id; position; ctx }
     | 8 -> Metrics
-    | 9 -> Slow_queries (get_i64 c)
+    | 9 -> Slow_queries (get_int c)
     | 10 ->
       let sql = get_str c in
       let ctx = get_ctx c in
       Exec_traced { sql; ctx }
-    | 11 -> Trace_recent (get_i64 c)
+    | 11 -> Trace_recent (get_int c)
     | 12 -> Health
     | 13 -> Shard_map_req
     | 14 ->
       let map = get_shard_map c in
-      let self_id = get_i64 c in
+      let self_id = get_int c in
       Shard_install { map; self_id }
     | 16 -> Shard_ping
     | 17 -> Extract_moving (get_str c)
@@ -945,35 +732,26 @@ let decode_request data =
       let ingest = get_list c get_row in
       Ingest_rows { table; ingest }
     | 19 -> Purge_moved (get_str c)
-    | 23 ->
-      (match get_u8 c with
-       | 0 -> Horizon None
-       | 1 -> Horizon (Some (get_str c))
-       | n -> raise (Bad (Printf.sprintf "bad table presence byte %d" n)))
+    | 23 -> Horizon (get_option c get_str)
     | 24 ->
       let sql = get_str c in
-      let ctx = get_ctx_opt c in
+      let ctx = get_option c get_ctx in
       let want =
         match get_u8 c with
         | 1 -> Want_rows
         | 2 -> Want_sketch
         | 3 -> Want_agg (get_option c get_cursor)
-        | n -> raise (Bad (Printf.sprintf "bad want byte %d" n))
+        | n -> bad "bad want byte %d" n
       in
       Shard_exec { sql; ctx; want }
-    | n -> raise (Bad (Printf.sprintf "unknown request tag %d" n)))
+    | n -> bad "unknown request tag %d" n)
 
 let get_span c =
   let span_name = get_str c in
-  let span_id = get_i64 c in
-  let parent_id =
-    match get_u8 c with
-    | 0 -> None
-    | 1 -> Some (get_i64 c)
-    | n -> raise (Bad (Printf.sprintf "bad span-parent presence byte %d" n))
-  in
-  let start_us = get_i64 c in
-  let duration_us = get_i64 c in
+  let span_id = get_int c in
+  let parent_id = get_option c get_int in
+  let start_us = get_int c in
+  let duration_us = get_int c in
   let labels =
     get_list c (fun c ->
         let k = get_str c in
@@ -985,36 +763,36 @@ let get_span c =
 let get_slow_query c =
   let statement = get_str c in
   let trace_id = get_str c in
-  let total_us = get_i64 c in
+  let total_us = get_int c in
   let spans = get_list c get_span in
   { statement; trace_id; total_us; spans }
 
 let get_horizon_table c : Expirel_obs.Horizon.table =
   let name = get_str c in
-  let bounds = Array.of_list (get_list c get_i64) in
-  let counts = Array.of_list (get_list c get_i64) in
+  let bounds = Array.of_list (get_list c get_int) in
+  let counts = Array.of_list (get_list c get_int) in
   if Array.length bounds <> Array.length counts then
-    raise (Bad "horizon bucket arrays differ in length");
+    bad "horizon bucket arrays differ in length";
   { name; bounds; counts }
 
 let get_horizon c : Expirel_obs.Horizon.report =
-  let now = get_i64 c in
-  let window = get_i64 c in
-  let fanout_events = get_i64 c in
+  let now = get_int c in
+  let window = get_int c in
+  let fanout_events = get_int c in
   let arrival_rate = get_f64 c in
   let expiration_rate = get_f64 c in
   let tables = get_list c get_horizon_table in
   { now; window; fanout_events; arrival_rate; expiration_rate; tables }
 
-let get_health_level c =
+let get_level c =
   match get_u8 c with
   | 1 -> Health_ok
   | 2 -> Health_degraded
   | 3 -> Health_critical
-  | n -> raise (Bad (Printf.sprintf "bad health level %d" n))
+  | n -> bad "bad health level %d" n
 
 let decode_response data =
-  decode ~what:"response" data ~by:(fun c -> function
+  decode_payload ~what:"bad response" data ~by:(fun c -> function
     | 1 -> Ok_msg (get_str c)
     | 2 ->
       let columns = get_list c get_str in
@@ -1030,15 +808,15 @@ let decode_response data =
     | 6 -> Pong
     | 7 -> Bye
     | 8 ->
-      let position = get_i64 c in
+      let position = get_int c in
       let records = get_list c get_record in
       Repl_snapshot { position; records }
     | 9 ->
-      let from_position = get_i64 c in
+      let from_position = get_int c in
       let records = get_list c get_record in
       Repl_records { from_position; records }
     | 10 ->
-      let position = get_i64 c in
+      let position = get_int c in
       let now = get_time c in
       Repl_heartbeat { position; now }
     | 11 -> Metrics_reply (get_str c)
@@ -1050,39 +828,37 @@ let decode_response data =
              let entry_trace_id = get_str c in
              let entry_name = get_str c in
              let started_at = get_f64 c in
-             let entry_total_us = get_i64 c in
+             let entry_total_us = get_int c in
              let entry_spans = get_list c get_span in
              { node; entry_trace_id; entry_name; started_at;
                entry_total_us; entry_spans }))
     | 14 ->
-      let level = get_health_level c in
+      let level = get_level c in
       let firing =
         get_list c (fun c ->
             let rule_name = get_str c in
             let observed = get_f64 c in
-            let firing_level = get_health_level c in
+            let firing_level = get_level c in
             let rule_help = get_str c in
             { rule_name; observed; firing_level; rule_help })
       in
       Health_reply { level; firing }
     | 15 ->
-      (match get_u8 c with
-       | 0 -> Shard_map_reply None
-       | 1 ->
-         let installed_map = get_shard_map c in
-         let self_id = get_i64 c in
-         Shard_map_reply (Some { installed_map; self_id })
-       | n -> raise (Bad (Printf.sprintf "bad shard-map presence byte %d" n)))
+      Shard_map_reply
+        (get_option c (fun c ->
+             let installed_map = get_shard_map c in
+             let self_id = get_int c in
+             { installed_map; self_id }))
     | 18 ->
-      let shard_id = get_i64 c in
-      let pong_map_version = get_i64 c in
+      let shard_id = get_int c in
+      let pong_map_version = get_int c in
       let now = get_time c in
       let partition = get_partition c in
       Shard_pong { shard_id; pong_map_version; now; partition }
     | 19 ->
       Moved_rows
         (get_list c (fun c ->
-             let owner = get_i64 c in
+             let owner = get_int c in
              let rows = get_list c get_row in
              (owner, rows)))
     | 22 -> Horizon_reply (get_horizon c)
@@ -1090,13 +866,13 @@ let decode_response data =
       let partition = get_partition c in
       let body = get_body c in
       Shard_reply { partition; body }
-    | n -> raise (Bad (Printf.sprintf "unknown response tag %d" n)))
+    | n -> bad "unknown response tag %d" n)
 
 (* ---------- framing ---------- *)
 
 let frame body =
   let b = Buffer.create (String.length body + 4) in
-  put_u32 b (String.length body);
+  Buffer.add_int32_be b (Int32.of_int (String.length body));
   Buffer.add_string b body;
   Buffer.contents b
 

@@ -3,7 +3,8 @@
 
     A frame on the wire is a 4-byte big-endian payload length followed
     by the payload; a payload is one protocol-version byte, one message
-    tag byte and the message body.  Result relations travel {e with}
+    tag byte and the message body, every field in the one binary
+    encoding of {!Expirel_core.Codec}.  Result relations travel {e with}
     their per-tuple expiration times and the expression-level [texp(e)]
     — the validity information that makes remote caching of results
     sound (a client holding a [Rows] response knows exactly how long
@@ -127,6 +128,15 @@ val version : int
     form of the 64-bit pattern (signed ints zigzagged; a time is 0 for
     [Inf], else its zigzag plus one).  A condensed COUNT group drops
     from 89 to about 20 bytes.
+    v12 — one binary codec.  This bump is {e required}: every layout
+    changed.  Every field is written by {!Expirel_core.Codec}: ints
+    (ids, positions, counts, span times) as zigzag varints, strings and
+    lists behind varint lengths, times as varints ([Inf] = 0), floats
+    as little-endian IEEE bits, and [parent_id], the [Horizon] table
+    and the [Shard_map_reply] identity behind the codec's presence
+    byte.  Tags, the COUNT group forms and the frame's 4-byte length
+    prefix are unchanged, and so is {!shard_owner}.  A one-row
+    [Rows] reply drops from 57 to about 22 bytes.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer

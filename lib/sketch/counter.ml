@@ -195,41 +195,40 @@ let merge a b =
   compact merged;
   merged
 
-let memory_bytes t = Codec.memory_bytes t
+let memory_bytes t = Obj.reachable_words (Obj.repr t) * (Sys.word_size / 8)
 
 let to_string t =
-  let buffer = Buffer.create 256 in
-  Codec.put_f64 buffer t.eps;
-  Codec.put_i64 buffer t.total;
-  Codec.put_i64 buffer t.len;
-  for i = 0 to t.len - 1 do
-    let b = t.buckets.(i) in
-    Codec.put_time buffer b.lo;
-    Codec.put_time buffer b.hi;
-    Codec.put_i64 buffer b.count
-  done;
-  Buffer.contents buffer
+  Codec.encode
+    (fun b t ->
+      Codec.put_f64 b t.eps;
+      Codec.put_int b t.total;
+      Codec.put_list b
+        (fun b bucket ->
+          Codec.put_time b bucket.lo;
+          Codec.put_time b bucket.hi;
+          Codec.put_int b bucket.count)
+        (List.init t.len (Array.get t.buckets)))
+    t
 
 let of_string s =
   Codec.decode ~what:"counter sketch" (fun c ->
       let epsilon = Codec.get_f64 c in
-      if not (epsilon > 0. && epsilon < 1.) then
-        raise (Codec.Bad "epsilon out of range");
-      let total = Codec.get_i64 c in
-      let len = Codec.get_i64 c in
-      if len < 0 then raise (Codec.Bad "negative bucket count");
+      if not (epsilon > 0. && epsilon < 1.) then Codec.bad "epsilon out of range";
+      let total = Codec.get_int c in
       let t = create ~epsilon in
-      for _ = 1 to len do
-        let lo = Codec.get_time c in
-        let hi = Codec.get_time c in
-        let count = Codec.get_i64 c in
-        if count < 1 then raise (Codec.Bad "empty bucket");
-        if Time.(hi < lo) then raise (Codec.Bad "inverted bucket span");
-        (* Sorted by [hi]; spans may overlap (merged sketches). *)
-        if t.len > 0 && Time.(t.buckets.(t.len - 1).hi > hi) then
-          raise (Codec.Bad "buckets out of order");
-        insert_at t t.len { lo; hi; count }
-      done;
+      List.iter
+        (fun ({ lo; hi; count } as bucket) ->
+          if count < 1 then Codec.bad "empty bucket";
+          if Time.(hi < lo) then Codec.bad "inverted bucket span";
+          (* Sorted by [hi]; spans may overlap (merged sketches). *)
+          if t.len > 0 && Time.(t.buckets.(t.len - 1).hi > hi) then
+            Codec.bad "buckets out of order";
+          insert_at t t.len bucket)
+        (Codec.get_list c (fun c ->
+             let lo = Codec.get_time c in
+             let hi = Codec.get_time c in
+             let count = Codec.get_int c in
+             { lo; hi; count }));
       t.total <- total;
       t.compress_at <- max min_capacity (2 * t.len);
       t)

@@ -30,7 +30,8 @@ type t = {
   rng : Random.State.t;
 }
 
-let floor_capacity k = (4 * k) + 32
+(* Saturates: [4k + 32] overflows for k past [max_int / 4]. *)
+let floor_capacity k = if k > (max_int - 32) / 4 then max_int else (4 * k) + 32
 
 let create ?seed ~k () =
   if k < 1 then invalid_arg "Sample.create: k must be >= 1";
@@ -84,7 +85,8 @@ let skyline k entries =
       | 0 -> Float.compare a.prio b.prio
       | c -> c)
     arr;
-  let heap = Array.make k infinity in
+  (* The heap never holds more than the entries swept, whatever [k]. *)
+  let heap = Array.make (min k (Array.length arr)) infinity in
   let hn = ref 0 in
   let kept = ref [] in
   let nkept = ref 0 in
@@ -147,25 +149,26 @@ let merge a b =
 
 let entries t = List.map (fun e -> (e.row, e.e_texp, e.prio)) t.entries
 
-let memory_bytes t = Codec.memory_bytes t
+let memory_bytes t = Obj.reachable_words (Obj.repr t) * (Sys.word_size / 8)
 
 let to_string t =
-  let buffer = Buffer.create 256 in
-  Codec.put_i64 buffer t.k;
-  Codec.put_i64 buffer t.added;
-  Codec.put_list buffer
-    (fun b e ->
-      Codec.put_list b Codec.put_value e.row;
-      Codec.put_time b e.e_texp;
-      Codec.put_f64 b e.prio)
-    t.entries;
-  Buffer.contents buffer
+  Codec.encode
+    (fun b t ->
+      Codec.put_int b t.k;
+      Codec.put_int b t.added;
+      Codec.put_list b
+        (fun b e ->
+          Codec.put_list b Codec.put_value e.row;
+          Codec.put_time b e.e_texp;
+          Codec.put_f64 b e.prio)
+        t.entries)
+    t
 
 let of_string s =
   Codec.decode ~what:"sample sketch" (fun c ->
-      let k = Codec.get_i64 c in
-      if k < 1 then raise (Codec.Bad "k out of range");
-      let added = Codec.get_i64 c in
+      let k = Codec.get_int c in
+      if k < 1 then Codec.bad "k out of range";
+      let added = Codec.get_int c in
       let entries =
         Codec.get_list c (fun c ->
             let row = Codec.get_list c Codec.get_value in

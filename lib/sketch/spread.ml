@@ -145,42 +145,38 @@ let merge a b =
   prune merged;
   merged
 
-let memory_bytes t = Codec.memory_bytes t
+let memory_bytes t = Obj.reachable_words (Obj.repr t) * (Sys.word_size / 8)
 
-let put_points buffer pts =
-  Codec.put_list buffer
-    (fun b p ->
-      Codec.put_f64 b p.v;
-      Codec.put_time b p.p_texp)
-    pts
+let put_point b p =
+  Codec.put_f64 b p.v;
+  Codec.put_time b p.p_texp
 
-let get_points c =
-  Codec.get_list c (fun c ->
-      let v = Codec.get_f64 c in
-      let p_texp = Codec.get_time c in
-      { v; p_texp })
+let get_point c =
+  let v = Codec.get_f64 c in
+  let p_texp = Codec.get_time c in
+  { v; p_texp }
 
 let to_string t =
-  let buffer = Buffer.create 256 in
-  Codec.put_f64 buffer t.eps;
-  Codec.put_i64 buffer t.total;
-  Codec.put_f64 buffer t.vmin;
-  Codec.put_f64 buffer t.vmax;
-  put_points buffer t.upper;
-  put_points buffer t.lower;
-  Buffer.contents buffer
+  Codec.encode
+    (fun b t ->
+      Codec.put_f64 b t.eps;
+      Codec.put_int b t.total;
+      Codec.put_f64 b t.vmin;
+      Codec.put_f64 b t.vmax;
+      Codec.put_list b put_point t.upper;
+      Codec.put_list b put_point t.lower)
+    t
 
 let of_string s =
   Codec.decode ~what:"spread sketch" (fun c ->
       let epsilon = Codec.get_f64 c in
-      if not (epsilon > 0. && epsilon < 1.) then
-        raise (Codec.Bad "epsilon out of range");
+      if not (epsilon > 0. && epsilon < 1.) then Codec.bad "epsilon out of range";
       let t = create ~epsilon in
-      t.total <- Codec.get_i64 c;
+      t.total <- Codec.get_int c;
       t.vmin <- Codec.get_f64 c;
       t.vmax <- Codec.get_f64 c;
-      t.upper <- get_points c;
-      t.lower <- get_points c;
+      t.upper <- Codec.get_list c get_point;
+      t.lower <- Codec.get_list c get_point;
       t.compress_at <- max min_capacity (2 * points t);
       t)
     s

@@ -48,12 +48,21 @@ if grep -rnE '\bProfile\.|\?profile\b|Executor\.probe\b|\bxprobe_of\b' lib bin; 
   echo "ci: the names above belong to the removed profile sink or probe hook" >&2
   exit 1
 fi
-# One statement path on a node: statement errors become answers only in
-# Interp.guard, whichever request carried the statement, so no server
-# code catches them itself.  (Rebalance input validation's
-# Invalid_argument is not a statement error.)
-if grep -rnE 'exception (Errors\.|Lower\.Error|Failure)' lib/server; then
-  echo "ci: the server maps statement errors above; answer through Interp.guard" >&2
+# One statement path: statement errors become answers only in
+# Interp.guard, whichever request carried the statement and whether a
+# node or a coordinator answers it, so no server or cluster code
+# catches them itself.  (Rebalance input validation's Invalid_argument
+# is not a statement error.)
+if grep -rnE 'exception (Errors\.|Lower\.Error|Failure)' lib/server lib/cluster; then
+  echo "ci: the code above maps statement errors; answer through Interp.guard" >&2
+  exit 1
+fi
+# One binary codec: the wire protocol and the sketch payloads encode
+# every primitive through lib/core/codec.ml, so no other lib/ or bin/
+# file defines its own.
+if grep -rnE 'let (put|get)_(u8|bool|i64|u32|f64|str|time|value|list|option|vint|uvarint|vtime|vlist)\b' \
+    lib bin --include='*.ml' | grep -v '^lib/core/codec\.ml:'; then
+  echo "ci: the primitives above belong in lib/core/codec.ml" >&2
   exit 1
 fi
 # One statement cache: Interp keeps one text-keyed LRU holding each

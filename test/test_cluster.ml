@@ -1476,6 +1476,31 @@ let test_sketch_merge () =
          Alcotest.failf "unexpected APPROX_COUNT AT result (%d rows)"
            (List.length rows)))
 
+(* A SAMPLE whose k no memory could hold merges its shard partials in
+   time and space of the entries they carry, and answers the single
+   node's rows: every live one. *)
+let test_huge_sample () =
+  with_cluster 2 (fun coord _servers _eps ->
+      let single = Expirel_sqlx.Interp.create () in
+      let exec_both sql =
+        ignore (exec coord sql);
+        ignore (ok (Expirel_sqlx.Interp.exec_sql single sql))
+      in
+      exec_both "CREATE TABLE t (k, v)";
+      for k = 1 to 12 do
+        exec_both (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES %d" k (k * 2) (5 * k))
+      done;
+      exec_both "ADVANCE TO 20";
+      let q = "SELECT SAMPLE(1099511627776) FROM t" in
+      let rows, texp_e = rows_of q (exec coord q) in
+      match ok (Expirel_sqlx.Interp.exec_sql single q) with
+      | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
+        Alcotest.(check int) "every live row" 8 (List.length rows);
+        Alcotest.(check bool) "the single node's rows" true
+          (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing));
+        Alcotest.(check bool) "the single node's texp(e)" true (Time.equal texp_e sn_texp)
+      | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m)
+
 (* ---------- the cluster-wide expiration forecast ---------- *)
 
 let contains ~sub s =
@@ -1904,6 +1929,8 @@ let suite =
       test_aggregate_combine;
     Alcotest.test_case "APPROX_COUNT/SAMPLE merge sketch partials" `Quick
       test_sketch_merge;
+    Alcotest.test_case "SAMPLE with a huge k equals the single node" `Quick
+      test_huge_sample;
     Alcotest.test_case "horizon: shard partials merge to the union profile"
       `Quick test_horizon_cluster;
     Alcotest.test_case "horizon: storm rule fires before the drop" `Quick

@@ -56,6 +56,7 @@ let () =
       "obs", Test_obs.suite;
       "horizon", Test_horizon.suite;
       (* networked server *)
+      "codec", Test_codec.suite;
       "wire", Test_wire.suite;
       "server", Test_server.suite;
       "repl", Test_repl.suite;

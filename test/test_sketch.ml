@@ -232,6 +232,39 @@ let spread_bound =
            in
            Float.abs (diameter -. (hi -. lo)) <= within))
 
+(* ---------- payloads ---------- *)
+
+(* Every strict prefix of a payload is an [Error], never a smaller
+   sketch: a shard reply cut short must not merge as a partial. *)
+let prefixes_error of_string payload =
+  List.for_all
+    (fun n -> Result.is_error (of_string (String.sub payload 0 n)))
+    (List.init (String.length payload) Fun.id)
+
+let payload_prefixes_error =
+  Generators.qtest "payloads: every strict prefix of a sketch decodes to Error"
+    ~count:100
+    (Gen.quad epsilon_gen stream_gen prioritised_stream_gen valued_stream_gen)
+    (fun (epsilon, stream, prioritised, valued) ->
+      let spread = Sketch.Spread.create ~epsilon in
+      List.iter (fun (v, texp) -> Sketch.Spread.add spread v ~texp) valued;
+      prefixes_error Sketch.Counter.of_string
+        (Sketch.Counter.to_string (counter_of ~epsilon stream))
+      && prefixes_error Sketch.Sample.of_string
+           (Sketch.Sample.to_string (sample_of ~k:3 prioritised))
+      && prefixes_error Sketch.Spread.of_string (Sketch.Spread.to_string spread))
+
+(* A merge's cost follows the entries, not k: two samples with a k no
+   memory could hold merge into one keeping every entry. *)
+let test_huge_k_merge () =
+  let k = 1 lsl 40 in
+  let a = sample_of ~k [ (1, Time.of_int 5, 0.5); (2, Time.Inf, 0.25) ] in
+  let b = sample_of ~k [ (3, Time.of_int 9, 0.75) ] in
+  let merged = Sketch.Sample.merge a b in
+  Alcotest.(check int) "every entry kept" 3 (Sketch.Sample.size merged);
+  Alcotest.(check int) "every entry answers" 3
+    (List.length (Sketch.Sample.query merged ~tau:(Time.of_int 0)))
+
 (* ---------- the SQL surface ---------- *)
 
 let exec t sql =
@@ -414,6 +447,8 @@ let suite =
     Alcotest.test_case "singleton sample is uniform" `Quick
       test_sample_uniformity;
     spread_bound;
+    payload_prefixes_error;
+    Alcotest.test_case "sample: a huge k merges in O(entries)" `Quick test_huge_k_merge;
     Alcotest.test_case "SQL: APPROX_COUNT within bound" `Quick
       test_sql_approx_count;
     Alcotest.test_case "SQL: SAMPLE is live and honest" `Quick test_sql_sample;

@@ -61,8 +61,8 @@ let partition_texp : Wire.partition_texp Gen.t =
 
 let moved = Gen.list_size (Gen.int_range 0 4) (Gen.pair row time)
 
-(* v11 varints carry any int: small ones in a byte, the extremes in
-   ten. *)
+(* Varints carry any int: small ones in a byte, the extremes in
+   nine. *)
 let wide_int : int Gen.t =
   Gen.oneof
     [ Gen.int_range (-3) 300; Gen.int; Gen.oneofl [ min_int; max_int; 0; -1 ] ]
@@ -525,6 +525,26 @@ let test_v8_shard_payloads_refused () =
   List.iter (unknown ~what:"request" Wire.decode_request) [ 4; 15; 20; 21; 22 ];
   List.iter (unknown ~what:"response" Wire.decode_response) [ 5; 16; 17; 20; 21 ]
 
+(* v12 moved every field onto the one varint codec: a v11 payload —
+   here a Ping, and a one-row Rows reply with its fixed-width column
+   count — is refused, and [payload_version] reads 11 so a server
+   answers [Version_mismatch]. *)
+let test_v11_payload_refused () =
+  let v11_ping = "\x0b\x05" in
+  let v11_rows = "\x0b\x02\x00\x00\x00\x01\x00\x00\x00\x01a" in
+  Alcotest.(check (option int)) "payload_version reads v11" (Some 11)
+    (Wire.payload_version v11_ping);
+  List.iter
+    (fun (what, decode, payload) ->
+      match decode payload with
+      | Error reason ->
+        Alcotest.(check string) (what ^ " names both versions")
+          (Printf.sprintf "bad %s: protocol version 11, expected %d" what Wire.version)
+          reason
+      | Ok () -> Alcotest.failf "v11 %s accepted by a v12 decoder" what)
+    [ ("request", (fun p -> Result.map ignore (Wire.decode_request p)), v11_ping);
+      ("response", (fun p -> Result.map ignore (Wire.decode_response p)), v11_rows) ]
+
 let test_empty_payload () =
   (match Wire.decode_request "" with
    | Error _ -> ()
@@ -576,8 +596,8 @@ let test_hostile_shard_count () =
   let b = Buffer.create 16 in
   Buffer.add_char b (Char.chr Wire.version);
   Buffer.add_char b (Char.chr 14) (* Shard_install tag *);
-  Buffer.add_int64_be b 1L (* map_version *);
-  Buffer.add_int32_be b 0x7FFFFFFFl (* shard count *);
+  Buffer.add_string b "\x02" (* map_version 1, a zigzag varint *);
+  Buffer.add_string b "\xff\xff\xff\xff\x07" (* shard count 2^31 - 1, a varint *);
   match Wire.decode_request (Buffer.contents b) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "hostile shard count accepted"
@@ -657,7 +677,7 @@ let test_hostile_list_count () =
   let b = Buffer.create 16 in
   Buffer.add_char b (Char.chr Wire.version);
   Buffer.add_char b (Char.chr 2) (* Rows tag *);
-  Buffer.add_int32_be b 0x7FFFFFFFl (* column count *) ;
+  Buffer.add_string b "\xff\xff\xff\xff\x07" (* column count 2^31 - 1, a varint *);
   match Wire.decode_response (Buffer.contents b) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "hostile element count accepted"
@@ -681,6 +701,7 @@ let suite =
     Alcotest.test_case "v1 payload detected" `Quick test_v1_payload_detected;
     Alcotest.test_case "v8 shard payloads refused" `Quick
       test_v8_shard_payloads_refused;
+    Alcotest.test_case "v11 payload refused" `Quick test_v11_payload_refused;
     Alcotest.test_case "empty payload" `Quick test_empty_payload;
     Alcotest.test_case "oversized length prefix" `Quick test_oversized_length_prefix;
     Alcotest.test_case "short header is incomplete" `Quick test_short_header_incomplete;
