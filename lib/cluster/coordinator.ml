@@ -154,40 +154,163 @@ let default_health_rules ~shards =
     }
   ]
 
-(* ---------- per-shard RPC with traffic accounting ---------- *)
+(* ---------- the one fan-out ---------- *)
 
-(* Every coordinator->shard message flows through here: one request in
-   flight per connection (fan-out threads and the heartbeat thread
-   share members), traffic counters fed from the frame sizes the
-   client measured (payload + 4 for the length prefix), and the
-   piggybacked partition summary harvested from the statement envelope
-   or the heartbeat pong. *)
+(* What every collected reply feeds, whichever path asked: reachability,
+   the traffic counters (from the frame sizes the client measured:
+   payload + 4 for the length prefix), and the partition summary
+   piggybacked on the statement envelope or the heartbeat pong. *)
+let account t slot result =
+  match result with
+  | Ok (resp, sent, received) ->
+    slot.reachable <- true;
+    Obs.Instrument.Counter.incr slot.requests;
+    Obs.Instrument.Counter.incr t.messages_total;
+    Obs.Instrument.Counter.add t.bytes_sent_total sent;
+    Obs.Instrument.Counter.add t.bytes_received_total received;
+    (match resp with
+     | Wire.Shard_reply { partition; _ } -> slot.summary <- Some partition
+     | Wire.Shard_pong { partition; pong_map_version; now; _ } ->
+       slot.summary <- Some partition;
+       slot.map_version_seen <- pong_map_version;
+       locked t (fun () -> t.now <- Time.max t.now now)
+     | Wire.Err _ ->
+       (* A refused or failed statement tells us nothing about the
+          partition; forget the cached summary rather than guess. *)
+       slot.summary <- None
+     | _ -> ())
+  | Error _ ->
+    slot.reachable <- false;
+    slot.summary <- None
+
+(* A posted request: its slot's lock is held until its reply is
+   collected or its [deadline] passes. *)
+type flight = {
+  index : int;  (* position in the caller's list *)
+  slot : slot;
+  conn : Client.t;
+  sent : int;
+  deadline : float;
+}
+
+(* How long a caller holding posted requests waits on their replies
+   before it tries the slots it could not take again. *)
+let retry_slots_s = 0.002
+
+(* Every statement, heartbeat and trace request to the shards goes
+   through here, on the caller's thread.  Each request is posted as
+   soon as its slot's lock is free, and the replies are collected as
+   they arrive (one [select] over the posted connections, each bounded
+   by its connection's receive timeout), each slot released as soon as
+   its reply is in.  A caller never blocks while it holds a slot: a
+   busy slot, or one that would have to dial first, waits until the
+   replies already posted are in (retried every [retry_slots_s]
+   meanwhile), and only a caller holding nothing blocks on a lock or
+   on a dial — so callers never wait on each other in a cycle, and a
+   slow shard never stalls another shard's traffic.  A member whose
+   post or collect fails, with an [Error] or an exception, is dropped,
+   as [Member.on] drops it, and every other posted reply is still
+   collected, so no connection keeps a stale frame.  Returns each
+   contact's reply in the caller's order, with the instants its slot
+   lock was requested and its reply collected.  A slot appears at most
+   once. *)
+let exchange t requests =
+  let asked = Unix.gettimeofday () in
+  let replies = Array.make (List.length requests) None in
+  let answer index slot result =
+    account t slot result;
+    replies.(index) <-
+      Some
+        ( slot,
+          Result.map (fun (resp, _, _) -> resp) result,
+          asked,
+          Unix.gettimeofday () )
+  in
+  let outstanding = ref [] in
+  let settle f result =
+    outstanding := List.filter (fun g -> g != f) !outstanding;
+    if Result.is_error result then Member.drop f.slot.member;
+    Mutex.unlock f.slot.slot_lock;
+    answer f.index f.slot
+      (Result.map (fun (resp, received) -> (resp, f.sent, received)) result)
+  in
+  (* Under the slot's lock: posts the request, or answers its failure
+     and releases the slot. *)
+  let post (index, (slot, request)) =
+    let failed ~drop e =
+      if drop then Member.drop slot.member;
+      Mutex.unlock slot.slot_lock;
+      answer index slot (Error e)
+    in
+    match
+      Option.map
+        (fun conn -> (conn, Client.post conn request))
+        (Member.connection slot.member)
+    with
+    | Some (conn, Ok sent) ->
+      let deadline = Unix.gettimeofday () +. Client.timeout conn in
+      outstanding := { index; slot; conn; sent; deadline } :: !outstanding
+    | Some (_, Error e) -> failed ~drop:true e
+    | None -> failed ~drop:false "endpoint unavailable"
+    | exception e -> failed ~drop:true (Printexc.to_string e)
+  in
+  let try_post ((_, (slot, _)) as contact) =
+    if not (Mutex.try_lock slot.slot_lock) then false
+    else if Member.would_dial slot.member then begin
+      Mutex.unlock slot.slot_lock;
+      false
+    end
+    else begin
+      post contact;
+      true
+    end
+  in
+  (* Collects the replies that arrive within [wait]; a flight past its
+     deadline answers a timeout. *)
+  let await ~wait =
+    let flights = !outstanding in
+    let due = List.fold_left (fun acc f -> Float.min acc f.deadline) infinity flights in
+    let ready =
+      Client.ready
+        (List.map (fun f -> f.conn) flights)
+        ~timeout:(Float.min wait (due -. Unix.gettimeofday ()))
+    in
+    let now = Unix.gettimeofday () in
+    List.iter
+      (fun f ->
+        if List.memq f.conn ready then settle f (Client.collect f.conn)
+        else if f.deadline <= now then settle f (Error "receive timeout"))
+      flights
+  in
+  let rec run pending =
+    match List.filter (fun c -> not (try_post c)) pending, !outstanding with
+    | [], [] -> ()
+    | [], [ f ] -> settle f (Client.collect f.conn)
+    | [], _ ->
+      await ~wait:infinity;
+      run []
+    | ((_, (slot, _)) as contact) :: rest, [] ->
+      Mutex.lock slot.slot_lock;
+      post contact;
+      run rest
+    | pending, _ ->
+      await ~wait:retry_slots_s;
+      run pending
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> settle f (Error "fan-out abandoned")) !outstanding)
+    (fun () -> run (List.mapi (fun i contact -> (i, contact)) requests));
+  List.filter_map Fun.id (Array.to_list replies)
+
+(* One request to one shard, with nothing to overlap it with. *)
+let send t slot request =
+  let _, reply, _, _ = List.hd (exchange t [ (slot, request) ]) in
+  reply
+
+(* The typed admin RPCs of a rebalance and of construction, one at a
+   time under the slot's lock. *)
 let on_slot slot f = Mutex.protect slot.slot_lock (fun () -> Member.on slot.member f)
-
-let send t slot req =
-  let result = on_slot slot (fun c -> Client.exchange c req) in
-  (match result with
-   | Ok (resp, sent, received) ->
-     slot.reachable <- true;
-     Obs.Instrument.Counter.incr slot.requests;
-     Obs.Instrument.Counter.incr t.messages_total;
-     Obs.Instrument.Counter.add t.bytes_sent_total sent;
-     Obs.Instrument.Counter.add t.bytes_received_total received;
-     (match resp with
-      | Wire.Shard_reply { partition; _ } -> slot.summary <- Some partition
-      | Wire.Shard_pong { partition; pong_map_version; now; _ } ->
-        slot.summary <- Some partition;
-        slot.map_version_seen <- pong_map_version;
-        locked t (fun () -> t.now <- Time.max t.now now)
-      | Wire.Err _ ->
-        (* A refused or failed statement tells us nothing about the
-           partition; forget the cached summary rather than guess. *)
-        slot.summary <- None
-      | _ -> ())
-   | Error _ ->
-     slot.reachable <- false;
-     slot.summary <- None);
-  Result.map (fun (resp, _, _) -> resp) result
 
 (* The one coordinator-to-shard statement request, carrying the
    caller's trace context. *)
@@ -375,32 +498,15 @@ let query_tau t (qs : Ast.query_stmt) =
   let now = locked t (fun () -> t.now) in
   Option.value (Interp.at_tau ~now qs.Ast.at) ~default:now
 
-(* Fan each contact's request out in parallel, under a [scatter] span;
-   a single contact runs in the caller's thread, with nothing to
-   overlap it with.  The requests are built before the span opens, so
-   the trace context they ship names the caller's span, not [scatter].
-   The rpc spans are recorded after the join (a trace is not
-   synchronised across threads); offsets and durations are the ones
-   measured around each send.  Replies come back in contact order. *)
+(* Fan each contact's request out through [exchange], under a
+   [scatter] span with one [rpc:shard-<id>] span per contact, from its
+   slot-lock request to its reply's collection.  The requests are built
+   before the span opens, so the trace context they ship names the
+   caller's span, not [scatter].  Replies come back in contact
+   order. *)
 let fan_out ?trace t requests =
   Obs.Trace.span trace "scatter" @@ fun () ->
-  let call (slot, request) =
-    let t0 = Unix.gettimeofday () in
-    let r = send t slot request in
-    (slot, r, t0, Unix.gettimeofday ())
-  in
-  let results =
-    match requests with
-    | [ contact ] -> [ call contact ]
-    | _ ->
-      let results = Array.make (List.length requests) None in
-      List.mapi
-        (fun i contact ->
-          Thread.create (fun () -> results.(i) <- Some (call contact)) ())
-        requests
-      |> List.iter Thread.join;
-      List.filter_map Fun.id (Array.to_list results)
-  in
+  let replies = exchange t requests in
   Option.iter
     (fun tr ->
       List.iter
@@ -409,9 +515,9 @@ let fan_out ?trace t requests =
             ~name:(Printf.sprintf "rpc:shard-%d" slot.shard.Wire.shard_id)
             ~start_us:(span_offset_us tr t0)
             ~duration_us:(int_of_float ((t1 -. t0) *. 1e6)))
-        results)
+        replies)
     trace;
-  List.map (fun (slot, r, _, _) -> (slot, r)) results
+  List.map (fun (slot, r, _, _) -> (slot, r)) replies
 
 (* A shard that died or answered garbage mid-gather: surface one typed
    [Shard_failed] error naming the shard.  Partitions are disjoint, so
@@ -522,22 +628,25 @@ let route_insert ?trace t ~key sql =
      | Ok reply -> reply
      | Error msg -> err msg)
 
-(* Send a statement to [targets], sequentially (writes are rare and
-   ADVANCE must reach everyone anyway).  The first failure is reported
-   with its shard id; there is no cross-shard atomicity — cluster v1
-   trades transactions for the expiration calculus, which needs
-   none. *)
+(* Send a statement to every one of [targets] in one fan-out; when
+   any fails, the answer names each failed shard with its message (the
+   others have applied it).  There is no cross-shard atomicity —
+   cluster v1 trades transactions for the expiration calculus, which
+   needs none. *)
 let broadcast ?trace t targets sql ~merge =
-  let rec go acc = function
-    | [] -> merge (List.rev acc)
-    | slot :: rest ->
-      (match exec_on ?trace t slot sql with
-       | Ok (Wire.Err { message; _ }) | Error message ->
-         err
-           (Printf.sprintf "shard %d: %s" slot.shard.Wire.shard_id message)
-       | Ok reply -> go ((slot, reply) :: acc) rest)
-  in
-  go [] targets
+  let request = shard_exec ?trace ~want:Wire.Want_rows sql in
+  let replies = fan_out ?trace t (List.map (fun slot -> (slot, request)) targets) in
+  match
+    List.filter_map
+      (function
+        | slot, (Ok (Wire.Err { message; _ }) | Error message) ->
+          Some (Printf.sprintf "shard %d: %s" slot.shard.Wire.shard_id message)
+        | _, Ok _ -> None)
+      replies
+  with
+  | [] ->
+    merge (List.map (fun (slot, reply) -> (slot, unwrap (Result.get_ok reply))) replies)
+  | failures -> err (String.concat "; " failures)
 
 let merge_acks replies =
   match replies with
@@ -1088,7 +1197,7 @@ let exec ?(prune = true) ?trace:caller_trace t sql =
 (* ---------- heartbeat ---------- *)
 
 let heartbeat_now t =
-  List.iter (fun slot -> ignore (send t slot Wire.Shard_ping)) (slots t)
+  ignore (exchange t (List.map (fun slot -> (slot, Wire.Shard_ping)) (slots t)))
 
 let rec heartbeat_loop t =
   if not t.stopping then begin
@@ -1327,11 +1436,10 @@ let recent_traces t n =
   let own = List.map Metrics.wire_trace_entry (Obs.Trace_store.recent t.trace_store n) in
   let remote =
     List.concat_map
-      (fun slot ->
-        match on_slot slot (fun c -> Client.traces c n) with
-        | Ok entries -> entries
-        | Error _ -> [])
-      (slots t)
+      (function
+        | _, Ok (Wire.Traces_reply entries) -> entries
+        | _ -> [])
+      (fan_out t (List.map (fun slot -> (slot, Wire.Trace_recent n)) (slots t)))
   in
   List.stable_sort
     (fun (a : Wire.trace_entry) b -> Float.compare b.started_at a.started_at)

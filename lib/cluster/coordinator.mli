@@ -7,11 +7,12 @@
     {!Expirel_sqlx.Lower.route} picks how it is answered from the
     lowered algebra: shard-local queries scatter, grouped aggregates
     combine from per-shard partials, sketches merge, and everything
-    else gathers.  The three fan-out routes ask, in parallel, only the
-    shards that can hold matching live rows; scattered listings merge
-    under the paper's union rule — per duplicate tuple the max [texp],
-    for the whole result the min of the partial [texp(e)]s (exact,
-    because hash partitions are disjoint).
+    else gathers.  The three fan-out routes ask only the shards that
+    can hold matching live rows, all at once: the caller's thread posts
+    to each, then collects the replies as they arrive.  Scattered
+    listings merge under the paper's union rule — per duplicate tuple
+    the max [texp], for the whole result the min of the partial
+    [texp(e)]s (exact, because hash partitions are disjoint).
 
     {2 Key routing}
 
@@ -31,9 +32,9 @@
     (large [Int]s and integral [Float]s, NaN) broadcast.  While a
     rebalance moves rows, a key's owners under {e both} the current and
     the target map are candidates, and a read that a move step lands
-    under runs again.  A single contact runs in the caller's thread; a
-    read whose candidates are all provably empty contacts no shard and
-    answers empty, with the columns the lowering named.
+    under runs again.  A read whose candidates are all provably empty
+    contacts no shard and answers empty, with the columns the lowering
+    named.
 
     {2 Pruning invariant}
 
@@ -123,7 +124,11 @@ val exec :
       [ADVANCE]/[TICK] and [VACUUM] broadcast to all shards.  A
       [DELETE] or [VACUUM] ack reports the sum of the shards' counts.
       [EXPLAIN]/[EXPLAIN ANALYZE] broadcast and concatenate per-shard
-      reports.
+      reports.  A broadcast reaches every reachable target even when
+      some fail; it then answers [Err] naming each failed shard, and
+      the others have applied the statement (an [ADVANCE]/[TICK] moved
+      their clocks, and the coordinator's clock mirror follows them on
+      the next heartbeat).
     - Only per-node features — views, triggers, constraints,
       [CHECKPOINT] — are refused ([Err]).
     - A shard that dies or answers garbage mid-gather surfaces as one
@@ -154,7 +159,8 @@ val remove_shard : t -> int -> (string, string) result
     rows to the survivors, then drops the slot. *)
 
 val heartbeat_now : t -> unit
-(** One synchronous heartbeat round ([Shard_ping] to every shard):
+(** One synchronous heartbeat round ([Shard_ping] posted to every
+    shard, the pongs gathered on the caller's thread):
     refreshes reachability, staleness, partition summaries and the
     clock mirror.  The background thread calls this on its interval;
     tests with [~heartbeat_interval:0.] call it directly. *)

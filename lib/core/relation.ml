@@ -57,14 +57,19 @@ let texp_opt r t = Tuple_map.find_opt t r.rows
 let exp tau r =
   if Time.(r.low > tau) then r (* nothing expired: O(1) *)
   else
-    let rows, low =
-      Tuple_map.fold
-        (fun t e ((rows, low) as acc) ->
-          if Time.(e > tau) then Tuple_map.add t e rows, Time.min low e
-          else acc)
-        r.rows (Tuple_map.empty, Time.Inf)
+    let low = ref Time.Inf in
+    let rows =
+      Tuple_map.filter
+        (fun _ e ->
+          let keep = Time.(e > tau) in
+          if keep then low := Time.min !low e;
+          keep)
+        r.rows
     in
-    { r with rows; low }
+    (* [filter] hands back [r.rows] itself when it drops nothing; the
+       bound is made exact either way, so the next [exp] at [tau] is
+       O(1). *)
+    { r with rows; low = !low }
 
 let of_list ~arity rows =
   List.fold_left (fun r (t, texp) -> add t ~texp r) (empty ~arity) rows

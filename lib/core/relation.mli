@@ -41,8 +41,9 @@ val texp_opt : t -> Tuple.t -> Time.t option
 val exp : Time.t -> t -> t
 (** [exp tau r] is the paper's [exp_tau(R) = { r | texp_R(r) > tau }].
     O(1) when no tuple has expired (the relation caches a lower bound on
-    its minimum expiration time), O(n) only when something actually has
-    to be filtered out. *)
+    its minimum expiration time), otherwise one O(n) pass that shares
+    the kept subtrees and recomputes that bound exactly.  An [exp] that
+    drops nothing shares [r]'s map. *)
 
 val of_list : arity:int -> (Tuple.t * Time.t) list -> t
 val to_list : t -> (Tuple.t * Time.t) list

@@ -24,8 +24,10 @@ let drop m =
   m.conn <- None;
   m.retry_at <- Unix.gettimeofday () +. Backoff.next m.backoff
 
+let would_dial m = Option.is_none m.conn && Unix.gettimeofday () >= m.retry_at
+
 (* An established connection, dialing if allowed; None while the
-   endpoint is in backoff or refusing. *)
+   endpoint is in backoff, refusing, or its host does not resolve. *)
 let connection m =
   match m.conn with
   | Some c -> Some c
@@ -40,7 +42,7 @@ let connection m =
         Backoff.reset m.backoff;
         m.retry_at <- 0.0;
         Some c
-      | exception Unix.Unix_error _ ->
+      | exception (Unix.Unix_error _ | Failure _) ->
         m.retry_at <- Unix.gettimeofday () +. Backoff.next m.backoff;
         None
     end

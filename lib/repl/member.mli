@@ -23,7 +23,12 @@ val endpoint : t -> endpoint
 
 val connection : t -> Client.t option
 (** The established connection, dialing if allowed; [None] while the
-    endpoint is in backoff or refusing connections. *)
+    endpoint is in backoff, refusing connections, or its host does not
+    resolve. *)
+
+val would_dial : t -> bool
+(** [connection] would dial now, blocking for as long as the connect
+    takes: there is no connection and the backoff has run out. *)
 
 val drop : t -> unit
 (** Closes the connection (if any) and schedules the next redial under

@@ -2,6 +2,7 @@ let default_port = 7717
 
 type t = {
   fd : Unix.file_descr;
+  timeout : float;
   pending : Wire.event Queue.t;
   mutable closed : bool;
 }
@@ -24,7 +25,9 @@ let connect ?(timeout = 10.0) ~host ~port () =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; pending = Queue.create (); closed = false }
+  { fd; timeout; pending = Queue.create (); closed = false }
+
+let timeout t = t.timeout
 
 let fail_closed = Error "connection closed"
 
@@ -38,39 +41,61 @@ let shut t =
   end
 
 (* Blocks for the next frame; queues events until a direct response
-   arrives, returned with its frame's size on the wire. *)
-let rec read_response t =
-  match Frame.recv t.fd with
-  | exception Frame.Closed ->
-    shut t;
-    fail_closed
-  | exception Frame.Timeout ->
-    shut t;
-    Error "receive timeout"
-  | exception Frame.Oversized n ->
-    shut t;
-    Error (Printf.sprintf "oversized frame (%d bytes): stream desynchronised" n)
-  | payload, bytes ->
-    (match Wire.decode_response payload with
-     | Error e ->
-       shut t;
-       Error e
-     | Ok (Wire.Event event) ->
-       Queue.add event t.pending;
-       read_response t
-     | Ok response -> Ok (response, bytes))
+   arrives, returned with its frame's size on the wire.  Every failure,
+   an unexpected socket error included, is an [Error] that gives the
+   connection up. *)
+let rec collect t =
+  if t.closed then fail_closed
+  else
+    match Frame.recv t.fd with
+    | exception Frame.Closed ->
+      shut t;
+      fail_closed
+    | exception Frame.Timeout ->
+      shut t;
+      Error "receive timeout"
+    | exception Frame.Oversized n ->
+      shut t;
+      Error (Printf.sprintf "oversized frame (%d bytes): stream desynchronised" n)
+    | exception Unix.Unix_error (e, _, _) ->
+      shut t;
+      Error (Unix.error_message e)
+    | payload, bytes ->
+      (match Wire.decode_response payload with
+       | Error e ->
+         shut t;
+         Error e
+       | Ok (Wire.Event event) ->
+         Queue.add event t.pending;
+         collect t
+       | Ok response -> Ok (response, bytes))
 
-let exchange t req =
+let post t req =
   if t.closed then fail_closed
   else
     match Frame.send t.fd (Wire.encode_request req) with
-    | sent ->
-      Result.map
-        (fun (response, received) -> (response, sent, received))
-        (read_response t)
+    | sent -> Ok sent
     | exception (Frame.Closed | Frame.Timeout) ->
       shut t;
       fail_closed
+    | exception Unix.Unix_error (e, _, _) ->
+      shut t;
+      Error (Unix.error_message e)
+
+(* A closed connection, or a [select] that fails (a descriptor closed
+   under it, or one past FD_SETSIZE), counts as ready: [collect] then
+   answers each at once or reads it under its own timeout. *)
+let rec ready ts ~timeout =
+  if List.exists (fun t -> t.closed) ts then List.filter (fun t -> t.closed) ts
+  else
+    match Unix.select (List.map (fun t -> t.fd) ts) [] [] (Float.max 0. timeout) with
+    | readable, _, _ -> List.filter (fun t -> List.mem t.fd readable) ts
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ready ts ~timeout
+    | exception Unix.Unix_error _ -> ts
+
+let exchange t req =
+  Result.bind (post t req) (fun sent ->
+      Result.map (fun (response, received) -> (response, sent, received)) (collect t))
 
 let request t req = Result.map (fun (response, _, _) -> response) (exchange t req)
 

@@ -30,7 +30,33 @@ val exchange :
   t -> Wire.request -> (Wire.response * int * int, string) result
 (** {!request}, also returning the bytes the request and its response
     took on the wire (each frame's payload + 4); events queued on the
-    way are not counted. *)
+    way are not counted.  It is {!post} then {!collect}. *)
+
+(** {1 Pipelined requests}
+
+    A caller talking to several servers posts to each, then collects
+    each reply as it arrives: [post] never waits for an answer, and
+    [collect] reads the oldest unanswered one.  Requests on one
+    connection are answered in order, so each [post] needs exactly one
+    [collect] before the connection carries anything else. *)
+
+val post : t -> Wire.request -> (int, string) result
+(** Sends one request without reading; returns the bytes it took on
+    the wire (payload + 4). *)
+
+val collect : t -> (Wire.response * int, string) result
+(** Blocks (at most the connection's receive timeout) for the next
+    non-event response, queueing events on the way; returns it with
+    the bytes its frame took. *)
+
+val ready : t list -> timeout:float -> t list
+(** The connections among [ts] with bytes waiting, after at most
+    [timeout] seconds ([[]] when none arrived in time).  A closed
+    connection, or every one when [select] itself fails, counts as
+    ready, so that {!collect} reports it. *)
+
+val timeout : t -> float
+(** The receive and send bound the connection was opened with. *)
 
 val exec : t -> string -> (Wire.response, string) result
 (** Executes one sqlx statement on the server. *)

@@ -2,12 +2,44 @@ exception Closed
 exception Timeout
 exception Oversized of int
 
+let max_frame = 16 * 1024 * 1024
+
 (* The EPIPE -> Closed contract below only holds if EPIPE arrives as an
    error code: by default a write to a peer that vanished mid-stream (a
    killed replica, a dropped client) delivers SIGPIPE and terminates
    the whole process before Unix_error is ever raised. *)
 let () =
   if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+
+let frame payload =
+  let b = Buffer.create (String.length payload + 4) in
+  Buffer.add_int32_be b (Int32.of_int (String.length payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* The payload length the prefix at [pos] announces: the one place a
+   prefix is read and [max_frame] enforced.  [Error] carries the
+   announced length. *)
+let length_at data pos =
+  let byte i = Char.code data.[pos + i] in
+  let len = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
+  if len > max_frame then Error len else Ok len
+
+type extracted =
+  | Incomplete
+  | Complete of { payload : string; consumed : int }
+  | Malformed of string
+
+let extract ?(pos = 0) data =
+  let remaining = String.length data - pos in
+  if pos < 0 then Malformed "negative position"
+  else if remaining < 4 then Incomplete
+  else
+    match length_at data pos with
+    | Error len ->
+      Malformed (Printf.sprintf "length prefix %d exceeds max frame %d" len max_frame)
+    | Ok len when remaining - 4 < len -> Incomplete
+    | Ok len -> Complete { payload = String.sub data (pos + 4) len; consumed = 4 + len }
 
 let rec handling_unix_errors f =
   try f () with
@@ -19,7 +51,7 @@ let rec handling_unix_errors f =
     raise Closed
 
 let send fd payload =
-  let data = Wire.frame payload in
+  let data = frame payload in
   let len = String.length data in
   let bytes = Bytes.unsafe_of_string data in
   let rec go off =
@@ -45,8 +77,6 @@ let read_exact fd n =
   Bytes.unsafe_to_string buf
 
 let recv fd =
-  let header = read_exact fd 4 in
-  let byte i = Char.code header.[i] in
-  let len = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
-  if len > Wire.max_frame then raise (Oversized len);
-  (read_exact fd len, len + 4)
+  match length_at (read_exact fd 4) 0 with
+  | Error len -> raise (Oversized len)
+  | Ok len -> (read_exact fd len, len + 4)

@@ -1,6 +1,8 @@
-(** Blocking frame IO over Unix sockets: the impure rim around the pure
-    {!Wire} codec.  One frame = 4-byte big-endian payload length +
-    payload. *)
+(** Frames, the one byte-stream framing of the wire protocol: a 4-byte
+    big-endian payload length, then the payload.  The pure half builds
+    and incrementally parses frames in a buffer; the blocking half
+    sends and receives them over Unix sockets.  Both read a prefix, and
+    enforce {!max_frame}, through the same code. *)
 
 exception Closed
 (** The peer closed the connection (EOF, possibly mid-frame, or a
@@ -10,8 +12,31 @@ exception Timeout
 (** A socket receive/send deadline (SO_RCVTIMEO / SO_SNDTIMEO) expired. *)
 
 exception Oversized of int
-(** The peer announced a payload longer than {!Wire.max_frame}: the
-    stream is desynchronised beyond recovery. *)
+(** The peer announced a payload longer than {!max_frame}: the stream
+    is desynchronised beyond recovery. *)
+
+val max_frame : int
+(** Upper bound on accepted payload length (16 MiB); a length prefix
+    beyond it is malformed, protecting peers from hostile allocations. *)
+
+(** {1 Frames in a buffer} *)
+
+val frame : string -> string
+(** [frame payload] prepends the 4-byte big-endian length. *)
+
+type extracted =
+  | Incomplete  (** more bytes needed — not an error *)
+  | Complete of { payload : string; consumed : int }
+      (** one whole frame; [consumed] counts the prefix too *)
+  | Malformed of string
+      (** unrecoverable framing error (oversized length prefix): the
+          stream is desynchronised and the connection should close *)
+
+val extract : ?pos:int -> string -> extracted
+(** Incremental deframing of a byte buffer starting at [pos]
+    (default 0).  Never raises, for any input. *)
+
+(** {1 Frames over a socket} *)
 
 val send : Unix.file_descr -> string -> int
 (** [send fd payload] writes the whole frame, looping over partial

@@ -998,7 +998,7 @@ let rec serve_conn t conn =
     send_response t conn
       (Wire.Err
          { code = Wire.Proto_error;
-           message = Printf.sprintf "frame of %d bytes exceeds max %d" len Wire.max_frame
+           message = Printf.sprintf "frame of %d bytes exceeds max %d" len Frame.max_frame
          });
     Metrics.incr_errors t.metrics
   | payload, bytes ->

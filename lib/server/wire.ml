@@ -2,7 +2,6 @@ open Expirel_core
 open Expirel_storage
 
 let version = 12
-let max_frame = 16 * 1024 * 1024
 
 type error_code =
   | Parse_error
@@ -867,32 +866,6 @@ let decode_response data =
       let body = get_body c in
       Shard_reply { partition; body }
     | n -> bad "unknown response tag %d" n)
-
-(* ---------- framing ---------- *)
-
-let frame body =
-  let b = Buffer.create (String.length body + 4) in
-  Buffer.add_int32_be b (Int32.of_int (String.length body));
-  Buffer.add_string b body;
-  Buffer.contents b
-
-type extracted =
-  | Incomplete
-  | Frame of { payload : string; consumed : int }
-  | Malformed of string
-
-let extract ?(pos = 0) data =
-  let remaining = String.length data - pos in
-  if pos < 0 then Malformed "negative position"
-  else if remaining < 4 then Incomplete
-  else begin
-    let byte i = Char.code data.[pos + i] in
-    let len = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
-    if len > max_frame then
-      Malformed (Printf.sprintf "length prefix %d exceeds max frame %d" len max_frame)
-    else if remaining - 4 < len then Incomplete
-    else Frame { payload = String.sub data (pos + 4) len; consumed = 4 + len }
-  end
 
 (* ---------- rendering ---------- *)
 

@@ -1,8 +1,8 @@
 (** The versioned, length-framed binary wire protocol of the expirel
     server.
 
-    A frame on the wire is a 4-byte big-endian payload length followed
-    by the payload; a payload is one protocol-version byte, one message
+    Each payload travels in one {!Frame} (a 4-byte big-endian length
+    prefix); a payload is one protocol-version byte, one message
     tag byte and the message body, every field in the one binary
     encoding of {!Expirel_core.Codec}.  Result relations travel {e with}
     their per-tuple expiration times and the expression-level [texp(e)]
@@ -143,10 +143,6 @@ val version : int
     [Err { code = Version_mismatch; _ }] (whose layout has been stable
     since v1, so even an old peer renders it) rather than a generic
     protocol error. *)
-
-val max_frame : int
-(** Upper bound on accepted payload length (16 MiB); a length prefix
-    beyond it is malformed, protecting peers from hostile allocations. *)
 
 (** {1 Messages} *)
 
@@ -474,23 +470,6 @@ val payload_version : string -> int option
     readable even when the rest does not decode, so a server can tell a
     foreign-version peer from garbage and answer with
     [Version_mismatch]. *)
-
-(** {1 Framing} *)
-
-val frame : string -> string
-(** [frame payload] prepends the 4-byte big-endian length. *)
-
-type extracted =
-  | Incomplete  (** more bytes needed — not an error *)
-  | Frame of { payload : string; consumed : int }
-      (** one whole frame; [consumed] counts the prefix too *)
-  | Malformed of string
-      (** unrecoverable framing error (oversized length prefix): the
-          stream is desynchronised and the connection should close *)
-
-val extract : ?pos:int -> string -> extracted
-(** Incremental deframing of a byte buffer starting at [pos]
-    (default 0).  Never raises, for any input. *)
 
 val pp_response : Format.formatter -> response -> unit
 (** Human-readable rendering (one line per row), for the CLI and

@@ -4,6 +4,13 @@ let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
+(* Built once: an identifier is one hash probe, not a scan of the
+   keyword list. *)
+let keywords =
+  let set = Hashtbl.create 128 in
+  List.iter (fun k -> Hashtbl.replace set k ()) Token.keywords;
+  set
+
 let tokenize input =
   let n = String.length input in
   let tokens = ref [] in
@@ -73,7 +80,7 @@ let tokenize input =
     let stop = scan start in
     let text = String.sub input start (stop - start) in
     let upper = String.uppercase_ascii text in
-    if List.mem upper Token.keywords then emit start (Token.Keyword upper)
+    if Hashtbl.mem keywords upper then emit start (Token.Keyword upper)
     else emit start (Token.Ident text);
     go stop
   in

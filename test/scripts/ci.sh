@@ -65,6 +65,13 @@ if grep -rnE 'let (put|get)_(u8|bool|i64|u32|f64|str|time|value|list|option|vint
   echo "ci: the primitives above belong in lib/core/codec.ml" >&2
   exit 1
 fi
+# One fan-out: the coordinator posts to every contacted shard and
+# gathers the replies on the caller's thread, so a request never spawns
+# a thread; the heartbeat loop is lib/cluster's only thread.
+if grep -rn 'Thread\.create' lib/cluster --include='*.ml' | grep -v 'heartbeat_loop t'; then
+  echo "ci: the threads above serve a request; post and collect on the caller's thread" >&2
+  exit 1
+fi
 # One statement cache: Interp keeps one text-keyed LRU holding each
 # statement's parse and plan.
 if grep -rn 'parse_cache' lib bin; then

@@ -1886,6 +1886,294 @@ let test_routed_reads_across_rebalance () =
           Alcotest.(check int) "point read after the moves: 1 message" 1
             (messages_for coord "SELECT * FROM t WHERE k = 1")))
 
+(* ---------- the pipelined fan-out under failure and concurrency ---------- *)
+
+(* A frame relay in front of a shard's port.  [arm] sets what happens
+   to the next request it reads: [`Hang_up] takes it off the wire and
+   drops the connection unanswered, as a shard dying after the
+   coordinator posted to it and before it collected; [`Delay s]
+   forwards it [s] seconds late. *)
+let with_relay ~port f =
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listener Unix.SO_REUSEADDR true;
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 8;
+  let relay_port =
+    match Unix.getsockname listener with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let armed = Atomic.make None and stop = Atomic.make false in
+  let sockets = ref [] and pumps = ref [] in
+  let hang_up fd = try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> () in
+  let pump from into ~requests () =
+    (try
+       while true do
+         let payload, _ = Frame.recv from in
+         (match if requests then Atomic.exchange armed None else None with
+          | Some `Hang_up -> raise Exit
+          | Some (`Delay s) -> Thread.delay s
+          | None -> ());
+         ignore (Frame.send into payload)
+       done
+     with Exit | Frame.Closed | Frame.Timeout | Frame.Oversized _ | Unix.Unix_error _ -> ());
+    hang_up from;
+    hang_up into
+  in
+  let accept_loop () =
+    while not (Atomic.get stop) do
+      match Unix.select [ listener ] [] [] 0.05 with
+      | [], _, _ -> ()
+      | _ ->
+        let client, _ = Unix.accept listener in
+        let upstream = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect upstream (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        sockets := client :: upstream :: !sockets;
+        pumps :=
+          Thread.create (pump client upstream ~requests:true) ()
+          :: Thread.create (pump upstream client ~requests:false) ()
+          :: !pumps
+    done
+  in
+  let acceptor = Thread.create accept_loop () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join acceptor;
+      List.iter hang_up !sockets;
+      List.iter Thread.join !pumps;
+      List.iter Unix.close (listener :: !sockets))
+    (fun () -> f relay_port (fun mode -> Atomic.set armed (Some mode)))
+
+(* Relays in front of every endpoint: [f] gets the relayed endpoints
+   and each relay's [arm], in endpoint order. *)
+let rec with_relays endpoints f =
+  match endpoints with
+  | [] -> f [] []
+  | (e : Coordinator.endpoint) :: rest ->
+    with_relay ~port:e.Coordinator.port (fun port arm ->
+        with_relays rest (fun relayed arms ->
+            f ({ e with Coordinator.port } :: relayed) (arm :: arms)))
+
+(* Shard 1 dies between the post and the collect of a scatter, while
+   the other two answer late: the read answers one [Shard_failed]
+   naming it, and the survivors' replies were still collected after
+   that failure — a routed read on each then gets its own row, not the
+   scatter's stale reply. *)
+let test_killed_mid_fanout () =
+  with_shards 3 (fun _servers endpoints ->
+      with_relays endpoints @@ fun endpoints arms ->
+      let coord = Coordinator.create ~heartbeat_interval:0. ~shards:endpoints () in
+      Fun.protect ~finally:(fun () -> Coordinator.close coord) @@ fun () ->
+      ignore (exec coord "CREATE TABLE t (k, v)");
+      let keys = List.map (key_on coord) [ 0; 1; 2 ] in
+      List.iter
+        (fun k ->
+          ignore
+            (exec coord (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES 100" k (10 * k))))
+        keys;
+      List.iteri (fun id arm -> arm (if id = 1 then `Hang_up else `Delay 0.05)) arms;
+      (match Coordinator.exec coord "SELECT k, v FROM t" with
+       | Wire.Err { code = Wire.Shard_failed; message } ->
+         Alcotest.(check bool) ("names shard 1: " ^ message) true
+           (string_contains message "shard 1")
+       | r -> Alcotest.failf "expected Shard_failed, got %s" (Wire.render_response r));
+      List.iter
+        (fun id ->
+          let k = List.nth keys id in
+          let sql = Printf.sprintf "SELECT k, v FROM t WHERE k = %d" k in
+          let rows, _ = rows_of sql (exec coord sql) in
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d answers its own key" id)
+            true
+            (rows = [ ([ Value.int k; Value.int (10 * k) ], Time.of_int 100) ]))
+        [ 0; 2 ])
+
+(* A TICK with one shard dead reaches every live shard: the answer
+   names the dead one, and the live shards' clocks moved. *)
+let test_broadcast_past_dead_shard () =
+  with_cluster 3 (fun coord servers _eps ->
+      ignore (exec coord "TICK 2");
+      Server.stop (List.nth servers 1);
+      (match Coordinator.exec coord "TICK 5" with
+       | Wire.Err { message; _ } ->
+         Alcotest.(check bool) ("names shard 1: " ^ message) true
+           (string_contains message "shard 1");
+         Alcotest.(check bool) ("names no live shard: " ^ message) false
+           (string_contains message "shard 0" || string_contains message "shard 2")
+       | r -> Alcotest.failf "expected an error, got %s" (Wire.render_response r));
+      List.iter
+        (fun id ->
+          let c =
+            Client.connect ~host:"127.0.0.1" ~port:(Server.port (List.nth servers id)) ()
+          in
+          Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+          match ok (Client.exec c "SHOW NOW") with
+          | Wire.Ok_msg now ->
+            Alcotest.(check string) (Printf.sprintf "shard %d clock" id) "7" now
+          | r -> Alcotest.failf "SHOW NOW: %s" (Wire.render_response r))
+        [ 0; 2 ])
+
+(* Runs [f] on a thread and fails unless it returns within [secs]: a
+   leaked slot lock shows as a hang, not as a wrong answer. *)
+let within secs what f =
+  let result = Atomic.make None in
+  let th =
+    Thread.create
+      (fun () ->
+        Atomic.set result (Some (try Ok (f ()) with e -> Error (Printexc.to_string e))))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. secs in
+  while Option.is_none (Atomic.get result) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  match Atomic.get result with
+  | None -> Alcotest.failf "%s: no answer within %.0f s" what secs
+  | Some (Error e) ->
+    Thread.join th;
+    Alcotest.failf "%s raised %s" what e
+  | Some (Ok v) ->
+    Thread.join th;
+    v
+
+(* One shard's host does not resolve (a NUL in the name is refused
+   before any lookup).  That shard answers as unavailable on every
+   contact, and nothing it touched stays locked: a scatter names it,
+   then a routed read and a heartbeat still finish, twice over. *)
+let test_unresolvable_shard () =
+  with_shards 2 (fun _servers endpoints ->
+      let bad = { Coordinator.host = "no\000such-host"; port = 1 } in
+      let coord =
+        within 10. "create" (fun () ->
+            Coordinator.create ~heartbeat_interval:0. ~shards:(endpoints @ [ bad ]) ())
+      in
+      Fun.protect ~finally:(fun () -> Coordinator.close coord) @@ fun () ->
+      let k = key_on coord 0 in
+      let names_shard_2 sql = function
+        | Wire.Err { message; _ } ->
+          Alcotest.(check bool) (sql ^ " names shard 2: " ^ message) true
+            (string_contains message "shard 2")
+        | r -> Alcotest.failf "%s: expected an error, got %s" sql (Wire.render_response r)
+      in
+      names_shard_2 "CREATE TABLE" (within 10. "CREATE TABLE" (fun () ->
+          Coordinator.exec coord "CREATE TABLE t (k, v)"));
+      ignore
+        (within 10. "INSERT" (fun () ->
+             exec coord (Printf.sprintf "INSERT INTO t VALUES (%d, 1) EXPIRES 100" k)));
+      for _ = 1 to 2 do
+        names_shard_2 "scatter" (within 10. "scatter" (fun () ->
+            Coordinator.exec coord "SELECT k, v FROM t"));
+        let sql = Printf.sprintf "SELECT k, v FROM t WHERE k = %d" k in
+        let rows, _ = rows_of sql (within 10. "routed read" (fun () -> exec coord sql)) in
+        Alcotest.(check bool) "the routed read answers its key" true
+          (rows = [ ([ Value.int k; Value.int 1 ], Time.of_int 100) ]);
+        within 10. "heartbeat" (fun () -> Coordinator.heartbeat_now coord)
+      done)
+
+(* A caller waiting for a busy slot holds no other.  Shard 1 answers
+   1.5 s late and a routed read holds its slot meanwhile; a scatter
+   started then must wait for slot 1, but a routed read on shard 0
+   issued after the scatter still answers at once, not after shard 1. *)
+let test_slow_shard_no_head_of_line () =
+  with_shards 3 (fun _servers endpoints ->
+      with_relays endpoints @@ fun endpoints arms ->
+      let coord = Coordinator.create ~heartbeat_interval:0. ~shards:endpoints () in
+      Fun.protect ~finally:(fun () -> Coordinator.close coord) @@ fun () ->
+      ignore (exec coord "CREATE TABLE t (k, v)");
+      let keys = List.map (key_on coord) [ 0; 1; 2 ] in
+      List.iter
+        (fun k -> ignore (exec coord (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES 100" k k)))
+        keys;
+      let point k = Printf.sprintf "SELECT k, v FROM t WHERE k = %d" k in
+      (List.nth arms 1) (`Delay 1.5);
+      let slow = Thread.create (fun () -> ignore (Coordinator.exec coord (point (List.nth keys 1)))) () in
+      Thread.delay 0.2;
+      let scatter_rows = Atomic.make [] in
+      let scatter =
+        Thread.create
+          (fun () ->
+            match Coordinator.exec coord "SELECT k, v FROM t" with
+            | Wire.Rows { rows; _ } -> Atomic.set scatter_rows rows
+            | _ -> ())
+          ()
+      in
+      Thread.delay 0.2;
+      let t0 = Unix.gettimeofday () in
+      let k0 = List.hd keys in
+      let rows, _ = rows_of (point k0) (exec coord (point k0)) in
+      let waited = Unix.gettimeofday () -. t0 in
+      Thread.join slow;
+      Thread.join scatter;
+      Alcotest.(check bool) "shard 0 answers its own key" true
+        (rows = [ ([ Value.int k0; Value.int k0 ], Time.of_int 100) ]);
+      Alcotest.(check bool)
+        (Printf.sprintf "shard 0 answered in %.3f s, not after shard 1" waited)
+        true (waited < 0.6);
+      Alcotest.(check int) "the scatter still gathered every shard" 3
+        (List.length (Atomic.get scatter_rows)))
+
+(* Two threads mix scatters, routed point reads and TICKs through one
+   coordinator.  Every reply is well formed (a point read answers only
+   its own key: a reply collected on the wrong request would not), the
+   run ends within its deadline (no caller blocks on a slot while it
+   holds another, so callers never wait in a cycle), and the cluster
+   ends equal to one node that saw the same writes and the same total
+   of TICKs. *)
+let test_concurrent_fanouts () =
+  with_cluster 3 (fun coord _servers _eps ->
+      let single = Expirel_sqlx.Interp.create () in
+      let exec_both sql =
+        ignore (exec coord sql);
+        ignore (ok (Expirel_sqlx.Interp.exec_sql single sql))
+      in
+      exec_both "CREATE TABLE t (k, v)";
+      for k = 1 to 60 do
+        exec_both (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES %d" k k (k + 10))
+      done;
+      let rounds = 250 and tick_every = 10 in
+      let failures = Atomic.make [] and finished = Atomic.make 0 in
+      let fail what = Atomic.set failures (what :: Atomic.get failures) in
+      let lane seed () =
+        (try
+           for i = 1 to rounds do
+             (match Coordinator.exec coord "SELECT k, v FROM t" with
+              | Wire.Rows _ -> ()
+              | r -> fail ("scatter: " ^ Wire.render_response r));
+             let k = 1 + ((seed + (7 * i)) mod 60) in
+             (match Coordinator.exec coord (Printf.sprintf "SELECT k, v FROM t WHERE k = %d" k) with
+              | Wire.Rows { rows; _ } ->
+                if not (List.for_all (fun (vs, _) -> vs = [ Value.int k; Value.int k ]) rows)
+                then fail (Printf.sprintf "point read of %d answered another key" k)
+              | r -> fail ("point read: " ^ Wire.render_response r));
+             if i mod tick_every = 0 then
+               match Coordinator.exec coord "TICK 1" with
+               | Wire.Ok_msg _ -> ()
+               | r -> fail ("TICK: " ^ Wire.render_response r)
+           done
+         with e -> fail (Printexc.to_string e));
+        Atomic.incr finished
+      in
+      let lanes = List.map (fun seed -> Thread.create (lane seed) ()) [ 0; 31 ] in
+      let deadline = Unix.gettimeofday () +. 60. in
+      while Atomic.get finished < 2 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.01
+      done;
+      if Atomic.get finished < 2 then Alcotest.fail "the lanes missed their deadline";
+      List.iter Thread.join lanes;
+      (match Atomic.get failures with
+       | [] -> ()
+       | first :: _ as all -> Alcotest.failf "%d failure(s), e.g. %s" (List.length all) first);
+      ignore (ok (Expirel_sqlx.Interp.exec_sql single (Printf.sprintf "TICK %d" (2 * rounds / tick_every))));
+      let q = "SELECT k, v FROM t" in
+      let rows, texp_e = rows_of q (exec coord q) in
+      match ok (Expirel_sqlx.Interp.exec_sql single q) with
+      | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
+        Alcotest.(check bool) "the single node's rows and texps" true
+          (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing));
+        Alcotest.(check bool) "the single node's texp(e)" true (Time.equal texp_e sn_texp)
+      | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m)
+
 let suite =
   [ Alcotest.test_case "scatter-gather == single node" `Quick
       test_matches_single_node;
@@ -1920,6 +2208,16 @@ let suite =
       test_count_partial_two_slices;
     Alcotest.test_case "a dead shard surfaces as Shard_failed" `Quick
       test_shard_failed;
+    Alcotest.test_case "a shard killed mid-fan-out: one failure, no stale frame"
+      `Quick test_killed_mid_fanout;
+    Alcotest.test_case "a broadcast reaches every live shard past a dead one"
+      `Quick test_broadcast_past_dead_shard;
+    Alcotest.test_case "concurrent scatters, point reads and TICKs" `Quick
+      test_concurrent_fanouts;
+    Alcotest.test_case "a shard whose host does not resolve locks nothing"
+      `Quick test_unresolvable_shard;
+    Alcotest.test_case "a slow shard stalls no other shard's traffic" `Quick
+      test_slow_shard_no_head_of_line;
     Alcotest.test_case "a shard's statement error answers like one node's"
       `Quick test_shard_partial_error;
     Alcotest.test_case "an AT in the past is refused on every route" `Quick

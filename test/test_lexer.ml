@@ -18,6 +18,25 @@ let test_case_insensitive_keywords () =
     [ Token.Ident "MyTable"; Token.Eof ]
     (tokens "MyTable")
 
+(* Every keyword lexes as itself whatever its case, and an identifier
+   that only starts with one stays an identifier. *)
+let test_every_keyword () =
+  let mixed k =
+    String.mapi (fun i c -> if i mod 2 = 0 then Char.lowercase_ascii c else c) k
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun spelled ->
+          Alcotest.(check (list tok)) spelled [ Token.Keyword k; Token.Eof ]
+            (tokens spelled))
+        [ String.lowercase_ascii k; k; mixed k ])
+    Token.keywords;
+  List.iter
+    (fun ident ->
+      Alcotest.(check (list tok)) ident [ Token.Ident ident; Token.Eof ] (tokens ident))
+    [ "selected"; "count_"; "tickets"; "Fromage"; "at1"; "_by" ]
+
 let test_literals () =
   Alcotest.(check (list tok)) "numbers"
     [ Token.Int_lit 42; Token.Int_lit (-7); Token.Float_lit 3.5; Token.Eof ]
@@ -68,6 +87,8 @@ let test_split_statements () =
 let suite =
   [ Alcotest.test_case "basic statement" `Quick test_basic;
     Alcotest.test_case "keyword case-insensitivity" `Quick test_case_insensitive_keywords;
+    Alcotest.test_case "every keyword in any case, extensions stay identifiers"
+      `Quick test_every_keyword;
     Alcotest.test_case "literals" `Quick test_literals;
     Alcotest.test_case "operators" `Quick test_operators;
     Alcotest.test_case "comments" `Quick test_comments;

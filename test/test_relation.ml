@@ -105,6 +105,31 @@ let prop_min_texp_bound =
       let m = Relation.min_texp r in
       Relation.fold (fun _ texp ok -> ok && Time.(texp >= m)) r true)
 
+(* [exp] against the naive filter, on relations whose cached bound is
+   exact and on ones a removal left stale-low.  Its kept bound is sound:
+   [exp] at any kept texp drops that tuple (a bound above it would
+   answer with the relation unchanged).  And one pass settles it: the
+   same [exp] again answers with the kept relation itself, in O(1). *)
+let prop_exp_naive =
+  let naive tau r =
+    Relation.of_list ~arity:(Relation.arity r)
+      (List.filter (fun (_, e) -> Time.(e > tau)) (Relation.to_list r))
+  in
+  Generators.qtest "exp is the naive filter, bounded, settled after one pass"
+    (QCheck2.Gen.triple rel_gen QCheck2.Gen.bool Generators.time_finite)
+    (fun (r, stale, tau) ->
+      let r =
+        match Relation.to_list r with
+        | (t, _) :: _ when stale -> Relation.remove t r
+        | _ -> r
+      in
+      let kept = Relation.exp tau r in
+      Relation.equal kept (naive tau r)
+      && Relation.fold
+           (fun t e ok -> ok && not (Relation.mem t (Relation.exp e kept)))
+           kept true
+      && Relation.exp tau kept == kept)
+
 let suite =
   [ Alcotest.test_case "set semantics with max merge" `Quick test_set_semantics;
     Alcotest.test_case "arity validation" `Quick test_arity_checks;
@@ -117,4 +142,5 @@ let suite =
     prop_exp_composes;
     prop_exp_shrinks;
     prop_union_commutes;
-    prop_min_texp_bound ]
+    prop_min_texp_bound;
+    prop_exp_naive ]

@@ -379,22 +379,22 @@ let roundtrip_response =
 let frame_extracts =
   Generators.qtest "frame/extract round-trip" ~count:300 response (fun r ->
       let payload = Wire.encode_response r in
-      match Wire.extract (Wire.frame payload) with
-      | Wire.Frame { payload = p; consumed } ->
+      match Frame.extract (Frame.frame payload) with
+      | Frame.Complete { payload = p; consumed } ->
         p = payload && consumed = 4 + String.length payload
-      | Wire.Incomplete | Wire.Malformed _ -> false)
+      | Frame.Incomplete | Frame.Malformed _ -> false)
 
 let extract_sequence =
   Generators.qtest "extract walks concatenated frames" ~count:200
     (Gen.list_size (Gen.int_range 1 5) request)
     (fun reqs ->
       let payloads = List.map Wire.encode_request reqs in
-      let buf = String.concat "" (List.map Wire.frame payloads) in
+      let buf = String.concat "" (List.map Frame.frame payloads) in
       let rec walk pos acc =
-        match Wire.extract ~pos buf with
-        | Wire.Frame { payload; consumed } -> walk (pos + consumed) (payload :: acc)
-        | Wire.Incomplete -> List.rev acc
-        | Wire.Malformed _ -> []
+        match Frame.extract ~pos buf with
+        | Frame.Complete { payload; consumed } -> walk (pos + consumed) (payload :: acc)
+        | Frame.Incomplete -> List.rev acc
+        | Frame.Malformed _ -> []
       in
       walk 0 [] = payloads)
 
@@ -441,8 +441,8 @@ let junk_never_raises =
     (fun junk ->
       decodes_cleanly junk
       &&
-      match Wire.extract junk with
-      | Wire.Incomplete | Wire.Frame _ | Wire.Malformed _ -> true)
+      match Frame.extract junk with
+      | Frame.Incomplete | Frame.Complete _ | Frame.Malformed _ -> true)
 
 let test_unknown_tag () =
   let bad = Printf.sprintf "%c%c" (Char.chr Wire.version) (Char.chr 0xEE) in
@@ -557,20 +557,20 @@ let test_oversized_length_prefix () =
   (* A length prefix beyond [max_frame] means the stream is hostile or
      desynchronised: Malformed, not a 16 MiB+ allocation. *)
   let b = Buffer.create 4 in
-  Buffer.add_int32_be b (Int32.of_int (Wire.max_frame + 1));
+  Buffer.add_int32_be b (Int32.of_int (Frame.max_frame + 1));
   Buffer.add_string b "xxxx";
-  match Wire.extract (Buffer.contents b) with
-  | Wire.Malformed _ -> ()
-  | Wire.Incomplete -> Alcotest.fail "oversized prefix treated as incomplete"
-  | Wire.Frame _ -> Alcotest.fail "oversized prefix produced a frame"
+  match Frame.extract (Buffer.contents b) with
+  | Frame.Malformed _ -> ()
+  | Frame.Incomplete -> Alcotest.fail "oversized prefix treated as incomplete"
+  | Frame.Complete _ -> Alcotest.fail "oversized prefix produced a frame"
 
 let test_short_header_incomplete () =
   (* Fewer than 4 bytes is just a partial read, not an error. *)
   List.iter
     (fun s ->
-      match Wire.extract s with
-      | Wire.Incomplete -> ()
-      | Wire.Frame _ | Wire.Malformed _ ->
+      match Frame.extract s with
+      | Frame.Incomplete -> ()
+      | Frame.Complete _ | Frame.Malformed _ ->
         Alcotest.fail "short header not reported Incomplete")
     [ ""; "\x00"; "\x00\x00\x00" ]
 
