@@ -70,6 +70,14 @@ let main policy script file =
 
 (* ---------- serve: the networked database ---------- *)
 
+(* A data directory the store refuses (one the text log format wrote,
+   say) ends the command with the store's reason. *)
+let opening_store f =
+  try f ()
+  with Failure reason ->
+    Printf.eprintf "expirel_cli: %s\n" reason;
+    exit 1
+
 let serve policy host port max_conns timeout data_dir node_name =
   let config =
     { Server.host;
@@ -83,7 +91,7 @@ let serve policy host port max_conns timeout data_dir node_name =
       health_rules = Server.default_health_rules
     }
   in
-  let server = Server.create ~config () in
+  let server = opening_store (fun () -> Server.create ~config ()) in
   Server.start server;
   Printf.printf "expirel_server listening on %s:%d (%d connection(s) max%s)\n%!"
     host (Server.port server) max_conns
@@ -111,8 +119,9 @@ let parse_endpoint s =
 let replicate from data_dir host port replica_id =
   let primary_host, primary_port = parse_endpoint from in
   let replica =
-    Expirel_repl.Replica.create ~host ~port ?replica_id ~data_dir ~primary_host
-      ~primary_port ()
+    opening_store (fun () ->
+        Expirel_repl.Replica.create ~host ~port ?replica_id ~data_dir ~primary_host
+          ~primary_port ())
   in
   Expirel_repl.Replica.start replica;
   Printf.printf

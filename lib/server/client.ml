@@ -1,3 +1,5 @@
+open Expirel_storage
+
 let default_port = 7717
 
 type t = {

@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 12
+let version = 13
 
 type error_code =
   | Parse_error
@@ -258,10 +258,6 @@ let code_of_error = function
   | Version_mismatch -> 7
   | Shard_failed -> 8
 
-(* WAL records reuse their durable on-disk encoding (length checks and
-   percent-escaping included), framed as an opaque string. *)
-let put_record b record = put_str b (Wal.encode record)
-
 let put_event b = function
   | Row_expired { subscription; row; at } ->
     put_u8 b 1;
@@ -481,11 +477,11 @@ let encode_response = function
   | Repl_snapshot { position; records } ->
     payload 8 (fun b ->
         put_int b position;
-        put_list b put_record records)
+        put_list b Wal.put_record records)
   | Repl_records { from_position; records } ->
     payload 9 (fun b ->
         put_int b from_position;
-        put_list b put_record records)
+        put_list b Wal.put_record records)
   | Repl_heartbeat { position; now } ->
     payload 10 (fun b ->
         put_int b position;
@@ -560,11 +556,6 @@ let error_of_code = function
   | 7 -> Version_mismatch
   | 8 -> Shard_failed
   | n -> bad "bad error code %d" n
-
-let get_record c =
-  match Wal.decode (get_str c) with
-  | Ok record -> record
-  | Error reason -> bad "bad wal record: %s" reason
 
 let get_event c =
   match get_u8 c with
@@ -808,11 +799,11 @@ let decode_response data =
     | 7 -> Bye
     | 8 ->
       let position = get_int c in
-      let records = get_list c get_record in
+      let records = get_list c Wal.get_record in
       Repl_snapshot { position; records }
     | 9 ->
       let from_position = get_int c in
-      let records = get_list c get_record in
+      let records = get_list c Wal.get_record in
       Repl_records { from_position; records }
     | 10 ->
       let position = get_int c in

@@ -137,6 +137,12 @@ val version : int
     byte.  Tags, the COUNT group forms and the frame's 4-byte length
     prefix are unchanged, and so is {!shard_owner}.  A one-row
     [Rows] reply drops from 57 to about 22 bytes.
+    v13 — one record encoding.  This bump is {e required}: the
+    [Repl_snapshot] (8) and [Repl_records] (9) bodies changed.  Each
+    record is {!Wal.put_record}'s bytes inline in the list (a tag byte,
+    then its fields through {!Expirel_core.Codec}), where v12 nested
+    the log's percent-escaped text line in a string.  The wire carries
+    no checksum: the log's CRC-32 guards bytes at rest only.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer

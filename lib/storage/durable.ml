@@ -14,60 +14,53 @@ type t = {
 
 let snapshot_path dir = Filename.concat dir "snapshot.log"
 let wal_path dir = Filename.concat dir "wal.log"
-let meta_path dir = Filename.concat dir "meta"
 
-(* The meta file holds one framed line, like the logs: the snapshot's
-   base position.  A missing or torn meta reads as 0 — correct for
-   directories created before positions existed, whose snapshots were
-   never checkpointed with a nonzero base. *)
-let read_meta dir =
-  let path = meta_path dir in
-  if not (Sys.file_exists path) then 0
-  else begin
-    let ic = open_in path in
-    let base =
-      match input_line ic with
-      | line ->
-        (match String.split_on_char ':' line with
-         | [ "base"; n ] -> Option.value (int_of_string_opt n) ~default:0
-         | _ -> 0)
-      | exception End_of_file -> 0
-    in
-    close_in ic;
-    max 0 base
-  end
-
-let write_meta dir base =
-  let tmp = meta_path dir ^ ".tmp" in
-  let oc = open_out tmp in
-  Printf.fprintf oc "base:%d\n" base;
-  close_out oc;
-  Sys.rename tmp (meta_path dir)
-
-(* Replay semantics: a record the state refuses is skipped.  Records
-   replayed after a torn checkpoint (snapshot renamed, log not yet
-   truncated) repeat ones the snapshot holds, and a snapshot from the
-   past carries rows and clock moves the clock has overtaken. *)
+(* Replay semantics: a record the state refuses is skipped.  A snapshot
+   from the past carries rows and clock moves the clock has overtaken. *)
 let replay db record = if Database.applies db record then Database.apply db record
+
+let read path ~f =
+  match Wal.replay path ~f with
+  | Ok log -> log
+  | Error reason -> failwith (path ^ ": " ^ reason)
 
 let open_dir ?policy ?(retention = 4096) dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": not a directory"));
+  (* Before the binary format the base position lived in a text [meta]
+     file; without it such a directory would open at the wrong
+     position, so it is refused like a text log. *)
+  if Sys.file_exists (Filename.concat dir "meta") then
+    failwith (dir ^ ": holds a text meta file, which predates this log format");
   let db = Database.create ?policy () in
-  let base = read_meta dir in
-  let (_ : int) = Wal.replay (snapshot_path dir) ~f:(replay db) in
+  let base = (read (snapshot_path dir) ~f:(fun _ -> replay db)).base in
   let tail = Queue.create () in
-  let pending =
-    Wal.replay (wal_path dir) ~f:(fun record ->
-        replay db record;
-        Queue.add record tail;
-        if Queue.length tail > retention then ignore (Queue.pop tail))
+  let pending = ref 0 in
+  (* Records at or before the snapshot's base are in it already: a
+     crash between installing a snapshot and emptying the log leaves
+     them behind. *)
+  let log =
+    read (wal_path dir) ~f:(fun position record ->
+        if position > base then begin
+          replay db record;
+          incr pending;
+          Queue.add record tail;
+          if Queue.length tail > retention then ignore (Queue.pop tail)
+        end)
   in
-  let position = base + pending in
+  if log.base > base then
+    failwith
+      (Printf.sprintf "%s: the log starts at position %d, after its snapshot's %d"
+         (wal_path dir) log.base base);
+  let writer =
+    if log.length = 0 then Wal.Writer.create (wal_path dir) ~base
+    else Wal.Writer.append_to (wal_path dir) ~length:log.length
+  in
+  let position = base + !pending in
   { dir;
     db;
-    writer = Wal.Writer.append_to (wal_path dir);
-    pending;
+    writer;
+    pending = !pending;
     base;
     position;
     tail;
@@ -114,23 +107,23 @@ let state_records t =
     (Database.table_names t.db);
   List.rev !records
 
-(* Rewrites snapshot.log (atomically) from the given records and leaves
-   wal.log empty; shared by checkpoint and reset_to. *)
+let empty_log t ~base =
+  Wal.Writer.close t.writer;
+  t.writer <- Wal.Writer.create (wal_path t.dir) ~base;
+  t.pending <- 0
+
+(* Rewrites snapshot.log (atomically, header and base included) from the
+   given records and leaves wal.log empty; shared by checkpoint and
+   reset_to. *)
 let install_snapshot t records ~base =
   let tmp = snapshot_path t.dir ^ ".tmp" in
-  if Sys.file_exists tmp then Sys.remove tmp;
-  let snapshot_writer = Wal.Writer.append_to tmp in
+  let snapshot_writer = Wal.Writer.create tmp ~base in
   List.iter (Wal.Writer.write snapshot_writer) records;
   Wal.Writer.close snapshot_writer;
   Sys.rename tmp (snapshot_path t.dir);
   t.base <- base;
-  write_meta t.dir base;
-  (* Truncate the log only after the snapshot is safely in place. *)
-  Wal.Writer.close t.writer;
-  let oc = open_out (wal_path t.dir) in
-  close_out oc;
-  t.writer <- Wal.Writer.append_to (wal_path t.dir);
-  t.pending <- 0
+  (* Empty the log only after the snapshot is safely in place. *)
+  empty_log t ~base
 
 let checkpoint t =
   let records = state_records t in
@@ -169,6 +162,10 @@ let ship_from t pos =
 
 let reset_to t ~position records =
   if position < 0 then invalid_arg "Durable.reset_to: negative position";
+  (* The log belongs to the history being replaced: empty it first, so
+     a crash before the new snapshot is in place leaves the old snapshot
+     alone rather than the old log on top of the new one. *)
+  empty_log t ~base:t.base;
   install_snapshot t records ~base:position;
   t.position <- position;
   Queue.clear t.tail;

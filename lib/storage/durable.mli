@@ -8,25 +8,29 @@
     which validates it ({!Database.validate}), appends it to the log
     (flushed), then applies it ({!Database.apply}), in that order.  A
     refused record raises before anything is logged; a logged one
-    reaches the log before the state changes, so a crash loses at most
-    the write in flight ({!Wal.replay} tolerates the torn tail).  Only
-    {!checkpoint} and {!reset_to} change anything else.
+    reaches the log before the state changes, so a crash of the process
+    loses at most the write in flight.  The log is never fsynced, on
+    purpose (a disk flush would price every write): a power loss may
+    lose what the OS had not written back.  Only {!checkpoint} and
+    {!reset_to} change anything else.
 
     {2 Files}
 
-    [dir/snapshot.log] holds the state as of the last checkpoint, in
-    WAL record format; [dir/wal.log] the records since; [dir/meta] the
-    log position the snapshot corresponds to.  {!open_dir} replays
-    snapshot then log, skipping records the state refuses (a torn
-    checkpoint repeats ones the snapshot holds).  {!checkpoint} writes
-    only the {e live} state, so it doubles as compaction (the paper's
-    "smaller databases" benefit falls out of expiration).
+    [dir/snapshot.log] holds the state as of the last checkpoint, its
+    header the position of that state; [dir/wal.log] the records since.
+    {!open_dir} replays snapshot then log, skipping records the state
+    refuses, and cuts the log's torn tail off before appending.
+    {!checkpoint} writes only the {e live} state, so it doubles as
+    compaction (the paper's "smaller databases" benefit falls out of
+    expiration).
 
     {2 Log positions and shipping}
 
     Every logged record gets a {e position}: the count of records ever
     appended since the directory was created.  Positions are monotone
-    and survive both checkpoints (persisted in [dir/meta]) and reopens,
+    and survive both checkpoints (in the snapshot's header) and reopens
+    (a crash after a checkpoint's snapshot, before its log is emptied,
+    included),
     which makes them usable as replication cursors: a follower that has
     applied the stream up to position [p] can resume with exactly the
     records after [p].  {!ship_from} serves that resumption from an
@@ -48,7 +52,9 @@ val open_dir :
 (** Opens (creating if empty) the database stored in the directory.
     [retention] (default 4096) bounds the in-memory record tail kept for
     {!ship_from}.
-    @raise Sys_error when the directory does not exist *)
+    @raise Sys_error when the directory does not exist
+    @raise Failure when the directory holds a [meta] file or a log
+    without a header: the text format's, refused and left untouched *)
 
 val database : t -> Database.t
 (** The live in-memory database.  Change it only through {!write}, or
@@ -110,7 +116,9 @@ val ship_from : t -> int -> (shipment, string) result
 val reset_to : t -> position:int -> Wal.record list -> unit
 (** Replaces directory and database state wholesale with the given
     state-as-records at the given position: the follower side of a
-    {!shipment} [Snapshot].  The records are written as the new
-    snapshot, the log is truncated, and the in-memory database is
-    rebuilt (tables dropped, records replayed).  The logical clock never
-    moves backwards: a snapshot from the past leaves it where it is. *)
+    {!shipment} [Snapshot].  The log is emptied, the records are
+    written as the new snapshot, and the in-memory database is rebuilt
+    (tables dropped, records replayed), so a failure part-way leaves one
+    history on disk, never the old log on the new snapshot.  The logical
+    clock never moves backwards: a snapshot from the past leaves it
+    where it is. *)

@@ -11,18 +11,38 @@ let max_frame = 16 * 1024 * 1024
 let () =
   if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-let frame payload =
-  let b = Buffer.create (String.length payload + 4) in
-  Buffer.add_int32_be b (Int32.of_int (String.length payload));
+(* The 4-byte big-endian words of this file, prefix and checksum alike:
+   the only place the system reads or writes one. *)
+let add_word b n = Buffer.add_int32_be b (Int32.of_int n)
+let word_at data pos = Int32.to_int (String.get_int32_be data pos) land 0xffff_ffff
+
+(* CRC-32 (IEEE 802.3: reflected polynomial 0xEDB88320), one table
+   lookup a byte. *)
+let crc_table =
+  let rec step k c =
+    if k = 0 then c else step (k - 1) ((c lsr 1) lxor (0xEDB88320 * (c land 1)))
+  in
+  Array.init 256 (step 8)
+
+let crc32 s =
+  let byte c ch = crc_table.((c lxor Char.code ch) land 0xff) lxor (c lsr 8) in
+  String.fold_left byte 0xffff_ffff s lxor 0xffff_ffff
+
+let build payload ~sealed =
+  let b = Buffer.create (String.length payload + 8) in
+  add_word b (String.length payload);
   Buffer.add_string b payload;
+  if sealed then add_word b (crc32 payload);
   Buffer.contents b
+
+let frame payload = build payload ~sealed:false
+let seal payload = build payload ~sealed:true
 
 (* The payload length the prefix at [pos] announces: the one place a
    prefix is read and [max_frame] enforced.  [Error] carries the
    announced length. *)
 let length_at data pos =
-  let byte i = Char.code data.[pos + i] in
-  let len = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
+  let len = word_at data pos in
   if len > max_frame then Error len else Ok len
 
 type extracted =
@@ -40,6 +60,15 @@ let extract ?(pos = 0) data =
       Malformed (Printf.sprintf "length prefix %d exceeds max frame %d" len max_frame)
     | Ok len when remaining - 4 < len -> Incomplete
     | Ok len -> Complete { payload = String.sub data (pos + 4) len; consumed = 4 + len }
+
+let extract_sealed ?(pos = 0) data =
+  match extract ~pos data with
+  | Complete { payload; consumed } ->
+    let at = pos + consumed in
+    if String.length data - at < 4 then Incomplete
+    else if word_at data at <> crc32 payload then Malformed "checksum mismatch"
+    else Complete { payload; consumed = consumed + 4 }
+  | (Incomplete | Malformed _) as other -> other
 
 let rec handling_unix_errors f =
   try f () with

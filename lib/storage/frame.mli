@@ -1,8 +1,9 @@
-(** Frames, the one byte-stream framing of the wire protocol: a 4-byte
-    big-endian payload length, then the payload.  The pure half builds
-    and incrementally parses frames in a buffer; the blocking half
-    sends and receives them over Unix sockets.  Both read a prefix, and
-    enforce {!max_frame}, through the same code. *)
+(** Frames, the one framing of every byte stream: a 4-byte big-endian
+    payload length, then the payload; the log's entries are frames
+    {e sealed} with a CRC-32.  The pure half builds and incrementally
+    parses frames in a buffer; the blocking half sends and receives them
+    over Unix sockets.  Both read a prefix, and enforce {!max_frame},
+    through the same code. *)
 
 exception Closed
 (** The peer closed the connection (EOF, possibly mid-frame, or a
@@ -35,6 +36,16 @@ type extracted =
 val extract : ?pos:int -> string -> extracted
 (** Incremental deframing of a byte buffer starting at [pos]
     (default 0).  Never raises, for any input. *)
+
+val seal : string -> string
+(** [seal payload] is [frame payload] followed by the payload's CRC-32
+    (IEEE 802.3): the frame of bytes at rest, where a flipped byte must
+    not read back as data. *)
+
+val extract_sealed : ?pos:int -> string -> extracted
+(** {!extract} for sealed frames: [consumed] counts the checksum too, a
+    checksum the buffer does not yet hold whole is [Incomplete], and one
+    that does not match the payload is [Malformed].  Never raises. *)
 
 (** {1 Frames over a socket} *)
 

@@ -1,4 +1,5 @@
 open Expirel_core
+open Codec
 
 type record =
   | Create_table of {
@@ -17,176 +18,108 @@ type record =
     }
   | Advance of Time.t
 
-(* --- token-level encoding: percent-escape anything unusual --- *)
+let put_tuple b tuple = put_list b put_value (Tuple.to_list tuple)
+let get_tuple c = Tuple.of_list (get_list c get_value)
 
-let plain c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  || c = '_' || c = '-' || c = '.'
-
-let escape s =
-  let buf = Buffer.create (String.length s + 4) in
-  String.iter
-    (fun c ->
-      if plain c then Buffer.add_char buf c
-      else Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
-    s;
-  Buffer.contents buf
-
-let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i >= n then Ok (Buffer.contents buf)
-    else if s.[i] = '%' then
-      if i + 2 >= n then Error "truncated escape"
-      else
-        match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-        | Some code ->
-          Buffer.add_char buf (Char.chr code);
-          go (i + 3)
-        | None -> Error "bad escape"
-    else begin
-      Buffer.add_char buf s.[i];
-      go (i + 1)
-    end
-  in
-  go 0
-
-let encode_value = function
-  | Value.Int n -> "i" ^ string_of_int n
-  | Value.Float f -> Printf.sprintf "f%h" f
-  | Value.Str s -> "s" ^ escape s
-  | Value.Bool true -> "bt"
-  | Value.Bool false -> "bf"
-  | Value.Null -> "n"
-
-let decode_value token =
-  if String.length token = 0 then Error "empty value token"
-  else
-    let payload = String.sub token 1 (String.length token - 1) in
-    match token.[0] with
-    | 'i' ->
-      (match int_of_string_opt payload with
-       | Some n -> Ok (Value.Int n)
-       | None -> Error "bad int")
-    | 'f' ->
-      (match float_of_string_opt payload with
-       | Some f -> Ok (Value.Float f)
-       | None -> Error "bad float")
-    | 's' -> Result.map (fun s -> Value.Str s) (unescape payload)
-    | 'b' ->
-      (match payload with
-       | "t" -> Ok (Value.Bool true)
-       | "f" -> Ok (Value.Bool false)
-       | _ -> Error "bad bool")
-    | 'n' when payload = "" -> Ok Value.Null
-    | _ -> Error "unknown value tag"
-
-let encode_time = function
-  | Time.Fin n -> string_of_int n
-  | Time.Inf -> "inf"
-
-let decode_time token =
-  if token = "inf" then Ok Time.Inf
-  else
-    match int_of_string_opt token with
-    | Some n -> Ok (Time.Fin n)
-    | None -> Error "bad time"
-
-let encode_tuple t = List.map encode_value (Tuple.to_list t)
-
-let decode_tuple tokens =
-  let rec go acc = function
-    | [] -> Ok (Tuple.of_list (List.rev acc))
-    | token :: rest ->
-      (match decode_value token with
-       | Ok v -> go (v :: acc) rest
-       | Error e -> Error e)
-  in
-  go [] tokens
-
-let encode = function
+let put_record b = function
   | Create_table { name; columns } ->
-    String.concat " " ("create" :: escape name :: List.map escape columns)
-  | Drop_table name -> "drop " ^ escape name
+    put_u8 b 1;
+    put_str b name;
+    put_list b put_str columns
+  | Drop_table name ->
+    put_u8 b 2;
+    put_str b name
   | Insert { table; tuple; texp } ->
-    String.concat " "
-      ("insert" :: escape table :: encode_time texp :: encode_tuple tuple)
+    put_u8 b 3;
+    put_str b table;
+    put_time b texp;
+    put_tuple b tuple
   | Delete { table; tuple } ->
-    String.concat " " ("delete" :: escape table :: encode_tuple tuple)
-  | Advance t -> "advance " ^ encode_time t
+    put_u8 b 4;
+    put_str b table;
+    put_tuple b tuple
+  | Advance t ->
+    put_u8 b 5;
+    put_time b t
 
-let decode line =
-  match String.split_on_char ' ' line with
-  | "create" :: name :: columns when columns <> [] ->
-    let unescaped = List.map unescape (name :: columns) in
-    if List.exists Result.is_error unescaped then Error "bad create"
-    else
-      (match List.map Result.get_ok unescaped with
-       | name :: columns -> Ok (Create_table { name; columns })
-       | [] -> Error "bad create")
-  | [ "drop"; name ] -> Result.map (fun n -> Drop_table n) (unescape name)
-  | "insert" :: table :: texp :: values ->
-    (match unescape table, decode_time texp, decode_tuple values with
-     | Ok table, Ok texp, Ok tuple -> Ok (Insert { table; tuple; texp })
-     | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e)
-  | "delete" :: table :: values ->
-    (match unescape table, decode_tuple values with
-     | Ok table, Ok tuple -> Ok (Delete { table; tuple })
-     | Error e, _ | _, Error e -> Error e)
-  | [ "advance"; t ] -> Result.map (fun t -> Advance t) (decode_time t)
-  | _ -> Error "unknown record"
+let get_record c =
+  match get_u8 c with
+  | 1 ->
+    let name = get_str c in
+    Create_table { name; columns = get_list c get_str }
+  | 2 -> Drop_table (get_str c)
+  | 3 ->
+    let table = get_str c in
+    let texp = get_time c in
+    Insert { table; texp; tuple = get_tuple c }
+  | 4 ->
+    let table = get_str c in
+    Delete { table; tuple = get_tuple c }
+  | 5 -> Advance (get_time c)
+  | n -> bad "bad record tag %d" n
 
-(* On disk each record line is length-framed ("<len>:<payload>"), so a
-   torn final line is detected even when its prefix happens to parse as
-   a shorter valid record. *)
-let frame payload = Printf.sprintf "%d:%s" (String.length payload) payload
+let encode = Codec.encode put_record
+let decode = Codec.decode ~what:"wal record" get_record
 
-let unframe line =
-  match String.index_opt line ':' with
-  | None -> Error "missing frame"
-  | Some i ->
-    let payload = String.sub line (i + 1) (String.length line - i - 1) in
-    (match int_of_string_opt (String.sub line 0 i) with
-     | Some len when len = String.length payload -> Ok payload
-     | Some _ | None -> Error "bad frame")
+(* A log file opens with the magic (its last byte the format's version)
+   and a sealed frame holding the base position. *)
+let magic = "EXPIREL\001"
+let header base = magic ^ Frame.seal (Codec.encode put_int base)
+
+let read_header data =
+  let start = String.length magic in
+  match Frame.extract_sealed ~pos:start data with
+  | Frame.Complete { payload; consumed } when String.starts_with ~prefix:magic data ->
+    Result.to_option
+      (Codec.decode ~what:"log header" (fun c -> (get_int c, start + consumed)) payload)
+  | Frame.Complete _ | Frame.Incomplete | Frame.Malformed _ -> None
 
 module Writer = struct
-  type t = {
-    channel : out_channel;
-  }
+  type t = out_channel
 
-  let append_to path =
-    { channel = open_out_gen [ Open_append; Open_creat ] 0o644 path }
+  let create path ~base =
+    let channel = open_out_bin path in
+    output_string channel (header base);
+    flush channel;
+    channel
 
-  let write w record =
-    output_string w.channel (frame (encode record));
-    output_char w.channel '\n';
-    flush w.channel
+  let append_to path ~length =
+    Unix.truncate path length;
+    open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
 
-  let close w = close_out w.channel
+  let write channel record =
+    output_string channel (Frame.seal (encode record));
+    flush channel
+
+  let close = close_out
 end
 
+type log = {
+  base : int;
+  records : int;
+  length : int;
+}
+
 let replay path ~f =
-  if not (Sys.file_exists path) then 0
-  else begin
-    let ic = open_in path in
-    let applied = ref 0 in
-    (try
-       let continue = ref true in
-       while !continue do
-         match input_line ic with
-         | line ->
-           (match Result.bind (unframe line) decode with
-            | Ok record ->
-              f record;
-              incr applied
-            | Error _ -> continue := false (* torn tail: stop cleanly *))
-         | exception End_of_file -> continue := false
-       done
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    close_in ic;
-    !applied
-  end
+  let data =
+    if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
+    else ""
+  in
+  match read_header data with
+  | _ when data = "" -> Ok { base = 0; records = 0; length = 0 }
+  | None -> Error "not a log in this format (no header; a text log predates it)"
+  | Some (base, start) ->
+    (* The torn tail: an entry cut short, a checksum that does not match,
+       or bytes that are no record all end the good prefix. *)
+    let rec walk pos records =
+      let stop () = Ok { base; records; length = pos } in
+      match Frame.extract_sealed ~pos data with
+      | Frame.Complete { payload; consumed } ->
+        (match decode payload with
+         | Ok record ->
+           f (base + records + 1) record;
+           walk (pos + consumed) (records + 1)
+         | Error _ -> stop ())
+      | Frame.Incomplete | Frame.Malformed _ -> stop ()
+    in
+    walk start 0

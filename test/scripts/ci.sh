@@ -65,6 +65,15 @@ if grep -rnE 'let (put|get)_(u8|bool|i64|u32|f64|str|time|value|list|option|vint
   echo "ci: the primitives above belong in lib/core/codec.ml" >&2
   exit 1
 fi
+# One frame and one record encoding: Frame (lib/storage/frame.ml) is the
+# only code that reads or writes a 4-byte word, the wire's length prefix
+# and the log's checksum alike, and the log's records are Codec bytes,
+# so no lib/ or bin/ file percent-escapes one.
+if grep -rnE 'add_int32_be|get_int32_be|%%%02X' lib bin --include='*.ml' |
+  grep -v '^lib/storage/frame\.ml:'; then
+  echo "ci: the code above frames or escapes bytes outside Frame and Codec" >&2
+  exit 1
+fi
 # One fan-out: the coordinator posts to every contacted shard and
 # gathers the replies on the caller's thread, so a request never spawns
 # a thread; the heartbeat loop is lib/cluster's only thread.
@@ -146,6 +155,10 @@ grep -F '"standing_groupby_n10000_g1000_us_per_read"' "$SMOKE_DIR/BENCH_cluster.
 # the caches, and writes touching most groups between reads.
 grep -F '"standing_groupby_t80_us_per_read"' "$SMOKE_DIR/BENCH_cluster.json"
 grep -F '"standing_groupby_w1800_us_per_read"' "$SMOKE_DIR/BENCH_cluster.json"
+# Smoke the durability experiment (its full size: ~0.6 s): per workload
+# the log and the snapshot are written, then replayed by reopening.
+(cd "$SMOKE_DIR" && "$BENCH" durable)
+grep -F '"ttl20_wal_bytes_per_record"' "$SMOKE_DIR/BENCH_durable.json"
 rm -rf "$SMOKE_DIR"
 test "$(cksum BENCH_*.json)" = "$BENCH_SUMS_BEFORE"
 

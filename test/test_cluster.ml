@@ -13,6 +13,7 @@
    with a lost map. *)
 
 open Expirel_core
+open Expirel_storage
 open Expirel_server
 module Coordinator = Expirel_cluster.Coordinator
 module Obs = Expirel_obs

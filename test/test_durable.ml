@@ -86,6 +86,107 @@ let test_crash_torn_write () =
         (Durable.database reopened);
       Durable.close reopened)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* Bytes appended after the torn tail must not land behind it: the
+   reopened store cuts the tail off before it appends, so the write it
+   acknowledged, and the position it reached, survive the next reopen. *)
+let test_write_after_torn_tail () =
+  with_temp_dir (fun dir ->
+      let t = Durable.open_dir dir in
+      populate t;
+      Durable.close t;
+      let oc = open_out_gen [ Open_append ] 0o644 (Filename.concat dir "wal.log") in
+      output_string oc "insert pol 99 i9";
+      close_out oc;
+      let t = Durable.open_dir dir in
+      Durable.write t (insert "pol" [ 3; 4 ] 20);
+      Durable.close t;
+      let reopened = Durable.open_dir dir in
+      Alcotest.(check int) "position" (Durable.position t) (Durable.position reopened);
+      check_same_state "the write survives" (Durable.database t)
+        (Durable.database reopened);
+      Durable.close reopened)
+
+(* A crash after a checkpoint installed its snapshot but before it
+   emptied the log leaves records the snapshot holds: reopening skips
+   them, so the position is the checkpoint's, and later writes follow
+   it. *)
+let test_torn_checkpoint () =
+  with_temp_dir (fun dir ->
+      let t = Durable.open_dir dir in
+      populate t;
+      let wal = Filename.concat dir "wal.log" in
+      let before = read_file wal in
+      ignore (Durable.checkpoint t);
+      Durable.close t;
+      write_file wal before;
+      let reopened = Durable.open_dir dir in
+      Alcotest.(check int) "position" (Durable.position t) (Durable.position reopened);
+      check_same_state "torn checkpoint" (Durable.database t) (Durable.database reopened);
+      Durable.write reopened (insert "pol" [ 3; 4 ] 20);
+      Durable.close reopened;
+      let again = Durable.open_dir dir in
+      Alcotest.(check int) "position after a write" (Durable.position reopened)
+        (Durable.position again);
+      check_same_state "a write after it" (Durable.database reopened)
+        (Durable.database again);
+      Durable.close again)
+
+(* A reset (a follower's snapshot bootstrap) empties the replaced
+   history's log before it installs the new snapshot: a failure between
+   the steps (here the log cannot be recreated, a directory stands in
+   its place) leaves the old history whole, never its log on top of the
+   new snapshot. *)
+let test_failed_reset () =
+  with_temp_dir (fun dir ->
+      let t = Durable.open_dir dir in
+      populate t;
+      let wal = Filename.concat dir "wal.log" in
+      let log = read_file wal in
+      Sys.remove wal;
+      Sys.mkdir wal 0o755;
+      (match
+         Durable.reset_to t ~position:3 [ Wal.Create_table { name = "z"; columns = [ "a" ] } ]
+       with
+       | () -> Alcotest.fail "reset with no log to write"
+       | exception Sys_error _ -> ());
+      Durable.close t;
+      Sys.rmdir wal;
+      write_file wal log;
+      let reopened = Durable.open_dir dir in
+      Alcotest.(check int) "position" 7 (Durable.position reopened);
+      check_same_state "the old history" (Durable.database t) (Durable.database reopened);
+      Durable.close reopened)
+
+(* Directories as the text format left them: a log, a checkpoint (text
+   snapshot, emptied log, [meta]) and a checkpoint of an empty state.
+   Each is refused, never opened empty, and left byte for byte as it
+   was. *)
+let test_text_format_refused () =
+  let text_log = "18:create pol uid deg\n19:insert pol 50 i1 i2\n" in
+  List.iter
+    (fun (what, files) ->
+      with_temp_dir (fun dir ->
+          List.iter (fun (name, data) -> write_file (Filename.concat dir name) data) files;
+          (match Durable.open_dir dir with
+           | t ->
+             Durable.close t;
+             Alcotest.failf "%s: opened" what
+           | exception Failure _ -> ());
+          Alcotest.(check (list (pair string string))) (what ^ ": untouched") files
+            (List.map
+               (fun name -> (name, read_file (Filename.concat dir name)))
+               (List.sort compare (Array.to_list (Sys.readdir dir))))))
+    [ ("a text log", [ ("wal.log", text_log) ]);
+      ( "a text checkpoint",
+        [ ("meta", "base:2\n"); ("snapshot.log", text_log); ("wal.log", "") ] );
+      ( "an empty text checkpoint",
+        [ ("meta", "base:7\n"); ("snapshot.log", ""); ("wal.log", "") ] ) ]
+
 (* Whether the store refuses a record (and so must not log it). *)
 let refused t record =
   match Durable.write t record with
@@ -170,6 +271,14 @@ let suite =
     Alcotest.test_case "checkpoint compacts expired tuples" `Quick
       test_checkpoint_compacts;
     Alcotest.test_case "crash with torn write" `Quick test_crash_torn_write;
+    Alcotest.test_case "a write after a torn tail survives reopen" `Quick
+      test_write_after_torn_tail;
+    Alcotest.test_case "a torn checkpoint keeps its position" `Quick
+      test_torn_checkpoint;
+    Alcotest.test_case "a failed reset leaves the old history whole" `Quick
+      test_failed_reset;
+    Alcotest.test_case "a directory in the text format is refused" `Quick
+      test_text_format_refused;
     Alcotest.test_case "rejected operations leave no records" `Quick
       test_validation_logs_nothing;
     prop_reopen_equals ]
