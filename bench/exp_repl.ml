@@ -113,13 +113,14 @@ let run_phase ~strategy =
               (messages (), bytes, !stale_ticks, !stale_tuples))))
 
 (* Poll every k ticks: a cache client refetches the full answer, serves
-   its (expiration-blind) copy in between. *)
+   its (expiration-blind) copy in between.  It sends a bare [Exec], which
+   holds nothing: [Client.exec] would name its copy and get a delta. *)
 let poll every ~server:_ ~port =
   let client = Client.connect ~host:"127.0.0.1" ~port () in
   let refetches = ref 0 in
   let fetch () =
     incr refetches;
-    uids_of (ok (Client.exec client "SELECT uid, deg FROM pol"))
+    uids_of (ok (Client.request client (Wire.Exec "SELECT uid, deg FROM pol")))
   in
   let cache = ref (fetch ()) in
   let serve tick =

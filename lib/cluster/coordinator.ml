@@ -751,7 +751,9 @@ let gather_compute ?trace t (qs : Ast.query_stmt) tables =
           Wire.Rows
             { columns;
               rows =
-                List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing;
+                List.map
+                  (fun (tp, e) -> (Tuple.to_list tp, e))
+                  (Lazy.force listing);
               texp_e;
               recomputed
             }

@@ -71,6 +71,18 @@ val equal_tuples : t -> t -> bool
     equality used when comparing a properly expired materialisation with a
     fresh recomputation (Theorems 1 and 2). *)
 
+val diff :
+  limit:int ->
+  t ->
+  t ->
+  ((Tuple.t * Time.t) list * Tuple.t list * int) option
+(** [diff ~limit before after] is [Some (upserts, removed, n)]: the rows
+    of [after] that [before] lacks or holds with another expiration
+    time, and the tuples of [before] that [after] lacks, each in tuple
+    order, and [after]'s cardinality [n] — or [None] once the upserts
+    and removals together number more than [limit].  One walk of both
+    relations; rows the two share by pointer cost no comparison. *)
+
 val min_texp : t -> Time.t
 (** Minimum expiration time over all tuples; [Inf] when empty. *)
 

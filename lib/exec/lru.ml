@@ -49,3 +49,5 @@ let set t key value =
   let entry = { value; used = 0 } in
   touch t entry;
   Hashtbl.replace t.table key entry
+
+let remove t key = Hashtbl.remove t.table key

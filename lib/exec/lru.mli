@@ -22,3 +22,6 @@ val find : ('k, 'v) t -> 'k -> 'v option
 val set : ('k, 'v) t -> 'k -> 'v -> unit
 (** Inserts or replaces; evicts the least-recently-used entry when at
     capacity.  Keys use structural equality and hashing. *)
+
+val remove : ('k, 'v) t -> 'k -> unit
+(** Drops the entry, if any, without calling [on_evict]. *)

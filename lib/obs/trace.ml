@@ -32,14 +32,36 @@ let now_us t = int_of_float ((Unix.gettimeofday () -. t.t0) *. 1e6)
    created in the same microsecond still differ. *)
 let id_counter = Atomic.make 0
 
-let format_trace_id ~us ~pid ~seq =
-  Printf.sprintf "%013Lx-%06x-%08x" us (pid land 0xff_ffff)
-    (seq land 0xffff_ffff)
+let hex_digits = "0123456789abcdef"
+
+(* The low [width] hex digits of [v], most significant first. *)
+let put_hex b ~pos ~width v =
+  for i = 0 to width - 1 do
+    Bytes.unsafe_set b
+      (pos + width - 1 - i)
+      (String.unsafe_get hex_digits ((v lsr (4 * i)) land 0xf))
+  done
+
+(* 13 hex digits of microseconds (2^52 us reach past the year 2100),
+   6 of the pid and 8 of the counter: always 29 characters. *)
+let format_id ~us ~pid ~seq =
+  let b = Bytes.create 29 in
+  put_hex b ~pos:0 ~width:13 us;
+  Bytes.unsafe_set b 13 '-';
+  put_hex b ~pos:14 ~width:6 pid;
+  Bytes.unsafe_set b 20 '-';
+  put_hex b ~pos:21 ~width:8 seq;
+  Bytes.unsafe_to_string b
+
+let format_trace_id ~us ~pid ~seq = format_id ~us:(Int64.to_int us) ~pid ~seq
+
+(* Read once: a fresh id per request needs no syscall. *)
+let pid = Unix.getpid ()
 
 let fresh_trace_id () =
-  format_trace_id
-    ~us:(Int64.of_float (Unix.gettimeofday () *. 1e6))
-    ~pid:(Unix.getpid ())
+  format_id
+    ~us:(int_of_float (Unix.gettimeofday () *. 1e6))
+    ~pid
     ~seq:(Atomic.fetch_and_add id_counter 1)
 
 let create ?trace_id ?parent_span () =

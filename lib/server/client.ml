@@ -1,12 +1,20 @@
+open Expirel_core
 open Expirel_storage
 
 let default_port = 7717
+
+(* The copy of an answer the server sent as [version], in tuple order. *)
+type held = {
+  version : int;
+  rows : (Value.t list * Time.t) list;
+}
 
 type t = {
   fd : Unix.file_descr;
   timeout : float;
   pending : Wire.event Queue.t;
   mutable closed : bool;
+  held : (string, held) Expirel_exec.Lru.t;
 }
 
 (* A dotted address resolves to itself, without a lookup. *)
@@ -27,7 +35,12 @@ let connect ?(timeout = 10.0) ~host ~port () =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; timeout; pending = Queue.create (); closed = false }
+  { fd;
+    timeout;
+    pending = Queue.create ();
+    closed = false;
+    held = Expirel_exec.Lru.create ~capacity:Wire.held_capacity ()
+  }
 
 let timeout t = t.timeout
 
@@ -101,15 +114,51 @@ let exchange t req =
 
 let request t req = Result.map (fun (response, _, _) -> response) (exchange t req)
 
-let exec t sql = request t (Wire.Exec sql)
-
-(* Exec under a caller-supplied trace context: the server's spans for
-   this statement record under [trace]'s id, nested below its current
+(* Every statement goes out as [Statement], naming the version of the
+   copy held for its text.  A held reply becomes the new copy: the
+   whole answer, or the old copy patched by the delta.  A delta whose
+   base is not the copy held gives the connection up, like any reply
+   out of protocol.  A plain [Rows] means the server holds nothing for
+   the text any more, so neither does the client.  Under a trace, the
+   server's spans record under [trace]'s id, nested below its current
    span — the client half of cross-node trace propagation. *)
 let exec_traced t ?trace sql =
-  match trace with
-  | None -> exec t sql
-  | Some tr -> request t (Wire.Exec_traced { sql; ctx = Wire.ctx_of_trace tr })
+  let copy = Expirel_exec.Lru.find t.held sql in
+  let statement =
+    Wire.Statement
+      { sql;
+        ctx = Option.map Wire.ctx_of_trace trace;
+        held = Option.map (fun h -> h.version) copy
+      }
+  in
+  match request t statement with
+  | Ok (Wire.Held_rows { version; body }) ->
+    let patched =
+      match (body, copy) with
+      | Wire.Held_whole { columns; rows; texp_e; recomputed }, _ ->
+        Ok (columns, rows, texp_e, recomputed)
+      | Wire.Held_delta { base; columns; upserts; removed; texp_e; recomputed },
+        Some h
+        when h.version = base ->
+        Result.map
+          (fun rows -> (columns, rows, texp_e, recomputed))
+          (Wire.patch h.rows ~upserts ~removed)
+      | Wire.Held_delta { base; _ }, _ ->
+        Error (Printf.sprintf "a delta against version %d, which is not held" base)
+    in
+    (match patched with
+     | Ok (columns, rows, texp_e, recomputed) ->
+       Expirel_exec.Lru.set t.held sql { version; rows };
+       Ok (Wire.Rows { columns; rows; texp_e; recomputed })
+     | Error e ->
+       shut t;
+       Error ("protocol error: " ^ e))
+  | Ok (Wire.Rows _) as reply ->
+    Expirel_exec.Lru.remove t.held sql;
+    reply
+  | reply -> reply
+
+let exec t sql = exec_traced t sql
 
 let exec_ok t sql =
   match exec t sql with

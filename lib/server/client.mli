@@ -59,15 +59,21 @@ val timeout : t -> float
 (** The receive and send bound the connection was opened with. *)
 
 val exec : t -> string -> (Wire.response, string) result
-(** Executes one sqlx statement on the server. *)
+(** Executes one sqlx statement on the server, as a [Statement].  The
+    answer is an ordinary [Rows] in presentation order whichever form
+    it crossed the wire in: for up to {!Wire.held_capacity} statement
+    texts the client keeps the last answer the server sent as held, and
+    names it on its next read of the same text, so the server can reply
+    with only the rows added, re-timed or removed since.  A reply that
+    does not fit the copy held ends the connection with [Error]. *)
 
 val exec_traced :
   t -> ?trace:Expirel_obs.Trace.t -> string -> (Wire.response, string) result
-(** Like {!exec}, but when [trace] is given the statement travels as
-    [Exec_traced] carrying the trace's id and current span as context:
-    the server's spans for this request record under the same trace id,
-    nested below the call site — the client half of cross-node trace
-    propagation.  Without [trace] it is exactly {!exec}. *)
+(** Like {!exec}, but when [trace] is given the statement carries the
+    trace's id and current span as context: the server's spans for this
+    request record under the same trace id, nested below the call site
+    — the client half of cross-node trace propagation.  Without [trace]
+    it is exactly {!exec}. *)
 
 val exec_ok : t -> string -> (unit, string) result
 (** Like {!exec} but demands a non-error outcome — convenience for

@@ -23,6 +23,8 @@ type t = {
   bytes_out : Instrument.Counter.t;
   events_pushed : Instrument.Counter.t;
   tuples_expired : Instrument.Counter.t Instrument.Family.t;
+  held_replies : Instrument.Counter.t Instrument.Family.t;
+  held_answers : Instrument.Gauge.t;
   latency : Instrument.Histogram.t;
   stage : Instrument.Histogram.t Instrument.Family.t;
   op_eval : Instrument.Histogram.t Instrument.Family.t;
@@ -59,6 +61,15 @@ let create () =
         ~help:"Tuples whose expiration the storage observed, by removal \
                policy (eager = at expiration time, lazy = on vacuum)"
         ~labels:[ "mode" ];
+    held_replies =
+      Registry.counter_family reg ~name:"expirel_held_replies_total"
+        ~help:"Held answers sent, by form (delta = only the rows changed \
+               since the connection's last read of the text, full = the \
+               whole answer under a fresh version)"
+        ~labels:[ "reply" ];
+    held_answers =
+      Registry.gauge reg ~name:"expirel_held_answers"
+        ~help:"Answers held for open connections' next re-reads";
     latency =
       (* Microsecond observations, rendered in Prometheus-base seconds.
          The default bounds include the 500 ms bucket the original
@@ -109,6 +120,13 @@ let mode_label = function
 let incr_tuples_expired t ~mode =
   Instrument.Counter.incr
     (Instrument.Family.labelled t.tuples_expired [ mode_label mode ])
+
+let incr_held_reply t ~delta =
+  Instrument.Counter.incr
+    (Instrument.Family.labelled t.held_replies
+       [ (if delta then "delta" else "full") ])
+
+let add_held_answers t n = Instrument.Gauge.add t.held_answers n
 
 let observe_latency t ~seconds =
   Instrument.Histogram.observe t.latency (int_of_float (seconds *. 1e6))

@@ -63,6 +63,12 @@ val incr_tuples_expired : t -> mode:[ `Eager | `Lazy ] -> unit
     when the clock advance removed it at its expiration time, [`Lazy]
     when a vacuum reclaimed it late (Section 3.2's two policies). *)
 
+val incr_held_reply : t -> delta:bool -> unit
+(** One [Held_rows] reply sent, a delta or the whole answer. *)
+
+val add_held_answers : t -> int -> unit
+(** Moves the held-answers gauge by [n] (negative when freed). *)
+
 val observe_latency : t -> seconds:float -> unit
 (** Adds one request to the latency histogram (log-scale microsecond
     bounds including the 500 ms bucket, rendered in seconds). *)

@@ -98,13 +98,34 @@ let default_config =
     health_rules = default_health_rules
   }
 
+(* The answer a connection was last sent for a statement text, as the
+   version its client holds a copy of.  Only the connection's worker
+   thread touches its held answers. *)
+type held = {
+  version : int;
+  answer : Relation.t;
+  rows : int;  (* the answer's cardinality *)
+}
+
 type conn = {
   id : int;
   fd : Unix.file_descr;
   write_mutex : Mutex.t;
   mutable alive : bool;
   mutable owned_subs : string list;
+  held : (string, held) Lru.t;
+  mutable last_version : int;
 }
+
+let new_conn ~id fd =
+  { id;
+    fd;
+    write_mutex = Mutex.create ();
+    alive = true;
+    owned_subs = [];
+    held = Lru.create ~capacity:Wire.held_capacity ();
+    last_version = 0
+  }
 
 type t = {
   config : config;
@@ -511,7 +532,8 @@ let wire_rows listing =
 let response_of_outcome = function
   | Interp.Msg m -> Wire.Ok_msg m
   | Interp.Rows { columns; listing; texp_e; recomputed; relation = _ } ->
-    Wire.Rows { columns; rows = wire_rows listing; texp_e; recomputed }
+    Wire.Rows
+      { columns; rows = wire_rows (Lazy.force listing); texp_e; recomputed }
 
 (* The one statement path: [want] of a parsed statement, answered by
    the interpreter under the lock the statement's kind needs.  [reply]
@@ -557,10 +579,90 @@ let traced t ~ctx ~sql f =
   Obs.Trace_store.finish t.trace_store ~node:t.config.node_name ~name:sql tr;
   response
 
-let handle_exec ?ctx t sql =
+(* ---------- held answers ---------- *)
+
+(* Presentation order is tuple order only without ORDER BY and LIMIT:
+   then the answer's rows are its relation's, and a delta in tuple
+   order patches them. *)
+let holdable = function
+  | Ast.Query { order_by = []; limit = None; _ } -> true
+  | _ -> false
+
+(* Every change to a connection's held answers moves the gauge by what
+   it did to their number (an insert over capacity evicts one). *)
+let update_held t conn f =
+  let before = Lru.length conn.held in
+  f conn.held;
+  Metrics.add_held_answers t.metrics (Lru.length conn.held - before)
+
+(* The reply to a holdable query on a [Statement] request.  A delta
+   goes out when the connection holds the version the client names and
+   fewer than half the answer's rows changed since; it is built from
+   the diff alone, without listing the answer.  Otherwise the whole
+   answer goes out under a fresh version.  An answer too small to hold
+   goes out as plain [Rows], and the connection forgets the text.  A
+   change adds at most one row, so a delta needs fewer changes than the
+   held answer has rows: the diff gives up there. *)
+let hold t conn ~sql ~held (outcome : Interp.outcome) =
+  match outcome with
+  | Interp.Msg _ -> response_of_outcome outcome
+  | Interp.Rows { columns; relation; listing; texp_e; recomputed } ->
+    let delta =
+      match (held, Lru.find conn.held sql) with
+      | Some base, Some e when e.version = base -> (
+        match Relation.diff ~limit:(e.rows - 1) e.answer relation with
+        | Some (upserts, removed, rows)
+          when rows >= Wire.held_min_rows
+               && 2 * (List.length upserts + List.length removed) < rows ->
+          Some (base, upserts, removed, rows)
+        | Some _ | None -> None)
+      | _ -> None
+    in
+    let keep rows body =
+      conn.last_version <- conn.last_version + 1;
+      let version = conn.last_version in
+      update_held t conn (fun h ->
+          Lru.set h sql { version; answer = relation; rows });
+      Wire.Held_rows { version; body }
+    in
+    match delta with
+    | Some (base, upserts, removed, rows) ->
+      Metrics.incr_held_reply t.metrics ~delta:true;
+      keep rows
+        (Wire.Held_delta
+           { base;
+             columns;
+             upserts = wire_rows upserts;
+             removed = List.map Tuple.to_list removed;
+             texp_e;
+             recomputed
+           })
+    | None ->
+      let listing = Lazy.force listing in
+      let rows = List.length listing in
+      if rows < Wire.held_min_rows then begin
+        update_held t conn (fun h -> Lru.remove h sql);
+        response_of_outcome outcome
+      end
+      else begin
+        Metrics.incr_held_reply t.metrics ~delta:false;
+        keep rows
+          (Wire.Held_whole
+             { columns; rows = wire_rows listing; texp_e; recomputed })
+      end
+
+(* [conn] is the connection a [Statement] came on; [Exec] and
+   [Exec_traced] hold nothing. *)
+let handle_exec ?ctx ?conn ?held t sql =
   traced t ~ctx ~sql (fun trace stmt ->
-      handle_statement ?trace ~text:sql t Interp.Answer stmt
-        ~reply:response_of_outcome)
+      let reply =
+        match conn with
+        | Some conn when holdable stmt ->
+          fun outcome ->
+            Obs.Trace.span trace "held" (fun () -> hold t conn ~sql ~held outcome)
+        | Some _ | None -> response_of_outcome
+      in
+      handle_statement ?trace ~text:sql t Interp.Answer stmt ~reply)
 
 let strip_statement s =
   let s = String.trim s in
@@ -707,7 +809,8 @@ let handle_shard_exec t ~sql ~ctx ~want =
   | Want_rows ->
     shard Interp.Answer (function
       | Interp.Rows { columns; listing; texp_e; recomputed; relation = _ } ->
-        Wire.Body_rows { columns; rows = wire_rows listing; texp_e; recomputed }
+        Wire.Body_rows
+          { columns; rows = wire_rows (Lazy.force listing); texp_e; recomputed }
       | Interp.Msg message -> Wire.Body_ack message)
   | Want_agg cursor ->
     shard (Interp.Agg_partial cursor) (fun (columns, groups, standing, child_texp) ->
@@ -838,6 +941,7 @@ let handle_purge_moved t table =
 let handle_request t conn = function
   | Wire.Exec sql -> handle_exec t sql
   | Wire.Exec_traced { sql; ctx } -> handle_exec ~ctx t sql
+  | Wire.Statement { sql; ctx; held } -> handle_exec ?ctx ~conn ?held t sql
   | Wire.Subscribe { name; query } -> handle_subscribe t conn ~name ~query
   | Wire.Unsubscribe name -> handle_unsubscribe t conn name
   | Wire.Metrics ->
@@ -984,6 +1088,7 @@ let drop_subscriptions t conn =
 
 let close_conn t conn =
   drop_subscriptions t conn;
+  Metrics.add_held_answers t.metrics (-Lru.length conn.held);
   conn.alive <- false;
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
   locked_state t (fun () ->
@@ -1043,9 +1148,7 @@ let worker t conn =
   close_conn t conn
 
 let refuse t fd =
-  let conn =
-    { id = -1; fd; write_mutex = Mutex.create (); alive = true; owned_subs = [] }
-  in
+  let conn = new_conn ~id:(-1) fd in
   send_response t conn
     (Wire.Err
        { code = Wire.Overloaded;
@@ -1072,14 +1175,7 @@ let rec accept_loop t listen_fd =
             if Hashtbl.length t.conns >= t.config.max_connections then None
             else begin
               t.next_id <- t.next_id + 1;
-              let conn =
-                { id = t.next_id;
-                  fd;
-                  write_mutex = Mutex.create ();
-                  alive = true;
-                  owned_subs = []
-                }
-              in
+              let conn = new_conn ~id:t.next_id fd in
               Hashtbl.replace t.conns conn.id conn;
               Some conn
             end)

@@ -21,6 +21,13 @@
     subscriber can never observe an acknowledged clock ahead of its own
     event stream.  A connection's watches end when it closes.
 
+    Each connection also holds the answers it last sent to [Statement]
+    requests for up to {!Wire.held_capacity} plain query texts, so a
+    re-read naming its copy gets only the rows added, re-timed or
+    removed since ({!Wire.Held_rows}); they are freed when the
+    connection closes, and [METRICS] shows them as
+    [expirel_held_answers] and [expirel_held_replies_total].
+
     {!stop} is graceful: the listener closes first, in-flight requests
     run to completion and get their responses, then workers are joined.
 

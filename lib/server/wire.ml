@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 13
+let version = 14
 
 type error_code =
   | Parse_error
@@ -205,6 +205,23 @@ type request =
          expiring within the next Δ ticks, fan-out forecast, churn
          rates; [Some table] restricts to one table *)
   | Shard_exec of { sql : string; ctx : trace_ctx option; want : want }
+  | Statement of { sql : string; ctx : trace_ctx option; held : int option }
+
+type held_body =
+  | Held_whole of {
+      columns : string list;
+      rows : (Value.t list * Time.t) list;
+      texp_e : Time.t;
+      recomputed : bool;
+    }
+  | Held_delta of {
+      base : int;
+      columns : string list;
+      upserts : (Value.t list * Time.t) list;
+      removed : Value.t list list;
+      texp_e : Time.t;
+      recomputed : bool;
+    }
 
 type response =
   | Ok_msg of string
@@ -237,6 +254,7 @@ type response =
       (* bucket counts are disjoint row sets, so the coordinator merges
          per-shard replies by bucket-wise addition — exactly *)
   | Shard_reply of { partition : partition_texp; body : shard_body }
+  | Held_rows of { version : int; body : held_body }
 
 (* ---------- writer ---------- *)
 
@@ -420,6 +438,11 @@ let encode_request = function
         | Want_agg cursor ->
           put_u8 b 3;
           put_option b put_cursor cursor)
+  | Statement { sql; ctx; held } ->
+    payload 25 (fun b ->
+        put_str b sql;
+        put_option b put_ctx ctx;
+        put_option b put_int held)
 
 let put_span b s =
   put_str b s.span_name;
@@ -534,6 +557,24 @@ let encode_response = function
     payload 23 (fun b ->
         put_partition b partition;
         put_body b body)
+  | Held_rows { version; body } ->
+    payload 24 (fun b ->
+        put_int b version;
+        match body with
+        | Held_whole { columns; rows; texp_e; recomputed } ->
+          put_u8 b 1;
+          put_list b put_str columns;
+          put_list b put_row rows;
+          put_time b texp_e;
+          put_bool b recomputed
+        | Held_delta { base; columns; upserts; removed; texp_e; recomputed } ->
+          put_u8 b 2;
+          put_int b base;
+          put_list b put_str columns;
+          put_list b put_row upserts;
+          put_list b (fun b values -> put_list b put_value values) removed;
+          put_time b texp_e;
+          put_bool b recomputed)
 
 (* ---------- reader ---------- *)
 
@@ -734,6 +775,11 @@ let decode_request data =
         | n -> bad "bad want byte %d" n
       in
       Shard_exec { sql; ctx; want }
+    | 25 ->
+      let sql = get_str c in
+      let ctx = get_option c get_ctx in
+      let held = get_option c get_int in
+      Statement { sql; ctx; held }
     | n -> bad "unknown request tag %d" n)
 
 let get_span c =
@@ -856,6 +902,27 @@ let decode_response data =
       let partition = get_partition c in
       let body = get_body c in
       Shard_reply { partition; body }
+    | 24 ->
+      let version = get_int c in
+      let body =
+        match get_u8 c with
+        | 1 ->
+          let columns = get_list c get_str in
+          let rows = get_list c get_row in
+          let texp_e = get_time c in
+          let recomputed = get_bool c in
+          Held_whole { columns; rows; texp_e; recomputed }
+        | 2 ->
+          let base = get_int c in
+          let columns = get_list c get_str in
+          let upserts = get_list c get_row in
+          let removed = get_list c (fun c -> get_list c get_value) in
+          let texp_e = get_time c in
+          let recomputed = get_bool c in
+          Held_delta { base; columns; upserts; removed; texp_e; recomputed }
+        | n -> bad "bad held body %d" n
+      in
+      Held_rows { version; body }
     | n -> bad "unknown response tag %d" n)
 
 (* ---------- rendering ---------- *)
@@ -993,6 +1060,17 @@ let rec pp_response ppf = function
       moves
   | Horizon_reply report ->
     Format.pp_print_string ppf (Expirel_obs.Horizon.render report)
+  | Held_rows { version; body = Held_whole { columns; rows; texp_e; recomputed } }
+    ->
+    pp_response ppf (Rows { columns; rows; texp_e; recomputed });
+    Format.fprintf ppf "@\n[held as version %d]" version
+  | Held_rows
+      { version; body = Held_delta { base; upserts; removed; texp_e; _ } } ->
+    Format.fprintf ppf
+      "version %d: %d row(s) upserted, %d removed since version %d, \
+       texp(e) = %s"
+      version (List.length upserts) (List.length removed) base
+      (Time.to_string texp_e)
   | Shard_reply { partition; body } ->
     (match body with
      | Body_rows { columns; rows; texp_e; recomputed } ->
@@ -1025,3 +1103,75 @@ let parsing parse text k =
       { code = Parse_error;
         message = Printf.sprintf "at offset %d: %s" offset message
       }
+
+(* ---------- held answers ---------- *)
+
+(* Below 64 rows a whole reply is a few hundred bytes, and diffing and
+   patching would save less than it costs. *)
+let held_min_rows = 64
+
+(* A dashboard re-reads a handful of texts; eight bound what a
+   connection pins on either side (each held answer is kept alive until
+   replaced, evicted or the connection closes). *)
+let held_capacity = 8
+
+(* [Tuple.compare] on value lists: arity first, then value by value. *)
+let compare_row a b =
+  let rec values a b =
+    match (a, b) with
+    | x :: a', y :: b' ->
+      let c = Value.compare x y in
+      if c <> 0 then c else values a' b'
+    | _ -> 0
+  in
+  match List.compare_lengths a b with
+  | 0 -> values a b
+  | c -> c
+
+(* One pass over the copy: rows before the next edit are moved across
+   untouched, and the tail after the last edit is shared.  The edits
+   must come in strictly increasing tuple order, and a removal must name
+   a row the copy holds; anything else is an error, never a patched
+   answer. *)
+let patch rows ~upserts ~removed =
+  let exception Bad of string in
+  let rec skip acc rows key =
+    match rows with
+    | ((values, _) as row) :: rest when compare_row values key < 0 ->
+      skip (row :: acc) rest key
+    | _ -> (acc, rows)
+  in
+  let drop_equal rows key =
+    match rows with
+    | (values, _) :: rest when compare_row values key = 0 -> Some rest
+    | _ -> None
+  in
+  let rec go last acc rows upserts removed =
+    let next key =
+      match last with
+      | Some prev when compare_row prev key >= 0 ->
+        raise (Bad "delta edits out of tuple order")
+      | _ -> skip acc rows key
+    in
+    let upsert ((key, _) as row) upserts' =
+      let acc, rows = next key in
+      let rows = Option.value ~default:rows (drop_equal rows key) in
+      go (Some key) (row :: acc) rows upserts' removed
+    in
+    let remove key removed' =
+      let acc, rows = next key in
+      match drop_equal rows key with
+      | Some rows -> go (Some key) acc rows upserts removed'
+      | None -> raise (Bad "delta removes a row the copy does not hold")
+    in
+    match (upserts, removed) with
+    | [], [] -> List.rev_append acc rows
+    | [], key :: removed' -> remove key removed'
+    | row :: upserts', [] -> upsert row upserts'
+    | ((key, _) as row) :: upserts', gone :: removed' ->
+      if compare_row key gone < 0 then upsert row upserts'
+      else remove gone removed'
+  in
+  match go None [] rows upserts removed with
+  | patched -> Ok patched
+  | exception Bad message -> Error message

@@ -143,6 +143,16 @@ val version : int
     then its fields through {!Expirel_core.Codec}), where v12 nested
     the log's percent-escaped text line in a string.  The wire carries
     no checksum: the log's CRC-32 guards bytes at rest only.
+    v14 — held answers.  New tags, sent unprompted by every client: the
+    request [Statement] (25: the SQL, an optional trace context, then
+    an optional held version) and the reply [Held_rows] (24: a version,
+    then a body byte — 1 the whole answer (columns, rows, [texp_e],
+    recomputed), 2 a delta (the base version it patches, columns, the
+    upserted rows, the removed tuples as value lists, [texp_e],
+    recomputed)).  A v13 server would answer the first statement with
+    an opaque protocol error; the bump makes it a diagnosable
+    mismatch.  [Exec] (1) and [Exec_traced] (10) keep their layouts and
+    are answered as a [Statement] holding nothing.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer
@@ -341,7 +351,9 @@ type shard_body =
     the rebalance writes). *)
 
 type request =
-  | Exec of string  (** one sqlx statement *)
+  | Exec of string
+      (** one sqlx statement, answered as a [Statement] holding
+          nothing; {!Client} sends [Statement] instead *)
   | Subscribe of { name : string; query : string }
       (** register a continuous query; events stream back on this
           connection at the exact logical change times *)
@@ -368,7 +380,8 @@ type request =
       (** [Exec] carrying the caller's trace context: the server's spans
           for this request record under [ctx.trace_id] with
           [ctx.parent_span] as their root parent, so a fan-out request
-          yields one cross-node trace *)
+          yields one cross-node trace.  Like [Exec], answered as a
+          [Statement] holding nothing *)
   | Trace_recent of int
       (** the [n] most recent request traces ([Traces_reply]) *)
   | Health
@@ -409,6 +422,36 @@ type request =
           {!partition_texp} summary the reply piggybacks read one
           state, so every reply refreshes the coordinator's pruning
           cache with the partition the statement left behind *)
+  | Statement of { sql : string; ctx : trace_ctx option; held : int option }
+      (** one sqlx statement, a client's only statement request.
+          [ctx] makes the server's spans record under the caller's
+          trace, as for [Exec_traced].  [held] names the version of the
+          answer to this same text the client holds a copy of.  The
+          reply to a query without ORDER BY or LIMIT whose answer has at
+          least {!held_min_rows} rows is [Held_rows]: a delta against
+          [held] when the server holds that version too and the delta
+          has fewer rows than half the answer, else the whole answer
+          under a fresh version.  Every other reply is what [Exec]
+          gets; a plain [Rows] tells the client to drop its copy *)
+
+type held_body =
+  | Held_whole of {
+      columns : string list;
+      rows : (Value.t list * Time.t) list;  (** in tuple order *)
+      texp_e : Time.t;
+      recomputed : bool;
+    }
+  | Held_delta of {
+      base : int;  (** the version of the copy this patches *)
+      columns : string list;
+      upserts : (Value.t list * Time.t) list;
+          (** rows added or re-timed since [base], in tuple order *)
+      removed : Value.t list list;
+          (** tuples gone since [base], in tuple order *)
+      texp_e : Time.t;
+      recomputed : bool;
+    }
+(** The body of a [Held_rows] reply. *)
 
 type response =
   | Ok_msg of string
@@ -462,6 +505,9 @@ type response =
       (** the answer to [Shard_exec], [Ingest_rows] and [Purge_moved]:
           the shard's partition summary as the statement left it, and
           the body *)
+  | Held_rows of { version : int; body : held_body }
+      (** a [Statement]'s held answer: the client keeps the patched
+          rows as [version] and names it on its next read of the text *)
 
 (** {1 Codecs} — payloads only (no length prefix) *)
 
@@ -476,6 +522,23 @@ val payload_version : string -> int option
     readable even when the rest does not decode, so a server can tell a
     foreign-version peer from garbage and answer with
     [Version_mismatch]. *)
+
+val held_min_rows : int
+(** 64: a smaller answer is sent whole and not held. *)
+
+val held_capacity : int
+(** 8: the texts each side of a connection holds an answer for. *)
+
+val patch :
+  (Value.t list * Time.t) list ->
+  upserts:(Value.t list * Time.t) list ->
+  removed:Value.t list list ->
+  ((Value.t list * Time.t) list, string) result
+(** [patch rows ~upserts ~removed] applies a [Held_delta] to a copy in
+    tuple order, in one pass that shares the copy's tail after the last
+    edit.  [Error] when the edits are not in strictly increasing tuple
+    order or a removal names a row the copy lacks — a delta that does
+    not fit the copy, never a patched answer. *)
 
 val pp_response : Format.formatter -> response -> unit
 (** Human-readable rendering (one line per row), for the CLI and

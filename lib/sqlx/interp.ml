@@ -113,7 +113,7 @@ type outcome =
   | Rows of {
       columns : string list;
       relation : Relation.t;
-      listing : (Tuple.t * Time.t) list;
+      listing : (Tuple.t * Time.t) list Lazy.t;
       texp_e : Time.t;
       recomputed : bool;
     }
@@ -125,31 +125,33 @@ let time_of_expires t = function
   | Ast.Never -> Time.infinity
   | Ast.Ttl d -> Time.add (Database.now t.db) (Time.of_int d)
 
-(* Presentation order: stable sort on the ORDER BY labels, then LIMIT. *)
-let order_and_limit ~columns ~order_by ~limit relation =
-  let listing = Relation.to_list relation in
+(* Presentation order: stable sort on the ORDER BY labels, then LIMIT.
+   The labels resolve (or fail) before any relation is given. *)
+let order_and_limit ~columns ~order_by ~limit =
   let keys =
     List.map (fun (r, d) -> Lower.order_by_position ~columns r, d) order_by
   in
-  let compare_rows (t1, _) (t2, _) =
-    let rec go = function
-      | [] -> Tuple.compare t1 t2 (* deterministic tie-break *)
-      | (pos, dir) :: rest ->
-        let c = Value.compare (Tuple.attr t1 pos) (Tuple.attr t2 pos) in
-        if c <> 0 then
-          match dir with
-          | Ast.Asc -> c
-          | Ast.Desc -> -c
-        else go rest
+  fun relation ->
+    let listing = Relation.to_list relation in
+    let compare_rows (t1, _) (t2, _) =
+      let rec go = function
+        | [] -> Tuple.compare t1 t2 (* deterministic tie-break *)
+        | (pos, dir) :: rest ->
+          let c = Value.compare (Tuple.attr t1 pos) (Tuple.attr t2 pos) in
+          if c <> 0 then
+            match dir with
+            | Ast.Asc -> c
+            | Ast.Desc -> -c
+          else go rest
+      in
+      go keys
     in
-    go keys
-  in
-  let sorted =
-    if order_by = [] then listing else List.stable_sort compare_rows listing
-  in
-  match limit with
-  | None -> sorted
-  | Some n -> List.filteri (fun i _ -> i < n) sorted
+    let sorted =
+      if order_by = [] then listing else List.stable_sort compare_rows listing
+    in
+    match limit with
+    | None -> sorted
+    | Some n -> List.filteri (fun i _ -> i < n) sorted
 
 (* Lower + plan once per distinct statement text and catalog generation;
    the LRU is the server hot path's per-request saving.  [text] is the
@@ -270,7 +272,8 @@ let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
         | None -> Trace.span trace "sketch-query" eval)
   in
   let columns = entry.p_columns in
-  let listing = order_and_limit ~columns ~order_by ~limit relation in
+  let present = order_and_limit ~columns ~order_by ~limit in
+  let listing = lazy (present relation) in
   Rows { columns; relation; listing; texp_e; recomputed = false }
 
 (* The shard-side halves of distributed aggregates: {!run}'s
@@ -587,7 +590,12 @@ let exec_statement ?trace ?text t = function
     in
     let relation = Relation.exp tau relation in
     Rows
-      { columns; relation; listing = Relation.to_list relation; texp_e; recomputed }
+      { columns;
+        relation;
+        listing = lazy (Relation.to_list relation);
+        texp_e;
+        recomputed
+      }
   | Ast.Create_trigger { name; table } ->
     Trigger.register (Database.triggers t.db) ~name ~table (fun e ->
         t.trigger_log <-
@@ -840,6 +848,7 @@ let render = function
   | Msg m -> m
   | Rows { columns; relation; listing; texp_e = _; recomputed } ->
     let table =
-      Explain.rows_table ~columns ~arity:(Relation.arity relation) listing
+      Explain.rows_table ~columns ~arity:(Relation.arity relation)
+        (Lazy.force listing)
     in
     if recomputed then table ^ "\n(view recomputed)" else table

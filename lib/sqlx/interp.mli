@@ -44,10 +44,12 @@ type outcome =
   | Rows of {
       columns : string list;
       relation : Relation.t;
-      listing : (Tuple.t * Time.t) list;
+      listing : (Tuple.t * Time.t) list Lazy.t;
           (** the rows in presentation order (ORDER BY / LIMIT applied);
               always consistent with [relation] up to order and
-              truncation *)
+              truncation.  Built when forced: a server that ships only
+              what changed since a connection's last read never lists
+              the answer *)
       texp_e : Time.t;
           (** the expression-level expiration time [texp(e)] of the
               result (Section 2.5) — what a remote cache needs to know
@@ -65,7 +67,8 @@ val order_and_limit :
 (** The presentation of a result: rows in tuple order, stably sorted by
     the ORDER BY labels (resolved by {!Lower.order_by_position}), then
     cut to LIMIT — the one presentation of a single node's and a
-    cluster coordinator's answers.
+    cluster coordinator's answers.  The labels resolve once the three
+    named arguments are given, before any relation is.
     @raise Lower.Error on an unknown or ambiguous ORDER BY column *)
 
 val at_tau : now:Time.t -> int option -> Time.t option

@@ -87,6 +87,17 @@ if grep -rn 'parse_cache' lib bin; then
   echo "ci: the names above belong to the removed second LRU" >&2
   exit 1
 fi
+# One client statement request: Client sends every statement as a
+# Statement, which can name the answer it holds.  EXEC and EXEC_TRACED
+# still decode (the server answers them holding nothing), but no lib/
+# or bin/ file other than wire.ml builds one; matching one in a
+# pattern (a line that opens with "| Wire.Exec") is fine.
+if grep -rnE '\bWire\.Exec(_traced)?\b' lib bin --include='*.ml' |
+  grep -v '^lib/server/wire\.ml:' |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*\| Wire\.Exec(_traced)? '; then
+  echo "ci: the code above builds an Exec; send statements through Client.exec" >&2
+  exit 1
+fi
 # lib/obs, lib/exec and lib/sketch compile with -warn-error +a (their
 # dunes say so); build them alone first so a warning fails fast with a
 # small log.
@@ -155,6 +166,12 @@ grep -F '"standing_groupby_n10000_g1000_us_per_read"' "$SMOKE_DIR/BENCH_cluster.
 # the caches, and writes touching most groups between reads.
 grep -F '"standing_groupby_t80_us_per_read"' "$SMOKE_DIR/BENCH_cluster.json"
 grep -F '"standing_groupby_w1800_us_per_read"' "$SMOKE_DIR/BENCH_cluster.json"
+# Smoke the server experiment (its full size: ~2 s): 32 wire clients,
+# then one GROUP BY text re-read with 0, 1 and 16 writes between reads,
+# held (a delta against the client's copy) and whole; it fails hard if
+# the held re-read differs from the whole answer.
+(cd "$SMOKE_DIR" && "$BENCH" server)
+grep -F '"held_groupby_n10000_g1000_w1_us_per_read"' "$SMOKE_DIR/BENCH_server.json"
 # Smoke the durability experiment (its full size: ~0.6 s): per workload
 # the log and the snapshot are written, then replayed by reopening.
 (cd "$SMOKE_DIR" && "$BENCH" durable)
@@ -237,6 +254,10 @@ grep -F "expirel_horizon_fanout_events" "$PROM"
 grep -F 'expirel_churn_rate{kind="arrival"}' "$PROM"
 grep -F 'expirel_build_info{version=' "$PROM"
 grep -F "expirel_uptime_seconds" "$PROM"
+# Held answers: the gauge of answers held for re-reads, and the reply
+# forms counted (the CLI's statements above went out as Statement).
+grep -F "# TYPE expirel_held_answers gauge" "$PROM"
+grep -F "# TYPE expirel_held_replies_total counter" "$PROM"
 # The sketch queries above left per-sketch memory and live-estimate
 # gauges behind.
 grep -F 'expirel_sketch_memory_bytes{sketch="approx_count(0.1)"}' "$PROM"

@@ -273,7 +273,7 @@ let test_standing_groupby () =
       let single_rows () =
         match ok (Expirel_sqlx.Interp.exec_sql single q) with
         | Expirel_sqlx.Interp.Rows { listing; texp_e; _ } ->
-          (sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing), texp_e)
+          (sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) (Lazy.force listing)), texp_e)
         | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m
       in
       (* One read: its reply bytes, checked against the single node. *)
@@ -372,7 +372,7 @@ let test_standing_groupby () =
         match ok (Expirel_sqlx.Interp.exec_sql single q) with
         | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
           Alcotest.(check bool) (what ^ ": the single node's rows") true
-            (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing));
+            (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) (Lazy.force listing)));
           Alcotest.(check bool) (what ^ ": the single node's texp(e)") true
             (Time.equal texp_e sn_texp)
         | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m
@@ -418,7 +418,7 @@ let test_standing_clock () =
         match ok (Expirel_sqlx.Interp.exec_sql single q) with
         | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
           Alcotest.(check bool) (what ^ ": the single node's rows and texps") true
-            (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing));
+            (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) (Lazy.force listing)));
           Alcotest.(check bool) (what ^ ": the single node's texp(e)") true
             (Time.equal texp_e sn_texp)
         | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m
@@ -485,7 +485,7 @@ let test_standing_rests () =
         match ok (Expirel_sqlx.Interp.exec_sql single q) with
         | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
           Alcotest.(check bool) (what ^ ": the single node's rows and texps") true
-            (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing));
+            (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) (Lazy.force listing)));
           Alcotest.(check bool) (what ^ ": the single node's texp(e)") true
             (Time.equal texp_e sn_texp)
         | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m
@@ -1498,7 +1498,7 @@ let test_huge_sample () =
       | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
         Alcotest.(check int) "every live row" 8 (List.length rows);
         Alcotest.(check bool) "the single node's rows" true
-          (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing));
+          (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) (Lazy.force listing)));
         Alcotest.(check bool) "the single node's texp(e)" true (Time.equal texp_e sn_texp)
       | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m)
 
@@ -2171,7 +2171,7 @@ let test_concurrent_fanouts () =
       match ok (Expirel_sqlx.Interp.exec_sql single q) with
       | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
         Alcotest.(check bool) "the single node's rows and texps" true
-          (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing));
+          (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) (Lazy.force listing)));
         Alcotest.(check bool) "the single node's texp(e)" true (Time.equal texp_e sn_texp)
       | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m)
 

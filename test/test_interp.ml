@@ -286,7 +286,7 @@ let test_order_limit_having () =
   let listing outcome =
     match outcome with
     | Interp.Rows { listing; _ } ->
-      List.map (fun (tuple, _) -> Tuple.to_string tuple) listing
+      List.map (fun (tuple, _) -> Tuple.to_string tuple) (Lazy.force listing)
     | Interp.Msg m -> Alcotest.failf "expected rows, got %S" m
   in
   Alcotest.(check (list string)) "ORDER BY deg DESC, uid"
@@ -326,7 +326,7 @@ let test_order_by_resolver () =
   let listing outcome =
     match outcome with
     | Interp.Rows { listing; _ } ->
-      List.map (fun (tuple, _) -> Tuple.to_string tuple) listing
+      List.map (fun (tuple, _) -> Tuple.to_string tuple) (Lazy.force listing)
     | Interp.Msg m -> Alcotest.failf "expected rows, got %S" m
   in
   (* Join output labels are qualified (both tables expose uid and deg):

@@ -1157,6 +1157,335 @@ let test_bad_ingest_refused () =
                 (listed client "SELECT k, v FROM t");
               Alcotest.(check int) "nothing logged" before (position ()))))
 
+(* ---------- held answers: a repeated read ships what changed ---------- *)
+
+let statement ?held sql = Wire.Statement { sql; ctx = None; held }
+
+let held_total server name label =
+  match Obs.Registry.find (Server.collect_metrics server) name with
+  | None -> 0.
+  | Some m ->
+    List.fold_left
+      (fun acc (labels, sample) ->
+        match sample with
+        | Obs.Registry.Counter_sample n when List.mem label labels ->
+          acc +. float_of_int n
+        | _ -> acc)
+      0. m.Obs.Registry.samples
+
+let held_gauge server =
+  Test_obs.total (Server.collect_metrics server) "expirel_held_answers"
+
+(* s (a, g): [n] rows, a = 0 .. n-1, g = (a + shift) mod 100, each
+   living 20 to 69 ticks from now. *)
+let load_s client ~n ~shift =
+  ok (Client.exec_ok client "CREATE TABLE s (a, g)");
+  for a = 0 to n - 1 do
+    ok
+      (Client.exec_ok client
+         (Printf.sprintf "INSERT INTO s VALUES (%d, %d) TTL %d" a
+            ((a + shift) mod 100)
+            (20 + ((a * 7) mod 50))))
+  done
+
+(* Plain shapes only (no ORDER BY, no LIMIT): a grouped COUNT with and
+   without HAVING, projections (set-semantic, so [SELECT g] is the
+   DISTINCT shape), filters and a UNION.  Twelve texts, more than the
+   eight each side of a connection holds, so held answers get evicted. *)
+let held_shapes =
+  [| "SELECT g, COUNT(*) FROM s GROUP BY g";
+     "SELECT g, COUNT(*) FROM s GROUP BY g HAVING COUNT(*) > 1";
+     "SELECT a FROM s";
+     "SELECT a, g FROM s";
+     "SELECT g FROM s";
+     "SELECT a, g FROM s WHERE g < 70";
+     "SELECT a FROM s WHERE a >= 20";
+     "SELECT a FROM s UNION SELECT g FROM s";
+     "SELECT a, COUNT(*) FROM s GROUP BY a";
+     "SELECT g, a FROM s WHERE a < 100";
+     "SELECT a FROM s WHERE g > 5";
+     "SELECT g, COUNT(*) FROM s WHERE a < 90 GROUP BY g" |]
+
+type held_op =
+  | Read of int
+  | Insert of { a : int; g : int; ttl : int }
+  | Delete of int
+  | Tick of int
+  | Advance of int
+  | Recreate of int  (* DROP + CREATE TABLE s, reloaded with this shift *)
+  | Failing of int
+
+let held_op : held_op QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  frequency
+    [ (10, map (fun i -> Read i) (int_range 0 (Array.length held_shapes - 1)));
+      ( 4,
+        map3
+          (fun a g ttl -> Insert { a; g; ttl })
+          (int_range 0 200) (int_range 0 99) (int_range 1 40) );
+      (2, map (fun a -> Delete a) (int_range 0 200));
+      (2, map (fun n -> Tick n) (int_range 1 4));
+      (1, map (fun n -> Advance n) (int_range 1 6));
+      (1, map (fun k -> Recreate k) (int_range 1 99));
+      (1, map (fun k -> Failing k) (int_range 0 2)) ]
+
+let held_sql = function
+  | Read i -> held_shapes.(i)
+  | Insert { a; g; ttl } -> Printf.sprintf "INSERT INTO s VALUES (%d, %d) TTL %d" a g ttl
+  | Delete a -> Printf.sprintf "DELETE FROM s WHERE a = %d" a
+  | Tick n -> Printf.sprintf "TICK %d" n
+  | Advance _ | Recreate _ -> "" (* built against the clock / two steps *)
+  | Failing 0 -> "SELECT nope FROM s"
+  | Failing 1 -> "INSERT INTO nope VALUES (1)"
+  | Failing _ -> "SELEC a FROM s"
+
+(* The naive evaluator's rows, in tuple order, and texp(e). *)
+let naive_answer server sql =
+  Rwlock.with_read (Server.lock server) (fun () ->
+      let db = Expirel_sqlx.Interp.database (Server.interp server) in
+      match Expirel_sqlx.Parser.parse_statement sql with
+      | Expirel_sqlx.Ast.Query { q; _ } ->
+        let catalog name = Option.map Table.columns (Database.table db name) in
+        let { Expirel_sqlx.Lower.expr; _ } = Expirel_sqlx.Lower.lower_query ~catalog q in
+        let { Eval.relation; texp } =
+          Eval.run ~env:(Database.env db) ~tau:(Database.now db) expr
+        in
+        ( List.map (fun (t, e) -> (Tuple.to_list t, e)) (Relation.to_list relation),
+          texp )
+      | _ -> Alcotest.failf "not a query: %s" sql)
+
+(* One connection interleaves writes, clock moves, DROP + CREATE TABLE
+   and failing statements with re-reads of plain shapes, and reconnects
+   once.  Every re-read — whole or patched from a delta — equals a fresh
+   connection's [Exec] reply (rows, columns, texp(e)) and the naive
+   evaluator's rows and texp(e). *)
+let prop_held_reread =
+  Generators.qtest "a held re-read equals a fresh read" ~count:25
+    QCheck2.Gen.(pair (list_size (int_range 20 70) held_op) (int_range 0 70))
+    (fun (ops, reconnect_at) ->
+      with_server (fun server port ->
+          let fresh = Client.connect ~host:"127.0.0.1" ~port () in
+          let held = ref (Client.connect ~host:"127.0.0.1" ~port ()) in
+          Fun.protect
+            ~finally:(fun () ->
+              Client.close fresh;
+              Client.close !held)
+            (fun () ->
+              load_s !held ~n:120 ~shift:0;
+              let run sql = ok (Client.exec !held sql) in
+              let same = ref true in
+              List.iteri
+                (fun i op ->
+                  if i = reconnect_at then begin
+                    Client.close !held;
+                    held := Client.connect ~host:"127.0.0.1" ~port ()
+                  end;
+                  match op with
+                  | Read _ ->
+                    let sql = held_sql op in
+                    let fresh_reply = ok (Client.request fresh (Wire.Exec sql)) in
+                    let agrees =
+                      match (run sql, fresh_reply) with
+                      | (Wire.Rows r as mine), Wire.Rows _ ->
+                        let rows, texp = naive_answer server sql in
+                        mine = fresh_reply && r.rows = rows && Time.equal r.texp_e texp
+                      | Wire.Err a, Wire.Err b -> a.message = b.message
+                      | _ -> false
+                    in
+                    if not agrees then same := false
+                  | Advance n ->
+                    let now =
+                      Rwlock.with_read (Server.lock server) (fun () ->
+                          Database.now
+                            (Expirel_sqlx.Interp.database (Server.interp server)))
+                    in
+                    ignore
+                      (run
+                         (Printf.sprintf "ADVANCE TO %s"
+                            (Time.to_string (Time.add now (Time.of_int n)))))
+                  | Recreate shift ->
+                    ignore (run "DROP TABLE s");
+                    load_s !held ~n:(100 + shift) ~shift
+                  | Insert _ | Delete _ | Tick _ | Failing _ ->
+                    ignore (run (held_sql op)))
+                ops;
+              !same)))
+
+(* The held-answer forms over the wire: ORDER BY, LIMIT and answers
+   under 64 rows come back as plain [Rows]; a plain query's first read
+   is whole, a re-read after a write is a delta against the named
+   version, smaller than the whole reply; a stale or unknown version
+   gets the whole answer; a delta needs fewer changed rows than half
+   the answer. *)
+let test_held_forms () =
+  with_server (fun server port ->
+      with_client port (fun client ->
+          load_s client ~n:100 ~shift:0;
+          let send ?held sql =
+            let reply, _, received = ok (Client.exchange client (statement ?held sql)) in
+            (reply, received)
+          in
+          let plain what sql =
+            match fst (send sql) with
+            | Wire.Rows _ -> ()
+            | r -> Alcotest.failf "%s: expected plain rows, got %s" what (Wire.render_response r)
+          in
+          plain "ORDER BY" "SELECT a, g FROM s ORDER BY g";
+          plain "LIMIT" "SELECT a, g FROM s LIMIT 90";
+          plain "under 64 rows" "SELECT a FROM s WHERE a < 63";
+          let sql = "SELECT a, g FROM s" in
+          let whole ?held () =
+            match send ?held sql with
+            | Wire.Held_rows { version; body = Wire.Held_whole { rows; _ } }, bytes ->
+              (version, rows, bytes)
+            | r, _ -> Alcotest.failf "expected a whole answer, got %s" (Wire.render_response r)
+          in
+          let v1, rows1, whole_bytes = whole () in
+          Alcotest.(check int) "whole answer" 100 (List.length rows1);
+          let insert a =
+            ok
+              (Client.exec_ok client
+                 (Printf.sprintf "INSERT INTO s VALUES (%d, 7) EXPIRES 60" a))
+          in
+          insert 500;
+          let v2 =
+            match send ~held:v1 sql with
+            | ( Wire.Held_rows
+                  { version; body = Wire.Held_delta { base; upserts; removed; _ } },
+                bytes ) ->
+              Alcotest.(check int) "delta base" v1 base;
+              Alcotest.(check bool) "one upserted row" true
+                (upserts = [ ([ Value.Int 500; Value.Int 7 ], fin 60) ] && removed = []);
+              Alcotest.(check bool) "a delta is smaller than the whole reply" true
+                (bytes < whole_bytes);
+              version
+            | r, _ -> Alcotest.failf "expected a delta, got %s" (Wire.render_response r)
+          in
+          Alcotest.(check bool) "fresh version" true (v2 <> v1);
+          (* a stale version and one never sent both get the whole answer *)
+          let v3, rows3, _ = whole ~held:v1 () in
+          Alcotest.(check int) "stale: whole" 101 (List.length rows3);
+          let v4, _, _ = whole ~held:(v3 + 1000) () in
+          (* many writes: the delta stays smaller than the whole reply *)
+          for a = 600 to 639 do insert a done;
+          (match send ~held:v4 sql with
+           | Wire.Held_rows { body = Wire.Held_delta { upserts; _ }; version }, bytes ->
+             Alcotest.(check int) "forty upserts" 40 (List.length upserts);
+             let _, _, now_whole = whole () in
+             Alcotest.(check bool) "forty-row delta smaller than whole" true
+               (bytes < now_whole);
+             ignore version
+           | r, _ -> Alcotest.failf "expected a delta, got %s" (Wire.render_response r));
+          (* half the answer changed: whole, under a fresh version *)
+          let v6, _, _ = whole () in
+          ok (Client.exec_ok client "DELETE FROM s WHERE a < 80");
+          for a = 700 to 719 do insert a done;
+          let v7, rows7, _ = whole ~held:v6 () in
+          Alcotest.(check int) "rows after the churn" 81 (List.length rows7);
+          Alcotest.(check bool) "versions grow" true (v7 > v6);
+          Alcotest.(check bool) "deltas and wholes counted" true
+            (held_total server "expirel_held_replies_total" ("reply", "delta") = 2.
+            && held_total server "expirel_held_replies_total" ("reply", "full") >= 6.)))
+
+(* Held state is bounded per connection and released on close: twelve
+   texts leave eight held, and the gauge returns to 0 once both
+   connections are gone. *)
+let test_held_released () =
+  with_server (fun server port ->
+      let first = Client.connect ~host:"127.0.0.1" ~port () in
+      load_s first ~n:120 ~shift:0;
+      Array.iter
+        (fun sql ->
+          match ok (Client.exec first sql) with
+          | Wire.Rows _ -> ()
+          | r -> Alcotest.failf "%s: %s" sql (Wire.render_response r))
+        held_shapes;
+      Alcotest.(check (float 0.)) "capacity bounds one connection"
+        (float_of_int Wire.held_capacity) (held_gauge server);
+      let second = Client.connect ~host:"127.0.0.1" ~port () in
+      ignore (ok (Client.exec second held_shapes.(0)));
+      ignore (ok (Client.exec second held_shapes.(2)));
+      Alcotest.(check (float 0.)) "two connections"
+        (float_of_int (Wire.held_capacity + 2)) (held_gauge server);
+      let settles expect =
+        let deadline = Unix.gettimeofday () +. 5. in
+        while held_gauge server <> expect && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        Alcotest.(check (float 0.)) "released" expect (held_gauge server)
+      in
+      Client.close first;
+      settles 2.;
+      Client.close second;
+      settles 0.)
+
+(* A peer on v13 gets the typed mismatch for its EXEC. *)
+let test_held_v13_refused () =
+  with_server (fun _server port ->
+      let sock = Unix.socket PF_INET SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          (* v13's Exec: version 13, tag 1, the SQL behind a varint length *)
+          let (_ : int) = Frame.send sock "\x0d\x01\x08SELECT 1" in
+          let payload, _ = Frame.recv sock in
+          match Wire.decode_response payload with
+          | Ok (Wire.Err { code = Wire.Version_mismatch; _ }) -> ()
+          | Ok r -> Alcotest.fail ("expected version mismatch, got " ^ Wire.render_response r)
+          | Error e -> Alcotest.fail ("undecodable reply: " ^ e)))
+
+(* A delta against a copy the client does not hold is a protocol error
+   that gives the connection up, never a patched answer: a fake server
+   answers a first read with a delta. *)
+let test_held_bad_delta_closes () =
+  let listen = Unix.socket PF_INET SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close listen with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen listen 1;
+      let port =
+        match Unix.getsockname listen with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> Alcotest.fail "no port"
+      in
+      let fake =
+        Thread.create
+          (fun () ->
+            let fd, _ = Unix.accept listen in
+            Fun.protect
+              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+              (fun () ->
+                let _ = Frame.recv fd in
+                ignore
+                  (Frame.send fd
+                     (Wire.encode_response
+                        (Wire.Held_rows
+                           { version = 2;
+                             body =
+                               Wire.Held_delta
+                                 { base = 1;
+                                   columns = [ "a" ];
+                                   upserts = [ ([ Value.Int 1 ], fin 5) ];
+                                   removed = [];
+                                   texp_e = Time.Inf;
+                                   recomputed = false
+                                 }
+                           })));
+                try ignore (Frame.recv fd) with _ -> ()))
+          ()
+      in
+      let client = Client.connect ~host:"127.0.0.1" ~port () in
+      (match Client.exec client "SELECT a FROM s" with
+       | Error _ -> ()
+       | Ok r -> Alcotest.fail ("a stray delta was answered: " ^ Wire.render_response r));
+      (match Client.ping client with
+       | Error _ -> ()
+       | Ok () -> Alcotest.fail "the connection stayed open");
+      Client.close client;
+      Thread.join fake)
+
 let suite =
   [ Alcotest.test_case "smoke: rows travel with texp and texp(e)" `Quick test_smoke;
     Alcotest.test_case "subscription events at exact logical times" `Quick
@@ -1210,4 +1539,13 @@ let suite =
       test_rebalance_feeds_maintained_view;
     Alcotest.test_case "bad Ingest_rows: error answer, nothing ingested"
       `Quick test_bad_ingest_refused;
-    prop_partition_summary ]
+    prop_partition_summary;
+    prop_held_reread;
+    Alcotest.test_case "held answers: whole, delta, plain, stale" `Quick
+      test_held_forms;
+    Alcotest.test_case "held answers: bounded, released on close" `Quick
+      test_held_released;
+    Alcotest.test_case "held answers: a v13 EXEC is refused" `Quick
+      test_held_v13_refused;
+    Alcotest.test_case "held answers: a stray delta closes the client" `Quick
+      test_held_bad_delta_closes ]

@@ -278,7 +278,7 @@ let expect_error t sql =
   | Ok _ -> Alcotest.failf "expected %S to fail" sql
 
 let listing = function
-  | Expirel_sqlx.Interp.Rows { listing; _ } -> listing
+  | Expirel_sqlx.Interp.Rows { listing; _ } -> Lazy.force listing
   | Expirel_sqlx.Interp.Msg m -> Alcotest.failf "expected rows, got %S" m
 
 let setup_sensor_table ?(rows = 500) () =
@@ -354,7 +354,7 @@ let test_sql_sample () =
    | Expirel_sqlx.Interp.Rows { texp_e; listing; _ } ->
      Alcotest.(check bool) "texp(e) = min sampled texp" true
        (Time.equal texp_e
-          (Time.min_list (List.map snd listing)))
+          (Time.min_list (List.map snd (Lazy.force listing))))
    | _ -> Alcotest.fail "expected rows")
 
 let test_sql_global_aggregates () =

@@ -113,7 +113,11 @@ let request : Wire.request Gen.t =
       (* v9: the one coordinator-to-shard statement request *)
       Gen.map3
         (fun sql ctx want -> Wire.Shard_exec { sql; ctx; want })
-        name (Gen.option trace_ctx) want ]
+        name (Gen.option trace_ctx) want;
+      (* v14: the one client statement request, naming a held version *)
+      Gen.map3
+        (fun sql ctx held -> Wire.Statement { sql; ctx; held })
+        name (Gen.option trace_ctx) (Gen.option wide_int) ]
 
 let error_code : Wire.error_code Gen.t =
   Gen.oneofl
@@ -366,6 +370,31 @@ let response : Wire.response Gen.t =
         (fun partition body -> Wire.Shard_reply { partition; body })
         partition_texp shard_body ]
 
+(* v14: a held answer, whole or a delta against a base version. *)
+let held_body : Wire.held_body Gen.t =
+  let open Gen in
+  let columns = list_size (int_range 0 4) name in
+  let rows = list_size (int_range 0 8) (pair row time) in
+  oneof
+    [ (let* columns = columns in
+       let* rows = rows in
+       let* texp_e = time in
+       let* recomputed = bool in
+       return (Wire.Held_whole { columns; rows; texp_e; recomputed }));
+      (let* base = wide_int in
+       let* columns = columns in
+       let* upserts = rows in
+       let* removed = list_size (int_range 0 6) row in
+       let* texp_e = time in
+       let* recomputed = bool in
+       return
+         (Wire.Held_delta { base; columns; upserts; removed; texp_e; recomputed })) ]
+
+let response =
+  Gen.oneof
+    [ response;
+      Gen.map2 (fun version body -> Wire.Held_rows { version; body }) wide_int held_body ]
+
 (* ---------- round-trip properties ---------- *)
 
 let roundtrip_request =
@@ -545,6 +574,158 @@ let test_v11_payload_refused () =
     [ ("request", (fun p -> Result.map ignore (Wire.decode_request p)), v11_ping);
       ("response", (fun p -> Result.map ignore (Wire.decode_response p)), v11_rows) ]
 
+(* v14 added the client's [Statement] request and its [Held_rows]
+   reply: a v13 payload is refused, and [payload_version] reads 13 so
+   a server answers [Version_mismatch]. *)
+let test_v13_payload_refused () =
+  let v13_exec = "\x0d\x01\x08SELECT 1" in
+  Alcotest.(check (option int)) "payload_version reads v13" (Some 13)
+    (Wire.payload_version v13_exec);
+  match Wire.decode_request v13_exec with
+  | Error reason ->
+    Alcotest.(check string) "names both versions"
+      (Printf.sprintf "bad request: protocol version 13, expected %d" Wire.version)
+      reason
+  | Ok _ -> Alcotest.fail "a v13 EXEC accepted by a v14 decoder"
+
+(* Every strict prefix of a held request or reply errors, and so does
+   one byte of trailing garbage. *)
+let test_held_truncation_garbage () =
+  let payloads =
+    [ ( "statement",
+        (fun p -> Result.map ignore (Wire.decode_request p)),
+        Wire.encode_request
+          (Wire.Statement
+             { sql = "SELECT a FROM s";
+               ctx = Some { Wire.trace_id = "t-1"; parent_span = 3 };
+               held = Some 300
+             }) );
+      ( "delta",
+        (fun p -> Result.map ignore (Wire.decode_response p)),
+        Wire.encode_response
+          (Wire.Held_rows
+             { version = 301;
+               body =
+                 Wire.Held_delta
+                   { base = 300;
+                     columns = [ "a"; "n" ];
+                     upserts = [ ([ Value.Int 4; Value.Int 2 ], Time.of_int 40) ];
+                     removed = [ [ Value.Int 5; Value.Str "x" ] ];
+                     texp_e = Time.of_int 30;
+                     recomputed = false
+                   }
+             }) );
+      ( "whole",
+        (fun p -> Result.map ignore (Wire.decode_response p)),
+        Wire.encode_response
+          (Wire.Held_rows
+             { version = 7;
+               body =
+                 Wire.Held_whole
+                   { columns = [ "a" ];
+                     rows = [ ([ Value.Int 1 ], Time.Inf) ];
+                     texp_e = Time.Inf;
+                     recomputed = true
+                   }
+             }) ) ]
+  in
+  List.iter
+    (fun (what, decode, payload) ->
+      Alcotest.(check bool) (what ^ " decodes") true (decode payload = Ok ());
+      for k = 0 to String.length payload - 1 do
+        match decode (String.sub payload 0 k) with
+        | Error _ -> ()
+        | Ok () -> Alcotest.failf "%s cut at %d decoded" what k
+      done;
+      match decode (payload ^ "\x00") with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "%s with trailing garbage decoded" what)
+    payloads;
+  (* an unknown body byte *)
+  let bad = Printf.sprintf "%c\x18\x02\x03" (Char.chr Wire.version) in
+  match Wire.decode_response bad with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "held body byte 3 accepted"
+
+(* ---------- held answers: a delta patches the copy it was cut from ---------- *)
+
+let small_relation =
+  Gen.map
+    (fun rows ->
+      Relation.of_list ~arity:2
+        (List.map (fun (a, b, e) -> (Tuple.ints [ a; b ], Time.of_int e)) rows))
+    (Gen.list_size (Gen.int_range 0 40)
+       (Gen.triple (Gen.int_range 0 12) (Gen.int_range 0 3) (Gen.int_range 1 6)))
+
+let wire_rows r = List.map (fun (t, e) -> (Tuple.to_list t, e)) (Relation.to_list r)
+
+(* [before] and an [after] made from it by random edits, so most rows
+   are shared by pointer as in a path-copied answer, or an unrelated
+   one. *)
+let relation_pair =
+  let open Gen in
+  let* before = small_relation in
+  let* edits =
+    list_size (int_range 0 8)
+      (triple (int_range 0 12) (int_range 0 3) (option (int_range 1 6)))
+  in
+  let* unrelated = small_relation in
+  let* fresh = bool in
+  let edited =
+    List.fold_left
+      (fun r (a, b, e) ->
+        match e with
+        | Some e -> Relation.replace (Tuple.ints [ a; b ]) ~texp:(Time.of_int e) r
+        | None -> Relation.remove (Tuple.ints [ a; b ]) r)
+      before edits
+  in
+  return (before, if fresh then unrelated else edited)
+
+let patch_law =
+  Generators.qtest "patching the diff's delta reproduces the new answer" ~count:500
+    relation_pair (fun (before, after) ->
+      match Relation.diff ~limit:max_int before after with
+      | None -> false
+      | Some (upserts, removed, n) ->
+        n = Relation.cardinal after
+        && Wire.patch (wire_rows before)
+          ~upserts:(wire_rows (Relation.of_list ~arity:2 upserts))
+          ~removed:(List.map Tuple.to_list removed)
+        = Ok (wire_rows after))
+
+let diff_limit_law =
+  Generators.qtest "diff gives up exactly past its limit" ~count:300
+    (Gen.pair relation_pair (Gen.int_range 0 20)) (fun ((before, after), limit) ->
+      match
+        (Relation.diff ~limit:max_int before after, Relation.diff ~limit before after)
+      with
+      | Some (u, r, n), Some d -> List.length u + List.length r <= limit && d = (u, r, n)
+      | Some (u, r, _), None -> List.length u + List.length r > limit
+      | None, _ -> false)
+
+(* A delta that does not fit the copy is an error, never an answer. *)
+let test_patch_refuses () =
+  let rows =
+    [ ([ Value.Int 1 ], Time.of_int 5); ([ Value.Int 3 ], Time.of_int 5) ]
+  in
+  let refused what ~upserts ~removed =
+    match Wire.patch rows ~upserts ~removed with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s was patched" what
+  in
+  refused "a removal of a row the copy lacks" ~upserts:[] ~removed:[ [ Value.Int 2 ] ];
+  refused "edits out of order"
+    ~upserts:[ ([ Value.Int 4 ], Time.Inf); ([ Value.Int 2 ], Time.Inf) ]
+    ~removed:[];
+  refused "an upsert and a removal of one tuple"
+    ~upserts:[ ([ Value.Int 3 ], Time.Inf) ]
+    ~removed:[ [ Value.Int 3 ] ];
+  Alcotest.(check bool) "a fitting delta patches" true
+    (Wire.patch rows
+       ~upserts:[ ([ Value.Int 2 ], Time.Inf) ]
+       ~removed:[ [ Value.Int 3 ] ]
+    = Ok [ ([ Value.Int 1 ], Time.of_int 5); ([ Value.Int 2 ], Time.Inf) ])
+
 let test_empty_payload () =
   (match Wire.decode_request "" with
    | Error _ -> ()
@@ -702,6 +883,13 @@ let suite =
     Alcotest.test_case "v8 shard payloads refused" `Quick
       test_v8_shard_payloads_refused;
     Alcotest.test_case "v11 payload refused" `Quick test_v11_payload_refused;
+    Alcotest.test_case "v13 payload refused" `Quick test_v13_payload_refused;
+    Alcotest.test_case "held payloads: truncation and garbage" `Quick
+      test_held_truncation_garbage;
+    patch_law;
+    diff_limit_law;
+    Alcotest.test_case "a delta that does not fit is refused" `Quick
+      test_patch_refuses;
     Alcotest.test_case "empty payload" `Quick test_empty_payload;
     Alcotest.test_case "oversized length prefix" `Quick test_oversized_length_prefix;
     Alcotest.test_case "short header is incomplete" `Quick test_short_header_incomplete;
