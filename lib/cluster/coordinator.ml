@@ -25,8 +25,8 @@ type slot = {
 (* ---------- standing GROUP BY COUNT ---------- *)
 
 (* A repeated cluster GROUP BY COUNT, kept: per shard the groups it
-   shipped (aged here) and the cursor it shipped them under, and their
-   sum with the answer it finalises to.  Valid for one [epoch]. *)
+   shipped (aged here) and the cursor it shipped them under, and the
+   answer their merge finalises to.  Valid for one [epoch]. *)
 type held = {
   mutable cursor : Partial_agg.cursor;
   mutable groups : Partial_agg.standing;
@@ -37,8 +37,6 @@ type kept = {
   epoch : int;
   held : (int, held) Hashtbl.t;  (* by shard id *)
   mutable counts : Subscription.counts;
-  mutable heavy : int;  (* reads in a row whose deltas cost more than a merge *)
-  mutable rest : int;  (* reads left to answer the stateless way *)
 }
 
 type traffic = {
@@ -799,10 +797,12 @@ let merging ?trace merge =
    and answers only the groups written since (all of them for a cursor
    it does not know: a text's second read, a rebuilt or evicted entry,
    a restart).  Each shipped group replaces this coordinator's copy of
-   that shard's group in the sum; every copy then ages to the query's
-   latest clock among tau and the shards' (the clock each delta
-   carries) by expiration alone, and only the groups a reply or an
-   expiration touched are re-finalised ({!Subscription.regroup}).
+   that shard's group (a full reply rebuilds the copy); every copy then
+   ages to the query's latest clock among tau and the shards' (the
+   clock each delta carries) by expiration alone.  Each group a reply
+   or an expiration touched is merged again from the shards' copies,
+   condensed ({!Partial_agg.merge_all}, the stateless route's merge),
+   and only those groups are re-finalised ({!Subscription.regroup}).
 
    Holding the member multisets, rather than the shards' condensed
    two-slice groups, is what lets the copy age: a condensed group says
@@ -845,28 +845,12 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
   | Ok parts ->
     Some
       (merging ?trace @@ fun () ->
-       let sum = ref (Subscription.counts_groups e.counts) and touched = ref [] in
-       (* A shard's copy of a group becomes [members]; the sum's group
-          takes the difference in one step. *)
-       let replace h (key, members) =
-         let was = Partial_agg.standing_members h.groups key in
-         sum :=
-           Partial_agg.standing_replace !sum key
-             (List.concat
-                [ Partial_agg.standing_members !sum key;
-                  List.map (fun (texp, n) -> (texp, -n)) was;
-                  members ]);
-         h.groups <- Partial_agg.standing_replace h.groups key members;
-         touched := key :: !touched
-       in
-       (* Every group of [h] not in [keep] empties ([keep] is then
-          replaced in; emptying a kept one too would only cost time). *)
-       let clear ?(keep = []) h =
-         let kept = Hashtbl.create (List.length keep) in
-         List.iter (fun (key, _) -> Hashtbl.replace kept key ()) keep;
-         List.iter
-           (fun (key, _) -> if not (Hashtbl.mem kept key) then replace h (key, []))
-           (Partial_agg.standing_all h.groups);
+       let touched = ref [] in
+       let touch keys = touched := List.rev_append keys !touched in
+       (* A copy that empties touches every group it held. *)
+       let forget h =
+         touch (List.map fst (Partial_agg.standing_all h.groups));
+         h.groups <- Partial_agg.standing_empty;
          h.cursor <- Partial_agg.no_cursor
        in
        let shipped =
@@ -875,15 +859,19 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
        List.iter
          (fun (slot, (d : Partial_agg.delta)) ->
            let h = held slot in
-           if d.full then clear ~keep:d.members h;
-           List.iter (replace h) d.members;
+           if d.full then forget h;
+           h.groups <-
+             List.fold_left
+               (fun groups (key, members) -> Partial_agg.standing_replace groups key members)
+               h.groups d.members;
+           touch (List.map fst d.members);
            h.cursor <- d.cursor)
          shipped;
        (* A shard the read pruned holds nothing live; one that kept no
           entry answered condensed, and ships everything next time. *)
        Hashtbl.iter
          (fun id h ->
-           if not (List.exists (fun (s, _) -> s.shard.Wire.shard_id = id) shipped) then clear h)
+           if not (List.exists (fun (s, _) -> s.shard.Wire.shard_id = id) shipped) then forget h)
          e.held;
        (* The copies age to the latest clock a shard shipped: one that
           another coordinator, or a TICK still in flight, moved on. *)
@@ -891,30 +879,30 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
          List.fold_left (fun c (_, (d : Partial_agg.delta)) -> Time.max c d.now) tau shipped
        in
        locked t (fun () -> t.now <- Time.max t.now clock);
-       Hashtbl.iter (fun _ h -> h.groups <- fst (Partial_agg.standing_expire h.groups clock)) e.held;
-       let groups, expired = Partial_agg.standing_expire !sum clock in
-       let counts, _, _ =
-         Subscription.regroup e.counts groups
-           (List.sort_uniq (List.compare Value.compare) (expired @ !touched))
+       Hashtbl.iter
+         (fun _ h ->
+           let groups, expired = Partial_agg.standing_expire h.groups clock in
+           h.groups <- groups;
+           touch expired)
+         e.held;
+       let keys = List.sort_uniq (List.compare Value.compare) !touched in
+       let merged =
+         Partial_agg.merge_all ~func:Aggregate.Count
+           (Hashtbl.fold
+              (fun _ h parts -> List.filter_map (Partial_agg.standing_group h.groups) keys :: parts)
+              e.held [])
        in
+       (* [merged] holds, in the same ascending order, the keys some
+          copy still holds. *)
+       let rec pair keys (merged : Partial_agg.t) =
+         match keys, merged with
+         | [], _ -> []
+         | key :: keys', g :: merged' when List.compare Value.compare key g.key = 0 ->
+           (key, Some g) :: pair keys' merged'
+         | key :: keys', _ -> (key, None) :: pair keys' merged
+       in
+       let counts, _ = Subscription.regroup e.counts (pair keys merged) in
        e.counts <- counts;
-       (* Replacing a group costs about five times what merging a
-          condensed one does: deltas that ship over a fifth of the
-          groups held lose to the stateless merge, and the entry rests
-          for 2, 4, ... 64 reads while they keep doing so. *)
-       if not (List.exists (fun (_, (d : Partial_agg.delta)) -> d.full) shipped) then begin
-         let changed =
-           List.fold_left (fun n (_, (d : Partial_agg.delta)) -> n + List.length d.members) 0 shipped
-         in
-         let heavy =
-           changed > 64
-           && 5 * changed
-              > Hashtbl.fold (fun _ h n -> n + Partial_agg.standing_groups h.groups) e.held 0
-         in
-         locked t (fun () ->
-             e.heavy <- (if heavy then min 6 (e.heavy + 1) else 0);
-             e.rest <- (if heavy then 1 lsl e.heavy else 0))
-       end;
        if List.compare_lengths shipped parts = 0 then begin
          if parts <> [] then
            Obs.Instrument.Counter.incr
@@ -937,10 +925,7 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
 (* A text's first read (or its first since an eviction or a catalog
    change) only makes its entry and is answered the stateless way, with
    the shards' condensed groups: a text read once costs what it did
-   without the entry, and only a text read again asks for members.  So
-   are the reads an entry rests for after heavy deltas ([standing_step]);
-   its copies and cursors wait, and its next read asks for every group
-   written meanwhile. *)
+   without the entry, and only a text read again asks for members. *)
 let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~tau
     ~finalize ~stateless =
   let entry =
@@ -948,17 +933,12 @@ let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~
         if Option.is_some t.moving then None
         else
           match Expirel_exec.Lru.find t.kept sql with
-          | Some e when e.epoch = t.epoch && e.rest > 0 ->
-            e.rest <- e.rest - 1;
-            None
           | Some e when e.epoch = t.epoch -> Some e
           | Some _ | None ->
             let e =
               { lock = Mutex.create ();
                 epoch = t.epoch;
                 held = Hashtbl.create 4;
-                heavy = 0;
-                rest = 0;
                 counts =
                   Subscription.counts
                     ~output:

@@ -107,8 +107,11 @@ val exec :
       [GROUP BY … COUNT] over every shard (no [AT], no pinned key) is
       kept here: each shard's per-group member multisets, aged at the
       coordinator, with each shard asked only for the groups written
-      since its cursor ({!Expirel_exec.Subscription.since}); only the
-      groups a reply or an expiration touched are re-finalised.
+      since its cursor ({!Expirel_exec.Subscription.since}).  Each
+      group a reply or an expiration touched is merged again from the
+      shards' copies by the stateless route's own merge
+      ({!Expirel_exec.Partial_agg.merge_all}), and only those groups are
+      re-finalised; no summed copy is kept.
       [~prune:false], a move in flight, a shard-map change and any DDL
       keep or fall back to the stateless merge.
     - [APPROX_COUNT]/[SAMPLE] ([Sketch]) merge per-shard sketches and

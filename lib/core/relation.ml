@@ -98,53 +98,57 @@ let equal_tuples a b =
    fraction of two [Seq] walks).  A tuple both hold by the same pointer
    (an answer path-copied from the one before) skips the comparison, and
    a texp by the same pointer skips [Time.equal].  The walk counts
-   [after]'s rows as it goes, so no caller pays [cardinal]'s walk. *)
+   [after]'s rows as it goes, so no caller pays [cardinal]'s walk.  Two
+   relations sharing one map differ nowhere. *)
 let diff ~limit before after =
-  let n = ref 0 and changes = ref 0 and ups = ref [] and gone = ref [] in
-  let rest = ref (Tuple_map.bindings before.rows) in
-  let change () =
-    incr changes;
-    if !changes > limit then raise_notrace Exit
-  in
-  let rec place tb eb =
-    match !rest with
-    | [] ->
-      change ();
-      ups := (tb, eb) :: !ups
-    | (ta, ea) :: rest' ->
-      let c = if ta == tb then 0 else Tuple.compare ta tb in
-      if c < 0 then begin
-        change ();
-        gone := ta :: !gone;
-        rest := rest';
-        place tb eb
-      end
-      else if c > 0 then begin
+  if before.rows == after.rows then Some ([], [], cardinal after)
+  else begin
+    let n = ref 0 and changes = ref 0 and ups = ref [] and gone = ref [] in
+    let rest = ref (Tuple_map.bindings before.rows) in
+    let change () =
+      incr changes;
+      if !changes > limit then raise_notrace Exit
+    in
+    let rec place tb eb =
+      match !rest with
+      | [] ->
         change ();
         ups := (tb, eb) :: !ups
-      end
-      else begin
-        rest := rest';
-        if not (ea == eb || Time.equal ea eb) then begin
+      | (ta, ea) :: rest' ->
+        let c = if ta == tb then 0 else Tuple.compare ta tb in
+        if c < 0 then begin
+          change ();
+          gone := ta :: !gone;
+          rest := rest';
+          place tb eb
+        end
+        else if c > 0 then begin
           change ();
           ups := (tb, eb) :: !ups
         end
-      end
-  in
-  match
-    Tuple_map.iter
-      (fun tb eb ->
-        incr n;
-        place tb eb)
-      after.rows;
-    List.iter
-      (fun (ta, _) ->
-        change ();
-        gone := ta :: !gone)
-      !rest
-  with
-  | () -> Some (List.rev !ups, List.rev !gone, !n)
-  | exception Exit -> None
+        else begin
+          rest := rest';
+          if not (ea == eb || Time.equal ea eb) then begin
+            change ();
+            ups := (tb, eb) :: !ups
+          end
+        end
+    in
+    match
+      Tuple_map.iter
+        (fun tb eb ->
+          incr n;
+          place tb eb)
+        after.rows;
+      List.iter
+        (fun (ta, _) ->
+          change ();
+          gone := ta :: !gone)
+        !rest
+    with
+    | () -> Some (List.rev !ups, List.rev !gone, !n)
+    | exception Exit -> None
+  end
 
 let min_texp r = fold (fun _ e acc -> Time.min e acc) r Time.Inf
 

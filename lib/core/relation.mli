@@ -81,7 +81,8 @@ val diff :
     time, and the tuples of [before] that [after] lacks, each in tuple
     order, and [after]'s cardinality [n] — or [None] once the upserts
     and removals together number more than [limit].  One walk of both
-    relations; rows the two share by pointer cost no comparison. *)
+    relations, none for two sharing one map; rows the two share by
+    pointer cost no comparison. *)
 
 val min_texp : t -> Time.t
 (** Minimum expiration time over all tuples; [Inf] when empty. *)

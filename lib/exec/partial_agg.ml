@@ -748,7 +748,16 @@ module Keys = struct
 end
 
 module Kmap = Map.Make (Keys)
-module Kset = Set.Make (Keys)
+
+(* A group filed under its earliest member texp. *)
+module Firsts = Set.Make (struct
+  type t = Time.t * Value.t list
+
+  let compare (a, k) (b, l) =
+    match Time.compare a b with
+    | 0 -> Keys.compare k l
+    | c -> c
+end)
 
 type members = {
   m_rows : int;
@@ -757,27 +766,25 @@ type members = {
 
 type standing = {
   members : members Kmap.t;
-  firsts : Kset.t Tmap.t;  (* earliest member texp -> its groups *)
+  firsts : Firsts.t;
 }
 
-let standing_empty = { members = Kmap.empty; firsts = Tmap.empty }
+let standing_empty = { members = Kmap.empty; firsts = Firsts.empty }
 let first m = fst (Tmap.min_binding m.m_texps)
 
-(* Group [key]'s members go from [before] to [after]. *)
+(* Group [key]'s members go from [before] to [after]; the group stays
+   filed where it is while its earliest texp does. *)
 let refile st key before after =
-  let unfile firsts m =
-    let ks = Kset.remove key (Tmap.find (first m) firsts) in
-    if Kset.is_empty ks then Tmap.remove (first m) firsts
-    else Tmap.add (first m) ks firsts
-  and file firsts m =
-    Tmap.update (first m)
-      (fun ks -> Some (Kset.add key (Option.value ks ~default:Kset.empty)))
-      firsts
-  in
-  let firsts = Option.fold before ~none:st.firsts ~some:(unfile st.firsts) in
-  { members = Kmap.update key (fun _ -> after) st.members;
-    firsts = Option.fold after ~none:firsts ~some:(file firsts)
-  }
+  match before, after with
+  | Some b, Some a when Time.equal (first b) (first a) ->
+    { st with members = Kmap.add key a st.members }
+  | _ ->
+    let firsts =
+      Option.fold before ~none:st.firsts ~some:(fun m -> Firsts.remove (first m, key) st.firsts)
+    in
+    { members = Kmap.update key (fun _ -> after) st.members;
+      firsts = Option.fold after ~none:firsts ~some:(fun m -> Firsts.add (first m, key) firsts)
+    }
 
 let standing_change st key texp n =
   let before = Kmap.find_opt key st.members in
@@ -789,23 +796,22 @@ let standing_change st key texp n =
 
 let standing_expire st tau =
   let rec go st changed =
-    match Tmap.min_binding_opt st.firsts with
-    | Some (texp, keys) when Time.(texp <= tau) ->
-      let drop key st =
-        let m = Kmap.find key st.members in
-        let below, at, later = Tmap.split tau m.m_texps in
-        let gone = Tmap.fold (fun _ c n -> c + n) below (Option.value at ~default:0) in
-        refile st key (Some m)
-          (if Tmap.is_empty later then None
-           else Some { m_rows = m.m_rows - gone; m_texps = later })
-      in
-      go (Kset.fold drop keys st) (Kset.elements keys @ changed)
+    match Firsts.min_elt_opt st.firsts with
+    | Some (texp, key) when Time.(texp <= tau) ->
+      let m = Kmap.find key st.members in
+      let below, at, later = Tmap.split tau m.m_texps in
+      let gone = Tmap.fold (fun _ c n -> c + n) below (Option.value at ~default:0) in
+      go
+        (refile st key (Some m)
+           (if Tmap.is_empty later then None
+            else Some { m_rows = m.m_rows - gone; m_texps = later }))
+        (key :: changed)
     | _ -> (st, changed)
   in
   go st []
 
 let standing_next st =
-  Option.fold (Tmap.min_binding_opt st.firsts) ~none:Time.Inf ~some:fst
+  Option.fold (Firsts.min_elt_opt st.firsts) ~none:Time.Inf ~some:fst
 
 let standing_groups st = Kmap.cardinal st.members
 

@@ -28,77 +28,95 @@ let bag texp n b =
   let c = n + Option.value (Tmap.find_opt texp b) ~default:0 in
   if c = 0 then Tmap.remove texp b else Tmap.add texp c b
 
-(* A grouped COUNT answer kept as per-group state: [groups] the
-   members, [images] per output row the row texps of the groups
-   projected onto it (the row's texp is their max), [changes] every
-   group's change point (their min is the result's texp(e)), [answer]
-   the result they make. *)
+module Keys = Map.Make (struct
+  type t = Value.t list
+  let compare = List.compare Value.compare
+end)
+
+(* One group's share of a grouped answer: its output row, if HAVING
+   keeps it, and its change point. *)
+type share = (Tuple.t * Time.t) option * Time.t
+
+let no_share : share = (None, Time.Inf)
+let same_row = Option.equal (fun (t, e) (t', e') -> Tuple.equal t t' && Time.equal e e')
+
+(* A grouped COUNT answer kept as per-group state: [shares] what each
+   group last contributed, [images] per output row the row texps of the
+   groups projected onto it (the row's texp is their max), [changes]
+   every group's change point (their min is the result's texp(e)),
+   [answer] the result they make. *)
 type counts = {
-  output : Partial_agg.group option -> (Tuple.t * Time.t) option * Time.t;
-  arity : int;  (* of the result *)
-  groups : Partial_agg.standing;
+  output : Partial_agg.group -> share;
+  shares : share Keys.t;
   images : int Tmap.t Rows.t;
   changes : int Tmap.t;
   answer : Eval.result;
 }
 
 let counts ~output ~arity =
-  { output = Option.fold ~none:(None, Time.Inf) ~some:output;
-    arity;
-    groups = Partial_agg.standing_empty;
+  { output;
+    shares = Keys.empty;
     images = Rows.empty;
     changes = Tmap.empty;
     answer = { Eval.relation = Relation.empty ~arity; texp = Time.Inf }
   }
 
 let counts_answer c = c.answer
-let counts_groups c = c.groups
 
-(* The counts after [groups] replaces [c]'s, [keys] naming every group
-   that changed: each one's output row and change point move, and the
-   touched output rows are re-read from [images] — O(log) per key, never
-   a pass over the groups.  Also answers the touched rows before and
-   after, for [diff]. *)
-let regroup c groups keys =
-  let move n (images, changes, touched) g =
-    let row, change = c.output g in
-    let changes = bag change n changes in
-    match row with
-    | None -> (images, changes, touched)
-    | Some (tuple, texp) ->
-      let moved b =
-        let b = bag texp n (Option.value b ~default:Tmap.empty) in
-        if Tmap.is_empty b then None else Some b
-      in
-      (Rows.update tuple moved images, changes, tuple :: touched)
+(* [c] with each listed group as now given ([None]: gone): a group whose
+   share moved takes its old row and change point out of [images] and
+   [changes] and puts its new ones in, and only an output row whose texp
+   moved is rewritten — O(log) per group, never a pass over the groups.
+   Also answers the output rows touched, for [diff]. *)
+let regroup c groups =
+  let shares = ref c.shares and images = ref c.images and changes = ref c.changes in
+  let touched = ref [] in
+  let image tuple f =
+    let b = f (Option.value (Rows.find_opt tuple !images) ~default:Tmap.empty) in
+    images := if Tmap.is_empty b then Rows.remove tuple !images else Rows.add tuple b !images;
+    touched := tuple :: !touched
   in
-  let images, changes, touched =
-    List.fold_left
-      (fun acc key ->
-        move 1
-          (move (-1) acc (Partial_agg.standing_group c.groups key))
-          (Partial_agg.standing_group groups key))
-      (c.images, c.changes, []) keys
-  in
+  List.iter
+    (fun (key, group) ->
+      let row, change = Option.value (Keys.find_opt key !shares) ~default:no_share in
+      let ((row', change') as share) = Option.fold group ~none:no_share ~some:c.output in
+      let moved = not (same_row row row') in
+      if moved || not (Time.equal change change') then begin
+        shares :=
+          if Option.is_none row' && Time.is_infinite change' then Keys.remove key !shares
+          else Keys.add key share !shares;
+        if not (Time.equal change change') then changes := bag change' 1 (bag change (-1) !changes);
+        if moved then
+          match row, row' with
+          | Some (t, e), Some (t', e') when Tuple.equal t t' -> image t (fun b -> bag e' 1 (bag e (-1) b))
+          | _ ->
+            Option.iter (fun (t, e) -> image t (bag e (-1))) row;
+            Option.iter (fun (t, e) -> image t (bag e 1)) row'
+      end)
+    groups;
   let relation =
     List.fold_left
       (fun r tuple ->
-        match Rows.find_opt tuple images with
-        | None -> Relation.remove tuple r
-        | Some b -> Relation.replace tuple ~texp:(fst (Tmap.max_binding b)) r)
-      c.answer.Eval.relation touched
+        let texp = Option.map (fun b -> fst (Tmap.max_binding b)) (Rows.find_opt tuple !images) in
+        if Option.equal Time.equal texp (Relation.texp_opt r tuple) then r
+        else
+          match texp with
+          | None -> Relation.remove tuple r
+          | Some texp -> Relation.replace tuple ~texp r)
+      c.answer.Eval.relation !touched
   in
-  let touched_in r =
-    List.fold_left
-      (fun acc tuple ->
-        Option.fold (Relation.texp_opt r tuple) ~none:acc ~some:(fun texp ->
-            Relation.add tuple ~texp acc))
-      (Relation.empty ~arity:c.arity) touched
-  in
-  let texp = Option.fold (Tmap.min_binding_opt changes) ~none:Time.Inf ~some:fst in
-  ( { c with groups; images; changes; answer = { Eval.relation; texp } },
-    touched_in c.answer.Eval.relation,
-    touched_in relation )
+  let texp = Option.fold (Tmap.min_binding_opt !changes) ~none:Time.Inf ~some:fst in
+  ( { c with shares = !shares; images = !images; changes = !changes;
+             answer = { Eval.relation; texp } },
+    !touched )
+
+(* The rows of [r] among [tuples]. *)
+let rows_in r tuples =
+  List.fold_left
+    (fun acc tuple ->
+      Option.fold (Relation.texp_opt r tuple) ~none:acc ~some:(fun texp ->
+          Relation.add tuple ~texp acc))
+    (Relation.empty ~arity:(Relation.arity r)) tuples
 
 (* The groups writes touched, each once, at the generation of its last
    write: by key and by generation.  The log keeps the last [log_size]
@@ -106,11 +124,6 @@ let regroup c groups keys =
    exactly the groups written since, however many writes that was, and
    an older one every group. *)
 let log_size = 512
-
-module Keys = Map.Make (struct
-  type t = Value.t list
-  let compare = List.compare Value.compare
-end)
 
 module Gens = Map.Make (Int)
 
@@ -126,6 +139,7 @@ type counted = {
   table : string;
   member : Tuple.t -> Value.t list option;
       (* a row's group key, when the scan's predicate keeps the row *)
+  mutable groups : Partial_agg.standing;
   mutable counts : counts;
   mutable stamp : int * int * Time.t;
       (* the catalog's and the table's generations and the clock when
@@ -224,13 +238,15 @@ let counted_of db compiled =
       Texp_run.fold_live (Table.run table) ~tau:(Database.now db) add
         Partial_agg.standing_empty
     in
-    let keys = List.map (fun g -> g.Partial_agg.key) (Partial_agg.standing_partial groups) in
-    let counts, _, _ =
-      regroup (counts ~output ~arity:(List.length projection)) groups keys
+    let counts, _ =
+      regroup
+        (counts ~output ~arity:(List.length projection))
+        (List.map (fun g -> (g.Partial_agg.key, Some g)) (Partial_agg.standing_partial groups))
     in
     Some
       { table = name;
         member;
+        groups;
         counts;
         stamp = (Database.generation db, Table.generation table, Database.now db);
         id = Atomic.fetch_and_add next_id 1;
@@ -295,13 +311,13 @@ let answer e = e.result
 
 let partial e =
   match e.feed with
-  | Counted k -> Partial_agg.standing_partial k.counts.groups
+  | Counted k -> Partial_agg.standing_partial k.groups
   | Rerun | Delta _ -> invalid_arg "Subscription.partial: not a grouped COUNT"
 
 let since e (cursor : Partial_agg.cursor) =
   match e.feed with
   | Counted k ->
-    let groups = k.counts.groups and _, _, now = k.stamp in
+    let groups = k.groups and _, _, now = k.stamp in
     let full =
       cursor.entry <> k.id || cursor.generation < k.floor
       || cursor.generation > k.generation
@@ -322,7 +338,7 @@ let groups t =
   Hashtbl.fold
     (fun _ e n ->
       match e.feed with
-      | Counted k -> n + Partial_agg.standing_groups k.counts.groups
+      | Counted k -> n + Partial_agg.standing_groups k.groups
       | Rerun | Delta _ -> n)
     t.watches 0
 
@@ -412,9 +428,13 @@ let walk ~db ~name compiled result ~from ~to_ ~emit ~settle =
 
 (* A grouped COUNT's step: the groups whose earliest member expires at
    [at] lose those members, and only their output rows are diffed. *)
-let counted_step ~name ~emit at c =
-  let groups, keys = Partial_agg.standing_expire c.groups at in
-  let after, old, fresh = regroup c groups keys in
+let counted_step ~name ~emit at (groups, c) =
+  let groups, keys = Partial_agg.standing_expire groups at in
+  let after, touched =
+    regroup c (List.map (fun key -> (key, Partial_agg.standing_group groups key)) keys)
+  in
+  let old = rows_in c.answer.Eval.relation touched
+  and fresh = rows_in after.answer.Eval.relation touched in
   Relation.iter
     (fun tuple texp ->
       if Time.equal texp at then
@@ -425,7 +445,7 @@ let counted_step ~name ~emit at c =
       if Time.(c.answer.Eval.texp <= at) then
         emit (Refreshed { subscription = name; at }))
     old fresh;
-  after
+  (groups, after)
 
 (* Walks entry [e] from the clock to [to_]; answers the function that
    keeps where the walk stopped.  A plan's entry keeps only the rows
@@ -434,15 +454,16 @@ let counted_step ~name ~emit at c =
 let walk_entry t ~name e ~to_ ~emit =
   match e.feed with
   | Counted k ->
-    let counts =
+    let groups, counts =
       steps
-        ~next:(fun c -> Partial_agg.standing_next c.groups)
+        ~next:(fun (groups, _) -> Partial_agg.standing_next groups)
         ~step:(counted_step ~name ~emit) ~to_
         ~settle:(fun _ -> true)
-        k.counts
+        (k.groups, k.counts)
     in
     fun () ->
       e.result <- counts.answer;
+      k.groups <- groups;
       k.counts <- counts
   | Rerun | Delta _ ->
     let r =
@@ -519,10 +540,15 @@ let write ?trace t ~before record =
                   | Some e when Time.(e > at) -> Partial_agg.standing_change groups key e n
                   | Some _ | None -> groups
                 in
-                let groups = change 1 texp (change (-1) before k.counts.groups) in
-                let counts, old, fresh = regroup k.counts groups [ key ] in
-                diff old fresh;
+                let groups = change 1 texp (change (-1) before k.groups) in
+                let counts, touched =
+                  regroup k.counts [ (key, Partial_agg.standing_group groups key) ]
+                in
+                diff
+                  (rows_in k.counts.answer.Eval.relation touched)
+                  (rows_in counts.answer.Eval.relation touched);
                 e.result <- counts.answer;
+                k.groups <- groups;
                 k.counts <- counts;
                 log_write k key)
               (k.member tuple);
@@ -538,7 +564,7 @@ let write ?trace t ~before record =
     Hashtbl.iter
       (fun _ e ->
         match e.feed with
-        | Counted k when Time.(Partial_agg.standing_next k.counts.groups > at) ->
+        | Counted k when Time.(Partial_agg.standing_next k.groups > at) ->
           Option.iter (fun s -> k.stamp <- s) (stamp t.db k)
         | Counted _ | Rerun | Delta _ -> ())
       t.watches

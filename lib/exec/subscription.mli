@@ -121,8 +121,10 @@ val since : entry -> Partial_agg.cursor -> Partial_agg.delta
 (** {2 Kept grouped COUNT answers}
 
     The per-group answer state a grouped COUNT entry keeps, shared with
-    a cluster coordinator that keeps a merged copy of its shards'
-    groups: re-finalising only the groups that changed. *)
+    a cluster coordinator that merges its shards' copies of a group
+    ({!Partial_agg.merge_all}): it remembers what each group last
+    contributed, so a changed group is re-finalised from its new
+    slices alone. *)
 
 type counts
 
@@ -137,14 +139,14 @@ val counts_answer : counts -> Eval.result
 (** The answer the groups make: exact at the instant the groups were
     last expired to. *)
 
-val counts_groups : counts -> Partial_agg.standing
-
 val regroup :
-  counts -> Partial_agg.standing -> Value.t list list -> counts * Relation.t * Relation.t
-(** [regroup c groups keys]: [c] with [groups] in place of its groups,
-    where [keys] (each once) name every group that differs — only their
-    output rows and change points are re-finalised, O(log) per key.
-    Also answers the touched output rows before and after. *)
+  counts -> (Value.t list * Partial_agg.group option) list -> counts * Tuple.t list
+(** [regroup c groups]: [c] with each listed group (each key once) as
+    given, [None] for a group gone, and the output rows it touched.
+    Only a group whose output row or change point moved is
+    re-finalised, O(log) per group, and only an output row whose texp
+    moved is rewritten: a call that moves none answers [c]'s relation
+    itself. *)
 
 val result : t -> string -> Eval.result option
 (** The named watch's result as of its last delivery or write, uncut. *)

@@ -4,7 +4,7 @@
     [t option]) down the query path; each stage wraps its work in
     {!span}.  Spans record wall-clock offsets relative to the trace's
     creation, in microseconds, so a recorded trace is self-contained —
-    it can be shipped over the wire or parked in the slow-query log
+    it can be shipped over the wire or parked in a {!Trace_store}
     without reference to absolute time.
 
     Every trace carries a {e trace id}: an opaque string minted by the

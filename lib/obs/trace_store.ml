@@ -37,17 +37,28 @@ let finish t ~node ~name trace =
       started_at = Trace.started_at trace;
       total_us = Trace.elapsed_us trace; spans = Trace.spans trace }
 
-let recent t n =
+(* The first [n] retained slots [keep] accepts, in [order]. *)
+let ranked t n ~keep order =
   let slots =
     locked t (fun () ->
         Array.fold_left
-          (fun acc -> function Some s -> s :: acc | None -> acc)
+          (fun acc -> function Some s when keep s.entry -> s :: acc | _ -> acc)
           [] t.ring)
   in
-  let sorted =
-    List.sort (fun (a : slot) (b : slot) -> compare b.seq a.seq) slots
-  in
-  List.filteri (fun i _ -> i < n) sorted |> List.map (fun s -> s.entry)
+  List.filteri (fun i _ -> i < n) (List.sort order slots) |> List.map (fun s -> s.entry)
+
+let newest (a : slot) (b : slot) = compare b.seq a.seq
+let recent t n = ranked t n ~keep:(fun _ -> true) newest
+
+(* A replication session's trace covers its first shipment, not a
+   statement. *)
+let statement e = not (String.starts_with ~prefix:"replicate " e.name)
+
+let slowest t n =
+  ranked t n ~keep:statement (fun a b ->
+      match compare b.entry.total_us a.entry.total_us with
+      | 0 -> newest a b
+      | c -> c)
 
 let by_trace_id t id =
   recent t max_int |> List.filter (fun e -> e.trace_id = id)

@@ -2,7 +2,8 @@
 
     The server parks every completed request trace here (newest
     overwrite oldest) so that [TRACE n] / [expirel_cli trace] can
-    retrieve recent request trees after the fact, and so that traces
+    retrieve recent request trees after the fact, [SLOW n] can rank
+    them by duration, and so that traces
     from several nodes — each stamping its own [node] name — can be
     merged by trace id into one cross-node timeline
     ({!Trace_export.to_json}).  Thread-safe. *)
@@ -30,6 +31,11 @@ val finish : t -> node:string -> name:string -> Trace.t -> unit
 val recent : t -> int -> entry list
 (** [recent t n]: up to [n] most recently recorded entries, newest
     first. *)
+
+val slowest : t -> int -> entry list
+(** [slowest t n]: up to [n] retained statement traces, slowest first,
+    newest first on ties — the SLOW request's answer.  A [replicate …]
+    session's trace is not a statement and is skipped. *)
 
 val by_trace_id : t -> string -> entry list
 (** All retained entries sharing a trace id, newest first. *)

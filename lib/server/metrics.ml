@@ -28,7 +28,6 @@ type t = {
   latency : Instrument.Histogram.t;
   stage : Instrument.Histogram.t Instrument.Family.t;
   op_eval : Instrument.Histogram.t Instrument.Family.t;
-  slow_log : Slow_log.t;
   mutable repl_provider : unit -> repl_stats option;
 }
 
@@ -89,7 +88,6 @@ let create () =
         ~help:"Evaluation time per algebra operator node (Explain's \
                operator vocabulary; parents include their children)"
         ~labels:[ "operator" ] ();
-    slow_log = Slow_log.create ();
     repl_provider = (fun () -> None)
   }
 
@@ -137,9 +135,8 @@ let op_prefix = "op:"
    children, via the recorded parent ids): a parent operator no longer
    double-counts the work its children already reported, so summing a
    family's buckets approximates real wall time.  Spans keep their
-   inclusive durations everywhere else (slow log, wire). *)
-let observe_trace t ~statement ~trace_id ~total_us ~spans =
-  Slow_log.record t.slow_log ~statement ~trace_id ~total_us ~spans;
+   inclusive durations everywhere else (trace store, wire). *)
+let observe_trace t spans =
   List.iter
     (fun (s : Trace.span) ->
       let self_us = Trace.self_us spans s in
@@ -187,15 +184,15 @@ let wire_firing (f : Health.firing) =
     rule_help = f.help
   }
 
-let slowest t n =
+let slowest store n =
   List.map
-    (fun (e : Slow_log.entry) ->
-      { Wire.statement = e.statement;
+    (fun (e : Trace_store.entry) ->
+      { Wire.statement = e.name;
         trace_id = e.trace_id;
         total_us = e.total_us;
         spans = wire_spans e.spans
       })
-    (Slow_log.slowest t.slow_log n)
+    (Trace_store.slowest store n)
 
 let build_version = "0.10.0"
 

@@ -73,12 +73,10 @@ val observe_latency : t -> seconds:float -> unit
 (** Adds one request to the latency histogram (log-scale microsecond
     bounds including the 500 ms bucket, rendered in seconds). *)
 
-val observe_trace :
-  t -> statement:string -> trace_id:string -> total_us:int ->
-  spans:Expirel_obs.Trace.span list -> unit
-(** Feeds one traced request into the per-stage and per-operator
-    histograms ([op:<name>] spans go to the operator family, every
-    other span to the stage family) and into the slow-query log.
+val observe_trace : t -> Expirel_obs.Trace.span list -> unit
+(** Feeds one traced request's spans into the per-stage and
+    per-operator histograms ([op:<name>] spans go to the operator
+    family, every other span to the stage family).
     Histograms observe each span's {e self} time
     ({!Expirel_obs.Trace.self_us}): a parent span's bucket no longer
     double-counts the children nested inside it. *)
@@ -93,9 +91,9 @@ val wire_health_level : Expirel_obs.Health.level -> Wire.health_level
 val wire_firing : Expirel_obs.Health.firing -> Wire.health_firing
 (** A firing health rule as the wire's HEALTH entry. *)
 
-val slowest : t -> int -> Wire.slow_query list
-(** The [n] slowest recorded statements, slowest first, as wire
-    values. *)
+val slowest : Expirel_obs.Trace_store.t -> int -> Wire.slow_query list
+(** The [n] slowest statements the store retains
+    ({!Expirel_obs.Trace_store.slowest}), as wire values. *)
 
 val set_repl_source : t -> (unit -> repl_stats option) -> unit
 (** Installs the provider the [expirel_repl_*] samples poll: role,

@@ -553,10 +553,10 @@ let handle_statement ?trace ?text t want stmt ~reply =
 
 (* Every statement request is traced: parse -> rwlock wait ->
    interpreter stages (lower, eval with per-operator spans, storage).
-   The finished trace feeds the stage/operator histograms, the
-   slow-query log and the trace store whether the statement succeeded
-   or failed — failing statements are exactly the ones worth finding in
-   the log.  When the request carried a trace context ([Exec_traced],
+   The finished trace feeds the stage/operator histograms and the
+   trace store, which SLOW ranks by duration, whether the statement
+   succeeded or failed — failing statements are exactly the ones worth
+   finding there.  When the request carried a trace context ([Exec_traced],
    [Shard_exec]), the spans record under the caller's trace id with the
    caller's span as their root parent, so a fan-out request yields one
    cross-node trace. *)
@@ -573,9 +573,7 @@ let traced t ~ctx ~sql f =
         Obs.Trace.span trace "parse" (fun () -> Interp.parse t.interp sql))
       sql (f trace)
   in
-  Metrics.observe_trace t.metrics ~statement:sql
-    ~trace_id:(Obs.Trace.trace_id tr) ~total_us:(Obs.Trace.elapsed_us tr)
-    ~spans:(Obs.Trace.spans tr);
+  Metrics.observe_trace t.metrics (Obs.Trace.spans tr);
   Obs.Trace_store.finish t.trace_store ~node:t.config.node_name ~name:sql tr;
   response
 
@@ -950,7 +948,7 @@ let handle_request t conn = function
     with_lock t ~write:false (fun () ->
         Wire.Metrics_reply (Metrics.prometheus t.metrics))
   | Wire.Slow_queries n ->
-    Wire.Slow_queries_reply (Metrics.slowest t.metrics (max 0 n))
+    Wire.Slow_queries_reply (Metrics.slowest t.trace_store (max 0 n))
   | Wire.Trace_recent n ->
     Wire.Traces_reply
       (List.map Metrics.wire_trace_entry (Obs.Trace_store.recent t.trace_store (max 0 n)))

@@ -40,6 +40,12 @@ if grep -rnE 'Ordered_index|Expiration_index|Timer_wheel|Binary_heap|expirel_ind
   echo "ci: the names above belong to removed structures or bench/baselines" >&2
   exit 1
 fi
+# One ring of finished traces: SLOW ranks the trace store
+# (Trace_store.slowest); no code keeps a second copy of it.
+if grep -rn 'Slow_log' lib bin test --include='*.ml' --include='*.mli' --include=dune; then
+  echo "ci: Slow_log was folded into Trace_store; rank traces with Trace_store.slowest" >&2
+  exit 1
+fi
 # One per-operator measurement: the executor records its op spans on
 # the request's trace, and EXPLAIN ANALYZE renders its own run's spans.
 # No lib/ or bin/ file names the profile sink or the probe hook those

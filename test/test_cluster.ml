@@ -117,25 +117,44 @@ let queries =
 (* Repeated GROUP BY COUNTs, which the coordinator keeps and the shards
    answer with deltas, drawn between inserts, overwrites (a tuple
    inserted again with a new texp), pinned and broadcast DELETEs, TICKs
-   that expire members, and one rebalance ([grow]): every answer's rows,
-   row texps and texp(e) must be the single node's. *)
+   that expire members, one rebalance ([grow]), and write bursts: one
+   writing 600 groups at one key, past its shard entry's 512-group log,
+   so the next read of each kept text gets a full reply, and one
+   writing 200 of the ~600 groups over every shard.  Every answer's
+   rows, row texps and texp(e) must be the single node's and the
+   stateless merge's. *)
 let standing_groupbys = [
   "SELECT v, COUNT(*) FROM st GROUP BY v";
   "SELECT v, COUNT(*) FROM st GROUP BY v HAVING COUNT(*) > 1";
   "SELECT COUNT(*) FROM st GROUP BY v";
   "SELECT COUNT(*), v FROM st WHERE k > 4 GROUP BY v ORDER BY v" ]
 
-let check_repeated_groupbys ~exec_both ~ask ~grow =
+let check_repeated_groupbys ~exec_both ~ask ~grow ~full_reads =
   let rng = Random.State.make [| 2029 |] in
   let pick lo hi = lo + Random.State.int rng (hi - lo + 1) in
   let insert () =
     exec_both (Printf.sprintf "INSERT INTO st VALUES (%d, %d) TTL %d" (pick 1 12) (pick 0 4)
                  (pick 1 25))
   in
+  let burst ~rows row =
+    for i = 1 to rows do
+      let k, v = row i in
+      exec_both (Printf.sprintf "INSERT INTO st VALUES (%d, %d) TTL %d" k v (pick 1 25))
+    done
+  in
+  let past_the_log () =
+    let k = pick 13 20 in
+    let before = full_reads () in
+    burst ~rows:600 (fun i -> (k, 100 + i));
+    List.iter ask standing_groupbys;
+    Alcotest.(check bool) "a burst past the log is read whole" true (full_reads () > before)
+  and wide () = burst ~rows:200 (fun _ -> (pick 1 12, pick 101 700)) in
   exec_both "CREATE TABLE st (k, v)";
   for _ = 1 to 30 do insert () done;
   for step = 1 to 80 do
     if step = 40 then grow ();
+    if step = 20 || step = 60 then past_the_log ();
+    if step = 30 || step = 70 then wide ();
     match Random.State.int rng 20 with
     | 0 | 1 | 2 | 3 | 4 | 5 | 6 -> insert ()
     | 7 | 8 -> exec_both (Printf.sprintf "DELETE FROM st WHERE k = %d" (pick 1 12))
@@ -197,6 +216,13 @@ let test_matches_single_node () =
               let ask sql =
                 let cl_rows, cl_texp = rows_of sql (exec coord sql) in
                 let sn_rows, sn_texp = rows_of sql (no_err sql (ok (Client.exec c sql))) in
+                let sl_rows, sl_texp =
+                  rows_of sql (no_err sql (Coordinator.exec ~prune:false coord sql))
+                in
+                Alcotest.(check bool) (sql ^ ": the stateless merge's rows and texps") true
+                  (sorted cl_rows = sorted sl_rows);
+                Alcotest.(check bool) (sql ^ ": the stateless merge's texp(e)") true
+                  (Time.equal cl_texp sl_texp);
                 Alcotest.(check bool) (sql ^ ": same rows and texps") true
                   (sorted cl_rows = sorted sn_rows);
                 if string_contains sql "ORDER BY" then
@@ -208,7 +234,9 @@ let test_matches_single_node () =
               Fun.protect
                 ~finally:(fun () -> Server.stop extra)
                 (fun () ->
-                  check_repeated_groupbys ~exec_both ~ask ~grow:(fun () ->
+                  check_repeated_groupbys ~exec_both ~ask
+                    ~full_reads:(fun () -> counter coord "expirel_cluster_agg_full_reads_total")
+                    ~grow:(fun () ->
                       ignore
                         (ok
                            (Coordinator.add_shard coord
@@ -468,10 +496,10 @@ let test_standing_clock () =
          | Wire.Err _ -> true
          | _ -> false))
 
-(* Deltas that ship most groups cost more than the stateless merge:
-   the entry answers its next two reads the stateless way, then asks
-   for what was written meanwhile, and every answer stays the single
-   node's. *)
+(* Deltas that ship most groups are applied like any other: after
+   writes that touch every group, each read is a delta read, and every
+   answer stays the single node's — across a tick that expires members
+   no write touched, and back to light deltas. *)
 let test_standing_rests () =
   with_cluster 2 (fun coord _servers _eps ->
       let single = Expirel_sqlx.Interp.create () in
@@ -507,15 +535,15 @@ let test_standing_rests () =
       check "every group written";
       Alcotest.(check (pair int int)) "a heavy delta" (1, 2) (reads ());
       exec_both "INSERT INTO r VALUES (1, 1) EXPIRES 120";
-      check "resting";
+      check "after a heavy delta";
       exec_both "ADVANCE TO 110";
-      check "resting across a tick";
-      Alcotest.(check (pair int int)) "two stateless reads" (1, 2) (reads ());
+      check "across a tick";
+      Alcotest.(check (pair int int)) "both delta reads" (1, 4) (reads ());
+      write_all 200;
+      check "every group written again";
       exec_both "INSERT INTO r VALUES (2, 2) EXPIRES 130";
-      check "rested";
-      Alcotest.(check (pair int int)) "then what was written meanwhile" (1, 3) (reads ());
       check "light again";
-      Alcotest.(check (pair int int)) "and deltas" (1, 4) (reads ()))
+      Alcotest.(check (pair int int)) "and still deltas" (1, 6) (reads ()))
 
 (* A cursor naming a shard's entry with a negative generation, or one
    ahead of the entry, gets every group, never an error. *)

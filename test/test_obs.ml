@@ -521,35 +521,38 @@ let test_health_strings () =
 
 (* ---------- slow log ---------- *)
 
+(* The slow log is the trace store ranked by duration. *)
+let stored ~name ~trace_id ~total_us =
+  { Trace_store.node = "n1"; trace_id; name; started_at = 0.; total_us; spans = [] }
+
+let slow_names store n =
+  List.map (fun (e : Trace_store.entry) -> e.name) (Trace_store.slowest store n)
+
 let test_slow_log_ranking () =
-  let log = Slow_log.create ~capacity:8 () in
+  let store = Trace_store.create ~capacity:8 () in
   List.iteri
     (fun i us ->
-      Slow_log.record log
-        ~statement:(Printf.sprintf "q%d" i)
-        ~trace_id:(Printf.sprintf "t%d" i) ~total_us:us ~spans:[])
+      Trace_store.record store
+        (stored ~name:(Printf.sprintf "q%d" i) ~trace_id:(Printf.sprintf "t%d" i)
+           ~total_us:us))
     [ 30; 100; 10; 100; 50 ];
-  let top = Slow_log.slowest log 3 in
   Alcotest.(check (list string)) "slowest first, ties newest first"
-    [ "q3"; "q1"; "q4" ]
-    (List.map (fun (e : Slow_log.entry) -> e.statement) top);
+    [ "q3"; "q1"; "q4" ] (slow_names store 3);
   Alcotest.(check int) "asking beyond capacity is clamped" 5
-    (List.length (Slow_log.slowest log 99))
+    (List.length (Trace_store.slowest store 99))
 
+(* What the ring holds is what gets ranked: a replication session's
+   trace, however slow, is no statement, and the ring evicts by age. *)
 let test_slow_log_threshold_and_eviction () =
-  let log = Slow_log.create ~capacity:2 ~threshold_us:20 () in
-  Slow_log.record log ~statement:"fast" ~trace_id:"tf" ~total_us:19 ~spans:[];
-  Alcotest.(check int) "below threshold skipped" 0
-    (List.length (Slow_log.slowest log 10));
+  let store = Trace_store.create ~capacity:2 () in
+  Trace_store.record store (stored ~name:"replicate r1" ~trace_id:"tr" ~total_us:900);
+  Alcotest.(check int) "a replication session is skipped" 0
+    (List.length (Trace_store.slowest store 10));
   List.iter
-    (fun (s, us) ->
-      Slow_log.record log ~statement:s ~trace_id:("t-" ^ s) ~total_us:us
-        ~spans:[])
+    (fun (s, us) -> Trace_store.record store (stored ~name:s ~trace_id:("t-" ^ s) ~total_us:us))
     [ ("a", 100); ("b", 30); ("c", 40) ];
   Alcotest.(check (list string)) "ring evicts oldest, not slowest"
-    [ "c"; "b" ]
-    (List.map (fun (e : Slow_log.entry) -> e.statement)
-       (Slow_log.slowest log 10))
+    [ "c"; "b" ] (slow_names store 10)
 
 (* ---------- prometheus rendering ---------- *)
 
@@ -774,17 +777,14 @@ let test_exposition_hygiene () =
     "# HELP a x\n# TYPE a histogram\n\
      a_bucket{le=\"1\"} 1\na_bucket{le=\"5\"} 2\na_sum 3\na_count 2\n"
 
-(* The slow log stamps each entry with its request's trace id, so slow
-   entries join against the trace store's export. *)
+(* A slow-log entry is a stored trace: it carries its request's trace
+   id and spans, so it joins against the trace store's export. *)
 let test_slow_log_joins_traces () =
-  let log = Slow_log.create () in
   let store = Trace_store.create ~capacity:8 () in
   let tr = Trace.create () in
   Trace.span (Some tr) "eval" (fun () -> ());
   Trace_store.finish store ~node:"n1" ~name:"SELECT 1" tr;
-  Slow_log.record log ~statement:"SELECT 1" ~trace_id:(Trace.trace_id tr)
-    ~total_us:123 ~spans:(Trace.spans tr);
-  match Slow_log.slowest log 1 with
+  match Trace_store.slowest store 1 with
   | [ e ] ->
     Alcotest.(check string) "trace id stamped" (Trace.trace_id tr) e.trace_id;
     let joined =

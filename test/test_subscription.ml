@@ -198,6 +198,51 @@ let test_write_events () =
     [ "+<1>@0"; "-<1>@0"; "+<1>@0"; "+<9>@0"; "-<1>@0"; "+<1>@0" ]
     (List.rev !proj)
 
+(* A grouped COUNT entry rewrites only the output rows whose texp
+   moves: a refresh that touches rows but moves none, and a write that
+   leaves its group's row as it was, keep the answer's relation
+   physically the one before, so a diff against it answers at its
+   pointer check. *)
+let test_counted_keeps_unchanged_rows () =
+  let db = Database.create () in
+  ignore (Database.create_table db ~name:"r" ~columns:[ "k"; "g" ]);
+  let subs = Subscription.create db in
+  let logs = Hashtbl.create 2 in
+  let counted name projection =
+    let log = ref [] in
+    Hashtbl.replace logs name log;
+    watch subs db ~name
+      Algebra.(project projection (aggregate [ 2 ] Aggregate.Count (base "r")))
+      (fun e -> log := render e :: !log)
+  in
+  counted "by_group" [ 2 ];
+  counted "by_count" [ 3 ];
+  let insert k g texp =
+    write_through subs db (Wal.Insert { table = "r"; tuple = Tuple.ints [ k; g ]; texp = fin texp })
+  in
+  List.iteri
+    (fun k (g, texp) -> insert k g texp)
+    [ (1, 100); (1, 200); (2, 20); (2, 30); (2, 50); (3, 5); (3, 60); (3, 70) ];
+  Alcotest.(check int) "kept as per-group state" 6 (Subscription.groups subs);
+  let answer name = (Option.get (Subscription.result subs name)).Eval.relation in
+  (* by_count: <2>@100 (group 1) and <3>@max(20, 5) (groups 2 and 3).
+     At 5 group 3 moves from <3> to <2>@60: both rows are touched, and
+     neither texp moves. *)
+  let before = answer "by_count" in
+  Hashtbl.find logs "by_count" := [];
+  advance subs db (fin 6);
+  Alcotest.(check (list string)) "the refresh moved no row" [ "refresh@5" ]
+    (List.rev !(Hashtbl.find logs "by_count"));
+  Alcotest.(check bool) "a refresh moving no row keeps the relation" true
+    (answer "by_count" == before);
+  Alcotest.(check bool) "a diff against it answers at once" true
+    (Relation.diff ~limit:0 before (answer "by_count") = Some ([], [], 2));
+  (* by_group: a later member leaves <2>@20 as it was. *)
+  let before = answer "by_group" in
+  insert 9 2 80;
+  Alcotest.(check bool) "a write moving no row keeps the relation" true
+    (answer "by_group" == before)
+
 (* A step of the law below: an advance by a hop, or a write applied the
    way the interpreter's write path applies it.  A delete names the
    k-th live row of its table (mod the count), so most deletes hit. *)
@@ -287,4 +332,6 @@ let suite =
     Alcotest.test_case "stepwise advances" `Quick test_incremental_advances;
     Alcotest.test_case "subscribe/unsubscribe" `Quick test_management;
     Alcotest.test_case "writes: delta and rerun" `Quick test_write_events;
+    Alcotest.test_case "a grouped COUNT keeps unchanged rows by pointer" `Quick
+      test_counted_keeps_unchanged_rows;
     prop_current_tracks_truth ]
