@@ -17,7 +17,8 @@
      routed write between reads: microseconds and shard bytes per read
      when the coordinator keeps the groups and the shards ship deltas,
      against the stateless path; and the same for 24 and 80 texts
-     cycled in rotation and for 1 800 writes between reads.
+     cycled in rotation, for 1 800 writes between reads, and for a
+     TICK between reads that crosses the nu of 100 groups.
 
    Expected shape: with 2 of 3 partitions expired, pruning cuts fan-out
    messages by ~2/3 and reply bytes by more (dead shards answer with
@@ -288,7 +289,11 @@ let run_all () =
          coordinator's entries and the shards' statement cache, 80 fit
          neither, so every read is a text's first), and 1 800 writes
          between reads (past a shard entry's 512-write log, so every
-         read ships every group). *)
+         read ships every group).  And one with no write at all: a
+         [TICK 1] between reads of a second 10^4-row table, each tick
+         crossing the nu of 100 of its 10^3 groups, which the shards
+         ship.  Each shape starts on a compacted heap, so it does not
+         pay for the garbage its predecessors left. *)
       Bench_util.subsection "repeated GROUP BY COUNT, one write between reads";
       let sg_rows = 10_000 and sg_groups = 1_000 in
       ignore (no_err (Coordinator.exec coord "CREATE TABLE sg (k, grp)"));
@@ -321,16 +326,21 @@ let run_all () =
          unmeasured rounds first: a text's first read is stateless (the
          shards plan it), its second ships every group, its third a
          delta. *)
-      let repeated ~prune ~texts ~rounds ~writes ~reads =
+      let tick () = ignore (no_err (Coordinator.exec coord "TICK 1")) in
+      let before ~warm = function
+        | `Writes n -> for _ = 1 to if warm then 1 else n do overwrite () done
+        | `Tick -> tick ()
+      in
+      let repeated ~prune ~texts ~rounds ~traffic ~reads =
         let texts = Array.of_list texts in
         let text i = texts.(i mod Array.length texts) in
         for i = 0 to (rounds * Array.length texts) - 1 do
-          overwrite ();
+          before ~warm:true traffic;
           ignore (answer ~prune (text i))
         done;
         let bytes = ref 0 and seconds = ref 0. in
         for i = 0 to reads - 1 do
-          for _ = 1 to writes do overwrite () done;
+          before ~warm:false traffic;
           let before = Coordinator.traffic coord in
           let (_ : _ * Time.t), s = Bench_util.time_it (fun () -> answer ~prune (text i)) in
           let after = Coordinator.traffic coord in
@@ -346,18 +356,40 @@ let run_all () =
         List.init n (fun i ->
             Printf.sprintf "SELECT grp, COUNT(*) FROM sg WHERE k > %d GROUP BY grp" (-i))
       in
+      (* Loaded just before its shape, so the shapes before it run on
+         the heap they always had.  Row k of [sk] is in group k mod
+         10^3, and the groups whose number ends in d lose a member at
+         d + 1, d + 11, ..., d + 91 ticks from now: every tick crosses
+         the nu of 100 groups. *)
+      let load = function
+        | `Writes _ -> ()
+        | `Tick ->
+          ignore (no_err (Coordinator.exec coord "CREATE TABLE sk (k, grp)"));
+          for k = 0 to sg_rows - 1 do
+            let grp = k mod sg_groups in
+            ignore
+              (no_err
+                 (Coordinator.exec coord
+                    (Printf.sprintf "INSERT INTO sk VALUES (%d, %d) TTL %d" k grp
+                       (1 + (grp mod 10) + (10 * (k / sg_groups))))))
+          done
+      in
       let shapes =
-        [ ("one text, 1 write", "n10000_g1000", [ sg_sql ], 3, 1, 100);
-          ("one text, 1800 writes", "w1800", [ sg_sql ], 3, 1800, 12);
-          ("24 texts cycled, 1 write", "t24", filtered 24, 3, 1, 48);
-          ("80 texts cycled, 1 write", "t80", filtered 80, 1, 1, 40) ]
+        [ ("one text, 1 write", "n10000_g1000", [ sg_sql ], 3, `Writes 1, 100);
+          ("one text, 1800 writes", "w1800", [ sg_sql ], 3, `Writes 1800, 12);
+          ("24 texts cycled, 1 write", "t24", filtered 24, 3, `Writes 1, 48);
+          ("80 texts cycled, 1 write", "t80", filtered 80, 1, `Writes 1, 40);
+          ("one text, TICK between reads", "tick",
+           [ "SELECT grp, COUNT(*) FROM sk GROUP BY grp" ], 3, `Tick, 20) ]
       in
       let rows =
         List.concat_map
-          (fun (shape, tag, texts, rounds, writes, reads) ->
-            let kept_us, kept_bytes = repeated ~prune:true ~texts ~rounds ~writes ~reads in
+          (fun (shape, tag, texts, rounds, traffic, reads) ->
+            load traffic;
+            Gc.compact ();
+            let kept_us, kept_bytes = repeated ~prune:true ~texts ~rounds ~traffic ~reads in
             let stateless_us, stateless_bytes =
-              repeated ~prune:false ~texts ~rounds ~writes ~reads
+              repeated ~prune:false ~texts ~rounds ~traffic ~reads
             in
             List.iter
               (fun sql ->

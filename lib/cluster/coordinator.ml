@@ -24,12 +24,19 @@ type slot = {
 
 (* ---------- standing GROUP BY COUNT ---------- *)
 
-(* A repeated cluster GROUP BY COUNT, kept: per shard the groups it
-   shipped (aged here) and the cursor it shipped them under, and the
-   answer their merge finalises to.  Valid for one [epoch]. *)
+module Groups = Map.Make (struct
+  type t = Value.t list
+
+  let compare = List.compare Value.compare
+end)
+
+(* A repeated cluster GROUP BY COUNT, kept: per shard its condensed
+   groups as it last shipped them, by key, and the cursor it shipped
+   them under, and the answer their merge finalises to.  Valid for one
+   [epoch]. *)
 type held = {
   mutable cursor : Partial_agg.cursor;
-  mutable groups : Partial_agg.standing;
+  mutable groups : Partial_agg.group Groups.t;
 }
 
 type kept = {
@@ -794,26 +801,22 @@ let merging ?trace merge =
 
 (* A repeated GROUP BY COUNT over every shard, kept at the coordinator:
    each shard is asked with the cursor of the groups it last shipped
-   and answers only the groups written since (all of them for a cursor
-   it does not know: a text's second read, a rebuilt or evicted entry,
-   a restart).  Each shipped group replaces this coordinator's copy of
-   that shard's group (a full reply rebuilds the copy); every copy then
-   ages to the query's latest clock among tau and the shards' (the
-   clock each delta carries) by expiration alone.  Each group a reply
-   or an expiration touched is merged again from the shards' copies,
-   condensed ({!Partial_agg.merge_all}, the stateless route's merge),
-   and only those groups are re-finalised ({!Subscription.regroup}).
-
-   Holding the member multisets, rather than the shards' condensed
-   two-slice groups, is what lets the copy age: a condensed group says
-   nothing past its change point nu, so it would have to be refetched
-   there.  A shard the read prunes holds nothing live, so its copy
-   empties.  So does the copy of a shard that answered condensed (it
-   kept no standing entry yet, as on a text's first read); that read
-   is answered from the merged partials, as the stateless path answers
-   it.  [None]: a move or a catalog change landed under the read,
-   which must be answered the stateless way. *)
-let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
+   and answers only the groups changed since — written, or crossed by
+   their nu — condensed as the stateless route ships them (all of them
+   for a cursor it does not know: a text's second read, a rebuilt or
+   evicted entry, a restart).  Each reply writes into this
+   coordinator's copy of that shard's groups: a full reply rebuilds it,
+   a delta replaces the groups it names (a slice-less one is gone), and
+   a condensed reply (the shard kept no standing entry yet) seeds it
+   with no cursor, so its next reply is whole again.  A shard the read
+   prunes holds nothing live, so its copy empties.  Each group a reply
+   touched is merged again from the shards' copies
+   ({!Partial_agg.merge_all}, the stateless route's merge), and only
+   those groups are re-finalised ({!Subscription.regroup}).  Every
+   group stands at its own shard's clock, as the stateless route reads
+   it.  [None]: a move or a catalog change landed under the read, which
+   must be answered the stateless way. *)
+let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
   Obs.Instrument.Counter.incr t.fanouts_total;
   let contacted, moves = contacts ~prune:true t None tau in
   let held slot =
@@ -821,7 +824,7 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
     match Hashtbl.find_opt e.held id with
     | Some h -> h
     | None ->
-      let h = { cursor = Partial_agg.no_cursor; groups = Partial_agg.standing_empty } in
+      let h = { cursor = Partial_agg.no_cursor; groups = Groups.empty } in
       Hashtbl.replace e.held id h;
       h
   in
@@ -846,50 +849,40 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
     Some
       (merging ?trace @@ fun () ->
        let touched = ref [] in
-       let touch keys = touched := List.rev_append keys !touched in
-       (* A copy that empties touches every group it held. *)
-       let forget h =
-         touch (List.map fst (Partial_agg.standing_all h.groups));
-         h.groups <- Partial_agg.standing_empty;
-         h.cursor <- Partial_agg.no_cursor
+       let touch (g : Partial_agg.group) = touched := g.key :: !touched in
+       (* A reply's groups written into its shard's copy, emptied first
+          when the reply is [whole]; a slice-less group is gone. *)
+       let write h ~whole groups cursor =
+         if whole then begin
+           Groups.iter (fun _ g -> touch g) h.groups;
+           h.groups <- Groups.empty
+         end;
+         List.iter touch groups;
+         h.groups <-
+           List.fold_left
+             (fun copy (g : Partial_agg.group) ->
+               match g.slices with
+               | [] -> Groups.remove g.key copy
+               | _ :: _ -> Groups.add g.key g copy)
+             h.groups groups;
+         h.cursor <- cursor
        in
-       let shipped =
-         List.filter_map (fun (slot, (_, d, _)) -> Option.map (fun d -> (slot, d)) d) parts
-       in
-       List.iter
-         (fun (slot, (d : Partial_agg.delta)) ->
-           let h = held slot in
-           if d.full then forget h;
-           h.groups <-
-             List.fold_left
-               (fun groups (key, members) -> Partial_agg.standing_replace groups key members)
-               h.groups d.members;
-           touch (List.map fst d.members);
-           h.cursor <- d.cursor)
-         shipped;
-       (* A shard the read pruned holds nothing live; one that kept no
-          entry answered condensed, and ships everything next time. *)
        Hashtbl.iter
          (fun id h ->
-           if not (List.exists (fun (s, _) -> s.shard.Wire.shard_id = id) shipped) then forget h)
+           if not (List.exists (fun (s, _) -> s.shard.Wire.shard_id = id) parts) then
+             write h ~whole:true [] Partial_agg.no_cursor)
          e.held;
-       (* The copies age to the latest clock a shard shipped: one that
-          another coordinator, or a TICK still in flight, moved on. *)
-       let clock =
-         List.fold_left (fun c (_, (d : Partial_agg.delta)) -> Time.max c d.now) tau shipped
-       in
-       locked t (fun () -> t.now <- Time.max t.now clock);
-       Hashtbl.iter
-         (fun _ h ->
-           let groups, expired = Partial_agg.standing_expire h.groups clock in
-           h.groups <- groups;
-           touch expired)
-         e.held;
+       List.iter
+         (fun (slot, (groups, standing, _)) ->
+           match standing with
+           | None -> write (held slot) ~whole:true groups Partial_agg.no_cursor
+           | Some { Partial_agg.full; cursor } -> write (held slot) ~whole:full groups cursor)
+         parts;
        let keys = List.sort_uniq (List.compare Value.compare) !touched in
        let merged =
          Partial_agg.merge_all ~func:Aggregate.Count
            (Hashtbl.fold
-              (fun _ h parts -> List.filter_map (Partial_agg.standing_group h.groups) keys :: parts)
+              (fun _ h parts -> List.filter_map (fun key -> Groups.find_opt key h.groups) keys :: parts)
               e.held [])
        in
        (* [merged] holds, in the same ascending order, the keys some
@@ -903,31 +896,22 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau ~finalize =
        in
        let counts, _ = Subscription.regroup e.counts (pair keys merged) in
        e.counts <- counts;
-       if List.compare_lengths shipped parts = 0 then begin
-         if parts <> [] then
-           Obs.Instrument.Counter.incr
-             (if List.exists (fun (_, (d : Partial_agg.delta)) -> d.full) shipped then
-                t.agg_full_reads_total
-              else t.agg_delta_reads_total);
-         let { Eval.relation; texp } = Subscription.counts_answer counts in
-         present qs ~columns ~recomputed:false
-           (relation, Time.min_list (texp :: List.map (fun (_, (_, _, e)) -> e) parts))
-       end
-       else
-         finalize
-           (List.map
-              (fun (slot, (groups, standing, child_texp)) ->
-                match standing with
-                | Some _ -> (Partial_agg.standing_partial (held slot).groups, child_texp)
-                | None -> (groups, child_texp))
-              parts))
+       let deltas = List.filter_map (fun (_, (_, d, _)) -> d) parts in
+       if parts <> [] && List.compare_lengths deltas parts = 0 then
+         Obs.Instrument.Counter.incr
+           (if List.exists (fun (d : Partial_agg.delta) -> d.full) deltas then
+              t.agg_full_reads_total
+            else t.agg_delta_reads_total);
+       let { Eval.relation; texp } = Subscription.counts_answer counts in
+       present qs ~columns ~recomputed:false
+         (relation, Time.min_list (texp :: List.map (fun (_, (_, _, e)) -> e) parts)))
 
 (* A text's first read (or its first since an eviction or a catalog
    change) only makes its entry and is answered the stateless way, with
    the shards' condensed groups: a text read once costs what it did
-   without the entry, and only a text read again asks for members. *)
+   without the entry, and only a text read again asks with a cursor. *)
 let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~tau
-    ~finalize ~stateless =
+    ~stateless =
   let entry =
     locked t (fun () ->
         if Option.is_some t.moving then None
@@ -954,7 +938,7 @@ let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~
   match
     Option.bind entry (fun e ->
         Mutex.protect e.lock (fun () ->
-            standing_step ?trace t e qs sql ~columns ~tau ~finalize))
+            standing_step ?trace t e qs sql ~columns ~tau))
   with
   | Some reply -> reply
   | None -> stateless ()
@@ -1051,7 +1035,7 @@ let read ?trace ~prune t (qs : Ast.query_stmt) sql =
          prune && qs.Ast.at = None
          && d.Lower.d_func = Aggregate.Count
          && pinned_keys d.Lower.d_child = None
-       then standing_read ?trace t qs sql d ~child_arity ~columns ~tau ~finalize ~stateless
+       then standing_read ?trace t qs sql d ~child_arity ~columns ~tau ~stateless
        else stateless ()
      | Lower.Sketch spec ->
        fan ~child:compiled.Lower.expr ~want:Wire.Want_sketch

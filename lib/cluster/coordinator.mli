@@ -105,11 +105,12 @@ val exec :
       {e and} texps identical to a single node holding all rows.  AVG
       travels as SUM + COUNT, never pre-averaged.  A repeated
       [GROUP BY … COUNT] over every shard (no [AT], no pinned key) is
-      kept here: each shard's per-group member multisets, aged at the
-      coordinator, with each shard asked only for the groups written
-      since its cursor ({!Expirel_exec.Subscription.since}).  Each
-      group a reply or an expiration touched is merged again from the
-      shards' copies by the stateless route's own merge
+      kept here: each shard's condensed groups, as it last shipped
+      them, with each shard asked only for the groups changed (written,
+      or crossed by their nu) since its cursor
+      ({!Expirel_exec.Subscription.since}).  Each group a reply
+      touched is merged again from the shards' copies by the stateless
+      route's own merge
       ({!Expirel_exec.Partial_agg.merge_all}), and only those groups are
       re-finalised; no summed copy is kept.
       [~prune:false], a move in flight, a shard-map change and any DDL

@@ -825,25 +825,6 @@ let standing_group st key = Option.map (group_of key) (Kmap.find_opt key st.memb
 let standing_partial st =
   List.rev (Kmap.fold (fun key m gs -> group_of key m :: gs) st.members [])
 
-let standing_members st key =
-  Option.fold (Kmap.find_opt key st.members) ~none:[] ~some:(fun m ->
-      Tmap.bindings m.m_texps)
-
-let standing_all st =
-  List.rev (Kmap.fold (fun key m gs -> (key, Tmap.bindings m.m_texps) :: gs) st.members [])
-
-let standing_replace st key members =
-  let before = Kmap.find_opt key st.members in
-  let m_texps =
-    List.fold_left
-      (fun b (texp, n) ->
-        let c = n + Option.value (Tmap.find_opt texp b) ~default:0 in
-        if c = 0 then Tmap.remove texp b else Tmap.add texp c b)
-      Tmap.empty members
-  in
-  let m_rows = Tmap.fold (fun _ n acc -> acc + n) m_texps 0 in
-  refile st key before (if Tmap.is_empty m_texps then None else Some { m_rows; m_texps })
-
 (* ---------- standing COUNT deltas ---------- *)
 
 type cursor = {
@@ -855,7 +836,5 @@ let no_cursor = { entry = -1; generation = 0 }
 
 type delta = {
   cursor : cursor;
-  now : Time.t;
   full : bool;
-  members : (Value.t list * (Time.t * int) list) list;
 }

@@ -164,32 +164,19 @@ val standing_group : standing -> Value.t list -> group option
 val standing_partial : standing -> t
 (** Every group's slices, in ascending key order. *)
 
-val standing_members : standing -> Value.t list -> (Time.t * int) list
-(** The group's member multiset: [(texp, members expiring then)],
-    ascending by texp; [[]] for a group the state does not hold. *)
-
-val standing_all : standing -> (Value.t list * (Time.t * int) list) list
-(** Every group's member multiset, in ascending key order. *)
-
-val standing_replace : standing -> Value.t list -> (Time.t * int) list -> standing
-(** [standing_replace s key members]: the group now holds exactly
-    [members] ([[]] drops it; a texp listed twice adds its counts) — a
-    shipped group taking the place of the reader's copy.  O(log groups
-    + texps · log texps). *)
-
 (** {2 Standing COUNT deltas}
 
-    A reader that keeps a copy of another node's standing COUNT state —
-    a cluster coordinator holding each shard's groups — asks for what
+    A reader that keeps a copy of another node's condensed COUNT groups
+    — a cluster coordinator holding each shard's groups — asks for what
     changed since its {!cursor}: the node's standing entry and the
-    write generation of that entry the reader last saw.  Groups age by
-    expiration alone on both sides ({!standing_expire}), so only
-    writes need shipping, with the node's clock: a clock another
-    reader moved ages the reader's copy too. *)
+    generation of that entry the reader last saw.  A condensed group
+    changes only at a write to it or when its earliest members expire
+    (its nu: Table 1 has no neutral COUNT member), and the node logs
+    both, so the reader never ages its copy itself. *)
 
 type cursor = {
   entry : int;  (** the node's standing entry (a fresh id per build) *)
-  generation : int;  (** writes the entry had taken *)
+  generation : int;  (** changes the entry had logged *)
 }
 
 val no_cursor : cursor
@@ -197,17 +184,10 @@ val no_cursor : cursor
 
 type delta = {
   cursor : cursor;  (** where this reply leaves the reader *)
-  now : Time.t;
-      (** the node's clock, which [members] are aged to: the reader ages
-          its copy of every other group there too *)
   full : bool;
-      (** every group the entry holds (the request's cursor was from
-          another entry, or older than the entry's log), not only the
-          groups written since the cursor *)
-  members : (Value.t list * (Time.t * int) list) list;
-      (** per shipped group, ascending by key, its whole member
-          multiset as {!standing_members} answers it: [[]] for a group
-          the writes emptied *)
+      (** the reply's groups are every group the entry holds (the
+          request's cursor was from another entry, or older than the
+          entry's log), not only the groups changed since the cursor *)
 }
 
 (** The GROUP BY value primitives the table hashes and probes with:

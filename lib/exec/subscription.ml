@@ -118,11 +118,12 @@ let rows_in r tuples =
           Relation.add tuple ~texp acc))
     (Relation.empty ~arity:(Relation.arity r)) tuples
 
-(* The groups writes touched, each once, at the generation of its last
-   write: by key and by generation.  The log keeps the last [log_size]
-   groups written; a reader's cursor at or after its [floor] gets
-   exactly the groups written since, however many writes that was, and
-   an older one every group. *)
+(* The groups whose condensed form changed — a write reached them, or
+   their earliest members expired — each once, at the generation of its
+   last change: by key and by generation.  The log keeps the last
+   [log_size] groups changed; a reader's cursor at or after its [floor]
+   gets exactly the groups changed since, however many changes that
+   was, and an older one every group. *)
 let log_size = 512
 
 module Gens = Map.Make (Int)
@@ -145,14 +146,16 @@ type counted = {
       (* the catalog's and the table's generations and the clock when
          last kept current *)
   id : int;
-  mutable generation : int;  (* writes that reached a group *)
-  mutable written : int Keys.t;  (* a logged group's last write *)
+  mutable generation : int;
+      (* changes logged: writes that reached a group, and groups whose
+         earliest members expired *)
+  mutable written : int Keys.t;  (* a logged group's last change *)
   mutable order : Value.t list Gens.t;  (* the same, by generation *)
   mutable logged : int;
   mutable floor : int;  (* the latest generation the log dropped *)
 }
 
-(* Group [key] takes the entry's next generation. *)
+(* Group [key] changed: it takes the entry's next generation. *)
 let log_write k key =
   k.generation <- k.generation + 1;
   (match Keys.find_opt key k.written with
@@ -317,21 +320,22 @@ let partial e =
 let since e (cursor : Partial_agg.cursor) =
   match e.feed with
   | Counted k ->
-    let groups = k.groups and _, _, now = k.stamp in
     let full =
       cursor.entry <> k.id || cursor.generation < k.floor
       || cursor.generation > k.generation
     in
-    let members =
-      if full then Partial_agg.standing_all groups
+    let groups =
+      if full then Partial_agg.standing_partial k.groups
       else
         Gens.to_seq_from (cursor.generation + 1) k.order
         |> Seq.map (fun (_, key) -> key)
         |> List.of_seq
         |> List.sort (List.compare Value.compare)
-        |> List.map (fun key -> (key, Partial_agg.standing_members groups key))
+        |> List.map (fun key ->
+               Option.value (Partial_agg.standing_group k.groups key)
+                 ~default:{ Partial_agg.key; slices = [] })
     in
-    { Partial_agg.cursor = { entry = k.id; generation = k.generation }; now; full; members }
+    (groups, { Partial_agg.cursor = { entry = k.id; generation = k.generation }; full })
   | Rerun | Delta _ -> invalid_arg "Subscription.since: not a grouped COUNT"
 
 let groups t =
@@ -427,8 +431,9 @@ let walk ~db ~name compiled result ~from ~to_ ~emit ~settle =
   fst (steps ~next ~step ~to_ ~settle (result, due result ~after:from))
 
 (* A grouped COUNT's step: the groups whose earliest member expires at
-   [at] lose those members, and only their output rows are diffed. *)
-let counted_step ~name ~emit at (groups, c) =
+   [at] lose those members, and only their output rows are diffed.  The
+   state carries the keys of every group a step changed, for the log. *)
+let counted_step ~name ~emit at (groups, c, changed) =
   let groups, keys = Partial_agg.standing_expire groups at in
   let after, touched =
     regroup c (List.map (fun key -> (key, Partial_agg.standing_group groups key)) keys)
@@ -445,26 +450,29 @@ let counted_step ~name ~emit at (groups, c) =
       if Time.(c.answer.Eval.texp <= at) then
         emit (Refreshed { subscription = name; at }))
     old fresh;
-  (groups, after)
+  (groups, after, List.rev_append keys changed)
 
 (* Walks entry [e] from the clock to [to_]; answers the function that
    keeps where the walk stopped.  A plan's entry keeps only the rows
    live at [to_]: the walk fired every other one, and a monotone watch,
-   never refreshed, would otherwise hold every row it ever had. *)
+   never refreshed, would otherwise hold every row it ever had.  A
+   grouped COUNT entry logs the groups its steps changed only there, so
+   a forecast, which never keeps the walk, leaves the log as it was. *)
 let walk_entry t ~name e ~to_ ~emit =
   match e.feed with
   | Counted k ->
-    let groups, counts =
+    let groups, counts, changed =
       steps
-        ~next:(fun (groups, _) -> Partial_agg.standing_next groups)
+        ~next:(fun (groups, _, _) -> Partial_agg.standing_next groups)
         ~step:(counted_step ~name ~emit) ~to_
         ~settle:(fun _ -> true)
-        (k.groups, k.counts)
+        (k.groups, k.counts, [])
     in
     fun () ->
       e.result <- counts.answer;
       k.groups <- groups;
-      k.counts <- counts
+      k.counts <- counts;
+      List.iter (log_write k) (List.rev changed)
   | Rerun | Delta _ ->
     let r =
       walk ~db:t.db ~name e.compiled e.result ~from:(Database.now t.db) ~to_

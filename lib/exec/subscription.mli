@@ -103,19 +103,19 @@ val partial : entry -> Partial_agg.t
 (** A grouped COUNT entry's groups as {!Executor.partial} would fold
     them.  @raise Invalid_argument for any other entry *)
 
-val since : entry -> Partial_agg.cursor -> Partial_agg.delta
+val since : entry -> Partial_agg.cursor -> Partial_agg.t * Partial_agg.delta
 (** A grouped COUNT entry's groups for a reader whose copy stands at
-    [cursor]: when the cursor names this entry and its log (the last
-    512 distinct groups written) reaches back to it, the groups {!write}
-    touched since, however many writes that was (each with its whole
-    member multiset, [[]] once emptied); otherwise (another entry's
+    [cursor], condensed as {!partial} gives them, in ascending key
+    order.  When the cursor names this entry and its log (the last 512
+    distinct groups changed) reaches back to it: the groups changed
+    since, however many changes that was — a group {!write} reached, or
+    one whose earliest members a {!deliver_until} expired — with
+    [{key; slices = []}] for a group gone.  Otherwise (another entry's
     cursor, a negative or future generation, one older than the log)
-    every group ([full]).  Expirations are not
-    shipped — the reader ages its copy itself with
-    {!Partial_agg.standing_expire}, to the reply's [now], the clock the
-    entry's groups stand at.  The reply's cursor is the entry's present
-    one.  O(changed groups ·
-    log groups), or O(groups) for a full reply.
+    every group ([full]).  Each group stands at the clock, so a reader
+    that replaces its copy's groups with these holds the entry's groups
+    exactly.  The delta's cursor is the entry's present one.
+    O(changed groups · log groups), or O(groups) for a full reply.
     @raise Invalid_argument for any other entry *)
 
 (** {2 Kept grouped COUNT answers}
@@ -158,8 +158,8 @@ val readers : t -> string -> string list
 
 val forecast_events : t -> until:Time.t -> int
 (** How many events a {!deliver_until} to [until] would fire, across
-    every subscription — without firing handlers or touching any watch
-    or clock state.  Exact, not an estimate: each
+    every subscription — without firing handlers or touching any watch,
+    log or clock state.  Exact, not an estimate: each
     watch's {!walk} is replayed, and logical time makes the future
     deterministic.  [0] when [until] is infinite or not beyond the
     current clock.  This is the fan-out forecast the observability
@@ -175,7 +175,8 @@ val deliver_until : t -> Time.t -> unit
     live at the target, so calling this and never advancing leaves the
     watches ahead of the clock: the next delivery resumes from the clock
     without reporting those rows again.  One delivery is one {!walk} per
-    watch.
+    watch; a grouped COUNT entry logs each group whose earliest members
+    it expired ({!since}).
     @raise Invalid_argument when moving backwards or to [Inf] *)
 
 val write :
@@ -194,7 +195,7 @@ val write :
     does, without [Refreshed].  Each record stamps the grouped COUNT
     entries it reaches for {!fresh} — an [Advance], those its walk
     brought to the clock — and a row that reaches a group takes the
-    entry's next write generation and enters its log ({!since}). *)
+    entry's next generation and enters its log ({!since}). *)
 
 val walk :
   db:Database.t -> name:string -> Plan.compiled -> Eval.result ->

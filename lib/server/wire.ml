@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 14
+let version = 15
 
 type error_code =
   | Parse_error
@@ -174,8 +174,8 @@ type shard_body =
              merges them across shards and finalises once *)
       standing : Expirel_exec.Partial_agg.delta option;
           (* for a request with a cursor the shard answered from its
-             standing COUNT entry: the member multisets of the groups
-             written since (then [groups] is empty) *)
+             standing COUNT entry: then [groups] are the groups changed
+             since (a slice-less group for one gone) *)
     }
 
 type request =
@@ -338,10 +338,6 @@ let count_slice (s : Expirel_exec.Partial_agg.slice) =
   && Int64.equal (Int64.bits_of_float s.s_fsum) 0L
   && List.for_all (( = ) Value.Null) [ s.s_sum; s.s_min; s.s_max ]
 
-let put_count b (texp, n) =
-  put_time b texp;
-  put_int b n
-
 let put_groups b (groups : Expirel_exec.Partial_agg.t) =
   if List.for_all (fun g -> List.for_all count_slice g.Expirel_exec.Partial_agg.slices) groups
   then begin
@@ -349,8 +345,11 @@ let put_groups b (groups : Expirel_exec.Partial_agg.t) =
     put_list b
       (fun b (g : Expirel_exec.Partial_agg.group) ->
         put_list b put_value g.key;
-        put_list b put_count
-          (List.map (fun (s : Expirel_exec.Partial_agg.slice) -> (s.s_texp, s.s_rows)) g.slices))
+        put_list b
+          (fun b (s : Expirel_exec.Partial_agg.slice) ->
+            put_time b s.s_texp;
+            put_int b s.s_rows)
+          g.slices)
       groups
   end
   else begin
@@ -364,13 +363,7 @@ let put_cursor b (c : Expirel_exec.Partial_agg.cursor) =
 
 let put_delta b (d : Expirel_exec.Partial_agg.delta) =
   put_cursor b d.cursor;
-  put_time b d.now;
-  put_bool b d.full;
-  put_list b
-    (fun b (key, members) ->
-      put_list b put_value key;
-      put_list b put_count members)
-    d.members
+  put_bool b d.full
 
 let put_body b = function
   | Body_rows { columns; rows; texp_e; recomputed } ->
@@ -664,11 +657,6 @@ let get_group c : Expirel_exec.Partial_agg.group =
   let slices = get_list c get_slice in
   { key; slices }
 
-let get_count c =
-  let texp = get_time c in
-  let n = get_int c in
-  (texp, n)
-
 let get_groups c : Expirel_exec.Partial_agg.t =
   match get_u8 c with
   | 1 -> get_list c get_group
@@ -677,7 +665,8 @@ let get_groups c : Expirel_exec.Partial_agg.t =
         let key = get_list c get_value in
         let slices =
           get_list c (fun c ->
-              let s_texp, s_rows = get_count c in
+              let s_texp = get_time c in
+              let s_rows = get_int c in
               { Expirel_exec.Partial_agg.s_texp;
                 s_rows;
                 s_nonnull = 0;
@@ -697,15 +686,8 @@ let get_cursor c : Expirel_exec.Partial_agg.cursor =
 
 let get_delta c : Expirel_exec.Partial_agg.delta =
   let cursor = get_cursor c in
-  let now = get_time c in
   let full = get_bool c in
-  let members =
-    get_list c (fun c ->
-        let key = get_list c get_value in
-        let members = get_list c get_count in
-        (key, members))
-  in
-  { cursor; now; full; members }
+  { cursor; full }
 
 let get_body c =
   match get_u8 c with
@@ -1080,12 +1062,10 @@ let rec pp_response ppf = function
        Format.fprintf ppf "sketch partial (%d byte(s), columns %s)"
          (String.length payload)
          (String.concat ", " columns)
-     | Body_agg { columns; child_texp; groups; standing } ->
+     | Body_agg { columns; child_texp; groups; standing = _ } ->
        Format.fprintf ppf
          "aggregate partial (%d group(s), columns %s, child texp(e) = %s)"
-         (List.length groups
-         + Option.fold standing ~none:0 ~some:(fun d ->
-               List.length d.Expirel_exec.Partial_agg.members))
+         (List.length groups)
          (String.concat ", " columns)
          (Time.to_string child_texp));
     Format.fprintf ppf "@\n[partition: %d live row(s), texp in [%s, %s]]"

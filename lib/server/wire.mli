@@ -153,6 +153,14 @@ val version : int
     an opaque protocol error; the bump makes it a diagnosable
     mismatch.  [Exec] (1) and [Exec_traced] (10) keep their layouts and
     are answered as a [Statement] holding nothing.
+    v15 — a standing COUNT delta ships condensed groups.  This bump is
+    {e required}: a [Body_agg]'s delta is now its cursor and its
+    [full] flag alone, and the groups it names ride in the body's
+    groups list in the COUNT form (a slice-less group for one gone),
+    where v14 shipped the shard's clock and each group's member
+    multiset beside an empty groups list.  A shard now also names a
+    group whose earliest members expired, so the coordinator no longer
+    ages its copies.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer
@@ -309,8 +317,8 @@ type want =
           for COUNT, one per distinct expiration time otherwise, with
           AVG travelling as its SUM and COUNT components.  With a
           cursor, a grouped COUNT over a scan without [AT] answers from
-          the shard's standing entry instead: the member multisets of
-          the groups written since the cursor, or of every group
+          the shard's standing entry instead: the condensed groups
+          changed since the cursor, or every group
           ({!Expirel_exec.Subscription.since}) *)
 (** What a coordinator asks a shard to answer a statement with. *)
 
@@ -344,9 +352,10 @@ type shard_body =
           the slice components (counts, sums, extrema) are
           partition-decomposable and the finalisation is shared code,
           not a reimplementation.  [standing] answers a request with a
-          cursor from the shard's standing COUNT entry ([groups] is
-          then empty): the coordinator replaces its copy of each
-          shipped group and ages the rest itself *)
+          cursor from the shard's standing COUNT entry: [groups] are
+          then the groups changed since the cursor (every group when
+          [full]), a slice-less group for one gone, and the
+          coordinator replaces its copy of each *)
 (** The payload of a {!Shard_reply}, one per {!want} (acks also answer
     the rebalance writes). *)
 

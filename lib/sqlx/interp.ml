@@ -306,13 +306,13 @@ let aggregate_partial ?trace ?text t ~cursor { Ast.q; at; order_by = _; limit = 
         (* the scan under a standing COUNT never invalidates *)
         match
           standing ?trace ?text ~hit:((hit || returning) && at = None) t entry
-            ~rows:(fun (p, d, _) ->
-              List.length p
-              + Option.fold d ~none:0 ~some:(fun d -> List.length d.Partial_agg.members))
+            ~rows:(fun (p, _, _) -> List.length p)
             (fun e ->
               match cursor with
               | None -> (Subscription.partial e, None, Time.Inf)
-              | Some c -> ([], Some (Subscription.since e c), Time.Inf))
+              | Some c ->
+                let groups, delta = Subscription.since e c in
+                (groups, Some delta, Time.Inf))
         with
         | Some answer -> answer
         | None ->

@@ -164,8 +164,9 @@ val run :
     cursor, a grouped COUNT over a scan without [AT] whose standing
     entry exists (or is promoted now: on a plan-cache hit, or at once
     when the cursor names an entry, since its reader held this node's
-    groups before) answers an empty partial and the entry's
-    {!Expirel_exec.Subscription.since} delta instead; any other query
+    groups before) answers the entry's
+    {!Expirel_exec.Subscription.since} groups and delta instead; any
+    other query
     answers as without a cursor.
 
     [Sketch_partial] requires a query carrying [APPROX_COUNT] or

@@ -46,6 +46,14 @@ if grep -rn 'Slow_log' lib bin test --include='*.ml' --include='*.mli' --include
   echo "ci: Slow_log was folded into Trace_store; rank traces with Trace_store.slowest" >&2
   exit 1
 fi
+# One COUNT group form crosses the wire and is kept: a standing delta
+# ships the shard's condensed groups, and the coordinator holds those,
+# never a copy of the member multisets.
+if grep -rnE 'standing_members|standing_all|standing_replace' lib bin test \
+    --include='*.ml' --include='*.mli' --include=dune; then
+  echo "ci: a kept GROUP BY holds the shards' condensed groups; no code copies member multisets" >&2
+  exit 1
+fi
 # One per-operator measurement: the executor records its op spans on
 # the request's trace, and EXPLAIN ANALYZE renders its own run's spans.
 # No lib/ or bin/ file names the profile sink or the probe hook those

@@ -247,27 +247,27 @@ let test_matches_single_node () =
 (* ---------- standing GROUP BY COUNT: what a repeated read ships ---------- *)
 
 (* The bytes a reply's standing delta spends on one shipped group: the
-   codec's own encoding with the group against without it. *)
-let group_bytes key members =
-  let reply members =
+   codec's own encoding with the group, condensed from its members'
+   texps, against without it. *)
+let group_bytes key texps =
+  let module P = Expirel_exec.Partial_agg in
+  let reply groups =
     Wire.encode_response
       (Wire.Shard_reply
          { partition = { Wire.live_rows = 0; min_texp = Time.Inf; max_texp = Time.Inf };
            body =
              Wire.Body_agg
-               { columns = []; child_texp = Time.Inf; groups = [];
-                 standing =
-                   Some
-                     { Expirel_exec.Partial_agg.cursor = Expirel_exec.Partial_agg.no_cursor;
-                       now = Time.Inf; full = false; members } } })
+               { columns = []; child_texp = Time.Inf; groups;
+                 standing = Some { P.cursor = P.no_cursor; full = false } } })
   in
-  String.length (reply [ (key, members) ]) - String.length (reply [])
+  let members = List.fold_left (fun st texp -> P.standing_change st key texp 1) P.standing_empty texps in
+  String.length (reply (Option.to_list (P.standing_group members key))) - String.length (reply [])
 
 (* A repeated cluster GROUP BY COUNT ships what changed: the third read
    of a text (the second promotes it on the shards, and ships every
    group) with no write between gets an empty delta from every shard,
-   and after one routed write exactly one group crosses the wire, its
-   member multiset whole.  A shard whose entry the statement cache
+   and after one routed write exactly one group crosses the wire,
+   condensed.  A shard whose entry the statement cache
    evicted (65 distinct texts), or that restarted from its store,
    ships every group again, and every answer is the single node's. *)
 let test_standing_groupby () =
@@ -338,7 +338,7 @@ let test_standing_groupby () =
         (empty
         + group_bytes [ Value.Int 1 ]
             (List.filter_map
-               (fun (k, texp) -> if owner k = owner 301 then Some (Time.Fin texp, 1) else None)
+               (fun (k, texp) -> if owner k = owner 301 then Some (Time.Fin texp) else None)
                [ (1, 1001); (101, 1003); (201, 1005); (301, 2000) ]))
         (read "one write");
       (* An overwrite, a delete and a tick that expires members. *)
@@ -428,9 +428,11 @@ let test_standing_groupby () =
 (* A kept GROUP BY COUNT stays the single node's answer when the
    shards' clock moves behind this coordinator's back: another
    coordinator's ADVANCE, or a TICK sent to the shards themselves.  The
-   deltas carry the shards' clock, and the kept copies age to it.  A
-   text's first read at a coordinator is the stateless read, even where
-   the shards already keep the text standing for another. *)
+   shards ship the groups whose earliest members expired.  An ADVANCE
+   that reaches one shard only leaves each shard's groups at its own
+   clock, as the stateless merge reads them.  A text's first read at a
+   coordinator is the stateless read, even where the shards already
+   keep the text standing for another. *)
 let test_standing_clock () =
   with_cluster 2 (fun coord servers eps ->
       let other = Coordinator.create ~heartbeat_interval:0. ~shards:eps () in
@@ -494,7 +496,29 @@ let test_standing_clock () =
       Alcotest.(check bool) "a past AT is refused at the shards' clock" true
         (match Coordinator.exec coord "SELECT g, COUNT(*) FROM c AT 25 GROUP BY g" with
          | Wire.Err _ -> true
-         | _ -> false))
+         | _ -> false);
+      (* An ADVANCE that reaches shard 0 only: the kept answer is the
+         stateless merge's, each shard read at its own clock. *)
+      let advance server sql =
+        let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port server) () in
+        Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+            ignore (no_err sql (ok (Client.exec c sql))))
+      in
+      let stateless what =
+        let rows, texp_e = rows_of q (exec coord q) in
+        let sl_rows, sl_texp = rows_of q (no_err q (Coordinator.exec ~prune:false coord q)) in
+        Alcotest.(check bool) (what ^ ": the stateless merge's rows and texps") true
+          (sorted rows = sorted sl_rows);
+        Alcotest.(check bool) (what ^ ": the stateless merge's texp(e)") true
+          (Time.equal texp_e sl_texp)
+      in
+      advance (List.hd servers) "ADVANCE TO 40";
+      stateless "after an ADVANCE on one shard";
+      Alcotest.(check int) "a delta read" 4 (delta_reads coord);
+      List.iter (fun server -> advance server "ADVANCE TO 40") (List.tl servers);
+      ignore (ok (Expirel_sqlx.Interp.exec_sql single "ADVANCE TO 40"));
+      stateless "once every shard caught up";
+      check "once every shard caught up")
 
 (* Deltas that ship most groups are applied like any other: after
    writes that touch every group, each read is a delta read, and every
@@ -545,6 +569,55 @@ let test_standing_rests () =
       check "light again";
       Alcotest.(check (pair int int)) "and still deltas" (1, 6) (reads ()))
 
+(* A TICK alone, no write, crossing the nu of more groups on one shard
+   than its entry's 512-group log holds: the next read ships that
+   shard's groups whole, one full read, and stays the single node's
+   answer. *)
+let test_standing_tick_past_log () =
+  with_cluster 2 (fun coord _servers _eps ->
+      let single = Expirel_sqlx.Interp.create () in
+      let exec_both sql =
+        ignore (exec coord sql);
+        ignore (ok (Expirel_sqlx.Interp.exec_sql single sql))
+      in
+      let q = "SELECT g, COUNT(*) FROM x GROUP BY g" in
+      let check what =
+        let rows, texp_e = rows_of q (exec coord q) in
+        match ok (Expirel_sqlx.Interp.exec_sql single q) with
+        | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
+          Alcotest.(check bool) (what ^ ": the single node's rows and texps") true
+            (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) (Lazy.force listing)));
+          Alcotest.(check bool) (what ^ ": the single node's texp(e)") true
+            (Time.equal texp_e sn_texp)
+        | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m
+      in
+      let reads () =
+        ( counter coord "expirel_cluster_agg_full_reads_total",
+          counter coord "expirel_cluster_agg_delta_reads_total" )
+      in
+      (* Group g lives on the owner of k = g: a member expiring at 10,
+         another at 50. *)
+      let groups = 1200 in
+      exec_both "CREATE TABLE x (k, g, n)";
+      for g = 1 to groups do
+        exec_both (Printf.sprintf "INSERT INTO x VALUES (%d, %d, 1) EXPIRES 10" g g);
+        exec_both (Printf.sprintf "INSERT INTO x VALUES (%d, %d, 2) EXPIRES 50" g g)
+      done;
+      let map = Coordinator.shard_map coord in
+      let owned id =
+        List.length
+          (List.filter (fun g -> Wire.shard_owner map (Value.Int g) = id) (List.init groups succ))
+      in
+      Alcotest.(check bool) "a shard holds more groups than the log" true
+        (max (owned 0) (owned 1) > 512);
+      for _ = 1 to 3 do check "kept" done;
+      Alcotest.(check (pair int int)) "one full read, one delta" (1, 1) (reads ());
+      exec_both "TICK 12";
+      check "after the TICK";
+      Alcotest.(check (pair int int)) "the TICK's read is one full read" (2, 1) (reads ());
+      check "after the full read";
+      Alcotest.(check (pair int int)) "then deltas again" (2, 2) (reads ()))
+
 (* A cursor naming a shard's entry with a negative generation, or one
    ahead of the entry, gets every group, never an error. *)
 let test_standing_cursor_bounds () =
@@ -558,22 +631,23 @@ let test_standing_cursor_bounds () =
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let ask cursor =
         match ok (Client.request c (Wire.Shard_exec { sql; ctx = None; want = Wire.Want_agg (Some cursor) })) with
-        | Wire.Shard_reply { body = Wire.Body_agg { standing = Some d; _ }; _ } -> Some d
+        | Wire.Shard_reply { body = Wire.Body_agg { groups; standing = Some d; _ }; _ } ->
+          Some (groups, d)
         | Wire.Shard_reply _ -> None
         | r -> Alcotest.failf "cursor %d/%d: %s" cursor.entry cursor.generation (Wire.render_response r)
       in
       (* the first ask plans the text; the second promotes it *)
       ignore (ask Expirel_exec.Partial_agg.no_cursor);
-      let d =
+      let all, d =
         match ask Expirel_exec.Partial_agg.no_cursor with
-        | Some d -> d
+        | Some reply -> reply
         | None -> Alcotest.fail "the promoted text answers from its entry"
       in
-      Alcotest.(check int) "every group" 3 (List.length d.members);
+      Alcotest.(check int) "every group" 3 (List.length all);
       let here = d.Expirel_exec.Partial_agg.cursor in
       let groups cursor =
         match ask cursor with
-        | Some d -> (d.full, List.length d.members)
+        | Some (groups, d) -> (d.full, List.length groups)
         | None -> Alcotest.fail "the entry answers"
       in
       Alcotest.(check (pair bool int)) "its own cursor: nothing written" (false, 0) (groups here);
@@ -2214,6 +2288,8 @@ let suite =
       test_standing_rests;
     Alcotest.test_case "a negative or future cursor gets every group" `Quick
       test_standing_cursor_bounds;
+    Alcotest.test_case "a TICK past 512 groups' nu is read whole" `Quick
+      test_standing_tick_past_log;
     Alcotest.test_case "inserts land on shard_owner's pick" `Quick
       test_insert_routing;
     Alcotest.test_case "expired shards are pruned, answers unchanged" `Quick

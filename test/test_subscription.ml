@@ -243,6 +243,49 @@ let test_counted_keeps_unchanged_rows () =
   Alcotest.(check bool) "a write moving no row keeps the relation" true
     (answer "by_group" == before)
 
+(* A grouped COUNT entry logs the groups whose nu an ADVANCE passes —
+   their earliest members expired — so [since] names exactly those
+   (a slice-less group for one gone), each as the entry now condenses
+   it.  A HORIZON forecast over the same window first walks the entry
+   without keeping the walk, and leaves the log as it was. *)
+let test_counted_logs_passed_nu () =
+  let db = Database.create () in
+  let r = Database.create_table db ~name:"r" ~columns:[ "k"; "g" ] in
+  List.iteri
+    (fun k (g, texp) -> Table.insert r (Tuple.ints [ k; g ]) ~texp:(fin texp))
+    [ (1, 10); (1, 50); (2, 15); (2, 15); (2, 50); (3, 30); (3, 50); (4, 12); (5, 50) ];
+  let subs = Subscription.create db in
+  let entry =
+    Subscription.prepare subs
+      (Planner.plan ~db Algebra.(project [ 2; 3 ] (aggregate [ 2 ] Aggregate.Count (base "r"))))
+      ignore
+  in
+  Subscription.install subs ~name:"w" entry;
+  let _, { Partial_agg.cursor; full } = Subscription.since entry Partial_agg.no_cursor in
+  Alcotest.(check bool) "a reader holding nothing gets every group" true full;
+  Alcotest.(check bool) "the forecast sees the window's events" true
+    (Subscription.forecast_events subs ~until:(fin 20) > 0);
+  let groups, delta = Subscription.since entry cursor in
+  Alcotest.(check int) "the forecast leaves the generation" cursor.generation
+    delta.Partial_agg.cursor.generation;
+  Alcotest.(check int) "and logs no group" 0 (List.length groups);
+  advance subs db (fin 20);
+  let groups, delta = Subscription.since entry cursor in
+  Alcotest.(check bool) "a delta" false delta.Partial_agg.full;
+  let keys = List.map (fun (g : Partial_agg.group) -> g.key) groups in
+  Alcotest.(check bool) "exactly the groups whose nu passed" true
+    (keys = [ [ Value.Int 1 ]; [ Value.Int 2 ]; [ Value.Int 4 ] ]);
+  let now = Subscription.partial entry in
+  List.iter
+    (fun (g : Partial_agg.group) ->
+      Alcotest.(check bool) "each as the entry condenses it" true
+        (match List.find_opt (fun (h : Partial_agg.group) -> h.key = g.key) now with
+         | Some h -> h = g
+         | None -> g.slices = []))
+    groups;
+  Alcotest.(check bool) "the emptied group ships slice-less" true
+    (List.exists (fun (g : Partial_agg.group) -> g.key = [ Value.Int 4 ] && g.slices = []) groups)
+
 (* A step of the law below: an advance by a hop, or a write applied the
    way the interpreter's write path applies it.  A delete names the
    k-th live row of its table (mod the count), so most deletes hit. *)
@@ -334,4 +377,6 @@ let suite =
     Alcotest.test_case "writes: delta and rerun" `Quick test_write_events;
     Alcotest.test_case "a grouped COUNT keeps unchanged rows by pointer" `Quick
       test_counted_keeps_unchanged_rows;
+    Alcotest.test_case "a grouped COUNT logs the groups whose nu passed" `Quick
+      test_counted_logs_passed_nu;
     prop_current_tracks_truth ]

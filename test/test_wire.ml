@@ -276,17 +276,10 @@ let count_group : Expirel_exec.Partial_agg.group Gen.t =
             })
           wide_time wide_int))
 
-(* v11 standing deltas: a cursor and per group its member multiset. *)
+(* v15 standing deltas: a cursor and the [full] flag; the groups ride
+   in the body's COUNT groups, a slice-less one for a group gone. *)
 let delta : Expirel_exec.Partial_agg.delta Gen.t =
-  let open Gen in
-  let* cursor = cursor in
-  let* now = wide_time in
-  let* full = bool in
-  let* members =
-    list_size (int_range 0 4)
-      (pair row (list_size (int_range 0 4) (pair wide_time wide_int)))
-  in
-  return { Expirel_exec.Partial_agg.cursor; now; full; members }
+  Gen.map2 (fun cursor full -> { Expirel_exec.Partial_agg.cursor; full }) cursor Gen.bool
 
 (* v9: every body the statement envelope carries. *)
 let shard_body : Wire.shard_body Gen.t =
