@@ -278,9 +278,10 @@ let run_all () =
       (* ---- a repeated GROUP BY COUNT, one write between reads ----
 
          10^4 rows in 10^3 groups.  The coordinator keeps the merged
-         groups, and each shard answers its cursor with the groups
-         written since: after one routed write, one group crosses the
-         wire and one is re-finalised.  The same reads through the
+         groups, and each shard answers the version of its groups the
+         coordinator's copy holds with the groups changed since: after
+         one routed write, one group crosses the wire and one is
+         re-finalised.  The same reads through the
          forced broadcast ([~prune:false]) take the stateless path —
          every shard's condensed groups, merged and finalised whole.
 
@@ -288,8 +289,8 @@ let run_all () =
          the stateless path: texts cycled in rotation (24 fit both the
          coordinator's entries and the shards' statement cache, 80 fit
          neither, so every read is a text's first), and 1 800 writes
-         between reads (past a shard entry's 512-write log, so every
-         read ships every group).  And one with no write at all: a
+         between reads (most groups change, so a delta ships most of
+         them).  And one with no write at all: a
          [TICK 1] between reads of a second 10^4-row table, each tick
          crossing the nu of 100 of its 10^3 groups, which the shards
          ship.  Each shape starts on a compacted heap, so it does not

@@ -1,6 +1,7 @@
 (* The observability experiment: a live server under a small workload,
-   its Prometheus exposition fetched and validated over the wire, the
-   slow-query log queried for span breakdowns, and the raw instrument
+   its Prometheus exposition fetched and validated over the wire, SLOW
+   asked for the slowest recent traces (the trace store ranked by
+   duration) and their span breakdowns, and the raw instrument
    costs micro-timed — what does always-on tracing cost a request, and
    what does a METRICS scrape cost the server? *)
 
@@ -149,7 +150,7 @@ let validate_exposition text =
   (!families, !samples)
 
 let run_all () =
-  Bench_util.section "observability: tracing, exposition, slow queries";
+  Bench_util.section "observability: tracing, exposition, slowest traces";
   let server = Server.create () in
   Server.start server;
   let port = Server.port server in
@@ -226,10 +227,10 @@ let run_all () =
       [ "samples"; string_of_int samples ];
       [ "scrape avg"; Printf.sprintf "%.2f ms" (scrape_s /. float_of_int scrapes *. 1e3) ] ];
 
-  (* ---- the slow-query log ---- *)
-  Bench_util.subsection "slow queries";
+  (* ---- SLOW: the trace store's slowest recent requests ---- *)
+  Bench_util.subsection "slowest traces";
   let slow = ok (Client.slow_queries client 3) in
-  if slow = [] then failwith "slow log empty after workload";
+  if slow = [] then failwith "SLOW found no trace after the workload";
   List.iter
     (fun (q : Wire.slow_query) ->
       Printf.printf "%6dus  %s (%d spans)\n" q.total_us q.statement
@@ -238,7 +239,7 @@ let run_all () =
   let breakdowns =
     List.for_all (fun (q : Wire.slow_query) -> q.spans <> []) slow
   in
-  if not breakdowns then failwith "slow queries lack span breakdowns";
+  if not breakdowns then failwith "the slowest traces lack span breakdowns";
   Bench_util.metric_int "slow_top_us"
     (match slow with q :: _ -> q.Wire.total_us | [] -> 0);
 

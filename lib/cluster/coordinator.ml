@@ -31,11 +31,11 @@ module Groups = Map.Make (struct
 end)
 
 (* A repeated cluster GROUP BY COUNT, kept: per shard its condensed
-   groups as it last shipped them, by key, and the cursor it shipped
-   them under, and the answer their merge finalises to.  Valid for one
-   [epoch]. *)
+   groups as it last shipped them, by key, and the held version it
+   shipped them under (0: none), and the answer their merge finalises
+   to.  Valid for one [epoch]. *)
 type held = {
-  mutable cursor : Partial_agg.cursor;
+  mutable version : int;
   mutable groups : Partial_agg.group Groups.t;
 }
 
@@ -800,22 +800,28 @@ let merging ?trace merge =
   | Error message -> err message
 
 (* A repeated GROUP BY COUNT over every shard, kept at the coordinator:
-   each shard is asked with the cursor of the groups it last shipped
-   and answers only the groups changed since — written, or crossed by
-   their nu — condensed as the stateless route ships them (all of them
-   for a cursor it does not know: a text's second read, a rebuilt or
-   evicted entry, a restart).  Each reply writes into this
-   coordinator's copy of that shard's groups: a full reply rebuilds it,
-   a delta replaces the groups it names (a slice-less one is gone), and
-   a condensed reply (the shard kept no standing entry yet) seeds it
-   with no cursor, so its next reply is whole again.  A shard the read
-   prunes holds nothing live, so its copy empties.  Each group a reply
-   touched is merged again from the shards' copies
-   ({!Partial_agg.merge_all}, the stateless route's merge), and only
-   those groups are re-finalised ({!Subscription.regroup}).  Every
-   group stands at its own shard's clock, as the stateless route reads
-   it.  [None]: a move or a catalog change landed under the read, which
-   must be answered the stateless way. *)
+   each shard is asked with the version of the groups it last shipped
+   on this coordinator's connection, and answers only the groups
+   changed since — written, or crossed by their nu — condensed as the
+   stateless route ships them (all of them when it holds no such
+   version from the entry it answers with: a text's second read, an
+   evicted or rebuilt entry, a redialled connection).  Each reply
+   writes into this coordinator's copy of that shard's groups: a full
+   reply rebuilds it, a delta replaces the groups it names (a
+   slice-less one is gone), and a condensed reply (the shard kept no
+   standing entry yet) seeds it at version 0, so its next reply is
+   whole again.  A shard the read prunes holds nothing live, so its
+   copy empties.  Versions count from 1 on each connection, and a
+   redial reuses the slot: a copy names only a version whose reply it
+   recorded, so a read that records none (a failed gather, a move or a
+   catalog change under it) drops every contacted shard's copy to
+   version 0.  Each group a reply touched is merged again from the
+   shards' copies ({!Partial_agg.merge_all}, the stateless route's
+   merge), and only those groups are re-finalised
+   ({!Subscription.regroup}).  Every group stands at its own shard's
+   clock, as the stateless route reads it.  [None]: a move or a catalog
+   change landed under the read, which must be answered the stateless
+   way. *)
 let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
   Obs.Instrument.Counter.incr t.fanouts_total;
   let contacted, moves = contacts ~prune:true t None tau in
@@ -824,27 +830,31 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
     match Hashtbl.find_opt e.held id with
     | Some h -> h
     | None ->
-      let h = { cursor = Partial_agg.no_cursor; groups = Groups.empty } in
+      let h = { version = 0; groups = Groups.empty } in
       Hashtbl.replace e.held id h;
       h
   in
   let requests =
     List.map
       (fun slot ->
-        (slot, shard_exec ?trace ~want:(Wire.Want_agg (Some (held slot).cursor)) sql))
+        (slot, shard_exec ?trace ~want:(Wire.Want_agg (Some (held slot).version)) sql))
       contacted
   in
+  let unrecorded () = List.iter (fun slot -> (held slot).version <- 0) contacted in
   match
     gather ~what:"an aggregate request"
       (function
-        | Wire.Shard_reply { body = Wire.Body_agg { groups; standing; child_texp; _ }; _ }
-          ->
-          Some (groups, standing, child_texp)
+        | Wire.Shard_reply { body = Wire.Body_agg { groups; held; child_texp; _ }; _ } ->
+          Some (groups, held, child_texp)
         | _ -> None)
       (fan_out ?trace t requests)
   with
-  | Error reply -> Some reply
-  | Ok _ when locked t (fun () -> t.moves <> moves || t.epoch <> e.epoch) -> None
+  | Error reply ->
+    unrecorded ();
+    Some reply
+  | Ok _ when locked t (fun () -> t.moves <> moves || t.epoch <> e.epoch) ->
+    unrecorded ();
+    None
   | Ok parts ->
     Some
       (merging ?trace @@ fun () ->
@@ -852,7 +862,7 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
        let touch (g : Partial_agg.group) = touched := g.key :: !touched in
        (* A reply's groups written into its shard's copy, emptied first
           when the reply is [whole]; a slice-less group is gone. *)
-       let write h ~whole groups cursor =
+       let write h ~whole groups version =
          if whole then begin
            Groups.iter (fun _ g -> touch g) h.groups;
            h.groups <- Groups.empty
@@ -865,18 +875,18 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
                | [] -> Groups.remove g.key copy
                | _ :: _ -> Groups.add g.key g copy)
              h.groups groups;
-         h.cursor <- cursor
+         h.version <- version
        in
        Hashtbl.iter
          (fun id h ->
            if not (List.exists (fun (s, _) -> s.shard.Wire.shard_id = id) parts) then
-             write h ~whole:true [] Partial_agg.no_cursor)
+             write h ~whole:true [] 0)
          e.held;
        List.iter
-         (fun (slot, (groups, standing, _)) ->
-           match standing with
-           | None -> write (held slot) ~whole:true groups Partial_agg.no_cursor
-           | Some { Partial_agg.full; cursor } -> write (held slot) ~whole:full groups cursor)
+         (fun (slot, (groups, held_groups, _)) ->
+           match held_groups with
+           | None -> write (held slot) ~whole:true groups 0
+           | Some { Wire.full; version } -> write (held slot) ~whole:full groups version)
          parts;
        let keys = List.sort_uniq (List.compare Value.compare) !touched in
        let merged =
@@ -896,10 +906,10 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
        in
        let counts, _ = Subscription.regroup e.counts (pair keys merged) in
        e.counts <- counts;
-       let deltas = List.filter_map (fun (_, (_, d, _)) -> d) parts in
-       if parts <> [] && List.compare_lengths deltas parts = 0 then
+       let kept = List.filter_map (fun (_, (_, h, _)) -> h) parts in
+       if parts <> [] && List.compare_lengths kept parts = 0 then
          Obs.Instrument.Counter.incr
-           (if List.exists (fun (d : Partial_agg.delta) -> d.full) deltas then
+           (if List.exists (fun (h : Wire.held_groups) -> h.full) kept then
               t.agg_full_reads_total
             else t.agg_delta_reads_total);
        let { Eval.relation; texp } = Subscription.counts_answer counts in
@@ -909,7 +919,7 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
 (* A text's first read (or its first since an eviction or a catalog
    change) only makes its entry and is answered the stateless way, with
    the shards' condensed groups: a text read once costs what it did
-   without the entry, and only a text read again asks with a cursor. *)
+   without the entry, and only a text read again names a version. *)
 let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~tau
     ~stateless =
   let entry =
@@ -1258,7 +1268,7 @@ let create ?(node_name = "coordinator") ?health_rules
         Obs.Registry.counter registry
           ~name:"expirel_cluster_agg_delta_reads_total"
           ~help:"Repeated GROUP BY COUNT reads every shard answered with only \
-                 the groups written since the coordinator's cursor";
+                 the groups changed since the version the coordinator holds";
       agg_full_reads_total =
         Obs.Registry.counter registry
           ~name:"expirel_cluster_agg_full_reads_total"

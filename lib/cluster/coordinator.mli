@@ -107,8 +107,10 @@ val exec :
       [GROUP BY … COUNT] over every shard (no [AT], no pinned key) is
       kept here: each shard's condensed groups, as it last shipped
       them, with each shard asked only for the groups changed (written,
-      or crossed by their nu) since its cursor
-      ({!Expirel_exec.Subscription.since}).  Each group a reply
+      or crossed by their nu) since the version it last shipped on this
+      coordinator's connection ({!Expirel_server.Wire.Want_agg}).  A
+      read that records no reply drops every contacted shard's copy to
+      version 0, so its next reply is whole.  Each group a reply
       touched is merged again from the shards' copies by the stateless
       route's own merge
       ({!Expirel_exec.Partial_agg.merge_all}), and only those groups are

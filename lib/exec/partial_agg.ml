@@ -825,16 +825,23 @@ let standing_group st key = Option.map (group_of key) (Kmap.find_opt key st.memb
 let standing_partial st =
   List.rev (Kmap.fold (fun key m gs -> group_of key m :: gs) st.members [])
 
-(* ---------- standing COUNT deltas ---------- *)
-
-type cursor = {
-  entry : int;
-  generation : int;
-}
-
-let no_cursor = { entry = -1; generation = 0 }
-
-type delta = {
-  cursor : cursor;
-  full : bool;
-}
+(* One ordered walk: [after]'s groups in a fold, [before]'s bindings
+   in a sequence beside it.  A group whose members record is the same
+   physical value in both stands unchanged; so does its key, which
+   spares the comparison. *)
+let standing_diff before after =
+  if before == after then []
+  else
+    let gone key acc = { key; slices = [] } :: acc in
+    (* [after]'s group [ka] against [before]'s bindings not yet passed *)
+    let rec place ka ma (acc, rest) =
+      match rest () with
+      | Seq.Cons ((kb, mb), rest') ->
+        let c = if kb == ka then 0 else Keys.compare kb ka in
+        if c < 0 then place ka ma (gone kb acc, rest')
+        else if c > 0 then (group_of ka ma :: acc, rest)
+        else ((if mb == ma then acc else group_of ka ma :: acc), rest')
+      | Seq.Nil -> (group_of ka ma :: acc, rest)
+    in
+    let acc, rest = Kmap.fold place after.members ([], Kmap.to_seq before.members) in
+    List.rev (Seq.fold_left (fun acc (kb, _) -> gone kb acc) acc rest)

@@ -164,31 +164,14 @@ val standing_group : standing -> Value.t list -> group option
 val standing_partial : standing -> t
 (** Every group's slices, in ascending key order. *)
 
-(** {2 Standing COUNT deltas}
-
-    A reader that keeps a copy of another node's condensed COUNT groups
-    — a cluster coordinator holding each shard's groups — asks for what
-    changed since its {!cursor}: the node's standing entry and the
-    generation of that entry the reader last saw.  A condensed group
-    changes only at a write to it or when its earliest members expire
-    (its nu: Table 1 has no neutral COUNT member), and the node logs
-    both, so the reader never ages its copy itself. *)
-
-type cursor = {
-  entry : int;  (** the node's standing entry (a fresh id per build) *)
-  generation : int;  (** changes the entry had logged *)
-}
-
-val no_cursor : cursor
-(** A reader holding nothing yet: it names no entry. *)
-
-type delta = {
-  cursor : cursor;  (** where this reply leaves the reader *)
-  full : bool;
-      (** the reply's groups are every group the entry holds (the
-          request's cursor was from another entry, or older than the
-          entry's log), not only the groups changed since the cursor *)
-}
+val standing_diff : standing -> standing -> t
+(** [standing_diff before after]: the groups of [after] whose members
+    differ from [before]'s, in ascending key order, as
+    {!standing_group} gives them, and [{key; slices = []}] for a group
+    [after] no longer holds.  A group counts as unchanged when its
+    members record is physically the same in both, as it is in a state
+    derived from [before] by changes that never reached the group.  One
+    ordered walk of both key maps: O(groups in either). *)
 
 (** The GROUP BY value primitives the table hashes and probes with:
     {!Value.hash} and {!Value.equal} with the [Int] case inlined.  Each

@@ -118,24 +118,6 @@ let rows_in r tuples =
           Relation.add tuple ~texp acc))
     (Relation.empty ~arity:(Relation.arity r)) tuples
 
-(* The groups whose condensed form changed — a write reached them, or
-   their earliest members expired — each once, at the generation of its
-   last change: by key and by generation.  The log keeps the last
-   [log_size] groups changed; a reader's cursor at or after its [floor]
-   gets exactly the groups changed since, however many changes that
-   was, and an older one every group. *)
-let log_size = 512
-
-module Gens = Map.Make (Int)
-
-(* Entry ids start at a random 62-bit point per process, so a cursor
-   from before a restart matches an entry after it only by a 2^-62-ish
-   chance, and no id is [Partial_agg.no_cursor]'s. *)
-let next_id =
-  Atomic.make
-    (Int64.to_int
-       (Int64.shift_right_logical (Random.State.bits64 (Random.State.make_self_init ())) 2))
-
 type counted = {
   table : string;
   member : Tuple.t -> Value.t list option;
@@ -145,31 +127,7 @@ type counted = {
   mutable stamp : int * int * Time.t;
       (* the catalog's and the table's generations and the clock when
          last kept current *)
-  id : int;
-  mutable generation : int;
-      (* changes logged: writes that reached a group, and groups whose
-         earliest members expired *)
-  mutable written : int Keys.t;  (* a logged group's last change *)
-  mutable order : Value.t list Gens.t;  (* the same, by generation *)
-  mutable logged : int;
-  mutable floor : int;  (* the latest generation the log dropped *)
 }
-
-(* Group [key] changed: it takes the entry's next generation. *)
-let log_write k key =
-  k.generation <- k.generation + 1;
-  (match Keys.find_opt key k.written with
-   | Some g -> k.order <- Gens.remove g k.order
-   | None -> k.logged <- k.logged + 1);
-  k.written <- Keys.add key k.generation k.written;
-  k.order <- Gens.add k.generation key k.order;
-  if k.logged > log_size then begin
-    let g, oldest = Gens.min_binding k.order in
-    k.order <- Gens.remove g k.order;
-    k.written <- Keys.remove oldest k.written;
-    k.logged <- k.logged - 1;
-    k.floor <- g
-  end
 
 (* How a write reaches an entry: a rerun at the clock, the written row as
    its own delta (see [delta_of]), or the group it touches. *)
@@ -251,13 +209,7 @@ let counted_of db compiled =
         member;
         groups;
         counts;
-        stamp = (Database.generation db, Table.generation table, Database.now db);
-        id = Atomic.fetch_and_add next_id 1;
-        generation = 0;
-        written = Keys.empty;
-        order = Gens.empty;
-        logged = 0;
-        floor = 0
+        stamp = (Database.generation db, Table.generation table, Database.now db)
       }
   | _ -> None
 
@@ -312,31 +264,10 @@ let prune t =
 
 let answer e = e.result
 
-let partial e =
+let standing e =
   match e.feed with
-  | Counted k -> Partial_agg.standing_partial k.groups
-  | Rerun | Delta _ -> invalid_arg "Subscription.partial: not a grouped COUNT"
-
-let since e (cursor : Partial_agg.cursor) =
-  match e.feed with
-  | Counted k ->
-    let full =
-      cursor.entry <> k.id || cursor.generation < k.floor
-      || cursor.generation > k.generation
-    in
-    let groups =
-      if full then Partial_agg.standing_partial k.groups
-      else
-        Gens.to_seq_from (cursor.generation + 1) k.order
-        |> Seq.map (fun (_, key) -> key)
-        |> List.of_seq
-        |> List.sort (List.compare Value.compare)
-        |> List.map (fun key ->
-               Option.value (Partial_agg.standing_group k.groups key)
-                 ~default:{ Partial_agg.key; slices = [] })
-    in
-    (groups, { Partial_agg.cursor = { entry = k.id; generation = k.generation }; full })
-  | Rerun | Delta _ -> invalid_arg "Subscription.since: not a grouped COUNT"
+  | Counted k -> k.groups
+  | Rerun | Delta _ -> invalid_arg "Subscription.standing: not a grouped COUNT"
 
 let groups t =
   Hashtbl.fold
@@ -431,9 +362,8 @@ let walk ~db ~name compiled result ~from ~to_ ~emit ~settle =
   fst (steps ~next ~step ~to_ ~settle (result, due result ~after:from))
 
 (* A grouped COUNT's step: the groups whose earliest member expires at
-   [at] lose those members, and only their output rows are diffed.  The
-   state carries the keys of every group a step changed, for the log. *)
-let counted_step ~name ~emit at (groups, c, changed) =
+   [at] lose those members, and only their output rows are diffed. *)
+let counted_step ~name ~emit at (groups, c) =
   let groups, keys = Partial_agg.standing_expire groups at in
   let after, touched =
     regroup c (List.map (fun key -> (key, Partial_agg.standing_group groups key)) keys)
@@ -450,29 +380,26 @@ let counted_step ~name ~emit at (groups, c, changed) =
       if Time.(c.answer.Eval.texp <= at) then
         emit (Refreshed { subscription = name; at }))
     old fresh;
-  (groups, after, List.rev_append keys changed)
+  (groups, after)
 
 (* Walks entry [e] from the clock to [to_]; answers the function that
    keeps where the walk stopped.  A plan's entry keeps only the rows
    live at [to_]: the walk fired every other one, and a monotone watch,
-   never refreshed, would otherwise hold every row it ever had.  A
-   grouped COUNT entry logs the groups its steps changed only there, so
-   a forecast, which never keeps the walk, leaves the log as it was. *)
+   never refreshed, would otherwise hold every row it ever had. *)
 let walk_entry t ~name e ~to_ ~emit =
   match e.feed with
   | Counted k ->
-    let groups, counts, changed =
+    let groups, counts =
       steps
-        ~next:(fun (groups, _, _) -> Partial_agg.standing_next groups)
+        ~next:(fun (groups, _) -> Partial_agg.standing_next groups)
         ~step:(counted_step ~name ~emit) ~to_
         ~settle:(fun _ -> true)
-        (k.groups, k.counts, [])
+        (k.groups, k.counts)
     in
     fun () ->
       e.result <- counts.answer;
       k.groups <- groups;
-      k.counts <- counts;
-      List.iter (log_write k) (List.rev changed)
+      k.counts <- counts
   | Rerun | Delta _ ->
     let r =
       walk ~db:t.db ~name e.compiled e.result ~from:(Database.now t.db) ~to_
@@ -557,8 +484,7 @@ let write ?trace t ~before record =
                   (rows_in counts.answer.Eval.relation touched);
                 e.result <- counts.answer;
                 k.groups <- groups;
-                k.counts <- counts;
-                log_write k key)
+                k.counts <- counts)
               (k.member tuple);
             Option.iter (fun s -> k.stamp <- s) (stamp t.db k))
         names

@@ -99,23 +99,12 @@ val prune : t -> unit
 val answer : entry -> Eval.result
 (** The entry's answer, exact at the clock. *)
 
-val partial : entry -> Partial_agg.t
-(** A grouped COUNT entry's groups as {!Executor.partial} would fold
-    them.  @raise Invalid_argument for any other entry *)
-
-val since : entry -> Partial_agg.cursor -> Partial_agg.t * Partial_agg.delta
-(** A grouped COUNT entry's groups for a reader whose copy stands at
-    [cursor], condensed as {!partial} gives them, in ascending key
-    order.  When the cursor names this entry and its log (the last 512
-    distinct groups changed) reaches back to it: the groups changed
-    since, however many changes that was — a group {!write} reached, or
-    one whose earliest members a {!deliver_until} expired — with
-    [{key; slices = []}] for a group gone.  Otherwise (another entry's
-    cursor, a negative or future generation, one older than the log)
-    every group ([full]).  Each group stands at the clock, so a reader
-    that replaces its copy's groups with these holds the entry's groups
-    exactly.  The delta's cursor is the entry's present one.
-    O(changed groups · log groups), or O(groups) for a full reply.
+val standing : entry -> Partial_agg.standing
+(** A grouped COUNT entry's groups, exact at the clock: the persistent
+    state itself, so a reader that keeps it can later
+    {!Partial_agg.standing_diff} it against the entry's state then.  A
+    write or a walk that reaches a group replaces that group's members
+    record; every other group's stays physically the same.
     @raise Invalid_argument for any other entry *)
 
 (** {2 Kept grouped COUNT answers}
@@ -158,8 +147,8 @@ val readers : t -> string -> string list
 
 val forecast_events : t -> until:Time.t -> int
 (** How many events a {!deliver_until} to [until] would fire, across
-    every subscription — without firing handlers or touching any watch,
-    log or clock state.  Exact, not an estimate: each
+    every subscription — without firing handlers or touching any watch
+    or clock state.  Exact, not an estimate: each
     watch's {!walk} is replayed, and logical time makes the future
     deterministic.  [0] when [until] is infinite or not beyond the
     current clock.  This is the fan-out forecast the observability
@@ -175,8 +164,7 @@ val deliver_until : t -> Time.t -> unit
     live at the target, so calling this and never advancing leaves the
     watches ahead of the clock: the next delivery resumes from the clock
     without reporting those rows again.  One delivery is one {!walk} per
-    watch; a grouped COUNT entry logs each group whose earliest members
-    it expired ({!since}).
+    watch.
     @raise Invalid_argument when moving backwards or to [Inf] *)
 
 val write :
@@ -194,8 +182,7 @@ val write :
     entry reruns at the clock and reports the difference as a refresh
     does, without [Refreshed].  Each record stamps the grouped COUNT
     entries it reaches for {!fresh} — an [Advance], those its walk
-    brought to the clock — and a row that reaches a group takes the
-    entry's next generation and enters its log ({!since}). *)
+    brought to the clock. *)
 
 val walk :
   db:Database.t -> name:string -> Plan.compiled -> Eval.result ->

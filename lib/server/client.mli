@@ -61,8 +61,9 @@ val timeout : t -> float
 val exec : t -> string -> (Wire.response, string) result
 (** Executes one sqlx statement on the server, as a [Statement].  The
     answer is an ordinary [Rows] in presentation order whichever form
-    it crossed the wire in: for up to {!Wire.held_capacity} statement
-    texts the client keeps the last answer the server sent as held, and
+    it crossed the wire in: for up to {!Wire.held_capacity} (64)
+    statement texts the client keeps the last answer the server sent as
+    held, and
     names it on its next read of the same text, so the server can reply
     with only the rows added, re-timed or removed since.  A reply that
     does not fit the copy held ends the connection with [Error]. *)

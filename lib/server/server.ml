@@ -98,13 +98,18 @@ let default_config =
     health_rules = default_health_rules
   }
 
-(* The answer a connection was last sent for a statement text, as the
-   version its client holds a copy of.  Only the connection's worker
-   thread touches its held answers. *)
+(* What a connection was last sent for a statement text, as the
+   version its peer holds a copy of: a client's answer, or a
+   coordinator's kept GROUP BY groups with the standing entry they came
+   from.  Only the connection's worker thread touches its held
+   answers. *)
+type copy =
+  | Answer of { answer : Relation.t; rows : int (* its cardinality *) }
+  | Groups of { entry : Subscription.entry; groups : Partial_agg.standing }
+
 type held = {
   version : int;
-  answer : Relation.t;
-  rows : int;  (* the answer's cardinality *)
+  copy : copy;
 }
 
 type conn = {
@@ -593,6 +598,13 @@ let update_held t conn f =
   f conn.held;
   Metrics.add_held_answers t.metrics (Lru.length conn.held - before)
 
+(* [copy] held for [sql] under the connection's next version. *)
+let keep t conn sql copy =
+  conn.last_version <- conn.last_version + 1;
+  let version = conn.last_version in
+  update_held t conn (fun h -> Lru.set h sql { version; copy });
+  version
+
 (* The reply to a holdable query on a [Statement] request.  A delta
    goes out when the connection holds the version the client names and
    fewer than half the answer's rows changed since; it is built from
@@ -607,8 +619,8 @@ let hold t conn ~sql ~held (outcome : Interp.outcome) =
   | Interp.Rows { columns; relation; listing; texp_e; recomputed } ->
     let delta =
       match (held, Lru.find conn.held sql) with
-      | Some base, Some e when e.version = base -> (
-        match Relation.diff ~limit:(e.rows - 1) e.answer relation with
+      | Some base, Some { version; copy = Answer { answer; rows } } when version = base -> (
+        match Relation.diff ~limit:(rows - 1) answer relation with
         | Some (upserts, removed, rows)
           when rows >= Wire.held_min_rows
                && 2 * (List.length upserts + List.length removed) < rows ->
@@ -617,10 +629,7 @@ let hold t conn ~sql ~held (outcome : Interp.outcome) =
       | _ -> None
     in
     let keep rows body =
-      conn.last_version <- conn.last_version + 1;
-      let version = conn.last_version in
-      update_held t conn (fun h ->
-          Lru.set h sql { version; answer = relation; rows });
+      let version = keep t conn sql (Answer { answer = relation; rows }) in
       Wire.Held_rows { version; body }
     in
     match delta with
@@ -648,6 +657,37 @@ let hold t conn ~sql ~held (outcome : Interp.outcome) =
           (Wire.Held_whole
              { columns; rows = wire_rows listing; texp_e; recomputed })
       end
+
+(* The groups of a [Want_agg] read.  A kept read ([held] names a
+   version) answered from a standing entry goes out under a fresh
+   version: the groups changed since, when the connection holds the
+   named version taken from this same entry — an evicted, rebuilt or
+   restarted entry is another — else every group.  A delta is never
+   longer than the whole answer and the reader keeps the groups anyway,
+   so no size rule applies.  A kept read answered without an entry
+   carries no version, and the connection forgets the text.  A
+   stateless read touches no held answer. *)
+let hold_groups t conn ~sql ~held (columns, groups, child_texp) =
+  let body groups held = Wire.Body_agg { columns; child_texp; groups; held } in
+  match (held, (groups : Interp.agg_groups)) with
+  | None, Condensed groups -> body groups None
+  | None, Standing (_, st) -> body (Partial_agg.standing_partial st) None
+  | Some _, Condensed groups ->
+    update_held t conn (fun h -> Lru.remove h sql);
+    body groups None
+  | Some base, Standing (entry, st) ->
+    let delta =
+      match Lru.find conn.held sql with
+      | Some { version; copy = Groups { entry = e; groups } }
+        when version = base && e == entry ->
+        Some (Partial_agg.standing_diff groups st)
+      | Some _ | None -> None
+    in
+    let version = keep t conn sql (Groups { entry; groups = st }) in
+    Metrics.incr_held_reply t.metrics ~delta:(Option.is_some delta);
+    (match delta with
+     | Some changed -> body changed (Some { Wire.version; full = false })
+     | None -> body (Partial_agg.standing_partial st) (Some { Wire.version; full = true }))
 
 (* [conn] is the connection a [Statement] came on; [Exec] and
    [Exec_traced] hold nothing. *)
@@ -797,7 +837,7 @@ let handle_shard_ping t =
    [want] body and the partition summary the reply piggybacks read one
    state, so a write's reply reports the partition it left behind and
    no second wait can turn an applied write into a timeout. *)
-let handle_shard_exec t ~sql ~ctx ~want =
+let handle_shard_exec t conn ~sql ~ctx ~want =
   traced t ~ctx ~sql @@ fun trace stmt ->
   let shard want body =
     handle_statement ?trace ~text:sql t want stmt ~reply:(fun answer ->
@@ -810,9 +850,10 @@ let handle_shard_exec t ~sql ~ctx ~want =
         Wire.Body_rows
           { columns; rows = wire_rows (Lazy.force listing); texp_e; recomputed }
       | Interp.Msg message -> Wire.Body_ack message)
-  | Want_agg cursor ->
-    shard (Interp.Agg_partial cursor) (fun (columns, groups, standing, child_texp) ->
-        Wire.Body_agg { columns; child_texp; groups; standing })
+  | Want_agg None -> shard (Interp.Agg_partial false) (hold_groups t conn ~sql ~held:None)
+  | Want_agg (Some v as held) ->
+    shard (Interp.Agg_partial (v <> 0)) (fun answer ->
+        Obs.Trace.span trace "held" (fun () -> hold_groups t conn ~sql ~held answer))
   | Want_sketch ->
     shard Interp.Sketch_partial (fun (columns, sketch) ->
         Wire.Body_sketch
@@ -962,7 +1003,7 @@ let handle_request t conn = function
         | Error message -> Wire.Err { code = Wire.Exec_error; message })
   | Wire.Shard_map_req -> Wire.Shard_map_reply (shard_identity t)
   | Wire.Shard_install { map; self_id } -> handle_shard_install t ~map ~self_id
-  | Wire.Shard_exec { sql; ctx; want } -> handle_shard_exec t ~sql ~ctx ~want
+  | Wire.Shard_exec { sql; ctx; want } -> handle_shard_exec t conn ~sql ~ctx ~want
   | Wire.Shard_ping -> handle_shard_ping t
   | Wire.Extract_moving table -> handle_extract_moving t table
   | Wire.Ingest_rows { table; ingest } -> handle_ingest_rows t ~table ~ingest

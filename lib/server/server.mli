@@ -21,12 +21,15 @@
     subscriber can never observe an acknowledged clock ahead of its own
     event stream.  A connection's watches end when it closes.
 
-    Each connection also holds the answers it last sent to [Statement]
-    requests for up to {!Wire.held_capacity} plain query texts, so a
-    re-read naming its copy gets only the rows added, re-timed or
-    removed since ({!Wire.Held_rows}); they are freed when the
-    connection closes, and [METRICS] shows them as
-    [expirel_held_answers] and [expirel_held_replies_total].
+    Each connection also holds what it last sent for up to
+    {!Wire.held_capacity} (64) texts, in one LRU: the answers to
+    [Statement] requests for plain queries, so a re-read naming its
+    copy gets only the rows added, re-timed or removed since
+    ({!Wire.Held_rows}), and a coordinator's kept [Want_agg] reads of a
+    grouped COUNT, so a re-read naming its version gets only the groups
+    changed since.  They are freed when the connection closes, and
+    [METRICS] shows them as [expirel_held_answers] and
+    [expirel_held_replies_total].
 
     {!stop} is graceful: the listener closes first, in-flight requests
     run to completion and get their responses, then workers are joined.

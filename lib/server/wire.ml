@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 15
+let version = 16
 
 type error_code =
   | Parse_error
@@ -150,7 +150,12 @@ let shard_owner map key =
 type want =
   | Want_rows
   | Want_sketch
-  | Want_agg of Expirel_exec.Partial_agg.cursor option
+  | Want_agg of int option
+
+type held_groups = {
+  version : int;
+  full : bool;
+}
 
 type shard_body =
   | Body_rows of {
@@ -172,10 +177,10 @@ type shard_body =
       groups : Expirel_exec.Partial_agg.group list;
           (* per-group expiration-slice partials; the coordinator
              merges them across shards and finalises once *)
-      standing : Expirel_exec.Partial_agg.delta option;
-          (* for a request with a cursor the shard answered from its
+      held : held_groups option;
+          (* for a request naming a version the shard answered from its
              standing COUNT entry: then [groups] are the groups changed
-             since (a slice-less group for one gone) *)
+             since (a slice-less group for one gone), or every group *)
     }
 
 type request =
@@ -357,13 +362,9 @@ let put_groups b (groups : Expirel_exec.Partial_agg.t) =
     put_list b put_group groups
   end
 
-let put_cursor b (c : Expirel_exec.Partial_agg.cursor) =
-  put_int b c.entry;
-  put_int b c.generation
-
-let put_delta b (d : Expirel_exec.Partial_agg.delta) =
-  put_cursor b d.cursor;
-  put_bool b d.full
+let put_held_groups b (h : held_groups) =
+  put_int b h.version;
+  put_bool b h.full
 
 let put_body b = function
   | Body_rows { columns; rows; texp_e; recomputed } ->
@@ -379,12 +380,12 @@ let put_body b = function
     put_u8 b 3;
     put_list b put_str columns;
     put_str b payload
-  | Body_agg { columns; child_texp; groups; standing } ->
+  | Body_agg { columns; child_texp; groups; held } ->
     put_u8 b 4;
     put_list b put_str columns;
     put_time b child_texp;
     put_groups b groups;
-    put_option b put_delta standing
+    put_option b put_held_groups held
 
 let encode_request = function
   | Exec sql -> payload 1 (fun b -> put_str b sql)
@@ -428,9 +429,9 @@ let encode_request = function
         match want with
         | Want_rows -> put_u8 b 1
         | Want_sketch -> put_u8 b 2
-        | Want_agg cursor ->
+        | Want_agg version ->
           put_u8 b 3;
-          put_option b put_cursor cursor)
+          put_option b put_int version)
   | Statement { sql; ctx; held } ->
     payload 25 (fun b ->
         put_str b sql;
@@ -679,15 +680,10 @@ let get_groups c : Expirel_exec.Partial_agg.t =
         { Expirel_exec.Partial_agg.key; slices })
   | n -> bad "bad group form %d" n
 
-let get_cursor c : Expirel_exec.Partial_agg.cursor =
-  let entry = get_int c in
-  let generation = get_int c in
-  { entry; generation }
-
-let get_delta c : Expirel_exec.Partial_agg.delta =
-  let cursor = get_cursor c in
+let get_held_groups c =
+  let version = get_int c in
   let full = get_bool c in
-  { cursor; full }
+  { version; full }
 
 let get_body c =
   match get_u8 c with
@@ -706,8 +702,8 @@ let get_body c =
     let columns = get_list c get_str in
     let child_texp = get_time c in
     let groups = get_groups c in
-    let standing = get_option c get_delta in
-    Body_agg { columns; child_texp; groups; standing }
+    let held = get_option c get_held_groups in
+    Body_agg { columns; child_texp; groups; held }
   | n -> bad "bad shard body tag %d" n
 
 let decode_request data =
@@ -753,7 +749,7 @@ let decode_request data =
         match get_u8 c with
         | 1 -> Want_rows
         | 2 -> Want_sketch
-        | 3 -> Want_agg (get_option c get_cursor)
+        | 3 -> Want_agg (get_option c get_int)
         | n -> bad "bad want byte %d" n
       in
       Shard_exec { sql; ctx; want }
@@ -1062,7 +1058,7 @@ let rec pp_response ppf = function
        Format.fprintf ppf "sketch partial (%d byte(s), columns %s)"
          (String.length payload)
          (String.concat ", " columns)
-     | Body_agg { columns; child_texp; groups; standing = _ } ->
+     | Body_agg { columns; child_texp; groups; held = _ } ->
        Format.fprintf ppf
          "aggregate partial (%d group(s), columns %s, child texp(e) = %s)"
          (List.length groups)
@@ -1090,10 +1086,13 @@ let parsing parse text k =
    patching would save less than it costs. *)
 let held_min_rows = 64
 
-(* A dashboard re-reads a handful of texts; eight bound what a
-   connection pins on either side (each held answer is kept alive until
-   replaced, evicted or the connection closes). *)
-let held_capacity = 8
+(* As many texts as a node keeps plans for ([Interp.statement_capacity])
+   and a coordinator keeps GROUP BYs for: a coordinator cycling through
+   more kept texts than its shard connections hold would read every one
+   whole.  This bounds what a connection pins on either side (each held
+   answer is kept alive until replaced, evicted or the connection
+   closes). *)
+let held_capacity = 64
 
 (* [Tuple.compare] on value lists: arity first, then value by value. *)
 let compare_row a b =

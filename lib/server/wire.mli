@@ -161,6 +161,15 @@ val version : int
     multiset beside an empty groups list.  A shard now also names a
     group whose earliest members expired, so the coordinator no longer
     ages its copies.
+    v16 — a coordinator's kept GROUP BY reads through held answers.
+    This bump is {e required}: two layouts changed.  The [Shard_exec]
+    want byte 3 is followed by an optional held version (presence byte,
+    then a varint; [0] names no copy) where v15 carried a cursor, and
+    a [Body_agg] ends with an optional [(version, full)] pair where v15
+    carried the cursor and the flag.  The shard diffs the standing
+    groups it last shipped to the connection for the text against its
+    entry's present ones, so its standing entries keep no key log,
+    write generation or id.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer
@@ -309,18 +318,31 @@ type want =
           query's child over its own partition into a bounded-memory
           sketch — constant-size on the wire regardless of partition
           cardinality *)
-  | Want_agg of Expirel_exec.Partial_agg.cursor option
+  | Want_agg of int option
       (** for a decomposable GROUP BY/aggregate query: the shard
           condenses the aggregate's child over its own partition into
           per-group expiration-slice partials
           ({!Expirel_exec.Partial_agg}) — per group at most two slices
           for COUNT, one per distinct expiration time otherwise, with
-          AVG travelling as its SUM and COUNT components.  With a
-          cursor, a grouped COUNT over a scan without [AT] answers from
-          the shard's standing entry instead: the condensed groups
-          changed since the cursor, or every group
-          ({!Expirel_exec.Subscription.since}) *)
+          AVG travelling as its SUM and COUNT components.  [None] is a
+          stateless read: the connection holds nothing for it.  [Some
+          v] is a kept read whose copy holds the groups shipped as
+          version [v] on this connection ([0]: none).  A grouped COUNT
+          over a scan without [AT] then answers from the shard's
+          standing entry: when the connection holds [v] for the text,
+          taken from the same entry, only the groups changed since
+          ({!Expirel_exec.Partial_agg.standing_diff}); else every
+          group; either under a fresh version *)
 (** What a coordinator asks a shard to answer a statement with. *)
+
+type held_groups = {
+  version : int;
+      (** the version the reader's copy holds once it applied the reply *)
+  full : bool;
+      (** the reply's groups are every group the entry holds, not only
+          those changed since the version the request named *)
+}
+(** How a kept [Want_agg] read was answered from a standing entry. *)
 
 type shard_body =
   | Body_rows of {
@@ -343,7 +365,7 @@ type shard_body =
       columns : string list;
       child_texp : Time.t;
       groups : Expirel_exec.Partial_agg.group list;
-      standing : Expirel_exec.Partial_agg.delta option;
+      held : held_groups option;
     }
       (** a grouped-aggregate partial: per-group expiration slices the
           coordinator merges with {!Expirel_exec.Partial_agg.merge_all}
@@ -351,11 +373,13 @@ type shard_body =
           come out identical to a single node holding all rows, because
           the slice components (counts, sums, extrema) are
           partition-decomposable and the finalisation is shared code,
-          not a reimplementation.  [standing] answers a request with a
-          cursor from the shard's standing COUNT entry: [groups] are
-          then the groups changed since the cursor (every group when
-          [full]), a slice-less group for one gone, and the
-          coordinator replaces its copy of each *)
+          not a reimplementation.  [held] answers a kept read the
+          shard answered from its standing COUNT entry: [groups] are
+          then the groups changed since the version the request named
+          (every group when [full]), a slice-less group for one gone,
+          and the coordinator replaces its copy of each.  [None] for a
+          stateless read, and for a kept one the shard answered
+          without a standing entry *)
 (** The payload of a {!Shard_reply}, one per {!want} (acks also answer
     the rebalance writes). *)
 
@@ -536,7 +560,11 @@ val held_min_rows : int
 (** 64: a smaller answer is sent whole and not held. *)
 
 val held_capacity : int
-(** 8: the texts each side of a connection holds an answer for. *)
+(** 64: the texts each side of a connection holds an answer for — a
+    client's rows, or a coordinator's kept GROUP BY groups at a shard.
+    It equals {!Expirel_sqlx.Interp.statement_capacity} and the
+    coordinator's kept texts, so a coordinator cycling through every
+    text it keeps still reads deltas. *)
 
 val patch :
   (Value.t list * Time.t) list ->

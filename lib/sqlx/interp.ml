@@ -286,40 +286,33 @@ let sketch_partial ?trace ?text t q =
   Trace.span trace "sketch-query" (fun () ->
       (entry.p_columns, Executor.sketch ?trace ~db:t.db entry.p_compiled))
 
-let aggregate_partial ?trace ?text t ~cursor { Ast.q; at; order_by = _; limit = _ } =
+type agg_groups =
+  | Condensed of Partial_agg.t
+  | Standing of Subscription.entry * Partial_agg.standing
+
+let aggregate_partial ?trace ?text t ~returning { Ast.q; at; order_by = _; limit = _ } =
   let tau = tau_of_at t at in
   let entry, hit = planned_query ?trace ?text t q in
   let { p_compiled = compiled; p_columns = columns; p_approx = approx; _ } = entry in
   if Lower.decompose { Lower.expr = compiled.Plan.logical; columns; approx } = None
   then failwith "a grouped partial needs a query that decomposes";
-  (* A reader with a cursor keeps the groups itself, and gets what
-     changed since.  One whose cursor names an entry held this node's
-     groups before (the entry was evicted, rebuilt or lost to a
-     restart): it promotes the statement at once. *)
-  let returning =
-    match cursor with
-    | Some c -> c <> Partial_agg.no_cursor
-    | None -> false
-  in
-  let partial, delta, child_texp =
+  (* A reader that held this node's groups before (the entry was
+     evicted, rebuilt or lost to a restart) promotes the statement at
+     once. *)
+  let groups, child_texp =
     Trace.span trace "eval" (fun () ->
         (* the scan under a standing COUNT never invalidates *)
         match
           standing ?trace ?text ~hit:((hit || returning) && at = None) t entry
-            ~rows:(fun (p, _, _) -> List.length p)
-            (fun e ->
-              match cursor with
-              | None -> (Subscription.partial e, None, Time.Inf)
-              | Some c ->
-                let groups, delta = Subscription.since e c in
-                (groups, Some delta, Time.Inf))
+            ~rows:(fun (_, st) -> Partial_agg.standing_groups st)
+            (fun e -> (e, Subscription.standing e))
         with
-        | Some answer -> answer
+        | Some (e, st) -> (Standing (e, st), Time.Inf)
         | None ->
           let partial, child_texp = Executor.partial ?trace ?tau ~db:t.db compiled in
-          (partial, None, child_texp))
+          (Condensed partial, child_texp))
   in
-  (columns, partial, delta, child_texp)
+  (columns, groups, child_texp)
 
 (* Standing queries lower and plan once, outside the cache: their texts
    never repeat. *)
@@ -714,9 +707,7 @@ let guard f =
 
 type _ want =
   | Answer : outcome want
-  | Agg_partial :
-      Partial_agg.cursor option
-      -> (string list * Partial_agg.t * Partial_agg.delta option * Time.t) want
+  | Agg_partial : bool -> (string list * agg_groups * Time.t) want
   | Sketch_partial : (string list * Expirel_sketch.Any.t) want
 
 let run (type a) ?trace ?text (want : a want) t statement : (a, string) result =
@@ -730,7 +721,8 @@ let run (type a) ?trace ?text (want : a want) t statement : (a, string) result =
          | Ast.Advance_to _ | Ast.Tick _ | Ast.Vacuum -> observe_churn t
          | _ -> ());
         outcome
-      | Agg_partial cursor, Ast.Query qs -> aggregate_partial ?trace ?text t ~cursor qs
+      | Agg_partial returning, Ast.Query qs ->
+        aggregate_partial ?trace ?text t ~returning qs
       | Sketch_partial, Ast.Query { q; _ } -> sketch_partial ?trace ?text t q
       | (Agg_partial _ | Sketch_partial), _ ->
         failwith "a shard partial needs a query")

@@ -121,17 +121,19 @@ val churn_rates : t -> float * float
 (** {!horizon}'s [(arrival_rate, expiration_rate)] alone, sampled at the
     current clock. *)
 
+type agg_groups =
+  | Condensed of Expirel_exec.Partial_agg.t
+      (** folded from the child's rows by {!Expirel_exec.Executor.partial} *)
+  | Standing of Expirel_exec.Subscription.entry * Expirel_exec.Partial_agg.standing
+      (** a grouped COUNT's standing entry and its groups at the clock
+          ({!Expirel_exec.Subscription.standing}) *)
+(** A shard's groups for a distributed grouped aggregate. *)
+
 type _ want =
   | Answer : outcome want  (** the statement's outcome *)
-  | Agg_partial :
-      Expirel_exec.Partial_agg.cursor option
-      -> (string list
-         * Expirel_exec.Partial_agg.t
-         * Expirel_exec.Partial_agg.delta option
-         * Time.t)
-         want
-      (** a shard's half of a distributed grouped aggregate, for a
-          reader at the given cursor, if it keeps one *)
+  | Agg_partial : bool -> (string list * agg_groups * Time.t) want
+      (** a shard's half of a distributed grouped aggregate; [true] when
+          its reader held this node's groups before *)
   | Sketch_partial : (string list * Expirel_sketch.Any.t) want
       (** a shard's half of a distributed approximate aggregate *)
 (** What {!run} answers with: the statement's own outcome, or one of
@@ -156,18 +158,15 @@ val run :
     partials.  The query runs through {!Expirel_exec.Executor.partial}
     — at the statement's [AT] time when it has one — whose fused
     aggregate folds the child's cut batches under an [op:aggregate]
-    span.  It answers the final answer's column labels, the partial,
-    no delta, and the child's texp(e); the coordinator merges one
-    partial per shard with {!Expirel_exec.Partial_agg.merge_all} and
-    finalises with the same parameters it decomposed.  The plan and a
-    grouped COUNT's standing entry are shared with [Answer]'s.  With a
-    cursor, a grouped COUNT over a scan without [AT] whose standing
-    entry exists (or is promoted now: on a plan-cache hit, or at once
-    when the cursor names an entry, since its reader held this node's
-    groups before) answers the entry's
-    {!Expirel_exec.Subscription.since} groups and delta instead; any
-    other query
-    answers as without a cursor.
+    span.  It answers the final answer's column labels, the
+    [Condensed] partial and the child's texp(e); the coordinator merges
+    one partial per shard with {!Expirel_exec.Partial_agg.merge_all}
+    and finalises with the same parameters it decomposed.  The plan and
+    a grouped COUNT's standing entry are shared with [Answer]'s: a
+    grouped COUNT over a scan without [AT] whose standing entry exists
+    (or is promoted now: on a plan-cache hit, or at once when the
+    reader held this node's groups before) answers [Standing] and
+    [Inf].
 
     [Sketch_partial] requires a query carrying [APPROX_COUNT] or
     [SAMPLE] and runs it up to its sketch operator

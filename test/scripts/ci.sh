@@ -54,6 +54,15 @@ if grep -rnE 'standing_members|standing_all|standing_replace' lib bin test \
   echo "ci: a kept GROUP BY holds the shards' condensed groups; no code copies member multisets" >&2
   exit 1
 fi
+# One way to ship what changed: a coordinator reads its shards' kept
+# GROUP BY through held answers (a version per connection and text),
+# as a client reads its rows.  No code names the standing cursor, the
+# key log behind it or the entry ids it carried.
+if grep -rnE 'no_cursor|Partial_agg\.cursor|Subscription\.(since|next_id)|log_write' lib bin test \
+    --include='*.ml' --include='*.mli' --include=dune; then
+  echo "ci: the names above belong to the removed standing cursor; kept reads name a held version" >&2
+  exit 1
+fi
 # One per-operator measurement: the executor records its op spans on
 # the request's trace, and EXPLAIN ANALYZE renders its own run's spans.
 # No lib/ or bin/ file names the profile sink or the probe hook those
@@ -143,7 +152,8 @@ BENCH_SUMS_BEFORE=$(cksum BENCH_*.json)
 BENCH=$(pwd)/_build/default/bench/main.exe
 SMOKE_DIR=$(mktemp -d)
 # Smoke the observability experiment: a live server, a METRICS scrape
-# validated line by line, and the slow-query log — end to end.
+# validated line by line, and SLOW's ranking of the trace store — end
+# to end.
 (cd "$SMOKE_DIR" && "$BENCH" obs)
 # Smoke the physical execution experiment: hash vs nested-loop joins,
 # the O(1) live-scan fast path, and the plan cache.
@@ -180,6 +190,19 @@ grep -F '"standing_groupby_n10000_g1000_us_per_read"' "$SMOKE_DIR/BENCH_cluster.
 # the caches, and writes touching most groups between reads.
 grep -F '"standing_groupby_t80_us_per_read"' "$SMOKE_DIR/BENCH_cluster.json"
 grep -F '"standing_groupby_w1800_us_per_read"' "$SMOKE_DIR/BENCH_cluster.json"
+# Bytes are a gate only if they reproduce: a second run of the cluster
+# experiment must ship exactly as many bytes per read on every row.
+SMOKE_DIR2=$(mktemp -d)
+(cd "$SMOKE_DIR2" && "$BENCH" cluster)
+grep -F '_bytes_per_read"' "$SMOKE_DIR/BENCH_cluster.json" > "$SMOKE_DIR/bytes_rows"
+grep -F '_bytes_per_read"' "$SMOKE_DIR2/BENCH_cluster.json" > "$SMOKE_DIR2/bytes_rows"
+test -s "$SMOKE_DIR/bytes_rows"
+if ! cmp "$SMOKE_DIR/bytes_rows" "$SMOKE_DIR2/bytes_rows"; then
+  diff "$SMOKE_DIR/bytes_rows" "$SMOKE_DIR2/bytes_rows" >&2 || true
+  echo "ci: two runs of bench cluster shipped different bytes per read" >&2
+  exit 1
+fi
+rm -rf "$SMOKE_DIR2"
 # Smoke the server experiment (its full size: ~2 s): 32 wire clients,
 # then one GROUP BY text re-read with 0, 1 and 16 writes between reads,
 # held (a delta against the client's copy) and whole; it fails hard if

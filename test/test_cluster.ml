@@ -118,9 +118,9 @@ let queries =
    answer with deltas, drawn between inserts, overwrites (a tuple
    inserted again with a new texp), pinned and broadcast DELETEs, TICKs
    that expire members, one rebalance ([grow]), and write bursts: one
-   writing 600 groups at one key, past its shard entry's 512-group log,
-   so the next read of each kept text gets a full reply, and one
-   writing 200 of the ~600 groups over every shard.  Every answer's
+   writing 600 groups at one key, after which each kept text (read
+   twice just before, so its copies are whole) is one delta read, and
+   one writing 200 of the ~600 groups over every shard.  Every answer's
    rows, row texps and texp(e) must be the single node's and the
    stateless merge's. *)
 let standing_groupbys = [
@@ -129,7 +129,7 @@ let standing_groupbys = [
   "SELECT COUNT(*) FROM st GROUP BY v";
   "SELECT COUNT(*), v FROM st WHERE k > 4 GROUP BY v ORDER BY v" ]
 
-let check_repeated_groupbys ~exec_both ~ask ~grow ~full_reads =
+let check_repeated_groupbys ~exec_both ~ask ~grow ~reads =
   let rng = Random.State.make [| 2029 |] in
   let pick lo hi = lo + Random.State.int rng (hi - lo + 1) in
   let insert () =
@@ -144,10 +144,12 @@ let check_repeated_groupbys ~exec_both ~ask ~grow ~full_reads =
   in
   let past_the_log () =
     let k = pick 13 20 in
-    let before = full_reads () in
+    List.iter (fun q -> ask q; ask q) standing_groupbys;
+    let full, delta = reads () in
     burst ~rows:600 (fun i -> (k, 100 + i));
     List.iter ask standing_groupbys;
-    Alcotest.(check bool) "a burst past the log is read whole" true (full_reads () > before)
+    Alcotest.(check (pair int int)) "a 600-group burst is a delta read"
+      (full, delta + List.length standing_groupbys) (reads ())
   and wide () = burst ~rows:200 (fun _ -> (pick 1 12, pick 101 700)) in
   exec_both "CREATE TABLE st (k, v)";
   for _ = 1 to 30 do insert () done;
@@ -235,7 +237,9 @@ let test_matches_single_node () =
                 ~finally:(fun () -> Server.stop extra)
                 (fun () ->
                   check_repeated_groupbys ~exec_both ~ask
-                    ~full_reads:(fun () -> counter coord "expirel_cluster_agg_full_reads_total")
+                    ~reads:(fun () ->
+                      ( counter coord "expirel_cluster_agg_full_reads_total",
+                        counter coord "expirel_cluster_agg_delta_reads_total" ))
                     ~grow:(fun () ->
                       ignore
                         (ok
@@ -246,7 +250,7 @@ let test_matches_single_node () =
 
 (* ---------- standing GROUP BY COUNT: what a repeated read ships ---------- *)
 
-(* The bytes a reply's standing delta spends on one shipped group: the
+(* The bytes a kept read's reply spends on one shipped group: the
    codec's own encoding with the group, condensed from its members'
    texps, against without it. *)
 let group_bytes key texps =
@@ -258,7 +262,7 @@ let group_bytes key texps =
            body =
              Wire.Body_agg
                { columns = []; child_texp = Time.Inf; groups;
-                 standing = Some { P.cursor = P.no_cursor; full = false } } })
+                 held = Some { Wire.version = 1; full = false } } })
   in
   let members = List.fold_left (fun st texp -> P.standing_change st key texp 1) P.standing_empty texps in
   String.length (reply (Option.to_list (P.standing_group members key))) - String.length (reply [])
@@ -353,7 +357,7 @@ let test_standing_groupby () =
       done;
       let before = delta_reads () in
       ignore (read "600 writes to one group");
-      Alcotest.(check int) "more writes than the log holds, one group: a delta" (before + 1)
+      Alcotest.(check int) "600 writes, one group: a delta" (before + 1)
         (delta_reads ());
       Alcotest.(check int) "and no full reply" 1 (full_reads ());
       (* 65 distinct texts evict the statement on shard 0. *)
@@ -569,12 +573,22 @@ let test_standing_rests () =
       check "light again";
       Alcotest.(check (pair int int)) "and still deltas" (1, 6) (reads ()))
 
-(* A TICK alone, no write, crossing the nu of more groups on one shard
-   than its entry's 512-group log holds: the next read ships that
-   shard's groups whole, one full read, and stays the single node's
-   answer. *)
+(* A shard's connection and its replies to a kept read of [sql] naming
+   a version: the groups and how they were held.  An error reply fails
+   the test. *)
+let kept_read c sql version =
+  match
+    ok (Client.request c (Wire.Shard_exec { sql; ctx = None; want = Wire.Want_agg (Some version) }))
+  with
+  | Wire.Shard_reply { body = Wire.Body_agg { groups; held = Some h; _ }; _ } -> Some (groups, h)
+  | Wire.Shard_reply _ -> None
+  | r -> Alcotest.failf "version %d: %s" version (Wire.render_response r)
+
+(* A TICK alone, no write, crossing the nu of more than 512 groups on
+   one shard: the next read ships those groups as a delta, one delta
+   read, and stays the single node's answer. *)
 let test_standing_tick_past_log () =
-  with_cluster 2 (fun coord _servers _eps ->
+  with_cluster 2 (fun coord servers _eps ->
       let single = Expirel_sqlx.Interp.create () in
       let exec_both sql =
         ignore (exec coord sql);
@@ -608,18 +622,37 @@ let test_standing_tick_past_log () =
         List.length
           (List.filter (fun g -> Wire.shard_owner map (Value.Int g) = id) (List.init groups succ))
       in
-      Alcotest.(check bool) "a shard holds more groups than the log" true
-        (max (owned 0) (owned 1) > 512);
+      let big = if owned 0 > owned 1 then 0 else 1 in
+      Alcotest.(check bool) "a shard holds more than 512 groups" true (owned big > 512);
       for _ = 1 to 3 do check "kept" done;
       Alcotest.(check (pair int int)) "one full read, one delta" (1, 1) (reads ());
+      (* The same entry, read on a connection of its own. *)
+      let port =
+        (List.find (fun s -> s.Wire.shard_id = big) map.Wire.shards).Wire.shard_port
+      in
+      let server = List.find (fun s -> Server.port s = port) servers in
+      let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port server) () in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let base =
+        match kept_read c q 0 with
+        | Some (_, h) -> h.Wire.version
+        | None -> Alcotest.fail "the shard answers from its entry"
+      in
       exec_both "TICK 12";
+      (match kept_read c q base with
+       | Some (shipped, h) ->
+         Alcotest.(check bool) "the TICK's groups are a delta" false h.Wire.full;
+         Alcotest.(check int) "listing every group the TICK crossed" (owned big)
+           (List.length shipped)
+       | None -> Alcotest.fail "the shard answers from its entry");
       check "after the TICK";
-      Alcotest.(check (pair int int)) "the TICK's read is one full read" (2, 1) (reads ());
-      check "after the full read";
-      Alcotest.(check (pair int int)) "then deltas again" (2, 2) (reads ()))
+      Alcotest.(check (pair int int)) "the TICK's read is one delta read" (1, 2) (reads ());
+      check "after the delta read";
+      Alcotest.(check (pair int int)) "then deltas again" (1, 3) (reads ()))
 
-(* A cursor naming a shard's entry with a negative generation, or one
-   ahead of the entry, gets every group, never an error. *)
+(* A kept read naming version 0, a negative version, one ahead of the
+   connection, or one issued on another connection gets every group,
+   never an error. *)
 let test_standing_cursor_bounds () =
   with_cluster 1 (fun coord servers _eps ->
       ignore (exec coord "CREATE TABLE b (k, g)");
@@ -627,37 +660,127 @@ let test_standing_cursor_bounds () =
         ignore (exec coord (Printf.sprintf "INSERT INTO b VALUES (%d, %d) EXPIRES 100" k (k mod 3)))
       done;
       let sql = "SELECT g, COUNT(*) FROM b GROUP BY g" in
-      let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port (List.hd servers)) () in
+      let connect () = Client.connect ~host:"127.0.0.1" ~port:(Server.port (List.hd servers)) () in
+      let c = connect () in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      let ask cursor =
-        match ok (Client.request c (Wire.Shard_exec { sql; ctx = None; want = Wire.Want_agg (Some cursor) })) with
-        | Wire.Shard_reply { body = Wire.Body_agg { groups; standing = Some d; _ }; _ } ->
-          Some (groups, d)
-        | Wire.Shard_reply _ -> None
-        | r -> Alcotest.failf "cursor %d/%d: %s" cursor.entry cursor.generation (Wire.render_response r)
-      in
       (* the first ask plans the text; the second promotes it *)
-      ignore (ask Expirel_exec.Partial_agg.no_cursor);
-      let all, d =
-        match ask Expirel_exec.Partial_agg.no_cursor with
+      ignore (kept_read c sql 0);
+      let all, h =
+        match kept_read c sql 0 with
         | Some reply -> reply
         | None -> Alcotest.fail "the promoted text answers from its entry"
       in
       Alcotest.(check int) "every group" 3 (List.length all);
-      let here = d.Expirel_exec.Partial_agg.cursor in
-      let groups cursor =
-        match ask cursor with
-        | Some (groups, d) -> (d.full, List.length groups)
+      let groups ?(c = c) version =
+        match kept_read c sql version with
+        | Some (groups, h) -> (h.Wire.full, List.length groups)
         | None -> Alcotest.fail "the entry answers"
       in
-      Alcotest.(check (pair bool int)) "its own cursor: nothing written" (false, 0) (groups here);
+      Alcotest.(check (pair bool int)) "its own version: nothing written" (false, 0)
+        (groups h.Wire.version);
       List.iter
-        (fun generation ->
+        (fun version ->
           Alcotest.(check (pair bool int))
-            (Printf.sprintf "generation %d: every group" generation)
-            (true, 3)
-            (groups { here with generation }))
-        [ -1; -5; min_int; here.generation + 1; max_int ])
+            (Printf.sprintf "version %d: every group" version)
+            (true, 3) (groups version))
+        [ 0; -1; -5; min_int; h.Wire.version + 100; max_int ];
+      let other = connect () in
+      Fun.protect ~finally:(fun () -> Client.close other) @@ fun () ->
+      let theirs =
+        match kept_read other sql 0 with
+        | Some (_, h) -> h.Wire.version
+        | None -> Alcotest.fail "the entry answers the other connection"
+      in
+      Alcotest.(check (pair bool int))
+        (Printf.sprintf "version %d of another connection: every group" theirs)
+        (true, 3) (groups theirs))
+
+(* A copy names only a version whose reply it recorded.  Shard A's copy
+   records version 1; rows are written to A, A restarts from its store
+   (its connection's versions count from 1 again) and B stops.  The
+   next read fails, while A answers every group as version 1, a reply
+   the coordinator never records: the copies drop to version 0, so the
+   read after B returns gets every group again, not a delta against
+   that unrecorded reply, and equals the single node's answer. *)
+let test_standing_unrecorded_version () =
+  let dirs = List.init 2 (fun _ -> Filename.temp_dir "expirel" "shard") in
+  let config dir = { shard_config with Server.data_dir = Some dir } in
+  let servers = Array.of_list (List.map (fun dir -> Server.create ~config:(config dir) ()) dirs) in
+  Array.iter Server.start servers;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter Server.stop servers;
+      List.iter
+        (fun dir ->
+          Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+          Sys.rmdir dir)
+        dirs)
+    (fun () ->
+      let coord =
+        Coordinator.create ~heartbeat_interval:0.
+          ~shards:
+            (Array.to_list
+               (Array.map (fun s -> { Coordinator.host = "127.0.0.1"; port = Server.port s }) servers))
+          ()
+      in
+      Fun.protect ~finally:(fun () -> Coordinator.close coord) @@ fun () ->
+      let single = Expirel_sqlx.Interp.create () in
+      let exec_both sql =
+        ignore (exec coord sql);
+        ignore (ok (Expirel_sqlx.Interp.exec_sql single sql))
+      in
+      let q = "SELECT g, COUNT(*) FROM u GROUP BY g" in
+      let check what =
+        let rows, texp_e = rows_of q (exec coord q) in
+        match ok (Expirel_sqlx.Interp.exec_sql single q) with
+        | Expirel_sqlx.Interp.Rows { listing; texp_e = sn_texp; _ } ->
+          Alcotest.(check bool) (what ^ ": the single node's rows and texps") true
+            (sorted rows = sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) (Lazy.force listing)));
+          Alcotest.(check bool) (what ^ ": the single node's texp(e)") true
+            (Time.equal texp_e sn_texp)
+        | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m
+      in
+      exec_both "CREATE TABLE u (k, g)";
+      for k = 1 to 40 do
+        exec_both (Printf.sprintf "INSERT INTO u VALUES (%d, %d) EXPIRES 100" k (k mod 5))
+      done;
+      check "stateless";
+      check "every group, as version 1";
+      Alcotest.(check int) "one full read" 1 (counter coord "expirel_cluster_agg_full_reads_total");
+      let map = Coordinator.shard_map coord in
+      let a = Wire.shard_owner map (Value.Int 1) in
+      let b = 1 - a in
+      for k = 41 to 60 do
+        if Wire.shard_owner map (Value.Int k) = a then
+          exec_both (Printf.sprintf "INSERT INTO u VALUES (%d, %d) EXPIRES 100" k (k mod 5))
+      done;
+      let reachable id =
+        Coordinator.heartbeat_now coord;
+        List.exists (fun (id', _, up) -> id' = id && up) (Coordinator.summaries coord)
+      in
+      let rec settle id n =
+        if not (reachable id) then
+          if n = 0 then Alcotest.failf "shard %d stays unreachable" id
+          else begin
+            Unix.sleepf 0.1;
+            settle id (n - 1)
+          end
+      in
+      let restart id =
+        let port = Server.port servers.(id) in
+        servers.(id) <- Server.create ~config:{ (config (List.nth dirs id)) with Server.port } ();
+        Server.start servers.(id)
+      in
+      Server.stop servers.(a);
+      restart a;
+      settle a 50;
+      Server.stop servers.(b);
+      (match Coordinator.exec coord q with
+       | Wire.Err { code = Wire.Shard_failed; _ } -> ()
+       | r -> Alcotest.failf "with shard %d down: %s" b (Wire.render_response r));
+      restart b;
+      settle b 50;
+      check "after the failed read")
 
 (* ---------- routing: inserts land on the owner ---------- *)
 
@@ -2288,8 +2411,10 @@ let suite =
       test_standing_rests;
     Alcotest.test_case "a negative or future cursor gets every group" `Quick
       test_standing_cursor_bounds;
-    Alcotest.test_case "a TICK past 512 groups' nu is read whole" `Quick
+    Alcotest.test_case "a TICK past 512 groups' nu is read as a delta" `Quick
       test_standing_tick_past_log;
+    Alcotest.test_case "a failed kept read drops the copies to version 0" `Quick
+      test_standing_unrecorded_version;
     Alcotest.test_case "inserts land on shard_owner's pick" `Quick
       test_insert_routing;
     Alcotest.test_case "expired shards are pruned, answers unchanged" `Quick

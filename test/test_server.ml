@@ -1190,8 +1190,9 @@ let load_s client ~n ~shift =
 
 (* Plain shapes only (no ORDER BY, no LIMIT): a grouped COUNT with and
    without HAVING, projections (set-semantic, so [SELECT g] is the
-   DISTINCT shape), filters and a UNION.  Twelve texts, more than the
-   eight each side of a connection holds, so held answers get evicted. *)
+   DISTINCT shape), filters and a UNION.  Twelve texts, each read again
+   and again on one connection; a [Flood] reads more texts than each side
+   of a connection holds, so held answers get evicted and read again. *)
 let held_shapes =
   [| "SELECT g, COUNT(*) FROM s GROUP BY g";
      "SELECT g, COUNT(*) FROM s GROUP BY g HAVING COUNT(*) > 1";
@@ -1214,6 +1215,7 @@ type held_op =
   | Advance of int
   | Recreate of int  (* DROP + CREATE TABLE s, reloaded with this shift *)
   | Failing of int
+  | Flood  (* [held_capacity + 4] other holdable texts, evicting the shapes *)
 
 let held_op : held_op QCheck2.Gen.t =
   let open QCheck2.Gen in
@@ -1227,14 +1229,15 @@ let held_op : held_op QCheck2.Gen.t =
       (2, map (fun n -> Tick n) (int_range 1 4));
       (1, map (fun n -> Advance n) (int_range 1 6));
       (1, map (fun k -> Recreate k) (int_range 1 99));
-      (1, map (fun k -> Failing k) (int_range 0 2)) ]
+      (1, map (fun k -> Failing k) (int_range 0 2));
+      (1, pure Flood) ]
 
 let held_sql = function
   | Read i -> held_shapes.(i)
   | Insert { a; g; ttl } -> Printf.sprintf "INSERT INTO s VALUES (%d, %d) TTL %d" a g ttl
   | Delete a -> Printf.sprintf "DELETE FROM s WHERE a = %d" a
   | Tick n -> Printf.sprintf "TICK %d" n
-  | Advance _ | Recreate _ -> "" (* built against the clock / two steps *)
+  | Advance _ | Recreate _ | Flood -> "" (* built against the clock / many steps *)
   | Failing 0 -> "SELECT nope FROM s"
   | Failing 1 -> "INSERT INTO nope VALUES (1)"
   | Failing _ -> "SELEC a FROM s"
@@ -1306,6 +1309,10 @@ let prop_held_reread =
                   | Recreate shift ->
                     ignore (run "DROP TABLE s");
                     load_s !held ~n:(100 + shift) ~shift
+                  | Flood ->
+                    for i = 0 to Wire.held_capacity + 3 do
+                      ignore (run (Printf.sprintf "SELECT a FROM s WHERE a <> %d" i))
+                    done
                   | Insert _ | Delete _ | Tick _ | Failing _ ->
                     ignore (run (held_sql op)))
                 ops;
@@ -1387,19 +1394,21 @@ let test_held_forms () =
             (held_total server "expirel_held_replies_total" ("reply", "delta") = 2.
             && held_total server "expirel_held_replies_total" ("reply", "full") >= 6.)))
 
-(* Held state is bounded per connection and released on close: twelve
-   texts leave eight held, and the gauge returns to 0 once both
-   connections are gone. *)
+(* Held state is bounded per connection and released on close:
+   [held_capacity + 4] texts leave [held_capacity] held, and the gauge
+   returns to 0 once both connections are gone. *)
 let test_held_released () =
   with_server (fun server port ->
       let first = Client.connect ~host:"127.0.0.1" ~port () in
       load_s first ~n:120 ~shift:0;
-      Array.iter
-        (fun sql ->
+      (* more texts than a connection holds, each of 119 rows *)
+      List.iter
+        (fun i ->
+          let sql = Printf.sprintf "SELECT a FROM s WHERE a <> %d" i in
           match ok (Client.exec first sql) with
           | Wire.Rows _ -> ()
           | r -> Alcotest.failf "%s: %s" sql (Wire.render_response r))
-        held_shapes;
+        (List.init (Wire.held_capacity + 4) Fun.id);
       Alcotest.(check (float 0.)) "capacity bounds one connection"
         (float_of_int Wire.held_capacity) (held_gauge server);
       let second = Client.connect ~host:"127.0.0.1" ~port () in

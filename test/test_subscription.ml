@@ -243,11 +243,12 @@ let test_counted_keeps_unchanged_rows () =
   Alcotest.(check bool) "a write moving no row keeps the relation" true
     (answer "by_group" == before)
 
-(* A grouped COUNT entry logs the groups whose nu an ADVANCE passes —
-   their earliest members expired — so [since] names exactly those
-   (a slice-less group for one gone), each as the entry now condenses
-   it.  A HORIZON forecast over the same window first walks the entry
-   without keeping the walk, and leaves the log as it was. *)
+(* A grouped COUNT entry's groups before and after an ADVANCE differ
+   exactly in the groups whose nu it passes — their earliest members
+   expired — so [standing_diff] names those (a slice-less group for one
+   gone), each as the entry now condenses it.  A HORIZON forecast over
+   the same window first walks the entry without keeping the walk, and
+   leaves its groups physically as they were. *)
 let test_counted_logs_passed_nu () =
   let db = Database.create () in
   let r = Database.create_table db ~name:"r" ~columns:[ "k"; "g" ] in
@@ -261,21 +262,23 @@ let test_counted_logs_passed_nu () =
       ignore
   in
   Subscription.install subs ~name:"w" entry;
-  let _, { Partial_agg.cursor; full } = Subscription.since entry Partial_agg.no_cursor in
-  Alcotest.(check bool) "a reader holding nothing gets every group" true full;
+  let before = Subscription.standing entry in
+  Alcotest.(check bool) "a reader holding nothing gets every group" true
+    (Partial_agg.standing_diff Partial_agg.standing_empty before
+     = Partial_agg.standing_partial before);
   Alcotest.(check bool) "the forecast sees the window's events" true
     (Subscription.forecast_events subs ~until:(fin 20) > 0);
-  let groups, delta = Subscription.since entry cursor in
-  Alcotest.(check int) "the forecast leaves the generation" cursor.generation
-    delta.Partial_agg.cursor.generation;
-  Alcotest.(check int) "and logs no group" 0 (List.length groups);
+  Alcotest.(check bool) "the forecast leaves the groups" true
+    (Subscription.standing entry == before);
+  Alcotest.(check int) "and no group differs" 0
+    (List.length (Partial_agg.standing_diff before (Subscription.standing entry)));
   advance subs db (fin 20);
-  let groups, delta = Subscription.since entry cursor in
-  Alcotest.(check bool) "a delta" false delta.Partial_agg.full;
+  let after = Subscription.standing entry in
+  let groups = Partial_agg.standing_diff before after in
   let keys = List.map (fun (g : Partial_agg.group) -> g.key) groups in
   Alcotest.(check bool) "exactly the groups whose nu passed" true
     (keys = [ [ Value.Int 1 ]; [ Value.Int 2 ]; [ Value.Int 4 ] ]);
-  let now = Subscription.partial entry in
+  let now = Partial_agg.standing_partial after in
   List.iter
     (fun (g : Partial_agg.group) ->
       Alcotest.(check bool) "each as the entry condenses it" true
@@ -364,6 +367,61 @@ let prop_current_tracks_truth =
           !ordered && Relation.equal !folded fresh)
         steps)
 
+(* A change to a standing COUNT state: a member of group [k] expiring
+   at [texp], the [i]-th member added so far taken out again, or every
+   member expiring by [tau] dropped. *)
+type change =
+  | Add of int * int
+  | Take of int
+  | Expire of int
+
+(* [Partial_agg.standing_diff] of a state against one that any changes
+   made from it: the groups it names come in strictly ascending key
+   order, and putting them in place of the first state's groups (a
+   slice-less one removed) gives the second state's groups exactly. *)
+let prop_standing_diff =
+  let change =
+    QCheck2.Gen.(
+      frequency
+        [ (5, map2 (fun k texp -> Add (k, texp)) (int_range 0 9) (int_range 1 30));
+          (2, map (fun i -> Take i) (int_range 0 50));
+          (1, map (fun tau -> Expire tau) (int_range 1 30)) ])
+  in
+  Generators.qtest "standing_diff patches a state into a later one" ~count:300
+    QCheck2.Gen.(pair (list_size (int_range 0 40) change) (list_size (int_range 0 20) change))
+    (fun (base, changes) ->
+      let apply (st, members) = function
+        | Add (k, texp) ->
+          ( Partial_agg.standing_change st [ Value.Int k ] (fin texp) 1,
+            members @ [ ([ Value.Int k ], fin texp) ] )
+        | Take _ when members = [] -> (st, members)
+        | Take i ->
+          let key, texp = List.nth members (i mod List.length members) in
+          ( Partial_agg.standing_change st key texp (-1),
+            List.filteri (fun j _ -> j <> i mod List.length members) members )
+        | Expire tau ->
+          ( fst (Partial_agg.standing_expire st (fin tau)),
+            List.filter (fun (_, texp) -> Time.(texp > fin tau)) members )
+      in
+      let start = List.fold_left apply (Partial_agg.standing_empty, []) base in
+      let before = fst start and after = fst (List.fold_left apply start changes) in
+      let diff = Partial_agg.standing_diff before after in
+      let keys = List.map (fun (g : Partial_agg.group) -> g.key) diff in
+      let rec ascending = function
+        | a :: (b :: _ as rest) -> List.compare Value.compare a b < 0 && ascending rest
+        | [ _ ] | [] -> true
+      in
+      let patched =
+        List.fold_left
+          (fun groups (g : Partial_agg.group) ->
+            let others = List.filter (fun (h : Partial_agg.group) -> h.key <> g.key) groups in
+            if g.slices = [] then others else g :: others)
+          (Partial_agg.standing_partial before) diff
+      in
+      ascending keys
+      && Partial_agg.standing_diff after after = []
+      && List.sort compare patched = List.sort compare (Partial_agg.standing_partial after))
+
 let suite =
   [ Alcotest.test_case "difference event timeline (Fig 3 as pushes)" `Quick
       test_difference_timeline;
@@ -379,4 +437,5 @@ let suite =
       test_counted_keeps_unchanged_rows;
     Alcotest.test_case "a grouped COUNT logs the groups whose nu passed" `Quick
       test_counted_logs_passed_nu;
+    prop_standing_diff;
     prop_current_tracks_truth ]

@@ -70,15 +70,10 @@ let wide_int : int Gen.t =
 let wide_time : Time.t Gen.t =
   Gen.oneof [ time; Gen.map Time.of_int wide_int ]
 
-let cursor : Expirel_exec.Partial_agg.cursor Gen.t =
-  Gen.map2
-    (fun entry generation -> { Expirel_exec.Partial_agg.entry; generation })
-    wide_int wide_int
-
 let want : Wire.want Gen.t =
   Gen.oneof
     [ Gen.oneofl [ Wire.Want_rows; Wire.Want_sketch; Wire.Want_agg None ];
-      Gen.map (fun c -> Wire.Want_agg (Some c)) cursor ]
+      Gen.map (fun v -> Wire.Want_agg (Some v)) wide_int ]
 
 let request : Wire.request Gen.t =
   Gen.oneof
@@ -276,10 +271,10 @@ let count_group : Expirel_exec.Partial_agg.group Gen.t =
             })
           wide_time wide_int))
 
-(* v15 standing deltas: a cursor and the [full] flag; the groups ride
+(* v16 kept reads: a held version and the [full] flag; the groups ride
    in the body's COUNT groups, a slice-less one for a group gone. *)
-let delta : Expirel_exec.Partial_agg.delta Gen.t =
-  Gen.map2 (fun cursor full -> { Expirel_exec.Partial_agg.cursor; full }) cursor Gen.bool
+let held_groups : Wire.held_groups Gen.t =
+  Gen.map2 (fun version full -> { Wire.version; full }) wide_int Gen.bool
 
 (* v9: every body the statement envelope carries. *)
 let shard_body : Wire.shard_body Gen.t =
@@ -302,8 +297,8 @@ let shard_body : Wire.shard_body Gen.t =
            [ list_size (int_range 0 4) agg_group;
              list_size (int_range 0 4) count_group ]
        in
-       let* standing = option delta in
-       return (Wire.Body_agg { columns; child_texp; groups; standing })) ]
+       let* held = option held_groups in
+       return (Wire.Body_agg { columns; child_texp; groups; held })) ]
 
 let response : Wire.response Gen.t =
   Gen.oneof
