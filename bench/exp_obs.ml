@@ -232,16 +232,16 @@ let run_all () =
   let slow = ok (Client.slow_queries client 3) in
   if slow = [] then failwith "SLOW found no trace after the workload";
   List.iter
-    (fun (q : Wire.slow_query) ->
-      Printf.printf "%6dus  %s (%d spans)\n" q.total_us q.statement
-        (List.length q.spans))
+    (fun (e : Obs.Trace_store.entry) ->
+      Printf.printf "%6dus  %s (%d spans)\n" e.total_us e.name
+        (List.length e.spans))
     slow;
   let breakdowns =
-    List.for_all (fun (q : Wire.slow_query) -> q.spans <> []) slow
+    List.for_all (fun (e : Obs.Trace_store.entry) -> e.spans <> []) slow
   in
   if not breakdowns then failwith "the slowest traces lack span breakdowns";
   Bench_util.metric_int "slow_top_us"
-    (match slow with q :: _ -> q.Wire.total_us | [] -> 0);
+    (match slow with e :: _ -> e.total_us | [] -> 0);
 
   Client.close client;
   Server.stop server;

@@ -138,77 +138,70 @@ let print_events client =
     (fun e -> print_endline (Wire.render_response (Wire.Event e)))
     (Client.events client)
 
-let print_slow_queries client n =
-  match Client.slow_queries client n with
-  | Ok qs -> print_endline (Wire.render_response (Wire.Slow_queries_reply qs))
+let print_reply print = function
+  | Ok v -> print v
   | Error e -> Printf.printf "error: %s\n" e
 
-let print_traces client n =
-  match Client.traces client n with
-  | Ok es -> print_endline (Wire.render_response (Wire.Traces_reply es))
-  | Error e -> Printf.printf "error: %s\n" e
+let print_traces entries =
+  print_endline (Wire.render_response (Wire.Traces_reply entries))
 
-let print_health client =
-  match Client.health client with
-  | Ok (level, firing) ->
-    print_endline (Wire.render_response (Wire.Health_reply { level; firing }))
-  | Error e -> Printf.printf "error: %s\n" e
+let print_health report =
+  print_endline (Wire.render_response (Wire.Health_reply report))
 
-let print_horizon client table =
-  match Client.horizon ?table client with
-  | Ok report -> print_endline (Expirel_obs.Horizon.render report)
-  | Error e -> Printf.printf "error: %s\n" e
+(* The admin words both remote REPLs answer beside SQL. *)
+type admin =
+  | Metrics
+  | Health
+  | Horizon of string option
+  | Trace of int
+  | Slow of int
+  | Usage of string  (* a count that did not parse: the word's usage *)
+
+let admin_word text =
+  let upper = String.uppercase_ascii text in
+  (* What follows [word] when [text] is [word], alone or before a space. *)
+  let arg word =
+    let n = String.length word in
+    if upper = word then Some ""
+    else if String.starts_with ~prefix:(word ^ " ") upper then
+      Some (String.trim (String.sub text n (String.length text - n)))
+    else None
+  in
+  let count word rest make =
+    match if rest = "" then Some 10 else int_of_string_opt rest with
+    | Some n when n >= 0 -> make n
+    | Some _ | None -> Usage (Printf.sprintf "usage: %s [N];" word)
+  in
+  match upper with
+  | "METRICS" -> Some Metrics
+  | "HEALTH" -> Some Health
+  | _ ->
+    (match (arg "HORIZON", arg "TRACE", arg "SLOW") with
+     | Some "", _, _ -> Some (Horizon None)
+     | Some table, _, _ -> Some (Horizon (Some table))
+     | None, Some rest, _ -> Some (count "TRACE" rest (fun n -> Trace n))
+     | None, None, Some rest -> Some (count "SLOW" rest (fun n -> Slow n))
+     | None, None, None -> None)
 
 let send_statement client text =
   let text = String.trim text in
   if text <> "" then begin
-    let upper = String.uppercase_ascii text in
-    let starts p =
-      String.length upper >= String.length p
-      && String.sub upper 0 (String.length p) = p
-    in
-    (if upper = "METRICS" then
-       match Client.metrics client with
-       | Ok exposition -> print_string exposition
-       | Error e -> Printf.printf "error: %s\n" e
-     else if upper = "SLOW" || starts "SLOW " then begin
-       let n =
-         if upper = "SLOW" then Some 10
-         else
-           int_of_string_opt
-             (String.trim (String.sub text 5 (String.length text - 5)))
-       in
-       match n with
-       | Some n when n >= 0 -> print_slow_queries client n
-       | Some _ | None -> print_endline "usage: SLOW [N];"
-     end
-     else if upper = "TRACE" || starts "TRACE " then begin
-       let n =
-         if upper = "TRACE" then Some 10
-         else
-           int_of_string_opt
-             (String.trim (String.sub text 6 (String.length text - 6)))
-       in
-       match n with
-       | Some n when n >= 0 -> print_traces client n
-       | Some _ | None -> print_endline "usage: TRACE [N];"
-     end
-     else if upper = "HEALTH" then print_health client
-     else if upper = "HORIZON" || starts "HORIZON " then begin
-       let table =
-         if upper = "HORIZON" then None
-         else Some (String.trim (String.sub text 8 (String.length text - 8)))
-       in
-       print_horizon client table
-     end
-     else if upper = "PING" then
-       match Client.ping client with
-       | Ok () -> print_endline "pong"
-       | Error e -> Printf.printf "error: %s\n" e
-     else
-       match Client.exec client text with
-       | Ok response -> print_endline (Wire.render_response response)
-       | Error e -> Printf.printf "error: %s\n" e);
+    (match admin_word text with
+     | Some Metrics -> print_reply print_string (Client.metrics client)
+     | Some Health -> print_reply print_health (Client.health client)
+     | Some (Horizon table) ->
+       print_reply
+         (fun report -> print_endline (Expirel_obs.Horizon.render report))
+         (Client.horizon ?table client)
+     | Some (Trace n) -> print_reply print_traces (Client.traces client n)
+     | Some (Slow n) -> print_reply print_traces (Client.slow_queries client n)
+     | Some (Usage line) -> print_endline line
+     | None when String.uppercase_ascii text = "PING" ->
+       print_reply (fun () -> print_endline "pong") (Client.ping client)
+     | None ->
+       print_reply
+         (fun response -> print_endline (Wire.render_response response))
+         (Client.exec client text));
     print_events client
   end
 
@@ -318,30 +311,10 @@ let stats_main host port slow =
       | None -> ()
       | Some n ->
         (match Client.slow_queries client n with
-         | Ok qs ->
-           print_endline (Wire.render_response (Wire.Slow_queries_reply qs))
+         | Ok entries -> print_traces entries
          | Error e -> fail e))
 
 (* ---------- trace: recent request traces, optionally as Chrome JSON ---------- *)
-
-let store_entry (e : Wire.trace_entry) =
-  { Expirel_obs.Trace_store.node = e.node;
-    trace_id = e.entry_trace_id;
-    name = e.entry_name;
-    started_at = e.started_at;
-    total_us = e.entry_total_us;
-    spans =
-      List.map
-        (fun (s : Wire.span) ->
-          { Expirel_obs.Trace.id = s.span_id;
-            parent = s.parent_id;
-            name = s.span_name;
-            start_us = s.start_us;
-            duration_us = s.duration_us;
-            labels = s.labels
-          })
-        e.entry_spans
-  }
 
 let fetch_traces ~host ~port n =
   let client =
@@ -373,12 +346,12 @@ let trace_main host port n also json trace_id =
     match trace_id with
     | None -> entries
     | Some id ->
-      List.filter (fun (e : Wire.trace_entry) -> e.entry_trace_id = id) entries
+      List.filter
+        (fun (e : Expirel_obs.Trace_store.entry) -> e.trace_id = id)
+        entries
   in
-  if json then
-    print_endline (Expirel_obs.Trace_export.to_json (List.map store_entry entries))
-  else
-    print_endline (Wire.render_response (Wire.Traces_reply entries))
+  if json then print_endline (Expirel_obs.Trace_export.to_json entries)
+  else print_traces entries
 
 (* ---------- health: one-shot rule evaluation against a server ---------- *)
 
@@ -394,14 +367,13 @@ let health_main host port =
     ~finally:(fun () -> Client.close client)
     (fun () ->
       match Client.health client with
-      | Ok (level, firing) ->
-        print_endline
-          (Wire.render_response (Wire.Health_reply { level; firing }));
+      | Ok report ->
+        print_health report;
         (* Monitoring-friendly exit status: ok 0, degraded 1, critical 2. *)
-        (match level with
-         | Wire.Health_ok -> ()
-         | Wire.Health_degraded -> exit 1
-         | Wire.Health_critical -> exit 2)
+        (match report.level with
+         | Expirel_obs.Health.Ok -> ()
+         | Degraded -> exit 1
+         | Critical -> exit 2)
       | Error e ->
         Printf.eprintf "error: %s\n" e;
         exit 1)
@@ -490,61 +462,29 @@ let cluster_statement coord text =
   let text = String.trim text in
   if text <> "" then begin
     let upper = String.uppercase_ascii text in
-    let starts p =
-      String.length upper >= String.length p
-      && String.sub upper 0 (String.length p) = p
-    in
-    if upper = "METRICS" then print_string (Coordinator.metrics coord)
-    else if upper = "HEALTH" then begin
-      let level, firing = Coordinator.health coord in
-      print_endline (Wire.render_response (Wire.Health_reply { level; firing }))
-    end
-    else if upper = "SHARDS" then print_shard_summaries coord
-    else if upper = "HORIZON" || starts "HORIZON " then begin
-      let table =
-        if upper = "HORIZON" then None
-        else Some (String.trim (String.sub text 8 (String.length text - 8)))
-      in
-      match Coordinator.horizon ?table coord with
-      | Ok (report, per_shard) ->
-        print_endline (Expirel_obs.Horizon.render ~per_shard report)
-      | Error e -> Printf.printf "error: %s\n" e
-    end
-    else if upper = "TRACE" || starts "TRACE " then begin
-      let n =
-        if upper = "TRACE" then Some 10
-        else
-          int_of_string_opt
-            (String.trim (String.sub text 6 (String.length text - 6)))
-      in
-      match n with
-      | Some n when n >= 0 ->
-        print_endline
-          (Wire.render_response
-             (Wire.Traces_reply (Coordinator.recent_traces coord n)))
-      | Some _ | None -> print_endline "usage: TRACE [N];"
-    end
-    else if starts "ADD SHARD " then begin
-      let host, port =
-        parse_endpoint
-          (String.trim (String.sub text 10 (String.length text - 10)))
-      in
-      match Coordinator.add_shard coord { host; port } with
-      | Ok msg -> print_endline msg
-      | Error e -> Printf.printf "error: %s\n" e
-    end
-    else if starts "REMOVE SHARD " then begin
-      match
-        int_of_string_opt
-          (String.trim (String.sub text 13 (String.length text - 13)))
-      with
-      | Some id ->
-        (match Coordinator.remove_shard coord id with
-         | Ok msg -> print_endline msg
-         | Error e -> Printf.printf "error: %s\n" e)
-      | None -> print_endline "usage: REMOVE SHARD <id>;"
-    end
-    else print_endline (Wire.render_response (Coordinator.exec coord text))
+    let rest n = String.trim (String.sub text n (String.length text - n)) in
+    match admin_word text with
+    | Some Metrics -> print_string (Coordinator.metrics coord)
+    | Some Health -> print_health (Coordinator.health coord)
+    | Some (Horizon table) ->
+      print_reply
+        (fun (report, per_shard) ->
+          print_endline (Expirel_obs.Horizon.render ~per_shard report))
+        (Coordinator.horizon ?table coord)
+    | Some (Trace n) -> print_traces (Coordinator.recent_traces coord n)
+    | Some (Slow n) ->
+      print_traces
+        (Expirel_obs.Trace_store.slowest (Coordinator.trace_store coord) n)
+    | Some (Usage line) -> print_endline line
+    | None when upper = "SHARDS" -> print_shard_summaries coord
+    | None when String.starts_with ~prefix:"ADD SHARD " upper ->
+      let host, port = parse_endpoint (rest 10) in
+      print_reply print_endline (Coordinator.add_shard coord { host; port })
+    | None when String.starts_with ~prefix:"REMOVE SHARD " upper ->
+      (match int_of_string_opt (rest 13) with
+       | Some id -> print_reply print_endline (Coordinator.remove_shard coord id)
+       | None -> print_endline "usage: REMOVE SHARD <id>;")
+    | None -> print_endline (Wire.render_response (Coordinator.exec coord text))
   end
 
 let cluster_connect shard_args script =
@@ -570,8 +510,8 @@ let cluster_connect shard_args script =
         Printf.printf
           "coordinator over %d shard(s) (map v%d)\n\
            statements end with ';'.  Also: METRICS;  HEALTH;  SHARDS;\n\
-          \  HORIZON [t];  TRACE [N];  ADD SHARD HOST:PORT;  REMOVE SHARD \
-           ID;  ^D to quit.\n"
+          \  HORIZON [t];  TRACE [N];  SLOW [N];  ADD SHARD HOST:PORT;\n\
+          \  REMOVE SHARD ID;  ^D to quit.\n"
           (List.length endpoints)
           (Coordinator.shard_map coord).Wire.map_version;
         let buffer = Buffer.create 256 in

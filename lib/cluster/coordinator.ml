@@ -1400,8 +1400,7 @@ let health t =
     Obs.Health.evaluate t.health_rules (Obs.Registry.collect t.registry)
   in
   t.last_health <- report.Obs.Health.level;
-  ( Metrics.wire_health_level report.Obs.Health.level,
-    List.map Metrics.wire_firing report.Obs.Health.firing )
+  report
 
 let trace_store t = t.trace_store
 
@@ -1409,7 +1408,7 @@ let trace_store t = t.trace_store
    every shard's recent entries, newest first — one trace id read here
    shows the coordinator lane plus a lane per contacted shard. *)
 let recent_traces t n =
-  let own = List.map Metrics.wire_trace_entry (Obs.Trace_store.recent t.trace_store n) in
+  let own = Obs.Trace_store.recent t.trace_store n in
   let remote =
     List.concat_map
       (function
@@ -1418,7 +1417,7 @@ let recent_traces t n =
       (fan_out t (List.map (fun slot -> (slot, Wire.Trace_recent n)) (slots t)))
   in
   List.stable_sort
-    (fun (a : Wire.trace_entry) b -> Float.compare b.started_at a.started_at)
+    (fun (a : Obs.Trace_store.entry) b -> Float.compare b.started_at a.started_at)
     (own @ remote)
 
 let traffic t =

@@ -180,7 +180,7 @@ val metrics : t -> string
     COUNT delta and full reads, map-version and shard-health
     gauges). *)
 
-val health : t -> Wire.health_level * Wire.health_firing list
+val health : t -> Expirel_obs.Health.report
 (** Evaluates the coordinator's health rules over its own metrics —
     with {!default_health_rules}: degraded from the first unreachable
     or stale shard, critical from a majority; plus the predictive storm
@@ -207,7 +207,7 @@ val horizon_page : t -> (string, string) result
 
 val default_health_rules : shards:int -> Expirel_obs.Health.rule list
 
-val recent_traces : t -> int -> Wire.trace_entry list
+val recent_traces : t -> int -> Expirel_obs.Trace_store.entry list
 (** The cluster-wide trace view, newest first: this coordinator's
     entries merged with every shard's — one trace id collects the
     coordinator lane plus a lane per contacted shard, ready for

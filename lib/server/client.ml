@@ -166,98 +166,74 @@ let exec_ok t sql =
   | Ok _ -> Ok ()
   | Error _ as e -> e
 
-let subscribe t ~name ~query =
-  match request t (Wire.Subscribe { name; query }) with
-  | Ok (Wire.Ok_msg _) -> Ok ()
+(* One request whose reply [pick] accepts: an [Err] answers its
+   message, any other reply is out of protocol for [what]. *)
+let call t req what pick =
+  match request t req with
   | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to SUBSCRIBE"
-  | Error _ as e -> e
+  | Ok reply ->
+    (match pick reply with
+     | Some v -> Ok v
+     | None -> Error ("unexpected response to " ^ what))
+  | Error e -> Error e
+
+let subscribe t ~name ~query =
+  call t (Wire.Subscribe { name; query }) "SUBSCRIBE" (function
+    | Wire.Ok_msg _ -> Some ()
+    | _ -> None)
 
 let unsubscribe t name =
-  match request t (Wire.Unsubscribe name) with
-  | Ok (Wire.Ok_msg _) -> Ok ()
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to UNSUBSCRIBE"
-  | Error _ as e -> e
+  call t (Wire.Unsubscribe name) "UNSUBSCRIBE" (function
+    | Wire.Ok_msg _ -> Some ()
+    | _ -> None)
 
 let metrics t =
-  match request t Wire.Metrics with
-  | Ok (Wire.Metrics_reply text) -> Ok text
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to METRICS"
-  | Error _ as e -> e
+  call t Wire.Metrics "METRICS" (function
+    | Wire.Metrics_reply text -> Some text
+    | _ -> None)
 
-let slow_queries t n =
-  match request t (Wire.Slow_queries n) with
-  | Ok (Wire.Slow_queries_reply qs) -> Ok qs
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to SLOW"
-  | Error _ as e -> e
-
-let traces t n =
-  match request t (Wire.Trace_recent n) with
-  | Ok (Wire.Traces_reply es) -> Ok es
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to TRACE"
-  | Error _ as e -> e
+let traces_of = function Wire.Traces_reply es -> Some es | _ -> None
+let slow_queries t n = call t (Wire.Slow_queries n) "SLOW" traces_of
+let traces t n = call t (Wire.Trace_recent n) "TRACE" traces_of
 
 let horizon ?table t =
-  match request t (Wire.Horizon table) with
-  | Ok (Wire.Horizon_reply report) -> Ok report
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to HORIZON"
-  | Error _ as e -> e
+  call t (Wire.Horizon table) "HORIZON" (function
+    | Wire.Horizon_reply report -> Some report
+    | _ -> None)
 
 let health t =
-  match request t Wire.Health with
-  | Ok (Wire.Health_reply { level; firing }) -> Ok (level, firing)
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to HEALTH"
-  | Error _ as e -> e
+  call t Wire.Health "HEALTH" (function
+    | Wire.Health_reply report -> Some report
+    | _ -> None)
 
 (* ----- cluster RPCs (the coordinator's side of the v5 messages) ----- *)
 
 let shard_install t ~map ~self_id =
-  match request t (Wire.Shard_install { map; self_id }) with
-  | Ok (Wire.Ok_msg _) -> Ok ()
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to shard install"
-  | Error _ as e -> e
+  call t (Wire.Shard_install { map; self_id }) "shard install" (function
+    | Wire.Ok_msg _ -> Some ()
+    | _ -> None)
 
 let shard_map t =
-  match request t Wire.Shard_map_req with
-  | Ok (Wire.Shard_map_reply identity) -> Ok identity
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to shard map request"
-  | Error _ as e -> e
+  call t Wire.Shard_map_req "shard map request" (function
+    | Wire.Shard_map_reply identity -> Some identity
+    | _ -> None)
 
 let extract_moving t table =
-  match request t (Wire.Extract_moving table) with
-  | Ok (Wire.Moved_rows moves) -> Ok moves
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to extract"
-  | Error _ as e -> e
+  call t (Wire.Extract_moving table) "extract" (function
+    | Wire.Moved_rows moves -> Some moves
+    | _ -> None)
+
+let acked_partition = function
+  | Wire.Shard_reply { partition; body = Wire.Body_ack _ } -> Some partition
+  | _ -> None
 
 let ingest_rows t ~table rows =
-  match request t (Wire.Ingest_rows { table; ingest = rows }) with
-  | Ok (Wire.Shard_reply { partition; body = Wire.Body_ack _ }) -> Ok partition
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to ingest"
-  | Error _ as e -> e
+  call t (Wire.Ingest_rows { table; ingest = rows }) "ingest" acked_partition
 
-let purge_moved t table =
-  match request t (Wire.Purge_moved table) with
-  | Ok (Wire.Shard_reply { partition; body = Wire.Body_ack _ }) -> Ok partition
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to purge"
-  | Error _ as e -> e
+let purge_moved t table = call t (Wire.Purge_moved table) "purge" acked_partition
 
 let ping t =
-  match request t Wire.Ping with
-  | Ok Wire.Pong -> Ok ()
-  | Ok (Wire.Err { message; _ }) -> Error message
-  | Ok _ -> Error "unexpected response to PING"
-  | Error _ as e -> e
+  call t Wire.Ping "PING" (function Wire.Pong -> Some () | _ -> None)
 
 let events t =
   let drained = List.of_seq (Queue.to_seq t.pending) in

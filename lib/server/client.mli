@@ -89,11 +89,12 @@ val unsubscribe : t -> string -> (unit, string) result
 val metrics : t -> (string, string) result
 (** Prometheus text-format exposition of every server metric. *)
 
-val slow_queries : t -> int -> (Wire.slow_query list, string) result
+val slow_queries :
+  t -> int -> (Expirel_obs.Trace_store.entry list, string) result
 (** The [n] slowest recorded statements, slowest first, with their
-    per-stage span breakdowns. *)
+    per-stage span breakdowns: the server's trace store entries. *)
 
-val traces : t -> int -> (Wire.trace_entry list, string) result
+val traces : t -> int -> (Expirel_obs.Trace_store.entry list, string) result
 (** The [n] most recent request traces, newest first — feed them (from
     several nodes) to {!Expirel_obs.Trace_export} for one merged
     Chrome trace. *)
@@ -105,8 +106,7 @@ val horizon :
     and churn rates.  [table] restricts the profile to one table
     (unknown tables answer [Error]). *)
 
-val health :
-  t -> (Wire.health_level * Wire.health_firing list, string) result
+val health : t -> (Expirel_obs.Health.report, string) result
 (** Evaluates the server's health rules: the overall verdict plus every
     firing rule (empty when all healthy). *)
 

@@ -152,48 +152,6 @@ let observe_trace t spans =
           self_us)
     spans
 
-let wire_span (s : Trace.span) =
-  { Wire.span_name = s.name;
-    span_id = s.id;
-    parent_id = s.parent;
-    start_us = s.start_us;
-    duration_us = s.duration_us;
-    labels = s.labels
-  }
-
-let wire_spans spans = List.map wire_span spans
-
-let wire_trace_entry (e : Trace_store.entry) =
-  { Wire.node = e.node;
-    entry_trace_id = e.trace_id;
-    entry_name = e.name;
-    started_at = e.started_at;
-    entry_total_us = e.total_us;
-    entry_spans = wire_spans e.spans
-  }
-
-let wire_health_level = function
-  | Health.Ok -> Wire.Health_ok
-  | Health.Degraded -> Wire.Health_degraded
-  | Health.Critical -> Wire.Health_critical
-
-let wire_firing (f : Health.firing) =
-  { Wire.rule_name = f.rule_name;
-    observed = f.value;
-    firing_level = wire_health_level f.level;
-    rule_help = f.help
-  }
-
-let slowest store n =
-  List.map
-    (fun (e : Trace_store.entry) ->
-      { Wire.statement = e.name;
-        trace_id = e.trace_id;
-        total_us = e.total_us;
-        spans = wire_spans e.spans
-      })
-    (Trace_store.slowest store n)
-
 let build_version = "0.10.0"
 
 (* Registered on both the server's and the coordinator's registry, so

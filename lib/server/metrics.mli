@@ -81,20 +81,6 @@ val observe_trace : t -> Expirel_obs.Trace.span list -> unit
     ({!Expirel_obs.Trace.self_us}): a parent span's bucket no longer
     double-counts the children nested inside it. *)
 
-val wire_spans : Expirel_obs.Trace.span list -> Wire.span list
-(** Trace spans as wire values (ids, parents and labels included). *)
-
-val wire_trace_entry : Expirel_obs.Trace_store.entry -> Wire.trace_entry
-(** A stored trace as the wire's TRACE entry. *)
-
-val wire_health_level : Expirel_obs.Health.level -> Wire.health_level
-val wire_firing : Expirel_obs.Health.firing -> Wire.health_firing
-(** A firing health rule as the wire's HEALTH entry. *)
-
-val slowest : Expirel_obs.Trace_store.t -> int -> Wire.slow_query list
-(** The [n] slowest statements the store retains
-    ({!Expirel_obs.Trace_store.slowest}), as wire values. *)
-
 val set_repl_source : t -> (unit -> repl_stats option) -> unit
 (** Installs the provider the [expirel_repl_*] samples poll: role,
     source position, lag in records and ticks, followers, reconnects,

@@ -757,10 +757,7 @@ let handle_health t =
       let collected = Obs.Registry.collect (Metrics.registry t.metrics) in
       let report = Obs.Health.evaluate t.config.health_rules collected in
       t.last_health <- report.Obs.Health.level;
-      Wire.Health_reply
-        { level = Metrics.wire_health_level report.Obs.Health.level;
-          firing = List.map Metrics.wire_firing report.Obs.Health.firing
-        })
+      Wire.Health_reply report)
 
 (* ---------- shard mode (coordinator-facing RPCs) ---------- *)
 
@@ -989,10 +986,9 @@ let handle_request t conn = function
     with_lock t ~write:false (fun () ->
         Wire.Metrics_reply (Metrics.prometheus t.metrics))
   | Wire.Slow_queries n ->
-    Wire.Slow_queries_reply (Metrics.slowest t.trace_store (max 0 n))
+    Wire.Traces_reply (Obs.Trace_store.slowest t.trace_store (max 0 n))
   | Wire.Trace_recent n ->
-    Wire.Traces_reply
-      (List.map Metrics.wire_trace_entry (Obs.Trace_store.recent t.trace_store (max 0 n)))
+    Wire.Traces_reply (Obs.Trace_store.recent t.trace_store (max 0 n))
   | Wire.Health -> handle_health t
   | Wire.Horizon table ->
     (* Like METRICS: the forecast walks live table and watch state, so

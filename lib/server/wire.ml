@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 16
+let version = 17
 
 type error_code =
   | Parse_error
@@ -25,24 +25,6 @@ type event =
     }
   | Refreshed of { subscription : string; at : Time.t }
 
-type span = {
-  span_name : string;
-  span_id : int;
-  parent_id : int option;
-  start_us : int;
-  duration_us : int;
-  labels : (string * string) list;
-}
-
-type slow_query = {
-  statement : string;
-  trace_id : string;
-      (* the request's trace id, so slow-log entries join against
-         TRACES exports *)
-  total_us : int;
-  spans : span list;
-}
-
 type trace_ctx = {
   trace_id : string;
   parent_span : int;
@@ -60,27 +42,6 @@ let trace_of_ctx { trace_id; parent_span } =
   Expirel_obs.Trace.create ~trace_id
     ?parent_span:(if parent_span = 0 then None else Some parent_span)
     ()
-
-type trace_entry = {
-  node : string;
-  entry_trace_id : string;
-  entry_name : string;
-  started_at : float;
-  entry_total_us : int;
-  entry_spans : span list;
-}
-
-type health_level =
-  | Health_ok
-  | Health_degraded
-  | Health_critical
-
-type health_firing = {
-  rule_name : string;
-  observed : float;
-  firing_level : health_level;
-  rule_help : string;
-}
 
 type shard = {
   shard_id : int;
@@ -244,9 +205,8 @@ type response =
   | Repl_records of { from_position : int; records : Wal.record list }
   | Repl_heartbeat of { position : int; now : Time.t }
   | Metrics_reply of string
-  | Slow_queries_reply of slow_query list
-  | Traces_reply of trace_entry list
-  | Health_reply of { level : health_level; firing : health_firing list }
+  | Traces_reply of Expirel_obs.Trace_store.entry list
+  | Health_reply of Expirel_obs.Health.report
   | Shard_map_reply of shard_identity option
   | Shard_pong of {
       shard_id : int;
@@ -438,10 +398,10 @@ let encode_request = function
         put_option b put_ctx ctx;
         put_option b put_int held)
 
-let put_span b s =
-  put_str b s.span_name;
-  put_int b s.span_id;
-  put_option b put_int s.parent_id;
+let put_span b (s : Expirel_obs.Trace.span) =
+  put_str b s.name;
+  put_int b s.id;
+  put_option b put_int s.parent;
   put_int b s.start_us;
   put_int b s.duration_us;
   put_list b
@@ -450,11 +410,13 @@ let put_span b s =
       put_str b v)
     s.labels
 
-let put_slow_query b q =
-  put_str b q.statement;
-  put_str b q.trace_id;
-  put_int b q.total_us;
-  put_list b put_span q.spans
+let put_entry b (e : Expirel_obs.Trace_store.entry) =
+  put_str b e.node;
+  put_str b e.trace_id;
+  put_str b e.name;
+  put_f64 b e.started_at;
+  put_int b e.total_us;
+  put_list b put_span e.spans
 
 let put_horizon_table b (tb : Expirel_obs.Horizon.table) =
   put_str b tb.name;
@@ -472,9 +434,15 @@ let put_horizon b (r : Expirel_obs.Horizon.report) =
 let put_level b level =
   put_u8 b
     (match level with
-     | Health_ok -> 1
-     | Health_degraded -> 2
-     | Health_critical -> 3)
+     | Expirel_obs.Health.Ok -> 1
+     | Degraded -> 2
+     | Critical -> 3)
+
+let put_firing b (f : Expirel_obs.Health.firing) =
+  put_str b f.rule_name;
+  put_f64 b f.value;
+  put_level b f.level;
+  put_str b f.help
 
 let encode_response = function
   | Ok_msg m -> payload 1 (fun b -> put_str b m)
@@ -504,28 +472,11 @@ let encode_response = function
         put_int b position;
         put_time b now)
   | Metrics_reply text -> payload 11 (fun b -> put_str b text)
-  | Slow_queries_reply qs -> payload 12 (fun b -> put_list b put_slow_query qs)
-  | Traces_reply entries ->
-    payload 13 (fun b ->
-        put_list b
-          (fun b e ->
-            put_str b e.node;
-            put_str b e.entry_trace_id;
-            put_str b e.entry_name;
-            put_f64 b e.started_at;
-            put_int b e.entry_total_us;
-            put_list b put_span e.entry_spans)
-          entries)
+  | Traces_reply entries -> payload 13 (fun b -> put_list b put_entry entries)
   | Health_reply { level; firing } ->
     payload 14 (fun b ->
         put_level b level;
-        put_list b
-          (fun b f ->
-            put_str b f.rule_name;
-            put_f64 b f.observed;
-            put_level b f.firing_level;
-            put_str b f.rule_help)
-          firing)
+        put_list b put_firing firing)
   | Shard_map_reply identity ->
     payload 15 (fun b ->
         put_option b
@@ -761,9 +712,9 @@ let decode_request data =
     | n -> bad "unknown request tag %d" n)
 
 let get_span c =
-  let span_name = get_str c in
-  let span_id = get_int c in
-  let parent_id = get_option c get_int in
+  let name = get_str c in
+  let id = get_int c in
+  let parent = get_option c get_int in
   let start_us = get_int c in
   let duration_us = get_int c in
   let labels =
@@ -772,14 +723,16 @@ let get_span c =
         let v = get_str c in
         (k, v))
   in
-  { span_name; span_id; parent_id; start_us; duration_us; labels }
+  { Expirel_obs.Trace.id; parent; name; start_us; duration_us; labels }
 
-let get_slow_query c =
-  let statement = get_str c in
+let get_entry c =
+  let node = get_str c in
   let trace_id = get_str c in
+  let name = get_str c in
+  let started_at = get_f64 c in
   let total_us = get_int c in
   let spans = get_list c get_span in
-  { statement; trace_id; total_us; spans }
+  { Expirel_obs.Trace_store.node; trace_id; name; started_at; total_us; spans }
 
 let get_horizon_table c : Expirel_obs.Horizon.table =
   let name = get_str c in
@@ -800,10 +753,17 @@ let get_horizon c : Expirel_obs.Horizon.report =
 
 let get_level c =
   match get_u8 c with
-  | 1 -> Health_ok
-  | 2 -> Health_degraded
-  | 3 -> Health_critical
+  | 1 -> Expirel_obs.Health.Ok
+  | 2 -> Degraded
+  | 3 -> Critical
   | n -> bad "bad health level %d" n
+
+let get_firing c =
+  let rule_name = get_str c in
+  let value = get_f64 c in
+  let level = get_level c in
+  let help = get_str c in
+  { Expirel_obs.Health.rule_name; value; level; help }
 
 let decode_response data =
   decode_payload ~what:"bad response" data ~by:(fun c -> function
@@ -834,28 +794,10 @@ let decode_response data =
       let now = get_time c in
       Repl_heartbeat { position; now }
     | 11 -> Metrics_reply (get_str c)
-    | 12 -> Slow_queries_reply (get_list c get_slow_query)
-    | 13 ->
-      Traces_reply
-        (get_list c (fun c ->
-             let node = get_str c in
-             let entry_trace_id = get_str c in
-             let entry_name = get_str c in
-             let started_at = get_f64 c in
-             let entry_total_us = get_int c in
-             let entry_spans = get_list c get_span in
-             { node; entry_trace_id; entry_name; started_at;
-               entry_total_us; entry_spans }))
+    | 13 -> Traces_reply (get_list c get_entry)
     | 14 ->
       let level = get_level c in
-      let firing =
-        get_list c (fun c ->
-            let rule_name = get_str c in
-            let observed = get_f64 c in
-            let firing_level = get_level c in
-            let rule_help = get_str c in
-            { rule_name; observed; firing_level; rule_help })
-      in
+      let firing = get_list c get_firing in
       Health_reply { level; firing }
     | 15 ->
       Shard_map_reply
@@ -958,39 +900,19 @@ let rec pp_response ppf = function
       (if String.length text > 0 && text.[String.length text - 1] = '\n' then
          String.sub text 0 (String.length text - 1)
        else text)
-  | Slow_queries_reply qs ->
-    Format.fprintf ppf "%d slow quer%s" (List.length qs)
-      (if List.length qs = 1 then "y" else "ies");
-    List.iter
-      (fun q ->
-        Format.fprintf ppf "@\n%8dus  %s  [trace %s]" q.total_us q.statement
-          q.trace_id;
-        List.iter
-          (fun s ->
-            Format.fprintf ppf "@\n            %s +%dus for %dus%s"
-              s.span_name s.start_us s.duration_us
-              (match s.labels with
-               | [] -> ""
-               | ls ->
-                 " ["
-                 ^ String.concat ", "
-                     (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
-                 ^ "]"))
-          q.spans)
-      qs
   | Traces_reply entries ->
     Format.fprintf ppf "%d trace(s)" (List.length entries);
     List.iter
-      (fun e ->
-        Format.fprintf ppf "@\n%s %s %8dus  %s" e.entry_trace_id e.node
-          e.entry_total_us e.entry_name;
+      (fun (e : Expirel_obs.Trace_store.entry) ->
+        Format.fprintf ppf "@\n%s %s %8dus  %s" e.trace_id e.node e.total_us
+          e.name;
         List.iter
-          (fun s ->
-            Format.fprintf ppf "@\n  #%d%s %s +%dus for %dus%s" s.span_id
-              (match s.parent_id with
+          (fun (s : Expirel_obs.Trace.span) ->
+            Format.fprintf ppf "@\n  #%d%s %s +%dus for %dus%s" s.id
+              (match s.parent with
                | Some p -> Printf.sprintf " (in #%d)" p
                | None -> "")
-              s.span_name s.start_us s.duration_us
+              s.name s.start_us s.duration_us
               (match s.labels with
                | [] -> ""
                | ls ->
@@ -998,22 +920,15 @@ let rec pp_response ppf = function
                  ^ String.concat ", "
                      (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
                  ^ "]"))
-          e.entry_spans)
+          e.spans)
       entries
   | Health_reply { level; firing } ->
-    Format.fprintf ppf "health: %s"
-      (match level with
-       | Health_ok -> "ok"
-       | Health_degraded -> "degraded"
-       | Health_critical -> "critical");
+    let level_string = Expirel_obs.Health.level_to_string in
+    Format.fprintf ppf "health: %s" (level_string level);
     List.iter
-      (fun f ->
-        Format.fprintf ppf "@\n  [%s] %s = %g — %s"
-          (match f.firing_level with
-           | Health_ok -> "ok"
-           | Health_degraded -> "degraded"
-           | Health_critical -> "critical")
-          f.rule_name f.observed f.rule_help)
+      (fun (f : Expirel_obs.Health.firing) ->
+        Format.fprintf ppf "@\n  [%s] %s = %g — %s" (level_string f.level)
+          f.rule_name f.value f.help)
       firing
   | Shard_map_reply None -> Format.pp_print_string ppf "no shard map installed"
   | Shard_map_reply (Some { installed_map; self_id }) ->

@@ -42,7 +42,7 @@ val version : int
     and a trailing optional replication section in [stats].
     v3 — adds the observability requests [Metrics] (tag 8) and
     [Slow_queries] (tag 9) with their responses [Metrics_reply] (11) and
-    [Slow_queries_reply] (12); clients send them unprompted, so the
+    the slow-query reply (12); clients send them unprompted, so the
     bump gives pre-v3 servers a diagnosable mismatch instead of an
     opaque protocol error.  No existing layout changed — in particular
     [stats] still carries its latency-bucket bounds in the payload, so
@@ -89,7 +89,7 @@ val version : int
     v8 — expiration-horizon telemetry.  This bump is {e required}: the
     [slow_query] body changed — each entry now leads with the trace id
     it was recorded under, so slow-log entries join against [TRACES]
-    exports; a v7 peer would misparse [Slow_queries_reply].  New tags:
+    exports; a v7 peer would misparse the slow-query reply.  New tags:
     request [Horizon] (23, the forward expiration forecast, optionally
     restricted to one table — coordinators send it unprompted when
     gathering cluster-wide horizons) and response [Horizon_reply] (22,
@@ -170,6 +170,16 @@ val version : int
     groups it last shipped to the connection for the text against its
     entry's present ones, so its standing entries keep no key log,
     write generation or id.
+    v17 — the wire carries the observability records themselves.
+    This bump is {e required}: [Slow_queries] (9) is now answered with
+    [Traces_reply] (13), the trace store's slowest entries, where v16
+    answered with the slow-query reply (12): a statement, trace id,
+    total and spans per entry.  Tag 12 is retired and left unused.
+    The [Traces_reply] (13) and [Health_reply] (14) bodies are
+    unchanged: a span is its name, id, optional parent, start,
+    duration and labels; an entry its node, trace id, name, start
+    time, total and spans; a health rule its name, reading, level
+    byte (1 ok, 2 degraded, 3 critical) and help.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer
@@ -208,25 +218,6 @@ type event =
           flattened to value lists; a write pushes its events at its
           instant, before it is acknowledged *)
 
-type span = {
-  span_name : string;  (** stage label, e.g. ["parse"], ["op:join"] *)
-  span_id : int;  (** unique within its trace *)
-  parent_id : int option;  (** enclosing span (or remote parent) *)
-  start_us : int;  (** offset from the request's arrival, µs *)
-  duration_us : int;
-  labels : (string * string) list;  (** e.g. [("rows", "42")] *)
-}
-(** One stage of a traced request — mirrors [Obs.Trace.span]. *)
-
-type slow_query = {
-  statement : string;
-  trace_id : string;
-      (** the id of the trace recorded for the same request, so slow-log
-          entries join against [Trace_recent] exports *)
-  total_us : int;  (** wall-clock total for the request, µs *)
-  spans : span list;  (** breakdown in recording order *)
-}
-
 type trace_ctx = {
   trace_id : string;  (** opaque id minted by the originating node *)
   parent_span : int;
@@ -245,29 +236,6 @@ val trace_of_ctx : trace_ctx -> Expirel_obs.Trace.t
 (** A fresh trace recording under the caller's id, its top-level spans
     nested under [parent_span] (none when [0]) — the inverse of
     {!ctx_of_trace} across the wire. *)
-
-type trace_entry = {
-  node : string;  (** name of the node that recorded the trace *)
-  entry_trace_id : string;
-  entry_name : string;  (** what the trace covered (statement text) *)
-  started_at : float;
-      (** absolute origin ([Unix.gettimeofday]) of the span offsets —
-          lets a merger align entries from different nodes *)
-  entry_total_us : int;
-  entry_spans : span list;
-}
-
-type health_level =
-  | Health_ok
-  | Health_degraded
-  | Health_critical
-
-type health_firing = {
-  rule_name : string;
-  observed : float;  (** the reading that breached the threshold *)
-  firing_level : health_level;
-  rule_help : string;
-}
 
 type shard = {
   shard_id : int;  (** stable identity, survives rebalances *)
@@ -407,8 +375,9 @@ type request =
       (** full metric exposition in Prometheus text format
           ([Metrics_reply]) *)
   | Slow_queries of int
-      (** the [n] slowest recent statements with their span breakdowns
-          ([Slow_queries_reply]) *)
+      (** the [n] slowest retained statement traces, slowest first
+          ({!Expirel_obs.Trace_store.slowest}), answered as a
+          [Traces_reply] *)
   | Exec_traced of { sql : string; ctx : trace_ctx }
       (** [Exec] carrying the caller's trace context: the server's spans
           for this request record under [ctx.trace_id] with
@@ -512,11 +481,13 @@ type response =
   | Metrics_reply of string
       (** Prometheus text-format exposition page, opaque to the wire
           layer *)
-  | Slow_queries_reply of slow_query list  (** slowest first *)
-  | Traces_reply of trace_entry list  (** newest first *)
-  | Health_reply of { level : health_level; firing : health_firing list }
-      (** overall verdict (worst firing rule) plus every firing rule;
-          an empty [firing] list means every rule read healthy *)
+  | Traces_reply of Expirel_obs.Trace_store.entry list
+      (** the trace store's own entries: newest first for
+          [Trace_recent], slowest first for [Slow_queries] *)
+  | Health_reply of Expirel_obs.Health.report
+      (** the server's evaluated report: the overall verdict (worst
+          firing rule) plus every firing rule; an empty [firing] list
+          means every rule read healthy *)
   | Shard_map_reply of shard_identity option
       (** [None] on a node no coordinator has claimed yet *)
   | Shard_pong of {

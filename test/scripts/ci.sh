@@ -63,6 +63,15 @@ if grep -rnE 'no_cursor|Partial_agg\.cursor|Subscription\.(since|next_id)|log_wr
   echo "ci: the names above belong to the removed standing cursor; kept reads name a held version" >&2
   exit 1
 fi
+# One record per observability answer: TRACE and SLOW ship the trace
+# store's entries and HEALTH the evaluated report, as HORIZON ships the
+# forecast, so no code names the wire's former copies of those records
+# or the converters between them.
+if grep -rnE 'Wire\.(span|slow_query|trace_entry|health_level|health_firing)\b|Slow_queries_reply|Wire\.Health_(ok|degraded|critical)|wire_(trace_entry|span|firing|health_level)' \
+    lib bin bench test --include='*.ml' --include='*.mli'; then
+  echo "ci: the names above belong to the wire's removed copies of Trace_store.entry and Health.report" >&2
+  exit 1
+fi
 # One per-operator measurement: the executor records its op spans on
 # the request's trace, and EXPLAIN ANALYZE renders its own run's spans.
 # No lib/ or bin/ file names the profile sink or the probe hook those

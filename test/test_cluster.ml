@@ -920,8 +920,8 @@ let test_cross_node_trace () =
       let own =
         match
           List.find_opt
-            (fun (e : Wire.trace_entry) ->
-              e.entry_name = q && e.node = "coordinator")
+            (fun (e : Obs.Trace_store.entry) ->
+              e.name = q && e.node = "coordinator")
             entries
         with
         | Some e -> e
@@ -929,13 +929,12 @@ let test_cross_node_trace () =
       in
       let same_trace =
         List.filter
-          (fun (e : Wire.trace_entry) ->
-            e.entry_trace_id = own.entry_trace_id)
+          (fun (e : Obs.Trace_store.entry) -> e.trace_id = own.trace_id)
           entries
       in
       let nodes =
         List.sort_uniq compare
-          (List.map (fun (e : Wire.trace_entry) -> e.node) same_trace)
+          (List.map (fun (e : Obs.Trace_store.entry) -> e.node) same_trace)
       in
       Alcotest.(check bool) "trace spans >= 2 nodes" true
         (List.length nodes >= 2);
@@ -944,37 +943,16 @@ let test_cross_node_trace () =
       (* The coordinator lane carries the fan-out spans. *)
       Alcotest.(check bool) "rpc spans recorded" true
         (List.exists
-           (fun (s : Wire.span) ->
-             String.length s.span_name >= 4
-             && String.sub s.span_name 0 4 = "rpc:")
-           own.entry_spans);
+           (fun (s : Obs.Trace.span) -> String.starts_with ~prefix:"rpc:" s.name)
+           own.spans);
       (* The union-rule merge runs under its own top-level span. *)
       Alcotest.(check bool) "top-level merge span" true
         (List.exists
-           (fun (s : Wire.span) -> s.span_name = "merge" && s.parent_id = None)
-           own.entry_spans);
+           (fun (s : Obs.Trace.span) -> s.name = "merge" && s.parent = None)
+           own.spans);
       (* And the merged view exports as one Chrome trace containing
          both node names. *)
-      let store_entry (e : Wire.trace_entry) =
-        { Obs.Trace_store.node = e.node;
-          trace_id = e.entry_trace_id;
-          name = e.entry_name;
-          started_at = e.started_at;
-          total_us = e.entry_total_us;
-          spans =
-            List.map
-              (fun (s : Wire.span) ->
-                { Obs.Trace.id = s.span_id;
-                  parent = s.parent_id;
-                  name = s.span_name;
-                  start_us = s.start_us;
-                  duration_us = s.duration_us;
-                  labels = s.labels
-                })
-              e.entry_spans
-        }
-      in
-      let json = Obs.Trace_export.to_json (List.map store_entry same_trace) in
+      let json = Obs.Trace_export.to_json same_trace in
       let contains needle =
         let n = String.length needle and m = String.length json in
         let rec go i = i + n <= m && (String.sub json i n = needle || go (i + 1)) in
@@ -1007,8 +985,8 @@ let test_shard_fold_span () =
       let own =
         match
           List.find_opt
-            (fun (e : Wire.trace_entry) ->
-              e.entry_name = q && e.node = "coordinator")
+            (fun (e : Obs.Trace_store.entry) ->
+              e.name = q && e.node = "coordinator")
             entries
         with
         | Some e -> e
@@ -1018,40 +996,38 @@ let test_shard_fold_span () =
          top-level span of its own. *)
       Alcotest.(check bool) "coordinator merge span" true
         (List.exists
-           (fun (s : Wire.span) -> s.span_name = "merge" && s.parent_id = None)
-           own.entry_spans);
+           (fun (s : Obs.Trace.span) -> s.name = "merge" && s.parent = None)
+           own.spans);
       let shard_entries =
         List.filter
-          (fun (e : Wire.trace_entry) ->
-            e.entry_trace_id = own.entry_trace_id && e.node <> "coordinator")
+          (fun (e : Obs.Trace_store.entry) ->
+            e.trace_id = own.trace_id && e.node <> "coordinator")
           entries
       in
       Alcotest.(check int) "one entry per shard" 3 (List.length shard_entries);
       List.iter
-        (fun (e : Wire.trace_entry) ->
+        (fun (e : Obs.Trace_store.entry) ->
           let named n =
-            List.find_opt (fun (s : Wire.span) -> s.span_name = n) e.entry_spans
+            List.find_opt (fun (s : Obs.Trace.span) -> s.name = n) e.spans
           in
-          let parent_name (s : Wire.span) =
-            match s.parent_id with
+          let parent_name (s : Obs.Trace.span) =
+            match s.parent with
             | None -> None
             | Some id ->
               List.find_map
-                (fun (p : Wire.span) ->
-                  if p.span_id = id then Some p.span_name else None)
-                e.entry_spans
+                (fun (p : Obs.Trace.span) ->
+                  if p.id = id then Some p.name else None)
+                e.spans
           in
-          let rec under ancestor (s : Wire.span) =
-            match s.parent_id with
+          let rec under ancestor (s : Obs.Trace.span) =
+            match s.parent with
             | None -> false
             | Some id ->
               (match
-                 List.find_opt
-                   (fun (p : Wire.span) -> p.span_id = id)
-                   e.entry_spans
+                 List.find_opt (fun (p : Obs.Trace.span) -> p.id = id) e.spans
                with
                | None -> false
-               | Some p -> p.span_name = ancestor || under ancestor p)
+               | Some p -> p.name = ancestor || under ancestor p)
           in
           match named "op:aggregate", named "op:seq-scan" with
           | Some agg, Some scan ->
@@ -1150,19 +1126,18 @@ let test_health_unreachable () =
   with_cluster 3 (fun coord servers _eps ->
       Coordinator.heartbeat_now coord;
       (match Coordinator.health coord with
-       | Wire.Health_ok, _ -> ()
+       | { level = Ok; _ } -> ()
        | _ -> Alcotest.fail "expected ok with all shards up");
       (* One shard goes silent: degraded, not critical. *)
       Server.stop (List.nth servers 2);
       Coordinator.heartbeat_now coord;
       (match Coordinator.health coord with
-       | Wire.Health_degraded, firing ->
+       | { level = Degraded; firing } ->
          Alcotest.(check bool) "unreachable rule fires" true
            (List.exists
-              (fun (f : Wire.health_firing) ->
-                f.rule_name = "unreachable_shards")
+              (fun (f : Obs.Health.firing) -> f.rule_name = "unreachable_shards")
               firing)
-       | level, _ ->
+       | { level; _ } ->
          Alcotest.fail
            ("expected degraded, got "
            ^ Wire.render_response (Wire.Health_reply { level; firing = [] })));
@@ -1170,7 +1145,7 @@ let test_health_unreachable () =
       Server.stop (List.nth servers 1);
       Coordinator.heartbeat_now coord;
       match Coordinator.health coord with
-      | Wire.Health_critical, _ -> ()
+      | { level = Critical; _ } -> ()
       | _ -> Alcotest.fail "expected critical with a majority down")
 
 let test_health_stale_map () =
@@ -1202,14 +1177,14 @@ let test_health_stale_map () =
               Unix.sleepf 0.3;
               Coordinator.heartbeat_now coord;
               match Coordinator.health coord with
-              | (Wire.Health_degraded | Wire.Health_critical), firing ->
+              | { level = Degraded | Critical; firing } ->
                 Alcotest.(check bool) "stale rule fires" true
                   (List.exists
-                     (fun (f : Wire.health_firing) ->
+                     (fun (f : Obs.Health.firing) ->
                        f.rule_name = "stale_shard_maps"
                        || f.rule_name = "unreachable_shards")
                      firing)
-              | Wire.Health_ok, _ ->
+              | { level = Ok; _ } ->
                 Alcotest.fail "restarted shard with no map read healthy")))
 
 (* ---------- refusals: only per-node features are left ---------- *)
@@ -1824,15 +1799,16 @@ let test_cluster_storm_rule () =
           (exec coord (Printf.sprintf "INSERT INTO s VALUES (%d, 0) EXPIRES 5" i))
       done;
       (match Coordinator.health coord with
-       | Wire.Health_critical, firing ->
+       | { level = Critical; firing } ->
          Alcotest.(check bool) "cluster_expiration_storm names itself" true
            (List.exists
-              (fun f -> f.Wire.rule_name = "cluster_expiration_storm")
+              (fun (f : Obs.Health.firing) ->
+                f.rule_name = "cluster_expiration_storm")
               firing)
        | _ -> Alcotest.fail "storm not predicted before the drop");
       ignore (exec coord "ADVANCE TO 6");
       match Coordinator.health coord with
-      | Wire.Health_ok, _ -> ()
+      | { level = Ok; _ } -> ()
       | _ -> Alcotest.fail "health still firing after the storm passed")
 
 (* ---------- key routing: a pinned key asks only its owners ---------- *)

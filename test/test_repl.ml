@@ -570,8 +570,8 @@ let test_cross_node_trace () =
                     with_client port (fun c ->
                         match
                           List.filter
-                            (fun (e : Wire.trace_entry) ->
-                              e.entry_trace_id = tid)
+                            (fun (e : Expirel_obs.Trace_store.entry) ->
+                              e.trace_id = tid)
                             (ok (Client.traces c 50))
                         with
                         | [] ->
@@ -586,8 +586,8 @@ let test_cross_node_trace () =
                   let primary_entries = entries_of "primary" port in
                   let replica_entry = List.hd replica_entries in
                   Alcotest.(check bool) "nodes named distinctly" true
-                    (replica_entry.Wire.node
-                     <> (List.hd primary_entries).Wire.node);
+                    (replica_entry.Expirel_obs.Trace_store.node
+                     <> (List.hd primary_entries).node);
                   (* the client's rpc span is the remote spans' parent *)
                   let rpc_id =
                     match
@@ -602,38 +602,19 @@ let test_cross_node_trace () =
                   in
                   let parse =
                     List.find
-                      (fun (s : Wire.span) -> s.span_name = "parse")
-                      replica_entry.Wire.entry_spans
+                      (fun (s : Expirel_obs.Trace.span) -> s.name = "parse")
+                      replica_entry.spans
                   in
                   Alcotest.(check (option int))
                     "replica spans sit under the client's rpc span"
-                    (Some rpc_id) parse.Wire.parent_id;
+                    (Some rpc_id) parse.parent;
                   (* merged export: one trace id, every node a process *)
-                  let to_store (e : Wire.trace_entry) =
-                    { Expirel_obs.Trace_store.node = e.Wire.node;
-                      trace_id = e.Wire.entry_trace_id;
-                      name = e.Wire.entry_name;
-                      started_at = e.Wire.started_at;
-                      total_us = e.Wire.entry_total_us;
-                      spans =
-                        List.map
-                          (fun (s : Wire.span) ->
-                            { Expirel_obs.Trace.id = s.Wire.span_id;
-                              parent = s.Wire.parent_id;
-                              name = s.Wire.span_name;
-                              start_us = s.Wire.start_us;
-                              duration_us = s.Wire.duration_us;
-                              labels = s.Wire.labels
-                            })
-                          e.Wire.entry_spans
-                    }
-                  in
                   let store = Expirel_obs.Trace_store.create () in
                   Expirel_obs.Trace_store.finish store ~node:"client"
                     ~name:"routed read+write" tr;
                   let merged =
                     Expirel_obs.Trace_store.recent store 1
-                    @ List.map to_store (primary_entries @ replica_entries)
+                    @ primary_entries @ replica_entries
                   in
                   let json = Expirel_obs.Trace_export.to_json merged in
                   let contains sub =
@@ -652,8 +633,8 @@ let test_cross_node_trace () =
                       "\"" ^ tid ^ "\"";
                       "process_name";
                       "\"client\"";
-                      "\"" ^ replica_entry.Wire.node ^ "\"";
-                      "\"" ^ (List.hd primary_entries).Wire.node ^ "\"" ]))))
+                      "\"" ^ replica_entry.node ^ "\"";
+                      "\"" ^ (List.hd primary_entries).node ^ "\"" ]))))
 
 (* A shipped DROP TABLE under a replica's watch: the primary refuses a
    drop only under its own watches, so the replica applies it.  The

@@ -556,22 +556,21 @@ let test_slow_queries_e2e () =
           (match qs with
            | a :: b :: c :: _ ->
              Alcotest.(check bool) "slowest first" true
-               (a.Wire.total_us >= b.Wire.total_us
-                && b.Wire.total_us >= c.Wire.total_us)
+               (a.Obs.Trace_store.total_us >= b.Obs.Trace_store.total_us
+                && b.total_us >= c.total_us)
            | _ -> assert false);
           let all = ok (Client.slow_queries client 100) in
           let sel =
             match
               List.find_opt
-                (fun q -> q.Wire.statement = "SELECT uid, deg FROM pol")
+                (fun (e : Obs.Trace_store.entry) ->
+                  e.name = "SELECT uid, deg FROM pol")
                 all
             with
-            | Some q -> q
+            | Some e -> e
             | None -> Alcotest.fail "traced SELECT not in slow log"
           in
-          let names =
-            List.map (fun (s : Wire.span) -> s.span_name) sel.Wire.spans
-          in
+          let names = List.map (fun (s : Obs.Trace.span) -> s.name) sel.spans in
           List.iter
             (fun stage ->
               Alcotest.(check bool) ("span: " ^ stage) true
@@ -579,25 +578,23 @@ let test_slow_queries_e2e () =
             [ "parse"; "lower"; "plan"; "eval"; "rwlock_wait"; "op:seq-scan";
               "op:project" ];
           List.iter
-            (fun (s : Wire.span) ->
+            (fun (s : Obs.Trace.span) ->
               Alcotest.(check bool) "span within request" true
-                (s.start_us >= 0
-                 && s.start_us + s.duration_us <= sel.Wire.total_us))
-            sel.Wire.spans;
+                (s.start_us >= 0 && s.start_us + s.duration_us <= sel.total_us))
+            sel.spans;
           (* every slow entry is stamped with its request's trace id,
              so it joins against the TRACE export *)
           Alcotest.(check bool) "trace id stamped" true
-            (String.length sel.Wire.trace_id > 0);
+            (String.length sel.trace_id > 0);
           let traces = ok (Client.traces client 100) in
           match
             List.find_opt
-              (fun (e : Wire.trace_entry) ->
-                e.entry_trace_id = sel.Wire.trace_id)
+              (fun (e : Obs.Trace_store.entry) -> e.trace_id = sel.trace_id)
               traces
           with
           | Some e ->
             Alcotest.(check string) "joined trace is the same statement"
-              sel.Wire.statement e.Wire.entry_name
+              sel.name e.name
           | None -> Alcotest.fail "slow entry's trace id not in TRACE"))
 
 (* EXPLAIN ANALYZE travels as a plain Exec: the server runs the profiled
@@ -630,25 +627,23 @@ let test_trace_e2e () =
           (match Client.traces client 2 with
            | Ok [ a; b ] ->
              Alcotest.(check bool) "newest first" true
-               (a.Wire.started_at >= b.Wire.started_at)
+               (a.Obs.Trace_store.started_at >= b.Obs.Trace_store.started_at)
            | Ok es -> Alcotest.failf "asked for 2, got %d" (List.length es)
            | Error e -> Alcotest.fail e);
           let sel =
             match
               List.find_opt
-                (fun (e : Wire.trace_entry) ->
-                  e.entry_name = "SELECT uid, deg FROM pol")
+                (fun (e : Obs.Trace_store.entry) ->
+                  e.name = "SELECT uid, deg FROM pol")
                 entries
             with
             | Some e -> e
             | None -> Alcotest.fail "traced SELECT not in the store"
           in
-          Alcotest.(check string) "node name stamped" "primary" sel.Wire.node;
+          Alcotest.(check string) "node name stamped" "primary" sel.node;
           Alcotest.(check bool) "trace id minted" true
-            (String.length sel.Wire.entry_trace_id > 0);
-          let names =
-            List.map (fun (s : Wire.span) -> s.span_name) sel.Wire.entry_spans
-          in
+            (String.length sel.trace_id > 0);
+          let names = List.map (fun (s : Obs.Trace.span) -> s.name) sel.spans in
           List.iter
             (fun stage ->
               Alcotest.(check bool) ("span: " ^ stage) true
@@ -657,8 +652,8 @@ let test_trace_e2e () =
           (* operator spans carry their row counts as labels *)
           (match
              List.find_opt
-               (fun (s : Wire.span) -> s.span_name = "op:seq-scan")
-               sel.Wire.entry_spans
+               (fun (s : Obs.Trace.span) -> s.name = "op:seq-scan")
+               sel.spans
            with
            | Some s ->
              Alcotest.(check (option string)) "rows label" (Some "3")
@@ -677,20 +672,18 @@ let test_trace_e2e () =
           let entries = ok (Client.traces client 10) in
           match
             List.find_opt
-              (fun (e : Wire.trace_entry) ->
-                e.entry_trace_id = "shared-trace-1")
+              (fun (e : Obs.Trace_store.entry) ->
+                e.trace_id = "shared-trace-1")
               entries
           with
           | None -> Alcotest.fail "propagated trace id not recorded"
           | Some e ->
             let parse =
-              List.find
-                (fun (s : Wire.span) -> s.span_name = "parse")
-                e.Wire.entry_spans
+              List.find (fun (s : Obs.Trace.span) -> s.name = "parse") e.spans
             in
             Alcotest.(check (option int))
               "top-level span under the caller's span" (Some 5)
-              parse.Wire.parent_id))
+              parse.parent))
 
 (* HEALTH over the wire: a fresh server reads ok (cold metrics are
    skipped, not fired); custom rules breach on demand; the verdict is
@@ -700,13 +693,10 @@ let test_health_e2e () =
       with_client port (fun client ->
           load_profiles client;
           match ok (Client.health client) with
-          | Wire.Health_ok, [] -> ()
-          | level, firing ->
+          | { level = Ok; firing = [] } -> ()
+          | { level; firing } ->
             Alcotest.failf "expected ok/[], got %s with %d firing"
-              (match level with
-               | Wire.Health_ok -> "ok"
-               | Wire.Health_degraded -> "degraded"
-               | Wire.Health_critical -> "critical")
+              (Obs.Health.level_to_string level)
               (List.length firing)));
   let breach =
     { Expirel_obs.Health.name = "requests_seen";
@@ -722,13 +712,12 @@ let test_health_e2e () =
       with_client port (fun client ->
           ok (Client.ping client);
           (match ok (Client.health client) with
-           | Wire.Health_degraded, [ f ] ->
-             Alcotest.(check string) "firing rule" "requests_seen"
-               f.Wire.rule_name;
-             Alcotest.(check bool) "observed value" true (f.Wire.observed >= 1.0);
+           | { level = Degraded; firing = [ f ] } ->
+             Alcotest.(check string) "firing rule" "requests_seen" f.rule_name;
+             Alcotest.(check bool) "observed value" true (f.value >= 1.0);
              Alcotest.(check string) "help carried" "fires as soon as any \
                                                      request lands"
-               f.Wire.rule_help
+               f.help
            | _ -> Alcotest.fail "expected one degraded firing rule");
           (* the verdict gauge reflects the last evaluation *)
           let text = ok (Client.metrics client) in
@@ -788,10 +777,10 @@ let test_horizon_e2e () =
           (* the rule fires NOW — the clock has not moved, nothing has
              expired yet, the page predicts the storm *)
           (match ok (Client.health client) with
-           | Wire.Health_critical, firing ->
+           | { level = Critical; firing } ->
              Alcotest.(check bool) "expiration_storm names itself" true
                (List.exists
-                  (fun f -> f.Wire.rule_name = "expiration_storm")
+                  (fun (f : Obs.Health.firing) -> f.rule_name = "expiration_storm")
                   firing)
            | _ -> Alcotest.fail "storm not predicted before the drop");
           (* the forecast verifies: the ADVANCE drops exactly the
@@ -813,7 +802,7 @@ let test_horizon_e2e () =
           Alcotest.(check int) "nothing left in the window" 0 (soon after);
           (* and with the storm behind us, health reads ok again *)
           match ok (Client.health client) with
-          | Wire.Health_ok, _ -> ()
+          | { level = Ok; _ } -> ()
           | _ -> Alcotest.fail "health still firing after the storm passed"))
 
 (* The horizon families, build identity and uptime ride the Prometheus
@@ -1033,14 +1022,12 @@ let test_shard_exec_lock_span () =
                ("expected one group, got " ^ Wire.render_response r));
           match
             List.find_opt
-              (fun (e : Wire.trace_entry) -> e.entry_trace_id = "agg-partial-1")
+              (fun (e : Obs.Trace_store.entry) -> e.trace_id = "agg-partial-1")
               (ok (Client.traces client 10))
           with
           | None -> Alcotest.fail "aggregate partial left no trace entry"
           | Some e ->
-            let names =
-              List.map (fun (s : Wire.span) -> s.span_name) e.Wire.entry_spans
-            in
+            let names = List.map (fun (s : Obs.Trace.span) -> s.name) e.spans in
             List.iter
               (fun stage ->
                 Alcotest.(check bool) ("span: " ^ stage) true

@@ -161,23 +161,17 @@ let event : Wire.event Gen.t =
 
 let counter = Gen.int_range 0 1_000_000
 
-let span : Wire.span Gen.t =
+let span : Expirel_obs.Trace.span Gen.t =
   let open Gen in
-  let* span_name = name in
-  let* span_id = int_range 1 1_000 in
-  let* parent_id = option (int_range 1 1_000) in
+  let* label = name in
+  let* id = int_range 1 1_000 in
+  let* parent = option (int_range 1 1_000) in
   let* start_us = counter in
   let* duration_us = counter in
   let* labels = list_size (int_range 0 3) (pair name name) in
-  return { Wire.span_name; span_id; parent_id; start_us; duration_us; labels }
-
-let slow_query : Wire.slow_query Gen.t =
-  let open Gen in
-  let* statement = name in
-  let* trace_id = name in
-  let* total_us = counter in
-  let* spans = list_size (int_range 0 5) span in
-  return { Wire.statement; trace_id; total_us; spans }
+  return
+    { Expirel_obs.Trace.id; parent; name = label; start_us; duration_us;
+      labels }
 
 (* v8 horizon payloads: the bucketed forecast travels verbatim, so any
    well-formed report (bounds and counts arrays of equal length) must
@@ -207,28 +201,33 @@ let horizon_report : Expirel_obs.Horizon.report Gen.t =
 
 (* started_at travels as IEEE-754 bits, so any non-nan float round-trips
    exactly. *)
-let trace_entry : Wire.trace_entry Gen.t =
+let trace_entry : Expirel_obs.Trace_store.entry Gen.t =
   let open Gen in
   let* node = name in
-  let* entry_trace_id = name in
-  let* entry_name = name in
+  let* trace_id = name in
+  let* covered = name in
   let* started_at = map (fun i -> float_of_int i /. 16.) counter in
-  let* entry_total_us = counter in
-  let* entry_spans = list_size (int_range 0 5) span in
+  let* total_us = counter in
+  let* spans = list_size (int_range 0 5) span in
   return
-    { Wire.node; entry_trace_id; entry_name; started_at; entry_total_us;
-      entry_spans }
+    { Expirel_obs.Trace_store.node; trace_id; name = covered; started_at;
+      total_us; spans }
 
-let health_level : Wire.health_level Gen.t =
-  Gen.oneofl [ Wire.Health_ok; Wire.Health_degraded; Wire.Health_critical ]
+let health_level : Expirel_obs.Health.level Gen.t =
+  Gen.oneofl Expirel_obs.Health.[ Ok; Degraded; Critical ]
 
-let health_firing : Wire.health_firing Gen.t =
+let health_report : Expirel_obs.Health.report Gen.t =
   let open Gen in
-  let* rule_name = name in
-  let* observed = map (fun i -> float_of_int i /. 32.) counter in
-  let* firing_level = health_level in
-  let* rule_help = name in
-  return { Wire.rule_name; observed; firing_level; rule_help }
+  let firing =
+    let* rule_name = name in
+    let* value = map (fun i -> float_of_int i /. 32.) counter in
+    let* level = health_level in
+    let* help = name in
+    return { Expirel_obs.Health.rule_name; value; level; help }
+  in
+  let* level = health_level in
+  let* firing = list_size (int_range 0 4) firing in
+  return { Expirel_obs.Health.level; firing }
 
 (* v7 slice partials: the per-group expiration slices a shard condenses
    a grouped aggregate into.  [s_fsum] travels as IEEE bits, so the
@@ -325,15 +324,9 @@ let response : Wire.response Gen.t =
         counter time;
       Gen.map (fun s -> Wire.Metrics_reply s) name;
       Gen.map
-        (fun qs -> Wire.Slow_queries_reply qs)
-        (Gen.list_size (Gen.int_range 0 4) slow_query);
-      Gen.map
         (fun es -> Wire.Traces_reply es)
         (Gen.list_size (Gen.int_range 0 4) trace_entry);
-      Gen.map2
-        (fun level firing -> Wire.Health_reply { level; firing })
-        health_level
-        (Gen.list_size (Gen.int_range 0 4) health_firing);
+      Gen.map (fun report -> Wire.Health_reply report) health_report;
       Gen.map
         (fun identity -> Wire.Shard_map_reply identity)
         (Gen.option
@@ -575,6 +568,54 @@ let test_v13_payload_refused () =
       (Printf.sprintf "bad request: protocol version 13, expected %d" Wire.version)
       reason
   | Ok _ -> Alcotest.fail "a v13 EXEC accepted by a v14 decoder"
+
+(* v17 ships the trace store's entries and the health report as they
+   are, yet TRACE and HEALTH bodies keep their v16 bytes.  The hex after
+   the version byte was taken from the v16 encoder's output for the
+   same values. *)
+let test_trace_health_layout () =
+  let hex s =
+    String.concat ""
+      (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+  in
+  let check what v16 response =
+    let payload = Wire.encode_response response in
+    Alcotest.(check int) (what ^ ": version byte") Wire.version
+      (Char.code payload.[0]);
+    Alcotest.(check string) (what ^ ": body as in v16") v16
+      (hex (String.sub payload 1 (String.length payload - 1)));
+    Alcotest.(check bool) (what ^ ": decodes to itself") true
+      (Wire.decode_response payload = Ok response)
+  in
+  let spans =
+    [ { Expirel_obs.Trace.name = "op:seq-scan"; id = 2; parent = Some 1;
+        start_us = 12; duration_us = 300;
+        labels = [ ("rows", "42"); ("dropped", "0") ] };
+      { name = "eval"; id = 1; parent = None; start_us = 5;
+        duration_us = 1_500; labels = [] } ]
+  in
+  check "TRACE"
+    "0d02077072696d61727903742d310f53454c45435420612046524f4d207300001040fc\
+     54d9418020020b6f703a7365712d7363616e04010218d8040204726f77730234320764\
+     726f707065640130046576616c02000ab817000773686172642d3003742d3204544943\
+     4b000000000000e03f0e00"
+    (Wire.Traces_reply
+       [ { Expirel_obs.Trace_store.node = "primary"; trace_id = "t-1";
+           name = "SELECT a FROM s"; started_at = 1_700_000_000.25;
+           total_us = 2_048; spans };
+         { node = "shard-0"; trace_id = "t-2"; name = "TICK";
+           started_at = 0.5; total_us = 7; spans = [] } ]);
+  check "HEALTH"
+    "0e0302087265706c5f6c61670000000000000c40030b7265706c696361206c616709686974\
+     5f726174696f000000000000c03f020a636163686520636f6c64"
+    (Wire.Health_reply
+       { level = Critical;
+         firing =
+           [ { Expirel_obs.Health.rule_name = "repl_lag"; value = 3.5;
+               level = Critical; help = "replica lag" };
+             { rule_name = "hit_ratio"; value = 0.125; level = Degraded;
+               help = "cache cold" } ] });
+  check "HEALTH ok" "0e0100" (Wire.Health_reply { level = Ok; firing = [] })
 
 (* Every strict prefix of a held request or reply errors, and so does
    one byte of trailing garbage. *)
@@ -872,6 +913,8 @@ let suite =
       test_v8_shard_payloads_refused;
     Alcotest.test_case "v11 payload refused" `Quick test_v11_payload_refused;
     Alcotest.test_case "v13 payload refused" `Quick test_v13_payload_refused;
+    Alcotest.test_case "TRACE and HEALTH bodies keep their v16 bytes" `Quick
+      test_trace_health_layout;
     Alcotest.test_case "held payloads: truncation and garbage" `Quick
       test_held_truncation_garbage;
     patch_law;
