@@ -4,6 +4,7 @@
 
 open Bechamel
 open Expirel_core
+open Expirel_paper
 open Expirel_workload
 
 let fig_env = News.figure1_env

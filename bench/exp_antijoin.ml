@@ -9,6 +9,7 @@
    nothing extra. *)
 
 open Expirel_core
+open Expirel_paper
 open Expirel_workload
 
 let algorithms =

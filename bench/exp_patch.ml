@@ -7,6 +7,7 @@
    paying only the up-front queue, whose size is bounded by |R n S|. *)
 
 open Expirel_core
+open Expirel_paper
 open Expirel_workload
 
 let traffic_of_schedule ~env ~expr times =

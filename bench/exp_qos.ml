@@ -9,6 +9,7 @@
    admission costs microseconds while evaluation costs milliseconds. *)
 
 open Expirel_core
+open Expirel_paper
 open Expirel_workload
 
 let shapes =

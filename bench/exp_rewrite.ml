@@ -8,6 +8,7 @@
    critical tuples. *)
 
 open Expirel_core
+open Expirel_paper
 open Expirel_workload
 
 let arity_env name =

@@ -7,6 +7,7 @@
    the move-backward/delay observers rescue part of the remainder. *)
 
 open Expirel_core
+open Expirel_paper
 open Expirel_workload
 
 type verdict =

@@ -3,7 +3,7 @@
    subscription streaming expiration events, and the server's counters
    (its METRICS registry, read in process) reconciled against
    client-side counts — the paper's loosely-coupled setting
-   (Section 1) running on real sockets rather than the lib/dist/
+   (Section 1) running on real sockets rather than the paper/dist/
    simulation.  A second part re-reads one GROUP BY text, held (the
    client names its copy and gets the rows changed since) against
    whole. *)

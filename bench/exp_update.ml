@@ -8,6 +8,7 @@
    byte-identical results (property-tested). *)
 
 open Expirel_core
+open Expirel_paper
 open Expirel_workload
 
 let views =

@@ -2,6 +2,7 @@
    instances than the unit-test suite, with counts reported. *)
 
 open Expirel_core
+open Expirel_paper
 open Expirel_workload
 
 let random_env rng =

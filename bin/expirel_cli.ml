@@ -287,9 +287,9 @@ let remote_repl client host port =
   in
   loop ()
 
-(* ---------- stats: one-shot metrics fetch against a server ---------- *)
-
-let stats_main host port slow =
+(* [f] on a client connected to [host:port], closed after; a failed
+   connect prints why and exits 1. *)
+let with_client ~host ~port f =
   let client =
     try Client.connect ~host ~port ()
     with Unix.Unix_error (err, _, _) ->
@@ -297,13 +297,16 @@ let stats_main host port slow =
         (Unix.error_message err);
       exit 1
   in
-  Fun.protect
-    ~finally:(fun () -> Client.close client)
-    (fun () ->
-      let fail msg =
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
-      in
+  Fun.protect ~finally:(fun () -> Client.close client) (fun () -> f client)
+
+let fail msg =
+  Printf.eprintf "error: %s\n" msg;
+  exit 1
+
+(* ---------- stats: one-shot metrics fetch against a server ---------- *)
+
+let stats_main host port slow =
+  with_client ~host ~port (fun client ->
       (match Client.metrics client with
        | Ok exposition -> print_string exposition
        | Error e -> fail e);
@@ -317,21 +320,10 @@ let stats_main host port slow =
 (* ---------- trace: recent request traces, optionally as Chrome JSON ---------- *)
 
 let fetch_traces ~host ~port n =
-  let client =
-    try Client.connect ~host ~port ()
-    with Unix.Unix_error (err, _, _) ->
-      Printf.eprintf "error: cannot connect to %s:%d: %s\n" host port
-        (Unix.error_message err);
-      exit 1
-  in
-  Fun.protect
-    ~finally:(fun () -> Client.close client)
-    (fun () ->
+  with_client ~host ~port (fun client ->
       match Client.traces client n with
       | Ok es -> es
-      | Error e ->
-        Printf.eprintf "error: %s\n" e;
-        exit 1)
+      | Error e -> fail e)
 
 (* [also] lists further nodes (HOST:PORT) whose recent traces merge into
    the same export: a request that fanned out over the fleet renders as
@@ -356,16 +348,7 @@ let trace_main host port n also json trace_id =
 (* ---------- health: one-shot rule evaluation against a server ---------- *)
 
 let health_main host port =
-  let client =
-    try Client.connect ~host ~port ()
-    with Unix.Unix_error (err, _, _) ->
-      Printf.eprintf "error: cannot connect to %s:%d: %s\n" host port
-        (Unix.error_message err);
-      exit 1
-  in
-  Fun.protect
-    ~finally:(fun () -> Client.close client)
-    (fun () ->
+  with_client ~host ~port (fun client ->
       match Client.health client with
       | Ok report ->
         print_health report;
@@ -374,44 +357,22 @@ let health_main host port =
          | Expirel_obs.Health.Ok -> ()
          | Degraded -> exit 1
          | Critical -> exit 2)
-      | Error e ->
-        Printf.eprintf "error: %s\n" e;
-        exit 1)
+      | Error e -> fail e)
 
 (* ---------- horizon: one-shot expiration forecast against a server ---------- *)
 
 let horizon_main host port table prom =
-  let client =
-    try Client.connect ~host ~port ()
-    with Unix.Unix_error (err, _, _) ->
-      Printf.eprintf "error: cannot connect to %s:%d: %s\n" host port
-        (Unix.error_message err);
-      exit 1
-  in
-  Fun.protect
-    ~finally:(fun () -> Client.close client)
-    (fun () ->
+  with_client ~host ~port (fun client ->
       match Client.horizon ?table client with
       | Ok report ->
         if prom then
           print_string
             (Expirel_obs.Prometheus.render (Expirel_obs.Horizon.metrics report))
         else print_endline (Expirel_obs.Horizon.render report)
-      | Error e ->
-        Printf.eprintf "error: %s\n" e;
-        exit 1)
+      | Error e -> fail e)
 
 let connect_main host port script =
-  let client =
-    try Client.connect ~host ~port ()
-    with Unix.Unix_error (err, _, _) ->
-      Printf.eprintf "error: cannot connect to %s:%d: %s\n" host port
-        (Unix.error_message err);
-      exit 1
-  in
-  Fun.protect
-    ~finally:(fun () -> Client.close client)
-    (fun () ->
+  with_client ~host ~port (fun client ->
       match script with
       | Some text -> send_script client text
       | None -> remote_repl client host port)

@@ -6,6 +6,7 @@
    Run with: dune exec examples/news_service.exe *)
 
 open Expirel_core
+open Expirel_paper
 open Expirel_storage
 open Expirel_sqlx
 open Expirel_workload

@@ -7,6 +7,7 @@
    Run with: dune exec examples/quickstart.exe *)
 
 open Expirel_core
+open Expirel_paper
 open Expirel_workload
 
 let section title = Printf.printf "\n=== %s ===\n" title

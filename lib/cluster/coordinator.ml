@@ -804,8 +804,8 @@ let merging ?trace merge =
    on this coordinator's connection, and answers only the groups
    changed since — written, or crossed by their nu — condensed as the
    stateless route ships them (all of them when it holds no such
-   version from the entry it answers with: a text's second read, an
-   evicted or rebuilt entry, a redialled connection).  Each reply
+   version: a text's second read, a restarted shard, a redialled
+   connection; a rebuilt entry's delta names all of them).  Each reply
    writes into this coordinator's copy of that shard's groups: a full
    reply rebuilds it, a delta replaces the groups it names (a
    slice-less one is gone), and a condensed reply (the shard kept no

@@ -1,6 +1,6 @@
 (** Relation-level application of the algebra's operators — the
     engine-room shared by the evaluator ({!Eval}) and the incremental
-    maintenance machinery ({!Maintained}).
+    maintenance machinery (the paper tree's maintained views).
 
     All functions assume their arguments are already properly expired
     (contain only live tuples); they implement exactly the tuple-level

@@ -59,9 +59,10 @@ let join db p l pl pr =
   match equi with
   | Some { Predicate.pairs; residual = _ } ->
     let left = estimate_rows db pl and right = estimate_rows db pr in
-    (match Cost.join_choice ~left ~right with
-     | Cost.Hash -> Plan.Hash_join { pairs; pred = p; left = pl; right = pr }
-     | Cost.Nested_loop -> Plan.Nested_loop { pred = p; left = pl; right = pr })
+    (* the factor 2 keeps tiny inputs on the allocation-free loop *)
+    if 2 * (left + right) < left * right then
+      Plan.Hash_join { pairs; pred = p; left = pl; right = pr }
+    else Plan.Nested_loop { pred = p; left = pl; right = pr }
   | None -> Plan.Nested_loop { pred = p; left = pl; right = pr }
 
 (* A projection (and optional HAVING selection) directly over an

@@ -6,9 +6,10 @@
       {!Access.plan} choosing point/range index paths where a secondary
       index serves a column-vs-constant conjunct;
     - join predicates are split by {!Predicate.equi_split}; when
-      cross-side equality columns exist, {!Cost.join_choice} arbitrates
-      hash-build/probe against the nested loop on estimated
-      input cardinalities;
+      cross-side equality columns exist, the hash join is chosen when
+      its build and probe passes ([2 * (l + r)]) cost less than the
+      nested loop's [l * r] pair visits on estimated input
+      cardinalities;
     - union concatenates its inputs; intersection/difference run as
       linear merges over the sorted tuple order of their materialised
       inputs;

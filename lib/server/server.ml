@@ -100,12 +100,11 @@ let default_config =
 
 (* What a connection was last sent for a statement text, as the
    version its peer holds a copy of: a client's answer, or a
-   coordinator's kept GROUP BY groups with the standing entry they came
-   from.  Only the connection's worker thread touches its held
-   answers. *)
+   coordinator's kept GROUP BY groups.  Only the connection's worker
+   thread touches its held answers. *)
 type copy =
   | Answer of { answer : Relation.t; rows : int (* its cardinality *) }
-  | Groups of { entry : Subscription.entry; groups : Partial_agg.standing }
+  | Groups of Partial_agg.standing
 
 type held = {
   version : int;
@@ -661,29 +660,30 @@ let hold t conn ~sql ~held (outcome : Interp.outcome) =
 (* The groups of a [Want_agg] read.  A kept read ([held] names a
    version) answered from a standing entry goes out under a fresh
    version: the groups changed since, when the connection holds the
-   named version taken from this same entry — an evicted, rebuilt or
-   restarted entry is another — else every group.  A delta is never
-   longer than the whole answer and the reader keeps the groups anyway,
-   so no size rule applies.  A kept read answered without an entry
-   carries no version, and the connection forgets the text.  A
-   stateless read touches no held answer. *)
+   named version, else every group.  Any two standings diff exactly: an
+   evicted or rebuilt entry shares no members record with the groups
+   held, so the diff names every group and marks each gone one
+   slice-less.  A delta is never longer than the whole answer and the
+   reader keeps the groups anyway, so no size rule applies.  A kept
+   read answered without an entry carries no version, and the
+   connection forgets the text.  A stateless read touches no held
+   answer. *)
 let hold_groups t conn ~sql ~held (columns, groups, child_texp) =
   let body groups held = Wire.Body_agg { columns; child_texp; groups; held } in
   match (held, (groups : Interp.agg_groups)) with
   | None, Condensed groups -> body groups None
-  | None, Standing (_, st) -> body (Partial_agg.standing_partial st) None
+  | None, Standing st -> body (Partial_agg.standing_partial st) None
   | Some _, Condensed groups ->
     update_held t conn (fun h -> Lru.remove h sql);
     body groups None
-  | Some base, Standing (entry, st) ->
+  | Some base, Standing st ->
     let delta =
       match Lru.find conn.held sql with
-      | Some { version; copy = Groups { entry = e; groups } }
-        when version = base && e == entry ->
+      | Some { version; copy = Groups groups } when version = base ->
         Some (Partial_agg.standing_diff groups st)
       | Some _ | None -> None
     in
-    let version = keep t conn sql (Groups { entry; groups = st }) in
+    let version = keep t conn sql (Groups st) in
     Metrics.incr_held_reply t.metrics ~delta:(Option.is_some delta);
     (match delta with
      | Some changed -> body changed (Some { Wire.version; full = false })

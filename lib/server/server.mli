@@ -1,6 +1,6 @@
 (** The concurrent expirel TCP server: the paper's loosely-coupled
     setting (Section 1) realised as an actual networked database rather
-    than the simulation in [lib/dist/].
+    than the simulation in [paper/dist/].
 
     One acceptor thread hands each connection to a dedicated worker
     thread, up to a configurable cap (excess connections are refused

@@ -298,9 +298,10 @@ type want =
           version [v] on this connection ([0]: none).  A grouped COUNT
           over a scan without [AT] then answers from the shard's
           standing entry: when the connection holds [v] for the text,
-          taken from the same entry, only the groups changed since
-          ({!Expirel_exec.Partial_agg.standing_diff}); else every
-          group; either under a fresh version *)
+          only the groups changed since
+          ({!Expirel_exec.Partial_agg.standing_diff}: every group when
+          the entry was rebuilt since); else every group; either under
+          a fresh version *)
 (** What a coordinator asks a shard to answer a statement with. *)
 
 type held_groups = {
@@ -344,7 +345,8 @@ type shard_body =
           not a reimplementation.  [held] answers a kept read the
           shard answered from its standing COUNT entry: [groups] are
           then the groups changed since the version the request named
-          (every group when [full]), a slice-less group for one gone,
+          (every group when [full], and every group too when the entry
+          was evicted and rebuilt since), a slice-less group for one gone,
           and the coordinator replaces its copy of each.  [None] for a
           stateless read, and for a kept one the shard answered
           without a standing entry *)

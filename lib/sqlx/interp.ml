@@ -288,7 +288,7 @@ let sketch_partial ?trace ?text t q =
 
 type agg_groups =
   | Condensed of Partial_agg.t
-  | Standing of Subscription.entry * Partial_agg.standing
+  | Standing of Partial_agg.standing
 
 let aggregate_partial ?trace ?text t ~returning { Ast.q; at; order_by = _; limit = _ } =
   let tau = tau_of_at t at in
@@ -304,10 +304,9 @@ let aggregate_partial ?trace ?text t ~returning { Ast.q; at; order_by = _; limit
         (* the scan under a standing COUNT never invalidates *)
         match
           standing ?trace ?text ~hit:((hit || returning) && at = None) t entry
-            ~rows:(fun (_, st) -> Partial_agg.standing_groups st)
-            (fun e -> (e, Subscription.standing e))
+            ~rows:Partial_agg.standing_groups Subscription.standing
         with
-        | Some (e, st) -> (Standing (e, st), Time.Inf)
+        | Some st -> (Standing st, Time.Inf)
         | None ->
           let partial, child_texp = Executor.partial ?trace ?tau ~db:t.db compiled in
           (Condensed partial, child_texp))

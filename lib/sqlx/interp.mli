@@ -124,8 +124,8 @@ val churn_rates : t -> float * float
 type agg_groups =
   | Condensed of Expirel_exec.Partial_agg.t
       (** folded from the child's rows by {!Expirel_exec.Executor.partial} *)
-  | Standing of Expirel_exec.Subscription.entry * Expirel_exec.Partial_agg.standing
-      (** a grouped COUNT's standing entry and its groups at the clock
+  | Standing of Expirel_exec.Partial_agg.standing
+      (** a grouped COUNT's standing groups at the clock
           ({!Expirel_exec.Subscription.standing}) *)
 (** A shard's groups for a distributed grouped aggregate. *)
 

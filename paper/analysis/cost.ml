@@ -63,15 +63,3 @@ let choose ~env ~tau ~horizon candidates =
         if est.total < best_est.total then candidate, est else best, best_est)
       (first, estimate ~env ~tau ~horizon first)
       rest
-
-type physical_join =
-  | Hash
-  | Nested_loop
-
-(* Same work-unit scale as eval_cost's charges: a nested loop touches
-   every pair, a hash join pays a build and a probe pass (the factor 2
-   keeps tiny inputs on the allocation-free loop). *)
-let join_choice ~left ~right =
-  let nested = float_of_int left *. float_of_int right in
-  let hash = 2. *. float_of_int (left + right) in
-  if hash < nested then Hash else Nested_loop

@@ -30,14 +30,3 @@ val choose :
   Algebra.t * estimate
 (** The candidate with the least {!estimate.total} (ties: first).
     @raise Invalid_argument on an empty candidate list *)
-
-type physical_join =
-  | Hash
-  | Nested_loop
-
-val join_choice : left:int -> right:int -> physical_join
-(** Which physical equi-join implementation is cheaper for the estimated
-    input cardinalities, on the same work-unit scale as
-    {!estimate.eval_cost}: a nested loop costs [left * right] pair
-    visits, a hash join a build plus a probe pass.  The physical planner
-    consults this whenever a join predicate offers equi-key columns. *)

@@ -12,7 +12,7 @@
       every relevant update; the client refetches the whole result (and
       still refetches at [texp(e)]).
     - {!strategy.Delta_push}: the client holds an incrementally
-      maintained replica ({!Expirel_core.Maintained}); the server pushes
+      maintained replica ({!Expirel_paper.Maintained}); the server pushes
       tuple-sized deltas and the replica expires locally — combining the
       paper's expiration machinery with incremental view maintenance,
       its stated future direction. *)

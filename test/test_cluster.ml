@@ -271,9 +271,11 @@ let group_bytes key texps =
    of a text (the second promotes it on the shards, and ships every
    group) with no write between gets an empty delta from every shard,
    and after one routed write exactly one group crosses the wire,
-   condensed.  A shard whose entry the statement cache
-   evicted (65 distinct texts), or that restarted from its store,
-   ships every group again, and every answer is the single node's. *)
+   condensed.  A shard whose entry the statement cache evicted (65
+   distinct texts) ships a delta naming every group, as the rebuilt
+   entry shares nothing with the groups it shipped; one that restarted
+   from its store ships every group whole again.  Every answer is the
+   single node's. *)
 let test_standing_groupby () =
   let dirs = List.init 3 (fun _ -> Filename.temp_dir "expirel" "shard") in
   let config dir = { shard_config with Server.data_dir = Some dir } in
@@ -360,15 +362,30 @@ let test_standing_groupby () =
       Alcotest.(check int) "600 writes, one group: a delta" (before + 1)
         (delta_reads ());
       Alcotest.(check int) "and no full reply" 1 (full_reads ());
-      (* 65 distinct texts evict the statement on shard 0. *)
+      (* 65 distinct texts evict the statement on shard 0; the rebuilt
+         entry's delta names each group of shard 0's rows. *)
       let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port servers.(0)) () in
-      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-          for k = 1 to 65 do
-            ignore (no_err "evict" (ok (Client.exec c (Printf.sprintf "SELECT k FROM s WHERE k = %d" k))))
-          done);
-      ignore (read "after an eviction");
-      Alcotest.(check int) "an evicted entry ships every group" 2 (full_reads ());
-      ignore (read "after the eviction's full reply");
+      let shard0 =
+        Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+            for k = 1 to 65 do
+              ignore (no_err "evict" (ok (Client.exec c (Printf.sprintf "SELECT k FROM s WHERE k = %d" k))))
+            done;
+            let q = "SELECT g, k FROM s" in
+            fst (rows_of q (no_err q (ok (Client.exec c q)))))
+      in
+      let every_group =
+        List.fold_left
+          (fun n g ->
+            n + group_bytes [ g ] (List.filter_map (fun (row, texp) -> if List.hd row = g then Some texp else None) shard0))
+          0
+          (List.sort_uniq compare (List.map (fun (row, _) -> List.hd row) shard0))
+      in
+      let before = delta_reads () in
+      let evicted = read "after an eviction" in
+      Alcotest.(check int) "an evicted entry ships a delta" (before + 1) (delta_reads ());
+      Alcotest.(check int) "not a full reply" 1 (full_reads ());
+      Alcotest.(check int) "naming every group" (read "after the eviction's delta" + every_group)
+        evicted;
       (* Shard 1 restarts from its store on its old port. *)
       let port = Server.port servers.(1) in
       Server.stop servers.(1);
@@ -385,7 +402,7 @@ let test_standing_groupby () =
       in
       settle 20;
       ignore (read "after a restart");
-      Alcotest.(check bool) "a restarted shard ships every group" true (full_reads () >= 3);
+      Alcotest.(check bool) "a restarted shard ships every group" true (full_reads () >= 2);
       exec_both "INSERT INTO s VALUES (302, 2) EXPIRES 3000";
       let before = delta_reads () in
       ignore (read "a write after the restart");

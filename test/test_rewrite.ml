@@ -1,4 +1,5 @@
 open Expirel_core
+open Expirel_paper
 
 let arities name =
   match name with

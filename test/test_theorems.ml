@@ -2,6 +2,7 @@
    expressions and databases. *)
 
 open Expirel_core
+open Expirel_paper
 
 let gen_with_tau gen =
   QCheck2.Gen.pair gen Generators.time_finite
