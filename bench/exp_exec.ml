@@ -1,6 +1,6 @@
 (* Experiment exp-exec: the physical execution layer.
 
-   Three claims, each measured:
+   Each claim measured:
 
    - a planned equi-join (hash build/probe over batches) beats the
      batch nested loop by orders of magnitude at 10k x 10k with
@@ -14,7 +14,12 @@
      and planning from the per-request path for repeated statements;
    - standing queries (constraints, watches) cost one plan run and one
      change-time walk per clock move or SHOW CONSTRAINTS: O(n log n +
-     events), not a pass over the result per change point.
+     events), not a pass over the result per change point;
+   - the relation tree's [diff] against a path copy and its [exp] of a
+     few rows cost what changed or expired: their 10^5-row figures stay
+     within a small factor of the 10^3-row ones;
+   - a watch's TICK costs what expires, not what the watch holds: the
+     figures at 10^2, 10^4 and 10^5 watch rows stay within 2x.
 
    Expected shape: hash join >= 10x over the nested loop (in practice
    thousands of x); repeated statements measurably cheaper than cold
@@ -298,9 +303,112 @@ let standing_sweep () =
         "ADVANCE, none us"; "ADVANCE, 1 watch us" ]
     rows
 
+(* The relation tree against its size: [diff] of an answer and a path
+   copy of it with 10 rows re-dated by [replace], and [exp] dropping 5
+   rows, each the mean of [reps] calls.  Rows are inserted in shuffled
+   order, row i expiring at i + 1, so the expiring rows scatter over the
+   tree. *)
+let relation_sweep () =
+  Bench_util.subsection "relation tree: diff against a path copy, exp of a few rows";
+  let reps = 200 in
+  Bench_util.param_int "relation_reps" reps;
+  let rows =
+    List.map
+      (fun n ->
+        let rng = Bench_util.rng n in
+        let order = Array.init n Fun.id in
+        for i = n - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let x = order.(i) in
+          order.(i) <- order.(j);
+          order.(j) <- x
+        done;
+        let tuple i = Tuple.ints [ i; i mod 97 ] in
+        let r =
+          Array.fold_left
+            (fun r i -> Relation.add (tuple i) ~texp:(Time.of_int (i + 1)) r)
+            (Relation.empty ~arity:2) order
+        in
+        let changed =
+          List.fold_left
+            (fun r k -> Relation.replace (tuple (k * (n / 10))) ~texp:(Time.of_int (2 * n + k)) r)
+            r (List.init 10 Fun.id)
+        in
+        (match Relation.diff ~limit:max_int r changed with
+         | Some (ups, [], m) when List.length ups = 10 && m = n -> ()
+         | _ -> failwith "relation diff: expected 10 re-dated rows");
+        if Relation.cardinal (Relation.exp (Time.of_int 5) r) <> n - 5 then
+          failwith "relation exp: expected 5 rows dropped";
+        let mean_us f =
+          let (), s = Bench_util.time_it (fun () -> for _ = 1 to reps do ignore (Sys.opaque_identity (f ())) done) in
+          s *. 1e6 /. float_of_int reps
+        in
+        let diff_us = mean_us (fun () -> Relation.diff ~limit:max_int r changed) in
+        let exp_us = mean_us (fun () -> Relation.exp (Time.of_int 5) r) in
+        Bench_util.metric (Printf.sprintf "relation_diff_n%d_us" n) diff_us;
+        Bench_util.metric (Printf.sprintf "relation_exp_n%d_us" n) exp_us;
+        [ string_of_int n; Bench_util.f2 diff_us; Bench_util.f2 exp_us ])
+      [ 1_000; 100_000 ]
+  in
+  Bench_util.table ~headers:[ "rows"; "diff, 10 changed us"; "exp, 5 expiring us" ] rows
+
+(* One watch over a 10^5-row table, holding [w] of its rows through a
+   [uid < b] filter, and a TICK 1 that expires a fixed 5 of them: the
+   tick's cost against the watch's size, the table's held constant (as
+   ROADMAP item 4's table was measured).  The first [ticks * 5] rows
+   expire 5 per tick and sit in every watch (uid 0); the rest expire
+   long after, spread over 1000 uids.  Each row is the median of
+   [ticks] ticks. *)
+let watch_tick_sweep () =
+  Bench_util.subsection "a watch's TICK 1: 5 rows expiring, the watch holding w of 10^5";
+  let table_rows = 100_000 and ticks = 10 and per_tick = 5 in
+  Bench_util.param_int "watch_table_rows" table_rows;
+  Bench_util.param_int "watch_ticks" ticks;
+  Bench_util.param_int "watch_expiring_per_tick" per_tick;
+  let expiring = ticks * per_tick in
+  let uid i = if i < expiring then 0 else i mod 1000 in
+  let rows =
+    List.map
+      (fun (w, b) ->
+        let t = Interp.create () in
+        let run sql =
+          match Interp.exec_sql t sql with
+          | Ok _ -> ()
+          | Error e -> failwith e
+        in
+        run "CREATE TABLE s (sid, uid)";
+        let db = Interp.database t in
+        for i = 0 to table_rows - 1 do
+          let texp = if i < expiring then (i / per_tick) + 1 else 1_000_000 in
+          Database.insert_values db "s" [ Value.int i; Value.int (uid i) ]
+            ~texp:(Time.of_int texp)
+        done;
+        let events = ref 0 in
+        (match
+           Interp.subscribe t ~name:"w"
+             (Parser.parse_statement (Printf.sprintf "SELECT sid, uid FROM s WHERE uid < %d" b))
+             (fun _ -> incr events)
+         with
+         | Ok () -> ()
+         | Error e -> failwith e);
+        let held = List.length (List.filter (fun i -> uid i < b) (List.init table_rows Fun.id)) in
+        let samples =
+          List.init ticks (fun _ -> snd (Bench_util.time_it (fun () -> run "TICK 1")))
+        in
+        if !events <> expiring then
+          failwith (Printf.sprintf "watch fired %d events, expected %d" !events expiring);
+        let us = List.nth (List.sort Float.compare samples) (ticks / 2) *. 1e6 in
+        Bench_util.metric (Printf.sprintf "standing_advance_watch_us_w%d" w) us;
+        [ string_of_int w; string_of_int held; Bench_util.f1 us ])
+      [ (100, 1); (10_000, 100); (100_000, 1000) ]
+  in
+  Bench_util.table ~headers:[ "watch rows"; "held"; "TICK 1 us" ] rows
+
 let run_all () =
   Bench_util.section "Experiment exp-exec: physical query execution";
   join_sweep ();
   live_scan_sweep ();
   plan_cache_sweep ();
-  standing_sweep ()
+  standing_sweep ();
+  relation_sweep ();
+  watch_tick_sweep ()

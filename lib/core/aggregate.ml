@@ -261,32 +261,6 @@ let timeline ~tau f members =
     in
     List.rev segments
 
-let validity_windows ~tau f members =
-  let segments = timeline ~tau f members in
-  let v0 = match segments with
-    | (_, v) :: _ -> v
-    | [] -> None
-  in
-  let rec windows = function
-    | [] -> []
-    | (start, v) :: rest ->
-      let stop = match rest with
-        | (next, _) :: _ -> next
-        | [] -> Time.Inf
-      in
-      let keep = match v with
-        | None -> true (* partition expired: result tuple absent, not wrong *)
-        | Some _ -> value_opt_equal v v0
-      in
-      let tail = windows rest in
-      if keep then
-        match Interval.make_opt start stop with
-        | Some i -> i :: tail
-        | None -> tail
-      else tail
-  in
-  Interval_set.of_list (windows segments)
-
 let pp_func ppf = function
   | Count -> Format.pp_print_string ppf "count"
   | Sum i -> Format.fprintf ppf "sum_%d" i

@@ -106,12 +106,5 @@ val timeline : tau:Time.t -> func -> partition -> (Time.t * Value.t option) list
     empty.  The first segment starts at [tau].  Used by the Schrödinger
     semantics (Section 3.4.1). *)
 
-val validity_windows : tau:Time.t -> func -> partition -> Interval_set.t
-(** [validity_windows ~tau f p] — the paper's [I_R(t)] for a result tuple
-    of this partition materialised at [tau]: all times at which the
-    aggregate value equals its value at [tau], or at which the partition
-    has expired entirely (the result tuple is then simply absent rather
-    than wrong). *)
-
 val pp_func : Format.formatter -> func -> unit
 val func_to_string : func -> string

@@ -5,7 +5,13 @@
     represent the pair as a map from tuple to expiration time, which makes
     [texp_R] total on the relation by construction and gives set semantics
     (duplicate insertion merges by taking the {e maximum} expiration time,
-    consistent with the union and projection operators, Equations (3)–(4)). *)
+    consistent with the union and projection operators, Equations (3)–(4)).
+
+    The map is an AVL tree in tuple order whose nodes cache
+    their subtree's size and minimum expiration time, so [cardinal] and
+    [min_texp] are O(1), a single-row update is an O(log n) path copy,
+    and {!exp}, {!fold_expired} and {!diff} cost what expires or changed
+    rather than what is held. *)
 
 type t
 
@@ -14,6 +20,8 @@ val empty : arity:int -> t
 
 val arity : t -> int
 val cardinal : t -> int
+(** O(1). *)
+
 val is_empty : t -> bool
 
 val add : Tuple.t -> texp:Time.t -> t -> t
@@ -40,12 +48,22 @@ val texp_opt : t -> Tuple.t -> Time.t option
 
 val exp : Time.t -> t -> t
 (** [exp tau r] is the paper's [exp_tau(R) = { r | texp_R(r) > tau }].
-    O(1) when no tuple has expired (the relation caches a lower bound on
-    its minimum expiration time), otherwise one O(n) pass that shares
-    the kept subtrees and recomputes that bound exactly.  An [exp] that
-    drops nothing shares [r]'s map. *)
+    Descends only into subtrees whose minimum expiration time is at most
+    [tau]: O(1) when nothing has expired, O(k log n) for k expiring rows
+    otherwise, sharing every subtree it keeps whole.  An [exp] that drops
+    nothing answers [r] itself. *)
+
+val fold_expired : Time.t -> (Tuple.t -> Time.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_expired tau f r acc] folds [f] over the rows with
+    [texp <= tau] — exactly those [exp tau r] drops — in tuple order,
+    visiting only subtrees whose minimum expiration time is at most
+    [tau]: O(k log n) for k such rows. *)
 
 val of_list : arity:int -> (Tuple.t * Time.t) list -> t
+(** {!add} of each row in turn.  A list in strictly ascending tuple
+    order (another relation's {!to_list}) builds in one O(n) pass.
+    @raise Invalid_argument on arity mismatch. *)
+
 val to_list : t -> (Tuple.t * Time.t) list
 (** Sorted by tuple order (deterministic). *)
 
@@ -80,12 +98,16 @@ val diff :
     of [after] that [before] lacks or holds with another expiration
     time, and the tuples of [before] that [after] lacks, each in tuple
     order, and [after]'s cardinality [n] — or [None] once the upserts
-    and removals together number more than [limit].  One walk of both
-    relations, none for two sharing one map; rows the two share by
-    pointer cost no comparison. *)
+    and removals together number more than [limit].  One ordered walk of
+    both trees that skips every subtree the two share by pointer: against
+    a path copy of [before] (an answer updated row by row) it costs
+    O(c log n) for c changed rows, and O(n) only for trees built apart;
+    tuples the two share by pointer cost no comparison. *)
 
 val min_texp : t -> Time.t
-(** Minimum expiration time over all tuples; [Inf] when empty. *)
+(** Minimum expiration time over all tuples; [Inf] when empty.  O(1)
+    (the cached minimum cannot tell [Fin max_int] from [Inf], so that
+    one case looks the row up). *)
 
 val max_texp : t -> Time.t
 (** Maximum expiration time over all tuples; [Inf] when empty (callers
@@ -94,6 +116,12 @@ val max_texp : t -> Time.t
 
 val expiry_times : t -> Time.t list
 (** The distinct, finite expiration times present, ascending. *)
+
+val well_formed : t -> bool
+(** The tree's invariants, for tests: tuples strictly ascending and of
+    the relation's arity, every node's cached size and minimum
+    expiration time exact, and sibling heights within 2 of each other
+    (the standard library's [Map] balance). *)
 
 val pp : Format.formatter -> t -> unit
 (** Paper-style listing: one [texp | tuple] row per line. *)

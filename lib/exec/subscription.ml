@@ -138,7 +138,7 @@ type feed =
 
 type entry = {
   compiled : Plan.compiled;
-  handler : handler;
+  handler : handler option;  (* [None]: nobody listens, build no events *)
   feed : feed;
   mutable result : Eval.result;  (* as of the last delivery or write *)
 }
@@ -213,7 +213,7 @@ let counted_of db compiled =
       }
   | _ -> None
 
-let prepare t compiled handler =
+let prepare ?handler t compiled =
   match counted_of t.db compiled with
   | Some k -> { compiled; handler; feed = Counted k; result = k.counts.answer }
   | None ->
@@ -226,10 +226,10 @@ let prepare t compiled handler =
 
 let install t ~name entry = Hashtbl.replace t.watches name entry
 
-let subscribe t ~name compiled handler =
+let subscribe ?handler t ~name compiled =
   if Hashtbl.mem t.watches name then
     invalid_arg (Printf.sprintf "Subscription.subscribe: %s exists" name)
-  else install t ~name (prepare t compiled handler)
+  else install t ~name (prepare ?handler t compiled)
 
 let unsubscribe t name =
   Hashtbl.mem t.watches name && (Hashtbl.remove t.watches name; true)
@@ -244,7 +244,7 @@ let reseed t =
   List.iter
     (fun name ->
       let e = Hashtbl.find t.watches name in
-      install t ~name (prepare t e.compiled e.handler))
+      install t ~name (prepare ?handler:e.handler t e.compiled))
     (names t)
 
 let result t name = Option.map (fun e -> e.result) (Hashtbl.find_opt t.watches name)
@@ -319,18 +319,17 @@ let steps ~next ~step ~to_ ~settle state =
 
 (* A plan's walk holds the rows of the current result that expire
    before its next refresh or the target, in [(texp, tuple)] order,
-   sorted once per walk and again after each refresh, so a step touches
-   only the rows it fires.  A refresh at [texp(e)] runs the plan at that
-   instant. *)
+   gathered once per walk and again after each refresh, so a step
+   touches only the rows it fires.  A refresh at [texp(e)] runs the plan
+   at that instant. *)
 let walk ~db ~name compiled result ~from ~to_ ~emit ~settle =
-  (* The rows expiring in [(after, min to_ texp(e)]]: one fold in tuple
-     order, one stable sort by texp. *)
+  (* The rows expiring in [(after, min to_ texp(e)]]: a fold over only
+     the subtrees holding rows due by then, in tuple order, and a stable
+     sort of those by texp. *)
   let due result ~after =
     let upto = Time.min to_ result.Eval.texp in
-    Relation.fold
-      (fun tuple texp acc ->
-        if Time.(texp > after && texp <= upto) then (texp, tuple) :: acc
-        else acc)
+    Relation.fold_expired upto
+      (fun tuple texp acc -> if Time.(texp > after) then (texp, tuple) :: acc else acc)
       result.Eval.relation []
     |> List.rev
     |> List.stable_sort (fun (a, _) (b, _) -> Time.compare a b)
@@ -362,30 +361,35 @@ let walk ~db ~name compiled result ~from ~to_ ~emit ~settle =
   fst (steps ~next ~step ~to_ ~settle (result, due result ~after:from))
 
 (* A grouped COUNT's step: the groups whose earliest member expires at
-   [at] lose those members, and only their output rows are diffed. *)
+   [at] lose those members, and only their output rows are diffed, when
+   anyone listens. *)
 let counted_step ~name ~emit at (groups, c) =
   let groups, keys = Partial_agg.standing_expire groups at in
   let after, touched =
     regroup c (List.map (fun key -> (key, Partial_agg.standing_group groups key)) keys)
   in
-  let old = rows_in c.answer.Eval.relation touched
-  and fresh = rows_in after.answer.Eval.relation touched in
-  Relation.iter
-    (fun tuple texp ->
-      if Time.equal texp at then
-        emit (Row_expired { subscription = name; tuple; at }))
-    old;
-  diff ~name ~at ~emit
-    ~between:(fun () ->
-      if Time.(c.answer.Eval.texp <= at) then
-        emit (Refreshed { subscription = name; at }))
-    old fresh;
+  Option.iter
+    (fun emit ->
+      let old = rows_in c.answer.Eval.relation touched
+      and fresh = rows_in after.answer.Eval.relation touched in
+      Relation.iter
+        (fun tuple texp ->
+          if Time.equal texp at then
+            emit (Row_expired { subscription = name; tuple; at }))
+        old;
+      diff ~name ~at ~emit
+        ~between:(fun () ->
+          if Time.(c.answer.Eval.texp <= at) then
+            emit (Refreshed { subscription = name; at }))
+        old fresh)
+    emit;
   (groups, after)
 
-(* Walks entry [e] from the clock to [to_]; answers the function that
-   keeps where the walk stopped.  A plan's entry keeps only the rows
-   live at [to_]: the walk fired every other one, and a monotone watch,
-   never refreshed, would otherwise hold every row it ever had. *)
+(* Walks entry [e] from the clock to [to_], firing its events through
+   [emit] when given; answers the function that keeps where the walk
+   stopped.  A plan's entry keeps only the rows live at [to_]: the walk
+   fired every other one, and a monotone watch, never refreshed, would
+   otherwise hold every row it ever had. *)
 let walk_entry t ~name e ~to_ ~emit =
   match e.feed with
   | Counted k ->
@@ -403,7 +407,7 @@ let walk_entry t ~name e ~to_ ~emit =
   | Rerun | Delta _ ->
     let r =
       walk ~db:t.db ~name e.compiled e.result ~from:(Database.now t.db) ~to_
-        ~emit ~settle:(fun _ -> true)
+        ~emit:(Option.value emit ~default:ignore) ~settle:(fun _ -> true)
     in
     fun () -> e.result <- { r with Eval.relation = Relation.exp to_ r.Eval.relation }
 
@@ -415,7 +419,7 @@ let forecast_events t ~until =
       (fun name ->
         ignore
           (walk_entry t ~name (Hashtbl.find t.watches name) ~to_:until
-             ~emit:(fun _ -> incr count)
+             ~emit:(Some (fun _ -> incr count))
             : unit -> unit))
       (names t);
     !count
@@ -438,8 +442,9 @@ let deliver_until t target =
 
 (* A delta entry diffs the written row's result row before and after, a
    grouped COUNT the written row's group; any other entry reruns at the
-   clock and diffs the whole result.  A prior texp at or before the
-   clock is a row already expired, which no state holds. *)
+   clock and diffs the whole result.  An entry nobody listens to only
+   keeps its state.  A prior texp at or before the clock is a row
+   already expired, which no state holds. *)
 let write ?trace t ~before record =
   let at = Database.now t.db in
   let written table tuple texp =
@@ -450,11 +455,17 @@ let write ?trace t ~before record =
         (fun name ->
           let e = Hashtbl.find t.watches name in
           let old = e.result.Eval.relation in
-          let diff = diff ~name ~at ~emit:e.handler ~between:ignore in
+          (* [old ()] and [fresh ()] build the rows to compare, only
+             when someone listens. *)
+          let diff old fresh =
+            Option.iter
+              (fun emit -> diff ~name ~at ~emit ~between:ignore (old ()) (fresh ()))
+              e.handler
+          in
           match e.feed with
           | Rerun ->
             let fresh = Executor.run ~db:t.db e.compiled in
-            diff old fresh.Eval.relation;
+            diff (fun () -> old) (fun () -> fresh.Eval.relation);
             e.result <- fresh
           | Delta row ->
             Option.iter
@@ -463,7 +474,9 @@ let write ?trace t ~before record =
                   Option.fold ~none:r ~some:(fun e -> Relation.add tuple ~texp:e r)
                 in
                 let none = Relation.empty ~arity:(Relation.arity old) in
-                diff (put none (Relation.texp_opt old tuple)) (put none texp);
+                diff
+                  (fun () -> put none (Relation.texp_opt old tuple))
+                  (fun () -> put none texp);
                 let relation = put (Relation.remove tuple old) texp in
                 e.result <- { e.result with Eval.relation })
               (row tuple)
@@ -480,8 +493,8 @@ let write ?trace t ~before record =
                   regroup k.counts [ (key, Partial_agg.standing_group groups key) ]
                 in
                 diff
-                  (rows_in k.counts.answer.Eval.relation touched)
-                  (rows_in counts.answer.Eval.relation touched);
+                  (fun () -> rows_in k.counts.answer.Eval.relation touched)
+                  (fun () -> rows_in counts.answer.Eval.relation touched);
                 e.result <- counts.answer;
                 k.groups <- groups;
                 k.counts <- counts)

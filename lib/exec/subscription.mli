@@ -43,7 +43,7 @@ type t
 val create : Database.t -> t
 (** A registry over the database; it never moves the clock itself. *)
 
-val subscribe : t -> name:string -> Plan.compiled -> handler -> unit
+val subscribe : ?handler:handler -> t -> name:string -> Plan.compiled -> unit
 (** {!prepare} then {!install}.
     @raise Invalid_argument when the name is taken
     @raise Errors.Unknown_relation / {!Errors.Arity_mismatch} like
@@ -65,10 +65,13 @@ type entry
 val counted : Plan.compiled -> bool
 (** A fused [COUNT] grouped aggregate directly over a scan. *)
 
-val prepare : t -> Plan.compiled -> handler -> entry
+val prepare : ?handler:handler -> t -> Plan.compiled -> entry
 (** The plan's entry at the clock (a run of the plan, or the group state
     built from the table's live rows, O(rows)), registering nothing: a
-    caller may build it outside its own lock. *)
+    caller may build it outside its own lock.  Its events go to
+    [handler]; without one nobody listens, and the entry keeps its
+    answer current without building any event (a cached GROUP BY, a
+    MAINTAINED view). *)
 
 val install : t -> name:string -> entry -> unit
 (** Registers the entry, replacing any of that name. *)
@@ -198,7 +201,7 @@ val walk :
     events over [result] gives the answer at every instant.  [settle]
     sees each instant after its last event; [false] stops the walk
     there.  Returns the result where the walk stopped, rows not yet
-    cut.  Cost: a pass over the result and a sort of the rows due
-    before the next refresh or [to_], again after each refresh, and
-    O(1) per event —
-    O(n log n + events). *)
+    cut.  Cost: a fold over only the subtrees holding rows due before
+    the next refresh or [to_] ({!Relation.fold_expired}) and a sort of
+    those rows, again after each refresh, and O(1) per event —
+    O(k log n) for k rows due, plus each refresh's plan run and diff. *)

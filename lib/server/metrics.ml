@@ -137,11 +137,21 @@ let op_prefix = "op:"
    family's buckets approximates real wall time.  Spans keep their
    inclusive durations everywhere else (trace store, wire). *)
 let observe_trace t spans =
+  (* Each span's children's durations, summed once by parent id (ids
+     are small: assigned in entry order within the trace). *)
+  let top = List.fold_left (fun m (s : Trace.span) -> max m s.id) 0 spans in
+  let children = Array.make (top + 1) 0 in
   List.iter
     (fun (s : Trace.span) ->
-      let self_us = Trace.self_us spans s in
-      let n = String.length op_prefix in
-      if String.length s.name > n && String.sub s.name 0 n = op_prefix then
+      match s.parent with
+      | Some p when p >= 0 && p <= top -> children.(p) <- children.(p) + s.duration_us
+      | Some _ | None -> ())
+    spans;
+  let n = String.length op_prefix in
+  List.iter
+    (fun (s : Trace.span) ->
+      let self_us = max 0 (s.duration_us - if s.id >= 0 then children.(s.id) else 0) in
+      if String.length s.name > n && String.starts_with ~prefix:op_prefix s.name then
         Instrument.Histogram.observe
           (Instrument.Family.labelled t.op_eval
              [ String.sub s.name n (String.length s.name - n) ])

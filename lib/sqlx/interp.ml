@@ -214,7 +214,7 @@ let standing ?trace ?text ~hit t (entry : plan_entry) ~rows read =
     with
     | Some e -> read e
     | None ->
-      let built = Subscription.prepare t.cached entry.p_compiled ignore in
+      let built = Subscription.prepare t.cached entry.p_compiled in
       Mutex.protect t.plan_mutex (fun () ->
           match Lru.find t.statements text with
           | Some { plan = Some p; _ } when p == entry ->
@@ -550,7 +550,7 @@ let exec_statement ?trace ?text t = function
     if Hashtbl.mem t.views name then failwith (Printf.sprintf "view %s exists" name);
     let columns, plan = plan_standing t query in
     if maintained then begin
-      Subscription.subscribe t.maintained ~name plan ignore;
+      Subscription.subscribe t.maintained ~name plan;
       Hashtbl.replace t.views name (Kept columns);
       Msg
         (Printf.sprintf
@@ -733,7 +733,7 @@ let subscribe t ~name statement handler =
       match statement with
       | Ast.Query { q; at = None; _ } ->
         let _, plan = plan_standing t q in
-        Subscription.subscribe t.watches ~name plan handler
+        Subscription.subscribe ~handler t.watches ~name plan
       | Ast.Query { at = Some _; _ } ->
         failwith
           "SUBSCRIBE takes a plain query (no AT: the stream itself walks \

@@ -9,6 +9,32 @@ let critical_windows l_rel r_rel =
       | Some _ | None -> acc)
     l_rel []
 
+let aggregate_windows ~tau f members =
+  let segments = Aggregate.timeline ~tau f members in
+  let v0 = match segments with
+    | (_, v) :: _ -> v
+    | [] -> None
+  in
+  let rec windows = function
+    | [] -> []
+    | (start, v) :: rest ->
+      let stop = match rest with
+        | (next, _) :: _ -> next
+        | [] -> Time.Inf
+      in
+      let keep = match v with
+        | None -> true (* partition expired: result tuple absent, not wrong *)
+        | Some _ -> Option.equal Value.equal v v0
+      in
+      let tail = windows rest in
+      if keep then
+        match Interval.make_opt start stop with
+        | Some i -> i :: tail
+        | None -> tail
+      else tail
+  in
+  Interval_set.of_list (windows segments)
+
 let expression_validity ?(strategy = Aggregate.Exact) ~env ~tau expr =
   let everywhere = Interval_set.of_interval (Interval.from tau) in
   let eval e = Eval.relation_at ~strategy ~env ~tau e in
@@ -28,7 +54,7 @@ let expression_validity ?(strategy = Aggregate.Exact) ~env ~tau expr =
       (* Per partition, the materialisation (whose rows expire at the
          strategy's partition time, capped by their members) matches a
          recomputation during [tau, t_s[ and again once the partition has
-         expired entirely.  Aggregate.validity_windows is the paper's
+         expired entirely.  [aggregate_windows] is the paper's
          per-tuple I_R(t), which additionally counts windows where the
          value returns to its materialised value — those cannot be served
          from an eagerly-expired materialisation, so the expression-level

@@ -6,6 +6,14 @@
     "An (materialised) expression is only required to contain correct
     values when a user queries it." *)
 
+val aggregate_windows :
+  tau:Time.t -> Aggregate.func -> Aggregate.partition -> Interval_set.t
+(** [aggregate_windows ~tau f p] — the paper's [I_R(t)] for a result
+    tuple of this partition materialised at [tau]: all times at which the
+    aggregate value equals its value at [tau], or at which the partition
+    has expired entirely (the result tuple is then simply absent rather
+    than wrong). *)
+
 val expression_validity :
   ?strategy:Aggregate.strategy ->
   env:Eval.env ->

@@ -231,16 +231,17 @@ let at_clock now = function
     Expirel_storage.Wal.Advance (Time.add now step)
   | record -> record
 
-let interval : Interval.t Gen.t =
+let interval : Expirel_paper.Interval.t Gen.t =
   let open Gen in
+  let open Expirel_paper in
   let* lo = int_range 0 20 in
   let* len = int_range 1 10 in
   let* unbounded = frequency [ 6, return false; 1, return true ] in
   if unbounded then return (Interval.from (Time.of_int lo))
   else return (Interval.make (Time.of_int lo) (Time.of_int (lo + len)))
 
-let interval_set : Interval_set.t Gen.t =
-  Gen.map Interval_set.of_list (Gen.list_size (Gen.int_range 0 5) interval)
+let interval_set : Expirel_paper.Interval_set.t Gen.t =
+  Gen.map Expirel_paper.Interval_set.of_list (Gen.list_size (Gen.int_range 0 5) interval)
 
 (* Sampling points for comparing interval sets and timelines. *)
 let sample_times : Time.t list =

@@ -24,11 +24,12 @@ if grep -rnE '\bMaintained\.|\bDatabase\.(env|query)\b' lib bin --include='*.ml'
   exit 1
 fi
 # One production tree: lib/ holds the engine and the oracle the tests
-# compare against.  The paper's analyses (library expirel_paper), the
-# loosely coupled simulations (expirel_dist) and the workload
-# generators (expirel_workload) live in paper/, and no lib/ or bin/
-# file names them.
-if grep -rnE '\b(Antijoin|Heap|Maintained|Patch|Qos|Rewrite|Schrodinger_view|Validity|View|Cost)\.|\b[Ee]xpirel_(paper|dist|workload)\b' \
+# compare against.  The paper's analyses (library expirel_paper, with
+# the validity intervals they compute over), the loosely coupled
+# simulations (expirel_dist) and the workload generators
+# (expirel_workload) live in paper/, and no lib/ or bin/ file names
+# them.
+if grep -rnE '\b(Antijoin|Heap|Maintained|Patch|Qos|Rewrite|Schrodinger_view|Validity|View|Cost|Interval|Interval_set)\.|\b[Ee]xpirel_(paper|dist|workload)\b' \
     lib bin --include='*.ml' --include='*.mli' --include=dune; then
   echo "ci: the code above names a paper/ module; production links only lib/" >&2
   exit 1
@@ -175,8 +176,16 @@ SMOKE_DIR=$(mktemp -d)
 # to end.
 (cd "$SMOKE_DIR" && "$BENCH" obs)
 # Smoke the physical execution experiment: hash vs nested-loop joins,
-# the O(1) live-scan fast path, and the plan cache.
+# the O(1) live-scan fast path, the plan cache, the relation tree's
+# diff and exp at 10^3 and 10^5 rows, and a watch's TICK at three
+# watch sizes.  Each of those rows must have been recorded.
 (cd "$SMOKE_DIR" && "$BENCH" exec)
+for row in relation_diff_n1000_us relation_diff_n100000_us \
+    relation_exp_n1000_us relation_exp_n100000_us \
+    standing_advance_watch_us_w100 standing_advance_watch_us_w10000 \
+    standing_advance_watch_us_w100000; do
+  grep -F "\"$row\"" "$SMOKE_DIR/BENCH_exec.json"
+done
 # Smoke the sketch experiment end to end (single-pass folds, memory
 # vs a materialized relation, 3-way merge, a live 3-shard cluster) at
 # a CI-sized event count; the full 10^7 run is for BENCH_sketch.json.

@@ -1,4 +1,5 @@
 open Expirel_core
+open Expirel_paper
 
 let fin = Time.of_int
 
@@ -151,7 +152,7 @@ let test_timeline_and_windows () =
   Alcotest.(check (list string)) "timeline"
     [ "0:10"; "5:7"; "7:10"; "9:-" ]
     (List.map render timeline);
-  let windows = Aggregate.validity_windows ~tau:Time.zero (Aggregate.Sum 2) p in
+  let windows = Validity.aggregate_windows ~tau:Time.zero (Aggregate.Sum 2) p in
   (* Valid where value = 10 again, and after the partition expires. *)
   Alcotest.(check string) "I_R(t) includes the return window"
     "[0, 5[ u [7, inf[" (Interval_set.to_string windows)
@@ -204,7 +205,7 @@ let prop_validity_windows_sound =
       match live_partitions fp with
       | None -> true
       | Some (f, p) ->
-        let windows = Aggregate.validity_windows ~tau:Time.zero f p in
+        let windows = Validity.aggregate_windows ~tau:Time.zero f p in
         let v0 = value_at f p Time.zero in
         List.for_all
           (fun t ->

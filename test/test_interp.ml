@@ -765,6 +765,64 @@ let test_render () =
   Alcotest.(check bool) "renders a bordered table" true
     (string_contains text "| texp | deg |")
 
+(* The statement cache's promoted GROUP BY has no listener, so it builds
+   no events; a SUBSCRIBE on the same text keeps every event it gets
+   without the promoted entry beside it, through writes (new, re-dated
+   and deleted rows, a group emptied), TICKs and an ADVANCE past several
+   change points. *)
+let test_watch_beside_promoted_count () =
+  let sql = "SELECT g, COUNT(*) FROM s GROUP BY g" in
+  let session promoted =
+    let t = Interp.create () in
+    let events = ref [] in
+    ignore (exec t "CREATE TABLE s (sid, g)");
+    List.iter
+      (fun (sid, g, ttl) ->
+        ignore (exec t (Printf.sprintf "INSERT INTO s VALUES (%d, %d) TTL %d" sid g ttl)))
+      [ (1, 1, 3); (2, 1, 6); (3, 2, 2); (4, 2, 9); (5, 3, 4) ];
+    let render = function
+      | Expirel_exec.Subscription.Row_expired { tuple; at; _ } ->
+        Printf.sprintf "-%s@%s" (Tuple.to_string tuple) (Time.to_string at)
+      | Expirel_exec.Subscription.Row_appeared { tuple; texp; at; _ } ->
+        Printf.sprintf "+%s:%s@%s" (Tuple.to_string tuple) (Time.to_string texp)
+          (Time.to_string at)
+      | Expirel_exec.Subscription.Refreshed { at; _ } ->
+        Printf.sprintf "refresh@%s" (Time.to_string at)
+    in
+    (match
+       Interp.subscribe t ~name:"w" (Parser.parse_statement sql) (fun ev ->
+           events := render ev :: !events)
+     with
+     | Ok () -> ()
+     | Error e -> Alcotest.fail e);
+    let read () = if promoted then ignore (exec t sql) in
+    read ();
+    read ();
+    List.iter
+      (fun stmt -> ignore (exec t stmt); read ())
+      [ "INSERT INTO s VALUES (6, 3) TTL 5";
+        "TICK 1";
+        "INSERT INTO s VALUES (2, 1) TTL 8";
+        "DELETE FROM s WHERE sid = 5";
+        "DELETE FROM s WHERE sid = 6";
+        "TICK 2";
+        "ADVANCE TO 9";
+        "INSERT INTO s VALUES (7, 4) TTL 2";
+        "TICK 3" ];
+    (t, List.rev !events)
+  in
+  let plain, expected = session false and promoted, events = session true in
+  Alcotest.(check (pair int int)) "the plain session promotes nothing" (0, 0)
+    (Interp.standing_aggregates plain);
+  Alcotest.(check int) "the other holds the promoted entry" 1
+    (fst (Interp.standing_aggregates promoted));
+  Alcotest.(check (list string)) "the watch's events"
+    [ "-<3, 1>@0"; "+<3, 2>:4@0"; "-<3, 2>@1"; "+<3, 1>:5@1"; "-<3, 1>@1";
+      "-<2, 2>@2"; "refresh@2"; "+<2, 1>:9@2"; "-<1, 2>@3"; "refresh@3";
+      "+<1, 1>:9@3"; "-<1, 1>@9"; "-<2, 1>@9"; "+<4, 1>:11@9"; "-<4, 1>@11" ]
+    expected;
+  Alcotest.(check (list string)) "the same events beside the promoted entry" expected events
+
 let suite =
   [ Alcotest.test_case "figure 2 end to end" `Quick test_end_to_end_figure2;
     Alcotest.test_case "joins" `Quick test_join_query;
@@ -803,4 +861,6 @@ let suite =
       `Quick test_standing_count_after_raw_insert;
     Alcotest.test_case "standing GROUP BY COUNT never reruns the executor"
       `Quick test_standing_count_no_rerun;
+    Alcotest.test_case "a watch beside a promoted GROUP BY keeps its events"
+      `Quick test_watch_beside_promoted_count;
     Alcotest.test_case "rendering" `Quick test_render ]

@@ -1,4 +1,5 @@
 open Expirel_core
+open Expirel_paper
 
 let fin = Time.of_int
 let iv a b = Interval.make (fin a) (fin b)

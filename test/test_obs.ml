@@ -556,6 +556,141 @@ let test_slow_log_threshold_and_eviction () =
 
 (* ---------- prometheus rendering ---------- *)
 
+(* A page of every sample shape the renderer knows — counters, gauges of
+   every float form, a scaled counter, a labelled histogram family
+   sharing one bounds array, custom bounds, escapes in help text and
+   label values, a metric whose provider raised — renders byte for byte
+   as the reference below. *)
+let golden_metrics () =
+  let hist bounds counts sum =
+    Registry.Histogram_sample
+      { Instrument.Histogram.bounds; counts; sum; count = Array.fold_left ( + ) 0 counts }
+  in
+  let lat = Instrument.Histogram.default_latency_bounds_us in
+  let lat_counts k = Array.mapi (fun i _ -> (i * k) mod 3) lat in
+  [ { Registry.name = "expirel_widgets_total"; help = "Widgets\\made\nby hand";
+      kind = Registry.Counter_kind; scale = 1.0; samples = [ ([], Registry.Counter_sample 3) ] };
+    { Registry.name = "expirel_modes_total"; help = "Removals by mode";
+      kind = Registry.Counter_kind; scale = 1.0;
+      samples =
+        [ ([ ("mode", "eager") ], Registry.Counter_sample 0);
+          ([ ("mode", "la\"zy\\x\ny") ], Registry.Counter_sample 1_000_000_000_000_000) ] };
+    { Registry.name = "expirel_level"; help = "A gauge of every float shape";
+      kind = Registry.Gauge_kind; scale = 1.0;
+      samples =
+        [ ([ ("v", "neg") ], Registry.Gauge_sample (-42.));
+          ([ ("v", "frac") ], Registry.Gauge_sample (0.1 +. 0.2));
+          ([ ("v", "big") ], Registry.Gauge_sample 1e20);
+          ([ ("v", "tiny") ], Registry.Gauge_sample 1.5e-7);
+          ([ ("v", "negzero") ], Registry.Gauge_sample (-0.));
+          ([ ("v", "nan") ], Registry.Gauge_sample Float.nan);
+          ([ ("v", "inf") ], Registry.Gauge_sample Float.infinity);
+          ([ ("v", "-inf") ], Registry.Gauge_sample Float.neg_infinity);
+          ([ ("a", "1"); ("b", "2") ], Registry.Gauge_sample 7.) ] };
+    { Registry.name = "expirel_scaled_bytes"; help = "A scaled counter";
+      kind = Registry.Counter_kind; scale = 1e-3; samples = [ ([], Registry.Counter_sample 1234) ] };
+    { Registry.name = "expirel_stage_duration_seconds"; help = "Stage time";
+      kind = Registry.Histogram_kind; scale = 1e-6;
+      samples =
+        [ ([ ("stage", "parse") ], hist lat (lat_counts 1) 401_999);
+          ([ ("stage", "eval") ], hist lat (lat_counts 2) 7);
+          ([], hist lat (lat_counts 0) 0) ] };
+    { Registry.name = "expirel_sizes"; help = "Sizes";
+      kind = Registry.Histogram_kind; scale = 1.0;
+      samples = [ ([ ("k", "x") ], hist [| 1; 10; 100; max_int |] [| 1; 0; 2; 3 |] 5_150) ] };
+    { Registry.name = "expirel_broken"; help = "A provider that raised";
+      kind = Registry.Gauge_kind; scale = 1.0; samples = [] } ]
+
+let golden_page =
+  "# HELP expirel_widgets_total Widgets\\\\made\\nby hand\n\
+   # TYPE expirel_widgets_total counter\n\
+   expirel_widgets_total 3\n\
+   # HELP expirel_modes_total Removals by mode\n\
+   # TYPE expirel_modes_total counter\n\
+   expirel_modes_total{mode=\"eager\"} 0\n\
+   expirel_modes_total{mode=\"la\\\"zy\\\\x\\ny\"} 1e+15\n\
+   # HELP expirel_level A gauge of every float shape\n\
+   # TYPE expirel_level gauge\n\
+   expirel_level{v=\"neg\"} -42\n\
+   expirel_level{v=\"frac\"} 0.3\n\
+   expirel_level{v=\"big\"} 1e+20\n\
+   expirel_level{v=\"tiny\"} 1.5e-07\n\
+   expirel_level{v=\"negzero\"} -0\n\
+   expirel_level{v=\"nan\"} NaN\n\
+   expirel_level{v=\"inf\"} +Inf\n\
+   expirel_level{v=\"-inf\"} -Inf\n\
+   expirel_level{a=\"1\",b=\"2\"} 7\n\
+   # HELP expirel_scaled_bytes A scaled counter\n\
+   # TYPE expirel_scaled_bytes counter\n\
+   expirel_scaled_bytes 1.234\n\
+   # HELP expirel_stage_duration_seconds Stage time\n\
+   # TYPE expirel_stage_duration_seconds histogram\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"5e-05\"} 0\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.0001\"} 1\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.00025\"} 3\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.0005\"} 3\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.001\"} 4\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.0025\"} 6\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.005\"} 6\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.01\"} 7\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.025\"} 9\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.05\"} 9\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.1\"} 10\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.25\"} 12\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"0.5\"} 12\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"1\"} 13\n\
+   expirel_stage_duration_seconds_bucket{stage=\"parse\",le=\"+Inf\"} 15\n\
+   expirel_stage_duration_seconds_sum{stage=\"parse\"} 0.401999\n\
+   expirel_stage_duration_seconds_count{stage=\"parse\"} 15\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"5e-05\"} 0\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.0001\"} 2\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.00025\"} 3\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.0005\"} 3\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.001\"} 5\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.0025\"} 6\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.005\"} 6\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.01\"} 8\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.025\"} 9\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.05\"} 9\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.1\"} 11\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.25\"} 12\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"0.5\"} 12\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"1\"} 14\n\
+   expirel_stage_duration_seconds_bucket{stage=\"eval\",le=\"+Inf\"} 15\n\
+   expirel_stage_duration_seconds_sum{stage=\"eval\"} 7e-06\n\
+   expirel_stage_duration_seconds_count{stage=\"eval\"} 15\n\
+   expirel_stage_duration_seconds_bucket{le=\"5e-05\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.0001\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.00025\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.0005\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.001\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.0025\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.005\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.01\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.025\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.05\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.1\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.25\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"0.5\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"1\"} 0\n\
+   expirel_stage_duration_seconds_bucket{le=\"+Inf\"} 0\n\
+   expirel_stage_duration_seconds_sum 0\n\
+   expirel_stage_duration_seconds_count 0\n\
+   # HELP expirel_sizes Sizes\n\
+   # TYPE expirel_sizes histogram\n\
+   expirel_sizes_bucket{k=\"x\",le=\"1\"} 1\n\
+   expirel_sizes_bucket{k=\"x\",le=\"10\"} 1\n\
+   expirel_sizes_bucket{k=\"x\",le=\"100\"} 3\n\
+   expirel_sizes_bucket{k=\"x\",le=\"+Inf\"} 6\n\
+   expirel_sizes_sum{k=\"x\"} 5150\n\
+   expirel_sizes_count{k=\"x\"} 6\n\
+   # HELP expirel_broken A provider that raised\n\
+   # TYPE expirel_broken gauge\n"
+
+let test_prometheus_golden () =
+  Alcotest.(check string) "byte-identical page" golden_page
+    (Prometheus.render (golden_metrics ()))
+
 let test_prometheus_render () =
   let reg = Registry.create () in
   let c =
@@ -836,6 +971,8 @@ let suite =
     Alcotest.test_case "slow log threshold + eviction" `Quick
       test_slow_log_threshold_and_eviction;
     Alcotest.test_case "prometheus rendering" `Quick test_prometheus_render;
+    Alcotest.test_case "prometheus page is byte-identical to its reference" `Quick
+      test_prometheus_golden;
     Alcotest.test_case "exposition hygiene lint" `Quick
       test_exposition_hygiene;
     Alcotest.test_case "slow log joins trace store" `Quick

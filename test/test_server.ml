@@ -1482,8 +1482,61 @@ let test_held_bad_delta_closes () =
       Client.close client;
       Thread.join fake)
 
+(* [Metrics.observe_trace] files each span's self time (its duration
+   less its direct children's, as [Trace.self_us] defines it) under its
+   stage, or under its operator for an [op:] span: for random span trees
+   (top-level spans under a remote parent id too), every label's count
+   and sum equal the per-span self times. *)
+let prop_observe_trace_self_times =
+  let names = [ "parse"; "eval"; "storage"; "op:scan"; "op:hash-join"; "op:"; "o" ] in
+  let spans =
+    let open QCheck2.Gen in
+    let* n = int_range 1 12 in
+    let span id =
+      let* parent = frequency [ (1, return None); (1, return (Some 40)); (4, map Option.some (int_range 1 (max 1 (id - 1)))) ]
+      and* name = oneofl names
+      and* dur = int_range 0 100 in
+      return
+        { Expirel_obs.Trace.id; parent = (if parent = Some id then None else parent);
+          name; start_us = 0; duration_us = dur; labels = [] }
+    in
+    flatten_l (List.init n (fun i -> span (i + 1)))
+  in
+  Generators.qtest "observe_trace files each span's self time" spans (fun spans ->
+      let m = Metrics.create () in
+      Metrics.observe_trace m spans;
+      let collected = Expirel_obs.Registry.collect (Metrics.registry m) in
+      let filed metric label =
+        match Expirel_obs.Registry.find collected metric with
+        | None -> (0, 0)
+        | Some mt ->
+          List.fold_left
+            (fun (c, s) (bindings, sample) ->
+              match sample with
+              | Expirel_obs.Registry.Histogram_sample h when bindings = [ label ] ->
+                (c + h.count, s + h.sum)
+              | _ -> (c, s))
+            (0, 0) mt.samples
+      in
+      List.for_all
+        (fun name ->
+          let mine = List.filter (fun (s : Expirel_obs.Trace.span) -> s.name = name) spans in
+          let expected =
+            (List.length mine, List.fold_left (fun acc s -> acc + Expirel_obs.Trace.self_us spans s) 0 mine)
+          in
+          let op = String.length name > 3 && String.sub name 0 3 = "op:" in
+          let got =
+            if op then
+              filed "expirel_eval_operator_duration_seconds"
+                ("operator", String.sub name 3 (String.length name - 3))
+            else filed "expirel_request_stage_duration_seconds" ("stage", name)
+          in
+          got = expected)
+        names)
+
 let suite =
   [ Alcotest.test_case "smoke: rows travel with texp and texp(e)" `Quick test_smoke;
+    prop_observe_trace_self_times;
     Alcotest.test_case "subscription events at exact logical times" `Quick
       test_subscription_event_order;
     Alcotest.test_case "writes reach a watch" `Quick test_writes_reach_watch;

@@ -23,7 +23,7 @@ let render = function
 
 (* Watches hold a plan, planned once at subscribe time. *)
 let watch subs db ~name expr handler =
-  Subscription.subscribe subs ~name (Planner.plan ~db expr) handler
+  Subscription.subscribe ~handler subs ~name (Planner.plan ~db expr)
 
 (* What the interpreter's clock move does with a registry: deliver, then
    move the clock. *)
@@ -259,7 +259,6 @@ let test_counted_logs_passed_nu () =
   let entry =
     Subscription.prepare subs
       (Planner.plan ~db Algebra.(project [ 2; 3 ] (aggregate [ 2 ] Aggregate.Count (base "r"))))
-      ignore
   in
   Subscription.install subs ~name:"w" entry;
   let before = Subscription.standing entry in
