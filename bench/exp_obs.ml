@@ -127,6 +127,77 @@ let bench_profiling_overhead () =
       (Printf.sprintf "profiling overhead %.1f%% breaches the 5%% budget"
          overhead_pct)
 
+(* ---- one point request's trace: what recording it costs ----
+
+   The trace a point check leaves on a node: parse, lock wait, lower,
+   plan, and eval over three operators (8 spans; 6 counter labels on
+   the operators), created, recorded, filed into the stage and
+   operator histograms and stored in the trace ring — the server's own
+   path after a request ([Metrics.observe_trace], then
+   [Trace_store.finish]), minus the statement itself.  The ring is
+   filled first, so every slot's buffer exists and the words counted
+   are what each request allocates; the allocation count repeats
+   exactly from run to run. *)
+
+let trace_point_iters = 20_000
+let trace_point_words_budget = 150.
+
+let bench_trace_point () =
+  Bench_util.subsection "one point request's trace (create, record, observe, store)";
+  let n = Obs.Trace.name in
+  let parse = n "parse" and rwlock_wait = n "rwlock_wait" and lower = n "lower"
+  and plan = n "plan" and eval = n "eval" and project = n "op:project"
+  and filter = n "op:filter" and scan = n "op:index-scan" in
+  let rows = n "rows" and dropped = n "dropped" and visited = n "visited"
+  and batches = n "batches" in
+  let metrics = Metrics.create () and store = Obs.Trace_store.create () in
+  let sql = "SELECT sid, uid FROM sessions WHERE sid = 4711" in
+  let one () =
+    let tr = Obs.Trace.create () in
+    let trace = Some tr in
+    Obs.Trace.span trace parse ignore;
+    Obs.Trace.span trace rwlock_wait ignore;
+    Obs.Trace.span trace lower ignore;
+    Obs.Trace.span trace plan ignore;
+    Obs.Trace.span trace eval (fun () ->
+        Obs.Trace.span trace project (fun () ->
+            Obs.Trace.span trace filter (fun () ->
+                Obs.Trace.span trace scan (fun () ->
+                    Obs.Trace.count trace rows 1;
+                    Obs.Trace.count trace dropped 0;
+                    Obs.Trace.count trace visited 1);
+                Obs.Trace.count trace rows 1;
+                Obs.Trace.count trace batches 1);
+            Obs.Trace.count trace rows 1));
+    Metrics.observe_trace metrics tr;
+    Obs.Trace_store.finish store ~node:"primary" ~name:sql tr
+  in
+  for _ = 1 to 2 * 256 do
+    one ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to trace_point_iters do
+    one ()
+  done;
+  let words =
+    Float.round ((Gc.minor_words () -. w0) /. float_of_int trace_point_iters)
+  in
+  let (), s =
+    Bench_util.time_it (fun () ->
+        for _ = 1 to trace_point_iters do
+          one ()
+        done)
+  in
+  let ns = s /. float_of_int trace_point_iters *. 1e9 in
+  Bench_util.metric "trace_point_words" words;
+  Bench_util.metric "trace_point_ns" ns;
+  Printf.printf "%.0f minor words, %.0f ns per point-request trace (n=%d)\n"
+    words ns trace_point_iters;
+  if words > trace_point_words_budget then
+    failwith
+      (Printf.sprintf "a point-request trace allocates %.0f words, over the %.0f budget"
+         words trace_point_words_budget)
+
 (* A sample line is `name{labels} value`; validate the value parses
    (Prometheus float, "+Inf" allowed) and count families and samples. *)
 let validate_exposition text =
@@ -355,4 +426,5 @@ let run_all () =
     (histo_s /. float_of_int n *. 1e9)
     n;
 
+  bench_trace_point ();
   bench_profiling_overhead ()

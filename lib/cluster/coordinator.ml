@@ -7,6 +7,12 @@ module Sketch = Expirel_sketch
 module Partial_agg = Expirel_exec.Partial_agg
 module Subscription = Expirel_exec.Subscription
 
+(* The span names a coordinator records, interned once; each slot
+   interns its own [rpc:shard-<id>]. *)
+let parse_span = Obs.Trace.name "parse"
+let scatter_span = Obs.Trace.name "scatter"
+let merge_span = Obs.Trace.name "merge"
+
 type endpoint = Member.endpoint = {
   host : string;
   port : int;
@@ -17,6 +23,7 @@ type slot = {
   member : Member.t;
   slot_lock : Mutex.t;  (* one in-flight request per connection *)
   requests : Obs.Instrument.Counter.t;
+  rpc_span : Obs.Trace.name;  (* rpc:shard-<id> *)
   mutable summary : Wire.partition_texp option;  (* None = unknown *)
   mutable map_version_seen : int;
   mutable reachable : bool;
@@ -510,14 +517,14 @@ let query_tau t (qs : Ast.query_stmt) =
    caller's span, not [scatter].  Replies come back in contact
    order. *)
 let fan_out ?trace t requests =
-  Obs.Trace.span trace "scatter" @@ fun () ->
+  Obs.Trace.span trace scatter_span @@ fun () ->
   let replies = exchange t requests in
   Option.iter
     (fun tr ->
       List.iter
         (fun (slot, _, t0, t1) ->
           Obs.Trace.record tr
-            ~name:(Printf.sprintf "rpc:shard-%d" slot.shard.Wire.shard_id)
+            ~name:slot.rpc_span
             ~start_us:(span_offset_us tr t0)
             ~duration_us:(int_of_float ((t1 -. t0) *. 1e6)))
         replies)
@@ -794,7 +801,7 @@ let sketch_ok = function
    statement error it raises answers as one node's would, through the
    node's one mapping. *)
 let merging ?trace merge =
-  Obs.Trace.span trace "merge" @@ fun () ->
+  Obs.Trace.span trace merge_span @@ fun () ->
   match Interp.guard merge with
   | Ok reply -> reply
   | Error message -> err message
@@ -1162,7 +1169,7 @@ let exec ?(prune = true) ?trace:caller_trace t sql =
   let response =
     Wire.parsing
       (fun sql ->
-        Obs.Trace.span trace "parse" (fun () -> Parser.parse_statement sql))
+        Obs.Trace.span trace parse_span (fun () -> Parser.parse_statement sql))
       sql
       (fun stmt -> exec_parsed ?trace ~prune t stmt sql)
   in
@@ -1195,6 +1202,8 @@ let make_slot t (shard : Wire.shard) =
     requests =
       Obs.Instrument.Family.labelled t.requests_family
         [ string_of_int shard.Wire.shard_id ];
+    rpc_span =
+      Obs.Trace.name (Printf.sprintf "rpc:shard-%d" shard.Wire.shard_id);
     summary = None;
     map_version_seen = 0;
     reachable = false;

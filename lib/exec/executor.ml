@@ -120,6 +120,15 @@ let merge_diff =
 
 module Trace = Expirel_obs.Trace
 
+(* The counters op spans carry, interned once. *)
+let rows_key = Trace.name "rows"
+let batches_key = Trace.name "batches"
+let build_key = Trace.name "build"
+let dropped_key = Trace.name "dropped"
+let cut_skipped_key = Trace.name "cut_skipped"
+let visited_key = Trace.name "visited"
+let sketch_bytes_key = Trace.name "sketch_bytes"
+
 (* What an operator yields.  Batches may hold coinciding rows when a
    projection, a union or a join over either sits below ([dups]): their
    max-merge waits for the next materialisation.  Set-semantics
@@ -154,18 +163,16 @@ let res_rows r =
 let set_res { Eval.relation; texp } =
   { arity = Relation.arity relation; rows = Set relation; texp }
 
-(* Runs [k] in plan node [p]'s [op:<name>] span, then labels the span
-   with the counters [labels] reads off the result.  Untraced, it is
-   just [k ()]: no span, no label, no allocation. *)
+(* Runs [k] in plan node [p]'s [op:<name>] span, then [labels] counts
+   what it reads off the result onto the span.  Untraced, it is just
+   [k ()]: no span, no label, no allocation. *)
 let op_span trace p ~labels k =
   match trace with
   | None -> k ()
   | Some _ ->
-    Trace.span trace ("op:" ^ Plan.operator_name p) (fun () ->
+    Trace.span trace (Plan.operator_span p) (fun () ->
         let r = k () in
-        List.iter
-          (fun (key, n) -> Trace.label trace key (string_of_int n))
-          (labels r);
+        labels r;
         r)
 
 (* One query's executor: the root evaluation, the fused aggregate's
@@ -196,11 +203,7 @@ let engine ?trace ?tau ~db logical =
     vec_rows := !vec_rows + batch_rows bs
   in
   (* A counter on the innermost open span — the running operator's. *)
-  let label key n =
-    match trace with
-    | None -> ()
-    | Some _ -> Trace.label trace key (string_of_int n)
-  in
+  let label key n = Trace.count trace key n in
   (* A set-semantics consumer's input: coinciding rows max-merge on the
      way, as [Relation.add] merges them. *)
   let to_set r =
@@ -235,11 +238,10 @@ let engine ?trace ?tau ~db logical =
      when it yields batches. *)
   let measure p k =
     op_span trace p k ~labels:(fun r ->
-        ("rows", res_rows r)
-        ::
-        (match r.rows with
-         | Batches { batches; _ } -> [ ("batches", List.length batches) ]
-         | Set _ -> []))
+        label rows_key (res_rows r);
+        match r.rows with
+        | Batches { batches; _ } -> label batches_key (List.length batches)
+        | Set _ -> ())
   in
   let rec go p = measure p (fun () -> exec_node p)
   and exec_node p =
@@ -306,7 +308,7 @@ let engine ?trace ?tau ~db logical =
   and join kernel left right =
     let l, r = both left right in
     let lbs, ldups = to_batches l and rbs, rdups = to_batches r in
-    label "build" (batch_rows rbs);
+    label build_key (batch_rows rbs);
     { arity = l.arity + r.arity;
       rows =
         Batches
@@ -341,8 +343,8 @@ let engine ?trace ?tau ~db logical =
           Option.iter (fun b -> acc := b :: !acc) b)
         (Table.run table);
       vec_cut := !vec_cut + !cut;
-      label "dropped" !cut;
-      label "cut_skipped" !cut;
+      label dropped_key !cut;
+      label cut_skipped_key !cut;
       List.rev !acc
     in
     let candidates =
@@ -357,8 +359,8 @@ let engine ?trace ?tau ~db logical =
            Texp_run.scan_range (Table.index table ~column) ~tau ~lo ~hi
              ~visited ~dropped (fun c sel ->
                acc := Batch.of_slice ~arity c sel :: !acc);
-           label "dropped" !dropped;
-           label "visited" !visited;
+           label dropped_key !dropped;
+           label visited_key !visited;
            List.rev !acc)
     in
     { arity;
@@ -374,7 +376,7 @@ let engine ?trace ?tau ~db logical =
     Expirel_sketch.Observatory.record ~name:(Approx.name spec)
       ~memory_bytes:bytes
       ~estimate:(Expirel_sketch.Any.live_estimate ~tau sketch);
-    label "sketch_bytes" bytes;
+    label sketch_bytes_key bytes;
     (sketch, r)
   (* Answers from the folded sketch. *)
   and sketch_node spec c =
@@ -416,7 +418,7 @@ let engine ?trace ?tau ~db logical =
             let table = Database.table_exn db name in
             let snap = Table.snapshot table ~tau in
             if Option.is_some trace then
-              label "dropped"
+              label dropped_key
                 (Table.physical_count table - Relation.cardinal snap);
             { arity = Table.arity table; rows = Set snap; texp = Time.Inf })
       | p -> go p
@@ -447,7 +449,7 @@ let partial ?trace ?tau ~db compiled =
     let e = engine ?trace ?tau ~db compiled.Plan.logical in
     let result =
       op_span trace node
-        ~labels:(fun (p, _) -> [ ("rows", List.length p) ])
+        ~labels:(fun (p, _) -> Trace.count trace rows_key (List.length p))
         (fun () ->
           let partial, r = e.grouped ~group ~func child in
           (partial, r.texp))
@@ -466,7 +468,7 @@ let sketch ?trace ?tau ~db compiled =
   in
   let e = engine ?trace ?tau ~db compiled.Plan.logical in
   let sketch, _ =
-    op_span trace compiled.Plan.physical ~labels:(fun _ -> []) (fun () ->
+    op_span trace compiled.Plan.physical ~labels:ignore (fun () ->
         e.fold_sketch spec child)
   in
   e.finish ();

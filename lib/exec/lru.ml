@@ -1,53 +1,86 @@
-type ('k, 'v) entry = {
-  value : 'v;
-  mutable used : int;
+(* The entries form a circular doubly linked list in recency order:
+   from the most recently used, [older] links lead through ever older
+   entries to the least recently used, whose [older] is the most
+   recent again (so the most recent's [newer] is the least recent). *)
+type ('k, 'v) node = {
+  key : 'k;
+  mutable value : 'v;
+  mutable older : ('k, 'v) node;
+  mutable newer : ('k, 'v) node;
 }
 
 type ('k, 'v) t = {
   capacity : int;
-  table : ('k, ('k, 'v) entry) Hashtbl.t;
-  mutable tick : int;
+  table : ('k, ('k, 'v) node) Hashtbl.t;
+  mutable mru : ('k, 'v) node option;  (* None when empty *)
   on_evict : 'k -> unit;
 }
 
 let create ?(on_evict = ignore) ~capacity () =
   if capacity < 1 then invalid_arg "Lru.create: capacity < 1"
-  else { capacity; table = Hashtbl.create capacity; tick = 0; on_evict }
+  else { capacity; table = Hashtbl.create capacity; mru = None; on_evict }
 
 let capacity t = t.capacity
 let length t = Hashtbl.length t.table
-let touch t entry =
-  t.tick <- t.tick + 1;
-  entry.used <- t.tick
+
+let unlink t n =
+  if n.older == n then t.mru <- None
+  else begin
+    n.older.newer <- n.newer;
+    n.newer.older <- n.older;
+    match t.mru with Some m when m == n -> t.mru <- Some n.older | _ -> ()
+  end
+
+let push_front t n =
+  (match t.mru with
+   | None ->
+     n.older <- n;
+     n.newer <- n
+   | Some m ->
+     let lru = m.newer in
+     n.older <- m;
+     n.newer <- lru;
+     m.newer <- n;
+     lru.older <- n);
+  t.mru <- Some n
+
+let touch t n =
+  match t.mru with
+  | Some m when m == n -> ()
+  | _ ->
+    unlink t n;
+    push_front t n
 
 let find t key =
   match Hashtbl.find_opt t.table key with
   | None -> None
-  | Some entry ->
-    touch t entry;
-    Some entry.value
+  | Some n ->
+    touch t n;
+    Some n.value
 
 let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun key entry acc ->
-        match acc with
-        | Some (_, best) when best <= entry.used -> acc
-        | _ -> Some (key, entry.used))
-      t.table None
-  in
-  match victim with
-  | Some (key, _) ->
-    Hashtbl.remove t.table key;
-    t.on_evict key
+  match t.mru with
+  | Some m ->
+    let lru = m.newer in
+    Hashtbl.remove t.table lru.key;
+    unlink t lru;
+    t.on_evict lru.key
   | None -> ()
 
 let set t key value =
-  (match Hashtbl.find_opt t.table key with
-   | Some _ -> Hashtbl.remove t.table key
-   | None -> if Hashtbl.length t.table >= t.capacity then evict_lru t);
-  let entry = { value; used = 0 } in
-  touch t entry;
-  Hashtbl.replace t.table key entry
+  match Hashtbl.find_opt t.table key with
+  | Some n ->
+    n.value <- value;
+    touch t n
+  | None ->
+    if Hashtbl.length t.table >= t.capacity then evict_lru t;
+    let rec n = { key; value; older = n; newer = n } in
+    Hashtbl.add t.table key n;
+    push_front t n
 
-let remove t key = Hashtbl.remove t.table key
+let remove t key =
+  match Hashtbl.find_opt t.table key with
+  | Some n ->
+    Hashtbl.remove t.table key;
+    unlink t n
+  | None -> ()

@@ -1,9 +1,11 @@
-(** A small least-recently-used cache (the plan cache's backing store).
+(** A least-recently-used cache: the statement cache's backing store,
+    and the held answers of a connection, a coordinator's kept GROUP
+    BYs and a client's copies.
 
-    Eviction scans for the stalest entry — O(capacity), which is the
-    right trade at plan-cache sizes (tens to hundreds of entries, and
-    eviction only runs on insertion over capacity): no intrusive lists
-    to keep consistent, no allocation on hit.
+    A hash table finds the entries, and a doubly linked list beside it
+    keeps them in recency order, so a lookup, an insertion and an
+    eviction each take O(1): an insertion past capacity drops the
+    list's oldest entry instead of scanning the table for it.
 
     Not thread-safe; callers serialise access (the interpreter holds a
     mutex around lookups and stores). *)

@@ -54,19 +54,32 @@ type compiled = {
   physical : t;
 }
 
-let operator_name = function
-  | Scan { access = Access.Index _; _ } -> "index-scan"
-  | Scan { access = Access.Full_scan | Access.Never_matches; _ } -> "seq-scan"
-  | Filter _ -> "filter"
-  | Project _ -> "project"
-  | Nested_loop _ -> "nested-loop"
-  | Hash_join _ -> "hash-join"
-  | Merge_union _ -> "merge-union"
-  | Merge_intersect _ -> "merge-intersect"
-  | Merge_diff _ -> "merge-diff"
-  | Hash_aggregate _ | Grouped_aggregate _ -> "aggregate"
-  | Sketch_count _ -> "sketch-count"
-  | Sketch_sample _ -> "sketch-sample"
+let operator_names =
+  [| "index-scan"; "seq-scan"; "filter"; "project"; "nested-loop";
+     "hash-join"; "merge-union"; "merge-intersect"; "merge-diff";
+     "aggregate"; "sketch-count"; "sketch-sample" |]
+
+(* A node's place in [operator_names]. *)
+let operator = function
+  | Scan { access = Access.Index _; _ } -> 0
+  | Scan { access = Access.Full_scan | Access.Never_matches; _ } -> 1
+  | Filter _ -> 2
+  | Project _ -> 3
+  | Nested_loop _ -> 4
+  | Hash_join _ -> 5
+  | Merge_union _ -> 6
+  | Merge_intersect _ -> 7
+  | Merge_diff _ -> 8
+  | Hash_aggregate _ | Grouped_aggregate _ -> 9
+  | Sketch_count _ -> 10
+  | Sketch_sample _ -> 11
+
+let operator_name p = operator_names.(operator p)
+
+let operator_spans =
+  Array.map (fun op -> Expirel_obs.Trace.name ("op:" ^ op)) operator_names
+
+let operator_span p = operator_spans.(operator p)
 
 let children = function
   | Scan _ -> []

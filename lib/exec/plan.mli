@@ -92,6 +92,9 @@ val operator_name : t -> string
     spans share, replacing the logical {!Algebra.operator_name}s on the
     physical execution path. *)
 
+val operator_span : t -> Expirel_obs.Trace.name
+(** The interned [op:<name>] span name of {!operator_name}. *)
+
 val children : t -> t list
 (** Direct sub-plans, left before right — the order the executor's
     [op:] spans nest in, which [EXPLAIN ANALYZE] pairs them by. *)

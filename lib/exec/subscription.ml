@@ -440,6 +440,8 @@ let deliver_until t target =
         walk_entry t ~name e ~to_:target ~emit:e.handler ())
       (names t)
 
+let deliver_span = Expirel_obs.Trace.name "deliver"
+
 (* A delta entry diffs the written row's result row before and after, a
    grouped COUNT the written row's group; any other entry reruns at the
    clock and diffs the whole result.  An entry nobody listens to only
@@ -450,7 +452,7 @@ let write ?trace t ~before record =
   let written table tuple texp =
     let names = readers t table in
     if names <> [] then
-      Expirel_obs.Trace.span trace "deliver" @@ fun () ->
+      Expirel_obs.Trace.span trace deliver_span @@ fun () ->
       List.iter
         (fun name ->
           let e = Hashtbl.find t.watches name in

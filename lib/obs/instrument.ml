@@ -1,31 +1,34 @@
-(* Thread-safe instruments.  Every critical section runs under
-   [locked], which uses Fun.protect so that an exception raised inside
-   never leaves the mutex held (the bug the old Server.Metrics had). *)
+(* Thread-safe instruments.  Counters and gauges are atomics.  A
+   histogram's observation locks its mutex around a few array writes
+   that cannot raise; the critical sections that can (a family's
+   lookup, a snapshot's copies) run under [locked], which uses
+   Fun.protect so that an exception raised inside never leaves the
+   mutex held (the bug the old Server.Metrics had). *)
 
 let locked mutex f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
 module Counter = struct
-  type t = { mutable value : int; mutex : Mutex.t }
+  type t = int Atomic.t
 
-  let create () = { value = 0; mutex = Mutex.create () }
+  let create () = Atomic.make 0
 
   let add t n =
     if n < 0 then invalid_arg "Counter.add: negative increment";
-    locked t.mutex (fun () -> t.value <- t.value + n)
+    ignore (Atomic.fetch_and_add t n : int)
 
-  let incr t = add t 1
-  let value t = locked t.mutex (fun () -> t.value)
+  let incr t = Atomic.incr t
+  let value t = Atomic.get t
 end
 
 module Gauge = struct
-  type t = { mutable value : int; mutex : Mutex.t }
+  type t = int Atomic.t
 
-  let create () = { value = 0; mutex = Mutex.create () }
-  let set t n = locked t.mutex (fun () -> t.value <- n)
-  let add t n = locked t.mutex (fun () -> t.value <- t.value + n)
-  let value t = locked t.mutex (fun () -> t.value)
+  let create () = Atomic.make 0
+  let set t n = Atomic.set t n
+  let add t n = ignore (Atomic.fetch_and_add t n : int)
+  let value t = Atomic.get t
 end
 
 module Histogram = struct
@@ -61,16 +64,19 @@ module Histogram = struct
       mutex = Mutex.create () }
 
   let bucket_of t v =
-    let n = Array.length t.bounds in
-    let rec find i = if i = n - 1 || v <= t.bounds.(i) then i else find (i + 1) in
-    find 0
+    let last = Array.length t.bounds - 1 and i = ref 0 in
+    while !i < last && v > t.bounds.(!i) do
+      incr i
+    done;
+    !i
 
   let observe t v =
-    locked t.mutex (fun () ->
-        let i = bucket_of t v in
-        t.counts.(i) <- t.counts.(i) + 1;
-        t.sum <- t.sum + v;
-        t.count <- t.count + 1)
+    let i = bucket_of t v in
+    Mutex.lock t.mutex;
+    t.counts.(i) <- t.counts.(i) + 1;
+    t.sum <- t.sum + v;
+    t.count <- t.count + 1;
+    Mutex.unlock t.mutex
 
   type snapshot = {
     bounds : int array;

@@ -1,12 +1,14 @@
 (** Thread-safe metric instruments: counters, gauges, histograms and
     labeled families of each.
 
-    Every instrument guards its state with its own mutex, and every
-    critical section runs under [Fun.protect] — an exception raised by
-    user code (a label validation, a callback) can never leave a mutex
-    locked, so one failing caller cannot deadlock every subsequent one.
-    (The predecessor of this module, [Server.Metrics], had exactly that
-    bug: its [locked] helper unlocked only on the success path.)
+    Counters and gauges are atomics.  A histogram guards its buckets
+    with its own mutex, held only around a few array writes that cannot
+    raise; every critical section that can raise (a family's label
+    validation, a snapshot) runs under [Fun.protect], so one failing
+    caller can never leave a mutex locked and deadlock every subsequent
+    one.  (The predecessor of this module, [Server.Metrics], had
+    exactly that bug: its [locked] helper unlocked only on the success
+    path.)
 
     Instruments hold integer values in a caller-chosen base unit
     (microseconds for latencies, bytes for sizes); scaling to the

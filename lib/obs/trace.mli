@@ -16,6 +16,12 @@
     tree and compute self-time (duration minus direct children) instead
     of double-counting nested work.
 
+    Recording is flat: a span is a few ints appended to the trace's one
+    int array, under an interned {!name}, and a counter label is a key
+    and an int.  Nothing per span is allocated; the {!span} records
+    below are built only when something reads the trace ({!spans},
+    {!Trace_store}'s readers).
+
     A trace belongs to one request on one worker thread; it is not
     synchronised.  Spans may nest (eval inside exec): each [span] call
     records its own entry, so a parent's duration includes its
@@ -30,9 +36,21 @@ type span = {
   start_us : int;  (** offset from trace creation, µs *)
   duration_us : int;
   labels : (string * string) list;
-      (** key/value annotations attached via {!label} while the span
-          was open, e.g. [("rows", "42")] *)
+      (** key/value annotations attached via {!label} or {!count} while
+          the span was open, e.g. [("rows", "42")] *)
 }
+
+type name = private int
+(** A span name or a label key, interned once — at module
+    initialisation for a stage, per plan operator, per coordinator
+    slot — and recorded as its int. *)
+
+val name : string -> name
+(** The name for a string: the same int for equal strings, process-wide.
+    Thread-safe.  Interned names are never released, so intern fixed
+    vocabularies, not data. *)
+
+val name_string : name -> string
 
 type t
 
@@ -64,17 +82,22 @@ val started_at : t -> float
     [start_us] offsets are relative to — lets exporters align spans
     from different nodes on one timeline. *)
 
-val span : t option -> string -> (unit -> 'a) -> 'a
+val span : t option -> name -> (unit -> 'a) -> 'a
 (** [span trace name f] runs [f], recording a [name] span on [trace]
-    covering its execution — including when [f] raises ([Fun.protect]).
+    covering its execution — including when [f] raises (the span
+    closes and the exception passes through with its backtrace).
     [span None name f] is just [f ()]: callers thread [t option] and
     pay nothing when tracing is off. *)
 
-val label : t option -> string -> string -> unit
+val label : t option -> name -> string -> unit
 (** [label trace k v] attaches [(k, v)] to the innermost open span.
     A no-op on [None] or when no span is open. *)
 
-val record : t -> name:string -> start_us:int -> duration_us:int -> unit
+val count : t option -> name -> int -> unit
+(** [count trace k n] is [label trace k (string_of_int n)], with [n]
+    kept as an int until the trace is read. *)
+
+val record : t -> name:name -> start_us:int -> duration_us:int -> unit
 (** Appends a span measured externally (e.g. lock wait timed by the
     caller); its parent is the currently open span, if any. *)
 
@@ -89,3 +112,23 @@ val self_us : span list -> span -> int
 (** [self_us spans s] is [s]'s duration minus the total duration of its
     direct children in [spans] (clamped at 0): the time spent in the
     operator itself rather than in nested work. *)
+
+val iter_self : t -> (name -> int -> unit) -> unit
+(** [iter_self t f] calls [f name self_us] for each span {!spans} would
+    list, in that order, with {!self_us}'s self time — read off the
+    recorder without building the span records. *)
+
+(** {2 Frozen spans}
+
+    A trace's spans as {!Flat} bytes: what {!Trace_store} keeps per
+    ring slot.  Span names and label keys are written as their interned
+    ints, counter values as ints. *)
+
+val freeze : Flat.t -> t -> unit
+(** Writes {!spans}' records. *)
+
+val freeze_spans : Flat.t -> span list -> unit
+(** Writes given records (their names and label keys interned). *)
+
+val thaw : Flat.t -> span list
+(** Reads what {!freeze} or {!freeze_spans} wrote. *)

@@ -6,7 +6,15 @@
     them by duration, and so that traces
     from several nodes — each stamping its own [node] name — can be
     merged by trace id into one cross-node timeline
-    ({!Trace_export.to_json}).  Thread-safe. *)
+    ({!Trace_export.to_json}).  Thread-safe.
+
+    Each ring slot is one {!Flat} byte buffer, allocated the first time
+    the slot is written (1 KiB, or a stored trace's size when larger)
+    and rewritten in place by every later trace that lands there: a
+    stored trace is copied bytes — its ids, names, times and labels,
+    its trace id, node and statement text — not a list of records the
+    major heap must keep.  The readers rebuild {!entry} records from
+    those bytes. *)
 
 type entry = {
   node : string;  (** the recording node's name, e.g. ["primary"] *)
@@ -24,9 +32,12 @@ val create : ?capacity:int -> unit -> t
     @raise Invalid_argument when [capacity <= 0] *)
 
 val record : t -> entry -> unit
+(** Copies an entry into the ring (its span names and label keys are
+    interned, see {!Trace.name}). *)
 
 val finish : t -> node:string -> name:string -> Trace.t -> unit
-(** Snapshots a completed trace into the ring. *)
+(** Copies a completed trace into the ring, its total the trace's
+    {!Trace.elapsed_us} now. *)
 
 val recent : t -> int -> entry list
 (** [recent t n]: up to [n] most recently recorded entries, newest

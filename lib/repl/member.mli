@@ -43,7 +43,7 @@ val on : t -> (Client.t -> ('a, string) result) -> ('a, string) result
 val traced_exec :
   ?trace:Expirel_obs.Trace.t ->
   Client.t ->
-  span_name:string ->
+  span_name:Expirel_obs.Trace.name ->
   string ->
   (Wire.response, string) result
 (** {!Client.exec_traced} wrapped in a local span named [span_name]:

@@ -125,6 +125,8 @@ let dial t =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
+let handshake_span = Expirel_obs.Trace.name "repl:handshake"
+
 (* One connection's lifetime: handshake from the current durable
    position, then apply the stream until something breaks.  Exceptions
    (Frame.Closed / Timeout / Unix_error) are the caller's signal to
@@ -136,7 +138,7 @@ let stream_once t fd =
      recent traces shows the join as one timeline. *)
   let tr = Expirel_obs.Trace.create () in
   let (_ : int) =
-    Expirel_obs.Trace.span (Some tr) "repl:handshake" (fun () ->
+    Expirel_obs.Trace.span (Some tr) handshake_span (fun () ->
         Frame.send fd
           (Wire.encode_request
              (Wire.Replicate

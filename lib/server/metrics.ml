@@ -28,6 +28,10 @@ type t = {
   latency : Instrument.Histogram.t;
   stage : Instrument.Histogram.t Instrument.Family.t;
   op_eval : Instrument.Histogram.t Instrument.Family.t;
+  by_name : Instrument.Histogram.t option array Atomic.t;
+      (* [stage]'s or [op_eval]'s histogram for a span name, by
+         interned name; grown (a copy) under [by_name_lock] *)
+  by_name_lock : Mutex.t;
   mutable repl_provider : unit -> repl_stats option;
 }
 
@@ -88,6 +92,8 @@ let create () =
         ~help:"Evaluation time per algebra operator node (Explain's \
                operator vocabulary; parents include their children)"
         ~labels:[ "operator" ] ();
+    by_name = Atomic.make [||];
+    by_name_lock = Mutex.create ();
     repl_provider = (fun () -> None)
   }
 
@@ -131,36 +137,37 @@ let observe_latency t ~seconds =
 
 let op_prefix = "op:"
 
+(* The family member a span name files under: [op:<name>] spans under
+   their operator, the others under their stage. *)
+let histogram_of_name t name =
+  let s = Trace.name_string name and n = String.length op_prefix in
+  if String.length s > n && String.starts_with ~prefix:op_prefix s then
+    Instrument.Family.labelled t.op_eval [ String.sub s n (String.length s - n) ]
+  else Instrument.Family.labelled t.stage [ s ]
+
+let histogram t (name : Trace.name) =
+  let i = (name :> int) in
+  let a = Atomic.get t.by_name in
+  match if i < Array.length a then a.(i) else None with
+  | Some h -> h
+  | None ->
+    Mutex.lock t.by_name_lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.by_name_lock) @@ fun () ->
+    let h = histogram_of_name t name and a = Atomic.get t.by_name in
+    let grown = Array.make (Int.max (Array.length a) (2 * (i + 1))) None in
+    Array.blit a 0 grown 0 (Array.length a);
+    grown.(i) <- Some h;
+    Atomic.set t.by_name grown;
+    h
+
 (* Histograms observe each span's SELF time (duration minus direct
    children, via the recorded parent ids): a parent operator no longer
    double-counts the work its children already reported, so summing a
    family's buckets approximates real wall time.  Spans keep their
    inclusive durations everywhere else (trace store, wire). *)
-let observe_trace t spans =
-  (* Each span's children's durations, summed once by parent id (ids
-     are small: assigned in entry order within the trace). *)
-  let top = List.fold_left (fun m (s : Trace.span) -> max m s.id) 0 spans in
-  let children = Array.make (top + 1) 0 in
-  List.iter
-    (fun (s : Trace.span) ->
-      match s.parent with
-      | Some p when p >= 0 && p <= top -> children.(p) <- children.(p) + s.duration_us
-      | Some _ | None -> ())
-    spans;
-  let n = String.length op_prefix in
-  List.iter
-    (fun (s : Trace.span) ->
-      let self_us = max 0 (s.duration_us - if s.id >= 0 then children.(s.id) else 0) in
-      if String.length s.name > n && String.starts_with ~prefix:op_prefix s.name then
-        Instrument.Histogram.observe
-          (Instrument.Family.labelled t.op_eval
-             [ String.sub s.name n (String.length s.name - n) ])
-          self_us
-      else
-        Instrument.Histogram.observe
-          (Instrument.Family.labelled t.stage [ s.name ])
-          self_us)
-    spans
+let observe_trace t trace =
+  Trace.iter_self trace (fun name self_us ->
+      Instrument.Histogram.observe (histogram t name) self_us)
 
 let build_version = "0.10.0"
 

@@ -73,13 +73,15 @@ val observe_latency : t -> seconds:float -> unit
 (** Adds one request to the latency histogram (log-scale microsecond
     bounds including the 500 ms bucket, rendered in seconds). *)
 
-val observe_trace : t -> Expirel_obs.Trace.span list -> unit
+val observe_trace : t -> Expirel_obs.Trace.t -> unit
 (** Feeds one traced request's spans into the per-stage and
     per-operator histograms ([op:<name>] spans go to the operator
     family, every other span to the stage family).
     Histograms observe each span's {e self} time
     ({!Expirel_obs.Trace.self_us}): a parent span's bucket no longer
-    double-counts the children nested inside it. *)
+    double-counts the children nested inside it.  Each span name's
+    histogram is looked up once and kept in an array indexed by the
+    interned name, so a request's observations hash nothing. *)
 
 val set_repl_source : t -> (unit -> repl_stats option) -> unit
 (** Installs the provider the [expirel_repl_*] samples poll: role,

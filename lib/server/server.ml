@@ -4,6 +4,13 @@ open Expirel_exec
 open Expirel_sqlx
 module Obs = Expirel_obs
 
+(* The span names and label keys this module records, interned once. *)
+let rwlock_wait_span = Obs.Trace.name "rwlock_wait"
+let parse_span = Obs.Trace.name "parse"
+let held_span = Obs.Trace.name "held"
+let ship_span = Obs.Trace.name "repl:ship"
+let replica_key = Obs.Trace.name "replica"
+
 type config = {
   host : string;
   port : int;
@@ -494,7 +501,7 @@ let release t ~write =
    not come free within the request deadline.  On a traced request the
    wait is a [rwlock_wait] span. *)
 let with_lock t ~write ?trace f =
-  if not (Obs.Trace.span trace "rwlock_wait" (fun () -> acquire t ~write))
+  if not (Obs.Trace.span trace rwlock_wait_span (fun () -> acquire t ~write))
   then
     Wire.Err
       { code = Wire.Timeout;
@@ -574,10 +581,10 @@ let traced t ~ctx ~sql f =
   let response =
     Wire.parsing
       (fun sql ->
-        Obs.Trace.span trace "parse" (fun () -> Interp.parse t.interp sql))
+        Obs.Trace.span trace parse_span (fun () -> Interp.parse t.interp sql))
       sql (f trace)
   in
-  Metrics.observe_trace t.metrics (Obs.Trace.spans tr);
+  Metrics.observe_trace t.metrics tr;
   Obs.Trace_store.finish t.trace_store ~node:t.config.node_name ~name:sql tr;
   response
 
@@ -697,7 +704,7 @@ let handle_exec ?ctx ?conn ?held t sql =
         match conn with
         | Some conn when holdable stmt ->
           fun outcome ->
-            Obs.Trace.span trace "held" (fun () -> hold t conn ~sql ~held outcome)
+            Obs.Trace.span trace held_span (fun () -> hold t conn ~sql ~held outcome)
         | Some _ | None -> response_of_outcome
       in
       handle_statement ?trace ~text:sql t Interp.Answer stmt ~reply)
@@ -850,7 +857,7 @@ let handle_shard_exec t conn ~sql ~ctx ~want =
   | Want_agg None -> shard (Interp.Agg_partial false) (hold_groups t conn ~sql ~held:None)
   | Want_agg (Some v as held) ->
     shard (Interp.Agg_partial (v <> 0)) (fun answer ->
-        Obs.Trace.span trace "held" (fun () -> hold_groups t conn ~sql ~held answer))
+        Obs.Trace.span trace held_span (fun () -> hold_groups t conn ~sql ~held answer))
   | Want_sketch ->
     shard Interp.Sketch_partial (fun (columns, sketch) ->
         Wire.Body_sketch
@@ -1067,10 +1074,10 @@ let serve_replication t conn store ~replica_id ~position ~ctx =
           send_response t conn (Wire.Repl_records { from_position; records })
       in
       match
-        Obs.Trace.span tr "repl:ship"
+        Obs.Trace.span tr ship_span
           (fun () ->
             let r = ship () in
-            Obs.Trace.label tr "replica" replica_id;
+            Obs.Trace.label tr replica_key replica_id;
             r)
       with
       | Error message ->

@@ -4,6 +4,17 @@ open Expirel_exec
 module Trace = Expirel_obs.Trace
 module Horizon = Expirel_obs.Horizon
 
+(* The span names and label keys the interpreter records, interned
+   once. *)
+let lower_span = Trace.name "lower"
+let plan_span = Trace.name "plan"
+let eval_span = Trace.name "eval"
+let aggregate_span = Trace.name "op:aggregate"
+let sketch_query_span = Trace.name "sketch-query"
+let deliver_span = Trace.name "deliver"
+let storage_span = Trace.name "storage"
+let rows_key = Trace.name "rows"
+
 (* A plain view keeps its plan's result, served with rows cut at the
    clock until its [texp(e)] passes (Theorem 2), then rerun.  A
    MAINTAINED view is an entry of the session's [maintained] registry,
@@ -182,11 +193,11 @@ let planned_query ?trace ?text t q =
   | _, Some entry -> (entry, true)
   | found, None ->
     let { Lower.expr; columns; approx } =
-      Trace.span trace "lower" (fun () ->
+      Trace.span trace lower_span (fun () ->
           Lower.lower_query ~catalog:(catalog t) q)
     in
     let compiled =
-      Trace.span trace "plan" (fun () -> Planner.plan ~db:t.db ?approx expr)
+      Trace.span trace plan_span (fun () -> Planner.plan ~db:t.db ?approx expr)
     in
     let entry =
       { p_generation = generation;
@@ -228,9 +239,9 @@ let standing ?trace ?text ~hit t (entry : plan_entry) ~rows read =
       (match trace with
        | None -> find text
        | Some _ ->
-         Trace.span trace "op:aggregate" (fun () ->
+         Trace.span trace aggregate_span (fun () ->
              let r = find text in
-             Trace.label trace "rows" (string_of_int (rows r));
+             Trace.count trace rows_key (rows r);
              r))
   | Some _ | None -> None
 
@@ -261,7 +272,7 @@ let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
     Executor.run ?trace ?tau ~db:t.db entry.p_compiled
   in
   let { Eval.relation; texp = texp_e } =
-    Trace.span trace "eval" (fun () ->
+    Trace.span trace eval_span (fun () ->
         match
           standing ?trace ?text ~hit:(hit && at = None) t entry
             ~rows:(fun r -> Relation.cardinal r.Eval.relation)
@@ -269,7 +280,7 @@ let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
         with
         | Some r -> r
         | None when entry.p_approx = None -> eval ()
-        | None -> Trace.span trace "sketch-query" eval)
+        | None -> Trace.span trace sketch_query_span eval)
   in
   let columns = entry.p_columns in
   let present = order_and_limit ~columns ~order_by ~limit in
@@ -283,7 +294,7 @@ let sketch_partial ?trace ?text t q =
   let entry, _ = planned_query ?trace ?text t q in
   if entry.p_approx = None then
     failwith "a sketch partial needs an APPROX_COUNT or SAMPLE query";
-  Trace.span trace "sketch-query" (fun () ->
+  Trace.span trace sketch_query_span (fun () ->
       (entry.p_columns, Executor.sketch ?trace ~db:t.db entry.p_compiled))
 
 type agg_groups =
@@ -300,7 +311,7 @@ let aggregate_partial ?trace ?text t ~returning { Ast.q; at; order_by = _; limit
      evicted, rebuilt or lost to a restart) promotes the statement at
      once. *)
   let groups, child_texp =
-    Trace.span trace "eval" (fun () ->
+    Trace.span trace eval_span (fun () ->
         (* the scan under a standing COUNT never invalidates *)
         match
           standing ?trace ?text ~hit:((hit || returning) && at = None) t entry
@@ -370,7 +381,7 @@ let move_clock ?trace t target =
   else if Time.(target < Database.now t.db) then
     invalid_arg "ADVANCE: moving backwards";
   let transitions =
-    Trace.span trace "deliver" (fun () ->
+    Trace.span trace deliver_span (fun () ->
         let found =
           List.concat_map
             (fun (name, c) ->
@@ -386,7 +397,7 @@ let move_clock ?trace t target =
           [ t.watches; t.maintained; t.cached ];
         found)
   in
-  Trace.span trace "storage" (fun () -> write t (Wal.Advance target));
+  Trace.span trace storage_span (fun () -> write t (Wal.Advance target));
   List.stable_sort (fun (_, a, _) (_, b, _) -> Time.compare a b) transitions
 
 let advance_clock ?trace t target =
@@ -484,7 +495,7 @@ let exec_statement ?trace ?text t = function
      | None ->
        failwith (Printf.sprintf "unknown column %s in table %s" column table)
      | Some pos ->
-       Trace.span trace "storage" (fun () -> Table.create_index tbl ~column:pos);
+       Trace.span trace storage_span (fun () -> Table.create_index tbl ~column:pos);
        Database.bump_generation t.db;
        Subscription.prune t.cached;
        Msg (Printf.sprintf "index on %s (%s) created" table column))
@@ -500,7 +511,7 @@ let exec_statement ?trace ?text t = function
        Msg (Printf.sprintf "index on %s (%s) dropped" table column))
   | Ast.Insert { table; values; expires } ->
     let texp = time_of_expires t expires in
-    Trace.span trace "storage" (fun () ->
+    Trace.span trace storage_span (fun () ->
         write ?trace t (Wal.Insert { table; tuple = Tuple.of_list values; texp }));
     Msg "1 tuple inserted"
   | Ast.Delete (table, where) ->
@@ -515,15 +526,15 @@ let exec_statement ?trace ?text t = function
        [col = k] or a range, a cut scan otherwise) but never cached:
        mutations carry distinct literals and would only churn the LRU. *)
     let compiled =
-      Trace.span trace "plan" (fun () -> Planner.plan ~db:t.db expr)
+      Trace.span trace plan_span (fun () -> Planner.plan ~db:t.db expr)
     in
     let victims =
-      Trace.span trace "eval" (fun () ->
+      Trace.span trace eval_span (fun () ->
           Relation.tuples
             (Executor.run ?trace ~db:t.db compiled)
               .Eval.relation)
     in
-    Trace.span trace "storage" (fun () ->
+    Trace.span trace storage_span (fun () ->
         List.iter
           (fun tuple -> write ?trace t (Wal.Delete { table; tuple }))
           victims);
@@ -532,14 +543,14 @@ let exec_statement ?trace ?text t = function
   | Ast.Tick n ->
     advance_clock ?trace t (Time.add (Database.now t.db) (Time.of_int n))
   | Ast.Vacuum ->
-    let reclaimed = Trace.span trace "storage" (fun () -> Database.vacuum t.db) in
+    let reclaimed = Trace.span trace storage_span (fun () -> Database.vacuum t.db) in
     Msg (Printf.sprintf "%d tuple(s) reclaimed" reclaimed)
   | Ast.Checkpoint ->
     (match t.store with
      | None -> failwith "CHECKPOINT requires a durable store (no data directory)"
      | Some s ->
        let logged = Durable.wal_records s in
-       let kept = Trace.span trace "storage" (fun () -> Durable.checkpoint s) in
+       let kept = Trace.span trace storage_span (fun () -> Durable.checkpoint s) in
        Msg
          (Printf.sprintf
             "checkpoint at position %d: %d log record(s) compacted into a \
@@ -678,7 +689,7 @@ let exec_statement ?trace ?text t = function
       | None -> Trace.create ()
     in
     Msg
-      (Trace.span (Some trace) "eval" (fun () ->
+      (Trace.span (Some trace) eval_span (fun () ->
            Executor.analyze ~trace ~db:t.db entry.p_compiled))
 
 (* A MAINTAINED view never needs recomputation. *)

@@ -46,11 +46,175 @@ let compare_key (k1, e1, t1) (k2, e2, t2) =
     let c = Time.compare e1 e2 in
     if c <> 0 then c else Tuple.compare t1 t2
 
-module Key_set = Set.Make (struct
-  type t = key
+type bound =
+  | Unbounded
+  | Inclusive of Value.t
+  | Exclusive of Value.t
 
-  let compare = compare_key
-end)
+let above lo k =
+  match lo with
+  | Unbounded -> true
+  | Inclusive v -> Value.compare k v >= 0
+  | Exclusive v -> Value.compare k v > 0
+
+let below hi k =
+  match hi with
+  | Unbounded -> true
+  | Inclusive v -> Value.compare k v <= 0
+  | Exclusive v -> Value.compare k v < 0
+
+(* Whether key [k] comes before bound [b]'s cut: below [b] for an
+   [upper] bound, not above it for a lower one.  Ascending keys are
+   before a cut up to a point, then past it. *)
+let before b ~upper k = if upper then below b k else not (above b k)
+
+(* The pending changes: Set.Make's AVL tree over [compare_key], whose
+   nodes also count their subtree, so the keys a key range holds are
+   counted in O(log n) without allocating.  [add] of a present key and
+   [remove] of an absent one return the set itself, as Set.Make's do. *)
+module Key_set = struct
+  type t =
+    | Empty
+    | Node of { l : t; v : key; r : t; hn : int }
+        (* the subtree's size above its height's 6 bits: a node is no
+           larger than a Set.Make node *)
+
+  let empty = Empty
+  let is_empty = function Empty -> true | Node _ -> false
+  let height = function Empty -> 0 | Node { hn; _ } -> hn land 63
+  let cardinal = function Empty -> 0 | Node { hn; _ } -> hn lsr 6
+
+  let packed = function Empty -> 0 | Node { hn; _ } -> hn
+
+  (* A node over children whose packed fields are [hnl] and [hnr]. *)
+  let join hnl l v hnr r =
+    let hl = hnl land 63 and hr = hnr land 63 in
+    Node
+      { l; v; r;
+        hn = (((hnl lsr 6) + (hnr lsr 6) + 1) lsl 6) lor (if hl >= hr then hl + 1 else hr + 1) }
+
+  let create l v r = join (packed l) l v (packed r) r
+
+  let bal l v r =
+    let hnl = packed l and hnr = packed r in
+    let hl = hnl land 63 and hr = hnr land 63 in
+    if hl > hr + 2 then
+      match l with
+      | Node { l = ll; v = lv; r = lr; _ } when height ll >= height lr ->
+        create ll lv (create lr v r)
+      | Node { l = ll; v = lv; r = Node { l = lrl; v = lrv; r = lrr; _ }; _ } ->
+        create (create ll lv lrl) lrv (create lrr v r)
+      | _ -> invalid_arg "Key_set.bal"
+    else if hr > hl + 2 then
+      match r with
+      | Node { l = rl; v = rv; r = rr; _ } when height rr >= height rl ->
+        create (create l v rl) rv rr
+      | Node { l = Node { l = rll; v = rlv; r = rlr; _ }; v = rv; r = rr; _ } ->
+        create (create l v rll) rlv (create rlr rv rr)
+      | _ -> invalid_arg "Key_set.bal"
+    else join hnl l v hnr r
+
+  let rec add x = function
+    | Empty -> Node { l = Empty; v = x; r = Empty; hn = (1 lsl 6) lor 1 }
+    | Node { l; v; r; _ } as t ->
+      let c = compare_key x v in
+      if c = 0 then t
+      else if c < 0 then
+        let l' = add x l in
+        if l' == l then t else bal l' v r
+      else
+        let r' = add x r in
+        if r' == r then t else bal l v r'
+
+  let rec min_elt = function
+    | Empty -> raise Not_found
+    | Node { l = Empty; v; _ } -> v
+    | Node { l; _ } -> min_elt l
+
+  let rec max_elt = function
+    | Empty -> raise Not_found
+    | Node { r = Empty; v; _ } -> v
+    | Node { r; _ } -> max_elt r
+
+  let min_elt_opt t = if is_empty t then None else Some (min_elt t)
+  let max_elt_opt t = if is_empty t then None else Some (max_elt t)
+
+  let rec remove_min = function
+    | Empty -> invalid_arg "Key_set.remove_min"
+    | Node { l = Empty; r; _ } -> r
+    | Node { l; v; r; _ } -> bal (remove_min l) v r
+
+  let rec remove x = function
+    | Empty -> Empty
+    | Node { l; v; r; _ } as t ->
+      let c = compare_key x v in
+      if c = 0 then
+        match l, r with
+        | Empty, s | s, Empty -> s
+        | _ -> bal l (min_elt r) (remove_min r)
+      else if c < 0 then
+        let l' = remove x l in
+        if l' == l then t else bal l' v r
+      else
+        let r' = remove x r in
+        if r' == r then t else bal l v r'
+
+  let rec fold_right f t acc =
+    match t with Empty -> acc | Node { l; v; r; _ } -> fold_right f l (f v (fold_right f r acc))
+
+  let elements t = fold_right List.cons t []
+
+  (* A balanced tree of the ascending keys [a.(lo .. hi-1)]. *)
+  let rec of_sorted a lo hi =
+    if lo >= hi then Empty
+    else
+      let mid = (lo + hi) / 2 in
+      create (of_sorted a lo mid) a.(mid) (of_sorted a (mid + 1) hi)
+
+  let of_list keys = let a = Array.of_list keys in of_sorted a 0 (Array.length a)
+
+  let partition p t =
+    let yes, no = List.partition p (elements t) in
+    if no = [] then (t, Empty) else if yes = [] then (Empty, t) else (of_list yes, of_list no)
+
+  let filter p t = fst (partition p t)
+
+  (* The least key satisfying the monotone [f]. *)
+  let rec find_first_opt f = function
+    | Empty -> None
+    | Node { l; v; r; _ } ->
+      if f v then match find_first_opt f l with None -> Some v | found -> found
+      else find_first_opt f r
+
+  type enumeration = End | More of key * t * enumeration
+
+  let rec cons_enum s e = match s with Empty -> e | Node { l; v; r; _ } -> cons_enum l (More (v, r, e))
+
+  let rec seq_of_enum c () =
+    match c with End -> Seq.Nil | More (x, t, rest) -> Seq.Cons (x, seq_of_enum (cons_enum t rest))
+
+  let to_seq s = seq_of_enum (cons_enum s End)
+
+  let to_seq_from low s =
+    let rec from s c =
+      match s with
+      | Empty -> c
+      | Node { l; v; r; _ } ->
+        let d = compare_key v low in
+        if d = 0 then More (v, r, c) else if d < 0 then from r c else from l (More (v, r, c))
+    in
+    seq_of_enum (from s End)
+
+  (* Keys whose leading key comes before a bound's cut. *)
+  let rec count_before b ~upper = function
+    | Empty -> 0
+    | Node { l; v = k, _, _; r; _ } ->
+      if before b ~upper k then cardinal l + 1 + count_before b ~upper r
+      else count_before b ~upper l
+
+  let count_range s ~lo ~hi =
+    Int.max 0 (count_before hi ~upper:true s - count_before lo ~upper:false s)
+end
 
 type t = {
   arity : int;
@@ -392,33 +556,34 @@ let min_live_texp t ~tau =
 
 (* ---------- keyed readers ---------- *)
 
-type bound =
-  | Unbounded
-  | Inclusive of Value.t
-  | Exclusive of Value.t
+(* The first chunk in [a, b) whose last key is past the cut, and the
+   first row in [a, b) of a chunk past it: binary searches without a
+   closure. *)
+let rec chunk_past_cut t cut ~upper a b =
+  if a >= b then a
+  else
+    let m = (a + b) / 2 in
+    let c = t.chunks.(m) in
+    if before cut ~upper (row_key t c (c.len - 1)) then chunk_past_cut t cut ~upper (m + 1) b
+    else chunk_past_cut t cut ~upper a m
 
-let above lo k =
-  match lo with
-  | Unbounded -> true
-  | Inclusive v -> Value.compare k v >= 0
-  | Exclusive v -> Value.compare k v > 0
-
-let below hi k =
-  match hi with
-  | Unbounded -> true
-  | Inclusive v -> Value.compare k v <= 0
-  | Exclusive v -> Value.compare k v < 0
+let rec row_past_cut t c cut ~upper a b =
+  if a >= b then a
+  else
+    let m = (a + b) / 2 in
+    if before cut ~upper (row_key t c m) then row_past_cut t c cut ~upper (m + 1) b
+    else row_past_cut t c cut ~upper a m
 
 (* Rows [a, b) of a chunk whose key falls in the bounds. *)
 let span t c ~lo ~hi =
-  let a = search 0 c.len (fun r -> above lo (row_key t c r)) in
-  (a, search a c.len (fun r -> not (below hi (row_key t c r))))
+  let a = row_past_cut t c lo ~upper:false 0 c.len in
+  (a, row_past_cut t c hi ~upper:true a c.len)
 
 (* Chunks [i, j) may hold keys in the bounds; those strictly inside hold
    nothing else. *)
 let chunk_span t ~lo ~hi =
   let n = Array.length t.chunks in
-  let i = search 0 n (fun i -> above lo (row_key t t.chunks.(i) (t.chunks.(i).len - 1))) in
+  let i = chunk_past_cut t lo ~upper:false 0 n in
   (i, search i n (fun i -> not (below hi (row_key t t.chunks.(i) 0))))
 
 (* The keys of a pending set in the bounds, ascending: a seek, then the
@@ -433,21 +598,34 @@ let pending_in set ~lo ~hi =
 
 let key_extrema t =
   let n = Array.length t.chunks and key (k, _, _) = k in
-  let chunked = if n = 0 then [] else [ t.chunks.(0); t.chunks.(n - 1) ] in
-  List.concat_map (fun c -> [ row_key t c 0; row_key t c (c.len - 1) ]) chunked
-  @ List.filter_map (Option.map key) [ Key_set.min_elt_opt t.buffer; Key_set.max_elt_opt t.buffer ]
-  |> List.sort Value.compare
-  |> function [] -> None | lo :: rest -> Some (lo, List.fold_left (fun _ k -> k) lo rest)
+  if Key_set.is_empty t.buffer then
+    if n = 0 then None
+    else
+      let last = t.chunks.(n - 1) in
+      Some (row_key t t.chunks.(0) 0, row_key t last (last.len - 1))
+  else
+    let lo = key (Key_set.min_elt t.buffer) and hi = key (Key_set.max_elt t.buffer) in
+    if n = 0 then Some (lo, hi)
+    else
+      (* The chunks ascend: their extremes are the first and last rows. *)
+      let last = t.chunks.(n - 1) in
+      let clo = row_key t t.chunks.(0) 0 and chi = row_key t last (last.len - 1) in
+      Some
+        ( (if Value.compare clo lo <= 0 then clo else lo),
+          if Value.compare chi hi >= 0 then chi else hi )
+
+(* Chunked rows whose key comes before the cut: a prefix of the run. *)
+let chunked_before t cut ~upper =
+  let n = Array.length t.chunks in
+  let i = chunk_past_cut t cut ~upper 0 n in
+  if i = n then if n = 0 then 0 else t.ends.(n - 1)
+  else
+    (if i = 0 then 0 else t.ends.(i - 1))
+    + row_past_cut t t.chunks.(i) cut ~upper 0 t.chunks.(i).len
 
 let count_range t ~lo ~hi =
-  let i, j = chunk_span t ~lo ~hi in
-  let rows c = let a, b = span t c ~lo ~hi in b - a in
-  let chunked =
-    if j - i = 0 then 0
-    else if j - i = 1 then rows t.chunks.(i)
-    else rows t.chunks.(i) + rows t.chunks.(j - 1) + t.ends.(j - 2) - t.ends.(i)
-  in
-  chunked + Seq.length (pending_in t.buffer ~lo ~hi) - Seq.length (pending_in t.gone ~lo ~hi)
+  Int.max 0 (chunked_before t hi ~upper:true - chunked_before t lo ~upper:false)
+  + Key_set.count_range t.buffer ~lo ~hi - Key_set.count_range t.gone ~lo ~hi
 
 let scan_range t ~tau ~lo ~hi ~visited ~dropped f =
   let i, j = chunk_span t ~lo ~hi in

@@ -113,11 +113,13 @@ type bound =
 
 val key_extrema : t -> (Value.t * Value.t) option
 (** The smallest and largest key held, expired and removed rows
-    possibly included. *)
+    possibly included: the first and last chunked rows compared with
+    the least and greatest pending additions. *)
 
 val count_range : t -> lo:bound -> hi:bound -> int
 (** Rows whose key falls in the bounds, expired ones included until
-    reclaimed: O(log n) plus the pending changes in the bounds. *)
+    reclaimed: O(log n), allocating nothing.  The pending changes'
+    tree counts its subtrees, so they are counted without a walk. *)
 
 val scan_range :
   t -> tau:Time.t -> lo:bound -> hi:bound -> visited:int ref ->

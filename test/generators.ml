@@ -251,3 +251,60 @@ let to_alcotest = QCheck_alcotest.to_alcotest
 
 let qtest name ?(count = 200) gen law =
   to_alcotest (QCheck2.Test.make ~name ~count gen law)
+
+(* ---------- trace span programs ---------- *)
+
+(* What a request does to its trace: open a span around nested steps,
+   raise out of one (caught just outside it), record an externally
+   timed span, label or count onto the innermost open span, or spin for
+   some microseconds so spans have durations worth subtracting. *)
+type span_step =
+  | Open of string * span_step list
+  | Raise of string * span_step list
+  | Record of string * int * int  (* name, start_us, duration_us *)
+  | Label of string * string
+  | Count of string * int
+  | Spin of int
+
+let span_names = [ "parse"; "eval"; "storage"; "op:scan"; "op:hash-join"; "op:"; "o" ]
+
+let span_program : span_step list Gen.t =
+  let open Gen in
+  let name = oneofl span_names and key = oneofl [ "rows"; "dropped"; "replica" ] in
+  let leaf =
+    frequency
+      [ (2, map3 (fun n s d -> Record (n, s, d)) name (int_range 0 50) (int_range 0 100));
+        (2, map2 (fun k v -> Label (k, v)) key (oneofl [ "a"; "42"; "" ]));
+        (2, map2 (fun k n -> Count (k, n)) key (int_range (-5) 1000));
+        (1, map (fun us -> Spin us) (int_range 0 30)) ]
+  in
+  sized_size (int_range 1 12) @@ fix (fun self fuel ->
+      let body = list_size (int_range 0 3) (self (fuel / 2)) in
+      if fuel <= 1 then leaf
+      else
+        frequency
+          [ (2, leaf);
+            (3, map2 (fun n b -> Open (n, b)) name body);
+            (1, map2 (fun n b -> Raise (n, b)) name body) ])
+  |> list_size (int_range 1 4)
+
+let rec spin_until t = if Unix.gettimeofday () < t then spin_until t
+
+(* Runs a program on a live trace. *)
+let rec run_span_program tr steps =
+  let module Trace = Expirel_obs.Trace in
+  List.iter
+    (function
+      | Open (n, body) -> Trace.span (Some tr) (Trace.name n) (fun () -> run_span_program tr body)
+      | Raise (n, body) -> (
+        try
+          Trace.span (Some tr) (Trace.name n) (fun () ->
+              run_span_program tr body;
+              raise Exit)
+        with Exit -> ())
+      | Record (n, start_us, duration_us) ->
+        Trace.record tr ~name:(Trace.name n) ~start_us ~duration_us
+      | Label (k, v) -> Trace.label (Some tr) (Trace.name k) v
+      | Count (k, n) -> Trace.count (Some tr) (Trace.name k) n
+      | Spin us -> spin_until (Unix.gettimeofday () +. (float_of_int us *. 1e-6)))
+    steps

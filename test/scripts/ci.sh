@@ -175,6 +175,17 @@ SMOKE_DIR=$(mktemp -d)
 # validated line by line, and SLOW's ranking of the trace store — end
 # to end.
 (cd "$SMOKE_DIR" && "$BENCH" obs)
+# One point request's trace (create, record, observe, store) must have
+# been priced, and allocate at most 150 minor words: the recorder's flat
+# log, the histograms indexed by span name and the ring's reused slots
+# keep it there, and allocation counts repeat exactly from run to run.
+grep -F '"trace_point_ns"' "$SMOKE_DIR/BENCH_obs.json"
+TRACE_WORDS=$(sed -n 's/.*"trace_point_words": *\([0-9.eE+-]*\).*/\1/p' "$SMOKE_DIR/BENCH_obs.json")
+test -n "$TRACE_WORDS"
+if ! awk -v w="$TRACE_WORDS" 'BEGIN { exit !(w <= 150) }'; then
+  echo "ci: a point-request trace allocates $TRACE_WORDS words, over 150" >&2
+  exit 1
+fi
 # Smoke the physical execution experiment: hash vs nested-loop joins,
 # the O(1) live-scan fast path, the plan cache, the relation tree's
 # diff and exp at 10^3 and 10^5 rows, and a watch's TICK at three

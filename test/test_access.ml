@@ -288,6 +288,63 @@ let prop_access_equals_reference =
              index_agrees db p ~tau:now && index_agrees db p ~tau:(Time.add now tau))
            ops)
 
+(* [count_range] against a naive count: a keyed run built from random
+   rows (several chunks), then random additions and removals (pending,
+   or folded in once they pass the fold bound), counted over random
+   bounds.  The extrema bracket every key. *)
+let prop_count_range_naive =
+  let open QCheck2.Gen in
+  let bound =
+    frequency
+      [ (1, return Texp_run.Unbounded);
+        (2, map (fun v -> Texp_run.Inclusive (Value.int v)) (int_range (-2) 42));
+        (2, map (fun v -> Texp_run.Exclusive (Value.int v)) (int_range (-2) 42)) ]
+  in
+  let row = pair (int_range 0 40) (int_range 1 50) in
+  let op = frequency [ (3, map (fun r -> `Add r) row); (2, map (fun i -> `Remove i) nat) ] in
+  let gen =
+    quad (list_size (int_range 0 1200) row) (list_size (int_range 0 400) op)
+      (list_size (int_range 1 8) (pair bound bound)) (return ())
+  in
+  Generators.qtest "count_range = naive count over chunked and pending rows" ~count:100 gen
+    (fun (initial, ops, bounds, ()) ->
+      let fresh = ref 0 in
+      let make (k, e) = incr fresh; (Tuple.ints [ k; !fresh ], fin e) in
+      let rows = ref (List.map make initial) in
+      let run = Texp_run.create ~key:1 ~arity:2 !rows in
+      List.iter
+        (function
+          | `Add r ->
+            let tu, e = make r in
+            Texp_run.add run tu e;
+            rows := (tu, e) :: !rows
+          | `Remove i -> (
+            match !rows with
+            | [] -> ()
+            | rs ->
+              let tu, e = List.nth rs (i mod List.length rs) in
+              Texp_run.remove run tu e;
+              rows := List.filter (fun (tu', e') -> not (tu' == tu && e' == e)) rs))
+        ops;
+      let key (tu, _) = Tuple.attr tu 1 in
+      let within b ~sign k =
+        match b with
+        | Texp_run.Unbounded -> true
+        | Texp_run.Inclusive v -> sign * Value.compare k v >= 0
+        | Texp_run.Exclusive v -> sign * Value.compare k v > 0
+      in
+      let naive lo hi =
+        List.length
+          (List.filter (fun r -> within lo ~sign:1 (key r) && within hi ~sign:(-1) (key r)) !rows)
+      in
+      List.for_all (fun (lo, hi) -> Texp_run.count_range run ~lo ~hi = naive lo hi) bounds
+      &&
+      match Texp_run.key_extrema run, !rows with
+      | None, [] -> true
+      | Some (lo, hi), rs ->
+        List.for_all (fun r -> Value.compare lo (key r) <= 0 && Value.compare (key r) hi <= 0) rs
+      | None, _ :: _ -> false)
+
 let suite =
   [ Alcotest.test_case "ordered index basics" `Quick test_index_basics;
     Alcotest.test_case "plan selection" `Quick test_plans;
@@ -296,4 +353,5 @@ let suite =
     Alcotest.test_case "a tick drops wholly expired index chunks" `Quick
       test_index_drops_expired_chunks;
     prop_range_matches_filter;
-    prop_access_equals_reference ]
+    prop_access_equals_reference;
+    prop_count_range_naive ]

@@ -823,8 +823,41 @@ let test_watch_beside_promoted_count () =
     expected;
   Alcotest.(check (list string)) "the same events beside the promoted entry" expected events
 
+(* A trace larger than a ring slot's first buffer — an EXPLAIN ANALYZE
+   over a 101-branch UNION, 302 operators — is stored whole: the slot
+   grows to fit it and gives back every span. *)
+let test_oversized_trace_stored_whole () =
+  let t = Interp.create () in
+  ignore (exec t "CREATE TABLE big (a, b)");
+  for i = 0 to 9 do
+    ignore (exec t (Printf.sprintf "INSERT INTO big VALUES (%d, %d) EXPIRES 50" i (i * 2)))
+  done;
+  let branch i = Printf.sprintf "SELECT a FROM big WHERE b = %d" i in
+  let sql = "EXPLAIN ANALYZE " ^ String.concat " UNION " (List.init 101 branch) in
+  let trace = Expirel_obs.Trace.create () in
+  (match Interp.exec ~trace t (Parser.parse_statement sql) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail e);
+  let spans = Expirel_obs.Trace.spans trace in
+  let ops =
+    List.filter (fun (s : Expirel_obs.Trace.span) -> String.starts_with ~prefix:"op:" s.name) spans
+  in
+  Alcotest.(check bool) "at least 300 operator spans" true (List.length ops >= 300);
+  let store = Expirel_obs.Trace_store.create ~capacity:2 () in
+  Expirel_obs.Trace_store.finish store ~node:"n" ~name:"small" (Expirel_obs.Trace.create ());
+  Expirel_obs.Trace_store.finish store ~node:"n" ~name:sql trace;
+  Expirel_obs.Trace_store.finish store ~node:"n" ~name:"small again" (Expirel_obs.Trace.create ());
+  match Expirel_obs.Trace_store.recent store 2 with
+  | [ small; big ] ->
+    Alcotest.(check string) "newest first" "small again" small.Expirel_obs.Trace_store.name;
+    Alcotest.(check string) "statement text" sql big.Expirel_obs.Trace_store.name;
+    Alcotest.(check bool) "every span, equal" true (big.Expirel_obs.Trace_store.spans = spans)
+  | entries -> Alcotest.failf "expected 2 entries, got %d" (List.length entries)
+
 let suite =
   [ Alcotest.test_case "figure 2 end to end" `Quick test_end_to_end_figure2;
+    Alcotest.test_case "an oversized trace is stored whole" `Quick
+      test_oversized_trace_stored_whole;
     Alcotest.test_case "joins" `Quick test_join_query;
     Alcotest.test_case "non-monotonic view recomputes on expiry" `Quick
       test_histogram_view_lifecycle;

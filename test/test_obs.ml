@@ -202,8 +202,8 @@ let test_registry_order () =
 let test_trace_spans () =
   let tr = Trace.create () in
   let result =
-    Trace.span (Some tr) "outer" (fun () ->
-        Trace.span (Some tr) "inner" (fun () -> 21) * 2)
+    Trace.span (Some tr) (Trace.name "outer") (fun () ->
+        Trace.span (Some tr) (Trace.name "inner") (fun () -> 21) * 2)
   in
   Alcotest.(check int) "value passed through" 42 result;
   (match Trace.spans tr with
@@ -216,11 +216,11 @@ let test_trace_spans () =
    | spans ->
      Alcotest.failf "expected 2 spans, got %d" (List.length spans));
   Alcotest.(check int) "span None is a passthrough" 7
-    (Trace.span None "ignored" (fun () -> 7))
+    (Trace.span None (Trace.name "ignored") (fun () -> 7))
 
 let test_trace_records_on_raise () =
   let tr = Trace.create () in
-  (try Trace.span (Some tr) "boom" (fun () -> failwith "x")
+  (try Trace.span (Some tr) (Trace.name "boom") (fun () -> failwith "x")
    with Failure _ -> ());
   match Trace.spans tr with
   | [ { Trace.name = "boom"; _ } ] -> ()
@@ -231,12 +231,12 @@ let test_trace_records_on_raise () =
    out-of-band [record] parents under whatever is open. *)
 let test_trace_ids_parents_labels () =
   let tr = Trace.create () in
-  Trace.span (Some tr) "outer" (fun () ->
-      Trace.label (Some tr) "who" "outer";
-      Trace.span (Some tr) "inner" (fun () ->
-          Trace.label (Some tr) "rows" "42";
-          Trace.label (Some tr) "mode" "eager");
-      Trace.record tr ~name:"timed-elsewhere" ~start_us:1 ~duration_us:2);
+  Trace.span (Some tr) (Trace.name "outer") (fun () ->
+      Trace.label (Some tr) (Trace.name "who") "outer";
+      Trace.span (Some tr) (Trace.name "inner") (fun () ->
+          Trace.label (Some tr) (Trace.name "rows") "42";
+          Trace.label (Some tr) (Trace.name "mode") "eager");
+      Trace.record tr ~name:(Trace.name "timed-elsewhere") ~start_us:1 ~duration_us:2);
   match Trace.spans tr with
   | [ inner; recorded; outer ] ->
     Alcotest.(check string) "inner first" "inner" inner.Trace.name;
@@ -289,7 +289,7 @@ let test_trace_inherited_context () =
   Alcotest.(check (option int)) "root parent" (Some 7) (Trace.parent_span tr);
   Alcotest.(check (option int)) "current parent with nothing open" (Some 7)
     (Trace.current_parent tr);
-  Trace.span (Some tr) "top" (fun () ->
+  Trace.span (Some tr) (Trace.name "top") (fun () ->
       Alcotest.(check (option int)) "current parent inside a span" (Some 1)
         (Trace.current_parent tr));
   match Trace.spans tr with
@@ -322,7 +322,108 @@ let test_self_us () =
   Alcotest.(check int) "clamped at zero" 0
     (Trace.self_us jitter (List.hd jitter))
 
+(* The recorder's semantics as a list-based model — a stack of open
+   frames and a list of finished spans, the way traces were recorded
+   before the flat log: ids in entry order, the parent the innermost
+   open frame (or the remote parent), labels on the innermost open
+   frame in call order, a raising span still recorded. *)
+let model_spans ?parent_span program =
+  let open Generators in
+  let next = ref 0 and frames = ref [] and recorded = ref [] in
+  let current () =
+    match !frames with (id, _) :: _ -> Some id | [] -> parent_span
+  in
+  let rec run steps = List.iter step steps
+  and step = function
+    | Open (n, body) -> span n (fun () -> run body)
+    | Raise (n, body) -> (
+      try
+        span n (fun () ->
+            run body;
+            raise Exit)
+      with Exit -> ())
+    | Record (n, start_us, duration_us) ->
+      incr next;
+      recorded := (!next, current (), n, Some (start_us, duration_us), []) :: !recorded
+    | Label (k, v) -> label k v
+    | Count (k, c) -> label k (string_of_int c)
+    | Spin _ -> ()
+  and label k v =
+    match !frames with (_, labels) :: _ -> labels := (k, v) :: !labels | [] -> ()
+  and span n f =
+    incr next;
+    let id = !next and parent = current () and labels = ref [] in
+    frames := (id, labels) :: !frames;
+    Fun.protect f ~finally:(fun () ->
+        frames := List.tl !frames;
+        recorded := (id, parent, n, None, List.rev !labels) :: !recorded)
+  in
+  run program;
+  List.rev !recorded
+
+let gen_traced_program =
+  QCheck2.Gen.(pair (oneofl [ None; Some 0; Some 7 ]) Generators.span_program)
+
+let prop_recorder_matches_model =
+  Generators.qtest "random span programs: Trace.spans = the list model" ~count:300
+    gen_traced_program (fun (parent_span, program) ->
+      let tr = Trace.create ?parent_span () in
+      Generators.run_span_program tr program;
+      let got = Trace.spans tr and want = model_spans ?parent_span program in
+      List.length got = List.length want
+      && List.for_all2
+           (fun (s : Trace.span) (id, parent, name, times, labels) ->
+             s.id = id && s.parent = parent && s.name = name && s.labels = labels
+             && s.start_us >= 0 && s.duration_us >= 0
+             &&
+             match times with
+             | Some (start_us, duration_us) ->
+               s.start_us = start_us && s.duration_us = duration_us
+             | None -> true)
+           got want)
+
 (* ---------- trace store ---------- *)
+
+(* The ring keeps the last [capacity] traces whole across wrap-around:
+   entries copied in with [record] come back equal, and traces stored
+   with [finish] come back with their id, node, name, origin and
+   spans. *)
+let prop_ring_wraps =
+  let open QCheck2.Gen in
+  let stored =
+    map3
+      (fun finish (parent_span, program) (node, name) -> (finish, parent_span, program, node, name))
+      bool gen_traced_program
+      (pair (oneofl [ "primary"; "shard-1"; "" ]) (oneofl [ "SELECT 1"; "replicate r"; "x" ]))
+  in
+  Generators.qtest "trace ring returns equal entries after wrap-around" ~count:100
+    (pair (int_range 1 6) (list_size (int_range 0 20) stored))
+    (fun (capacity, items) ->
+      let st = Trace_store.create ~capacity () in
+      let expected =
+        List.map
+          (fun (finish, parent_span, program, node, name) ->
+            let tr = Trace.create ?parent_span () in
+            Generators.run_span_program tr program;
+            let e =
+              { Trace_store.node; trace_id = Trace.trace_id tr; name;
+                started_at = Trace.started_at tr; total_us = List.length program;
+                spans = Trace.spans tr }
+            in
+            if finish then Trace_store.finish st ~node ~name tr else Trace_store.record st e;
+            (finish, e))
+          items
+      in
+      let kept = List.filteri (fun i _ -> i >= List.length items - capacity) expected in
+      let got = Trace_store.recent st max_int in
+      List.length got = List.length kept
+      && List.for_all2
+           (fun (g : Trace_store.entry) (finish, (e : Trace_store.entry)) ->
+             if finish then
+               g.node = e.node && g.trace_id = e.trace_id && g.name = e.name
+               && g.started_at = e.started_at && g.spans = e.spans && g.total_us >= 0
+             else g = e)
+           got (List.rev kept))
 
 let store_entry ?(node = "n") ?(trace_id = "t") name =
   { Trace_store.node; trace_id; name; started_at = 0.0; total_us = 1;
@@ -346,7 +447,7 @@ let test_trace_store_ring () =
 let test_trace_store_finish () =
   let st = Trace_store.create () in
   let tr = Trace.create ~trace_id:"shared" () in
-  Trace.span (Some tr) "work" (fun () -> ());
+  Trace.span (Some tr) (Trace.name "work") (fun () -> ());
   Trace_store.finish st ~node:"primary" ~name:"SELECT 1" tr;
   match Trace_store.recent st 1 with
   | [ e ] ->
@@ -917,7 +1018,7 @@ let test_exposition_hygiene () =
 let test_slow_log_joins_traces () =
   let store = Trace_store.create ~capacity:8 () in
   let tr = Trace.create () in
-  Trace.span (Some tr) "eval" (fun () -> ());
+  Trace.span (Some tr) (Trace.name "eval") (fun () -> ());
   Trace_store.finish store ~node:"n1" ~name:"SELECT 1" tr;
   match Trace_store.slowest store 1 with
   | [ e ] ->
@@ -955,6 +1056,8 @@ let suite =
     Alcotest.test_case "trace inherits remote context" `Quick
       test_trace_inherited_context;
     Alcotest.test_case "self time" `Quick test_self_us;
+    prop_recorder_matches_model;
+    prop_ring_wraps;
     Alcotest.test_case "trace store ring" `Quick test_trace_store_ring;
     Alcotest.test_case "trace store finish" `Quick test_trace_store_finish;
     escape_roundtrip;

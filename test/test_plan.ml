@@ -1305,6 +1305,53 @@ let test_lru_evicts_stalest () =
     (Lru.find cache "c");
   Alcotest.(check int) "replace keeps size" 2 (Lru.length cache)
 
+(* The LRU against a list model, most recent first: [find] moves a hit
+   to the front, [set] updates in place (to the front) or inserts at the
+   front after dropping the last entry when full, [remove] drops without
+   telling [on_evict].  Every find answers alike, and the eviction
+   callback hears the same keys in the same order. *)
+type lru_op = Find of int | Set of int * int | Remove of int
+
+let prop_lru_model =
+  let op =
+    QCheck2.Gen.(
+      let key = int_range 0 9 in
+      frequency
+        [ (3, map (fun k -> Find k) key);
+          (4, map2 (fun k v -> Set (k, v)) key (int_range 0 99));
+          (1, map (fun k -> Remove k) key) ])
+  in
+  let gen = QCheck2.Gen.(pair (int_range 1 6) (list_size (int_range 0 60) op)) in
+  Generators.qtest "LRU find/set/remove and eviction order = list model" gen
+    (fun (capacity, ops) ->
+      let evicted = ref [] in
+      let cache = Lru.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity () in
+      let model = ref [] and model_evicted = ref [] in
+      let front k v = (k, v) :: List.remove_assoc k !model in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Find k ->
+             let got = Lru.find cache k and want = List.assoc_opt k !model in
+             Option.iter (fun v -> model := front k v) want;
+             got = want
+           | Set (k, v) ->
+             Lru.set cache k v;
+             if (not (List.mem_assoc k !model)) && List.length !model >= capacity then begin
+               let victim, _ = List.nth !model (List.length !model - 1) in
+               model_evicted := victim :: !model_evicted;
+               model := List.remove_assoc victim !model
+             end;
+             model := front k v;
+             true
+           | Remove k ->
+             Lru.remove cache k;
+             model := List.remove_assoc k !model;
+             true)
+          && Lru.length cache = List.length !model
+          && !evicted = !model_evicted)
+        ops)
+
 let suite =
   [ Generators.qtest "physical plan ≡ naive eval (rows and texps)"
       ~count:300 gen_case physical_equals_naive;
@@ -1395,4 +1442,5 @@ let suite =
     Alcotest.test_case "index DDL never changes answers" `Quick
       test_indexed_query_results_unchanged;
     Alcotest.test_case "index DDL errors" `Quick test_index_ddl_errors;
-    Alcotest.test_case "LRU eviction order" `Quick test_lru_evicts_stalest ]
+    Alcotest.test_case "LRU eviction order" `Quick test_lru_evicts_stalest;
+    prop_lru_model ]

@@ -1484,27 +1484,20 @@ let test_held_bad_delta_closes () =
 
 (* [Metrics.observe_trace] files each span's self time (its duration
    less its direct children's, as [Trace.self_us] defines it) under its
-   stage, or under its operator for an [op:] span: for random span trees
-   (top-level spans under a remote parent id too), every label's count
-   and sum equal the per-span self times. *)
+   stage, or under its operator for an [op:] span: for traces recorded
+   by random span programs (top-level spans under a remote parent id
+   too), every label's count and sum equal the per-span self times. *)
 let prop_observe_trace_self_times =
-  let names = [ "parse"; "eval"; "storage"; "op:scan"; "op:hash-join"; "op:"; "o" ] in
-  let spans =
-    let open QCheck2.Gen in
-    let* n = int_range 1 12 in
-    let span id =
-      let* parent = frequency [ (1, return None); (1, return (Some 40)); (4, map Option.some (int_range 1 (max 1 (id - 1)))) ]
-      and* name = oneofl names
-      and* dur = int_range 0 100 in
-      return
-        { Expirel_obs.Trace.id; parent = (if parent = Some id then None else parent);
-          name; start_us = 0; duration_us = dur; labels = [] }
-    in
-    flatten_l (List.init n (fun i -> span (i + 1)))
+  let names = Generators.span_names in
+  let traces =
+    QCheck2.Gen.(pair (oneofl [ None; Some 40 ]) Generators.span_program)
   in
-  Generators.qtest "observe_trace files each span's self time" spans (fun spans ->
+  Generators.qtest "observe_trace files each span's self time" traces (fun (parent_span, program) ->
+      let tr = Expirel_obs.Trace.create ?parent_span () in
+      Generators.run_span_program tr program;
+      let spans = Expirel_obs.Trace.spans tr in
       let m = Metrics.create () in
-      Metrics.observe_trace m spans;
+      Metrics.observe_trace m tr;
       let collected = Expirel_obs.Registry.collect (Metrics.registry m) in
       let filed metric label =
         match Expirel_obs.Registry.find collected metric with
