@@ -359,7 +359,8 @@ let run_all () =
             { Obs.Horizon.name;
               bounds;
               counts = Array.mapi (fun i _ -> (shard + i) land 7) bounds })
-          [ "aux"; "pol"; "s" ]
+          [ "aux"; "pol"; "s" ];
+      shards = []
     }
   in
   let partials = List.init 8 partial in

@@ -10,8 +10,9 @@
      expirel_cli serve           # TCP server on the wire protocol
      expirel_cli serve --data-dir d  # durable (WAL + snapshots), replicable
      expirel_cli replicate --from HOST:PORT --data-dir d  # follow a primary
-     expirel_cli connect         # remote REPL against a server
-     expirel_cli stats           # Prometheus exposition from a server *)
+     expirel_cli connect         # remote REPL against a server or coordinator
+     expirel_cli stats           # Prometheus exposition from a server
+     expirel_cli cluster serve   # N shards behind a listening coordinator *)
 
 open Expirel_sqlx
 open Expirel_server
@@ -31,26 +32,32 @@ let banner =
   \  ADVANCE TO 12; SHOW VIEW v;\n\
    ^D to quit."
 
-let repl t =
-  print_endline banner;
+(* Reads stdin to its end, handing [run] each chunk of lines up to one
+   holding a ';'.  [prompt] opens a statement and [more] continues it;
+   [idle] runs before each read. *)
+let read_loop ~prompt ~more ?(idle = ignore) run =
   let buffer = Buffer.create 256 in
   let rec loop () =
-    if Buffer.length buffer = 0 then print_string "expirel> "
-    else print_string "......> ";
+    print_string (if Buffer.length buffer = 0 then prompt else more);
     flush stdout;
+    idle ();
     match input_line stdin with
     | exception End_of_file -> print_newline ()
     | line ->
       Buffer.add_string buffer line;
       Buffer.add_char buffer '\n';
-      let text = Buffer.contents buffer in
       if String.contains line ';' then begin
+        let text = Buffer.contents buffer in
         Buffer.clear buffer;
-        run_script t text
+        run text
       end;
       loop ()
   in
   loop ()
+
+let repl t =
+  print_endline banner;
+  read_loop ~prompt:"expirel> " ~more:"......> " (run_script t)
 
 let parse_policy lazy_ =
   if lazy_ then Expirel_storage.Database.Lazy else Expirel_storage.Database.Eager
@@ -103,15 +110,8 @@ let serve policy host port max_conns timeout data_dir node_name =
 (* ---------- replicate: follow a primary's log ---------- *)
 
 let parse_endpoint s =
-  match String.rindex_opt s ':' with
-  | Some i ->
-    let host = String.sub s 0 i in
-    let port = String.sub s (i + 1) (String.length s - i - 1) in
-    (match int_of_string_opt port with
-     | Some p when host <> "" -> (host, p)
-     | Some _ | None ->
-       Printf.eprintf "bad endpoint %S (expected HOST:PORT)\n" s;
-       exit 2)
+  match Expirel_repl.Member.endpoint_of_string s with
+  | Some { host; port } -> (host, port)
   | None ->
     Printf.eprintf "bad endpoint %S (expected HOST:PORT)\n" s;
     exit 2
@@ -133,10 +133,8 @@ let replicate from data_dir host port replica_id =
 
 (* ---------- connect: a remote REPL over the wire protocol ---------- *)
 
-let print_events client =
-  List.iter
-    (fun e -> print_endline (Wire.render_response (Wire.Event e)))
-    (Client.events client)
+let print_events events =
+  List.iter (fun e -> print_endline (Wire.render_response (Wire.Event e))) events
 
 let print_reply print = function
   | Ok v -> print v
@@ -148,16 +146,10 @@ let print_traces entries =
 let print_health report =
   print_endline (Wire.render_response (Wire.Health_reply report))
 
-(* The admin words both remote REPLs answer beside SQL. *)
-type admin =
-  | Metrics
-  | Health
-  | Horizon of string option
-  | Trace of int
-  | Slow of int
-  | Usage of string  (* a count that did not parse: the word's usage *)
-
-let admin_word text =
+(* One statement, or a word [connect] answers beside SQL, whether a
+   node or a coordinator is at the other end. *)
+let send_statement client text =
+  let text = String.trim text in
   let upper = String.uppercase_ascii text in
   (* What follows [word] when [text] is [word], alone or before a space. *)
   let arg word =
@@ -167,42 +159,47 @@ let admin_word text =
       Some (String.trim (String.sub text n (String.length text - n)))
     else None
   in
-  let count word rest make =
+  let traces word rest request =
     match if rest = "" then Some 10 else int_of_string_opt rest with
-    | Some n when n >= 0 -> make n
-    | Some _ | None -> Usage (Printf.sprintf "usage: %s [N];" word)
+    | Some n when n >= 0 -> print_reply print_traces (request client n)
+    | Some _ | None -> Printf.printf "usage: %s [N];\n" word
   in
-  match upper with
-  | "METRICS" -> Some Metrics
-  | "HEALTH" -> Some Health
-  | _ ->
-    (match (arg "HORIZON", arg "TRACE", arg "SLOW") with
-     | Some "", _, _ -> Some (Horizon None)
-     | Some table, _, _ -> Some (Horizon (Some table))
-     | None, Some rest, _ -> Some (count "TRACE" rest (fun n -> Trace n))
-     | None, None, Some rest -> Some (count "SLOW" rest (fun n -> Slow n))
-     | None, None, None -> None)
-
-let send_statement client text =
-  let text = String.trim text in
+  (* SUBSCRIBE <name> AS <query> *)
+  let subscribe rest =
+    let usage () = print_endline "usage: SUBSCRIBE <name> AS SELECT ...;" in
+    match String.index_opt rest ' ' with
+    | None -> usage ()
+    | Some i ->
+      let name = String.sub rest 0 i in
+      let tail = String.trim (String.sub rest i (String.length rest - i)) in
+      if String.starts_with ~prefix:"AS " (String.uppercase_ascii tail) then
+        print_reply
+          (fun () -> Printf.printf "subscribed %s\n" name)
+          (Client.subscribe client ~name ~query:(String.sub tail 3 (String.length tail - 3)))
+      else usage ()
+  in
   if text <> "" then begin
-    (match admin_word text with
-     | Some Metrics -> print_reply print_string (Client.metrics client)
-     | Some Health -> print_reply print_health (Client.health client)
-     | Some (Horizon table) ->
+    (match (upper, arg "HORIZON", arg "TRACE", arg "SLOW", arg "SUBSCRIBE", arg "UNSUBSCRIBE") with
+     | "METRICS", _, _, _, _, _ -> print_reply print_string (Client.metrics client)
+     | "HEALTH", _, _, _, _, _ -> print_reply print_health (Client.health client)
+     | "PING", _, _, _, _, _ -> print_reply (fun () -> print_endline "pong") (Client.ping client)
+     | _, Some table, _, _, _, _ ->
+       let table = if table = "" then None else Some table in
        print_reply
          (fun report -> print_endline (Expirel_obs.Horizon.render report))
          (Client.horizon ?table client)
-     | Some (Trace n) -> print_reply print_traces (Client.traces client n)
-     | Some (Slow n) -> print_reply print_traces (Client.slow_queries client n)
-     | Some (Usage line) -> print_endline line
-     | None when String.uppercase_ascii text = "PING" ->
-       print_reply (fun () -> print_endline "pong") (Client.ping client)
-     | None ->
+     | _, None, Some rest, _, _, _ -> traces "TRACE" rest Client.traces
+     | _, None, None, Some rest, _, _ -> traces "SLOW" rest Client.slow_queries
+     | _, None, None, None, Some rest, _ -> subscribe rest
+     | _, None, None, None, None, Some name ->
+       print_reply
+         (fun () -> Printf.printf "unsubscribed %s\n" name)
+         (Client.unsubscribe client name)
+     | _, None, None, None, None, None ->
        print_reply
          (fun response -> print_endline (Wire.render_response response))
          (Client.exec client text));
-    print_events client
+    print_events (Client.events client)
   end
 
 let send_script client text =
@@ -210,82 +207,20 @@ let send_script client text =
 
 let remote_banner host port =
   Printf.sprintf
-    "connected to expirel_server at %s:%d\n\
+    "connected to expirel at %s:%d\n\
      statements end with ';'.  Also: SUBSCRIBE name AS SELECT ...;\n\
     \  UNSUBSCRIBE name;  METRICS;  SLOW [N];  TRACE [N];\n\
-    \  HEALTH;  HORIZON [t];  PING;  ^D to quit."
+    \  HEALTH;  HORIZON [t];  PING;  and, on a coordinator, SHARDS;\n\
+    \  ADD SHARD HOST:PORT;  REMOVE SHARD ID;  ^D to quit."
     host port
 
 let remote_repl client host port =
   print_endline (remote_banner host port);
-  let buffer = Buffer.create 256 in
-  let rec loop () =
-    if Buffer.length buffer = 0 then print_string "expirel@remote> "
-    else print_string "..............> ";
-    flush stdout;
-    (* Surface any events pushed while we were idle. *)
-    List.iter
-      (fun e -> print_endline (Wire.render_response (Wire.Event e)))
-      (Client.poll_events client ~timeout:0.01);
-    match input_line stdin with
-    | exception End_of_file -> print_newline ()
-    | line ->
-      Buffer.add_string buffer line;
-      Buffer.add_char buffer '\n';
-      if String.contains line ';' then begin
-        let text = Buffer.contents buffer in
-        Buffer.clear buffer;
-        (* SUBSCRIBE / UNSUBSCRIBE are wire commands, not sqlx. *)
-        Lexer.split_statements text
-        |> List.iter (fun stmt ->
-               let trimmed = String.trim stmt in
-               let upper = String.uppercase_ascii trimmed in
-               let starts p =
-                 String.length upper >= String.length p
-                 && String.sub upper 0 (String.length p) = p
-               in
-               if starts "SUBSCRIBE " then begin
-                 match
-                   (* SUBSCRIBE <name> AS <query> *)
-                   let rest =
-                     String.sub trimmed 10 (String.length trimmed - 10)
-                   in
-                   let rest = String.trim rest in
-                   (match String.index_opt rest ' ' with
-                    | None -> None
-                    | Some i ->
-                      let name = String.sub rest 0 i in
-                      let tail =
-                        String.trim (String.sub rest i (String.length rest - i))
-                      in
-                      let tail_up = String.uppercase_ascii tail in
-                      if
-                        String.length tail_up >= 3
-                        && String.sub tail_up 0 3 = "AS "
-                      then Some (name, String.sub tail 3 (String.length tail - 3))
-                      else None)
-                 with
-                 | None ->
-                   print_endline "usage: SUBSCRIBE <name> AS SELECT ...;"
-                 | Some (name, query) ->
-                   (match Client.subscribe client ~name ~query with
-                    | Ok () -> Printf.printf "subscribed %s\n" name
-                    | Error e -> Printf.printf "error: %s\n" e)
-               end
-               else if starts "UNSUBSCRIBE " then begin
-                 let name =
-                   String.trim
-                     (String.sub trimmed 12 (String.length trimmed - 12))
-                 in
-                 match Client.unsubscribe client name with
-                 | Ok () -> Printf.printf "unsubscribed %s\n" name
-                 | Error e -> Printf.printf "error: %s\n" e
-               end
-               else send_statement client stmt)
-      end;
-      loop ()
-  in
-  loop ()
+  read_loop ~prompt:"expirel@remote> " ~more:"..............> "
+    ~idle:(fun () ->
+      (* Surface any events pushed while we were idle. *)
+      print_events (Client.poll_events client ~timeout:0.01))
+    (send_script client)
 
 (* [f] on a client connected to [host:port], closed after; a failed
    connect prints why and exits 1. *)
@@ -303,27 +238,20 @@ let fail msg =
   Printf.eprintf "error: %s\n" msg;
   exit 1
 
+(* [request]'s answer on [client]; a failure prints why and exits 1. *)
+let get client request =
+  match request client with
+  | Ok v -> v
+  | Error e -> fail e
+
 (* ---------- stats: one-shot metrics fetch against a server ---------- *)
 
 let stats_main host port slow =
-  with_client ~host ~port (fun client ->
-      (match Client.metrics client with
-       | Ok exposition -> print_string exposition
-       | Error e -> fail e);
-      match slow with
-      | None -> ()
-      | Some n ->
-        (match Client.slow_queries client n with
-         | Ok entries -> print_traces entries
-         | Error e -> fail e))
+  with_client ~host ~port (fun c ->
+      print_string (get c Client.metrics);
+      Option.iter (fun n -> print_traces (get c (fun c -> Client.slow_queries c n))) slow)
 
 (* ---------- trace: recent request traces, optionally as Chrome JSON ---------- *)
-
-let fetch_traces ~host ~port n =
-  with_client ~host ~port (fun client ->
-      match Client.traces client n with
-      | Ok es -> es
-      | Error e -> fail e)
 
 (* [also] lists further nodes (HOST:PORT) whose recent traces merge into
    the same export: a request that fanned out over the fleet renders as
@@ -331,16 +259,10 @@ let fetch_traces ~host ~port n =
 let trace_main host port n also json trace_id =
   let entries =
     List.concat_map
-      (fun (host, port) -> fetch_traces ~host ~port n)
+      (fun (host, port) -> with_client ~host ~port (fun c -> get c (fun c -> Client.traces c n)))
       ((host, port) :: List.map parse_endpoint also)
-  in
-  let entries =
-    match trace_id with
-    | None -> entries
-    | Some id ->
-      List.filter
-        (fun (e : Expirel_obs.Trace_store.entry) -> e.trace_id = id)
-        entries
+    |> List.filter (fun (e : Expirel_obs.Trace_store.entry) ->
+           Option.fold ~none:true ~some:(String.equal e.trace_id) trace_id)
   in
   if json then print_endline (Expirel_obs.Trace_export.to_json entries)
   else print_traces entries
@@ -348,28 +270,21 @@ let trace_main host port n also json trace_id =
 (* ---------- health: one-shot rule evaluation against a server ---------- *)
 
 let health_main host port =
-  with_client ~host ~port (fun client ->
-      match Client.health client with
-      | Ok report ->
-        print_health report;
-        (* Monitoring-friendly exit status: ok 0, degraded 1, critical 2. *)
-        (match report.level with
-         | Expirel_obs.Health.Ok -> ()
-         | Degraded -> exit 1
-         | Critical -> exit 2)
-      | Error e -> fail e)
+  let report = with_client ~host ~port (fun c -> get c Client.health) in
+  print_health report;
+  (* Monitoring-friendly exit status: ok 0, degraded 1, critical 2. *)
+  match report.level with
+  | Expirel_obs.Health.Ok -> ()
+  | Degraded -> exit 1
+  | Critical -> exit 2
 
 (* ---------- horizon: one-shot expiration forecast against a server ---------- *)
 
 let horizon_main host port table prom =
-  with_client ~host ~port (fun client ->
-      match Client.horizon ?table client with
-      | Ok report ->
-        if prom then
-          print_string
-            (Expirel_obs.Prometheus.render (Expirel_obs.Horizon.metrics report))
-        else print_endline (Expirel_obs.Horizon.render report)
-      | Error e -> fail e)
+  let report = with_client ~host ~port (fun c -> get c (Client.horizon ?table)) in
+  if prom then
+    print_string (Expirel_obs.Prometheus.render (Expirel_obs.Horizon.metrics report))
+  else print_endline (Expirel_obs.Horizon.render report)
 
 let connect_main host port script =
   with_client ~host ~port (fun client ->
@@ -377,7 +292,7 @@ let connect_main host port script =
       | Some text -> send_script client text
       | None -> remote_repl client host port)
 
-(* ---------- cluster: N shard servers + a coordinator REPL ---------- *)
+(* ---------- cluster: N shard servers behind a listening coordinator ---------- *)
 
 module Coordinator = Expirel_cluster.Coordinator
 
@@ -386,12 +301,13 @@ let cluster_serve policy host base_port shards =
     Printf.eprintf "error: need at least one shard\n";
     exit 2
   end;
+  let port i = if base_port = 0 then 0 else base_port + i in
   let servers =
     List.init shards (fun i ->
         let config =
           { Server.default_config with
             host;
-            port = (if base_port = 0 then 0 else base_port + i);
+            port = port i;
             policy = parse_policy policy;
             node_name = Printf.sprintf "shard-%d" i
           }
@@ -404,50 +320,17 @@ let cluster_serve policy host base_port shards =
       Printf.printf "shard %d listening on %s:%d\n%!" i host
         (Server.port server))
     servers;
+  let coord =
+    Coordinator.create
+      ~shards:(List.map (fun s -> { Coordinator.host; port = Server.port s }) servers)
+      ()
+  in
+  Printf.printf "coordinator listening on %s:%d\n%!" host
+    (Coordinator.listen ~host ~port:(port shards) coord);
   List.iter Server.wait servers
 
-let print_shard_summaries coord =
-  List.iter
-    (fun (id, summary, reachable) ->
-      Printf.printf "shard %d: %s%s\n" id
-        (if reachable then "reachable" else "unreachable")
-        (match summary with
-         | None -> ", partition unknown"
-         | Some { Wire.live_rows; min_texp; max_texp } ->
-           Printf.sprintf ", %d live row(s), texp in [%s, %s]" live_rows
-             (Expirel_core.Time.to_string min_texp)
-             (Expirel_core.Time.to_string max_texp)))
-    (Coordinator.summaries coord)
-
-let cluster_statement coord text =
-  let text = String.trim text in
-  if text <> "" then begin
-    let upper = String.uppercase_ascii text in
-    let rest n = String.trim (String.sub text n (String.length text - n)) in
-    match admin_word text with
-    | Some Metrics -> print_string (Coordinator.metrics coord)
-    | Some Health -> print_health (Coordinator.health coord)
-    | Some (Horizon table) ->
-      print_reply
-        (fun (report, per_shard) ->
-          print_endline (Expirel_obs.Horizon.render ~per_shard report))
-        (Coordinator.horizon ?table coord)
-    | Some (Trace n) -> print_traces (Coordinator.recent_traces coord n)
-    | Some (Slow n) ->
-      print_traces
-        (Expirel_obs.Trace_store.slowest (Coordinator.trace_store coord) n)
-    | Some (Usage line) -> print_endline line
-    | None when upper = "SHARDS" -> print_shard_summaries coord
-    | None when String.starts_with ~prefix:"ADD SHARD " upper ->
-      let host, port = parse_endpoint (rest 10) in
-      print_reply print_endline (Coordinator.add_shard coord { host; port })
-    | None when String.starts_with ~prefix:"REMOVE SHARD " upper ->
-      (match int_of_string_opt (rest 13) with
-       | Some id -> print_reply print_endline (Coordinator.remove_shard coord id)
-       | None -> print_endline "usage: REMOVE SHARD <id>;")
-    | None -> print_endline (Wire.render_response (Coordinator.exec coord text))
-  end
-
+(* A coordinator over the given shards, listening on an ephemeral
+   loopback port that [connect] drives. *)
 let cluster_connect shard_args script =
   let endpoints =
     List.map
@@ -463,36 +346,7 @@ let cluster_connect shard_args script =
   let coord = Coordinator.create ~shards:endpoints () in
   Fun.protect
     ~finally:(fun () -> Coordinator.close coord)
-    (fun () ->
-      match script with
-      | Some text ->
-        List.iter (cluster_statement coord) (Lexer.split_statements text)
-      | None ->
-        Printf.printf
-          "coordinator over %d shard(s) (map v%d)\n\
-           statements end with ';'.  Also: METRICS;  HEALTH;  SHARDS;\n\
-          \  HORIZON [t];  TRACE [N];  SLOW [N];  ADD SHARD HOST:PORT;\n\
-          \  REMOVE SHARD ID;  ^D to quit.\n"
-          (List.length endpoints)
-          (Coordinator.shard_map coord).Wire.map_version;
-        let buffer = Buffer.create 256 in
-        let rec loop () =
-          if Buffer.length buffer = 0 then print_string "expirel@cluster> "
-          else print_string "...............> ";
-          flush stdout;
-          match input_line stdin with
-          | exception End_of_file -> print_newline ()
-          | line ->
-            Buffer.add_string buffer line;
-            Buffer.add_char buffer '\n';
-            if String.contains line ';' then begin
-              let text = Buffer.contents buffer in
-              Buffer.clear buffer;
-              List.iter (cluster_statement coord) (Lexer.split_statements text)
-            end;
-            loop ()
-        in
-        loop ())
+    (fun () -> connect_main "127.0.0.1" (Coordinator.listen coord) script)
 
 open Cmdliner
 
@@ -661,11 +515,12 @@ let cluster_cmd =
     let base_port_arg =
       Arg.(value & opt int 7731
            & info [ "base-port" ] ~docv:"PORT"
-               ~doc:"Shard $(i,i) listens on PORT+$(i,i) (0 picks \
-                     ephemeral ports).")
+               ~doc:"Shard $(i,i) listens on PORT+$(i,i) and the coordinator \
+                     on PORT+N (0 picks ephemeral ports).")
     in
     Cmd.v
-      (Cmd.info "serve" ~doc:"run N shard servers in one process")
+      (Cmd.info "serve"
+         ~doc:"run N shard servers and a listening coordinator in one process")
       Term.(const cluster_serve $ lazy_flag $ host_arg
             $ base_port_arg $ shards_arg)
   in
@@ -678,7 +533,7 @@ let cluster_cmd =
     in
     Cmd.v
       (Cmd.info "connect"
-         ~doc:"coordinator REPL: routed writes, scatter-gather reads")
+         ~doc:"a coordinator over the given shards, driven like $(b,connect)")
       Term.(const cluster_connect $ shard_list_arg $ script_arg)
   in
   Cmd.group (Cmd.info "cluster" ~doc) [ serve; connect ]

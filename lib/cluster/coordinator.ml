@@ -9,7 +9,6 @@ module Subscription = Expirel_exec.Subscription
 
 (* The span names a coordinator records, interned once; each slot
    interns its own [rpc:shard-<id>]. *)
-let parse_span = Obs.Trace.name "parse"
 let scatter_span = Obs.Trace.name "scatter"
 let merge_span = Obs.Trace.name "merge"
 
@@ -62,10 +61,7 @@ type traffic = {
 }
 
 type t = {
-  node_name : string;
-  registry : Obs.Registry.t;
-  trace_store : Obs.Trace_store.t;
-  health_rules : Obs.Health.rule list;
+  loop : Loop.t;  (* its registry and trace store are the coordinator's *)
   requests_family : Obs.Instrument.Counter.t Obs.Instrument.Family.t;
   pruned_total : Obs.Instrument.Counter.t;
   routed_total : Obs.Instrument.Counter.t;
@@ -100,7 +96,6 @@ type t = {
       (* repeated GROUP BY COUNT texts, kept; an entry whose epoch is
          not [epoch] is dropped on its next read *)
   mutable epoch : int;  (* bumped by every DDL and shard-map change *)
-  mutable last_health : Obs.Health.level;
   mutable last_horizon : Obs.Horizon.report option;
       (* the last merged cluster forecast; the registry's horizon
          gauges read this cache so a scrape never fans out — HEALTH
@@ -581,8 +576,8 @@ let rows_body = function
    cluster forecast, not an approximation (the test suite pins
    merged ≡ single-node as a qcheck law).  Never pruned: a shard whose
    partition is empty contributes an all-zero (still correct) partial,
-   and the forecast must name every table.  Returns the merged report
-   plus the per-shard live-row breakdown. *)
+   and the forecast must name every table.  The merged report carries
+   the per-shard live-row breakdown. *)
 let gather_horizon ?trace ?table t =
   let replies =
     fan_out ?trace t (List.map (fun slot -> (slot, Wire.Horizon table)) (slots t))
@@ -597,12 +592,7 @@ let gather_horizon ?trace ?table t =
   | Error e -> Error e
   | Ok [] -> Error (err "no shards")
   | Ok parts ->
-    let merged = Obs.Horizon.merge_reports (List.map snd parts) in
-    (* Only the unfiltered forecast is the cluster-wide one the gauges
-       and storm rules should read. *)
-    if table = None then
-      locked t (fun () -> t.last_horizon <- Some merged);
-    let per_shard =
+    let shards =
       List.map
         (fun (slot, (r : Obs.Horizon.report)) ->
           ( string_of_int slot.shard.Wire.shard_id,
@@ -610,18 +600,18 @@ let gather_horizon ?trace ?table t =
               r.Obs.Horizon.tables ))
         parts
     in
-    Ok (merged, per_shard)
+    let merged = { (Obs.Horizon.merge_reports (List.map snd parts)) with shards } in
+    (* Only the unfiltered forecast is the cluster-wide one the gauges
+       and storm rules should read. *)
+    if table = None then
+      locked t (fun () -> t.last_horizon <- Some merged);
+    Ok merged
 
 let horizon ?table t =
   match gather_horizon ?table t with
   | Ok _ as ok -> ok
   | Error (Wire.Err { message; _ }) -> Error message
   | Error _ -> Error "unexpected reply to a horizon request"
-
-let horizon_page t =
-  Result.map
-    (fun (report, _) -> Obs.Prometheus.render (Obs.Horizon.metrics report))
-    (horizon t)
 
 (* ---------- routed writes and broadcasts ---------- *)
 
@@ -747,7 +737,7 @@ let gather_compute ?trace t (qs : Ast.query_stmt) tables =
       (Ok ()) tables
   in
   match load with
-  | Error e -> e
+  | Error e -> Error e
   | Ok () ->
     let clocked =
       match Time.to_int_opt (locked t (fun () -> t.now)) with
@@ -755,22 +745,8 @@ let gather_compute ?trace t (qs : Ast.query_stmt) tables =
         Result.map ignore (Interp.exec local (Ast.Advance_to n))
       | _ -> Ok ()
     in
-    (match clocked with
-     | Error m -> err m
-     | Ok () ->
-       (match Interp.exec local (Ast.Query qs) with
-        | Ok (Interp.Rows { columns; listing; texp_e; recomputed; _ }) ->
-          Wire.Rows
-            { columns;
-              rows =
-                List.map
-                  (fun (tp, e) -> (Tuple.to_list tp, e))
-                  (Lazy.force listing);
-              texp_e;
-              recomputed
-            }
-        | Ok (Interp.Msg m) -> Wire.Ok_msg m
-        | Error m -> err m))
+    Result.map_error err
+      (Result.bind clocked (fun () -> Interp.exec local (Ast.Query qs)))
 
 (* ---------- the read route ---------- *)
 
@@ -779,16 +755,10 @@ let gather_compute ?trace t (qs : Ast.query_stmt) tables =
    answer the same way, so its first [n] rows hold every row of the
    global first [n] that lives there. *)
 let present (qs : Ast.query_stmt) ~columns ~recomputed (relation, texp_e) =
-  let listing =
-    Interp.order_and_limit ~columns ~order_by:qs.Ast.order_by
-      ~limit:qs.Ast.limit relation
+  let present =
+    Interp.order_and_limit ~columns ~order_by:qs.Ast.order_by ~limit:qs.Ast.limit
   in
-  Wire.Rows
-    { columns;
-      rows = List.map (fun (tp, e) -> (Tuple.to_list tp, e)) listing;
-      texp_e;
-      recomputed
-    }
+  Ok (Interp.Rows { columns; relation; listing = lazy (present relation); texp_e; recomputed })
 
 let relation_of ~arity rows =
   Relation.of_list ~arity (List.map (fun (vs, e) -> (Tuple.of_list vs, e)) rows)
@@ -803,8 +773,8 @@ let sketch_ok = function
 let merging ?trace merge =
   Obs.Trace.span trace merge_span @@ fun () ->
   match Interp.guard merge with
-  | Ok reply -> reply
-  | Error message -> err message
+  | Ok answer -> answer
+  | Error message -> Error (err message)
 
 (* A repeated GROUP BY COUNT over every shard, kept at the coordinator:
    each shard is asked with the version of the groups it last shipped
@@ -858,7 +828,7 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
   with
   | Error reply ->
     unrecorded ();
-    Some reply
+    Some (Error reply)
   | Ok _ when locked t (fun () -> t.moves <> moves || t.epoch <> e.epoch) ->
     unrecorded ();
     None
@@ -991,7 +961,7 @@ let read ?trace ~prune t (qs : Ast.query_stmt) sql =
         let compiled = Lower.lower_query ~catalog qs.Ast.q in
         (tau, compiled, Lower.route ~catalog compiled))
   with
-  | Error message -> err message
+  | Error message -> Error (err message)
   | Ok (tau, compiled, route) ->
     let columns = compiled.Lower.columns in
     let arity = List.length columns in
@@ -1002,7 +972,7 @@ let read ?trace ~prune t (qs : Ast.query_stmt) sql =
         routed_read ~prune t keys tau (fun contacted ->
             scatter ?trace t contacted ~want ~what sql extract)
       with
-      | Error e -> e
+      | Error e -> Error e
       | Ok parts -> merging ?trace (fun () -> merge parts)
     in
     (match route with
@@ -1075,108 +1045,6 @@ let read ?trace ~prune t (qs : Ast.query_stmt) sql =
            present qs ~columns ~recomputed:false
              (relation_of ~arity rows, horizon)))
 
-(* ---------- the statement entry point ---------- *)
-
-let advance_clock t target = locked t (fun () -> t.now <- Time.max t.now target)
-
-(* A catalog change broadcast: every kept GROUP BY drops, before the
-   shards see it and after (a read that straddles it answers the
-   stateless way). *)
-let catalog_change ?trace t sql =
-  let bump () = locked t (fun () -> t.epoch <- t.epoch + 1) in
-  bump ();
-  Fun.protect ~finally:bump (fun () -> broadcast ?trace t (slots t) sql ~merge:merge_acks)
-
-let exec_parsed ?trace ~prune t stmt sql =
-  match stmt with
-  | Ast.Query qs -> read ?trace ~prune t qs sql
-  | Ast.Insert { values = key :: _; _ } -> route_insert ?trace t ~key sql
-  | Ast.Insert { values = []; _ } -> err "INSERT needs at least one value"
-  | Ast.Advance_to n ->
-    let r = broadcast ?trace t (slots t) sql ~merge:merge_acks in
-    (match r with
-     | Wire.Ok_msg _ -> advance_clock t (Time.of_int n)
-     | _ -> ());
-    r
-  | Ast.Tick n ->
-    let r = broadcast ?trace t (slots t) sql ~merge:merge_acks in
-    (match r with
-     | Wire.Ok_msg _ ->
-       locked t (fun () -> t.now <- Time.add t.now (Time.of_int n))
-     | _ -> ());
-    r
-  | Ast.Create_table (name, columns) ->
-    let r = catalog_change ?trace t sql in
-    (match r with
-     | Wire.Ok_msg _ ->
-       locked t (fun () -> Hashtbl.replace t.tables name columns)
-     | _ -> ());
-    r
-  | Ast.Drop_table name ->
-    let r = catalog_change ?trace t sql in
-    (match r with
-     | Wire.Ok_msg _ ->
-       locked t (fun () ->
-           Hashtbl.remove t.tables name;
-           Hashtbl.filter_map_inplace
-             (fun (table, _) () -> if table = name then None else Some ())
-             t.indexes)
-     | _ -> ());
-    r
-  | Ast.Delete (table, Some cond) when prune ->
-    (* A pinned DELETE reaches the keys' owners (under both maps while a
-       move is in flight); an unpinned one broadcasts. *)
-    let keys = cond_keys ?trace t table cond in
-    broadcast ?trace t
-      (locked t (fun () -> candidates t keys))
-      sql ~merge:merge_counts
-  | Ast.Delete _ | Ast.Vacuum ->
-    broadcast ?trace t (slots t) sql ~merge:merge_counts
-  | Ast.Create_index { table; column } | Ast.Drop_index { table; column } ->
-    let r = catalog_change ?trace t sql in
-    (match r, stmt with
-     | Wire.Ok_msg _, Ast.Create_index _ ->
-       locked t (fun () -> Hashtbl.replace t.indexes (table, column) ())
-     | Wire.Ok_msg _, _ -> locked t (fun () -> Hashtbl.remove t.indexes (table, column))
-     | _ -> ());
-    r
-  | Ast.Explain _ | Ast.Explain_analyze _ ->
-    broadcast ?trace t (slots t) sql ~merge:merge_texts
-  | Ast.Show_tables | Ast.Show_time -> forward_to_any ?trace t sql
-  | Ast.Show_horizon table ->
-    (match gather_horizon ?trace ?table t with
-     | Error e -> e
-     | Ok (merged, per_shard) ->
-       Wire.Ok_msg (Obs.Horizon.render ~per_shard merged))
-  | Ast.Checkpoint | Ast.Create_view _ | Ast.Show_view _ | Ast.Show_views
-  | Ast.Refresh_view _ | Ast.Create_trigger _ | Ast.Drop_trigger _
-  | Ast.Show_triggers | Ast.Create_constraint _ | Ast.Drop_constraint _
-  | Ast.Show_constraints ->
-    err
-      "unsupported in cluster mode (views, triggers, constraints and \
-       CHECKPOINT are per-node features; address a shard directly)"
-
-(* Every statement is traced like a server request: parse at the
-   coordinator, fan out under a [scatter] span with the context
-   shipped, finish into the coordinator's trace store. *)
-let exec ?(prune = true) ?trace:caller_trace t sql =
-  let tr =
-    match caller_trace with
-    | Some tr -> tr
-    | None -> Obs.Trace.create ()
-  in
-  let trace = Some tr in
-  let response =
-    Wire.parsing
-      (fun sql ->
-        Obs.Trace.span trace parse_span (fun () -> Parser.parse_statement sql))
-      sql
-      (fun stmt -> exec_parsed ?trace ~prune t stmt sql)
-  in
-  if Option.is_none caller_trace then
-    Obs.Trace_store.finish t.trace_store ~node:t.node_name ~name:sql tr;
-  response
-
 (* ---------- heartbeat ---------- *)
 
 let heartbeat_now t =
@@ -1236,54 +1104,48 @@ let create ?(node_name = "coordinator") ?health_rules
           endpoints
     }
   in
-  let registry = Obs.Registry.create () in
+  let loop =
+    Loop.create ~node_name ~max_connections:Server.default_config.max_connections
+      ~request_timeout:Server.default_config.request_timeout
+      ~health_rules:
+        (Option.value health_rules
+           ~default:(default_health_rules ~shards:(List.length endpoints)))
+      ()
+  in
+  let registry = Metrics.registry (Loop.metrics loop) in
+  let counter name help = Obs.Registry.counter registry ~name ~help in
   let t =
-    { node_name;
-      registry;
-      trace_store = Obs.Trace_store.create ();
-      health_rules =
-        Option.value health_rules
-          ~default:(default_health_rules ~shards:(List.length endpoints));
+    { loop;
       requests_family =
         Obs.Registry.counter_family registry
           ~name:"expirel_cluster_shard_requests_total"
           ~help:"Requests routed to each shard" ~labels:[ "shard" ];
       pruned_total =
-        Obs.Registry.counter registry
-          ~name:"expirel_cluster_pruned_shards_total"
-          ~help:"Shards skipped from a fan-out because their cached \
-                 partition summary proved them empty at the query's tau";
+        counter "expirel_cluster_pruned_shards_total"
+          "Shards skipped from a fan-out because their cached partition \
+           summary proved them empty at the query's tau";
       routed_total =
-        Obs.Registry.counter registry ~name:"expirel_cluster_routed_total"
-          ~help:"Shard contacts skipped because the statement's WHERE pins \
-                 the partitioning column to keys those shards do not own";
-      fanouts_total =
-        Obs.Registry.counter registry ~name:"expirel_cluster_fanouts_total"
-          ~help:"Scatter-gather queries executed";
+        counter "expirel_cluster_routed_total"
+          "Shard contacts skipped because the statement's WHERE pins the \
+           partitioning column to keys those shards do not own";
+      fanouts_total = counter "expirel_cluster_fanouts_total" "Scatter-gather queries executed";
       messages_total =
-        Obs.Registry.counter registry ~name:"expirel_cluster_messages_total"
-          ~help:"Coordinator-to-shard requests sent";
+        counter "expirel_cluster_messages_total" "Coordinator-to-shard requests sent";
       bytes_sent_total =
-        Obs.Registry.counter registry
-          ~name:"expirel_cluster_bytes_sent_total"
-          ~help:"Bytes of encoded requests sent to shards (framing \
-                 included)";
+        counter "expirel_cluster_bytes_sent_total"
+          "Bytes of encoded requests sent to shards (framing included)";
       bytes_received_total =
-        Obs.Registry.counter registry
-          ~name:"expirel_cluster_bytes_received_total"
-          ~help:"Bytes of encoded replies received from shards (framing \
-                 included)";
+        counter "expirel_cluster_bytes_received_total"
+          "Bytes of encoded replies received from shards (framing included)";
       agg_delta_reads_total =
-        Obs.Registry.counter registry
-          ~name:"expirel_cluster_agg_delta_reads_total"
-          ~help:"Repeated GROUP BY COUNT reads every shard answered with only \
-                 the groups changed since the version the coordinator holds";
+        counter "expirel_cluster_agg_delta_reads_total"
+          "Repeated GROUP BY COUNT reads every shard answered with only the \
+           groups changed since the version the coordinator holds";
       agg_full_reads_total =
-        Obs.Registry.counter registry
-          ~name:"expirel_cluster_agg_full_reads_total"
-          ~help:"Kept GROUP BY COUNT reads at least one shard answered with \
-                 every group (a text's second read, a rebuilt, evicted or \
-                 restarted shard entry)";
+        counter "expirel_cluster_agg_full_reads_total"
+          "Kept GROUP BY COUNT reads at least one shard answered with every \
+           group (a text's second read, a rebuilt, evicted or restarted shard \
+           entry)";
       state = Mutex.create ();
       tables = Hashtbl.create 16;
       indexes = Hashtbl.create 16;
@@ -1294,7 +1156,6 @@ let create ?(node_name = "coordinator") ?health_rules
       now = Time.zero;
       kept = Expirel_exec.Lru.create ~capacity:Interp.statement_capacity ();
       epoch = 0;
-      last_health = Obs.Health.Ok;
       last_horizon = None;
       hb_thread = None;
       stopping = false;
@@ -1319,13 +1180,6 @@ let create ?(node_name = "coordinator") ?health_rules
       float_of_int
         (List.length
            (List.filter (fun s -> s.map_version_seen < v) (slots t))));
-  Obs.Registry.gauge_fun registry ~name:"expirel_cluster_health_status"
-    ~help:"Last HEALTH verdict (0 = ok, 1 = degraded, 2 = critical)"
-    (fun () ->
-      match t.last_health with
-      | Obs.Health.Ok -> 0.
-      | Obs.Health.Degraded -> 1.
-      | Obs.Health.Critical -> 2.);
   (* Cluster-horizon gauges read the cached merged forecast — a scrape
      never fans out.  While no forecast has been gathered yet the
      callbacks raise, which the registry renders as an absent metric
@@ -1357,11 +1211,11 @@ let create ?(node_name = "coordinator") ?health_rules
     ~help:"Subscription events the next ADVANCE window delivers across \
            the cluster, from the last horizon gather"
     (fun () -> float_of_int (cached ()).Obs.Horizon.fanout_events);
-  Metrics.register_build_info registry;
   t.slots <- List.map (make_slot t) map.Wire.shards;
-  (* Nodes may carry a map from an earlier coordinator (a previous
-     [cluster connect], a rebalance): claim with a version above
-     anything installed, or every install would be refused as stale. *)
+  (* Nodes may carry a map from another coordinator ([cluster serve]'s
+     own, a [cluster connect]'s, a rebalance): claim with a version
+     above anything installed, or every install would be refused as
+     stale. *)
   let installed_version =
     List.fold_left
       (fun acc slot ->
@@ -1387,6 +1241,7 @@ let create ?(node_name = "coordinator") ?health_rules
   t
 
 let close t =
+  Loop.stop t.loop;
   t.stopping <- true;
   (match t.hb_thread with
    | Some th ->
@@ -1397,7 +1252,7 @@ let close t =
 
 (* ---------- observability surface ---------- *)
 
-let metrics t = Obs.Prometheus.render (Obs.Registry.collect t.registry)
+let metrics t = Metrics.prometheus (Loop.metrics t.loop)
 
 let health t =
   (* Refresh the horizon cache first so the predictive storm rules read
@@ -1405,19 +1260,15 @@ let health t =
      the cache as it was (the rules then skip or read old evidence,
      while the reachability rules fire). *)
   (match gather_horizon t with Ok _ | Error _ -> ());
-  let report =
-    Obs.Health.evaluate t.health_rules (Obs.Registry.collect t.registry)
-  in
-  t.last_health <- report.Obs.Health.level;
-  report
+  Loop.health t.loop
 
-let trace_store t = t.trace_store
+let trace_store t = Loop.trace_store t.loop
 
 (* The cluster-wide trace view: this coordinator's entries merged with
    every shard's recent entries, newest first — one trace id read here
    shows the coordinator lane plus a lane per contacted shard. *)
 let recent_traces t n =
-  let own = Obs.Trace_store.recent t.trace_store n in
+  let own = Obs.Trace_store.recent (trace_store t) n in
   let remote =
     List.concat_map
       (function
@@ -1669,3 +1520,166 @@ let remove_shard t shard_id =
            new_map.Wire.map_version moved)
     | Error e -> Error e
   end
+
+(* ---------- statements ---------- *)
+
+(* A catalog change broadcast: every kept GROUP BY drops, before the
+   shards see it and after (a read that straddles it answers the
+   stateless way). *)
+let catalog_change ?trace t sql =
+  let bump () = locked t (fun () -> t.epoch <- t.epoch + 1) in
+  bump ();
+  Fun.protect ~finally:bump (fun () -> broadcast ?trace t (slots t) sql ~merge:merge_acks)
+
+(* A statement's reply, from the read route or the shards' merged
+   acknowledgements. *)
+let write ?trace ~prune t stmt sql =
+  (* [r], after [effect] when every shard acknowledged it *)
+  let on_ack r effect =
+    (match r with
+     | Wire.Ok_msg _ -> locked t effect
+     | _ -> ());
+    r
+  in
+  match stmt with
+  | Ast.Query qs -> Loop.reply (read ?trace ~prune t qs sql)
+  | Ast.Insert { values = key :: _; _ } -> route_insert ?trace t ~key sql
+  | Ast.Insert { values = []; _ } -> err "INSERT needs at least one value"
+  | Ast.Advance_to n ->
+    on_ack (broadcast ?trace t (slots t) sql ~merge:merge_acks) (fun () ->
+        t.now <- Time.max t.now (Time.of_int n))
+  | Ast.Tick n ->
+    on_ack (broadcast ?trace t (slots t) sql ~merge:merge_acks) (fun () ->
+        t.now <- Time.add t.now (Time.of_int n))
+  | Ast.Create_table (name, columns) ->
+    on_ack (catalog_change ?trace t sql) (fun () -> Hashtbl.replace t.tables name columns)
+  | Ast.Drop_table name ->
+    on_ack (catalog_change ?trace t sql) (fun () ->
+        Hashtbl.remove t.tables name;
+        Hashtbl.filter_map_inplace
+          (fun (table, _) () -> if table = name then None else Some ())
+          t.indexes)
+  | Ast.Delete (table, Some cond) when prune ->
+    (* A pinned DELETE reaches the keys' owners (under both maps while a
+       move is in flight); an unpinned one broadcasts. *)
+    let keys = cond_keys ?trace t table cond in
+    broadcast ?trace t
+      (locked t (fun () -> candidates t keys))
+      sql ~merge:merge_counts
+  | Ast.Delete _ | Ast.Vacuum ->
+    broadcast ?trace t (slots t) sql ~merge:merge_counts
+  | Ast.Create_index { table; column } ->
+    on_ack (catalog_change ?trace t sql) (fun () -> Hashtbl.replace t.indexes (table, column) ())
+  | Ast.Drop_index { table; column } ->
+    on_ack (catalog_change ?trace t sql) (fun () -> Hashtbl.remove t.indexes (table, column))
+  | Ast.Explain _ | Ast.Explain_analyze _ ->
+    broadcast ?trace t (slots t) sql ~merge:merge_texts
+  | Ast.Show_tables | Ast.Show_time -> forward_to_any ?trace t sql
+  | Ast.Show_horizon table ->
+    (match gather_horizon ?trace ?table t with
+     | Error e -> e
+     | Ok merged -> Wire.Ok_msg (Obs.Horizon.render merged))
+  | Ast.Checkpoint | Ast.Create_view _ | Ast.Show_view _ | Ast.Show_views
+  | Ast.Refresh_view _ | Ast.Create_trigger _ | Ast.Drop_trigger _
+  | Ast.Show_triggers | Ast.Create_constraint _ | Ast.Drop_constraint _
+  | Ast.Show_constraints ->
+    err
+      "unsupported in cluster mode (views, triggers, constraints and \
+       CHECKPOINT are per-node features; address a shard directly)"
+
+(* What a coordinator answers beside SQL: its shards and their
+   membership. *)
+type statement =
+  | Sql of Ast.statement
+  | Shards
+  | Add_shard of endpoint
+  | Remove_shard of int
+
+let parse text =
+  let text = String.trim text in
+  let upper = String.uppercase_ascii text in
+  let arg word =
+    let n = String.length word in
+    if String.starts_with ~prefix:word upper then
+      Some (String.trim (String.sub text n (String.length text - n)))
+    else None
+  in
+  let usage form = raise (Parser.Error ("usage: " ^ form, 0)) in
+  match (upper, arg "ADD SHARD ", arg "REMOVE SHARD ") with
+  | "SHARDS", _, _ -> Shards
+  | _, Some e, _ ->
+    (match Member.endpoint_of_string e with
+     | Some endpoint -> Add_shard endpoint
+     | None -> usage "ADD SHARD HOST:PORT")
+  | _, None, Some id ->
+    (match int_of_string_opt id with
+     | Some id -> Remove_shard id
+     | None -> usage "REMOVE SHARD ID")
+  | _, None, None -> Sql (Parser.parse_statement text)
+
+(* Per shard: reachability and the cached partition summary. *)
+let shards_text t =
+  String.concat "\n"
+    (List.map
+       (fun (id, summary, reachable) ->
+         Printf.sprintf "shard %d: %s%s" id
+           (if reachable then "reachable" else "unreachable")
+           (match summary with
+            | None -> ", partition unknown"
+            | Some { Wire.live_rows; min_texp; max_texp } ->
+              Printf.sprintf ", %d live row(s), texp in [%s, %s]" live_rows
+                (Time.to_string min_texp) (Time.to_string max_texp)))
+       (summaries t))
+
+(* A query keeps its relation, so a client's held answer can diff it;
+   every other answer is a message or an [Err]. *)
+let run ?trace ~prune t stmt sql =
+  let answer = function
+    | Wire.Ok_msg message -> Ok (Interp.Msg message)
+    | reply -> Error reply
+  in
+  let changed = function
+    | Ok message -> Ok (Interp.Msg message)
+    | Error message -> Error (err message)
+  in
+  match stmt with
+  | Sql (Ast.Query qs) -> read ?trace ~prune t qs sql
+  | Sql stmt -> answer (write ?trace ~prune t stmt sql)
+  | Shards -> Ok (Interp.Msg (shards_text t))
+  | Add_shard endpoint -> changed (add_shard t endpoint)
+  | Remove_shard id -> changed (remove_shard t id)
+
+(* Traced like a node's request: parse here, fan out under a [scatter]
+   span with the context shipped, finish into the trace store. *)
+let exec ?(prune = true) ?trace t sql =
+  Loop.traced t.loop ?trace ~parse sql (fun trace stmt ->
+      Loop.reply (run ?trace ~prune t stmt sql))
+
+(* ---------- the wire ---------- *)
+
+(* Statements as [exec] runs them, and an error for every request only
+   a node serves. *)
+let service t =
+  { Loop.parse;
+    holdable = (function Sql stmt -> Loop.holdable stmt | Shards | Add_shard _ | Remove_shard _ -> false);
+    run = (fun trace sql stmt -> run ?trace ~prune:true t stmt sql);
+    metrics = (fun () -> Wire.Metrics_reply (metrics t));
+    health = (fun () -> Wire.Health_reply (health t));
+    horizon =
+      (fun table ->
+        match gather_horizon ?table t with
+        | Ok report -> Wire.Horizon_reply report
+        | Error reply -> reply);
+    traces = recent_traces t;
+    other =
+      (fun _ _ ->
+        Some
+          (err
+             "a coordinator serves statements and observability requests; \
+              watches, replication and shard requests go to a node"));
+    closed = ignore
+  }
+
+let listen ?(host = "127.0.0.1") ?(port = 0) t =
+  Loop.start t.loop ~host ~port (service t);
+  Loop.port t.loop

@@ -75,11 +75,13 @@ val create :
     summaries with one heartbeat round.  [heartbeat_interval] (default
     0.25 s) paces the background heartbeat thread; [0.] disables it
     (tests then drive {!heartbeat_now} deterministically).
-    [health_rules] defaults to {!default_health_rules}.
+    [health_rules] defaults to {!default_health_rules}.  It opens no
+    listener; {!listen} does.
     @raise Invalid_argument on an empty shard list *)
 
 val close : t -> unit
-(** Stops the heartbeat thread and closes every shard connection. *)
+(** Stops listening, stops the heartbeat thread and closes every shard
+    connection. *)
 
 val exec :
   ?prune:bool -> ?trace:Expirel_obs.Trace.t -> t -> string ->
@@ -137,6 +139,9 @@ val exec :
       the next heartbeat).
     - Only per-node features — views, triggers, constraints,
       [CHECKPOINT] — are refused ([Err]).
+    - [SHARDS] answers a line per shard ([shard N: reachable, K live
+      row(s), texp in [a, b]]); [ADD SHARD HOST:PORT] and [REMOVE
+      SHARD ID] run {!add_shard} and {!remove_shard}.
     - A shard that dies or answers garbage mid-gather surfaces as one
       [Err] with code [Shard_failed] naming the shard.
     - An [AT] before the cluster clock is refused on every route with
@@ -145,8 +150,18 @@ val exec :
     With [trace], spans record there and the context ships to every
     contacted shard ([scatter] with [rpc:shard-<id>] children, then
     [merge] around the coordinator's union-rule merge or aggregate
-    finalisation); without, a fresh trace is created and finished into
-    this coordinator's trace store. *)
+    finalisation); without, the request loop's wrapper
+    ({!Expirel_server.Loop.traced}) opens a trace, observes it into
+    {!metrics} and finishes it into {!trace_store}. *)
+
+val listen : ?host:string -> ?port:int -> t -> int
+(** Serves the coordinator through {!Expirel_server.Loop} on
+    [host:port] (default loopback, [0] ephemeral) and answers the bound
+    port: statements run as {!exec} runs them, with held answers like a
+    node's; [METRICS], [HEALTH], [HORIZON] and [TRACE] answer what
+    {!metrics}, {!health}, {!horizon} and {!recent_traces} do; and
+    [SUBSCRIBE], [REPLICATE] and the shard requests answer [Err].
+    @raise Unix.Unix_error when the address cannot be bound *)
 
 (** {1 Cluster management} *)
 
@@ -174,11 +189,10 @@ val heartbeat_now : t -> unit
 (** {1 Observability} *)
 
 val metrics : t -> string
-(** Prometheus exposition of the coordinator's registry
-    ([expirel_cluster_*]: per-shard request counters, pruned-shard /
-    routed-away / fan-out / message / byte counters, kept GROUP BY
-    COUNT delta and full reads, map-version and shard-health
-    gauges). *)
+(** The coordinator's METRICS page: the request loop's families and the
+    [expirel_cluster_*] ones — per-shard request, pruned, routed,
+    fan-out, message, byte and kept GROUP BY read counters, map-version
+    and shard-health gauges. *)
 
 val health : t -> Expirel_obs.Health.report
 (** Evaluates the coordinator's health rules over its own metrics —
@@ -189,21 +203,13 @@ val health : t -> Expirel_obs.Health.report
     or when the next ADVANCE window delivers hundreds of subscription
     events. *)
 
-val horizon :
-  ?table:string -> t ->
-  (Expirel_obs.Horizon.report * (string * int) list, string) result
+val horizon : ?table:string -> t -> (Expirel_obs.Horizon.report, string) result
 (** The cluster-wide expiration forecast: every shard's bucketed
     horizon gathered and merged bucket-wise — exact, because hash
-    partitions are disjoint row sets.  Also returns the per-shard
-    live-row breakdown (shard id as a string, live rows).  Refreshes
-    the cache behind the [expirel_cluster_horizon_*] gauges when
-    [table] is [None].  [table] restricts the forecast to one table. *)
-
-val horizon_page : t -> (string, string) result
-(** The merged cluster forecast rendered as a self-contained Prometheus
-    text-format page ([expirel_horizon_rows{table,le}] histogram
-    families plus fan-out, window and churn gauges) — gathered fresh on
-    each call. *)
+    partitions are disjoint row sets — with the per-shard live-row
+    breakdown in its [shards].  Refreshes the cache behind the
+    [expirel_cluster_horizon_*] gauges when [table] is [None].
+    [table] restricts the forecast to one table. *)
 
 val default_health_rules : shards:int -> Expirel_obs.Health.rule list
 

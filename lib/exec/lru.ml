@@ -5,25 +5,35 @@
 type ('k, 'v) node = {
   key : 'k;
   mutable value : 'v;
+  mutable weight : int;
   mutable older : ('k, 'v) node;
   mutable newer : ('k, 'v) node;
 }
 
 type ('k, 'v) t = {
   capacity : int;
+  weigh : 'v -> int;
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable mru : ('k, 'v) node option;  (* None when empty *)
+  mutable total : int;  (* the entries' weights *)
   on_evict : 'k -> unit;
 }
 
-let create ?(on_evict = ignore) ~capacity () =
+let create ?(on_evict = ignore) ?(weigh = fun _ -> 1) ~capacity () =
   if capacity < 1 then invalid_arg "Lru.create: capacity < 1"
-  else { capacity; table = Hashtbl.create capacity; mru = None; on_evict }
+  else
+    { capacity;
+      weigh;
+      table = Hashtbl.create (min capacity 64);
+      mru = None;
+      total = 0;
+      on_evict
+    }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.table
 
 let unlink t n =
+  t.total <- t.total - n.weight;
   if n.older == n then t.mru <- None
   else begin
     n.older.newer <- n.newer;
@@ -32,6 +42,7 @@ let unlink t n =
   end
 
 let push_front t n =
+  t.total <- t.total + n.weight;
   (match t.mru with
    | None ->
      n.older <- n;
@@ -68,15 +79,20 @@ let evict_lru t =
   | None -> ()
 
 let set t key value =
-  match Hashtbl.find_opt t.table key with
-  | Some n ->
-    n.value <- value;
-    touch t n
-  | None ->
-    if Hashtbl.length t.table >= t.capacity then evict_lru t;
-    let rec n = { key; value; older = n; newer = n } in
-    Hashtbl.add t.table key n;
-    push_front t n
+  let weight = t.weigh value in
+  (match Hashtbl.find_opt t.table key with
+   | Some n ->
+     unlink t n;
+     n.value <- value;
+     n.weight <- weight;
+     push_front t n
+   | None ->
+     let rec n = { key; value; weight; older = n; newer = n } in
+     Hashtbl.add t.table key n;
+     push_front t n);
+  while t.total > t.capacity do
+    evict_lru t
+  done
 
 let remove t key =
   match Hashtbl.find_opt t.table key with

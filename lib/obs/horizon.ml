@@ -44,6 +44,7 @@ type report = {
   arrival_rate : float;
   expiration_rate : float;
   tables : table list;
+  shards : (string * int) list;
 }
 
 let merge_reports = function
@@ -55,7 +56,8 @@ let merge_reports = function
       arrival_rate = List.fold_left (fun acc r -> acc +. r.arrival_rate) 0. all;
       expiration_rate =
         List.fold_left (fun acc r -> acc +. r.expiration_rate) 0. all;
-      tables = merge (List.map (fun r -> r.tables) all)
+      tables = merge (List.map (fun r -> r.tables) all);
+      shards = List.concat_map (fun r -> r.shards) all
     }
 
 let snapshot tb =
@@ -105,7 +107,7 @@ let metrics r =
     }
   ]
 
-let render ?(per_shard = []) r =
+let render r =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "horizon now=%d window=%d fanout=%d arrival=%.2f/t expiration=%.2f/t\n"
@@ -113,7 +115,7 @@ let render ?(per_shard = []) r =
   List.iter
     (fun (shard, rows) ->
       Buffer.add_string buf (Printf.sprintf "shard %s: live=%d\n" shard rows))
-    per_shard;
+    r.shards;
   List.iter
     (fun tb ->
       Buffer.add_string buf

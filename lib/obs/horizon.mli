@@ -59,12 +59,16 @@ type report = {
   arrival_rate : float;  (** rows inserted per tick, sliding window *)
   expiration_rate : float;  (** rows expired per tick, sliding window *)
   tables : table list;  (** sorted by table name *)
+  shards : (string * int) list;
+      (** a cluster's live rows per shard (shard id, live rows), in
+          shard order; empty on a node *)
 }
 
 val merge_reports : report list -> report
 (** Cluster roll-up: clocks agree on [max] (shards advance together;
     a lagging shard under-forecasts conservatively), [window] on [max],
-    counts, event forecasts and rates add.
+    counts, event forecasts and rates add, and the shard lists
+    concatenate.
     @raise Invalid_argument on an empty list. *)
 
 val snapshot : table -> Instrument.Histogram.snapshot
@@ -79,9 +83,9 @@ val metrics : report -> Registry.metric list
     and churn gauges — renderable with {!Prometheus.render} without a
     registry.  The coordinator's merged-horizon page is exactly this. *)
 
-val render : ?per_shard:(string * int) list -> report -> string
-(** Human-readable multi-line text for [SHOW HORIZON] and the CLI.
-    [per_shard] appends a live-row breakdown line per shard. *)
+val render : report -> string
+(** Human-readable multi-line text for [SHOW HORIZON] and the CLI, with
+    a live-row line per shard when the report has a breakdown. *)
 
 (** Arrival vs expiration velocity over a sliding window of logical
     time.  Feed it {e cumulative} totals (monotone counters) at

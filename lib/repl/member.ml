@@ -5,6 +5,14 @@ type endpoint = {
   port : int;
 }
 
+let endpoint_of_string s =
+  match String.rindex_opt s ':' with
+  | Some i when i > 0 ->
+    Option.map
+      (fun port -> { host = String.sub s 0 i; port })
+      (int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)))
+  | Some _ | None -> None
+
 type t = {
   endpoint : endpoint;
   backoff : Backoff.t;

@@ -13,6 +13,10 @@ type endpoint = {
   port : int;
 }
 
+val endpoint_of_string : string -> endpoint option
+(** [HOST:PORT], split at the last colon; [None] without a host or a
+    numeric port. *)
+
 type t
 
 val create : ?backoff:(unit -> Backoff.t) -> endpoint -> t

@@ -105,26 +105,6 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?replica_id ?backoff ~data_dir
 
 (* ---------- the applier ---------- *)
 
-let dial t =
-  let addr =
-    let host =
-      if t.primary_host = "localhost" then "127.0.0.1" else t.primary_host
-    in
-    Unix.ADDR_INET (Unix.inet_addr_of_string host, t.primary_port)
-  in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  try
-    Unix.connect fd addr;
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO receive_timeout
-     with Unix.Unix_error _ -> ());
-    (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO receive_timeout
-     with Unix.Unix_error _ -> ());
-    fd
-  with e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e
-
 let handshake_span = Expirel_obs.Trace.name "repl:handshake"
 
 (* One connection's lifetime: handshake from the current durable
@@ -193,7 +173,9 @@ let stream_once t fd =
 
 let applier_loop t =
   while t.running do
-    (match dial t with
+    (match
+       Client.dial ~timeout:receive_timeout ~host:t.primary_host ~port:t.primary_port ()
+     with
      | exception (Unix.Unix_error _ | Frame.Closed | Frame.Timeout) -> ()
      | fd ->
        locked t (fun () -> t.sock <- Some fd);

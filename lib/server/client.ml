@@ -25,21 +25,27 @@ let resolve host =
     | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> addr
     | _ -> failwith (Printf.sprintf "cannot resolve host %S" host)
 
-let connect ?(timeout = 10.0) ~host ~port () =
+let dial ?(timeout = 10.0) ~host ~port () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect fd (Unix.ADDR_INET (resolve host, port));
-     Unix.setsockopt fd Unix.TCP_NODELAY true;
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  { fd;
+  try
+    Unix.connect fd (Unix.ADDR_INET (resolve host, port));
+    Unix.setsockopt fd Unix.TCP_NODELAY true;
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
+    fd
+  with e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
+
+let connect ?(timeout = 10.0) ~host ~port () =
+  { fd = dial ~timeout ~host ~port ();
     timeout;
     pending = Queue.create ();
     closed = false;
-    held = Expirel_exec.Lru.create ~capacity:Wire.held_capacity ()
+    held =
+      Expirel_exec.Lru.create
+        ~weigh:(fun h -> List.length h.rows)
+        ~capacity:Wire.held_budget ()
   }
 
 let timeout t = t.timeout
@@ -55,35 +61,34 @@ let shut t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-(* Blocks for the next frame; queues events until a direct response
-   arrives, returned with its frame's size on the wire.  Every failure,
-   an unexpected socket error included, is an [Error] that gives the
-   connection up. *)
+(* Blocks for the next frame, answered with its size on the wire.
+   Every failure, an unexpected socket error included, is an [Error]
+   that gives the connection up. *)
+let recv t =
+  let fail e =
+    shut t;
+    Error e
+  in
+  match Frame.recv t.fd with
+  | exception Frame.Closed -> fail "connection closed"
+  | exception Frame.Timeout -> fail "receive timeout"
+  | exception Frame.Oversized n ->
+    fail (Printf.sprintf "oversized frame (%d bytes): stream desynchronised" n)
+  | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+  | payload, bytes ->
+    (match Wire.decode_response payload with
+     | Error e -> fail e
+     | Ok response -> Ok (response, bytes))
+
+(* Queues events until a direct response arrives. *)
 let rec collect t =
   if t.closed then fail_closed
   else
-    match Frame.recv t.fd with
-    | exception Frame.Closed ->
-      shut t;
-      fail_closed
-    | exception Frame.Timeout ->
-      shut t;
-      Error "receive timeout"
-    | exception Frame.Oversized n ->
-      shut t;
-      Error (Printf.sprintf "oversized frame (%d bytes): stream desynchronised" n)
-    | exception Unix.Unix_error (e, _, _) ->
-      shut t;
-      Error (Unix.error_message e)
-    | payload, bytes ->
-      (match Wire.decode_response payload with
-       | Error e ->
-         shut t;
-         Error e
-       | Ok (Wire.Event event) ->
-         Queue.add event t.pending;
-         collect t
-       | Ok response -> Ok (response, bytes))
+    match recv t with
+    | Ok (Wire.Event event, _) ->
+      Queue.add event t.pending;
+      collect t
+    | reply -> reply
 
 let post t req =
   if t.closed then fail_closed
@@ -241,33 +246,26 @@ let events t =
   drained
 
 let poll_events t ~timeout =
-  if not t.closed then begin
-    let deadline = Unix.gettimeofday () +. timeout in
-    let rec go () =
-      let remaining = deadline -. Unix.gettimeofday () in
-      if remaining > 0. then begin
-        match Unix.select [ t.fd ] [] [] remaining with
-        | [], _, _ -> ()
-        | _ :: _, _, _ ->
-          (match Frame.recv t.fd with
-           | exception (Frame.Closed | Frame.Oversized _ | Frame.Timeout) ->
-             (* a timeout may leave half a frame read *)
-             shut t
-           | payload, _ ->
-             (match Wire.decode_response payload with
-              | Ok (Wire.Event event) ->
-                Queue.add event t.pending;
-                go ()
-              | Ok _ | Error _ ->
-                (* Unsolicited non-event frame: the stream is out of
-                   protocol; stop reading. *)
-                shut t))
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error _ -> shut t
-      end
-    in
-    go ()
-  end;
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    let remaining = deadline -. Unix.gettimeofday () in
+    if remaining > 0. && not t.closed then
+      match Unix.select [ t.fd ] [] [] remaining with
+      | [], _, _ -> ()
+      | _ :: _, _, _ ->
+        (match recv t with
+         | Ok (Wire.Event event, _) ->
+           Queue.add event t.pending;
+           go ()
+         | Ok _ ->
+           (* Unsolicited non-event frame: the stream is out of
+              protocol; stop reading. *)
+           shut t
+         | Error _ -> ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | exception Unix.Unix_error _ -> shut t
+  in
+  go ();
   events t
 
 let close t =

@@ -16,9 +16,14 @@ val default_port : int
 type t
 
 val connect : ?timeout:float -> host:string -> port:int -> unit -> t
-(** TCP connect ([timeout], default 10 s, bounds each blocking receive).
-    ["localhost"] resolves to the loopback address without a resolver.
+(** TCP connect ([timeout], default 10 s, bounds each blocking receive
+    and send).  ["localhost"] resolves to the loopback address without
+    a resolver.
     @raise Unix.Unix_error when the connection is refused *)
+
+val dial : ?timeout:float -> host:string -> port:int -> unit -> Unix.file_descr
+(** {!connect}'s socket alone, for a peer that reads a stream itself
+    (a replica following its primary). *)
 
 val close : t -> unit
 (** Best-effort [Quit] + socket close.  Idempotent. *)
@@ -59,14 +64,13 @@ val timeout : t -> float
 (** The receive and send bound the connection was opened with. *)
 
 val exec : t -> string -> (Wire.response, string) result
-(** Executes one sqlx statement on the server, as a [Statement].  The
-    answer is an ordinary [Rows] in presentation order whichever form
-    it crossed the wire in: for up to {!Wire.held_capacity} (64)
-    statement texts the client keeps the last answer the server sent as
-    held, and
-    names it on its next read of the same text, so the server can reply
-    with only the rows added, re-timed or removed since.  A reply that
-    does not fit the copy held ends the connection with [Error]. *)
+(** Executes one sqlx statement on a node or a coordinator, as a
+    [Statement].  The answer is an ordinary [Rows] in presentation
+    order whichever form it crossed the wire in: the client keeps the
+    last answer the server held for a text, up to {!Wire.held_budget}
+    rows, and names it on its next read of the text, so the server can
+    reply with only the rows changed since.  A reply that does not fit
+    the copy held ends the connection with [Error]. *)
 
 val exec_traced :
   t -> ?trace:Expirel_obs.Trace.t -> string -> (Wire.response, string) result

@@ -35,8 +35,23 @@ type t = {
   mutable repl_provider : unit -> repl_stats option;
 }
 
+let build_version = "0.10.0"
+
 let create () =
   let reg = Registry.create () in
+  (* Every Prometheus page in a deployment identifies the build that
+     produced it and how long it has been up. *)
+  let started = Unix.gettimeofday () in
+  Registry.custom reg ~name:"expirel_build_info"
+    ~help:"Build identity (always 1; the labels carry the information)"
+    ~kind:Registry.Gauge_kind (fun () ->
+      [ ( [ ("version", build_version);
+            ("wire_version", string_of_int Wire.version);
+            ("ocaml_version", Sys.ocaml_version) ],
+          Registry.Gauge_sample 1.0 ) ]);
+  Registry.gauge_fun reg ~name:"expirel_uptime_seconds"
+    ~help:"Seconds since this process registered its metrics" (fun () ->
+      Unix.gettimeofday () -. started);
   { reg;
     connections_total =
       Registry.counter reg ~name:"expirel_connections_total"
@@ -168,24 +183,5 @@ let histogram t (name : Trace.name) =
 let observe_trace t trace =
   Trace.iter_self trace (fun name self_us ->
       Instrument.Histogram.observe (histogram t name) self_us)
-
-let build_version = "0.10.0"
-
-(* Registered on both the server's and the coordinator's registry, so
-   every Prometheus page in a deployment identifies the build that
-   produced it and how long it has been up. *)
-let register_build_info reg =
-  let started = Unix.gettimeofday () in
-  Registry.custom reg ~name:"expirel_build_info"
-    ~help:"Build identity (always 1; the labels carry the information)"
-    ~kind:Registry.Gauge_kind
-    (fun () ->
-      [ ( [ ("version", build_version);
-            ("wire_version", string_of_int Wire.version);
-            ("ocaml_version", Sys.ocaml_version) ],
-          Registry.Gauge_sample 1.0 ) ]);
-  Registry.gauge_fun reg ~name:"expirel_uptime_seconds"
-    ~help:"Seconds since this process registered its metrics"
-    (fun () -> Unix.gettimeofday () -. started)
 
 let prometheus t = Prometheus.render (Registry.collect t.reg)

@@ -42,6 +42,9 @@ type repl_stats = {
 type t
 
 val create : unit -> t
+(** With [expirel_build_info] (value 1, with [version], [wire_version]
+    and [ocaml_version] labels) and [expirel_uptime_seconds] (since
+    this call), so every scrape identifies its producer. *)
 
 val registry : t -> Expirel_obs.Registry.t
 (** For registering additional (domain) metrics — the server adds
@@ -100,13 +103,6 @@ val repl_source : t -> unit -> repl_stats option
 
 val build_version : string
 (** The build's version string, as exported on [expirel_build_info]. *)
-
-val register_build_info : Expirel_obs.Registry.t -> unit
-(** Registers [expirel_build_info] (value 1 with [version],
-    [wire_version] and [ocaml_version] labels) and
-    [expirel_uptime_seconds] (seconds since this call) on [reg].  Both
-    the server and the cluster coordinator call this on their own
-    registries so every scrape identifies its producer. *)
 
 val prometheus : t -> string
 (** The registry rendered as a Prometheus text-format page.  Polled

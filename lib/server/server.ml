@@ -6,7 +6,6 @@ module Obs = Expirel_obs
 
 (* The span names and label keys this module records, interned once. *)
 let rwlock_wait_span = Obs.Trace.name "rwlock_wait"
-let parse_span = Obs.Trace.name "parse"
 let held_span = Obs.Trace.name "held"
 let ship_span = Obs.Trace.name "repl:ship"
 let replica_key = Obs.Trace.name "replica"
@@ -105,60 +104,19 @@ let default_config =
     health_rules = default_health_rules
   }
 
-(* What a connection was last sent for a statement text, as the
-   version its peer holds a copy of: a client's answer, or a
-   coordinator's kept GROUP BY groups.  Only the connection's worker
-   thread touches its held answers. *)
-type copy =
-  | Answer of { answer : Relation.t; rows : int (* its cardinality *) }
-  | Groups of Partial_agg.standing
-
-type held = {
-  version : int;
-  copy : copy;
-}
-
-type conn = {
-  id : int;
-  fd : Unix.file_descr;
-  write_mutex : Mutex.t;
-  mutable alive : bool;
-  mutable owned_subs : string list;
-  held : (string, held) Lru.t;
-  mutable last_version : int;
-}
-
-let new_conn ~id fd =
-  { id;
-    fd;
-    write_mutex = Mutex.create ();
-    alive = true;
-    owned_subs = [];
-    held = Lru.create ~capacity:Wire.held_capacity ();
-    last_version = 0
-  }
-
 type t = {
   config : config;
   interp : Interp.t;
   store : Durable.t option;
   lock : Rwlock.t;
-  metrics : Metrics.t;
-  trace_store : Obs.Trace_store.t;
-  mutable last_health : Obs.Health.level;
-  state_mutex : Mutex.t;
-  conns : (int, conn) Hashtbl.t;
-  threads : (int, Thread.t) Hashtbl.t;
+  loop : Loop.t;
+  state_mutex : Mutex.t;  (* guards owners, followers and shard *)
+  owners : (string, int) Hashtbl.t;  (* watch name -> its connection's id *)
   followers : (string, unit) Hashtbl.t;  (* live replication sessions *)
   mutable shard : Wire.shard_identity option;  (* cluster membership *)
   mutable records_shipped : int;
   mutable snapshots_served : int;
-  mutable listen_fd : Unix.file_descr option;
-  mutable bound_port : int option;
-  mutable acceptor : Thread.t option;
-  mutable shutting_down : bool;
   mutable store_closed : bool;
-  mutable next_id : int;
 }
 
 let create ?(config = default_config) () =
@@ -173,7 +131,11 @@ let create ?(config = default_config) () =
     | None -> Interp.create ~policy:config.policy ()
   in
   let db = Interp.database interp in
-  let metrics = Metrics.create () in
+  let loop =
+    Loop.create ~node_name:config.node_name ~max_connections:config.max_connections
+      ~request_timeout:config.request_timeout ~health_rules:config.health_rules ()
+  in
+  let metrics = Loop.metrics loop in
   (* Every expiration the storage observes shows up in METRICS,
      labeled by how it was removed: under the eager policy triggers
      fire from the clock advance at the tuple's expiration time, under
@@ -190,22 +152,14 @@ let create ?(config = default_config) () =
       interp;
       store;
       lock = Rwlock.create ();
-      metrics;
-      trace_store = Obs.Trace_store.create ();
-      last_health = Obs.Health.Ok;
+      loop;
       state_mutex = Mutex.create ();
-      conns = Hashtbl.create 16;
-      threads = Hashtbl.create 16;
+      owners = Hashtbl.create 4;
       followers = Hashtbl.create 4;
       shard = None;
       records_shipped = 0;
       snapshots_served = 0;
-      listen_fd = None;
-      bound_port = None;
-      acceptor = None;
-      shutting_down = false;
-      store_closed = false;
-      next_id = 0
+      store_closed = false
     }
   in
   (* Primary-side replication state; a Replica wrapping this server
@@ -226,7 +180,7 @@ let create ?(config = default_config) () =
    | None -> ());
   (* Expiration-domain gauges, polled at exposition time.  They read
      live database/interp state (table and view hashtables), so METRICS
-     is served under the read lock — see [handle_request]. *)
+     is served under the read lock — see [service]. *)
   let reg = Metrics.registry metrics in
   Obs.Registry.gauge_fun reg ~name:"expirel_expiration_index_depth"
     ~help:"Rows held in all tables' texp-ordered runs: the backlog \
@@ -305,27 +259,19 @@ let create ?(config = default_config) () =
      it shows on the Prometheus page.
      [requests_total] (= hits + misses) exists so the hit-ratio health
      rule has a one-metric denominator. *)
-  let cache_stat pick () =
-    float_of_int (pick (Interp.plan_cache_stats t.interp))
+  let cache_counter ~name ~help pick =
+    Obs.Registry.custom reg ~name ~help ~kind:Obs.Registry.Counter_kind (fun () ->
+        [ ([], Obs.Registry.Counter_sample (pick (Interp.plan_cache_stats t.interp))) ])
   in
-  Obs.Registry.custom reg ~name:"expirel_plan_cache_hits_total"
-    ~help:"Plan-cache lookups served from the LRU"
-    ~kind:Obs.Registry.Counter_kind (fun () ->
-      [ ([], Obs.Registry.Counter_sample
-            (Interp.plan_cache_stats t.interp).Interp.hits) ]);
-  Obs.Registry.custom reg ~name:"expirel_plan_cache_misses_total"
-    ~help:"Plan-cache lookups that had to lower and plan"
-    ~kind:Obs.Registry.Counter_kind (fun () ->
-      [ ([], Obs.Registry.Counter_sample
-            (Interp.plan_cache_stats t.interp).Interp.misses) ]);
-  Obs.Registry.custom reg ~name:"expirel_plan_cache_requests_total"
-    ~help:"Plan-cache lookups (hits + misses)"
-    ~kind:Obs.Registry.Counter_kind (fun () ->
-      let s = Interp.plan_cache_stats t.interp in
-      [ ([], Obs.Registry.Counter_sample (s.Interp.hits + s.Interp.misses)) ]);
+  cache_counter ~name:"expirel_plan_cache_hits_total"
+    ~help:"Plan-cache lookups served from the LRU" (fun s -> s.Interp.hits);
+  cache_counter ~name:"expirel_plan_cache_misses_total"
+    ~help:"Plan-cache lookups that had to lower and plan" (fun s -> s.Interp.misses);
+  cache_counter ~name:"expirel_plan_cache_requests_total"
+    ~help:"Plan-cache lookups (hits + misses)" (fun s -> s.Interp.hits + s.Interp.misses);
   Obs.Registry.gauge_fun reg ~name:"expirel_plan_cache_entries"
-    ~help:"Plans currently cached"
-    (cache_stat (fun s -> s.Interp.entries));
+    ~help:"Plans currently cached" (fun () ->
+      float_of_int (Interp.plan_cache_stats t.interp).Interp.entries);
   Obs.Registry.gauge_fun reg ~name:"expirel_standing_aggregates"
     ~help:"Repeated GROUP BY COUNT queries answered from standing state"
     (fun () -> float_of_int (fst (Interp.standing_aggregates t.interp)));
@@ -380,17 +326,6 @@ let create ?(config = default_config) () =
            aggregates, sketches) re-entered into batch form for a \
            batch operator"
     (fun s -> s.Obs.Vec_stats.s_rebatches);
-  (* The last HEALTH verdict, as a gauge (0 ok / 1 degraded /
-     2 critical).  It reads the cached level rather than re-evaluating:
-     evaluation runs [Registry.collect], which must not re-enter from
-     inside a collect. *)
-  Obs.Registry.gauge_fun reg ~name:"expirel_health_status"
-    ~help:"Last HEALTH verdict (0 = ok, 1 = degraded, 2 = critical); \
-           updated each time a HEALTH request is served" (fun () ->
-      match t.last_health with
-      | Obs.Health.Ok -> 0.
-      | Obs.Health.Degraded -> 1.
-      | Obs.Health.Critical -> 2.);
   (* The horizon: forward-looking expiration telemetry, polled at
      exposition time like the other expiration-domain gauges (METRICS
      runs as a reader).  Each bucket boundary is a binary-search cut
@@ -433,51 +368,20 @@ let create ?(config = default_config) () =
   Obs.Registry.gauge_fun reg ~name:"expirel_live_rows"
     ~help:"Live rows across all tables (the storm ratio's denominator)"
     (fun () -> float_of_int (Database.live_rows db));
-  Metrics.register_build_info (Metrics.registry metrics);
   t
 
 let interp t = t.interp
 let store t = t.store
 let lock t = t.lock
-let metrics t = t.metrics
+let metrics t = Loop.metrics t.loop
 
 let collect_metrics t =
   Rwlock.with_read t.lock (fun () ->
-      Obs.Registry.collect (Metrics.registry t.metrics))
+      Obs.Registry.collect (Metrics.registry (metrics t)))
 
-let trace_store t = t.trace_store
-
-let port t =
-  match t.bound_port with
-  | Some p -> p
-  | None -> invalid_arg "Server.port: not started"
-
-let locked_state t f =
-  Mutex.lock t.state_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.state_mutex) f
-
-(* ---------- responding ---------- *)
-
-(* Responses and pushed events share one outbound stream: the worker
-   thread answers requests while the thread driving an ADVANCE pushes
-   subscription events, so every write serialises on the connection's
-   mutex.  A frame is counted before it is written, so a peer holding a
-   reply reads counters that already include it. *)
-let send_response t conn response =
-  if conn.alive then begin
-    Mutex.lock conn.write_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock conn.write_mutex)
-      (fun () ->
-        let payload = Wire.encode_response response in
-        Metrics.add_bytes_out t.metrics (String.length payload + 4);
-        try ignore (Frame.send conn.fd payload)
-        with Frame.Closed | Frame.Timeout | Unix.Unix_error _ ->
-          (* A peer that stopped reading loses its stream; never stall
-             the server (an event push runs under the global write
-             lock, bounded by SO_SNDTIMEO). *)
-          conn.alive <- false)
-  end
+let trace_store t = Loop.trace_store t.loop
+let port t = Loop.port t.loop
+let locked_state t f = Mutex.protect t.state_mutex f
 
 (* ---------- lock acquisition with a deadline ---------- *)
 
@@ -497,18 +401,21 @@ let acquire t ~write =
 let release t ~write =
   if write then Rwlock.write_unlock t.lock else Rwlock.read_unlock t.lock
 
-(* Runs [f] holding the lock, or answers [Timeout] when the lock does
-   not come free within the request deadline.  On a traced request the
-   wait is a [rwlock_wait] span. *)
-let with_lock t ~write ?trace f =
+(* Runs [f] holding the lock, or answers [timed_out] of a [Timeout]
+   error when the lock does not come free within the request deadline.
+   On a traced request the wait is a [rwlock_wait] span. *)
+let guarded t ~write ?trace ~timed_out f =
   if not (Obs.Trace.span trace rwlock_wait_span (fun () -> acquire t ~write))
   then
-    Wire.Err
-      { code = Wire.Timeout;
-        message =
-          Printf.sprintf "no lock within %gs" t.config.request_timeout
-      }
+    timed_out
+      (Wire.Err
+         { code = Wire.Timeout;
+           message =
+             Printf.sprintf "no lock within %gs" t.config.request_timeout
+         })
   else Fun.protect ~finally:(fun () -> release t ~write) f
+
+let with_lock t ~write ?trace f = guarded t ~write ?trace ~timed_out:Fun.id f
 
 (* Statements with no effect on any state may share the lock; everything
    else — including SHOW VIEW, which refreshes an expired view in place —
@@ -537,14 +444,8 @@ let replica_allows stmt =
 
 (* ---------- request handlers ---------- *)
 
-let wire_rows listing =
-  List.map (fun (tuple, texp) -> (Tuple.to_list tuple, texp)) listing
-
-let response_of_outcome = function
-  | Interp.Msg m -> Wire.Ok_msg m
-  | Interp.Rows { columns; listing; texp_e; recomputed; relation = _ } ->
-    Wire.Rows
-      { columns; rows = wire_rows (Lazy.force listing); texp_e; recomputed }
+let exec_error message = Wire.Err { code = Wire.Exec_error; message }
+let either = function Ok r | Error r -> r
 
 (* The one statement path: [want] of a parsed statement, answered by
    the interpreter under the lock the statement's kind needs.  [reply]
@@ -552,168 +453,12 @@ let response_of_outcome = function
    the interpreter's text, whichever [want] asked. *)
 let handle_statement ?trace ?text t want stmt ~reply =
   if t.config.read_only && not (replica_allows stmt) then
-    Wire.Err
-      { code = Wire.Exec_error;
-        message = "read-only replica: writes go to the primary"
-      }
+    Error (exec_error "read-only replica: writes go to the primary")
   else
-    with_lock t ~write:(not (is_read_only stmt)) ?trace (fun () ->
+    guarded t ~write:(not (is_read_only stmt)) ?trace ~timed_out:Result.error (fun () ->
         match Interp.run ?trace ?text want t.interp stmt with
-        | Ok answer -> reply answer
-        | Error message -> Wire.Err { code = Wire.Exec_error; message })
-
-(* Every statement request is traced: parse -> rwlock wait ->
-   interpreter stages (lower, eval with per-operator spans, storage).
-   The finished trace feeds the stage/operator histograms and the
-   trace store, which SLOW ranks by duration, whether the statement
-   succeeded or failed — failing statements are exactly the ones worth
-   finding there.  When the request carried a trace context ([Exec_traced],
-   [Shard_exec]), the spans record under the caller's trace id with the
-   caller's span as their root parent, so a fan-out request yields one
-   cross-node trace. *)
-let traced t ~ctx ~sql f =
-  let tr =
-    match ctx with
-    | Some ctx -> Wire.trace_of_ctx ctx
-    | None -> Obs.Trace.create ()
-  in
-  let trace = Some tr in
-  let response =
-    Wire.parsing
-      (fun sql ->
-        Obs.Trace.span trace parse_span (fun () -> Interp.parse t.interp sql))
-      sql (f trace)
-  in
-  Metrics.observe_trace t.metrics tr;
-  Obs.Trace_store.finish t.trace_store ~node:t.config.node_name ~name:sql tr;
-  response
-
-(* ---------- held answers ---------- *)
-
-(* Presentation order is tuple order only without ORDER BY and LIMIT:
-   then the answer's rows are its relation's, and a delta in tuple
-   order patches them. *)
-let holdable = function
-  | Ast.Query { order_by = []; limit = None; _ } -> true
-  | _ -> false
-
-(* Every change to a connection's held answers moves the gauge by what
-   it did to their number (an insert over capacity evicts one). *)
-let update_held t conn f =
-  let before = Lru.length conn.held in
-  f conn.held;
-  Metrics.add_held_answers t.metrics (Lru.length conn.held - before)
-
-(* [copy] held for [sql] under the connection's next version. *)
-let keep t conn sql copy =
-  conn.last_version <- conn.last_version + 1;
-  let version = conn.last_version in
-  update_held t conn (fun h -> Lru.set h sql { version; copy });
-  version
-
-(* The reply to a holdable query on a [Statement] request.  A delta
-   goes out when the connection holds the version the client names and
-   fewer than half the answer's rows changed since; it is built from
-   the diff alone, without listing the answer.  Otherwise the whole
-   answer goes out under a fresh version.  An answer too small to hold
-   goes out as plain [Rows], and the connection forgets the text.  A
-   change adds at most one row, so a delta needs fewer changes than the
-   held answer has rows: the diff gives up there. *)
-let hold t conn ~sql ~held (outcome : Interp.outcome) =
-  match outcome with
-  | Interp.Msg _ -> response_of_outcome outcome
-  | Interp.Rows { columns; relation; listing; texp_e; recomputed } ->
-    let delta =
-      match (held, Lru.find conn.held sql) with
-      | Some base, Some { version; copy = Answer { answer; rows } } when version = base -> (
-        match Relation.diff ~limit:(rows - 1) answer relation with
-        | Some (upserts, removed, rows)
-          when rows >= Wire.held_min_rows
-               && 2 * (List.length upserts + List.length removed) < rows ->
-          Some (base, upserts, removed, rows)
-        | Some _ | None -> None)
-      | _ -> None
-    in
-    let keep rows body =
-      let version = keep t conn sql (Answer { answer = relation; rows }) in
-      Wire.Held_rows { version; body }
-    in
-    match delta with
-    | Some (base, upserts, removed, rows) ->
-      Metrics.incr_held_reply t.metrics ~delta:true;
-      keep rows
-        (Wire.Held_delta
-           { base;
-             columns;
-             upserts = wire_rows upserts;
-             removed = List.map Tuple.to_list removed;
-             texp_e;
-             recomputed
-           })
-    | None ->
-      let listing = Lazy.force listing in
-      let rows = List.length listing in
-      if rows < Wire.held_min_rows then begin
-        update_held t conn (fun h -> Lru.remove h sql);
-        response_of_outcome outcome
-      end
-      else begin
-        Metrics.incr_held_reply t.metrics ~delta:false;
-        keep rows
-          (Wire.Held_whole
-             { columns; rows = wire_rows listing; texp_e; recomputed })
-      end
-
-(* The groups of a [Want_agg] read.  A kept read ([held] names a
-   version) answered from a standing entry goes out under a fresh
-   version: the groups changed since, when the connection holds the
-   named version, else every group.  Any two standings diff exactly: an
-   evicted or rebuilt entry shares no members record with the groups
-   held, so the diff names every group and marks each gone one
-   slice-less.  A delta is never longer than the whole answer and the
-   reader keeps the groups anyway, so no size rule applies.  A kept
-   read answered without an entry carries no version, and the
-   connection forgets the text.  A stateless read touches no held
-   answer. *)
-let hold_groups t conn ~sql ~held (columns, groups, child_texp) =
-  let body groups held = Wire.Body_agg { columns; child_texp; groups; held } in
-  match (held, (groups : Interp.agg_groups)) with
-  | None, Condensed groups -> body groups None
-  | None, Standing st -> body (Partial_agg.standing_partial st) None
-  | Some _, Condensed groups ->
-    update_held t conn (fun h -> Lru.remove h sql);
-    body groups None
-  | Some base, Standing st ->
-    let delta =
-      match Lru.find conn.held sql with
-      | Some { version; copy = Groups groups } when version = base ->
-        Some (Partial_agg.standing_diff groups st)
-      | Some _ | None -> None
-    in
-    let version = keep t conn sql (Groups st) in
-    Metrics.incr_held_reply t.metrics ~delta:(Option.is_some delta);
-    (match delta with
-     | Some changed -> body changed (Some { Wire.version; full = false })
-     | None -> body (Partial_agg.standing_partial st) (Some { Wire.version; full = true }))
-
-(* [conn] is the connection a [Statement] came on; [Exec] and
-   [Exec_traced] hold nothing. *)
-let handle_exec ?ctx ?conn ?held t sql =
-  traced t ~ctx ~sql (fun trace stmt ->
-      let reply =
-        match conn with
-        | Some conn when holdable stmt ->
-          fun outcome ->
-            Obs.Trace.span trace held_span (fun () -> hold t conn ~sql ~held outcome)
-        | Some _ | None -> response_of_outcome
-      in
-      handle_statement ?trace ~text:sql t Interp.Answer stmt ~reply)
-
-let strip_statement s =
-  let s = String.trim s in
-  if String.length s > 0 && s.[String.length s - 1] = ';' then
-    String.trim (String.sub s 0 (String.length s - 1))
-  else s
+        | Ok answer -> Ok (reply answer)
+        | Error message -> Error (exec_error message))
 
 let wire_event = function
   | Subscription.Row_expired { subscription; tuple; at } ->
@@ -723,48 +468,47 @@ let wire_event = function
   | Subscription.Refreshed { subscription; at } ->
     Wire.Refreshed { subscription; at }
 
-(* The watch is the interpreter's; the connection owns its name and
-   pushes its events.  A watch a replica's shipped DROP TABLE ended may
-   leave its name in its old owner's list: a new subscriber of the name
-   takes it over, so that owner cannot tear the new watch down. *)
+(* The watch is the interpreter's; the node keeps which connection owns
+   its name, and that connection pushes its events.  A watch a
+   replica's shipped DROP TABLE ended may leave its name behind: a new
+   subscriber of the name takes it over, so its old owner cannot tear
+   the new watch down. *)
 let handle_subscribe t conn ~name ~query =
-  Wire.parsing Parser.parse_statement (strip_statement query) @@ fun stmt ->
+  Wire.parsing Parser.parse_statement query @@ fun stmt ->
   with_lock t ~write:true (fun () ->
       match
         Interp.subscribe t.interp ~name stmt (fun event ->
-            send_response t conn (Wire.Event (wire_event event));
-            Metrics.incr_events_pushed t.metrics)
+            Loop.send conn (Wire.Event (wire_event event));
+            Metrics.incr_events_pushed (metrics t))
       with
       | Ok () ->
-        locked_state t (fun () ->
-            Hashtbl.iter
-              (fun _ c -> c.owned_subs <- List.filter (( <> ) name) c.owned_subs)
-              t.conns);
-        conn.owned_subs <- name :: conn.owned_subs;
+        locked_state t (fun () -> Hashtbl.replace t.owners name (Loop.id conn));
         Wire.Ok_msg (Printf.sprintf "subscribed %s" name)
-      | Error message -> Wire.Err { code = Wire.Exec_error; message })
+      | Error message -> exec_error message)
 
 let handle_unsubscribe t conn name =
-  if not (List.mem name conn.owned_subs) then
-    Wire.Err
-      { code = Wire.Exec_error;
-        message = Printf.sprintf "subscription %s is not owned by this connection" name
-      }
+  if locked_state t (fun () -> Hashtbl.find_opt t.owners name) <> Some (Loop.id conn)
+  then exec_error (Printf.sprintf "subscription %s is not owned by this connection" name)
   else
     with_lock t ~write:true (fun () ->
         ignore (Interp.unsubscribe t.interp name);
-        conn.owned_subs <- List.filter (fun n -> n <> name) conn.owned_subs;
+        locked_state t (fun () -> Hashtbl.remove t.owners name);
         Wire.Ok_msg (Printf.sprintf "unsubscribed %s" name))
 
-(* Rules read the same collection the Prometheus page renders, so the
-   evaluation runs as a reader for the same reason METRICS does: polled
-   gauges walk live table/view state. *)
-let handle_health t =
-  with_lock t ~write:false (fun () ->
-      let collected = Obs.Registry.collect (Metrics.registry t.metrics) in
-      let report = Obs.Health.evaluate t.config.health_rules collected in
-      t.last_health <- report.Obs.Health.level;
-      Wire.Health_reply report)
+(* A closing connection's watches end with it. *)
+let drop_subscriptions t conn =
+  let id = Loop.id conn in
+  let names =
+    locked_state t (fun () ->
+        let names =
+          Hashtbl.fold (fun name owner acc -> if owner = id then name :: acc else acc) t.owners []
+        in
+        List.iter (Hashtbl.remove t.owners) names;
+        names)
+  in
+  if names <> [] then
+    Rwlock.with_write t.lock (fun () ->
+        List.iter (fun name -> ignore (Interp.unsubscribe t.interp name)) names)
 
 (* ---------- shard mode (coordinator-facing RPCs) ---------- *)
 
@@ -798,22 +542,15 @@ let partition_summary t =
    learns the map that evicts it — ownership then assigns every local
    row elsewhere, so the drain (extract / purge) moves everything. *)
 let handle_shard_install t ~map ~self_id =
-  if self_id < 0 then
-    Wire.Err
-      { code = Wire.Exec_error;
-        message = Printf.sprintf "bad shard id %d" self_id
-      }
+  if self_id < 0 then exec_error (Printf.sprintf "bad shard id %d" self_id)
   else
     locked_state t (fun () ->
         match t.shard with
         | Some { installed_map; _ }
           when installed_map.Wire.map_version > map.Wire.map_version ->
-          Wire.Err
-            { code = Wire.Exec_error;
-              message =
-                Printf.sprintf "stale shard map v%d (v%d is installed)"
-                  map.Wire.map_version installed_map.Wire.map_version
-            }
+          exec_error
+            (Printf.sprintf "stale shard map v%d (v%d is installed)"
+               map.Wire.map_version installed_map.Wire.map_version)
         | _ ->
           t.shard <- Some { Wire.installed_map = map; self_id };
           Wire.Ok_msg
@@ -842,22 +579,23 @@ let handle_shard_ping t =
    state, so a write's reply reports the partition it left behind and
    no second wait can turn an applied write into a timeout. *)
 let handle_shard_exec t conn ~sql ~ctx ~want =
-  traced t ~ctx ~sql @@ fun trace stmt ->
+  Loop.traced t.loop ?ctx ~parse:(Interp.parse t.interp) sql @@ fun trace stmt ->
   let shard want body =
-    handle_statement ?trace ~text:sql t want stmt ~reply:(fun answer ->
-        Wire.Shard_reply { partition = partition_summary t; body = body answer })
+    either
+      (handle_statement ?trace ~text:sql t want stmt ~reply:(fun answer ->
+           Wire.Shard_reply { partition = partition_summary t; body = body answer }))
   in
   match (want : Wire.want) with
   | Want_rows ->
     shard Interp.Answer (function
       | Interp.Rows { columns; listing; texp_e; recomputed; relation = _ } ->
-        Wire.Body_rows
-          { columns; rows = wire_rows (Lazy.force listing); texp_e; recomputed }
+        let rows = List.map (fun (tp, e) -> (Tuple.to_list tp, e)) (Lazy.force listing) in
+        Wire.Body_rows { columns; rows; texp_e; recomputed }
       | Interp.Msg message -> Wire.Body_ack message)
-  | Want_agg None -> shard (Interp.Agg_partial false) (hold_groups t conn ~sql ~held:None)
+  | Want_agg None -> shard (Interp.Agg_partial false) (Loop.hold_groups conn ~sql ~held:None)
   | Want_agg (Some v as held) ->
     shard (Interp.Agg_partial (v <> 0)) (fun answer ->
-        Obs.Trace.span trace held_span (fun () -> hold_groups t conn ~sql ~held answer))
+        Obs.Trace.span trace held_span (fun () -> Loop.hold_groups conn ~sql ~held answer))
   | Want_sketch ->
     shard Interp.Sketch_partial (fun (columns, sketch) ->
         Wire.Body_sketch
@@ -868,158 +606,91 @@ let first_column tuple =
   | [] -> None
   | key :: _ -> Some key
 
-let handle_extract_moving t table =
+(* [f] under the lock, on the database holding [table]. *)
+let on_table t ~write table f =
+  with_lock t ~write (fun () ->
+      let db = Interp.database t.interp in
+      match Database.table db table with
+      | None -> exec_error ("unknown table " ^ table)
+      | Some _ -> f db)
+
+(* [f] of the installed map and this node's id in it. *)
+let with_map t f =
   match shard_identity t with
-  | None ->
-    Wire.Err { code = Wire.Exec_error; message = "no shard map installed" }
-  | Some { installed_map = map; self_id } ->
-    with_lock t ~write:false (fun () ->
-        let db = Interp.database t.interp in
-        match Database.table db table with
-        | None ->
-          Wire.Err
-            { code = Wire.Exec_error; message = "unknown table " ^ table }
-        | Some _ ->
-          let moves = Hashtbl.create 4 in
-          Relation.fold
-            (fun tuple texp () ->
-              match first_column tuple with
-              | None -> ()
-              | Some key ->
-                let owner = Wire.shard_owner map key in
-                if owner <> self_id then begin
-                  let rows =
-                    try Hashtbl.find moves owner with Not_found -> []
-                  in
-                  Hashtbl.replace moves owner
-                    ((Tuple.to_list tuple, texp) :: rows)
-                end)
-            (Database.snapshot db table) ();
-          Wire.Moved_rows
-            (List.sort compare
-               (Hashtbl.fold
-                  (fun owner rows acc -> (owner, List.rev rows) :: acc)
-                  moves [])))
+  | None -> exec_error "no shard map installed"
+  | Some { Wire.installed_map; self_id } -> f installed_map self_id
 
 let refuse_on_replica t k =
   if t.config.read_only then
-    Wire.Err
-      { code = Wire.Exec_error;
-        message = "read-only replica: rebalance writes go to the primary"
-      }
+    exec_error "read-only replica: rebalance writes go to the primary"
   else k ()
+
+let handle_extract_moving t table =
+  with_map t @@ fun map self_id ->
+  on_table t ~write:false table @@ fun db ->
+  let moves = Hashtbl.create 4 in
+  Relation.fold
+    (fun tuple texp () ->
+      match first_column tuple with
+      | None -> ()
+      | Some key ->
+        let owner = Wire.shard_owner map key in
+        if owner <> self_id then begin
+          let rows = try Hashtbl.find moves owner with Not_found -> [] in
+          Hashtbl.replace moves owner ((Tuple.to_list tuple, texp) :: rows)
+        end)
+    (Database.snapshot db table) ();
+  Wire.Moved_rows
+    (List.sort compare
+       (Hashtbl.fold (fun owner rows acc -> (owner, List.rev rows) :: acc) moves []))
 
 (* The batch is validated whole before any row is written, so a row
    the table refuses (a wrong arity) answers an error and ingests
    nothing. *)
 let handle_ingest_rows t ~table ~ingest =
   refuse_on_replica t @@ fun () ->
-  with_lock t ~write:true (fun () ->
-      let db = Interp.database t.interp in
-      match Database.table db table with
-      | None ->
-        Wire.Err
-          { code = Wire.Exec_error; message = "unknown table " ^ table }
-      | Some _ ->
-        let now = Database.now db in
-        (* A row already expired at this clock stays dead: moving a
-           tuple between shards must not resurrect it. *)
-        let records =
-          List.filter_map
-            (fun (values, texp) ->
-              if Time.(texp > now) then
-                Some (Wal.Insert { table; tuple = Tuple.of_list values; texp })
-              else None)
-            ingest
-        in
-        (match List.iter (Database.validate db) records with
-         | exception Invalid_argument message ->
-           Wire.Err { code = Wire.Exec_error; message }
-         | () ->
-           List.iter (Interp.write t.interp) records;
-           let dropped = List.length ingest - List.length records in
-           let message =
-             Printf.sprintf "ingested %d row(s) into %s%s"
-               (List.length records) table
-               (if dropped > 0 then
-                  Printf.sprintf " (%d already expired)" dropped
-                else "")
-           in
-           Wire.Shard_reply
-             { partition = partition_summary t; body = Wire.Body_ack message }))
+  on_table t ~write:true table @@ fun db ->
+  let now = Database.now db in
+  (* A row already expired at this clock stays dead: moving a tuple
+     between shards must not resurrect it. *)
+  let records =
+    List.filter_map
+      (fun (values, texp) ->
+        if Time.(texp > now) then
+          Some (Wal.Insert { table; tuple = Tuple.of_list values; texp })
+        else None)
+      ingest
+  in
+  match List.iter (Database.validate db) records with
+  | exception Invalid_argument message -> exec_error message
+  | () ->
+    List.iter (Interp.write t.interp) records;
+    let dropped = List.length ingest - List.length records in
+    let message =
+      Printf.sprintf "ingested %d row(s) into %s%s" (List.length records) table
+        (if dropped > 0 then Printf.sprintf " (%d already expired)" dropped else "")
+    in
+    Wire.Shard_reply { partition = partition_summary t; body = Wire.Body_ack message }
 
 let handle_purge_moved t table =
   refuse_on_replica t @@ fun () ->
-  match shard_identity t with
-  | None ->
-    Wire.Err { code = Wire.Exec_error; message = "no shard map installed" }
-  | Some { installed_map = map; self_id } ->
-    with_lock t ~write:true (fun () ->
-        let db = Interp.database t.interp in
-        match Database.table db table with
-        | None ->
-          Wire.Err
-            { code = Wire.Exec_error; message = "unknown table " ^ table }
-        | Some _ ->
-          let doomed =
-            Relation.fold
-              (fun tuple _ acc ->
-                match first_column tuple with
-                | Some key when Wire.shard_owner map key <> self_id ->
-                  tuple :: acc
-                | Some _ | None -> acc)
-              (Database.snapshot db table) []
-          in
-          List.iter
-            (fun tuple -> Interp.write t.interp (Wal.Delete { table; tuple }))
-            doomed;
-          Wire.Shard_reply
-            { partition = partition_summary t;
-              body =
-                Wire.Body_ack
-                  (Printf.sprintf "purged %d moved row(s) from %s"
-                     (List.length doomed) table)
-            })
-
-let handle_request t conn = function
-  | Wire.Exec sql -> handle_exec t sql
-  | Wire.Exec_traced { sql; ctx } -> handle_exec ~ctx t sql
-  | Wire.Statement { sql; ctx; held } -> handle_exec ?ctx ~conn ?held t sql
-  | Wire.Subscribe { name; query } -> handle_subscribe t conn ~name ~query
-  | Wire.Unsubscribe name -> handle_unsubscribe t conn name
-  | Wire.Metrics ->
-    (* The exposition polls gauges that walk live table/view state, so
-       it runs as a reader. *)
-    with_lock t ~write:false (fun () ->
-        Wire.Metrics_reply (Metrics.prometheus t.metrics))
-  | Wire.Slow_queries n ->
-    Wire.Traces_reply (Obs.Trace_store.slowest t.trace_store (max 0 n))
-  | Wire.Trace_recent n ->
-    Wire.Traces_reply (Obs.Trace_store.recent t.trace_store (max 0 n))
-  | Wire.Health -> handle_health t
-  | Wire.Horizon table ->
-    (* Like METRICS: the forecast walks live table and watch state, so
-       it runs as a reader. *)
-    with_lock t ~write:false (fun () ->
-        match Interp.guard (fun () -> Interp.horizon ?table t.interp) with
-        | Ok report -> Wire.Horizon_reply report
-        | Error message -> Wire.Err { code = Wire.Exec_error; message })
-  | Wire.Shard_map_req -> Wire.Shard_map_reply (shard_identity t)
-  | Wire.Shard_install { map; self_id } -> handle_shard_install t ~map ~self_id
-  | Wire.Shard_exec { sql; ctx; want } -> handle_shard_exec t conn ~sql ~ctx ~want
-  | Wire.Shard_ping -> handle_shard_ping t
-  | Wire.Extract_moving table -> handle_extract_moving t table
-  | Wire.Ingest_rows { table; ingest } -> handle_ingest_rows t ~table ~ingest
-  | Wire.Purge_moved table -> handle_purge_moved t table
-  | Wire.Ping -> Wire.Pong
-  | Wire.Quit -> Wire.Bye
-  | Wire.Replicate _ ->
-    (* Intercepted in [serve_conn]; reaching here means the handshake
-       arrived on a server that cannot serve it. *)
-    Wire.Err
-      { code = Wire.Exec_error;
-        message = "this server has no durable store: nothing to replicate"
-      }
+  with_map t @@ fun map self_id ->
+  on_table t ~write:true table @@ fun db ->
+  let doomed =
+    Relation.fold
+      (fun tuple _ acc ->
+        match first_column tuple with
+        | Some key when Wire.shard_owner map key <> self_id -> tuple :: acc
+        | Some _ | None -> acc)
+      (Database.snapshot db table) []
+  in
+  List.iter (fun tuple -> Interp.write t.interp (Wal.Delete { table; tuple })) doomed;
+  Wire.Shard_reply
+    { partition = partition_summary t;
+      body =
+        Wire.Body_ack
+          (Printf.sprintf "purged %d moved row(s) from %s" (List.length doomed) table)
+    }
 
 (* ---------- replication sessions (primary side) ---------- *)
 
@@ -1046,7 +717,7 @@ let serve_replication t conn store ~replica_id ~position ~ctx =
   let finish_trace () =
     Option.iter
       (fun tr ->
-        Obs.Trace_store.finish t.trace_store ~node:t.config.node_name
+        Obs.Trace_store.finish (trace_store t) ~node:t.config.node_name
           ~name:(Printf.sprintf "replicate %s" replica_id)
           tr)
       tr
@@ -1064,14 +735,14 @@ let serve_replication t conn store ~replica_id ~position ~ctx =
           cursor := p;
           locked_state t (fun () ->
               t.snapshots_served <- t.snapshots_served + 1);
-          send_response t conn (Wire.Repl_snapshot { position = p; records })
+          Loop.send conn (Wire.Repl_snapshot { position = p; records })
         | Durable.Records [] -> ()
         | Durable.Records records ->
           let from_position = !cursor in
           cursor := from_position + List.length records;
           locked_state t (fun () ->
               t.records_shipped <- t.records_shipped + List.length records);
-          send_response t conn (Wire.Repl_records { from_position; records })
+          Loop.send conn (Wire.Repl_records { from_position; records })
       in
       match
         Obs.Trace.span tr ship_span
@@ -1082,25 +753,25 @@ let serve_replication t conn store ~replica_id ~position ~ctx =
       with
       | Error message ->
         finish_trace ();
-        send_response t conn (Wire.Err { code = Wire.Exec_error; message })
+        Loop.send conn (exec_error message)
       | Ok initial ->
         send_shipment initial;
         finish_trace ();
         let last_beat = ref (Unix.gettimeofday ()) in
-        while conn.alive && not t.shutting_down do
+        let failed = ref false in
+        while Loop.alive conn && not (!failed || Loop.stopping t.loop) do
           if Durable.position store > !cursor then begin
             (match ship () with
              | Ok shipment -> send_shipment shipment
              | Error message ->
-               send_response t conn
-                 (Wire.Err { code = Wire.Exec_error; message });
-               conn.alive <- false);
+               Loop.send conn (exec_error message);
+               failed := true);
             last_beat := Unix.gettimeofday ()
           end
           else begin
             let now = Unix.gettimeofday () in
             if now -. !last_beat >= heartbeat_interval then begin
-              send_response t conn
+              Loop.send conn
                 (Wire.Repl_heartbeat
                    { position = Durable.position store; now = Durable.now store });
               last_beat := now
@@ -1118,167 +789,64 @@ let install_snapshot t ~position records =
   Rwlock.with_write t.lock (fun () ->
       Interp.install_snapshot t.interp ~position records)
 
-(* ---------- connection lifecycle ---------- *)
+(* ---------- the node behind the loop ---------- *)
 
-let drop_subscriptions t conn =
-  match conn.owned_subs with
-  | [] -> ()
-  | names ->
-    Rwlock.with_write t.lock (fun () ->
-        List.iter (fun name -> ignore (Interp.unsubscribe t.interp name)) names);
-    conn.owned_subs <- []
+(* Every request the loop leaves to the node. *)
+let handle_other t conn = function
+  | Wire.Subscribe { name; query } -> Some (handle_subscribe t conn ~name ~query)
+  | Wire.Unsubscribe name -> Some (handle_unsubscribe t conn name)
+  | Wire.Shard_map_req -> Some (Wire.Shard_map_reply (shard_identity t))
+  | Wire.Shard_install { map; self_id } -> Some (handle_shard_install t ~map ~self_id)
+  | Wire.Shard_exec { sql; ctx; want } -> Some (handle_shard_exec t conn ~sql ~ctx ~want)
+  | Wire.Shard_ping -> Some (handle_shard_ping t)
+  | Wire.Extract_moving table -> Some (handle_extract_moving t table)
+  | Wire.Ingest_rows { table; ingest } -> Some (handle_ingest_rows t ~table ~ingest)
+  | Wire.Purge_moved table -> Some (handle_purge_moved t table)
+  | Wire.Replicate { replica_id; position; ctx } ->
+    (match t.store with
+     | Some store ->
+       (* The connection becomes a one-way stream for good. *)
+       Metrics.incr_requests (metrics t);
+       serve_replication t conn store ~replica_id ~position ~ctx;
+       None
+     | None -> Some (exec_error "this server has no durable store: nothing to replicate"))
+  | Wire.Exec _ | Wire.Exec_traced _ | Wire.Statement _ | Wire.Metrics
+  | Wire.Slow_queries _ | Wire.Trace_recent _ | Wire.Health | Wire.Horizon _
+  | Wire.Ping | Wire.Quit ->
+    Some (Wire.Err { code = Wire.Proto_error; message = "answered by the request loop" })
 
-let close_conn t conn =
-  drop_subscriptions t conn;
-  Metrics.add_held_answers t.metrics (-Lru.length conn.held);
-  conn.alive <- false;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  locked_state t (fun () ->
-      Hashtbl.remove t.conns conn.id;
-      Hashtbl.remove t.threads conn.id);
-  Metrics.connection_closed t.metrics
+let service t =
+  { Loop.parse = Interp.parse t.interp;
+    holdable = Loop.holdable;
+    run =
+      (fun trace text stmt ->
+        handle_statement ?trace ~text t Interp.Answer stmt ~reply:Fun.id);
+    (* The exposition polls gauges that walk live table/view state, so
+       it runs as a reader; so does HEALTH, whose rules read the same
+       collection, and HORIZON, whose forecast walks tables and
+       watches. *)
+    metrics =
+      (fun () ->
+        with_lock t ~write:false (fun () ->
+            Wire.Metrics_reply (Metrics.prometheus (metrics t))));
+    health =
+      (fun () -> with_lock t ~write:false (fun () -> Wire.Health_reply (Loop.health t.loop)));
+    horizon =
+      (fun table ->
+        with_lock t ~write:false (fun () ->
+            match Interp.guard (fun () -> Interp.horizon ?table t.interp) with
+            | Ok report -> Wire.Horizon_reply report
+            | Error message -> exec_error message));
+    traces = Obs.Trace_store.recent (trace_store t);
+    other = handle_other t;
+    closed = drop_subscriptions t
+  }
 
-let rec serve_conn t conn =
-  match Frame.recv conn.fd with
-  | exception (Frame.Closed | Frame.Timeout | Unix.Unix_error _) -> ()
-  | exception Frame.Oversized len ->
-    send_response t conn
-      (Wire.Err
-         { code = Wire.Proto_error;
-           message = Printf.sprintf "frame of %d bytes exceeds max %d" len Frame.max_frame
-         });
-    Metrics.incr_errors t.metrics
-  | payload, bytes ->
-    Metrics.add_bytes_in t.metrics bytes;
-    let started = Unix.gettimeofday () in
-    match Wire.decode_request payload with
-    | Ok (Wire.Replicate { replica_id; position; ctx }) when t.store <> None ->
-      (* The connection becomes a one-way stream; it never returns to
-         request/response. *)
-      Metrics.incr_requests t.metrics;
-      (match t.store with
-       | Some store -> serve_replication t conn store ~replica_id ~position ~ctx
-       | None -> ())
-    | decoded ->
-      let response, keep_going =
-        match decoded with
-        | Error message ->
-          (* The stream may be desynchronised: answer, then close.  A
-             peer speaking another protocol version gets the typed
-             mismatch (the [Err] layout is stable across versions) so it
-             can diagnose rather than guess. *)
-          let code =
-            match Wire.payload_version payload with
-            | Some v when v <> Wire.version -> Wire.Version_mismatch
-            | Some _ | None -> Wire.Proto_error
-          in
-          (Wire.Err { code; message }, false)
-        | Ok Wire.Quit -> (Wire.Bye, false)
-        | Ok request -> (handle_request t conn request, true)
-      in
-      Metrics.incr_requests t.metrics;
-      (match response with
-       | Wire.Err _ -> Metrics.incr_errors t.metrics
-       | _ -> ());
-      Metrics.observe_latency t.metrics
-        ~seconds:(Unix.gettimeofday () -. started);
-      send_response t conn response;
-      if keep_going && conn.alive && not t.shutting_down then serve_conn t conn
-
-let worker t conn =
-  (try serve_conn t conn with _ -> ());
-  close_conn t conn
-
-let refuse t fd =
-  let conn = new_conn ~id:(-1) fd in
-  send_response t conn
-    (Wire.Err
-       { code = Wire.Overloaded;
-         message =
-           Printf.sprintf "connection cap %d reached" t.config.max_connections
-       });
-  Metrics.incr_errors t.metrics;
-  (try Unix.close fd with Unix.Unix_error _ -> ())
-
-let rec accept_loop t listen_fd =
-  match Unix.accept listen_fd with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop t listen_fd
-  | exception Unix.Unix_error _ -> ()  (* listener closed: shutdown *)
-  | fd, _ ->
-    if t.shutting_down then (try Unix.close fd with Unix.Unix_error _ -> ())
-    else begin
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-      (* Never let a peer that stopped reading block a worker (or an
-         event push holding the write lock) forever. *)
-      (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.request_timeout
-       with Unix.Unix_error _ -> ());
-      let accepted =
-        locked_state t (fun () ->
-            if Hashtbl.length t.conns >= t.config.max_connections then None
-            else begin
-              t.next_id <- t.next_id + 1;
-              let conn = new_conn ~id:t.next_id fd in
-              Hashtbl.replace t.conns conn.id conn;
-              Some conn
-            end)
-      in
-      (match accepted with
-       | None -> refuse t fd
-       | Some conn ->
-         Metrics.connection_opened t.metrics;
-         let thread = Thread.create (fun () -> worker t conn) () in
-         locked_state t (fun () -> Hashtbl.replace t.threads conn.id thread));
-      accept_loop t listen_fd
-    end
-
-let start t =
-  if t.acceptor <> None then invalid_arg "Server.start: already started";
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     let addr = Unix.inet_addr_of_string t.config.host in
-     Unix.bind fd (Unix.ADDR_INET (addr, t.config.port));
-     Unix.listen fd 64
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  (match Unix.getsockname fd with
-   | Unix.ADDR_INET (_, p) -> t.bound_port <- Some p
-   | Unix.ADDR_UNIX _ -> ());
-  t.listen_fd <- Some fd;
-  t.acceptor <- Some (Thread.create (fun () -> accept_loop t fd) ())
-
-let wait t =
-  match t.acceptor with
-  | Some thread -> Thread.join thread
-  | None -> ()
+let start t = Loop.start t.loop ~host:t.config.host ~port:t.config.port (service t)
+let wait t = Loop.wait t.loop
 
 let stop t =
-  t.shutting_down <- true;
-  (match t.listen_fd with
-   | Some fd ->
-     t.listen_fd <- None;
-     (* A plain close does not wake a thread blocked in accept(2);
-        shutting the socket down first does (accept fails with EINVAL). *)
-     (try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ());
-     (try Unix.close fd with Unix.Unix_error _ -> ())
-   | None -> ());
-  (match t.acceptor with
-   | Some thread ->
-     t.acceptor <- None;
-     Thread.join thread
-   | None -> ());
-  (* Wake workers blocked reading the next request; in-flight requests
-     are executing (not blocked in recv) and drain normally. *)
-  let conns = locked_state t (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []) in
-  List.iter
-    (fun conn ->
-      try Unix.shutdown conn.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    conns;
-  let threads =
-    locked_state t (fun () -> Hashtbl.fold (fun _ th acc -> th :: acc) t.threads [])
-  in
-  List.iter Thread.join threads;
+  Loop.stop t.loop;
   match t.store with
   | Some store when not t.store_closed ->
     t.store_closed <- true;

@@ -1,46 +1,25 @@
-(** The concurrent expirel TCP server: the paper's loosely-coupled
-    setting (Section 1) realised as an actual networked database rather
-    than the simulation in [paper/dist/].
+(** An expirel node on the network: the paper's loosely-coupled
+    setting (Section 1) as an actual networked database.  The
+    connection machinery — accept, framing, the traced statement path,
+    held answers — is {!Loop}'s, shared with a coordinator; this is the
+    node behind it.
 
-    One acceptor thread hands each connection to a dedicated worker
-    thread, up to a configurable cap (excess connections are refused
-    with an [Overloaded] error).  The shared database is guarded by a
-    writer-preferring {!Expirel_storage.Rwlock}: queries and other
-    read-only statements run concurrently, while [INSERT] / [DELETE] /
-    [ADVANCE] and friends serialise.  Requests that cannot acquire the
-    lock within the per-request timeout are answered with a [Timeout]
-    error instead of stalling the connection.
+    One interpreter sits under a writer-preferring
+    {!Expirel_storage.Rwlock}: read-only statements run concurrently,
+    writes and clock moves serialise, and a request that cannot take
+    the lock within the per-request timeout gets a [Timeout] error.
+    [SUBSCRIBE] starts a watch in the interpreter; the node keeps which
+    connection owns each watch name, that connection pushes its events
+    — at their exact logical times, before the write or advance that
+    caused them is acknowledged — and its watches end when it closes.
+    The node also answers a coordinator's shard and rebalance requests.
 
-    [SUBSCRIBE] starts a watch in the shared interpreter
-    ({!Interp.subscribe}), which owns every standing query; the server
-    keeps only which connection owns which watch name and the handler
-    that pushes its events.  Whenever any connection advances the
-    logical clock, the change events — [Row_expired] / [Row_appeared] /
-    [Refreshed] at the {e exact} logical times — are pushed to the
-    subscribing connections before the advance is acknowledged, so a
-    subscriber can never observe an acknowledged clock ahead of its own
-    event stream.  A connection's watches end when it closes.
-
-    Each connection also holds what it last sent for up to
-    {!Wire.held_capacity} (64) texts, in one LRU: the answers to
-    [Statement] requests for plain queries, so a re-read naming its
-    copy gets only the rows added, re-timed or removed since
-    ({!Wire.Held_rows}), and a coordinator's kept [Want_agg] reads of a
-    grouped COUNT, so a re-read naming its version gets only the groups
-    changed since.  They are freed when the connection closes, and
-    [METRICS] shows them as [expirel_held_answers] and
-    [expirel_held_replies_total].
-
-    {!stop} is graceful: the listener closes first, in-flight requests
-    run to completion and get their responses, then workers are joined.
-
-    With [data_dir] set, the server runs over a {!Expirel_storage.Durable}
-    store: every mutation is write-ahead logged, [CHECKPOINT] compacts
-    the snapshot, and the server answers [REPLICATE] handshakes by
-    streaming its log (snapshot-bootstrapping followers that fell behind
-    the retained tail).  With [read_only] set it refuses mutating
-    statements — the replica mode, where {!apply_records} and
-    {!install_snapshot} are the only write paths. *)
+    With [data_dir] set, every mutation is write-ahead logged in a
+    {!Expirel_storage.Durable} store, [CHECKPOINT] compacts it, and
+    [REPLICATE] handshakes turn the connection into a log stream.  With
+    [read_only] set, mutating statements are refused: the replica mode,
+    where {!apply_records} and {!install_snapshot} are the only write
+    paths. *)
 
 open Expirel_storage
 open Expirel_sqlx
@@ -116,12 +95,6 @@ val trace_store : t -> Expirel_obs.Trace_store.t
 val store : t -> Durable.t option
 (** The durable store, when [data_dir] was set. *)
 
-val shard_identity : t -> Wire.shard_identity option
-(** The shard map and shard id a coordinator installed via
-    [Shard_install] — [None] until a coordinator claims this node.  A
-    node holding an identity serves the rebalance requests
-    ([Extract_moving] / [Purge_moved]) that route by it. *)
-
 val partition_summary : t -> Wire.partition_texp
 (** The live-row count and live min/max texp over every table at the
     node's clock — the summary a shard piggybacks on its replies for the
@@ -130,11 +103,10 @@ val partition_summary : t -> Wire.partition_texp
     with a serving node must hold {!lock}. *)
 
 val apply_records : t -> Wal.record list -> (unit, string) result
-(** Applies a shipped [Repl_records] batch under the write lock through
-    {!Interp.apply_records}: watch events are delivered at their exact
-    logical times before each [Advance] lands, and a shipped [DROP
-    TABLE] ends the watches reading the table — the replica side of the
-    stream.  [Error] without a store. *)
+(** The replica side of the stream: a shipped [Repl_records] batch
+    under the write lock through {!Interp.apply_records}, which
+    delivers watch events at their exact logical times and ends the
+    watches a shipped [DROP TABLE] removes.  [Error] without a store. *)
 
 val install_snapshot : t -> position:int -> Wal.record list -> (unit, string) result
 (** Replaces the whole state with a shipped [Repl_snapshot] under the

@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 17
+let version = 18
 
 type error_code =
   | Parse_error
@@ -429,7 +429,8 @@ let put_horizon b (r : Expirel_obs.Horizon.report) =
   put_int b r.fanout_events;
   put_f64 b r.arrival_rate;
   put_f64 b r.expiration_rate;
-  put_list b put_horizon_table r.tables
+  put_list b put_horizon_table r.tables;
+  put_list b (fun b (shard, rows) -> put_str b shard; put_int b rows) r.shards
 
 let put_level b level =
   put_u8 b
@@ -749,7 +750,12 @@ let get_horizon c : Expirel_obs.Horizon.report =
   let arrival_rate = get_f64 c in
   let expiration_rate = get_f64 c in
   let tables = get_list c get_horizon_table in
-  { now; window; fanout_events; arrival_rate; expiration_rate; tables }
+  let shards =
+    get_list c (fun c ->
+        let shard = get_str c in
+        (shard, get_int c))
+  in
+  { now; window; fanout_events; arrival_rate; expiration_rate; tables; shards }
 
 let get_level c =
   match get_u8 c with
@@ -1001,13 +1007,12 @@ let parsing parse text k =
    patching would save less than it costs. *)
 let held_min_rows = 64
 
-(* As many texts as a node keeps plans for ([Interp.statement_capacity])
-   and a coordinator keeps GROUP BYs for: a coordinator cycling through
-   more kept texts than its shard connections hold would read every one
-   whole.  This bounds what a connection pins on either side (each held
-   answer is kept alive until replaced, evicted or the connection
-   closes). *)
-let held_capacity = 64
+(* What a connection pins on either side, in rows (a held row costs
+   about 73 bytes of heap): far above one GROUP BY over 10^3 users, and
+   enough for a coordinator's two dozen kept texts of 10^3 groups per
+   shard.  Each held answer is kept alive until replaced, evicted or
+   the connection closes. *)
+let held_budget = 1 lsl 15
 
 (* [Tuple.compare] on value lists: arity first, then value by value. *)
 let compare_row a b =

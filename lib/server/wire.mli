@@ -180,6 +180,11 @@ val version : int
     duration and labels; an entry its node, trace id, name, start
     time, total and spans; a health rule its name, reading, level
     byte (1 ok, 2 degraded, 3 critical) and help.
+    v18 — a coordinator answers the wire.  This bump is {e required}:
+    the [Horizon_reply] (22) body ends with the per-shard live-row list
+    (each a shard id string and a count; empty from a node), so a
+    client of a coordinator reads the breakdown the coordinator's
+    HORIZON used to print only in process.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer
@@ -432,7 +437,8 @@ type request =
           trace, as for [Exec_traced].  [held] names the version of the
           answer to this same text the client holds a copy of.  The
           reply to a query without ORDER BY or LIMIT whose answer has at
-          least {!held_min_rows} rows is [Held_rows]: a delta against
+          least {!held_min_rows} and at most {!held_budget} rows is
+          [Held_rows]: a delta against
           [held] when the server holds that version too and the delta
           has fewer rows than half the answer, else the whole answer
           under a fresh version.  Every other reply is what [Exec]
@@ -503,10 +509,11 @@ type response =
   | Moved_rows of (int * (Value.t list * Time.t) list) list
       (** rows leaving the answering shard, grouped by new owner id *)
   | Horizon_reply of Expirel_obs.Horizon.report
-      (** the node's expiration forecast.  Buckets count disjoint row
-          sets, so a coordinator rolls per-shard replies up with
+      (** the expiration forecast.  Buckets count disjoint row sets, so
+          a coordinator rolls per-shard replies up with
           {!Expirel_obs.Horizon.merge_reports} — bucket-wise addition,
-          exact by construction *)
+          exact by construction — and answers the merged report with
+          its per-shard live rows *)
   | Shard_reply of { partition : partition_texp; body : shard_body }
       (** the answer to [Shard_exec], [Ingest_rows] and [Purge_moved]:
           the shard's partition summary as the statement left it, and
@@ -532,12 +539,11 @@ val payload_version : string -> int option
 val held_min_rows : int
 (** 64: a smaller answer is sent whole and not held. *)
 
-val held_capacity : int
-(** 64: the texts each side of a connection holds an answer for — a
-    client's rows, or a coordinator's kept GROUP BY groups at a shard.
-    It equals {!Expirel_sqlx.Interp.statement_capacity} and the
-    coordinator's kept texts, so a coordinator cycling through every
-    text it keeps still reads deltas. *)
+val held_budget : int
+(** 32 768: the rows each side of a connection holds answers for, a
+    client's rows or a coordinator's kept GROUP BY groups at a shard,
+    oldest evicted first until the held rows fit.  An answer larger
+    than the budget is sent as plain rows and not held. *)
 
 val patch :
   (Value.t list * Time.t) list ->
@@ -550,11 +556,9 @@ val patch :
     order or a removal names a row the copy lacks — a delta that does
     not fit the copy, never a patched answer. *)
 
-val pp_response : Format.formatter -> response -> unit
+val render_response : response -> string
 (** Human-readable rendering (one line per row), for the CLI and
     examples. *)
-
-val render_response : response -> string
 
 val parsing : (string -> 'a) -> string -> ('a -> response) -> response
 (** [parsing parse text k] answers [k] of [parse text], or — when

@@ -467,7 +467,8 @@ let horizon ?table t =
         ~until:(Time.add now (Time.of_int window));
     arrival_rate;
     expiration_rate;
-    tables
+    tables;
+    shards = []
   }
 
 let exec_statement ?trace ?text t = function

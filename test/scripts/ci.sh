@@ -141,6 +141,14 @@ if grep -rnE '\bWire\.Exec(_traced)?\b' lib bin --include='*.ml' |
   echo "ci: the code above builds an Exec; send statements through Client.exec" >&2
   exit 1
 fi
+# One request loop: a coordinator answers the wire through the loop a
+# node serves through, and `connect` is the only REPL, so bin/ keeps no
+# second dispatcher and reads no coordinator observability in process.
+if grep -rnE '\b(cluster_statement|print_shard_summaries)\b|\bCoordinator\.(metrics|health|horizon|recent_traces|trace_store)\b' \
+    bin; then
+  echo "ci: the code above drives a coordinator in process; connect to it over the wire" >&2
+  exit 1
+fi
 # lib/obs, lib/exec and lib/sketch compile with -warn-error +a (their
 # dunes say so); build them alone first so a warning fails fast with a
 # small log.
@@ -482,6 +490,71 @@ echo "$ROUTED_OUT" | grep -E 'expirel_cluster_routed_total [1-9]'
 kill "$CLUSTER_PID" 2>/dev/null || true
 rm -f "$CLUSTER_LOG" "$CLUSTER_PROM"
 
+# A client reaches a cluster as it reaches a node: `cluster serve` also
+# starts a listening coordinator, and plain `connect` drives it with
+# the first block's statements on a fresh cluster, so the same lines
+# read the same.  A SUBSCRIBE is answered with an error line, and the
+# session goes on answering.
+COORD_LOG=$(mktemp)
+"$CLI" cluster serve --shards 3 --base-port 0 >"$COORD_LOG" 2>&1 &
+COORD_PID=$!
+trap 'kill "$SERVER_PID" "$CLUSTER_PID" "$COORD_PID" 2>/dev/null || true' EXIT
+COORD_PORT=""
+for _ in $(seq 1 100); do
+  COORD_PORT=$(sed -n 's/^coordinator listening on [^:]*:\([0-9][0-9]*\)$/\1/p' "$COORD_LOG")
+  [ -n "$COORD_PORT" ] && break
+  sleep 0.1
+done
+test -n "$COORD_PORT"
+COORD_OUT=$("$CLI" connect --port "$COORD_PORT" -e "
+  CREATE TABLE pol (uid, deg);
+  INSERT INTO pol VALUES (1, 25) EXPIRES 10;
+  INSERT INTO pol VALUES (2, 25) EXPIRES 15;
+  INSERT INTO pol VALUES (3, 35) EXPIRES 20;
+  SELECT uid, deg FROM pol;
+  SUBSCRIBE w AS SELECT uid FROM pol;
+  SELECT COUNT(*) FROM pol;
+  SELECT deg, COUNT(*) FROM pol GROUP BY deg ORDER BY deg;
+  SELECT deg, COUNT(*) FROM pol GROUP BY deg ORDER BY deg;
+  SELECT deg, COUNT(*) FROM pol GROUP BY deg ORDER BY deg;
+  SELECT AVG(deg) FROM pol;
+  CREATE TABLE tags (uid, tag);
+  INSERT INTO tags VALUES (9, 25) EXPIRES 30;
+  SELECT * FROM pol JOIN tags ON pol.deg = tags.tag;
+  SELECT APPROX_COUNT(0.1) FROM pol;
+  SELECT SAMPLE(2) FROM pol;
+  EXPLAIN ANALYZE SELECT uid FROM pol WHERE deg = 25;
+  TRACE 30;
+  SHARDS;
+  HORIZON;
+  SHOW HORIZON;
+  METRICS")
+echo "$COORD_OUT" | grep -F "table pol created (on 3 shard(s))"
+echo "$COORD_OUT" | grep -F "3 row(s)"
+# The refused SUBSCRIBE, then the next statement's answer.
+echo "$COORD_OUT" | grep -A1 '^error: ' | grep -F "texp | count"
+echo "$COORD_OUT" | grep -E '10 \| 3$'
+echo "$COORD_OUT" | grep -E '10 \| 25, 2$'
+echo "$COORD_OUT" | grep -E '20 \| 35, 1$'
+echo "$COORD_OUT" | grep -E '^expirel_cluster_agg_full_reads_total 1$'
+echo "$COORD_OUT" | grep -E '^expirel_cluster_agg_delta_reads_total [1-9]'
+echo "$COORD_OUT" | grep -E '10 \| 28\.3333$'
+echo "$COORD_OUT" | grep -E '10 \| 1, 25, 9, 25$'
+echo "$COORD_OUT" | grep -F "approx_count, within"
+test "$(echo "$COORD_OUT" | grep -cF -- '--- shard ')" = 3
+TID=$(echo "$COORD_OUT" | awk '$2 == "coordinator" && /SELECT uid, deg/ { print $1; exit }')
+test -n "$TID"
+echo "$COORD_OUT" | awk -v tid="$TID" '$1 == tid && $2 ~ /^shard-/ { found = 1 } END { exit !found }'
+test "$(echo "$COORD_OUT" | grep -c "^shard [0-9]: reachable")" = 3
+echo "$COORD_OUT" | grep -F "shard 0: live="
+echo "$COORD_OUT" | grep -F "table pol: live=3 soon=2"
+test "$(echo "$COORD_OUT" | grep -cF "horizon now=0")" = 2
+echo "$COORD_OUT" | grep -E 'expirel_cluster_live_rows 4'
+echo "$COORD_OUT" | grep -E 'expirel_cluster_shard_requests_total\{shard="0"\} [1-9]'
+echo "$COORD_OUT" | grep -F 'expirel_build_info{version='
+kill "$COORD_PID" 2>/dev/null || true
+rm -f "$COORD_LOG"
+
 # A watch through the real server, driven the way a user would: the
 # statements are piped into an interactive `connect`, on a table of
 # their own.  The ADVANCE past the row's expiration pushes its event
@@ -491,7 +564,7 @@ rm -f "$CLUSTER_LOG" "$CLUSTER_PROM"
 WATCH_LOG=$(mktemp)
 "$CLI" serve --port 0 --node-name ci-watch >"$WATCH_LOG" 2>&1 &
 WATCH_PID=$!
-trap 'kill "$SERVER_PID" "$CLUSTER_PID" "$WATCH_PID" 2>/dev/null || true' EXIT
+trap 'kill "$SERVER_PID" "$CLUSTER_PID" "$COORD_PID" "$WATCH_PID" 2>/dev/null || true' EXIT
 PORT=""
 for _ in $(seq 1 100); do
   PORT=$(sed -n 's/.*listening on [^:]*:\([0-9][0-9]*\).*/\1/p' "$WATCH_LOG")

@@ -1095,6 +1095,206 @@ let test_rebalance () =
           Alcotest.(check bool) "same texp(e) after remove" true
             (Time.equal before_texp remove_texp)))
 
+(* ---------- a client reaches a cluster as it reaches a node ---------- *)
+
+let connect port = Client.connect ~host:"127.0.0.1" ~port ()
+
+(* A sample's value on a METRICS page, by its full name and labels. *)
+let sample page name =
+  List.fold_left
+    (fun acc line ->
+      match String.rindex_opt line ' ' with
+      | Some i when String.sub line 0 i = name ->
+        float_of_string (String.sub line (i + 1) (String.length line - i - 1))
+      | Some _ | None -> acc)
+    0. (String.split_on_char '\n' page)
+
+(* One script through [Client], against a listening 3-shard coordinator
+   and against one node holding the union: DDL, routed and broadcast
+   writes, ADVANCE and TICK, point, scatter, GROUP BY, AVG, join and
+   sketch reads.  Every query answers the same rows in the same order,
+   with the same per-row texps and texp(e), or the same error; the
+   80-row read is held on both sides, so each re-read after a write is
+   a delta the coordinator counts as the node counts its own. *)
+let test_client_reaches_cluster () =
+  with_cluster 3 (fun coord _servers _eps ->
+      let node = Server.create ~config:shard_config () in
+      Server.start node;
+      let cluster = connect (Coordinator.listen coord) in
+      let single = connect (Server.port node) in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close cluster;
+          Client.close single;
+          Server.stop node)
+        (fun () ->
+          let run sql =
+            match (ok (Client.exec cluster sql), ok (Client.exec single sql)) with
+            | Wire.Rows c, Wire.Rows n ->
+              Alcotest.(check bool) (sql ^ ": same rows and texps") true (c.rows = n.rows);
+              Alcotest.(check bool) (sql ^ ": same texp(e)") true
+                (Time.equal c.texp_e n.texp_e)
+            | (Wire.Ok_msg _ as c), (Wire.Ok_msg _ as n) ->
+              if String.starts_with ~prefix:"DELETE" sql then
+                Alcotest.(check int) (sql ^ ": same count") (ack_count n) (ack_count c)
+            | Wire.Err c, Wire.Err n ->
+              Alcotest.(check string) (sql ^ ": the node's error") n.message c.message
+            | c, n ->
+              Alcotest.failf "%s: %s against %s" sql (Wire.render_response c)
+                (Wire.render_response n)
+          in
+          List.iter run statements;
+          run "INSERT INTO aux VALUES (12, 30) EXPIRES 22";
+          run "CREATE TABLE big (k, v)";
+          for k = 1 to 80 do
+            run (Printf.sprintf "INSERT INTO big VALUES (%d, %d) EXPIRES %d" k (k mod 5) (20 + k))
+          done;
+          let reads =
+            queries
+            @ [ "SELECT * FROM pol WHERE uid = 3";
+                "SELECT deg, COUNT(*) FROM pol GROUP BY deg";
+                "SELECT deg, AVG(uid) FROM pol GROUP BY deg ORDER BY deg";
+                "SELECT AVG(deg) FROM pol";
+                "SELECT * FROM pol JOIN aux ON pol.uid = aux.uid";
+                "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag";
+                "SELECT APPROX_COUNT(0.1) FROM pol";
+                "SELECT SAMPLE(100) FROM pol";
+                "SELECT k, v FROM big";
+                "SELECT v, COUNT(*) FROM big GROUP BY v" ]
+          in
+          List.iter run reads;
+          List.iter
+            (fun write ->
+              run write;
+              List.iter run reads)
+            [ "INSERT INTO big VALUES (81, 1) EXPIRES 50";
+              "DELETE FROM big WHERE k = 7";
+              "DELETE FROM pol WHERE deg = 40";
+              "TICK 2";
+              "ADVANCE TO 21" ];
+          let deltas client = sample (ok (Client.metrics client)) "expirel_held_replies_total{reply=\"delta\"}" in
+          Alcotest.(check (float 0.)) "one held delta per write" 5. (deltas cluster);
+          Alcotest.(check (float 0.)) "as the node counts them" (deltas single) (deltas cluster);
+          (* the held reply itself *)
+          let read held =
+            ok (Client.request cluster (Wire.Statement { sql = "SELECT k, v FROM big"; ctx = None; held }))
+          in
+          match read None with
+          | Wire.Held_rows { version; body = Wire.Held_whole _ } ->
+            run "INSERT INTO big VALUES (82, 2) EXPIRES 60";
+            (match read (Some version) with
+             | Wire.Held_rows { body = Wire.Held_delta { base; upserts; removed; _ }; _ } ->
+               Alcotest.(check int) "the delta patches the named version" version base;
+               Alcotest.(check int) "one row changed" 1 (List.length upserts + List.length removed)
+             | r -> Alcotest.failf "expected a held delta, got %s" (Wire.render_response r))
+          | r -> Alcotest.failf "expected a whole held answer, got %s" (Wire.render_response r)))
+
+(* TRACE, SLOW, HEALTH, HORIZON and METRICS over a coordinator's socket
+   answer what the in-process calls answer; a statement sent over the
+   socket is traced across the coordinator and the shards it reached;
+   SUBSCRIBE is refused and the session goes on. *)
+let test_coordinator_answers_the_wire () =
+  with_cluster 3 (fun coord _servers _eps ->
+      let c = connect (Coordinator.listen coord) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          List.iter (fun sql -> ignore (no_err sql (ok (Client.exec c sql)))) statements;
+          ignore (no_err "select" (ok (Client.exec c "SELECT uid, deg FROM pol")));
+          Alcotest.(check bool) "HORIZON" true
+            (ok (Client.horizon c) = ok (Coordinator.horizon coord));
+          Alcotest.(check bool) "HORIZON pol" true
+            (ok (Client.horizon ~table:"pol" c) = ok (Coordinator.horizon ~table:"pol" coord));
+          Alcotest.(check bool) "three shards in the breakdown" true
+            (List.length (ok (Client.horizon c)).Obs.Horizon.shards = 3);
+          Alcotest.(check bool) "HEALTH" true (ok (Client.health c) = Coordinator.health coord);
+          let traces = ok (Client.traces c 50) in
+          Alcotest.(check bool) "TRACE" true (traces = Coordinator.recent_traces coord 50);
+          Alcotest.(check bool) "SLOW" true
+            (ok (Client.slow_queries c 5)
+            = Obs.Trace_store.slowest (Coordinator.trace_store coord) 5);
+          (match
+             List.find_opt
+               (fun (e : Obs.Trace_store.entry) ->
+                 e.node = "coordinator" && e.name = "SELECT uid, deg FROM pol")
+               traces
+           with
+           | None -> Alcotest.fail "the socket's statement left no coordinator trace"
+           | Some e ->
+             Alcotest.(check bool) "its trace id spans a shard" true
+               (List.exists
+                  (fun (s : Obs.Trace_store.entry) ->
+                    s.trace_id = e.trace_id && s.node <> "coordinator")
+                  traces));
+          let cluster_lines page =
+            List.filter
+              (fun line ->
+                String.starts_with ~prefix:"expirel_cluster_" line
+                || String.starts_with ~prefix:"# TYPE" line)
+              (String.split_on_char '\n' page)
+          in
+          Alcotest.(check (list string)) "METRICS"
+            (cluster_lines (Coordinator.metrics coord))
+            (cluster_lines (ok (Client.metrics c)));
+          (match Client.subscribe c ~name:"w" ~query:"SELECT uid FROM pol" with
+           | Error _ -> ()
+           | Ok () -> Alcotest.fail "a coordinator took a SUBSCRIBE");
+          ignore (rows_of "after SUBSCRIBE" (no_err "after" (ok (Client.exec c "SELECT * FROM pol"))))))
+
+(* SHARDS, ADD SHARD and REMOVE SHARD are a coordinator's statements: a
+   client grows and shrinks the cluster over the socket and its
+   contents stay exact.  A node answers them as a parse error. *)
+let test_membership_statements () =
+  with_cluster 3 (fun coord servers _eps ->
+      let c = connect (Coordinator.listen coord) in
+      let exec sql = no_err sql (ok (Client.exec c sql)) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          List.iter (fun sql -> ignore (exec sql)) statements;
+          let q = "SELECT * FROM pol" in
+          let before, before_texp = rows_of q (exec q) in
+          (match exec "SHARDS" with
+           | Wire.Ok_msg m ->
+             Alcotest.(check (list string)) "one line per shard"
+               [ "shard 0: reachable"; "shard 1: reachable"; "shard 2: reachable" ]
+               (List.map
+                  (fun line -> List.hd (String.split_on_char ',' line))
+                  (String.split_on_char '\n' m))
+           | r -> Alcotest.failf "SHARDS: %s" (Wire.render_response r));
+          let extra = Server.create ~config:shard_config () in
+          Server.start extra;
+          Fun.protect
+            ~finally:(fun () -> Server.stop extra)
+            (fun () ->
+              ignore (exec (Printf.sprintf "ADD SHARD 127.0.0.1:%d" (Server.port extra)));
+              Alcotest.(check int) "map grew" 4
+                (List.length (Coordinator.shard_map coord).Wire.shards);
+              let after_add, add_texp = rows_of q (exec q) in
+              Alcotest.(check bool) "same rows after add" true (sorted before = sorted after_add);
+              Alcotest.(check bool) "same texp(e) after add" true (Time.equal before_texp add_texp);
+              ignore (exec "REMOVE SHARD 0");
+              Alcotest.(check int) "map shrank" 3
+                (List.length (Coordinator.shard_map coord).Wire.shards);
+              let after_remove, remove_texp = rows_of q (exec q) in
+              Alcotest.(check bool) "same rows after remove" true
+                (sorted before = sorted after_remove);
+              Alcotest.(check bool) "same texp(e) after remove" true
+                (Time.equal before_texp remove_texp));
+          (match ok (Client.exec c "REMOVE SHARD 99") with
+           | Wire.Err { code = Wire.Exec_error; _ } -> ()
+           | r -> Alcotest.failf "an unknown shard removed: %s" (Wire.render_response r));
+          (match ok (Client.exec c "REMOVE SHARD x") with
+           | Wire.Err { code = Wire.Parse_error; _ } -> ()
+           | r -> Alcotest.failf "a bad shard id parsed: %s" (Wire.render_response r));
+          let node = connect (Server.port (List.nth servers 1)) in
+          Fun.protect
+            ~finally:(fun () -> Client.close node)
+            (fun () ->
+              match ok (Client.exec node "SHARDS") with
+              | Wire.Err { code = Wire.Parse_error; _ } -> ()
+              | r -> Alcotest.failf "a node answered SHARDS: %s" (Wire.render_response r))))
+
 (* A joining shard gets the indexes the coordinator broadcast, so the
    rows moved onto it are served by index paths, not cut scans. *)
 let test_add_shard_replays_indexes () =
@@ -1746,7 +1946,8 @@ let test_horizon_cluster () =
               | Error e -> Alcotest.failf "%s: %s" sql e)
             (Expirel_sqlx.Interp.exec_script union (sql ^ ";")))
         statements;
-      let merged, per_shard = ok (Coordinator.horizon coord) in
+      let merged = ok (Coordinator.horizon coord) in
+      let per_shard = merged.Obs.Horizon.shards in
       let single = Expirel_sqlx.Interp.horizon union in
       Alcotest.(check bool) "merged tables equal the single-node profile"
         true
@@ -1759,7 +1960,7 @@ let test_horizon_cluster () =
         (report_live merged)
         (List.fold_left (fun acc (_, n) -> acc + n) 0 per_shard);
       (* per-table restriction, and unknown tables answer Error *)
-      let only_pol, _ = ok (Coordinator.horizon ~table:"pol" coord) in
+      let only_pol = ok (Coordinator.horizon ~table:"pol" coord) in
       Alcotest.(check (list string)) "restricted to pol" [ "pol" ]
         (List.map
            (fun tb -> tb.Obs.Horizon.name)
@@ -1779,7 +1980,9 @@ let test_horizon_cluster () =
              "table aux:"; "table pol:" ]
        | r -> Alcotest.fail ("SHOW HORIZON: " ^ Wire.render_response r));
       (* both Prometheus surfaces pass the shared exposition lint *)
-      let page = ok (Coordinator.horizon_page coord) in
+      let page =
+        Obs.Prometheus.render (Obs.Horizon.metrics (ok (Coordinator.horizon coord)))
+      in
       Test_obs.check_exposition ~what:"merged horizon page" page;
       Alcotest.(check bool) "page exports the merged histogram" true
         (contains ~sub:"# TYPE expirel_horizon_rows histogram" page);
@@ -2417,6 +2620,12 @@ let suite =
     Alcotest.test_case "shard GROUP BY folds under an aggregate span" `Quick
       test_shard_fold_span;
     Alcotest.test_case "rebalance preserves contents" `Quick test_rebalance;
+    Alcotest.test_case "a client reaches a cluster as it reaches a node" `Quick
+      test_client_reaches_cluster;
+    Alcotest.test_case "a coordinator answers the wire's observability" `Quick
+      test_coordinator_answers_the_wire;
+    Alcotest.test_case "SHARDS, ADD SHARD and REMOVE SHARD over the wire" `Quick
+      test_membership_statements;
     Alcotest.test_case "a joining shard gets the broadcast indexes" `Quick
       test_add_shard_replays_indexes;
     Alcotest.test_case "health: unreachable shards degrade" `Quick

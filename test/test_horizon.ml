@@ -70,7 +70,8 @@ let forecast_matches_advance =
 
    Hash partitions are disjoint, so bucket-wise addition of per-shard
    profiles is exact: merged 3-shard partials equal the profile of one
-   node holding every row. *)
+   node holding every row.  The per-shard live rows concatenate in
+   shard order and sum to the node's; node reports carry none. *)
 
 let merge_matches_union =
   Generators.qtest "3-shard partials merge to the single-node profile"
@@ -90,14 +91,21 @@ let merge_matches_union =
           must_ok union sql;
           must_ok shards.(i mod 3) sql)
         rows;
-      let merged =
-        Horizon.merge_reports
-          (Array.to_list (Array.map Interp.horizon shards))
+      let labelled i shard =
+        let r = Interp.horizon shard in
+        { r with Horizon.shards = [ (string_of_int i, total_live r) ] }
       in
+      let merged = Horizon.merge_reports (Array.to_list (Array.mapi labelled shards)) in
       let single = Interp.horizon union in
       merged.Horizon.tables = single.Horizon.tables
       && merged.Horizon.now = single.Horizon.now
-      && merged.Horizon.window = single.Horizon.window)
+      && merged.Horizon.window = single.Horizon.window
+      && List.map fst merged.Horizon.shards = [ "0"; "1"; "2" ]
+      && List.fold_left (fun acc (_, n) -> acc + n) 0 merged.Horizon.shards
+         = total_live single
+      && single.Horizon.shards = []
+      && (Horizon.merge_reports (Array.to_list (Array.map Interp.horizon shards)))
+           .Horizon.shards = [])
 
 let test_merge_rejects_mismatched_buckets () =
   let tb name bounds =

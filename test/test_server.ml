@@ -1202,7 +1202,7 @@ type held_op =
   | Advance of int
   | Recreate of int  (* DROP + CREATE TABLE s, reloaded with this shift *)
   | Failing of int
-  | Flood  (* [held_capacity + 4] other holdable texts, evicting the shapes *)
+  | Flood  (* other holdable texts past the held budget, evicting the shapes *)
 
 let held_op : held_op QCheck2.Gen.t =
   let open QCheck2.Gen in
@@ -1297,9 +1297,16 @@ let prop_held_reread =
                     ignore (run "DROP TABLE s");
                     load_s !held ~n:(100 + shift) ~shift
                   | Flood ->
-                    for i = 0 to Wire.held_capacity + 3 do
-                      ignore (run (Printf.sprintf "SELECT a FROM s WHERE a <> %d" i))
-                    done
+                    (* until their rows pass the budget, or a text is
+                       too small to hold (and so are the shapes) *)
+                    let rec flood i held =
+                      if held <= Wire.held_budget then
+                        match run (Printf.sprintf "SELECT a FROM s WHERE a <> %d" i) with
+                        | Wire.Rows { rows; _ } when List.length rows >= Wire.held_min_rows ->
+                          flood (i + 1) (held + List.length rows)
+                        | _ -> ()
+                    in
+                    flood 0 0
                   | Insert _ | Delete _ | Tick _ | Failing _ ->
                     ignore (run (held_sql op)))
                 ops;
@@ -1381,28 +1388,29 @@ let test_held_forms () =
             (held_total server "expirel_held_replies_total" ("reply", "delta") = 2.
             && held_total server "expirel_held_replies_total" ("reply", "full") >= 6.)))
 
-(* Held state is bounded per connection and released on close:
-   [held_capacity + 4] texts leave [held_capacity] held, and the gauge
-   returns to 0 once both connections are gone. *)
+(* Held state is bounded per connection and released on close: texts
+   of 299 rows past the budget leave as many held as the budget's rows
+   fit, and the gauge returns to 0 once both connections are gone. *)
 let test_held_released () =
   with_server (fun server port ->
       let first = Client.connect ~host:"127.0.0.1" ~port () in
-      load_s first ~n:120 ~shift:0;
-      (* more texts than a connection holds, each of 119 rows *)
+      load_s first ~n:300 ~shift:0;
+      let fit = Wire.held_budget / 299 in
+      (* more texts than a connection holds, each of 299 rows *)
       List.iter
         (fun i ->
           let sql = Printf.sprintf "SELECT a FROM s WHERE a <> %d" i in
           match ok (Client.exec first sql) with
           | Wire.Rows _ -> ()
           | r -> Alcotest.failf "%s: %s" sql (Wire.render_response r))
-        (List.init (Wire.held_capacity + 4) Fun.id);
-      Alcotest.(check (float 0.)) "capacity bounds one connection"
-        (float_of_int Wire.held_capacity) (held_gauge server);
+        (List.init (fit + 4) Fun.id);
+      Alcotest.(check (float 0.)) "the budget bounds one connection"
+        (float_of_int fit) (held_gauge server);
       let second = Client.connect ~host:"127.0.0.1" ~port () in
       ignore (ok (Client.exec second held_shapes.(0)));
       ignore (ok (Client.exec second held_shapes.(2)));
       Alcotest.(check (float 0.)) "two connections"
-        (float_of_int (Wire.held_capacity + 2)) (held_gauge server);
+        (float_of_int (fit + 2)) (held_gauge server);
       let settles expect =
         let deadline = Unix.gettimeofday () +. 5. in
         while held_gauge server <> expect && Unix.gettimeofday () < deadline do
@@ -1414,6 +1422,53 @@ let test_held_released () =
       settles 2.;
       Client.close second;
       settles 0.)
+
+(* The budget counts rows, not texts: 64 texts of 10^4 rows on one
+   connection leave only what fits held.  A re-read naming an evicted
+   version gets the whole answer, a held one its delta, and an answer
+   larger than the budget goes out as plain rows. *)
+let test_held_budget () =
+  with_server (fun server port ->
+      with_client port (fun client ->
+          let load table n =
+            Rwlock.with_write (Server.lock server) (fun () ->
+                let interp = Server.interp server in
+                Expirel_sqlx.Interp.write interp
+                  (Wal.Create_table { name = table; columns = [ "a" ] });
+                for a = 0 to n - 1 do
+                  Expirel_sqlx.Interp.write interp
+                    (Wal.Insert { table; tuple = Tuple.ints [ a ]; texp = fin 1_000 })
+                done)
+          in
+          load "big" 10_001;
+          let text i = Printf.sprintf "SELECT a FROM big WHERE a <> %d" i in
+          let read ?held i =
+            match ok (Client.request client (statement ?held (text i))) with
+            | Wire.Held_rows { version; body } -> (version, body)
+            | r -> Alcotest.failf "%s: %s" (text i) (Wire.render_response r)
+          in
+          let versions = Array.init 64 (fun i -> fst (read i)) in
+          let fit = Wire.held_budget / 10_000 in
+          Alcotest.(check bool) "some 10^4-row texts fit" true (fit >= 1);
+          Alcotest.(check (float 0.)) "held answers" (float_of_int fit) (held_gauge server);
+          Alcotest.(check bool) "rows held stay under the budget" true
+            (fit * 10_000 <= Wire.held_budget);
+          ok (Client.exec_ok client "INSERT INTO big VALUES (20000) EXPIRES 1000");
+          (match read ~held:versions.(0) 0 with
+           | _, Wire.Held_whole { rows; _ } ->
+             Alcotest.(check int) "an evicted text is read whole" 10_001 (List.length rows)
+           | _, Wire.Held_delta _ -> Alcotest.fail "a delta against an evicted version");
+          (match read ~held:versions.(63) 63 with
+           | _, Wire.Held_delta { upserts; removed; _ } ->
+             Alcotest.(check int) "a held text is read as its delta" 1
+               (List.length upserts + List.length removed)
+           | _, Wire.Held_whole _ -> Alcotest.fail "a held text read whole");
+          load "huge" (Wire.held_budget + 1);
+          match ok (Client.request client (statement "SELECT a FROM huge")) with
+          | Wire.Rows { rows; _ } ->
+            Alcotest.(check int) "over the budget: plain rows" (Wire.held_budget + 1)
+              (List.length rows)
+          | r -> Alcotest.failf "expected plain rows, got %s" (Wire.render_response r)))
 
 (* A peer on v13 gets the typed mismatch for its EXEC. *)
 let test_held_v13_refused () =
@@ -1587,6 +1642,8 @@ let suite =
       test_held_forms;
     Alcotest.test_case "held answers: bounded, released on close" `Quick
       test_held_released;
+    Alcotest.test_case "held answers: a row budget, not a count" `Quick
+      test_held_budget;
     Alcotest.test_case "held answers: a v13 EXEC is refused" `Quick
       test_held_v13_refused;
     Alcotest.test_case "held answers: a stray delta closes the client" `Quick

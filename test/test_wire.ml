@@ -195,9 +195,10 @@ let horizon_report : Expirel_obs.Horizon.report Gen.t =
   let* arrival_rate = map (fun i -> float_of_int i /. 8.) (int_range 0 800) in
   let* expiration_rate = map (fun i -> float_of_int i /. 8.) (int_range 0 800) in
   let* tables = list_size (int_range 0 4) horizon_table in
+  let* shards = list_size (int_range 0 3) (pair name counter) in
   return
     { Expirel_obs.Horizon.now; window; fanout_events; arrival_rate;
-      expiration_rate; tables }
+      expiration_rate; tables; shards }
 
 (* started_at travels as IEEE-754 bits, so any non-nan float round-trips
    exactly. *)
@@ -569,6 +570,34 @@ let test_v13_payload_refused () =
       reason
   | Ok _ -> Alcotest.fail "a v13 EXEC accepted by a v14 decoder"
 
+(* v18: a HORIZON reply carries a coordinator's per-shard live rows
+   after the tables; a node's report ends with the empty list. *)
+let test_horizon_shards () =
+  let report shards =
+    { Expirel_obs.Horizon.now = 12; window = 16; fanout_events = 2;
+      arrival_rate = 0.5; expiration_rate = 0.25;
+      tables = [ { name = "pol"; bounds = [| 4; max_int |]; counts = [| 2; 1 |] } ];
+      shards }
+  in
+  let round what r =
+    let payload = Wire.encode_response (Wire.Horizon_reply r) in
+    Alcotest.(check bool) (what ^ ": decodes to itself") true
+      (Wire.decode_response payload = Ok (Wire.Horizon_reply r));
+    payload
+  in
+  let node = round "a node's report" (report []) in
+  Alcotest.(check char) "an empty shard list is one byte" '\x00'
+    node.[String.length node - 1];
+  let cluster = round "a coordinator's report" (report [ ("0", 2); ("1", 0); ("2", 1) ]) in
+  Alcotest.(check bool) "the breakdown renders a line per shard" true
+    (match Wire.decode_response cluster with
+     | Ok (Wire.Horizon_reply r) ->
+       let lines = String.split_on_char '\n' (Expirel_obs.Horizon.render r) in
+       List.for_all
+         (fun line -> List.mem line lines)
+         [ "shard 0: live=2"; "shard 1: live=0"; "shard 2: live=1" ]
+     | _ -> false)
+
 (* v17 ships the trace store's entries and the health report as they
    are, yet TRACE and HEALTH bodies keep their v16 bytes.  The hex after
    the version byte was taken from the v16 encoder's output for the
@@ -915,6 +944,8 @@ let suite =
     Alcotest.test_case "v13 payload refused" `Quick test_v13_payload_refused;
     Alcotest.test_case "TRACE and HEALTH bodies keep their v16 bytes" `Quick
       test_trace_health_layout;
+    Alcotest.test_case "a HORIZON report round-trips with and without shards" `Quick
+      test_horizon_shards;
     Alcotest.test_case "held payloads: truncation and garbage" `Quick
       test_held_truncation_garbage;
     patch_law;
