@@ -30,11 +30,7 @@ type slot = {
 
 (* ---------- standing GROUP BY COUNT ---------- *)
 
-module Groups = Map.Make (struct
-  type t = Value.t list
-
-  let compare = List.compare Value.compare
-end)
+module Groups = Expirel_exec.Group_map
 
 (* A repeated cluster GROUP BY COUNT, kept: per shard its condensed
    groups as it last shipped them, by key, and the held version it
@@ -50,6 +46,17 @@ type kept = {
   epoch : int;
   held : (int, held) Hashtbl.t;  (* by shard id *)
   mutable counts : Subscription.counts;
+}
+
+(* A statement's lowering through the cluster catalog and its read
+   route, made once per statement shape and catalog [epoch]: the
+   coordinator's statement cache entry.  [l_literals] are the literals
+   it was made or rebound for. *)
+type lowered = {
+  l_epoch : int;
+  l_compiled : Lower.compiled;
+  l_route : Lower.route;
+  l_literals : Value.t array;
 }
 
 type traffic = {
@@ -96,6 +103,7 @@ type t = {
       (* repeated GROUP BY COUNT texts, kept; an entry whose epoch is
          not [epoch] is dropped on its next read *)
   mutable epoch : int;  (* bumped by every DDL and shard-map change *)
+  statements : lowered Statement_cache.t;
   mutable last_horizon : Obs.Horizon.report option;
       (* the last merged cluster forecast; the registry's horizon
          gauges read this cache so a scrape never fans out — HEALTH
@@ -835,23 +843,24 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
   | Ok parts ->
     Some
       (merging ?trace @@ fun () ->
+       (* The keys each reply and each emptied copy touched, each list
+          ascending as replies and copies hold their groups. *)
        let touched = ref [] in
-       let touch (g : Partial_agg.group) = touched := g.key :: !touched in
+       let touch keys = touched := keys :: !touched in
        (* A reply's groups written into its shard's copy, emptied first
           when the reply is [whole]; a slice-less group is gone. *)
        let write h ~whole groups version =
          if whole then begin
-           Groups.iter (fun _ g -> touch g) h.groups;
+           touch (List.rev (Groups.fold (fun key _ keys -> key :: keys) h.groups []));
            h.groups <- Groups.empty
          end;
-         List.iter touch groups;
+         touch (List.map (fun (g : Partial_agg.group) -> g.key) groups);
          h.groups <-
-           List.fold_left
-             (fun copy (g : Partial_agg.group) ->
-               match g.slices with
-               | [] -> Groups.remove g.key copy
-               | _ :: _ -> Groups.add g.key g copy)
-             h.groups groups;
+           Groups.patch h.groups
+             (List.map
+                (fun (g : Partial_agg.group) ->
+                  (g.key, if g.slices = [] then None else Some g))
+                groups);
          h.version <- version
        in
        Hashtbl.iter
@@ -865,23 +874,38 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
            | None -> write (held slot) ~whole:true groups 0
            | Some { Wire.full; version } -> write (held slot) ~whole:full groups version)
          parts;
-       let keys = List.sort_uniq (List.compare Value.compare) !touched in
-       let merged =
-         Partial_agg.merge_all ~func:Aggregate.Count
-           (Hashtbl.fold
-              (fun _ h parts -> List.filter_map (fun key -> Groups.find_opt key h.groups) keys :: parts)
-              e.held [])
+       (* Two ascending lists as one, each key once: [key] of an
+          element, and [same] joining two elements of one key. *)
+       let rec union key same a b =
+         match a, b with
+         | [], l | l, [] -> l
+         | x :: a', y :: b' ->
+           let c = Groups.compare_keys (key x) (key y) in
+           if c < 0 then x :: union key same a' b
+           else if c > 0 then y :: union key same a b'
+           else same x y :: union key same a' b'
        in
-       (* [merged] holds, in the same ascending order, the keys some
-          copy still holds. *)
-       let rec pair keys (merged : Partial_agg.t) =
-         match keys, merged with
-         | [], _ -> []
-         | key :: keys', g :: merged' when List.compare Value.compare key g.key = 0 ->
-           (key, Some g) :: pair keys' merged'
-         | key :: keys', _ -> (key, None) :: pair keys' merged
+       let copies = Hashtbl.fold (fun _ h copies -> h.groups :: copies) e.held [] in
+       let keys = List.fold_left (union Fun.id (fun k _ -> k)) [] !touched in
+       let largest = List.fold_left (fun n c -> max n (Groups.cardinal c)) 0 copies in
+       (* Every key's groups in the copies, in one ordered pass. *)
+       let every () =
+         List.map (fun c -> List.rev (Groups.fold (fun _ g gs -> [ g ] :: gs) c [])) copies
+         |> List.fold_left (union (fun gs -> (List.hd gs).Partial_agg.key) ( @ )) []
        in
-       let counts, _ = Subscription.regroup e.counts (pair keys merged) in
+       (* A read that touched as many groups as the largest copy holds
+          re-finalises every group at once, as the stateless route
+          merges and finalises its partials; any other re-finalises the
+          groups it touched. *)
+       let counts =
+         if List.compare_length_with keys largest >= 0 then
+           Subscription.rebuild e.counts (List.filter_map Partial_agg.merge_counts (every ()))
+         else
+           let merged key =
+             (key, Partial_agg.merge_counts (List.filter_map (Groups.find_opt key) copies))
+           in
+           fst (Subscription.regroup e.counts (List.map merged keys))
+       in
        e.counts <- counts;
        let kept = List.filter_map (fun (_, (_, h, _)) -> h) parts in
        if parts <> [] && List.compare_lengths kept parts = 0 then
@@ -916,6 +940,9 @@ let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~
                       (Partial_agg.finalizer ~group:d.Lower.d_group ~func:d.Lower.d_func
                          ~child_arity ?having:d.Lower.d_having
                          ~projection:d.Lower.d_projection)
+                    ~distinct:
+                      (Partial_agg.distinct_rows ~group:d.Lower.d_group
+                         ~projection:d.Lower.d_projection)
                     ~arity:(List.length columns)
               }
             in
@@ -929,6 +956,34 @@ let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~
   with
   | Some reply -> reply
   | None -> stateless ()
+
+(* [q]'s lowering and route, through the statement cache: as cached
+   when the planned literals are the lowering's, with its constants
+   replaced when only condition values differ (the route is then
+   re-derived: a pinned key moves with its literal), made afresh at a
+   new catalog epoch or on a miss.
+   @raise Lower.Error as {!Lower.lower_query} *)
+let lowered ?trace t (p : lowered Statement_cache.prepared) q =
+  let catalog = coord_catalog ?trace t in
+  let epoch = locked t (fun () -> t.epoch) in
+  let made compiled =
+    let route = Lower.route ~catalog compiled in
+    Statement_cache.store t.statements p
+      { l_epoch = epoch; l_compiled = compiled; l_route = route; l_literals = p.literals };
+    (compiled, route)
+  in
+  match
+    Statement_cache.reuse t.statements p
+      ~current:(fun l -> l.l_epoch = epoch)
+      ~literals:(fun l -> l.l_literals)
+  with
+  | Statement_cache.As_is l -> (l.l_compiled, l.l_route)
+  | Statement_cache.Rebound (l, f) ->
+    made
+      { l.l_compiled with
+        Lower.expr = Algebra.map_preds (Predicate.map_consts f) l.l_compiled.Lower.expr
+      }
+  | Statement_cache.Absent -> made (Lower.lower_query ~catalog q)
 
 (* A query, lowered once through the cluster catalog and answered by
    the route {!Lower.route} picks.  The three fan-out routes ask the
@@ -953,13 +1008,12 @@ let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~
    With no shard left to ask, the merge runs over no partials: the
    lowering already named the columns.  [Gather] computes at the
    coordinator over the gathered base tables. *)
-let read ?trace ~prune t (qs : Ast.query_stmt) sql =
-  let catalog = coord_catalog ?trace t in
+let read ?trace ~prune t (p : lowered Statement_cache.prepared) (qs : Ast.query_stmt) sql =
   match
     Interp.guard (fun () ->
         let tau = query_tau t qs in
-        let compiled = Lower.lower_query ~catalog qs.Ast.q in
-        (tau, compiled, Lower.route ~catalog compiled))
+        let compiled, route = lowered ?trace t p qs.Ast.q in
+        (tau, compiled, route))
   with
   | Error message -> Error (err message)
   | Ok (tau, compiled, route) ->
@@ -1156,6 +1210,7 @@ let create ?(node_name = "coordinator") ?health_rules
       now = Time.zero;
       kept = Expirel_exec.Lru.create ~capacity:Interp.statement_capacity ();
       epoch = 0;
+      statements = Statement_cache.create ~capacity:Interp.statement_capacity ();
       last_horizon = None;
       hb_thread = None;
       stopping = false;
@@ -1533,7 +1588,7 @@ let catalog_change ?trace t sql =
 
 (* A statement's reply, from the read route or the shards' merged
    acknowledgements. *)
-let write ?trace ~prune t stmt sql =
+let write ?trace ~prune t (p : lowered Statement_cache.prepared) sql =
   (* [r], after [effect] when every shard acknowledged it *)
   let on_ack r effect =
     (match r with
@@ -1541,8 +1596,8 @@ let write ?trace ~prune t stmt sql =
      | _ -> ());
     r
   in
-  match stmt with
-  | Ast.Query qs -> Loop.reply (read ?trace ~prune t qs sql)
+  match p.statement with
+  | Ast.Query qs -> Loop.reply (read ?trace ~prune t p qs sql)
   | Ast.Insert { values = key :: _; _ } -> route_insert ?trace t ~key sql
   | Ast.Insert { values = []; _ } -> err "INSERT needs at least one value"
   | Ast.Advance_to n ->
@@ -1590,32 +1645,40 @@ let write ?trace ~prune t stmt sql =
 (* What a coordinator answers beside SQL: its shards and their
    membership. *)
 type statement =
-  | Sql of Ast.statement
+  | Sql of lowered Statement_cache.prepared
   | Shards
   | Add_shard of endpoint
   | Remove_shard of int
 
-let parse text =
+(* [text] begins with [word] (upper case), in any case. *)
+let begins_with ~word text =
+  let n = String.length word in
+  let rec from i = i >= n || (Char.uppercase_ascii text.[i] = word.[i] && from (i + 1)) in
+  String.length text >= n && from 0
+
+(* The coordinator's own statements, or SQL read through the statement
+   cache.  Only a text that begins with one of their words pays for
+   more than that check. *)
+let parse t text =
   let text = String.trim text in
-  let upper = String.uppercase_ascii text in
   let arg word =
     let n = String.length word in
-    if String.starts_with ~prefix:word upper then
-      Some (String.trim (String.sub text n (String.length text - n)))
+    if begins_with ~word text then Some (String.trim (String.sub text n (String.length text - n)))
     else None
   in
   let usage form = raise (Parser.Error ("usage: " ^ form, 0)) in
-  match (upper, arg "ADD SHARD ", arg "REMOVE SHARD ") with
-  | "SHARDS", _, _ -> Shards
-  | _, Some e, _ ->
-    (match Member.endpoint_of_string e with
-     | Some endpoint -> Add_shard endpoint
-     | None -> usage "ADD SHARD HOST:PORT")
-  | _, None, Some id ->
-    (match int_of_string_opt id with
-     | Some id -> Remove_shard id
-     | None -> usage "REMOVE SHARD ID")
-  | _, None, None -> Sql (Parser.parse_statement text)
+  if String.length text = 6 && begins_with ~word:"SHARDS" text then Shards
+  else
+    match (arg "ADD SHARD ", arg "REMOVE SHARD ") with
+    | Some e, _ ->
+      (match Member.endpoint_of_string e with
+       | Some endpoint -> Add_shard endpoint
+       | None -> usage "ADD SHARD HOST:PORT")
+    | None, Some id ->
+      (match int_of_string_opt id with
+       | Some id -> Remove_shard id
+       | None -> usage "REMOVE SHARD ID")
+    | None, None -> Sql (Statement_cache.prepare t.statements text)
 
 (* Per shard: reachability and the cached partition summary. *)
 let shards_text t =
@@ -1643,8 +1706,8 @@ let run ?trace ~prune t stmt sql =
     | Error message -> Error (err message)
   in
   match stmt with
-  | Sql (Ast.Query qs) -> read ?trace ~prune t qs sql
-  | Sql stmt -> answer (write ?trace ~prune t stmt sql)
+  | Sql ({ statement = Ast.Query qs; _ } as p) -> read ?trace ~prune t p qs sql
+  | Sql p -> answer (write ?trace ~prune t p sql)
   | Shards -> Ok (Interp.Msg (shards_text t))
   | Add_shard endpoint -> changed (add_shard t endpoint)
   | Remove_shard id -> changed (remove_shard t id)
@@ -1652,7 +1715,7 @@ let run ?trace ~prune t stmt sql =
 (* Traced like a node's request: parse here, fan out under a [scatter]
    span with the context shipped, finish into the trace store. *)
 let exec ?(prune = true) ?trace t sql =
-  Loop.traced t.loop ?trace ~parse sql (fun trace stmt ->
+  Loop.traced t.loop ?trace ~parse:(parse t) sql (fun trace stmt ->
       Loop.reply (run ?trace ~prune t stmt sql))
 
 (* ---------- the wire ---------- *)
@@ -1660,8 +1723,11 @@ let exec ?(prune = true) ?trace t sql =
 (* Statements as [exec] runs them, and an error for every request only
    a node serves. *)
 let service t =
-  { Loop.parse;
-    holdable = (function Sql stmt -> Loop.holdable stmt | Shards | Add_shard _ | Remove_shard _ -> false);
+  { Loop.parse = parse t;
+    holdable =
+      (function
+        | Sql { statement; _ } -> Loop.holdable statement
+        | Shards | Add_shard _ | Remove_shard _ -> false);
     run = (fun trace sql stmt -> run ?trace ~prune:true t stmt sql);
     metrics = (fun () -> Wire.Metrics_reply (metrics t));
     health = (fun () -> Wire.Health_reply (health t));

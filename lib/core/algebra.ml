@@ -97,6 +97,17 @@ let base_names e =
   in
   List.rev (collect [] e)
 
+let rec map_preds f = function
+  | Base _ as e -> e
+  | Select (p, e) -> Select (f p, map_preds f e)
+  | Project (js, e) -> Project (js, map_preds f e)
+  | Aggregate (g, func, e) -> Aggregate (g, func, map_preds f e)
+  | Join (p, l, r) -> Join (f p, map_preds f l, map_preds f r)
+  | Product (l, r) -> Product (map_preds f l, map_preds f r)
+  | Union (l, r) -> Union (map_preds f l, map_preds f r)
+  | Intersect (l, r) -> Intersect (map_preds f l, map_preds f r)
+  | Diff (l, r) -> Diff (map_preds f l, map_preds f r)
+
 let rec size = function
   | Base _ -> 1
   | Select (_, e') | Project (_, e') | Aggregate (_, _, e') -> 1 + size e'

@@ -56,6 +56,9 @@ val well_formed : env:env -> t -> (int, string) result
 val base_names : t -> string list
 (** Distinct base relations mentioned, in first-occurrence order. *)
 
+val map_preds : (Predicate.t -> Predicate.t) -> t -> t
+(** Every selection and join predicate rewritten by [f]. *)
+
 val size : t -> int
 (** Number of operator nodes (base relations count 1). *)
 

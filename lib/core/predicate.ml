@@ -138,6 +138,18 @@ let rec fold_cols f acc = function
 let columns_within n p = fold_cols (fun ok j -> ok && j <= n) true p
 let columns_between lo hi p = fold_cols (fun ok j -> ok && lo <= j && j <= hi) true p
 
+let rec map_consts f = function
+  | (True | False) as p -> p
+  | Cmp (op, x, y) ->
+    let const = function
+      | Const v -> Const (f v)
+      | Col _ as c -> c
+    in
+    Cmp (op, const x, const y)
+  | And (a, b) -> And (map_consts f a, map_consts f b)
+  | Or (a, b) -> Or (map_consts f a, map_consts f b)
+  | Not a -> Not (map_consts f a)
+
 let rename f p =
   let rename_operand = function
     | Col j -> Option.map (fun j' -> Col j') (f j)

@@ -87,5 +87,9 @@ val rename : (int -> int option) -> t -> t option
     column has no image (the predicate cannot be expressed after a
     projection). *)
 
+val map_consts : (Value.t -> Value.t) -> t -> t
+(** [map_consts f p] rewrites every constant [c] to [f c] — how a
+    cached plan takes another request's literals. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

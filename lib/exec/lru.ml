@@ -100,3 +100,5 @@ let remove t key =
     Hashtbl.remove t.table key;
     unlink t n
   | None -> ()
+
+let fold f t acc = Hashtbl.fold (fun key n acc -> f key n.value acc) t.table acc

@@ -30,3 +30,6 @@ val set : ('k, 'v) t -> 'k -> 'v -> unit
 
 val remove : ('k, 'v) t -> 'k -> unit
 (** Drops the entry, if any, without calling [on_evict]. *)
+
+val fold : ('k -> 'v -> 'a -> 'a) -> ('k, 'v) t -> 'a -> 'a
+(** Over every entry, in no particular order; recency is untouched. *)

@@ -550,11 +550,25 @@ let merge_slice_lists xs ys =
   in
   go xs ys
 
+(* A COUNT group's slices (ascending, the first [s0]) folded into
+   counter [k], or into a new one: the first slice holds exactly the
+   members expiring at the earliest texp, the last slice's texp is the
+   latest. *)
+let count_slices k s0 slices =
+  let last, rows =
+    List.fold_left (fun (_, rows) s -> (s.s_texp, rows + s.s_rows)) (s0.s_texp, 0) slices
+  in
+  match k with
+  | None -> new_counter ~first:s0.s_texp ~at_first:s0.s_rows ~last ~rows
+  | Some k ->
+    count_first k s0.s_texp s0.s_rows;
+    count_last k last;
+    k.rows <- k.rows + rows;
+    k
+
 (* One partial's group into the table: the key probes as a list, and
-   the group takes it (the last seen).  A COUNT group's slices
-   (ascending) fold into its counter — the first slice holds exactly
-   the members expiring at the earliest texp, the last slice's texp is
-   the latest — so the merge is condensed to at most two slices again;
+   the group takes it (the last seen).  A COUNT group's slices fold into
+   its counter, so the merge is condensed to at most two slices again;
    any other group's slice list merges linearly into its cell (both
    ascending). *)
 let merge_group groups { key; slices } =
@@ -563,21 +577,11 @@ let merge_group groups { key; slices } =
     (match slices with
      | [] -> ()
      | s0 :: _ ->
-       let last, rows =
-         List.fold_left
-           (fun (_, rows) s -> (s.s_texp, rows + s.s_rows))
-           (s0.s_texp, 0) slices
-       in
        let id = find_key t key in
-       if id < 0 then
-         open_group t (lnot id) (key_hash key) key
-           (new_counter ~first:s0.s_texp ~at_first:s0.s_rows ~last ~rows)
+       if id < 0 then open_group t (lnot id) (key_hash key) key (count_slices None s0 slices)
        else begin
-         let k = t.data.(id) in
          t.keys.(id) <- key;
-         count_first k s0.s_texp s0.s_rows;
-         count_last k last;
-         k.rows <- k.rows + rows
+         ignore (count_slices (Some t.data.(id)) s0 slices)
        end)
   | Slices { cells = t; _ } ->
     let id = find_key t key in
@@ -598,6 +602,15 @@ let merge_all ~func partials =
   let groups = new_groups func in
   List.iter (List.iter (merge_group groups)) partials;
   of_groups groups
+
+let merge_counts groups =
+  List.fold_left
+    (fun acc { key; slices } ->
+      match slices with
+      | [] -> acc
+      | s0 :: _ -> Some (key, count_slices (Option.map snd acc) s0 slices))
+    None groups
+  |> Option.map (fun (key, k) -> { key; slices = counter_slices k })
 
 (* ---------- finalisation (the exact strategy) ---------- *)
 
@@ -726,6 +739,8 @@ let finalizer ~group ~func ~child_arity ?having ~projection =
       ( (if kept f then Some (row_of sources f, row_texp f) else None),
         if Time.compare f.f_nu f.f_empties < 0 then f.f_nu else Time.Inf )
 
+let distinct_rows ~group ~projection = List.for_all (fun g -> List.mem g projection) group
+
 let finalize ~group ~func ~child_arity ?having ~projection partial =
   let output = finalizer ~group ~func ~child_arity ?having ~projection in
   List.fold_left
@@ -741,21 +756,13 @@ let finalize ~group ~func ~child_arity ?having ~projection partial =
 
 module Tmap = Map.Make (Time)
 
-module Keys = struct
-  type t = Value.t list
-
-  let compare = List.compare Value.compare
-end
-
-module Kmap = Map.Make (Keys)
-
 (* A group filed under its earliest member texp. *)
 module Firsts = Set.Make (struct
   type t = Time.t * Value.t list
 
   let compare (a, k) (b, l) =
     match Time.compare a b with
-    | 0 -> Keys.compare k l
+    | 0 -> List.compare Value.compare k l
     | c -> c
 end)
 
@@ -765,11 +772,11 @@ type members = {
 }
 
 type standing = {
-  members : members Kmap.t;
+  members : members Group_map.t;
   firsts : Firsts.t;
 }
 
-let standing_empty = { members = Kmap.empty; firsts = Firsts.empty }
+let standing_empty = { members = Group_map.empty; firsts = Firsts.empty }
 let first m = fst (Tmap.min_binding m.m_texps)
 
 (* Group [key]'s members go from [before] to [after]; the group stays
@@ -777,17 +784,20 @@ let first m = fst (Tmap.min_binding m.m_texps)
 let refile st key before after =
   match before, after with
   | Some b, Some a when Time.equal (first b) (first a) ->
-    { st with members = Kmap.add key a st.members }
+    { st with members = Group_map.add key a st.members }
   | _ ->
     let firsts =
       Option.fold before ~none:st.firsts ~some:(fun m -> Firsts.remove (first m, key) st.firsts)
     in
-    { members = Kmap.update key (fun _ -> after) st.members;
+    { members =
+        (match after with
+         | Some a -> Group_map.add key a st.members
+         | None -> Group_map.remove key st.members);
       firsts = Option.fold after ~none:firsts ~some:(fun m -> Firsts.add (first m, key) firsts)
     }
 
 let standing_change st key texp n =
-  let before = Kmap.find_opt key st.members in
+  let before = Group_map.find_opt key st.members in
   let m = Option.value before ~default:{ m_rows = 0; m_texps = Tmap.empty } in
   let c = n + Option.value (Tmap.find_opt texp m.m_texps) ~default:0 in
   let m_texps = if c = 0 then Tmap.remove texp m.m_texps else Tmap.add texp c m.m_texps in
@@ -798,7 +808,7 @@ let standing_expire st tau =
   let rec go st changed =
     match Firsts.min_elt_opt st.firsts with
     | Some (texp, key) when Time.(texp <= tau) ->
-      let m = Kmap.find key st.members in
+      let m = Option.get (Group_map.find_opt key st.members) in
       let below, at, later = Tmap.split tau m.m_texps in
       let gone = Tmap.fold (fun _ c n -> c + n) below (Option.value at ~default:0) in
       go
@@ -813,35 +823,23 @@ let standing_expire st tau =
 let standing_next st =
   Option.fold (Firsts.min_elt_opt st.firsts) ~none:Time.Inf ~some:fst
 
-let standing_groups st = Kmap.cardinal st.members
+let standing_groups st = Group_map.cardinal st.members
 
 let group_of key m =
   let first, at_first = Tmap.min_binding m.m_texps in
   let last, _ = Tmap.max_binding m.m_texps in
   { key; slices = counter_slices (new_counter ~first ~at_first ~last ~rows:m.m_rows) }
 
-let standing_group st key = Option.map (group_of key) (Kmap.find_opt key st.members)
+let standing_group st key = Option.map (group_of key) (Group_map.find_opt key st.members)
 
 let standing_partial st =
-  List.rev (Kmap.fold (fun key m gs -> group_of key m :: gs) st.members [])
+  List.rev (Group_map.fold (fun key m gs -> group_of key m :: gs) st.members [])
 
-(* One ordered walk: [after]'s groups in a fold, [before]'s bindings
-   in a sequence beside it.  A group whose members record is the same
-   physical value in both stands unchanged; so does its key, which
-   spares the comparison. *)
+(* A group whose members record is the same physical value in both
+   stands unchanged, and so does every subtree the two maps share. *)
 let standing_diff before after =
-  if before == after then []
-  else
-    let gone key acc = { key; slices = [] } :: acc in
-    (* [after]'s group [ka] against [before]'s bindings not yet passed *)
-    let rec place ka ma (acc, rest) =
-      match rest () with
-      | Seq.Cons ((kb, mb), rest') ->
-        let c = if kb == ka then 0 else Keys.compare kb ka in
-        if c < 0 then place ka ma (gone kb acc, rest')
-        else if c > 0 then (group_of ka ma :: acc, rest)
-        else ((if mb == ma then acc else group_of ka ma :: acc), rest')
-      | Seq.Nil -> (group_of ka ma :: acc, rest)
-    in
-    let acc, rest = Kmap.fold place after.members ([], Kmap.to_seq before.members) in
-    List.rev (Seq.fold_left (fun acc (kb, _) -> gone kb acc) acc rest)
+  List.map
+    (function
+      | key, Some m -> group_of key m
+      | key, None -> { key; slices = [] })
+    (Group_map.diff before.members after.members)

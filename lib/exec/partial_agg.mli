@@ -101,6 +101,11 @@ val merge_all : func:Aggregate.func -> t list -> t
     is left to right.
     @raise Invalid_argument on non-numeric SUM partials. *)
 
+val merge_counts : group list -> group option
+(** One key's COUNT groups from disjoint fragments, merged as
+    {!merge_all} [~func:Count] merges them, without its table: [None]
+    when none has a slice. *)
+
 val finalizer :
   group:int list ->
   func:Aggregate.func ->
@@ -116,6 +121,10 @@ val finalizer :
     point nu when nu outruns the partition's own expiry, [Inf]
     otherwise.  [projection] and [having]'s columns may mention GROUP BY
     positions and [child_arity + 1] (the aggregate). *)
+
+val distinct_rows : group:int list -> projection:int list -> bool
+(** Whether {!finalizer}'s rows for two groups always differ: the
+    projection keeps every GROUP BY position. *)
 
 val finalize :
   group:int list ->
@@ -137,8 +146,9 @@ val finalize :
     deletes: each group keeps the multiset of its members' texps
     (texp -> count, ordered by texp), and is filed under its earliest
     one, so expiring up to [tau] visits only the groups it changes.
-    Persistent, so a forecast replays it without disturbing it.  Each
-    change costs O(log groups + log texps) per group it touches. *)
+    Persistent ({!Group_map} by key), so a forecast replays it without
+    disturbing it.  Each change costs O(log groups + log texps) per
+    group it touches. *)
 
 type standing
 
@@ -156,6 +166,7 @@ val standing_next : standing -> Time.t
 (** The earliest member texp: the next change ([Inf] when none). *)
 
 val standing_groups : standing -> int
+(** O(1). *)
 
 val standing_group : standing -> Value.t list -> group option
 (** The group's at most two COUNT slices, as {!Executor.partial} folds
@@ -170,8 +181,10 @@ val standing_diff : standing -> standing -> t
     {!standing_group} gives them, and [{key; slices = []}] for a group
     [after] no longer holds.  A group counts as unchanged when its
     members record is physically the same in both, as it is in a state
-    derived from [before] by changes that never reached the group.  One
-    ordered walk of both key maps: O(groups in either). *)
+    derived from [before] by changes that never reached the group.  The
+    groups sit on a {!Group_map}, whose diff skips the subtrees two
+    versions share: O(changes · log groups) for [after] derived from
+    [before] by that many changes. *)
 
 (** The GROUP BY value primitives the table hashes and probes with:
     {!Value.hash} and {!Value.equal} with the [Int] case inlined.  Each

@@ -109,6 +109,36 @@ let rec compile db = function
   | Algebra.Aggregate (group, func, e) ->
     Plan.Hash_aggregate { group; func; child = compile db e }
 
+let rebind ~db f { Plan.logical; physical } =
+  let pred = Predicate.map_consts f in
+  let rec go = function
+    | Plan.Scan { name; pred = Some p; access } ->
+      let p = pred p in
+      let access =
+        match access, Database.table db name with
+        | Access.Index { column; _ }, Some table -> Access.path table p ~column
+        | access, _ -> access
+      in
+      Plan.Scan { name; pred = Some p; access }
+    | Plan.Scan { pred = None; _ } as s -> s
+    | Plan.Filter (p, c) -> Plan.Filter (pred p, go c)
+    | Plan.Project (js, c) -> Plan.Project (js, go c)
+    | Plan.Nested_loop { pred = p; left; right } ->
+      Plan.Nested_loop { pred = pred p; left = go left; right = go right }
+    | Plan.Hash_join { pairs; pred = p; left; right } ->
+      Plan.Hash_join { pairs; pred = pred p; left = go left; right = go right }
+    | Plan.Merge_union (l, r) -> Plan.Merge_union (go l, go r)
+    | Plan.Merge_intersect (l, r) -> Plan.Merge_intersect (go l, go r)
+    | Plan.Merge_diff (l, r) -> Plan.Merge_diff (go l, go r)
+    | Plan.Hash_aggregate a -> Plan.Hash_aggregate { a with child = go a.child }
+    | Plan.Grouped_aggregate a ->
+      Plan.Grouped_aggregate
+        { a with having = Option.map pred a.having; child = go a.child }
+    | Plan.Sketch_count s -> Plan.Sketch_count { s with child = go s.child }
+    | Plan.Sketch_sample s -> Plan.Sketch_sample { s with child = go s.child }
+  in
+  { Plan.logical = Algebra.map_preds pred logical; physical = go physical }
+
 let plan ~db ?approx expr =
   let physical = compile db expr in
   let physical =

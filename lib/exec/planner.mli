@@ -31,6 +31,15 @@ val plan : db:Database.t -> ?approx:Approx.spec -> Algebra.t -> Plan.compiled
     {!Plan.Sketch_sample}); the logical expression stays the child's —
     the sketch is a physical-only answer transform. *)
 
+val rebind : db:Database.t -> (Value.t -> Value.t) -> Plan.compiled -> Plan.compiled
+(** The plan with every predicate constant [c] replaced by [f c]: a
+    cached plan serving a statement that differs from the planned one
+    only in its constants.  Every choice stays the planned statement's
+    (they steer cost only, and the executor re-derives each scan's
+    access path at its [tau] anyway): an index scan keeps its column,
+    with the key range of the new constants ({!Access.path}), and the
+    joins keep their algorithms. *)
+
 val estimate_rows : Database.t -> Plan.t -> int
 (** The cardinality estimate used to cost alternatives (table stats at
     the leaves, fixed selectivity factors above).  Scan estimates are

@@ -23,15 +23,16 @@ type handler = event -> unit
 module Tmap = Map.Make (Time)
 module Rows = Map.Make (Tuple)
 
-(* [n] more (or, negative, fewer) copies of [texp] in a multiset. *)
+(* [n] more (or, negative, fewer) copies of [texp] in a multiset: one
+   descent. *)
 let bag texp n b =
-  let c = n + Option.value (Tmap.find_opt texp b) ~default:0 in
-  if c = 0 then Tmap.remove texp b else Tmap.add texp c b
+  Tmap.update texp
+    (fun c ->
+      let c = n + Option.value c ~default:0 in
+      if c = 0 then None else Some c)
+    b
 
-module Keys = Map.Make (struct
-  type t = Value.t list
-  let compare = List.compare Value.compare
-end)
+module Keys = Group_map
 
 (* One group's share of a grouped answer: its output row, if HAVING
    keeps it, and its change point. *)
@@ -44,17 +45,22 @@ let same_row = Option.equal (fun (t, e) (t', e') -> Tuple.equal t t' && Time.equ
    group last contributed, [images] per output row the row texps of the
    groups projected onto it (the row's texp is their max), [changes]
    every group's change point (their min is the result's texp(e)),
-   [answer] the result they make. *)
+   [answer] the result they make.  When [distinct] (the projection keeps
+   every GROUP BY column), no two groups share an output row: each
+   group's row is written into the answer as it is, and [images] stays
+   empty. *)
 type counts = {
   output : Partial_agg.group -> share;
+  distinct : bool;
   shares : share Keys.t;
   images : int Tmap.t Rows.t;
   changes : int Tmap.t;
   answer : Eval.result;
 }
 
-let counts ~output ~arity =
+let counts ~output ~distinct ~arity =
   { output;
+    distinct;
     shares = Keys.empty;
     images = Rows.empty;
     changes = Tmap.empty;
@@ -70,7 +76,14 @@ let counts_answer c = c.answer
    Also answers the output rows touched, for [diff]. *)
 let regroup c groups =
   let shares = ref c.shares and images = ref c.images and changes = ref c.changes in
-  let touched = ref [] in
+  let touched = ref [] and relation = ref c.answer.Eval.relation in
+  let write t e =
+    relation := Relation.replace t ~texp:e !relation;
+    touched := t :: !touched
+  and erase t =
+    relation := Relation.remove t !relation;
+    touched := t :: !touched
+  in
   let image tuple f =
     let b = f (Option.value (Rows.find_opt tuple !images) ~default:Tmap.empty) in
     images := if Tmap.is_empty b then Rows.remove tuple !images else Rows.add tuple b !images;
@@ -88,6 +101,10 @@ let regroup c groups =
         if not (Time.equal change change') then changes := bag change' 1 (bag change (-1) !changes);
         if moved then
           match row, row' with
+          | Some (t, _), Some (t', e') when c.distinct && Tuple.equal t t' -> write t' e'
+          | _ when c.distinct ->
+            Option.iter (fun (t, _) -> erase t) row;
+            Option.iter (fun (t, e) -> write t e) row'
           | Some (t, e), Some (t', e') when Tuple.equal t t' -> image t (fun b -> bag e' 1 (bag e (-1) b))
           | _ ->
             Option.iter (fun (t, e) -> image t (bag e (-1))) row;
@@ -95,20 +112,50 @@ let regroup c groups =
       end)
     groups;
   let relation =
-    List.fold_left
-      (fun r tuple ->
-        let texp = Option.map (fun b -> fst (Tmap.max_binding b)) (Rows.find_opt tuple !images) in
-        if Option.equal Time.equal texp (Relation.texp_opt r tuple) then r
-        else
-          match texp with
-          | None -> Relation.remove tuple r
-          | Some texp -> Relation.replace tuple ~texp r)
-      c.answer.Eval.relation !touched
+    if c.distinct then !relation
+    else
+      List.fold_left
+        (fun r tuple ->
+          let texp = Option.map (fun b -> fst (Tmap.max_binding b)) (Rows.find_opt tuple !images) in
+          if Option.equal Time.equal texp (Relation.texp_opt r tuple) then r
+          else
+            match texp with
+            | None -> Relation.remove tuple r
+            | Some texp -> Relation.replace tuple ~texp r)
+        c.answer.Eval.relation !touched
   in
   let texp = Option.fold (Tmap.min_binding_opt !changes) ~none:Time.Inf ~some:fst in
   ( { c with shares = !shares; images = !images; changes = !changes;
              answer = { Eval.relation; texp } },
     !touched )
+
+let rebuild c groups =
+  let empty =
+    counts ~output:c.output ~distinct:c.distinct
+      ~arity:(Relation.arity c.answer.Eval.relation)
+  in
+  if not c.distinct then
+    fst (regroup empty (List.map (fun (g : Partial_agg.group) -> (g.key, Some g)) groups))
+  else
+    let shares, rows, changes =
+      List.fold_left
+        (fun (shares, rows, changes) (g : Partial_agg.group) ->
+          match c.output g with
+          | None, change when Time.is_infinite change -> (shares, rows, changes)
+          | (row, change) as share ->
+            ( (g.key, share) :: shares,
+              Option.fold row ~none:rows ~some:(fun r -> r :: rows),
+              bag change 1 changes ))
+        ([], [], Tmap.empty) groups
+    in
+    { empty with
+      shares = Keys.of_ascending (List.rev shares);
+      changes;
+      answer =
+        { Eval.relation = Relation.of_list ~arity:(Relation.arity c.answer.Eval.relation) (List.rev rows);
+          texp = Option.fold (Tmap.min_binding_opt changes) ~none:Time.Inf ~some:fst
+        }
+    }
 
 (* The rows of [r] among [tuples]. *)
 let rows_in r tuples =
@@ -201,7 +248,9 @@ let counted_of db compiled =
     in
     let counts, _ =
       regroup
-        (counts ~output ~arity:(List.length projection))
+        (counts ~output
+           ~distinct:(Partial_agg.distinct_rows ~group ~projection)
+           ~arity:(List.length projection))
         (List.map (fun g -> (g.Partial_agg.key, Some g)) (Partial_agg.standing_partial groups))
     in
     Some

@@ -122,10 +122,20 @@ type counts
 
 val counts :
   output:(Partial_agg.group -> (Tuple.t * Time.t) option * Time.t) ->
+  distinct:bool ->
   arity:int ->
   counts
 (** No group yet.  [output] is one group's share of the answer
-    ({!Partial_agg.finalizer}); [arity] the answer's. *)
+    ({!Partial_agg.finalizer}); [arity] the answer's.  [distinct] when
+    no two groups can share an output row
+    ({!Partial_agg.distinct_rows}): a group's row then goes into the
+    answer as it is, with no count of the groups behind each row. *)
+
+val rebuild : counts -> Partial_agg.t -> counts
+(** [rebuild c groups]: [c]'s groups replaced by every group of a
+    partial (ascending by key, as partials hold them) at once — what
+    {!regroup} of them makes from no group, built in one pass when no
+    two groups share an output row. *)
 
 val counts_answer : counts -> Eval.result
 (** The answer the groups make: exact at the instant the groups were

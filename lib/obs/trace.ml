@@ -90,6 +90,11 @@ type t = {
   mutable top : int;  (* the innermost open span's offset, or -1 *)
   mutable strings : string list;  (* [label] values, newest first *)
   mutable nstrings : int;
+  mutable mark : int;
+  mutable mark_us : int;
+      (* the clock as read at [create] or by the close event that ends
+         at [mark]: a span opened while the log still ends there starts
+         at that read instead of reading the clock again *)
 }
 
 (* [Unix.gettimeofday] through its unboxed primitive: reading the clock
@@ -141,7 +146,7 @@ let create ?trace_id ?parent_span () =
   in
   { trace_id; root_parent = parent_span; t0;
     log = Array.make initial_words 0; len = 0; next_id = 0; closed = 0;
-    top = -1; strings = []; nstrings = 0 }
+    top = -1; strings = []; nstrings = 0; mark = 0; mark_us = 0 }
 
 let trace_id t = t.trace_id
 let parent_span t = t.root_parent
@@ -173,7 +178,7 @@ let open_span t name =
   let log = reserve t 4 and o = t.len in
   t.next_id <- t.next_id + 1;
   log.(o) <- pack ev_open ~low:name ~high:t.next_id;
-  log.(o + 1) <- now_us t;
+  log.(o + 1) <- (if o = t.mark then t.mark_us else now_us t);
   log.(o + 2) <- t.top;
   log.(o + 3) <- -1;
   t.len <- o + 4;
@@ -183,11 +188,13 @@ let open_span t name =
 (* Closing the span opened at [o] also drops any frame left open above
    it: the innermost open span becomes the one enclosing [o]. *)
 let close_span t o =
-  let duration = now_us t - t.log.(o + 1) in
+  let now = now_us t in
   let log = reserve t 2 and c = t.len in
   log.(c) <- (o lsl 3) lor ev_close;
-  log.(c + 1) <- duration;
+  log.(c + 1) <- now - log.(o + 1);
   t.len <- c + 2;
+  t.mark <- c + 2;
+  t.mark_us <- now;
   t.closed <- t.closed + 1;
   t.top <- log.(o + 2)
 

@@ -20,7 +20,10 @@
     int array, under an interned {!name}, and a counter label is a key
     and an int.  Nothing per span is allocated; the {!span} records
     below are built only when something reads the trace ({!spans},
-    {!Trace_store}'s readers).
+    {!Trace_store}'s readers).  The clock is read once per event: a
+    span's open and its close read it once each, except that a span
+    opened right after {!create} or right after another span's close,
+    with no event between, starts at that read.
 
     A trace belongs to one request on one worker thread; it is not
     synchronised.  Spans may nest (eval inside exec): each [span] call

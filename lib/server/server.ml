@@ -62,7 +62,7 @@ let default_health_rules =
       degraded = 0.5;
       critical = 0.1;
       help = "plan-cache hit ratio collapsed (DDL churn or one-shot \
-              query texts defeat the LRU)"
+              statement shapes defeat the LRU)"
     };
     (* The predictive pair: both read the horizon — the forecast of the
        next Δ ticks — so they fire {e before} the trouble, not after.
@@ -447,16 +447,17 @@ let replica_allows stmt =
 let exec_error message = Wire.Err { code = Wire.Exec_error; message }
 let either = function Ok r | Error r -> r
 
-(* The one statement path: [want] of a parsed statement, answered by
+(* The one statement path: [want] of a prepared statement, answered by
    the interpreter under the lock the statement's kind needs.  [reply]
    maps the answer before the lock is released; a statement error is
    the interpreter's text, whichever [want] asked. *)
-let handle_statement ?trace ?text t want stmt ~reply =
+let handle_statement ?trace t want prepared ~reply =
+  let stmt = Interp.statement prepared in
   if t.config.read_only && not (replica_allows stmt) then
     Error (exec_error "read-only replica: writes go to the primary")
   else
     guarded t ~write:(not (is_read_only stmt)) ?trace ~timed_out:Result.error (fun () ->
-        match Interp.run ?trace ?text want t.interp stmt with
+        match Interp.run ?trace want t.interp prepared with
         | Ok answer -> Ok (reply answer)
         | Error message -> Error (exec_error message))
 
@@ -474,7 +475,7 @@ let wire_event = function
    subscriber of the name takes it over, so its old owner cannot tear
    the new watch down. *)
 let handle_subscribe t conn ~name ~query =
-  Wire.parsing Parser.parse_statement query @@ fun stmt ->
+  Wire.parsing (fun q -> Interp.statement (Interp.prepare t.interp q)) query @@ fun stmt ->
   with_lock t ~write:true (fun () ->
       match
         Interp.subscribe t.interp ~name stmt (fun event ->
@@ -579,10 +580,10 @@ let handle_shard_ping t =
    state, so a write's reply reports the partition it left behind and
    no second wait can turn an applied write into a timeout. *)
 let handle_shard_exec t conn ~sql ~ctx ~want =
-  Loop.traced t.loop ?ctx ~parse:(Interp.parse t.interp) sql @@ fun trace stmt ->
+  Loop.traced t.loop ?ctx ~parse:(Interp.prepare t.interp) sql @@ fun trace stmt ->
   let shard want body =
     either
-      (handle_statement ?trace ~text:sql t want stmt ~reply:(fun answer ->
+      (handle_statement ?trace t want stmt ~reply:(fun answer ->
            Wire.Shard_reply { partition = partition_summary t; body = body answer }))
   in
   match (want : Wire.want) with
@@ -816,11 +817,11 @@ let handle_other t conn = function
     Some (Wire.Err { code = Wire.Proto_error; message = "answered by the request loop" })
 
 let service t =
-  { Loop.parse = Interp.parse t.interp;
-    holdable = Loop.holdable;
+  { Loop.parse = Interp.prepare t.interp;
+    holdable = (fun p -> Loop.holdable (Interp.statement p));
     run =
-      (fun trace text stmt ->
-        handle_statement ?trace ~text t Interp.Answer stmt ~reply:Fun.id);
+      (fun trace _ prepared ->
+        handle_statement ?trace t Interp.Answer prepared ~reply:Fun.id);
     (* The exposition polls gauges that walk live table/view state, so
        it runs as a reader; so does HEALTH, whose rules read the same
        collection, and HORIZON, whose forecast walks tables and

@@ -44,15 +44,12 @@ type plan_entry = {
       (* present when the physical tree is wrapped in a sketch operator
          (APPROX_COUNT/SAMPLE): evaluation runs under a [sketch-query]
          trace span so profiles attribute the sketch fold *)
+  p_literals : Value.t array;
+      (* the literals of the request it was planned or rebound for: its
+         constants are these very values *)
 }
 
-(* One statement cache entry: the parse of its text, made once, and
-   the plan made for it under the current catalog generation, once the
-   statement has run. *)
-type statement_entry = {
-  statement : Ast.statement;
-  mutable plan : plan_entry option;
-}
+type prepared = plan_entry Statement_cache.prepared
 
 type plan_cache_stats = {
   hits : int;
@@ -68,23 +65,25 @@ type t = {
   watches : Subscription.t;
   maintained : Subscription.t;  (* MAINTAINED views: own names, no pushes *)
   cached : Subscription.t;
-      (* repeated grouped COUNT queries, by text: an entry lives while its
-         plan does, in the statement cache and the catalog generation *)
+      (* repeated grouped COUNT queries, by verbatim text: an entry
+         lives while its shape's plan does, in the statement cache and
+         the catalog generation *)
   mutable trigger_log : string list;  (* newest first *)
-  statements : (string, statement_entry) Lru.t;
-      (* keyed by the statement's source text: hashing a short string is
-         far cheaper than the polymorphic hash + deep structural
-         equality an [Ast.query] key pays.  A repeated statement skips
-         the parser (the most expensive CPU stage left on the request
-         path), then lowering and planning.  Only statements that plan
-         are stored — mutations arrive with distinct literals and would
-         churn the LRU without ever hitting. *)
-  plan_mutex : Mutex.t;
-      (* the server's rwlock admits concurrent readers, and readers
-         mutate the cache (LRU recency, stats) — so the cache has its
-         own lock, never held across lowering or evaluation *)
-  mutable plan_hits : int;
-  mutable plan_misses : int;
+  statements : plan_entry Statement_cache.t;
+      (* keyed by the statement's literal shape: a repeated statement,
+         whatever its literals, skips the parser, then lowering and
+         planning.  The server's rwlock admits concurrent readers, and
+         readers mutate the cache (LRU recency, plans), [texts] and
+         [cached], so those run under the cache's own lock, never held
+         across lowering or evaluation *)
+  texts : (string, string) Lru.t;
+      (* grouped COUNT texts read through a cached plan, verbatim, each
+         with its shape's key: a text read again while remembered gets
+         a standing entry in [cached] named by the text.  The LRU's
+         capacity bounds them; an evicted text's entry ends, and so do
+         a shape's texts when the statement cache evicts the shape *)
+  plan_hits : int Atomic.t;
+  plan_misses : int Atomic.t;
   churn : Horizon.Churn.t;
       (* arrival vs expiration velocity, sampled whenever the logical
          clock moves (ADVANCE/TICK/VACUUM) and on horizon reads *)
@@ -99,6 +98,8 @@ let create ?policy ?store () =
     | None -> Database.create ?policy ()
   in
   let cached = Subscription.create db in
+  let forget text = ignore (Subscription.unsubscribe cached text) in
+  let texts = Lru.create ~capacity:statement_capacity ~on_evict:forget () in
   { db;
     store;
     views = Hashtbl.create 8;
@@ -108,12 +109,17 @@ let create ?policy ?store () =
     cached;
     trigger_log = [];
     statements =
-      Lru.create ~capacity:statement_capacity
-        ~on_evict:(fun text -> ignore (Subscription.unsubscribe cached text))
+      Statement_cache.create ~capacity:statement_capacity
+        ~on_evict:(fun key ->
+          List.iter
+            (fun text ->
+              Lru.remove texts text;
+              forget text)
+            (Lru.fold (fun text k acc -> if k = key then text :: acc else acc) texts []))
         ();
-    plan_mutex = Mutex.create ();
-    plan_hits = 0;
-    plan_misses = 0;
+    texts;
+    plan_hits = Atomic.make 0;
+    plan_misses = Atomic.make 0;
     churn = Horizon.Churn.create ()
   }
 
@@ -164,93 +170,118 @@ let order_and_limit ~columns ~order_by ~limit =
     | None -> sorted
     | Some n -> List.filteri (fun i _ -> i < n) sorted
 
-(* Lower + plan once per distinct statement text and catalog generation;
-   the LRU is the server hot path's per-request saving.  [text] is the
-   statement's source string — the key of the entry {!parse} made —
-   threaded down from [exec_sql] and the server's request handler;
-   callers that hold only an AST skip the cache (re-printing the AST to
-   obtain a key would cost more than planning), and so does a text
-   whose entry was evicted since its parse.  The lock is dropped before
-   lowering and planning so a cache miss never serialises against
-   other readers; two concurrent misses on the same query both plan and
-   the second store wins — wasted work, never a wrong answer.  Also
-   answers whether the plan came from the cache. *)
-let planned_query ?trace ?text t q =
+(* Lower + plan once per statement shape and catalog generation: the
+   statement cache is the server hot path's per-request saving.  A
+   request whose planned literals equal the plan's runs it as it is; one
+   with other values in its conditions runs it with its constants
+   replaced ({!Planner.rebind}), and the rebound plan becomes the
+   entry's, so a repeated text runs it as it is again.  An uncached
+   statement ([prepared] absent or without an entry) plans every time,
+   uncounted.  [lower] lowers the statement.  The lock is dropped
+   before lowering and planning so a cache miss never serialises
+   against other readers; two concurrent misses on the same shape both
+   plan and the second store wins — wasted work, never a wrong answer.
+   Also answers whether the plan came from the cache. *)
+let planned ?trace ?prepared t lower =
   let generation = Database.generation t.db in
-  let lookup key =
-    Mutex.protect t.plan_mutex (fun () ->
-        let found = Lru.find t.statements key in
-        let plan =
-          match found with
-          | Some { plan = Some p; _ } when p.p_generation = generation -> Some p
-          | Some _ | None -> None
-        in
-        if Option.is_some plan then t.plan_hits <- t.plan_hits + 1
-        else t.plan_misses <- t.plan_misses + 1;
-        (found, plan))
+  let reuse =
+    match prepared with
+    | Some ({ Statement_cache.entry = Some _; _ } as p) ->
+      let reuse =
+        Statement_cache.reuse t.statements p
+          ~current:(fun plan -> plan.p_generation = generation)
+          ~literals:(fun plan -> plan.p_literals)
+      in
+      Atomic.incr
+        (match reuse with
+         | Statement_cache.Absent -> t.plan_misses
+         | Statement_cache.As_is _ | Statement_cache.Rebound _ -> t.plan_hits);
+      reuse
+    | Some _ | None -> Statement_cache.Absent
   in
-  match Option.fold ~none:(None, None) ~some:lookup text with
-  | _, Some entry -> (entry, true)
-  | found, None ->
-    let { Lower.expr; columns; approx } =
-      Trace.span trace lower_span (fun () ->
-          Lower.lower_query ~catalog:(catalog t) q)
-    in
+  let store plan =
+    Option.iter (fun p -> Statement_cache.store t.statements p plan) prepared;
+    plan
+  in
+  let literals = Option.fold prepared ~none:[||] ~some:(fun p -> p.Statement_cache.literals) in
+  match reuse with
+  | Statement_cache.As_is plan -> (plan, true)
+  | Statement_cache.Rebound (plan, f) ->
+    ( store
+        { plan with
+          p_compiled = Planner.rebind ~db:t.db f plan.p_compiled;
+          p_literals = literals
+        },
+      true )
+  | Statement_cache.Absent ->
+    let { Lower.expr; columns; approx } = Trace.span trace lower_span lower in
     let compiled =
       Trace.span trace plan_span (fun () -> Planner.plan ~db:t.db ?approx expr)
     in
-    let entry =
-      { p_generation = generation;
-        p_columns = columns;
-        p_compiled = compiled;
-        p_approx = approx
-      }
-    in
-    Option.iter
-      (fun e -> Mutex.protect t.plan_mutex (fun () -> e.plan <- Some entry))
-      found;
-    (entry, false)
+    ( store
+        { p_generation = generation;
+          p_columns = columns;
+          p_compiled = compiled;
+          p_approx = approx;
+          p_literals = literals
+        },
+      false )
+
+let planned_query ?trace ?prepared t q =
+  planned ?trace ?prepared t (fun () -> Lower.lower_query ~catalog:(catalog t) q)
 
 (* [read] of the standing entry answering a grouped COUNT query's text,
    under the operator span the executor's fused aggregate would open:
-   the entry found fresh, or built on the plan's first cache hit and on
-   a stale stamp (a mutation that bypassed [write]).  Lookup and
-   promotion hold [plan_mutex]; the O(rows) build runs outside it, like
-   a plan miss, and an entry whose plan was evicted meanwhile is not
-   kept. *)
-let standing ?trace ?text ~hit t (entry : plan_entry) ~rows read =
-  let find text =
-    match
-      Mutex.protect t.plan_mutex (fun () -> Subscription.fresh t.cached text)
-    with
-    | Some e -> read e
-    | None ->
-      let built = Subscription.prepare t.cached entry.p_compiled in
-      Mutex.protect t.plan_mutex (fun () ->
-          match Lru.find t.statements text with
-          | Some { plan = Some p; _ } when p == entry ->
+   the entry found fresh, or built when the text is read again while
+   [texts] remembers it and its plan came from the cache ([hit]; also on
+   a stale stamp: a mutation that bypassed [write]), or at once when
+   [returning].  Otherwise the text is remembered, and the answer is
+   [None].  Lookup and promotion hold the cache's lock; the O(rows)
+   build runs outside it, like a plan miss, and an entry whose shape was
+   evicted or replanned meanwhile is not kept. *)
+let standing ?trace ?prepared ~hit ~returning t (plan : plan_entry) ~rows read =
+  match prepared with
+  | Some { Statement_cache.entry = Some e; text; _ }
+    when Subscription.counted plan.p_compiled ->
+    let locked f = Statement_cache.locked t.statements f in
+    let key = Statement_cache.key e in
+    let build () =
+      let built = Subscription.prepare t.cached plan.p_compiled in
+      locked (fun () ->
+          if Statement_cache.holds t.statements e (fun p -> p.p_generation = plan.p_generation)
+          then begin
+            Lru.set t.texts text key;
             Subscription.install t.cached ~name:text built
-          | Some _ | None -> ());
-      read built
-  in
-  match text with
-  | Some text when hit && Subscription.counted entry.p_compiled ->
-    Some
-      (match trace with
-       | None -> find text
-       | Some _ ->
-         Trace.span trace aggregate_span (fun () ->
-             let r = find text in
-             Trace.count trace rows_key (rows r);
-             r))
+          end);
+      built
+    in
+    let found =
+      locked (fun () ->
+          match Subscription.fresh t.cached text, Lru.find t.texts text with
+          | Some s, _ -> Some (fun () -> s)
+          | None, Some _ when hit -> Some build
+          | None, _ when returning -> Some build
+          | None, _ ->
+            Lru.set t.texts text key;
+            None)
+    in
+    Option.map
+      (fun entry ->
+        match trace with
+        | None -> read (entry ())
+        | Some _ ->
+          Trace.span trace aggregate_span (fun () ->
+              let r = read (entry ()) in
+              Trace.count trace rows_key (rows r);
+              r))
+      found
   | Some _ | None -> None
 
 let plan_cache_stats t =
-  Mutex.protect t.plan_mutex (fun () ->
-      { hits = t.plan_hits;
-        misses = t.plan_misses;
-        entries = Lru.length t.statements
-      })
+  { hits = Atomic.get t.plan_hits;
+    misses = Atomic.get t.plan_misses;
+    entries = Statement_cache.length t.statements
+  }
 
 (* [AT n] queries the known future: the current physical state as it
    will stand at time n, assuming no further updates — the future of
@@ -265,16 +296,17 @@ let at_tau ~now = function
 
 let tau_of_at t = at_tau ~now:(Database.now t.db)
 
-let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
+let run_query ?trace ?prepared t { Ast.q; at; order_by; limit } =
   let tau = tau_of_at t at in
-  let entry, hit = planned_query ?trace ?text t q in
+  let entry, hit = planned_query ?trace ?prepared t q in
   let eval () =
     Executor.run ?trace ?tau ~db:t.db entry.p_compiled
   in
+  let prepared = if at = None then prepared else None in
   let { Eval.relation; texp = texp_e } =
     Trace.span trace eval_span (fun () ->
         match
-          standing ?trace ?text ~hit:(hit && at = None) t entry
+          standing ?trace ?prepared ~hit ~returning:false t entry
             ~rows:(fun r -> Relation.cardinal r.Eval.relation)
             Subscription.answer
         with
@@ -290,8 +322,8 @@ let run_query ?trace ?text t { Ast.q; at; order_by; limit } =
 (* The shard-side halves of distributed aggregates: {!run}'s
    [Sketch_partial] and [Agg_partial].  AVG travels as its SUM and
    COUNT components inside the slices, never pre-averaged. *)
-let sketch_partial ?trace ?text t q =
-  let entry, _ = planned_query ?trace ?text t q in
+let sketch_partial ?trace ?prepared t q =
+  let entry, _ = planned_query ?trace ?prepared t q in
   if entry.p_approx = None then
     failwith "a sketch partial needs an APPROX_COUNT or SAMPLE query";
   Trace.span trace sketch_query_span (fun () ->
@@ -301,20 +333,21 @@ type agg_groups =
   | Condensed of Partial_agg.t
   | Standing of Partial_agg.standing
 
-let aggregate_partial ?trace ?text t ~returning { Ast.q; at; order_by = _; limit = _ } =
+let aggregate_partial ?trace ?prepared t ~returning { Ast.q; at; order_by = _; limit = _ } =
   let tau = tau_of_at t at in
-  let entry, hit = planned_query ?trace ?text t q in
+  let entry, hit = planned_query ?trace ?prepared t q in
   let { p_compiled = compiled; p_columns = columns; p_approx = approx; _ } = entry in
   if Lower.decompose { Lower.expr = compiled.Plan.logical; columns; approx } = None
   then failwith "a grouped partial needs a query that decomposes";
   (* A reader that held this node's groups before (the entry was
      evicted, rebuilt or lost to a restart) promotes the statement at
      once. *)
+  let prepared = if at = None then prepared else None in
   let groups, child_texp =
     Trace.span trace eval_span (fun () ->
         (* the scan under a standing COUNT never invalidates *)
         match
-          standing ?trace ?text ~hit:((hit || returning) && at = None) t entry
+          standing ?trace ?prepared ~hit ~returning t entry
             ~rows:Partial_agg.standing_groups Subscription.standing
         with
         | Some st -> (Standing st, Time.Inf)
@@ -471,7 +504,7 @@ let horizon ?table t =
     shards = []
   }
 
-let exec_statement ?trace ?text t = function
+let exec_statement ?trace ?prepared t = function
   | Ast.Create_table (name, columns) ->
     write t (Wal.Create_table { name; columns });
     Msg (Printf.sprintf "table %s created" name)
@@ -516,18 +549,20 @@ let exec_statement ?trace ?text t = function
         write ?trace t (Wal.Insert { table; tuple = Tuple.of_list values; texp }));
     Msg "1 tuple inserted"
   | Ast.Delete (table, where) ->
-    let tbl = Database.table_exn t.db table in
-    let expr =
-      Option.fold where ~none:(Algebra.base table) ~some:(fun c ->
-          Algebra.select
-            (Lower.lower_cond_for_table ~columns:(Table.columns tbl) ~table c)
-            (Algebra.base table))
-    in
     (* The live victims, planned and run like a query (an index for
-       [col = k] or a range, a cut scan otherwise) but never cached:
-       mutations carry distinct literals and would only churn the LRU. *)
-    let compiled =
-      Trace.span trace plan_span (fun () -> Planner.plan ~db:t.db expr)
+       [col = k] or a range, a cut scan otherwise), through the
+       statement cache like one. *)
+    let { p_compiled = compiled; _ }, _ =
+      planned ?trace ?prepared t (fun () ->
+          let tbl = Database.table_exn t.db table in
+          { Lower.expr =
+              Option.fold where ~none:(Algebra.base table) ~some:(fun c ->
+                  Algebra.select
+                    (Lower.lower_cond_for_table ~columns:(Table.columns tbl) ~table c)
+                    (Algebra.base table));
+            columns = [];
+            approx = None
+          })
     in
     let victims =
       Trace.span trace eval_span (fun () ->
@@ -557,7 +592,7 @@ let exec_statement ?trace ?text t = function
             "checkpoint at position %d: %d log record(s) compacted into a \
              %d-record snapshot"
             (Durable.position s) logged kept))
-  | Ast.Query qs -> run_query ?trace ?text t qs
+  | Ast.Query qs -> run_query ?trace ?prepared t qs
   | Ast.Create_view { name; query; maintained } ->
     if Hashtbl.mem t.views name then failwith (Printf.sprintf "view %s exists" name);
     let columns, plan = plan_standing t query in
@@ -666,7 +701,7 @@ let exec_statement ?trace ?text t = function
   | Ast.Show_time -> Msg (Time.to_string (Database.now t.db))
   | Ast.Show_horizon table -> Msg (Horizon.render (horizon ?table t))
   | Ast.Explain q ->
-    let { p_columns = columns; p_compiled = compiled; _ }, _ = planned_query t q in
+    let { p_columns = columns; p_compiled = compiled; _ }, _ = planned_query ?prepared t q in
     let expr = compiled.Plan.logical in
     let { Eval.texp; _ } = Executor.run ~db:t.db compiled in
     Msg
@@ -683,7 +718,7 @@ let exec_statement ?trace ?text t = function
     (* Plan through the cache (EXPLAIN ANALYZE measures what a real
        request would run, cached plan included), then run under the
        request's trace, or a fresh one, and render the run's op spans. *)
-    let entry, _ = planned_query ?trace ?text t q in
+    let entry, _ = planned_query ?trace ?prepared t q in
     let trace =
       match trace with
       | Some tr -> tr
@@ -721,11 +756,12 @@ type _ want =
   | Agg_partial : bool -> (string list * agg_groups * Time.t) want
   | Sketch_partial : (string list * Expirel_sketch.Any.t) want
 
-let run (type a) ?trace ?text (want : a want) t statement : (a, string) result =
+let run (type a) ?trace (want : a want) t (prepared : prepared) : (a, string) result =
+  let statement = prepared.Statement_cache.statement in
   guard (fun () : a ->
       match want, statement with
       | Answer, _ ->
-        let outcome = exec_statement ?trace ?text t statement in
+        let outcome = exec_statement ?trace ~prepared t statement in
         (* Clock movement is the churn tracker's sampling edge: rates are
            per logical tick, so sample exactly when ticks happen. *)
         (match statement with
@@ -733,12 +769,12 @@ let run (type a) ?trace ?text (want : a want) t statement : (a, string) result =
          | _ -> ());
         outcome
       | Agg_partial returning, Ast.Query qs ->
-        aggregate_partial ?trace ?text t ~returning qs
-      | Sketch_partial, Ast.Query { q; _ } -> sketch_partial ?trace ?text t q
+        aggregate_partial ?trace ~prepared t ~returning qs
+      | Sketch_partial, Ast.Query { q; _ } -> sketch_partial ?trace ~prepared t q
       | (Agg_partial _ | Sketch_partial), _ ->
         failwith "a shard partial needs a query")
 
-let exec ?trace ?text t statement = run ?trace ?text Answer t statement
+let exec ?trace t statement = run ?trace Answer t (Statement_cache.plain statement)
 
 let subscribe t ~name statement handler =
   guard (fun () ->
@@ -808,36 +844,18 @@ let install_snapshot t ~position records =
     Ok ()
 
 let standing_aggregates t =
-  Mutex.protect t.plan_mutex (fun () ->
+  Statement_cache.locked t.statements (fun () ->
       ( Subscription.length t.cached,
         List.fold_left
           (fun n subs -> n + Subscription.groups subs)
           0 [ t.watches; t.maintained; t.cached ] ))
 
-(* Parse through the statement cache.  A parsed AST is immutable, so
-   sharing one across requests is safe; parse errors raise before the
-   store and are never cached.  A statement that plans (a query,
-   EXPLAIN ANALYZE) gets an entry, which {!planned_query} fills with its
-   plan; a concurrent parse of the same text keeps the first entry.
-   Raises [Parser.Error]. *)
-let parse t text =
-  match
-    Mutex.protect t.plan_mutex (fun () -> Lru.find t.statements text)
-  with
-  | Some { statement; _ } -> statement
-  | None ->
-    let statement = Parser.parse_statement text in
-    (match statement with
-     | Ast.Query _ | Ast.Explain_analyze _ ->
-       Mutex.protect t.plan_mutex (fun () ->
-           if Option.is_none (Lru.find t.statements text) then
-             Lru.set t.statements text { statement; plan = None })
-     | _ -> ());
-    statement
+let prepare t text = Statement_cache.prepare t.statements text
+let statement (p : prepared) = p.Statement_cache.statement
 
 let exec_sql t text =
-  match parse t text with
-  | statement -> exec ~text t statement
+  match prepare t text with
+  | prepared -> run Answer t prepared
   | exception Parser.Error (msg, off) ->
     Error (Printf.sprintf "parse error at %d: %s" off msg)
 

@@ -36,8 +36,23 @@ val create :
 val database : t -> Database.t
 
 val statement_capacity : int
-(** The statement cache's entries (64): the texts a node keeps plans,
-    and standing grouped COUNTs, for. *)
+(** The statement cache's entries (64): the statement shapes a node
+    keeps plans, and standing grouped COUNTs, for. *)
+
+type prepared = private plan_entry Statement_cache.prepared
+and plan_entry
+(** A statement read through the session's statement cache
+    ({!prepare}), or from elsewhere ({!exec}). *)
+
+val prepare : t -> string -> prepared
+(** Reads one statement through the statement cache
+    ({!Statement_cache.prepare}): a text of a cached shape — the same
+    text, or the same text with other literals — skips the parser,
+    which costs several times more than lowering and planning
+    combined, and its run ({!run}) skips those too.
+    @raise Parser.Error like {!Parser.parse_statement} *)
+
+val statement : prepared -> Ast.statement
 
 type outcome =
   | Msg of string
@@ -86,14 +101,17 @@ type plan_cache_stats = {
 
 val plan_cache_stats : t -> plan_cache_stats
 (** Counters for the session's statement cache: one 64-entry LRU keyed
-    by statement text, each entry holding the statement's parse
-    ({!parse}) and its physical plan, stamped with the catalog
+    by statement shape ({!Shape}), each entry holding a parse of the
+    shape ({!prepare}) and its physical plan, stamped with the catalog
     generation it was made under.  A query is lowered and planned once
-    per distinct text and generation; any DDL — CREATE/DROP TABLE,
+    per shape and generation: a request with other constants in its
+    conditions runs the cached plan with its own constants
+    ({!Expirel_exec.Planner.rebind}), and only another [SAMPLE] size or
+    [APPROX_COUNT] bound replans.  Any DDL — CREATE/DROP TABLE,
     CREATE/DROP INDEX — bumps the generation and invalidates every
-    cached plan at once.  [hits] and [misses] count one per query
-    request that carries its text (a query, EXPLAIN ANALYZE, a shard
-    partial); [entries] counts the cached statements. *)
+    cached plan at once.  [hits] and [misses] count one per planning
+    request read through the cache (a query, EXPLAIN, EXPLAIN ANALYZE,
+    a DELETE, a shard partial); [entries] counts the cached shapes. *)
 
 val view_horizons : t -> (string * Time.t) list
 (** [texp(e)] horizon per view, sorted by name: how long each
@@ -141,15 +159,15 @@ type _ want =
 
 val run :
   ?trace:Expirel_obs.Trace.t ->
-  ?text:string ->
   'a want ->
   t ->
-  Ast.statement ->
+  prepared ->
   ('a, string) result
 (** The one statement entry: a client's statement and each kind of
     shard request run here, under {!guard}, so a statement error
     answers [Error] with the same text however the statement arrived.
-    [trace] and [text] are as for {!exec}.
+    [trace] is as for {!exec}.  A statement {!prepare}d with a cache
+    entry plans through it (see {!plan_cache_stats}).
 
     [Answer] is {!exec}.
 
@@ -164,9 +182,9 @@ val run :
     and finalises with the same parameters it decomposed.  The plan and
     a grouped COUNT's standing entry are shared with [Answer]'s: a
     grouped COUNT over a scan without [AT] whose standing entry exists
-    (or is promoted now: on a plan-cache hit, or at once when the
-    reader held this node's groups before) answers [Standing] and
-    [Inf].
+    (or is promoted now: on a repeated text's plan-cache hit, or at
+    once when the reader held this node's groups before) answers
+    [Standing] and [Inf].
 
     [Sketch_partial] requires a query carrying [APPROX_COUNT] or
     [SAMPLE] and runs it up to its sketch operator
@@ -189,11 +207,11 @@ val guard : (unit -> 'a) -> ('a, string) result
 
 val exec :
   ?trace:Expirel_obs.Trace.t ->
-  ?text:string ->
   t ->
   Ast.statement ->
   (outcome, string) result
-(** [run Answer]: the statement's outcome, or its error's text.
+(** [run Answer] of a statement from elsewhere, uncached: its outcome,
+    or its error's text.
 
     [trace], when given, records spans for the statement's stages —
     [lower] and [plan] for queries on a plan-cache miss, [eval] always
@@ -201,32 +219,18 @@ val exec :
     operators), [storage] around state mutation — onto the caller's
     per-request trace.
 
-    [text], when given, is the statement's source string, the key of
-    the statement cache entry {!parse} made for it (hashing a short
-    string beats re-hashing an AST; see {!plan_cache_stats}).  Callers
-    that hold only an AST omit it and replan each time — correct, just
-    uncached — as does a text whose entry was evicted since its parse.
-
     A grouped COUNT over a scan ({!Expirel_exec.Subscription.counted})
-    without [AT] is promoted on its plan's first cache hit to a
-    standing entry that every {!write} and clock move keeps current;
-    later runs read it under the same [eval] and [op:aggregate] spans,
-    O(groups) instead of a fold of every row.  The entry ends when the
-    statement cache evicts the text (its 64 entries bound them), at any
-    catalog change and at {!install_snapshot}; a read that finds it
-    missed a mutation bypassing {!write} (a raw {!Database.insert})
-    rebuilds it.  Entries never block DROP TABLE, which ends them. *)
-
-val parse : t -> string -> Ast.statement
-(** Parse one statement through the interpreter's statement cache: a
-    repeated text skips the parser, which costs several times more than
-    lowering + planning combined.  A statement that plans — a query or
-    EXPLAIN ANALYZE — gets an entry keyed by its text, which its first
-    run with that [text] ({!run}, {!exec}) fills with its plan.
-    Mutations parse normally and are not cached — their texts carry
-    distinct literals and would only churn the LRU — and neither is a
-    text that fails to parse.
-    Raises [Parser.Error] like {!Parser.parse_statement}. *)
+    without [AT], {!run} through the statement cache, is promoted when
+    its text is read again (the session remembers the last 64 such
+    texts) with its plan from the cache, to a standing entry that every
+    {!write} and clock move keeps current; later runs of the same text
+    read it under the same [eval] and [op:aggregate] spans, O(groups)
+    instead of a fold of every row.  Standing entries stay keyed by
+    verbatim text.  An entry ends when its text is forgotten, when the
+    statement cache evicts its shape, at any catalog change and at
+    {!install_snapshot}; a read that finds it missed a mutation
+    bypassing {!write} (a raw {!Database.insert}) rebuilds it.  Entries
+    never block DROP TABLE, which ends them. *)
 
 val subscribe :
   t -> name:string -> Ast.statement -> Expirel_exec.Subscription.handler ->
@@ -273,8 +277,8 @@ val standing_aggregates : t -> int * int
     every grouped COUNT entry holds, watches and views included. *)
 
 val exec_sql : t -> string -> (outcome, string) result
-(** Parse and execute one statement through the statement cache: a
-    repeated query text skips the parser, lowering and planning. *)
+(** {!prepare} and {!run} one statement: a repeated shape skips the
+    parser, lowering and planning. *)
 
 val exec_script : t -> string -> (outcome, string) result list
 (** Execute a [;]-separated script, one result per statement; execution

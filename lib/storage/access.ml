@@ -68,6 +68,22 @@ let tighter ~sign a b =
     else if c < 0 then b
     else (match b with Texp_run.Exclusive _ -> b | _ -> a)
 
+(* A column's path: the intersection of its conjuncts' ranges. *)
+let intersect ranges column =
+  let lo, hi =
+    List.fold_left
+      (fun (lo, hi) (j, l, h) ->
+        if j = column then (tighter ~sign:1 lo l, tighter ~sign:(-1) hi h)
+        else (lo, hi))
+      (Texp_run.Unbounded, Texp_run.Unbounded) ranges
+  in
+  Index { column; lo; hi }
+
+let path table p ~column =
+  let ranges = List.filter_map (range table) (Predicate.conjuncts p) in
+  if List.exists (fun (j, _, _) -> j = column) ranges then intersect ranges column
+  else Full_scan
+
 let plan table ~tau p =
   let cs = Predicate.conjuncts p in
   let null_conjunct = function
@@ -78,19 +94,8 @@ let plan table ~tau p =
   in
   if List.exists null_conjunct cs then Never_matches
   else
-    let open Texp_run in
     let ranges = List.filter_map (range table) cs in
-    (* A column's path: the intersection of its conjuncts' ranges. *)
-    let path column =
-      let lo, hi =
-        List.fold_left
-          (fun (lo, hi) (j, l, h) ->
-            if j = column then (tighter ~sign:1 lo l, tighter ~sign:(-1) hi h)
-            else (lo, hi))
-          (Unbounded, Unbounded) ranges
-      in
-      Index { column; lo; hi }
-    in
+    let path = intersect ranges in
     match List.sort_uniq Int.compare (List.map (fun (j, _, _) -> j) ranges) with
     | [] -> Full_scan
     | columns ->

@@ -30,6 +30,12 @@ val plan : Table.t -> tau:Time.t -> Predicate.t -> plan
 (** The access path chosen for evaluating the predicate over the table
     at [tau]. *)
 
+val path : Table.t -> Predicate.t -> column:int -> plan
+(** The index path on [column] that {!plan} weighs for the predicate —
+    the ranges of the conjuncts the column's index serves, intersected
+    — without weighing it against the other paths; [Full_scan] when the
+    index serves none of them. *)
+
 val entries : Table.t -> plan -> int
 (** The index rows in a path's key range, or the table's physical rows. *)
 

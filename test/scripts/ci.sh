@@ -124,10 +124,18 @@ if grep -rn 'Thread\.create' lib/cluster --include='*.ml' | grep -v 'heartbeat_l
   echo "ci: the threads above serve a request; post and collect on the caller's thread" >&2
   exit 1
 fi
-# One statement cache: Interp keeps one text-keyed LRU holding each
-# statement's parse and plan.
+# One statement cache: Interp keeps one shape-keyed LRU holding each
+# statement shape's parse and plan.
 if grep -rn 'parse_cache' lib bin; then
   echo "ci: the names above belong to the removed second LRU" >&2
+  exit 1
+fi
+# Every statement a node or a coordinator reads goes through the
+# statement cache (Statement_cache.prepare), which alone calls the
+# parser on a statement text: a repeated shape is then parsed once.
+if grep -rn 'Parser\.parse_statement' lib bin --include='*.ml' |
+  grep -v '^lib/sqlx/statement_cache\.ml:'; then
+  echo "ci: the code above parses a statement outside the statement cache; use Interp.prepare or Statement_cache.prepare" >&2
   exit 1
 fi
 # One client statement request: Client sends every statement as a
@@ -170,8 +178,19 @@ echo "$NET_OUT" | grep -F "server metrics: 8 request(s), 2 event(s) pushed, 2 tu
 # its correctness gate fails or the per-layer breakdown stops
 # reconciling with client latency — e.g. when a shard path stops
 # recording its trace entry.
-python3 perfbench/run.py --workload cluster-fanout --seed 1 --seconds 3 --trace 1
-python3 perfbench/run.py --workload session-churn --seed 1 --seconds 3 --trace 1
+# Each smoke's last stdout line is its JSON result: both workloads
+# repeat a handful of statement shapes, so the statement cache must
+# answer at least 9 in 10 planning requests.
+for WORKLOAD in cluster-fanout session-churn; do
+  LEDGER_OUT=$(python3 perfbench/run.py --workload "$WORKLOAD" --seed 1 --seconds 3 --trace 1)
+  echo "$LEDGER_OUT"
+  echo "$LEDGER_OUT" | tail -n 1 | python3 -c '
+import json, sys
+ratio = json.loads(sys.stdin.read())["metrics"]["exec.plan_cache_hit_ratio"]["value"]
+if ratio < 0.9:
+    sys.exit("ci: %s: exec.plan_cache_hit_ratio %.3f is below 0.9" % (sys.argv[1], ratio))
+' "$WORKLOAD"
+done
 # The bench smokes below run at CI size.  Every experiment writes
 # BENCH_<id>.json into its working directory, so run them from a
 # scratch directory: the committed BENCH_*.json at the root hold the

@@ -362,13 +362,17 @@ let test_standing_groupby () =
       Alcotest.(check int) "600 writes, one group: a delta" (before + 1)
         (delta_reads ());
       Alcotest.(check int) "and no full reply" 1 (full_reads ());
-      (* 65 distinct texts evict the statement on shard 0; the rebuilt
-         entry's delta names each group of shard 0's rows. *)
+      (* 65 distinct shapes (a shape is a text with its literals as
+         slots: k points ORed) evict the statement on shard 0; the
+         rebuilt entry's delta names each group of shard 0's rows. *)
       let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port servers.(0)) () in
       let shard0 =
         Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
             for k = 1 to 65 do
-              ignore (no_err "evict" (ok (Client.exec c (Printf.sprintf "SELECT k FROM s WHERE k = %d" k))))
+              let points = List.init k (fun i -> Printf.sprintf "k = %d" (i + 1)) in
+              ignore
+                (no_err "evict"
+                   (ok (Client.exec c ("SELECT k FROM s WHERE " ^ String.concat " OR " points))))
             done;
             let q = "SELECT g, k FROM s" in
             fst (rows_of q (no_err q (ok (Client.exec c q)))))

@@ -1007,11 +1007,13 @@ let test_plan_cache_invalidated_by_ddl () =
   Alcotest.(check int) "DROP TABLE forces a replan"
     (before_drop.Interp.misses + 1)
     after_drop.Interp.misses;
-  (* 65 distinct texts evict every earlier entry (the cache holds 64),
+  (* 65 distinct shapes (a shape is a text with its literals as slots:
+     uid points ORed) evict every earlier entry (the cache holds 64),
      the promoted grouped COUNT's included; the evicted statements
      replan and still answer as an uncached run does. *)
   for uid = 1 to 65 do
-    ignore (exec t (Printf.sprintf "SELECT deg FROM pol WHERE uid = %d" uid))
+    let points = List.init uid (fun i -> Printf.sprintf "uid = %d" (i + 1)) in
+    ignore (exec t ("SELECT deg FROM pol WHERE " ^ String.concat " OR " points))
   done;
   let after_churn = stats t in
   Alcotest.(check int) "the cache stays bounded" 64 after_churn.Interp.entries;
@@ -1026,6 +1028,150 @@ let test_plan_cache_invalidated_by_ddl () =
   check_cached_equals_uncached t grouped;
   check_cached_equals_uncached t grouped;
   check_cached_equals_uncached t "SELECT uid FROM pol WHERE deg = 25"
+
+(* ---------- statements cached by literal shape ---------- *)
+
+(* A statement text with typed holes: a value operand or INSERT value
+   ([V]: an int, negative ones included, a float, a string with quotes
+   and dashes, or NULL), a clause integer ([N]: TTL, EXPIRES, AT,
+   LIMIT, TICK, ADVANCE TO, HAVING's bound), a SAMPLE size ([K], below
+   1 too) and an APPROX_COUNT bound ([E], outside (0, 1) too). *)
+type hole =
+  | V
+  | N
+  | K
+  | E
+
+let shapes =
+  [ [ `T "SELECT a, b FROM t WHERE a = "; `H V ];
+    [ `T "SELECT a FROM t WHERE a > "; `H V; `T " AND b <> "; `H V; `T " LIMIT "; `H N ];
+    [ `T "SELECT a, b FROM t WHERE b = "; `H V; `T " OR a < "; `H V; `T " AT "; `H N ];
+    [ `T "SELECT a FROM t WHERE b >= "; `H V; `T " LIMIT "; `H N; `T " AT "; `H N ];
+    [ `T "SELECT b, COUNT(*) FROM t WHERE a >= "; `H V;
+      `T " GROUP BY b HAVING COUNT(*) > "; `H N ];
+    [ `T "SELECT b, COUNT(*) FROM t GROUP BY b" ];
+    [ `T "SELECT a FROM t WHERE a = "; `H V; `T " UNION SELECT a FROM u WHERE a <= "; `H V;
+      `T " ORDER BY a LIMIT "; `H N ];
+    [ `T "SELECT t.a, u.a FROM t JOIN u ON t.a = u.a WHERE t.b = "; `H V ];
+    [ `T "SELECT a FROM t WHERE a = "; `H V; `T " -- 'it''s' 7, -8\n" ];
+    [ `T "SELECT SAMPLE("; `H K; `T ") FROM t WHERE a > "; `H V ];
+    [ `T "SELECT APPROX_COUNT("; `H E; `T ") FROM t" ];
+    [ `T "INSERT INTO t VALUES ("; `H V; `T ", "; `H V; `T ") TTL "; `H N ];
+    [ `T "INSERT INTO t VALUES ("; `H V; `T ", "; `H V; `T ") EXPIRES "; `H N ];
+    [ `T "INSERT INTO u VALUES ("; `H V; `T ")" ];
+    [ `T "DELETE FROM t WHERE a = "; `H V ];
+    [ `T "DELETE FROM t WHERE b < "; `H V; `T " OR a = "; `H V ];
+    [ `T "TICK "; `H N ];
+    [ `T "ADVANCE TO "; `H N ] ]
+
+let gen_literal = function
+  | V ->
+    (* small domains, so one slot often keeps its value from one text
+       of a shape to the next while another slot's changes *)
+    Gen.(
+      frequency
+        [ (4, map string_of_int (int_range (-2) 3));
+          (2, map (fun f -> Printf.sprintf "%.2f" (float_of_int f /. 2.)) (int_range (-2) 4));
+          ( 2,
+            map
+              (fun cs ->
+                "'"
+                ^ String.concat "" (List.map (fun c -> if c = "'" then "''" else c) cs)
+                ^ "'")
+              (list_size (int_range 0 3) (oneofl [ "a"; "'"; "-"; "1"; " " ])) );
+          (1, pure "NULL") ])
+  | N -> Gen.map string_of_int (Gen.int_range 0 6)
+  | K -> Gen.map string_of_int (Gen.int_range (-1) 4)
+  | E -> Gen.oneofl [ "0.25"; "0.5"; "0.05"; "1.5"; "0" ]
+
+let gen_text shape =
+  Gen.map (String.concat "")
+    (Gen.flatten_l
+       (List.map
+          (function
+            | `T text -> Gen.pure text
+            | `H hole -> gen_literal hole)
+          shape))
+
+(* SAMPLE draws its rows at random: answers are compared without it. *)
+let answered_shapes = List.filter (fun shape -> List.hd shape <> `T "SELECT SAMPLE(") shapes
+
+let parsed text =
+  match Parser.parse_statement text with
+  | s -> Ok s
+  | exception Parser.Error (m, o) -> Error (m, o)
+
+(* A text of a cached shape, bound into the shape's template, reads as
+   the parser reads it — literals, NULLs, comments and refusals (a
+   SAMPLE below 1, an APPROX_COUNT bound outside (0, 1)) alike — and
+   the text that made the template still reads as it did. *)
+let prop_template_binds_like_parse =
+  Generators.qtest "statement cache: a bound template is the parse of its text" ~count:1000
+    Gen.(oneofl shapes >>= fun shape -> pair (gen_text shape) (gen_text shape))
+    (fun (first, second) ->
+      let cache = Statement_cache.create ~capacity:4 () in
+      let prepared text =
+        match Statement_cache.prepare cache text with
+        | p -> Ok p.Statement_cache.statement
+        | exception Parser.Error (m, o) -> Error (m, o)
+      in
+      let a = prepared first in
+      let b = prepared second in
+      a = parsed first && b = parsed second && prepared first = parsed first)
+
+(* Two sessions fed the same statements, one through the statement
+   cache and one parsed and run uncached, answer alike — rows, texps,
+   texp(e), listing order, messages and errors — while shapes repeat
+   with other literals, grouped COUNTs get promoted, and floods of 65
+   fresh shapes evict everything cached. *)
+let prop_cached_answers_like_uncached =
+  (* a run draws from a few shapes, so its texts rebind one plan in
+     long chains *)
+  let ops =
+    Gen.(
+      list_size (int_range 1 3) (oneofl answered_shapes) >>= fun few ->
+      list_size (int_range 1 40)
+        (frequency [ (12, map Option.some (oneofl few >>= gen_text)); (1, pure None) ]))
+  in
+  Generators.qtest "statement cache: a cached answer equals an uncached one" ~count:150 ops
+    (fun ops ->
+      let setup =
+        [ "CREATE TABLE t (a, b)"; "CREATE TABLE u (a)"; "CREATE INDEX ON t (a)";
+          "INSERT INTO t VALUES (1, 2) TTL 5"; "INSERT INTO t VALUES (2, 'a') TTL 9";
+          "INSERT INTO t VALUES (-1, 2.5) TTL 20"; "INSERT INTO u VALUES (1)" ]
+      in
+      let cached = Interp.create () and uncached = Interp.create () in
+      let run_uncached text =
+        match Parser.parse_statement text with
+        | s -> Interp.exec uncached s
+        | exception Parser.Error (m, o) -> Error (Printf.sprintf "parse error at %d: %s" o m)
+      in
+      let same a b =
+        match a, b with
+        | Ok (Interp.Msg x), Ok (Interp.Msg y) -> x = y
+        | ( Ok (Interp.Rows { columns; relation; listing; texp_e; recomputed }),
+            Ok (Interp.Rows r) ) ->
+          columns = r.columns && Relation.equal relation r.relation
+          && Time.equal texp_e r.texp_e && recomputed = r.recomputed
+          && List.equal
+               (fun (t, e) (t', e') -> Tuple.equal t t' && Time.equal e e')
+               (Lazy.force listing) (Lazy.force r.listing)
+        | Error x, Error y -> x = y
+        | _ -> false
+      in
+      let step text =
+        let a = Interp.exec_sql cached text and b = run_uncached text in
+        same a b || QCheck2.Test.fail_reportf "%S answers differently" text
+      in
+      let flood () =
+        for k = 1 to 65 do
+          let points = List.init k (fun i -> Printf.sprintf "a = %d" i) in
+          ignore (Interp.exec_sql cached ("SELECT b FROM t WHERE " ^ String.concat " OR " points))
+        done;
+        true
+      in
+      List.for_all step setup
+      && List.for_all (function Some text -> step text | None -> flood ()) ops)
 
 let test_index_ddl_changes_explain () =
   let t = setup_indexed () in
@@ -1353,7 +1499,9 @@ let prop_lru_model =
         ops)
 
 let suite =
-  [ Generators.qtest "physical plan ≡ naive eval (rows and texps)"
+  [ prop_template_binds_like_parse;
+    prop_cached_answers_like_uncached;
+    Generators.qtest "physical plan ≡ naive eval (rows and texps)"
       ~count:300 gen_case physical_equals_naive;
     Generators.qtest
       "a traced run's op spans mirror the plan; EXPLAIN ANALYZE counts its rows"

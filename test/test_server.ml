@@ -867,7 +867,8 @@ let test_plan_cache_metrics () =
               "expirel_plan_cache_hits_total 2";
               "expirel_plan_cache_misses_total 1";
               "expirel_plan_cache_requests_total 3";
-              "expirel_plan_cache_entries 1" ];
+              (* the query's shape and the three INSERTs' one *)
+              "expirel_plan_cache_entries 2" ];
           let shard want sql = Wire.Shard_exec { sql; ctx = None; want } in
           List.iter
             (fun (queries, request) -> counts_once ~queries request)

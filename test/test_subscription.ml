@@ -421,6 +421,60 @@ let prop_standing_diff =
       && Partial_agg.standing_diff after after = []
       && List.sort compare patched = List.sort compare (Partial_agg.standing_partial after))
 
+(* [Group_map.diff] of any two versions of a history of changes, each
+   either kept as the changes left it (sharing subtrees with its
+   neighbours) or rebuilt from its bindings (sharing none), names
+   exactly the keys a naive walk of two stdlib maps finds changed, in
+   ascending order; every version is well formed and its size is its
+   bindings' count; and patching the first with the diff, one change
+   at a time or in one ordered merge, gives the second's bindings. *)
+let prop_group_map_diff =
+  let module M = Map.Make (struct
+    type t = Value.t list
+
+    let compare = List.compare Value.compare
+  end) in
+  let module G = Expirel_exec.Group_map in
+  let op =
+    QCheck2.Gen.(
+      pair (int_range 0 40) (frequency [ (3, map Option.some (int_range 0 3)); (1, pure None) ]))
+  in
+  Generators.qtest "Group_map.diff equals a naive walk, shared or rebuilt" ~count:300
+    QCheck2.Gen.(
+      quad (list_size (int_range 0 80) op) (int_range 0 80) (int_range 0 80) (pair bool bool))
+    (fun (ops, i, j, (rebuild_i, rebuild_j)) ->
+      let step (g, m) (k, v) =
+        let key = [ Value.Int k ] in
+        match v with
+        | Some v -> (G.add key v g, M.add key v m)
+        | None -> (G.remove key g, M.remove key m)
+      in
+      let history =
+        List.rev (List.fold_left (fun h o -> step (List.hd h) o :: h) [ (G.empty, M.empty) ] ops)
+      in
+      let version n rebuild =
+        let g, m = List.nth history (n mod List.length history) in
+        ((if rebuild then M.fold G.add m G.empty else g), m)
+      in
+      let (ga, ma), (gb, mb) = (version i rebuild_i, version j rebuild_j) in
+      let naive =
+        List.filter_map
+          (fun key ->
+            match (M.find_opt key ma, M.find_opt key mb) with
+            | a, Some v when a <> Some v -> Some (key, Some v)
+            | Some _, None -> Some (key, None)
+            | _ -> None)
+          (List.sort_uniq (List.compare Value.compare)
+             (List.map fst (M.bindings ma) @ List.map fst (M.bindings mb)))
+      in
+      let sized g = G.well_formed g && G.cardinal g = G.fold (fun _ _ n -> n + 1) g 0 in
+      let bindings g = List.rev (G.fold (fun k v acc -> (k, v) :: acc) g []) in
+      let patched = G.patch ga naive in
+      sized ga && sized gb && sized patched
+      && bindings gb = M.bindings mb
+      && G.diff ga gb = naive
+      && bindings patched = M.bindings mb)
+
 let suite =
   [ Alcotest.test_case "difference event timeline (Fig 3 as pushes)" `Quick
       test_difference_timeline;
@@ -437,4 +491,5 @@ let suite =
     Alcotest.test_case "a grouped COUNT logs the groups whose nu passed" `Quick
       test_counted_logs_passed_nu;
     prop_standing_diff;
+    prop_group_map_diff;
     prop_current_tracks_truth ]
