@@ -12,19 +12,22 @@
      the relation, cached snapshot on the table);
    - the interpreter's statement + plan caches remove parsing, lowering
      and planning from the per-request path for repeated statements;
-   - standing queries (constraints, watches) cost one plan run and one
-     change-time walk per clock move or SHOW CONSTRAINTS: O(n log n +
-     events), not a pass over the result per change point;
+   - standing queries (constraints, watches) are entries that writes
+     keep current: a clock move or SHOW CONSTRAINTS costs one
+     change-time walk per entry, O(k log n + events) for k rows due,
+     and runs no plan of a query the walk need not refresh;
    - the relation tree's [diff] against a path copy and its [exp] of a
      few rows cost what changed or expired: their 10^5-row figures stay
      within a small factor of the 10^3-row ones;
    - a watch's TICK costs what expires, not what the watch holds: the
-     figures at 10^2, 10^4 and 10^5 watch rows stay within 2x.
+     figures at 10^2, 10^4 and 10^5 watch rows stay within 2x, and a
+     constraint over the same query ticks, and takes an INSERT, within
+     2x of the watch.
 
    Expected shape: hash join >= 10x over the nested loop (in practice
    thousands of x); repeated statements measurably cheaper than cold
-   ones; an ADVANCE under one constraint within a small factor of an
-   ADVANCE under one watch over the same rows. *)
+   ones; an ADVANCE under one constraint within 1.5x of an ADVANCE
+   under one watch over the same rows. *)
 
 open Expirel_core
 open Expirel_storage
@@ -236,12 +239,15 @@ let standing_session ~n ~constraint_ =
   if constraint_ then run "CREATE CONSTRAINT c ON SELECT sid FROM s MIN 1";
   (t, run)
 
-(* The median of [reps] timings of [measure], each on a fresh session:
-   the timed statement moves the clock, so it cannot repeat in place. *)
-let median_us ~reps measure =
-  let samples = List.init reps (fun _ -> measure ()) in
-  let sorted = List.sort Float.compare samples in
-  List.nth sorted (reps / 2) *. 1e6
+(* The median of timings, in microseconds. *)
+let median_us samples =
+  List.nth (List.sort Float.compare samples) (List.length samples / 2) *. 1e6
+
+(* One statement timed from a compacted heap: a session's build leaves
+   garbage a major slice would otherwise charge to it. *)
+let timed run sql =
+  Gc.compact ();
+  snd (Bench_util.time_it (fun () -> run sql))
 
 let standing_sweep () =
   Bench_util.subsection
@@ -254,13 +260,11 @@ let standing_sweep () =
         let half = n / 2 in
         let advance ~constraint_ () =
           let _, run = standing_session ~n ~constraint_ in
-          snd
-            (Bench_util.time_it (fun () ->
-                 run (Printf.sprintf "ADVANCE TO %d" half)))
+          timed run (Printf.sprintf "ADVANCE TO %d" half)
         in
         let show () =
           let _, run = standing_session ~n ~constraint_:true in
-          snd (Bench_util.time_it (fun () -> run "SHOW CONSTRAINTS"))
+          timed run "SHOW CONSTRAINTS"
         in
         let watch () =
           let t, run = standing_session ~n ~constraint_:false in
@@ -272,19 +276,19 @@ let standing_sweep () =
            with
            | Ok () -> ()
            | Error e -> failwith e);
-          let (), s =
-            Bench_util.time_it (fun () ->
-                run (Printf.sprintf "ADVANCE TO %d" half))
-          in
+          let s = timed run (Printf.sprintf "ADVANCE TO %d" half) in
           if !events <> half then
             failwith
               (Printf.sprintf "watch fired %d events, expected %d" !events half);
           s
         in
-        let constrained = median_us ~reps (advance ~constraint_:true) in
-        let shown = median_us ~reps show in
-        let bare = median_us ~reps (advance ~constraint_:false) in
-        let watched = median_us ~reps watch in
+        (* the four shapes in turn, so a stall of the host reaches all *)
+        let samples =
+          List.init reps (fun _ ->
+              [ advance ~constraint_:true (); show (); advance ~constraint_:false (); watch () ])
+        in
+        let median i = median_us (List.map (fun s -> List.nth s i) samples) in
+        let constrained = median 0 and shown = median 1 and bare = median 2 and watched = median 3 in
         let key what = Printf.sprintf "standing_%s_us_n%d" what n in
         Bench_util.metric (key "advance_constraint") constrained;
         Bench_util.metric (key "show_constraints") shown;
@@ -357,8 +361,13 @@ let relation_sweep () =
    tick's cost against the watch's size, the table's held constant (as
    ROADMAP item 4's table was measured).  The first [ticks * 5] rows
    expire 5 per tick and sit in every watch (uid 0); the rest expire
-   long after, spread over 1000 uids.  Each row is the median of
-   [ticks] ticks. *)
+   long after, spread over 1000 uids.  A second session holds the same
+   table under a [MIN 1] constraint over the watch's query instead,
+   which never turns violated.  From a compacted heap, the two sessions
+   take their ticks in turn, so a stall of the host reaches both; each
+   row is the median of [ticks] ticks.  At w = 10^5 the two then take
+   [ticks] single-row INSERTs of uid 0 in turn, each a row of the
+   standing query's answer, and report their medians. *)
 let watch_tick_sweep () =
   Bench_util.subsection "a watch's TICK 1: 5 rows expiring, the watch holding w of 10^5";
   let table_rows = 100_000 and ticks = 10 and per_tick = 5 in
@@ -367,42 +376,83 @@ let watch_tick_sweep () =
   Bench_util.param_int "watch_expiring_per_tick" per_tick;
   let expiring = ticks * per_tick in
   let uid i = if i < expiring then 0 else i mod 1000 in
+  (* The table under one standing query: the session's statement runner. *)
+  let session standing =
+    let t = Interp.create () in
+    let run sql =
+      match Interp.exec_sql t sql with
+      | Ok outcome -> Interp.render outcome
+      | Error e -> failwith e
+    in
+    ignore (run "CREATE TABLE s (sid, uid)");
+    let db = Interp.database t in
+    for i = 0 to table_rows - 1 do
+      let texp = if i < expiring then (i / per_tick) + 1 else 1_000_000 in
+      Database.insert_values db "s" [ Value.int i; Value.int (uid i) ]
+        ~texp:(Time.of_int texp)
+    done;
+    standing t run;
+    run
+  in
+  (* [ticks] statements through each session in turn, and the two
+     medians; a clock move reporting a violation fails the bench. *)
+  let in_turn watched constrained statement =
+    let timed run i =
+      let m, s = Bench_util.time_it (fun () -> run (statement i)) in
+      if String.contains m '\n' then failwith ("constraint turned violated: " ^ m);
+      s
+    in
+    let w, c = List.split (List.init ticks (fun i -> (timed watched i, timed constrained i))) in
+    (median_us w, median_us c)
+  in
   let rows =
     List.map
       (fun (w, b) ->
-        let t = Interp.create () in
-        let run sql =
-          match Interp.exec_sql t sql with
-          | Ok _ -> ()
-          | Error e -> failwith e
-        in
-        run "CREATE TABLE s (sid, uid)";
-        let db = Interp.database t in
-        for i = 0 to table_rows - 1 do
-          let texp = if i < expiring then (i / per_tick) + 1 else 1_000_000 in
-          Database.insert_values db "s" [ Value.int i; Value.int (uid i) ]
-            ~texp:(Time.of_int texp)
-        done;
+        let query = Printf.sprintf "SELECT sid, uid FROM s WHERE uid < %d" b in
         let events = ref 0 in
-        (match
-           Interp.subscribe t ~name:"w"
-             (Parser.parse_statement (Printf.sprintf "SELECT sid, uid FROM s WHERE uid < %d" b))
-             (fun _ -> incr events)
-         with
-         | Ok () -> ()
-         | Error e -> failwith e);
-        let held = List.length (List.filter (fun i -> uid i < b) (List.init table_rows Fun.id)) in
-        let samples =
-          List.init ticks (fun _ -> snd (Bench_util.time_it (fun () -> run "TICK 1")))
+        let watched =
+          session (fun t _ ->
+              match
+                Interp.subscribe t ~name:"w" (Parser.parse_statement query)
+                  (fun _ -> incr events)
+              with
+              | Ok () -> ()
+              | Error e -> failwith e)
         in
+        let constrained =
+          session (fun _ run -> ignore (run ("CREATE CONSTRAINT c ON " ^ query ^ " MIN 1")))
+        in
+        Gc.compact ();
+        let watch, constraint_ = in_turn watched constrained (fun _ -> "TICK 1") in
         if !events <> expiring then
           failwith (Printf.sprintf "watch fired %d events, expected %d" !events expiring);
-        let us = List.nth (List.sort Float.compare samples) (ticks / 2) *. 1e6 in
-        Bench_util.metric (Printf.sprintf "standing_advance_watch_us_w%d" w) us;
-        [ string_of_int w; string_of_int held; Bench_util.f1 us ])
+        let inserts =
+          if w < table_rows then None
+          else
+            Some
+              (in_turn watched constrained (fun i ->
+                   Printf.sprintf "INSERT INTO s VALUES (%d, 0) EXPIRES 2000000"
+                     (table_rows + i)))
+        in
+        let held = List.length (List.filter (fun i -> uid i < b) (List.init table_rows Fun.id)) in
+        let key what = Printf.sprintf "standing_%s_us_w%d" what w in
+        Bench_util.metric (key "advance_watch") watch;
+        Bench_util.metric (key "advance_constraint") constraint_;
+        Option.iter
+          (fun (watch, constraint_) ->
+            Bench_util.metric (key "insert_watch") watch;
+            Bench_util.metric (key "insert_constraint") constraint_)
+          inserts;
+        let cell f = Option.fold inserts ~none:"-" ~some:(fun p -> Bench_util.f1 (f p)) in
+        [ string_of_int w; string_of_int held; Bench_util.f1 watch; Bench_util.f1 constraint_;
+          cell fst; cell snd ])
       [ (100, 1); (10_000, 100); (100_000, 1000) ]
   in
-  Bench_util.table ~headers:[ "watch rows"; "held"; "TICK 1 us" ] rows
+  Bench_util.table
+    ~headers:
+      [ "watch rows"; "held"; "TICK 1 us"; "TICK 1, constraint us"; "INSERT us";
+        "INSERT, constraint us" ]
+    rows
 
 let run_all () =
   Bench_util.section "Experiment exp-exec: physical query execution";

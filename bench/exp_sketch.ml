@@ -88,9 +88,9 @@ let run_all () =
       Sketch.Sample.add sample
         [ Value.int s.Sensors.sensor; Value.int s.Sensors.value ]
         ~texp:(texp_of s));
-  let spread = Sketch.Spread.create ~epsilon in
+  let spread = Expirel_paper.Spread.create ~epsilon in
   iter_stream (fun s ->
-      Sketch.Spread.add spread (float_of_int s.Sensors.value) ~texp:(texp_of s));
+      Expirel_paper.Spread.add spread (float_of_int s.Sensors.value) ~texp:(texp_of s));
   let add_ns = add_s *. 1e9 /. float_of_int events in
   Printf.printf "counter: %d adds in %.2f s (%.0f ns/add), %d buckets\n"
     events add_s add_ns (Sketch.Counter.buckets counter);
@@ -107,7 +107,7 @@ let run_all () =
   let relation_bytes = heap_bytes relation in
   let counter_bytes = Sketch.Counter.memory_bytes counter in
   let sample_bytes = Sketch.Sample.memory_bytes sample in
-  let spread_bytes = Sketch.Spread.memory_bytes spread in
+  let spread_bytes = Expirel_paper.Spread.memory_bytes spread in
   let ratio = float_of_int relation_bytes /. float_of_int (max 1 counter_bytes) in
   Bench_util.table
     ~headers:[ "structure"; "bytes"; "vs relation" ]

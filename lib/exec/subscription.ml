@@ -434,20 +434,43 @@ let counted_step ~name ~emit at (groups, c) =
     emit;
   (groups, after)
 
+let rows t name =
+  let e = Hashtbl.find t.watches name in
+  Relation.cardinal (Relation.exp (Database.now t.db) e.result.Eval.relation)
+
+type count = string -> Time.t -> before:int -> after:int -> bool
+
 (* Walks entry [e] from the clock to [to_], firing its events through
-   [emit] when given; answers the function that keeps where the walk
+   [emit] when given and, with [count], its live rows through [count]
+   once per instant; answers the function that keeps where the walk
    stopped.  A plan's entry keeps only the rows live at [to_]: the walk
    fired every other one, and a monotone watch, never refreshed, would
    otherwise hold every row it ever had. *)
-let walk_entry t ~name e ~to_ ~emit =
+let walk_entry t ~name e ~to_ ~emit ~count =
+  let emit, settle =
+    match count with
+    | None -> (emit, fun _ -> true)
+    | Some count ->
+      let count = count name and live = ref (rows t name) in
+      let settled = ref !live in
+      ( Some
+          (fun event ->
+            (match event with
+             | Row_expired _ -> decr live
+             | Row_appeared _ -> incr live
+             | Refreshed _ -> ());
+            Option.iter (fun emit -> emit event) emit),
+        fun at ->
+          let before = !settled in
+          settled := !live;
+          count at ~before ~after:!live )
+  in
   match e.feed with
   | Counted k ->
     let groups, counts =
       steps
         ~next:(fun (groups, _) -> Partial_agg.standing_next groups)
-        ~step:(counted_step ~name ~emit) ~to_
-        ~settle:(fun _ -> true)
-        (k.groups, k.counts)
+        ~step:(counted_step ~name ~emit) ~to_ ~settle (k.groups, k.counts)
     in
     fun () ->
       e.result <- counts.answer;
@@ -456,37 +479,47 @@ let walk_entry t ~name e ~to_ ~emit =
   | Rerun | Delta _ ->
     let r =
       walk ~db:t.db ~name e.compiled e.result ~from:(Database.now t.db) ~to_
-        ~emit:(Option.value emit ~default:ignore) ~settle:(fun _ -> true)
+        ~emit:(Option.value emit ~default:ignore) ~settle
     in
     fun () -> e.result <- { r with Eval.relation = Relation.exp to_ r.Eval.relation }
 
-let forecast_events t ~until =
+let forecast_events ?count t ~until =
   if Time.is_infinite until || Time.(until <= Database.now t.db) then 0
   else begin
-    let count = ref 0 in
+    let events = ref 0 in
     List.iter
       (fun name ->
         ignore
           (walk_entry t ~name (Hashtbl.find t.watches name) ~to_:until
-             ~emit:(Some (fun _ -> incr count))
+             ~emit:(Some (fun _ -> incr events)) ~count
             : unit -> unit))
       (names t);
-    !count
+    !events
   end
 
 (* Replay the continuous queries' change times before the storage
    physically removes rows (eager policy): refreshes at intermediate
-   instants must see everything that was live then. *)
-let deliver_until t target =
+   instants must see everything that was live then.  Every walk reaches
+   the target, whatever [count] answers. *)
+let deliver_until ?count t target =
   if Time.is_infinite target then
     invalid_arg "Subscription.deliver_until: infinite time"
   else if Time.(target < Database.now t.db) then
     invalid_arg "Subscription.deliver_until: moving backwards"
   else
+    let count =
+      Option.map
+        (fun count name ->
+          let count = count name in
+          fun at ~before ~after ->
+            ignore (count at ~before ~after : bool);
+            true)
+        count
+    in
     List.iter
       (fun name ->
         let e = Hashtbl.find t.watches name in
-        walk_entry t ~name e ~to_:target ~emit:e.handler ())
+        walk_entry t ~name e ~to_:target ~emit:e.handler ~count ())
       (names t)
 
 let deliver_span = Expirel_obs.Trace.name "deliver"

@@ -6,12 +6,12 @@
     non-monotonic result is locally refreshed at [texp(e)].
 
     Because all future expirations are known, no polling is involved:
-    {!walk} visits the exact change times in order.  It is the one
-    change-time walk of every standing query: watches deliver through
-    it, and {!Invariant} counts a constraint's cardinality along it.
-    A write reaches it through {!write}.  The interpreter owns the
-    registries and calls {!deliver_until} right before it moves the
-    clock, {!write} right after it applies a record. *)
+    one walk visits each entry's exact change times in order.  It is
+    the one change-time walk of every standing query: watches deliver
+    through it, and a constraint's live rows are counted along it
+    ({!count}).  A write reaches it through {!write}.  The interpreter
+    owns the registries and calls {!deliver_until} right before it
+    moves the clock, {!write} right after it applies a record. *)
 
 open Expirel_core
 open Expirel_storage
@@ -158,26 +158,44 @@ val readers : t -> string -> string list
     table under a watch must not be dropped, or every later delivery
     would fail on it. *)
 
-val forecast_events : t -> until:Time.t -> int
+val rows : t -> string -> int
+(** The named entry's live rows at the clock. *)
+
+type count = string -> Time.t -> before:int -> after:int -> bool
+(** A cardinality listener: [count name], applied once per walk of entry
+    [name], answers the function that sees, at each instant [at] of the
+    walk and after the instant's last event, the entry's live rows
+    [before] and [after] the instant's events (−1 per row leaving, +1
+    per row appearing).  [false] stops that entry's {!forecast_events}
+    replay there. *)
+
+val forecast_events : ?count:count -> t -> until:Time.t -> int
 (** How many events a {!deliver_until} to [until] would fire, across
     every subscription — without firing handlers or touching any watch
-    or clock state.  Exact, not an estimate: each
-    watch's {!walk} is replayed, and logical time makes the future
-    deterministic.  [0] when [until] is infinite or not beyond the
-    current clock.  This is the fan-out forecast the observability
-    horizon exports. *)
+    or clock state.  Exact, not an estimate: each entry's walk is
+    replayed, and logical time makes the future deterministic.  [0]
+    when [until] is infinite or not beyond the current clock.  This is
+    the fan-out forecast the observability horizon exports and, with
+    [count], a constraint's next violation: a replay [count] stops
+    counts the events up to there. *)
 
-val deliver_until : t -> Time.t -> unit
+val deliver_until : ?count:count -> t -> Time.t -> unit
 (** Fires, per subscription (in name order) and in ascending time order
     within each, every change event in the interval from the current
-    clock up to the target.  Ties at one instant fire expirations first,
-    then the refresh, then appearances.  It does {e not} move the
-    database clock: the caller moves it right after, before the storage
-    physically removes the expired rows.  Each watch keeps only the rows
-    live at the target, so calling this and never advancing leaves the
-    watches ahead of the clock: the next delivery resumes from the clock
-    without reporting those rows again.  One delivery is one {!walk} per
-    watch.
+    clock up to the target, and reports each instant to [count], whose
+    answer is ignored: every walk reaches the target.  Ties at one
+    instant fire expirations first, then the refresh, then appearances.
+    It does {e not} move the database clock: the caller moves it right
+    after, before the storage physically removes the expired rows.
+    Each watch keeps only the rows live at the target, so calling this
+    and never advancing leaves the watches ahead of the clock: the next
+    delivery resumes from the clock without reporting those rows again.
+    One delivery is one walk per entry: a fold over only the subtrees
+    holding rows due before the next [texp(e)] refresh or the target
+    ({!Relation.fold_expired}) and a sort of those rows, again after
+    each refresh ([Executor.run ~tau] of the plan, diffed; a grouped
+    COUNT steps its group state instead), and O(1) per event —
+    O(k log n) for k rows due, plus each refresh's plan run and diff.
     @raise Invalid_argument when moving backwards or to [Inf] *)
 
 val write :
@@ -196,22 +214,3 @@ val write :
     does, without [Refreshed].  Each record stamps the grouped COUNT
     entries it reaches for {!fresh} — an [Advance], those its walk
     brought to the clock. *)
-
-val walk :
-  db:Database.t -> name:string -> Plan.compiled -> Eval.result ->
-  from:Time.t -> to_:Time.t -> emit:handler -> settle:(Time.t -> bool) ->
-  Eval.result
-(** [walk ~db ~name plan result ~from ~to_ ~emit ~settle] fires through
-    [emit], in {!deliver_until}'s order, every change in [(from, to_]]
-    of [result], [plan]'s answer as of [from]: each row at its
-    expiration time, and at each [texp(e)] a refresh ([Executor.run
-    ~tau] of [plan]; a grouped COUNT entry steps its group state
-    instead) that reports the live rows it drops or re-dates as
-    expired and the new or re-dated ones as appeared, so folding the
-    events over [result] gives the answer at every instant.  [settle]
-    sees each instant after its last event; [false] stops the walk
-    there.  Returns the result where the walk stopped, rows not yet
-    cut.  Cost: a fold over only the subtrees holding rows due before
-    the next refresh or [to_] ({!Relation.fold_expired}) and a sort of
-    those rows, again after each refresh, and O(1) per event —
-    O(k log n) for k rows due, plus each refresh's plan run and diff. *)

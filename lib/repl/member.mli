@@ -1,10 +1,10 @@
 (** One remote expirel node as seen by a routing client: a lazily
     dialed connection with exponential-backoff redialing.
 
-    Shared by {!Repl_client} (primary/replica routing) and the cluster
-    coordinator (shard-map routing) — both care only that an endpoint
-    is dialed on demand, put aside when it fails, and not hammered
-    while it is down. *)
+    Shared by the cluster coordinator (shard-map routing) and the
+    tests' primary/replica routing client — both care only that an
+    endpoint is dialed on demand, put aside when it fails, and not
+    hammered while it is down. *)
 
 open Expirel_server
 

@@ -27,11 +27,6 @@ type view =
     }
   | Kept of string list  (* the columns *)
 
-type constraint_info = {
-  c_plan : Plan.compiled;
-  c_bounds : Invariant.bounds;
-}
-
 (* A cached physical plan, valid for exactly one catalog generation:
    any DDL (CREATE/DROP TABLE, CREATE/DROP INDEX) bumps the database
    generation and thereby invalidates every entry at once without
@@ -61,7 +56,8 @@ type t = {
   db : Database.t;
   store : Durable.t option;
   views : (string, view) Hashtbl.t;
-  constraints : (string, constraint_info) Hashtbl.t;
+  constraints : Subscription.t;  (* CONSTRAINTs: own names, no pushes *)
+  bounds : (string, Invariant.bounds) Hashtbl.t;  (* each constraint's *)
   watches : Subscription.t;
   maintained : Subscription.t;  (* MAINTAINED views: own names, no pushes *)
   cached : Subscription.t;
@@ -103,7 +99,8 @@ let create ?policy ?store () =
   { db;
     store;
     views = Hashtbl.create 8;
-    constraints = Hashtbl.create 8;
+    constraints = Subscription.create db;
+    bounds = Hashtbl.create 8;
     watches = Subscription.create db;
     maintained = Subscription.create db;
     cached;
@@ -368,7 +365,7 @@ let plan_standing t q =
 (* The one write path: SQL INSERT, DELETE, CREATE and DROP TABLE, every
    clock move, a replica's shipped records, a shard's rebalance rows and
    a coordinator's gathered rows all change the data here, and then
-   reach the watches and MAINTAINED views. *)
+   reach every standing query. *)
 let write ?trace t record =
   let before =
     match record with
@@ -384,54 +381,41 @@ let write ?trace t record =
      Database.apply t.db record);
   List.iter
     (fun subs -> Subscription.write ?trace subs ~before record)
-    [ t.watches; t.maintained; t.cached ]
-
-(* The constraints in name order, each with its name. *)
-let sorted_constraints t =
-  Hashtbl.fold (fun name c acc -> (name, c) :: acc) t.constraints []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reads table c = List.mem table (Algebra.base_names c.c_plan.Plan.logical)
+    [ t.constraints; t.watches; t.maintained; t.cached ]
 
 (* The standing queries reading a table: constraints, then views, then
    subscriptions, each in name order. *)
 let readers t table =
-  List.filter_map
-    (fun (name, c) -> if reads table c then Some ("constraint " ^ name) else None)
-    (sorted_constraints t)
-  @ List.map (( ^ ) "view ") (Subscription.readers t.maintained table)
-  @ List.map (( ^ ) "subscription ") (Subscription.readers t.watches table)
+  List.concat_map
+    (fun (kind, subs) -> List.map (( ^ ) kind) (Subscription.readers subs table))
+    [ ("constraint ", t.constraints); ("view ", t.maintained); ("subscription ", t.watches) ]
 
 (* The one clock move: SQL ADVANCE and TICK, and a replica's shipped
    Advance.  The standing queries go first, while everything live in the
-   interval is still stored — each constraint collects its transitions
-   into violation and each watch delivers its events, one walk from the
-   clock apiece (the [deliver] span).  Then the clock moves once, as an
-   [Advance] written through {!write} (the [storage] span).  Returns the
-   transitions in time order, ties in constraint name order. *)
+   interval is still stored — each constraint's entry counts its live
+   rows into the transitions into violation and each watch delivers its
+   events, one walk from the clock apiece (the [deliver] span).  Then
+   the clock moves once, as an [Advance] written through {!write} (the
+   [storage] span).  Returns the transitions in time order, ties in
+   constraint name order. *)
 let move_clock ?trace t target =
   if Time.is_infinite target then invalid_arg "ADVANCE: infinite time"
   else if Time.(target < Database.now t.db) then
     invalid_arg "ADVANCE: moving backwards";
-  let transitions =
-    Trace.span trace deliver_span (fun () ->
-        let found =
-          List.concat_map
-            (fun (name, c) ->
-              List.map
-                (fun (at, cardinality) -> (name, at, cardinality))
-                (Invariant.forecast ~db:t.db c.c_plan c.c_bounds ~to_:target
-                   ~first:false)
-                  .Invariant.transitions)
-            (sorted_constraints t)
-        in
-        List.iter
-          (fun subs -> Subscription.deliver_until subs target)
-          [ t.watches; t.maintained; t.cached ];
-        found)
-  in
+  let found = ref [] in
+  Trace.span trace deliver_span (fun () ->
+      Subscription.deliver_until t.constraints target
+        ~count:(fun name ->
+          let violated = Invariant.violated (Hashtbl.find t.bounds name) in
+          fun at ~before ~after ->
+            if violated after && not (violated before) then
+              found := (name, at, after) :: !found;
+            true);
+      List.iter
+        (fun subs -> Subscription.deliver_until subs target)
+        [ t.watches; t.maintained; t.cached ]);
   Trace.span trace storage_span (fun () -> write t (Wal.Advance target));
-  List.stable_sort (fun (_, a, _) (_, b, _) -> Time.compare a b) transitions
+  List.stable_sort (fun (_, a, _) (_, b, _) -> Time.compare a b) (List.rev !found)
 
 let advance_clock ?trace t target =
   Msg
@@ -443,21 +427,34 @@ let advance_clock ?trace t target =
                  (Time.to_string at) cardinality)
              (move_clock ?trace t target)))
 
-(* One plan run and at most one walk, both bounds checked at once. *)
-let constraint_status t (name, c) =
-  let horizon = Time.add (Database.now t.db) (Time.of_int 999) in
-  let { Invariant.cardinality; transitions } =
-    Invariant.forecast ~db:t.db c.c_plan c.c_bounds ~to_:horizon ~first:true
-  in
-  let bound label = Option.fold ~none:"" ~some:(Printf.sprintf ", %s %d" label) in
-  Printf.sprintf "%s: %d row(s)%s%s — %s" name cardinality
-    (bound "min" c.c_bounds.Invariant.min_rows)
-    (bound "max" c.c_bounds.Invariant.max_rows)
-    (if Invariant.violated c.c_bounds cardinality then "VIOLATED NOW"
-     else
-       match transitions with
-       | (at, _) :: _ -> "breaks at " ^ Time.to_string at
-       | [] -> "holds for 1000 ticks")
+(* Every constraint in name order, with its first transition into
+   violation within 1000 ticks: one replay of the entries that commits
+   nothing, each stopped at its first transition or, violated now, at
+   its first instant. *)
+let constraint_status t =
+  let breaks = Hashtbl.create 8 in
+  ignore
+    (Subscription.forecast_events t.constraints
+       ~until:(Time.add (Database.now t.db) (Time.of_int 999))
+       ~count:(fun name ->
+         let violated = Invariant.violated (Hashtbl.find t.bounds name) in
+         fun at ~before ~after ->
+           if violated after && not (violated before) then Hashtbl.replace breaks name at;
+           not (violated before || violated after))
+      : int);
+  List.map
+    (fun name ->
+      let bounds = Hashtbl.find t.bounds name and rows = Subscription.rows t.constraints name in
+      let bound label = Option.fold ~none:"" ~some:(Printf.sprintf ", %s %d" label) in
+      Printf.sprintf "%s: %d row(s)%s%s — %s" name rows
+        (bound "min" bounds.Invariant.min_rows)
+        (bound "max" bounds.Invariant.max_rows)
+        (if Invariant.violated bounds rows then "VIOLATED NOW"
+         else
+           match Hashtbl.find_opt breaks name with
+           | Some at -> "breaks at " ^ Time.to_string at
+           | None -> "holds for 1000 ticks"))
+    (List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.bounds []))
 
 let observe_churn t =
   match Time.to_int_opt (Database.now t.db) with
@@ -509,9 +506,9 @@ let exec_statement ?trace ?prepared t = function
     write t (Wal.Create_table { name; columns });
     Msg (Printf.sprintf "table %s created" name)
   | Ast.Drop_table name ->
-    (* A standing query reruns its plan at clock moves: dropping a table
-       it reads would fail every later ADVANCE, TICK and SHOW
-       CONSTRAINTS. *)
+    (* A standing query's entry reads its tables at writes and clock
+       moves (a rerun, a [texp(e)] refresh): dropping a table it reads
+       would fail them. *)
     (match readers t name with
      | [] -> ()
      | names ->
@@ -647,26 +644,25 @@ let exec_statement ?trace ?prepared t = function
     Trigger.unregister (Database.triggers t.db) ~name;
     Msg (Printf.sprintf "trigger %s dropped" name)
   | Ast.Create_constraint { name; query; min_rows; max_rows } ->
-    if Hashtbl.mem t.constraints name then
+    if Hashtbl.mem t.bounds name then
       failwith (Printf.sprintf "constraint %s exists" name)
     else begin
-      let c_bounds = { Invariant.min_rows; max_rows } in
-      Invariant.check_bounds c_bounds;
-      let _, c_plan = plan_standing t query in
-      Hashtbl.replace t.constraints name { c_plan; c_bounds };
+      let bounds = { Invariant.min_rows; max_rows } in
+      Invariant.check_bounds bounds;
+      Subscription.subscribe t.constraints ~name (snd (plan_standing t query));
+      Hashtbl.replace t.bounds name bounds;
       Msg (Printf.sprintf "constraint %s created" name)
     end
   | Ast.Drop_constraint name ->
-    if Hashtbl.mem t.constraints name then begin
-      Hashtbl.remove t.constraints name;
+    if Subscription.unsubscribe t.constraints name then begin
+      Hashtbl.remove t.bounds name;
       Msg (Printf.sprintf "constraint %s dropped" name)
     end
     else failwith (Printf.sprintf "unknown constraint %s" name)
   | Ast.Show_constraints ->
-    (match sorted_constraints t with
+    (match constraint_status t with
      | [] -> Msg "(no constraints)"
-     | constraints ->
-       Msg (String.concat "\n" (List.map (constraint_status t) constraints)))
+     | lines -> Msg (String.concat "\n" lines))
   | Ast.Show_triggers ->
     Msg
       (match List.rev t.trigger_log with
@@ -799,11 +795,9 @@ let end_readers t table =
       (fun name -> ignore (Subscription.unsubscribe subs name); f name)
       (Subscription.readers subs table)
   in
+  end_in t.constraints (Hashtbl.remove t.bounds);
   end_in t.watches ignore;
-  end_in t.maintained (Hashtbl.remove t.views);
-  Hashtbl.filter_map_inplace
-    (fun _ c -> if reads table c then None else Some c)
-    t.constraints
+  end_in t.maintained (Hashtbl.remove t.views)
 
 (* Each record is written once, so the replica's log positions stay the
    primary's — one the replica refuses (its clock overtook the record,
@@ -839,8 +833,7 @@ let install_snapshot t ~position records =
       (fun table -> if Database.table t.db table = None then end_readers t table)
       tables;
     Subscription.prune t.cached;
-    Subscription.reseed t.watches;
-    Subscription.reseed t.maintained;
+    List.iter Subscription.reseed [ t.constraints; t.watches; t.maintained ];
     Ok ()
 
 let standing_aggregates t =
@@ -848,7 +841,7 @@ let standing_aggregates t =
       ( Subscription.length t.cached,
         List.fold_left
           (fun n subs -> n + Subscription.groups subs)
-          0 [ t.watches; t.maintained; t.cached ] ))
+          0 [ t.constraints; t.watches; t.maintained; t.cached ] ))
 
 let prepare t text = Statement_cache.prepare t.statements text
 let statement (p : prepared) = p.Statement_cache.statement

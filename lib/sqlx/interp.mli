@@ -10,14 +10,18 @@
 
     Every change to the session's data is one {!Expirel_storage.Wal.record}
     written through {!write}: SQL mutations, clock moves, a replica's
-    shipped records, a shard's rebalance rows; it also reaches the
-    watches ({!subscribe}) and [MAINTAINED] views.  Constraints ([CREATE
-    CONSTRAINT]) live here too, and every clock move — [ADVANCE],
-    [TICK], and a replica's shipped [Advance]
+    shipped records, a shard's rebalance rows; it also reaches every
+    standing query: constraints ([CREATE CONSTRAINT]), watches
+    ({!subscribe}) and [MAINTAINED] views, each an entry of the one
+    standing engine ({!Expirel_exec.Subscription}).  Every clock move —
+    [ADVANCE], [TICK], and a replica's shipped [Advance]
     ({!apply_records}) — goes through one function: it walks each
-    standing query from the clock to the target (watch events fire,
-    constraint transitions are collected, under a [deliver] trace span),
-    then writes the [Advance] (under [storage]).  [DROP TABLE] is
+    entry from the clock to the target (watch events fire, each
+    constraint's live rows are counted into its transitions into
+    violation, under a [deliver] trace span), then writes the [Advance]
+    (under [storage]).  [SHOW CONSTRAINTS] replays the constraints'
+    entries without committing: it runs a plan only where the walk
+    refreshes a non-monotone query at its [texp(e)].  [DROP TABLE] is
     refused while any standing query reads the table, and the refusal
     names them all. *)
 
@@ -248,7 +252,7 @@ val write :
   ?trace:Expirel_obs.Trace.t -> t -> Expirel_storage.Wal.record -> unit
 (** The one function that changes the session's data: validates the
     record, writes it ahead when there is a store, applies it, and feeds
-    it to the watches and MAINTAINED views
+    it to the constraints, watches and MAINTAINED views
     ({!Expirel_exec.Subscription.write}, traced on [trace]).  An
     [Advance] written here walks no standing query; SQL [ADVANCE] and
     {!apply_records} walk them first.  Raises what {!Database.validate}
@@ -267,14 +271,15 @@ val install_snapshot :
 (** Replaces the whole state with a replica's shipped snapshot
     ({!Expirel_storage.Durable.reset_to}); every watch and constraint
     reading a table the snapshot no longer holds ends, as under a
-    shipped [Drop_table], every other watch and MAINTAINED view is
-    rebuilt from the installed state at its clock, and every promoted
+    shipped [Drop_table], every other constraint, watch and MAINTAINED
+    view is rebuilt from the installed state at its clock, and every promoted
     query ends.  The clock jump it may carry delivers no events.
     [Error] without a durable store. *)
 
 val standing_aggregates : t -> int * int
 (** The promoted grouped COUNT queries (see {!exec}), and the groups
-    every grouped COUNT entry holds, watches and views included. *)
+    every grouped COUNT entry holds, constraints, watches and views
+    included. *)
 
 val exec_sql : t -> string -> (outcome, string) result
 (** {!prepare} and {!run} one statement: a repeated shape skips the

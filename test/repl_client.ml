@@ -1,3 +1,5 @@
+open Expirel_repl
+
 type endpoint = Member.endpoint = {
   host : string;
   port : int;

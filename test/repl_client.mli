@@ -14,6 +14,7 @@
     be visible {e yet} — but never resurrects expired state). *)
 
 open Expirel_server
+open Expirel_repl
 
 type endpoint = Member.endpoint = {
   host : string;

@@ -149,6 +149,72 @@ if grep -rnE '\bWire\.Exec(_traced)?\b' lib bin --include='*.ml' |
   echo "ci: the code above builds an Exec; send statements through Client.exec" >&2
   exit 1
 fi
+# One standing engine: a constraint is a Subscription entry that writes
+# keep current and clock moves walk, so no lib/ or bin/ code reruns a
+# constraint's plan through a forecast of its own, and the change-time
+# walk stays inside subscription.ml (Subscription.forecast_events and
+# deliver_until replay it).
+if grep -rn 'Invariant\.forecast' lib bin; then
+  echo "ci: the code above forecasts a constraint outside its Subscription entry" >&2
+  exit 1
+fi
+if grep -rnE '\bSubscription\.walk\b' lib bin bench examples paper test \
+    --include='*.ml' --include='*.mli' | grep -v '^lib/exec/subscription\.ml:'; then
+  echo "ci: the code above walks an entry outside Subscription; use forecast_events or deliver_until" >&2
+  exit 1
+fi
+# lib/ holds only what production runs: every lib/ module is named by
+# some other lib/ or bin/ code (comments excluded).  One no production
+# code names belongs beside its callers: test/, bench/ or paper/.
+python3 - <<'PY'
+import glob, os, re, sys
+
+def strip(src):
+    """The source without its comments (nested), strings kept."""
+    out = []
+    i, depth, n = 0, 0, len(src)
+    while i < n:
+        c = src[i]
+        if src.startswith('(*', i) and not src.startswith('(*)', i):
+            depth += 1
+            i += 2
+        elif depth and src.startswith('*)', i):
+            depth -= 1
+            i += 2
+        elif c == '"':
+            j = i + 1
+            while j < n and src[j] != '"':
+                j += 2 if src[j] == '\\' else 1
+            if not depth:
+                out.append(src[i:j + 1])
+            i = j + 1
+        elif c == "'" and (src[i + 2:i + 3] == "'" or src[i + 1:i + 2] == '\\'):
+            j = src.find("'", i + 2) + 1
+            if not depth:
+                out.append(src[i:j])
+            i = j
+        else:
+            if not depth:
+                out.append(c)
+            i += 1
+    return ''.join(out)
+
+sources = {}
+for pattern in ('lib/**/*.ml', 'lib/**/*.mli', 'bin/**/*.ml', 'bin/**/*.mli'):
+    for f in glob.glob(pattern, recursive=True):
+        sources[f] = strip(open(f).read())
+unnamed = []
+for f in sorted(glob.glob('lib/**/*.ml', recursive=True)):
+    stem = os.path.splitext(f)[0]
+    word = re.compile(r'\b' + os.path.basename(stem).capitalize() + r'\b')
+    if not any(word.search(text) for g, text in sources.items()
+               if os.path.splitext(g)[0] != stem):
+        unnamed.append(f)
+for f in unnamed:
+    print(f)
+if unnamed:
+    sys.exit("ci: no other lib/ or bin/ code names the modules above; move them beside their callers")
+PY
 # One request loop: a coordinator answers the wire through the loop a
 # node serves through, and `connect` is the only REPL, so bin/ keeps no
 # second dispatcher and reads no coordinator observability in process.
@@ -215,13 +281,17 @@ if ! awk -v w="$TRACE_WORDS" 'BEGIN { exit !(w <= 150) }'; then
 fi
 # Smoke the physical execution experiment: hash vs nested-loop joins,
 # the O(1) live-scan fast path, the plan cache, the relation tree's
-# diff and exp at 10^3 and 10^5 rows, and a watch's TICK at three
-# watch sizes.  Each of those rows must have been recorded.
+# diff and exp at 10^3 and 10^5 rows, and a watch's and a constraint's
+# TICK at three sizes, and one INSERT under each.  Each of those rows
+# must have been recorded.
 (cd "$SMOKE_DIR" && "$BENCH" exec)
 for row in relation_diff_n1000_us relation_diff_n100000_us \
     relation_exp_n1000_us relation_exp_n100000_us \
     standing_advance_watch_us_w100 standing_advance_watch_us_w10000 \
-    standing_advance_watch_us_w100000; do
+    standing_advance_watch_us_w100000 \
+    standing_advance_constraint_us_w100 standing_advance_constraint_us_w10000 \
+    standing_advance_constraint_us_w100000 \
+    standing_insert_watch_us_w100000 standing_insert_constraint_us_w100000; do
   grep -F "\"$row\"" "$SMOKE_DIR/BENCH_exec.json"
 done
 # Smoke the sketch experiment end to end (single-pass folds, memory

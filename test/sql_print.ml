@@ -1,4 +1,5 @@
 open Expirel_core
+open Expirel_sqlx
 
 let value = function
   | Value.Int n -> string_of_int n

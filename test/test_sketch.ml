@@ -216,12 +216,12 @@ let spread_bound =
   Generators.qtest "spread: diameter within the advertised additive bound"
     (Gen.triple epsilon_gen valued_stream_gen tau_gen)
     (fun (epsilon, stream, tau) ->
-      let s = Sketch.Spread.create ~epsilon in
-      List.iter (fun (v, texp) -> Sketch.Spread.add s v ~texp) stream;
+      let s = Expirel_paper.Spread.create ~epsilon in
+      List.iter (fun (v, texp) -> Expirel_paper.Spread.add s v ~texp) stream;
       let live = List.filter (fun (_, texp) -> Time.(texp > tau)) stream in
-      match Sketch.Spread.query s ~tau with
+      match Expirel_paper.Spread.query s ~tau with
       | None -> live = []
-      | Some { Sketch.Spread.diameter; within; _ } ->
+      | Some { Expirel_paper.Spread.diameter; within; _ } ->
         (match live with
          | [] -> false
          | (v0, _) :: _ ->
@@ -246,13 +246,13 @@ let payload_prefixes_error =
     ~count:100
     (Gen.quad epsilon_gen stream_gen prioritised_stream_gen valued_stream_gen)
     (fun (epsilon, stream, prioritised, valued) ->
-      let spread = Sketch.Spread.create ~epsilon in
-      List.iter (fun (v, texp) -> Sketch.Spread.add spread v ~texp) valued;
+      let spread = Expirel_paper.Spread.create ~epsilon in
+      List.iter (fun (v, texp) -> Expirel_paper.Spread.add spread v ~texp) valued;
       prefixes_error Sketch.Counter.of_string
         (Sketch.Counter.to_string (counter_of ~epsilon stream))
       && prefixes_error Sketch.Sample.of_string
            (Sketch.Sample.to_string (sample_of ~k:3 prioritised))
-      && prefixes_error Sketch.Spread.of_string (Sketch.Spread.to_string spread))
+      && prefixes_error Expirel_paper.Spread.of_string (Expirel_paper.Spread.to_string spread))
 
 (* A merge's cost follows the entries, not k: two samples with a k no
    memory could hold merge into one keeping every entry. *)
