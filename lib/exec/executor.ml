@@ -111,10 +111,19 @@ let merge_intersect =
     ~left_only:(fun _ _ acc -> acc)
     ~both:(fun t e_l e_r acc -> Relation.add t ~texp:(Time.min e_l e_r) acc)
 
-let merge_diff =
-  merge
-    ~left_only:(fun t e acc -> Relation.add t ~texp:e acc)
-    ~both:(fun _ _ _ acc -> acc)
+(* The difference, and the first time a hidden left tuple reappears
+   (Section 2.6.2): the earliest right texp below its left copy's. *)
+let merge_diff left right =
+  let reappears = ref Time.Inf in
+  let rows =
+    merge
+      ~left_only:(fun t e acc -> Relation.add t ~texp:e acc)
+      ~both:(fun _ e_l e_r acc ->
+        if Time.(e_l > e_r) then reappears := Time.min !reappears e_r;
+        acc)
+      left right
+  in
+  (rows, !reappears)
 
 (* ---------- the executor ---------- *)
 
@@ -280,18 +289,11 @@ let engine ?trace ?tau ~db logical =
       }
     | Plan.Merge_diff (left, right) ->
       let l, r = both left right in
-      let ls = to_set l and rs = to_set r in
+      let rows, reappears = merge_diff (to_set l) (to_set r) in
       { arity = l.arity;
-        rows = Set (merge_diff ls rs);
-        texp =
-          Time.min (Time.min l.texp r.texp) (Ops.first_reappearance ls rs)
+        rows = Set rows;
+        texp = Time.min (Time.min l.texp r.texp) reappears
       }
-    | Plan.Hash_aggregate { group; func; child = c } ->
-      let r = go c in
-      let relation, invalidation =
-        Ops.aggregate Aggregate.Exact ~tau ~group func (to_set r)
-      in
-      set_res { Eval.relation; texp = Time.min r.texp invalidation }
     | Plan.Grouped_aggregate { group; func; having; projection; child = c } ->
       let partial, r = grouped ~group ~func c in
       let relation, invalidation =

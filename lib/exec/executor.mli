@@ -6,11 +6,11 @@
     physical operators the planner chose.  Every operator yields
     columnar {!Batch.t}s, from the texp-ordered scan leaves up; the
     result is materialised once, at the root.  The set-semantics
-    operators (intersection, difference, the unfused aggregate) take
-    their inputs as sets and re-enter batch form with their answer.
-    The qcheck plan-equivalence suite holds this module to
-    [Relation.equal] (including texps) against the naive {!Ops}
-    kernels. *)
+    operators (intersection, difference) take their inputs as sets and
+    re-enter batch form with their answer; the difference's merge finds
+    its first reappearance itself.  The executor calls no {!Ops}
+    kernel: the qcheck plan-equivalence suite holds it to
+    [Relation.equal] (including texps) against the naive evaluator. *)
 
 open Expirel_core
 open Expirel_storage

@@ -23,17 +23,12 @@ type t =
   | Merge_union of t * t
   | Merge_intersect of t * t
   | Merge_diff of t * t
-  | Hash_aggregate of {
-      group : int list;
-      func : Aggregate.func;
-      child : t;
-    }
   | Grouped_aggregate of {
       (* The fused aggregate -> HAVING -> projection pipeline, executed
          over expiration-slice partials (Partial_agg) — the same
-         condensed form shards ship to the cluster coordinator.  Only
-         planned when the projection and the HAVING predicate touch
-         nothing but GROUP BY positions and the aggregate. *)
+         condensed form shards ship to the cluster coordinator.  The
+         one aggregate node: the projection and the HAVING predicate
+         touch nothing but GROUP BY positions and the aggregate. *)
       group : int list;
       func : Aggregate.func;
       having : Predicate.t option;
@@ -70,7 +65,7 @@ let operator = function
   | Merge_union _ -> 6
   | Merge_intersect _ -> 7
   | Merge_diff _ -> 8
-  | Hash_aggregate _ | Grouped_aggregate _ -> 9
+  | Grouped_aggregate _ -> 9
   | Sketch_count _ -> 10
   | Sketch_sample _ -> 11
 
@@ -85,7 +80,6 @@ let children = function
   | Scan _ -> []
   | Filter (_, c)
   | Project (_, c)
-  | Hash_aggregate { child = c; _ }
   | Grouped_aggregate { child = c; _ }
   | Sketch_count { child = c; _ }
   | Sketch_sample { child = c; _ } ->
@@ -125,9 +119,6 @@ let describe p =
        | Predicate.True -> ""
        | q -> Printf.sprintf " verify [%s]" (Predicate.to_string q))
   | Merge_union _ | Merge_intersect _ | Merge_diff _ -> op
-  | Hash_aggregate { group; func; _ } ->
-    Printf.sprintf "%s [group {%s}, %s]" op (positions group)
-      (Aggregate.func_to_string func)
   | Grouped_aggregate { group; func; having; projection; _ } ->
     Printf.sprintf "%s [group {%s}, %s%s, partials -> (%s)]" op
       (positions group)

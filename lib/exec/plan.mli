@@ -2,8 +2,7 @@
 
     A plan node says {e how} a logical operator runs — which access path
     a leaf uses, whether a join builds a hash table or loops — while
-    remaining
-    semantically identical to the naive operator kernels in {!Ops},
+    remaining semantically identical to the naive evaluator {!Eval},
     including every expiration-time assignment (Equations (1)–(11)): the
     planner may only change cost, never results.  The qcheck
     plan-equivalence suite pins exactly that. *)
@@ -44,12 +43,8 @@ type t =
   | Merge_intersect of t * t
   | Merge_diff of t * t
       (** linear merges over the sorted tuple order of both inputs,
-          each materialised into a set first *)
-  | Hash_aggregate of {
-      group : int list;
-      func : Aggregate.func;
-      child : t;
-    }
+          each materialised into a set first; the difference's merge
+          also finds its first reappearance (Section 2.6.2) *)
   | Grouped_aggregate of {
       group : int list;
       func : Aggregate.func;
@@ -59,9 +54,11 @@ type t =
     }
       (** the fused aggregate → HAVING → projection pipeline, executed
           over expiration-slice partials ({!Partial_agg}) — the same
-          condensed form shards ship to the cluster coordinator.  Only
-          planned when the projection and HAVING touch nothing but GROUP
-          BY positions and the aggregate at [child_arity + 1] *)
+          condensed form shards ship to the cluster coordinator.  The
+          one aggregate node: the planner accepts an aggregate only in
+          the shape sqlx lowers GROUP BY to, where the projection and
+          HAVING touch nothing but GROUP BY positions and the aggregate
+          at [child_arity + 1] *)
   | Sketch_count of {
       epsilon : float;
       child : t;

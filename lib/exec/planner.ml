@@ -37,7 +37,6 @@ let rec estimate_rows db = function
   | Plan.Merge_intersect (l, r) ->
     min (estimate_rows db l) (estimate_rows db r)
   | Plan.Merge_diff (l, _) -> estimate_rows db l
-  | Plan.Hash_aggregate { child; _ } -> estimate_rows db child
   | Plan.Grouped_aggregate { child; _ } -> estimate_rows db child
   | Plan.Sketch_count _ -> 1
   | Plan.Sketch_sample { k; _ } -> k
@@ -51,12 +50,8 @@ let scan db name pred =
   Plan.Scan { name; pred; access }
 
 let join db p l pl pr =
-  let equi =
-    match Algebra.well_formed ~env:(arity_env db) l with
-    | Ok left_arity -> Predicate.equi_split ~left_arity p
-    | Error _ -> None
-  in
-  match equi with
+  let left_arity = Algebra.arity ~env:(arity_env db) l in
+  match Predicate.equi_split ~left_arity p with
   | Some { Predicate.pairs; residual = _ } ->
     let left = estimate_rows db pl and right = estimate_rows db pr in
     (* the factor 2 keeps tiny inputs on the allocation-free loop *)
@@ -65,38 +60,16 @@ let join db p l pl pr =
     else Plan.Nested_loop { pred = p; left = pl; right = pr }
   | None -> Plan.Nested_loop { pred = p; left = pl; right = pr }
 
-(* A projection (and optional HAVING selection) directly over an
-   aggregate fuses into one Grouped_aggregate node — executed over
-   expiration-slice partials (Partial_agg), the same condensed form the
-   cluster coordinator merges across shards — provided both touch only
-   GROUP BY positions and the aggregate at [child_arity + 1].  Other
-   positions have no single per-group value, so those plans keep the
-   unfused operator composition. *)
-let fusible db ~projection ~having group child =
-  match Algebra.well_formed ~env:(arity_env db) child with
-  | Error _ -> false
-  | Ok child_arity ->
-    let allowed j = j = child_arity + 1 || List.mem j group in
-    List.for_all allowed projection
-    && (match having with
-        | None -> true
-        | Some p ->
-          Option.is_some
-            (Predicate.rename (fun c -> if allowed c then Some c else None) p))
+let refuse fmt = Printf.ksprintf (fun m -> invalid_arg ("Planner.plan: " ^ m)) fmt
 
 let rec compile db = function
   | Algebra.Base name -> scan db name None
   | Algebra.Select (p, Algebra.Base name) -> scan db name (Some p)
   | Algebra.Select (p, e) -> Plan.Filter (p, compile db e)
-  | Algebra.Project
-      (js, Algebra.Select (h, Algebra.Aggregate (group, func, e)))
-    when fusible db ~projection:js ~having:(Some h) group e ->
-    Plan.Grouped_aggregate
-      { group; func; having = Some h; projection = js; child = compile db e }
-  | Algebra.Project (js, Algebra.Aggregate (group, func, e))
-    when fusible db ~projection:js ~having:None group e ->
-    Plan.Grouped_aggregate
-      { group; func; having = None; projection = js; child = compile db e }
+  | Algebra.Project (js, Algebra.Select (h, Algebra.Aggregate (group, func, e))) ->
+    grouped db js (Some h) group func e
+  | Algebra.Project (js, Algebra.Aggregate (group, func, e)) ->
+    grouped db js None group func e
   | Algebra.Project (js, e) -> Plan.Project (js, compile db e)
   | Algebra.Product (l, r) ->
     Plan.Nested_loop
@@ -106,8 +79,32 @@ let rec compile db = function
   | Algebra.Intersect (l, r) ->
     Plan.Merge_intersect (compile db l, compile db r)
   | Algebra.Diff (l, r) -> Plan.Merge_diff (compile db l, compile db r)
-  | Algebra.Aggregate (group, func, e) ->
-    Plan.Hash_aggregate { group; func; child = compile db e }
+  | Algebra.Aggregate _ ->
+    refuse "an aggregate plans only under a GROUP BY projection"
+
+(* An aggregate plans only in the shape sqlx lowers GROUP BY to: a
+   projection, maybe over a HAVING selection, directly over it, both
+   touching nothing but GROUP BY positions and the aggregate at
+   [child_arity + 1] (other positions have no single per-group value).
+   That shape fuses into one Grouped_aggregate node, executed over
+   expiration-slice partials (Partial_agg), the same condensed form the
+   cluster coordinator merges across shards. *)
+and grouped db projection having group func e =
+  let child_arity = Algebra.arity ~env:(arity_env db) e in
+  let grouped j = j = child_arity + 1 || List.mem j group in
+  List.iter
+    (fun j ->
+      if not (grouped j) then
+        refuse "projection keeps column %d, neither grouped nor the aggregate" j)
+    projection;
+  Option.iter
+    (fun p ->
+      if Predicate.rename (fun c -> if grouped c then Some c else None) p = None
+      then
+        refuse "HAVING [%s] reads a column neither grouped nor the aggregate"
+          (Predicate.to_string p))
+    having;
+  Plan.Grouped_aggregate { group; func; having; projection; child = compile db e }
 
 let rebind ~db f { Plan.logical; physical } =
   let pred = Predicate.map_consts f in
@@ -130,7 +127,6 @@ let rebind ~db f { Plan.logical; physical } =
     | Plan.Merge_union (l, r) -> Plan.Merge_union (go l, go r)
     | Plan.Merge_intersect (l, r) -> Plan.Merge_intersect (go l, go r)
     | Plan.Merge_diff (l, r) -> Plan.Merge_diff (go l, go r)
-    | Plan.Hash_aggregate a -> Plan.Hash_aggregate { a with child = go a.child }
     | Plan.Grouped_aggregate a ->
       Plan.Grouped_aggregate
         { a with having = Option.map pred a.having; child = go a.child }
@@ -140,6 +136,9 @@ let rebind ~db f { Plan.logical; physical } =
   { Plan.logical = Algebra.map_preds pred logical; physical = go physical }
 
 let plan ~db ?approx expr =
+  (* The oracle's errors first: an ill-formed expression raises what
+     [Eval] raises before any shape is checked. *)
+  let (_ : int) = Algebra.arity ~env:(arity_env db) expr in
   let physical = compile db expr in
   let physical =
     match approx with

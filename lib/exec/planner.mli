@@ -13,8 +13,10 @@
     - union concatenates its inputs; intersection/difference run as
       linear merges over the sorted tuple order of their materialised
       inputs;
-    - everything else falls back to operators that mirror {!Ops}
-      exactly.
+    - an aggregate plans only in the shape sqlx lowers GROUP BY to — a
+      projection of GROUP BY positions and the aggregate, maybe over a
+      HAVING on them — as one fused {!Plan.Grouped_aggregate}; any
+      other aggregate is refused.
 
     Plans are immutable and reusable: all data references go through the
     database at execution time, so a plan stays valid across updates and
@@ -26,7 +28,13 @@ open Expirel_core
 open Expirel_storage
 
 val plan : db:Database.t -> ?approx:Approx.spec -> Algebra.t -> Plan.compiled
-(** [approx], when given, wraps the compiled physical tree in the
+(** @raise Errors.Unknown_relation or {!Errors.Arity_mismatch} on an
+    ill-formed expression, as {!Eval} does, before any shape is checked.
+    @raise Invalid_argument on an aggregate outside the GROUP BY shape
+    (bare, or under a projection or HAVING that reads a column neither
+    grouped nor the aggregate).
+
+    [approx], when given, wraps the compiled physical tree in the
     matching sketch operator ({!Plan.Sketch_count} /
     {!Plan.Sketch_sample}); the logical expression stays the child's —
     the sketch is a physical-only answer transform. *)

@@ -22,7 +22,8 @@ type t = {
   bytes_in : Instrument.Counter.t;
   bytes_out : Instrument.Counter.t;
   events_pushed : Instrument.Counter.t;
-  tuples_expired : Instrument.Counter.t Instrument.Family.t;
+  expirations : ([ `Eager | `Lazy ] * (unit -> int)) option ref;
+      (* [expirel_tuples_expired_total]'s removal mode and count *)
   held_replies : Instrument.Counter.t Instrument.Family.t;
   held_answers : Instrument.Gauge.t;
   latency : Instrument.Histogram.t;
@@ -36,6 +37,10 @@ type t = {
 }
 
 let build_version = "0.10.0"
+
+let mode_label = function
+  | `Eager -> "eager"
+  | `Lazy -> "lazy"
 
 let create () =
   let reg = Registry.create () in
@@ -74,11 +79,19 @@ let create () =
     events_pushed =
       Registry.counter reg ~name:"expirel_events_pushed_total"
         ~help:"Subscription events pushed to clients";
-    tuples_expired =
-      Registry.counter_family reg ~name:"expirel_tuples_expired_total"
-        ~help:"Tuples whose expiration the storage observed, by removal \
-               policy (eager = at expiration time, lazy = on vacuum)"
-        ~labels:[ "mode" ];
+    expirations =
+      (let source = ref None in
+       (* Like a labelled family's member, the sample appears with the
+          first expiration. *)
+       Registry.custom reg ~name:"expirel_tuples_expired_total"
+         ~help:"Tuples whose expiration the storage observed, by removal \
+                policy (eager = at expiration time, lazy = on vacuum)"
+         ~kind:Registry.Counter_kind (fun () ->
+           match Option.map (fun (mode, count) -> (mode, count ())) !source with
+           | Some (mode, n) when n > 0 ->
+             [ ([ ("mode", mode_label mode) ], Registry.Counter_sample n) ]
+           | Some _ | None -> []);
+       source);
     held_replies =
       Registry.counter_family reg ~name:"expirel_held_replies_total"
         ~help:"Held answers sent, by form (delta = only the rows changed \
@@ -132,13 +145,7 @@ let add_bytes_in t n = Instrument.Counter.add t.bytes_in n
 let add_bytes_out t n = Instrument.Counter.add t.bytes_out n
 let incr_events_pushed t = Instrument.Counter.incr t.events_pushed
 
-let mode_label = function
-  | `Eager -> "eager"
-  | `Lazy -> "lazy"
-
-let incr_tuples_expired t ~mode =
-  Instrument.Counter.incr
-    (Instrument.Family.labelled t.tuples_expired [ mode_label mode ])
+let set_expirations t ~mode count = t.expirations := Some (mode, count)
 
 let incr_held_reply t ~delta =
   Instrument.Counter.incr

@@ -61,10 +61,12 @@ val add_bytes_in : t -> int -> unit
 val add_bytes_out : t -> int -> unit
 val incr_events_pushed : t -> unit
 
-val incr_tuples_expired : t -> mode:[ `Eager | `Lazy ] -> unit
-(** One expired tuple, labeled by how its removal happened: [`Eager]
-    when the clock advance removed it at its expiration time, [`Lazy]
-    when a vacuum reclaimed it late (Section 3.2's two policies). *)
+val set_expirations : t -> mode:[ `Eager | `Lazy ] -> (unit -> int) -> unit
+(** The source of [expirel_tuples_expired_total], polled at exposition:
+    [count ()] tuples expired so far, labeled by how their removal
+    happens: [`Eager] when the clock advance removes them at their
+    expiration time, [`Lazy] when a vacuum reclaims them late (Section
+    3.2's two policies).  Without a source the counter has no sample. *)
 
 val incr_held_reply : t -> delta:bool -> unit
 (** One [Held_rows] reply sent, a delta or the whole answer. *)

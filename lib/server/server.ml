@@ -136,17 +136,18 @@ let create ?(config = default_config) () =
       ~request_timeout:config.request_timeout ~health_rules:config.health_rules ()
   in
   let metrics = Loop.metrics loop in
-  (* Every expiration the storage observes shows up in METRICS,
-     labeled by how it was removed: under the eager policy triggers
-     fire from the clock advance at the tuple's expiration time, under
-     the lazy policy from the (late) vacuum. *)
-  let expiry_mode =
-    match config.policy with
-    | Database.Eager -> `Eager
-    | Database.Lazy -> `Lazy
-  in
-  Trigger.register (Database.triggers db) ~name:"__server_stats" ~table:"*"
-    (fun _ -> Metrics.incr_tuples_expired metrics ~mode:expiry_mode);
+  (* Every expiration the storage counts from here on shows up in
+     METRICS (a durable node's replay at open does not), labeled by how
+     it was removed: under the eager policy by the clock advance at the
+     tuple's expiration time, under the lazy policy by the (late)
+     vacuum. *)
+  let expired_at_start = Database.expired_total db in
+  Metrics.set_expirations metrics
+    ~mode:
+      (match config.policy with
+       | Database.Eager -> `Eager
+       | Database.Lazy -> `Lazy)
+    (fun () -> Database.expired_total db - expired_at_start);
   let t =
     { config;
       interp;

@@ -105,10 +105,11 @@ let insert_ttl db name tuple ~ttl =
 let insert_values db name values ~texp = insert db name (Tuple.of_list values) ~texp
 let delete db name tuple = Table.delete (table_exn db name) tuple
 
+(* Global (texp, table, tuple) order so trigger firings are
+   deterministic across tables; nothing is sorted when no trigger
+   listens. *)
 let fire_expirations db ~fired_at_of events =
-  (* Global (texp, table, tuple) order so trigger firings are
-     deterministic across tables. *)
-  let ordered =
+  if Trigger.count db.trigger_registry > 0 then
     List.sort
       (fun (e1, n1, t1) (e2, n2, t2) ->
         match Time.compare e1 e2 with
@@ -118,12 +119,9 @@ let fire_expirations db ~fired_at_of events =
            | c -> c)
         | c -> c)
       events
-  in
-  List.iter
-    (fun (texp, table_name, tuple) ->
-      Trigger.fire db.trigger_registry
-        { Trigger.table = table_name; tuple; texp; fired_at = fired_at_of texp })
-    ordered
+    |> List.iter (fun (texp, table_name, tuple) ->
+           Trigger.fire db.trigger_registry
+             { Trigger.table = table_name; tuple; texp; fired_at = fired_at_of texp })
 
 let collect_expired db tau =
   Hashtbl.fold

@@ -15,12 +15,9 @@ type entry = {
   handler : handler;
 }
 
-type registry = {
-  mutable entries : entry list;
-  mutable log : event list;  (* newest first *)
-}
+type registry = { mutable entries : entry list }
 
-let create () = { entries = []; log = [] }
+let create () = { entries = [] }
 
 (* Registration order is firing order. *)
 let register r ~name ~table handler =
@@ -32,11 +29,7 @@ let unregister r ~name = r.entries <- List.filter (fun e -> e.name <> name) r.en
 let count r = List.length r.entries
 
 let fire r event =
-  r.log <- event :: r.log;
   List.iter
     (fun e ->
       if e.table_name = "*" || e.table_name = event.table then e.handler event)
     r.entries
-
-let fired_log r = List.rev r.log
-let clear_log r = r.log <- []

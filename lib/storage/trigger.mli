@@ -28,9 +28,3 @@ val count : registry -> int
 
 val fire : registry -> event -> unit
 (** Invokes every handler subscribed to the event's table. *)
-
-val fired_log : registry -> event list
-(** Every event fired so far, oldest first (kept for observability and
-    tests). *)
-
-val clear_log : registry -> unit

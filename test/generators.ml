@@ -100,9 +100,33 @@ let agg_func ~arity : Aggregate.func Gen.t =
       map (fun i -> Aggregate.Max i) attr;
       map (fun i -> Aggregate.Avg i) attr ]
 
+(* [aggregated], of [arity] columns with the aggregate last, as sqlx
+   lowers a GROUP BY: under a projection of GROUP BY positions that
+   keeps the aggregate, maybe over a HAVING on those positions. *)
+let lowered_group ~arity group aggregated : Algebra.t Gen.t =
+  let open Gen in
+  let kept = group @ [ arity ] in
+  let* others = list_size (return (arity - 1)) (oneofl kept) in
+  let* projection = shuffle_l (arity :: others) in
+  let* having =
+    frequency
+      [ (2, return None);
+        (1, map Option.some (predicate ~arity:(List.length kept))) ]
+  in
+  let on_kept p =
+    Option.get (Predicate.rename (fun c -> List.nth_opt kept (c - 1)) p)
+  in
+  return
+    (Algebra.project projection
+       (Option.fold having ~none:aggregated ~some:(fun h ->
+            Algebra.select (on_kept h) aggregated)))
+
 (* Arity-directed expression generator.  [allow_non_monotonic] gates Diff
-   and Aggregate. *)
-let expr ?(allow_non_monotonic = true) ~arity () : Algebra.t Gen.t =
+   and Aggregate; [lowered_aggregates] draws each aggregate as sqlx
+   lowers it ({!lowered_group}), the only shape the planner accepts,
+   rather than bare as the paper's algebra allows. *)
+let expr ?(allow_non_monotonic = true) ?(lowered_aggregates = false) ~arity ()
+  : Algebra.t Gen.t =
   let open Gen in
   let base_of a =
     match base_names_of_arity a with
@@ -162,7 +186,9 @@ let expr ?(allow_non_monotonic = true) ~arity () : Algebra.t Gen.t =
                in
                let* f = agg_func ~arity:inner in
                let* e = recur inner in
-               return (Algebra.aggregate group f e))
+               let aggregated = Algebra.aggregate group f e in
+               if lowered_aggregates then lowered_group ~arity group aggregated
+               else return aggregated)
             ]
           else []
       in
@@ -172,11 +198,11 @@ let expr ?(allow_non_monotonic = true) ~arity () : Algebra.t Gen.t =
   go ~arity ~depth
 
 (* An (expression, environment) pair ready for evaluation. *)
-let expr_and_env ?allow_non_monotonic () :
+let expr_and_env ?allow_non_monotonic ?lowered_aggregates () :
   (Algebra.t * (string * Relation.t) list) Gen.t =
   let open Gen in
   let* arity = int_range 1 3 in
-  let* e = expr ?allow_non_monotonic ~arity () in
+  let* e = expr ?allow_non_monotonic ?lowered_aggregates ~arity () in
   let* bindings = env_bindings in
   return (e, bindings)
 
@@ -209,11 +235,12 @@ let grouped_count : Algebra.t Gen.t =
               Predicate.(Cmp (Gt, Col count, Const (Value.int n)))
               grouped)))
 
-(* {!expr_and_env}, or one time in four {!nested_difference}. *)
+(* {!expr_and_env} with its aggregates as sqlx lowers them (the
+   planner's input), or one time in four {!nested_difference}. *)
 let expr_and_env_or_nested_difference () :
   (Algebra.t * (string * Relation.t) list) Gen.t =
   Gen.frequency
-    [ (3, expr_and_env ());
+    [ (3, expr_and_env ~lowered_aggregates:true ());
       (1, Gen.map (fun bindings -> (nested_difference, bindings)) env_bindings) ]
 
 (* Aggregation partitions: lists of (tuple, texp) sharing nothing in

@@ -214,6 +214,27 @@ for f in unnamed:
     print(f)
 if unnamed:
     sys.exit("ci: no other lib/ or bin/ code names the modules above; move them beside their callers")
+# One physical executor: the naive kernels (Ops) serve lib/core's
+# oracle alone, so no other lib/ or bin/ code calls them; and no code
+# names the unfused aggregate node those calls ran, or the trigger log
+# that kept every expiration.
+oracle = [f for f, text in sorted(sources.items())
+          if not f.startswith('lib/core/') and re.search(r'\bOps\.', text)]
+for f in oracle:
+    print(f)
+if oracle:
+    sys.exit("ci: the files above call the naive Ops kernels outside lib/core")
+removed = re.compile(r'\bHash_aggregate\b|\bTrigger\.(fired_log|clear_log)\b')
+named = []
+for top in ('lib', 'bin', 'bench', 'test'):
+    for pattern in ('/**/*.ml', '/**/*.mli'):
+        for f in glob.glob(top + pattern, recursive=True):
+            if removed.search(strip(open(f).read())):
+                named.append(f)
+for f in sorted(set(named)):
+    print(f)
+if named:
+    sys.exit("ci: the files above name the removed unfused aggregate or trigger log")
 PY
 # One request loop: a coordinator answers the wire through the loop a
 # node serves through, and `connect` is the only REPL, so bin/ keeps no

@@ -61,7 +61,7 @@ let db_of_bindings bindings =
 
 let gen_case =
   let open Gen in
-  let* e, bindings = Generators.expr_and_env () in
+  let* e, bindings = Generators.expr_and_env ~lowered_aggregates:true () in
   let* tau = int_range 0 8 in
   return (e, bindings, tau)
 
@@ -115,7 +115,7 @@ let spans_mirror_plan (e, bindings, tau) =
    times get hit constantly. *)
 let gen_cut_case =
   let open Gen in
-  let* e, bindings = Generators.expr_and_env () in
+  let* e, bindings = Generators.expr_and_env ~lowered_aggregates:true () in
   let* tau = oneof [ return 0; int_range 0 8; int_range 20 30 ] in
   return (e, bindings, tau)
 
@@ -133,7 +133,7 @@ let naive_at db tau e =
    uses. *)
 let gen_at_case =
   let open Gen in
-  let* e, bindings = Generators.expr_and_env () in
+  let* e, bindings = Generators.expr_and_env ~lowered_aggregates:true () in
   let* now = int_range 0 8 in
   let* ahead = oneof [ return 0; int_range 1 8; int_range 12 30 ] in
   return (e, bindings, now, ahead)
@@ -861,6 +861,90 @@ let merge_union_law = set_law Algebra.union
 let merge_intersect_law = set_law Algebra.intersect
 let merge_diff_law = set_law Algebra.diff
 
+(* R − S hides a tuple of R while S holds it: the difference changes
+   when S's copy expires before R's (Section 2.6.2), so texp(e) is the
+   earliest such S expiration, found by the merge itself.  A tuple that
+   S outlives never reappears. *)
+let test_diff_texp_is_first_reappearance () =
+  let unary rows = rel 1 (List.map (fun (v, t) -> ([ Value.int v ], t)) rows) in
+  List.iter
+    (fun (label, l, r, expected) ->
+      let db = db_of_sides (unary l) (unary r) in
+      let e = Algebra.diff (Algebra.base "l") (Algebra.base "r") in
+      let planned = Executor.run ~db (Planner.plan ~db e) in
+      Alcotest.(check string) label expected (Time.to_string planned.Eval.texp);
+      Alcotest.(check bool) (label ^ ": as naive") true
+        (same (Database.query db e) planned))
+    [ ("a reappears at 4", [ (1, 10) ], [ (1, 4) ], "4");
+      ("the earliest of two", [ (1, 10); (2, 10); (3, 3) ],
+       [ (1, 4); (2, 6); (3, 8) ], "4");
+      ("S outlives R", [ (1, 3) ], [ (1, 8) ], "inf") ]
+
+(* The planner takes an aggregate only as sqlx lowers GROUP BY: under a
+   projection of GROUP BY positions and the aggregate, maybe over a
+   HAVING on them.  An ill-formed expression still raises the oracle's
+   error first. *)
+let test_planner_refuses_unlowered_aggregates () =
+  let db = db_of_sides (rel 2 []) (rel 2 []) in
+  let count = Algebra.aggregate [ 1 ] Aggregate.Count (Algebra.base "l") in
+  let having = Predicate.(Cmp (Gt, Col 2, Const (Value.int 0))) in
+  List.iter
+    (fun (label, exn, e) ->
+      Alcotest.check_raises label exn (fun () ->
+          ignore (Planner.plan ~db e : Plan.compiled)))
+    [ ( "bare aggregate",
+        Invalid_argument
+          "Planner.plan: an aggregate plans only under a GROUP BY projection",
+        count );
+      ( "HAVING over no projection",
+        Invalid_argument
+          "Planner.plan: an aggregate plans only under a GROUP BY projection",
+        Algebra.select having count );
+      ( "a non-GROUP BY column kept",
+        Invalid_argument
+          "Planner.plan: projection keeps column 2, neither grouped nor the \
+           aggregate",
+        Algebra.project [ 1; 2; 3 ] count );
+      ( "HAVING on a non-GROUP BY column",
+        Invalid_argument
+          (Printf.sprintf
+             "Planner.plan: HAVING [%s] reads a column neither grouped nor \
+              the aggregate"
+             (Predicate.to_string having)),
+        Algebra.project [ 1; 3 ] (Algebra.select having count) );
+      ( "unknown relation first",
+        Errors.Unknown_relation "nope",
+        Algebra.aggregate [ 1 ] Aggregate.Count (Algebra.base "nope") );
+      ( "arity mismatch first",
+        Errors.Arity_mismatch "grouping position 5 outside 1..2",
+        Algebra.project [ 3 ]
+          (Algebra.aggregate [ 5 ] Aggregate.Count (Algebra.base "l")) ) ]
+
+(* Every GROUP BY sqlx lowers plans the fused node at its root. *)
+let test_sql_group_by_plans_fused () =
+  let l =
+    rel 2
+      [ ([ Value.int 1; Value.int 10 ], 5); ([ Value.int 1; Value.int 20 ], 7);
+        ([ Value.int 2; Value.int 30 ], 9) ]
+  in
+  let db = db_of_sides l l in
+  let catalog name = Option.map Table.columns (Database.table db name) in
+  List.iter
+    (fun sql ->
+      let { Lower.expr; _ } = Lower.lower_query ~catalog (Parser.parse_query sql) in
+      let compiled = Planner.plan ~db expr in
+      (match compiled.Plan.physical with
+       | Plan.Grouped_aggregate _ -> ()
+       | p -> Alcotest.failf "%s plans %s" sql (Plan.describe p));
+      Alcotest.(check bool) (sql ^ ": as naive") true
+        (same (Database.query db expr) (Executor.run ~db compiled)))
+    [ "SELECT c1, COUNT(*) FROM l GROUP BY c1";
+      "SELECT COUNT(*) FROM l";
+      "SELECT SUM(c2) FROM l WHERE c1 > 1";
+      "SELECT c2, c1, MAX(c2) FROM l GROUP BY c1, c2 HAVING MAX(c2) > 10 AND c1 < 5";
+      "SELECT AVG(c2), c1 FROM l GROUP BY c1 HAVING c1 = 1";
+      "SELECT l.c1, MIN(r.c2) FROM l JOIN r ON l.c1 = r.c1 GROUP BY l.c1" ]
+
 (* A union leaves a tuple held by both sides twice in its batches; the
    fused aggregate and the sketches must count each set member once. *)
 let test_folds_count_set_members () =
@@ -1557,6 +1641,12 @@ let suite =
     Generators.qtest "merge intersect ≡ Ops.intersect" gen_set_inputs
       merge_intersect_law;
     Generators.qtest "merge diff ≡ Ops.diff" gen_set_inputs merge_diff_law;
+    Alcotest.test_case "EXCEPT: texp(e) is the first reappearance" `Quick
+      test_diff_texp_is_first_reappearance;
+    Alcotest.test_case "planner refuses aggregates outside the GROUP BY shape"
+      `Quick test_planner_refuses_unlowered_aggregates;
+    Alcotest.test_case "every sqlx GROUP BY plans the fused aggregate" `Quick
+      test_sql_group_by_plans_fused;
     Alcotest.test_case "batch folds count each set member once" `Quick
       test_folds_count_set_members;
     Alcotest.test_case "hash join: Int/Float key coercion" `Quick

@@ -466,6 +466,34 @@ let test_metrics_lazy_mode () =
           Alcotest.(check bool) "no eager samples on a lazy server" false
             (contains ~sub:"{mode=\"eager\"}" text)))
 
+(* The expirations counter reads the storage's own count: after each
+   eager clock move and each lazy VACUUM it has moved exactly as far as
+   Database.expired_total since the server started. *)
+let test_expired_counter_tracks_storage () =
+  List.iter
+    (fun (policy, steps) ->
+      let config = { Server.default_config with policy } in
+      with_server ~config (fun server port ->
+          let db = Expirel_sqlx.Interp.database (Server.interp server) in
+          let start = Database.expired_total db in
+          let check label =
+            Alcotest.(check (float 0.)) label
+              (float_of_int (Database.expired_total db - start))
+              (Test_obs.total (Server.collect_metrics server)
+                 "expirel_tuples_expired_total")
+          in
+          with_client port (fun client ->
+              load_profiles client;
+              List.iter
+                (fun sql ->
+                  ok (Client.exec_ok client sql);
+                  check sql)
+                steps;
+              Alcotest.(check int) "all three expired" 3
+                (Database.expired_total db - start))))
+    [ (Database.Eager, [ "TICK"; "ADVANCE TO 10"; "TICK"; "ADVANCE TO 15"; "TICK" ]);
+      (Database.Lazy, [ "ADVANCE TO 12"; "VACUUM"; "ADVANCE TO 20"; "VACUUM" ]) ]
+
 (* A durable primary has WAL and replication-lag gauges with samples. *)
 let test_metrics_durable_primary () =
   with_temp_dir (fun dir ->
@@ -1605,6 +1633,8 @@ let suite =
       test_metrics_exposition;
     Alcotest.test_case "METRICS: lazy-mode churn label" `Quick
       test_metrics_lazy_mode;
+    Alcotest.test_case "METRICS: expirations = the storage's count" `Quick
+      test_expired_counter_tracks_storage;
     Alcotest.test_case "standing aggregates on the registry" `Quick
       test_standing_aggregate_metrics;
     Alcotest.test_case "METRICS: durable primary gauges" `Quick

@@ -29,17 +29,6 @@ let test_replace_unregister () =
   Trigger.fire r (event "a" (Tuple.ints [ 1 ]) 1 1);
   Alcotest.(check int) "unregistered silent" 10 !count
 
-let test_log () =
-  let r = Trigger.create () in
-  Trigger.fire r (event "a" (Tuple.ints [ 1 ]) 3 3);
-  Trigger.fire r (event "a" (Tuple.ints [ 2 ]) 4 4);
-  Alcotest.(check int) "log keeps every event" 2 (List.length (Trigger.fired_log r));
-  Alcotest.(check string) "oldest first" "<1>"
-    (Tuple.to_string (List.hd (Trigger.fired_log r)).Trigger.tuple);
-  Trigger.clear_log r;
-  Alcotest.(check int) "cleared" 0 (List.length (Trigger.fired_log r))
-
 let suite =
   [ Alcotest.test_case "table and wildcard dispatch" `Quick test_dispatch;
-    Alcotest.test_case "replace and unregister" `Quick test_replace_unregister;
-    Alcotest.test_case "event log" `Quick test_log ]
+    Alcotest.test_case "replace and unregister" `Quick test_replace_unregister ]
