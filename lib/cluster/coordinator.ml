@@ -91,13 +91,9 @@ type t = {
          coordinator attached to a running cluster knows only these *)
   mutable map : Wire.shard_map;
   mutable slots : slot list;  (* same order as [map.shards] *)
-  mutable moving : (Wire.shard_map * slot list) option;
-      (* the target map and its slots while [apply_map] moves rows: a
-         moved row may already live only at its new owner *)
-  mutable moves : int;
-      (* bumped whenever a move starts, ends, or is about to purge rows
-         from a source: a read whose flight spans a bump may have
-         looked where a row no longer is, and runs again *)
+  rebalance : Expirel_storage.Rwlock.t;
+      (* every SQL statement holds its read side, a rebalance its write
+         side: no statement sees a half-moved partition *)
   mutable now : Time.t;  (* mirror of the cluster's logical clock *)
   kept : (string, kept) Expirel_exec.Lru.t;
       (* repeated GROUP BY COUNT texts, kept; an entry whose epoch is
@@ -437,26 +433,14 @@ let rec pinned_keys = function
   | Algebra.Diff (a, _) | Algebra.Intersect (a, _) -> pinned_keys a
   | _ -> None
 
-(* The shards a statement with [keys] may need.  Pinned keys name their
-   owners under the current map and, while a move is in flight, under
-   its target too: a row the move has purged from its old owner lives
-   only at the new one.  Without keys every shard of the current map
-   (callers pass none under [~prune:false], the forced broadcast).  The
-   caller holds [t.state]. *)
+(* The shards a statement with [keys] may need: the keys' owners, or
+   every shard without keys (callers pass none under [~prune:false],
+   the forced broadcast).  The caller holds [t.state]. *)
 let candidates t keys =
   match keys with
   | Some keys ->
-    let owners (map, slots) =
-      let ids = List.map (Wire.shard_owner map) keys in
-      List.filter (fun s -> List.mem s.shard.Wire.shard_id ids) slots
-    in
-    let chosen =
-      List.fold_left
-        (fun acc s -> if List.memq s acc then acc else s :: acc)
-        []
-        (List.concat_map owners ((t.map, t.slots) :: Option.to_list t.moving))
-      |> List.rev
-    in
+    let ids = List.map (Wire.shard_owner t.map) keys in
+    let chosen = List.filter (fun s -> List.mem s.shard.Wire.shard_id ids) t.slots in
     Obs.Instrument.Counter.add t.routed_total
       (max 0 (List.length t.slots - List.length chosen));
     chosen
@@ -478,29 +462,15 @@ let prunable slot tau =
 
 (* The shards a query with [keys] at [tau] contacts: every candidate
    whose summary cannot prove its partition empty (all of them without
-   [prune], or while a move redefines the partitions under the cached
-   summaries); the rest count as pruned.  Also returns the move count
-   the choice was made under. *)
+   [prune]); the rest count as pruned. *)
 let contacts ~prune t keys tau =
   locked t (fun () ->
       let candidates = candidates t keys in
-      let contacted, pruned =
-        if not (prune && Option.is_none t.moving) then (candidates, [])
-        else List.partition (fun s -> not (prunable s tau)) candidates
-      in
-      List.iter
-        (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total)
-        pruned;
-      (contacted, t.moves))
-
-(* Run [read] on the shards [contacts] picks, and again if a move started,
-   purged a source or ended while it was in flight: reads are
-   idempotent, and the rerun routes by the move's present state. *)
-let rec routed_read ~prune t keys tau read =
-  let contacted, moves = contacts ~prune t keys tau in
-  let result = read contacted in
-  if locked t (fun () -> t.moves) = moves then result
-  else routed_read ~prune t keys tau read
+      if not prune then candidates
+      else
+        let contacted, pruned = List.partition (fun s -> not (prunable s tau)) candidates in
+        List.iter (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total) pruned;
+        contacted)
 
 let span_offset_us tr at =
   let us = (at -. Obs.Trace.started_at tr) *. 1e6 in
@@ -798,18 +768,16 @@ let merging ?trace merge =
    whole again.  A shard the read prunes holds nothing live, so its
    copy empties.  Versions count from 1 on each connection, and a
    redial reuses the slot: a copy names only a version whose reply it
-   recorded, so a read that records none (a failed gather, a move or a
-   catalog change under it) drops every contacted shard's copy to
-   version 0.  Each group a reply touched is merged again from the
-   shards' copies ({!Partial_agg.merge_all}, the stateless route's
-   merge), and only those groups are re-finalised
-   ({!Subscription.regroup}).  Every group stands at its own shard's
-   clock, as the stateless route reads it.  [None]: a move or a catalog
-   change landed under the read, which must be answered the stateless
-   way. *)
+   recorded, so a read that records none (a failed gather, a catalog
+   change under it) drops every contacted shard's copy to version 0.
+   Each group a reply touched is merged again from the shards' copies
+   ({!Partial_agg.merge_all}, the stateless route's merge), and only
+   those groups are re-finalised ({!Subscription.regroup}).  Every group stands at its own shard's
+   clock, as the stateless route reads it.  [None]: a catalog change
+   landed under the read, which must be answered the stateless way. *)
 let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
   Obs.Instrument.Counter.incr t.fanouts_total;
-  let contacted, moves = contacts ~prune:true t None tau in
+  let contacted = contacts ~prune:true t None tau in
   let held slot =
     let id = slot.shard.Wire.shard_id in
     match Hashtbl.find_opt e.held id with
@@ -837,7 +805,7 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
   | Error reply ->
     unrecorded ();
     Some (Error reply)
-  | Ok _ when locked t (fun () -> t.moves <> moves || t.epoch <> e.epoch) ->
+  | Ok _ when locked t (fun () -> t.epoch <> e.epoch) ->
     unrecorded ();
     None
   | Ok parts ->
@@ -925,29 +893,27 @@ let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~
     ~stateless =
   let entry =
     locked t (fun () ->
-        if Option.is_some t.moving then None
-        else
-          match Expirel_exec.Lru.find t.kept sql with
-          | Some e when e.epoch = t.epoch -> Some e
-          | Some _ | None ->
-            let e =
-              { lock = Mutex.create ();
-                epoch = t.epoch;
-                held = Hashtbl.create 4;
-                counts =
-                  Subscription.counts
-                    ~output:
-                      (Partial_agg.finalizer ~group:d.Lower.d_group ~func:d.Lower.d_func
-                         ~child_arity ?having:d.Lower.d_having
-                         ~projection:d.Lower.d_projection)
-                    ~distinct:
-                      (Partial_agg.distinct_rows ~group:d.Lower.d_group
-                         ~projection:d.Lower.d_projection)
-                    ~arity:(List.length columns)
-              }
-            in
-            Expirel_exec.Lru.set t.kept sql e;
-            None)
+        match Expirel_exec.Lru.find t.kept sql with
+        | Some e when e.epoch = t.epoch -> Some e
+        | Some _ | None ->
+          let e =
+            { lock = Mutex.create ();
+              epoch = t.epoch;
+              held = Hashtbl.create 4;
+              counts =
+                Subscription.counts
+                  ~output:
+                    (Partial_agg.finalizer ~group:d.Lower.d_group ~func:d.Lower.d_func
+                       ~child_arity ?having:d.Lower.d_having
+                       ~projection:d.Lower.d_projection)
+                  ~distinct:
+                    (Partial_agg.distinct_rows ~group:d.Lower.d_group
+                       ~projection:d.Lower.d_projection)
+                  ~arity:(List.length columns)
+            }
+          in
+          Expirel_exec.Lru.set t.kept sql e;
+          None)
   in
   match
     Option.bind entry (fun e ->
@@ -960,7 +926,7 @@ let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~
 (* [q]'s lowering and route, through the statement cache: as cached
    when the planned literals are the lowering's, with its constants
    replaced when only condition values differ (the route is then
-   re-derived: a pinned key moves with its literal), made afresh at a
+   re-derived: a pinned key follows its literal), made afresh at a
    new catalog epoch or on a miss.
    @raise Lower.Error as {!Lower.lower_query} *)
 let lowered ?trace t (p : lowered Statement_cache.prepared) q =
@@ -1022,10 +988,7 @@ let read ?trace ~prune t (p : lowered Statement_cache.prepared) (qs : Ast.query_
     let fan ~child ~want ~what extract merge =
       Obs.Instrument.Counter.incr t.fanouts_total;
       let keys = if prune then pinned_keys child else None in
-      match
-        routed_read ~prune t keys tau (fun contacted ->
-            scatter ?trace t contacted ~want ~what sql extract)
-      with
+      match scatter ?trace t (contacts ~prune t keys tau) ~want ~what sql extract with
       | Error e -> Error e
       | Ok parts -> merging ?trace (fun () -> merge parts)
     in
@@ -1205,8 +1168,7 @@ let create ?(node_name = "coordinator") ?health_rules
       indexes = Hashtbl.create 16;
       map;
       slots = [];
-      moving = None;
-      moves = 0;
+      rebalance = Expirel_storage.Rwlock.create ();
       now = Time.zero;
       kept = Expirel_exec.Lru.create ~capacity:Interp.statement_capacity ();
       epoch = 0;
@@ -1361,8 +1323,7 @@ let table_names t =
    extract per source shard, ingest at the destinations, then purge the
    sources.  Purge runs last so a crash mid-move duplicates rows (both
    copies carry the same texp — harmless to set semantics) rather than
-   losing them.  Each purge first bumps [t.moves]: a routed read in
-   flight across it runs again. *)
+   losing them. *)
 let move_rows t new_map ~old_slots ~new_slots =
   let ( let* ) = Result.bind in
   let* () =
@@ -1394,7 +1355,7 @@ let move_rows t new_map ~old_slots ~new_slots =
         List.fold_left
           (fun acc table ->
             let* () = acc in
-            let* moves =
+            let* outgoing =
               Result.map_error
                 (Printf.sprintf "extract from shard %d: %s"
                    source.shard.Wire.shard_id)
@@ -1418,12 +1379,11 @@ let move_rows t new_map ~old_slots ~new_slots =
                       (Result.map ignore
                          (on_slot dest (fun c ->
                               Client.ingest_rows c ~table rows))))
-                (Ok ()) moves
+                (Ok ()) outgoing
             in
-            match moves with
+            match outgoing with
             | [] -> Ok ()
             | _ :: _ ->
-              locked t (fun () -> t.moves <- t.moves + 1);
               Result.map_error
                 (Printf.sprintf "purge on shard %d: %s"
                    source.shard.Wire.shard_id)
@@ -1434,19 +1394,12 @@ let move_rows t new_map ~old_slots ~new_slots =
   in
   Ok !moved
 
-(* [move_rows] with routing kept sound while it runs: the target map
-   rides on [t.moving], so a routed read or delete also asks each key's
-   new owner, and every step that can strand a read bumps [t.moves].
-   Success swaps the map in; a failure leaves the old map routing. *)
+(* [move_rows], then the map: success swaps it in, a failure leaves the
+   old map routing.  Either way every kept GROUP BY drops: its copies
+   are of partitions the move changed. *)
 let apply_map t new_map ~old_slots ~new_slots =
-  locked t (fun () ->
-      t.moving <- Some (new_map, new_slots);
-      t.moves <- t.moves + 1;
-      t.epoch <- t.epoch + 1);
   let result = move_rows t new_map ~old_slots ~new_slots in
   locked t (fun () ->
-      t.moving <- None;
-      t.moves <- t.moves + 1;
       t.epoch <- t.epoch + 1;
       if Result.is_ok result then begin
         t.map <- new_map;
@@ -1471,7 +1424,11 @@ let apply_map t new_map ~old_slots ~new_slots =
   end;
   result
 
+(* Each move holds the rebalance write side from its first step
+   through the map swap: it waits out the statements in flight, and the
+   statements issued meanwhile wait for it. *)
 let add_shard t endpoint =
+  Expirel_storage.Rwlock.with_write t.rebalance @@ fun () ->
   let old_map = shard_map t in
   let old_slots = slots t in
   let fresh_id =
@@ -1501,11 +1458,10 @@ let add_shard t endpoint =
       ]
   in
   (* The joining shard needs the cluster's catalog and clock before it
-     can ingest: recover each table's columns from a zero-row scan on a
-     live shard (single-table scans label columns with their bare DDL
-     names), replay CREATE TABLE and the CREATE INDEXes this coordinator
-     broadcast on the newcomer, then sync its clock so ingested
-     expiration times mean the same thing there. *)
+     can ingest: replay each table's CREATE TABLE, with the columns the
+     cluster catalog knows ([table_columns]), and the CREATE INDEXes
+     this coordinator broadcast on the newcomer, then sync its clock so
+     ingested expiration times mean the same thing there. *)
   let newcomer = List.nth new_slots (List.length new_slots - 1) in
   let prep =
     let ( let* ) = Result.bind in
@@ -1519,8 +1475,8 @@ let add_shard t endpoint =
     in
     let ddl acc table =
       let* acc = acc in
-      match forward_to_any t (Printf.sprintf "SELECT * FROM %s LIMIT 0" table) with
-      | Wire.Rows { columns; _ } ->
+      match table_columns t table with
+      | Some columns ->
         let index (on, column) () acc =
           if on = table then Printf.sprintf "CREATE INDEX ON %s (%s)" table column :: acc
           else acc
@@ -1529,8 +1485,7 @@ let add_shard t endpoint =
           (acc
           @ Printf.sprintf "CREATE TABLE %s (%s)" table (String.concat ", " columns)
             :: locked t (fun () -> Hashtbl.fold index t.indexes []))
-      | Wire.Err { message; _ } -> Error (Printf.sprintf "describe %s: %s" table message)
-      | _ -> Error "unexpected reply to a describe scan"
+      | None -> Error (Printf.sprintf "describe %s: no shard answered" table)
     in
     let* tables = table_names t in
     let* statements = List.fold_left ddl (Ok []) tables in
@@ -1550,6 +1505,7 @@ let add_shard t endpoint =
      | Error e -> Error e)
 
 let remove_shard t shard_id =
+  Expirel_storage.Rwlock.with_write t.rebalance @@ fun () ->
   let old_map = shard_map t in
   let old_slots = slots t in
   if not (List.exists (fun (s : Wire.shard) -> s.shard_id = shard_id) old_map.Wire.shards)
@@ -1615,12 +1571,10 @@ let write ?trace ~prune t (p : lowered Statement_cache.prepared) sql =
           (fun (table, _) () -> if table = name then None else Some ())
           t.indexes)
   | Ast.Delete (table, Some cond) when prune ->
-    (* A pinned DELETE reaches the keys' owners (under both maps while a
-       move is in flight); an unpinned one broadcasts. *)
+    (* A pinned DELETE reaches the keys' owners; an unpinned one
+       broadcasts. *)
     let keys = cond_keys ?trace t table cond in
-    broadcast ?trace t
-      (locked t (fun () -> candidates t keys))
-      sql ~merge:merge_counts
+    broadcast ?trace t (locked t (fun () -> candidates t keys)) sql ~merge:merge_counts
   | Ast.Delete _ | Ast.Vacuum ->
     broadcast ?trace t (slots t) sql ~merge:merge_counts
   | Ast.Create_index { table; column } ->
@@ -1695,7 +1649,9 @@ let shards_text t =
        (summaries t))
 
 (* A query keeps its relation, so a client's held answer can diff it;
-   every other answer is a message or an [Err]. *)
+   every other answer is a message or an [Err].  SQL runs under the
+   rebalance read side; the membership statements take none (a move
+   takes the write side itself, and SHARDS answers during a move). *)
 let run ?trace ~prune t stmt sql =
   let answer = function
     | Wire.Ok_msg message -> Ok (Interp.Msg message)
@@ -1706,8 +1662,11 @@ let run ?trace ~prune t stmt sql =
     | Error message -> Error (err message)
   in
   match stmt with
-  | Sql ({ statement = Ast.Query qs; _ } as p) -> read ?trace ~prune t p qs sql
-  | Sql p -> answer (write ?trace ~prune t p sql)
+  | Sql p ->
+    Expirel_storage.Rwlock.with_read t.rebalance (fun () ->
+        match p.statement with
+        | Ast.Query qs -> read ?trace ~prune t p qs sql
+        | _ -> answer (write ?trace ~prune t p sql))
   | Shards -> Ok (Interp.Msg (shards_text t))
   | Add_shard endpoint -> changed (add_shard t endpoint)
   | Remove_shard id -> changed (remove_shard t id)

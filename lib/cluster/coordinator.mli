@@ -29,10 +29,10 @@
     when every value {!Expirel_core.Value.cmp} equates with it shares
     its owner: [Int]s within [±2^53], [Float]s that are fractional or
     integral below [2^53] in magnitude, strings, booleans.  Other keys
-    (large [Int]s and integral [Float]s, NaN) broadcast.  While a
-    rebalance moves rows, a key's owners under {e both} the current and
-    the target map are candidates, and a read that a move step lands
-    under runs again.  A read whose candidates are all provably empty
+    (large [Int]s and integral [Float]s, NaN) broadcast.  Statements
+    route by the current map only: a rebalance runs alone (see
+    {!add_shard}), so no statement sees a half-moved partition.  A read
+    whose candidates are all provably empty
     contacts no shard and answers empty, with the columns the lowering
     named.
 
@@ -172,12 +172,22 @@ val add_shard : t -> endpoint -> (string, string) result
     clock, installs map [v+1] everywhere, then moves every row to its
     owner under the new map (extract / ingest / purge — purge last, so
     a mid-move failure duplicates rows, harmless to set semantics,
-    rather than losing them). *)
+    rather than losing them).
+
+    A move runs alone: it waits out the SQL statements in flight through
+    this coordinator ({!exec} or the wire), and statements issued while
+    it runs wait until it ends, so each sees the partitions before the
+    move or after it.  [HORIZON], [HEALTH], [METRICS], [TRACE] and
+    [SHARDS] do not wait, so an operator can watch a long move; a
+    forecast gathered meanwhile can count a moving row twice or miss
+    it.  Writes that reach a shard other than through this coordinator
+    are not covered. *)
 
 val remove_shard : t -> int -> (string, string) result
 (** Shrinks the map: installs [v+1] everywhere (including the leaving
     shard, so it knows to hand everything off), drains the leaver's
-    rows to the survivors, then drops the slot. *)
+    rows to the survivors, then drops the slot.  Runs alone, as
+    {!add_shard} does. *)
 
 val heartbeat_now : t -> unit
 (** One synchronous heartbeat round ([Shard_ping] posted to every

@@ -386,6 +386,8 @@ let locked_state t f = Mutex.protect t.state_mutex f
 
 (* ---------- lock acquisition with a deadline ---------- *)
 
+(* Polls the [try_] forms: a polling writer never counts as waiting,
+   so it gets no writer preference over overlapping readers. *)
 let acquire t ~write =
   let try_lock = if write then Rwlock.try_write_lock else Rwlock.try_read_lock in
   let deadline = Unix.gettimeofday () +. t.config.request_timeout in

@@ -4,10 +4,12 @@
     held answers — is {!Loop}'s, shared with a coordinator; this is the
     node behind it.
 
-    One interpreter sits under a writer-preferring
-    {!Expirel_storage.Rwlock}: read-only statements run concurrently,
-    writes and clock moves serialise, and a request that cannot take
-    the lock within the per-request timeout gets a [Timeout] error.
+    One interpreter sits under an {!Expirel_storage.Rwlock}: read-only
+    statements run concurrently, writes and clock moves serialise, and
+    a request that cannot take the lock within the per-request timeout
+    gets a [Timeout] error.  A request polls the lock's [try_] forms,
+    so a write gets none of its writer preference: overlapping reads
+    can hold it off until it times out.
     [SUBSCRIBE] starts a watch in the interpreter; the node keeps which
     connection owns each watch name, that connection pushes its events
     — at their exact logical times, before the write or advance that

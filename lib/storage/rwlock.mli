@@ -3,9 +3,12 @@
     Guards a {!Database} (or any shared structure) so that concurrent
     snapshot reads proceed in parallel while clock advances and updates
     serialise: any number of readers may hold the lock together, a
-    writer holds it alone, and once a writer is waiting no {e new}
-    readers are admitted — so a steady stream of queries cannot starve
-    an [ADVANCE].
+    writer holds it alone, and once a writer is waiting in
+    {!write_lock} no {e new} readers are admitted — so a steady stream
+    of readers cannot starve it.  {!try_write_lock} never counts as
+    waiting: a writer that polls it (the server's per-request deadline
+    on wire requests) gets no preference, and overlapping readers can
+    hold it off indefinitely.
 
     Built on stdlib [Mutex] + [Condition] only; safe under both systhreads
     and domains. *)

@@ -235,6 +235,17 @@ for f in sorted(set(named)):
     print(f)
 if named:
     sys.exit("ci: the files above name the removed unfused aggregate or trigger log")
+# A rebalance runs alone: statements through a coordinator wait out a
+# move, so no code keeps the second routing path (a move's target map,
+# its move counter, the reads that reran across a move step).
+moving = re.compile(r'\brouted_read\b|\bt\.(moving|moves)\b')
+rerouted = sorted(f for top in ('lib', 'test') for pattern in ('/**/*.ml', '/**/*.mli')
+                  for f in glob.glob(top + pattern, recursive=True)
+                  if moving.search(strip(open(f).read())))
+for f in rerouted:
+    print(f)
+if rerouted:
+    sys.exit("ci: the files above route statements around a move in flight; a move runs alone")
 PY
 # One request loop: a coordinator answers the wire through the loop a
 # node serves through, and `connect` is the only REPL, so bin/ keeps no

@@ -2238,11 +2238,9 @@ let qcheck_routed_matches_broadcast =
         @ queries);
       true)
 
-(* Point reads stay exact while rows move: during a rebalance a moved
-   row may already live only at its new owner, so a routed read asks
-   the key's owners under both maps, and reruns when a move step lands
-   under it.  Every read, on every key, through a grow and a shrink,
-   finds its row. *)
+(* Point reads stay exact while rows move: a rebalance runs alone, so
+   a read issued during it waits and then routes by the new map.  Every
+   read, on every key, through a grow and a shrink, finds its row. *)
 let test_routed_reads_across_rebalance () =
   with_cluster 3 (fun coord _servers _eps ->
       ignore (exec coord "CREATE TABLE t (k, v)");
@@ -2600,6 +2598,229 @@ let test_concurrent_fanouts () =
         Alcotest.(check bool) "the single node's texp(e)" true (Time.equal texp_e sn_texp)
       | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m)
 
+(* ---------- a rebalance runs alone ---------- *)
+
+(* Two shards behind a coordinator, and a third, behind a relay, to
+   join: [f coord ~joining ~direct ~arm] gets the relayed endpoint to
+   pass to [add_shard], the joining shard's own port (asked directly,
+   past the relay and the coordinator) and the relay's [arm]. *)
+let with_joining f =
+  with_shards 3 (fun _servers endpoints ->
+      match endpoints with
+      | [ a; b; c ] ->
+        with_relay ~port:c.Coordinator.port @@ fun relay_port arm ->
+        let coord = Coordinator.create ~heartbeat_interval:0. ~shards:[ a; b ] () in
+        Fun.protect ~finally:(fun () -> Coordinator.close coord) @@ fun () ->
+        f coord ~joining:{ c with Coordinator.port = relay_port } ~direct:c.Coordinator.port ~arm
+      | _ -> assert false)
+
+(* [move ()] on its own thread, with every request the relay reads held
+   20 ms (its [`Delay] re-armed each millisecond) to widen the move's
+   window, while [during ()] repeats on this thread — at least once —
+   until the move has returned.  Fails unless the move succeeded. *)
+let while_moving ~arm move during =
+  let result = Atomic.make None in
+  let mover =
+    Thread.create
+      (fun () ->
+        Atomic.set result (Some (try move () with e -> Error (Printexc.to_string e))))
+      ()
+  in
+  let armer =
+    Thread.create
+      (fun () ->
+        while Option.is_none (Atomic.get result) do
+          arm (`Delay 0.02);
+          Thread.delay 0.001
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join mover;
+      Thread.join armer)
+    (fun () ->
+      let rec go () =
+        during ();
+        if Option.is_none (Atomic.get result) then go ()
+      in
+      go ());
+  match Option.get (Atomic.get result) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("rebalance: " ^ e)
+
+(* Blocks until the shard on [port], asked directly, holds a row of
+   [t]: a move into it is then past its first ingest. *)
+let await_ingest port =
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec poll () =
+    match Client.exec c "SELECT k FROM t LIMIT 1" with
+    | Ok (Wire.Rows { rows = _ :: _; _ }) -> ()
+    | _ when Unix.gettimeofday () > deadline -> Alcotest.fail "no row reached the joining shard"
+    | _ ->
+      Thread.delay 0.001;
+      poll ()
+  in
+  poll ()
+
+let insert_kv coord k =
+  Coordinator.exec coord (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES %d" k (k mod 7) (100 + (k mod 13)))
+
+(* Inserts keep coming while a shard joins and while one leaves: every
+   acknowledged key is found exactly once afterwards, by a point read
+   and by a full scan.  A move purges a source last, so an insert that
+   reached a source between its extract and its purge would be gone,
+   and one that reached an old owner after its purge would sit where
+   no point read looks. *)
+let test_inserts_survive_rebalance () =
+  with_joining @@ fun coord ~joining ~direct:_ ~arm ->
+  ignore (exec coord "CREATE TABLE t (k, v)");
+  let acked = ref [] and next = ref 0 in
+  let insert () =
+    incr next;
+    match insert_kv coord !next with
+    | Wire.Ok_msg _ -> acked := !next :: !acked
+    | r -> Alcotest.failf "INSERT %d: %s" !next (Wire.render_response r)
+  in
+  for _ = 1 to 300 do insert () done;
+  let check what =
+    let scan = List.map (fun (vs, _) -> vs) (fst (rows_of "scan" (exec coord "SELECT k FROM t"))) in
+    let lost =
+      List.filter
+        (fun k ->
+          let sql = Printf.sprintf "SELECT k FROM t WHERE k = %d" k in
+          fst (rows_of sql (exec coord sql)) <> [ ([ Value.int k ], Time.of_int (100 + (k mod 13))) ]
+          || List.length (List.filter (( = ) [ Value.int k ]) scan) <> 1)
+        !acked
+    in
+    Alcotest.(check (list int)) (what ^ ": acknowledged keys not found exactly once") [] lost;
+    Alcotest.(check int) (what ^ ": the scan holds only acknowledged keys")
+      (List.length !acked) (List.length scan)
+  in
+  while_moving ~arm (fun () -> Coordinator.add_shard coord joining) insert;
+  check "after ADD SHARD";
+  while_moving ~arm (fun () -> Coordinator.remove_shard coord 0) insert;
+  check "after REMOVE SHARD"
+
+(* A grouped COUNT (kept, read twice before the move) and an unpinned
+   scatter, read over and over while a shard joins and while one
+   leaves, each equal to one node's answer over the same rows: rows,
+   per-row texps and texp(e). *)
+let test_reads_during_rebalance () =
+  with_joining @@ fun coord ~joining ~direct:_ ~arm ->
+  let single = Expirel_sqlx.Interp.create () in
+  let exec_both sql =
+    ignore (exec coord sql);
+    ignore (ok (Expirel_sqlx.Interp.exec_sql single sql))
+  in
+  exec_both "CREATE TABLE t (k, v)";
+  for k = 1 to 300 do
+    exec_both (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES %d" k (k mod 7) (100 + (k mod 13)))
+  done;
+  let single_rows sql =
+    match ok (Expirel_sqlx.Interp.exec_sql single sql) with
+    | Expirel_sqlx.Interp.Rows { listing; texp_e; _ } ->
+      (sorted (List.map (fun (tp, e) -> (Tuple.to_list tp, e)) (Lazy.force listing)), texp_e)
+    | Expirel_sqlx.Interp.Msg m -> Alcotest.fail m
+  in
+  let queries = [ "SELECT v, COUNT(*) FROM t GROUP BY v"; "SELECT k, v FROM t" ] in
+  let expected = List.map single_rows queries in
+  let wrong = ref [] and reads = ref 0 in
+  let read_all () =
+    List.iter2
+      (fun sql (rows, texp_e) ->
+        incr reads;
+        match Coordinator.exec coord sql with
+        | Wire.Rows { rows = got; texp_e = got_e; _ }
+          when sorted got = rows && Time.equal got_e texp_e -> ()
+        | Wire.Rows { rows = got; _ } ->
+          wrong := Printf.sprintf "%s: %d row(s)" sql (List.length got) :: !wrong
+        | r -> wrong := Printf.sprintf "%s: %s" sql (Wire.render_response r) :: !wrong)
+      queries expected
+  in
+  read_all ();
+  read_all ();
+  while_moving ~arm (fun () -> Coordinator.add_shard coord joining) read_all;
+  while_moving ~arm (fun () -> Coordinator.remove_shard coord 0) read_all;
+  read_all ();
+  match !wrong with
+  | [] -> ()
+  | first :: _ as all ->
+    Alcotest.failf "%d of %d read(s) differ from the single node's, e.g. %s"
+      (List.length all) !reads first
+
+(* A DELETE that pins no key, issued once the joining shard holds moved
+   rows, deletes every row: none is left at the joining shard or at a
+   source afterwards. *)
+let test_unpinned_delete_during_rebalance () =
+  with_joining @@ fun coord ~joining ~direct ~arm ->
+  ignore (exec coord "CREATE TABLE t (k, v)");
+  for k = 1 to 300 do ignore (no_err "INSERT" (insert_kv coord k)) done;
+  let deleted = ref None in
+  while_moving ~arm
+    (fun () -> Coordinator.add_shard coord joining)
+    (fun () ->
+      if Option.is_none !deleted then begin
+        await_ingest direct;
+        deleted := Some (Coordinator.exec coord "DELETE FROM t WHERE v >= 0")
+      end
+      else Thread.delay 0.001);
+  (match !deleted with
+   | Some (Wire.Ok_msg _) -> ()
+   | Some r -> Alcotest.failf "DELETE: %s" (Wire.render_response r)
+   | None -> Alcotest.fail "no DELETE ran");
+  List.iter
+    (fun prune ->
+      let sql = "SELECT k FROM t" in
+      Alcotest.(check int)
+        (Printf.sprintf "rows left (prune %b)" prune)
+        0
+        (List.length (fst (rows_of sql (no_err sql (Coordinator.exec ~prune coord sql))))))
+    [ true; false ]
+
+(* An INSERT issued while a shard joins, of a key the move hands from
+   shard 0 to the newcomer, waits for the move: it is acknowledged
+   under the new map, and a later point read of its key is one message
+   that finds it. *)
+let test_statement_waits_out_rebalance () =
+  with_joining @@ fun coord ~joining ~direct ~arm ->
+  ignore (exec coord "CREATE TABLE t (k, v)");
+  for k = 1 to 300 do ignore (no_err "INSERT" (insert_kv coord k)) done;
+  let old_map = Coordinator.shard_map coord in
+  let new_map =
+    { old_map with
+      Wire.shards =
+        old_map.Wire.shards @ [ { Wire.shard_id = 2; shard_host = ""; shard_port = 0 } ]
+    }
+  in
+  let rec handed k =
+    if Wire.shard_owner old_map (Value.int k) = 0 && Wire.shard_owner new_map (Value.int k) = 2
+    then k
+    else handed (k + 1)
+  in
+  let k = handed 1000 in
+  let answered = ref None in
+  while_moving ~arm
+    (fun () -> Coordinator.add_shard coord joining)
+    (fun () ->
+      if Option.is_none !answered then begin
+        await_ingest direct;
+        let reply = insert_kv coord k in
+        answered := Some (reply, List.length (Coordinator.shard_map coord).Wire.shards)
+      end
+      else Thread.delay 0.001);
+  (match !answered with
+   | Some (Wire.Ok_msg _, shards) ->
+     Alcotest.(check int) "acknowledged under the new map" 3 shards
+   | Some (r, _) -> Alcotest.failf "INSERT: %s" (Wire.render_response r)
+   | None -> Alcotest.fail "no INSERT ran");
+  let sql = Printf.sprintf "SELECT k FROM t WHERE k = %d" k in
+  Alcotest.(check int) "point read after the move: 1 message" 1 (messages_for coord sql);
+  Alcotest.(check int) "the point read finds the row" 1
+    (List.length (fst (rows_of sql (exec coord sql))))
+
 let suite =
   [ Alcotest.test_case "scatter-gather == single node" `Quick
       test_matches_single_node;
@@ -2675,4 +2896,12 @@ let suite =
       test_routed_traffic;
     qcheck_routed_matches_broadcast;
     Alcotest.test_case "point reads find their rows across a rebalance"
-      `Quick test_routed_reads_across_rebalance ]
+      `Quick test_routed_reads_across_rebalance;
+    Alcotest.test_case "acknowledged inserts survive ADD and REMOVE SHARD" `Quick
+      test_inserts_survive_rebalance;
+    Alcotest.test_case "reads during a rebalance equal the single node's" `Quick
+      test_reads_during_rebalance;
+    Alcotest.test_case "an unpinned DELETE during a rebalance leaves no row" `Quick
+      test_unpinned_delete_during_rebalance;
+    Alcotest.test_case "a statement issued during a rebalance waits and answers after it"
+      `Quick test_statement_waits_out_rebalance ]
