@@ -208,19 +208,19 @@ type flight = {
    before it tries the slots it could not take again. *)
 let retry_slots_s = 0.002
 
-(* Every statement, heartbeat and trace request to the shards goes
-   through here, on the caller's thread.  Each request is posted as
-   soon as its slot's lock is free, and the replies are collected as
-   they arrive (one [select] over the posted connections, each bounded
-   by its connection's receive timeout), each slot released as soon as
-   its reply is in.  A caller never blocks while it holds a slot: a
+(* Every request to the shards (statement, heartbeat, trace, install,
+   move) goes through here, on the caller's thread.  Each request is
+   posted as soon as its slot's lock is free, and the replies are
+   collected as they arrive (one [select] over the posted connections,
+   each bounded by its connection's receive timeout), each slot
+   released as soon as its reply is in.  A caller never blocks while it holds a slot: a
    busy slot, or one that would have to dial first, waits until the
    replies already posted are in (retried every [retry_slots_s]
    meanwhile), and only a caller holding nothing blocks on a lock or
    on a dial — so callers never wait on each other in a cycle, and a
    slow shard never stalls another shard's traffic.  A member whose
-   post or collect fails, with an [Error] or an exception, is dropped,
-   as [Member.on] drops it, and every other posted reply is still
+   post or collect fails, with an [Error] or an exception, is dropped
+   (its next contact redials), and every other posted reply is still
    collected, so no connection keeps a stale frame.  Returns each
    contact's reply in the caller's order, with the instants its slot
    lock was requested and its reply collected.  A slot appears at most
@@ -318,10 +318,6 @@ let exchange t requests =
 let send t slot request =
   let _, reply, _, _ = List.hd (exchange t [ (slot, request) ]) in
   reply
-
-(* The typed admin RPCs of a rebalance and of construction, one at a
-   time under the slot's lock. *)
-let on_slot slot f = Mutex.protect slot.slot_lock (fun () -> Member.on slot.member f)
 
 (* The one coordinator-to-shard statement request, carrying the
    caller's trace context. *)
@@ -1094,18 +1090,40 @@ let make_slot t (shard : Wire.shard) =
     reachable = false;
   }
 
-let install_on slot map =
+(* Why a shard's reply is not the one asked for. *)
+let reason = function
+  | Wire.Err { message; _ } -> message
+  | reply -> "unexpected reply " ^ Wire.render_response reply
+
+(* One fan-out of [requests], each answered by [ok] ([step] names it in
+   the error): [Error] names every shard that failed. *)
+let each_ok t ~step ok requests =
   match
-    on_slot slot (fun c ->
-        Client.shard_install c ~map ~self_id:slot.shard.Wire.shard_id)
+    List.filter_map
+      (fun (slot, reply, _, _) ->
+        match reply with
+        | Ok reply when ok reply -> None
+        | Ok reply ->
+          Some (Printf.sprintf "%s on shard %d: %s" step slot.shard.Wire.shard_id (reason reply))
+        | Error e -> Some (Printf.sprintf "%s on shard %d: %s" step slot.shard.Wire.shard_id e))
+      (exchange t requests)
   with
-  | Ok () ->
-    slot.reachable <- true;
-    slot.map_version_seen <- map.Wire.map_version;
-    Ok ()
-  | Error e ->
-    slot.reachable <- false;
-    Error e
+  | [] -> Ok ()
+  | failures -> Error (String.concat "; " failures)
+
+(* Claims each of [targets] for map [version]: a node records the
+   version and its id, never the map. *)
+let install t targets version =
+  each_ok t ~step:"install"
+    (function
+      | Wire.Ok_msg _ -> true
+      | _ -> false)
+    (List.map
+       (fun slot ->
+         ( slot,
+           Wire.Shard_install { map_version = version; self_id = slot.shard.Wire.shard_id } ))
+       targets)
+  |> Result.map (fun () -> List.iter (fun slot -> slot.map_version_seen <- version) targets)
 
 let create ?(node_name = "coordinator") ?health_rules
     ?(heartbeat_interval = 0.25) ~shards:endpoints () =
@@ -1229,28 +1247,23 @@ let create ?(node_name = "coordinator") ?health_rules
            the cluster, from the last horizon gather"
     (fun () -> float_of_int (cached ()).Obs.Horizon.fanout_events);
   t.slots <- List.map (make_slot t) map.Wire.shards;
-  (* Nodes may carry a map from another coordinator ([cluster serve]'s
-     own, a [cluster connect]'s, a rebalance): claim with a version
-     above anything installed, or every install would be refused as
-     stale. *)
+  (* Nodes may carry a map version from another coordinator ([cluster
+     serve]'s own, a [cluster connect]'s, a rebalance): claim with a
+     version above anything installed, or every install would be
+     refused as stale. *)
   let installed_version =
     List.fold_left
-      (fun acc slot ->
-        match on_slot slot Client.shard_map with
-        | Ok (Some { Wire.installed_map; _ }) ->
-          max acc installed_map.Wire.map_version
-        | Ok None | Error _ -> acc)
-      0 t.slots
+      (fun acc (_, reply, _, _) ->
+        match reply with
+        | Ok (Wire.Shard_map_reply (Some { Wire.installed_version; _ })) ->
+          max acc installed_version
+        | _ -> acc)
+      0
+      (exchange t (List.map (fun slot -> (slot, Wire.Shard_map_req)) t.slots))
   in
-  let map =
-    if installed_version >= map.Wire.map_version then begin
-      let map = { map with Wire.map_version = installed_version + 1 } in
-      locked t (fun () -> t.map <- map);
-      map
-    end
-    else map
-  in
-  List.iter (fun slot -> ignore (install_on slot map)) t.slots;
+  let version = max map.Wire.map_version (installed_version + 1) in
+  locked t (fun () -> t.map <- { map with Wire.map_version = version });
+  ignore (install t t.slots version);
   (* Prime the clock mirror and the summaries. *)
   heartbeat_now t;
   if heartbeat_interval > 0. then
@@ -1319,80 +1332,70 @@ let table_names t =
   | Wire.Err { message; _ } -> Error message
   | _ -> Error "unexpected reply to SHOW TABLES"
 
-(* Move every row to its owner under [new_map]: install everywhere,
-   extract per source shard, ingest at the destinations, then purge the
-   sources.  Purge runs last so a crash mid-move duplicates rows (both
-   copies carry the same texp — harmless to set semantics) rather than
-   losing them. *)
+(* Every row to its owner under [new_map], one table at a time, the
+   owner decided here: one fan-out reads each source's partition
+   ([SELECT *]), one loads the rows leaving it at their new owners, and
+   only once every load is acknowledged one deletes them at their
+   sources.  The deletes run last, so a move cut before them duplicates
+   rows (both copies carry the same texp — harmless to set semantics)
+   and loses none.  A source's partition of a table comes back in one
+   reply, so it is bounded by the frame ([Frame.max_frame]). *)
 let move_rows t new_map ~old_slots ~new_slots =
   let ( let* ) = Result.bind in
-  let* () =
-    List.fold_left
-      (fun acc slot ->
-        let* () = acc in
-        match install_on slot new_map with
-        | Ok () -> Ok ()
-        | Error e ->
-          Error
-            (Printf.sprintf "install on shard %d: %s"
-               slot.shard.Wire.shard_id e))
-      (Ok ())
-      (old_slots
-      @ List.filter
-          (fun s ->
-            not
-              (List.exists
-                 (fun o -> o.shard.Wire.shard_id = s.shard.Wire.shard_id)
-                 old_slots))
-          new_slots)
-  in
+  let joining = List.filter (fun s -> not (List.memq s old_slots)) new_slots in
+  let* () = install t (old_slots @ joining) new_map.Wire.map_version in
   let* tables = table_names t in
-  let moved = ref 0 in
-  let* () =
-    List.fold_left
-      (fun acc source ->
-        let* () = acc in
-        List.fold_left
-          (fun acc table ->
-            let* () = acc in
-            let* outgoing =
-              Result.map_error
-                (Printf.sprintf "extract from shard %d: %s"
-                   source.shard.Wire.shard_id)
-                (on_slot source (fun c -> Client.extract_moving c table))
-            in
-            let* () =
-              List.fold_left
-                (fun acc (owner, rows) ->
-                  let* () = acc in
-                  match
-                    List.find_opt
-                      (fun s -> s.shard.Wire.shard_id = owner)
-                      new_slots
-                  with
-                  | None ->
-                    Error (Printf.sprintf "no slot for owner shard %d" owner)
-                  | Some dest ->
-                    moved := !moved + List.length rows;
-                    Result.map_error
-                      (Printf.sprintf "ingest into shard %d: %s" owner)
-                      (Result.map ignore
-                         (on_slot dest (fun c ->
-                              Client.ingest_rows c ~table rows))))
-                (Ok ()) outgoing
-            in
-            match outgoing with
-            | [] -> Ok ()
-            | _ :: _ ->
-              Result.map_error
-                (Printf.sprintf "purge on shard %d: %s"
-                   source.shard.Wire.shard_id)
-                (Result.map ignore
-                   (on_slot source (fun c -> Client.purge_moved c table))))
-          (Ok ()) tables)
-      (Ok ()) old_slots
+  let acked = function
+    | Wire.Shard_reply { body = Wire.Body_ack _; _ } -> true
+    | _ -> false
   in
-  Ok !moved
+  let move moved table =
+    let* moved = moved in
+    let read = shard_exec ~want:Wire.Want_rows (Printf.sprintf "SELECT * FROM %s" table) in
+    let* parts =
+      Result.map_error
+        (fun e -> Printf.sprintf "read %s: %s" table (reason e))
+        (gather ~what:"a move's read" rows_body
+           (fan_out t (List.map (fun slot -> (slot, read)) old_slots)))
+    in
+    (* (source, owner, row) of each row whose owner changed *)
+    let leaving =
+      List.concat_map
+        (fun (source, (_, rows, _, _)) ->
+          List.filter_map
+            (fun ((values, _) as row) ->
+              match values with
+              | [] -> None
+              | key :: _ ->
+                let owner = Wire.shard_owner new_map key in
+                if owner = source.shard.Wire.shard_id then None else Some (source, owner, row))
+            rows)
+        parts
+    in
+    (* One [Move_rows] to each of [slots] that [pick] finds rows for. *)
+    let each slots pick request =
+      List.filter_map
+        (fun slot ->
+          match List.filter_map (pick slot) leaving with
+          | [] -> None
+          | rows -> Some (slot, request rows))
+        slots
+    in
+    let* () =
+      each_ok t ~step:("load " ^ table) acked
+        (each new_slots
+           (fun slot (_, owner, row) -> if owner = slot.shard.Wire.shard_id then Some row else None)
+           (fun add -> Wire.Move_rows { table; add; remove = [] }))
+    in
+    let* () =
+      each_ok t ~step:("delete " ^ table) acked
+        (each old_slots
+           (fun slot (source, _, (values, _)) -> if source == slot then Some values else None)
+           (fun remove -> Wire.Move_rows { table; add = []; remove }))
+    in
+    Ok (moved + List.length leaving)
+  in
+  List.fold_left move (Ok 0) tables
 
 (* [move_rows], then the map: success swaps it in, a failure leaves the
    old map routing.  Either way every kept GROUP BY drops: its copies
@@ -1412,15 +1415,7 @@ let apply_map t new_map ~old_slots ~new_slots =
       end);
   if Result.is_ok result then begin
     heartbeat_now t;
-    List.iter
-      (fun s ->
-        if
-          not
-            (List.exists
-               (fun n -> n.shard.Wire.shard_id = s.shard.Wire.shard_id)
-               new_slots)
-        then Member.close s.member)
-      old_slots
+    List.iter (fun s -> if not (List.memq s new_slots) then Member.close s.member) old_slots
   end;
   result
 

@@ -70,8 +70,10 @@ val create :
   shards:endpoint list ->
   unit ->
   t
-(** Claims the given nodes as shards 0..n-1 under a fresh map (version
-    1), installs it on each, and primes the clock mirror and partition
+(** Claims the given nodes as shards 0..n-1 under a fresh map, whose
+    version (1, or one above the highest a node reports installed) it
+    installs on each in one fan-out — a node keeps the version and its
+    id, never the map — and primes the clock mirror and partition
     summaries with one heartbeat round.  [heartbeat_interval] (default
     0.25 s) paces the background heartbeat thread; [0.] disables it
     (tests then drive {!heartbeat_now} deterministically).
@@ -127,8 +129,8 @@ val exec :
       the coordinator — exact by the union rule over disjoint
       partitions, at the cost of shipping each table once.
     - [INSERT] routes to the key's owner shard.
-    - [DELETE … WHERE] that pins keys routes to their owners (under
-      both maps during a rebalance); any other [DELETE], DDL,
+    - [DELETE … WHERE] that pins keys routes to their owners; any
+      other [DELETE], DDL,
       [ADVANCE]/[TICK] and [VACUUM] broadcast to all shards.  A
       [DELETE] or [VACUUM] ack reports the sum of the shards' counts.
       [EXPLAIN]/[EXPLAIN ANALYZE] broadcast and concatenate per-shard
@@ -169,10 +171,15 @@ val shard_map : t -> Wire.shard_map
 
 val add_shard : t -> endpoint -> (string, string) result
 (** Grows the map by one shard: bootstraps the newcomer's catalog and
-    clock, installs map [v+1] everywhere, then moves every row to its
-    owner under the new map (extract / ingest / purge — purge last, so
-    a mid-move failure duplicates rows, harmless to set semantics,
-    rather than losing them).
+    clock, installs map version [v+1] everywhere, then moves every row
+    whose owner changed, per table: it reads each old shard's rows,
+    decides their owners under the new map itself, loads them at their
+    owners ([Move_rows] adds) and, once every load is acknowledged,
+    deletes them at their sources ([Move_rows] removes), each step one
+    fan-out.  A failure leaves the old map routing; a cut before the
+    deletes duplicates rows, harmless to set semantics, rather than
+    losing them.  A source's partition of a table travels in one reply,
+    so it is bounded by the 16 MiB frame.
 
     A move runs alone: it waits out the SQL statements in flight through
     this coordinator ({!exec} or the wire), and statements issued while
@@ -184,9 +191,9 @@ val add_shard : t -> endpoint -> (string, string) result
     are not covered. *)
 
 val remove_shard : t -> int -> (string, string) result
-(** Shrinks the map: installs [v+1] everywhere (including the leaving
-    shard, so it knows to hand everything off), drains the leaver's
-    rows to the survivors, then drops the slot.  Runs alone, as
+(** Shrinks the map: installs version [v+1] everywhere (the leaving
+    shard too), moves the leaver's rows to the survivors as
+    {!add_shard} moves rows, then drops the slot.  Runs alone, as
     {!add_shard} does. *)
 
 val heartbeat_now : t -> unit

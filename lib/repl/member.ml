@@ -55,25 +55,6 @@ let connection m =
         None
     end
 
-let on m f =
-  match connection m with
-  | None -> Error "endpoint unavailable"
-  | Some c ->
-    (match f c with
-     | Ok _ as ok -> ok
-     | Error _ as e ->
-       (* Connection-level failure: the next call redials. *)
-       drop m;
-       e)
-
-(* With [?trace], each remote call is wrapped in a local span and
-   ships the trace context: the serving node's spans record under the
-   same trace id, so merging this node's trace with the servers'
-   recent traces yields one cross-node timeline. *)
-let traced_exec ?trace c ~span_name sql =
-  Expirel_obs.Trace.span trace span_name (fun () ->
-      Client.exec_traced c ?trace sql)
-
 let close m =
   match m.conn with
   | Some c ->

@@ -39,19 +39,5 @@ val drop : t -> unit
     backoff — call when a request-level failure shows the connection is
     unusable. *)
 
-val on : t -> (Client.t -> ('a, string) result) -> ('a, string) result
-(** [on m f] runs [f] over the member's connection; [Error] from [f]
-    drops the connection (next call redials), an unavailable endpoint
-    answers [Error "endpoint unavailable"] without blocking. *)
-
-val traced_exec :
-  ?trace:Expirel_obs.Trace.t ->
-  Client.t ->
-  span_name:Expirel_obs.Trace.name ->
-  string ->
-  (Wire.response, string) result
-(** {!Client.exec_traced} wrapped in a local span named [span_name]:
-    the remote spans and the local rpc span record under one trace. *)
-
 val close : t -> unit
 (** Closes without scheduling a redial.  Idempotent. *)

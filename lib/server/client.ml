@@ -211,32 +211,6 @@ let health t =
     | Wire.Health_reply report -> Some report
     | _ -> None)
 
-(* ----- cluster RPCs (the coordinator's side of the v5 messages) ----- *)
-
-let shard_install t ~map ~self_id =
-  call t (Wire.Shard_install { map; self_id }) "shard install" (function
-    | Wire.Ok_msg _ -> Some ()
-    | _ -> None)
-
-let shard_map t =
-  call t Wire.Shard_map_req "shard map request" (function
-    | Wire.Shard_map_reply identity -> Some identity
-    | _ -> None)
-
-let extract_moving t table =
-  call t (Wire.Extract_moving table) "extract" (function
-    | Wire.Moved_rows moves -> Some moves
-    | _ -> None)
-
-let acked_partition = function
-  | Wire.Shard_reply { partition; body = Wire.Body_ack _ } -> Some partition
-  | _ -> None
-
-let ingest_rows t ~table rows =
-  call t (Wire.Ingest_rows { table; ingest = rows }) "ingest" acked_partition
-
-let purge_moved t table = call t (Wire.Purge_moved table) "purge" acked_partition
-
 let ping t =
   call t Wire.Ping "PING" (function Wire.Pong -> Some () | _ -> None)
 

@@ -116,42 +116,6 @@ val health : t -> (Expirel_obs.Health.report, string) result
 
 val ping : t -> (unit, string) result
 
-(** {1 Cluster RPCs}
-
-    The coordinator's side of the v5 shard messages — see
-    {!Expirel_cluster.Coordinator} for the layer that uses them. *)
-
-val shard_install :
-  t -> map:Wire.shard_map -> self_id:int -> (unit, string) result
-(** Pushes a versioned shard map and tells the node which entry it is.
-    The node refuses ids outside the map and versions older than what
-    it has installed. *)
-
-val shard_map : t -> (Wire.shard_identity option, string) result
-(** The node's installed map and id ([None] when unclaimed). *)
-
-val extract_moving :
-  t ->
-  string ->
-  ((int * (Expirel_core.Value.t list * Expirel_core.Time.t) list) list,
-   string)
-  result
-(** Rebalance step one: the named table's rows the node's installed map
-    assigns elsewhere, grouped by new owner. *)
-
-val ingest_rows :
-  t ->
-  table:string ->
-  (Expirel_core.Value.t list * Expirel_core.Time.t) list ->
-  (Wire.partition_texp, string) result
-(** Rebalance step two: bulk-load moved rows (with their original
-    expiration times) into their new owner; returns the refreshed
-    partition summary. *)
-
-val purge_moved : t -> string -> (Wire.partition_texp, string) result
-(** Rebalance step three: drop the rows the installed map no longer
-    assigns to the node; returns the refreshed partition summary. *)
-
 val events : t -> Wire.event list
 (** Drains the already-received pushed events, oldest first. *)
 

@@ -344,8 +344,7 @@ let create ?(config = default_config) () =
         (Interp.horizon_tables t.interp));
   Obs.Registry.gauge_fun reg ~name:"expirel_horizon_fanout_events"
     ~help:"Subscription events the next ADVANCE window will deliver"
-    (fun () ->
-      float_of_int (Interp.horizon t.interp).Obs.Horizon.fanout_events);
+    (fun () -> float_of_int (Interp.fanout_forecast t.interp));
   Obs.Registry.gauge_fun reg ~name:"expirel_horizon_window_ticks"
     ~help:"The forecast window (ticks) used for fan-out and storm rules"
     (fun () -> float_of_int Obs.Horizon.default_window);
@@ -516,8 +515,6 @@ let drop_subscriptions t conn =
 
 (* ---------- shard mode (coordinator-facing RPCs) ---------- *)
 
-let shard_identity t = locked_state t (fun () -> t.shard)
-
 (* The whole-partition texp summary the coordinator's pruning feeds on:
    each table's live count and live min/max texp, read from the ends of
    its texp-ordered run — O(log n) per table, no row walked.  Caller
@@ -542,31 +539,28 @@ let partition_summary t =
     { Wire.live_rows = 0; min_texp = Time.infinity; max_texp = Time.infinity }
     (Database.table_names db)
 
-(* [self_id] may be absent from [map]: that is how a leaving shard
-   learns the map that evicts it — ownership then assigns every local
-   row elsewhere, so the drain (extract / purge) moves everything. *)
-let handle_shard_install t ~map ~self_id =
+(* The node keeps the map version and its id alone: the coordinator
+   decides where every row lives. *)
+let handle_shard_install t ~map_version ~self_id =
   if self_id < 0 then exec_error (Printf.sprintf "bad shard id %d" self_id)
   else
     locked_state t (fun () ->
         match t.shard with
-        | Some { installed_map; _ }
-          when installed_map.Wire.map_version > map.Wire.map_version ->
+        | Some { installed_version; _ } when installed_version > map_version ->
           exec_error
-            (Printf.sprintf "stale shard map v%d (v%d is installed)"
-               map.Wire.map_version installed_map.Wire.map_version)
+            (Printf.sprintf "stale shard map v%d (v%d is installed)" map_version
+               installed_version)
         | _ ->
-          t.shard <- Some { Wire.installed_map = map; self_id };
+          t.shard <- Some { Wire.installed_version = map_version; self_id };
           Wire.Ok_msg
-            (Printf.sprintf "installed shard map v%d as shard %d"
-               map.Wire.map_version self_id))
+            (Printf.sprintf "installed shard map v%d as shard %d" map_version self_id))
 
 let handle_shard_ping t =
   with_lock t ~write:false (fun () ->
       let shard_id, pong_map_version =
         locked_state t (fun () ->
             match t.shard with
-            | Some s -> (s.Wire.self_id, s.Wire.installed_map.Wire.map_version)
+            | Some s -> (s.Wire.self_id, s.Wire.installed_version)
             | None -> (-1, 0))
       in
       Wire.Shard_pong
@@ -605,96 +599,56 @@ let handle_shard_exec t conn ~sql ~ctx ~want =
         Wire.Body_sketch
           { columns; payload = Expirel_sketch.Any.to_string sketch })
 
-let first_column tuple =
-  match Tuple.to_list tuple with
-  | [] -> None
-  | key :: _ -> Some key
-
-(* [f] under the lock, on the database holding [table]. *)
-let on_table t ~write table f =
-  with_lock t ~write (fun () ->
-      let db = Interp.database t.interp in
-      match Database.table db table with
-      | None -> exec_error ("unknown table " ^ table)
-      | Some _ -> f db)
-
-(* [f] of the installed map and this node's id in it. *)
-let with_map t f =
-  match shard_identity t with
-  | None -> exec_error "no shard map installed"
-  | Some { Wire.installed_map; self_id } -> f installed_map self_id
-
-let refuse_on_replica t k =
+(* A rebalance's one write, of rows the coordinator chose, under one
+   write lock.  [add] is validated whole before any row is written, so
+   a row the table refuses (a wrong arity) answers an error and writes
+   nothing.  A row already expired at this clock stays dead: moving a
+   tuple between shards must not resurrect it.  A [remove] tuple this
+   node does not hold is skipped. *)
+let handle_move_rows t ~table ~add ~remove =
   if t.config.read_only then
     exec_error "read-only replica: rebalance writes go to the primary"
-  else k ()
-
-let handle_extract_moving t table =
-  with_map t @@ fun map self_id ->
-  on_table t ~write:false table @@ fun db ->
-  let moves = Hashtbl.create 4 in
-  Relation.fold
-    (fun tuple texp () ->
-      match first_column tuple with
-      | None -> ()
-      | Some key ->
-        let owner = Wire.shard_owner map key in
-        if owner <> self_id then begin
-          let rows = try Hashtbl.find moves owner with Not_found -> [] in
-          Hashtbl.replace moves owner ((Tuple.to_list tuple, texp) :: rows)
-        end)
-    (Database.snapshot db table) ();
-  Wire.Moved_rows
-    (List.sort compare
-       (Hashtbl.fold (fun owner rows acc -> (owner, List.rev rows) :: acc) moves []))
-
-(* The batch is validated whole before any row is written, so a row
-   the table refuses (a wrong arity) answers an error and ingests
-   nothing. *)
-let handle_ingest_rows t ~table ~ingest =
-  refuse_on_replica t @@ fun () ->
-  on_table t ~write:true table @@ fun db ->
-  let now = Database.now db in
-  (* A row already expired at this clock stays dead: moving a tuple
-     between shards must not resurrect it. *)
-  let records =
-    List.filter_map
-      (fun (values, texp) ->
-        if Time.(texp > now) then
-          Some (Wal.Insert { table; tuple = Tuple.of_list values; texp })
-        else None)
-      ingest
-  in
-  match List.iter (Database.validate db) records with
-  | exception Invalid_argument message -> exec_error message
-  | () ->
-    List.iter (Interp.write t.interp) records;
-    let dropped = List.length ingest - List.length records in
-    let message =
-      Printf.sprintf "ingested %d row(s) into %s%s" (List.length records) table
-        (if dropped > 0 then Printf.sprintf " (%d already expired)" dropped else "")
+  else
+    with_lock t ~write:true @@ fun () ->
+    let db = Interp.database t.interp in
+    let now = Database.now db in
+    let inserts =
+      List.filter_map
+        (fun (values, texp) ->
+          if Time.(texp > now) then
+            Some (Wal.Insert { table; tuple = Tuple.of_list values; texp })
+          else None)
+        add
     in
-    Wire.Shard_reply { partition = partition_summary t; body = Wire.Body_ack message }
-
-let handle_purge_moved t table =
-  refuse_on_replica t @@ fun () ->
-  with_map t @@ fun map self_id ->
-  on_table t ~write:true table @@ fun db ->
-  let doomed =
-    Relation.fold
-      (fun tuple _ acc ->
-        match first_column tuple with
-        | Some key when Wire.shard_owner map key <> self_id -> tuple :: acc
-        | Some _ | None -> acc)
-      (Database.snapshot db table) []
-  in
-  List.iter (fun tuple -> Interp.write t.interp (Wal.Delete { table; tuple })) doomed;
-  Wire.Shard_reply
-    { partition = partition_summary t;
-      body =
-        Wire.Body_ack
-          (Printf.sprintf "purged %d moved row(s) from %s" (List.length doomed) table)
-    }
+    match Database.table db table with
+    | None -> exec_error ("unknown table " ^ table)
+    | Some _ ->
+      (match List.iter (Database.validate db) inserts with
+       | exception Invalid_argument message -> exec_error message
+       | () ->
+         List.iter (Interp.write t.interp) inserts;
+         let removed =
+           List.fold_left
+             (fun n values ->
+               let delete = Wal.Delete { table; tuple = Tuple.of_list values } in
+               if Database.applies db delete then begin
+                 Interp.write t.interp delete;
+                 n + 1
+               end
+               else n)
+             0 remove
+         in
+         let expired = List.length add - List.length inserts in
+         Wire.Shard_reply
+           { partition = partition_summary t;
+             body =
+               Wire.Body_ack
+                 (Printf.sprintf "%s: %d row(s) added%s, %d removed" table
+                    (List.length inserts)
+                    (if expired > 0 then Printf.sprintf " (%d already expired)" expired
+                     else "")
+                    removed)
+           })
 
 (* ---------- replication sessions (primary side) ---------- *)
 
@@ -799,13 +753,12 @@ let install_snapshot t ~position records =
 let handle_other t conn = function
   | Wire.Subscribe { name; query } -> Some (handle_subscribe t conn ~name ~query)
   | Wire.Unsubscribe name -> Some (handle_unsubscribe t conn name)
-  | Wire.Shard_map_req -> Some (Wire.Shard_map_reply (shard_identity t))
-  | Wire.Shard_install { map; self_id } -> Some (handle_shard_install t ~map ~self_id)
+  | Wire.Shard_map_req -> Some (Wire.Shard_map_reply (locked_state t (fun () -> t.shard)))
+  | Wire.Shard_install { map_version; self_id } ->
+    Some (handle_shard_install t ~map_version ~self_id)
   | Wire.Shard_exec { sql; ctx; want } -> Some (handle_shard_exec t conn ~sql ~ctx ~want)
   | Wire.Shard_ping -> Some (handle_shard_ping t)
-  | Wire.Extract_moving table -> Some (handle_extract_moving t table)
-  | Wire.Ingest_rows { table; ingest } -> Some (handle_ingest_rows t ~table ~ingest)
-  | Wire.Purge_moved table -> Some (handle_purge_moved t table)
+  | Wire.Move_rows { table; add; remove } -> Some (handle_move_rows t ~table ~add ~remove)
   | Wire.Replicate { replica_id; position; ctx } ->
     (match t.store with
      | Some store ->

@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 18
+let version = 19
 
 type error_code =
   | Parse_error
@@ -55,7 +55,7 @@ type shard_map = {
 }
 
 type shard_identity = {
-  installed_map : shard_map;
+  installed_version : int;
   self_id : int;
 }
 
@@ -161,17 +161,19 @@ type request =
   | Trace_recent of int
   | Health
   | Shard_map_req
-  | Shard_install of { map : shard_map; self_id : int }
+  | Shard_install of { map_version : int; self_id : int }
   | Shard_ping
-  | Extract_moving of string
-  | Ingest_rows of { table : string; ingest : (Value.t list * Time.t) list }
-  | Purge_moved of string
   | Horizon of string option
       (* the forward expiration forecast — bucketed counts of rows
          expiring within the next Δ ticks, fan-out forecast, churn
          rates; [Some table] restricts to one table *)
   | Shard_exec of { sql : string; ctx : trace_ctx option; want : want }
   | Statement of { sql : string; ctx : trace_ctx option; held : int option }
+  | Move_rows of {
+      table : string;
+      add : (Value.t list * Time.t) list;
+      remove : Value.t list list;
+    }
 
 type held_body =
   | Held_whole of {
@@ -214,7 +216,6 @@ type response =
       now : Time.t;
       partition : partition_texp;
     }
-  | Moved_rows of (int * (Value.t list * Time.t) list) list
   | Horizon_reply of Expirel_obs.Horizon.report
       (* bucket counts are disjoint row sets, so the coordinator merges
          per-shard replies by bucket-wise addition — exactly *)
@@ -268,15 +269,6 @@ let payload tag body =
 let put_ctx b { trace_id; parent_span } =
   put_str b trace_id;
   put_int b parent_span
-
-let put_shard b s =
-  put_int b s.shard_id;
-  put_str b s.shard_host;
-  put_int b s.shard_port
-
-let put_shard_map b m =
-  put_int b m.map_version;
-  put_list b put_shard m.shards
 
 let put_partition b p =
   put_int b p.live_rows;
@@ -370,17 +362,11 @@ let encode_request = function
   | Trace_recent n -> payload 11 (fun b -> put_int b n)
   | Health -> payload 12 ignore
   | Shard_map_req -> payload 13 ignore
-  | Shard_install { map; self_id } ->
+  | Shard_install { map_version; self_id } ->
     payload 14 (fun b ->
-        put_shard_map b map;
+        put_int b map_version;
         put_int b self_id)
   | Shard_ping -> payload 16 ignore
-  | Extract_moving table -> payload 17 (fun b -> put_str b table)
-  | Ingest_rows { table; ingest } ->
-    payload 18 (fun b ->
-        put_str b table;
-        put_list b put_row ingest)
-  | Purge_moved table -> payload 19 (fun b -> put_str b table)
   | Horizon table -> payload 23 (fun b -> put_option b put_str table)
   | Shard_exec { sql; ctx; want } ->
     payload 24 (fun b ->
@@ -397,6 +383,11 @@ let encode_request = function
         put_str b sql;
         put_option b put_ctx ctx;
         put_option b put_int held)
+  | Move_rows { table; add; remove } ->
+    payload 26 (fun b ->
+        put_str b table;
+        put_list b put_row add;
+        put_list b (fun b values -> put_list b put_value values) remove)
 
 let put_span b (s : Expirel_obs.Trace.span) =
   put_str b s.name;
@@ -481,8 +472,8 @@ let encode_response = function
   | Shard_map_reply identity ->
     payload 15 (fun b ->
         put_option b
-          (fun b { installed_map; self_id } ->
-            put_shard_map b installed_map;
+          (fun b { installed_version; self_id } ->
+            put_int b installed_version;
             put_int b self_id)
           identity)
   | Shard_pong { shard_id; pong_map_version; now; partition } ->
@@ -491,13 +482,6 @@ let encode_response = function
         put_int b pong_map_version;
         put_time b now;
         put_partition b partition)
-  | Moved_rows moves ->
-    payload 19 (fun b ->
-        put_list b
-          (fun b (owner, rows) ->
-            put_int b owner;
-            put_list b put_row rows)
-          moves)
   | Horizon_reply report -> payload 22 (fun b -> put_horizon b report)
   | Shard_reply { partition; body } ->
     payload 23 (fun b ->
@@ -577,17 +561,6 @@ let get_ctx c =
   let trace_id = get_str c in
   let parent_span = get_int c in
   { trace_id; parent_span }
-
-let get_shard c =
-  let shard_id = get_int c in
-  let shard_host = get_str c in
-  let shard_port = get_int c in
-  { shard_id; shard_host; shard_port }
-
-let get_shard_map c =
-  let map_version = get_int c in
-  let shards = get_list c get_shard in
-  { map_version; shards }
 
 let get_partition c =
   let live_rows = get_int c in
@@ -683,16 +656,10 @@ let decode_request data =
     | 12 -> Health
     | 13 -> Shard_map_req
     | 14 ->
-      let map = get_shard_map c in
+      let map_version = get_int c in
       let self_id = get_int c in
-      Shard_install { map; self_id }
+      Shard_install { map_version; self_id }
     | 16 -> Shard_ping
-    | 17 -> Extract_moving (get_str c)
-    | 18 ->
-      let table = get_str c in
-      let ingest = get_list c get_row in
-      Ingest_rows { table; ingest }
-    | 19 -> Purge_moved (get_str c)
     | 23 -> Horizon (get_option c get_str)
     | 24 ->
       let sql = get_str c in
@@ -710,6 +677,11 @@ let decode_request data =
       let ctx = get_option c get_ctx in
       let held = get_option c get_int in
       Statement { sql; ctx; held }
+    | 26 ->
+      let table = get_str c in
+      let add = get_list c get_row in
+      let remove = get_list c (fun c -> get_list c get_value) in
+      Move_rows { table; add; remove }
     | n -> bad "unknown request tag %d" n)
 
 let get_span c =
@@ -808,21 +780,15 @@ let decode_response data =
     | 15 ->
       Shard_map_reply
         (get_option c (fun c ->
-             let installed_map = get_shard_map c in
+             let installed_version = get_int c in
              let self_id = get_int c in
-             { installed_map; self_id }))
+             { installed_version; self_id }))
     | 18 ->
       let shard_id = get_int c in
       let pong_map_version = get_int c in
       let now = get_time c in
       let partition = get_partition c in
       Shard_pong { shard_id; pong_map_version; now; partition }
-    | 19 ->
-      Moved_rows
-        (get_list c (fun c ->
-             let owner = get_int c in
-             let rows = get_list c get_row in
-             (owner, rows)))
     | 22 -> Horizon_reply (get_horizon c)
     | 23 ->
       let partition = get_partition c in
@@ -937,26 +903,14 @@ let rec pp_response ppf = function
           f.rule_name f.value f.help)
       firing
   | Shard_map_reply None -> Format.pp_print_string ppf "no shard map installed"
-  | Shard_map_reply (Some { installed_map; self_id }) ->
-    Format.fprintf ppf "shard map v%d, self = shard %d"
-      installed_map.map_version self_id;
-    List.iter
-      (fun s ->
-        Format.fprintf ppf "@\n  shard %d at %s:%d" s.shard_id s.shard_host
-          s.shard_port)
-      installed_map.shards
+  | Shard_map_reply (Some { installed_version; self_id }) ->
+    Format.fprintf ppf "shard map v%d, self = shard %d" installed_version self_id
   | Shard_pong { shard_id; pong_map_version; now; partition } ->
     Format.fprintf ppf
       "shard %d: map v%d, now %s, %d live row(s), texp in [%s, %s]" shard_id
       pong_map_version (Time.to_string now) partition.live_rows
       (Time.to_string partition.min_texp)
       (Time.to_string partition.max_texp)
-  | Moved_rows moves ->
-    Format.fprintf ppf "%d destination shard(s)" (List.length moves);
-    List.iter
-      (fun (owner, rows) ->
-        Format.fprintf ppf "@\n  shard %d: %d row(s)" owner (List.length rows))
-      moves
   | Horizon_reply report ->
     Format.pp_print_string ppf (Expirel_obs.Horizon.render report)
   | Held_rows { version; body = Held_whole { columns; rows; texp_e; recomputed } }

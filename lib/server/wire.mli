@@ -185,6 +185,17 @@ val version : int
     (each a shard id string and a count; empty from a node), so a
     client of a coordinator reads the breakdown the coordinator's
     HORIZON used to print only in process.
+    v19 — a node holds no shard map.  This bump is {e required}: tags
+    were removed and two layouts changed.  Requests [Extract_moving]
+    (17), [Ingest_rows] (18) and [Purge_moved] (19) and the response
+    [Moved_rows] (19) are retired and left unused: the coordinator
+    decides each row's owner, reads the rows through [Shard_exec] and
+    writes them with the new request [Move_rows] (26: a table name,
+    the rows to add with their expiration times, then the tuples to
+    remove as value lists), answered with a [Shard_reply] ack.
+    [Shard_install] (14) carries a map version and the node's id where
+    v18 carried the whole map, and the [Shard_map_reply] (15) identity
+    is the installed version and the id.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer
@@ -250,18 +261,22 @@ type shard = {
 
 type shard_map = {
   map_version : int;
-      (** strictly increasing across installs; a node refuses to
-          replace its map with an older version, and a coordinator
-          treats a node reporting a lower version as stale *)
+      (** strictly increasing across installs; a node refuses an
+          install of an older version, and a coordinator treats a node
+          reporting a lower version as stale *)
   shards : shard list;  (** position in this list drives routing *)
 }
 (** The cluster's partitioning contract: a row lives on
-    [shard_owner map key] where [key] is the row's first column. *)
+    [shard_owner map key] where [key] is the row's first column.  Only
+    a coordinator holds a map. *)
 
 type shard_identity = {
-  installed_map : shard_map;
-  self_id : int;  (** which entry of [installed_map] this node is *)
+  installed_version : int;  (** the map version last installed *)
+  self_id : int;  (** which entry of that map this node is *)
 }
+(** What a node knows of the cluster: its id, and the version of the
+    map the coordinator last claimed it under — never the map itself,
+    so no node decides where a row lives. *)
 
 type partition_texp = {
   live_rows : int;  (** live tuples across all tables, at the node's clock *)
@@ -356,7 +371,7 @@ type shard_body =
           stateless read, and for a kept one the shard answered
           without a standing entry *)
 (** The payload of a {!Shard_reply}, one per {!want} (acks also answer
-    the rebalance writes). *)
+    a rebalance's [Move_rows]). *)
 
 type request =
   | Exec of string
@@ -396,28 +411,15 @@ type request =
   | Health
       (** evaluate the server's health rules ([Health_reply]) *)
   | Shard_map_req
-      (** which shard map, if any, the node has installed
-          ([Shard_map_reply]) *)
-  | Shard_install of { map : shard_map; self_id : int }
-      (** the coordinator's handshake: install [map] and identify as
-          shard [self_id].  Refused when [self_id] is not in the map or
-          [map.map_version] is lower than the installed one. *)
+      (** which shard-map version, if any, the node was last claimed
+          under, and its id ([Shard_map_reply]) *)
+  | Shard_install of { map_version : int; self_id : int }
+      (** the coordinator's handshake: record [map_version] and identify
+          as shard [self_id].  Refused when [self_id] is negative or
+          [map_version] is lower than the installed one. *)
   | Shard_ping
       (** cluster heartbeat ([Shard_pong]): refreshes the partition
           summary and reports the node's map version and clock *)
-  | Extract_moving of string
-      (** rebalance, step one: return the named table's rows that the
-          {e installed} map assigns to some other shard, grouped by
-          their new owner ([Moved_rows]) — issued after installing the
-          new map *)
-  | Ingest_rows of { table : string; ingest : (Value.t list * Time.t) list }
-      (** rebalance, step two: bulk-load moved rows with their original
-          expiration times (WAL-logged on durable nodes; rows already
-          expired at the receiving clock are dropped, not resurrected) *)
-  | Purge_moved of string
-      (** rebalance, step three: delete the named table's rows the
-          installed map no longer assigns here — only after the new
-          owners acknowledged their [Ingest_rows] *)
   | Horizon of string option
       (** the forward expiration forecast ([Horizon_reply]): per-table
           bucketed counts of live rows by ticks-to-expiry, the
@@ -443,6 +445,22 @@ type request =
           has fewer rows than half the answer, else the whole answer
           under a fresh version.  Every other reply is what [Exec]
           gets; a plain [Rows] tells the client to drop its copy *)
+  | Move_rows of {
+      table : string;
+      add : (Value.t list * Time.t) list;
+      remove : Value.t list list;
+    }
+      (** a rebalance's one write, answered with a [Shard_reply] ack or
+          [Err]: load [add] with its original expiration times, then
+          delete the [remove] tuples, under one write lock, each change
+          through the node's one write path (watches, MAINTAINED views
+          and the log see it).  Refused on a read-only replica.  [add]
+          is validated whole first: a row the table refuses (a wrong
+          arity) answers [Err] and nothing is written.  A row already
+          expired at the node's clock is dropped, not resurrected; a
+          [remove] tuple the node does not hold is skipped.  The
+          coordinator picks both lists: a node never decides where a
+          row lives *)
 
 type held_body =
   | Held_whole of {
@@ -506,8 +524,6 @@ type response =
       now : Time.t;  (** the node's logical clock *)
       partition : partition_texp;
     }
-  | Moved_rows of (int * (Value.t list * Time.t) list) list
-      (** rows leaving the answering shard, grouped by new owner id *)
   | Horizon_reply of Expirel_obs.Horizon.report
       (** the expiration forecast.  Buckets count disjoint row sets, so
           a coordinator rolls per-shard replies up with
@@ -515,7 +531,7 @@ type response =
           exact by construction — and answers the merged report with
           its per-shard live rows *)
   | Shard_reply of { partition : partition_texp; body : shard_body }
-      (** the answer to [Shard_exec], [Ingest_rows] and [Purge_moved]:
+      (** the answer to [Shard_exec] and [Move_rows]:
           the shard's partition summary as the statement left it, and
           the body *)
   | Held_rows of { version : int; body : held_body }

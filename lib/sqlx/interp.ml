@@ -64,7 +64,9 @@ type t = {
       (* repeated grouped COUNT queries, by verbatim text: an entry
          lives while its shape's plan does, in the statement cache and
          the catalog generation *)
-  mutable trigger_log : string list;  (* newest first *)
+  trigger_log : string Queue.t;
+      (* the newest [trigger_log_capacity] firings, oldest first *)
+  mutable triggers_dropped : int;  (* firings older than those *)
   statements : plan_entry Statement_cache.t;
       (* keyed by the statement's literal shape: a repeated statement,
          whatever its literals, skips the parser, then lowering and
@@ -87,6 +89,10 @@ type t = {
 
 let statement_capacity = 64
 
+(* SHOW TRIGGERS keeps this many firings, the newest; it counts the
+   older ones it dropped, so a long-running node's log stays bounded. *)
+let trigger_log_capacity = 1_000
+
 let create ?policy ?store () =
   let db =
     match store with
@@ -104,7 +110,8 @@ let create ?policy ?store () =
     watches = Subscription.create db;
     maintained = Subscription.create db;
     cached;
-    trigger_log = [];
+    trigger_log = Queue.create ();
+    triggers_dropped = 0;
     statements =
       Statement_cache.create ~capacity:statement_capacity
         ~on_evict:(fun key ->
@@ -483,6 +490,10 @@ let profile ?table t =
 
 let horizon_tables t = profile t
 
+let fanout_forecast t =
+  Subscription.forecast_events t.watches
+    ~until:(Time.add (Database.now t.db) (Time.of_int Horizon.default_window))
+
 (* The forward expiration profile at the current clock, with the exact
    fan-out forecast: one walk per watch over the window. *)
 let horizon ?table t =
@@ -492,9 +503,7 @@ let horizon ?table t =
   let window = Horizon.default_window in
   { Horizon.now = Option.value (Time.to_int_opt now) ~default:0;
     window;
-    fanout_events =
-      Subscription.forecast_events t.watches
-        ~until:(Time.add now (Time.of_int window));
+    fanout_events = fanout_forecast t;
     arrival_rate;
     expiration_rate;
     tables;
@@ -634,11 +643,15 @@ let exec_statement ?trace ?prepared t = function
       }
   | Ast.Create_trigger { name; table } ->
     Trigger.register (Database.triggers t.db) ~name ~table (fun e ->
-        t.trigger_log <-
-          Printf.sprintf "%s: %s%s expired at %s" name e.Trigger.table
-            (Tuple.to_string e.Trigger.tuple)
-            (Time.to_string e.Trigger.fired_at)
-          :: t.trigger_log);
+        Queue.add
+          (Printf.sprintf "%s: %s%s expired at %s" name e.Trigger.table
+             (Tuple.to_string e.Trigger.tuple)
+             (Time.to_string e.Trigger.fired_at))
+          t.trigger_log;
+        if Queue.length t.trigger_log > trigger_log_capacity then begin
+          ignore (Queue.pop t.trigger_log);
+          t.triggers_dropped <- t.triggers_dropped + 1
+        end);
     Msg (Printf.sprintf "trigger %s on %s created" name table)
   | Ast.Drop_trigger name ->
     Trigger.unregister (Database.triggers t.db) ~name;
@@ -664,10 +677,14 @@ let exec_statement ?trace ?prepared t = function
      | [] -> Msg "(no constraints)"
      | lines -> Msg (String.concat "\n" lines))
   | Ast.Show_triggers ->
+    let lines = List.of_seq (Queue.to_seq t.trigger_log) in
     Msg
-      (match List.rev t.trigger_log with
-       | [] -> "(no trigger firings)"
-       | lines -> String.concat "\n" lines)
+      (match (t.triggers_dropped, lines) with
+       | 0, [] -> "(no trigger firings)"
+       | 0, lines -> String.concat "\n" lines
+       | dropped, lines ->
+         String.concat "\n"
+           (Printf.sprintf "(%d older firing(s) dropped)" dropped :: lines))
   | Ast.Refresh_view name ->
     (match Hashtbl.find_opt t.views name with
      | None -> failwith (Printf.sprintf "unknown view %s" name)

@@ -143,6 +143,10 @@ val churn_rates : t -> float * float
 (** {!horizon}'s [(arrival_rate, expiration_rate)] alone, sampled at the
     current clock. *)
 
+val fanout_forecast : t -> int
+(** {!horizon}'s [fanout_events] alone: no table profile, no churn
+    sample. *)
+
 type agg_groups =
   | Condensed of Expirel_exec.Partial_agg.t
       (** folded from the child's rows by {!Expirel_exec.Executor.partial} *)

@@ -24,23 +24,33 @@ let create ?backoff ~primary ~replicas () =
     next_replica = 0
   }
 
-let exec ?trace t sql =
-  Member.on t.primary (fun c ->
-      Member.traced_exec ?trace c ~span_name:primary_span sql)
+(* [sql] on the member's connection, under a local span named
+   [span_name] that ships the trace context: the serving node's spans
+   record under the same trace id.  A failed request drops the
+   connection, so the next one redials; an endpoint in backoff answers
+   at once. *)
+let traced_exec ?trace m ~span_name sql =
+  match Member.connection m with
+  | None -> Error "endpoint unavailable"
+  | Some c ->
+    (match
+       Expirel_obs.Trace.span trace span_name (fun () ->
+           Expirel_server.Client.exec_traced c ?trace sql)
+     with
+     | Ok _ as ok -> ok
+     | Error _ as e ->
+       Member.drop m;
+       e)
+
+let exec ?trace t sql = traced_exec ?trace t.primary ~span_name:primary_span sql
 
 let query ?trace t sql =
   let n = Array.length t.replicas in
   let rec try_from i tried =
-    if tried >= n then
-      Member.on t.primary (fun c ->
-          Member.traced_exec ?trace c ~span_name:primary_span sql)
+    if tried >= n then exec ?trace t sql
     else begin
-      let m = t.replicas.(i mod n) in
       match
-        Member.on m (fun c ->
-            Member.traced_exec ?trace c
-              ~span_name:t.replica_spans.(i mod n)
-              sql)
+        traced_exec ?trace t.replicas.(i mod n) ~span_name:t.replica_spans.(i mod n) sql
       with
       | Ok _ as ok ->
         t.next_replica <- (i + 1) mod n;

@@ -246,6 +246,29 @@ for f in rerouted:
     print(f)
 if rerouted:
     sys.exit("ci: the files above route statements around a move in flight; a move runs alone")
+# A node holds no shard map: the coordinator decides where every row
+# moves (Wire.shard_owner is named only by it and by wire.ml), and a
+# move reaches the shards as statements plus Move_rows, every request
+# through the coordinator's exchange, so no code names the retired
+# rebalance requests or the node's installed map, and lib/ keeps no
+# second request path (on_slot, Member.on).
+retired = re.compile(r'\b(Extract_moving|Ingest_rows|Purge_moved|Moved_rows|installed_map)\b')
+second_path = re.compile(r'\bon_slot\b|\bMember\.on\b')
+owner = re.compile(r'\bshard_owner\b')
+mapped = []
+for top in ('lib', 'bin', 'test'):
+    for pattern in ('/**/*.ml', '/**/*.mli'):
+        for f in glob.glob(top + pattern, recursive=True):
+            text = strip(open(f).read())
+            if (retired.search(text)
+                    or (top == 'lib' and second_path.search(text))
+                    or (top != 'test' and owner.search(text)
+                        and not f.startswith(('lib/cluster/', 'lib/server/wire.')))):
+                mapped.append(f)
+for f in sorted(set(mapped)):
+    print(f)
+if mapped:
+    sys.exit("ci: the files above let a node decide a row's owner or reach a shard outside exchange")
 PY
 # One request loop: a coordinator answers the wire through the loop a
 # node serves through, and `connect` is the only REPL, so bin/ keeps no

@@ -2315,8 +2315,9 @@ let test_routed_reads_across_rebalance () =
 (* A frame relay in front of a shard's port.  [arm] sets what happens
    to the next request it reads: [`Hang_up] takes it off the wire and
    drops the connection unanswered, as a shard dying after the
-   coordinator posted to it and before it collected; [`Delay s]
-   forwards it [s] seconds late. *)
+   coordinator posted to it and before it collected; [`Hang_up_on p]
+   does that to the first request [p] accepts, forwarding the ones
+   before it; [`Delay s] forwards it [s] seconds late. *)
 let with_relay ~port f =
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;
@@ -2336,6 +2337,11 @@ let with_relay ~port f =
          let payload, _ = Frame.recv from in
          (match if requests then Atomic.exchange armed None else None with
           | Some `Hang_up -> raise Exit
+          | Some (`Hang_up_on matches) ->
+            (match Wire.decode_request payload with
+             | Ok request when matches request -> raise Exit
+             | Ok _ | Error _ ->
+               ignore (Atomic.compare_and_set armed None (Some (`Hang_up_on matches))))
           | Some (`Delay s) -> Thread.delay s
           | None -> ());
          ignore (Frame.send into payload)
@@ -2821,6 +2827,76 @@ let test_statement_waits_out_rebalance () =
   Alcotest.(check int) "the point read finds the row" 1
     (List.length (fst (rows_of sql (exec coord sql))))
 
+(* ---------- an interrupted move loses no row ---------- *)
+
+(* One shard and two to join, each behind a relay.  A move is cut
+   twice: at the first joining shard's load, and then, joining the
+   second, at the source's removal, which a move sends only once every
+   load is acknowledged.  Each time ADD SHARD answers an error, the map
+   stays as it was, and every row written before is still found, by a
+   point read and by a full scan; the second cut leaves copies at the
+   joining shard. *)
+let test_cut_move_loses_no_row () =
+  with_shards 3 @@ fun _servers endpoints ->
+  with_relays endpoints @@ fun relayed arms ->
+  match (relayed, arms) with
+  | [ a; c1; c2 ], [ arm_a; arm_c1; _ ] ->
+    let coord = Coordinator.create ~heartbeat_interval:0. ~shards:[ a ] () in
+    Fun.protect ~finally:(fun () -> Coordinator.close coord) @@ fun () ->
+    ignore (exec coord "CREATE TABLE t (k, v)");
+    let row k = ([ Value.int k; Value.int (3 * k) ], Time.of_int 1000) in
+    let keys = List.init 200 (fun i -> i + 1) in
+    List.iter
+      (fun k ->
+        ignore (exec coord (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES 1000" k (3 * k))))
+      keys;
+    let version = (Coordinator.shard_map coord).Wire.map_version in
+    (* The coordinator drops a cut connection and redials it after a
+       backoff. *)
+    let settled sql =
+      let deadline = Unix.gettimeofday () +. 5. in
+      let rec go () =
+        match Coordinator.exec coord sql with
+        | Wire.Err { code = Wire.Shard_failed; _ } when Unix.gettimeofday () < deadline ->
+          Thread.delay 0.01;
+          go ()
+        | r -> fst (rows_of sql r)
+      in
+      go ()
+    in
+    let cut ~what arm (joining : Coordinator.endpoint) matches =
+      arm (`Hang_up_on matches);
+      (match
+         Coordinator.exec coord
+           (Printf.sprintf "ADD SHARD %s:%d" joining.Coordinator.host joining.Coordinator.port)
+       with
+       | Wire.Err _ -> ()
+       | r -> Alcotest.failf "ADD SHARD cut at %s: %s" what (Wire.render_response r));
+      Alcotest.(check int) (what ^ ": the map version is unchanged") version
+        (Coordinator.shard_map coord).Wire.map_version;
+      Alcotest.(check bool) (what ^ ": the full scan holds every row once") true
+        (sorted (settled "SELECT k, v FROM t") = sorted (List.map row keys));
+      List.iter
+        (fun k ->
+          let sql = Printf.sprintf "SELECT k, v FROM t WHERE k = %d" k in
+          Alcotest.(check bool) (what ^ ": " ^ sql ^ " finds its row") true
+            (settled sql = [ row k ]))
+        keys
+    in
+    cut ~what:"the load" arm_c1 c1 (function
+      | Wire.Move_rows { add = _ :: _; _ } -> true
+      | _ -> false);
+    cut ~what:"the removal" arm_a c2 (function
+      | Wire.Move_rows { remove = _ :: _; _ } -> true
+      | _ -> false);
+    let joined = connect (List.nth endpoints 2).Coordinator.port in
+    Fun.protect ~finally:(fun () -> Client.close joined) (fun () ->
+        match Client.exec joined "SELECT k, v FROM t" with
+        | Ok (Wire.Rows { rows = _ :: _; _ }) -> ()
+        | Ok r -> Alcotest.failf "the joining shard holds no copy: %s" (Wire.render_response r)
+        | Error e -> Alcotest.fail e)
+  | _ -> assert false
+
 let suite =
   [ Alcotest.test_case "scatter-gather == single node" `Quick
       test_matches_single_node;
@@ -2903,5 +2979,7 @@ let suite =
       test_reads_during_rebalance;
     Alcotest.test_case "an unpinned DELETE during a rebalance leaves no row" `Quick
       test_unpinned_delete_during_rebalance;
+    Alcotest.test_case "a move cut after its loads loses no row" `Quick
+      test_cut_move_loses_no_row;
     Alcotest.test_case "a statement issued during a rebalance waits and answers after it"
       `Quick test_statement_waits_out_rebalance ]

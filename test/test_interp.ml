@@ -249,6 +249,27 @@ let test_sql_triggers () =
        (string_contains log "expired at 5")
    | Interp.Rows _ -> Alcotest.fail "log")
 
+(* SHOW TRIGGERS keeps the newest 1 000 firings, in firing order, and
+   says how many older ones it dropped. *)
+let test_trigger_log_bounded () =
+  let t = Interp.create () in
+  ignore (exec t "CREATE TABLE s (k)");
+  ignore (exec t "CREATE TRIGGER audit ON s");
+  let firings = 1_000 + 5 in
+  for k = 1 to firings do
+    ignore (exec t (Printf.sprintf "INSERT INTO s VALUES (%d) EXPIRES %d" k (k + 1)))
+  done;
+  ignore (exec t (Printf.sprintf "ADVANCE TO %d" (firings + 2)));
+  match exec t "SHOW TRIGGERS" with
+  | Interp.Msg log ->
+    let lines = String.split_on_char '\n' log in
+    Alcotest.(check int) "a count line and the kept firings" 1_001 (List.length lines);
+    Alcotest.(check string) "the count line" "(5 older firing(s) dropped)" (List.hd lines);
+    Alcotest.(check string) "the oldest kept" "audit: s<6> expired at 7" (List.nth lines 1);
+    Alcotest.(check string) "the newest" "audit: s<1005> expired at 1006"
+      (List.nth lines 1_000)
+  | Interp.Rows _ -> Alcotest.fail "log"
+
 let test_maintained_view () =
   let t = setup_figure1 () in
   ignore (exec t "CREATE MAINTAINED VIEW hist AS \
@@ -881,6 +902,8 @@ let suite =
     Alcotest.test_case "constraint on a nested difference" `Quick
       test_constraint_on_nested_difference;
     Alcotest.test_case "SQL-level expiration triggers" `Quick test_sql_triggers;
+    Alcotest.test_case "SHOW TRIGGERS keeps the newest 1000 firings" `Quick
+      test_trigger_log_bounded;
     Alcotest.test_case "maintained views track updates and time" `Quick
       test_maintained_view;
     Alcotest.test_case "DROP TABLE refused under a maintained view" `Quick

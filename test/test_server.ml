@@ -1107,13 +1107,26 @@ let listed client sql =
          rows)
   | r -> Alcotest.failf "%s: expected rows, got %s" sql (Wire.render_response r)
 
-(* Ingest_rows and Purge_moved change a shard's data like any write: a
-   MAINTAINED view over the table sees both. *)
+(* A rebalance's one write, as a coordinator sends it. *)
+let move_rows client ?(add = []) ?(remove = []) table =
+  Client.request client (Wire.Move_rows { table; add; remove })
+
+let moved client ?add ?remove table =
+  match move_rows client ?add ?remove table with
+  | Ok (Wire.Shard_reply { body = Wire.Body_ack message; _ }) -> message
+  | Ok r -> Alcotest.failf "Move_rows: %s" (Wire.render_response r)
+  | Error e -> Alcotest.fail e
+
+(* A move's adds and removes change a shard's data like any write: a
+   MAINTAINED view over the table sees both.  A row already expired at
+   the node's clock is not resurrected, and a removed tuple the node
+   does not hold is skipped. *)
 let test_rebalance_feeds_maintained_view () =
   with_server (fun _server port ->
       with_client port (fun client ->
           ok (Client.exec_ok client "CREATE TABLE t (k, v)");
           ok (Client.exec_ok client "INSERT INTO t VALUES (1, 10) EXPIRES 50");
+          ok (Client.exec_ok client "ADVANCE TO 5");
           ok
             (Client.exec_ok client
                "CREATE MAINTAINED VIEW mv AS SELECT k, v FROM t");
@@ -1123,33 +1136,27 @@ let test_rebalance_feeds_maintained_view () =
               (listed client "SHOW VIEW mv")
           in
           view_is_table "materialised";
-          ignore
-            (ok
-               (Client.ingest_rows client ~table:"t"
-                  [ ([ Value.Int 2; Value.Int 20 ], fin 40) ]));
-          Alcotest.(check (list string)) "ingested" [ "1,10@50"; "2,20@40" ]
+          Alcotest.(check string) "the add's ack" "t: 1 row(s) added (1 already expired), 0 removed"
+            (moved client "t"
+               ~add:
+                 [ ([ Value.Int 2; Value.Int 20 ], fin 40);
+                   ([ Value.Int 3; Value.Int 30 ], fin 5) ]);
+          Alcotest.(check (list string)) "added" [ "1,10@50"; "2,20@40" ]
             (listed client "SELECT k, v FROM t");
-          view_is_table "after Ingest_rows";
-          (* A map this node (id 1) is absent from assigns every key
-             elsewhere, so the purge empties the table. *)
-          ok
-            (Client.shard_install client
-               ~map:
-                 { Wire.map_version = 1;
-                   shards =
-                     [ { Wire.shard_id = 0; shard_host = "127.0.0.1";
-                         shard_port = 1 } ]
-                 }
-               ~self_id:1);
-          ignore (ok (Client.purge_moved client "t"));
-          Alcotest.(check (list string)) "purged" []
+          view_is_table "after the add";
+          Alcotest.(check string) "the remove's ack" "t: 0 row(s) added, 2 removed"
+            (moved client "t"
+               ~remove:
+                 [ [ Value.Int 1; Value.Int 10 ]; [ Value.Int 2; Value.Int 20 ];
+                   [ Value.Int 4; Value.Int 40 ] ]);
+          Alcotest.(check (list string)) "removed" []
             (listed client "SELECT k, v FROM t");
-          view_is_table "after Purge_moved"))
+          view_is_table "after the remove"))
 
-(* A batch holding a row of the wrong arity is refused whole: an error
-   answer on a connection that stays open, and nothing ingested or
+(* A move holding a row of the wrong arity is refused whole: an error
+   answer on a connection that stays open, and nothing written or
    logged. *)
-let test_bad_ingest_refused () =
+let test_bad_move_refused () =
   with_temp_dir (fun dir ->
       let config = { Server.default_config with data_dir = Some dir } in
       with_server ~config (fun server port ->
@@ -1162,16 +1169,31 @@ let test_bad_ingest_refused () =
               in
               let before = position () in
               (match
-                 Client.ingest_rows client ~table:"t"
-                   [ ([ Value.Int 1; Value.Int 10 ], fin 40);
-                     ([ Value.Int 2 ], fin 40) ]
+                 move_rows client "t"
+                   ~add:
+                     [ ([ Value.Int 1; Value.Int 10 ], fin 40);
+                       ([ Value.Int 2 ], fin 40) ]
                with
-               | Error _ -> ()
-               | Ok _ -> Alcotest.fail "a wrong-arity row was ingested");
+               | Ok (Wire.Err { code = Wire.Exec_error; _ }) -> ()
+               | Ok r -> Alcotest.failf "a wrong-arity row was moved: %s" (Wire.render_response r)
+               | Error e -> Alcotest.fail e);
               ok (Client.ping client);
-              Alcotest.(check (list string)) "nothing ingested" []
+              Alcotest.(check (list string)) "nothing written" []
                 (listed client "SELECT k, v FROM t");
               Alcotest.(check int) "nothing logged" before (position ()))))
+
+(* A read-only replica refuses a move, writing nothing. *)
+let test_move_refused_on_replica () =
+  with_server
+    ~config:{ Server.default_config with read_only = true }
+    (fun _server port ->
+      with_client port (fun client ->
+          match move_rows client "t" ~add:[ ([ Value.Int 1; Value.Int 10 ], fin 40) ] with
+          | Ok (Wire.Err { code = Wire.Exec_error; message }) ->
+            Alcotest.(check string) "refused" "read-only replica: rebalance writes go to the primary"
+              message
+          | Ok r -> Alcotest.failf "a replica moved rows: %s" (Wire.render_response r)
+          | Error e -> Alcotest.fail e))
 
 (* ---------- held answers: a repeated read ships what changed ---------- *)
 
@@ -1665,8 +1687,10 @@ let suite =
       test_shard_sketch_plan_cache;
     Alcotest.test_case "rebalance writes reach a maintained view" `Quick
       test_rebalance_feeds_maintained_view;
-    Alcotest.test_case "bad Ingest_rows: error answer, nothing ingested"
-      `Quick test_bad_ingest_refused;
+    Alcotest.test_case "bad Move_rows: error answer, nothing written"
+      `Quick test_bad_move_refused;
+    Alcotest.test_case "a read-only replica refuses Move_rows" `Quick
+      test_move_refused_on_replica;
     prop_partition_summary;
     prop_held_reread;
     Alcotest.test_case "held answers: whole, delta, plain, stale" `Quick

@@ -38,19 +38,13 @@ let trace_ctx : Wire.trace_ctx Gen.t =
     (fun trace_id parent_span -> { Wire.trace_id; parent_span })
     name (Gen.int_range 0 1_000)
 
-(* v5 cluster payloads: shard maps, partition summaries, moved rows. *)
+(* Cluster payloads: shards, partition summaries, moved rows. *)
 let shard : Wire.shard Gen.t =
   let open Gen in
   let* shard_id = int_range 0 1_000 in
   let* shard_host = name in
   let* shard_port = int_range 0 65_535 in
   return { Wire.shard_id; shard_host; shard_port }
-
-let shard_map_gen : Wire.shard_map Gen.t =
-  Gen.map2
-    (fun map_version shards -> { Wire.map_version; shards })
-    (Gen.int_range 0 1_000)
-    (Gen.list_size (Gen.int_range 0 6) shard)
 
 let partition_texp : Wire.partition_texp Gen.t =
   let open Gen in
@@ -75,6 +69,18 @@ let want : Wire.want Gen.t =
     [ Gen.oneofl [ Wire.Want_rows; Wire.Want_sketch; Wire.Want_agg None ];
       Gen.map (fun v -> Wire.Want_agg (Some v)) wide_int ]
 
+(* v19: a node is claimed by a map version and its id, and a move
+   adds and removes the rows the coordinator chose. *)
+let install : Wire.request Gen.t =
+  Gen.map2
+    (fun map_version self_id -> Wire.Shard_install { map_version; self_id })
+    wide_int (Gen.int_range 0 1_000)
+
+let move_rows : Wire.request Gen.t =
+  Gen.map3
+    (fun table add remove -> Wire.Move_rows { table; add; remove })
+    name moved (Gen.list_size (Gen.int_range 0 4) row)
+
 let request : Wire.request Gen.t =
   Gen.oneof
     [ Gen.map (fun s -> Wire.Exec s) name;
@@ -94,15 +100,8 @@ let request : Wire.request Gen.t =
       Gen.map (fun n -> Wire.Trace_recent n) (Gen.int_range 0 1_000);
       Gen.return Wire.Health;
       Gen.return Wire.Shard_map_req;
-      Gen.map2
-        (fun map self_id -> Wire.Shard_install { map; self_id })
-        shard_map_gen (Gen.int_range 0 1_000);
+      install;
       Gen.return Wire.Shard_ping;
-      Gen.map (fun t -> Wire.Extract_moving t) name;
-      Gen.map2
-        (fun table ingest -> Wire.Ingest_rows { table; ingest })
-        name moved;
-      Gen.map (fun t -> Wire.Purge_moved t) name;
       (* v8: the forward-looking expiration forecast *)
       Gen.map (fun t -> Wire.Horizon t) (Gen.option name);
       (* v9: the one coordinator-to-shard statement request *)
@@ -112,7 +111,9 @@ let request : Wire.request Gen.t =
       (* v14: the one client statement request, naming a held version *)
       Gen.map3
         (fun sql ctx held -> Wire.Statement { sql; ctx; held })
-        name (Gen.option trace_ctx) (Gen.option wide_int) ]
+        name (Gen.option trace_ctx) (Gen.option wide_int);
+      (* v19: a rebalance's one write *)
+      move_rows ]
 
 let error_code : Wire.error_code Gen.t =
   Gen.oneofl
@@ -332,19 +333,15 @@ let response : Wire.response Gen.t =
         (fun identity -> Wire.Shard_map_reply identity)
         (Gen.option
            (Gen.map2
-              (fun installed_map self_id ->
-                { Wire.installed_map; self_id })
-              shard_map_gen (Gen.int_range 0 1_000)));
+              (fun installed_version self_id ->
+                { Wire.installed_version; self_id })
+              wide_int (Gen.int_range 0 1_000)));
       (let open Gen in
        let* shard_id = int_range 0 1_000 in
        let* pong_map_version = int_range 0 1_000 in
        let* now = time in
        let* partition = partition_texp in
        return (Wire.Shard_pong { shard_id; pong_map_version; now; partition }));
-      Gen.map
-        (fun groups -> Wire.Moved_rows groups)
-        (Gen.list_size (Gen.int_range 0 4)
-           (Gen.pair (Gen.int_range 0 1_000) moved));
       (* v8: the forecast reply carries the report verbatim *)
       Gen.map (fun r -> Wire.Horizon_reply r) horizon_report;
       (* v9: the statement envelope *)
@@ -813,31 +810,37 @@ let test_short_header_incomplete () =
         Alcotest.fail "short header not reported Incomplete")
     [ ""; "\x00"; "\x00\x00\x00" ]
 
-(* Cutting a Shard_install anywhere inside its serialized shard map
-   must decode to Error — a half-read map silently accepted would
-   misroute every write. *)
+(* Cutting a shard-map claim ([Shard_install]) or a move anywhere
+   must decode to Error — a half-read claim silently accepted would
+   misreport the map version, a half-read move would drop rows. *)
 let truncated_shard_map_errors =
   Generators.qtest "truncated shard map errors, never raises" ~count:300
-    (Gen.triple shard_map_gen (Gen.int_range 0 1_000) (Gen.int_range 0 9999))
-    (fun (map, self_id, cut) ->
-      let payload =
-        Wire.encode_request (Wire.Shard_install { map; self_id })
-      in
+    (Gen.pair (Gen.oneof [ install; move_rows ]) (Gen.int_range 0 9999))
+    (fun (request, cut) ->
+      let payload = Wire.encode_request request in
       let n = String.length payload in
       let k = if n = 0 then 0 else cut mod n in
       let prefix = String.sub payload 0 k in
-      decodes_cleanly prefix
-      && Wire.decode_request prefix <> Ok (Wire.Shard_install { map; self_id }))
+      decodes_cleanly prefix && Wire.decode_request prefix <> Ok request)
 
-(* A hostile shard count in a Shard_install body must be rejected
-   before any proportional allocation, like the Rows case below. *)
+(* A hostile shard count must be rejected before any proportional
+   allocation, like the Rows case below: here the per-shard list a
+   coordinator's [Horizon_reply] ends with, the one list of shards on
+   the wire. *)
 let test_hostile_shard_count () =
-  let b = Buffer.create 16 in
-  Buffer.add_char b (Char.chr Wire.version);
-  Buffer.add_char b (Char.chr 14) (* Shard_install tag *);
-  Buffer.add_string b "\x02" (* map_version 1, a zigzag varint *);
-  Buffer.add_string b "\xff\xff\xff\xff\x07" (* shard count 2^31 - 1, a varint *);
-  match Wire.decode_request (Buffer.contents b) with
+  let empty =
+    Wire.encode_response
+      (Wire.Horizon_reply
+         { Expirel_obs.Horizon.now = 0; window = 1; fanout_events = 0;
+           arrival_rate = 0.; expiration_rate = 0.; tables = []; shards = [] })
+  in
+  (* The empty shard list is the payload's last byte: a zero count. *)
+  Alcotest.(check char) "ends with the shard count" '\000' empty.[String.length empty - 1];
+  let hostile =
+    String.sub empty 0 (String.length empty - 1)
+    ^ "\xff\xff\xff\xff\x07" (* shard count 2^31 - 1, a varint *)
+  in
+  match Wire.decode_response hostile with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "hostile shard count accepted"
 
