@@ -17,6 +17,13 @@ type endpoint = Member.endpoint = {
   port : int;
 }
 
+(* What a slot's pongs told of its node's boot id since the slot was
+   made or the map last changed. *)
+type boot =
+  | Unseen
+  | Booted of string  (* the id recorded from the first pong *)
+  | Restarted  (* a later pong brought another: the partition is gone *)
+
 type slot = {
   shard : Wire.shard;
   member : Member.t;
@@ -24,7 +31,7 @@ type slot = {
   requests : Obs.Instrument.Counter.t;
   rpc_span : Obs.Trace.name;  (* rpc:shard-<id> *)
   mutable summary : Wire.partition_texp option;  (* None = unknown *)
-  mutable map_version_seen : int;
+  mutable boot : boot;
   mutable reachable : bool;
 }
 
@@ -129,13 +136,13 @@ let default_health_rules ~shards =
       critical = majority;
       help = "shards that did not answer their last contact or heartbeat"
     };
-    { Obs.Health.name = "stale_shard_maps";
-      source = Obs.Health.Metric "expirel_cluster_stale_shards";
+    { Obs.Health.name = "restarted_shards";
+      source = Obs.Health.Metric "expirel_cluster_restarted_shards";
       op = Obs.Health.Above;
       degraded = 1.;
       critical = majority;
-      help = "shards whose last heartbeat reported an older shard-map \
-              version (a restarted shard reports v0 and has lost its \
+      help = "shards restarted since their first heartbeat or the last \
+              ADD/REMOVE SHARD (a restarted in-memory shard has lost its \
               partition)"
     };
     (* Predictive, from the merged horizon cache: these fire before
@@ -181,9 +188,12 @@ let account t slot result =
     Obs.Instrument.Counter.add t.bytes_received_total received;
     (match resp with
      | Wire.Shard_reply { partition; _ } -> slot.summary <- Some partition
-     | Wire.Shard_pong { partition; pong_map_version; now; _ } ->
+     | Wire.Shard_pong { partition; boot_id; now } ->
        slot.summary <- Some partition;
-       slot.map_version_seen <- pong_map_version;
+       (match slot.boot with
+        | Unseen -> slot.boot <- Booted boot_id
+        | Booted seen when seen <> boot_id -> slot.boot <- Restarted
+        | Booted _ | Restarted -> ());
        locked t (fun () -> t.now <- Time.max t.now now)
      | Wire.Err _ ->
        (* A refused or failed statement tells us nothing about the
@@ -351,6 +361,9 @@ let forward_to_any ?trace t sql =
   in
   go (slots t)
 
+(* A zero-row scan: its reply names the table's columns. *)
+let describe name = Printf.sprintf "SELECT * FROM %s LIMIT 0" name
+
 (* The cluster catalog: cached CREATE TABLE columns, lazily recovered
    from a zero-row describe scan (single-table scans label columns with
    their bare DDL names, exactly what shard-side lowering sees) when
@@ -359,9 +372,7 @@ let table_columns ?trace t name =
   match locked t (fun () -> Hashtbl.find_opt t.tables name) with
   | Some columns -> Some columns
   | None ->
-    (match
-       forward_to_any ?trace t (Printf.sprintf "SELECT * FROM %s LIMIT 0" name)
-     with
+    (match forward_to_any ?trace t (describe name) with
      | Wire.Rows { columns; _ } ->
        locked t (fun () -> Hashtbl.replace t.tables name columns);
        Some columns
@@ -1086,7 +1097,7 @@ let make_slot t (shard : Wire.shard) =
     rpc_span =
       Obs.Trace.name (Printf.sprintf "rpc:shard-%d" shard.Wire.shard_id);
     summary = None;
-    map_version_seen = 0;
+    boot = Unseen;
     reachable = false;
   }
 
@@ -1110,20 +1121,6 @@ let each_ok t ~step ok requests =
   with
   | [] -> Ok ()
   | failures -> Error (String.concat "; " failures)
-
-(* Claims each of [targets] for map [version]: a node records the
-   version and its id, never the map. *)
-let install t targets version =
-  each_ok t ~step:"install"
-    (function
-      | Wire.Ok_msg _ -> true
-      | _ -> false)
-    (List.map
-       (fun slot ->
-         ( slot,
-           Wire.Shard_install { map_version = version; self_id = slot.shard.Wire.shard_id } ))
-       targets)
-  |> Result.map (fun () -> List.iter (fun slot -> slot.map_version_seen <- version) targets)
 
 let create ?(node_name = "coordinator") ?health_rules
     ?(heartbeat_interval = 0.25) ~shards:endpoints () =
@@ -1208,13 +1205,12 @@ let create ?(node_name = "coordinator") ?health_rules
     (fun () ->
       float_of_int
         (List.length (List.filter (fun s -> not s.reachable) (slots t))));
-  Obs.Registry.gauge_fun registry ~name:"expirel_cluster_stale_shards"
-    ~help:"Shards whose last answer reported an older shard-map version"
+  Obs.Registry.gauge_fun registry ~name:"expirel_cluster_restarted_shards"
+    ~help:"Shards whose heartbeat brought another boot id than their first \
+           heartbeat since they joined or the map last changed"
     (fun () ->
-      let v = (shard_map t).Wire.map_version in
       float_of_int
-        (List.length
-           (List.filter (fun s -> s.map_version_seen < v) (slots t))));
+        (List.length (List.filter (fun s -> s.boot = Restarted) (slots t))));
   (* Cluster-horizon gauges read the cached merged forecast — a scrape
      never fans out.  While no forecast has been gathered yet the
      callbacks raise, which the registry renders as an absent metric
@@ -1247,24 +1243,7 @@ let create ?(node_name = "coordinator") ?health_rules
            the cluster, from the last horizon gather"
     (fun () -> float_of_int (cached ()).Obs.Horizon.fanout_events);
   t.slots <- List.map (make_slot t) map.Wire.shards;
-  (* Nodes may carry a map version from another coordinator ([cluster
-     serve]'s own, a [cluster connect]'s, a rebalance): claim with a
-     version above anything installed, or every install would be
-     refused as stale. *)
-  let installed_version =
-    List.fold_left
-      (fun acc (_, reply, _, _) ->
-        match reply with
-        | Ok (Wire.Shard_map_reply (Some { Wire.installed_version; _ })) ->
-          max acc installed_version
-        | _ -> acc)
-      0
-      (exchange t (List.map (fun slot -> (slot, Wire.Shard_map_req)) t.slots))
-  in
-  let version = max map.Wire.map_version (installed_version + 1) in
-  locked t (fun () -> t.map <- { map with Wire.map_version = version });
-  ignore (install t t.slots version);
-  (* Prime the clock mirror and the summaries. *)
+  (* Prime the clock mirror, the summaries and the boot ids. *)
   heartbeat_now t;
   if heartbeat_interval > 0. then
     t.hb_thread <- Some (Thread.create (fun () -> heartbeat_loop t) ());
@@ -1336,14 +1315,14 @@ let table_names t =
    owner decided here: one fan-out reads each source's partition
    ([SELECT *]), one loads the rows leaving it at their new owners, and
    only once every load is acknowledged one deletes them at their
-   sources.  The deletes run last, so a move cut before them duplicates
-   rows (both copies carry the same texp — harmless to set semantics)
-   and loses none.  A source's partition of a table comes back in one
-   reply, so it is bounded by the frame ([Frame.max_frame]). *)
+   sources.  The deletes run last, so a move cut before them loses no
+   row but can leave copies where the old map reads them (at an old
+   shard): scans and point reads absorb those, COUNT and grouped
+   partials count them twice.  A source's partition of a table comes
+   back in one reply, so it is bounded by the frame
+   ([Frame.max_frame]). *)
 let move_rows t new_map ~old_slots ~new_slots =
   let ( let* ) = Result.bind in
-  let joining = List.filter (fun s -> not (List.memq s old_slots)) new_slots in
-  let* () = install t (old_slots @ joining) new_map.Wire.map_version in
   let* tables = table_names t in
   let acked = function
     | Wire.Shard_reply { body = Wire.Body_ack _; _ } -> true
@@ -1410,8 +1389,12 @@ let apply_map t new_map ~old_slots ~new_slots =
         (* A map change redefines every partition, so every cached
            summary is about the wrong partition now: forget them all
            (unknown is never pruned) and re-prime with a heartbeat
-           round. *)
-        List.iter (fun s -> s.summary <- None) new_slots
+           round, which records each node's boot id afresh. *)
+        List.iter
+          (fun s ->
+            s.summary <- None;
+            s.boot <- Unseen)
+          new_slots
       end);
   if Result.is_ok result then begin
     heartbeat_now t;
@@ -1456,7 +1439,11 @@ let add_shard t endpoint =
      can ingest: replay each table's CREATE TABLE, with the columns the
      cluster catalog knows ([table_columns]), and the CREATE INDEXes
      this coordinator broadcast on the newcomer, then sync its clock so
-     ingested expiration times mean the same thing there. *)
+     ingested expiration times mean the same thing there.  A table the
+     newcomer has with those columns (a failed ADD SHARD of the same
+     node made it) is kept, so the ADD can be retried; a CREATE INDEX
+     it has already rebuilds it, and ADVANCE TO its own clock is a
+     no-op. *)
   let newcomer = List.nth new_slots (List.length new_slots - 1) in
   let prep =
     let ( let* ) = Result.bind in
@@ -1476,10 +1463,17 @@ let add_shard t endpoint =
           if on = table then Printf.sprintf "CREATE INDEX ON %s (%s)" table column :: acc
           else acc
         in
-        Ok
-          (acc
-          @ Printf.sprintf "CREATE TABLE %s (%s)" table (String.concat ", " columns)
-            :: locked t (fun () -> Hashtbl.fold index t.indexes []))
+        let* create =
+          match exec_on t newcomer (describe table) with
+          | Ok (Wire.Rows { columns = have; _ }) when have = columns -> Ok []
+          | Ok (Wire.Rows { columns = have; _ }) ->
+            Error
+              (Printf.sprintf "table %s on joining shard has columns (%s)" table
+                 (String.concat ", " have))
+          | Ok _ | Error _ ->
+            Ok [ Printf.sprintf "CREATE TABLE %s (%s)" table (String.concat ", " columns) ]
+        in
+        Ok (acc @ create @ locked t (fun () -> Hashtbl.fold index t.indexes []))
       | None -> Error (Printf.sprintf "describe %s: no shard answered" table)
     in
     let* tables = table_names t in
@@ -1489,15 +1483,13 @@ let add_shard t endpoint =
        | Some n when n > 0 -> statements @ [ Printf.sprintf "ADVANCE TO %d" n ]
        | _ -> statements)
   in
-  match prep with
-  | Error e -> Error e
-  | Ok () ->
-    (match apply_map t new_map ~old_slots ~new_slots with
-     | Ok moved ->
-       Ok
-         (Printf.sprintf "shard %d joined (map v%d, %d row(s) moved)" fresh_id
-            new_map.Wire.map_version moved)
-     | Error e -> Error e)
+  let result = Result.bind prep (fun () -> apply_map t new_map ~old_slots ~new_slots) in
+  (* A failed ADD keeps no connection to the node: it may be retried. *)
+  if Result.is_error result then Member.close newcomer.member;
+  Result.map
+    (Printf.sprintf "shard %d joined (map v%d, %d row(s) moved)" fresh_id
+       new_map.Wire.map_version)
+    result
 
 let remove_shard t shard_id =
   Expirel_storage.Rwlock.with_write t.rebalance @@ fun () ->

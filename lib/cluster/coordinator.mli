@@ -70,11 +70,10 @@ val create :
   shards:endpoint list ->
   unit ->
   t
-(** Claims the given nodes as shards 0..n-1 under a fresh map, whose
-    version (1, or one above the highest a node reports installed) it
-    installs on each in one fan-out — a node keeps the version and its
-    id, never the map — and primes the clock mirror and partition
-    summaries with one heartbeat round.  [heartbeat_interval] (default
+(** Routes by a fresh map (version 1) of the given nodes as shards
+    0..n-1, which no node is told of, and primes the clock mirror, the
+    partition summaries and each shard's recorded boot id with one
+    heartbeat round: one message per shard.  [heartbeat_interval] (default
     0.25 s) paces the background heartbeat thread; [0.] disables it
     (tests then drive {!heartbeat_now} deterministically).
     [health_rules] defaults to {!default_health_rules}.  It opens no
@@ -170,16 +169,25 @@ val listen : ?host:string -> ?port:int -> t -> int
 val shard_map : t -> Wire.shard_map
 
 val add_shard : t -> endpoint -> (string, string) result
-(** Grows the map by one shard: bootstraps the newcomer's catalog and
-    clock, installs map version [v+1] everywhere, then moves every row
-    whose owner changed, per table: it reads each old shard's rows,
+(** Grows the map to version [v+1] with one more shard: bootstraps the
+    newcomer's catalog and clock (a table it already has with the
+    cluster's columns is kept, so a failed ADD, which closes its
+    connection to the node, can be retried onto the same node; other
+    columns are an error), then moves every row whose owner changed,
+    per table: it reads each old shard's rows,
     decides their owners under the new map itself, loads them at their
     owners ([Move_rows] adds) and, once every load is acknowledged,
     deletes them at their sources ([Move_rows] removes), each step one
-    fan-out.  A failure leaves the old map routing; a cut before the
-    deletes duplicates rows, harmless to set semantics, rather than
-    losing them.  A source's partition of a table travels in one reply,
-    so it is bounded by the 16 MiB frame.
+    fan-out.  A failure leaves the old map routing.  A cut before the
+    deletes loses no row but can leave copies, and a copy at a shard
+    the old map names is read: scans and point reads absorb it, but
+    [COUNT] and the grouped partials count it twice.  With two or more
+    old shards [hash mod n] loads rows onto old shards too, so a cut
+    load can leave such copies (found by reading, not probed); a cut
+    that stops some sources' deletes and not others can also lose rows
+    from answers.  ROADMAP item 2 (finish or undo a failed move) is
+    the fix.  A source's partition of a table travels in one reply, so
+    it is bounded by the 16 MiB frame.
 
     A move runs alone: it waits out the SQL statements in flight through
     this coordinator ({!exec} or the wire), and statements issued while
@@ -191,17 +199,19 @@ val add_shard : t -> endpoint -> (string, string) result
     are not covered. *)
 
 val remove_shard : t -> int -> (string, string) result
-(** Shrinks the map: installs version [v+1] everywhere (the leaving
-    shard too), moves the leaver's rows to the survivors as
-    {!add_shard} moves rows, then drops the slot.  Runs alone, as
-    {!add_shard} does. *)
+(** Shrinks the map to version [v+1]: moves the leaver's rows to the
+    survivors as {!add_shard} moves rows, then drops the slot.  Runs
+    alone, as {!add_shard} does. *)
 
 val heartbeat_now : t -> unit
 (** One synchronous heartbeat round ([Shard_ping] posted to every
     shard, the pongs gathered on the caller's thread):
-    refreshes reachability, staleness, partition summaries and the
-    clock mirror.  The background thread calls this on its interval;
-    tests with [~heartbeat_interval:0.] call it directly. *)
+    refreshes reachability, partition summaries and the clock mirror,
+    and records each shard's boot id: the first pong after the slot
+    is made or the map changes records it, and a later pong bringing
+    another id marks the shard restarted.  The background thread
+    calls this on its interval; tests with [~heartbeat_interval:0.]
+    call it directly. *)
 
 (** {1 Observability} *)
 
@@ -214,8 +224,8 @@ val metrics : t -> string
 val health : t -> Expirel_obs.Health.report
 (** Evaluates the coordinator's health rules over its own metrics —
     with {!default_health_rules}: degraded from the first unreachable
-    or stale shard, critical from a majority; plus the predictive storm
-    rules over the merged horizon (refreshed by this call): degraded
+    or restarted shard, critical from a majority; plus the predictive
+    storm rules over the merged horizon (refreshed by this call): degraded
     when half the cluster's live rows expire within the next window,
     or when the next ADVANCE window delivers hundreds of subscription
     events. *)

@@ -110,14 +110,18 @@ type t = {
   store : Durable.t option;
   lock : Rwlock.t;
   loop : Loop.t;
-  state_mutex : Mutex.t;  (* guards owners, followers and shard *)
+  state_mutex : Mutex.t;  (* guards owners and followers *)
   owners : (string, int) Hashtbl.t;  (* watch name -> its connection's id *)
   followers : (string, unit) Hashtbl.t;  (* live replication sessions *)
-  mutable shard : Wire.shard_identity option;  (* cluster membership *)
+  boot_id : string;  (* drawn once: a heartbeat's proof of no restart *)
   mutable records_shipped : int;
   mutable snapshots_served : int;
   mutable store_closed : bool;
 }
+
+(* Servers created so far in this process: the tests restart a shard
+   in process, and its new boot id must still differ. *)
+let boots = Atomic.make 0
 
 let create ?(config = default_config) () =
   let store =
@@ -157,7 +161,10 @@ let create ?(config = default_config) () =
       state_mutex = Mutex.create ();
       owners = Hashtbl.create 4;
       followers = Hashtbl.create 4;
-      shard = None;
+      boot_id =
+        Obs.Trace.format_trace_id
+          ~us:(Int64.of_float (Unix.gettimeofday () *. 1e6))
+          ~pid:(Unix.getpid ()) ~seq:(Atomic.fetch_and_add boots 1);
       records_shipped = 0;
       snapshots_served = 0;
       store_closed = false
@@ -539,33 +546,12 @@ let partition_summary t =
     { Wire.live_rows = 0; min_texp = Time.infinity; max_texp = Time.infinity }
     (Database.table_names db)
 
-(* The node keeps the map version and its id alone: the coordinator
-   decides where every row lives. *)
-let handle_shard_install t ~map_version ~self_id =
-  if self_id < 0 then exec_error (Printf.sprintf "bad shard id %d" self_id)
-  else
-    locked_state t (fun () ->
-        match t.shard with
-        | Some { installed_version; _ } when installed_version > map_version ->
-          exec_error
-            (Printf.sprintf "stale shard map v%d (v%d is installed)" map_version
-               installed_version)
-        | _ ->
-          t.shard <- Some { Wire.installed_version = map_version; self_id };
-          Wire.Ok_msg
-            (Printf.sprintf "installed shard map v%d as shard %d" map_version self_id))
-
+(* A node holds no cluster identity: the coordinator decides where
+   every row lives, and tells a restart by the boot id. *)
 let handle_shard_ping t =
   with_lock t ~write:false (fun () ->
-      let shard_id, pong_map_version =
-        locked_state t (fun () ->
-            match t.shard with
-            | Some s -> (s.Wire.self_id, s.Wire.installed_version)
-            | None -> (-1, 0))
-      in
       Wire.Shard_pong
-        { shard_id;
-          pong_map_version;
+        { boot_id = t.boot_id;
           now = Database.now (Interp.database t.interp);
           partition = partition_summary t
         })
@@ -753,9 +739,6 @@ let install_snapshot t ~position records =
 let handle_other t conn = function
   | Wire.Subscribe { name; query } -> Some (handle_subscribe t conn ~name ~query)
   | Wire.Unsubscribe name -> Some (handle_unsubscribe t conn name)
-  | Wire.Shard_map_req -> Some (Wire.Shard_map_reply (locked_state t (fun () -> t.shard)))
-  | Wire.Shard_install { map_version; self_id } ->
-    Some (handle_shard_install t ~map_version ~self_id)
   | Wire.Shard_exec { sql; ctx; want } -> Some (handle_shard_exec t conn ~sql ~ctx ~want)
   | Wire.Shard_ping -> Some (handle_shard_ping t)
   | Wire.Move_rows { table; add; remove } -> Some (handle_move_rows t ~table ~add ~remove)

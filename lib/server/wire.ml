@@ -1,7 +1,7 @@
 open Expirel_core
 open Expirel_storage
 
-let version = 19
+let version = 20
 
 type error_code =
   | Parse_error
@@ -52,11 +52,6 @@ type shard = {
 type shard_map = {
   map_version : int;
   shards : shard list;
-}
-
-type shard_identity = {
-  installed_version : int;
-  self_id : int;
 }
 
 type partition_texp = {
@@ -160,8 +155,6 @@ type request =
   | Exec_traced of { sql : string; ctx : trace_ctx }
   | Trace_recent of int
   | Health
-  | Shard_map_req
-  | Shard_install of { map_version : int; self_id : int }
   | Shard_ping
   | Horizon of string option
       (* the forward expiration forecast — bucketed counts of rows
@@ -209,10 +202,8 @@ type response =
   | Metrics_reply of string
   | Traces_reply of Expirel_obs.Trace_store.entry list
   | Health_reply of Expirel_obs.Health.report
-  | Shard_map_reply of shard_identity option
   | Shard_pong of {
-      shard_id : int;
-      pong_map_version : int;
+      boot_id : string;
       now : Time.t;
       partition : partition_texp;
     }
@@ -361,11 +352,6 @@ let encode_request = function
         put_ctx b ctx)
   | Trace_recent n -> payload 11 (fun b -> put_int b n)
   | Health -> payload 12 ignore
-  | Shard_map_req -> payload 13 ignore
-  | Shard_install { map_version; self_id } ->
-    payload 14 (fun b ->
-        put_int b map_version;
-        put_int b self_id)
   | Shard_ping -> payload 16 ignore
   | Horizon table -> payload 23 (fun b -> put_option b put_str table)
   | Shard_exec { sql; ctx; want } ->
@@ -469,17 +455,9 @@ let encode_response = function
     payload 14 (fun b ->
         put_level b level;
         put_list b put_firing firing)
-  | Shard_map_reply identity ->
-    payload 15 (fun b ->
-        put_option b
-          (fun b { installed_version; self_id } ->
-            put_int b installed_version;
-            put_int b self_id)
-          identity)
-  | Shard_pong { shard_id; pong_map_version; now; partition } ->
+  | Shard_pong { boot_id; now; partition } ->
     payload 18 (fun b ->
-        put_int b shard_id;
-        put_int b pong_map_version;
+        put_str b boot_id;
         put_time b now;
         put_partition b partition)
   | Horizon_reply report -> payload 22 (fun b -> put_horizon b report)
@@ -654,11 +632,6 @@ let decode_request data =
       Exec_traced { sql; ctx }
     | 11 -> Trace_recent (get_int c)
     | 12 -> Health
-    | 13 -> Shard_map_req
-    | 14 ->
-      let map_version = get_int c in
-      let self_id = get_int c in
-      Shard_install { map_version; self_id }
     | 16 -> Shard_ping
     | 23 -> Horizon (get_option c get_str)
     | 24 ->
@@ -777,18 +750,11 @@ let decode_response data =
       let level = get_level c in
       let firing = get_list c get_firing in
       Health_reply { level; firing }
-    | 15 ->
-      Shard_map_reply
-        (get_option c (fun c ->
-             let installed_version = get_int c in
-             let self_id = get_int c in
-             { installed_version; self_id }))
     | 18 ->
-      let shard_id = get_int c in
-      let pong_map_version = get_int c in
+      let boot_id = get_str c in
       let now = get_time c in
       let partition = get_partition c in
-      Shard_pong { shard_id; pong_map_version; now; partition }
+      Shard_pong { boot_id; now; partition }
     | 22 -> Horizon_reply (get_horizon c)
     | 23 ->
       let partition = get_partition c in
@@ -902,13 +868,9 @@ let rec pp_response ppf = function
         Format.fprintf ppf "@\n  [%s] %s = %g — %s" (level_string f.level)
           f.rule_name f.value f.help)
       firing
-  | Shard_map_reply None -> Format.pp_print_string ppf "no shard map installed"
-  | Shard_map_reply (Some { installed_version; self_id }) ->
-    Format.fprintf ppf "shard map v%d, self = shard %d" installed_version self_id
-  | Shard_pong { shard_id; pong_map_version; now; partition } ->
-    Format.fprintf ppf
-      "shard %d: map v%d, now %s, %d live row(s), texp in [%s, %s]" shard_id
-      pong_map_version (Time.to_string now) partition.live_rows
+  | Shard_pong { boot_id; now; partition } ->
+    Format.fprintf ppf "shard booted %s: now %s, %d live row(s), texp in [%s, %s]"
+      boot_id (Time.to_string now) partition.live_rows
       (Time.to_string partition.min_texp)
       (Time.to_string partition.max_texp)
   | Horizon_reply report ->

@@ -196,6 +196,15 @@ val version : int
     [Shard_install] (14) carries a map version and the node's id where
     v18 carried the whole map, and the [Shard_map_reply] (15) identity
     is the installed version and the id.
+    v20 — a node holds no cluster identity.  This bump is
+    {e required}: tags were removed and a layout changed.  Requests
+    [Shard_map_req] (13) and [Shard_install] (14) and the response
+    [Shard_map_reply] (15) are retired and left unused: a coordinator
+    claims no node.  [Shard_pong] (18) carries the node's boot id (a
+    string drawn once when the server is created) where v19 carried
+    its shard id and map version; a coordinator counts a shard whose
+    pong brings another boot id than the one it recorded as
+    restarted.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer
@@ -260,23 +269,12 @@ type shard = {
 }
 
 type shard_map = {
-  map_version : int;
-      (** strictly increasing across installs; a node refuses an
-          install of an older version, and a coordinator treats a node
-          reporting a lower version as stale *)
+  map_version : int;  (** bumped by every ADD and REMOVE SHARD *)
   shards : shard list;  (** position in this list drives routing *)
 }
 (** The cluster's partitioning contract: a row lives on
     [shard_owner map key] where [key] is the row's first column.  Only
     a coordinator holds a map. *)
-
-type shard_identity = {
-  installed_version : int;  (** the map version last installed *)
-  self_id : int;  (** which entry of that map this node is *)
-}
-(** What a node knows of the cluster: its id, and the version of the
-    map the coordinator last claimed it under — never the map itself,
-    so no node decides where a row lives. *)
 
 type partition_texp = {
   live_rows : int;  (** live tuples across all tables, at the node's clock *)
@@ -410,16 +408,9 @@ type request =
       (** the [n] most recent request traces ([Traces_reply]) *)
   | Health
       (** evaluate the server's health rules ([Health_reply]) *)
-  | Shard_map_req
-      (** which shard-map version, if any, the node was last claimed
-          under, and its id ([Shard_map_reply]) *)
-  | Shard_install of { map_version : int; self_id : int }
-      (** the coordinator's handshake: record [map_version] and identify
-          as shard [self_id].  Refused when [self_id] is negative or
-          [map_version] is lower than the installed one. *)
   | Shard_ping
       (** cluster heartbeat ([Shard_pong]): refreshes the partition
-          summary and reports the node's map version and clock *)
+          summary and reports the node's boot id and clock *)
   | Horizon of string option
       (** the forward expiration forecast ([Horizon_reply]): per-table
           bucketed counts of live rows by ticks-to-expiry, the
@@ -514,13 +505,11 @@ type response =
       (** the server's evaluated report: the overall verdict (worst
           firing rule) plus every firing rule; an empty [firing] list
           means every rule read healthy *)
-  | Shard_map_reply of shard_identity option
-      (** [None] on a node no coordinator has claimed yet *)
   | Shard_pong of {
-      shard_id : int;
-      pong_map_version : int;
-          (** [0] when no map is installed (e.g. the node restarted):
-              the coordinator's staleness gauge feeds on this *)
+      boot_id : string;
+          (** drawn once per server: a pong bringing another id than
+              the one a coordinator recorded comes from a restarted
+              node, whose in-memory partition is gone *)
       now : Time.t;  (** the node's logical clock *)
       partition : partition_texp;
     }

@@ -269,6 +269,18 @@ for f in sorted(set(mapped)):
     print(f)
 if mapped:
     sys.exit("ci: the files above let a node decide a row's owner or reach a shard outside exchange")
+# A node holds no cluster identity: a coordinator claims no node and
+# tells a restart by the boot id a heartbeat brings, so no code names
+# the retired shard-map handshake or a slot's map version.
+handshake = re.compile(
+    r'\b(Shard_map_req|Shard_install|Shard_map_reply|shard_identity|map_version_seen)\b')
+claimed = sorted(f for top in ('lib', 'bin', 'test') for pattern in ('/**/*.ml', '/**/*.mli')
+                 for f in glob.glob(top + pattern, recursive=True)
+                 if handshake.search(strip(open(f).read())))
+for f in claimed:
+    print(f)
+if claimed:
+    sys.exit("ci: the files above name the retired shard-map handshake; a boot id tells a restart")
 PY
 # One request loop: a coordinator answers the wire through the loop a
 # node serves through, and `connect` is the only REPL, so bin/ keeps no

@@ -10,7 +10,7 @@
    trace view.  Plus: routed inserts land on [Wire.shard_owner]'s
    pick, rebalancing preserves contents exactly, and the default
    health rules degrade when a shard stops heartbeating or restarts
-   with a lost map. *)
+   (a new boot id), and not when only its connection is redialled. *)
 
 open Expirel_core
 open Expirel_storage
@@ -1376,9 +1376,9 @@ let test_health_stale_map () =
         ~finally:(fun () -> Coordinator.close coord)
         (fun () ->
           (* Restart shard 1 on its old port: the replacement answers
-             pings but reports map v0 — it lost its partition.  The
-             staleness rule must surface that; a summary-refreshing
-             pong alone must not mask it. *)
+             pings under another boot id — it lost its partition.  The
+             restart rule must surface that; a summary-refreshing pong
+             alone must not mask it. *)
           let port = Server.port (List.nth servers 1) in
           Server.stop (List.nth servers 1);
           let replacement =
@@ -1402,11 +1402,18 @@ let test_health_stale_map () =
                 Alcotest.(check bool) "stale rule fires" true
                   (List.exists
                      (fun (f : Obs.Health.firing) ->
-                       f.rule_name = "stale_shard_maps"
+                       f.rule_name = "restarted_shards"
                        || f.rule_name = "unreachable_shards")
                      firing)
               | { level = Ok; _ } ->
-                Alcotest.fail "restarted shard with no map read healthy")))
+                Alcotest.fail "restarted shard read healthy")))
+
+(* Claiming the shards is the priming heartbeat alone: one message to
+   each. *)
+let test_create_one_round () =
+  with_cluster 3 (fun coord _servers _eps ->
+      Alcotest.(check int) "messages after create" 3
+        (Coordinator.traffic coord).Coordinator.messages)
 
 (* ---------- refusals: only per-node features are left ---------- *)
 
@@ -2827,6 +2834,32 @@ let test_statement_waits_out_rebalance () =
   Alcotest.(check int) "the point read finds the row" 1
     (List.length (fst (rows_of sql (exec coord sql))))
 
+(* A dropped connection is not a restart: the coordinator redials the
+   same node, whose pongs bring the boot id it recorded, so once the
+   redial is in no rule fires. *)
+let test_health_redialled_shard () =
+  with_shards 2 @@ fun _servers endpoints ->
+  with_relays endpoints @@ fun relayed arms ->
+  let coord = Coordinator.create ~heartbeat_interval:0. ~shards:relayed () in
+  Fun.protect ~finally:(fun () -> Coordinator.close coord) @@ fun () ->
+  let reachable () =
+    List.for_all (fun (_, _, reachable) -> reachable) (Coordinator.summaries coord)
+  in
+  (List.nth arms 1) `Hang_up;
+  Coordinator.heartbeat_now coord;
+  Alcotest.(check bool) "the cut round finds shard 1 unreachable" false (reachable ());
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (reachable ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.05;
+    Coordinator.heartbeat_now coord
+  done;
+  Alcotest.(check bool) "the redial is in" true (reachable ());
+  match Coordinator.health coord with
+  | { level = Ok; firing = [] } -> ()
+  | { level; firing } ->
+    Alcotest.failf "a redialled shard: %s"
+      (Wire.render_response (Wire.Health_reply { level; firing }))
+
 (* ---------- an interrupted move loses no row ---------- *)
 
 (* One shard and two to join, each behind a relay.  A move is cut
@@ -2897,6 +2930,73 @@ let test_cut_move_loses_no_row () =
         | Error e -> Alcotest.fail e)
   | _ -> assert false
 
+(* An ADD SHARD cut at the joining shard's load is retried onto the
+   same node: the table the cut attempt made there is kept, the retry
+   answers Ok at the next map version, and every row is found once —
+   by a full scan, by its point read and by a COUNT.  A node that
+   has the table with other columns is refused, and the refused ADD
+   keeps no connection to it. *)
+let test_add_shard_retried () =
+  with_shards 3 @@ fun servers endpoints ->
+  with_relays endpoints @@ fun relayed arms ->
+  match (relayed, arms, servers) with
+  | [ a; joining; _ ], [ _; arm; _ ], [ _; _; other ] ->
+    let coord = Coordinator.create ~heartbeat_interval:0. ~shards:[ a ] () in
+    Fun.protect ~finally:(fun () -> Coordinator.close coord) @@ fun () ->
+    ignore (exec coord "CREATE TABLE t (k, v)");
+    let keys = List.init 200 (fun i -> i + 1) in
+    List.iter
+      (fun k ->
+        ignore (exec coord (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES 1000" k (3 * k))))
+      keys;
+    ignore (exec coord "ADVANCE TO 5");
+    let row k = ([ Value.int k; Value.int (3 * k) ], Time.of_int 1000) in
+    let version = (Coordinator.shard_map coord).Wire.map_version in
+    let add (e : Coordinator.endpoint) =
+      Coordinator.exec coord
+        (Printf.sprintf "ADD SHARD %s:%d" e.Coordinator.host e.Coordinator.port)
+    in
+    arm
+      (`Hang_up_on
+        (function
+          | Wire.Move_rows { add = _ :: _; _ } -> true
+          | _ -> false));
+    (match add joining with
+     | Wire.Err _ -> ()
+     | r -> Alcotest.failf "ADD SHARD cut at the load: %s" (Wire.render_response r));
+    (match add joining with
+     | Wire.Ok_msg _ -> ()
+     | r -> Alcotest.failf "the retried ADD SHARD: %s" (Wire.render_response r));
+    Alcotest.(check int) "the retry is map v+1" (version + 1)
+      (Coordinator.shard_map coord).Wire.map_version;
+    Alcotest.(check bool) "the full scan holds every row once" true
+      (sorted (fst (rows_of "scan" (exec coord "SELECT k, v FROM t")))
+      = sorted (List.map row keys));
+    List.iter
+      (fun k ->
+        let sql = Printf.sprintf "SELECT k, v FROM t WHERE k = %d" k in
+        Alcotest.(check bool) (sql ^ " finds its row") true
+          (fst (rows_of sql (exec coord sql)) = [ row k ]))
+      keys;
+    (match exec coord "SELECT COUNT(*) FROM t" with
+     | Wire.Rows { rows = [ ([ n ], _) ]; _ } ->
+       Alcotest.(check bool) "COUNT(*) counts every row once" true (n = Value.int 200)
+     | r -> Alcotest.failf "COUNT(*): %s" (Wire.render_response r));
+    let direct = connect (Server.port other) in
+    Fun.protect ~finally:(fun () -> Client.close direct) (fun () ->
+        ignore (Client.exec direct "CREATE TABLE t (k)"));
+    (match add { Coordinator.host = "127.0.0.1"; port = Server.port other } with
+     | Wire.Err { message; _ } ->
+       Alcotest.(check bool) ("refused: " ^ message) true (string_contains message "(k)")
+     | r -> Alcotest.failf "ADD SHARD of a node with other columns: %s" (Wire.render_response r));
+    let active () =
+      sample (Metrics.prometheus (Server.metrics other)) "expirel_connections_active"
+    in
+    let deadline = Unix.gettimeofday () +. 5. in
+    while active () <> 0. && Unix.gettimeofday () < deadline do Thread.delay 0.01 done;
+    Alcotest.(check (float 0.)) "connections left open on the refused node" 0. (active ())
+  | _ -> assert false
+
 let suite =
   [ Alcotest.test_case "scatter-gather == single node" `Quick
       test_matches_single_node;
@@ -2933,6 +3033,10 @@ let suite =
       test_health_unreachable;
     Alcotest.test_case "health: restarted shard reads stale" `Quick
       test_health_stale_map;
+    Alcotest.test_case "health: a redialled shard fires no rule" `Quick
+      test_health_redialled_shard;
+    Alcotest.test_case "create claims n shards with n messages" `Quick
+      test_create_one_round;
     Alcotest.test_case "only per-node features are refused" `Quick
       test_refusals;
     Alcotest.test_case "GROUP BY/AVG/joins match a single node" `Quick
@@ -2981,5 +3085,7 @@ let suite =
       test_unpinned_delete_during_rebalance;
     Alcotest.test_case "a move cut after its loads loses no row" `Quick
       test_cut_move_loses_no_row;
+    Alcotest.test_case "a failed ADD SHARD can be retried" `Quick
+      test_add_shard_retried;
     Alcotest.test_case "a statement issued during a rebalance waits and answers after it"
       `Quick test_statement_waits_out_rebalance ]

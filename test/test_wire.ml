@@ -69,13 +69,7 @@ let want : Wire.want Gen.t =
     [ Gen.oneofl [ Wire.Want_rows; Wire.Want_sketch; Wire.Want_agg None ];
       Gen.map (fun v -> Wire.Want_agg (Some v)) wide_int ]
 
-(* v19: a node is claimed by a map version and its id, and a move
-   adds and removes the rows the coordinator chose. *)
-let install : Wire.request Gen.t =
-  Gen.map2
-    (fun map_version self_id -> Wire.Shard_install { map_version; self_id })
-    wide_int (Gen.int_range 0 1_000)
-
+(* v19: a move adds and removes the rows the coordinator chose. *)
 let move_rows : Wire.request Gen.t =
   Gen.map3
     (fun table add remove -> Wire.Move_rows { table; add; remove })
@@ -99,8 +93,6 @@ let request : Wire.request Gen.t =
         name trace_ctx;
       Gen.map (fun n -> Wire.Trace_recent n) (Gen.int_range 0 1_000);
       Gen.return Wire.Health;
-      Gen.return Wire.Shard_map_req;
-      install;
       Gen.return Wire.Shard_ping;
       (* v8: the forward-looking expiration forecast *)
       Gen.map (fun t -> Wire.Horizon t) (Gen.option name);
@@ -329,19 +321,10 @@ let response : Wire.response Gen.t =
         (fun es -> Wire.Traces_reply es)
         (Gen.list_size (Gen.int_range 0 4) trace_entry);
       Gen.map (fun report -> Wire.Health_reply report) health_report;
-      Gen.map
-        (fun identity -> Wire.Shard_map_reply identity)
-        (Gen.option
-           (Gen.map2
-              (fun installed_version self_id ->
-                { Wire.installed_version; self_id })
-              wide_int (Gen.int_range 0 1_000)));
-      (let open Gen in
-       let* shard_id = int_range 0 1_000 in
-       let* pong_map_version = int_range 0 1_000 in
-       let* now = time in
-       let* partition = partition_texp in
-       return (Wire.Shard_pong { shard_id; pong_map_version; now; partition }));
+      (* v20: a pong names the node's boot *)
+      Gen.map3
+        (fun boot_id now partition -> Wire.Shard_pong { boot_id; now; partition })
+        name time partition_texp;
       (* v8: the forecast reply carries the report verbatim *)
       Gen.map (fun r -> Wire.Horizon_reply r) horizon_report;
       (* v9: the statement envelope *)
@@ -493,8 +476,9 @@ let test_v1_payload_detected () =
 (* v9 folded the v8 shard requests and replies into [Shard_exec] and
    [Shard_reply].  A v8 payload — here v8's [Exec_shard], tag 15 — must
    not decode, and [payload_version] must read 8 so a server answers
-   [Version_mismatch].  Under the v9 version byte the removed tags are
-   unknown, whatever follows them. *)
+   [Version_mismatch].  Under the current version byte the removed tags
+   are unknown, whatever follows them: v20 retired the shard-map
+   handshake too (requests 13 and 14, reply 15). *)
 let test_v8_shard_payloads_refused () =
   let body = "\x00\x00\x00\x08SELECT 1\x00" (* sql, no trace context *) in
   let v8_exec_shard = "\x08\x0f" ^ body in
@@ -530,8 +514,8 @@ let test_v8_shard_payloads_refused () =
       (Error (Printf.sprintf "bad %s: unknown %s tag %d" what what tag))
       (Result.map ignore (decode payload))
   in
-  List.iter (unknown ~what:"request" Wire.decode_request) [ 4; 15; 20; 21; 22 ];
-  List.iter (unknown ~what:"response" Wire.decode_response) [ 5; 16; 17; 20; 21 ]
+  List.iter (unknown ~what:"request" Wire.decode_request) [ 4; 13; 14; 15; 20; 21; 22 ];
+  List.iter (unknown ~what:"response" Wire.decode_response) [ 5; 15; 16; 17; 20; 21 ]
 
 (* v12 moved every field onto the one varint codec: a v11 payload —
    here a Ping, and a one-row Rows reply with its fixed-width column
@@ -810,12 +794,11 @@ let test_short_header_incomplete () =
         Alcotest.fail "short header not reported Incomplete")
     [ ""; "\x00"; "\x00\x00\x00" ]
 
-(* Cutting a shard-map claim ([Shard_install]) or a move anywhere
-   must decode to Error — a half-read claim silently accepted would
-   misreport the map version, a half-read move would drop rows. *)
+(* Cutting a move anywhere must decode to Error — a half-read move
+   would drop rows. *)
 let truncated_shard_map_errors =
   Generators.qtest "truncated shard map errors, never raises" ~count:300
-    (Gen.pair (Gen.oneof [ install; move_rows ]) (Gen.int_range 0 9999))
+    (Gen.pair move_rows (Gen.int_range 0 9999))
     (fun (request, cut) ->
       let payload = Wire.encode_request request in
       let n = String.length payload in
@@ -843,6 +826,18 @@ let test_hostile_shard_count () =
   match Wire.decode_response hostile with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "hostile shard count accepted"
+
+(* A pong renders the boot id a coordinator tells a restart by. *)
+let test_pong_renders_boot () =
+  Alcotest.(check string) "rendered pong"
+    "shard booted b00t: now 7, 2 live row(s), texp in [9, 12]"
+    (Wire.render_response
+       (Wire.Shard_pong
+          { boot_id = "b00t";
+            now = Time.of_int 7;
+            partition =
+              { Wire.live_rows = 2; min_texp = Time.of_int 9; max_texp = Time.of_int 12 }
+          }))
 
 (* Routing is a wire-level contract (every coordinator must agree), so
    pin it down: the owner is always a shard in the map, the choice is
@@ -938,6 +933,7 @@ let suite =
     Alcotest.test_case "Int owners are pinned" `Quick test_int_owners_pinned;
     int_float_owners_agree;
     Alcotest.test_case "hostile shard count" `Quick test_hostile_shard_count;
+    Alcotest.test_case "a pong renders its boot id" `Quick test_pong_renders_boot;
     Alcotest.test_case "unknown tag" `Quick test_unknown_tag;
     Alcotest.test_case "wrong version" `Quick test_wrong_version;
     Alcotest.test_case "v1 payload detected" `Quick test_v1_payload_detected;
