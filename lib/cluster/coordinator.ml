@@ -18,7 +18,7 @@ type endpoint = Member.endpoint = {
 }
 
 (* What a slot's pongs told of its node's boot id since the slot was
-   made or the map last changed. *)
+   made.  A map change changes no node's boot id, so it keeps this. *)
 type boot =
   | Unseen
   | Booted of string  (* the id recorded from the first pong *)
@@ -1207,7 +1207,7 @@ let create ?(node_name = "coordinator") ?health_rules
         (List.length (List.filter (fun s -> not s.reachable) (slots t))));
   Obs.Registry.gauge_fun registry ~name:"expirel_cluster_restarted_shards"
     ~help:"Shards whose heartbeat brought another boot id than their first \
-           heartbeat since they joined or the map last changed"
+           heartbeat since they joined"
     (fun () ->
       float_of_int
         (List.length (List.filter (fun s -> s.boot = Restarted) (slots t))));
@@ -1389,12 +1389,8 @@ let apply_map t new_map ~old_slots ~new_slots =
         (* A map change redefines every partition, so every cached
            summary is about the wrong partition now: forget them all
            (unknown is never pruned) and re-prime with a heartbeat
-           round, which records each node's boot id afresh. *)
-        List.iter
-          (fun s ->
-            s.summary <- None;
-            s.boot <- Unseen)
-          new_slots
+           round. *)
+        List.iter (fun s -> s.summary <- None) new_slots
       end);
   if Result.is_ok result then begin
     heartbeat_now t;
@@ -1441,9 +1437,11 @@ let add_shard t endpoint =
      this coordinator broadcast on the newcomer, then sync its clock so
      ingested expiration times mean the same thing there.  A table the
      newcomer has with those columns (a failed ADD SHARD of the same
-     node made it) is kept, so the ADD can be retried; a CREATE INDEX
-     it has already rebuilds it, and ADVANCE TO its own clock is a
-     no-op. *)
+     node made it) is kept, so the ADD can be retried, but emptied: the
+     failed move may have loaded rows there that were deleted through
+     the old map since, and no map routes to the newcomer yet.  A
+     CREATE INDEX it has already rebuilds it, and ADVANCE TO its own
+     clock is a no-op. *)
   let newcomer = List.nth new_slots (List.length new_slots - 1) in
   let prep =
     let ( let* ) = Result.bind in
@@ -1465,7 +1463,8 @@ let add_shard t endpoint =
         in
         let* create =
           match exec_on t newcomer (describe table) with
-          | Ok (Wire.Rows { columns = have; _ }) when have = columns -> Ok []
+          | Ok (Wire.Rows { columns = have; _ }) when have = columns ->
+            Ok [ "DELETE FROM " ^ table ]
           | Ok (Wire.Rows { columns = have; _ }) ->
             Error
               (Printf.sprintf "table %s on joining shard has columns (%s)" table

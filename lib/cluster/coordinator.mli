@@ -171,9 +171,10 @@ val shard_map : t -> Wire.shard_map
 val add_shard : t -> endpoint -> (string, string) result
 (** Grows the map to version [v+1] with one more shard: bootstraps the
     newcomer's catalog and clock (a table it already has with the
-    cluster's columns is kept, so a failed ADD, which closes its
-    connection to the node, can be retried onto the same node; other
-    columns are an error), then moves every row whose owner changed,
+    cluster's columns is kept but emptied, so a failed ADD, which
+    closes its connection to the node, can be retried onto the same
+    node without reviving a row deleted in between; other columns are
+    an error), then moves every row whose owner changed,
     per table: it reads each old shard's rows,
     decides their owners under the new map itself, loads them at their
     owners ([Move_rows] adds) and, once every load is acknowledged,
@@ -196,7 +197,9 @@ val add_shard : t -> endpoint -> (string, string) result
     [SHARDS] do not wait, so an operator can watch a long move; a
     forecast gathered meanwhile can count a moving row twice or miss
     it.  Writes that reach a shard other than through this coordinator
-    are not covered. *)
+    are not covered.  Nodes hold no map version, so nothing fences two
+    coordinators' rebalances over the same nodes: only one coordinator
+    may rebalance a set of nodes. *)
 
 val remove_shard : t -> int -> (string, string) result
 (** Shrinks the map to version [v+1]: moves the leaver's rows to the
@@ -207,9 +210,11 @@ val heartbeat_now : t -> unit
 (** One synchronous heartbeat round ([Shard_ping] posted to every
     shard, the pongs gathered on the caller's thread):
     refreshes reachability, partition summaries and the clock mirror,
-    and records each shard's boot id: the first pong after the slot
-    is made or the map changes records it, and a later pong bringing
-    another id marks the shard restarted.  The background thread
+    and records each shard's boot id: the slot's first pong records
+    it, and a later pong bringing another id marks the shard
+    restarted.  A map change keeps every slot's record: it changes no
+    node's boot id, and a restarted shard's partition stays gone until
+    {!remove_shard} drops the slot.  The background thread
     calls this on its interval; tests with [~heartbeat_interval:0.]
     call it directly. *)
 

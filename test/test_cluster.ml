@@ -2997,6 +2997,85 @@ let test_add_shard_retried () =
     Alcotest.(check (float 0.)) "connections left open on the refused node" 0. (active ())
   | _ -> assert false
 
+(* An ADD SHARD cut at its source's removal leaves copies at the
+   joining shard, which the old map never reads.  A key deleted
+   through the coordinator meanwhile reaches only its old owner; the
+   retried ADD empties the joining shard's table before its move, so
+   that key stays gone once the joiner owns it, and a COUNT counts
+   every row left once. *)
+let test_add_shard_retried_after_removal_cut () =
+  with_shards 2 @@ fun _servers endpoints ->
+  with_relays endpoints @@ fun relayed arms ->
+  match (relayed, arms) with
+  | [ a; joining ], [ arm_a; _ ] ->
+    let coord = Coordinator.create ~heartbeat_interval:0. ~shards:[ a ] () in
+    Fun.protect ~finally:(fun () -> Coordinator.close coord) @@ fun () ->
+    ignore (exec coord "CREATE TABLE t (k, v)");
+    let keys = List.init 200 (fun i -> i + 1) in
+    List.iter
+      (fun k ->
+        ignore (exec coord (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES 1000" k (3 * k))))
+      keys;
+    let row k = ([ Value.int k; Value.int (3 * k) ], Time.of_int 1000) in
+    let version = (Coordinator.shard_map coord).Wire.map_version in
+    let add () =
+      Coordinator.exec coord
+        (Printf.sprintf "ADD SHARD %s:%d" joining.Coordinator.host joining.Coordinator.port)
+    in
+    (* The coordinator drops the cut connection and redials it after a
+       backoff; a write meanwhile answers "endpoint unavailable". *)
+    let settled sql =
+      let deadline = Unix.gettimeofday () +. 5. in
+      let rec go () =
+        match Coordinator.exec coord sql with
+        | Wire.Err _ when Unix.gettimeofday () < deadline ->
+          Thread.delay 0.01;
+          go ()
+        | r -> r
+      in
+      go ()
+    in
+    arm_a
+      (`Hang_up_on
+        (function
+          | Wire.Move_rows { remove = _ :: _; _ } -> true
+          | _ -> false));
+    (match add () with
+     | Wire.Err _ -> ()
+     | r -> Alcotest.failf "ADD SHARD cut at the removal: %s" (Wire.render_response r));
+    let gone =
+      let direct = connect (List.nth endpoints 1).Coordinator.port in
+      Fun.protect ~finally:(fun () -> Client.close direct) (fun () ->
+          match Client.exec direct "SELECT k FROM t" with
+          | Ok (Wire.Rows { rows = ([ k ], _) :: _; _ }) -> k
+          | Ok r -> Alcotest.failf "the joining shard holds no copy: %s" (Wire.render_response r)
+          | Error e -> Alcotest.fail e)
+    in
+    (match settled ("DELETE FROM t WHERE k = " ^ Value.to_string gone) with
+     | Wire.Ok_msg _ -> ()
+     | r -> Alcotest.failf "DELETE of a copied key: %s" (Wire.render_response r));
+    (match add () with
+     | Wire.Ok_msg _ -> ()
+     | r -> Alcotest.failf "the retried ADD SHARD: %s" (Wire.render_response r));
+    Alcotest.(check int) "the retry is map v+1" (version + 1)
+      (Coordinator.shard_map coord).Wire.map_version;
+    let deleted k = Value.equal (Value.int k) gone in
+    let left = List.filter (fun k -> not (deleted k)) keys in
+    Alcotest.(check bool) "the full scan holds every row left once" true
+      (sorted (fst (rows_of "scan" (exec coord "SELECT k, v FROM t")))
+      = sorted (List.map row left));
+    List.iter
+      (fun k ->
+        let sql = Printf.sprintf "SELECT k, v FROM t WHERE k = %d" k in
+        Alcotest.(check bool) (sql ^ " finds what is left") true
+          (fst (rows_of sql (exec coord sql)) = if deleted k then [] else [ row k ]))
+      keys;
+    (match exec coord "SELECT COUNT(*) FROM t" with
+     | Wire.Rows { rows = [ ([ n ], _) ]; _ } ->
+       Alcotest.(check bool) "COUNT(*) counts every row left once" true (n = Value.int 199)
+     | r -> Alcotest.failf "COUNT(*): %s" (Wire.render_response r))
+  | _ -> assert false
+
 let suite =
   [ Alcotest.test_case "scatter-gather == single node" `Quick
       test_matches_single_node;
@@ -3087,5 +3166,7 @@ let suite =
       test_cut_move_loses_no_row;
     Alcotest.test_case "a failed ADD SHARD can be retried" `Quick
       test_add_shard_retried;
+    Alcotest.test_case "a retried ADD SHARD keeps a key deleted after the cut" `Quick
+      test_add_shard_retried_after_removal_cut;
     Alcotest.test_case "a statement issued during a rebalance waits and answers after it"
       `Quick test_statement_waits_out_rebalance ]
