@@ -9,7 +9,9 @@
 
    Expected shape: point and narrow-range queries cost O(log n + answer)
    through the index vs O(n) for the scan; the gap widens with table
-   size and narrows as selectivity drops. *)
+   size and narrows as selectivity drops.  A write costs O(log n) plus
+   a constant number of row copies per run, amortised, so its cost per
+   write stays near flat from 10^4 to 10^5 rows. *)
 
 open Expirel_core
 open Expirel_storage
@@ -55,6 +57,68 @@ let time_queries db make =
   in
   seconds *. 1e6 /. float_of_int reps
 
+(* Writes, µs per write: inserts into an unindexed table, and
+   overwrites (a new texp) and deletes of random rows of a table with
+   indexes on both columns; TTLs uniform over 1 000 ticks.  As many
+   overwrites as rows, and deletes of half of them, so the runs'
+   pending changes fold several times within each timing. *)
+let write_costs ~rows =
+  let rng = Bench_util.rng 31 in
+  let tuples = Array.init rows (fun i -> Tuple.ints [ i; Random.State.int rng 10_000 ]) in
+  let texps () = Array.init rows (fun _ -> Time.of_int (1 + Random.State.int rng 1_000)) in
+  let load tbl = Array.iter2 (fun tu texp -> Table.insert tbl tu ~texp) tuples (texps ()) in
+  let fresh ~indexes =
+    let tbl = Table.create ~name:"w" ~columns:[ "sensor"; "value" ] () in
+    List.iter (fun column -> Table.create_index tbl ~column) indexes;
+    tbl
+  in
+  let per_write n f =
+    let (), seconds = Bench_util.time_it f in
+    seconds *. 1e6 /. float_of_int n
+  in
+  let insert =
+    let tbl = fresh ~indexes:[] and texps = texps () in
+    per_write rows (fun () -> Array.iter2 (fun tu texp -> Table.insert tbl tu ~texp) tuples texps)
+  in
+  let overwrite =
+    let tbl = fresh ~indexes:[ 1; 2 ] in
+    load tbl;
+    let picks = Array.init rows (fun _ -> tuples.(Random.State.int rng rows)) in
+    let texps = texps () in
+    per_write rows (fun () -> Array.iter2 (fun tu texp -> Table.insert tbl tu ~texp) picks texps)
+  in
+  let delete =
+    let tbl = fresh ~indexes:[ 1; 2 ] in
+    load tbl;
+    let order = Array.copy tuples in
+    for i = rows - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- x
+    done;
+    per_write (rows / 2) (fun () ->
+        for i = 0 to (rows / 2) - 1 do
+          ignore (Table.delete tbl order.(i) : bool)
+        done)
+  in
+  [ insert; overwrite; delete ]
+
+let write_sweep () =
+  Bench_util.subsection "table writes, µs per write: median of 3 runs (min-max)";
+  let cell runs =
+    let sorted = List.sort Float.compare runs in
+    Printf.sprintf "%s (%s-%s)" (Bench_util.f1 (List.nth sorted 1))
+      (Bench_util.f1 (List.hd sorted)) (Bench_util.f1 (List.nth sorted 2))
+  in
+  Bench_util.table
+    ~headers:[ "rows"; "insert, no index"; "overwrite, 2 indexes"; "delete, 2 indexes" ]
+    (List.map
+       (fun rows ->
+         let runs = List.init 3 (fun _ -> write_costs ~rows) in
+         string_of_int rows :: List.init 3 (fun k -> cell (List.map (fun r -> List.nth r k) runs)))
+       [ 10_000; 100_000 ])
+
 let sweep () =
   Bench_util.section "Experiment exp-access: secondary indexes on expiring tables";
   List.iter
@@ -81,6 +145,7 @@ let sweep () =
         ~headers:[ "query"; "plan"; "scan us"; "indexed us"; "speedup" ]
         table_rows)
     [ 10_000; 80_000 ];
+  write_sweep ();
   print_endline
     "\nShape check: selective queries gain an order of magnitude or more\n\
      through the index; wide ranges converge towards scan cost since the\n\

@@ -8,12 +8,10 @@ open Expirel_storage
    touches each value at most once, at materialisation (or aggregate
    accumulation) time.
 
-   Scan-produced batches come straight from a table's texp-ordered
-   chunks ([Texp_run]) with [sel = None]:
-   zero copies for a wholly-live chunk, and the live cut inside a
-   straddling chunk is a suffix selection found by one binary search.
-   Index scans select their live rows out of an index's key-ordered
-   chunks the same way.
+   Scan-produced batches come straight from a run's chunks
+   ([Texp_run.scan_range]): zero copies for a wholly-live chunk, and a
+   selection of the live rows otherwise — in a table's texp-ordered
+   run, the suffix one binary search finds.
    Batches re-entered from a set-semantics operator's answer
    ([of_relation]) are in tuple order instead — sortedness only
    matters at scan leaves, where the [tau] filter runs; every operator
@@ -55,17 +53,6 @@ let of_slice ~arity c sel =
     texps = Texp_run.chunk_texps c;
     sel
   }
-
-(* The live suffix of a texp-ascending chunk: [None] when the whole
-   chunk has expired.  Returns the number of rows the cut skipped. *)
-let cut_chunk ~arity ~tau c =
-  let len = Texp_run.chunk_len c and texps = Texp_run.chunk_texps c in
-  if len = 0 || Time.(texps.(len - 1) <= tau) then None, len
-  else if Time.(texps.(0) > tau) then Some (of_slice ~arity c None), 0
-  else
-    let first = Texp_run.live_cut texps ~tau 0 len in
-    Some (of_slice ~arity c (Some (Array.init (len - first) (fun i -> first + i)))),
-    first
 
 let of_rows ~arity rows =
   let n = List.length rows in

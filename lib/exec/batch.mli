@@ -2,17 +2,18 @@
 
     A batch is one chunk of rows as flat column arrays plus a parallel
     expiration-time array and an optional selection vector.  Scans
-    produce batches directly from a table's texp-ordered chunks
-    ({!Expirel_storage.Texp_run}), where the live-at-[tau] cut is one
-    binary search ({!cut_chunk}) and wholly-live / wholly-expired chunks
-    are accepted / skipped without touching a row.  Filters
+    produce batches directly from a run's chunks
+    ({!Expirel_storage.Texp_run.scan_range}, {!of_slice}), where in a
+    table's texp-ordered run the live-at-[tau] cut is one binary search
+    and wholly-live / wholly-expired chunks are accepted / skipped
+    without touching a row.  Filters
     narrow the selection vector; projections permute column pointers;
     only materialisation ({!to_relation}) — at the plan's root, or
     where a set-semantics operator needs a set — builds tuples again.
 
-    Order contract: cut-scan batches are texp-ascending (that is what
-    makes the cut a binary search), index-scan batches key-ascending;
-    batches above the scan, including
+    Order contract: each scan batch ascends in its run's order (by
+    texp for a table's full scan: that is what makes the cut a binary
+    search; by key for an index scan); batches above the scan, including
     {!of_relation} rebatches of a set-semantics operator's answer,
     carry no order guarantee — every operator above the scan only ever
     sees live rows, so nothing above needs one. *)
@@ -43,16 +44,9 @@ val fold_rows : t -> init:'a -> f:('a -> (int -> Value.t) -> Time.t -> 'a) -> 'a
     materialising tuples; the fused aggregate reads the arrays
     directly instead. *)
 
-val cut_chunk : arity:int -> tau:Time.t -> Texp_run.chunk -> t option * int
-(** The live suffix of a texp-ascending chunk, and how many rows the
-    cut skipped: [(None, len)] for a wholly-expired chunk, a zero-copy
-    whole-chunk batch and [0] for a wholly-live one, and a
-    suffix-selected batch for a straddling chunk — the binary-search
-    cut. *)
-
 val of_slice : arity:int -> Texp_run.chunk -> int array option -> t
 (** A chunk's rows, zero-copy: all of them ([None]) or the ascending row
-    ids given — how index scans ({!Texp_run.scan_range}) enter batch
+    ids given — how scans ({!Texp_run.scan_range}) enter batch
     form. *)
 
 val of_rows : arity:int -> (Tuple.t * Time.t) list -> t option

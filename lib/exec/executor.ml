@@ -320,50 +320,42 @@ let engine ?trace ?tau ~db logical =
           };
       texp = Time.min l.texp r.texp
     }
-  (* The leaf.  Full scans cut the table's texp-ordered run at [tau],
-     chunk by chunk (the sorted chunks, then the insert buffer's):
-     wholly-expired chunks are skipped without touching a row,
-     wholly-live chunks pass through zero-copy, straddlers pay one
-     binary search.  Index paths select the live rows of the index's
-     key-ordered chunks in their key range, zero-copy.  The access path
-     recorded in the plan is advisory (EXPLAIN): it is re-derived
-     through [Access.plan] against the table's current state at [tau],
-     so a cached plan can never return wrong rows after a DROP INDEX or
-     a type-heterogeneous insert, and follows the estimates as the
-     table churns.  The span counts the rows the [tau] cut dropped (the
-     expiration churn), the index rows visited, and the expired rows
-     skipped without a per-row comparison. *)
+  (* The leaf: one [Texp_run.scan_range], over the table's own run for a
+     full scan (unbounded bounds) and over an index's run in its key
+     range otherwise.  The access path recorded in the plan is advisory
+     (EXPLAIN): it is re-derived through [Access.plan] against the
+     table's current state at [tau], so a cached plan can never return
+     wrong rows after a DROP INDEX or a type-heterogeneous insert, and
+     follows the estimates as the table churns.  The span counts the
+     rows the [tau] cut dropped (the expiration churn), and an index
+     scan also the rows it visited. *)
   and scan name pred =
     let table = Database.table_exn db name in
     let arity = Table.arity table in
-    let cut_scan () =
-      let acc = ref [] and cut = ref 0 in
-      Texp_run.iter_chunks
-        (fun c ->
-          let b, skipped = Batch.cut_chunk ~arity ~tau c in
-          cut := !cut + skipped;
-          Option.iter (fun b -> acc := b :: !acc) b)
-        (Table.run table);
-      vec_cut := !vec_cut + !cut;
-      label dropped_key !cut;
-      label cut_skipped_key !cut;
+    let range run ~lo ~hi ~full =
+      let visited = ref 0 and dropped = ref 0 and acc = ref [] in
+      Texp_run.scan_range run ~tau ~lo ~hi ~visited ~dropped (fun c sel ->
+          acc := Batch.of_slice ~arity c sel :: !acc);
+      label dropped_key !dropped;
+      if full then begin
+        vec_cut := !vec_cut + !dropped;
+        label cut_skipped_key !dropped
+      end
+      else label visited_key !visited;
       List.rev !acc
+    in
+    let full_scan () =
+      range (Table.run table) ~lo:Texp_run.Unbounded ~hi:Texp_run.Unbounded ~full:true
     in
     let candidates =
       match pred with
-      | None -> cut_scan ()
+      | None -> full_scan ()
       | Some q ->
         (match Access.plan table ~tau q with
-         | Access.Full_scan -> cut_scan ()
+         | Access.Full_scan -> full_scan ()
          | Access.Never_matches -> []
          | Access.Index { column; lo; hi } ->
-           let visited = ref 0 and dropped = ref 0 and acc = ref [] in
-           Texp_run.scan_range (Table.index table ~column) ~tau ~lo ~hi
-             ~visited ~dropped (fun c sel ->
-               acc := Batch.of_slice ~arity c sel :: !acc);
-           label dropped_key !dropped;
-           label visited_key !visited;
-           List.rev !acc)
+           range (Table.index table ~column) ~lo ~hi ~full:false)
     in
     { arity;
       rows = Batches { batches = select pred candidates; dups = false };

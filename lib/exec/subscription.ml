@@ -243,7 +243,7 @@ let counted_of db compiled =
           Partial_agg.standing_change st key texp 1)
     in
     let groups =
-      Texp_run.fold_live (Table.run table) ~tau:(Database.now db) add
+      Table.fold_live table ~tau:(Database.now db) add
         Partial_agg.standing_empty
     in
     let counts, _ =

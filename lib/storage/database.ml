@@ -77,7 +77,7 @@ let table_names db =
   |> List.sort String.compare
 
 let pending_expirations db =
-  Hashtbl.fold (fun _ t acc -> acc + Table.pending_expirations t) db.tables 0
+  Hashtbl.fold (fun _ t acc -> acc + Table.physical_count t) db.tables 0
 
 let live_rows db =
   Hashtbl.fold

@@ -45,8 +45,9 @@ val table_exn : t -> string -> Table.t
 val table_names : t -> string list
 
 val pending_expirations : t -> int
-(** Sum of {!Table.pending_expirations} over every table: the rows
-    held in the tables' texp-ordered runs, awaiting expiration. *)
+(** Sum of {!Table.physical_count} over every table: the rows held,
+    immortal and expired-but-unvacuumed ones included, awaiting
+    expiration — the backlog that advances and vacuums work through. *)
 
 val live_rows : t -> int
 (** Sum of {!Table.live_estimate} over every table — the denominator of

@@ -17,10 +17,10 @@ type t = {
   secondary : (int, Texp_run.t) Hashtbl.t;
       (* column -> the same rows keyed on it, in (key, texp, tuple) order *)
   mutable generation : int;  (* bumped on every physical row change *)
-  mutable cached_snapshot : (int * Relation.t) option;
-      (* A full-table snapshot is independent of [tau] as long as every
-         physical row is live at [tau], so it is reused until the table
-         changes. *)
+  mutable cached_snapshot : (int * Time.t option * Relation.t) option;
+      (* A full-table snapshot and the table's least texp: while the
+         table is unchanged and that texp is after [tau], every physical
+         row is live at [tau], so the snapshot is reused. *)
 }
 
 let create ~name ~columns () =
@@ -83,24 +83,9 @@ let delete t tuple =
 
 let texp_of t tuple = Tuple_tbl.find_opt t.rows tuple
 let physical_count t = Tuple_tbl.length t.rows
-let pending_expirations t = Texp_run.length t.run
 
-(* Every physical row live at [tau]?  Then the snapshot is the whole
-   table, independent of [tau].  (Under lazy removal, expired rows stay
-   in the run until vacuumed, so its minimum is [<= tau] and the fast
-   path correctly stays off.) *)
-let all_live t ~tau =
-  match Texp_run.min_texp t.run with
-  | None -> true
-  | Some e -> Time.(e > tau)
-
-(* Live cardinality: O(1) when nothing expired, otherwise one
-   binary-search cut over the run's chunk boundaries and one inside the
-   chunk (and the buffer) it lands in — O(log n) once the buffer is laid
-   out as a chunk (O(chunk_rows), on the first read after a write). *)
-let live_estimate t ~tau =
-  if all_live t ~tau then physical_count t
-  else physical_count t - Texp_run.count_upto t.run tau
+(* Live cardinality: one cut of the run, O(log n). *)
+let live_estimate t ~tau = physical_count t - Texp_run.count_upto t.run tau
 
 let next_expiry t =
   match Texp_run.min_texp t.run with
@@ -113,10 +98,8 @@ let live_texp_range t ~tau =
   | Some _, None | None, _ -> None
 
 (* The forward expiration profile: per-bucket counts of live rows by
-   ticks-to-expiry.  Each bucket boundary is one [count_upto] — a binary
-   search over the run's chunk-boundary texps, then one inside a chunk
-   and one inside the buffer — so the histogram costs O(buckets · log n)
-   (plus the buffer's layout after a write) and never touches a row.
+   ticks-to-expiry.  Each bucket boundary is one [count_upto], O(log n),
+   so the histogram costs O(buckets · log n) and never touches a row.
    [bounds] must be ascending; [max_int] means +Inf and its bucket also
    holds never-expiring rows. *)
 let expiring_within t ~now ~bounds =
@@ -125,7 +108,7 @@ let expiring_within t ~now ~bounds =
   (match now with
    | Time.Inf -> ()  (* nothing is live at infinity *)
    | Time.Fin v ->
-     let total = Texp_run.length t.run in
+     let total = physical_count t in
      let c0 = Texp_run.count_upto t.run now in
      Array.iteri
        (fun i bound ->
@@ -141,20 +124,27 @@ let expiring_within t ~now ~bounds =
   (* cumulative cuts -> per-bucket counts *)
   Array.mapi (fun i c -> if i = 0 then c else c - cum.(i - 1)) cum
 
+(* The run's full scan, row by row. *)
+let fold_live t ~tau f acc =
+  let acc = ref acc and all = Texp_run.Unbounded in
+  Texp_run.scan_range t.run ~tau ~lo:all ~hi:all ~visited:(ref 0) ~dropped:(ref 0) (fun c sel ->
+      let tuple r = Tuple.init ~arity:(arity t) (fun j -> (Texp_run.chunk_col c j).(r)) in
+      let row r = acc := f (tuple r) (Texp_run.chunk_texps c).(r) !acc in
+      match sel with
+      | None -> for r = 0 to Texp_run.chunk_len c - 1 do row r done
+      | Some s -> Array.iter row s);
+  !acc
+
 let snapshot t ~tau =
-  let build () =
-    Texp_run.fold_live t.run ~tau
-      (fun tuple texp acc -> Relation.add tuple ~texp acc)
-      (Relation.empty ~arity:(arity t))
-  in
-  if not (all_live t ~tau) then build ()
-  else
-    match t.cached_snapshot with
-    | Some (g, r) when g = t.generation -> r
-    | Some _ | None ->
-      let r = build () in
-      t.cached_snapshot <- Some (t.generation, r);
-      r
+  let live = function None -> true | Some e -> Time.(e > tau) in
+  match t.cached_snapshot with
+  | Some (g, least, r) when g = t.generation && live least -> r
+  | Some _ | None ->
+    let least = Texp_run.min_texp t.run in
+    let add tuple texp acc = Relation.add tuple ~texp acc in
+    let r = fold_live t ~tau add (Relation.empty ~arity:(arity t)) in
+    if live least then t.cached_snapshot <- Some (t.generation, least, r);
+    r
 
 let expire_upto t tau =
   let due = Texp_run.expire_upto t.run tau in

@@ -1,14 +1,15 @@
 (** A mutable stored relation with set semantics, named columns, and
     its rows kept in expiration order.
 
-    The rows live in one {!Texp_run}: column chunks globally sorted by
-    [(texp, tuple)] plus a sorted insert buffer.  Hot readers (the batch
-    scan, live counts, the forward expiration profile, the earliest
-    expiration) cut the run at [tau] by binary search and never rebuild
-    anything after a write.  A tuple → texp map keeps set semantics.
-    Each secondary index is the same rows in a second {!Texp_run} keyed
-    on its column, every row with its texp, so an index read skips
-    expired rows by that texp and never consults the table.
+    The rows live in one {!Texp_run} keyed on a constant: column chunks
+    globally sorted by [(texp, tuple)] plus sorted pending changes.  Hot
+    readers (the batch scan, live counts, the forward expiration
+    profile, the earliest expiration) cut the run at [tau] by binary
+    search and count or skip the pending changes in O(log n).  A tuple
+    → texp map keeps set semantics.  Each secondary index is the same
+    rows in a second {!Texp_run} keyed on its column, every row with its
+    texp, so an index read skips expired rows by that texp and never
+    consults the table.
 
     The table itself is clock-free; the {!Database} drives expiration by
     calling {!expire_upto} (eager removal) or {!vacuum} (delayed physical
@@ -49,11 +50,8 @@ val physical_count : t -> int
 val live_estimate : t -> tau:Time.t -> int
 (** The number of rows live at [tau] (exact, despite the name: the
     planner's cardinality estimates use it, so a mostly-expired, lazily
-    vacuumed table costs by its live rows, not its physical ones).  O(1)
-    when every physical row is live, otherwise O(log n): one binary
-    search over the run's chunk-boundary texps, one inside the chunk it
-    lands in and one inside the buffer (whose chunk form the first read
-    after a write lays out, O(chunk_rows) once). *)
+    vacuumed table costs by its live rows, not its physical ones).
+    O(log n): one cut of the run ({!Texp_run.count_upto}). *)
 
 val expiring_within : t -> now:Time.t -> bounds:int array -> int array
 (** The table's forward expiration profile: element [i] counts live
@@ -62,24 +60,16 @@ val expiring_within : t -> now:Time.t -> bounds:int array -> int array
     [bounds] must be ascending tick deltas; a [max_int] bound means
     [+Inf] and its bucket also holds never-expiring rows, so the array
     sums to the live count.  Never touches a row: each boundary is one
-    cut of the run as in {!live_estimate} — O(buckets · log n), plus
-    the buffer's O(chunk_rows) layout on the first read after a
-    write. *)
+    cut of the run as in {!live_estimate} — O(buckets · log n). *)
 
 val next_expiry : t -> Time.t option
 (** The earliest finite expiration time among the physical rows
     (expired-but-unvacuumed ones included); [None] when every row is
-    immortal or the table is empty.  O(log chunk_rows). *)
+    immortal or the table is empty.  O(log n) ({!Texp_run.min_texp}). *)
 
 val live_texp_range : t -> tau:Time.t -> (Time.t * Time.t) option
 (** The smallest and largest expiration time among the rows live at
     [tau], read from the ends of the run; [None] when no row is live. *)
-
-val pending_expirations : t -> int
-(** Rows held in the table's texp-ordered run, immortal ones and
-    expired-but-unvacuumed ones included — the backlog that advances
-    and vacuums work through.  The depth gauge the observability layer
-    exposes. *)
 
 val run : t -> Texp_run.t
 (** The rows in [(texp, tuple)] order — what the batch executor scans.
@@ -89,18 +79,23 @@ val generation : t -> int
 (** Monotone counter bumped on every physical row change (insert, delete,
     expiration) — the invalidation key for cached snapshots. *)
 
+val fold_live : t -> tau:Time.t -> (Tuple.t -> Time.t -> 'a -> 'a) -> 'a -> 'a
+(** Folds the rows live at [tau], through the run's full scan
+    ({!Texp_run.scan_range} over unbounded bounds). *)
+
 val snapshot : t -> tau:Time.t -> Relation.t
 (** The logical state [exp_tau(R)], for the reference evaluator and
     the executor's answer to a bare unfiltered scan.  When every
     physical row is live at [tau] (nothing has expired since the last
     removal) it is the whole table, cached until the table changes;
-    otherwise it is built from the run's live rows, skipping each
-    chunk's expired prefix by binary search. *)
+    otherwise it is built from the run's live rows ({!fold_live}). *)
 
 val expire_upto : t -> Time.t -> (Tuple.t * Time.t) list
-(** Physically removes every row with [texp <= tau] and returns them in
-    [(texp, tuple)] order — the eager policy's unit of work, and the
-    source of expiration trigger events. *)
+(** Removes every row with [texp <= tau] and returns them in [(texp,
+    tuple)] order — the eager policy's unit of work, and the source of
+    expiration trigger events.  The run and the indexes reclaim them
+    when their chunks are rewritten or have wholly expired
+    ({!Texp_run.expire_upto}). *)
 
 val vacuum : t -> tau:Time.t -> int
 (** Physically removes rows with [texp <= tau] without materialising

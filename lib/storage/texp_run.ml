@@ -6,17 +6,33 @@ type chunk = {
   cols : Value.t array array;
       (* row [r] is the tuple of [cols.(_).(r)]; rows ascend in the
          run's order *)
+  top : Time.t;  (* the largest of the [len] texps *)
 }
 
 (* 256 rows keep every chunk array within the minor heap's block limit
-   (256 words): copying a chunk on a delete or an overwrite then costs
-   a minor allocation and a memcpy instead of a major-heap allocation
+   (256 words): writing a chunk at a fold, or a selection a scan cuts
+   from one, then costs a minor allocation instead of a major-heap one
    whose marking and sweeping every later collection pays for. *)
 let chunk_rows = 256
 
-let make len texps cols = { len; texps; cols }
+(* [Time.compare] and [Value.compare], with the cases a table's own run
+   compares most written out: the dev build compiles modules opaquely,
+   so a call into [Time] or [Value] is an out-of-line call. *)
+let compare_time e1 e2 =
+  match e1, e2 with
+  | Time.Fin a, Time.Fin b -> Int.compare a b
+  | _ -> Time.compare e1 e2
+
+let compare_value k1 k2 = if k1 == k2 then 0 else Value.compare k1 k2
+
+let make len texps cols =
+  let top = ref (Time.of_int min_int) in
+  for r = 0 to len - 1 do
+    if compare_time texps.(r) !top > 0 then top := texps.(r)
+  done;
+  { len; texps; cols; top = !top }
+
 let empty = make 0 [||] [||]
-let last_texp c = c.texps.(c.len - 1)
 let chunk_len c = c.len
 let chunk_col c j = c.cols.(j - 1)
 let chunk_texps c = c.texps
@@ -33,17 +49,17 @@ let search lo hi past =
 
 let live_cut texps ~tau lo hi = search lo hi (fun i -> Time.(texps.(i) > tau))
 
-(* A row's place in the run: its leading key ([Null] in an unkeyed
-   run), then texp, then tuple — ties broken by tuple order, so the
-   layout (and every profile counter derived from it) is
-   deterministic. *)
+(* A row's place in the run: its leading key ([Null] in a table's own
+   run, keyed on that constant), then texp, then tuple — ties broken by
+   tuple order, so the layout (and every profile counter derived from
+   it) is deterministic. *)
 type key = Value.t * Time.t * Tuple.t
 
 let compare_key (k1, e1, t1) (k2, e2, t2) =
-  let c = Value.compare k1 k2 in
+  let c = compare_value k1 k2 in
   if c <> 0 then c
   else
-    let c = Time.compare e1 e2 in
+    let c = compare_time e1 e2 in
     if c <> 0 then c else Tuple.compare t1 t2
 
 type bound =
@@ -136,8 +152,6 @@ module Key_set = struct
     | Node { r = Empty; v; _ } -> v
     | Node { r; _ } -> max_elt r
 
-  let min_elt_opt t = if is_empty t then None else Some (min_elt t)
-  let max_elt_opt t = if is_empty t then None else Some (max_elt t)
 
   let rec remove_min = function
     | Empty -> invalid_arg "Key_set.remove_min"
@@ -173,18 +187,9 @@ module Key_set = struct
 
   let of_list keys = let a = Array.of_list keys in of_sorted a 0 (Array.length a)
 
-  let partition p t =
-    let yes, no = List.partition p (elements t) in
-    if no = [] then (t, Empty) else if yes = [] then (Empty, t) else (of_list yes, of_list no)
-
-  let filter p t = fst (partition p t)
-
-  (* The least key satisfying the monotone [f]. *)
-  let rec find_first_opt f = function
-    | Empty -> None
-    | Node { l; v; r; _ } ->
-      if f v then match find_first_opt f l with None -> Some v | found -> found
-      else find_first_opt f r
+  let filter p t =
+    let yes = List.filter p (elements t) in
+    if List.compare_length_with yes (cardinal t) = 0 then t else of_list yes
 
   type enumeration = End | More of key * t * enumeration
 
@@ -205,38 +210,61 @@ module Key_set = struct
     in
     seq_of_enum (from s End)
 
-  (* Keys whose leading key comes before a bound's cut. *)
-  let rec count_before b ~upper = function
+  (* The keys satisfying the monotone [p] (true ... true false ...
+     false): O(log n), allocating nothing. *)
+  let rec count_while p = function
     | Empty -> 0
-    | Node { l; v = k, _, _; r; _ } ->
-      if before b ~upper k then cardinal l + 1 + count_before b ~upper r
-      else count_before b ~upper l
+    | Node { l; v; r; _ } -> if p v then cardinal l + 1 + count_while p r else count_while p l
 
   let count_range s ~lo ~hi =
-    Int.max 0 (count_before hi ~upper:true s - count_before lo ~upper:false s)
+    let before b ~upper = count_while (fun (k, _, _) -> before b ~upper k) s in
+    Int.max 0 (before hi ~upper:true - before lo ~upper:false)
+
+  (* [f] over a constant-keyed set's keys with [after < texp <= upto],
+     ascending. *)
+  let rec fold_between ~after ~upto f t acc =
+    match t with
+    | Empty -> acc
+    | Node { l; v = (_, e, _) as v; r; _ } ->
+      let past = compare_time e after > 0 and due = compare_time e upto <= 0 in
+      let acc = if past then fold_between ~after ~upto f l acc else acc in
+      let acc = if past && due then f v acc else acc in
+      if due then fold_between ~after ~upto f r acc else acc
+
+  (* A constant-keyed set's keys with [texp <= tau], and its least texp
+     after [tau]: descents without a closure. *)
+  let rec count_upto tau = function
+    | Empty -> 0
+    | Node { l; v = _, e, _; r; _ } ->
+      if compare_time e tau <= 0 then cardinal l + 1 + count_upto tau r else count_upto tau l
+
+  let rec first_after tau = function
+    | Empty -> None
+    | Node { l; v = _, e, _; r; _ } ->
+      if compare_time e tau > 0 then match first_after tau l with None -> Some e | found -> found
+      else first_after tau r
 end
 
 type t = {
   arity : int;
-  key : int option;  (* the leading key column, 1-based *)
+  key : int option;  (* the leading key column, 1-based; [None]: a constant *)
   mutable chunks : chunk array;
       (* never empty chunks, globally ascending; the array is replaced,
          never mutated, so readers may keep the one they got *)
   mutable ends : int array;  (* ends.(i) = rows in chunks.(0..i) *)
-  mutable tops : Time.t array;  (* keyed: each chunk's largest texp *)
-  mutable least_top : Time.t;  (* keyed: the smallest of [tops] *)
-  mutable buffer : Key_set.t;  (* pending adds *)
-  mutable buffered : int;  (* Key_set.cardinal buffer *)
-  mutable gone : Key_set.t;  (* keyed: chunked rows removed since the last fold *)
+  mutable least_top : Time.t;  (* the smallest chunk top *)
+  mutable adds : Key_set.t;  (* pending adds *)
+  mutable adds_n : int;  (* Key_set.cardinal adds *)
+  mutable gone : Key_set.t;  (* chunked rows removed since the last fold *)
   mutable gone_n : int;
-  mutable horizon : Time.t option;  (* keyed: rows at or before it are dead *)
-  mutable buffer_chunk : chunk option;
-      (* [buffer] as a chunk, built on first read after a write.  The
-         build races benignly between concurrent readers (last store
-         wins, both results are equal). *)
+  mutable horizon : Time.t;  (* rows at or before it have left the run *)
+  mutable least : Time.t;  (* at or before every texp ever added *)
+  mutable adds_chunks : chunk list option;
+      (* [adds] laid out as chunks, on the first full scan after they
+         change.  The build races benignly between concurrent readers
+         (last store wins, both results are equal). *)
 }
 
-let keyed t = Option.is_some t.key
 let row_key t c r = match t.key with None -> Value.Null | Some j -> c.cols.(j - 1).(r)
 
 let key_of t tu e =
@@ -245,10 +273,10 @@ let key_of t tu e =
 (* [compare_key] between row [r] of a chunk and a key.  Tuples in one
    run share the arity, so the column-wise order is [Tuple.compare]'s. *)
 let compare_row t c r (k, e, tu) =
-  let d = Value.compare (row_key t c r) k in
+  let d = compare_value (row_key t c r) k in
   if d <> 0 then d
   else
-    let d = Time.compare c.texps.(r) e in
+    let d = compare_time c.texps.(r) e in
     if d <> 0 then d
     else
       let rec go j =
@@ -261,10 +289,18 @@ let compare_row t c r (k, e, tu) =
 
 let tuple_at c r = Tuple.init ~arity:(Array.length c.cols) (fun j -> c.cols.(j - 1).(r))
 
-let chunk_of_keys ~arity keys =
-  make (Array.length keys)
-    (Array.map (fun (_, e, _) -> e) keys)
-    (Array.init arity (fun j -> Array.map (fun (_, _, tu) -> Tuple.attr tu (j + 1)) keys))
+(* Ascending keys in chunks of at most [chunk_rows], split evenly: their
+   arrays stay in the minor heap, as do the selections scans cut from
+   them. *)
+let chunks_of_keys ~arity keys =
+  let n = Array.length keys in
+  let pieces = (n + chunk_rows - 1) / chunk_rows in
+  List.init pieces (fun p ->
+      let lo = p * n / pieces in
+      let len = ((p + 1) * n / pieces) - lo in
+      let col f = Array.init len (fun i -> f keys.(lo + i)) in
+      make len (col (fun (_, e, _) -> e))
+        (Array.init arity (fun j -> col (fun (_, _, tu) -> Tuple.attr tu (j + 1)))))
 
 (* Rows [lo, hi) of a chunk. *)
 let sub_chunk c lo hi =
@@ -285,38 +321,25 @@ let set_chunks t chunks =
   let total = ref 0 in
   t.chunks <- chunks;
   t.ends <- Array.map (fun c -> total := !total + c.len; !total) chunks;
-  if keyed t then begin
-    t.tops <- Array.map (fun c -> Array.fold_left Time.max (Time.of_int min_int) c.texps) chunks;
-    t.least_top <- Array.fold_left Time.min Time.Inf t.tops
-  end
+  t.least_top <- Array.fold_left (fun m c -> Time.min m c.top) Time.Inf chunks
 
-(* Replace chunks [lo, hi) with [pieces]. *)
-let splice t lo hi pieces =
-  let n = Array.length t.chunks in
-  set_chunks t
-    (Array.concat
-       [ Array.sub t.chunks 0 lo; pieces; Array.sub t.chunks hi (n - hi) ])
-
-let length t =
+let chunked t =
   let n = Array.length t.ends in
-  (if n = 0 then 0 else t.ends.(n - 1)) + t.buffered - t.gone_n
+  if n = 0 then 0 else t.ends.(n - 1)
 
-let set_buffer t buffer ~delta =
-  t.buffer <- buffer;
-  t.buffered <- t.buffered + delta;
-  t.buffer_chunk <- None
+let length t = chunked t + t.adds_n - t.gone_n
+let pending t = t.adds_n + t.gone_n
 
-let dead t e = match t.horizon with Some h -> Time.(e <= h) | None -> false
+let set_adds t adds ~delta =
+  t.adds <- adds;
+  t.adds_n <- t.adds_n + delta;
+  t.adds_chunks <- None
 
-(* The first chunk whose last row is at or after [k]. *)
-let chunk_reaching t k =
-  search 0 (Array.length t.chunks) (fun i ->
-      let c = t.chunks.(i) in
-      compare_row t c (c.len - 1) k >= 0)
+let dead t e = compare_time e t.horizon <= 0
 
-(* The first chunk holding a row with [texp > tau] (unkeyed runs). *)
-let chunk_past t tau =
-  search 0 (Array.length t.chunks) (fun i -> Time.(last_texp t.chunks.(i) > tau))
+(* The first chunk holding a row with [texp > tau] (a constant-keyed
+   run, whose chunks ascend by texp). *)
+let chunk_past t tau = search 0 (Array.length t.chunks) (fun i -> Time.(t.chunks.(i).top > tau))
 
 (* Chunk [c] merged with the sorted pending adds [adds.(a..a1)] and
    without the pending removals [gone.(g..g1)] and the dead rows, split
@@ -366,7 +389,7 @@ let rec coalesce = function
    end), and each chunk that receives one is merged with its share and
    re-split; the others are shared, not copied. *)
 let fold t =
-  let adds = Array.of_list (Key_set.elements t.buffer) in
+  let adds = Array.of_list (Key_set.elements t.adds) in
   let gone = Array.of_list (Key_set.elements t.gone) in
   let n = Array.length t.chunks in
   let a = ref 0 and g = ref 0 and acc = ref [] in
@@ -386,173 +409,179 @@ let fold t =
       else List.rev_append (merge t t.chunks.(i) adds a0 !a gone g0 !g) !acc
   done;
   set_chunks t (Array.of_list (coalesce (List.rev !acc)));
-  set_buffer t Key_set.empty ~delta:(-t.buffered);
+  set_adds t Key_set.empty ~delta:(-t.adds_n);
   t.gone <- Key_set.empty;
   t.gone_n <- 0
 
 let create ?key ~arity rows =
   let t =
-    { arity; key; chunks = [||]; ends = [||]; tops = [||]; least_top = Time.Inf;
-      buffer = Key_set.empty; buffered = 0; gone = Key_set.empty; gone_n = 0;
-      horizon = None; buffer_chunk = None }
+    { arity; key; chunks = [||]; ends = [||]; least_top = Time.Inf; adds = Key_set.empty;
+      adds_n = 0; gone = Key_set.empty; gone_n = 0; horizon = Time.of_int min_int;
+      least = Time.Inf; adds_chunks = None }
   in
   let keys = Array.of_list (List.map (fun (tu, e) -> key_of t tu e) rows) in
   Array.stable_sort compare_key keys;
-  let c = chunk_of_keys ~arity keys in
-  if c.len > 0 then set_chunks t (Array.of_list (split c c.len));
+  Array.iter (fun (_, e, _) -> t.least <- Time.min t.least e) keys;
+  set_chunks t (Array.of_list (chunks_of_keys ~arity keys));
   t
 
-(* An unkeyed run's buffer is laid out for its readers, so it stays
-   under [chunk_rows].  A keyed run's readers seek its pending changes
-   instead, so they may grow to a quarter of the run: with scattered
-   keys a fold rewrites every chunk, about 4 row copies per change. *)
-let check_fold t =
-  let bound = if t.key = None then chunk_rows else max chunk_rows (length t / 4) in
-  if t.buffered + t.gone_n >= bound then fold t
+(* Readers count, seek or skip the pending changes (a full scan lays the
+   adds out once per change of them), so they may grow to a quarter of
+   the run: with scattered keys a fold rewrites every chunk, about 4 row
+   copies per change, in any arrival order. *)
+let check_fold t = if pending t >= max chunk_rows (length t / 4) then fold t
 
 let add t tuple texp =
   let k = key_of t tuple texp in
+  if compare_time texp t.least < 0 then t.least <- texp;
   let gone = Key_set.remove k t.gone in
   if gone != t.gone then begin
     t.gone <- gone;
     t.gone_n <- t.gone_n - 1
   end
-  else set_buffer t (Key_set.add k t.buffer) ~delta:1;
+  else set_adds t (Key_set.add k t.adds) ~delta:1;
   check_fold t
 
 let remove t tuple texp =
   let k = key_of t tuple texp in
-  let buffer = Key_set.remove k t.buffer in
-  if buffer != t.buffer then set_buffer t buffer ~delta:(-1)
-  else
-    match t.key with
-    | Some _ ->
-      let gone = Key_set.add k t.gone in
-      if gone != t.gone then begin
-        t.gone <- gone;
-        t.gone_n <- t.gone_n + 1;
-        check_fold t
-      end
-    | None ->
-      (* The chunk holding the row, copied without it and coalesced with
-         its neighbours. *)
-      let n = Array.length t.chunks in
-      let i = chunk_reaching t k in
-      let c = if i < n then t.chunks.(i) else empty in
-      let r = search 0 c.len (fun r -> compare_row t c r k >= 0) in
-      if r < c.len && compare_row t c r k = 0 then begin
-        let drop a = Array.append (Array.sub a 0 r) (Array.sub a (r + 1) (c.len - r - 1)) in
-        let lo = max 0 (i - 1) and hi = min n (i + 2) in
-        let at j = if j = i then make (c.len - 1) (drop c.texps) (Array.map drop c.cols) else t.chunks.(j) in
-        List.init (hi - lo) (fun j -> at (lo + j))
-        |> List.filter (fun c -> c.len > 0) |> coalesce |> Array.of_list |> splice t lo hi
-      end
-
-let expire_upto t tau =
-  let n = Array.length t.chunks in
-  (* Chunks [0, k) have wholly expired; chunk [k] holds the cut. *)
-  let k = chunk_past t tau in
-  let cut = if k < n then live_cut t.chunks.(k).texps ~tau 0 t.chunks.(k).len else 0 in
-  let due = ref [] in
-  let take c hi =
-    for r = hi - 1 downto 0 do
-      due := (tuple_at c r, c.texps.(r)) :: !due
-    done
-  in
-  if cut > 0 then take t.chunks.(k) cut;
-  for i = k - 1 downto 0 do
-    take t.chunks.(i) t.chunks.(i).len
-  done;
-  if cut > 0 then splice t 0 (k + 1) [| sub_chunk t.chunks.(k) cut t.chunks.(k).len |]
-  else if k > 0 then splice t 0 k [||];
-  let dead, live =
-    match Key_set.min_elt_opt t.buffer with
-    | Some (_, e, _) when Time.(e <= tau) ->
-      Key_set.partition (fun (_, e, _) -> Time.(e <= tau)) t.buffer
-    | Some _ | None -> (Key_set.empty, t.buffer)
-  in
-  if live != t.buffer then set_buffer t live ~delta:(-Key_set.cardinal dead);
-  List.merge
-    (fun (t1, e1) (t2, e2) ->
-      match Time.compare e1 e2 with 0 -> Tuple.compare t1 t2 | c -> c)
-    !due
-    (List.map (fun (_, e, tu) -> (tu, e)) (Key_set.elements dead))
+  let adds = Key_set.remove k t.adds in
+  if adds != t.adds then set_adds t adds ~delta:(-1)
+  else begin
+    let gone = Key_set.add k t.gone in
+    if gone != t.gone then begin
+      t.gone <- gone;
+      t.gone_n <- t.gone_n + 1;
+      check_fold t
+    end
+  end
 
 let forget_upto t tau =
-  t.horizon <- Some (match t.horizon with Some h -> Time.max h tau | None -> tau);
+  t.horizon <- Time.max t.horizon tau;
   if Time.(t.least_top <= tau) then begin
     (* Wholly expired chunks go, and with them the removals that may
        point into them. *)
-    set_chunks t
-      (Array.of_list (List.filteri (fun i _ -> Time.(t.tops.(i) > tau)) (Array.to_list t.chunks)));
+    let live = List.filter (fun c -> Time.(c.top > tau)) (Array.to_list t.chunks) in
+    set_chunks t (Array.of_list live);
     t.gone <- Key_set.filter (fun (_, e, _) -> Time.(e > tau)) t.gone;
     t.gone_n <- Key_set.cardinal t.gone
   end
 
+(* Whether chunk row [r] is the next of the ascending pending removals
+   [gone], dropping the ones before it. *)
+let rec removed t c r gone =
+  match !gone () with
+  | Seq.Cons (k, rest) when compare_row t c r k > 0 -> gone := rest; removed t c r gone
+  | Seq.Cons (k, _) -> compare_row t c r k = 0
+  | Seq.Nil -> false
+
+(* Two lists of rows descending by [(texp, tuple)] merged onto [acc],
+   ascending. *)
+let rec merge_down acc a b =
+  match a, b with
+  | [], l | l, [] -> List.rev_append l acc
+  | ((t1, e1) as x) :: a', ((t2, e2) as y) :: b' ->
+    let c = match compare_time e1 e2 with 0 -> Tuple.compare t1 t2 | c -> c in
+    if c > 0 then merge_down (x :: acc) a' b else merge_down (y :: acc) a b'
+
+(* The rows between the horizon and [tau] leave: the chunked ones are
+   read by two cuts, the pending ones by a seek, and neither is copied;
+   a straddling chunk keeps its dead prefix until it is rewritten. *)
+let expire_upto t tau =
+  let h = t.horizon in
+  if Time.(tau <= h) then []
+  else begin
+    let gone = Key_set.fold_between ~after:h ~upto:tau List.cons t.gone [] in
+    let skip = gone <> [] and gone = ref (List.to_seq (List.rev gone)) and due = ref [] in
+    let n = Array.length t.chunks and i = ref (chunk_past t h) in
+    while !i < n && Time.(t.chunks.(!i).texps.(0) <= tau) do
+      let c = t.chunks.(!i) in
+      for r = live_cut c.texps ~tau:h 0 c.len to live_cut c.texps ~tau 0 c.len - 1 do
+        if not (skip && removed t c r gone) then due := (tuple_at c r, c.texps.(r)) :: !due
+      done;
+      incr i
+    done;
+    let adds =
+      Key_set.fold_between ~after:h ~upto:tau (fun (_, e, tu) acc -> (tu, e) :: acc) t.adds []
+    in
+    forget_upto t tau;
+    merge_down [] !due adds
+  end
+
 (* ---------- readers ---------- *)
 
-let sorted_chunks t = t.chunks
-
-let buffer t =
-  match t.buffer_chunk with
-  | Some c -> c
-  | None ->
-    let c = chunk_of_keys ~arity:t.arity (Array.of_list (Key_set.elements t.buffer)) in
-    t.buffer_chunk <- Some c;
-    c
-
-let iter_chunks f t =
-  Array.iter f t.chunks;
-  if t.buffered > 0 then f (buffer t)
-
-let fold_live t ~tau f acc =
-  let acc = ref acc in
-  iter_chunks
-    (fun c ->
-      for r = live_cut c.texps ~tau 0 c.len to c.len - 1 do
-        acc := f (tuple_at c r) c.texps.(r) !acc
-      done)
-    t;
-  !acc
-
-let count_upto t tau =
-  let n = Array.length t.chunks in
-  let k = chunk_past t tau in
-  let chunked =
-    (if k = 0 then 0 else t.ends.(k - 1))
-    + if k < n then live_cut t.chunks.(k).texps ~tau 0 t.chunks.(k).len else 0
-  in
-  let b = buffer t in
-  chunked + live_cut b.texps ~tau 0 b.len
-
-(* The chunks' and the buffer's candidates, combined. *)
+(* The chunks' and the pending adds' candidates, combined. *)
 let either f a b =
   match a, b with
   | Some x, Some y -> Some (f x y)
   | (Some _ as x), None | None, x -> x
 
-let texp_of (_, e, _) = e
+(* A constant-keyed run's chunked rows with [texp <= tau], and its rows
+   with [texp <= tau], the dead included: two binary searches and two
+   counts of the pending changes. *)
+let chunked_upto t tau =
+  let k = chunk_past t tau in
+  (if k = 0 then 0 else t.ends.(k - 1))
+  + if k < Array.length t.chunks then live_cut t.chunks.(k).texps ~tau 0 t.chunks.(k).len else 0
 
-let min_texp t =
-  either Time.min
-    (if Array.length t.chunks = 0 then None else Some t.chunks.(0).texps.(0))
-    (Option.map texp_of (Key_set.min_elt_opt t.buffer))
+let held_upto t tau =
+  if Time.(tau < t.least) then 0
+  else chunked_upto t tau - Key_set.count_upto tau t.gone + Key_set.count_upto tau t.adds
 
-let max_texp t =
-  let n = Array.length t.chunks in
-  either Time.max
-    (if n = 0 then None else Some (last_texp t.chunks.(n - 1)))
-    (Option.map texp_of (Key_set.max_elt_opt t.buffer))
+let count_upto t tau =
+  if Time.(tau <= t.horizon) then 0 else held_upto t tau - held_upto t t.horizon
+
+(* The chunk and row of chunked row [p]. *)
+let row_at t p =
+  let i = search 0 (Array.length t.ends) (fun i -> t.ends.(i) > p) in
+  (t.chunks.(i), p - if i = 0 then 0 else t.ends.(i - 1))
+
+let texp_at t p = let c, r = row_at t p in c.texps.(r)
+
+(* Whether a pending removal names chunked row [p]: one descent. *)
+let gone_at t p =
+  (not (Key_set.is_empty t.gone))
+  &&
+  let c, r = row_at t p in
+  let rec mem = function
+    | Key_set.Empty -> false
+    | Key_set.Node { l; v; r = right; _ } ->
+      let d = compare_row t c r v in
+      d = 0 || mem (if d < 0 then l else right)
+  in
+  mem t.gone
+
+(* Chunked rows in [p, q) that no pending removal names. *)
+let kept t p q =
+  let gone_before p =
+    if p >= chunked t then t.gone_n
+    else
+      let c, r = row_at t p in
+      Key_set.count_while (fun k -> compare_row t c r k > 0) t.gone
+  in
+  q - p - (gone_before q - gone_before p)
 
 let min_live_texp t ~tau =
-  let k = chunk_past t tau in
+  let tau = Time.max tau t.horizon and total = chunked t in
+  let p = chunked_upto t tau in
+  let first =
+    if p >= total || not (gone_at t p) then p else search p total (fun q -> kept t p (q + 1) > 0)
+  in
   either Time.min
-    (if k = Array.length t.chunks then None
-     else
-       let c = t.chunks.(k) in
-       Some c.texps.(live_cut c.texps ~tau 0 c.len))
-    (Option.map texp_of
-       (Key_set.find_first_opt (fun (_, e, _) -> Time.(e > tau)) t.buffer))
+    (if first < total then Some (texp_at t first) else None)
+    (Key_set.first_after tau t.adds)
+
+let min_texp t = min_live_texp t ~tau:t.horizon
+
+let max_texp t =
+  let total = chunked t in
+  let last =
+    if total > 0 && not (gone_at t (total - 1)) then total - 1
+    else search 0 total (fun q -> kept t q total = 0) - 1
+  in
+  let live e = if dead t e then None else Some e in
+  either Time.max
+    (if last < 0 then None else live (texp_at t last))
+    (if Key_set.is_empty t.adds then None else live (let _, e, _ = Key_set.max_elt t.adds in e))
 
 (* ---------- keyed readers ---------- *)
 
@@ -576,8 +605,8 @@ let rec row_past_cut t c cut ~upper a b =
 
 (* Rows [a, b) of a chunk whose key falls in the bounds. *)
 let span t c ~lo ~hi =
-  let a = row_past_cut t c lo ~upper:false 0 c.len in
-  (a, row_past_cut t c hi ~upper:true a c.len)
+  let a = match lo with Unbounded -> 0 | _ -> row_past_cut t c lo ~upper:false 0 c.len in
+  (a, match hi with Unbounded -> c.len | _ -> row_past_cut t c hi ~upper:true a c.len)
 
 (* Chunks [i, j) may hold keys in the bounds; those strictly inside hold
    nothing else. *)
@@ -587,7 +616,7 @@ let chunk_span t ~lo ~hi =
   (i, search i n (fun i -> not (below hi (row_key t t.chunks.(i) 0))))
 
 (* The keys of a pending set in the bounds, ascending: a seek, then the
-   keys in range — the pending changes are never laid out. *)
+   keys in range. *)
 let pending_in set ~lo ~hi =
   (match lo with
    | Unbounded -> Key_set.to_seq set
@@ -598,13 +627,13 @@ let pending_in set ~lo ~hi =
 
 let key_extrema t =
   let n = Array.length t.chunks and key (k, _, _) = k in
-  if Key_set.is_empty t.buffer then
+  if Key_set.is_empty t.adds then
     if n = 0 then None
     else
       let last = t.chunks.(n - 1) in
       Some (row_key t t.chunks.(0) 0, row_key t last (last.len - 1))
   else
-    let lo = key (Key_set.min_elt t.buffer) and hi = key (Key_set.max_elt t.buffer) in
+    let lo = key (Key_set.min_elt t.adds) and hi = key (Key_set.max_elt t.adds) in
     if n = 0 then Some (lo, hi)
     else
       (* The chunks ascend: their extremes are the first and last rows. *)
@@ -618,56 +647,72 @@ let key_extrema t =
 let chunked_before t cut ~upper =
   let n = Array.length t.chunks in
   let i = chunk_past_cut t cut ~upper 0 n in
-  if i = n then if n = 0 then 0 else t.ends.(n - 1)
+  if i = n then chunked t
   else
     (if i = 0 then 0 else t.ends.(i - 1))
     + row_past_cut t t.chunks.(i) cut ~upper 0 t.chunks.(i).len
 
 let count_range t ~lo ~hi =
   Int.max 0 (chunked_before t hi ~upper:true - chunked_before t lo ~upper:false)
-  + Key_set.count_range t.buffer ~lo ~hi - Key_set.count_range t.gone ~lo ~hi
+  + Key_set.count_range t.adds ~lo ~hi - Key_set.count_range t.gone ~lo ~hi
 
-let scan_range t ~tau ~lo ~hi ~visited ~dropped f =
-  let i, j = chunk_span t ~lo ~hi in
-  for k = i to j - 1 do
-    let c = t.chunks.(k) in
-    let a, b = span t c ~lo ~hi in
-    if a < b && Time.(t.tops.(k) <= tau) then dropped := !dropped + (b - a)
-    else if a < b then begin
-      (* One key's rows ascend by texp: its live rows are a cut. *)
-      let a' =
-        if Value.compare (row_key t c a) (row_key t c (b - 1)) = 0 then
-          live_cut c.texps ~tau a b
-        else a
-      in
-      let gone =
-        if Key_set.is_empty t.gone || a' = b then ref Seq.empty
-        else ref (Key_set.to_seq_from (row_key t c a', c.texps.(a'), tuple_at c a') t.gone)
-      in
-      let rec skip r =
-        match !gone () with
-        | Seq.Cons (k, rest) when compare_row t c r k > 0 -> gone := rest; skip r
-        | Seq.Cons (k, _) -> compare_row t c r k = 0
-        | Seq.Nil -> false
-      in
+let adds_chunks t =
+  match t.adds_chunks with
+  | Some cs -> cs
+  | None ->
+    let cs = chunks_of_keys ~arity:t.arity (Array.of_list (Key_set.elements t.adds)) in
+    t.adds_chunks <- Some cs;
+    cs
+
+(* Chunk [c]'s rows in the bounds live at [tau] that [gone] does not
+   name, passed to [f]. *)
+let scan_chunk t c ~tau ~lo ~hi ~gone ~visited ~dropped f =
+  let a, b = span t c ~lo ~hi in
+  if a < b && Time.(c.top <= tau) then dropped := !dropped + (b - a)
+  else if a < b then begin
+    (* One key's rows ascend by texp: its live rows are a cut. *)
+    let one_key = compare_value (row_key t c a) (row_key t c (b - 1)) = 0 in
+    let a' = if one_key then live_cut c.texps ~tau a b else a in
+    let gone =
+      ref
+        (if Key_set.is_empty gone || a' = b then Seq.empty
+         else Key_set.to_seq_from (row_key t c a', c.texps.(a'), tuple_at c a') gone)
+    in
+    let clean =
+      match !gone () with Seq.Nil -> true | Seq.Cons (k, _) -> compare_row t c (b - 1) k < 0
+    in
+    visited := !visited + (b - a');
+    if one_key && clean then begin
+      (* No pending removal falls in the cut: it passes zero-copy. *)
+      dropped := !dropped + (a' - a);
+      if a' = 0 && b = c.len then f c None
+      else if a' < b then f c (Some (Array.init (b - a') (fun i -> a' + i)))
+    end
+    else begin
       (* A pending removal is skipped, not dropped: only an expired
          row counts as dropped. *)
       let sel = Array.make (b - a') 0 and m = ref 0 and expired = ref (a' - a) in
       for r = a' to b - 1 do
         if Time.(c.texps.(r) <= tau) then incr expired
-        else if not (skip r) then begin
+        else if not (removed t c r gone) then begin
           sel.(!m) <- r;
           incr m
         end
       done;
-      visited := !visited + (b - a');
       dropped := !dropped + !expired;
       if !m = c.len then f c None
       else if !m > 0 then f c (Some (Array.sub sel 0 !m))
     end
+  end
+
+let scan_range t ~tau ~lo ~hi ~visited ~dropped f =
+  let tau = Time.max tau t.horizon in
+  let i, j = chunk_span t ~lo ~hi in
+  for k = i to j - 1 do
+    scan_chunk t t.chunks.(k) ~tau ~lo ~hi ~gone:t.gone ~visited ~dropped f
   done;
-  let pending = List.of_seq (pending_in t.buffer ~lo ~hi) in
-  let live = List.filter (fun (_, e, _) -> Time.(e > tau)) pending in
-  visited := !visited + List.length pending;
-  dropped := !dropped + List.length pending - List.length live;
-  if live <> [] then f (chunk_of_keys ~arity:t.arity (Array.of_list live)) None
+  (match lo, hi with
+   | _ when Key_set.is_empty t.adds -> []
+   | Unbounded, Unbounded -> adds_chunks t
+   | _ -> chunks_of_keys ~arity:t.arity (Array.of_seq (pending_in t.adds ~lo ~hi)))
+  |> List.iter (fun c -> scan_chunk t c ~tau ~lo ~hi ~gone:Key_set.empty ~visited ~dropped f)

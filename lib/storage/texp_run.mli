@@ -2,16 +2,16 @@
     and of its secondary indexes.
 
     The run is immutable column chunks of at most {!chunk_rows} rows,
-    globally sorted, plus sorted pending changes that, when they reach
-    their bound, are merged into only the chunks their keys fall into.  An
-    unkeyed run (a table's rows) is sorted by [(texp, tuple)]: a removal
-    copies its chunk at once, expiring up to [tau] drops a prefix (the
-    eager and lazy removal of Section 3.2), and "what is live at [tau]"
-    is a binary-search cut.  A run keyed on column [j] (an index) is
-    sorted by [(t.j, texp, tuple)], so one key's live rows are a cut; it
-    defers removals to the next fold (readers skip them), and skips its
-    expired rows by texp until their chunk is rewritten or has wholly
-    expired ({!forget_upto}), so a tick costs an index nothing.
+    globally sorted, plus sorted pending adds and removals that fold
+    into only the chunks their keys fall into once they reach a quarter
+    of the run, so each change costs a constant number of row copies,
+    amortised, in any arrival order.  A run keyed on column [j] (an
+    index) is sorted by [(t.j, texp, tuple)], so one key's live rows are
+    a cut.  A table's own run is keyed on a constant: it is sorted by
+    [(texp, tuple)], so "what is live at [tau]" is one cut (Section
+    3.2's eager and lazy removal).  Every run skips its expired rows by
+    texp until their chunk is rewritten or has wholly expired
+    ({!forget_upto}, {!expire_upto}), so a tick copies no row.
 
     Keys are unique: callers (the table's tuple → texp map) guarantee
     that a tuple is held at most once and remove it with the texp it was
@@ -27,8 +27,8 @@ type chunk
     Immutable: readers may keep a chunk past later writes. *)
 
 val chunk_rows : int
-(** The chunk bound, and an unkeyed run's buffer bound (a keyed run's
-    pending changes may reach a quarter of its rows). *)
+(** The chunk bound, and the least fold bound: pending changes fold when
+    they reach [max chunk_rows (length / 4)]. *)
 
 val chunk_len : chunk -> int
 
@@ -37,12 +37,7 @@ val chunk_col : chunk -> int -> Value.t array
     Callers must not mutate it. *)
 
 val chunk_texps : chunk -> Time.t array
-(** The parallel expiration times (ascending in an unkeyed run). *)
-
-val live_cut : Time.t array -> tau:Time.t -> int -> int -> int
-(** [live_cut texps ~tau lo hi] is the first index in [[lo, hi)] whose
-    time is strictly after [tau] ([hi] when none) — the binary-search
-    cut over an ascending expiration order. *)
+(** The parallel expiration times (ascending in a table's own run). *)
 
 (** {2 The run} *)
 
@@ -50,53 +45,46 @@ type t
 
 val create : ?key:int -> arity:int -> (Tuple.t * Time.t) list -> t
 (** A run holding these rows, keyed on the 1-based column [key] when
-    given. *)
+    given, on a constant otherwise (a table's own run). *)
 
 val length : t -> int
-(** Rows held, expired-but-unremoved ones included. *)
+(** Rows held, expired-but-unreclaimed ones included. *)
+
+val pending : t -> int
+(** Pending adds and removals not yet folded: under [max chunk_rows
+    (length / 4)] after each {!add} and {!remove}. *)
 
 val add : t -> Tuple.t -> Time.t -> unit
-(** Buffers a row whose key is not held; folds the pending changes into
-    the chunks when they reach their bound. *)
+(** Adds a row whose key is not held, with [texp] after every [tau]
+    the run has expired or forgotten up to. *)
 
 val remove : t -> Tuple.t -> Time.t -> unit
-(** Removes the row held under this key (no-op when absent). *)
+(** Removes the row held under this key. *)
 
 val expire_upto : t -> Time.t -> (Tuple.t * Time.t) list
-(** Unkeyed runs: removes every row with [texp <= tau] and returns them
-    in [(texp, tuple)] order. *)
+(** A table's own run: the rows with [texp <= tau] leave ({!forget_upto})
+    and are returned in [(texp, tuple)] order.  Reads the chunks by two
+    cuts and the pending adds by a seek, O(log n + due), and copies no
+    chunk. *)
 
 val forget_upto : t -> Time.t -> unit
-(** Keyed runs: the rows with [texp <= tau] have left the table; they go
-    when their chunk is rewritten or has wholly expired. *)
+(** The rows with [texp <= tau] have left the table: readers skip them,
+    and they go when their chunk is rewritten or has wholly expired. *)
 
-(** {2 Unkeyed readers} *)
-
-val sorted_chunks : t -> chunk array
-(** The chunks, globally ascending; the buffered rows are not in them. *)
-
-val buffer : t -> chunk
-(** The buffered rows as a chunk (possibly empty), built on first read
-    after a write. *)
-
-val iter_chunks : (chunk -> unit) -> t -> unit
-(** Every row, chunk by chunk: the sorted chunks, then the buffer when
-    non-empty.  Each chunk is ascending; the buffer is not ordered
-    relative to the sorted chunks. *)
-
-val fold_live : t -> tau:Time.t -> (Tuple.t -> Time.t -> 'a -> 'a) -> 'a -> 'a
-(** Folds the rows with [texp > tau]; each chunk's expired prefix is
-    skipped by binary search. *)
+(** {2 Readers of a table's own run}  Rows that left ({!forget_upto})
+    are not counted, and pending changes are counted or skipped. *)
 
 val count_upto : t -> Time.t -> int
-(** Rows with [texp <= tau]: O(log n) binary searches, plus the buffer's
-    O(chunk_rows) layout ({!buffer}) on the first read after a write. *)
+(** Rows with [texp <= tau]: two cuts of the chunks and counts of the
+    pending changes, O(log n). *)
 
 val min_texp : t -> Time.t option
-(** The smallest expiration time held; [None] when empty.  O(log
-    chunk_rows). *)
+(** The smallest expiration time held; [None] when empty.  O(log n): a
+    cut and a descent of each pending set, or O(log² n) when pending
+    removals name the row at the cut. *)
 
 val max_texp : t -> Time.t option
+(** The largest, at the same cost. *)
 
 val min_live_texp : t -> tau:Time.t -> Time.t option
 (** The smallest expiration time strictly after [tau]; [None] when no
@@ -126,8 +114,11 @@ val scan_range :
   dropped:int ref -> (chunk -> int array option -> unit) -> unit
 (** [f c sel] for each chunk holding rows in the bounds live at [tau]
     ([sel] their ascending ids, [None] for all of [c]), in key order,
-    then the buffer's.  The first chunk is found by binary search, a
-    wholly expired chunk is skipped unread, and one key's live rows are
-    a cut.  [visited] counts the rows examined, [dropped] the rows in
-    the bounds expired at [tau] (a pending removal is neither returned
-    nor dropped). *)
+    then the pending adds'.  The first chunk is found by binary search,
+    a wholly expired chunk is skipped unread, and one key's live rows
+    are a cut: a chunk a table's full scan reaches, when no pending
+    removal falls in its cut, passes zero-copy.  Unbounded bounds (a
+    full scan) read the pending adds laid out as chunks, once per
+    change of them; other bounds seek them.  [visited] counts the rows
+    examined, [dropped] the rows in the bounds expired at [tau] (a
+    pending removal is neither returned nor dropped). *)

@@ -246,6 +246,18 @@ for f in rerouted:
     print(f)
 if rerouted:
     sys.exit("ci: the files above route statements around a move in flight; a move runs alone")
+# One run rule and one scan path: a table's own run is a run keyed on a
+# constant, read through Texp_run.scan_range like an index, so no code
+# keeps a second family of chunk readers or a second scan leaf.
+cut = re.compile(r'\b(buffer_chunk|cut_chunk|iter_chunks|cut_scan)\b')
+second_scan = sorted(f for top in ('lib', 'bin', 'test')
+                     for pattern in ('/**/*.ml', '/**/*.mli', '/**/dune')
+                     for f in glob.glob(top + pattern, recursive=True)
+                     if cut.search(strip(open(f).read())))
+for f in second_scan:
+    print(f)
+if second_scan:
+    sys.exit("ci: the files above read a run's chunks beside Texp_run.scan_range")
 # A node holds no shard map: the coordinator decides where every row
 # moves (Wire.shard_owner is named only by it and by wire.ml), and a
 # move reaches the shards as statements plus Move_rows, every request

@@ -80,7 +80,7 @@ let prop_snapshot_equals_reference =
 
 (* The texp-ordered run against a plain association-list model.  Random
    insert / overwrite / delete / eager-advance / lazy-vacuum sequences,
-   with bursts past [Texp_run.chunk_rows] so buffer folds and chunk
+   with bursts past [Texp_run.chunk_rows] so pending folds and chunk
    splits happen, and runs of deletes so shrunk chunks merge; after
    every step every reader of the run must agree with the model. *)
 type op =
@@ -118,31 +118,44 @@ let chunk_rows c =
           [ (Texp_run.chunk_col c 1).(r); (Texp_run.chunk_col c 2).(r) ],
         texps.(r) ))
 
-let rec ascending = function
-  | a :: (b :: _ as rest) -> by_key a b < 0 && ascending rest
-  | [] | [ _ ] -> true
-
-let check_run t model ~now =
+(* After a write the pending changes are under the fold bound (an
+   expiration shrinks the run without folding). *)
+let check_run t model ~now ~wrote =
   let fail fmt = Printf.ksprintf failwith fmt in
   let run = Table.run t in
-  let sorted = Array.to_list (Texp_run.sorted_chunks run) in
+  if wrote && Texp_run.pending run >= max Texp_run.chunk_rows (Texp_run.length run / 4) then
+    fail "pending changes over the bound";
+  let scan tau =
+    let passed = ref [] in
+    Texp_run.scan_range run ~tau ~lo:Texp_run.Unbounded ~hi:Texp_run.Unbounded
+      ~visited:(ref 0) ~dropped:(ref 0) (fun c sel -> passed := (c, sel) :: !passed);
+    List.rev !passed
+  in
+  (* A scan at the earliest time passes every held row: the folded
+     chunks in order, then the pending adds' (one restart at most). *)
+  let passed = scan (Time.of_int min_int) in
   List.iter
-    (fun c ->
+    (fun (c, _) ->
       let n = Texp_run.chunk_len c in
       if n = 0 || n > Texp_run.chunk_rows then fail "chunk of %d rows" n)
-    sorted;
-  if Texp_run.chunk_len (Texp_run.buffer run) >= Texp_run.chunk_rows then
-    fail "buffer over the bound";
-  if not (ascending (List.concat_map chunk_rows sorted)) then
+    passed;
+  let rec descents = function
+    | a :: (b :: _ as rest) -> (if by_key a b < 0 then 0 else 1) + descents rest
+    | [] | [ _ ] -> 0
+  in
+  if descents (List.concat_map (fun (c, _) -> chunk_rows c) passed) > 1 then
     fail "chunks not ascending by (texp, tuple)";
-  if not (ascending (chunk_rows (Texp_run.buffer run))) then
-    fail "buffer not ascending";
-  let held = ref [] in
-  Texp_run.iter_chunks (fun c -> held := chunk_rows c @ !held) run;
+  let selected (c, sel) =
+    let rows = Array.of_list (chunk_rows c) in
+    match sel with
+    | None -> Array.to_list rows
+    | Some s -> List.map (fun r -> rows.(r)) (Array.to_list s)
+  in
+  let held = List.concat_map selected passed in
   let expected = List.sort by_key model in
-  if List.sort by_key !held <> expected then fail "run rows <> physical rows";
-  if Table.pending_expirations t <> List.length model then
-    fail "pending_expirations";
+  if List.sort by_key held <> expected then fail "run rows <> physical rows";
+  if Table.physical_count t <> List.length model then
+    fail "physical_count";
   let finite = List.filter (fun (_, e) -> Time.is_finite e) model in
   let next =
     List.fold_left
@@ -156,16 +169,17 @@ let check_run t model ~now =
       let live = List.filter (fun (_, e) -> Time.(e > tau)) model in
       if Table.live_estimate t ~tau <> List.length live then
         fail "live_estimate at %s" (Time.to_string tau);
-      let batches = ref [] in
-      Texp_run.iter_chunks
-        (fun c ->
-          match fst (Batch.cut_chunk ~arity:2 ~tau c) with
-          | Some b -> batches := b :: !batches
-          | None -> ())
-        run;
+      let range =
+        match List.map snd live with
+        | [] -> None
+        | e :: es -> Some (List.fold_left Time.min e es, List.fold_left Time.max e es)
+      in
+      if Table.live_texp_range t ~tau <> range then
+        fail "live_texp_range at %s" (Time.to_string tau);
+      let batches = List.map (fun (c, sel) -> Batch.of_slice ~arity:2 c sel) (scan tau) in
       if not
            (Relation.equal
-              (Batch.to_relation ~arity:2 !batches)
+              (Batch.to_relation ~arity:2 batches)
               (Relation.of_list ~arity:2 live))
       then fail "batch scan at %s" (Time.to_string tau);
       let bounds = [| 1; 3; 10; 50; max_int |] in
@@ -240,7 +254,8 @@ let prop_run_matches_model =
            | Vacuum ->
              let reclaimed = Table.vacuum t ~tau:(Time.of_int !now) in
              if reclaimed <> List.length (expire ()) then failwith "vacuum count");
-          check_run t !model ~now:!now)
+          check_run t !model ~now:!now
+            ~wrote:(match op with Advance _ | Tick _ | Vacuum -> false | _ -> true))
         ops;
       true)
 
