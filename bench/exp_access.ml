@@ -104,20 +104,66 @@ let write_costs ~rows =
   in
   [ insert; overwrite; delete ]
 
-let write_sweep () =
-  Bench_util.subsection "table writes, µs per write: median of 3 runs (min-max)";
-  let cell runs =
-    let sorted = List.sort Float.compare runs in
-    Printf.sprintf "%s (%s-%s)" (Bench_util.f1 (List.nth sorted 1))
-      (Bench_util.f1 (List.hd sorted)) (Bench_util.f1 (List.nth sorted 2))
+(* A load, ms: [rows] fresh rows into a table with indexes on both
+   columns, TTLs uniform over 1 000 ticks; then the same load followed
+   by one point read through each index, so the pending adds a burst
+   leaves for its first reader are paid inside the figure. *)
+let load_costs ~rows =
+  let rng = Bench_util.rng 53 in
+  let tuples = Array.init rows (fun i -> Tuple.ints [ i; Random.State.int rng 10_000 ]) in
+  let texps = Array.init rows (fun _ -> Time.of_int (1 + Random.State.int rng 1_000)) in
+  let load () =
+    let tbl = Table.create ~name:"l" ~columns:[ "sensor"; "value" ] () in
+    List.iter (fun column -> Table.create_index tbl ~column) [ 1; 2 ];
+    Array.iter2 (fun tu texp -> Table.insert tbl tu ~texp) tuples texps;
+    tbl
   in
-  Bench_util.table
-    ~headers:[ "rows"; "insert, no index"; "overwrite, 2 indexes"; "delete, 2 indexes" ]
+  let point tbl column =
+    let v = Texp_run.Inclusive (Tuple.attr tuples.(rows / 2) column) and found = ref 0 in
+    Texp_run.scan_range (Table.index tbl ~column) ~tau:Time.zero ~lo:v ~hi:v ~visited:(ref 0)
+      ~dropped:(ref 0) (fun c sel ->
+        found := !found + match sel with None -> Texp_run.chunk_len c | Some s -> Array.length s);
+    if !found = 0 then failwith "exp-access: a point read missed its row"
+  in
+  (* Each timing starts from a compacted heap, so the garbage of earlier
+     timings is not collected inside it, and covers 10^5 rows loaded (10
+     loads of 10^4): ms per load. *)
+  let reps = max 1 (100_000 / rows) in
+  let ms f =
+    Gc.compact ();
+    let (), seconds = Bench_util.time_it (fun () -> for _ = 1 to reps do f () done) in
+    1e3 *. seconds /. float_of_int reps
+  in
+  let load_ms = ms (fun () -> ignore (load () : Table.t)) in
+  let read_ms = ms (fun () -> let tbl = load () in point tbl 1; point tbl 2) in
+  [ load_ms; read_ms ]
+
+(* Each row's median of 3 runs (min-max), the medians recorded as
+   [access_<name>_n<rows>]. *)
+let median_sweep ~title ~headers ~names f =
+  Bench_util.subsection (title ^ ": median of 3 runs (min-max)");
+  let cell rows name runs =
+    let sorted = List.sort Float.compare runs in
+    let median = List.nth sorted 1 in
+    Bench_util.metric (Printf.sprintf "access_%s_n%d" name rows) median;
+    Printf.sprintf "%s (%s-%s)" (Bench_util.f1 median) (Bench_util.f1 (List.hd sorted))
+      (Bench_util.f1 (List.nth sorted 2))
+  in
+  Bench_util.table ~headers:("rows" :: headers)
     (List.map
        (fun rows ->
-         let runs = List.init 3 (fun _ -> write_costs ~rows) in
-         string_of_int rows :: List.init 3 (fun k -> cell (List.map (fun r -> List.nth r k) runs)))
+         let runs = List.init 3 (fun _ -> f ~rows) in
+         string_of_int rows
+         :: List.mapi (fun k name -> cell rows name (List.map (fun r -> List.nth r k) runs)) names)
        [ 10_000; 100_000 ])
+
+let write_sweep () =
+  median_sweep ~title:"table writes, µs per write"
+    ~headers:[ "insert, no index"; "overwrite, 2 indexes"; "delete, 2 indexes" ]
+    ~names:[ "insert_us"; "overwrite_us"; "delete_us" ] write_costs;
+  median_sweep ~title:"loads into 2 indexes, ms"
+    ~headers:[ "load"; "load + a point read per index" ] ~names:[ "load_ms"; "load_read_ms" ]
+    load_costs
 
 let sweep () =
   Bench_util.section "Experiment exp-access: secondary indexes on expiring tables";

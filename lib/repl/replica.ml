@@ -130,9 +130,9 @@ let stream_once t fd =
   Expirel_obs.Trace_store.finish
     (Server.trace_store t.server)
     ~node:t.replica_id ~name:"replicate" tr;
-  let ok = ref true in
+  let ok = ref true and reader = Frame.reader fd in
   while !ok && t.running do
-    let payload, _ = Frame.recv fd in
+    let payload, _ = Frame.recv reader in
     match Wire.decode_response payload with
     | Ok (Wire.Repl_snapshot { position; records }) ->
       (match Server.install_snapshot t.server ~position records with

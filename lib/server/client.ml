@@ -11,6 +11,7 @@ type held = {
 
 type t = {
   fd : Unix.file_descr;
+  reader : Frame.reader;
   timeout : float;
   pending : Wire.event Queue.t;
   mutable closed : bool;
@@ -38,7 +39,9 @@ let dial ?(timeout = 10.0) ~host ~port () =
     raise e
 
 let connect ?(timeout = 10.0) ~host ~port () =
-  { fd = dial ~timeout ~host ~port ();
+  let fd = dial ~timeout ~host ~port () in
+  { fd;
+    reader = Frame.reader fd;
     timeout;
     pending = Queue.create ();
     closed = false;
@@ -69,7 +72,7 @@ let recv t =
     shut t;
     Error e
   in
-  match Frame.recv t.fd with
+  match Frame.recv t.reader with
   | exception Frame.Closed -> fail "connection closed"
   | exception Frame.Timeout -> fail "receive timeout"
   | exception Frame.Oversized n ->
@@ -102,12 +105,14 @@ let post t req =
       shut t;
       Error (Unix.error_message e)
 
-(* A closed connection, or a [select] that fails (a descriptor closed
-   under it, or one past FD_SETSIZE), counts as ready: [collect] then
-   answers each at once or reads it under its own timeout. *)
+(* A closed connection, one whose reader already holds bytes, or a
+   [select] that fails (a descriptor closed under it, or one past
+   FD_SETSIZE), counts as ready: [collect] then answers each at once or
+   reads it under its own timeout. *)
 let rec ready ts ~timeout =
-  if List.exists (fun t -> t.closed) ts then List.filter (fun t -> t.closed) ts
-  else
+  match List.filter (fun t -> t.closed || Frame.buffered t.reader) ts with
+  | _ :: _ as now -> now
+  | [] ->
     match Unix.select (List.map (fun t -> t.fd) ts) [] [] (Float.max 0. timeout) with
     | readable, _, _ -> List.filter (fun t -> List.mem t.fd readable) ts
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ready ts ~timeout
@@ -224,7 +229,10 @@ let poll_events t ~timeout =
   let rec go () =
     let remaining = deadline -. Unix.gettimeofday () in
     if remaining > 0. && not t.closed then
-      match Unix.select [ t.fd ] [] [] remaining with
+      match
+        if Frame.buffered t.reader then ([ t.fd ], [], [])
+        else Unix.select [ t.fd ] [] [] remaining
+      with
       | [], _, _ -> ()
       | _ :: _, _, _ ->
         (match recv t with

@@ -56,9 +56,10 @@ val collect : t -> (Wire.response * int, string) result
 
 val ready : t list -> timeout:float -> t list
 (** The connections among [ts] with bytes waiting, after at most
-    [timeout] seconds ([[]] when none arrived in time).  A closed
-    connection, or every one when [select] itself fails, counts as
-    ready, so that {!collect} reports it. *)
+    [timeout] seconds ([[]] when none arrived in time).  Bytes a
+    connection's reader already buffered count without a [select].  A
+    closed connection, or every one when [select] itself fails, counts
+    as ready, so that {!collect} reports it. *)
 
 val timeout : t -> float
 (** The receive and send bound the connection was opened with. *)

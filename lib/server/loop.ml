@@ -30,6 +30,7 @@ let weigh { copy; _ } =
 type conn = {
   id : int;
   fd : Unix.file_descr;
+  reader : Frame.reader;
   metrics : Metrics.t;
   write_mutex : Mutex.t;
   mutable alive : bool;
@@ -41,6 +42,7 @@ type conn = {
 let new_conn ~id metrics fd =
   { id;
     fd;
+    reader = Frame.reader fd;
     metrics;
     write_mutex = Mutex.create ();
     alive = true;
@@ -337,7 +339,7 @@ let close_conn t service conn =
   Metrics.connection_closed t.metrics
 
 let rec serve_conn t service conn =
-  match Frame.recv conn.fd with
+  match Frame.recv conn.reader with
   | exception (Frame.Closed | Frame.Timeout | Unix.Unix_error _) -> ()
   | exception Frame.Oversized len ->
     send conn

@@ -117,6 +117,18 @@ type t = {
   mutable records_shipped : int;
   mutable snapshots_served : int;
   mutable store_closed : bool;
+  mutable summary : summary option;  (* the last partition summary *)
+}
+
+(* A partition summary and the state it was read at: the clock, the
+   catalog generation and each table's generation, in [table_names]
+   order.  A physical row change bumps its table's generation, and a
+   table created or dropped the catalog's. *)
+and summary = {
+  now : Time.t;
+  catalog : int;
+  tables : int list;
+  partition : Wire.partition_texp;
 }
 
 (* Servers created so far in this process: the tests restart a shard
@@ -167,7 +179,8 @@ let create ?(config = default_config) () =
           ~pid:(Unix.getpid ()) ~seq:(Atomic.fetch_and_add boots 1);
       records_shipped = 0;
       snapshots_served = 0;
-      store_closed = false
+      store_closed = false;
+      summary = None
     }
   in
   (* Primary-side replication state; a Replica wrapping this server
@@ -524,27 +537,41 @@ let drop_subscriptions t conn =
 
 (* The whole-partition texp summary the coordinator's pruning feeds on:
    each table's live count and live min/max texp, read from the ends of
-   its texp-ordered run — O(log n) per table, no row walked.  Caller
-   holds the (read or write) lock. *)
+   its texp-ordered run — O(log n) per table, no row walked — and kept
+   until the clock, the catalog or a table changes, so replies between
+   writes reuse it.  Readers under the shared lock that recompute it
+   concurrently store equal values.  Caller holds the (read or write)
+   lock. *)
 let partition_summary t =
   let db = Interp.database t.interp in
-  let tau = Database.now db in
-  List.fold_left
-    (fun (acc : Wire.partition_texp) name ->
-      let table = Database.table_exn db name in
-      match Table.live_texp_range table ~tau with
-      | None -> acc
-      | Some (lo, hi) ->
-        let n = Table.live_estimate table ~tau in
-        if acc.live_rows = 0 then
-          { Wire.live_rows = n; min_texp = lo; max_texp = hi }
-        else
-          { Wire.live_rows = acc.live_rows + n;
-            min_texp = Time.min acc.min_texp lo;
-            max_texp = Time.max acc.max_texp hi
-          })
-    { Wire.live_rows = 0; min_texp = Time.infinity; max_texp = Time.infinity }
-    (Database.table_names db)
+  let now = Database.now db and catalog = Database.generation db in
+  let names = Database.table_names db in
+  let tables = List.map (fun name -> Table.generation (Database.table_exn db name)) names in
+  match t.summary with
+  | Some s when Time.equal s.now now && s.catalog = catalog && List.equal Int.equal s.tables tables
+    ->
+    s.partition
+  | Some _ | None ->
+    let partition =
+      List.fold_left
+        (fun (acc : Wire.partition_texp) name ->
+          let table = Database.table_exn db name in
+          match Table.live_texp_range table ~tau:now with
+          | None -> acc
+          | Some (lo, hi) ->
+            let n = Table.live_estimate table ~tau:now in
+            if acc.live_rows = 0 then
+              { Wire.live_rows = n; min_texp = lo; max_texp = hi }
+            else
+              { Wire.live_rows = acc.live_rows + n;
+                min_texp = Time.min acc.min_texp lo;
+                max_texp = Time.max acc.max_texp hi
+              })
+        { Wire.live_rows = 0; min_texp = Time.infinity; max_texp = Time.infinity }
+        names
+    in
+    t.summary <- Some { now; catalog; tables; partition };
+    partition
 
 (* A node holds no cluster identity: the coordinator decides where
    every row lives, and tells a restart by the boot id. *)

@@ -101,8 +101,9 @@ val partition_summary : t -> Wire.partition_texp
 (** The live-row count and live min/max texp over every table at the
     node's clock — the summary a shard piggybacks on its replies for the
     coordinator's pruning.  Read from the ends of each table's
-    texp-ordered run, O(log n) per table.  Callers that run concurrently
-    with a serving node must hold {!lock}. *)
+    texp-ordered run, O(log n) per table, and kept until the clock, the
+    catalog or a table's generation moves.  Callers that run
+    concurrently with a serving node must hold {!lock}. *)
 
 val apply_records : t -> Wal.record list -> (unit, string) result
 (** The replica side of the stream: a shipped [Repl_records] batch

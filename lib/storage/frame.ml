@@ -93,19 +93,56 @@ let send fd payload =
   go 0;
   len
 
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off < n then begin
-      let k = handling_unix_errors (fun () -> Unix.read fd buf off (n - off)) in
-      if k = 0 then raise Closed;
-      go (off + k)
-    end
-  in
-  go 0;
-  Bytes.unsafe_to_string buf
+(* A connection's receiving end: one read(2) fills the buffer with as
+   much as the socket holds, so a small frame, its prefix included, and
+   often the frames behind it arrive in one call.  [buf.(pos .. len-1)]
+   are the bytes read but not yet returned. *)
+type reader = {
+  fd : Unix.file_descr;
+  buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+}
 
-let recv fd =
-  match length_at (read_exact fd 4) 0 with
+let reader fd = { fd; buf = Bytes.create 4096; pos = 0; len = 0 }
+let buffered r = r.len > r.pos
+
+let read_into fd buf off n =
+  let k = handling_unix_errors (fun () -> Unix.read fd buf off n) in
+  if k = 0 then raise Closed;
+  k
+
+(* At least [n] (at most the buffer's size) unread bytes in the buffer. *)
+let fill r n =
+  if r.len - r.pos < n then begin
+    Bytes.blit r.buf r.pos r.buf 0 (r.len - r.pos);
+    r.len <- r.len - r.pos;
+    r.pos <- 0;
+    while r.len < n do
+      r.len <- r.len + read_into r.fd r.buf r.len (Bytes.length r.buf - r.len)
+    done
+  end
+
+let recv r =
+  fill r 4;
+  match length_at (Bytes.unsafe_to_string r.buf) r.pos with
   | Error len -> raise (Oversized len)
-  | Ok len -> (read_exact fd len, len + 4)
+  | Ok len ->
+    r.pos <- r.pos + 4;
+    let held = Int.min len (r.len - r.pos) in
+    if held = len then begin
+      let payload = Bytes.sub_string r.buf r.pos len in
+      r.pos <- r.pos + len;
+      (payload, len + 4)
+    end
+    else begin
+      (* The rest of the frame is read straight into its payload. *)
+      let payload = Bytes.create len in
+      Bytes.blit r.buf r.pos payload 0 held;
+      r.pos <- r.len;
+      let off = ref held in
+      while !off < len do
+        off := !off + read_into r.fd payload !off (len - !off)
+      done;
+      (Bytes.unsafe_to_string payload, len + 4)
+    end

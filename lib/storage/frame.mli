@@ -56,8 +56,22 @@ val send : Unix.file_descr -> string -> int
     @raise Closed on EPIPE / ECONNRESET
     @raise Timeout when a send deadline is set and expires *)
 
-val recv : Unix.file_descr -> string * int
-(** [recv fd] reads exactly one frame and returns its payload and the
+type reader
+(** A socket's receiving end, with a small buffer (4 KiB): one read(2)
+    brings a small frame whole, its prefix included, and often the
+    frames behind it.  A frame the buffer cannot hold is read straight
+    into its own payload.  One reader per connection: bytes it has
+    buffered are not on the socket any more. *)
+
+val reader : Unix.file_descr -> reader
+
+val buffered : reader -> bool
+(** Whether the reader holds bytes it has not returned yet: the next
+    {!recv} may then need no read(2), and [select] on the socket would
+    not see them. *)
+
+val recv : reader -> string * int
+(** [recv r] reads exactly one frame and returns its payload and the
     number of bytes consumed (payload + 4).
     @raise Closed on EOF
     @raise Timeout when a receive deadline is set and expires

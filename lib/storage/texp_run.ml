@@ -15,15 +15,17 @@ type chunk = {
    whose marking and sweeping every later collection pays for. *)
 let chunk_rows = 256
 
-(* [Time.compare] and [Value.compare], with the cases a table's own run
-   compares most written out: the dev build compiles modules opaquely,
-   so a call into [Time] or [Value] is an out-of-line call. *)
+(* [Time.compare] and [Value.compare], with the cases runs compare most
+   written out: the dev build compiles modules opaquely, so a call into
+   [Time] or [Value] is an out-of-line call. *)
 let compare_time e1 e2 =
   match e1, e2 with
   | Time.Fin a, Time.Fin b -> Int.compare a b
   | _ -> Time.compare e1 e2
 
-let compare_value k1 k2 = if k1 == k2 then 0 else Value.compare k1 k2
+let compare_value k1 k2 =
+  if k1 == k2 then 0
+  else match k1, k2 with Value.Int a, Value.Int b -> Int.compare a b | _ -> Value.compare k1 k2
 
 let make len texps cols =
   let top = ref (Time.of_int min_int) in
@@ -187,6 +189,19 @@ module Key_set = struct
 
   let of_list keys = let a = Array.of_list keys in of_sorted a 0 (Array.length a)
 
+  (* The keys ascending, in one array. *)
+  let to_array t =
+    match t with
+    | Empty -> [||]
+    | Node { v; _ } ->
+      let a = Array.make (cardinal t) v and i = ref 0 in
+      let rec fill = function
+        | Empty -> ()
+        | Node { l; v; r; _ } -> fill l; a.(!i) <- v; incr i; fill r
+      in
+      fill t;
+      a
+
   let filter p t =
     let yes = List.filter p (elements t) in
     if List.compare_length_with yes (cardinal t) = 0 then t else of_list yes
@@ -245,6 +260,13 @@ module Key_set = struct
       else first_after tau r
 end
 
+(* The pending adds: a tree, and an unsorted batch of the keys added
+   since it was last settled.  One immutable value, replaced in one
+   store: readers that settle it concurrently store equal values. *)
+type adds = { set : Key_set.t; batch : key list }
+
+let no_adds = { set = Key_set.empty; batch = [] }
+
 type t = {
   arity : int;
   key : int option;  (* the leading key column, 1-based; [None]: a constant *)
@@ -253,8 +275,8 @@ type t = {
          never mutated, so readers may keep the one they got *)
   mutable ends : int array;  (* ends.(i) = rows in chunks.(0..i) *)
   mutable least_top : Time.t;  (* the smallest chunk top *)
-  mutable adds : Key_set.t;  (* pending adds *)
-  mutable adds_n : int;  (* Key_set.cardinal adds *)
+  mutable adds : adds;  (* pending adds *)
+  mutable adds_n : int;  (* their number *)
   mutable gone : Key_set.t;  (* chunked rows removed since the last fold *)
   mutable gone_n : int;
   mutable horizon : Time.t;  (* rows at or before it have left the run *)
@@ -262,7 +284,7 @@ type t = {
   mutable adds_chunks : chunk list option;
       (* [adds] laid out as chunks, on the first full scan after they
          change.  The build races benignly between concurrent readers
-         (last store wins, both results are equal). *)
+         (last store wins, both results are equal), as [settle] does. *)
 }
 
 let row_key t c r = match t.key with None -> Value.Null | Some j -> c.cols.(j - 1).(r)
@@ -282,7 +304,7 @@ let compare_row t c r (k, e, tu) =
       let rec go j =
         if j = Array.length c.cols then 0
         else
-          let d = Value.compare c.cols.(j).(r) (Tuple.attr tu (j + 1)) in
+          let d = compare_value c.cols.(j).(r) (Tuple.attr tu (j + 1)) in
           if d <> 0 then d else go (j + 1)
       in
       go 0
@@ -302,20 +324,8 @@ let chunks_of_keys ~arity keys =
       make len (col (fun (_, e, _) -> e))
         (Array.init arity (fun j -> col (fun (_, _, tu) -> Tuple.attr tu (j + 1)))))
 
-(* Rows [lo, hi) of a chunk. *)
-let sub_chunk c lo hi =
-  let sub a = Array.sub a lo (hi - lo) in
-  make (hi - lo) (sub c.texps) (Array.map sub c.cols)
-
 let append_chunks a b =
   make (a.len + b.len) (Array.append a.texps b.texps) (Array.map2 Array.append a.cols b.cols)
-
-(* The first [len] rows of [c] split evenly into chunks of at most
-   [chunk_rows]. *)
-let split c len =
-  let pieces = (len + chunk_rows - 1) / chunk_rows in
-  if pieces = 1 && len = c.len then [ c ]
-  else List.init pieces (fun p -> sub_chunk c (p * len / pieces) ((p + 1) * len / pieces))
 
 let set_chunks t chunks =
   let total = ref 0 in
@@ -335,43 +345,124 @@ let set_adds t adds ~delta =
   t.adds_n <- t.adds_n + delta;
   t.adds_chunks <- None
 
+(* The ascending arrays [a] and [b] merged. *)
+let merge_keys a b =
+  let na = Array.length a and nb = Array.length b in
+  if na = 0 then b
+  else if nb = 0 then a
+  else begin
+    let out = Array.make (na + nb) a.(0) and i = ref 0 and j = ref 0 in
+    for o = 0 to na + nb - 1 do
+      if !j >= nb || (!i < na && compare_key a.(!i) b.(!j) < 0) then begin
+        out.(o) <- a.(!i);
+        incr i
+      end
+      else begin
+        out.(o) <- b.(!j);
+        incr j
+      end
+    done;
+    out
+  end
+
+(* The batch ascending.  Keys that arrived in ascending order (a
+   sequential id, a constant TTL) are reversed, not sorted; else a list
+   merge sort, which compares least here. *)
+let sort_batch batch =
+  let rec descending = function
+    | a :: (b :: _ as rest) -> compare_key a b > 0 && descending rest
+    | [ _ ] | [] -> true
+  in
+  if descending batch then List.rev batch else List.stable_sort compare_key batch
+
+(* The pending adds ascending: the batch sorted once, merged with the
+   tree's keys. *)
+let sorted_adds p = merge_keys (Key_set.to_array p.set) (Array.of_list (sort_batch p.batch))
+
+(* The pending adds as one tree, stored back so a batch is sorted once:
+   a batch of k keys goes in by k [Key_set.add]s when that costs less
+   than a pass over the tree (k · height < size, or k = 1), else sorted
+   and merged with the tree's keys in one pass. *)
+let settle t =
+  let p = t.adds in
+  match p.batch with
+  | [] -> p.set
+  | batch ->
+    let k = List.length batch in
+    let set =
+      if k = 1 || k * Key_set.height p.set < Key_set.cardinal p.set then
+        List.fold_left (fun s x -> Key_set.add x s) p.set batch
+      else
+        let a = sorted_adds p in
+        Key_set.of_sorted a 0 (Array.length a)
+    in
+    t.adds <- { set; batch = [] };
+    set
+
 let dead t e = compare_time e t.horizon <= 0
 
 (* The first chunk holding a row with [texp > tau] (a constant-keyed
    run, whose chunks ascend by texp). *)
 let chunk_past t tau = search 0 (Array.length t.chunks) (fun i -> Time.(t.chunks.(i).top > tau))
 
-(* Chunk [c] merged with the sorted pending adds [adds.(a..a1)] and
-   without the pending removals [gone.(g..g1)] and the dead rows, split
-   evenly into chunks of at most [chunk_rows]. *)
-let merge t c adds a a1 gone g g1 =
-  let cap = c.len + a1 - a in
-  let texps = Array.make cap Time.zero in
-  let cols = Array.init t.arity (fun _ -> Array.make cap Value.Null) in
-  let o = ref 0 and a = ref a and g = ref g and r = ref 0 in
-  (* Keeps a row unless it is dead: its texp, and [get x] for column [x]. *)
-  let emit e get =
-    if not (dead t e) then begin
-      texps.(!o) <- e;
-      for x = 0 to t.arity - 1 do cols.(x).(!o) <- get x done;
-      incr o
+(* Chunk [c] merged with the sorted pending adds [adds.(a0..a1)] and
+   without the pending removals [gone.(g0..g1)] (each names a row of
+   [c]) and the dead rows, written straight into chunks of at most
+   [chunk_rows] split evenly, reversed onto [acc]: each array is sized
+   exactly from the counts, so none is copied again. *)
+let merge t c adds a0 a1 gone g0 g1 acc =
+  let live e = if dead t e then 0 else 1 in
+  let m = ref 0 in
+  for r = 0 to c.len - 1 do m := !m + live c.texps.(r) done;
+  for g = g0 to g1 - 1 do let _, e, _ = gone.(g) in m := !m - live e done;
+  for a = a0 to a1 - 1 do let _, e, _ = adds.(a) in m := !m + live e done;
+  let m = !m in
+  let pieces = (m + chunk_rows - 1) / chunk_rows in
+  let acc = ref acc and piece = ref 0 and o = ref 0 in
+  let texps = ref [||] and cols = ref [||] and top = ref (Time.of_int min_int) in
+  let start () =
+    let len = ((!piece + 1) * m / pieces) - (!piece * m / pieces) in
+    texps := Array.make len Time.zero;
+    cols := Array.init t.arity (fun _ -> Array.make len Value.Null);
+    o := 0
+  in
+  if m > 0 then start ();
+  (* The row just written at [o] with texp [e] is kept: the chunk is
+     closed once full. *)
+  let commit e =
+    !texps.(!o) <- e;
+    if compare_time e !top > 0 then top := e;
+    incr o;
+    if !o = Array.length !texps then begin
+      acc := { len = !o; texps = !texps; cols = !cols; top = !top } :: !acc;
+      top := Time.of_int min_int;
+      incr piece;
+      if !piece < pieces then start ()
     end
   in
+  let a = ref a0 and g = ref g0 and r = ref 0 in
   while !r < c.len || !a < a1 do
     if !r < c.len && (!a >= a1 || compare_row t c !r adds.(!a) < 0) then begin
-      while !g < g1 && compare_row t c !r gone.(!g) > 0 do incr g done;
       let r' = !r in
-      if !g >= g1 || compare_row t c r' gone.(!g) <> 0 then
-        emit c.texps.(r') (fun x -> c.cols.(x).(r'));
+      while !g < g1 && compare_row t c r' gone.(!g) > 0 do incr g done;
+      let e = c.texps.(r') in
+      if (!g >= g1 || compare_row t c r' gone.(!g) <> 0) && not (dead t e) then begin
+        for x = 0 to t.arity - 1 do !cols.(x).(!o) <- c.cols.(x).(r') done;
+        commit e
+      end;
       incr r
     end
     else begin
       let _, e, tu = adds.(!a) in
-      emit e (fun x -> Tuple.attr tu (x + 1));
+      if not (dead t e) then begin
+        for x = 0 to t.arity - 1 do !cols.(x).(!o) <- Tuple.attr tu (x + 1) done;
+        commit e
+      end;
       incr a
     end
   done;
-  split (make cap texps cols) !o
+  assert (!piece = pieces);
+  !acc
 
 (* Adjacent chunks merge while one of them is under a quarter of the
    bound and both fit in one, so removals cannot leave a trail of
@@ -386,11 +477,10 @@ let rec coalesce = function
 
 (* Apply the pending adds and removals: a change belongs to the first
    chunk whose last row is at or after it (the last chunk past the
-   end), and each chunk that receives one is merged with its share and
-   re-split; the others are shared, not copied. *)
+   end), and each chunk that receives one is rewritten with its share;
+   the others are shared, not copied.  The batch is sorted here once. *)
 let fold t =
-  let adds = Array.of_list (Key_set.elements t.adds) in
-  let gone = Array.of_list (Key_set.elements t.gone) in
+  let adds = sorted_adds t.adds and gone = Key_set.to_array t.gone in
   let n = Array.length t.chunks in
   let a = ref 0 and g = ref 0 and acc = ref [] in
   let upto i keys p =
@@ -399,23 +489,23 @@ let fold t =
       incr p
     done
   in
-  if n = 0 then acc := List.rev (merge t empty adds 0 (Array.length adds) gone 0 0);
+  if n = 0 then acc := merge t empty adds 0 (Array.length adds) gone 0 0 [];
   for i = 0 to n - 1 do
     let a0 = !a and g0 = !g in
     upto i adds a;
     upto i gone g;
     acc :=
       if !a = a0 && !g = g0 then t.chunks.(i) :: !acc
-      else List.rev_append (merge t t.chunks.(i) adds a0 !a gone g0 !g) !acc
+      else merge t t.chunks.(i) adds a0 !a gone g0 !g !acc
   done;
   set_chunks t (Array.of_list (coalesce (List.rev !acc)));
-  set_adds t Key_set.empty ~delta:(-t.adds_n);
+  set_adds t no_adds ~delta:(-t.adds_n);
   t.gone <- Key_set.empty;
   t.gone_n <- 0
 
 let create ?key ~arity rows =
   let t =
-    { arity; key; chunks = [||]; ends = [||]; least_top = Time.Inf; adds = Key_set.empty;
+    { arity; key; chunks = [||]; ends = [||]; least_top = Time.Inf; adds = no_adds;
       adds_n = 0; gone = Key_set.empty; gone_n = 0; horizon = Time.of_int min_int;
       least = Time.Inf; adds_chunks = None }
   in
@@ -439,13 +529,14 @@ let add t tuple texp =
     t.gone <- gone;
     t.gone_n <- t.gone_n - 1
   end
-  else set_adds t (Key_set.add k t.adds) ~delta:1;
+  else set_adds t { t.adds with batch = k :: t.adds.batch } ~delta:1;
   check_fold t
 
 let remove t tuple texp =
   let k = key_of t tuple texp in
-  let adds = Key_set.remove k t.adds in
-  if adds != t.adds then set_adds t adds ~delta:(-1)
+  let set = settle t in
+  let adds = Key_set.remove k set in
+  if adds != set then set_adds t { set = adds; batch = [] } ~delta:(-1)
   else begin
     let gone = Key_set.add k t.gone in
     if gone != t.gone then begin
@@ -501,7 +592,7 @@ let expire_upto t tau =
       incr i
     done;
     let adds =
-      Key_set.fold_between ~after:h ~upto:tau (fun (_, e, tu) acc -> (tu, e) :: acc) t.adds []
+      Key_set.fold_between ~after:h ~upto:tau (fun (_, e, tu) acc -> (tu, e) :: acc) (settle t) []
     in
     forget_upto t tau;
     merge_down [] !due adds
@@ -525,7 +616,7 @@ let chunked_upto t tau =
 
 let held_upto t tau =
   if Time.(tau < t.least) then 0
-  else chunked_upto t tau - Key_set.count_upto tau t.gone + Key_set.count_upto tau t.adds
+  else chunked_upto t tau - Key_set.count_upto tau t.gone + Key_set.count_upto tau (settle t)
 
 let count_upto t tau =
   if Time.(tau <= t.horizon) then 0 else held_upto t tau - held_upto t t.horizon
@@ -568,7 +659,7 @@ let min_live_texp t ~tau =
   in
   either Time.min
     (if first < total then Some (texp_at t first) else None)
-    (Key_set.first_after tau t.adds)
+    (Key_set.first_after tau (settle t))
 
 let min_texp t = min_live_texp t ~tau:t.horizon
 
@@ -581,7 +672,7 @@ let max_texp t =
   let live e = if dead t e then None else Some e in
   either Time.max
     (if last < 0 then None else live (texp_at t last))
-    (if Key_set.is_empty t.adds then None else live (let _, e, _ = Key_set.max_elt t.adds in e))
+    (if t.adds_n = 0 then None else live (let _, e, _ = Key_set.max_elt (settle t) in e))
 
 (* ---------- keyed readers ---------- *)
 
@@ -627,13 +718,14 @@ let pending_in set ~lo ~hi =
 
 let key_extrema t =
   let n = Array.length t.chunks and key (k, _, _) = k in
-  if Key_set.is_empty t.adds then
+  if t.adds_n = 0 then
     if n = 0 then None
     else
       let last = t.chunks.(n - 1) in
       Some (row_key t t.chunks.(0) 0, row_key t last (last.len - 1))
   else
-    let lo = key (Key_set.min_elt t.adds) and hi = key (Key_set.max_elt t.adds) in
+    let adds = settle t in
+    let lo = key (Key_set.min_elt adds) and hi = key (Key_set.max_elt adds) in
     if n = 0 then Some (lo, hi)
     else
       (* The chunks ascend: their extremes are the first and last rows. *)
@@ -654,13 +746,13 @@ let chunked_before t cut ~upper =
 
 let count_range t ~lo ~hi =
   Int.max 0 (chunked_before t hi ~upper:true - chunked_before t lo ~upper:false)
-  + Key_set.count_range t.adds ~lo ~hi - Key_set.count_range t.gone ~lo ~hi
+  + Key_set.count_range (settle t) ~lo ~hi - Key_set.count_range t.gone ~lo ~hi
 
 let adds_chunks t =
   match t.adds_chunks with
   | Some cs -> cs
   | None ->
-    let cs = chunks_of_keys ~arity:t.arity (Array.of_list (Key_set.elements t.adds)) in
+    let cs = chunks_of_keys ~arity:t.arity (Key_set.to_array (settle t)) in
     t.adds_chunks <- Some cs;
     cs
 
@@ -712,7 +804,7 @@ let scan_range t ~tau ~lo ~hi ~visited ~dropped f =
     scan_chunk t t.chunks.(k) ~tau ~lo ~hi ~gone:t.gone ~visited ~dropped f
   done;
   (match lo, hi with
-   | _ when Key_set.is_empty t.adds -> []
+   | _ when t.adds_n = 0 -> []
    | Unbounded, Unbounded -> adds_chunks t
-   | _ -> chunks_of_keys ~arity:t.arity (Array.of_seq (pending_in t.adds ~lo ~hi)))
+   | _ -> chunks_of_keys ~arity:t.arity (Array.of_seq (pending_in (settle t) ~lo ~hi)))
   |> List.iter (fun c -> scan_chunk t c ~tau ~lo ~hi ~gone:Key_set.empty ~visited ~dropped f)

@@ -2,12 +2,25 @@
     and of its secondary indexes.
 
     The run is immutable column chunks of at most {!chunk_rows} rows,
-    globally sorted, plus sorted pending adds and removals that fold
-    into only the chunks their keys fall into once they reach a quarter
-    of the run, so each change costs a constant number of row copies,
-    amortised, in any arrival order.  A run keyed on column [j] (an
-    index) is sorted by [(t.j, texp, tuple)], so one key's live rows are
-    a cut.  A table's own run is keyed on a constant: it is sorted by
+    globally sorted, plus pending adds and removals that fold into only
+    the chunks their keys fall into once they reach a quarter of the
+    run, so each change costs a constant number of row copies,
+    amortised, in any arrival order.
+
+    A pending add is a key appended to an unsorted batch: an {!add}
+    costs one lookup among the pending removals (a re-added row cancels
+    its own) and a cons, and allocates no tree node.  The first reader
+    or {!remove} after a burst settles the batch into the sorted pending
+    set: one O(log n) insertion per key while the batch is short against
+    the set, else one sort of the batch, O(k log k) (O(k) when its keys
+    arrived in order), merged with the set in one pass.  Readers that
+    settle concurrently under a shared lock store equal values.  A fold
+    sorts the batch once and writes each merged chunk straight into
+    arrays of at most {!chunk_rows} slots, sized from the chunk, its
+    share of the changes and its dead rows: O(rows rewritten + k log k).
+
+    A run keyed on column [j] (an index) is sorted by
+    [(t.j, texp, tuple)], so one key's live rows are a cut.  A table's own run is keyed on a constant: it is sorted by
     [(texp, tuple)], so "what is live at [tau]" is one cut (Section
     3.2's eager and lazy removal).  Every run skips its expired rows by
     texp until their chunk is rewritten or has wholly expired
@@ -56,10 +69,12 @@ val pending : t -> int
 
 val add : t -> Tuple.t -> Time.t -> unit
 (** Adds a row whose key is not held, with [texp] after every [tau]
-    the run has expired or forgotten up to. *)
+    the run has expired or forgotten up to: a pending removal of the
+    same key is cancelled, else the key joins the unsorted batch. *)
 
 val remove : t -> Tuple.t -> Time.t -> unit
-(** Removes the row held under this key. *)
+(** Removes the row held under this key: it settles the batch first,
+    then drops a pending add or records a pending removal, O(log n). *)
 
 val expire_upto : t -> Time.t -> (Tuple.t * Time.t) list
 (** A table's own run: the rows with [texp <= tau] leave ({!forget_upto})
@@ -106,8 +121,9 @@ val key_extrema : t -> (Value.t * Value.t) option
 
 val count_range : t -> lo:bound -> hi:bound -> int
 (** Rows whose key falls in the bounds, expired ones included until
-    reclaimed: O(log n), allocating nothing.  The pending changes'
-    tree counts its subtrees, so they are counted without a walk. *)
+    reclaimed: O(log n), allocating nothing once the batch is settled.
+    The pending changes' tree counts its subtrees, so they are counted
+    without a walk. *)
 
 val scan_range :
   t -> tau:Time.t -> lo:bound -> hi:bound -> visited:int ref ->

@@ -258,6 +258,16 @@ for f in second_scan:
     print(f)
 if second_scan:
     sys.exit("ci: the files above read a run's chunks beside Texp_run.scan_range")
+# A fold writes each merged chunk straight into arrays sized from its
+# share of the changes, so no lib/ code cuts a merged array into chunks
+# a second time.
+resplit = sorted(f for pattern in ('lib/**/*.ml', 'lib/**/*.mli')
+                 for f in glob.glob(pattern, recursive=True)
+                 if re.search(r'\bsub_chunk\b', strip(open(f).read())))
+for f in resplit:
+    print(f)
+if resplit:
+    sys.exit("ci: the files above re-split a merged chunk; a fold writes its chunks directly")
 # A node holds no shard map: the coordinator decides where every row
 # moves (Wire.shard_owner is named only by it and by wire.ml), and a
 # move reaches the shards as statements plus Move_rows, every request
@@ -372,6 +382,17 @@ for row in relation_diff_n1000_us relation_diff_n100000_us \
     standing_advance_constraint_us_w100000 \
     standing_insert_watch_us_w100000 standing_insert_constraint_us_w100000; do
   grep -F "\"$row\"" "$SMOKE_DIR/BENCH_exec.json"
+done
+# Smoke the access experiment: index probes against scans, table
+# writes, and loads into two indexes with and without the first point
+# read through each (the sort a burst leaves for its first reader is
+# paid inside the second figure).  Each load and write row must have
+# been recorded.
+(cd "$SMOKE_DIR" && "$BENCH" access)
+for rows in 10000 100000; do
+  for row in load_ms load_read_ms insert_us overwrite_us delete_us; do
+    grep -F "\"access_${row}_n${rows}\"" "$SMOKE_DIR/BENCH_access.json"
+  done
 done
 # Smoke the sketch experiment end to end (single-pass folds, memory
 # vs a materialized relation, 3-way merge, a live 3-shard cluster) at

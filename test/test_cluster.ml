@@ -2339,9 +2339,10 @@ let with_relay ~port f =
   let sockets = ref [] and pumps = ref [] in
   let hang_up fd = try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> () in
   let pump from into ~requests () =
+    let reader = Frame.reader from in
     (try
        while true do
-         let payload, _ = Frame.recv from in
+         let payload, _ = Frame.recv reader in
          (match if requests then Atomic.exchange armed None else None with
           | Some `Hang_up -> raise Exit
           | Some (`Hang_up_on matches) ->

@@ -453,7 +453,7 @@ let test_v1_client_gets_version_mismatch () =
               Unix.connect sock addr;
               (* Version byte 1 + the PING tag: a well-formed v1 frame. *)
               let (_ : int) = Frame.send sock "\x01\x05" in
-              let payload, _ = Frame.recv sock in
+              let payload, _ = Frame.recv (Frame.reader sock) in
               match Wire.decode_response payload with
               | Ok (Wire.Err { code = Wire.Version_mismatch; message }) ->
                 Alcotest.(check bool) "diagnostic names both versions" true

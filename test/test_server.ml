@@ -1022,13 +1022,72 @@ let test_shard_exec_summary () =
           let (_ : int) =
             Frame.send sock "\x08\x0f\x00\x00\x00\x08SELECT 1\x00"
           in
-          let payload, _ = Frame.recv sock in
+          let payload, _ = Frame.recv (Frame.reader sock) in
           match Wire.decode_response payload with
           | Ok (Wire.Err { code = Wire.Version_mismatch; _ }) -> ()
           | Ok r ->
             Alcotest.fail
               ("expected version mismatch, got " ^ Wire.render_response r)
           | Error e -> Alcotest.fail ("undecodable reply: " ^ e)))
+
+(* The partition summary is kept between replies until the clock, the
+   catalog or a table moves: after each kind of change (an INSERT, a
+   DELETE, a TICK that expires a row, a CREATE and a DROP TABLE), and
+   on a heartbeat, the summary shipped equals one computed afresh from
+   the live snapshots. *)
+let test_shard_summary_cache () =
+  with_server (fun server port ->
+      let db = Expirel_sqlx.Interp.database (Server.interp server) in
+      let fresh () =
+        let tau = Database.now db in
+        List.fold_left
+          (fun (acc : Wire.partition_texp) name ->
+            let r = Relation.exp tau (Database.snapshot db name) in
+            if Relation.is_empty r then acc
+            else
+              { Wire.live_rows = acc.live_rows + Relation.cardinal r;
+                min_texp = Time.min acc.min_texp (Relation.min_texp r);
+                max_texp =
+                  (if acc.live_rows = 0 then Relation.max_texp r
+                   else Time.max acc.max_texp (Relation.max_texp r))
+              })
+          { Wire.live_rows = 0; min_texp = Time.Inf; max_texp = Time.Inf }
+          (Database.table_names db)
+      in
+      let same what (got : Wire.partition_texp) =
+        let want = fresh () in
+        Alcotest.(check (triple int string string)) what
+          (want.live_rows, Time.to_string want.min_texp, Time.to_string want.max_texp)
+          (got.live_rows, Time.to_string got.min_texp, Time.to_string got.max_texp)
+      in
+      with_client port (fun client ->
+          let step sql =
+            match shard_exec client ~want:Wire.Want_rows sql with
+            | Wire.Shard_reply { partition; _ } -> same sql partition
+            | r -> Alcotest.fail ("expected a shard reply, got " ^ Wire.render_response r)
+          in
+          List.iter step
+            [ "CREATE TABLE s (uid, grp)";
+              "INSERT INTO s VALUES (1, 7) EXPIRES 3";
+              "INSERT INTO s VALUES (2, 7) EXPIRES 10";
+              "SELECT uid FROM s";
+              "INSERT INTO s VALUES (3, 8) EXPIRES 20";
+              "SELECT uid FROM s";
+              "DELETE FROM s WHERE uid = 3";
+              "SELECT uid FROM s";
+              "TICK";
+              "TICK";
+              "TICK";
+              "SELECT uid FROM s";
+              "CREATE TABLE u (k)";
+              "INSERT INTO u VALUES (9) EXPIRES 40";
+              "SELECT k FROM u";
+              "DROP TABLE u";
+              "SELECT uid FROM s" ];
+          match Client.request client Wire.Shard_ping with
+          | Ok (Wire.Shard_pong { partition; _ }) -> same "heartbeat" partition
+          | Ok r -> Alcotest.fail ("expected a pong, got " ^ Wire.render_response r)
+          | Error e -> Alcotest.fail e))
 
 (* An aggregate partial waits for the lock inside its trace: the entry
    recorded under the coordinator's context shows the wait as a
@@ -1531,7 +1590,7 @@ let test_held_v13_refused () =
           Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
           (* v13's Exec: version 13, tag 1, the SQL behind a varint length *)
           let (_ : int) = Frame.send sock "\x0d\x01\x08SELECT 1" in
-          let payload, _ = Frame.recv sock in
+          let payload, _ = Frame.recv (Frame.reader sock) in
           match Wire.decode_response payload with
           | Ok (Wire.Err { code = Wire.Version_mismatch; _ }) -> ()
           | Ok r -> Alcotest.fail ("expected version mismatch, got " ^ Wire.render_response r)
@@ -1556,10 +1615,11 @@ let test_held_bad_delta_closes () =
         Thread.create
           (fun () ->
             let fd, _ = Unix.accept listen in
+            let reader = Frame.reader fd in
             Fun.protect
               ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
               (fun () ->
-                let _ = Frame.recv fd in
+                let _ = Frame.recv reader in
                 ignore
                   (Frame.send fd
                      (Wire.encode_response
@@ -1575,7 +1635,7 @@ let test_held_bad_delta_closes () =
                                    recomputed = false
                                  }
                            })));
-                try ignore (Frame.recv fd) with _ -> ()))
+                try ignore (Frame.recv reader) with _ -> ()))
           ()
       in
       let client = Client.connect ~host:"127.0.0.1" ~port () in
@@ -1692,6 +1752,8 @@ let suite =
     Alcotest.test_case "a read-only replica refuses Move_rows" `Quick
       test_move_refused_on_replica;
     prop_partition_summary;
+    Alcotest.test_case "shipped partition summary = a fresh one" `Quick
+      test_shard_summary_cache;
     prop_held_reread;
     Alcotest.test_case "held answers: whole, delta, plain, stale" `Quick
       test_held_forms;

@@ -259,6 +259,276 @@ let prop_run_matches_model =
         ops;
       true)
 
+(* ---------- bursts: writes with no read between them ---------- *)
+
+(* A run's pending adds queue unsorted until a fold or a read, so the
+   model property above, which reads after every write, settles every
+   batch at one key.  These draws write bursts of 2..600 changes to a
+   table with indexes on both columns and read nothing in between, then
+   compare every reader of the three runs with a model.  Bursts cross
+   folds, and cancel pending removals (a row deleted and written back
+   with its texp). *)
+type burst_op =
+  | B_add of int * int * int  (* a, b, ttl (0 = never expires) *)
+  | B_over of int * int  (* the i-th model row, new ttl *)
+  | B_del of int
+  | B_cancel of int  (* the i-th row deleted, then written back as it was *)
+
+type phase =
+  | Burst of burst_op list * int  (* the ops, and which reader reads first *)
+  | Expire of int  (* eager: the clock moves by dt, then expire_upto *)
+  | Lazy_tick of int  (* the clock moves, rows stay *)
+
+let burst_op_gen =
+  let open QCheck2.Gen in
+  frequency
+    [ 6, map3 (fun a b ttl -> B_add (a, b, ttl)) (int_range 0 1_500) (int_range 0 3)
+           (int_range 0 80);
+      3, map2 (fun i ttl -> B_over (i, ttl)) (int_range 0 10_000) (int_range 1 80);
+      2, map (fun i -> B_del i) (int_range 0 10_000);
+      2, map (fun i -> B_cancel i) (int_range 0 10_000) ]
+
+let phase_gen =
+  let open QCheck2.Gen in
+  frequency
+    [ 5, map2 (fun ops first -> Burst (ops, first))
+           (* a burst is kept whole when a failure shrinks: shrinking
+              hundreds of ops one by one replays every phase each time *)
+           (no_shrink (list_size (int_range 2 600) burst_op_gen))
+           (int_range 0 7);
+      1, map (fun dt -> Expire dt) (int_range 0 20);
+      1, map (fun dt -> Lazy_tick dt) (int_range 0 20) ]
+
+(* The model: [rows] is what the table holds, [ghosts] the rows that
+   expired (the indexes' [count_range] may count them until they are
+   reclaimed). *)
+type model = {
+  mutable rows : (Tuple.t * Time.t) list;
+  mutable ghosts : (Tuple.t * Time.t) list;
+  mutable now : int;
+}
+
+let indexed () =
+  let t = make () in
+  Table.create_index t ~column:1;
+  Table.create_index t ~column:2;
+  t
+
+let runs t = [ Table.run t; Table.index t ~column:1; Table.index t ~column:2 ]
+
+let in_bounds lo hi k =
+  (match lo with
+   | Texp_run.Unbounded -> true
+   | Texp_run.Inclusive v -> Value.compare k v >= 0
+   | Texp_run.Exclusive v -> Value.compare k v > 0)
+  &&
+  match hi with
+  | Texp_run.Unbounded -> true
+  | Texp_run.Inclusive v -> Value.compare k v <= 0
+  | Texp_run.Exclusive v -> Value.compare k v < 0
+
+let scanned run ~tau ~lo ~hi =
+  let out = ref [] in
+  Texp_run.scan_range run ~tau ~lo ~hi ~visited:(ref 0) ~dropped:(ref 0) (fun c sel ->
+      let rows = Array.of_list (chunk_rows c) in
+      match sel with
+      | None -> Array.iter (fun r -> out := r :: !out) rows
+      | Some s -> Array.iter (fun r -> out := rows.(r) :: !out) s);
+  List.sort by_key !out
+
+let texp_extreme pick = function
+  | [] -> None
+  | (_, e) :: rest -> Some (List.fold_left (fun m (_, e) -> pick m e) e rest)
+
+(* Every reader of the table's run and of its two indexes against the
+   model, at several clocks, reader [first] first: the first reader
+   after a burst is the one that settles its pending adds. *)
+let check_readers ?(first = 0) t m =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let taus = List.map Time.of_int [ m.now - 3; m.now; m.now + 5; m.now + 30; m.now + 200 ] in
+  let bounds =
+    let open Texp_run in
+    [ Unbounded, Unbounded; Inclusive (Value.int 2), Inclusive (Value.int 2);
+      Exclusive (Value.int 0), Inclusive (Value.int 2); Unbounded, Exclusive (Value.int 700);
+      Inclusive (Value.int 300), Unbounded; Inclusive (Value.int 450), Exclusive (Value.int 460) ]
+  in
+  let live tau = List.filter (fun (_, e) -> Time.(e > tau)) m.rows in
+  let table_run f = f (Table.run t) in
+  let indexes f = List.iter (fun column -> f column (Table.index t ~column)) [ 1; 2 ] in
+  let keyed_scan column run =
+    List.iter
+      (fun tau ->
+        List.iter
+          (fun (lo, hi) ->
+            let inside (tu, _) = in_bounds lo hi (Tuple.attr tu column) in
+            if scanned run ~tau ~lo ~hi <> List.sort by_key (List.filter inside (live tau)) then
+              fail "keyed scan_range at %s" (Time.to_string tau))
+          bounds)
+      taus
+  in
+  let checks =
+    [ (fun () ->
+        table_run (fun run ->
+            List.iter
+              (fun tau ->
+                let all = Texp_run.Unbounded in
+                if scanned run ~tau ~lo:all ~hi:all <> List.sort by_key (live tau) then
+                  fail "scan_range at %s" (Time.to_string tau))
+              taus));
+      (fun () -> indexes keyed_scan);
+      (fun () ->
+        table_run (fun run ->
+            List.iter
+              (fun tau ->
+                let due = List.filter (fun (_, e) -> Time.(e <= tau)) m.rows in
+                if Texp_run.count_upto run tau <> List.length due then
+                  fail "count_upto at %s" (Time.to_string tau))
+              taus));
+      (fun () ->
+        table_run (fun run ->
+            List.iter
+              (fun tau ->
+                if Texp_run.min_live_texp run ~tau <> texp_extreme Time.min (live tau) then
+                  fail "min_live_texp at %s" (Time.to_string tau))
+              taus));
+      (fun () ->
+        table_run (fun run ->
+            if Texp_run.max_texp run <> texp_extreme Time.max m.rows then fail "max_texp";
+            if Texp_run.min_texp run <> texp_extreme Time.min m.rows then fail "min_texp"));
+      (fun () ->
+        indexes (fun column run ->
+            List.iter
+              (fun (lo, hi) ->
+                let count rows =
+                  List.length (List.filter (fun (tu, _) -> in_bounds lo hi (Tuple.attr tu column)) rows)
+                in
+                let n = Texp_run.count_range run ~lo ~hi and held = count m.rows in
+                if n < held || n > held + count m.ghosts then fail "count_range %d, %d held" n held)
+              bounds));
+      (fun () ->
+        indexes (fun column run ->
+            match Texp_run.key_extrema run, m.rows with
+            | None, [] -> ()
+            | None, _ :: _ -> fail "key_extrema: none"
+            | Some (lo, hi), rows ->
+              let outside (tu, _) =
+                let k = Tuple.attr tu column in
+                Value.compare k lo < 0 || Value.compare k hi > 0
+              in
+              if List.exists outside rows then fail "key_extrema does not bracket the rows")) ]
+  in
+  let n = List.length checks in
+  List.iteri (fun i _ -> (List.nth checks ((first + i) mod n)) ()) checks
+
+let pending_bound t =
+  List.iter
+    (fun run ->
+      if Texp_run.pending run >= max Texp_run.chunk_rows (Texp_run.length run / 4) then
+        failwith "pending changes over the bound")
+    (runs t)
+
+let apply_burst t m ops =
+  let texp_of ttl = if ttl = 0 then Time.Inf else Time.of_int (m.now + ttl) in
+  let forget tu = m.rows <- List.filter (fun (r, _) -> not (Tuple.equal r tu)) m.rows in
+  let nth i = List.nth m.rows (i mod List.length m.rows) in
+  let insert tu texp = Table.insert t tu ~texp; forget tu; m.rows <- (tu, texp) :: m.rows in
+  List.iter
+    (function
+      | B_add (a, b, ttl) -> insert (Tuple.ints [ a; b ]) (texp_of ttl)
+      | B_over (i, ttl) -> if m.rows <> [] then insert (fst (nth i)) (texp_of ttl)
+      | B_del i ->
+        if m.rows <> [] then begin
+          let tu, _ = nth i in
+          if not (Table.delete t tu) then failwith "delete of a held row";
+          forget tu
+        end
+      | B_cancel i ->
+        if m.rows <> [] then begin
+          let tu, texp = nth i in
+          let before = List.map Texp_run.pending (runs t) in
+          ignore (Table.delete t tu : bool);
+          Table.insert t tu ~texp;
+          (* A row written back as it was cancels its pending removal:
+             no run holds more pending changes than before. *)
+          if List.exists2 (fun b run -> Texp_run.pending run > b) before (runs t) then
+            failwith "a re-added row did not cancel its pending removal"
+        end)
+    ops
+
+let prop_bursts =
+  Generators.qtest "bursts of unread writes: every reader = model" ~count:40
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 8) phase_gen)
+    (fun phases ->
+      let t = indexed () in
+      let m = { rows = []; ghosts = []; now = 0 } in
+      let expire dt =
+        m.now <- m.now + dt;
+        let dead (_, e) = Time.(e <= Time.of_int m.now) in
+        let due = List.sort by_key (List.filter dead m.rows) in
+        if Table.expire_upto t (Time.of_int m.now) <> due then failwith "expire_upto";
+        m.rows <- List.filter (fun r -> not (dead r)) m.rows;
+        m.ghosts <- due @ m.ghosts
+      in
+      List.iter
+        (function
+          | Burst (ops, first) ->
+            apply_burst t m ops;
+            pending_bound t;
+            (* Reader 7 is an expiration: [expire_upto] reads first. *)
+            if first = 7 then expire 5;
+            check_readers ~first t m
+          | Expire dt -> expire dt; check_readers t m
+          | Lazy_tick dt -> m.now <- m.now + dt; check_readers t m)
+        phases;
+      true)
+
+(* Two readers under the shared lock, in two domains so they overlap,
+   read a run right after a burst: each may settle the pending adds, the
+   second starting up to 0.3 ms after the first so that it reads while
+   the first sorts, merges or stores.  Both answers, and every later
+   one, must equal the model. *)
+let test_concurrent_settle () =
+  let lock = Rwlock.create () in
+  let rng = Random.State.make [| 54 |] in
+  for round = 1 to 60 do
+    let t = indexed () in
+    let m = { rows = []; ghosts = []; now = 0 } in
+    let base = List.init (300 + Random.State.int rng 700) (fun i -> B_add (i, i mod 4, 1 + (i * 37 mod 80))) in
+    apply_burst t m base;
+    check_readers t m;
+    let burst =
+      List.init (50 + Random.State.int rng 550) (fun i ->
+          B_add (2_000 + i, Random.State.int rng 4, 1 + Random.State.int rng 80))
+    in
+    Rwlock.with_write lock (fun () -> apply_burst t m burst);
+    let go = Atomic.make false and lag = Random.State.float rng 3e-4 in
+    let read delay () =
+      while not (Atomic.get go) do Domain.cpu_relax () done;
+      let until = Unix.gettimeofday () +. delay in
+      while Unix.gettimeofday () < until do Domain.cpu_relax () done;
+      Rwlock.with_read lock (fun () ->
+          List.map
+            (fun run ->
+              let all = Texp_run.Unbounded in
+              let n = Texp_run.count_range run ~lo:all ~hi:all in
+              (n, scanned run ~tau:Time.zero ~lo:all ~hi:all))
+            (runs t))
+    in
+    let readers = [ Domain.spawn (read 0.); Domain.spawn (read lag) ] in
+    Atomic.set go true;
+    let want = List.sort by_key (List.filter (fun (_, e) -> Time.(e > Time.zero)) m.rows) in
+    List.iteri
+      (fun i answers ->
+        List.iter
+          (fun (n, rows) ->
+            if rows <> want || n <> List.length m.rows then
+              Alcotest.failf "round %d: reader %d counted %d and passed %d rows, of %d" round i n
+                (List.length rows) (List.length want))
+          answers)
+      (List.map Domain.join readers);
+    check_readers t m
+  done
+
 let suite =
   [ Alcotest.test_case "schema accessors" `Quick test_schema;
     Alcotest.test_case "insert is update (set semantics)" `Quick test_insert_update;
@@ -267,4 +537,6 @@ let suite =
       test_update_after_expiry_scheduled;
     Alcotest.test_case "vacuum" `Quick test_vacuum;
     prop_snapshot_equals_reference;
-    prop_run_matches_model ]
+    prop_run_matches_model;
+    prop_bursts;
+    Alcotest.test_case "two readers settle one burst" `Quick test_concurrent_settle ]
