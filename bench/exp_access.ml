@@ -107,7 +107,8 @@ let write_costs ~rows =
 (* A load, ms: [rows] fresh rows into a table with indexes on both
    columns, TTLs uniform over 1 000 ticks; then the same load followed
    by one point read through each index, so the pending adds a burst
-   leaves for its first reader are paid inside the figure. *)
+   leaves for its first reader are paid inside the figure; and the
+   minor-heap words one load allocates per row. *)
 let load_costs ~rows =
   let rng = Bench_util.rng 53 in
   let tuples = Array.init rows (fun i -> Tuple.ints [ i; Random.State.int rng 10_000 ]) in
@@ -136,7 +137,9 @@ let load_costs ~rows =
   in
   let load_ms = ms (fun () -> ignore (load () : Table.t)) in
   let read_ms = ms (fun () -> let tbl = load () in point tbl 1; point tbl 2) in
-  [ load_ms; read_ms ]
+  let words = Gc.minor_words () in
+  ignore (load () : Table.t);
+  [ load_ms; read_ms; (Gc.minor_words () -. words) /. float_of_int rows ]
 
 (* Each row's median of 3 runs (min-max), the medians recorded as
    [access_<name>_n<rows>]. *)
@@ -161,9 +164,9 @@ let write_sweep () =
   median_sweep ~title:"table writes, µs per write"
     ~headers:[ "insert, no index"; "overwrite, 2 indexes"; "delete, 2 indexes" ]
     ~names:[ "insert_us"; "overwrite_us"; "delete_us" ] write_costs;
-  median_sweep ~title:"loads into 2 indexes, ms"
-    ~headers:[ "load"; "load + a point read per index" ] ~names:[ "load_ms"; "load_read_ms" ]
-    load_costs
+  median_sweep ~title:"loads into 2 indexes, ms and minor words per row"
+    ~headers:[ "load"; "load + a point read per index"; "words per row" ]
+    ~names:[ "load_ms"; "load_read_ms"; "load_words_per_row" ] load_costs
 
 let sweep () =
   Bench_util.section "Experiment exp-access: secondary indexes on expiring tables";

@@ -62,39 +62,35 @@ type partition_texp = {
 
 (* The one partitioning function both sides of the wire agree on:
    FNV-1a over the value's canonical wire encoding, so any two
-   processes speaking v5 route a key to the same shard.  Polymorphic
+   processes speaking v5 route a key to the same shard.  The bytes are
+   folded as they are made: nothing is allocated.  Polymorphic
    [Hashtbl.hash] is deliberately avoided — its result is not part of
    any documented contract.  An integral [Float] within +-2^53 hashes
    as the [Int] it equals, so a key lives where [Value.cmp] looks for
    it: [WHERE k = 1] matches a stored [1.0]. *)
+let byte h c = (h lxor c) * 0x01000193 land 0xffffffff
+
+(* The big-endian bytes of [n] from bit [shift] down. *)
+let rec int_bytes h n shift =
+  if shift < 0 then h else int_bytes (byte h ((n asr shift) land 255)) n (shift - 8)
+
+let rec str_bytes h s i =
+  if i = String.length s then h else str_bytes (byte h (Char.code s.[i])) s (i + 1)
+
 let value_hash v =
-  let b = Buffer.create 16 in
-  let add_int n =
-    Buffer.add_char b '\002';
-    Buffer.add_int64_be b n
-  in
-  (match v with
-   | Value.Null -> Buffer.add_char b '\000'
-   | Value.Bool x ->
-     Buffer.add_char b '\001';
-     Buffer.add_char b (if x then '\001' else '\000')
-   | Value.Int n -> add_int (Int64.of_int n)
-   | Value.Float f when Float.is_integer f && Float.abs f <= 0x1p53 ->
-     add_int (Int64.of_float f)
-   | Value.Float f ->
-     Buffer.add_char b '\003';
-     Buffer.add_int64_be b (Int64.bits_of_float f)
-   | Value.Str s ->
-     Buffer.add_char b '\004';
-     Buffer.add_string b s);
-  let s = Buffer.contents b in
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun ch ->
-      h := !h lxor Char.code ch;
-      h := !h * 0x01000193 land 0xffffffff)
-    s;
-  !h
+  let h = 0x811c9dc5 in
+  match v with
+  | Value.Null -> byte h 0
+  | Value.Bool x -> byte (byte h 1) (if x then 1 else 0)
+  | Value.Int n -> int_bytes (byte h 2) n 56
+  | Value.Float f when Float.is_integer f && Float.abs f <= 0x1p53 ->
+    int_bytes (byte h 2) (int_of_float f) 56
+  | Value.Float f ->
+    let bits = Int64.bits_of_float f in
+    (* the top byte from the 64 bits, the other seven from the low 63 *)
+    let h = byte (byte h 3) (Int64.to_int (Int64.shift_right_logical bits 56)) in
+    int_bytes h (Int64.to_int bits) 48
+  | Value.Str s -> str_bytes (byte h 4) s 0
 
 let shard_owner map key =
   match map.shards with

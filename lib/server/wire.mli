@@ -286,6 +286,14 @@ type partition_texp = {
     coordinator can prove a partition empty at some [tau]
     ([live_rows = 0], or [max_texp <= tau]) without contacting it. *)
 
+val value_hash : Value.t -> int
+(** FNV-1a (32 bits) over the value's canonical bytes: a tag byte ([0]
+    Null, [1] Bool, [2] an integer, [3] any other Float, [4] Str), then
+    the payload — a Bool's byte, an integer's 8 bytes big-endian, a
+    Float's IEEE bits big-endian, a string's bytes.  An integral
+    [Float] with [|f| <= 2^53] is the integer it equals.  Allocates
+    nothing. *)
+
 val shard_owner : shard_map -> Value.t -> int
 (** [shard_owner map key] is the id of the shard owning rows whose
     first column is [key]: FNV-1a over the key's canonical encoding,

@@ -1,21 +1,13 @@
 open Expirel_core
 
-module Tuple_hash = struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end
-
-module Tuple_tbl = Hashtbl.Make (Tuple_hash)
-
 type t = {
   name : string;
   columns : string list;
-  rows : Time.t Tuple_tbl.t;  (* tuple -> texp: set semantics *)
+  rows : Row_map.t;  (* tuple -> texp: set semantics *)
   run : Texp_run.t;  (* the same rows, in (texp, tuple) order *)
-  secondary : (int, Texp_run.t) Hashtbl.t;
-      (* column -> the same rows keyed on it, in (key, texp, tuple) order *)
+  mutable secondary : (int * Texp_run.t) list;
+      (* column -> the same rows keyed on it, in (key, texp, tuple)
+         order; ascending by column *)
   mutable generation : int;  (* bumped on every physical row change *)
   mutable cached_snapshot : (int * Time.t option * Relation.t) option;
       (* A full-table snapshot and the table's least texp: while the
@@ -28,9 +20,9 @@ let create ~name ~columns () =
   else
     { name;
       columns;
-      rows = Tuple_tbl.create 64;
+      rows = Row_map.create 64;
       run = Texp_run.create ~arity:(List.length columns) [];
-      secondary = Hashtbl.create 4;
+      secondary = [];
       generation = 0;
       cached_snapshot = None
     }
@@ -50,39 +42,59 @@ let column_position t column =
   in
   find 1 t.columns
 
-(* The row change on the run and on every index. *)
-let each_run t f =
-  f t.run;
-  Hashtbl.iter (fun _ idx -> f idx) t.secondary
-
 let check_arity t tuple =
   if Tuple.arity tuple <> arity t then
     invalid_arg
       (Printf.sprintf "Table.insert(%s): tuple arity %d, table arity %d" t.name
          (Tuple.arity tuple) (arity t))
 
+(* A row change on every index, by direct calls. *)
+let rec add_each tuple texp = function
+  | [] -> ()
+  | (_, idx) :: rest -> Texp_run.add idx tuple texp; add_each tuple texp rest
+
+let rec remove_each tuple texp = function
+  | [] -> ()
+  | (_, idx) :: rest -> Texp_run.remove idx tuple texp; remove_each tuple texp rest
+
+(* One probe finds the tuple's slot, held or vacant, and the write goes
+   there. *)
 let insert t tuple ~texp =
   check_arity t tuple;
-  match Tuple_tbl.find_opt t.rows tuple with
-  | Some old when Time.equal old texp -> ()
-  | found ->
+  let m = t.rows and hash = Row_map.hash tuple in
+  let i = Row_map.slot m tuple ~hash in
+  if not (Row_map.held m i) then begin
     touch t;
-    each_run t (fun run ->
-        Option.iter (Texp_run.remove run tuple) found;
-        Texp_run.add run tuple texp);
-    Tuple_tbl.replace t.rows tuple texp
+    Texp_run.add t.run tuple texp;
+    add_each tuple texp t.secondary;
+    Row_map.fill m i tuple ~hash texp
+  end
+  else
+    let old = Row_map.texp m i in
+    if not (Time.equal old texp) then begin
+      touch t;
+      Texp_run.remove t.run tuple old;
+      Texp_run.add t.run tuple texp;
+      remove_each tuple old t.secondary;
+      add_each tuple texp t.secondary;
+      Row_map.set_texp m i texp
+    end
 
 let delete t tuple =
-  match Tuple_tbl.find_opt t.rows tuple with
-  | Some texp ->
+  let m = t.rows in
+  let i = Row_map.slot m tuple ~hash:(Row_map.hash tuple) in
+  Row_map.held m i
+  && begin
+    let texp = Row_map.texp m i in
     touch t;
-    each_run t (fun run -> Texp_run.remove run tuple texp);
-    Tuple_tbl.remove t.rows tuple;
+    Texp_run.remove t.run tuple texp;
+    remove_each tuple texp t.secondary;
+    Row_map.clear m i;
     true
-  | None -> false
+  end
 
-let texp_of t tuple = Tuple_tbl.find_opt t.rows tuple
-let physical_count t = Tuple_tbl.length t.rows
+let texp_of t tuple = Row_map.find t.rows tuple ~hash:(Row_map.hash tuple)
+let physical_count t = Row_map.length t.rows
 
 (* Live cardinality: one cut of the run, O(log n). *)
 let live_estimate t ~tau = physical_count t - Texp_run.count_upto t.run tau
@@ -148,10 +160,10 @@ let snapshot t ~tau =
 
 let expire_upto t tau =
   let due = Texp_run.expire_upto t.run tau in
-  Hashtbl.iter (fun _ idx -> Texp_run.forget_upto idx tau) t.secondary;
+  List.iter (fun (_, idx) -> Texp_run.forget_upto idx tau) t.secondary;
   if due <> [] then begin
     touch t;
-    List.iter (fun (tuple, _) -> Tuple_tbl.remove t.rows tuple) due
+    List.iter (fun (tuple, _) -> Row_map.remove t.rows tuple ~hash:(Row_map.hash tuple)) due
   end;
   due
 
@@ -164,17 +176,17 @@ let create_index t ~column =
     invalid_arg
       (Printf.sprintf "Table.create_index(%s): column %d outside 1..%d" t.name
          column (arity t));
-  Hashtbl.replace t.secondary column
-    (Texp_run.create ~key:column ~arity:(arity t)
-       (Tuple_tbl.fold (fun tuple texp acc -> (tuple, texp) :: acc) t.rows []))
+  let idx =
+    Texp_run.create ~key:column ~arity:(arity t)
+      (Row_map.fold (fun tuple texp acc -> (tuple, texp) :: acc) t.rows [])
+  in
+  t.secondary <-
+    List.merge
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (List.remove_assoc column t.secondary)
+      [ (column, idx) ]
 
-let drop_index t ~column = Hashtbl.remove t.secondary column
-let has_index t ~column = Hashtbl.mem t.secondary column
-
-let indexed_columns t =
-  Hashtbl.fold (fun c _ acc -> c :: acc) t.secondary [] |> List.sort Int.compare
-
-let index t ~column =
-  match Hashtbl.find_opt t.secondary column with
-  | Some idx -> idx
-  | None -> raise Not_found
+let drop_index t ~column = t.secondary <- List.remove_assoc column t.secondary
+let has_index t ~column = List.mem_assoc column t.secondary
+let indexed_columns t = List.map fst t.secondary
+let index t ~column = List.assoc column t.secondary

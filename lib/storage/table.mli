@@ -6,7 +6,8 @@
     readers (the batch scan, live counts, the forward expiration
     profile, the earliest expiration) cut the run at [tau] by binary
     search and count or skip the pending changes in O(log n).  A tuple
-    → texp map keeps set semantics.  Each secondary index is the same
+    → texp map ({!Row_map}, open addressing over flat arrays) keeps set
+    semantics.  Each secondary index is the same
     rows in a second {!Texp_run} keyed on its column, every row with its
     texp, so an index read skips expired rows by that texp and never
     consults the table.
@@ -37,11 +38,17 @@ val check_arity : t -> Tuple.t -> unit
 val insert : t -> Tuple.t -> texp:Time.t -> unit
 (** Set semantics: inserting an existing tuple overwrites its expiration
     time (the paper's update — "an expiration time may be assigned to a
-    tuple" on insertion and update).
+    tuple" on insertion and update).  One write hashes the tuple once
+    and probes the row map once, writing the slot it finds, then changes
+    the run and each index by direct calls: a fresh row costs one
+    {!Texp_run.add} per run (a lookup among the pending removals and a
+    cons), an overwrite one {!Texp_run.remove} and one add per run,
+    O(log n).  A write allocates no closure and no map node.
     @raise Invalid_argument on arity mismatch *)
 
 val delete : t -> Tuple.t -> bool
-(** Explicit deletion; [true] when the tuple was present. *)
+(** Explicit deletion; [true] when the tuple was present.  One probe of
+    the row map, then one {!Texp_run.remove} per run. *)
 
 val texp_of : t -> Tuple.t -> Time.t option
 val physical_count : t -> int

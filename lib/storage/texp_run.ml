@@ -365,19 +365,96 @@ let merge_keys a b =
     out
   end
 
-(* The batch ascending.  Keys that arrived in ascending order (a
-   sequential id, a constant TTL) are reversed, not sorted; else a list
-   merge sort, which compares least here. *)
-let sort_batch batch =
-  let rec descending = function
-    | a :: (b :: _ as rest) -> compare_key a b > 0 && descending rest
-    | [ _ ] | [] -> true
+(* A key's int prefix, monotone in [compare_key]: a table's own run
+   orders by texp first, an index by its key. *)
+let prefix t ((k, e, _) : key) =
+  match t.key with
+  | None -> (match e with Time.Fin n -> n | Time.Inf -> max_int)
+  | Some _ -> (
+    match k with
+    | Value.Null | Value.Bool _ -> min_int
+    | Value.Int n -> n
+    | Value.Float _ | Value.Str _ -> max_int)
+
+(* Keys [a.(lo .. hi-1)], of one prefix, ascending: an insertion sort
+   when few, else a merge sort. *)
+let sort_span a lo hi =
+  if hi - lo <= 8 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) and j = ref i in
+      while !j > lo && compare_key a.(!j - 1) x > 0 do
+        a.(!j) <- a.(!j - 1);
+        decr j
+      done;
+      a.(!j) <- x
+    done
+  else begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.stable_sort compare_key s;
+    Array.blit s 0 a lo (hi - lo)
+  end
+
+(* The keys ascending: an LSD radix sort, a byte a pass, of each key's
+   prefix offset from the least prefix (unsigned), carrying the key's
+   index; passes stop at the offsets' highest nonzero byte.  Then
+   [compare_key] orders each run of equal prefixes.  Loops, not
+   closures: a fold sorts thousands of keys. *)
+let sort_keys t keys =
+  let n = Array.length keys in
+  let off = Array.make n 0 and ix = Array.make n 0 and least = ref max_int in
+  for i = 0 to n - 1 do
+    let p = prefix t keys.(i) in
+    off.(i) <- p;
+    ix.(i) <- i;
+    if p < !least then least := p
+  done;
+  let bits = ref 0 in
+  for i = 0 to n - 1 do
+    let o = off.(i) - !least in
+    off.(i) <- o;
+    bits := !bits lor o
+  done;
+  let bits = !bits and count = Array.make 256 0 in
+  (* One pass moves [off] and [ix] by byte [shift] into [off'] and [ix']. *)
+  let rec pass off ix off' ix' shift =
+    if shift >= Sys.int_size || bits lsr shift = 0 then (off, ix)
+    else begin
+      Array.fill count 0 256 0;
+      for i = 0 to n - 1 do
+        let b = (off.(i) lsr shift) land 255 in
+        count.(b) <- count.(b) + 1
+      done;
+      let at = ref 0 in
+      for b = 0 to 255 do
+        let c = count.(b) in
+        count.(b) <- !at;
+        at := !at + c
+      done;
+      for i = 0 to n - 1 do
+        let o = off.(i) in
+        let b = (o lsr shift) land 255 in
+        let p = count.(b) in
+        off'.(p) <- o;
+        ix'.(p) <- ix.(i);
+        count.(b) <- p + 1
+      done;
+      pass off' ix' off ix (shift + 8)
+    end
   in
-  if descending batch then List.rev batch else List.stable_sort compare_key batch
+  let off, ix = pass off ix (Array.make n 0) (Array.make n 0) 0 in
+  let out = Array.map (fun i -> keys.(i)) ix in
+  let lo = ref 0 in
+  for i = 1 to n do
+    if i = n || off.(i) <> off.(!lo) then begin
+      if i - !lo > 1 then sort_span out !lo i;
+      lo := i
+    end
+  done;
+  out
 
 (* The pending adds ascending: the batch sorted once, merged with the
    tree's keys. *)
-let sorted_adds p = merge_keys (Key_set.to_array p.set) (Array.of_list (sort_batch p.batch))
+let sorted_adds t p = merge_keys (Key_set.to_array p.set) (sort_keys t (Array.of_list p.batch))
 
 (* The pending adds as one tree, stored back so a batch is sorted once:
    a batch of k keys goes in by k [Key_set.add]s when that costs less
@@ -393,7 +470,7 @@ let settle t =
       if k = 1 || k * Key_set.height p.set < Key_set.cardinal p.set then
         List.fold_left (fun s x -> Key_set.add x s) p.set batch
       else
-        let a = sorted_adds p in
+        let a = sorted_adds t p in
         Key_set.of_sorted a 0 (Array.length a)
     in
     t.adds <- { set; batch = [] };
@@ -480,7 +557,7 @@ let rec coalesce = function
    end), and each chunk that receives one is rewritten with its share;
    the others are shared, not copied.  The batch is sorted here once. *)
 let fold t =
-  let adds = sorted_adds t.adds and gone = Key_set.to_array t.gone in
+  let adds = sorted_adds t t.adds and gone = Key_set.to_array t.gone in
   let n = Array.length t.chunks in
   let a = ref 0 and g = ref 0 and acc = ref [] in
   let upto i keys p =
@@ -509,8 +586,7 @@ let create ?key ~arity rows =
       adds_n = 0; gone = Key_set.empty; gone_n = 0; horizon = Time.of_int min_int;
       least = Time.Inf; adds_chunks = None }
   in
-  let keys = Array.of_list (List.map (fun (tu, e) -> key_of t tu e) rows) in
-  Array.stable_sort compare_key keys;
+  let keys = sort_keys t (Array.of_list (List.map (fun (tu, e) -> key_of t tu e) rows)) in
   Array.iter (fun (_, e, _) -> t.least <- Time.min t.least e) keys;
   set_chunks t (Array.of_list (chunks_of_keys ~arity keys));
   t
@@ -554,7 +630,10 @@ let forget_upto t tau =
     let live = List.filter (fun c -> Time.(c.top > tau)) (Array.to_list t.chunks) in
     set_chunks t (Array.of_list live);
     t.gone <- Key_set.filter (fun (_, e, _) -> Time.(e > tau)) t.gone;
-    t.gone_n <- Key_set.cardinal t.gone
+    t.gone_n <- Key_set.cardinal t.gone;
+    (* The run shrank: its pending changes fold if they are now over
+       the bound. *)
+    check_fold t
   end
 
 (* Whether chunk row [r] is the next of the ascending pending removals

@@ -12,12 +12,23 @@
     its own) and a cons, and allocates no tree node.  The first reader
     or {!remove} after a burst settles the batch into the sorted pending
     set: one O(log n) insertion per key while the batch is short against
-    the set, else one sort of the batch, O(k log k) (O(k) when its keys
-    arrived in order), merged with the set in one pass.  Readers that
-    settle concurrently under a shared lock store equal values.  A fold
-    sorts the batch once and writes each merged chunk straight into
-    arrays of at most {!chunk_rows} slots, sized from the chunk, its
-    share of the changes and its dead rows: O(rows rewritten + k log k).
+    the set, else one sort of the batch merged with the set in one pass.
+    Readers that settle concurrently under a shared lock store equal
+    values.  A fold sorts the batch once and writes each merged chunk
+    straight into arrays of at most {!chunk_rows} slots, sized from the
+    chunk, its share of the changes and its dead rows: O(rows rewritten
+    + the sort).
+
+    The batch sort (and {!create}'s) ranks each key by an int prefix
+    that is monotone in the run's order: a texp in a table's own run
+    ([Inf] as [max_int]); in an index, an [Int] key's value, with [Null]
+    and [Bool] as [min_int] and [Float] and [Str] as [max_int].  An LSD
+    radix sort, one pass per byte up to the highest nonzero byte of the
+    prefixes less their least, orders the keys' indices in O(k) a pass
+    and four int arrays of k; only keys of equal prefix are then
+    compared in full (by insertion when at most 8, else a merge sort),
+    so a batch of scattered texps or integer keys costs O(k) per pass
+    and one of strings O(k log k).
 
     A run keyed on column [j] (an index) is sorted by
     [(t.j, texp, tuple)], so one key's live rows are a cut.  A table's own run is keyed on a constant: it is sorted by
@@ -65,7 +76,10 @@ val length : t -> int
 
 val pending : t -> int
 (** Pending adds and removals not yet folded: under [max chunk_rows
-    (length / 4)] after each {!add} and {!remove}. *)
+    (length / 4)] after each {!add}, {!remove}, {!forget_upto} and
+    {!expire_upto} (an expiration that drops whole chunks shrinks the
+    run, and folds when that leaves its pending changes over the
+    bound). *)
 
 val add : t -> Tuple.t -> Time.t -> unit
 (** Adds a row whose key is not held, with [texp] after every [tau]

@@ -268,6 +268,11 @@ for f in resplit:
     print(f)
 if resplit:
     sys.exit("ci: the files above re-split a merged chunk; a fold writes its chunks directly")
+# A table's row map is one open-addressing table (Row_map) that a write
+# probes once; table.ml builds no functorial hash table beside it.
+if re.search(r'\bHashtbl\.Make\b', strip(open('lib/storage/table.ml').read())):
+    print('lib/storage/table.ml')
+    sys.exit("ci: the file above keeps its rows in a Hashtbl.Make table; they live in a Row_map")
 # A node holds no shard map: the coordinator decides where every row
 # moves (Wire.shard_owner is named only by it and by wire.ml), and a
 # move reaches the shards as statements plus Move_rows, every request
@@ -386,11 +391,11 @@ done
 # Smoke the access experiment: index probes against scans, table
 # writes, and loads into two indexes with and without the first point
 # read through each (the sort a burst leaves for its first reader is
-# paid inside the second figure).  Each load and write row must have
-# been recorded.
+# paid inside the second figure), and the minor words a load allocates
+# per row.  Each load and write row must have been recorded.
 (cd "$SMOKE_DIR" && "$BENCH" access)
 for rows in 10000 100000; do
-  for row in load_ms load_read_ms insert_us overwrite_us delete_us; do
+  for row in load_ms load_read_ms load_words_per_row insert_us overwrite_us delete_us; do
     grep -F "\"access_${row}_n${rows}\"" "$SMOKE_DIR/BENCH_access.json"
   done
 done

@@ -30,6 +30,7 @@ let () =
       "expiration-index", Test_expiration_index.suite;
       (* storage substrate *)
       "table", Test_table.suite;
+      "row-map", Test_row_map.suite;
       "trigger", Test_trigger.suite;
       "database", Test_database.suite;
       "access", Test_access.suite;

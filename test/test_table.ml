@@ -118,12 +118,12 @@ let chunk_rows c =
           [ (Texp_run.chunk_col c 1).(r); (Texp_run.chunk_col c 2).(r) ],
         texps.(r) ))
 
-(* After a write the pending changes are under the fold bound (an
-   expiration shrinks the run without folding). *)
-let check_run t model ~now ~wrote =
+(* After every step, a write or an expiration that shrank the run, the
+   pending changes are under the fold bound. *)
+let check_run t model ~now =
   let fail fmt = Printf.ksprintf failwith fmt in
   let run = Table.run t in
-  if wrote && Texp_run.pending run >= max Texp_run.chunk_rows (Texp_run.length run / 4) then
+  if Texp_run.pending run >= max Texp_run.chunk_rows (Texp_run.length run / 4) then
     fail "pending changes over the bound";
   let scan tau =
     let passed = ref [] in
@@ -203,7 +203,10 @@ let check_run t model ~now ~wrote =
 
 let prop_run_matches_model =
   Generators.qtest "texp-ordered run = association-list model" ~count:60
-    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 40) op_gen)
+    (* A failure shrinks by dropping ops, each kept whole, so it reports
+       in seconds: shrinking the ops' fields tried about 1 600 replays
+       of up to 40 steps, bursts of hundreds of rows among them. *)
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 40) (QCheck2.Gen.no_shrink op_gen))
     (fun ops ->
       let t = make () in
       let model = ref [] and now = ref 0 in
@@ -254,10 +257,100 @@ let prop_run_matches_model =
            | Vacuum ->
              let reclaimed = Table.vacuum t ~tau:(Time.of_int !now) in
              if reclaimed <> List.length (expire ()) then failwith "vacuum count");
-          check_run t !model ~now:!now
-            ~wrote:(match op with Advance _ | Tick _ | Vacuum -> false | _ -> true))
+          check_run t !model ~now:!now)
         ops;
       true)
+
+(* An expiration that drops whole chunks shrinks the run under its
+   pending changes: they fold there, so a later no-op (a delete of an
+   absent row) finds them under the bound.  An ascending load past
+   1 024 rows is folded into chunks; rows that outlive it wait as
+   pending adds; the clock then passes every folded chunk. *)
+let test_expiry_folds () =
+  let t = make () and model = ref [] in
+  let insert row texp =
+    Table.insert t row ~texp;
+    model := (row, texp) :: !model
+  in
+  for k = 1 to 2_000 do insert (Tuple.ints [ k; 0 ]) (fin k) done;
+  let run = Table.run t and k = ref 0 in
+  while Texp_run.pending run < 300 do
+    incr k;
+    insert (Tuple.ints [ 5_000 + !k; 1 ]) (fin 10_000)
+  done;
+  check_run t !model ~now:0;
+  let due = List.sort by_key (List.filter (fun (_, e) -> Time.(e <= fin 2_000)) !model) in
+  if Table.expire_upto t (fin 2_000) <> due then Alcotest.fail "expire_upto";
+  model := List.filter (fun (_, e) -> Time.(e > fin 2_000)) !model;
+  check_run t !model ~now:2_000;
+  Alcotest.(check bool) "delete of an absent row" false (Table.delete t (Tuple.ints [ 1; 0 ]));
+  check_run t !model ~now:2_000
+
+(* A run ascends in [(key, texp, tuple)] order whatever the keys and
+   texps: the batch sort ranks by an int prefix (a texp, or an index
+   key: Null and Bool lowest, an Int by value, Float and Str highest)
+   and orders equal prefixes by the full comparison.  A run built whole
+   is read back in exactly that order; a run filled by adds folds and
+   settles its batches, and its scan is the chunks, then the pending
+   adds, each ascending. *)
+let any_value =
+  let open QCheck2.Gen in
+  oneof
+    [ return Value.Null;
+      map Value.bool bool;
+      map Value.int (oneof [ int_range (-3) 3; oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]; int ]);
+      map Value.float (oneof [ oneofl [ Float.nan; -0.; 0.; Float.infinity; Float.neg_infinity; 1.5 ]; float ]);
+      map Value.str (string_size ~gen:(char_range 'a' 'c') (int_range 0 2)) ]
+
+let any_texp =
+  let open QCheck2.Gen in
+  oneof
+    [ return Time.Inf;
+      map fin (int_range 1 4);
+      map fin (oneofl [ min_int + 1; -5; max_int - 1; max_int ]);
+      map (fun n -> fin (Int.max n (min_int + 1))) int ]
+
+let prop_any_keys_ascend =
+  Generators.qtest "a run of any keys ascends in (key, texp, tuple) order" ~count:100
+    QCheck2.Gen.(no_shrink (list_size (int_range 0 800) (pair (pair any_value any_value) any_texp)))
+    (fun draws ->
+      let rows =
+        List.mapi (fun i ((a, b), e) -> (Tuple.of_list [ a; b; Value.int i ], e)) draws
+      in
+      let tau = Time.of_int min_int in
+      let emitted run =
+        let out = ref [] in
+        Texp_run.scan_range run ~tau ~lo:Texp_run.Unbounded ~hi:Texp_run.Unbounded
+          ~visited:(ref 0) ~dropped:(ref 0) (fun c sel ->
+            let texps = Texp_run.chunk_texps c in
+            let row r = Tuple.init ~arity:3 (fun j -> (Texp_run.chunk_col c j).(r)), texps.(r) in
+            match sel with
+            | None -> for r = 0 to Texp_run.chunk_len c - 1 do out := row r :: !out done
+            | Some s -> Array.iter (fun r -> out := row r :: !out) s);
+        List.rev !out
+      in
+      List.for_all
+        (fun key ->
+          let order (t1, e1) (t2, e2) =
+            let k tu = match key with None -> Value.Null | Some j -> Tuple.attr tu j in
+            match Value.compare (k t1) (k t2) with
+            | 0 -> (match Time.compare e1 e2 with 0 -> Tuple.compare t1 t2 | c -> c)
+            | c -> c
+          in
+          let want = List.sort order rows in
+          let whole = emitted (Texp_run.create ?key ~arity:3 rows) in
+          let added = Texp_run.create ?key ~arity:3 [] in
+          List.iter (fun (tu, e) -> Texp_run.add added tu e) rows;
+          let got = emitted added in
+          (* the chunks, then the pending adds: at most one descent *)
+          let rec descents = function
+            | a :: (b :: _ as rest) -> (if order a b > 0 then 1 else 0) + descents rest
+            | [ _ ] | [] -> 0
+          in
+          (* [Float.compare], not [=], equates NaNs *)
+          let same = List.equal (fun a b -> order a b = 0) in
+          same whole want && same (List.sort order got) want && descents got <= 1)
+        [ None; Some 1; Some 2 ])
 
 (* ---------- bursts: writes with no read between them ---------- *)
 
@@ -538,5 +631,7 @@ let suite =
     Alcotest.test_case "vacuum" `Quick test_vacuum;
     prop_snapshot_equals_reference;
     prop_run_matches_model;
+    Alcotest.test_case "an expiration that shrinks the run folds" `Quick test_expiry_folds;
+    prop_any_keys_ascend;
     prop_bursts;
     Alcotest.test_case "two readers settle one burst" `Quick test_concurrent_settle ]

@@ -908,6 +908,57 @@ let int_float_owners_agree =
       Wire.shard_owner map (Value.int n)
       = Wire.shard_owner map (Value.float (float_of_int n)))
 
+(* [Wire.value_hash] folds FNV-1a over a value's canonical bytes without
+   building them; here they are built in a [Buffer], as the definition
+   reads, and hashed afterwards.  The two must agree on every value,
+   for routing and every preload partition depend on the hash. *)
+let buffered_value_hash v =
+  let b = Buffer.create 16 in
+  let add_int n =
+    Buffer.add_char b '\002';
+    Buffer.add_int64_be b n
+  in
+  (match v with
+   | Value.Null -> Buffer.add_char b '\000'
+   | Value.Bool x ->
+     Buffer.add_char b '\001';
+     Buffer.add_char b (if x then '\001' else '\000')
+   | Value.Int n -> add_int (Int64.of_int n)
+   | Value.Float f when Float.is_integer f && Float.abs f <= 0x1p53 ->
+     add_int (Int64.of_float f)
+   | Value.Float f ->
+     Buffer.add_char b '\003';
+     Buffer.add_int64_be b (Int64.bits_of_float f)
+   | Value.Str s ->
+     Buffer.add_char b '\004';
+     Buffer.add_string b s);
+  let h = ref 0x811c9dc5 in
+  String.iter
+    (fun ch ->
+      h := !h lxor Char.code ch;
+      h := !h * 0x01000193 land 0xffffffff)
+    (Buffer.contents b);
+  !h
+
+let value_hash_matches_bytes =
+  let p53 = 0x1p53 in
+  let near f = Gen.map (fun d -> f +. float_of_int d) (Gen.int_range (-4) 4) in
+  Generators.qtest "value_hash = FNV-1a over the buffered bytes" ~count:1_000
+    (Gen.oneof
+       [ Gen.map Value.int Gen.int;
+         Gen.map Value.int
+           (Gen.oneofl [ max_int; min_int; max_int - 1; min_int + 1; 0; -1; 1 lsl 53; -(1 lsl 53) ]);
+         Gen.map Value.float (Gen.oneof [ near p53; near (-.p53); near (2. *. p53); near (-2. *. p53) ]);
+         Gen.map Value.float
+           (Gen.oneofl [ Float.nan; -.Float.nan; 0.; -0.; Float.infinity; Float.neg_infinity; 1e300; -1e-300 ]);
+         Gen.map Value.float Gen.float;
+         Gen.map (fun n -> Value.float (float_of_int n)) (Gen.int_range (-1_000) 1_000);
+         Gen.map (fun s -> Value.Str s) Gen.string;
+         Gen.map (fun b -> Value.Bool b) Gen.bool;
+         Gen.return Value.Null;
+         value ])
+    (fun v -> Wire.value_hash v = buffered_value_hash v)
+
 let test_hostile_list_count () =
   (* A Rows body claiming millions of rows in a tiny payload must be
      rejected before any proportional allocation happens. *)
@@ -932,6 +983,7 @@ let suite =
     shard_owner_in_map;
     Alcotest.test_case "Int owners are pinned" `Quick test_int_owners_pinned;
     int_float_owners_agree;
+    value_hash_matches_bytes;
     Alcotest.test_case "hostile shard count" `Quick test_hostile_shard_count;
     Alcotest.test_case "a pong renders its boot id" `Quick test_pong_renders_boot;
     Alcotest.test_case "unknown tag" `Quick test_unknown_tag;
