@@ -106,9 +106,9 @@ let write_costs ~rows =
 
 (* A load, ms: [rows] fresh rows into a table with indexes on both
    columns, TTLs uniform over 1 000 ticks; then the same load followed
-   by one point read through each index, so the pending adds a burst
-   leaves for its first reader are paid inside the figure; and the
-   minor-heap words one load allocates per row. *)
+   by one point read through each index, the first reads of the pending
+   adds the load leaves; and the minor-heap words one load allocates
+   per row. *)
 let load_costs ~rows =
   let rng = Bench_util.rng 53 in
   let tuples = Array.init rows (fun i -> Tuple.ints [ i; Random.State.int rng 10_000 ]) in
@@ -142,13 +142,15 @@ let load_costs ~rows =
   [ load_ms; read_ms; (Gc.minor_words () -. words) /. float_of_int rows ]
 
 (* Each row's median of 3 runs (min-max), the medians recorded as
-   [access_<name>_n<rows>]. *)
+   [access_<name>_n<rows>] and returned by name and rows. *)
 let median_sweep ~title ~headers ~names f =
   Bench_util.subsection (title ^ ": median of 3 runs (min-max)");
+  let medians = ref [] in
   let cell rows name runs =
     let sorted = List.sort Float.compare runs in
     let median = List.nth sorted 1 in
     Bench_util.metric (Printf.sprintf "access_%s_n%d" name rows) median;
+    medians := ((name, rows), median) :: !medians;
     Printf.sprintf "%s (%s-%s)" (Bench_util.f1 median) (Bench_util.f1 (List.hd sorted))
       (Bench_util.f1 (List.nth sorted 2))
   in
@@ -158,15 +160,36 @@ let median_sweep ~title ~headers ~names f =
          let runs = List.init 3 (fun _ -> f ~rows) in
          string_of_int rows
          :: List.mapi (fun k name -> cell rows name (List.map (fun r -> List.nth r k) runs)) names)
-       [ 10_000; 100_000 ])
+       [ 10_000; 100_000 ]);
+  !medians
+
+(* How a write and a load scale: the 10^5 median over the 10^4 one,
+   both taken in this process, recorded as [access_<row>_ratio].  An
+   O(log n) write reads near 1; a load, which writes ten times the rows,
+   near 10. *)
+let ratio_rows medians =
+  Bench_util.subsection "10^5 median / 10^4 median";
+  Bench_util.table ~headers:[ "row"; "ratio" ]
+    (List.map
+       (fun (row, name) ->
+         let at rows = List.assoc (name, rows) medians in
+         let ratio = at 100_000 /. at 10_000 in
+         Bench_util.metric (Printf.sprintf "access_%s_ratio" row) ratio;
+         [ row; Bench_util.f2 ratio ])
+       [ "overwrite", "overwrite_us"; "delete", "delete_us"; "load", "load_ms" ])
 
 let write_sweep () =
-  median_sweep ~title:"table writes, µs per write"
-    ~headers:[ "insert, no index"; "overwrite, 2 indexes"; "delete, 2 indexes" ]
-    ~names:[ "insert_us"; "overwrite_us"; "delete_us" ] write_costs;
-  median_sweep ~title:"loads into 2 indexes, ms and minor words per row"
-    ~headers:[ "load"; "load + a point read per index"; "words per row" ]
-    ~names:[ "load_ms"; "load_read_ms"; "load_words_per_row" ] load_costs
+  let writes =
+    median_sweep ~title:"table writes, µs per write"
+      ~headers:[ "insert, no index"; "overwrite, 2 indexes"; "delete, 2 indexes" ]
+      ~names:[ "insert_us"; "overwrite_us"; "delete_us" ] write_costs
+  in
+  let loads =
+    median_sweep ~title:"loads into 2 indexes, ms and minor words per row"
+      ~headers:[ "load"; "load + a point read per index"; "words per row" ]
+      ~names:[ "load_ms"; "load_read_ms"; "load_words_per_row" ] load_costs
+  in
+  ratio_rows (writes @ loads)
 
 let sweep () =
   Bench_util.section "Experiment exp-access: secondary indexes on expiring tables";

@@ -1,9 +1,11 @@
 (* Experiment exp-index (substrate claim, citation [24]): expiration
    indexes make expiration processing cheap.  Loads n registrations and
-   advances time in steps, measuring wall-clock per backend: the three
-   baselines of [24] (bench/baselines: a naive scan, a binary heap, a
-   timing wheel) and Texp_run, the texp-ordered run a table's rows and
-   indexes live in, where an advance drops a prefix of chunks.
+   advances time in steps, measuring wall-clock per backend, the median
+   of 5 fresh builds: the three baselines of [24] (bench/baselines: a
+   naive scan, a binary heap, a timing wheel) and Texp_run, the
+   texp-ordered run a table's rows and indexes live in, where an advance
+   drops a prefix of chunks — loaded by adds in arrival order, and built
+   sorted from the same rows.
 
    Expected shape: heap, wheel and texp_run scale near-linearly and
    beat the naive scan by orders of magnitude at large n, because the
@@ -14,30 +16,39 @@ open Expirel_baselines
 open Expirel_storage
 open Expirel_workload
 
-(* A backend: a fresh structure as its [add] and [expire_upto] (the
-   count expired). *)
-let baseline backend () =
+(* A backend loads the registrations into a fresh structure and returns
+   its [expire_upto] (the count expired). *)
+let baseline backend entries =
   let idx = Expiration_index.create backend in
-  ( (fun id texp -> Expiration_index.add idx ~id ~texp),
-    fun tau -> List.length (Expiration_index.expire_upto idx tau) )
+  List.iter (fun (id, at) -> Expiration_index.add idx ~id ~texp:(Time.of_int at)) entries;
+  fun tau -> List.length (Expiration_index.expire_upto idx tau)
 
-let texp_run () =
+let texp_run entries =
   let run = Texp_run.create ~arity:1 [] in
-  ( (fun id texp -> Texp_run.add run (Tuple.ints [ id ]) texp),
-    fun tau -> List.length (Texp_run.expire_upto run tau) )
+  List.iter (fun (id, at) -> Texp_run.add run (Tuple.ints [ id ]) (Time.of_int at)) entries;
+  fun tau -> List.length (Texp_run.expire_upto run tau)
 
+(* The same rows built sorted by [Texp_run.create]: every row folded,
+   nothing pending, so the scattered load's expiry reads against it. *)
+let texp_run_sorted entries =
+  let run =
+    Texp_run.create ~arity:1 (List.map (fun (id, at) -> (Tuple.ints [ id ], Time.of_int at)) entries)
+  in
+  fun tau -> List.length (Texp_run.expire_upto run tau)
+
+(* Each backend's row name, the id its metrics carry, and its build. *)
 let backends =
-  [ "scan", baseline `Scan; "heap", baseline `Heap; "wheel", baseline `Wheel;
-    "texp_run", texp_run ]
+  [ "scan", "scan", baseline `Scan; "heap", "heap", baseline `Heap;
+    "wheel", "wheel", baseline `Wheel; "texp_run", "texp_run", texp_run;
+    "texp_run (built sorted)", "texp_run_sorted", texp_run_sorted ]
 
+let builds = 5
+
+(* One fresh build: load ms, expire ms, and the count expired. *)
 let run_one backend ~n ~steps =
   let rng = Bench_util.rng 20 in
   let entries = Gen.expiry_stream ~rng ~n ~ttl:(Gen.Uniform_ttl (1, 10 * steps)) ~now:0 in
-  let add, expire_upto = backend () in
-  let (), load_s =
-    Bench_util.time_it (fun () ->
-        List.iter (fun (id, at) -> add id (Time.of_int at)) entries)
-  in
+  let expire_upto, load_s = Bench_util.time_it (fun () -> backend entries) in
   let expired = ref 0 in
   let (), expire_s =
     Bench_util.time_it (fun () ->
@@ -45,22 +56,36 @@ let run_one backend ~n ~steps =
           expired := !expired + expire_upto (Time.of_int (step * 10))
         done)
   in
-  load_s, expire_s, !expired
+  load_s *. 1e3, expire_s *. 1e3, !expired
+
+(* The median of a few runs, and its min-max. *)
+let spread xs =
+  let sorted = List.sort Float.compare xs in
+  (List.nth sorted (List.length sorted / 2), List.hd sorted, List.nth sorted (List.length sorted - 1))
 
 let sweep () =
   Bench_util.section "Experiment exp-index: expiration index backends";
   List.iter
     (fun n ->
-      Bench_util.subsection (Printf.sprintf "n = %d registrations, 100 advances" n);
+      Bench_util.subsection
+        (Printf.sprintf "n = %d registrations, 100 advances: median of %d fresh builds (min-max)" n
+           builds);
       let rows =
         List.map
-          (fun (name, backend) ->
-            let load_s, expire_s, expired = run_one backend ~n ~steps:100 in
+          (fun (name, id, backend) ->
+            let runs = List.init builds (fun _ -> run_one backend ~n ~steps:100) in
+            let _, _, expired = List.hd runs in
+            let per_expiration =
+              List.map (fun (_, ms, e) -> ms *. 1e6 /. float_of_int (max 1 e)) runs
+            in
+            let ns, lo, hi = spread per_expiration in
+            Bench_util.metric (Printf.sprintf "index_%s_expire_ns_n%d" id n) ns;
+            let median f = let m, _, _ = spread (List.map f runs) in Bench_util.f2 m in
             [ name;
-              Bench_util.f2 (load_s *. 1e3);
-              Bench_util.f2 (expire_s *. 1e3);
+              median (fun (ms, _, _) -> ms);
+              median (fun (_, ms, _) -> ms);
               string_of_int expired;
-              Bench_util.f2 (expire_s *. 1e9 /. float_of_int (max 1 expired)) ])
+              Printf.sprintf "%s (%s-%s)" (Bench_util.f1 ns) (Bench_util.f1 lo) (Bench_util.f1 hi) ])
           backends
       in
       Bench_util.table

@@ -16,14 +16,15 @@ type chunk = {
 let chunk_rows = 256
 
 (* [Time.compare] and [Value.compare], with the cases runs compare most
-   written out: the dev build compiles modules opaquely, so a call into
-   [Time] or [Value] is an out-of-line call. *)
-let compare_time e1 e2 =
+   written out and inlined into the searches and merges: the dev build
+   compiles modules opaquely, so a call into [Time] or [Value] is an
+   out-of-line call. *)
+let[@inline] compare_time e1 e2 =
   match e1, e2 with
   | Time.Fin a, Time.Fin b -> Int.compare a b
   | _ -> Time.compare e1 e2
 
-let compare_value k1 k2 =
+let[@inline] compare_value k1 k2 =
   if k1 == k2 then 0
   else match k1, k2 with Value.Int a, Value.Int b -> Int.compare a b | _ -> Value.compare k1 k2
 
@@ -51,18 +52,31 @@ let search lo hi past =
 
 let live_cut texps ~tau lo hi = search lo hi (fun i -> Time.(texps.(i) > tau))
 
-(* A row's place in the run: its leading key ([Null] in a table's own
-   run, keyed on that constant), then texp, then tuple — ties broken by
-   tuple order, so the layout (and every profile counter derived from
-   it) is deterministic. *)
-type key = Value.t * Time.t * Tuple.t
+(* A row's place in the run: its leading key [k] ([Null] in a table's
+   own run, keyed on that constant), then texp, then tuple — ties broken
+   by tuple order, so the layout (and every profile counter derived from
+   it) is deterministic.  [p] is an int monotone in that order, so most
+   comparisons read one int a side: the texp in a table's own run
+   ([Inf] as [max_int]); in an index, an [Int] key's value, with [Null]
+   and [Bool] as [min_int] and [Float] and [Str] as [max_int]. *)
+type key = { p : int; k : Value.t; e : Time.t; tu : Tuple.t }
 
-let compare_key (k1, e1, t1) (k2, e2, t2) =
-  let c = compare_value k1 k2 in
-  if c <> 0 then c
+(* [Tuple.compare] from attribute [j] on, for tuples of one arity [n],
+   without the closure it allocates. *)
+let rec compare_attrs a b j n =
+  if j > n then 0
   else
-    let c = compare_time e1 e2 in
-    if c <> 0 then c else Tuple.compare t1 t2
+    let d = compare_value (Tuple.attr a j) (Tuple.attr b j) in
+    if d <> 0 then d else compare_attrs a b (j + 1) n
+
+let[@inline] compare_key a b =
+  if a.p <> b.p then (if a.p < b.p then -1 else 1)
+  else
+    let c = compare_value a.k b.k in
+    if c <> 0 then c
+    else
+      let c = compare_time a.e b.e in
+      if c <> 0 then c else compare_attrs a.tu b.tu 1 (Tuple.arity a.tu)
 
 type bound =
   | Unbounded
@@ -86,186 +100,285 @@ let below hi k =
    before a cut up to a point, then past it. *)
 let before b ~upper k = if upper then below b k else not (above b k)
 
-(* The pending changes: Set.Make's AVL tree over [compare_key], whose
-   nodes also count their subtree, so the keys a key range holds are
-   counted in O(log n) without allocating.  [add] of a present key and
-   [remove] of an absent one return the set itself, as Set.Make's do. *)
-module Key_set = struct
-  type t =
-    | Empty
-    | Node of { l : t; v : key; r : t; hn : int }
-        (* the subtree's size above its height's 6 bits: a node is no
-           larger than a Set.Make node *)
+(* Fills arrays before their slots are written.  Built once at start-up
+   and so in the major heap after the first minor collection: a large
+   [Array.make] with a young initial value would force one. *)
+let dummy = { p = max_int; k = Value.Null; e = Time.Inf; tu = Tuple.of_list [] }
 
-  let empty = Empty
-  let is_empty = function Empty -> true | Node _ -> false
-  let height = function Empty -> 0 | Node { hn; _ } -> hn land 63
-  let cardinal = function Empty -> 0 | Node { hn; _ } -> hn lsr 6
+(* The ascending slices [a.(i0 .. i1-1)] and [b.(j0 .. j1-1)] merged:
+   copied end to end when one wholly precedes the other, as the levels
+   of keys that arrive in order do. *)
+let merge_keys a i0 i1 b j0 j1 =
+  let la = i1 - i0 and lb = j1 - j0 in
+  let out = Array.make (la + lb) dummy in
+  if la = 0 || lb = 0 || compare_key a.(i1 - 1) b.(j0) < 0 then begin
+    Array.blit a i0 out 0 la;
+    Array.blit b j0 out la lb
+  end
+  else if compare_key b.(j1 - 1) a.(i0) < 0 then begin
+    Array.blit b j0 out 0 lb;
+    Array.blit a i0 out lb la
+  end
+  else begin
+    let i = ref i0 and j = ref j0 in
+    for o = 0 to la + lb - 1 do
+      if !j >= j1 || (!i < i1 && compare_key a.(!i) b.(!j) < 0) then begin
+        out.(o) <- a.(!i);
+        incr i
+      end
+      else begin
+        out.(o) <- b.(!j);
+        incr j
+      end
+    done
+  end;
+  out
 
-  let packed = function Empty -> 0 | Node { hn; _ } -> hn
+(* The first of [a.(lo .. hi-1)] at or after key [k]. *)
+let rec seek a k lo hi =
+  if lo >= hi then lo
+  else
+    let m = (lo + hi) / 2 in
+    if compare_key a.(m) k >= 0 then seek a k lo m else seek a k (m + 1) hi
 
-  (* A node over children whose packed fields are [hnl] and [hnr]. *)
-  let join hnl l v hnr r =
-    let hl = hnl land 63 and hr = hnr land 63 in
-    Node
-      { l; v; r;
-        hn = (((hnl lsr 6) + (hnr lsr 6) + 1) lsl 6) lor (if hl >= hr then hl + 1 else hr + 1) }
+(* The first of [a.(lo .. hi-1)] whose texp is after [tau] (keys of a
+   constant-keyed run ascend by texp). *)
+let rec past_texp a tau lo hi =
+  if lo >= hi then lo
+  else
+    let m = (lo + hi) / 2 in
+    if compare_time a.(m).e tau > 0 then past_texp a tau lo m else past_texp a tau (m + 1) hi
 
-  let create l v r = join (packed l) l v (packed r) r
+(* The number of keys of [a.(lo .. hi-1)] before bound [b]'s cut. *)
+let rec keys_before a b ~upper lo hi =
+  if lo >= hi then lo
+  else
+    let m = (lo + hi) / 2 in
+    if before b ~upper a.(m).k then keys_before a b ~upper (m + 1) hi else keys_before a b ~upper lo m
 
-  let bal l v r =
-    let hnl = packed l and hnr = packed r in
-    let hl = hnl land 63 and hr = hnr land 63 in
-    if hl > hr + 2 then
-      match l with
-      | Node { l = ll; v = lv; r = lr; _ } when height ll >= height lr ->
-        create ll lv (create lr v r)
-      | Node { l = ll; v = lv; r = Node { l = lrl; v = lrv; r = lrr; _ }; _ } ->
-        create (create ll lv lrl) lrv (create lrr v r)
-      | _ -> invalid_arg "Key_set.bal"
-    else if hr > hl + 2 then
-      match r with
-      | Node { l = rl; v = rv; r = rr; _ } when height rr >= height rl ->
-        create (create l v rl) rv rr
-      | Node { l = Node { l = rll; v = rlv; r = rlr; _ }; v = rv; r = rr; _ } ->
-        create (create l v rll) rlv (create rlr rv rr)
-      | _ -> invalid_arg "Key_set.bal"
-    else join hnl l v hnr r
+(* A set of pending changes: immutable sorted key arrays in levels,
+   smallest first, each at most half the size of the next, and a write
+   buffer of at most [chunk_rows] keys kept sorted in place.  A key is
+   held at most once.  An insertion shifts the buffer's tail, a
+   memmove while the buffer is young; a full buffer becomes the
+   smallest level and equal levels merge, so a key is copied O(log n)
+   times before a fold.  Readers search each level and the buffer and
+   store nothing. *)
+module Pending = struct
+  type t = {
+    mutable buf : key array;  (* [chunk_rows] slots once written; [fill] used *)
+    mutable fill : int;
+    mutable levels : key array list;
+    mutable size : int;
+  }
 
-  let rec add x = function
-    | Empty -> Node { l = Empty; v = x; r = Empty; hn = (1 lsl 6) lor 1 }
-    | Node { l; v; r; _ } as t ->
-      let c = compare_key x v in
-      if c = 0 then t
-      else if c < 0 then
-        let l' = add x l in
-        if l' == l then t else bal l' v r
-      else
-        let r' = add x r in
-        if r' == r then t else bal l v r'
+  let create () = { buf = [||]; fill = 0; levels = []; size = 0 }
+  let size p = p.size
 
-  let rec min_elt = function
-    | Empty -> raise Not_found
-    | Node { l = Empty; v; _ } -> v
-    | Node { l; _ } -> min_elt l
+  let clear p =
+    p.buf <- [||];
+    p.fill <- 0;
+    p.levels <- [];
+    p.size <- 0
 
-  let rec max_elt = function
-    | Empty -> raise Not_found
-    | Node { r = Empty; v; _ } -> v
-    | Node { r; _ } -> max_elt r
+  (* A new level merges with every next one it is not at most half. *)
+  let rec push a = function
+    | b :: rest when 2 * Array.length a > Array.length b ->
+      push (merge_keys a 0 (Array.length a) b 0 (Array.length b)) rest
+    | levels -> a :: levels
 
+  (* [k], not held, joins the buffer; a full buffer becomes a level. *)
+  let insert p k =
+    if Array.length p.buf = 0 then p.buf <- Array.make chunk_rows dummy;
+    let n = p.fill in
+    let i = if n = 0 || compare_key p.buf.(n - 1) k < 0 then n else seek p.buf k 0 n in
+    if i < n then Array.blit p.buf i p.buf (i + 1) (n - i);
+    p.buf.(i) <- k;
+    p.fill <- n + 1;
+    p.size <- p.size + 1;
+    if p.fill = chunk_rows then begin
+      p.levels <- push p.buf p.levels;
+      p.buf <- [||];
+      p.fill <- 0
+    end
 
-  let rec remove_min = function
-    | Empty -> invalid_arg "Key_set.remove_min"
-    | Node { l = Empty; r; _ } -> r
-    | Node { l; v; r; _ } -> bal (remove_min l) v r
+  let find a n k =
+    let i = seek a k 0 n in
+    if i < n && compare_key a.(i) k = 0 then i else -1
 
-  let rec remove x = function
-    | Empty -> Empty
-    | Node { l; v; r; _ } as t ->
-      let c = compare_key x v in
-      if c = 0 then
-        match l, r with
-        | Empty, s | s, Empty -> s
-        | _ -> bal l (min_elt r) (remove_min r)
-      else if c < 0 then
-        let l' = remove x l in
-        if l' == l then t else bal l' v r
-      else
-        let r' = remove x r in
-        if r' == r then t else bal l v r'
+  (* Level [l] without its key [i]: a fresh array, as readers may hold
+     [l]. *)
+  let without l i =
+    let n = Array.length l in
+    let out = Array.sub l 0 (n - 1) in
+    Array.blit l (i + 1) out i (n - 1 - i);
+    out
 
-  let rec fold_right f t acc =
-    match t with Empty -> acc | Node { l; v; r; _ } -> fold_right f l (f v (fold_right f r acc))
+  (* Whether [k] was in the buffer; it is not now. *)
+  let remove_buffered p k =
+    let i = find p.buf p.fill k in
+    i >= 0
+    && begin
+      Array.blit p.buf (i + 1) p.buf i (p.fill - 1 - i);
+      p.fill <- p.fill - 1;
+      p.size <- p.size - 1;
+      true
+    end
 
-  let elements t = fold_right List.cons t []
+  (* Whether [k] was held; it is not now.  A key in a level rebuilds
+     that one level. *)
+  let remove p k =
+    p.size > 0
+    && (remove_buffered p k
+       ||
+       let rec drop = function
+         | [] -> raise_notrace Not_found
+         | l :: rest ->
+           let i = find l (Array.length l) k in
+           if i < 0 then l :: drop rest
+           else if Array.length l = 1 then rest
+           else without l i :: rest
+       in
+       match drop p.levels with
+       | levels ->
+         p.levels <- levels;
+         p.size <- p.size - 1;
+         true
+       | exception Not_found -> false)
 
-  (* A balanced tree of the ascending keys [a.(lo .. hi-1)]. *)
-  let rec of_sorted a lo hi =
-    if lo >= hi then Empty
-    else
-      let mid = (lo + hi) / 2 in
-      create (of_sorted a lo mid) a.(mid) (of_sorted a (mid + 1) hi)
-
-  let of_list keys = let a = Array.of_list keys in of_sorted a 0 (Array.length a)
-
-  (* The keys ascending, in one array. *)
-  let to_array t =
-    match t with
-    | Empty -> [||]
-    | Node { v; _ } ->
-      let a = Array.make (cardinal t) v and i = ref 0 in
-      let rec fill = function
-        | Empty -> ()
-        | Node { l; v; r; _ } -> fill l; a.(!i) <- v; incr i; fill r
-      in
-      fill t;
-      a
-
-  let filter p t =
-    let yes = List.filter p (elements t) in
-    if List.compare_length_with yes (cardinal t) = 0 then t else of_list yes
-
-  type enumeration = End | More of key * t * enumeration
-
-  let rec cons_enum s e = match s with Empty -> e | Node { l; v; r; _ } -> cons_enum l (More (v, r, e))
-
-  let rec seq_of_enum c () =
-    match c with End -> Seq.Nil | More (x, t, rest) -> Seq.Cons (x, seq_of_enum (cons_enum t rest))
-
-  let to_seq s = seq_of_enum (cons_enum s End)
-
-  let to_seq_from low s =
-    let rec from s c =
-      match s with
-      | Empty -> c
-      | Node { l; v; r; _ } ->
-        let d = compare_key v low in
-        if d = 0 then More (v, r, c) else if d < 0 then from r c else from l (More (v, r, c))
+  (* The keys in [lo a n, hi a n) of the buffer's and each level's [n]
+     keys, merged ascending into a fresh array. *)
+  let merged p lo hi =
+    let slice a n = let i = lo a n in (a, i, Int.max i (hi a n)) in
+    let a, i, i1 =
+      List.fold_left
+        (fun (a, i, i1) l ->
+          let b, j, j1 = slice l (Array.length l) in
+          if j = j1 then (a, i, i1)
+          else
+            let m = merge_keys a i i1 b j j1 in
+            (m, 0, Array.length m))
+        (slice p.buf p.fill) p.levels
     in
-    seq_of_enum (from s End)
+    if a == p.buf then Array.sub a i (i1 - i) else a
 
-  (* The keys satisfying the monotone [p] (true ... true false ...
-     false): O(log n), allocating nothing. *)
-  let rec count_while p = function
-    | Empty -> 0
-    | Node { l; v; r; _ } -> if p v then cardinal l + 1 + count_while p r else count_while p l
+  let to_array p = merged p (fun _ _ -> 0) (fun _ n -> n)
 
-  let count_range s ~lo ~hi =
-    let before b ~upper = count_while (fun (k, _, _) -> before b ~upper k) s in
-    Int.max 0 (before hi ~upper:true - before lo ~upper:false)
+  (* Only the keys satisfying [keep]. *)
+  let filter p keep =
+    let kept a n =
+      let m = ref 0 in
+      for i = 0 to n - 1 do if keep a.(i) then incr m done;
+      if !m = n then a
+      else begin
+        let out = Array.make !m dummy and o = ref 0 in
+        for i = 0 to n - 1 do
+          if keep a.(i) then begin out.(!o) <- a.(i); incr o end
+        done;
+        out
+      end
+    in
+    let m = ref 0 in
+    for i = 0 to p.fill - 1 do
+      if keep p.buf.(i) then begin p.buf.(!m) <- p.buf.(i); incr m end
+    done;
+    p.fill <- !m;
+    p.levels <- List.filter (fun l -> Array.length l > 0) (List.map (fun l -> kept l (Array.length l)) p.levels);
+    p.size <- List.fold_left (fun n l -> n + Array.length l) p.fill p.levels
 
-  (* [f] over a constant-keyed set's keys with [after < texp <= upto],
-     ascending. *)
-  let rec fold_between ~after ~upto f t acc =
-    match t with
-    | Empty -> acc
-    | Node { l; v = (_, e, _) as v; r; _ } ->
-      let past = compare_time e after > 0 and due = compare_time e upto <= 0 in
-      let acc = if past then fold_between ~after ~upto f l acc else acc in
-      let acc = if past && due then f v acc else acc in
-      if due then fold_between ~after ~upto f r acc else acc
+  (* ---------- readers: a search of the buffer and of each level ---------- *)
 
-  (* A constant-keyed set's keys with [texp <= tau], and its least texp
-     after [tau]: descents without a closure. *)
-  let rec count_upto tau = function
-    | Empty -> 0
-    | Node { l; v = _, e, _; r; _ } ->
-      if compare_time e tau <= 0 then cardinal l + 1 + count_upto tau r else count_upto tau l
+  (* Keys with [texp <= tau] (a constant-keyed set). *)
+  let rec upto_levels tau = function
+    | [] -> 0
+    | l :: rest -> past_texp l tau 0 (Array.length l) + upto_levels tau rest
 
-  let rec first_after tau = function
-    | Empty -> None
-    | Node { l; v = _, e, _; r; _ } ->
-      if compare_time e tau > 0 then match first_after tau l with None -> Some e | found -> found
-      else first_after tau r
+  let count_upto p tau = if p.size = 0 then 0 else past_texp p.buf tau 0 p.fill + upto_levels tau p.levels
+
+  (* The least key with texp after [tau] among [a.(0 .. n-1)] and
+     [best]. *)
+  let after a n tau best =
+    let i = past_texp a tau 0 n in
+    if i = n then best
+    else match best with Some b when compare_key b a.(i) <= 0 -> best | _ -> Some a.(i)
+
+  let rec after_levels tau best = function
+    | [] -> best
+    | l :: rest -> after_levels tau (after l (Array.length l) tau best) rest
+
+  let first_after p tau = after_levels tau (after p.buf p.fill tau None) p.levels
+
+  (* The least and the greatest key of a non-empty set. *)
+  let lesser best l = if compare_key l.(0) best < 0 then l.(0) else best
+
+  let greater best l =
+    let x = l.(Array.length l - 1) in
+    if compare_key x best > 0 then x else best
+
+  let first p = List.fold_left lesser (if p.fill > 0 then p.buf.(0) else (List.hd p.levels).(0)) p.levels
+
+  let last p =
+    let top =
+      if p.fill > 0 then p.buf.(p.fill - 1)
+      else let l = List.hd p.levels in l.(Array.length l - 1)
+    in
+    List.fold_left greater top p.levels
+
+  (* Keys in the bounds. *)
+  let in_range a n ~lo ~hi =
+    Int.max 0 (keys_before a hi ~upper:true 0 n - keys_before a lo ~upper:false 0 n)
+
+  let rec range_levels ~lo ~hi = function
+    | [] -> 0
+    | l :: rest -> in_range l (Array.length l) ~lo ~hi + range_levels ~lo ~hi rest
+
+  let count_range p ~lo ~hi =
+    if p.size = 0 then 0 else in_range p.buf p.fill ~lo ~hi + range_levels ~lo ~hi p.levels
+
+  (* Keys before [k]. *)
+  let rec lt_levels k = function
+    | [] -> 0
+    | l :: rest -> seek l k 0 (Array.length l) + lt_levels k rest
+
+  let count_lt p k = if p.size = 0 then 0 else seek p.buf k 0 p.fill + lt_levels k p.levels
+
+  (* [f] over the buffer's and each level's keys, as an array and a
+     length. *)
+  let fold_arrays f acc p = List.fold_left (fun acc l -> f acc l (Array.length l)) (f acc p.buf p.fill) p.levels
+
+  (* Whether [cmp] (positive before its target, negative after) finds
+     its target. *)
+  let mem_by p cmp =
+    let mem a n =
+      let i = search 0 n (fun i -> cmp a.(i) <= 0) in
+      i < n && cmp a.(i) = 0
+    in
+    p.size > 0 && (mem p.buf p.fill || List.exists (fun l -> mem l (Array.length l)) p.levels)
 end
 
-(* The pending adds: a tree, and an unsorted batch of the keys added
-   since it was last settled.  One immutable value, replaced in one
-   store: readers that settle it concurrently store equal values. *)
-type adds = { set : Key_set.t; batch : key list }
-
-let no_adds = { set = Key_set.empty; batch = [] }
+(* The keys of ascending [a] that ascending [b] does not hold. *)
+let minus a b =
+  let na = Array.length a and nb = Array.length b in
+  let shared = ref 0 and i = ref 0 and j = ref 0 in
+  while !i < na && !j < nb do
+    let c = compare_key a.(!i) b.(!j) in
+    if c = 0 then incr shared;
+    if c <= 0 then incr i;
+    if c >= 0 then incr j
+  done;
+  if !shared = 0 then a
+  else begin
+    let out = Array.make (na - !shared) dummy and o = ref 0 and j = ref 0 in
+    Array.iter
+      (fun k ->
+        while !j < nb && compare_key b.(!j) k < 0 do incr j done;
+        if !j >= nb || compare_key b.(!j) k <> 0 then begin
+          out.(!o) <- k;
+          incr o
+        end)
+      a;
+    out
+  end
 
 type t = {
   arity : int;
@@ -275,39 +388,43 @@ type t = {
          never mutated, so readers may keep the one they got *)
   mutable ends : int array;  (* ends.(i) = rows in chunks.(0..i) *)
   mutable least_top : Time.t;  (* the smallest chunk top *)
-  mutable adds : adds;  (* pending adds *)
-  mutable adds_n : int;  (* their number *)
-  mutable gone : Key_set.t;  (* chunked rows removed since the last fold *)
-  mutable gone_n : int;
+  adds : Pending.t;  (* rows not yet folded into a chunk *)
+  gone : Pending.t;
+      (* rows removed since the last fold: each names a chunked row or a
+         pending add, which readers and the fold net against it *)
   mutable horizon : Time.t;  (* rows at or before it have left the run *)
   mutable least : Time.t;  (* at or before every texp ever added *)
-  mutable adds_chunks : chunk list option;
-      (* [adds] laid out as chunks, on the first full scan after they
-         change.  The build races benignly between concurrent readers
-         (last store wins, both results are equal), as [settle] does. *)
 }
 
 let row_key t c r = match t.key with None -> Value.Null | Some j -> c.cols.(j - 1).(r)
 
 let key_of t tu e =
-  ((match t.key with None -> Value.Null | Some j -> Tuple.attr tu j), e, tu)
+  match t.key with
+  | None -> { p = (match e with Time.Fin n -> n | Time.Inf -> max_int); k = Value.Null; e; tu }
+  | Some j ->
+    let k = Tuple.attr tu j in
+    let p =
+      match k with
+      | Value.Int n -> n
+      | Value.Null | Value.Bool _ -> min_int
+      | Value.Float _ | Value.Str _ -> max_int
+    in
+    { p; k; e; tu }
 
 (* [compare_key] between row [r] of a chunk and a key.  Tuples in one
    run share the arity, so the column-wise order is [Tuple.compare]'s. *)
-let compare_row t c r (k, e, tu) =
+let rec compare_cols c r tu j =
+  if j = Array.length c.cols then 0
+  else
+    let d = compare_value c.cols.(j).(r) (Tuple.attr tu (j + 1)) in
+    if d <> 0 then d else compare_cols c r tu (j + 1)
+
+let compare_row t c r { k; e; tu; _ } =
   let d = compare_value (row_key t c r) k in
   if d <> 0 then d
   else
     let d = compare_time c.texps.(r) e in
-    if d <> 0 then d
-    else
-      let rec go j =
-        if j = Array.length c.cols then 0
-        else
-          let d = compare_value c.cols.(j).(r) (Tuple.attr tu (j + 1)) in
-          if d <> 0 then d else go (j + 1)
-      in
-      go 0
+    if d <> 0 then d else compare_cols c r tu 0
 
 let tuple_at c r = Tuple.init ~arity:(Array.length c.cols) (fun j -> c.cols.(j - 1).(r))
 
@@ -321,8 +438,7 @@ let chunks_of_keys ~arity keys =
       let lo = p * n / pieces in
       let len = ((p + 1) * n / pieces) - lo in
       let col f = Array.init len (fun i -> f keys.(lo + i)) in
-      make len (col (fun (_, e, _) -> e))
-        (Array.init arity (fun j -> col (fun (_, _, tu) -> Tuple.attr tu (j + 1)))))
+      make len (col (fun k -> k.e)) (Array.init arity (fun j -> col (fun k -> Tuple.attr k.tu (j + 1)))))
 
 let append_chunks a b =
   make (a.len + b.len) (Array.append a.texps b.texps) (Array.map2 Array.append a.cols b.cols)
@@ -337,144 +453,8 @@ let chunked t =
   let n = Array.length t.ends in
   if n = 0 then 0 else t.ends.(n - 1)
 
-let length t = chunked t + t.adds_n - t.gone_n
-let pending t = t.adds_n + t.gone_n
-
-let set_adds t adds ~delta =
-  t.adds <- adds;
-  t.adds_n <- t.adds_n + delta;
-  t.adds_chunks <- None
-
-(* The ascending arrays [a] and [b] merged. *)
-let merge_keys a b =
-  let na = Array.length a and nb = Array.length b in
-  if na = 0 then b
-  else if nb = 0 then a
-  else begin
-    let out = Array.make (na + nb) a.(0) and i = ref 0 and j = ref 0 in
-    for o = 0 to na + nb - 1 do
-      if !j >= nb || (!i < na && compare_key a.(!i) b.(!j) < 0) then begin
-        out.(o) <- a.(!i);
-        incr i
-      end
-      else begin
-        out.(o) <- b.(!j);
-        incr j
-      end
-    done;
-    out
-  end
-
-(* A key's int prefix, monotone in [compare_key]: a table's own run
-   orders by texp first, an index by its key. *)
-let prefix t ((k, e, _) : key) =
-  match t.key with
-  | None -> (match e with Time.Fin n -> n | Time.Inf -> max_int)
-  | Some _ -> (
-    match k with
-    | Value.Null | Value.Bool _ -> min_int
-    | Value.Int n -> n
-    | Value.Float _ | Value.Str _ -> max_int)
-
-(* Keys [a.(lo .. hi-1)], of one prefix, ascending: an insertion sort
-   when few, else a merge sort. *)
-let sort_span a lo hi =
-  if hi - lo <= 8 then
-    for i = lo + 1 to hi - 1 do
-      let x = a.(i) and j = ref i in
-      while !j > lo && compare_key a.(!j - 1) x > 0 do
-        a.(!j) <- a.(!j - 1);
-        decr j
-      done;
-      a.(!j) <- x
-    done
-  else begin
-    let s = Array.sub a lo (hi - lo) in
-    Array.stable_sort compare_key s;
-    Array.blit s 0 a lo (hi - lo)
-  end
-
-(* The keys ascending: an LSD radix sort, a byte a pass, of each key's
-   prefix offset from the least prefix (unsigned), carrying the key's
-   index; passes stop at the offsets' highest nonzero byte.  Then
-   [compare_key] orders each run of equal prefixes.  Loops, not
-   closures: a fold sorts thousands of keys. *)
-let sort_keys t keys =
-  let n = Array.length keys in
-  let off = Array.make n 0 and ix = Array.make n 0 and least = ref max_int in
-  for i = 0 to n - 1 do
-    let p = prefix t keys.(i) in
-    off.(i) <- p;
-    ix.(i) <- i;
-    if p < !least then least := p
-  done;
-  let bits = ref 0 in
-  for i = 0 to n - 1 do
-    let o = off.(i) - !least in
-    off.(i) <- o;
-    bits := !bits lor o
-  done;
-  let bits = !bits and count = Array.make 256 0 in
-  (* One pass moves [off] and [ix] by byte [shift] into [off'] and [ix']. *)
-  let rec pass off ix off' ix' shift =
-    if shift >= Sys.int_size || bits lsr shift = 0 then (off, ix)
-    else begin
-      Array.fill count 0 256 0;
-      for i = 0 to n - 1 do
-        let b = (off.(i) lsr shift) land 255 in
-        count.(b) <- count.(b) + 1
-      done;
-      let at = ref 0 in
-      for b = 0 to 255 do
-        let c = count.(b) in
-        count.(b) <- !at;
-        at := !at + c
-      done;
-      for i = 0 to n - 1 do
-        let o = off.(i) in
-        let b = (o lsr shift) land 255 in
-        let p = count.(b) in
-        off'.(p) <- o;
-        ix'.(p) <- ix.(i);
-        count.(b) <- p + 1
-      done;
-      pass off' ix' off ix (shift + 8)
-    end
-  in
-  let off, ix = pass off ix (Array.make n 0) (Array.make n 0) 0 in
-  let out = Array.map (fun i -> keys.(i)) ix in
-  let lo = ref 0 in
-  for i = 1 to n do
-    if i = n || off.(i) <> off.(!lo) then begin
-      if i - !lo > 1 then sort_span out !lo i;
-      lo := i
-    end
-  done;
-  out
-
-(* The pending adds ascending: the batch sorted once, merged with the
-   tree's keys. *)
-let sorted_adds t p = merge_keys (Key_set.to_array p.set) (sort_keys t (Array.of_list p.batch))
-
-(* The pending adds as one tree, stored back so a batch is sorted once:
-   a batch of k keys goes in by k [Key_set.add]s when that costs less
-   than a pass over the tree (k · height < size, or k = 1), else sorted
-   and merged with the tree's keys in one pass. *)
-let settle t =
-  let p = t.adds in
-  match p.batch with
-  | [] -> p.set
-  | batch ->
-    let k = List.length batch in
-    let set =
-      if k = 1 || k * Key_set.height p.set < Key_set.cardinal p.set then
-        List.fold_left (fun s x -> Key_set.add x s) p.set batch
-      else
-        let a = sorted_adds t p in
-        Key_set.of_sorted a 0 (Array.length a)
-    in
-    t.adds <- { set; batch = [] };
-    set
+let length t = chunked t + Pending.size t.adds - Pending.size t.gone
+let pending t = Pending.size t.adds + Pending.size t.gone
 
 let dead t e = compare_time e t.horizon <= 0
 
@@ -491,8 +471,8 @@ let merge t c adds a0 a1 gone g0 g1 acc =
   let live e = if dead t e then 0 else 1 in
   let m = ref 0 in
   for r = 0 to c.len - 1 do m := !m + live c.texps.(r) done;
-  for g = g0 to g1 - 1 do let _, e, _ = gone.(g) in m := !m - live e done;
-  for a = a0 to a1 - 1 do let _, e, _ = adds.(a) in m := !m + live e done;
+  for g = g0 to g1 - 1 do m := !m - live gone.(g).e done;
+  for a = a0 to a1 - 1 do m := !m + live adds.(a).e done;
   let m = !m in
   let pieces = (m + chunk_rows - 1) / chunk_rows in
   let acc = ref acc and piece = ref 0 and o = ref 0 in
@@ -530,7 +510,7 @@ let merge t c adds a0 a1 gone g0 g1 acc =
       incr r
     end
     else begin
-      let _, e, tu = adds.(!a) in
+      let { e; tu; _ } = adds.(!a) in
       if not (dead t e) then begin
         for x = 0 to t.arity - 1 do !cols.(x).(!o) <- Tuple.attr tu (x + 1) done;
         commit e
@@ -555,9 +535,11 @@ let rec coalesce = function
 (* Apply the pending adds and removals: a change belongs to the first
    chunk whose last row is at or after it (the last chunk past the
    end), and each chunk that receives one is rewritten with its share;
-   the others are shared, not copied.  The batch is sorted here once. *)
+   the others are shared, not copied.  Each pending set's levels merge
+   once here. *)
 let fold t =
-  let adds = sorted_adds t t.adds and gone = Key_set.to_array t.gone in
+  let adds = Pending.to_array t.adds and gone = Pending.to_array t.gone in
+  let adds = minus adds gone and gone = minus gone adds in
   let n = Array.length t.chunks in
   let a = ref 0 and g = ref 0 and acc = ref [] in
   let upto i keys p =
@@ -576,50 +558,41 @@ let fold t =
       else merge t t.chunks.(i) adds a0 !a gone g0 !g !acc
   done;
   set_chunks t (Array.of_list (coalesce (List.rev !acc)));
-  set_adds t no_adds ~delta:(-t.adds_n);
-  t.gone <- Key_set.empty;
-  t.gone_n <- 0
+  Pending.clear t.adds;
+  Pending.clear t.gone
 
 let create ?key ~arity rows =
   let t =
-    { arity; key; chunks = [||]; ends = [||]; least_top = Time.Inf; adds = no_adds;
-      adds_n = 0; gone = Key_set.empty; gone_n = 0; horizon = Time.of_int min_int;
-      least = Time.Inf; adds_chunks = None }
+    { arity; key; chunks = [||]; ends = [||]; least_top = Time.Inf; adds = Pending.create ();
+      gone = Pending.create (); horizon = Time.of_int min_int; least = Time.Inf }
   in
-  let keys = sort_keys t (Array.of_list (List.map (fun (tu, e) -> key_of t tu e) rows)) in
-  Array.iter (fun (_, e, _) -> t.least <- Time.min t.least e) keys;
+  let keys = Array.of_list (List.map (fun (tu, e) -> key_of t tu e) rows) in
+  Array.stable_sort compare_key keys;
+  Array.iter (fun k -> t.least <- Time.min t.least k.e) keys;
   set_chunks t (Array.of_list (chunks_of_keys ~arity keys));
   t
 
-(* Readers count, seek or skip the pending changes (a full scan lays the
-   adds out once per change of them), so they may grow to a quarter of
+(* Readers search the pending changes, so they may grow to a quarter of
    the run: with scattered keys a fold rewrites every chunk, about 4 row
    copies per change, in any arrival order. *)
 let check_fold t = if pending t >= max chunk_rows (length t / 4) then fold t
 
+(* An add cancels a pending removal of its key, in the buffer or in a
+   level (which it rebuilds).  A removal drops a pending add of its key
+   from the buffer, and else records the removal, which may name a
+   pending add in a level: rebuilding that level would copy O(n) keys
+   per removal. *)
 let add t tuple texp =
   let k = key_of t tuple texp in
   if compare_time texp t.least < 0 then t.least <- texp;
-  let gone = Key_set.remove k t.gone in
-  if gone != t.gone then begin
-    t.gone <- gone;
-    t.gone_n <- t.gone_n - 1
-  end
-  else set_adds t { t.adds with batch = k :: t.adds.batch } ~delta:1;
+  if not (Pending.remove t.gone k) then Pending.insert t.adds k;
   check_fold t
 
 let remove t tuple texp =
   let k = key_of t tuple texp in
-  let set = settle t in
-  let adds = Key_set.remove k set in
-  if adds != set then set_adds t { set = adds; batch = [] } ~delta:(-1)
-  else begin
-    let gone = Key_set.add k t.gone in
-    if gone != t.gone then begin
-      t.gone <- gone;
-      t.gone_n <- t.gone_n + 1;
-      check_fold t
-    end
+  if not (Pending.remove_buffered t.adds k) then begin
+    Pending.insert t.gone k;
+    check_fold t
   end
 
 let forget_upto t tau =
@@ -629,20 +602,17 @@ let forget_upto t tau =
        point into them. *)
     let live = List.filter (fun c -> Time.(c.top > tau)) (Array.to_list t.chunks) in
     set_chunks t (Array.of_list live);
-    t.gone <- Key_set.filter (fun (_, e, _) -> Time.(e > tau)) t.gone;
-    t.gone_n <- Key_set.cardinal t.gone;
+    Pending.filter t.gone (fun k -> Time.(k.e > tau));
     (* The run shrank: its pending changes fold if they are now over
        the bound. *)
     check_fold t
   end
 
 (* Whether chunk row [r] is the next of the ascending pending removals
-   [gone], dropping the ones before it. *)
-let rec removed t c r gone =
-  match !gone () with
-  | Seq.Cons (k, rest) when compare_row t c r k > 0 -> gone := rest; removed t c r gone
-  | Seq.Cons (k, _) -> compare_row t c r k = 0
-  | Seq.Nil -> false
+   [gone] from [!g] on, passing the ones before it. *)
+let removed t c r gone g =
+  while !g < Array.length gone && compare_row t c r gone.(!g) > 0 do incr g done;
+  !g < Array.length gone && compare_row t c r gone.(!g) = 0
 
 (* Two lists of rows descending by [(texp, tuple)] merged onto [acc],
    ascending. *)
@@ -654,36 +624,29 @@ let rec merge_down acc a b =
     if c > 0 then merge_down (x :: acc) a' b else merge_down (y :: acc) a b'
 
 (* The rows between the horizon and [tau] leave: the chunked ones are
-   read by two cuts, the pending ones by a seek, and neither is copied;
-   a straddling chunk keeps its dead prefix until it is rewritten. *)
+   read by two cuts, the pending ones by two cuts of the buffer and of
+   each level, and neither is copied; a straddling chunk keeps its dead
+   prefix until it is rewritten. *)
 let expire_upto t tau =
   let h = t.horizon in
   if Time.(tau <= h) then []
   else begin
-    let gone = Key_set.fold_between ~after:h ~upto:tau List.cons t.gone [] in
-    let skip = gone <> [] and gone = ref (List.to_seq (List.rev gone)) and due = ref [] in
+    let due_in p = Pending.merged p (fun a n -> past_texp a h 0 n) (fun a n -> past_texp a tau 0 n) in
+    let gone = due_in t.gone and g = ref 0 and due = ref [] in
     let n = Array.length t.chunks and i = ref (chunk_past t h) in
     while !i < n && Time.(t.chunks.(!i).texps.(0) <= tau) do
       let c = t.chunks.(!i) in
       for r = live_cut c.texps ~tau:h 0 c.len to live_cut c.texps ~tau 0 c.len - 1 do
-        if not (skip && removed t c r gone) then due := (tuple_at c r, c.texps.(r)) :: !due
+        if not (removed t c r gone g) then due := (tuple_at c r, c.texps.(r)) :: !due
       done;
       incr i
     done;
-    let adds =
-      Key_set.fold_between ~after:h ~upto:tau (fun (_, e, tu) acc -> (tu, e) :: acc) (settle t) []
-    in
+    let adds = Array.fold_left (fun acc k -> (k.tu, k.e) :: acc) [] (minus (due_in t.adds) gone) in
     forget_upto t tau;
     merge_down [] !due adds
   end
 
 (* ---------- readers ---------- *)
-
-(* The chunks' and the pending adds' candidates, combined. *)
-let either f a b =
-  match a, b with
-  | Some x, Some y -> Some (f x y)
-  | (Some _ as x), None | None, x -> x
 
 (* A constant-keyed run's chunked rows with [texp <= tau], and its rows
    with [texp <= tau], the dead included: two binary searches and two
@@ -695,7 +658,7 @@ let chunked_upto t tau =
 
 let held_upto t tau =
   if Time.(tau < t.least) then 0
-  else chunked_upto t tau - Key_set.count_upto tau t.gone + Key_set.count_upto tau (settle t)
+  else chunked_upto t tau - Pending.count_upto t.gone tau + Pending.count_upto t.adds tau
 
 let count_upto t tau =
   if Time.(tau <= t.horizon) then 0 else held_upto t tau - held_upto t t.horizon
@@ -705,53 +668,71 @@ let row_at t p =
   let i = search 0 (Array.length t.ends) (fun i -> t.ends.(i) > p) in
   (t.chunks.(i), p - if i = 0 then 0 else t.ends.(i - 1))
 
-let texp_at t p = let c, r = row_at t p in c.texps.(r)
+(* Chunked rows before key [k]. *)
+let chunked_lt t k =
+  let n = Array.length t.chunks in
+  let i = search 0 n (fun i -> let c = t.chunks.(i) in compare_row t c (c.len - 1) k >= 0) in
+  if i = n then chunked t
+  else
+    let c = t.chunks.(i) in
+    (if i = 0 then 0 else t.ends.(i - 1)) + search 0 c.len (fun r -> compare_row t c r k >= 0)
 
-(* Whether a pending removal names chunked row [p]: one descent. *)
-let gone_at t p =
-  (not (Key_set.is_empty t.gone))
-  &&
-  let c, r = row_at t p in
-  let rec mem = function
-    | Key_set.Empty -> false
-    | Key_set.Node { l; v; r = right; _ } ->
-      let d = compare_row t c r v in
-      d = 0 || mem (if d < 0 then l else right)
-  in
-  mem t.gone
+(* Rows held before key [k]: exact, as each pending removal names a
+   chunked row or a pending add. *)
+let held_lt t k = chunked_lt t k + Pending.count_lt t.adds k - Pending.count_lt t.gone k
 
-(* Chunked rows in [p, q) that no pending removal names. *)
-let kept t p q =
-  let gone_before p =
-    if p >= chunked t then t.gone_n
-    else
-      let c, r = row_at t p in
-      Key_set.count_while (fun k -> compare_row t c r k > 0) t.gone
-  in
-  q - p - (gone_before q - gone_before p)
+let key_at t p = let c, r = row_at t p in key_of t (tuple_at c r) c.texps.(r)
+
+(* The held key that [m] held keys precede ([m < length t]).  The
+   chunked rows and pending adds [k] with [held_lt t k <= m] are a
+   prefix of each sorted source, and that key is the greatest of them:
+   a binary search per source, O(levels² · log² n).  Readers take it
+   only when the candidate they cut is a pending removal. *)
+let nth_held t m =
+  let past k = held_lt t k > m in
+  let later a b = match a with Some x when compare_key x b > 0 -> a | _ -> Some b in
+  let q = search 0 (chunked t) (fun q -> past (key_at t q)) in
+  let best = if q = 0 then None else Some (key_at t (q - 1)) in
+  Pending.fold_arrays
+    (fun best a n ->
+      let i = search 0 n (fun i -> past a.(i)) in
+      if i = 0 then best else later best a.(i - 1))
+    best t.adds
+  |> Option.get
+
+(* The texp of whichever comes first ([first]) or last of chunked row
+   [p], if any, and pending add [k], unless a pending removal names it. *)
+let pick t ~first p k =
+  let in_chunks = 0 <= p && p < chunked t in
+  let c, r = if in_chunks then row_at t p else (empty, 0) in
+  match k with
+  | Some k when (not in_chunks) || (compare_row t c r k < 0) <> first ->
+    if Pending.mem_by t.gone (compare_key k) then None else Some k.e
+  | _ ->
+    if (not in_chunks) || Pending.mem_by t.gone (compare_row t c r) then None else Some c.texps.(r)
 
 let min_live_texp t ~tau =
-  let tau = Time.max tau t.horizon and total = chunked t in
-  let p = chunked_upto t tau in
-  let first =
-    if p >= total || not (gone_at t p) then p else search p total (fun q -> kept t p (q + 1) > 0)
-  in
-  either Time.min
-    (if first < total then Some (texp_at t first) else None)
-    (Key_set.first_after tau (settle t))
+  let tau = Time.max tau t.horizon in
+  let before = held_upto t tau in
+  if before >= length t then None
+  else
+    match pick t ~first:true (chunked_upto t tau) (Pending.first_after t.adds tau) with
+    | Some _ as e -> e
+    | None -> Some (nth_held t before).e
 
 let min_texp t = min_live_texp t ~tau:t.horizon
 
 let max_texp t =
-  let total = chunked t in
-  let last =
-    if total > 0 && not (gone_at t (total - 1)) then total - 1
-    else search 0 total (fun q -> kept t q total = 0) - 1
-  in
-  let live e = if dead t e then None else Some e in
-  either Time.max
-    (if last < 0 then None else live (texp_at t last))
-    (if t.adds_n = 0 then None else live (let _, e, _ = Key_set.max_elt (settle t) in e))
+  let n = length t in
+  if n = 0 then None
+  else
+    let last = if Pending.size t.adds = 0 then None else Some (Pending.last t.adds) in
+    let e =
+      match pick t ~first:false (chunked t - 1) last with
+      | Some e -> e
+      | None -> (nth_held t (n - 1)).e
+    in
+    if dead t e then None else Some e
 
 (* ---------- keyed readers ---------- *)
 
@@ -785,26 +766,15 @@ let chunk_span t ~lo ~hi =
   let i = chunk_past_cut t lo ~upper:false 0 n in
   (i, search i n (fun i -> not (below hi (row_key t t.chunks.(i) 0))))
 
-(* The keys of a pending set in the bounds, ascending: a seek, then the
-   keys in range. *)
-let pending_in set ~lo ~hi =
-  (match lo with
-   | Unbounded -> Key_set.to_seq set
-   | Inclusive v | Exclusive v ->
-     Key_set.to_seq_from (v, Time.of_int min_int, Tuple.of_list []) set)
-  |> Seq.drop_while (fun (k, _, _) -> not (above lo k))
-  |> Seq.take_while (fun (k, _, _) -> below hi k)
-
 let key_extrema t =
-  let n = Array.length t.chunks and key (k, _, _) = k in
-  if t.adds_n = 0 then
+  let n = Array.length t.chunks in
+  if Pending.size t.adds = 0 then
     if n = 0 then None
     else
       let last = t.chunks.(n - 1) in
       Some (row_key t t.chunks.(0) 0, row_key t last (last.len - 1))
   else
-    let adds = settle t in
-    let lo = key (Key_set.min_elt adds) and hi = key (Key_set.max_elt adds) in
+    let lo = (Pending.first t.adds).k and hi = (Pending.last t.adds).k in
     if n = 0 then Some (lo, hi)
     else
       (* The chunks ascend: their extremes are the first and last rows. *)
@@ -825,32 +795,21 @@ let chunked_before t cut ~upper =
 
 let count_range t ~lo ~hi =
   Int.max 0 (chunked_before t hi ~upper:true - chunked_before t lo ~upper:false)
-  + Key_set.count_range (settle t) ~lo ~hi - Key_set.count_range t.gone ~lo ~hi
+  + Pending.count_range t.adds ~lo ~hi - Pending.count_range t.gone ~lo ~hi
 
-let adds_chunks t =
-  match t.adds_chunks with
-  | Some cs -> cs
-  | None ->
-    let cs = chunks_of_keys ~arity:t.arity (Key_set.to_array (settle t)) in
-    t.adds_chunks <- Some cs;
-    cs
-
-(* Chunk [c]'s rows in the bounds live at [tau] that [gone] does not
-   name, passed to [f]. *)
-let scan_chunk t c ~tau ~lo ~hi ~gone ~visited ~dropped f =
+(* Chunk [c]'s rows in the bounds live at [tau] that the ascending
+   removals [gone] from [!g] on do not name, passed to [f]. *)
+let scan_chunk t c ~tau ~lo ~hi ~gone ~g ~visited ~dropped f =
   let a, b = span t c ~lo ~hi in
   if a < b && Time.(c.top <= tau) then dropped := !dropped + (b - a)
   else if a < b then begin
     (* One key's rows ascend by texp: its live rows are a cut. *)
     let one_key = compare_value (row_key t c a) (row_key t c (b - 1)) = 0 in
     let a' = if one_key then live_cut c.texps ~tau a b else a in
-    let gone =
-      ref
-        (if Key_set.is_empty gone || a' = b then Seq.empty
-         else Key_set.to_seq_from (row_key t c a', c.texps.(a'), tuple_at c a') gone)
-    in
     let clean =
-      match !gone () with Seq.Nil -> true | Seq.Cons (k, _) -> compare_row t c (b - 1) k < 0
+      a' = b
+      || (ignore (removed t c a' gone g : bool);
+          !g >= Array.length gone || compare_row t c (b - 1) gone.(!g) < 0)
     in
     visited := !visited + (b - a');
     if one_key && clean then begin
@@ -865,7 +824,7 @@ let scan_chunk t c ~tau ~lo ~hi ~gone ~visited ~dropped f =
       let sel = Array.make (b - a') 0 and m = ref 0 and expired = ref (a' - a) in
       for r = a' to b - 1 do
         if Time.(c.texps.(r) <= tau) then incr expired
-        else if not (removed t c r gone) then begin
+        else if not (removed t c r gone g) then begin
           sel.(!m) <- r;
           incr m
         end
@@ -876,14 +835,22 @@ let scan_chunk t c ~tau ~lo ~hi ~gone ~visited ~dropped f =
     end
   end
 
+(* The chunks in the bounds, then the pending adds in them: one
+   ascending merge of the buffer's and each level's slice, laid out in
+   chunks.  The pending removals in the bounds are merged once and
+   passed in step with the chunks. *)
 let scan_range t ~tau ~lo ~hi ~visited ~dropped f =
   let tau = Time.max tau t.horizon in
+  let in_bounds p =
+    Pending.merged p (fun a n -> keys_before a lo ~upper:false 0 n) (fun a n ->
+        keys_before a hi ~upper:true 0 n)
+  in
+  let gone = in_bounds t.gone and g = ref 0 in
   let i, j = chunk_span t ~lo ~hi in
   for k = i to j - 1 do
-    scan_chunk t t.chunks.(k) ~tau ~lo ~hi ~gone:t.gone ~visited ~dropped f
+    scan_chunk t t.chunks.(k) ~tau ~lo ~hi ~gone ~g ~visited ~dropped f
   done;
-  (match lo, hi with
-   | _ when t.adds_n = 0 -> []
-   | Unbounded, Unbounded -> adds_chunks t
-   | _ -> chunks_of_keys ~arity:t.arity (Array.of_seq (pending_in (settle t) ~lo ~hi)))
-  |> List.iter (fun c -> scan_chunk t c ~tau ~lo ~hi ~gone:Key_set.empty ~visited ~dropped f)
+  if Pending.size t.adds > 0 then
+    List.iter
+      (fun c -> scan_chunk t c ~tau ~lo ~hi ~gone:[||] ~g:(ref 0) ~visited ~dropped f)
+      (chunks_of_keys ~arity:t.arity (minus (in_bounds t.adds) gone))

@@ -7,35 +7,38 @@
     run, so each change costs a constant number of row copies,
     amortised, in any arrival order.
 
-    A pending add is a key appended to an unsorted batch: an {!add}
-    costs one lookup among the pending removals (a re-added row cancels
-    its own) and a cons, and allocates no tree node.  The first reader
-    or {!remove} after a burst settles the batch into the sorted pending
-    set: one O(log n) insertion per key while the batch is short against
-    the set, else one sort of the batch merged with the set in one pass.
-    Readers that settle concurrently under a shared lock store equal
-    values.  A fold sorts the batch once and writes each merged chunk
-    straight into arrays of at most {!chunk_rows} slots, sized from the
-    chunk, its share of the changes and its dead rows: O(rows rewritten
-    + the sort).
+    The pending adds and the pending removals are each one set of the
+    same form: immutable sorted key arrays in levels, each at most half
+    the size of the next, and a write buffer of at most {!chunk_rows}
+    keys kept sorted in place.  A write binary-searches the buffer and
+    shifts its tail (a memmove while the buffer is young in the minor
+    heap); a full buffer becomes the smallest level, and equal levels
+    merge, so a key is copied O(log n) times before its fold.  A fold merges each set's levels
+    once and writes each merged chunk straight into arrays of at most
+    {!chunk_rows} slots: O(rows rewritten + pending · levels).
 
-    The batch sort (and {!create}'s) ranks each key by an int prefix
-    that is monotone in the run's order: a texp in a table's own run
-    ([Inf] as [max_int]); in an index, an [Int] key's value, with [Null]
-    and [Bool] as [min_int] and [Float] and [Str] as [max_int].  An LSD
-    radix sort, one pass per byte up to the highest nonzero byte of the
-    prefixes less their least, orders the keys' indices in O(k) a pass
-    and four int arrays of k; only keys of equal prefix are then
-    compared in full (by insertion when at most 8, else a merge sort),
-    so a batch of scattered texps or integer keys costs O(k) per pass
-    and one of strings O(k log k).
+    A key is held at most once among the pending adds and at most once
+    among the pending removals.  An {!add} cancels a pending removal of
+    its key wherever it sits, in the buffer or in a level (rebuilding
+    that level).  A {!remove} of a pending add in the buffer drops it;
+    of one in a level, it records a pending removal that the readers
+    and the fold net against the add.  Rebuilding the level instead
+    would copy O(pending) keys per removal: on [bench -- access] it put
+    an overwrite at 10⁵ rows at 35.9 µs against 15.5 for the netted
+    removal.
+
+    Readers store nothing: each is a binary search or cut of the chunks,
+    of the buffer and of each level, O(levels · log n).  The buffer is
+    the one array a writer mutates in place; writers run under the
+    table's write lock.
 
     A run keyed on column [j] (an index) is sorted by
-    [(t.j, texp, tuple)], so one key's live rows are a cut.  A table's own run is keyed on a constant: it is sorted by
-    [(texp, tuple)], so "what is live at [tau]" is one cut (Section
-    3.2's eager and lazy removal).  Every run skips its expired rows by
-    texp until their chunk is rewritten or has wholly expired
-    ({!forget_upto}, {!expire_upto}), so a tick copies no row.
+    [(t.j, texp, tuple)], so one key's live rows are a cut.  A table's
+    own run is keyed on a constant: it is sorted by [(texp, tuple)], so
+    "what is live at [tau]" is one cut (Section 3.2's eager and lazy
+    removal).  Every run skips its expired rows by texp until their
+    chunk is rewritten or has wholly expired ({!forget_upto},
+    {!expire_upto}), so a tick copies no row.
 
     Keys are unique: callers (the table's tuple → texp map) guarantee
     that a tuple is held at most once and remove it with the texp it was
@@ -84,17 +87,20 @@ val pending : t -> int
 val add : t -> Tuple.t -> Time.t -> unit
 (** Adds a row whose key is not held, with [texp] after every [tau]
     the run has expired or forgotten up to: a pending removal of the
-    same key is cancelled, else the key joins the unsorted batch. *)
+    same key is cancelled, else the key joins the write buffer.  A
+    search of the buffer and of each level, O(levels · log n), plus a
+    level's rebuild when the cancelled removal sits in one. *)
 
 val remove : t -> Tuple.t -> Time.t -> unit
-(** Removes the row held under this key: it settles the batch first,
-    then drops a pending add or records a pending removal, O(log n). *)
+(** Removes the row held under this key: a pending add of it in the
+    buffer is dropped, else the key joins the pending removals' buffer,
+    O(log n) plus a merge when the buffer fills. *)
 
 val expire_upto : t -> Time.t -> (Tuple.t * Time.t) list
 (** A table's own run: the rows with [texp <= tau] leave ({!forget_upto})
     and are returned in [(texp, tuple)] order.  Reads the chunks by two
-    cuts and the pending adds by a seek, O(log n + due), and copies no
-    chunk. *)
+    cuts and the pending changes by two cuts of the buffer and of each
+    level, O(levels · log n + due · levels), and copies no chunk. *)
 
 val forget_upto : t -> Time.t -> unit
 (** The rows with [texp <= tau] have left the table: readers skip them,
@@ -104,13 +110,15 @@ val forget_upto : t -> Time.t -> unit
     are not counted, and pending changes are counted or skipped. *)
 
 val count_upto : t -> Time.t -> int
-(** Rows with [texp <= tau]: two cuts of the chunks and counts of the
-    pending changes, O(log n). *)
+(** Rows with [texp <= tau]: two cuts of the chunks and a cut of the
+    buffer and of each level of the pending changes, O(levels · log n),
+    allocating nothing. *)
 
 val min_texp : t -> Time.t option
-(** The smallest expiration time held; [None] when empty.  O(log n): a
-    cut and a descent of each pending set, or O(log² n) when pending
-    removals name the row at the cut. *)
+(** The smallest expiration time held; [None] when empty.
+    O(levels · log n): a cut of the chunks and of the buffer and each
+    level of the pending adds, and a search of the pending removals for
+    the row found; O(levels² · log² n) when a pending removal names it. *)
 
 val max_texp : t -> Time.t option
 (** The largest, at the same cost. *)
@@ -131,13 +139,12 @@ type bound =
 val key_extrema : t -> (Value.t * Value.t) option
 (** The smallest and largest key held, expired and removed rows
     possibly included: the first and last chunked rows compared with
-    the least and greatest pending additions. *)
+    the ends of the buffer and of each level of the pending adds. *)
 
 val count_range : t -> lo:bound -> hi:bound -> int
 (** Rows whose key falls in the bounds, expired ones included until
-    reclaimed: O(log n), allocating nothing once the batch is settled.
-    The pending changes' tree counts its subtrees, so they are counted
-    without a walk. *)
+    reclaimed: two cuts of the chunks, of the buffer and of each level,
+    O(levels · log n), allocating nothing. *)
 
 val scan_range :
   t -> tau:Time.t -> lo:bound -> hi:bound -> visited:int ref ->
@@ -147,8 +154,11 @@ val scan_range :
     then the pending adds'.  The first chunk is found by binary search,
     a wholly expired chunk is skipped unread, and one key's live rows
     are a cut: a chunk a table's full scan reaches, when no pending
-    removal falls in its cut, passes zero-copy.  Unbounded bounds (a
-    full scan) read the pending adds laid out as chunks, once per
-    change of them; other bounds seek them.  [visited] counts the rows
-    examined, [dropped] the rows in the bounds expired at [tau] (a
-    pending removal is neither returned nor dropped). *)
+    removal falls in its cut, passes zero-copy.  The pending removals
+    in the bounds are merged once and passed in step with the chunks;
+    the pending adds in the bounds are one ascending merge of the
+    buffer's and each level's slice, less those removals, laid out in
+    chunks of at most {!chunk_rows} on every scan (O(pending in bounds
+    · levels)).  [visited] counts the rows examined, [dropped] the rows
+    in the bounds expired at [tau] (a pending removal is neither
+    returned nor dropped). *)

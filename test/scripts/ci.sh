@@ -268,6 +268,21 @@ for f in resplit:
     print(f)
 if resplit:
     sys.exit("ci: the files above re-split a merged chunk; a fold writes its chunks directly")
+# A run's pending changes are sorted arrays in levels plus a write
+# buffer, and no reader stores into the run: no lib/ or bin/ code names
+# the pending tree, the reader-sorted batch or the cached layout of the
+# pending adds, and texp_run.ml has no settle step.
+trees = re.compile(r'\b(Key_set|sorted_adds|adds_chunks|fold_between)\b')
+treed = sorted(f for top in ('lib', 'bin') for pattern in ('/**/*.ml', '/**/*.mli')
+               for f in glob.glob(top + pattern, recursive=True)
+               if trees.search(strip(open(f).read())))
+if (re.search(r'\bsettle\b', strip(open('lib/storage/texp_run.ml').read()))
+        and 'lib/storage/texp_run.ml' not in treed):
+    treed.append('lib/storage/texp_run.ml')
+for f in treed:
+    print(f)
+if treed:
+    sys.exit("ci: the files above keep a pending tree or a reader that settles; pending changes are sorted levels")
 # A table's row map is one open-addressing table (Row_map) that a write
 # probes once; table.ml builds no functorial hash table beside it.
 if re.search(r'\bHashtbl\.Make\b', strip(open('lib/storage/table.ml').read())):
@@ -390,14 +405,18 @@ for row in relation_diff_n1000_us relation_diff_n100000_us \
 done
 # Smoke the access experiment: index probes against scans, table
 # writes, and loads into two indexes with and without the first point
-# read through each (the sort a burst leaves for its first reader is
-# paid inside the second figure), and the minor words a load allocates
-# per row.  Each load and write row must have been recorded.
+# read through each (the second figure adds the first reads of a
+# burst's pending adds), and the minor words a load allocates
+# per row.  Each load and write row must have been recorded, and the
+# 10^5 / 10^4 ratios of the overwrite, delete and load medians.
 (cd "$SMOKE_DIR" && "$BENCH" access)
 for rows in 10000 100000; do
   for row in load_ms load_read_ms load_words_per_row insert_us overwrite_us delete_us; do
     grep -F "\"access_${row}_n${rows}\"" "$SMOKE_DIR/BENCH_access.json"
   done
+done
+for row in overwrite delete load; do
+  grep -F "\"access_${row}_ratio\"" "$SMOKE_DIR/BENCH_access.json"
 done
 # Smoke the sketch experiment end to end (single-pass folds, memory
 # vs a materialized relation, 3-way merge, a live 3-shard cluster) at

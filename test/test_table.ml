@@ -287,12 +287,12 @@ let test_expiry_folds () =
   check_run t !model ~now:2_000
 
 (* A run ascends in [(key, texp, tuple)] order whatever the keys and
-   texps: the batch sort ranks by an int prefix (a texp, or an index
+   texps: a key compares by an int prefix first (a texp, or an index
    key: Null and Bool lowest, an Int by value, Float and Str highest)
-   and orders equal prefixes by the full comparison.  A run built whole
-   is read back in exactly that order; a run filled by adds folds and
-   settles its batches, and its scan is the chunks, then the pending
-   adds, each ascending. *)
+   and by the full comparison on equal prefixes.  A run built whole is
+   read back in exactly that order; a run filled by adds folds, fills
+   its write buffer and merges its levels, and its scan is the chunks,
+   then the pending adds, each ascending. *)
 let any_value =
   let open QCheck2.Gen in
   oneof
@@ -354,13 +354,13 @@ let prop_any_keys_ascend =
 
 (* ---------- bursts: writes with no read between them ---------- *)
 
-(* A run's pending adds queue unsorted until a fold or a read, so the
-   model property above, which reads after every write, settles every
-   batch at one key.  These draws write bursts of 2..600 changes to a
-   table with indexes on both columns and read nothing in between, then
-   compare every reader of the three runs with a model.  Bursts cross
-   folds, and cancel pending removals (a row deleted and written back
-   with its texp). *)
+(* The model property above reads after every write, so its pending
+   sets change by one key between reads.  These draws write bursts of
+   2..600 changes to a table with indexes on both columns and read
+   nothing in between, so bursts fill write buffers, merge levels and
+   cross folds; then every reader of the three runs is compared with a
+   model.  Bursts cancel pending removals (a row deleted and written
+   back with its texp). *)
 type burst_op =
   | B_add of int * int * int  (* a, b, ttl (0 = never expires) *)
   | B_over of int * int  (* the i-th model row, new ttl *)
@@ -434,8 +434,8 @@ let texp_extreme pick = function
   | (_, e) :: rest -> Some (List.fold_left (fun m (_, e) -> pick m e) e rest)
 
 (* Every reader of the table's run and of its two indexes against the
-   model, at several clocks, reader [first] first: the first reader
-   after a burst is the one that settles its pending adds. *)
+   model, at several clocks, reader [first] first, so each reader in
+   turn is the first to read a burst's pending sets. *)
 let check_readers ?(first = 0) t m =
   let fail fmt = Printf.ksprintf failwith fmt in
   let taus = List.map Time.of_int [ m.now - 3; m.now; m.now + 5; m.now + 30; m.now + 200 ] in
@@ -576,10 +576,9 @@ let prop_bursts =
       true)
 
 (* Two readers under the shared lock, in two domains so they overlap,
-   read a run right after a burst: each may settle the pending adds, the
-   second starting up to 0.3 ms after the first so that it reads while
-   the first sorts, merges or stores.  Both answers, and every later
-   one, must equal the model. *)
+   read a run right after a burst, the second starting up to 0.3 ms
+   after the first so that the two searches interleave.  Both answers,
+   and every later one, must equal the model. *)
 let test_concurrent_settle () =
   let lock = Rwlock.create () in
   let rng = Random.State.make [| 54 |] in
@@ -622,6 +621,163 @@ let test_concurrent_settle () =
     check_readers t m
   done
 
+(* ---------- pending sets past the write buffer ---------- *)
+
+let insert t m tu texp =
+  Table.insert t tu ~texp;
+  m.rows <- (tu, texp) :: List.filter (fun (r, _) -> not (Tuple.equal r tu)) m.rows
+
+let delete t m tu =
+  if not (Table.delete t tu) then Alcotest.fail "delete of a held row";
+  m.rows <- List.filter (fun (r, _) -> not (Tuple.equal r tu)) m.rows
+
+(* At least [rows] rows into a table indexed on both columns, stopping
+   just after a fold: the three runs take the same adds, so each run's
+   pending sets are then empty, and the next keys fill a fresh buffer. *)
+let folded ~rows =
+  let t = indexed () and m = { rows = []; ghosts = []; now = 0 } in
+  let k = ref 0 in
+  while !k < rows || Texp_run.pending (Table.run t) > 0 do
+    incr k;
+    insert t m (Tuple.ints [ !k; !k mod 4 ]) (fin (1 + (!k * 37 mod 80)))
+  done;
+  List.iter (fun run -> if Texp_run.pending run <> 0 then Alcotest.fail "a run is not folded") (runs t);
+  (t, m)
+
+let texp_of_model m tu = snd (List.find (fun (r, _) -> Tuple.equal r tu) m.rows)
+
+(* Cancellations that reach past the write buffer.  After a fold,
+   [chunk_rows + 44] adds leave the first [chunk_rows] of them in a
+   merged level and the rest in the buffer, in every run; so do as many
+   deletes of folded rows among the pending removals.  Deleting an added
+   row in the level is a removal of a pending add in a level, recorded
+   and netted against the add by readers, expirations and the fold (the
+   first two hold the largest and the smallest texp); writing the first
+   deleted row back as it was cancels a removal in a level, and writing
+   the first added row back cancels the removal netted against it.
+   After each step every reader of the three runs equals the model; a
+   cancelling write lowers every run's pending count, and a removal
+   raises it by at most the one removal it records. *)
+let test_level_cancels () =
+  let t, m = folded ~rows:4_000 in
+  let extra = Texp_run.chunk_rows + 44 in
+  let added = List.init extra (fun i -> Tuple.ints [ 50_000 + i; i mod 4 ]) in
+  let texp i = fin (match i with 0 -> 500 | 1 -> -10 | i -> 1 + (i * 53 mod 80)) in
+  List.iteri (fun i tu -> insert t m tu (texp i)) added;
+  check_readers t m;
+  let step name ~rise f =
+    let before = List.map Texp_run.pending (runs t) in
+    f ();
+    List.iter2
+      (fun b run ->
+        if Texp_run.pending run > b + rise then
+          Alcotest.failf "%s: pending %d, was %d" name (Texp_run.pending run) b)
+      before (runs t);
+    check_readers t m
+  in
+  (* Row 3 (texp 80) stays removed, live, through the expiration below
+     and into the fold. *)
+  List.iter
+    (fun i -> step "removal of a pending add in a level" ~rise:1 (fun () -> delete t m (List.nth added i)))
+    [ 0; 1; 3 ];
+  let deleted = List.init extra (fun i -> Tuple.ints [ i + 1; (i + 1) mod 4 ]) in
+  let back i = let tu = List.nth deleted i in (tu, texp_of_model m tu) in
+  let first_back = back 0 and last_back = back (extra - 1) in
+  List.iter (delete t m) deleted;
+  check_readers t m;
+  step "an add cancelling a removal in a level" ~rise:(-1) (fun () ->
+      insert t m (fst first_back) (snd first_back));
+  step "an add cancelling a removal netted against a pending add" ~rise:(-1) (fun () ->
+      insert t m (List.hd added) (texp 0));
+  step "an add cancelling a removal in the buffer" ~rise:(-1) (fun () ->
+      insert t m (fst last_back) (snd last_back));
+  let due = List.sort by_key (List.filter (fun (_, e) -> Time.(e <= fin 40)) m.rows) in
+  if Table.expire_upto t (fin 40) <> due then Alcotest.fail "expire_upto past a netted add";
+  m.rows <- List.filter (fun (_, e) -> Time.(e > fin 40)) m.rows;
+  m.ghosts <- due;
+  m.now <- 40;
+  check_readers t m;
+  let k = ref 0 in
+  while Texp_run.pending (Table.run t) > 0 do
+    incr k;
+    insert t m (Tuple.ints [ 70_000 + !k; 0 ]) (fin 100)
+  done;
+  check_readers t m
+
+(* Every block reachable from [v] within [depth] fields, with its
+   fields as they are now. *)
+let rec blocks depth r acc =
+  if depth = 0 || Obj.is_int r || Obj.tag r >= Obj.no_scan_tag then acc
+  else
+    let fields = Array.init (Obj.size r) (Obj.field r) in
+    Array.fold_left (fun acc f -> blocks (depth - 1) f acc) ((r, fields) :: acc) fields
+
+(* Readers store nothing: every reader of the three runs of a table
+   indexed on both columns, run on two domains at once with no lock,
+   leaves every field of every run, and of the pending sets, levels and
+   buffers it holds, physically as it was.  The runs hold a non-empty
+   write buffer and two levels of pending adds, and pending removals. *)
+let test_readers_store_nothing () =
+  let t, m = folded ~rows:4_000 in
+  List.iter (fun (tu, _) -> if Tuple.compare tu (Tuple.ints [ 100; 0 ]) < 0 then delete t m tu) m.rows;
+  (* The last writes are adds, and no reader runs before the two below. *)
+  for i = 0 to (3 * Texp_run.chunk_rows) + 43 do
+    insert t m (Tuple.ints [ 60_000 + i; i mod 4 ]) (fin (1 + (i * 53 mod 80)))
+  done;
+  let before = List.map (fun run -> blocks 6 (Obj.repr run) []) (runs t) in
+  let taus = List.map fin [ -1; 0; 10; 40; 79; 200 ] in
+  let bounds =
+    let open Texp_run in
+    [ Unbounded, Unbounded; Inclusive (Value.int 2), Inclusive (Value.int 2);
+      Exclusive (Value.int 0), Unbounded; Unbounded, Exclusive (Value.int 50_100) ]
+  in
+  let read_all () =
+    let n = ref 0 in
+    let table = Table.run t in
+    for _ = 1 to 3 do
+      List.iter
+        (fun tau ->
+          n := !n + Texp_run.count_upto table tau;
+          ignore (Texp_run.min_live_texp table ~tau : Time.t option))
+        taus;
+      ignore (Texp_run.min_texp table, Texp_run.max_texp table : Time.t option * Time.t option);
+      List.iter
+        (fun run ->
+          n := !n + Texp_run.length run + Texp_run.pending run;
+          ignore (Texp_run.key_extrema run : (Value.t * Value.t) option);
+          List.iter
+            (fun (lo, hi) ->
+              n := !n + Texp_run.count_range run ~lo ~hi;
+              List.iter
+                (fun tau ->
+                  Texp_run.scan_range run ~tau ~lo ~hi ~visited:n ~dropped:(ref 0) (fun c _ ->
+                      n := !n + Texp_run.chunk_len c))
+                taus)
+            bounds)
+        (runs t)
+    done;
+    !n
+  in
+  let go = Atomic.make false in
+  let reader () =
+    while not (Atomic.get go) do Domain.cpu_relax () done;
+    read_all ()
+  in
+  let readers = [ Domain.spawn reader; Domain.spawn reader ] in
+  Atomic.set go true;
+  let answers = List.map Domain.join readers in
+  if List.length (List.sort_uniq Int.compare answers) <> 1 then Alcotest.fail "the readers disagree";
+  List.iteri
+    (fun i blocks ->
+      List.iter
+        (fun (r, fields) ->
+          Array.iteri
+            (fun j f -> if Obj.field r j != f then Alcotest.failf "run %d: a reader stored into a field" i)
+            fields)
+        blocks)
+    before;
+  check_readers t m
+
 let suite =
   [ Alcotest.test_case "schema accessors" `Quick test_schema;
     Alcotest.test_case "insert is update (set semantics)" `Quick test_insert_update;
@@ -634,4 +790,6 @@ let suite =
     Alcotest.test_case "an expiration that shrinks the run folds" `Quick test_expiry_folds;
     prop_any_keys_ascend;
     prop_bursts;
-    Alcotest.test_case "two readers settle one burst" `Quick test_concurrent_settle ]
+    Alcotest.test_case "two readers settle one burst" `Quick test_concurrent_settle;
+    Alcotest.test_case "cancels reach a merged level: every reader = model" `Quick test_level_cancels;
+    Alcotest.test_case "readers store nothing" `Quick test_readers_store_nothing ]
