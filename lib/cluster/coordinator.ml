@@ -6,11 +6,15 @@ module Obs = Expirel_obs
 module Sketch = Expirel_sketch
 module Partial_agg = Expirel_exec.Partial_agg
 module Subscription = Expirel_exec.Subscription
+module Plan = Expirel_exec.Plan
+module Planner = Expirel_exec.Planner
+module Executor = Expirel_exec.Executor
+module Lru = Expirel_exec.Lru
 
 (* The span names a coordinator records, interned once; each slot
    interns its own [rpc:shard-<id>]. *)
 let scatter_span = Obs.Trace.name "scatter"
-let merge_span = Obs.Trace.name "merge"
+let kept_span = Obs.Trace.name "kept"
 
 type endpoint = Member.endpoint = {
   host : string;
@@ -55,15 +59,14 @@ type kept = {
   mutable counts : Subscription.counts;
 }
 
-(* A statement's lowering through the cluster catalog and its read
-   route, made once per statement shape and catalog [epoch]: the
-   coordinator's statement cache entry.  [l_literals] are the literals
-   it was made or rebound for. *)
-type lowered = {
-  l_epoch : int;
-  l_compiled : Lower.compiled;
-  l_route : Lower.route;
-  l_literals : Value.t array;
+(* The coordinator's statement cache entry: a query's plan
+   ({!Planner.distribute}) for one catalog [epoch], made or rebound for
+   [p_literals]. *)
+type planned = {
+  p_epoch : int;
+  p_columns : string list;
+  p_compiled : Plan.compiled;
+  p_literals : Value.t array;
 }
 
 type traffic = {
@@ -87,11 +90,8 @@ type t = {
   agg_full_reads_total : Obs.Instrument.Counter.t;
   state : Mutex.t;  (* guards map/slots/now/tables/indexes/kept *)
   tables : (string, string list) Hashtbl.t;
-      (* the cluster catalog as this coordinator knows it: seeded from
-         the CREATE TABLEs it broadcasts, lazily recovered from a
-         zero-row describe scan otherwise (a coordinator can attach to
-         an already-populated cluster) — distributed aggregates and
-         joins need column names and arities before any shard replies *)
+      (* the cluster catalog as this coordinator knows it ([table_columns]):
+         plans need column names and arities before any shard replies *)
   indexes : (string * string, unit) Hashtbl.t;
       (* (table, column) of each CREATE INDEX this coordinator broadcast
          and has not seen dropped, replayed on a joining shard; a
@@ -102,11 +102,11 @@ type t = {
       (* every SQL statement holds its read side, a rebalance its write
          side: no statement sees a half-moved partition *)
   mutable now : Time.t;  (* mirror of the cluster's logical clock *)
-  kept : (string, kept) Expirel_exec.Lru.t;
+  kept : (string, kept) Lru.t;
       (* repeated GROUP BY COUNT texts, kept; an entry whose epoch is
          not [epoch] is dropped on its next read *)
   mutable epoch : int;  (* bumped by every DDL and shard-map change *)
-  statements : lowered Statement_cache.t;
+  statements : planned Statement_cache.t;
   mutable last_horizon : Obs.Horizon.report option;
       (* the last merged cluster forecast; the registry's horizon
          gauges read this cache so a scrape never fans out — HEALTH
@@ -122,6 +122,7 @@ let locked t f =
 
 let shard_map t = locked t (fun () -> t.map)
 let slots t = locked t (fun () -> t.slots)
+let ids slots = List.map (fun s -> s.shard.Wire.shard_id) slots
 
 (* ---------- health ---------- *)
 
@@ -218,18 +219,15 @@ type flight = {
    before it tries the slots it could not take again. *)
 let retry_slots_s = 0.002
 
-(* Every request to the shards (statement, heartbeat, trace, install,
-   move) goes through here, on the caller's thread.  Each request is
-   posted as soon as its slot's lock is free, and the replies are
-   collected as they arrive (one [select] over the posted connections,
-   each bounded by its connection's receive timeout), each slot
-   released as soon as its reply is in.  A caller never blocks while it holds a slot: a
-   busy slot, or one that would have to dial first, waits until the
-   replies already posted are in (retried every [retry_slots_s]
-   meanwhile), and only a caller holding nothing blocks on a lock or
-   on a dial — so callers never wait on each other in a cycle, and a
-   slow shard never stalls another shard's traffic.  A member whose
-   post or collect fails, with an [Error] or an exception, is dropped
+(* Every request to the shards goes through here, on the caller's
+   thread.  Each is posted as soon as its slot's lock is free, and the
+   replies are collected as they arrive (one [select], each bounded by
+   its connection's receive timeout), each slot released once its reply
+   is in.  A busy slot, or one that would have to dial, waits until the
+   replies already posted are in (retried every [retry_slots_s]): only
+   a caller holding no slot blocks on a lock or a dial, so callers never
+   wait on each other in a cycle, and a slow shard stalls no other
+   shard's traffic.  A member whose post or collect fails is dropped
    (its next contact redials), and every other posted reply is still
    collected, so no connection keeps a stale frame.  Returns each
    contact's reply in the caller's order, with the instants its slot
@@ -324,18 +322,13 @@ let exchange t requests =
     (fun () -> run (List.mapi (fun i contact -> (i, contact)) requests));
   List.filter_map Fun.id (Array.to_list replies)
 
-(* One request to one shard, with nothing to overlap it with. *)
-let send t slot request =
-  let _, reply, _, _ = List.hd (exchange t [ (slot, request) ]) in
-  reply
-
 (* The one coordinator-to-shard statement request, carrying the
    caller's trace context. *)
 let shard_exec ?trace ~want sql =
   Wire.Shard_exec { sql; ctx = Option.map Wire.ctx_of_trace trace; want }
 
 (* A rows-or-ack envelope as the plain response a client would get;
-   [send] has already harvested its partition summary. *)
+   [exchange] has already harvested its partition summary. *)
 let unwrap = function
   | Wire.Shard_reply
       { body = Wire.Body_rows { columns; rows; texp_e; recomputed }; _ } ->
@@ -343,9 +336,12 @@ let unwrap = function
   | Wire.Shard_reply { body = Wire.Body_ack message; _ } -> Wire.Ok_msg message
   | r -> r
 
-(* A statement on one shard; [Error] is a transport failure. *)
+(* A statement on one shard, with nothing to overlap it with; [Error]
+   is a transport failure. *)
 let exec_on ?trace t slot sql =
-  Result.map unwrap (send t slot (shard_exec ?trace ~want:Wire.Want_rows sql))
+  let request = shard_exec ?trace ~want:Wire.Want_rows sql in
+  let _, reply, _, _ = List.hd (exchange t [ (slot, request) ]) in
+  Result.map unwrap reply
 
 (* ---------- the cluster catalog ---------- *)
 
@@ -364,10 +360,10 @@ let forward_to_any ?trace t sql =
 (* A zero-row scan: its reply names the table's columns. *)
 let describe name = Printf.sprintf "SELECT * FROM %s LIMIT 0" name
 
-(* The cluster catalog: cached CREATE TABLE columns, lazily recovered
-   from a zero-row describe scan (single-table scans label columns with
-   their bare DDL names, exactly what shard-side lowering sees) when
-   this coordinator did not create the table itself. *)
+(* The cluster catalog: the CREATE TABLE columns this coordinator
+   broadcast, or else (it can attach to a populated cluster) recovered
+   once from a zero-row describe scan, whose labels are the bare DDL
+   names shard-side lowering sees. *)
 let table_columns ?trace t name =
   match locked t (fun () -> Hashtbl.find_opt t.tables name) with
   | Some columns -> Some columns
@@ -378,20 +374,13 @@ let table_columns ?trace t name =
        Some columns
      | _ -> None)
 
-let coord_catalog ?trace t : Lower.catalog =
- fun name -> table_columns ?trace t name
-
 (* ---------- key routing ---------- *)
 
-(* Rows live on [Wire.shard_owner] of their first column, and hash
-   partitions are disjoint: a partition holding no row with the queried
-   key contributes nothing to the union rule's merge, so asking only the
-   key's owner gives the broadcast's answer.  A pinned key routes only
-   when every value [Value.cmp] equates with it hashes as it does:
-   integral [Float]s within +-2^53 hash as their [Int]s, but [Int]s
-   beyond 2^53 equal [Float]s of other hashes (2^53 + 1 equals 2^53.),
-   and NaN equals every NaN bit pattern — those fall back to
-   broadcast. *)
+(* Asking only the keys' owners gives the broadcast's answer (a
+   partition without the key adds nothing to the union), when every
+   value [Value.cmp] equates with a key hashes as it does: [Int]s beyond
+   2^53 equal [Float]s of other hashes (2^53 + 1 equals 2^53.), and NaN
+   equals every NaN bit pattern — those broadcast. *)
 let routable = function
   | Value.Int n -> n >= -(1 lsl 53) && n <= 1 lsl 53
   | Value.Float f ->
@@ -399,59 +388,28 @@ let routable = function
     && ((not (Float.is_integer f)) || Float.abs f < 0x1p53)
   | Value.Str _ | Value.Bool _ | Value.Null -> true
 
-(* The first-column values a lowered condition pins, [None] when it
-   admits rows with any key: an equality pins its constant, a
-   conjunction whatever either side pins, a disjunction the union when
-   both sides pin (sqlx has no IN; an OR of points is its IN list). *)
-let rec pins = function
-  | Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Const v)
-  | Predicate.Cmp (Predicate.Eq, Predicate.Const v, Predicate.Col 1) ->
-    if routable v then Some [ v ] else None
-  | Predicate.And (a, b) ->
-    (match pins a with
-     | Some _ as keys -> keys
-     | None -> pins b)
-  | Predicate.Or (a, b) ->
-    (match (pins a, pins b) with
-     | Some x, Some y -> Some (x @ y)
-     | _ -> None)
-  | _ -> None
-
 let cond_keys ?trace t table cond =
   match table_columns ?trace t table with
   | None -> None
   | Some columns ->
     (match Interp.guard (fun () -> Lower.lower_cond_for_table ~columns ~table cond) with
-     | Ok p -> pins p
+     | Ok p -> Planner.pinned_keys p
      | Error _ -> None)
 
-(* The keys a shard-local expression's rows can have.  A selection
-   directly over a base table reads its key as [Col 1]; a projection
-   keeps its input's base rows; a UNION contacts every operand's owners;
-   an EXCEPT or INTERSECT answers a subset of its left operand's rows,
-   and equal rows share a shard, so the left operand's keys route it. *)
-let rec pinned_keys = function
-  | Algebra.Select (p, Algebra.Base _) -> pins p
-  | Algebra.Project (_, e) -> pinned_keys e
-  | Algebra.Union (a, b) ->
-    (match (pinned_keys a, pinned_keys b) with
-     | Some x, Some y -> Some (x @ y)
-     | _ -> None)
-  | Algebra.Diff (a, _) | Algebra.Intersect (a, _) -> pinned_keys a
-  | _ -> None
-
 (* The shards a statement with [keys] may need: the keys' owners, or
-   every shard without keys (callers pass none under [~prune:false],
-   the forced broadcast).  The caller holds [t.state]. *)
-let candidates t keys =
+   every shard without routable keys (callers pass none under
+   [~prune:false], the forced broadcast), the others counted as routed
+   away when [count].  The caller holds [t.state]. *)
+let candidates ?(count = true) t keys =
   match keys with
-  | Some keys ->
+  | Some keys when List.for_all routable keys ->
     let ids = List.map (Wire.shard_owner t.map) keys in
     let chosen = List.filter (fun s -> List.mem s.shard.Wire.shard_id ids) t.slots in
-    Obs.Instrument.Counter.add t.routed_total
-      (max 0 (List.length t.slots - List.length chosen));
+    if count then
+      Obs.Instrument.Counter.add t.routed_total
+        (max 0 (List.length t.slots - List.length chosen));
     chosen
-  | None -> t.slots
+  | Some _ | None -> t.slots
 
 (* ---------- scatter-gather ---------- *)
 
@@ -468,27 +426,16 @@ let prunable slot tau =
     live_rows = 0 || Time.(max_texp <= tau)
 
 (* The shards a query with [keys] at [tau] contacts: every candidate
-   whose summary cannot prove its partition empty (all of them without
-   [prune]); the rest count as pruned. *)
-let contacts ~prune t keys tau =
+   whose summary cannot prove its partition empty (every shard without
+   [prune]); the rest count as pruned when [count]. *)
+let contacts ?(count = true) ~prune t keys tau =
   locked t (fun () ->
-      let candidates = candidates t keys in
+      let candidates = candidates ~count t (if prune then keys else None) in
       if not prune then candidates
       else
         let contacted, pruned = List.partition (fun s -> not (prunable s tau)) candidates in
-        List.iter (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total) pruned;
+        if count then Obs.Instrument.Counter.add t.pruned_total (List.length pruned);
         contacted)
-
-let span_offset_us tr at =
-  let us = (at -. Obs.Trace.started_at tr) *. 1e6 in
-  if us < 0. then 0 else int_of_float us
-
-(* The query's evaluation time: the cluster clock, or an explicit AT,
-   refused before the clock as one node refuses it.
-   @raise Failure on an AT in the past *)
-let query_tau t (qs : Ast.query_stmt) =
-  let now = locked t (fun () -> t.now) in
-  Option.value (Interp.at_tau ~now qs.Ast.at) ~default:now
 
 (* Fan each contact's request out through [exchange], under a
    [scatter] span with one [rpc:shard-<id>] span per contact, from its
@@ -503,9 +450,8 @@ let fan_out ?trace t requests =
     (fun tr ->
       List.iter
         (fun (slot, _, t0, t1) ->
-          Obs.Trace.record tr
-            ~name:slot.rpc_span
-            ~start_us:(span_offset_us tr t0)
+          Obs.Trace.record tr ~name:slot.rpc_span
+            ~start_us:(max 0 (int_of_float ((t0 -. Obs.Trace.started_at tr) *. 1e6)))
             ~duration_us:(int_of_float ((t1 -. t0) *. 1e6)))
         replies)
     trace;
@@ -555,14 +501,10 @@ let rows_body = function
 
 (* ---------- cluster horizon ---------- *)
 
-(* Gather every shard's forward expiration forecast and roll it up.
-   Hash partitions are disjoint, so each bucket of the merged report is
-   a sum of disjoint row counts — bucket-wise addition is the exact
-   cluster forecast, not an approximation (the test suite pins
-   merged ≡ single-node as a qcheck law).  Never pruned: a shard whose
-   partition is empty contributes an all-zero (still correct) partial,
-   and the forecast must name every table.  The merged report carries
-   the per-shard live-row breakdown. *)
+(* Every shard's forward expiration forecast, merged bucket-wise:
+   exact, since hash partitions are disjoint (a qcheck law pins merged
+   ≡ single-node).  Never pruned: the forecast must name every table.
+   The merged report carries the per-shard live-row breakdown. *)
 let gather_horizon ?trace ?table t =
   let replies =
     fan_out ?trace t (List.map (fun slot -> (slot, Wire.Horizon table)) (slots t))
@@ -600,15 +542,12 @@ let horizon ?table t =
 
 (* ---------- routed writes and broadcasts ---------- *)
 
-let slot_for t shard_id =
-  List.find_opt (fun s -> s.shard.Wire.shard_id = shard_id) (slots t)
-
 (* A routed write: exactly one shard — the key's owner — is contacted;
    its ack piggybacks the refreshed summary, so an insert into a shard
    the coordinator believed empty immediately un-prunes it. *)
 let route_insert ?trace t ~key sql =
   let owner = Wire.shard_owner (shard_map t) key in
-  match slot_for t owner with
+  match List.find_opt (fun s -> s.shard.Wire.shard_id = owner) (slots t) with
   | None -> err (Printf.sprintf "no slot for owner shard %d" owner)
   | Some slot ->
     (match exec_on ?trace t slot sql with
@@ -660,146 +599,46 @@ let merge_counts replies =
   | _ -> merge_acks replies
 
 let merge_texts replies =
-  Wire.Ok_msg
-    (String.concat "\n"
-       (List.map
-          (fun (slot, reply) ->
-            let body =
-              match reply with
-              | Wire.Ok_msg message -> message
-              | other -> Wire.render_response other
-            in
-            Printf.sprintf "--- shard %d ---\n%s" slot.shard.Wire.shard_id
-              body)
-          replies))
-
-(* ---------- distributed joins and the gather fallback ---------- *)
-
-(* A table's complete, cluster-wide contents with per-row texps —
-   partitions are disjoint, so plain concatenation is the union. *)
-let gather_table_rows ?trace t name =
-  Result.map
-    (List.concat_map (fun (_, rows, _, _) -> rows))
-    (scatter ?trace t (slots t) ~want:Wire.Want_rows ~what:"a query"
-       (Printf.sprintf "SELECT * FROM %s" name)
-       rows_body)
-
-(* Everything no shard can answer alone (joins that are not
-   co-partitioned, EXCEPT/INTERSECT over projections that drop the key,
-   aggregates over joins): gather every base table's rows, rebuild them
-   in a throwaway single-node session synchronised to the cluster clock,
-   and let the full single-node engine answer.  Correct for anything it
-   can express — the session holds exactly the cluster's live rows with
-   their original texps, and the union of disjoint partitions needs no
-   texp merge — at the cost of shipping each table once.  For a join,
-   one haul per table costs less than shipping the smaller side to
-   every shard and re-planning there. *)
-let gather_compute ?trace t (qs : Ast.query_stmt) tables =
-  Obs.Instrument.Counter.incr t.fanouts_total;
-  let local = Interp.create () in
-  let load =
-    List.fold_left
-      (fun acc name ->
-        match acc with
-        | Error _ as e -> e
-        | Ok () ->
-          (match table_columns ?trace t name with
-           | None -> Error (err (Printf.sprintf "unknown table %s" name))
-           | Some columns ->
-             (match Interp.exec local (Ast.Create_table (name, columns)) with
-              | Error m -> Error (err m)
-              | Ok _ ->
-                (match gather_table_rows ?trace t name with
-                 | Error e -> Error e
-                 | Ok rows ->
-                   List.iter
-                     (fun (vs, texp) ->
-                       Interp.write local
-                         (Expirel_storage.Wal.Insert
-                            { table = name; tuple = Tuple.of_list vs; texp }))
-                     rows;
-                   Ok ()))))
-      (Ok ()) tables
+  let text (slot, reply) =
+    Printf.sprintf "--- shard %d ---\n%s" slot.shard.Wire.shard_id
+      (match reply with
+       | Wire.Ok_msg message -> message
+       | other -> Wire.render_response other)
   in
-  match load with
-  | Error e -> Error e
-  | Ok () ->
-    let clocked =
-      match Time.to_int_opt (locked t (fun () -> t.now)) with
-      | Some n when n > 0 ->
-        Result.map ignore (Interp.exec local (Ast.Advance_to n))
-      | _ -> Ok ()
-    in
-    Result.map_error err
-      (Result.bind clocked (fun () -> Interp.exec local (Ast.Query qs)))
+  Wire.Ok_msg (String.concat "\n" (List.map text replies))
 
-(* ---------- the read route ---------- *)
+(* ---------- the read path ---------- *)
 
-(* The merged rows presented as a single node presents its own: ORDER
-   BY, the full-tuple tie-break, then LIMIT.  Each shard cut its own
-   answer the same way, so its first [n] rows hold every row of the
-   global first [n] that lives there. *)
-let present (qs : Ast.query_stmt) ~columns ~recomputed (relation, texp_e) =
-  let present =
-    Interp.order_and_limit ~columns ~order_by:qs.Ast.order_by ~limit:qs.Ast.limit
-  in
-  Ok (Interp.Rows { columns; relation; listing = lazy (present relation); texp_e; recomputed })
-
-let relation_of ~arity rows =
-  Relation.of_list ~arity (List.map (fun (vs, e) -> (Tuple.of_list vs, e)) rows)
-
-let sketch_ok = function
-  | Ok s -> s
-  | Error m -> failwith ("sketch partials: " ^ m)
-
-(* The coordinator's half of a fan-out, under a [merge] span; a
-   statement error it raises answers as one node's would, through the
-   node's one mapping. *)
-let merging ?trace merge =
-  Obs.Trace.span trace merge_span @@ fun () ->
-  match Interp.guard merge with
-  | Ok answer -> answer
-  | Error message -> Error (err message)
+(* A fan-out that could not answer: the shard's own [Err], or the
+   [Shard_failed] naming the shard, raised out of the executor. *)
+exception Failed of Wire.response
 
 (* A repeated GROUP BY COUNT over every shard, kept at the coordinator:
    each shard is asked with the version of the groups it last shipped
    on this coordinator's connection, and answers only the groups
-   changed since — written, or crossed by their nu — condensed as the
-   stateless route ships them (all of them when it holds no such
-   version: a text's second read, a restarted shard, a redialled
-   connection; a rebuilt entry's delta names all of them).  Each reply
-   writes into this coordinator's copy of that shard's groups: a full
-   reply rebuilds it, a delta replaces the groups it names (a
-   slice-less one is gone), and a condensed reply (the shard kept no
-   standing entry yet) seeds it at version 0, so its next reply is
-   whole again.  A shard the read prunes holds nothing live, so its
-   copy empties.  Versions count from 1 on each connection, and a
-   redial reuses the slot: a copy names only a version whose reply it
-   recorded, so a read that records none (a failed gather, a catalog
-   change under it) drops every contacted shard's copy to version 0.
-   Each group a reply touched is merged again from the shards' copies
-   ({!Partial_agg.merge_all}, the stateless route's merge), and only
-   those groups are re-finalised ({!Subscription.regroup}).  Every group stands at its own shard's
-   clock, as the stateless route reads it.  [None]: a catalog change
-   landed under the read, which must be answered the stateless way. *)
-let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
-  Obs.Instrument.Counter.incr t.fanouts_total;
-  let contacted = contacts ~prune:true t None tau in
+   changed since — written, or crossed by their nu — condensed (all of
+   them when it holds no such version, or rebuilt its entry).  A full
+   reply rebuilds this coordinator's copy of that shard's groups, a
+   delta replaces the groups it names (a slice-less one is gone), a
+   condensed reply (no standing entry there yet) seeds it at version
+   0, and a pruned shard's copy empties.  A connection counts versions
+   from 1 and a redial reuses the slot, so a read that records no reply
+   (a failed gather, a catalog change under it) drops every contacted
+   shard's copy to version 0.  The groups a read touched are merged
+   again from the copies and re-finalised ({!Subscription.regroup}),
+   under a [kept] span, each at its own shard's clock.  [None]: a
+   catalog change landed under the read, which must be answered the
+   stateless way.
+   @raise Failed when a contacted shard does not answer *)
+let standing_step ?trace t e ~contacted sql =
   let held slot =
     let id = slot.shard.Wire.shard_id in
-    match Hashtbl.find_opt e.held id with
-    | Some h -> h
-    | None ->
-      let h = { version = 0; groups = Groups.empty } in
-      Hashtbl.replace e.held id h;
-      h
+    if not (Hashtbl.mem e.held id) then
+      Hashtbl.replace e.held id { version = 0; groups = Groups.empty };
+    Hashtbl.find e.held id
   in
-  let requests =
-    List.map
-      (fun slot ->
-        (slot, shard_exec ?trace ~want:(Wire.Want_agg (Some (held slot).version)) sql))
-      contacted
-  in
+  let ask slot = shard_exec ?trace ~want:(Wire.Want_agg (Some (held slot).version)) sql in
+  let requests = List.map (fun slot -> (slot, ask slot)) contacted in
   let unrecorded () = List.iter (fun slot -> (held slot).version <- 0) contacted in
   match
     gather ~what:"an aggregate request"
@@ -811,70 +650,47 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
   with
   | Error reply ->
     unrecorded ();
-    Some (Error reply)
+    raise (Failed reply)
   | Ok _ when locked t (fun () -> t.epoch <> e.epoch) ->
     unrecorded ();
     None
   | Ok parts ->
     Some
-      (merging ?trace @@ fun () ->
-       (* The keys each reply and each emptied copy touched, each list
-          ascending as replies and copies hold their groups. *)
+      (Obs.Trace.span trace kept_span @@ fun () ->
+       (* The keys each reply and each emptied copy touched. *)
        let touched = ref [] in
-       let touch keys = touched := keys :: !touched in
        (* A reply's groups written into its shard's copy, emptied first
           when the reply is [whole]; a slice-less group is gone. *)
        let write h ~whole groups version =
          if whole then begin
-           touch (List.rev (Groups.fold (fun key _ keys -> key :: keys) h.groups []));
+           touched := Groups.fold (fun key _ keys -> key :: keys) h.groups !touched;
            h.groups <- Groups.empty
          end;
-         touch (List.map (fun (g : Partial_agg.group) -> g.key) groups);
-         h.groups <-
-           Groups.patch h.groups
-             (List.map
-                (fun (g : Partial_agg.group) ->
-                  (g.key, if g.slices = [] then None else Some g))
-                groups);
+         touched := List.map (fun (g : Partial_agg.group) -> g.key) groups @ !touched;
+         let slice (g : Partial_agg.group) = (g.key, if g.slices = [] then None else Some g) in
+         h.groups <- Groups.patch h.groups (List.map slice groups);
          h.version <- version
        in
-       Hashtbl.iter
-         (fun id h ->
-           if not (List.exists (fun (s, _) -> s.shard.Wire.shard_id = id) parts) then
-             write h ~whole:true [] 0)
-         e.held;
+       let replied = ids (List.map fst parts) in
+       Hashtbl.iter (fun id h -> if not (List.mem id replied) then write h ~whole:true [] 0) e.held;
        List.iter
          (fun (slot, (groups, held_groups, _)) ->
            match held_groups with
            | None -> write (held slot) ~whole:true groups 0
            | Some { Wire.full; version } -> write (held slot) ~whole:full groups version)
          parts;
-       (* Two ascending lists as one, each key once: [key] of an
-          element, and [same] joining two elements of one key. *)
-       let rec union key same a b =
-         match a, b with
-         | [], l | l, [] -> l
-         | x :: a', y :: b' ->
-           let c = Groups.compare_keys (key x) (key y) in
-           if c < 0 then x :: union key same a' b
-           else if c > 0 then y :: union key same a b'
-           else same x y :: union key same a' b'
-       in
        let copies = Hashtbl.fold (fun _ h copies -> h.groups :: copies) e.held [] in
-       let keys = List.fold_left (union Fun.id (fun k _ -> k)) [] !touched in
+       let keys = List.sort_uniq Groups.compare_keys !touched in
        let largest = List.fold_left (fun n c -> max n (Groups.cardinal c)) 0 copies in
-       (* Every key's groups in the copies, in one ordered pass. *)
-       let every () =
-         List.map (fun c -> List.rev (Groups.fold (fun _ g gs -> [ g ] :: gs) c [])) copies
-         |> List.fold_left (union (fun gs -> (List.hd gs).Partial_agg.key) ( @ )) []
-       in
        (* A read that touched as many groups as the largest copy holds
-          re-finalises every group at once, as the stateless route
+          re-finalises every group at once, as the stateless read
           merges and finalises its partials; any other re-finalises the
           groups it touched. *)
        let counts =
          if List.compare_length_with keys largest >= 0 then
-           Subscription.rebuild e.counts (List.filter_map Partial_agg.merge_counts (every ()))
+           Subscription.rebuild e.counts
+             (Partial_agg.merge_all ~func:Aggregate.Count
+                (List.map (fun c -> Groups.fold (fun _ g gs -> g :: gs) c []) copies))
          else
            let merged key =
              (key, Partial_agg.merge_counts (List.filter_map (Groups.find_opt key) copies))
@@ -889,185 +705,161 @@ let standing_step ?trace t e (qs : Ast.query_stmt) sql ~columns ~tau =
               t.agg_full_reads_total
             else t.agg_delta_reads_total);
        let { Eval.relation; texp } = Subscription.counts_answer counts in
-       present qs ~columns ~recomputed:false
-         (relation, Time.min_list (texp :: List.map (fun (_, (_, _, e)) -> e) parts)))
+       { Eval.relation; texp = Time.min_list (texp :: List.map (fun (_, (_, _, e)) -> e) parts) })
 
 (* A text's first read (or its first since an eviction or a catalog
    change) only makes its entry and is answered the stateless way, with
    the shards' condensed groups: a text read once costs what it did
-   without the entry, and only a text read again names a version. *)
-let standing_read ?trace t qs sql (d : Lower.decomposed) ~child_arity ~columns ~tau
+   without the entry, and only a text read again names a version.
+   [group], [having], [projection] and [child_arity] are the kept
+   COUNT's. *)
+let standing_read ?trace t sql (group, having, projection, child_arity) ~columns ~contacted
     ~stateless =
+  let counts () =
+    Subscription.counts
+      ~output:(Partial_agg.finalizer ~group ~func:Aggregate.Count ~child_arity ?having ~projection)
+      ~distinct:(Partial_agg.distinct_rows ~group ~projection)
+      ~arity:(List.length columns)
+  in
   let entry =
     locked t (fun () ->
-        match Expirel_exec.Lru.find t.kept sql with
+        match Lru.find t.kept sql with
         | Some e when e.epoch = t.epoch -> Some e
         | Some _ | None ->
-          let e =
-            { lock = Mutex.create ();
-              epoch = t.epoch;
-              held = Hashtbl.create 4;
-              counts =
-                Subscription.counts
-                  ~output:
-                    (Partial_agg.finalizer ~group:d.Lower.d_group ~func:d.Lower.d_func
-                       ~child_arity ?having:d.Lower.d_having
-                       ~projection:d.Lower.d_projection)
-                  ~distinct:
-                    (Partial_agg.distinct_rows ~group:d.Lower.d_group
-                       ~projection:d.Lower.d_projection)
-                  ~arity:(List.length columns)
-            }
+          let fresh =
+            { lock = Mutex.create (); epoch = t.epoch; held = Hashtbl.create 4; counts = counts () }
           in
-          Expirel_exec.Lru.set t.kept sql e;
+          Lru.set t.kept sql fresh;
           None)
   in
   match
     Option.bind entry (fun e ->
-        Mutex.protect e.lock (fun () ->
-            standing_step ?trace t e qs sql ~columns ~tau))
+        Mutex.protect e.lock (fun () -> standing_step ?trace t e ~contacted sql))
   with
-  | Some reply -> reply
+  | Some answer -> Executor.Finalised answer
   | None -> stateless ()
 
-(* [q]'s lowering and route, through the statement cache: as cached
-   when the planned literals are the lowering's, with its constants
-   replaced when only condition values differ (the route is then
-   re-derived: a pinned key follows its literal), made afresh at a
-   new catalog epoch or on a miss.
-   @raise Lower.Error as {!Lower.lower_query} *)
-let lowered ?trace t (p : lowered Statement_cache.prepared) q =
-  let catalog = coord_catalog ?trace t in
-  let epoch = locked t (fun () -> t.epoch) in
-  let made compiled =
-    let route = Lower.route ~catalog compiled in
-    Statement_cache.store t.statements p
-      { l_epoch = epoch; l_compiled = compiled; l_route = route; l_literals = p.literals };
-    (compiled, route)
+(* The text an exchange ships, of the statement [sql]. *)
+let shipped sql (x : Plan.exchange) =
+  match x.ship with
+  | Plan.Statement -> sql
+  | Plan.Table name -> "SELECT * FROM " ^ name
+
+let traffic_bytes t =
+  Obs.Instrument.Counter.(value t.bytes_sent_total + value t.bytes_received_total)
+
+(* The executor's transport: an exchange ships to the owners of the
+   keys it pins whose partitions can still hold live rows at [tau], and
+   hands back what it wants of each reply; a partials exchange of the
+   kept COUNT shape [keep] reads the kept groups.  [costs] gets, in
+   order, each exchange's shards, time and the bytes the traffic
+   counters grew by meanwhile (requests in flight add theirs).
+   @raise Failed when a contacted shard does not answer *)
+let transport ?trace ?costs ~prune t ~tau ~keep ~columns sql (x : Plan.exchange) =
+  let contacted = contacts ~prune t x.keys tau in
+  let started = Option.map (fun _ -> (Unix.gettimeofday (), traffic_bytes t)) costs in
+  let ask want what extract =
+    match scatter ?trace t contacted ~want ~what (shipped sql x) extract with
+    | Ok parts -> parts
+    | Error reply -> raise (Failed reply)
   in
-  match
-    Statement_cache.reuse t.statements p
-      ~current:(fun l -> l.l_epoch = epoch)
-      ~literals:(fun l -> l.l_literals)
-  with
-  | Statement_cache.As_is l -> (l.l_compiled, l.l_route)
+  let reply =
+    match x.want with
+    | Plan.Rows ->
+      Executor.Rows
+        (List.map (fun (_, rows, texp, _) -> (rows, texp)) (ask Wire.Want_rows "a query" rows_body))
+    | Plan.Partials ->
+      let stateless () =
+        Executor.Partials
+          (ask (Wire.Want_agg None) "an aggregate request" (function
+            | Wire.Shard_reply { body = Wire.Body_agg { groups; child_texp; _ }; _ } ->
+              Some (groups, child_texp)
+            | _ -> None))
+      in
+      (match keep with
+       | Some shape -> standing_read ?trace t sql shape ~columns ~contacted ~stateless
+       | None -> stateless ())
+    | Plan.Sketch ->
+      Executor.Sketches
+        (ask Wire.Want_sketch "a sketch request" (function
+          | Wire.Shard_reply { body = Wire.Body_sketch { payload; _ }; _ } ->
+            Result.to_option (Sketch.Any.of_string payload)
+          | _ -> None))
+  in
+  (match costs, started with
+   | Some costs, Some (t0, bytes) ->
+     let time_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
+     Queue.add (ids contacted, time_us, traffic_bytes t - bytes) costs
+   | _ -> ());
+  reply
+
+(* [q]'s plan through the statement cache: as cached when the planned
+   literals are the request's, rebound when only condition values
+   differ, made afresh at a new catalog epoch or on a miss.
+   @raise Lower.Error as {!Lower.lower_query} *)
+let plan ?trace t (p : planned Statement_cache.prepared) q =
+  let epoch = locked t (fun () -> t.epoch) in
+  let store planned =
+    Statement_cache.store t.statements p planned;
+    planned
+  in
+  let current l = l.p_epoch = epoch and literals l = l.p_literals in
+  match Statement_cache.reuse t.statements p ~current ~literals with
+  | Statement_cache.As_is l -> l
   | Statement_cache.Rebound (l, f) ->
-    made
-      { l.l_compiled with
-        Lower.expr = Algebra.map_preds (Predicate.map_consts f) l.l_compiled.Lower.expr
+    store { l with p_compiled = Planner.rebind f l.p_compiled; p_literals = p.literals }
+  | Statement_cache.Absent ->
+    let catalog = table_columns ?trace t in
+    let { Lower.expr; columns; approx } = Lower.lower_query ~catalog q in
+    let env name = Option.map List.length (catalog name) in
+    store
+      { p_epoch = epoch;
+        p_columns = columns;
+        p_compiled = Planner.distribute ~env ?approx expr;
+        p_literals = p.literals
       }
-  | Statement_cache.Absent -> made (Lower.lower_query ~catalog q)
 
-(* A query, lowered once through the cluster catalog and answered by
-   the route {!Lower.route} picks.  The three fan-out routes ask the
-   owners of the keys the query pins (every shard when none) whose
-   partitions can still hold live rows at the query's tau; they differ
-   only in what a shard ships and how the coordinator merges it:
+(* A planned read of [sql] at [tau], its exchanges through
+   {!transport}. *)
+let evaluate ?trace ?costs ~prune t ~tau ~keep planned sql =
+  Obs.Instrument.Counter.incr t.fanouts_total;
+  let transport = transport ?trace ?costs ~prune t ~tau ~keep ~columns:planned.p_columns sql in
+  Executor.run ?trace ~tau ~transport planned.p_compiled
 
-   - [Scatter]: rows, merged under the union rule — per duplicate tuple
-     the max texp (Eq (4)), texp(e) the min over partials; exact for
-     disjoint hash partitions.
-   - [Partial]: expiration-slice partials of a grouped aggregate
-     ([Executor.partial] on each shard); groups unite by key, slices by
-     expiration time, counts and sums add, extrema extremise, and the
-     coordinator runs the {e same} finalisation a single node runs, so
-     rows, per-row texps and the change point nu come out identical.
-     AVG travels as SUM and COUNT and is divided once, here.
-   - [Sketch]: serialised sketch partials, merged (sketches are
-     shard-decomposable by construction) and read at tau.  A sketch
-     keeps the whole expiration axis, so AT is applied here; texp(e) is
-     the merged sketch's horizon.
+(* The shape a read keeps, under [prune]: a COUNT over a partials
+   exchange pinning no key. *)
+let keep ~prune planned =
+  match planned.p_compiled.Plan.physical with
+  | Plan.Grouped_aggregate
+      { group; func = Count; having; projection; child = Plan.Exchange { keys = None; arity; _ } }
+    when prune -> Some (group, having, projection, arity)
+  | _ -> None
 
-   With no shard left to ask, the merge runs over no partials: the
-   lowering already named the columns.  [Gather] computes at the
-   coordinator over the gathered base tables. *)
-let read ?trace ~prune t (p : lowered Statement_cache.prepared) (qs : Ast.query_stmt) sql =
+(* A query, answered by the executor over its plan's exchanges and
+   presented as a single node presents its own: ORDER BY, the
+   full-tuple tie-break, then LIMIT.  Each shard cut its own answer the
+   same way, so its first [n] rows hold every row of the global first
+   [n] that lives there.  A read with [AT] keeps nothing. *)
+let query ?trace ~prune t (p : planned Statement_cache.prepared) (qs : Ast.query_stmt) sql =
   match
     Interp.guard (fun () ->
-        let tau = query_tau t qs in
-        let compiled, route = lowered ?trace t p qs.Ast.q in
-        (tau, compiled, route))
+        (* the cluster clock, or an AT refused before it as one node refuses it *)
+        let now = locked t (fun () -> t.now) in
+        let tau = Option.value (Interp.at_tau ~now qs.Ast.at) ~default:now in
+        let planned = plan ?trace t p qs.Ast.q in
+        let keep = if qs.Ast.at = None then keep ~prune planned else None in
+        let { Eval.relation; texp } = evaluate ?trace ~prune t ~tau ~keep planned sql in
+        let columns = planned.p_columns in
+        let present =
+          Interp.order_and_limit ~columns ~order_by:qs.Ast.order_by ~limit:qs.Ast.limit
+        in
+        Interp.Rows
+          { columns; relation; listing = lazy (present relation); texp_e = texp;
+            recomputed = false })
   with
+  | Ok answer -> Ok answer
   | Error message -> Error (err message)
-  | Ok (tau, compiled, route) ->
-    let columns = compiled.Lower.columns in
-    let arity = List.length columns in
-    let fan ~child ~want ~what extract merge =
-      Obs.Instrument.Counter.incr t.fanouts_total;
-      let keys = if prune then pinned_keys child else None in
-      match scatter ?trace t (contacts ~prune t keys tau) ~want ~what sql extract with
-      | Error e -> Error e
-      | Ok parts -> merging ?trace (fun () -> merge parts)
-    in
-    (match route with
-     | Lower.Gather ->
-       gather_compute ?trace t qs (Algebra.base_names compiled.Lower.expr)
-     | Lower.Scatter ->
-       fan ~child:compiled.Lower.expr ~want:Wire.Want_rows ~what:"a query"
-         rows_body (fun parts ->
-           let relation =
-             List.fold_left
-               (fun acc (_, rows, _, _) ->
-                 Relation.union_max acc (relation_of ~arity rows))
-               (Relation.empty ~arity) parts
-           in
-           present qs ~columns
-             ~recomputed:(List.exists (fun (_, _, _, r) -> r) parts)
-             (relation, Time.min_list (List.map (fun (_, _, e, _) -> e) parts)))
-     | Lower.Partial d ->
-       let child_arity =
-         match Algebra.base_names d.Lower.d_child with
-         | [ name ] ->
-           Option.fold ~none:0 ~some:List.length (table_columns ?trace t name)
-         | _ -> 0
-       in
-       let finalize parts =
-         let partials, child_texps = List.split parts in
-         let relation, invalidation =
-           Partial_agg.finalize ~group:d.Lower.d_group ~func:d.Lower.d_func
-             ~child_arity ?having:d.Lower.d_having
-             ~projection:d.Lower.d_projection
-             (Partial_agg.merge_all ~func:d.Lower.d_func partials)
-         in
-         present qs ~columns ~recomputed:false
-           (relation, Time.min_list (invalidation :: child_texps))
-       in
-       let stateless () =
-         fan ~child:d.Lower.d_child ~want:(Wire.Want_agg None)
-           ~what:"an aggregate request"
-           (function
-             | Wire.Shard_reply
-                 { body = Wire.Body_agg { groups; child_texp; _ }; _ } ->
-               Some (groups, child_texp)
-             | _ -> None)
-           finalize
-       in
-       if
-         prune && qs.Ast.at = None
-         && d.Lower.d_func = Aggregate.Count
-         && pinned_keys d.Lower.d_child = None
-       then standing_read ?trace t qs sql d ~child_arity ~columns ~tau ~stateless
-       else stateless ()
-     | Lower.Sketch spec ->
-       fan ~child:compiled.Lower.expr ~want:Wire.Want_sketch
-         ~what:"a sketch request" (function
-         | Wire.Shard_reply { body = Wire.Body_sketch { payload; _ }; _ } ->
-           Some payload
-         | _ -> None)
-         (fun payloads ->
-           let merged =
-             match
-               List.map (fun p -> sketch_ok (Sketch.Any.of_string p)) payloads
-             with
-             | [] -> Expirel_exec.Approx.build spec ~arity ignore
-             | s :: rest ->
-               List.fold_left
-                 (fun acc s' -> sketch_ok (Sketch.Any.merge acc s'))
-                 s rest
-           in
-           let rows, horizon = Sketch.Any.query_rows ~tau merged in
-           present qs ~columns ~recomputed:false
-             (relation_of ~arity rows, horizon)))
+  | exception Failed reply -> Error reply
 
 (* ---------- heartbeat ---------- *)
 
@@ -1185,7 +977,7 @@ let create ?(node_name = "coordinator") ?health_rules
       slots = [];
       rebalance = Expirel_storage.Rwlock.create ();
       now = Time.zero;
-      kept = Expirel_exec.Lru.create ~capacity:Interp.statement_capacity ();
+      kept = Lru.create ~capacity:Interp.statement_capacity ();
       epoch = 0;
       statements = Statement_cache.create ~capacity:Interp.statement_capacity ();
       last_horizon = None;
@@ -1194,54 +986,41 @@ let create ?(node_name = "coordinator") ?health_rules
       heartbeat_interval
     }
   in
-  Obs.Registry.gauge_fun registry ~name:"expirel_cluster_shard_map_version"
-    ~help:"Version of the shard map this coordinator routes by" (fun () ->
-      float_of_int (shard_map t).Wire.map_version);
-  Obs.Registry.gauge_fun registry ~name:"expirel_cluster_shards"
-    ~help:"Shards in the current map" (fun () ->
-      float_of_int (List.length (slots t)));
-  Obs.Registry.gauge_fun registry ~name:"expirel_cluster_unreachable_shards"
-    ~help:"Shards that did not answer their last contact or heartbeat"
-    (fun () ->
-      float_of_int
-        (List.length (List.filter (fun s -> not s.reachable) (slots t))));
-  Obs.Registry.gauge_fun registry ~name:"expirel_cluster_restarted_shards"
-    ~help:"Shards whose heartbeat brought another boot id than their first \
-           heartbeat since they joined"
-    (fun () ->
-      float_of_int
-        (List.length (List.filter (fun s -> s.boot = Restarted) (slots t))));
+  let gauge name help f =
+    Obs.Registry.gauge_fun registry ~name ~help (fun () -> float_of_int (f ()))
+  in
+  let shards p = List.length (List.filter p (slots t)) in
+  gauge "expirel_cluster_shard_map_version" "Version of the shard map this coordinator routes by"
+    (fun () -> (shard_map t).Wire.map_version);
+  gauge "expirel_cluster_shards" "Shards in the current map" (fun () -> shards (fun _ -> true));
+  gauge "expirel_cluster_unreachable_shards"
+    "Shards that did not answer their last contact or heartbeat" (fun () ->
+      shards (fun s -> not s.reachable));
+  gauge "expirel_cluster_restarted_shards"
+    "Shards whose heartbeat brought another boot id than their first heartbeat since they \
+     joined" (fun () -> shards (fun s -> s.boot = Restarted));
   (* Cluster-horizon gauges read the cached merged forecast — a scrape
      never fans out.  While no forecast has been gathered yet the
      callbacks raise, which the registry renders as an absent metric
-     (and the storm rules therefore skip, not fire). *)
-  let cached () =
+     (and the storm rules therefore skip, not fire).  [rows f] sums [f]
+     over its tables. *)
+  let rows f =
     match locked t (fun () -> t.last_horizon) with
-    | Some r -> r
+    | Some r -> List.fold_left (fun acc tb -> acc + f r tb) 0 r.Obs.Horizon.tables
     | None -> raise Not_found
   in
-  Obs.Registry.gauge_fun registry ~name:"expirel_cluster_live_rows"
-    ~help:"Live rows across the cluster at the last horizon gather"
-    (fun () ->
-      let r = cached () in
-      float_of_int
-        (List.fold_left (fun acc tb -> acc + Obs.Horizon.live tb) 0
-           r.Obs.Horizon.tables));
-  Obs.Registry.gauge_fun registry
-    ~name:"expirel_cluster_horizon_expiring_soon"
-    ~help:"Live rows across the cluster expiring within the forecast \
-           window, from the last horizon gather"
-    (fun () ->
-      let r = cached () in
-      float_of_int
-        (List.fold_left
-           (fun acc tb -> acc + Obs.Horizon.expiring_within tb r.Obs.Horizon.window)
-           0 r.Obs.Horizon.tables));
-  Obs.Registry.gauge_fun registry
-    ~name:"expirel_cluster_horizon_fanout_events"
-    ~help:"Subscription events the next ADVANCE window delivers across \
-           the cluster, from the last horizon gather"
-    (fun () -> float_of_int (cached ()).Obs.Horizon.fanout_events);
+  gauge "expirel_cluster_live_rows" "Live rows across the cluster at the last horizon gather"
+    (fun () -> rows (fun _ tb -> Obs.Horizon.live tb));
+  gauge "expirel_cluster_horizon_expiring_soon"
+    "Live rows across the cluster expiring within the forecast window, from the last \
+     horizon gather" (fun () ->
+      rows (fun r tb -> Obs.Horizon.expiring_within tb r.Obs.Horizon.window));
+  gauge "expirel_cluster_horizon_fanout_events"
+    "Subscription events the next ADVANCE window delivers across the cluster, from the \
+     last horizon gather" (fun () ->
+      match locked t (fun () -> t.last_horizon) with
+      | Some r -> r.Obs.Horizon.fanout_events
+      | None -> raise Not_found);
   t.slots <- List.map (make_slot t) map.Wire.shards;
   (* Prime the clock mirror, the summaries and the boot ids. *)
   heartbeat_now t;
@@ -1313,14 +1092,10 @@ let table_names t =
 
 (* Every row to its owner under [new_map], one table at a time, the
    owner decided here: one fan-out reads each source's partition
-   ([SELECT *]), one loads the rows leaving it at their new owners, and
-   only once every load is acknowledged one deletes them at their
-   sources.  The deletes run last, so a move cut before them loses no
-   row but can leave copies where the old map reads them (at an old
-   shard): scans and point reads absorb those, COUNT and grouped
-   partials count them twice.  A source's partition of a table comes
-   back in one reply, so it is bounded by the frame
-   ([Frame.max_frame]). *)
+   ([SELECT *], one reply, bounded by [Frame.max_frame]), one loads the
+   rows leaving it at their new owners, and only once every load is
+   acknowledged one deletes them at their sources (see {!add_shard} for
+   what a cut move leaves). *)
 let move_rows t new_map ~old_slots ~new_slots =
   let ( let* ) = Result.bind in
   let* tables = table_names t in
@@ -1411,38 +1186,21 @@ let add_shard t endpoint =
         (fun acc (s : Wire.shard) -> max acc s.shard_id)
         (-1) old_map.Wire.shards
   in
+  let joining =
+    { Wire.shard_id = fresh_id; shard_host = endpoint.host; shard_port = endpoint.port }
+  in
   let new_map =
-    { Wire.map_version = old_map.Wire.map_version + 1;
-      shards =
-        old_map.Wire.shards
-        @ [ { Wire.shard_id = fresh_id;
-              shard_host = endpoint.host;
-              shard_port = endpoint.port
-            }
-          ]
-    }
+    { Wire.map_version = old_map.Wire.map_version + 1; shards = old_map.Wire.shards @ [ joining ] }
   in
-  let new_slots =
-    old_slots
-    @ [ make_slot t
-          { Wire.shard_id = fresh_id;
-            shard_host = endpoint.host;
-            shard_port = endpoint.port
-          }
-      ]
-  in
+  let newcomer = make_slot t joining in
+  let new_slots = old_slots @ [ newcomer ] in
   (* The joining shard needs the cluster's catalog and clock before it
-     can ingest: replay each table's CREATE TABLE, with the columns the
-     cluster catalog knows ([table_columns]), and the CREATE INDEXes
-     this coordinator broadcast on the newcomer, then sync its clock so
-     ingested expiration times mean the same thing there.  A table the
-     newcomer has with those columns (a failed ADD SHARD of the same
-     node made it) is kept, so the ADD can be retried, but emptied: the
-     failed move may have loaded rows there that were deleted through
-     the old map since, and no map routes to the newcomer yet.  A
-     CREATE INDEX it has already rebuilds it, and ADVANCE TO its own
-     clock is a no-op. *)
-  let newcomer = List.nth new_slots (List.length new_slots - 1) in
+     can ingest: each table's CREATE TABLE ([table_columns]) and CREATE
+     INDEXes, then its clock, so ingested expiration times mean the
+     same there.  A table it has with those columns (a failed ADD of
+     the same node made it) is kept but emptied, since rows the failed
+     move loaded there may have been deleted since; a CREATE INDEX it
+     has rebuilds it, and ADVANCE TO its own clock is a no-op. *)
   let prep =
     let ( let* ) = Result.bind in
     let run acc sql =
@@ -1528,9 +1286,62 @@ let catalog_change ?trace t sql =
   bump ();
   Fun.protect ~finally:bump (fun () -> broadcast ?trace t (slots t) sql ~merge:merge_acks)
 
-(* A statement's reply, from the read route or the shards' merged
+(* The rest of [text], trimmed, when it begins with [word] (upper
+   case) in any case. *)
+let after ~word text =
+  let n = String.length word in
+  let rec from i = i >= n || (Char.uppercase_ascii text.[i] = word.[i] && from (i + 1)) in
+  if String.length text >= n && from 0 then
+    Some (String.trim (String.sub text n (String.length text - n)))
+  else None
+
+(* The query an EXPLAIN [ANALYZE] text explains. *)
+let explained sql =
+  let skip word text = Option.value (after ~word text) ~default:text in
+  skip "ANALYZE" (skip "EXPLAIN" (String.trim sql))
+
+(* EXPLAIN [ANALYZE] through the coordinator: its own plan first, each
+   exchange line naming the shards it contacts after pruning, whether
+   it reads the text's kept COUNT, and the text it ships — under
+   ANALYZE from a run of the query, with its fan-out's time and bytes —
+   then every shard's own report. *)
+let explain ?trace ~prune ~analyze t p q sql =
+  let text = explained sql in
+  let own () =
+    let planned = plan ?trace t p q in
+    let physical = planned.p_compiled.Plan.physical in
+    let tau = locked t (fun () -> t.now) in
+    let keep = keep ~prune planned in
+    let current = Option.fold ~none:false ~some:(fun (e : kept) -> e.epoch = t.epoch) in
+    let kept = keep <> None && locked t (fun () -> current (Lru.find t.kept text)) in
+    let costs = Queue.create () in
+    let unrun (x : Plan.exchange) = (ids (contacts ~count:false ~prune t x.keys tau), 0, 0) in
+    if analyze then ignore (evaluate ?trace ~costs ~prune t ~tau ~keep planned text)
+    else List.iter (fun x -> Queue.add (unrun x) costs) (Plan.exchanges physical);
+    let line = function
+      | Plan.Exchange x as leaf ->
+        let shards, time_us, bytes = Queue.take costs in
+        Printf.sprintf "%s shards {%s}%s: %s%s" (Plan.describe leaf)
+          (String.concat "," (List.map string_of_int shards))
+          (if kept then " kept" else "")
+          (shipped text x)
+          (if not analyze then ""
+           else Printf.sprintf "  (time=%.3fms bytes=%d)" (float_of_int time_us /. 1e3) bytes)
+      | node -> Plan.describe node
+    in
+    Plan.render line physical
+  in
+  match Interp.guard own with
+  | Error message -> err message
+  | exception Failed reply -> reply
+  | Ok own ->
+    (match broadcast ?trace t (slots t) sql ~merge:merge_texts with
+     | Wire.Ok_msg shards -> Wire.Ok_msg ("--- coordinator ---\n" ^ own ^ shards)
+     | reply -> reply)
+
+(* A statement's reply, from the read path or the shards' merged
    acknowledgements. *)
-let write ?trace ~prune t (p : lowered Statement_cache.prepared) sql =
+let write ?trace ~prune t (p : planned Statement_cache.prepared) sql =
   (* [r], after [effect] when every shard acknowledged it *)
   let on_ack r effect =
     (match r with
@@ -1539,7 +1350,7 @@ let write ?trace ~prune t (p : lowered Statement_cache.prepared) sql =
     r
   in
   match p.statement with
-  | Ast.Query qs -> Loop.reply (read ?trace ~prune t p qs sql)
+  | Ast.Query qs -> Loop.reply (query ?trace ~prune t p qs sql)
   | Ast.Insert { values = key :: _; _ } -> route_insert ?trace t ~key sql
   | Ast.Insert { values = []; _ } -> err "INSERT needs at least one value"
   | Ast.Advance_to n ->
@@ -1567,8 +1378,8 @@ let write ?trace ~prune t (p : lowered Statement_cache.prepared) sql =
     on_ack (catalog_change ?trace t sql) (fun () -> Hashtbl.replace t.indexes (table, column) ())
   | Ast.Drop_index { table; column } ->
     on_ack (catalog_change ?trace t sql) (fun () -> Hashtbl.remove t.indexes (table, column))
-  | Ast.Explain _ | Ast.Explain_analyze _ ->
-    broadcast ?trace t (slots t) sql ~merge:merge_texts
+  | Ast.Explain q -> explain ?trace ~prune ~analyze:false t p q sql
+  | Ast.Explain_analyze q -> explain ?trace ~prune ~analyze:true t p q sql
   | Ast.Show_tables | Ast.Show_time -> forward_to_any ?trace t sql
   | Ast.Show_horizon table ->
     (match gather_horizon ?trace ?table t with
@@ -1585,31 +1396,20 @@ let write ?trace ~prune t (p : lowered Statement_cache.prepared) sql =
 (* What a coordinator answers beside SQL: its shards and their
    membership. *)
 type statement =
-  | Sql of lowered Statement_cache.prepared
+  | Sql of planned Statement_cache.prepared
   | Shards
   | Add_shard of endpoint
   | Remove_shard of int
-
-(* [text] begins with [word] (upper case), in any case. *)
-let begins_with ~word text =
-  let n = String.length word in
-  let rec from i = i >= n || (Char.uppercase_ascii text.[i] = word.[i] && from (i + 1)) in
-  String.length text >= n && from 0
 
 (* The coordinator's own statements, or SQL read through the statement
    cache.  Only a text that begins with one of their words pays for
    more than that check. *)
 let parse t text =
   let text = String.trim text in
-  let arg word =
-    let n = String.length word in
-    if begins_with ~word text then Some (String.trim (String.sub text n (String.length text - n)))
-    else None
-  in
   let usage form = raise (Parser.Error ("usage: " ^ form, 0)) in
-  if String.length text = 6 && begins_with ~word:"SHARDS" text then Shards
+  if String.length text = 6 && after ~word:"SHARDS" text <> None then Shards
   else
-    match (arg "ADD SHARD ", arg "REMOVE SHARD ") with
+    match (after ~word:"ADD SHARD " text, after ~word:"REMOVE SHARD " text) with
     | Some e, _ ->
       (match Member.endpoint_of_string e with
        | Some endpoint -> Add_shard endpoint
@@ -1651,7 +1451,7 @@ let run ?trace ~prune t stmt sql =
   | Sql p ->
     Expirel_storage.Rwlock.with_read t.rebalance (fun () ->
         match p.statement with
-        | Ast.Query qs -> read ?trace ~prune t p qs sql
+        | Ast.Query qs -> query ?trace ~prune t p qs sql
         | _ -> answer (write ?trace ~prune t p sql))
   | Shards -> Ok (Interp.Msg (shards_text t))
   | Add_shard endpoint -> changed (add_shard t endpoint)

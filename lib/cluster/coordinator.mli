@@ -3,36 +3,28 @@
 
     Every table is partitioned by its first column: a row lives on
     [Wire.shard_owner map key].  Writes route to the owning shard.  A
-    query is lowered once, through the coordinator's catalog cache, and
-    {!Expirel_sqlx.Lower.route} picks how it is answered from the
-    lowered algebra: shard-local queries scatter, grouped aggregates
-    combine from per-shard partials, sketches merge, and everything
-    else gathers.  The three fan-out routes ask only the shards that
-    can hold matching live rows, all at once: the caller's thread posts
-    to each, then collects the replies as they arrive.  Scattered
-    listings merge under the paper's union rule — per duplicate tuple
-    the max [texp], for the whole result the min of the partial
-    [texp(e)]s (exact, because hash partitions are disjoint).
+    query is lowered and planned once per shape, through the
+    coordinator's catalog cache, into a plan whose leaves are exchanges
+    ({!Expirel_exec.Planner.distribute}), and the one executor answers
+    it ({!Expirel_exec.Executor.run}): each exchange is a fan-out that
+    asks only the shards that can hold matching live rows, all at
+    once (the caller's thread posts to each, then collects the replies
+    as they arrive), and the shards' answers merge under the paper's
+    union rule — per duplicate tuple the max [texp], for the whole
+    result the min of the partial [texp(e)]s (exact, because hash
+    partitions are disjoint).
 
     {2 Key routing}
 
-    The keys come from the lowered query.  When a selection directly
-    over a base table pins the first column to a finite set of keys —
-    [col1 = c] either way round; an [AND] whose either side pins; an
-    [OR] whose both sides pin, with the union of their keys — only
-    those keys' owners are candidates.  A projection keeps its input's
-    keys, a [UNION] contacts every operand's owners, and a shard-local
-    [EXCEPT]/[INTERSECT] routes by its left operand (its rows are a
-    subset of the left operand's, and equal rows share a shard).  A
-    grouped aggregate routes by its child's keys and an
-    [APPROX_COUNT]/[SAMPLE] by its source's.  A key routes only
-    when every value {!Expirel_core.Value.cmp} equates with it shares
-    its owner: [Int]s within [±2^53], [Float]s that are fractional or
-    integral below [2^53] in magnitude, strings, booleans.  Other keys
-    (large [Int]s and integral [Float]s, NaN) broadcast.  Statements
-    route by the current map only: a rebalance runs alone (see
-    {!add_shard}), so no statement sees a half-moved partition.  A read
-    whose candidates are all provably empty
+    An exchange contacts only the owners of the first-column keys its
+    statement pins ({!Expirel_exec.Planner.distribute}).  A key routes
+    only when every value {!Expirel_core.Value.cmp} equates with it
+    shares its owner: [Int]s within [±2^53], [Float]s that are
+    fractional or integral below [2^53] in magnitude, strings,
+    booleans.  Other keys (large [Int]s and integral [Float]s, NaN)
+    broadcast.  Statements route by the current map only: a rebalance
+    runs alone (see {!add_shard}), so no statement sees a half-moved
+    partition.  A read whose candidates are all provably empty
     contacts no shard and answers empty, with the columns the lowering
     named.
 
@@ -89,21 +81,20 @@ val exec :
   Wire.response
 (** One sqlx statement against the cluster.
 
-    - A shard-local query ({!Expirel_sqlx.Lower.route} answers
-      [Scatter]: a selection/projection chain over one table, a UNION
-      of shard-local operands, an EXCEPT/INTERSECT whose operands keep
+    - A query runs as its distributed plan: a shard-local one
+      (a selection/projection chain over one table, a UNION of
+      shard-local operands, an EXCEPT/INTERSECT whose operands keep
       the first column at the same position, a join whose condition
-      equates both first columns) runs on the owners of the keys it
-      pins (every shard when none), with expiration pruning.  The rows
-      merge under the union rule and are presented by
+      equates both first columns) is one exchange of rows, merged
+      under the union rule and presented by
       {!Expirel_sqlx.Interp.order_and_limit}, as on one node: each
       shard's first [n] rows under ORDER BY and LIMIT hold every row
       of the global first [n] that lives there.  [~prune:false] turns
       key routing and pruning off and forces a full broadcast —
       results are identical, that is the routing and pruning soundness
       contract.
-    - Grouped aggregates ([Partial]: GROUP BY, HAVING,
-      COUNT/SUM/MIN/MAX/AVG over one table) combine from per-shard
+    - A grouped aggregate (GROUP BY, HAVING, COUNT/SUM/MIN/MAX/AVG over
+      one table) is the fused aggregate over an exchange of per-shard
       expiration-slice partials ({!Expirel_exec.Partial_agg}): rows
       {e and} texps identical to a single node holding all rows.  AVG
       travels as SUM + COUNT, never pre-averaged.  A repeated
@@ -114,26 +105,29 @@ val exec :
       coordinator's connection ({!Expirel_server.Wire.Want_agg}).  A
       read that records no reply drops every contacted shard's copy to
       version 0, so its next reply is whole.  Each group a reply
-      touched is merged again from the shards' copies by the stateless
-      route's own merge
-      ({!Expirel_exec.Partial_agg.merge_all}), and only those groups are
-      re-finalised; no summed copy is kept.
+      touched is merged again from the shards' copies, and only those
+      groups are re-finalised; no summed copy is kept.
       [~prune:false], a move in flight, a shard-map change and any DDL
       keep or fall back to the stateless merge.
-    - [APPROX_COUNT]/[SAMPLE] ([Sketch]) merge per-shard sketches and
-      read the merged one at the query's tau.
-    - Everything else ([Gather]: other joins, EXCEPT/INTERSECT over
-      projections that drop the key, aggregates over joins) gathers the
-      base tables (one contact per shard per table) and computes at
-      the coordinator — exact by the union rule over disjoint
+    - [APPROX_COUNT]/[SAMPLE] over a shard-local source that keeps the
+      key merge per-shard sketches and read the merged one at the
+      query's tau.
+    - Everything else (other joins, EXCEPT/INTERSECT over projections
+      that drop the key, aggregates over joins) is the ordinary plan
+      over whole-table exchanges (one contact per shard per table),
+      computed here — exact by the union rule over disjoint
       partitions, at the cost of shipping each table once.
     - [INSERT] routes to the key's owner shard.
     - [DELETE … WHERE] that pins keys routes to their owners; any
       other [DELETE], DDL,
       [ADVANCE]/[TICK] and [VACUUM] broadcast to all shards.  A
       [DELETE] or [VACUUM] ack reports the sum of the shards' counts.
-      [EXPLAIN]/[EXPLAIN ANALYZE] broadcast and concatenate per-shard
-      reports.  A broadcast reaches every reachable target even when
+      [EXPLAIN]/[EXPLAIN ANALYZE] print the coordinator's plan under
+      [--- coordinator ---], each exchange line naming the shards it
+      contacts after pruning and the text it ships (under ANALYZE, from
+      a run of the query, with the fan-out's time and the bytes the
+      traffic counters grew by), then broadcast and concatenate the
+      per-shard reports.  A broadcast reaches every reachable target even when
       some fail; it then answers [Err] naming each failed shard, and
       the others have applied the statement (an [ADVANCE]/[TICK] moved
       their clocks, and the coordinator's clock mirror follows them on
@@ -149,9 +143,10 @@ val exec :
       the single node's error ({!Expirel_sqlx.Interp.at_tau}).
 
     With [trace], spans record there and the context ships to every
-    contacted shard ([scatter] with [rpc:shard-<id>] children, then
-    [merge] around the coordinator's union-rule merge or aggregate
-    finalisation); without, the request loop's wrapper
+    contacted shard ([scatter] with [rpc:shard-<id>] children per
+    exchange, a kept COUNT's [kept] around its copies' merge, then the
+    executor's [merge] around the union-rule merge or aggregate
+    finalisation, with its [op:] spans inside); without, the request loop's wrapper
     ({!Expirel_server.Loop.traced}) opens a trace, observes it into
     {!metrics} and finishes it into {!trace_store}. *)
 

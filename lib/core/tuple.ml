@@ -23,20 +23,22 @@ let split ~left_arity t =
     ( Array.sub t 0 left_arity,
       Array.sub t left_arity (Array.length t - left_arity) )
 
-let compare a b =
-  let la = Array.length a and lb = Array.length b in
-  let c = Int.compare la lb in
-  if c <> 0 then c
+(* Closed loops over equal-length tuples from position [i]: a
+   comparison allocates no closure. *)
+let rec compare_from a b i =
+  if i >= Array.length a then 0
   else
-    let rec go i =
-      if i >= la then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
 
-let equal a b = compare a b = 0
+let rec equal_from a b i =
+  i >= Array.length a || (Value.compare a.(i) b.(i) = 0 && equal_from a b (i + 1))
+
+let compare a b =
+  let c = Int.compare (Array.length a) (Array.length b) in
+  if c <> 0 then c else compare_from a b 0
+
+let equal a b = Array.length a = Array.length b && equal_from a b 0
 
 let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
 

@@ -129,6 +129,29 @@ let merge_diff left right =
 
 module Trace = Expirel_obs.Trace
 
+type reply =
+  | Rows of ((Value.t list * Time.t) list * Time.t) list
+  | Partials of (Partial_agg.t * Time.t) list
+  | Finalised of Eval.result
+  | Sketches of Expirel_sketch.Any.t list
+
+type transport = Plan.exchange -> reply
+
+(* The exchanges' answers merge under one span of the coordinator's. *)
+let merge_span = Trace.name "merge"
+
+(* The union of the shards' rows, each shard's cut at [tau] (a whole
+   table ships as the shard's clock leaves it), and the least of their
+   texp(e)s (Equation (4)): partitions are disjoint, so the union is the
+   answer over all rows. *)
+let union_parts ~tau ~arity parts =
+  let live (vs, e) = if Time.(e > tau) then Some (Tuple.of_list vs, e) else None in
+  let relation_of rows = Relation.of_list ~arity (List.filter_map live rows) in
+  let union acc (rows, _) = Relation.union_max acc (relation_of rows) in
+  { Eval.relation = List.fold_left union (Relation.empty ~arity) parts;
+    texp = Time.min_list (List.map snd parts)
+  }
+
 (* The counters op spans carry, interned once. *)
 let rows_key = Trace.name "rows"
 let batches_key = Trace.name "batches"
@@ -196,12 +219,23 @@ type engine = {
   finish : unit -> unit;
 }
 
-let engine ?trace ?tau ~db logical =
+let engine ?trace ?tau ?db ?(replies = ref []) logical =
   (* Mirror the naive evaluator's up-front well-formedness check so the
-     physical path raises the same errors on the same inputs. *)
-  let arity_env name = Option.map Table.arity (Database.table db name) in
-  let (_ : int) = Algebra.arity ~env:arity_env logical in
-  let tau = Option.value tau ~default:(Database.now db) in
+     physical path raises the same errors on the same inputs.  A plan of
+     exchanges reads no database. *)
+  let env db name = Option.map Table.arity (Database.table db name) in
+  Option.iter (fun db -> ignore (Algebra.arity ~env:(env db) logical : int)) db;
+  let db () = Option.get db in
+  let tau = match tau with Some tau -> tau | None -> Database.now (db ()) in
+  (* The next exchange's answer, in the order the leaves run. *)
+  let reply () =
+    match !replies with
+    | r :: rest ->
+      replies := rest;
+      r
+    | [] -> invalid_arg "Executor.run: an exchange needs a transport"
+  in
+  let unexpected () = invalid_arg "Executor.run: an exchange answered what it did not want" in
   (* Per-query vectorization totals, folded into the process-global
      observability counters once at the end — one mutex acquisition per
      query, nothing per batch or per row. *)
@@ -255,6 +289,7 @@ let engine ?trace ?tau ~db logical =
   let rec go p = measure p (fun () -> exec_node p)
   and exec_node p =
     match p with
+    | Plan.Exchange x -> exchange x
     | Plan.Scan { name; pred; access = _ } -> scan name pred
     | Plan.Filter (q, c) ->
       let r = go c in
@@ -295,12 +330,24 @@ let engine ?trace ?tau ~db logical =
         texp = Time.min (Time.min l.texp r.texp) reappears
       }
     | Plan.Grouped_aggregate { group; func; having; projection; child = c } ->
-      let partial, r = grouped ~group ~func c in
-      let relation, invalidation =
-        Partial_agg.finalize ~group ~func ~child_arity:r.arity ?having
-          ~projection partial
+      let finalize partial ~child_arity ~child_texp =
+        let relation, invalidation =
+          Partial_agg.finalize ~group ~func ~child_arity ?having ~projection partial
+        in
+        set_res { Eval.relation; texp = Time.min child_texp invalidation }
       in
-      set_res { Eval.relation; texp = Time.min r.texp invalidation }
+      (match c with
+       | Plan.Exchange x ->
+         (match reply () with
+          | Partials parts ->
+            finalize
+              (Partial_agg.merge_all ~func (List.map fst parts))
+              ~child_arity:x.arity ~child_texp:(Time.min_list (List.map snd parts))
+          | Finalised r -> set_res r
+          | _ -> unexpected ())
+       | _ ->
+         let partial, r = grouped ~group ~func c in
+         finalize partial ~child_arity:r.arity ~child_texp:r.texp)
     | Plan.Sketch_count { epsilon; child = c } ->
       sketch_node (Approx.Count { epsilon }) c
     | Plan.Sketch_sample { k; child = c } -> sketch_node (Approx.Sample { k }) c
@@ -320,6 +367,10 @@ let engine ?trace ?tau ~db logical =
           };
       texp = Time.min l.texp r.texp
     }
+  and exchange x =
+    match reply () with
+    | Rows parts -> set_res (union_parts ~tau ~arity:x.arity parts)
+    | _ -> unexpected ()
   (* The leaf: one [Texp_run.scan_range], over the table's own run for a
      full scan (unbounded bounds) and over an index's run in its key
      range otherwise.  The access path recorded in the plan is advisory
@@ -330,7 +381,7 @@ let engine ?trace ?tau ~db logical =
      rows the [tau] cut dropped (the expiration churn), and an index
      scan also the rows it visited. *)
   and scan name pred =
-    let table = Database.table_exn db name in
+    let table = Database.table_exn (db ()) name in
     let arity = Table.arity table in
     let range run ~lo ~hi ~full =
       let visited = ref 0 and dropped = ref 0 and acc = ref [] in
@@ -364,6 +415,21 @@ let engine ?trace ?tau ~db logical =
   (* Folds the child into a bounded-memory sketch, recorded in the
      sketch observatory and on the span. *)
   and fold_sketch spec c =
+    match c with
+    | Plan.Exchange x ->
+      let merge acc s =
+        match Expirel_sketch.Any.merge acc s with
+        | Ok merged -> merged
+        | Error m -> failwith ("sketch partials: " ^ m)
+      in
+      let merged =
+        match reply () with
+        | Sketches (s :: rest) -> List.fold_left merge s rest
+        | Sketches [] -> Approx.build spec ~arity:x.arity ignore
+        | _ -> unexpected ()
+      in
+      (merged, { arity = x.arity; rows = Set (Relation.empty ~arity:x.arity); texp = Time.Inf })
+    | _ ->
     let r = go c in
     let sketch = Approx.build spec ~arity:r.arity (iter_distinct r) in
     let bytes = Expirel_sketch.Any.memory_bytes sketch in
@@ -409,7 +475,7 @@ let engine ?trace ?tau ~db logical =
       match p with
       | Plan.Scan { name; pred = None; access = _ } ->
         measure p (fun () ->
-            let table = Database.table_exn db name in
+            let table = Database.table_exn (db ()) name in
             let snap = Table.snapshot table ~tau in
             if Option.is_some trace then
               label dropped_key
@@ -431,11 +497,27 @@ let engine ?trace ?tau ~db logical =
   in
   { result; grouped; fold_sketch; finish }
 
-let run ?trace ?tau ~db compiled =
-  let e = engine ?trace ?tau ~db compiled.Plan.logical in
-  let result = e.result compiled.Plan.physical in
-  e.finish ();
-  result
+let run ?trace ?tau ?db ?transport { Plan.logical; physical } =
+  let evaluate ?replies () =
+    let e = engine ?trace ?tau ?db ?replies logical in
+    let result = e.result physical in
+    e.finish ();
+    result
+  in
+  match transport with
+  | None -> evaluate ()
+  | Some transport ->
+    (* Every exchange is answered before any operator span opens, so the
+       transport's own spans stay beside the merge, never under it.  A
+       root rows exchange is the answer: its union needs no engine. *)
+    let replies = List.map transport (Plan.exchanges physical) in
+    Trace.span trace merge_span (fun () ->
+        match physical, replies, tau with
+        | Plan.Exchange x, [ Rows parts ], Some tau ->
+          op_span trace physical
+            ~labels:(fun r -> Trace.count trace rows_key (Relation.cardinal r.Eval.relation))
+            (fun () -> union_parts ~tau ~arity:x.arity parts)
+        | _ -> evaluate ~replies:(ref replies) ())
 
 let partial ?trace ?tau ~db compiled =
   match compiled.Plan.physical with

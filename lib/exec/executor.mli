@@ -15,16 +15,40 @@
 open Expirel_core
 open Expirel_storage
 
+(** A transport's answer to an exchange, one part per shard it
+    contacted: rows with the answer's [texp(e)], partials with the
+    child's, or sketches — or, for a partials exchange answered from
+    state the transport keeps, the aggregate's finalised answer. *)
+type reply =
+  | Rows of ((Value.t list * Time.t) list * Time.t) list
+  | Partials of (Partial_agg.t * Time.t) list
+  | Finalised of Eval.result
+  | Sketches of Expirel_sketch.Any.t list
+
+type transport = Plan.exchange -> reply
+(** A cluster coordinator's fan-out; it raises what it cannot answer. *)
+
 val run :
   ?trace:Expirel_obs.Trace.t ->
   ?tau:Time.t ->
-  db:Database.t ->
+  ?db:Database.t ->
+  ?transport:transport ->
   Plan.compiled ->
   Eval.result
 (** Evaluates the plan against the database's state as it stands at
     [tau] (default: the database clock; it must not be earlier).  A
     later [tau] answers [AT tau]: the current state with every row
-    expired by then cut away.
+    expired by then cut away.  Scans need [db]; a plan of exchanges
+    needs only [tau].
+
+    [transport] answers every {!Plan.Exchange} before any operator
+    runs; the answers then merge under one [merge] span with the
+    operators a node runs: a rows exchange is the union of the shards'
+    rows ({!Relation.union_max}, each cut at [tau]) with the least of
+    their [texp(e)]s, not re-batched at the root; a partials exchange
+    feeds its aggregate {!Partial_agg.merge_all} and the one
+    finalisation; a sketch exchange feeds its sketch operator the
+    shards' sketches merged.
     On [trace], every physical operator node runs in one
     [op:<]{!Plan.operator_name}[>] span, nested as {!Plan.children},
     labelled with its output [rows] and, where it has them, its
@@ -36,7 +60,10 @@ val run :
     materialisation runs outside every operator span.  Untraced, the
     executor opens no span and formats no label.
     @raise Errors.Unknown_relation / Errors.Arity_mismatch as the naive
-    {!Eval} would for the same logical expression. *)
+    {!Eval} would for the same logical expression, given [db].
+    @raise Invalid_argument on a scan without [db], an exchange without
+    [transport], or a reply it did not want; [Failure] on sketches that
+    do not merge. *)
 
 val partial :
   ?trace:Expirel_obs.Trace.t ->

@@ -1,7 +1,18 @@
 open Expirel_core
 open Expirel_storage
 
+type ship = Statement | Table of string
+type want = Rows | Partials | Sketch
+
+type exchange = {
+  ship : ship;
+  want : want;
+  keys : Value.t list option;
+  arity : int;
+}
+
 type t =
+  | Exchange of exchange
   | Scan of {
       name : string;
       pred : Predicate.t option;
@@ -52,7 +63,7 @@ type compiled = {
 let operator_names =
   [| "index-scan"; "seq-scan"; "filter"; "project"; "nested-loop";
      "hash-join"; "merge-union"; "merge-intersect"; "merge-diff";
-     "aggregate"; "sketch-count"; "sketch-sample" |]
+     "aggregate"; "sketch-count"; "sketch-sample"; "exchange" |]
 
 (* A node's place in [operator_names]. *)
 let operator = function
@@ -68,6 +79,7 @@ let operator = function
   | Grouped_aggregate _ -> 9
   | Sketch_count _ -> 10
   | Sketch_sample _ -> 11
+  | Exchange _ -> 12
 
 let operator_name p = operator_names.(operator p)
 
@@ -77,7 +89,7 @@ let operator_spans =
 let operator_span p = operator_spans.(operator p)
 
 let children = function
-  | Scan _ -> []
+  | Scan _ | Exchange _ -> []
   | Filter (_, c)
   | Project (_, c)
   | Grouped_aggregate { child = c; _ }
@@ -129,13 +141,30 @@ let describe p =
       (positions projection)
   | Sketch_count { epsilon; _ } -> Printf.sprintf "%s [eps=%g]" op epsilon
   | Sketch_sample { k; _ } -> Printf.sprintf "%s [k=%d]" op k
+  | Exchange { ship; want; keys; arity = _ } ->
+    let want = match want with Rows -> "rows" | Partials -> "partials" | Sketch -> "sketch" in
+    let pinned vs = String.concat "," (List.map Value.to_string vs) in
+    Printf.sprintf "%s [%s%s%s]" op want
+      (match ship with Statement -> "" | Table name -> ", table " ^ name)
+      (Option.fold keys ~none:"" ~some:(fun vs -> Printf.sprintf ", keys {%s}" (pinned vs)))
 
-(* Indented plan tree in the style of Explain.expr_tree. *)
-let pp ppf plan =
+(* Indented plan tree in the style of Explain.expr_tree, one [line] per
+   node. *)
+let render line plan =
+  let buf = Buffer.create 128 in
   let rec go depth p =
-    Format.fprintf ppf "%s%s@\n" (String.make (2 * depth) ' ') (describe p);
+    Printf.bprintf buf "%s%s\n" (String.make (2 * depth) ' ') (line p);
     List.iter (go (depth + 1)) (children p)
   in
-  go 0 plan
+  go 0 plan;
+  Buffer.contents buf
 
-let to_string plan = Format.asprintf "%a" pp plan
+let to_string plan = render describe plan
+
+(* Every exchange leaf, in the order the tree lists them. *)
+let exchanges plan =
+  let rec go acc = function
+    | Exchange x -> x :: acc
+    | p -> List.fold_left go acc (children p)
+  in
+  List.rev (go [] plan)

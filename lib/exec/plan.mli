@@ -10,7 +10,30 @@
 open Expirel_core
 open Expirel_storage
 
+type ship = Statement | Table of string
+(** What an exchange ships: the statement's own text, or one whole base
+    table ([SELECT * FROM name]). *)
+
+type want = Rows | Partials | Sketch
+(** What it wants back from each shard: answer rows, a grouped
+    aggregate child's partial ({!Partial_agg}), or a sketch. *)
+
+type exchange = {
+  ship : ship;
+  want : want;
+  keys : Value.t list option;  (** the partition keys it pins; [None]: every shard *)
+  arity : int;  (** the rows' width: the answer's, or the aggregated child's *)
+}
+(** A distribution boundary (Graefe's exchange operator), where a
+    cluster coordinator's plan reads the shards' answers: disjoint
+    partitions, so they combine under the union rule (Theorem 1,
+    Equation (4)) with the operators a node already runs. *)
+
 type t =
+  | Exchange of exchange
+      (** answered by the executor's transport; a [Partials] or
+          [Sketch] exchange sits directly under its aggregate or
+          sketch *)
   | Scan of {
       name : string;
       pred : Predicate.t option;
@@ -84,7 +107,7 @@ val operator_name : t -> string
 (** Canonical lower-case physical operator name ([seq-scan],
     [index-scan], [filter], [project], [nested-loop], [hash-join],
     [merge-union], [merge-intersect], [merge-diff], [aggregate],
-    [sketch-count], [sketch-sample]) — the
+    [sketch-count], [sketch-sample], [exchange]) — the
     vocabulary EXPLAIN plan lines and per-operator [op:<name>] trace
     spans share, replacing the logical {!Algebra.operator_name}s on the
     physical execution path. *)
@@ -101,7 +124,11 @@ val describe : t -> string
     predicates) without its children — lets annotated renderings
     (EXPLAIN ANALYZE) reuse the exact plan vocabulary. *)
 
-val pp : Format.formatter -> t -> unit
-(** Indented plan tree with access paths and join keys. *)
+val render : (t -> string) -> t -> string
+(** The indented plan tree, one [line] of each node per line. *)
 
 val to_string : t -> string
+(** {!render} of {!describe}: access paths, join keys, exchanges. *)
+
+val exchanges : t -> exchange list
+(** The exchange leaves, in the order the tree lists them. *)

@@ -3,6 +3,10 @@ open Expirel_storage
 
 let arity_env db name = Option.map Table.arity (Database.table db name)
 
+(* An exchange's rows are unknown until it runs: costed as many, so a
+   join over exchanges hashes when its condition has equi-keys. *)
+let exchange_rows = 1 lsl 20
+
 (* Cheap cardinality estimates for costing physical alternatives: table
    stats at the leaves, fixed selectivity factors above them.  These only
    steer operator choice; they never affect results. *)
@@ -40,6 +44,16 @@ let rec estimate_rows db = function
   | Plan.Grouped_aggregate { child; _ } -> estimate_rows db child
   | Plan.Sketch_count _ -> 1
   | Plan.Sketch_sample { k; _ } -> k
+  | Plan.Exchange _ -> exchange_rows
+
+(* What compiling a plan reads: the base relations' widths, the leaf a
+   base relation (maybe filtered) becomes, and the row estimates that
+   choose a join's algorithm. *)
+type source = {
+  env : string -> int option;
+  leaf : string -> Predicate.t option -> Plan.t;
+  rows : Plan.t -> int;
+}
 
 let scan db name pred =
   let access =
@@ -49,11 +63,13 @@ let scan db name pred =
   in
   Plan.Scan { name; pred; access }
 
-let join db p l pl pr =
-  let left_arity = Algebra.arity ~env:(arity_env db) l in
+let local db = { env = arity_env db; leaf = scan db; rows = estimate_rows db }
+
+let join s p l pl pr =
+  let left_arity = Algebra.arity ~env:s.env l in
   match Predicate.equi_split ~left_arity p with
   | Some { Predicate.pairs; residual = _ } ->
-    let left = estimate_rows db pl and right = estimate_rows db pr in
+    let left = s.rows pl and right = s.rows pr in
     (* the factor 2 keeps tiny inputs on the allocation-free loop *)
     if 2 * (left + right) < left * right then
       Plan.Hash_join { pairs; pred = p; left = pl; right = pr }
@@ -62,23 +78,23 @@ let join db p l pl pr =
 
 let refuse fmt = Printf.ksprintf (fun m -> invalid_arg ("Planner.plan: " ^ m)) fmt
 
-let rec compile db = function
-  | Algebra.Base name -> scan db name None
-  | Algebra.Select (p, Algebra.Base name) -> scan db name (Some p)
-  | Algebra.Select (p, e) -> Plan.Filter (p, compile db e)
+let rec compile s = function
+  | Algebra.Base name -> s.leaf name None
+  | Algebra.Select (p, Algebra.Base name) -> s.leaf name (Some p)
+  | Algebra.Select (p, e) -> Plan.Filter (p, compile s e)
   | Algebra.Project (js, Algebra.Select (h, Algebra.Aggregate (group, func, e))) ->
-    grouped db js (Some h) group func e
+    grouped s js (Some h) group func e (fun () -> compile s e)
   | Algebra.Project (js, Algebra.Aggregate (group, func, e)) ->
-    grouped db js None group func e
-  | Algebra.Project (js, e) -> Plan.Project (js, compile db e)
+    grouped s js None group func e (fun () -> compile s e)
+  | Algebra.Project (js, e) -> Plan.Project (js, compile s e)
   | Algebra.Product (l, r) ->
     Plan.Nested_loop
-      { pred = Predicate.True; left = compile db l; right = compile db r }
-  | Algebra.Join (p, l, r) -> join db p l (compile db l) (compile db r)
-  | Algebra.Union (l, r) -> Plan.Merge_union (compile db l, compile db r)
+      { pred = Predicate.True; left = compile s l; right = compile s r }
+  | Algebra.Join (p, l, r) -> join s p l (compile s l) (compile s r)
+  | Algebra.Union (l, r) -> Plan.Merge_union (compile s l, compile s r)
   | Algebra.Intersect (l, r) ->
-    Plan.Merge_intersect (compile db l, compile db r)
-  | Algebra.Diff (l, r) -> Plan.Merge_diff (compile db l, compile db r)
+    Plan.Merge_intersect (compile s l, compile s r)
+  | Algebra.Diff (l, r) -> Plan.Merge_diff (compile s l, compile s r)
   | Algebra.Aggregate _ ->
     refuse "an aggregate plans only under a GROUP BY projection"
 
@@ -86,11 +102,11 @@ let rec compile db = function
    projection, maybe over a HAVING selection, directly over it, both
    touching nothing but GROUP BY positions and the aggregate at
    [child_arity + 1] (other positions have no single per-group value).
-   That shape fuses into one Grouped_aggregate node, executed over
-   expiration-slice partials (Partial_agg), the same condensed form the
-   cluster coordinator merges across shards. *)
-and grouped db projection having group func e =
-  let child_arity = Algebra.arity ~env:(arity_env db) e in
+   That shape fuses into one Grouped_aggregate node over [child],
+   executed over expiration-slice partials (Partial_agg), the same
+   condensed form the cluster coordinator merges across shards. *)
+and grouped s projection having group func e child =
+  let child_arity = Algebra.arity ~env:s.env e in
   let grouped j = j = child_arity + 1 || List.mem j group in
   List.iter
     (fun j ->
@@ -104,15 +120,22 @@ and grouped db projection having group func e =
         refuse "HAVING [%s] reads a column neither grouped nor the aggregate"
           (Predicate.to_string p))
     having;
-  Plan.Grouped_aggregate { group; func; having; projection; child = compile db e }
+  Plan.Grouped_aggregate { group; func; having; projection; child = child () }
 
-let rebind ~db f { Plan.logical; physical } =
+let wrap approx physical =
+  match approx with
+  | None -> physical
+  | Some (Approx.Count { epsilon }) -> Plan.Sketch_count { epsilon; child = physical }
+  | Some (Approx.Sample { k }) -> Plan.Sketch_sample { k; child = physical }
+
+let rebind ?db f { Plan.logical; physical } =
   let pred = Predicate.map_consts f in
   let rec go = function
+    | Plan.Exchange x -> Plan.Exchange { x with keys = Option.map (List.map f) x.keys }
     | Plan.Scan { name; pred = Some p; access } ->
       let p = pred p in
       let access =
-        match access, Database.table db name with
+        match access, Option.bind db (fun db -> Database.table db name) with
         | Access.Index { column; _ }, Some table -> Access.path table p ~column
         | access, _ -> access
       in
@@ -139,12 +162,103 @@ let plan ~db ?approx expr =
   (* The oracle's errors first: an ill-formed expression raises what
      [Eval] raises before any shape is checked. *)
   let (_ : int) = Algebra.arity ~env:(arity_env db) expr in
-  let physical = compile db expr in
+  { Plan.logical = expr; physical = wrap approx (compile (local db) expr) }
+
+(* ---------- a cluster coordinator's plans ---------- *)
+
+(* Rows live on the shard that owns the hash of their first column, so
+   a join whose condition equates the two first columns is
+   co-partitioned: join partners share a hash, hence a shard. *)
+let co_partitioned p ~left_arity =
+  List.exists
+    (function
+      | Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Col c)
+      | Predicate.Cmp (Predicate.Eq, Predicate.Col c, Predicate.Col 1) ->
+        c = left_arity + 1
+      | _ -> false)
+    (Predicate.conjuncts p)
+
+(* An equality pins its constant, a conjunction whatever either side
+   pins, a disjunction the union when both sides pin (sqlx has no IN;
+   an OR of points is its IN list). *)
+let rec pinned_keys = function
+  | Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Const v)
+  | Predicate.Cmp (Predicate.Eq, Predicate.Const v, Predicate.Col 1) ->
+    Some [ v ]
+  | Predicate.And (a, b) ->
+    (match pinned_keys a with
+     | Some _ as keys -> keys
+     | None -> pinned_keys b)
+  | Predicate.Or (a, b) ->
+    (match (pinned_keys a, pinned_keys b) with
+     | Some x, Some y -> Some (x @ y)
+     | _ -> None)
+  | _ -> None
+
+(* [Some (key, keys)] when [e] is shard-local: [e] on each shard's
+   partition, merged under the union rule, is [e] over all rows.  [key]
+   is the output position still holding the hash key, if one does, and
+   [keys] the first-column values its rows can have, if it pins any.
+   Selection, projection and union are monotone (Theorem 1) and commute
+   with the union of disjoint partitions; a co-partitioned join finds
+   its partners on one shard; an EXCEPT or INTERSECT whose operands
+   keep the key at one position has its equal rows on one shard, and
+   answers a subset of its left operand's rows. *)
+let rec shard_local ~env = function
+  | Algebra.Base _ -> Some (Some 1, None)
+  | Algebra.Select (p, Algebra.Base _) -> Some (Some 1, pinned_keys p)
+  | Algebra.Select (_, e) -> Option.map (fun (key, _) -> (key, None)) (shard_local ~env e)
+  | Algebra.Project (ps, e) ->
+    let moved k = Option.map succ (List.find_index (Int.equal k) ps) in
+    Option.map (fun (key, keys) -> (Option.bind key moved, keys)) (shard_local ~env e)
+  | Algebra.Join (p, Algebra.Base left, Algebra.Base _) ->
+    (match env left with
+     | Some left_arity when co_partitioned p ~left_arity -> Some (Some 1, None)
+     | _ -> None)
+  | Algebra.Union (a, b) ->
+    (match (shard_local ~env a, shard_local ~env b) with
+     | Some (ka, xa), Some (kb, xb) ->
+       Some ((if ka = kb then ka else None), Option.bind xa (fun x -> Option.map (( @ ) x) xb))
+     | _ -> None)
+  | Algebra.Diff (a, b) | Algebra.Intersect (a, b) ->
+    (match (shard_local ~env a, shard_local ~env b) with
+     | Some ((Some ka, _) as left), Some (Some kb, _) when ka = kb -> Some left
+     | _ -> None)
+  | Algebra.Join _ | Algebra.Product _ | Algebra.Aggregate _ -> None
+
+(* A sketch's child must keep the key, so that no row repeats across
+   shards. *)
+let distribute ~env ?approx expr =
+  let (_ : int) = Algebra.arity ~env expr in
+  let exchange want e =
+    let keys = Option.bind (shard_local ~env e) snd in
+    Plan.Exchange { ship = Plan.Statement; want; keys; arity = Algebra.arity ~env e }
+  in
+  let gathered name pred =
+    let x =
+      Plan.Exchange
+        { ship = Plan.Table name; want = Plan.Rows; keys = None; arity = Option.get (env name) }
+    in
+    Option.fold pred ~none:x ~some:(fun p -> Plan.Filter (p, x))
+  in
+  let cluster = { env; leaf = gathered; rows = (fun _ -> exchange_rows) } in
+  let one_table = function
+    | Algebra.Base _ | Algebra.Select (_, Algebra.Base _) -> true
+    | _ -> false
+  in
   let physical =
-    match approx with
-    | None -> physical
-    | Some (Approx.Count { epsilon }) ->
-      Plan.Sketch_count { epsilon; child = physical }
-    | Some (Approx.Sample { k }) -> Plan.Sketch_sample { k; child = physical }
+    match approx, expr with
+    | ( None,
+        Algebra.Project
+          ( js,
+            ((Algebra.Select (_, Algebra.Aggregate (g, f, e)) | Algebra.Aggregate (g, f, e)) as agg)
+          ) )
+      when one_table e ->
+      let having = match agg with Algebra.Select (h, _) -> Some h | _ -> None in
+      grouped cluster js having g f e (fun () -> exchange Plan.Partials e)
+    | Some _, e when Option.bind (shard_local ~env e) fst <> None ->
+      wrap approx (exchange Plan.Sketch e)
+    | None, e when shard_local ~env e <> None -> exchange Plan.Rows e
+    | _ -> wrap approx (compile cluster expr)
   in
   { Plan.logical = expr; physical }

@@ -340,9 +340,13 @@ type agg_groups =
 let aggregate_partial ?trace ?prepared t ~returning { Ast.q; at; order_by = _; limit = _ } =
   let tau = tau_of_at t at in
   let entry, hit = planned_query ?trace ?prepared t q in
-  let { p_compiled = compiled; p_columns = columns; p_approx = approx; _ } = entry in
-  if Lower.decompose { Lower.expr = compiled.Plan.logical; columns; approx } = None
-  then failwith "a grouped partial needs a query that decomposes";
+  let { p_compiled = compiled; p_columns = columns; _ } = entry in
+  (* The shape a coordinator plans a partials exchange for
+     ({!Planner.distribute}): a grouped aggregate over one table's
+     scan. *)
+  (match compiled.Plan.physical with
+   | Plan.Grouped_aggregate { child = Plan.Scan _; _ } -> ()
+   | _ -> failwith "a grouped partial needs a query that decomposes");
   (* A reader that held this node's groups before (the entry was
      evicted, rebuilt or lost to a restart) promotes the statement at
      once. *)

@@ -179,15 +179,17 @@ val run :
 
     [Answer] is {!exec}.
 
-    [Agg_partial] requires a query that {!Lower.decompose}s, and
-    condenses the decomposed child's local rows into expiration-slice
+    [Agg_partial] requires a query whose plan is the fused grouped
+    aggregate over one table's scan (the shape a coordinator plans a
+    partials exchange for, {!Expirel_exec.Planner.distribute}), and
+    condenses that child's local rows into expiration-slice
     partials.  The query runs through {!Expirel_exec.Executor.partial}
     — at the statement's [AT] time when it has one — whose fused
     aggregate folds the child's cut batches under an [op:aggregate]
     span.  It answers the final answer's column labels, the
     [Condensed] partial and the child's texp(e); the coordinator merges
     one partial per shard with {!Expirel_exec.Partial_agg.merge_all}
-    and finalises with the same parameters it decomposed.  The plan and
+    and finalises with the same aggregate's parameters.  The plan and
     a grouped COUNT's standing entry are shared with [Answer]'s: a
     grouped COUNT over a scan without [AT] whose standing entry exists
     (or is promoted now: on a repeated text's plan-cache hit, or at

@@ -229,100 +229,6 @@ let lower_select ~catalog (s : Ast.select) =
     }
   | _ :: _ :: _ -> error "at most one aggregate per select list"
 
-(* ---------- distributed decomposition ---------- *)
-
-type decomposed = {
-  d_group : int list;
-  d_func : Aggregate.func;
-  d_having : Predicate.t option;
-  d_projection : int list;
-  d_child : Algebra.t;
-}
-
-(* A shard folds the aggregate's child from its own rows only when the
-   child reads one base table, optionally filtered: then the child's
-   rows are disjoint across shards and the partials add up. *)
-let decompose { expr; approx; _ } =
-  let over_one_table ps having = function
-    | Algebra.Aggregate
-        (g, f, ((Algebra.Base _ | Algebra.Select (_, Algebra.Base _)) as child))
-      ->
-      Some
-        { d_group = g; d_func = f; d_having = having; d_projection = ps;
-          d_child = child }
-    | _ -> None
-  in
-  match (approx, expr) with
-  | None, Algebra.Project (ps, Algebra.Select (h, agg)) ->
-    over_one_table ps (Some h) agg
-  | None, Algebra.Project (ps, agg) -> over_one_table ps None agg
-  | _ -> None
-
-(* ---------- the cluster read route ---------- *)
-
-type route =
-  | Scatter
-  | Partial of decomposed
-  | Sketch of Expirel_exec.Approx.spec
-  | Gather
-
-(* Rows live on the shard that owns the hash of their first column, so
-   a join whose condition equates the two first columns is
-   co-partitioned: join partners share a hash, hence a shard. *)
-let co_partitioned p ~left_arity =
-  List.exists
-    (function
-      | Predicate.Cmp (Predicate.Eq, Predicate.Col 1, Predicate.Col c)
-      | Predicate.Cmp (Predicate.Eq, Predicate.Col c, Predicate.Col 1) ->
-        c = left_arity + 1
-      | _ -> false)
-    (Predicate.conjuncts p)
-
-(* [Some key] when [e] is shard-local: [e] on each shard's partition,
-   merged under the union rule (max texp per duplicate row, min texp(e)
-   overall), is [e] over all rows.  [key] is the output position still
-   holding the hash key (the base's first column), if one does.
-
-   Selection, projection and union commute with the union of disjoint
-   partitions (they are monotone, Theorem 1), and a co-partitioned join
-   finds every pair of partners on one shard.  EXCEPT and INTERSECT are
-   shard-local when both operands are and keep the key at the same
-   position: equal result rows share a key, so they share a shard, and
-   each shard's difference or intersection is the global one restricted
-   to its keys.  Aggregates, products and other joins combine rows of
-   several shards. *)
-let rec shard_key ~catalog = function
-  | Algebra.Base _ -> Some (Some 1)
-  | Algebra.Select (_, e) -> shard_key ~catalog e
-  | Algebra.Project (ps, e) ->
-    let moved k = Option.map succ (List.find_index (Int.equal k) ps) in
-    Option.map (fun key -> Option.bind key moved) (shard_key ~catalog e)
-  | Algebra.Join (p, Algebra.Base left, Algebra.Base _) ->
-    (match catalog left with
-     | Some columns when co_partitioned p ~left_arity:(List.length columns) ->
-       Some (Some 1)
-     | _ -> None)
-  | Algebra.Union (a, b) ->
-    (match (shard_key ~catalog a, shard_key ~catalog b) with
-     | Some ka, Some kb -> Some (if ka = kb then ka else None)
-     | _ -> None)
-  | Algebra.Diff (a, b) | Algebra.Intersect (a, b) ->
-    (match (shard_key ~catalog a, shard_key ~catalog b) with
-     | Some (Some ka), Some (Some kb) when ka = kb -> Some (Some ka)
-     | _ -> None)
-  | Algebra.Join _ | Algebra.Product _ | Algebra.Aggregate _ -> None
-
-(* A sketch counts every row it folds, so its child must keep the key:
-   then no row repeats across shards. *)
-let route ~catalog compiled =
-  match
-    (decompose compiled, compiled.approx, shard_key ~catalog compiled.expr)
-  with
-  | Some d, _, _ -> Partial d
-  | None, Some spec, Some (Some _) -> Sketch spec
-  | None, None, Some _ -> Scatter
-  | None, _, _ -> Gather
-
 (* ---------- ORDER BY resolution ---------- *)
 
 (* Resolve an ORDER BY reference against the select's output column

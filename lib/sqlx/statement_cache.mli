@@ -1,7 +1,7 @@
 (** The statement cache: an LRU of statement shapes ({!Shape}), each
     entry a parse of its shape and whatever its owner derives from a
-    statement of that shape (a node's plan, a coordinator's lowering
-    and route).  A node's interpreter and a cluster coordinator each
+    statement of that shape (a node's plan, a coordinator's plan of
+    exchanges).  A node's interpreter and a cluster coordinator each
     keep one, so a repeated request — the same text, or the same text
     with other literals — is neither parsed nor, at either end of a
     cluster hop, lowered or planned again.

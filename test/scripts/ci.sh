@@ -34,12 +34,24 @@ if grep -rnE '\b(Antijoin|Heap|Maintained|Patch|Qos|Rewrite|Schrodinger_view|Val
   echo "ci: the code above names a paper/ module; production links only lib/" >&2
   exit 1
 fi
-# One read route: the coordinator picks scatter, partial aggregate,
-# sketch or gather from the lowered algebra (Lower.route), never by
-# matching query shapes on the AST.
+# One planner: the coordinator plans a read on the lowered algebra
+# (Planner.distribute), never by matching query shapes on the AST.
 if grep -nE '\bAst\.(Select|From_join|Star|Union|Except|Intersect)\b' \
     lib/cluster/coordinator.ml; then
-  echo "ci: the coordinator classifies the AST above; route on Lower.route" >&2
+  echo "ci: the coordinator classifies the AST above; plan with Planner.distribute" >&2
+  exit 1
+fi
+# One executor: a coordinator's read is a plan of exchanges that
+# Executor.run answers through the coordinator's fan-out.  No route
+# type or gather session is left beside it, and the coordinator runs no
+# local session of its own.
+if grep -rnE '\b(gather_compute|gather_table_rows)\b|\bLower\.(route|Scatter|Gather)\b' \
+    lib bin --include='*.ml' --include='*.mli'; then
+  echo "ci: the names above belong to the removed read routes; plan with Planner.distribute" >&2
+  exit 1
+fi
+if grep -nE '\bInterp\.(create|write)\b' lib/cluster/coordinator.ml; then
+  echo "ci: the coordinator runs a local session above; its reads run through Executor.run" >&2
   exit 1
 fi
 # One texp-ordered structure: a table's rows and its secondary indexes

@@ -1461,9 +1461,9 @@ let test_refusals () =
    coordinator, and through the coordinator's forced broadcast
    ([~prune:false]): same row set with identical per-row texps,
    identical texp(e), and the same listing when ORDER BY fixes the
-   order.  These queries flow through the new routes: decomposed slice
-   partials, co-partitioned joins, key routing and the
-   gather-then-compute fallback.  A [DELETE] among [qs] runs on both
+   order.  These queries flow through every exchange: slice partials,
+   co-partitioned joins, key routing and the whole-table exchanges a
+   gathered plan reads.  A [DELETE] among [qs] runs on both
    sides once, routed, and must report the same number of rows. *)
 let check_against_single_node ~shards ~statements qs =
   with_cluster shards (fun coord _servers _eps ->
@@ -1543,13 +1543,81 @@ let test_distributed_groupby_joins () =
       "SELECT * FROM pol JOIN aux ON pol.uid = aux.uid";
       (* a projected EXCEPT keeping the key scatters *)
       "SELECT uid FROM pol EXCEPT SELECT uid FROM aux";
-      (* gather-then-compute fallback: a join whose key is not the
+      (* gathered over whole-table exchanges: a join whose key is not the
          partitioning column, with and without AT, a projected EXCEPT
          dropping the key, aggregate over a join *)
       "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag";
       "SELECT deg FROM pol EXCEPT SELECT tag FROM aux";
       "SELECT COUNT(*) FROM pol JOIN aux ON pol.uid = aux.uid";
       "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag AT 15" ]
+
+(* EXPLAIN through the coordinator prints its own plan first, one
+   exchange line per leaf naming the shards it contacts after pruning,
+   whether it reads the text's kept COUNT, and the text it ships; the
+   shards' own reports follow.  EXPLAIN ANALYZE runs the query and
+   labels each exchange line with its fan-out's time and bytes. *)
+let test_explain_routes () =
+  with_cluster 3 (fun coord _servers _eps ->
+      ignore (exec coord "CREATE TABLE t (k, v)");
+      ignore (exec coord "CREATE TABLE u (w, x)");
+      for i = 1 to 30 do
+        ignore
+          (exec coord (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES 99" i (i mod 3)));
+        ignore
+          (exec coord (Printf.sprintf "INSERT INTO u VALUES (%d, %d) EXPIRES 99" i (i mod 5)))
+      done;
+      (* The coordinator's section of an EXPLAIN answer. *)
+      let own sql =
+        match exec coord sql with
+        | Wire.Ok_msg text ->
+          let header = "--- coordinator ---\n" and shards = "--- shard 0 ---" in
+          Alcotest.(check bool) (sql ^ ": coordinator first") true
+            (String.starts_with ~prefix:header text);
+          Alcotest.(check bool) (sql ^ ": shards follow") true (string_contains text shards);
+          let rec cut i =
+            if String.sub text i (String.length shards) = shards then i else cut (i + 1)
+          in
+          let at = String.length header in
+          String.sub text at (cut at - at)
+        | r -> Alcotest.failf "%s: %s" sql (Wire.render_response r)
+      in
+      let owner = Wire.shard_owner (Coordinator.shard_map coord) (Value.int 7) in
+      List.iter
+        (fun (route, sql, expected) ->
+          Alcotest.(check string) route expected (own ("EXPLAIN " ^ sql)))
+        [ ( "scatter",
+            "SELECT * FROM t WHERE k = 7",
+            Printf.sprintf
+              "exchange [rows, keys {7}] shards {%d}: SELECT * FROM t WHERE k = 7\n" owner );
+          ( "partial",
+            "SELECT v, COUNT(*) FROM t GROUP BY v",
+            "aggregate [group {2}, count, partials -> (2,3)]\n\
+            \  exchange [partials] shards {0,1,2}: SELECT v, COUNT(*) FROM t GROUP BY v\n" );
+          ( "sketch",
+            "SELECT APPROX_COUNT(0.1) FROM t",
+            "sketch-count [eps=0.1]\n\
+            \  exchange [sketch] shards {0,1,2}: SELECT APPROX_COUNT(0.1) FROM t\n" );
+          ( "gather",
+            "SELECT * FROM t JOIN u ON t.v = u.x",
+            "hash-join [#2 = right #2] verify [#2 = #4]\n\
+            \  exchange [rows, table t] shards {0,1,2}: SELECT * FROM t\n\
+            \  exchange [rows, table u] shards {0,1,2}: SELECT * FROM u\n" ) ];
+      (* A text read once is kept: its next read names versions. *)
+      ignore (exec coord "SELECT v, COUNT(*) FROM t GROUP BY v");
+      Alcotest.(check string) "kept partial"
+        "aggregate [group {2}, count, partials -> (2,3)]\n\
+        \  exchange [partials] shards {0,1,2} kept: SELECT v, COUNT(*) FROM t GROUP BY v\n"
+        (own "EXPLAIN SELECT v, COUNT(*) FROM t GROUP BY v");
+      let analyzed = own "EXPLAIN ANALYZE SELECT * FROM t WHERE k = 7" in
+      Alcotest.(check bool) ("analyzed: " ^ analyzed) true
+        (String.starts_with
+           ~prefix:
+             (Printf.sprintf
+                "exchange [rows, keys {7}] shards {%d}: SELECT * FROM t WHERE k = 7  (time=" owner)
+           analyzed);
+      match Scanf.sscanf_opt (List.nth (String.split_on_char '=' analyzed) 3) "%d)" Fun.id with
+      | Some bytes -> Alcotest.(check bool) "bytes counted" true (bytes > 0)
+      | None -> Alcotest.failf "no bytes in %s" analyzed)
 
 (* Table 1's COUNT form on the wire: a shard answers a COUNT aggregate
    partial request with at most two slices per group — the rows
@@ -3152,6 +3220,8 @@ let suite =
       test_cluster_storm_rule;
     Alcotest.test_case "DELETE/VACUUM acks sum the shards' counts" `Quick
       test_broadcast_counts;
+    Alcotest.test_case "EXPLAIN prints the coordinator's plan per route" `Quick
+      test_explain_routes;
     Alcotest.test_case "a pinned key contacts only its owners" `Quick
       test_routed_traffic;
     qcheck_routed_matches_broadcast;

@@ -115,19 +115,33 @@ let test_delete_cond () =
   in
   Alcotest.(check string) "resolved against table" "#2 = 2" (Predicate.to_string p)
 
-(* The cluster read route, decided on the lowered algebra: pol and el
-   hash on uid, s on sid. *)
+(* The cluster read route, read off the shape of the coordinator's plan
+   for the lowered algebra: pol and el hash on uid, s on sid.  A root
+   exchange scatters, an aggregate over an exchange merges partials, a
+   sketch over an exchange merges sketches, and exchanges at the scans
+   gather. *)
 let test_route () =
-  let name = function
-    | Lower.Scatter -> "scatter"
-    | Lower.Partial _ -> "partial"
-    | Lower.Sketch _ -> "sketch"
-    | Lower.Gather -> "gather"
+  let open Expirel_exec in
+  let name { Lower.expr; approx; _ } =
+    let env table = Option.map List.length (catalog table) in
+    match (Planner.distribute ~env ?approx expr).Plan.physical with
+    | Plan.Exchange { ship = Plan.Statement; want = Plan.Rows; _ } -> "scatter"
+    | Plan.Grouped_aggregate { child = Plan.Exchange { want = Plan.Partials; _ }; _ } ->
+      "partial"
+    | Plan.Sketch_count { child = Plan.Exchange { want = Plan.Sketch; _ }; _ }
+    | Plan.Sketch_sample { child = Plan.Exchange { want = Plan.Sketch; _ }; _ } ->
+      "sketch"
+    | physical ->
+      let rec gathered = function
+        | Plan.Exchange { ship = Plan.Table _; want = Plan.Rows; keys = None; _ } -> true
+        | Plan.Exchange _ | Plan.Scan _ -> false
+        | p -> List.for_all gathered (Plan.children p)
+      in
+      if gathered physical then "gather" else Plan.to_string physical
   in
   List.iter
     (fun (expected, text) ->
-      Alcotest.(check string) text expected
-        (name (Lower.route ~catalog (lower text))))
+      Alcotest.(check string) text expected (name (lower text)))
     [ ("scatter", "SELECT * FROM pol WHERE uid = 1");
       ("scatter", "SELECT uid, deg FROM pol WHERE deg = 25");
       ("scatter", "SELECT uid FROM pol UNION SELECT deg FROM el");

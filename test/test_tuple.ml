@@ -30,6 +30,30 @@ let test_compare () =
   Alcotest.(check bool) "lexicographic" true
     (Tuple.compare (Tuple.ints [ 1; 2 ]) (Tuple.ints [ 1; 3 ]) < 0)
 
+(* A comparison runs a closed loop: 10^4 compares and equalities of
+   equal 3-column tuples allocate under one minor word each. *)
+let test_compare_allocates_nothing () =
+  let a = Tuple.ints [ 1; 2; 3 ] and b = Tuple.ints [ 1; 2; 3 ] in
+  let n = 10_000 in
+  let words f =
+    let before = Gc.minor_words () in
+    let acc = ref 0 in
+    for _ = 1 to n do
+      acc := !acc + f ()
+    done;
+    let after = Gc.minor_words () in
+    Alcotest.(check int) "all equal" 0 !acc;
+    (after -. before) /. float_of_int n
+  in
+  let per_compare = words (fun () -> Tuple.compare a b) in
+  Alcotest.(check bool)
+    (Printf.sprintf "compare: %.2f minor words each" per_compare)
+    true (per_compare < 1.);
+  let per_equal = words (fun () -> if Tuple.equal a b then 0 else 1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "equal: %.2f minor words each" per_equal)
+    true (per_equal < 1.)
+
 let test_printing () =
   Alcotest.(check string) "paper style" "<1, 25>" (Tuple.to_string (Tuple.ints [ 1; 25 ]))
 
@@ -58,6 +82,7 @@ let suite =
     Alcotest.test_case "projection" `Quick test_project;
     Alcotest.test_case "concat and split" `Quick test_concat_split;
     Alcotest.test_case "ordering" `Quick test_compare;
+    Alcotest.test_case "compare allocates nothing" `Quick test_compare_allocates_nothing;
     Alcotest.test_case "printing" `Quick test_printing;
     prop_project_identity;
     prop_concat_split_roundtrip;
